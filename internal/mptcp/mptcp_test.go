@@ -270,7 +270,7 @@ func TestQuickReassemblyExactlyOnce(t *testing.T) {
 		for _, c := range seq {
 			rc.push(c.n, &packet.DSS{HasMap: true, DSN: c.dsn, DataLen: uint16(c.n)})
 		}
-		return rc.Delivered == dsn && rc.DataAck() == dsn && len(rc.ooo) == 0
+		return rc.Delivered == dsn && rc.DataAck() == dsn && rc.ooo.len() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

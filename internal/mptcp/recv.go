@@ -1,8 +1,6 @@
 package mptcp
 
 import (
-	"sort"
-
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/tcp"
 )
@@ -15,8 +13,9 @@ type RecvConn struct {
 	Token uint32
 
 	dsnExpected uint64
-	// ooo holds out-of-order data-level chunks sorted by DSN.
-	ooo []dchunk
+	// ooo holds out-of-order data-level chunks sorted by DSN, one per
+	// arriving mapping (never coalesced: duplicate accounting is per chunk).
+	ooo chunkList
 	// Delivered counts in-order data bytes handed to the application.
 	Delivered uint64
 	// DupBytes counts bytes discarded as data-level duplicates (redundant
@@ -28,11 +27,6 @@ type RecvConn struct {
 	subflows int
 }
 
-type dchunk struct {
-	dsn uint64
-	n   int
-}
-
 // SubflowCount returns how many subflows have attached.
 func (rc *RecvConn) SubflowCount() int { return rc.subflows }
 
@@ -42,9 +36,7 @@ func (rc *RecvConn) SubflowCount() int { return rc.subflows }
 // must equal delivered + duplicate + out-of-order + still-in-transit.
 func (rc *RecvConn) OOOBytes() uint64 {
 	var n uint64
-	for _, c := range rc.ooo {
-		n += uint64(c.n)
-	}
+	rc.ooo.each(func(c dchunk) { n += uint64(c.n) })
 	return n
 }
 
@@ -78,32 +70,28 @@ func (rc *RecvConn) insert(dsn uint64, n int) {
 		n = int(end - rc.dsnExpected)
 		dsn = rc.dsnExpected
 	}
-	i := sort.Search(len(rc.ooo), func(i int) bool { return rc.ooo[i].dsn >= dsn })
-	if i < len(rc.ooo) && rc.ooo[i].dsn == dsn {
-		if rc.ooo[i].n >= n {
+	b, i := rc.ooo.seek(dsn)
+	if c := rc.ooo.at(b, i); c != nil && c.dsn == dsn {
+		if c.n >= n {
 			rc.DupBytes += uint64(n)
 			return // fully duplicate
 		}
-		rc.DupBytes += uint64(rc.ooo[i].n)
-		rc.ooo[i].n = n
+		rc.DupBytes += uint64(c.n)
+		c.n = n
 		return
 	}
-	rc.ooo = append(rc.ooo, dchunk{})
-	copy(rc.ooo[i+1:], rc.ooo[i:])
-	rc.ooo[i] = dchunk{dsn: dsn, n: n}
+	rc.ooo.insert(b, i, dchunk{dsn: dsn, n: n})
 }
 
-// drain delivers contiguous chunks at dsnExpected. Drained chunks are
-// compacted off the front afterwards (instead of re-slicing per chunk)
-// so the queue keeps its capacity and insert's append stays in place.
+// drain delivers contiguous chunks at dsnExpected and retires them from
+// the front of the queue; the chunks still waiting are not moved.
 func (rc *RecvConn) drain() {
-	n := 0
-	for n < len(rc.ooo) {
-		c := rc.ooo[n]
+	for rc.ooo.len() > 0 {
+		c := rc.ooo.front()
 		if c.dsn > rc.dsnExpected {
 			break
 		}
-		n++
+		rc.ooo.popFront()
 		end := c.dsn + uint64(c.n)
 		if end <= rc.dsnExpected {
 			rc.DupBytes += uint64(c.n)
@@ -118,9 +106,6 @@ func (rc *RecvConn) drain() {
 		if rc.OnDeliver != nil {
 			rc.OnDeliver(fresh)
 		}
-	}
-	if n > 0 {
-		rc.ooo = rc.ooo[:copy(rc.ooo, rc.ooo[n:])]
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"time"
 
+	"mptcpsim/internal/fifo"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/topo"
@@ -70,24 +71,25 @@ type Link struct {
 	capBytes unit.ByteSize
 	aqm      AQM
 
-	q            []*packet.Packet
-	head         int
+	q            fifo.Queue[*packet.Packet]
 	queuedBytes  unit.ByteSize
 	transmitting bool
 	lastIdleAt   sim.Time
 
 	// txPkt/txTime hold the frame currently serialising and its committed
-	// transmission time; infl/inflHead is the FIFO of frames that left the
-	// transmitter and are still propagating. Together with the pre-bound
-	// txDone/arrive callbacks they make a packet's whole transit —
-	// serialisation completion plus propagation arrival — schedule on
-	// pooled event nodes with zero heap allocations.
-	txPkt    *packet.Packet
-	txTime   time.Duration
-	infl     []*packet.Packet
-	inflHead int
-	txDone   txDoneCallback
-	arrive   arriveCallback
+	// transmission time; infl is the FIFO of frames that left the
+	// transmitter and are still propagating. Arrivals on a link are FIFO by
+	// construction, so only infl's head has a pending arrive event: each
+	// frame's place in the event order is reserved when it leaves the
+	// transmitter and armed when it reaches the head. Together with the
+	// pre-bound txDone/arrive callbacks this makes a packet's whole transit
+	// schedule on pooled event nodes with zero heap allocations, and keeps
+	// the loop's pending set independent of the bandwidth-delay product.
+	txPkt  *packet.Packet
+	txTime time.Duration
+	infl   fifo.Queue[inflight]
+	txDone txDoneCallback
+	arrive arriveCallback
 
 	// memoSize/memoRate/memoTx memoise the last TxTime computation:
 	// traffic on a link is overwhelmingly one or two packet sizes, and the
@@ -141,6 +143,15 @@ type txDoneCallback struct{ l *Link }
 
 // Run implements sim.Callback.
 func (c *txDoneCallback) Run(now sim.Time) { c.l.finishTx(now) }
+
+// inflight is one propagating frame: its committed arrival time and the
+// scheduling seq reserved for the arrival when the frame left the
+// transmitter.
+type inflight struct {
+	pkt *packet.Packet
+	at  sim.Time
+	seq uint64
+}
 
 // arriveCallback adapts propagation arrival to sim.Callback. Arrivals on
 // one link fire in transmit order (times are clamped monotone and the
@@ -283,7 +294,7 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 		l.drop(pkt, DropQueueFull)
 		return
 	}
-	l.q = append(l.q, pkt)
+	l.q.Push(pkt)
 	l.queuedBytes += pkt.Size()
 	if l.queuedBytes > l.Counters.MaxQueue {
 		l.Counters.MaxQueue = l.queuedBytes
@@ -292,20 +303,12 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 }
 
 func (l *Link) pop() *packet.Packet {
-	pkt := l.q[l.head]
-	l.q[l.head] = nil
-	l.head++
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-	} else if l.head > 256 && l.head*2 >= len(l.q) {
-		l.q = append(l.q[:0], l.q[l.head:]...)
-		l.head = 0
-	}
+	pkt := *l.q.At(0)
+	l.q.Pop(1)
 	return pkt
 }
 
-func (l *Link) queueLen() int { return len(l.q) - l.head }
+func (l *Link) queueLen() int { return l.q.Len() }
 
 func (l *Link) startTx() {
 	if l.down || l.transmitting || l.queueLen() == 0 {
@@ -347,32 +350,34 @@ func (l *Link) finishTx(now sim.Time) {
 	// Propagate towards the far node while the transmitter moves on.
 	// Arrival is clamped to the latest in-flight arrival so a runtime
 	// delay cut cannot reorder frames (equal times keep FIFO by
-	// scheduling sequence).
+	// scheduling sequence). The arrival's seq is reserved now, whether or
+	// not the frame is the head, so it runs where a per-frame event
+	// scheduled here would have.
 	arriveAt := now.Add(l.Spec.Delay)
 	if arriveAt < l.lastArrivalAt {
 		arriveAt = l.lastArrivalAt
 	}
 	l.lastArrivalAt = arriveAt
 	l.net.propagating++
-	l.infl = append(l.infl, pkt)
-	l.net.Loop.AtCall(arriveAt, &l.arrive)
+	seq := l.net.Loop.ReserveSeq()
+	if l.infl.Len() == 0 {
+		l.net.Loop.AtCallReserved(arriveAt, seq, &l.arrive)
+	}
+	l.infl.Push(inflight{pkt: pkt, at: arriveAt, seq: seq})
 	if l.queueLen() == 0 {
 		l.lastIdleAt = now
 	}
 	l.startTx()
 }
 
-// arrival runs when the in-flight FIFO's head frame reaches the far node.
+// arrival runs when the in-flight FIFO's head frame reaches the far node,
+// and arms the arrival of the frame behind it.
 func (l *Link) arrival() {
-	pkt := l.infl[l.inflHead]
-	l.infl[l.inflHead] = nil
-	l.inflHead++
-	if l.inflHead == len(l.infl) {
-		l.infl = l.infl[:0]
-		l.inflHead = 0
-	} else if l.inflHead > 256 && l.inflHead*2 >= len(l.infl) {
-		l.infl = append(l.infl[:0], l.infl[l.inflHead:]...)
-		l.inflHead = 0
+	pkt := l.infl.At(0).pkt
+	l.infl.Pop(1)
+	if l.infl.Len() > 0 {
+		next := l.infl.At(0)
+		l.net.Loop.AtCallReserved(next.at, next.seq, &l.arrive)
 	}
 	l.net.propagating--
 	l.net.tapArrive(l, pkt)

@@ -14,6 +14,16 @@
 // Callback interface lets hot callers schedule pre-bound callback structs
 // instead of capturing closures. Timer handles are values carrying a
 // generation counter, so a stale handle to a recycled node is a safe no-op.
+//
+// Ordering contract: events run in strictly increasing (at, seq) order,
+// where seq is the scheduling sequence number the kernel issued — at
+// Schedule/At/ScheduleCall/AtCall time, or earlier through ReserveSeq for an
+// event armed later with AtCallReserved. A reserved event runs exactly where
+// a schedule call made at reservation time would have put it, even when it
+// is armed at the current instant with a seq older than events already
+// popped for that instant. This is what lets a producer of FIFO-ordered
+// events (a link's propagating frames) keep one heap entry instead of one
+// per event without moving any event in the order.
 package sim
 
 import (
@@ -73,10 +83,16 @@ type Callback interface {
 type node struct {
 	at  Time
 	seq uint64
-	fn  func()
 	cb  Callback
 	gen uint32
 }
+
+// funcCallback boxes a plain func for Schedule and At. A func value is
+// pointer-shaped, so the conversion to Callback allocates nothing.
+type funcCallback func()
+
+// Run implements Callback.
+func (f funcCallback) Run(Time) { f() }
 
 // entry is one pending-queue element, 16 bytes so four children of a
 // 4-ary heap node share one cache line. It carries the full sort key
@@ -167,6 +183,9 @@ func (t Timer) When() Time {
 type Loop struct {
 	now Time
 	seq uint64
+	// unarmed counts seqs ReserveSeq issued that AtCallReserved has not
+	// scheduled yet.
+	unarmed uint64
 	// nodes is the pooled event arena; free lists the recycled indices.
 	nodes []node
 	free  []int32
@@ -217,8 +236,10 @@ func (l *Loop) SetEventLimit(n uint64) { l.limit = n }
 // there is no telemetry mode to switch on — and snapshotting allocates
 // nothing.
 type Counters struct {
-	// Scheduled counts events ever scheduled (including later-stopped
-	// timers); Fired counts events that executed.
+	// Scheduled counts scheduling seqs ever issued: events scheduled
+	// (including later-stopped timers) plus seqs reserved by ReserveSeq,
+	// whether or not AtCallReserved has armed them yet. Fired counts events
+	// that executed.
 	Scheduled uint64
 	Fired     uint64
 	// ArenaNodes is the pooled arena size (nodes ever created); Recycled
@@ -237,7 +258,7 @@ func (l *Loop) Counters() Counters {
 		Scheduled:  l.seq,
 		Fired:      l.processed,
 		ArenaNodes: len(l.nodes),
-		Recycled:   l.seq - uint64(len(l.nodes)),
+		Recycled:   l.seq - l.unarmed - uint64(len(l.nodes)),
 		InUsePeak:  l.inUsePeak,
 		HeapPeak:   l.heapPeak,
 	}
@@ -250,7 +271,7 @@ var ErrEventLimit = errors.New("sim: event limit exceeded")
 // Growth only happens while the simulation is still widening its event
 // horizon; once the arena matches the peak number of concurrently pending
 // events, scheduling never allocates again.
-func (l *Loop) alloc(at Time, fn func(), cb Callback) int32 {
+func (l *Loop) alloc(at Time, seq uint64, cb Callback) int32 {
 	var id int32
 	if n := len(l.free); n > 0 {
 		id = l.free[n-1]
@@ -262,15 +283,10 @@ func (l *Loop) alloc(at Time, fn func(), cb Callback) int32 {
 		l.nodes = append(l.nodes, node{})
 		id = int32(len(l.nodes) - 1)
 	}
-	if l.seq >= 1<<(64-idBits) {
-		panic("sim: scheduling sequence overflow")
-	}
 	nd := &l.nodes[id]
 	nd.at = at
-	nd.seq = l.seq
-	nd.fn = fn
+	nd.seq = seq
 	nd.cb = cb
-	l.seq++
 	if used := len(l.nodes) - len(l.free); used > l.inUsePeak {
 		l.inUsePeak = used
 	}
@@ -278,16 +294,15 @@ func (l *Loop) alloc(at Time, fn func(), cb Callback) int32 {
 }
 
 // release recycles a node: the generation bump invalidates every handle to
-// the old occupant (and stales its heap entry), and clearing the callbacks
-// drops their references.
+// the old occupant (and stales its heap entry), and clearing the callback
+// drops its reference.
 func (l *Loop) release(id int32) {
 	nd := &l.nodes[id]
 	nd.gen++
-	nd.fn = nil
 	nd.cb = nil
 	// Invalidate the seq so the node's heap entry reads as stale while the
 	// node sits in the free list (alloc assigns the real seq on reuse);
-	// real seqs never reach this value (alloc guards the 2^40 ceiling).
+	// real seqs never reach this value (nextSeq guards the 2^40 ceiling).
 	nd.seq = math.MaxUint64
 	l.free = append(l.free, id)
 	l.pending--
@@ -484,7 +499,7 @@ func (l *Loop) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
-	return l.schedule(t, fn, nil)
+	return l.schedule(t, l.nextSeq(), funcCallback(fn))
 }
 
 // ScheduleCall runs cb.Run after delay d of virtual time. Unlike Schedule
@@ -502,18 +517,50 @@ func (l *Loop) AtCall(t Time, cb Callback) Timer {
 	if cb == nil {
 		panic("sim: AtCall called with nil callback")
 	}
-	return l.schedule(t, nil, cb)
+	return l.schedule(t, l.nextSeq(), cb)
 }
 
-func (l *Loop) schedule(t Time, fn func(), cb Callback) Timer {
+// ReserveSeq issues the next scheduling seq without scheduling anything.
+// A caller that knows an event's place in the (at, seq) order before it
+// wants a heap entry for it — a link holds a FIFO of propagating frames and
+// keeps only the head's arrival pending — reserves the seq at the moment it
+// would have scheduled, and arms it later with AtCallReserved; the event
+// then runs exactly where a Schedule call at reservation time would have
+// put it.
+func (l *Loop) ReserveSeq() uint64 {
+	l.unarmed++
+	return l.nextSeq()
+}
+
+// AtCallReserved runs cb.Run at time t under seq, which ReserveSeq issued
+// and no earlier call has used. (t, seq) must sort after the event that is
+// executing; t may equal the current instant, in which case the event runs
+// before every pending same-instant event with a later seq.
+func (l *Loop) AtCallReserved(t Time, seq uint64, cb Callback) Timer {
+	if cb == nil {
+		panic("sim: AtCallReserved called with nil callback")
+	}
+	l.unarmed--
+	return l.schedule(t, seq, cb)
+}
+
+// nextSeq issues a scheduling seq.
+func (l *Loop) nextSeq() uint64 {
+	if l.seq >= 1<<(64-idBits) {
+		panic("sim: scheduling sequence overflow")
+	}
+	l.seq++
+	return l.seq - 1
+}
+
+func (l *Loop) schedule(t Time, seq uint64, cb Callback) Timer {
 	if t < l.now {
 		t = l.now
 	}
-	id := l.alloc(t, fn, cb)
-	nd := &l.nodes[id]
+	id := l.alloc(t, seq, cb)
 	l.pending++
-	l.push(mkEntry(t, nd.seq, id))
-	return Timer{loop: l, id: id, gen: nd.gen}
+	l.push(mkEntry(t, seq, id))
+	return Timer{loop: l, id: id, gen: l.nodes[id].gen}
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -534,11 +581,16 @@ func (l *Loop) Run() error { return l.RunUntil(End) }
 // Events sharing an instant are drained as a batch: every entry already
 // queued for that timestamp is popped up front, then the callbacks run
 // back-to-back in (at, seq) order with no heap traffic in between. The
-// observable order is identical to one-at-a-time popping — events a
-// callback schedules at the current instant carry later seqs, so they sort
-// after the whole batch either way and simply form the next batch — and a
-// batch member stopped by an earlier member is skipped via the same
-// generation check that invalidates its Timer handle.
+// observable order is identical to one-at-a-time popping. An event a
+// callback schedules at the current instant normally carries a later seq
+// than the whole batch and simply forms the next batch; the exception is
+// AtCallReserved, which can arm an older seq than members still waiting
+// (batch [A#10, B#16], and A arms #14). So before each member runs it is
+// compared with the heap root, and if the root sorts first the rest of the
+// batch goes back into the heap and the cohort is popped afresh: strict
+// (at, seq) order holds either way. A batch member stopped by an earlier
+// member is skipped via the same generation check that invalidates its
+// Timer handle.
 func (l *Loop) RunUntil(deadline Time) error {
 	if l.running {
 		return errors.New("sim: RunUntil called re-entrantly")
@@ -570,22 +622,22 @@ func (l *Loop) RunUntil(deadline Time) error {
 		}
 
 		for i, e := range l.batch {
+			if len(l.heap) > 0 && less(&l.heap[0], &e) {
+				// An earlier member armed a reserved seq that sorts first.
+				l.requeueBatch(i)
+				break
+			}
 			if e.stale(l) {
 				// Stopped by an earlier member of this batch.
 				l.dead--
 				continue
 			}
-			nd := &l.nodes[e.id()]
-			fn, cb := nd.fn, nd.cb
+			cb := l.nodes[e.id()].cb
 			// Recycle before running: a Stop on this event's own handle from
 			// inside the callback (or any later turn) sees a stale generation
 			// and no-ops, even if the node is immediately reused.
 			l.release(e.id())
-			if cb != nil {
-				cb.Run(l.now)
-			} else {
-				fn()
-			}
+			cb.Run(l.now)
 			l.processed++
 			if l.limit > 0 && l.processed >= l.limit {
 				l.requeueBatch(i + 1)

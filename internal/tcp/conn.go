@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mptcpsim/internal/cc"
+	"mptcpsim/internal/fifo"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/sim"
 )
@@ -118,17 +119,38 @@ type Conn struct {
 	peerRwnd uint32
 	peerMSS  int
 	mss      int // effective MSS = min(cfg.MSS, peerMSS)
-	rtx      []seg
-	rtxHead  int
+	// rtx is the scoreboard: every unacknowledged segment in send order,
+	// contiguous in sequence space.
+	rtx fifo.Queue[seg]
 	// pipe is the incrementally maintained RFC 6675 pipe: the sum of
-	// segPipe over rtx[rtxHead:]. Every scoreboard mutation updates it so
+	// segPipe over rtx. Every scoreboard mutation updates it so
 	// outstanding() is O(1); scanOutstanding is the reference scan.
-	pipe     int
-	dupAcks  int
-	inRec    bool
-	recover  uint32
-	sackOK   bool
-	hiSacked uint32
+	pipe int
+	// The rest of this block keeps the SACK path's per-ACK work independent
+	// of the window: what a walk over the whole scoreboard would find is
+	// counted or bounded as the scoreboard changes. Segments are named by
+	// ordinal — rtxPopped plus the index in rtx — which stays put when the
+	// front is acknowledged away.
+	//
+	// sackedSegs and lostHoles count the live segments that are sacked, and
+	// lost but not sacked (the holes sendScoreboard repairs). sackTop is the
+	// ordinal above every sacked segment. Below lostFloor every segment is
+	// sacked or lost already — a set that only grows — so markLost has
+	// nothing left to decide there. Below holeCursor no hole still awaits
+	// its first retransmission. oldestRtx is a lower bound on sentAt over
+	// the retransmitted holes (sim.End when there is none): until it is an
+	// RTO old, no retransmission can be due for a soft-timeout re-send.
+	rtxPopped  int
+	sackedSegs int
+	lostHoles  int
+	sackTop    int
+	lostFloor  int
+	holeCursor int
+	oldestRtx  sim.Time
+	dupAcks    int
+	inRec      bool
+	recover    uint32
+	sackOK     bool
 	// RTT timing: one segment is timed at a time (RFC 6298 / Karn).
 	timing   bool
 	timedEnd uint32
@@ -148,15 +170,23 @@ type Conn struct {
 	mssOpt packet.MSSOption
 
 	// Receiver state.
-	rcvNxt      uint32
-	ooo         []rseg
-	oooBytes    int
-	lastOOOSeq  uint32
+	rcvNxt     uint32
+	ooo        fifo.Queue[rseg]
+	oooBytes   int
+	lastOOOSeq uint32
+	// sackRanges is the out-of-order queue coalesced into contiguous
+	// ranges, in sequence order: what rebuildSackRanges computes from ooo,
+	// kept current as segments are parked and drained. sackRebuild latches
+	// that a parked segment overlapped another (senders are aligned, so
+	// only hand-fed traffic does this); until the queue empties every
+	// change recomputes the ranges instead of updating them.
+	sackRanges  [][2]uint32
+	sackRebuild bool
 	ackPending  int
 	delAckTimer sim.Timer
-	// sackScratch is the reusable builder for outgoing SACK ranges; the
-	// blocks that go on the wire are copied into the packet's own storage.
-	sackScratch [][2]uint32
+	// sackScratch holds the blocks of the outgoing ACK, which are copied
+	// into the packet's own storage.
+	sackScratch [packet.MaxSACKBlocks][2]uint32
 
 	// rtoCall and delAckCall are the pre-bound timer callbacks: arming a
 	// timer passes a pointer to these fields, so the per-packet timer
@@ -187,7 +217,8 @@ func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
 		mss:     cfg.MSS,
 		rtt:     newRTTEstimator(cfg.MinRTO, cfg.MaxRTO),
 		// Until the peer advertises, assume a modest window.
-		peerRwnd: 65535,
+		peerRwnd:  65535,
+		oldestRtx: sim.End,
 	}
 	c.Flow.MSS = cfg.MSS
 	c.Flow.ID = cfg.FlowID

@@ -38,7 +38,7 @@ func (c *Conn) processData(pkt *packet.Packet) {
 		c.sendPureAck()
 	default:
 		// In-order (seq == rcvNxt for our aligned senders).
-		hadGap := len(c.ooo) > 0
+		hadGap := c.ooo.Len() > 0
 		c.rcvNxt = seq + uint32(n)
 		c.deliverData(n, dss)
 		c.drainOOO()
@@ -74,32 +74,79 @@ func (c *Conn) deliverData(n int, dss *packet.DSS) {
 // storage is recycled when this delivery returns.
 func (c *Conn) storeOOO(seq uint32, n int, dss *packet.DSS) {
 	c.lastOOOSeq = seq
-	i := sort.Search(len(c.ooo), func(i int) bool { return seqGEQ(c.ooo[i].seq, seq) })
-	if i < len(c.ooo) && c.ooo[i].seq == seq {
+	ooo := c.ooo.Live()
+	i := sort.Search(len(ooo), func(i int) bool { return seqGEQ(ooo[i].seq, seq) })
+	if i < len(ooo) && ooo[i].seq == seq {
 		return // duplicate
 	}
 	if unit.ByteSize(c.oooBytes+n) > c.cfg.RcvBuf {
 		return // buffer full: arriving OOO data is dropped silently
 	}
-	c.ooo = append(c.ooo, rseg{})
-	copy(c.ooo[i+1:], c.ooo[i:])
 	s := rseg{seq: seq, length: n}
 	if dss != nil {
 		s.dss, s.hasDSS = *dss, true
 	}
-	c.ooo[i] = s
+	end := seq + uint32(n)
+	if (i > 0 && seqGT(ooo[i-1].seq+uint32(ooo[i-1].length), seq)) ||
+		(i < len(ooo) && seqGT(end, ooo[i].seq)) {
+		c.sackRebuild = true
+	}
+	c.ooo.Insert(i, s)
 	c.oooBytes += n
+	if c.sackRebuild {
+		c.rebuildSackRanges()
+		return
+	}
+	// The parked segments are disjoint, so the ranges are their maximal
+	// runs: the new one extends the run ending at seq, the run starting at
+	// end, joins the two, or stands alone.
+	r := c.sackRanges
+	j := sort.Search(len(r), func(j int) bool { return seqGEQ(r[j][0], seq) })
+	left := j > 0 && r[j-1][1] == seq
+	right := j < len(r) && r[j][0] == end
+	switch {
+	case left && right:
+		r[j-1][1] = r[j][1]
+		c.sackRanges = append(r[:j], r[j+1:]...)
+	case left:
+		r[j-1][1] = end
+	case right:
+		r[j][0] = seq
+	default:
+		r = append(r, [2]uint32{})
+		copy(r[j+1:], r[j:])
+		r[j] = [2]uint32{seq, end}
+		c.sackRanges = r
+	}
+}
+
+// rebuildSackRanges recomputes sackRanges from the out-of-order queue:
+// runs of exactly adjacent segments, in sequence order. It is what the
+// incremental updates in storeOOO and drainOOO must equal, and what they
+// fall back on while parked segments overlap.
+func (c *Conn) rebuildSackRanges() {
+	r := c.sackRanges[:0]
+	for _, s := range c.ooo.Live() {
+		end := s.seq + uint32(s.length)
+		if n := len(r); n > 0 && r[n-1][1] == s.seq {
+			r[n-1][1] = end
+			continue
+		}
+		r = append(r, [2]uint32{s.seq, end})
+	}
+	c.sackRanges = r
 }
 
 // drainOOO delivers any parked segments made contiguous by rcvNxt. The
 // queue is walked in place (no per-segment copy — the copy would escape
-// through dssPtr and heap-allocate on every drained segment) and then
-// compacted to the front so the slice keeps its capacity; nothing mutates
-// c.ooo during the walk because delivery only schedules future events.
+// through dssPtr and heap-allocate on every drained segment) and the
+// drained prefix retired afterwards; nothing mutates c.ooo during the walk
+// because delivery only schedules future events.
 func (c *Conn) drainOOO() {
+	ooo := c.ooo.Live()
 	n := 0
-	for n < len(c.ooo) {
-		s := &c.ooo[n]
+	for n < len(ooo) {
+		s := &ooo[n]
 		if seqGT(s.seq, c.rcvNxt) {
 			break
 		}
@@ -111,8 +158,24 @@ func (c *Conn) drainOOO() {
 		c.rcvNxt = s.seq + uint32(s.length)
 		c.deliverData(s.length, s.dssPtr())
 	}
-	if n > 0 {
-		c.ooo = c.ooo[:copy(c.ooo, c.ooo[n:])]
+	if n == 0 {
+		return
+	}
+	c.ooo.Pop(n)
+	switch {
+	case c.ooo.Len() == 0:
+		c.sackRanges = c.sackRanges[:0]
+		c.sackRebuild = false
+	case c.sackRebuild:
+		c.rebuildSackRanges()
+	default:
+		// A run whose first segment was drained went with it whole: each
+		// segment delivered moves rcvNxt onto the start of the next.
+		k := 0
+		for k < len(c.sackRanges) && seqLEQ(c.sackRanges[k][0], c.rcvNxt) {
+			k++
+		}
+		c.sackRanges = c.sackRanges[:copy(c.sackRanges, c.sackRanges[k:])]
 	}
 }
 
@@ -158,33 +221,24 @@ func (c *Conn) sendPureAck() {
 }
 
 // sackBlocks renders the out-of-order queue as SACK blocks: contiguous
-// ranges, the one containing the most recent arrival first (RFC 2018), at
-// most MaxSACKBlocks. The returned slice is connection-owned scratch,
-// overwritten by the next call; the ACK path copies it into the outgoing
-// packet's storage.
+// ranges in sequence order with the one containing the most recent arrival
+// swapped to the front (RFC 2018), at most MaxSACKBlocks. The returned
+// slice is connection-owned scratch, overwritten by the next call; the ACK
+// path copies it into the outgoing packet's storage.
 func (c *Conn) sackBlocks() [][2]uint32 {
-	if !c.sackOK || len(c.ooo) == 0 {
+	if !c.sackOK || c.ooo.Len() == 0 {
 		return nil
 	}
-	ranges := c.sackScratch[:0]
-	for _, s := range c.ooo {
-		end := s.seq + uint32(s.length)
-		if n := len(ranges); n > 0 && ranges[n-1][1] == s.seq {
-			ranges[n-1][1] = end
-			continue
-		}
-		ranges = append(ranges, [2]uint32{s.seq, end})
-	}
-	// Most recently updated block first.
-	for i, r := range ranges {
+	blocks := c.sackScratch[:copy(c.sackScratch[:], c.sackRanges)]
+	for i, r := range c.sackRanges {
 		if seqGEQ(c.lastOOOSeq, r[0]) && seqLT(c.lastOOOSeq, r[1]) {
-			ranges[0], ranges[i] = ranges[i], ranges[0]
+			if i < len(blocks) {
+				blocks[0], blocks[i] = blocks[i], blocks[0]
+			} else {
+				blocks[0] = r
+			}
 			break
 		}
 	}
-	if len(ranges) > packet.MaxSACKBlocks {
-		ranges = ranges[:packet.MaxSACKBlocks]
-	}
-	c.sackScratch = ranges
-	return ranges
+	return blocks
 }

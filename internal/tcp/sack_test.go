@@ -14,9 +14,10 @@ import (
 // scoreboard unit tests operate on a Conn with hand-built state.
 func scoreboardConn() *Conn {
 	c := &Conn{
-		cfg:  Config{}.withDefaults(),
-		loop: sim.NewLoop(),
-		mss:  1000,
+		cfg:       Config{}.withDefaults(),
+		loop:      sim.NewLoop(),
+		mss:       1000,
+		oldestRtx: sim.End,
 	}
 	c.sackOK = true
 	c.state = StateEstablished
@@ -26,7 +27,7 @@ func scoreboardConn() *Conn {
 	c.Flow.MSS = 1000
 	// Ten 1000-byte segments: seqs 1..10001.
 	for i := 0; i < 10; i++ {
-		c.rtx = append(c.rtx, seg{seq: uint32(1 + i*1000), length: 1000})
+		c.rtx.Push(seg{seq: uint32(1 + i*1000), length: 1000})
 		c.sndNxt += 1000
 	}
 	c.pipe = c.scanOutstanding()
@@ -40,7 +41,7 @@ func TestApplySACKMarksExactRanges(t *testing.T) {
 	if !changed {
 		t.Fatal("no change reported")
 	}
-	for i, s := range c.rtx {
+	for i, s := range c.rtx.Live() {
 		want := i == 2 || i == 3
 		if s.sacked != want {
 			t.Fatalf("segment %d sacked=%v, want %v", i, s.sacked, want)
@@ -54,8 +55,8 @@ func TestApplySACKMarksExactRanges(t *testing.T) {
 	if c.applySACK([][2]uint32{{4001, 4500}}) {
 		t.Fatal("partial segment coverage marked something")
 	}
-	if c.hiSacked != 4001 {
-		t.Fatalf("hiSacked = %d, want 4001", c.hiSacked)
+	if c.sackTop != 4 {
+		t.Fatalf("sackTop = %d, want 4 (one above the highest sacked segment)", c.sackTop)
 	}
 }
 
@@ -78,12 +79,12 @@ func TestMarkLostNeedsThreshold(t *testing.T) {
 	if !c.markLost() {
 		t.Fatal("did not mark the head segment lost")
 	}
-	if !c.rtx[0].lost || c.rtx[0].sacked {
+	if !c.rtx.At(0).lost || c.rtx.At(0).sacked {
 		t.Fatal("wrong segment marked")
 	}
 	// Segments above the SACKed range are untouched.
 	for i := 4; i < 10; i++ {
-		if c.rtx[i].lost {
+		if c.rtx.At(i).lost {
 			t.Fatalf("segment %d beyond SACKed range marked lost", i)
 		}
 	}
@@ -106,7 +107,7 @@ func TestOutstandingPipeExcludesSackedAndLost(t *testing.T) {
 	}
 	// A retransmitted lost segment re-enters the pipe. The scoreboard is
 	// poked directly here, so re-sync the cache from the reference scan.
-	c.rtx[0].rtx = true
+	c.rtx.At(0).rtx = true
 	c.pipe = c.scanOutstanding()
 	if got := c.outstanding(); got != 7000 {
 		t.Fatalf("pipe = %d, want 7000", got)

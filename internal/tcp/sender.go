@@ -55,8 +55,9 @@ func segPipe(s *seg) int {
 // scoreboards by hand use it to initialise the cache.
 func (c *Conn) scanOutstanding() int {
 	p := 0
-	for i := c.rtxHead; i < len(c.rtx); i++ {
-		p += segPipe(&c.rtx[i])
+	segs := c.rtx.Live()
+	for i := range segs {
+		p += segPipe(&segs[i])
 	}
 	return p
 }
@@ -108,7 +109,7 @@ func (c *Conn) trySend() {
 		if dss != nil {
 			sg.dss, sg.hasDSS = *dss, true
 		}
-		c.rtx = append(c.rtx, sg)
+		c.rtx.Push(sg)
 		c.pipe += n
 		if !c.timing {
 			// Time this segment for the next RTT sample (one at a time).
@@ -260,11 +261,15 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 		// Fallback: three duplicate ACKs without SACK progress still
 		// indicate the head segment is gone (e.g. single-segment flight).
 		if !c.inRec && c.dupAcks >= 3 {
-			if c.rtxHead < len(c.rtx) {
-				s := &c.rtx[c.rtxHead]
+			if c.rtx.Len() > 0 {
+				s := c.rtx.At(0)
 				c.pipe -= segPipe(s)
+				if !s.sacked && !s.lost {
+					c.lostHoles++
+				}
 				s.lost = true
 				s.rtx = false
+				c.holeCursor = c.rtxPopped
 			}
 			c.enterRecovery(now)
 		}
@@ -279,16 +284,17 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 // instead of a full scan.
 func (c *Conn) applySACK(blocks [][2]uint32) bool {
 	changed := false
+	segs := c.rtx.Live()
 	for _, b := range blocks {
 		start, end := b[0], b[1]
 		if !seqLT(start, end) {
 			continue
 		}
-		lo := c.rtxHead + sort.Search(len(c.rtx)-c.rtxHead, func(i int) bool {
-			return seqGEQ(c.rtx[c.rtxHead+i].seq, start)
+		lo := sort.Search(len(segs), func(i int) bool {
+			return seqGEQ(segs[i].seq, start)
 		})
-		for i := lo; i < len(c.rtx); i++ {
-			s := &c.rtx[i]
+		for i := lo; i < len(segs); i++ {
+			s := &segs[i]
 			if !seqLEQ(s.seq+uint32(s.length), end) {
 				break
 			}
@@ -296,11 +302,15 @@ func (c *Conn) applySACK(blocks [][2]uint32) bool {
 				continue
 			}
 			c.pipe -= segPipe(s)
+			if s.lost {
+				c.lostHoles--
+			}
 			s.sacked = true
 			s.lost = false
+			c.sackedSegs++
 			changed = true
-			if seqGT(s.seq+uint32(s.length), c.hiSacked) {
-				c.hiSacked = s.seq + uint32(s.length)
+			if top := c.rtxPopped + i + 1; top > c.sackTop {
+				c.sackTop = top
 			}
 		}
 	}
@@ -310,30 +320,62 @@ func (c *Conn) applySACK(blocks [][2]uint32) bool {
 // markLost applies the RFC 6675 loss heuristic: a hole is lost once at
 // least a dupACK-threshold's worth of bytes above it have been SACKed. It
 // reports whether any segment was newly marked.
+//
+// Nothing above sackTop has sacked bytes above it, and nothing below
+// lostFloor is left to mark, so the walk covers only the segments between
+// the two: none at all while nothing is sacked, and in recovery the few
+// that the latest SACK blocks added on top.
 func (c *Conn) markLost() bool {
+	if c.sackedSegs == 0 {
+		return false
+	}
+	segs := c.rtx.Live()
+	base := c.rtxPopped
+	floor := max(c.lostFloor-base, 0)
 	changed := false
 	sackedAbove := 0
 	thresh := 3 * c.mss
-	for i := len(c.rtx) - 1; i >= c.rtxHead; i-- {
-		s := &c.rtx[i]
-		if s.sacked {
+	// open is the lowest walked segment left neither sacked nor lost: the
+	// bytes sacked above only grow on the way down, so all such segments
+	// sit on top, and everything under the lowest is decided.
+	open := -1
+	for i := c.sackTop - base - 1; i >= floor; i-- {
+		s := &segs[i]
+		switch {
+		case s.sacked:
 			sackedAbove += s.length
-			continue
-		}
-		if !s.lost && sackedAbove >= thresh {
+		case s.lost:
+		case sackedAbove >= thresh:
 			c.pipe -= segPipe(s)
 			s.lost = true
 			s.rtx = false
+			c.lostHoles++
+			c.holeCursor = min(c.holeCursor, base+i)
 			changed = true
+		default:
+			open = i
 		}
+	}
+	if open >= 0 {
+		c.lostFloor = base + open
+	} else {
+		c.lostFloor = max(c.lostFloor, c.sackTop)
 	}
 	return changed
 }
 
 // sendScoreboard retransmits lost segments while the pipe allows (the
-// SACK-based recovery transmission rule).
+// SACK-based recovery transmission rule): holes in sequence order, each
+// once, and again when its retransmission has itself been outstanding for
+// a full RTO — a per-segment soft timeout that repairs double losses
+// without collapsing the window. SRTT lags queue growth too much for a
+// tighter (RACK-style) bound.
 func (c *Conn) sendScoreboard() {
 	if c.state != StateEstablished {
+		return
+	}
+	if c.lostHoles == 0 {
+		c.oldestRtx = sim.End
 		return
 	}
 	// One pass: window inputs are fixed for the burst, each retransmitted
@@ -343,20 +385,24 @@ func (c *Conn) sendScoreboard() {
 	// cursor can become eligible mid-burst.
 	wnd := c.effectiveWindow()
 	out := c.outstanding()
-	// A retransmission that has itself been outstanding for a full RTO
-	// is presumed lost again and re-sent — a per-segment soft timeout
-	// that repairs double losses without collapsing the window. SRTT
-	// lags queue growth too much for a tighter (RACK-style) bound.
 	rearm := c.rtt.RTO()
 	now := c.loop.Now()
-	scan := c.rtxHead
-	for {
-		if out >= wnd {
-			return
-		}
+	segs := c.rtx.Live()
+	base := c.rtxPopped
+	// While no retransmission can be an RTO old, only holes never yet
+	// retransmitted qualify, and the first of them is at holeCursor or
+	// above. Otherwise the whole scoreboard is walked, which also
+	// re-measures oldestRtx.
+	softDue := now.Sub(c.oldestRtx) > rearm
+	scan := 0
+	if !softDue {
+		scan = max(c.holeCursor-base, 0)
+	}
+	oldest := sim.End
+	for out < wnd {
 		var hole *seg
-		for ; scan < len(c.rtx); scan++ {
-			s := &c.rtx[scan]
+		for ; scan < len(segs); scan++ {
+			s := &segs[scan]
 			if !s.lost || s.sacked {
 				continue
 			}
@@ -364,9 +410,15 @@ func (c *Conn) sendScoreboard() {
 				hole = s
 				break
 			}
+			oldest = min(oldest, s.sentAt)
 		}
+		c.holeCursor = max(c.holeCursor, base+scan)
 		if hole == nil {
-			return // no repairable holes; trySend handles new data
+			// No repairable holes; trySend handles new data.
+			if softDue {
+				c.oldestRtx = oldest
+			}
+			return
 		}
 		scan++
 		if !hole.rtx {
@@ -377,6 +429,8 @@ func (c *Conn) sendScoreboard() {
 		}
 		hole.rtx = true
 		hole.sentAt = now
+		oldest = min(oldest, now)
+		c.oldestRtx = min(c.oldestRtx, now)
 		c.sendData(hole.seq, hole.length, hole.dssPtr(), true)
 	}
 }
@@ -415,30 +469,31 @@ func (c *Conn) popAcked(ack uint32, now sim.Time) {
 		c.syncFlowRTT()
 		c.timing = false
 	}
-	for c.rtxHead < len(c.rtx) {
-		s := &c.rtx[c.rtxHead]
-		end := s.seq + uint32(s.length)
-		if !seqLEQ(end, ack) {
+	segs := c.rtx.Live()
+	n := 0
+	for ; n < len(segs); n++ {
+		s := &segs[n]
+		if !seqLEQ(s.seq+uint32(s.length), ack) {
 			break
 		}
 		c.pipe -= segPipe(s)
-		c.rtxHead++
+		switch {
+		case s.sacked:
+			c.sackedSegs--
+		case s.lost:
+			c.lostHoles--
+		}
 	}
-	if c.rtxHead == len(c.rtx) {
-		c.rtx = c.rtx[:0]
-		c.rtxHead = 0
-	} else if c.rtxHead > 1024 && c.rtxHead*2 >= len(c.rtx) {
-		c.rtx = append(c.rtx[:0], c.rtx[c.rtxHead:]...)
-		c.rtxHead = 0
-	}
+	c.rtx.Pop(n)
+	c.rtxPopped += n
 }
 
 // retransmitFront resends the first unacknowledged segment (NewReno path).
 func (c *Conn) retransmitFront() {
-	if c.rtxHead >= len(c.rtx) {
+	if c.rtx.Len() == 0 {
 		return
 	}
-	s := &c.rtx[c.rtxHead]
+	s := c.rtx.At(0)
 	c.pipe -= segPipe(s)
 	s.rtx = true
 	s.sentAt = c.loop.Now()
@@ -488,14 +543,22 @@ func (c *Conn) onRTO() {
 	c.inRec = true
 	c.recover = c.sndNxt
 	c.dupAcks = 0
-	for i := c.rtxHead; i < len(c.rtx); i++ {
-		s := &c.rtx[i]
+	segs := c.rtx.Live()
+	for i := range segs {
+		s := &segs[i]
 		if !s.sacked {
 			c.pipe -= segPipe(s)
+			if !s.lost {
+				c.lostHoles++
+			}
 			s.lost = true
 			s.rtx = false
 		}
 	}
+	// Every segment is now sacked or a hole awaiting retransmission.
+	c.lostFloor = c.rtxPopped + len(segs)
+	c.holeCursor = c.rtxPopped
+	c.oldestRtx = sim.End
 	if c.sackOK {
 		c.sendScoreboard()
 	} else {
