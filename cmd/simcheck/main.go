@@ -57,16 +57,13 @@ import (
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/check"
-	"mptcpsim/internal/prof"
-	"mptcpsim/internal/telemetry"
+	"mptcpsim/internal/cli"
 )
 
 // Exit codes, one per failure class, so CI and scripts can tell what
@@ -179,20 +176,15 @@ func runTwice(sp check.Spec) (*mptcpsim.Result, string, failKind, string) {
 // and returns a report-line note naming the file. Scenarios write
 // distinct files, so concurrent workers never collide.
 func dumpFlight(i int, res *mptcpsim.Result) string {
-	if flightDir == "" || res == nil || res.FlightEvents() == 0 {
+	if flightDir == "" {
 		return ""
 	}
-	path := filepath.Join(flightDir, fmt.Sprintf("flight-%d.ndjson", i))
-	f, err := os.Create(path)
+	path, err := cli.DumpFlight(flightDir, i, res)
 	if err != nil {
 		return fmt.Sprintf(" (flight dump failed: %v)", err)
 	}
-	werr := res.WriteFlightRecorder(f)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Sprintf(" (flight dump failed: %v)", werr)
+	if path == "" {
+		return ""
 	}
 	return " (flight tail: " + path + ")"
 }
@@ -419,21 +411,21 @@ func diffGolden(g check.Golden, seed int64, hashes []string, w io.Writer) int {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simcheck", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	var shared cli.Flags
+	fs.BoolVar(&shared.Quiet, "q", false, "only print failing scenarios/ladders and the summary")
+	shared.RegisterProfile(fs, "check")
+	shared.RegisterObserve(fs, "stream NDJSON progress heartbeats to this file (- = stderr)",
+		"serve expvar and pprof debug endpoints on this address (e.g. localhost:0)")
 	var (
 		n       = fs.Int("n", 200, "number of random scenarios (plain mode)")
 		seed    = fs.Int64("seed", 1, "base seed; scenario/ladder i derives from check.SpecSeed(seed, i)")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "parallel worker goroutines")
-		quiet   = fs.Bool("q", false, "only print failing scenarios/ladders and the summary")
 		golden  = fs.String("golden", "", "compare every hash against this recorded corpus; any divergence fails")
 		writeG  = fs.String("write-golden", "", "record the corpus of full hashes to this path (all scenarios must pass)")
 		trend   = fs.Bool("trend", false, "metamorphic trend mode: run perturbation ladders instead of plain scenarios")
 		ladders = fs.Int("ladders", 24, "trend mode: number of perturbation ladders")
 		steps   = fs.Int("steps", 4, "trend mode: perturbation steps per ladder (each ladder runs steps+1 rungs)")
-		cpuProf = fs.String("cpuprofile", "", "write a CPU profile of the whole check to this file")
-		memProf = fs.String("memprofile", "", "write an allocation profile to this file at exit")
 		telem   = fs.Bool("telemetry", false, "collect engine telemetry on every checked pass (replays stay plain, so hash equality also proves telemetry is observation-only)")
-		progr   = fs.String("progress", "", "stream NDJSON progress heartbeats to this file (- = stderr)")
-		httpA   = fs.String("http", "", "serve expvar and pprof debug endpoints on this address (e.g. localhost:0)")
 		flight  = fs.String("flightdir", "", "dump failing scenarios' flight-recorder tails into this directory (plain mode; implies -telemetry)")
 	)
 	fs.Usage = func() {
@@ -490,39 +482,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flightDir = *flight
 	onScenario = nil
 	if flightDir != "" {
-		if err := os.MkdirAll(flightDir, 0o755); err != nil {
+		if err := cli.MakeFlightDir(flightDir); err != nil {
 			return usage("%v", err)
 		}
 	}
-	if *progr != "" {
-		w := io.Writer(stderr)
-		if *progr != "-" {
-			f, err := os.Create(*progr)
-			if err != nil {
-				return usage("%v", err)
-			}
-			defer f.Close()
-			w = f
-		}
-		total := *n
-		if *trend {
-			total = *ladders * (*steps + 1)
-		}
-		meter := telemetry.NewMeter(w, total, *workers, time.Second)
-		meter.Activate()
+	total := *n
+	if *trend {
+		total = *ladders * (*steps + 1)
+	}
+	meter, stopObserve, err := shared.StartObserve(total, *workers, stderr)
+	if err != nil {
+		return usage("%v", err)
+	}
+	defer stopObserve()
+	if meter != nil {
 		onScenario = func(failed bool) { meter.Record(failed) }
-		defer meter.Close()
 	}
-	if *httpA != "" {
-		addr, closeSrv, err := telemetry.DebugServer(*httpA)
-		if err != nil {
-			return usage("%v", err)
-		}
-		defer closeSrv()
-		fmt.Fprintf(stderr, "simcheck: debug endpoint on http://%s/debug/vars\n", addr)
-	}
-
-	stopProf, err := prof.Start(*cpuProf, *memProf)
+	stopProf, err := shared.StartProfile()
 	if err != nil {
 		return usage("%v", err)
 	}
@@ -531,9 +507,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trendFailed := 0
 	var hashes []string
 	if *trend {
-		t, trendFailed = runTrend(*ladders, *steps, *seed, *workers, *quiet, stdout)
+		t, trendFailed = runTrend(*ladders, *steps, *seed, *workers, shared.Quiet, stdout)
 	} else {
-		t, hashes = runCheck(*n, *seed, *workers, *quiet, stdout)
+		t, hashes = runCheck(*n, *seed, *workers, shared.Quiet, stdout)
 	}
 
 	if err := stopProf(); err != nil {
@@ -547,16 +523,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if t.failed() > 0 {
 			fmt.Fprintln(stderr, "simcheck: refusing to record a golden corpus from a failing run")
 		} else {
-			f, err := os.Create(*writeG)
-			if err != nil {
+			if err := cli.WriteFile(*writeG, func(w io.Writer) error {
+				return check.WriteGolden(w, check.Golden{Seed: *seed, Hashes: hashes})
+			}); err != nil {
 				return usage("%v", err)
-			}
-			werr := check.WriteGolden(f, check.Golden{Seed: *seed, Hashes: hashes})
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return usage("%v", werr)
 			}
 			fmt.Fprintf(stderr, "simcheck: recorded %d hashes to %s\n", len(hashes), *writeG)
 		}

@@ -30,27 +30,24 @@
 // -check attaches the invariant oracle to every run; a violation fails
 // the run like any other error.
 //
-// Large grids shard across processes or machines: -shard k/n runs the
-// deterministic 1/n slice of the grid (expansion index % n == k) and
-// -out writes it as a mergeable artifact; -merge reassembles the n
-// artifacts into output byte-identical to the unsharded sweep:
-//
-//	sweep -grid grid.json -shard 0/4 -q -out shard-0.json   # x4, anywhere
-//	sweep -merge -json sweep.json shard-*.json
-//
 // Grids too large to hold in memory stream instead: -stream appends one
 // NDJSON record per run to a run-log as runs complete (fsync'd in
 // batches), keeping peak memory flat in grid size, then renders the
 // report and output files from the log in a merge-style second pass —
 // byte-identical to the in-memory sweep. A killed sweep continues with
 // -resume, which skips already-logged runs and rewrites a torn trailing
-// record; run-logs are mergeable artifacts, alone or mixed with shard
-// JSON files:
+// record:
 //
 //	sweep -grid grid.json -stream sweep.ndjson -json sweep.json
 //	sweep -grid grid.json -resume sweep.ndjson -json sweep.json  # after a crash
-//	sweep -grid grid.json -shard 0/4 -q -stream shard-0.ndjson   # streamed shard
-//	sweep -merge -json sweep.json shard-0.ndjson shard-*.json
+//
+// Large grids shard across processes or machines: -shard k/n streams the
+// deterministic 1/n slice of the grid (expansion index % n == k) to its
+// own run-log, and -merge reassembles the n run-logs into output
+// byte-identical to the unsharded sweep:
+//
+//	sweep -grid grid.json -shard 0/4 -q -stream shard-0.ndjson   # x4, anywhere
+//	sweep -merge -json sweep.json shard-*.ndjson
 //
 // Examples:
 //
@@ -60,21 +57,16 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
 	"mptcpsim"
-	"mptcpsim/internal/prof"
-	"mptcpsim/internal/telemetry"
+	"mptcpsim/internal/cli"
+	"mptcpsim/internal/fleet"
 )
 
 // usageMatrix documents which flag combinations form a mode; flag.Usage
@@ -83,134 +75,145 @@ const usageMatrix = `Modes and supported flag combinations:
 
   sweep [flags]                  in-memory sweep: report to stdout, plus
                                  -csv/-groups/-json output files
-  sweep -shard k/n -out f.json   one grid slice -> mergeable shard artifact
-                                 (aggregate outputs refused; use -merge)
   sweep -stream f.ndjson         flat-memory sweep: every run appended to an
                                  NDJSON run-log, report and output files
                                  rendered from the log in a second pass,
                                  byte-identical to the in-memory sweep
   sweep -shard k/n -stream f     one grid slice -> mergeable run-log
-                                 (no -out; the run-log is the artifact)
-  sweep -resume f.ndjson         continue an interrupted -stream sweep:
-                                 logged runs are skipped, a torn trailing
-                                 record is truncated and re-executed
-  sweep -merge a.json b.ndjson   merge shard artifacts and/or run-logs with
-                                 matching grid digests into the full output
+                                 (aggregate outputs refused; use -merge)
+  sweep -resume f.ndjson         continue an interrupted -stream sweep (with
+                                 its -shard, if any): logged runs are
+                                 skipped, a torn trailing record is
+                                 truncated and re-executed
+  sweep -merge a.ndjson b.ndjson merge run-logs with matching grid digests
+                                 into the full output
 
--stream and -resume are mutually exclusive, reject -out, and refuse
-result retention (library Sweep.Keep): streaming exists to keep peak
-memory flat in grid size.
+-stream and -resume are mutually exclusive; -shard needs one of them.
 
 Flags:
 `
 
-// pct renders a/b as a percentage (0 when b is 0).
-func pct(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return 100 * float64(a) / float64(b)
-}
-
 // config carries the resolved command line.
 type config struct {
-	gridPath     string
-	workers      int
-	seeds        int
-	duration     time.Duration
-	csvPath      string
-	groupsPath   string
-	jsonPath     string
-	quiet        bool
-	check        bool
-	shard        string
-	outPath      string
-	merge        bool
-	shardPaths   []string
-	telemetry    bool
-	progressPath string
-	httpAddr     string
-	flightDir    string
-	eventLimit   uint64
-	streamPath   string
-	resumePath   string
-	workerID     string
-	lease        int
+	cli.Flags
+	gridPath   string
+	workers    int
+	seeds      int
+	duration   time.Duration
+	check      bool
+	shard      string
+	merge      bool
+	logPaths   []string
+	telemetry  bool
+	flightDir  string
+	eventLimit uint64
+	streamPath string
+	resumePath string
+	workerID   string
+	lease      int
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.gridPath, "grid", "", "JSON grid spec (default: built-in paper grid, all CCs x 4 orderings)")
-	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel worker goroutines")
-	flag.IntVar(&cfg.seeds, "seeds", 1, "seeds 1..n (ignored when the grid file lists seeds)")
-	flag.DurationVar(&cfg.duration, "duration", 0, "traffic duration override (0 = grid / 4s default)")
-	flag.StringVar(&cfg.csvPath, "csv", "", "write the per-run table to this CSV file")
-	flag.StringVar(&cfg.groupsPath, "groups", "", "write the aggregate table to this CSV file")
-	flag.StringVar(&cfg.jsonPath, "json", "", "write the full result (runs + groups) to this JSON file")
-	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress per-run progress lines")
-	flag.BoolVar(&cfg.quiet, "q", false, "shorthand for -quiet")
-	flag.BoolVar(&cfg.check, "check", false, "validate correctness invariants on every run")
-	flag.StringVar(&cfg.shard, "shard", "", "run only the k/n slice of the grid (e.g. 0/4) and write a shard artifact")
-	flag.StringVar(&cfg.outPath, "out", "", "shard artifact output path (required with -shard)")
-	flag.BoolVar(&cfg.merge, "merge", false, "merge the shard artifacts named as arguments instead of sweeping")
-	flag.BoolVar(&cfg.telemetry, "telemetry", false, "collect engine counters per run and report the sweep-wide rollup")
-	flag.StringVar(&cfg.progressPath, "progress", "", "stream NDJSON progress heartbeats to this file (- = stderr)")
-	flag.StringVar(&cfg.httpAddr, "http", "", "serve expvar + pprof debug endpoints on this address (e.g. :6060)")
-	flag.StringVar(&cfg.flightDir, "flightdir", "", "dump failed runs' flight-recorder tails to this directory (implies -telemetry)")
-	flag.Uint64Var(&cfg.eventLimit, "eventlimit", 0, "abort any run after this many simulation events (0 = no limit)")
-	flag.StringVar(&cfg.streamPath, "stream", "", "stream the sweep to this NDJSON run-log and render outputs from it (flat memory)")
-	flag.StringVar(&cfg.resumePath, "resume", "", "resume an interrupted -stream sweep from this run-log, skipping logged runs")
-	flag.StringVar(&cfg.workerID, "worker-id", "", "stamp this fleet worker id into the run-log header (provenance only)")
-	flag.IntVar(&cfg.lease, "lease", 0, "stamp this fleet lease epoch into the run-log header (provenance only)")
-	cpuProf := flag.String("cpuprofile", "", "write a CPU profile of the whole sweep to this file")
-	memProf := flag.String("memprofile", "", "write an allocation profile to this file at exit")
+	fs := flag.CommandLine
+	fs.StringVar(&cfg.gridPath, "grid", "", "JSON grid spec (default: built-in paper grid, all CCs x 4 orderings)")
+	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel worker goroutines")
+	fs.IntVar(&cfg.seeds, "seeds", 1, "seeds 1..n (ignored when the grid file lists seeds)")
+	fs.DurationVar(&cfg.duration, "duration", 0, "traffic duration override (0 = grid / 4s default)")
+	fs.BoolVar(&cfg.check, "check", false, "validate correctness invariants on every run")
+	fs.StringVar(&cfg.shard, "shard", "", "run only the k/n slice of the grid (e.g. 0/4); needs -stream or -resume")
+	fs.BoolVar(&cfg.merge, "merge", false, "merge the run-logs named as arguments instead of sweeping")
+	fs.BoolVar(&cfg.telemetry, "telemetry", false, "collect engine counters per run and report the sweep-wide rollup")
+	fs.StringVar(&cfg.flightDir, "flightdir", "", "dump failed runs' flight-recorder tails to this directory (implies -telemetry)")
+	fs.Uint64Var(&cfg.eventLimit, "eventlimit", 0, "abort any run after this many simulation events (0 = no limit)")
+	fs.StringVar(&cfg.streamPath, "stream", "", "stream the sweep to this NDJSON run-log and render outputs from it (flat memory)")
+	fs.StringVar(&cfg.resumePath, "resume", "", "resume an interrupted -stream sweep from this run-log, skipping logged runs")
+	fs.StringVar(&cfg.workerID, "worker-id", "", "stamp this fleet worker id into the run-log header (provenance only)")
+	fs.IntVar(&cfg.lease, "lease", 0, "stamp this fleet lease epoch into the run-log header (provenance only)")
+	cfg.RegisterQuiet(fs, "suppress per-run progress lines")
+	cfg.RegisterOutputs(fs)
+	cfg.RegisterObserve(fs, "stream NDJSON progress heartbeats to this file (- = stderr)",
+		"serve expvar + pprof debug endpoints on this address (e.g. :6060)")
+	cfg.RegisterProfile(fs, "sweep")
 	flag.Usage = func() {
-		w := flag.CommandLine.Output()
+		w := fs.Output()
 		fmt.Fprintf(w, "Usage of %s:\n\n", os.Args[0])
 		fmt.Fprint(w, usageMatrix)
-		flag.PrintDefaults()
+		fs.PrintDefaults()
 	}
 	flag.Parse()
-	cfg.shardPaths = flag.Args()
+	cfg.logPaths = flag.Args()
 
-	stopProf, err := prof.Start(*cpuProf, *memProf)
-	if err != nil {
+	if err := run(cfg, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	runErr := run(cfg, os.Stdout, os.Stderr)
-	if runErr != nil {
-		// Report before the profile teardown so a failing teardown cannot
-		// mask the sweep's own diagnostic.
-		fmt.Fprintln(os.Stderr, "sweep:", runErr)
-	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "sweep:", err)
-		os.Exit(1)
-	}
-	if runErr != nil {
 		os.Exit(1)
 	}
 }
 
+// validate checks the whole mode matrix and returns the shard this process
+// executes. Every flag-combination error surfaces here, before run creates
+// or truncates any output.
+func (cfg *config) validate() (mptcpsim.Shard, error) {
+	whole := mptcpsim.Shard{K: 0, N: 1}
+	if cfg.merge {
+		if cfg.gridPath != "" || cfg.shard != "" || cfg.streamPath != "" || cfg.resumePath != "" {
+			return whole, fmt.Errorf("-merge reads run-logs; it takes none of -grid/-shard/-stream/-resume")
+		}
+		if len(cfg.logPaths) == 0 {
+			return whole, fmt.Errorf("-merge needs at least one run-log argument")
+		}
+		return whole, nil
+	}
+	if len(cfg.logPaths) > 0 {
+		return whole, fmt.Errorf("unexpected arguments %v (run-logs are only read with -merge)", cfg.logPaths)
+	}
+	if cfg.streamPath != "" && cfg.resumePath != "" {
+		return whole, fmt.Errorf("-stream starts a fresh run-log and -resume continues one; pass exactly one")
+	}
+	if cfg.shard == "" {
+		return whole, nil
+	}
+	shard, err := mptcpsim.ParseShard(cfg.shard)
+	if err != nil {
+		return whole, err
+	}
+	if cfg.streamPath == "" && cfg.resumePath == "" {
+		return whole, fmt.Errorf("-shard writes its slice of the grid as a run-log; name it with -stream (or continue one with -resume)")
+	}
+	if cfg.CSV != "" || cfg.Groups != "" || cfg.JSON != "" {
+		return whole, fmt.Errorf("-csv/-groups/-json aggregate the whole grid; write them from -merge, not a shard")
+	}
+	return shard, nil
+}
+
 // run executes the whole command against the given streams: progress and
 // timing go to stderr, the deterministic report to stdout.
-func run(cfg config, stdout, stderr io.Writer) error {
+//
+// Every sweeping mode is one Stream into a sink chain. In memory, the
+// results sink is a MemorySink; with -stream/-resume it is the run-log,
+// appended run by run with nothing retained, and the report and output
+// files are then rendered from the committed log in a merge-style second
+// pass — byte-identical to the in-memory sweep.
+func run(cfg config, stdout, stderr io.Writer) (err error) {
+	shard, err := cfg.validate()
+	if err != nil {
+		return err
+	}
+	stopProf, err := cfg.StartProfile()
+	if err != nil {
+		return err
+	}
+	defer func() {
+		// The sweep's own diagnostic wins over a failing profile teardown.
+		if perr := stopProf(); err == nil {
+			err = perr
+		}
+	}()
 	if cfg.merge {
 		return runMerge(cfg, stdout)
 	}
-	if len(cfg.shardPaths) > 0 {
-		return fmt.Errorf("unexpected arguments %v (shard artifacts are only read with -merge)", cfg.shardPaths)
-	}
-	if cfg.streamPath != "" && cfg.resumePath != "" {
-		return fmt.Errorf("-stream starts a fresh run-log and -resume continues one; pass exactly one")
-	}
-	if cfg.streamPath != "" || cfg.resumePath != "" {
-		if cfg.outPath != "" {
-			return fmt.Errorf("-stream/-resume write the run-log as the mergeable artifact; they take no -out")
-		}
-	}
-	grid, err := loadGrid(cfg.gridPath)
+
+	grid, err := cli.LoadGrid(cfg.gridPath)
 	if err != nil {
 		return err
 	}
@@ -225,265 +228,112 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if cfg.eventLimit > 0 {
 		grid.Base.EventLimit = cfg.eventLimit
 	}
-	if cfg.flightDir != "" {
-		// Flight dumps need the recorder attached to every run.
-		cfg.telemetry = true
-	}
-
 	sweep := &mptcpsim.Sweep{Workers: cfg.workers, ValidateInvariants: cfg.check,
-		Telemetry: cfg.telemetry}
-	var progress func(done, total int, r mptcpsim.RunSummary)
-	if !cfg.quiet {
-		progress = func(done, total int, r mptcpsim.RunSummary) {
-			status := fmt.Sprintf("gap %5.1f%%", r.Gap*100)
-			if r.Converged {
-				status += fmt.Sprintf(", converged at %.2fs", r.ConvergedAtS)
-			}
-			if r.Err != "" {
-				status = "error: " + r.Err
-			}
-			fmt.Fprintf(stderr, "[%3d/%d] %s/%s/%s cc=%-6s sched=%-10s order=%-7s seed=%d  %s\n",
-				done, total, r.Scenario, r.Perturbation, r.Events, r.CC,
-				r.Scheduler, r.OrderString(), r.Seed, status)
-		}
+		// Flight dumps need the recorder attached to every run.
+		Telemetry: cfg.telemetry || cfg.flightDir != ""}
+
+	logPath, resume := cfg.streamPath, false
+	if cfg.resumePath != "" {
+		logPath, resume = cfg.resumePath, true
 	}
-	meter, closeMeter, err := startMeter(cfg, grid, stderr)
-	if err != nil {
-		return err
-	}
-	defer closeMeter()
-	if progress != nil || meter != nil {
-		sweep.OnResult = func(done, total int, r mptcpsim.RunSummary) {
-			if meter != nil {
-				meter.Record(r.Err != "")
-			}
-			if progress != nil {
-				progress(done, total, r)
-			}
+	// The grid's digest and run count head the run-log and size the
+	// heartbeat meter; an in-memory sweep without -progress needs neither
+	// and skips this expansion.
+	var header mptcpsim.RunLogHeader
+	if logPath != "" || cfg.Progress != "" {
+		digest, total, err := sweep.Describe(grid)
+		if err != nil {
+			return err
 		}
+		header = mptcpsim.RunLogHeader{GridDigest: digest, K: shard.K, N: shard.N, Total: total,
+			Worker: cfg.workerID, Lease: cfg.lease}
+	}
+
+	// The chain: results..., flight, meter, progress — a failed run's
+	// flight notice precedes its progress line.
+	var (
+		mem   mptcpsim.MemorySink
+		roll  mptcpsim.RollupSink
+		log   *fleet.ShardLog // nil for an in-memory sweep
+		chain = []mptcpsim.RunSink{&mem, &roll}
+	)
+	if logPath != "" {
+		if log, err = openLog(logPath, header, resume, stderr); err != nil {
+			return err
+		}
+		defer log.File.Close()
+		sink, err := mptcpsim.NewLogSink(log.File, header,
+			mptcpsim.LogOptions{Sync: log.File.Sync, Resume: log.HeaderOnDisk})
+		if err != nil {
+			return err
+		}
+		chain[0] = sink
 	}
 	if cfg.flightDir != "" {
-		if err := os.MkdirAll(cfg.flightDir, 0o777); err != nil {
+		if err := cli.MakeFlightDir(cfg.flightDir); err != nil {
 			return err
 		}
-		sweep.OnFailure = func(r mptcpsim.RunSummary, res *mptcpsim.Result) {
-			if res == nil || res.FlightEvents() == 0 {
-				return
-			}
-			path := filepath.Join(cfg.flightDir, fmt.Sprintf("flight-%d.ndjson", r.Index))
-			if err := writeFile(path, res.WriteFlightRecorder); err != nil {
-				fmt.Fprintf(stderr, "flight dump %s: %v\n", path, err)
-				return
-			}
-			fmt.Fprintf(stderr, "run %d failed; flight tail in %s\n", r.Index, path)
-		}
+		chain = append(chain, &cli.FlightSink{Dir: cfg.flightDir, Stderr: stderr})
 	}
-	if cfg.httpAddr != "" {
-		addr, closeSrv, err := telemetry.DebugServer(cfg.httpAddr)
-		if err != nil {
-			return err
-		}
-		defer closeSrv()
-		fmt.Fprintf(stderr, "debug endpoint on http://%s/debug/vars\n", addr)
-	}
-
-	if cfg.streamPath != "" || cfg.resumePath != "" {
-		return runStream(cfg, grid, sweep, meter, stdout, stderr)
-	}
-	if cfg.shard != "" {
-		return runShard(cfg, grid, sweep, stdout, stderr)
-	}
-	if cfg.outPath != "" {
-		return fmt.Errorf("-out writes a shard artifact and requires -shard k/n")
-	}
-
-	start := time.Now()
-	res, err := sweep.Run(grid)
+	meter, stopObserve, err := cfg.StartObserve(shard.Size(header.Total), cfg.workers, stderr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stderr, "completed %d runs in %v with %d workers\n",
-		len(res.Runs), time.Since(start).Round(time.Millisecond), cfg.workers)
-
-	if err := report(res, cfg, stdout); err != nil {
-		return err
-	}
-	if n := res.Errs(); n > 0 {
-		return fmt.Errorf("%d of %d runs failed", n, len(res.Runs))
-	}
-	return nil
-}
-
-// startMeter opens the -progress channel and returns the heartbeat meter
-// (nil when -progress is unset) plus its teardown. The run total is
-// computed by expanding the grid up front — cheap next to the sweep
-// itself — so ETAs are exact for both full and sharded runs. With -http,
-// Activate additionally publishes the meter under /debug/vars.
-func startMeter(cfg config, grid *mptcpsim.Grid, stderr io.Writer) (*telemetry.Meter, func(), error) {
-	if cfg.progressPath == "" {
-		return nil, func() {}, nil
-	}
-	specs, err := grid.Expand()
-	if err != nil {
-		return nil, nil, err
-	}
-	total := len(specs)
-	if cfg.shard != "" {
-		shard, err := mptcpsim.ParseShard(cfg.shard)
-		if err != nil {
-			return nil, nil, err
-		}
-		total = 0
-		for _, sp := range specs {
-			if sp.Index%shard.N == shard.K {
-				total++
-			}
-		}
-	}
-	w := stderr
-	var f *os.File
-	if cfg.progressPath != "-" {
-		f, err = os.Create(cfg.progressPath)
-		if err != nil {
-			return nil, nil, err
-		}
-		w = f
-	}
-	meter := telemetry.NewMeter(w, total, cfg.workers, time.Second)
-	meter.Activate()
-	teardown := func() {
-		meter.Close()
-		if f != nil {
-			f.Close()
-		}
-	}
-	return meter, teardown, nil
-}
-
-// runShard executes one k/n slice of the grid and writes the mergeable
-// shard artifact. Aggregate outputs are refused here — groups and the
-// overall gap describe the whole grid, so they are written by -merge (or
-// an unsharded run), never from one shard's subset.
-func runShard(cfg config, grid *mptcpsim.Grid, sweep *mptcpsim.Sweep, stdout, stderr io.Writer) error {
-	shard, err := mptcpsim.ParseShard(cfg.shard)
-	if err != nil {
-		return err
-	}
-	if cfg.outPath == "" {
-		return fmt.Errorf("-shard requires -out to name the shard artifact")
-	}
-	if cfg.csvPath != "" || cfg.groupsPath != "" || cfg.jsonPath != "" {
-		return fmt.Errorf("-csv/-groups/-json aggregate the whole grid; write them from -merge, not a shard")
-	}
-
-	start := time.Now()
-	res, err := sweep.RunShard(grid, shard)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "shard %s: completed %d of %d runs in %v with %d workers\n",
-		shard, len(res.Runs), res.Total, time.Since(start).Round(time.Millisecond), cfg.workers)
-	if err := writeFile(cfg.outPath, res.WriteJSON); err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout, "wrote", cfg.outPath)
-	if n := res.Errs(); n > 0 {
-		return fmt.Errorf("%d of %d shard runs failed", n, len(res.Runs))
-	}
-	return nil
-}
-
-// runStream executes the sweep through the flat-memory run-log path: every
-// completed run is appended to the NDJSON log (and nothing is retained in
-// memory), then the report and output files are rendered from the log in a
-// merge-style second pass — byte-identical to the in-memory sweep. With
-// -resume the log's already-recorded runs are skipped and a torn trailing
-// record (the signature of a killed writer) is truncated and re-executed.
-func runStream(cfg config, grid *mptcpsim.Grid, sweep *mptcpsim.Sweep, meter *telemetry.Meter, stdout, stderr io.Writer) error {
-	path := cfg.streamPath
-	resume := path == ""
-	if resume {
-		path = cfg.resumePath
-	}
-	shard := mptcpsim.Shard{K: 0, N: 1}
-	if cfg.shard != "" {
-		var err error
-		shard, err = mptcpsim.ParseShard(cfg.shard)
-		if err != nil {
-			return err
-		}
-		if cfg.csvPath != "" || cfg.groupsPath != "" || cfg.jsonPath != "" {
-			return fmt.Errorf("-csv/-groups/-json aggregate the whole grid; write them from -merge, not a shard")
-		}
-	}
-	digest, total, err := sweep.Describe(grid)
-	if err != nil {
-		return err
-	}
-	header := mptcpsim.RunLogHeader{GridDigest: digest, K: shard.K, N: shard.N, Total: total,
-		Worker: cfg.workerID, Lease: cfg.lease}
-
-	f, skip, prevErrs, onDisk, err := openRunLog(path, header, resume, stderr)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if f != nil {
-			f.Close()
-		}
-	}()
-	sink, err := mptcpsim.NewLogSink(f, header, mptcpsim.LogOptions{Sync: f.Sync, Resume: onDisk})
-	if err != nil {
-		return err
-	}
-	chain := mptcpsim.RunSink(sink)
-	roll := &mptcpsim.RollupSink{}
-	if cfg.telemetry {
-		chain = mptcpsim.MultiSink(sink, roll)
-	}
-	if meter != nil && len(skip) > 0 {
-		meter.Resume(len(skip), prevErrs)
-	}
-
-	start := time.Now()
+	defer stopObserve()
 	spec := mptcpsim.StreamSpec{Shard: shard}
-	if len(skip) > 0 {
-		spec.Skip = func(index int) bool { return skip[index] }
+	resumed := 0
+	if log != nil {
+		spec.Skip = func(index int) bool { return log.Skip[index] }
+		resumed = len(log.Skip)
 	}
-	if err := sweep.Stream(grid, spec, chain); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	f = nil
-
-	// Read the committed log back: the second pass trusts only what is on
-	// disk, so the rendered outputs are exactly what a later -merge of this
-	// log would produce.
-	log, err := readRunLogFile(path)
-	if err != nil {
-		return err
-	}
-	if log.Torn() {
-		return fmt.Errorf("%s: torn trailing record after a completed sweep (is something else writing it?)", path)
-	}
-	fmt.Fprintf(stderr, "streamed %d runs (%d resumed from log) in %v with %d workers\n",
-		len(log.Runs)-len(skip), len(skip), time.Since(start).Round(time.Millisecond), cfg.workers)
-
-	if shard.N > 1 {
-		fmt.Fprintln(stdout, "wrote", path)
-		if n := log.Errs(); n > 0 {
-			return fmt.Errorf("%d of %d shard runs failed", n, len(log.Runs))
+	if meter != nil {
+		if resumed > 0 {
+			meter.Resume(resumed, log.Errs)
 		}
-		return nil
+		chain = append(chain, &cli.MeterSink{Meter: meter})
 	}
-	res, err := mptcpsim.MergeShards(log.ShardResult())
-	if err != nil {
+	if !cfg.Quiet {
+		chain = append(chain, &cli.ProgressSink{W: stderr})
+	}
+
+	start := time.Now()
+	if err := sweep.Stream(grid, spec, mptcpsim.MultiSink(chain...)); err != nil {
 		return err
 	}
-	if cfg.telemetry {
-		if len(skip) > 0 {
+	elapsed := time.Since(start).Round(time.Millisecond)
+
+	var res *mptcpsim.SweepResult
+	if log == nil {
+		res = mem.Result()
+		fmt.Fprintf(stderr, "completed %d runs in %v with %d workers\n", len(res.Runs), elapsed, cfg.workers)
+	} else {
+		if err := log.File.Close(); err != nil {
+			return err
+		}
+		// Read the committed log back: the second pass trusts only what is
+		// on disk, so the rendered outputs are exactly what a later -merge
+		// of this log would produce.
+		committed, err := fleet.ReadShardLog(logPath)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "streamed %d runs (%d resumed from log) in %v with %d workers\n",
+			len(committed.Runs)-resumed, resumed, elapsed, cfg.workers)
+		if shard.N > 1 {
+			// Groups and the overall gap describe the whole grid, so a
+			// shard renders nothing; -merge does.
+			fmt.Fprintln(stdout, "wrote", logPath)
+			if n := committed.Errs(); n > 0 {
+				return fmt.Errorf("%d of %d shard runs failed", n, len(committed.Runs))
+			}
+			return nil
+		}
+		if res, err = mptcpsim.MergeShards(committed.ShardResult()); err != nil {
+			return err
+		}
+	}
+	if sweep.Telemetry {
+		if resumed > 0 {
 			// The rollup covers only this execution's runs; attaching it
 			// after a resume would report a partial grid as the whole.
 			fmt.Fprintln(stderr, "telemetry rollup omitted: resume re-executed only the unlogged runs")
@@ -491,264 +341,41 @@ func runStream(cfg config, grid *mptcpsim.Grid, sweep *mptcpsim.Sweep, meter *te
 			res.Telemetry = &roll.Rollup
 		}
 	}
-	if err := report(res, cfg, stdout); err != nil {
-		return err
-	}
-	if n := res.Errs(); n > 0 {
-		return fmt.Errorf("%d of %d runs failed", n, len(res.Runs))
-	}
-	return nil
+	return cfg.Report(res, stdout)
 }
 
-// openRunLog opens the run-log file for the sweep. A fresh -stream
-// truncates; -resume validates an existing log against the current grid
-// digest and shard shape, cuts off a torn trailing record, and returns the
-// logged indices as the skip set plus the failed-run count already on
-// disk. onDisk reports whether a committed header is already present (so
-// the sink must not write a second one).
-func openRunLog(path string, header mptcpsim.RunLogHeader, resume bool, stderr io.Writer) (f *os.File, skip map[int]bool, prevErrs int, onDisk bool, err error) {
-	if !resume {
-		f, err = os.Create(path)
-		return f, nil, 0, false, err
-	}
-	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o666)
-	if err != nil {
-		return nil, nil, 0, false, err
-	}
-	fail := func(e error) (*os.File, map[int]bool, int, bool, error) {
-		f.Close()
-		return nil, nil, 0, false, e
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return fail(err)
-	}
-	if st.Size() == 0 {
-		// Nothing to resume (first attempt died before the header, or the
-		// file is new): behave exactly like a fresh -stream.
-		return f, nil, 0, false, nil
-	}
-	log, err := mptcpsim.ReadRunLog(f)
-	if errors.Is(err, mptcpsim.ErrHeaderTorn) {
-		// The writer died inside the header line: the log records nothing,
-		// so there is nothing to resume. Start the shard over rather than
-		// refusing — that is exactly what -resume is for after a crash.
-		if err := f.Truncate(0); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "resume: %s: header torn, nothing to resume; re-executing the full shard\n", path)
-		return f, nil, 0, false, nil
-	}
-	if err != nil {
-		return fail(fmt.Errorf("%s: %w", path, err))
-	}
-	if log.Header.GridDigest != header.GridDigest {
-		return fail(fmt.Errorf("%s: run-log grid digest %.12s does not match this sweep's %.12s (different -grid, -check or library version?); resume with the original settings or -stream a fresh log",
-			path, log.Header.GridDigest, header.GridDigest))
-	}
-	if log.Header.K != header.K || log.Header.N != header.N || log.Header.Total != header.Total {
-		return fail(fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this sweep is shard %d/%d of %d; resume with the original -shard",
-			path, log.Header.K, log.Header.N, log.Header.Total, header.K, header.N, header.Total))
-	}
-	if log.Torn() {
-		fmt.Fprintf(stderr, "resume: truncating torn trailing record at byte %d of %s; its run will be re-executed\n",
-			log.TornTail, path)
-		if err := f.Truncate(log.TornTail); err != nil {
-			return fail(err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		return fail(err)
-	}
-	return f, log.Indices(), log.Errs(), true, nil
-}
-
-// readRunLogFile parses the run-log at path.
-func readRunLogFile(path string) (*mptcpsim.RunLog, error) {
-	f, err := os.Open(path)
+// openLog opens the sweep's run-log — fresh for -stream, validated and
+// positioned past the committed records for -resume — and words what the
+// resume found.
+func openLog(path string, header mptcpsim.RunLogHeader, resume bool, stderr io.Writer) (*fleet.ShardLog, error) {
+	log, err := fleet.OpenShardLog(path, header, !resume)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	log, err := mptcpsim.ReadRunLog(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if log.HeaderTorn {
+		fmt.Fprintf(stderr, "resume: %s: header torn, nothing to resume; re-executing the full shard\n", path)
+	}
+	if log.TornTail >= 0 {
+		fmt.Fprintf(stderr, "resume: truncating torn trailing record at byte %d of %s; its run will be re-executed\n",
+			log.TornTail, path)
 	}
 	return log, nil
 }
 
-// runMerge reassembles shard artifacts — JSON files from -out, NDJSON
-// run-logs from -stream, or a mix — into the unsharded sweep result and
-// renders the usual report and output files from it.
+// runMerge reassembles the run-logs named as arguments into the unsharded
+// sweep result and renders the usual report and output files from it.
 func runMerge(cfg config, stdout io.Writer) error {
-	if cfg.gridPath != "" || cfg.shard != "" || cfg.outPath != "" || cfg.streamPath != "" || cfg.resumePath != "" {
-		return fmt.Errorf("-merge reads shard artifacts; it takes none of -grid/-shard/-out/-stream/-resume")
-	}
-	if len(cfg.shardPaths) == 0 {
-		return fmt.Errorf("-merge needs at least one shard artifact argument")
-	}
-	shards := make([]*mptcpsim.ShardResult, len(cfg.shardPaths))
-	for i, path := range cfg.shardPaths {
-		sr, err := loadArtifact(path)
+	shards := make([]*mptcpsim.ShardResult, len(cfg.logPaths))
+	for i, path := range cfg.logPaths {
+		log, err := fleet.ReadShardLog(path)
 		if err != nil {
 			return err
 		}
-		shards[i] = sr
+		shards[i] = log.ShardResult()
 	}
 	res, err := mptcpsim.MergeShards(shards...)
 	if err != nil {
 		return err
 	}
-	if err := report(res, cfg, stdout); err != nil {
-		return err
-	}
-	if n := res.Errs(); n > 0 {
-		return fmt.Errorf("%d of %d runs failed", n, len(res.Runs))
-	}
-	return nil
-}
-
-// loadArtifact reads one -merge input in either artifact format, sniffed
-// from the first line: a run-log header carries the run_log version field,
-// a shard JSON artifact never does. Both converge on ShardResult, so mixed
-// inputs flow through the same validated merge path.
-func loadArtifact(path string) (*mptcpsim.ShardResult, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	line, err := br.ReadBytes('\n')
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	var probe struct {
-		Version int `json:"run_log"`
-	}
-	if json.Unmarshal(line, &probe) == nil && probe.Version > 0 {
-		log, err := mptcpsim.ReadRunLog(io.MultiReader(bytes.NewReader(line), br))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		if log.Torn() {
-			return nil, fmt.Errorf("%s: torn trailing record at byte %d — the sweep was interrupted; finish it with -resume %s before merging",
-				path, log.TornTail, path)
-		}
-		return log.ShardResult(), nil
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	sr, err := mptcpsim.LoadShard(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return sr, nil
-}
-
-// report renders the aggregate table and the best run to stdout and
-// writes the requested output files.
-func report(res *mptcpsim.SweepResult, cfg config, stdout io.Writer) error {
-	if err := res.Report(stdout); err != nil {
-		return err
-	}
-	// The rollup is pure simulation counts (no wall clock), so it belongs
-	// in the deterministic report.
-	if t := res.Telemetry; t != nil {
-		fmt.Fprintf(stdout, "\ntelemetry: %d runs, %d events fired (%d scheduled, %.1f%% recycled), heap peak %d\n",
-			t.Runs, t.EventsFired, t.EventsScheduled,
-			pct(t.Recycled, t.EventsScheduled), t.HeapPeak)
-		fmt.Fprintf(stdout, "telemetry: %d packets tx (%d offered, %d dropped), %d RTOs, %d fast recoveries, %d sched picks\n",
-			t.TxPackets, t.Offered, t.Drops, t.RTOs, t.FastRecoveries, t.SchedPicks)
-	}
-	if idx := res.SortRunsByGap(); len(idx) > 0 {
-		best := res.Runs[idx[0]]
-		fmt.Fprintf(stdout, "\nbest run: %s/%s cc=%s order=%s seed=%d at %.1f of %.1f Mbps (gap %.1f%%)\n",
-			best.Scenario, best.Perturbation, best.CC, best.OrderString(),
-			best.Seed, best.TotalMbps, best.OptimumMbps, best.Gap*100)
-	}
-
-	for _, out := range []struct {
-		path string
-		fn   func(io.Writer) error
-	}{
-		{cfg.csvPath, res.WriteCSV},
-		{cfg.groupsPath, res.WriteGroupsCSV},
-		{cfg.jsonPath, res.WriteJSON},
-	} {
-		if out.path == "" {
-			continue
-		}
-		if err := writeFile(out.path, out.fn); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote", out.path)
-	}
-	return nil
-}
-
-// loadGrid reads the grid spec and resolves scenario file references
-// relative to the spec's directory. An empty path yields the default
-// paper grid: every registered CC crossed with four subflow orderings.
-func loadGrid(path string) (*mptcpsim.Grid, error) {
-	if path == "" {
-		return &mptcpsim.Grid{
-			CCs:    []string{"lia", "olia", "balia", "cubic", "reno", "wvegas"},
-			Orders: [][]int{{2, 1, 3}, {1, 2, 3}, {3, 1, 2}, {1, 3, 2}},
-		}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	grid, err := mptcpsim.LoadGrid(f)
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range grid.Scenarios {
-		if sc.File == "" || sc.Scenario != nil {
-			continue
-		}
-		ref := sc.File
-		if !filepath.IsAbs(ref) {
-			ref = filepath.Join(filepath.Dir(path), ref)
-		}
-		sf, err := os.Open(ref)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		inline, err := mptcpsim.LoadScenario(sf)
-		sf.Close()
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		// Expand build-validates every scenario, so decoding suffices here.
-		// The file reference is now resolved; clear it so Expand's
-		// exactly-one-selector check sees a plain inline scenario.
-		grid.Scenarios[i].Scenario = inline
-		grid.Scenarios[i].File = ""
-		// Default to the path as written, not its basename: two files
-		// named net.json in different directories must stay distinct.
-		if grid.Scenarios[i].Name == "" {
-			grid.Scenarios[i].Name = sc.File
-		}
-	}
-	return grid, nil
-}
-
-func writeFile(path string, fn func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cfg.Report(res, stdout)
 }

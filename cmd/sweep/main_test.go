@@ -12,12 +12,13 @@ import (
 	"testing"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func TestDefaultGridShape(t *testing.T) {
-	grid, err := loadGrid("")
+	grid, err := cli.LoadGrid("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestLoadGridResolvesFileReferences(t *testing.T) {
 	if err := os.WriteFile(gridPath, []byte(gridJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	grid, err := loadGrid(gridPath)
+	grid, err := cli.LoadGrid(gridPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestLoadGridMissingFile(t *testing.T) {
 	if err := os.WriteFile(gridPath, []byte(`{"scenarios":[{"file":"absent.json"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadGrid(gridPath); err == nil {
+	if _, err := cli.LoadGrid(gridPath); err == nil {
 		t.Fatal("missing scenario file not reported")
 	}
 }
@@ -96,13 +97,10 @@ func TestRunGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
-		gridPath:   gridPath,
-		workers:    4,
-		quiet:      true,
-		check:      true,
-		csvPath:    filepath.Join(dir, "runs.csv"),
-		groupsPath: filepath.Join(dir, "groups.csv"),
-		jsonPath:   filepath.Join(dir, "sweep.json"),
+		Flags:    outputsIn(dir),
+		gridPath: gridPath,
+		workers:  4,
+		check:    true,
 	}
 	var stdout, stderr bytes.Buffer
 	if err := run(cfg, &stdout, &stderr); err != nil {
@@ -152,7 +150,7 @@ func TestRunGolden(t *testing.T) {
 // every CC, every scheduler and both event sets — the scale at which the
 // distributed-determinism contract is enforced on every PR.
 func TestCIShardGridShape(t *testing.T) {
-	grid, err := loadGrid(filepath.Join("testdata", "ci-shard-grid.json"))
+	grid, err := cli.LoadGrid(filepath.Join("testdata", "ci-shard-grid.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,68 +168,41 @@ func TestCIShardGridShape(t *testing.T) {
 }
 
 // TestRunShardMergeGolden drives the CLI seam through shard and merge
-// mode: two shards of the golden grid (artifacts golden-checked for
-// schema stability) merged back must reproduce the exact golden report,
-// CSVs and JSON of the unsharded run — the CLI half of the
-// distributed-determinism contract TestShardMergeByteIdentical proves at
-// the library layer.
+// mode: two shard run-logs of the golden grid merged back must reproduce
+// the exact golden report, CSVs and JSON of the unsharded run — the CLI
+// half of the distributed-determinism contract
+// TestShardMergeByteIdentical proves at the library layer.
 func TestRunShardMergeGolden(t *testing.T) {
-	dir := t.TempDir()
-	gridPath := filepath.Join(dir, "grid.json")
-	if err := os.WriteFile(gridPath, []byte(goldenGrid), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	dir, gridPath := writeGoldenGrid(t)
 
-	var shardPaths []string
+	var logPaths []string
 	for k := 0; k < 2; k++ {
 		cfg := config{
-			gridPath: gridPath,
-			workers:  k + 1, // artifacts must not depend on worker count
-			quiet:    true,
-			check:    true,
-			shard:    fmt.Sprintf("%d/2", k),
-			outPath:  filepath.Join(dir, fmt.Sprintf("shard-%d.json", k)),
+			Flags:      cli.Flags{Quiet: true},
+			gridPath:   gridPath,
+			workers:    k + 1, // run-logs must not depend on worker count
+			check:      true,
+			shard:      fmt.Sprintf("%d/2", k),
+			streamPath: filepath.Join(dir, fmt.Sprintf("shard-%d.ndjson", k)),
 		}
 		var stdout, stderr bytes.Buffer
 		if err := run(cfg, &stdout, &stderr); err != nil {
 			t.Fatalf("shard %d: %v\nstderr: %s", k, err, stderr.String())
 		}
-		got, err := os.ReadFile(cfg.outPath)
-		if err != nil {
-			t.Fatal(err)
+		if !strings.Contains(stdout.String(), "wrote "+cfg.streamPath) {
+			t.Fatalf("shard %d never announced its run-log:\n%s", k, stdout.String())
 		}
-		compareGolden(t, fmt.Sprintf("shard-%d.json", k), got)
-		shardPaths = append(shardPaths, cfg.outPath)
+		logPaths = append(logPaths, cfg.streamPath)
 	}
 
-	cfg := config{
-		merge:      true,
-		shardPaths: shardPaths,
-		csvPath:    filepath.Join(dir, "runs.csv"),
-		groupsPath: filepath.Join(dir, "groups.csv"),
-		jsonPath:   filepath.Join(dir, "sweep.json"),
-	}
+	cfg := config{Flags: outputsIn(dir), merge: true, logPaths: logPaths}
 	var stdout, stderr bytes.Buffer
 	if err := run(cfg, &stdout, &stderr); err != nil {
 		t.Fatalf("merge: %v\nstderr: %s", err, stderr.String())
 	}
-	var reportLines []string
-	for _, line := range strings.Split(stdout.String(), "\n") {
-		if strings.HasPrefix(line, "wrote ") {
-			continue
-		}
-		reportLines = append(reportLines, line)
-	}
 	// The merged outputs compare against the same golden files as the
 	// unsharded TestRunGolden — byte-identical by contract.
-	compareGolden(t, "report.txt", []byte(strings.Join(reportLines, "\n")))
-	for _, name := range []string{"runs.csv", "groups.csv", "sweep.json"} {
-		got, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareGolden(t, name, got)
-	}
+	compareOutputsGolden(t, dir, stdout.String())
 }
 
 // TestRunTelemetryAndProgress drives the observability flag surface on a
@@ -245,13 +216,12 @@ func TestRunTelemetryAndProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
-		gridPath:     gridPath,
-		workers:      4,
-		quiet:        true,
-		check:        true,
-		telemetry:    true,
-		progressPath: filepath.Join(dir, "progress.ndjson"),
-		csvPath:      filepath.Join(dir, "runs.csv"),
+		Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "progress.ndjson"),
+			CSV: filepath.Join(dir, "runs.csv")},
+		gridPath:  gridPath,
+		workers:   4,
+		check:     true,
+		telemetry: true,
 	}
 	var stdout, stderr bytes.Buffer
 	if err := run(cfg, &stdout, &stderr); err != nil {
@@ -279,13 +249,13 @@ func TestRunTelemetryAndProgress(t *testing.T) {
 		reportLines = append(reportLines, line)
 	}
 	compareGolden(t, "report.txt", []byte(strings.Join(reportLines, "\n")))
-	got, err := os.ReadFile(cfg.csvPath)
+	got, err := os.ReadFile(cfg.CSV)
 	if err != nil {
 		t.Fatal(err)
 	}
 	compareGolden(t, "runs.csv", got)
 
-	raw, err := os.ReadFile(cfg.progressPath)
+	raw, err := os.ReadFile(cfg.Progress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,9 +299,9 @@ func TestRunFlightDumps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
+		Flags:      cli.Flags{Quiet: true},
 		gridPath:   gridPath,
 		workers:    2,
-		quiet:      true,
 		flightDir:  filepath.Join(dir, "flight"),
 		eventLimit: 5000,
 	}
@@ -381,41 +351,40 @@ func TestRunFlagDiagnostics(t *testing.T) {
 	if err := os.WriteFile(gridPath, []byte(goldenGrid), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	quiet := cli.Flags{Quiet: true}
 	cases := map[string]struct {
 		cfg  config
 		want string
 	}{
-		"shard without out": {
-			config{gridPath: gridPath, shard: "0/2", quiet: true},
-			"-out",
+		"shard without stream": {
+			config{Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "early.ndjson"),
+				CPUProfile: filepath.Join(dir, "early.pprof")},
+				gridPath: gridPath, shard: "0/2", flightDir: filepath.Join(dir, "early-flight")},
+			"-stream",
 		},
 		"shard with aggregate output": {
-			config{gridPath: gridPath, shard: "0/2", outPath: filepath.Join(dir, "s.json"),
-				jsonPath: filepath.Join(dir, "x.json"), quiet: true},
+			config{Flags: cli.Flags{Quiet: true, JSON: filepath.Join(dir, "x.json")}, gridPath: gridPath,
+				shard: "0/2", streamPath: filepath.Join(dir, "s.ndjson")},
 			"-merge",
 		},
 		"bad shard spec": {
-			config{gridPath: gridPath, shard: "2/2", outPath: filepath.Join(dir, "s.json"), quiet: true},
+			config{Flags: quiet, gridPath: gridPath, shard: "2/2", streamPath: filepath.Join(dir, "s.ndjson")},
 			"out of range",
-		},
-		"out without shard": {
-			config{gridPath: gridPath, outPath: filepath.Join(dir, "s.json"), quiet: true},
-			"-shard",
 		},
 		"merge without artifacts": {
 			config{merge: true},
-			"at least one shard artifact",
+			"at least one run-log",
 		},
 		"merge with grid": {
-			config{merge: true, gridPath: gridPath, shardPaths: []string{"x.json"}},
+			config{merge: true, gridPath: gridPath, logPaths: []string{"x.ndjson"}},
 			"-grid",
 		},
 		"merge with missing file": {
-			config{merge: true, shardPaths: []string{filepath.Join(dir, "absent.json")}},
-			"absent.json",
+			config{merge: true, logPaths: []string{filepath.Join(dir, "absent.ndjson")}},
+			"absent.ndjson",
 		},
 		"stray arguments": {
-			config{gridPath: gridPath, shardPaths: []string{"stray.json"}, quiet: true},
+			config{Flags: quiet, gridPath: gridPath, logPaths: []string{"stray.ndjson"}},
 			"unexpected arguments",
 		},
 	}
@@ -430,6 +399,11 @@ func TestRunFlagDiagnostics(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+	// A refused flag combination must not have created or truncated any
+	// output on its way to the diagnostic.
+	if early, _ := filepath.Glob(filepath.Join(dir, "early*")); len(early) > 0 {
+		t.Fatalf("a refused command line left outputs behind: %v", early)
 	}
 }
 

@@ -9,7 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"mptcpsim"
+	"mptcpsim/internal/cli"
+	"mptcpsim/internal/fleet"
 )
 
 // writeGoldenGrid materialises the shared golden grid spec in a temp dir.
@@ -21,6 +22,17 @@ func writeGoldenGrid(t *testing.T) (dir, gridPath string) {
 		t.Fatal(err)
 	}
 	return dir, gridPath
+}
+
+// outputsIn is a quiet flag set writing all three output files into dir,
+// under the names compareOutputsGolden reads back.
+func outputsIn(dir string) cli.Flags {
+	return cli.Flags{
+		Quiet:  true,
+		CSV:    filepath.Join(dir, "runs.csv"),
+		Groups: filepath.Join(dir, "groups.csv"),
+		JSON:   filepath.Join(dir, "sweep.json"),
+	}
 }
 
 // reportBody strips the path-bearing "wrote ..." lines from a report.
@@ -58,14 +70,11 @@ func TestRunStreamGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dir, gridPath := writeGoldenGrid(t)
 			cfg := config{
+				Flags:      outputsIn(dir),
 				gridPath:   gridPath,
 				workers:    workers,
-				quiet:      true,
 				check:      true,
 				streamPath: filepath.Join(dir, "sweep.ndjson"),
-				csvPath:    filepath.Join(dir, "runs.csv"),
-				groupsPath: filepath.Join(dir, "groups.csv"),
-				jsonPath:   filepath.Join(dir, "sweep.json"),
 			}
 			var stdout, stderr bytes.Buffer
 			if err := run(cfg, &stdout, &stderr); err != nil {
@@ -101,7 +110,7 @@ func TestRunResumeAfterTruncation(t *testing.T) {
 	dir, gridPath := writeGoldenGrid(t)
 	logPath := filepath.Join(dir, "sweep.ndjson")
 
-	first := config{gridPath: gridPath, workers: 2, quiet: true, check: true, streamPath: logPath}
+	first := config{Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 2, check: true, streamPath: logPath}
 	var stdout, stderr bytes.Buffer
 	if err := run(first, &stdout, &stderr); err != nil {
 		t.Fatalf("stream: %v\nstderr: %s", err, stderr.String())
@@ -112,14 +121,11 @@ func TestRunResumeAfterTruncation(t *testing.T) {
 	}
 
 	second := config{
+		Flags:      outputsIn(dir),
 		gridPath:   gridPath,
 		workers:    2,
-		quiet:      true,
 		check:      true,
 		resumePath: logPath,
-		csvPath:    filepath.Join(dir, "runs.csv"),
-		groupsPath: filepath.Join(dir, "groups.csv"),
-		jsonPath:   filepath.Join(dir, "sweep.json"),
 	}
 	stdout.Reset()
 	stderr.Reset()
@@ -133,12 +139,7 @@ func TestRunResumeAfterTruncation(t *testing.T) {
 		t.Fatalf("resume did not credit the %d committed records:\n%s", committed, stderr.String())
 	}
 
-	f, err := os.Open(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	log, err := mptcpsim.ReadRunLog(f)
+	log, err := fleet.ReadShardLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,14 +165,11 @@ func TestRunResumeTornHeader(t *testing.T) {
 	}
 
 	cfg := config{
+		Flags:      outputsIn(dir),
 		gridPath:   gridPath,
 		workers:    2,
-		quiet:      true,
 		check:      true,
 		resumePath: logPath,
-		csvPath:    filepath.Join(dir, "runs.csv"),
-		groupsPath: filepath.Join(dir, "groups.csv"),
-		jsonPath:   filepath.Join(dir, "sweep.json"),
 	}
 	var stdout, stderr bytes.Buffer
 	if err := run(cfg, &stdout, &stderr); err != nil {
@@ -193,25 +191,24 @@ func TestRunResumeProgress(t *testing.T) {
 	dir, gridPath := writeGoldenGrid(t)
 	logPath := filepath.Join(dir, "sweep.ndjson")
 	var stdout, stderr bytes.Buffer
-	if err := run(config{gridPath: gridPath, workers: 2, quiet: true, streamPath: logPath},
+	if err := run(config{Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 2, streamPath: logPath},
 		&stdout, &stderr); err != nil {
 		t.Fatalf("stream: %v\nstderr: %s", err, stderr.String())
 	}
 	truncateMidRecord(t, logPath)
 
 	cfg := config{
-		gridPath:     gridPath,
-		workers:      2,
-		quiet:        true,
-		resumePath:   logPath,
-		progressPath: filepath.Join(dir, "progress.ndjson"),
+		Flags:      cli.Flags{Quiet: true, Progress: filepath.Join(dir, "progress.ndjson")},
+		gridPath:   gridPath,
+		workers:    2,
+		resumePath: logPath,
 	}
 	stdout.Reset()
 	stderr.Reset()
 	if err := run(cfg, &stdout, &stderr); err != nil {
 		t.Fatalf("resume: %v\nstderr: %s", err, stderr.String())
 	}
-	raw, err := os.ReadFile(cfg.progressPath)
+	raw, err := os.ReadFile(cfg.Progress)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,45 +225,6 @@ func TestRunResumeProgress(t *testing.T) {
 	}
 }
 
-// TestRunStreamShardMixedMerge splits the golden grid into one streamed
-// shard (NDJSON run-log) and one classic shard artifact (JSON), then
-// merges the mix — the output must match the unsharded goldens exactly.
-func TestRunStreamShardMixedMerge(t *testing.T) {
-	dir, gridPath := writeGoldenGrid(t)
-
-	streamed := config{gridPath: gridPath, workers: 1, quiet: true, check: true,
-		shard: "0/2", streamPath: filepath.Join(dir, "shard-0.ndjson")}
-	var stdout, stderr bytes.Buffer
-	if err := run(streamed, &stdout, &stderr); err != nil {
-		t.Fatalf("streamed shard: %v\nstderr: %s", err, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "wrote "+streamed.streamPath) {
-		t.Fatalf("streamed shard never announced its artifact:\n%s", stdout.String())
-	}
-
-	classic := config{gridPath: gridPath, workers: 2, quiet: true, check: true,
-		shard: "1/2", outPath: filepath.Join(dir, "shard-1.json")}
-	stdout.Reset()
-	stderr.Reset()
-	if err := run(classic, &stdout, &stderr); err != nil {
-		t.Fatalf("classic shard: %v\nstderr: %s", err, stderr.String())
-	}
-
-	merge := config{
-		merge:      true,
-		shardPaths: []string{streamed.streamPath, classic.outPath},
-		csvPath:    filepath.Join(dir, "runs.csv"),
-		groupsPath: filepath.Join(dir, "groups.csv"),
-		jsonPath:   filepath.Join(dir, "sweep.json"),
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if err := run(merge, &stdout, &stderr); err != nil {
-		t.Fatalf("mixed merge: %v\nstderr: %s", err, stderr.String())
-	}
-	compareOutputsGolden(t, dir, stdout.String())
-}
-
 // TestRunStreamFlagDiagnostics exercises the fail-fast checks around the
 // stream/resume flag surface, including the resume-against-the-wrong-grid
 // guard and merging a torn log.
@@ -278,7 +236,8 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 	// must refuse to merge.
 	logPath := filepath.Join(dir, "other.ndjson")
 	var stdout, stderr bytes.Buffer
-	if err := run(config{workers: 2, quiet: true, duration: 100 * 1e6, streamPath: logPath},
+	quiet := cli.Flags{Quiet: true}
+	if err := run(config{Flags: quiet, workers: 2, duration: 100 * 1e6, streamPath: logPath},
 		&stdout, &stderr); err != nil {
 		t.Fatalf("seed log: %v\nstderr: %s", err, stderr.String())
 	}
@@ -291,34 +250,41 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// What a JSON shard artifact of an older sweep looks like to -merge: not
+	// a run-log. The diagnostic must name the file and the way out.
+	legacyPath := filepath.Join(dir, "shard-0.json")
+	if err := os.WriteFile(legacyPath, []byte("{\n  \"grid_digest\": \"ab\",\n  \"runs\": []\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := map[string]struct {
 		cfg  config
-		want string
+		want []string
 	}{
 		"stream with resume": {
-			config{gridPath: gridPath, streamPath: "a.ndjson", resumePath: "b.ndjson", quiet: true},
-			"exactly one",
-		},
-		"stream with out": {
-			config{gridPath: gridPath, streamPath: "a.ndjson", outPath: "a.json", quiet: true},
-			"no -out",
+			config{Flags: quiet, gridPath: gridPath, streamPath: "a.ndjson", resumePath: "b.ndjson"},
+			[]string{"exactly one"},
 		},
 		"streamed shard with aggregate output": {
-			config{gridPath: gridPath, shard: "0/2", streamPath: filepath.Join(dir, "s.ndjson"),
-				jsonPath: filepath.Join(dir, "x.json"), quiet: true},
-			"-merge",
+			config{Flags: cli.Flags{Quiet: true, JSON: filepath.Join(dir, "x.json")}, gridPath: gridPath,
+				shard: "0/2", streamPath: filepath.Join(dir, "s.ndjson")},
+			[]string{"-merge"},
 		},
 		"merge with stream": {
-			config{merge: true, streamPath: "a.ndjson", shardPaths: []string{"x.json"}},
-			"-stream",
+			config{merge: true, streamPath: "a.ndjson", logPaths: []string{"x.ndjson"}},
+			[]string{"-stream"},
 		},
 		"resume against different grid": {
-			config{gridPath: gridPath, resumePath: logPath, quiet: true},
-			"digest",
+			config{Flags: quiet, gridPath: gridPath, resumePath: logPath},
+			[]string{"digest"},
 		},
 		"merge of torn log": {
-			config{merge: true, shardPaths: []string{tornPath}},
-			"-resume",
+			config{merge: true, logPaths: []string{tornPath}},
+			[]string{"-resume"},
+		},
+		"merge of non-run-log": {
+			config{merge: true, logPaths: []string{logPath, legacyPath}},
+			[]string{legacyPath, "re-run that shard with -stream"},
 		},
 	}
 	for name, tc := range cases {
@@ -328,8 +294,10 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 			if err == nil {
 				t.Fatal("run accepted a broken flag combination")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not mention %q", err, want)
+				}
 			}
 		})
 	}

@@ -32,35 +32,29 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 	"mptcpsim/internal/fleet"
-	"mptcpsim/internal/telemetry"
 )
 
 // config carries the resolved command line.
 type config struct {
-	gridPath     string
-	shards       int
-	fleetSize    int
-	workers      int
-	check        bool
-	spool        string
-	workerBin    string
-	ttl          time.Duration
-	attempts     int
-	backoff      time.Duration
-	poll         time.Duration
-	csvPath      string
-	groupsPath   string
-	jsonPath     string
-	progressPath string
-	httpAddr     string
-	quiet        bool
+	cli.Flags
+	gridPath  string
+	shards    int
+	fleetSize int
+	workers   int
+	check     bool
+	spool     string
+	workerBin string
+	ttl       time.Duration
+	attempts  int
+	backoff   time.Duration
+	poll      time.Duration
 }
 
 func main() {
@@ -76,13 +70,10 @@ func main() {
 	flag.IntVar(&cfg.attempts, "attempts", 5, "max grants per shard before the fleet aborts")
 	flag.DurationVar(&cfg.backoff, "backoff", time.Second, "delay before re-granting a failed shard")
 	flag.DurationVar(&cfg.poll, "poll", 200*time.Millisecond, "spool progress-scan interval")
-	flag.StringVar(&cfg.csvPath, "csv", "", "write the per-run table to this CSV file")
-	flag.StringVar(&cfg.groupsPath, "groups", "", "write the aggregate table to this CSV file")
-	flag.StringVar(&cfg.jsonPath, "json", "", "write the full result (runs + groups) to this JSON file")
-	flag.StringVar(&cfg.progressPath, "progress", "", "stream NDJSON fleet heartbeats to this file (- = stderr)")
-	flag.StringVar(&cfg.httpAddr, "http", "", "serve expvar + pprof debug endpoints on this address (e.g. :6060)")
-	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress coordinator lease notices")
-	flag.BoolVar(&cfg.quiet, "q", false, "shorthand for -quiet")
+	cfg.RegisterOutputs(flag.CommandLine)
+	cfg.RegisterObserve(flag.CommandLine, "stream NDJSON fleet heartbeats to this file (- = stderr)",
+		"serve expvar + pprof debug endpoints on this address (e.g. :6060)")
+	cfg.RegisterQuiet(flag.CommandLine, "suppress coordinator lease notices")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "sweepd: unexpected arguments %v\n", flag.Args())
@@ -103,7 +94,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if cfg.fleetSize <= 0 {
 		return fmt.Errorf("-fleet must be positive, have %d", cfg.fleetSize)
 	}
-	grid, err := loadGrid(cfg.gridPath)
+	grid, err := cli.LoadGrid(cfg.gridPath)
 	if err != nil {
 		return err
 	}
@@ -113,35 +104,11 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	var meter *telemetry.Meter
-	closeMeter := func() {}
-	if cfg.progressPath != "" {
-		w := stderr
-		var f *os.File
-		if cfg.progressPath != "-" {
-			if f, err = os.Create(cfg.progressPath); err != nil {
-				return err
-			}
-			w = f
-		}
-		meter = telemetry.NewMeter(w, total, cfg.fleetSize, time.Second)
-		meter.Activate()
-		closeMeter = func() {
-			meter.Close()
-			if f != nil {
-				f.Close()
-			}
-		}
+	meter, stopObserve, err := cfg.StartObserve(total, cfg.fleetSize, stderr)
+	if err != nil {
+		return err
 	}
-	defer closeMeter()
-	if cfg.httpAddr != "" {
-		addr, closeSrv, err := telemetry.DebugServer(cfg.httpAddr)
-		if err != nil {
-			return err
-		}
-		defer closeSrv()
-		fmt.Fprintf(stderr, "debug endpoint on http://%s/debug/vars\n", addr)
-	}
+	defer stopObserve()
 
 	var runner fleet.Runner
 	if cfg.workerBin != "" {
@@ -169,7 +136,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 		Poll:        cfg.poll,
 		Meter:       meter,
 	}
-	if !cfg.quiet {
+	if !cfg.Quiet {
 		coord.Log = stderr
 	}
 	activateFleetVar(coord)
@@ -181,13 +148,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	}
 	fmt.Fprintf(stderr, "fleet: merged %d runs from %d shards in %v\n",
 		len(res.Runs), cfg.shards, time.Since(start).Round(time.Millisecond))
-	if err := report(res, cfg, stdout); err != nil {
-		return err
-	}
-	if n := res.Errs(); n > 0 {
-		return fmt.Errorf("%d of %d runs failed", n, len(res.Runs))
-	}
-	return nil
+	return cfg.Report(res, stdout)
 }
 
 // expvar integration mirrors telemetry.Meter.Activate: tests create many
@@ -221,94 +182,4 @@ func activateFleetVar(c *fleet.Coordinator) {
 	activeMu.Lock()
 	activeCoord = c
 	activeMu.Unlock()
-}
-
-// report renders the aggregate table and the best run to stdout and writes
-// the requested output files — the same text and bytes `sweep` produces
-// for this result, which is what the byte-identity contract is measured
-// against.
-func report(res *mptcpsim.SweepResult, cfg config, stdout io.Writer) error {
-	if err := res.Report(stdout); err != nil {
-		return err
-	}
-	if idx := res.SortRunsByGap(); len(idx) > 0 {
-		best := res.Runs[idx[0]]
-		fmt.Fprintf(stdout, "\nbest run: %s/%s cc=%s order=%s seed=%d at %.1f of %.1f Mbps (gap %.1f%%)\n",
-			best.Scenario, best.Perturbation, best.CC, best.OrderString(),
-			best.Seed, best.TotalMbps, best.OptimumMbps, best.Gap*100)
-	}
-	for _, out := range []struct {
-		path string
-		fn   func(io.Writer) error
-	}{
-		{cfg.csvPath, res.WriteCSV},
-		{cfg.groupsPath, res.WriteGroupsCSV},
-		{cfg.jsonPath, res.WriteJSON},
-	} {
-		if out.path == "" {
-			continue
-		}
-		if err := writeFile(out.path, out.fn); err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, "wrote", out.path)
-	}
-	return nil
-}
-
-// loadGrid reads the grid spec and resolves scenario file references
-// relative to the spec's directory — the same resolution `sweep` applies,
-// so both ends of an exec fleet expand the identical grid.
-func loadGrid(path string) (*mptcpsim.Grid, error) {
-	if path == "" {
-		return &mptcpsim.Grid{
-			CCs:    []string{"lia", "olia", "balia", "cubic", "reno", "wvegas"},
-			Orders: [][]int{{2, 1, 3}, {1, 2, 3}, {3, 1, 2}, {1, 3, 2}},
-		}, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	grid, err := mptcpsim.LoadGrid(f)
-	if err != nil {
-		return nil, err
-	}
-	for i, sc := range grid.Scenarios {
-		if sc.File == "" || sc.Scenario != nil {
-			continue
-		}
-		ref := sc.File
-		if !filepath.IsAbs(ref) {
-			ref = filepath.Join(filepath.Dir(path), ref)
-		}
-		sf, err := os.Open(ref)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		inline, err := mptcpsim.LoadScenario(sf)
-		sf.Close()
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-		}
-		grid.Scenarios[i].Scenario = inline
-		grid.Scenarios[i].File = ""
-		if grid.Scenarios[i].Name == "" {
-			grid.Scenarios[i].Name = sc.File
-		}
-	}
-	return grid, nil
-}
-
-func writeFile(path string, fn func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

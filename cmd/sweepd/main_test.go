@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 )
 
 // testGrid is a small fleet-sized grid: 2 CCs x 2 orders x 3 seeds = 12
@@ -34,19 +35,21 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 	}
 
 	cfg := config{
-		gridPath:     gridPath,
-		shards:       3,
-		fleetSize:    2,
-		workers:      2,
-		spool:        filepath.Join(dir, "spool"),
-		ttl:          time.Minute,
-		attempts:     3,
-		backoff:      10 * time.Millisecond,
-		poll:         5 * time.Millisecond,
-		csvPath:      filepath.Join(dir, "runs.csv"),
-		groupsPath:   filepath.Join(dir, "groups.csv"),
-		jsonPath:     filepath.Join(dir, "sweep.json"),
-		progressPath: filepath.Join(dir, "progress.ndjson"),
+		Flags: cli.Flags{
+			CSV:      filepath.Join(dir, "runs.csv"),
+			Groups:   filepath.Join(dir, "groups.csv"),
+			JSON:     filepath.Join(dir, "sweep.json"),
+			Progress: filepath.Join(dir, "progress.ndjson"),
+		},
+		gridPath:  gridPath,
+		shards:    3,
+		fleetSize: 2,
+		workers:   2,
+		spool:     filepath.Join(dir, "spool"),
+		ttl:       time.Minute,
+		attempts:  3,
+		backoff:   10 * time.Millisecond,
+		poll:      5 * time.Millisecond,
 	}
 	var stdout, stderr bytes.Buffer
 	if err := run(cfg, &stdout, &stderr); err != nil {
@@ -55,7 +58,7 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 
 	// The reference: the same grid swept unsharded, rendered through the
 	// same report helper into a sibling set of files.
-	grid, err := loadGrid(gridPath)
+	grid, err := cli.LoadGrid(gridPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,13 +67,13 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDir := t.TempDir()
-	refCfg := config{
-		csvPath:    filepath.Join(refDir, "runs.csv"),
-		groupsPath: filepath.Join(refDir, "groups.csv"),
-		jsonPath:   filepath.Join(refDir, "sweep.json"),
+	refOut := cli.Flags{
+		CSV:    filepath.Join(refDir, "runs.csv"),
+		Groups: filepath.Join(refDir, "groups.csv"),
+		JSON:   filepath.Join(refDir, "sweep.json"),
 	}
 	var wantOut bytes.Buffer
-	if err := report(want, refCfg, &wantOut); err != nil {
+	if err := refOut.Report(want, &wantOut); err != nil {
 		t.Fatal(err)
 	}
 
@@ -113,7 +116,7 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 	}
 
 	// Heartbeats: every line valid JSON, final line accounts for all runs.
-	raw, err := os.ReadFile(cfg.progressPath)
+	raw, err := os.ReadFile(cfg.Progress)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package prof
+package cli
 
 import (
 	"os"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestStartNoPathsIsNoOp(t *testing.T) {
-	stop, err := Start("", "")
+	stop, err := (&Flags{}).StartProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -18,9 +18,8 @@ func TestStartNoPathsIsNoOp(t *testing.T) {
 
 func TestStartWritesProfiles(t *testing.T) {
 	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	stop, err := Start(cpu, mem)
+	f := &Flags{CPUProfile: filepath.Join(dir, "cpu.pprof"), MemProfile: filepath.Join(dir, "mem.pprof")}
+	stop, err := f.StartProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +32,7 @@ func TestStartWritesProfiles(t *testing.T) {
 	if err := stop(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{cpu, mem} {
+	for _, p := range []string{f.CPUProfile, f.MemProfile} {
 		st, err := os.Stat(p)
 		if err != nil {
 			t.Fatal(err)
@@ -45,10 +44,11 @@ func TestStartWritesProfiles(t *testing.T) {
 }
 
 func TestStartBadPathFails(t *testing.T) {
-	if _, err := Start(filepath.Join(t.TempDir(), "no", "such", "dir", "cpu"), ""); err == nil {
-		t.Fatal("Start accepted an uncreatable CPU profile path")
+	bad := filepath.Join(t.TempDir(), "no", "such", "dir", "profile")
+	if _, err := (&Flags{CPUProfile: bad}).StartProfile(); err == nil {
+		t.Fatal("StartProfile accepted an uncreatable CPU profile path")
 	}
-	stop, err := Start("", filepath.Join(t.TempDir(), "no", "such", "dir", "mem"))
+	stop, err := (&Flags{MemProfile: bad}).StartProfile()
 	if err != nil {
 		t.Fatal(err)
 	}

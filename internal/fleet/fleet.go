@@ -226,7 +226,7 @@ func (c *Coordinator) shardComplete(lease Lease, digest string) (bool, error) {
 		return false, fmt.Errorf("fleet: shard %d/%d log carries grid digest %.12s, fleet is %.12s (stale spool?)",
 			lease.K, lease.N, log.Header.GridDigest, digest)
 	}
-	want := shardSize(lease.K, lease.N, log.Header.Total)
+	want := mptcpsim.Shard{K: lease.K, N: lease.N}.Size(log.Header.Total)
 	return !log.Torn() && len(log.Runs) == want, nil
 }
 
@@ -234,17 +234,9 @@ func (c *Coordinator) shardComplete(lease Lease, digest string) (bool, error) {
 func (c *Coordinator) merge(digest string, total int) (*mptcpsim.SweepResult, error) {
 	shards := make([]*mptcpsim.ShardResult, c.Shards)
 	for k := 0; k < c.Shards; k++ {
-		f, err := os.Open(ShardLogPath(c.Spool, k, c.Shards))
+		log, err := ReadShardLog(ShardLogPath(c.Spool, k, c.Shards))
 		if err != nil {
-			return nil, err
-		}
-		log, err := mptcpsim.ReadRunLog(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		if log.Torn() {
-			return nil, fmt.Errorf("fleet: shard %d/%d log torn after completion (is something else writing the spool?)", k, c.Shards)
+			return nil, fmt.Errorf("fleet: %w", err)
 		}
 		shards[k] = log.ShardResult()
 	}
@@ -306,14 +298,6 @@ func (c *Coordinator) Progress() *mptcpsim.AggSink {
 		}
 	}
 	return agg
-}
-
-// shardSize is how many of total expansion indices fall in shard k of n.
-func shardSize(k, n, total int) int {
-	if n <= 0 || k >= total {
-		return 0
-	}
-	return (total + n - 1 - k) / n
 }
 
 // leaseAttempt reads the attempt count behind a lease (for notices only).

@@ -21,64 +21,111 @@ func ShardLogPath(spool string, k, n int) string {
 	return filepath.Join(spool, fmt.Sprintf("shard-%d-of-%d.ndjson", k, n))
 }
 
+// ShardLog is a shard run-log opened for appending, with what resuming it
+// found on disk.
+type ShardLog struct {
+	// File is positioned at the end of the committed records.
+	File *os.File
+	// Skip holds the run indices already committed — the resume skip set —
+	// and Errs counts the failed runs among them.
+	Skip map[int]bool
+	Errs int
+	// HeaderOnDisk reports a committed header is present, so the LogSink
+	// appending to File must open in Resume mode.
+	HeaderOnDisk bool
+	// TornTail is the offset at which a torn trailing record was cut off
+	// (its run will be re-executed), -1 when the log ended cleanly.
+	// HeaderTorn reports the file held only part of a header line: it
+	// recorded nothing and was emptied, so the whole shard re-executes.
+	TornTail   int64
+	HeaderTorn bool
+}
+
 // OpenShardLog opens the shard run-log at path for writing, resuming
-// whatever a previous lease left behind: a missing or empty file (or one
+// whatever a previous writer left behind: a missing or empty file (or one
 // torn inside its header) starts fresh; a committed log is validated
 // against header's digest and shard shape, has any torn trailing record
 // truncated, and yields the already-committed indices as the skip set.
-// headerOnDisk reports whether a committed header is already present, in
-// which case the caller's LogSink must open in Resume mode.
-func OpenShardLog(path string, header mptcpsim.RunLogHeader) (f *os.File, skip map[int]bool, prevErrs int, headerOnDisk bool, err error) {
-	f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o666)
+// With truncate set, existing content is discarded first — the fresh-log
+// form of the same open.
+func OpenShardLog(path string, header mptcpsim.RunLogHeader, truncate bool) (*ShardLog, error) {
+	flags := os.O_RDWR | os.O_CREATE
+	if truncate {
+		flags |= os.O_TRUNC
+	}
+	f, err := os.OpenFile(path, flags, 0o666)
 	if err != nil {
-		return nil, nil, 0, false, err
+		return nil, err
 	}
-	fail := func(e error) (*os.File, map[int]bool, int, bool, error) {
+	sl := &ShardLog{File: f, TornTail: -1}
+	fail := func(e error) (*ShardLog, error) {
 		f.Close()
-		return nil, nil, 0, false, e
-	}
-	restart := func() (*os.File, map[int]bool, int, bool, error) {
-		if err := f.Truncate(0); err != nil {
-			return fail(err)
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fail(err)
-		}
-		return f, nil, 0, false, nil
+		return nil, e
 	}
 	st, err := f.Stat()
 	if err != nil {
 		return fail(err)
 	}
 	if st.Size() == 0 {
-		return f, nil, 0, false, nil
+		return sl, nil
 	}
 	log, err := mptcpsim.ReadRunLog(f)
 	if errors.Is(err, mptcpsim.ErrHeaderTorn) {
-		// The previous lease died inside the header: nothing committed,
+		// The previous writer died inside the header: nothing committed,
 		// nothing to resume.
-		return restart()
+		if err := f.Truncate(0); err != nil {
+			return fail(err)
+		}
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return fail(err)
+		}
+		sl.HeaderTorn = true
+		return sl, nil
 	}
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", path, err))
 	}
 	if log.Header.GridDigest != header.GridDigest {
-		return fail(fmt.Errorf("%s: run-log grid digest %.12s does not match the fleet's %.12s (stale spool?)",
+		return fail(fmt.Errorf("%s: run-log grid digest %.12s does not match this sweep's %.12s (different grid, -check setting or library version, or a stale spool?); resume with the original settings or start a fresh log",
 			path, log.Header.GridDigest, header.GridDigest))
 	}
 	if log.Header.K != header.K || log.Header.N != header.N || log.Header.Total != header.Total {
-		return fail(fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this lease is shard %d/%d of %d",
+		return fail(fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this sweep is shard %d/%d of %d; resume with the original shard",
 			path, log.Header.K, log.Header.N, log.Header.Total, header.K, header.N, header.Total))
 	}
 	if log.Torn() {
 		if err := f.Truncate(log.TornTail); err != nil {
 			return fail(err)
 		}
+		sl.TornTail = log.TornTail
 	}
 	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		return fail(err)
 	}
-	return f, log.Indices(), log.Errs(), true, nil
+	sl.Skip, sl.Errs, sl.HeaderOnDisk = log.Indices(), log.Errs(), true
+	return sl, nil
+}
+
+// ReadShardLog reads the finished run-log at path for merging. A merge
+// trusts only committed, complete logs, so anything else is refused naming
+// the file and the way out: a log still torn at its tail must be finished
+// with -resume first, and a file that does not parse as a run-log at all
+// has to be produced again.
+func ReadShardLog(path string) (*mptcpsim.RunLog, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	log, err := mptcpsim.ReadRunLog(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s is not a usable run-log (%w); re-run that shard with -stream", path, err)
+	}
+	if log.Torn() {
+		return nil, fmt.Errorf("%s: torn trailing record at byte %d — its writer was interrupted or is still running; finish it with -resume %s before merging",
+			path, log.TornTail, path)
+	}
+	return log, nil
 }
 
 // shardTail incrementally reads committed records out of one shard's

@@ -3,8 +3,8 @@
 // worker with a deadline, expired or failed leases are retried with
 // backoff, and the shard run-logs accumulating in a shared spool directory
 // are folded into live fleet-wide progress and, at the end, merged through
-// the same validated path as any other shard artifacts — so the fleet
-// result is byte-identical to an unsharded sweep.
+// the same validated path as any other run-logs — so the fleet result is
+// byte-identical to an unsharded sweep.
 //
 // The lease protocol is deliberately thin: a lease is a promise from the
 // coordinator not to hand the same shard to anyone else before the

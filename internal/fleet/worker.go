@@ -11,8 +11,8 @@ import (
 // spool run-log, skips committed indices, and streams the rest through
 // the library sweep, honouring the lease deadline via ctx.
 type Worker struct {
-	// Sweep is the execution template (Workers, ValidateInvariants); its
-	// hooks and sinks are not used. Grid is the fleet's grid.
+	// Sweep executes the shard; its settings must match the coordinator's,
+	// or the grid digests disagree. Grid is the fleet's grid.
 	Sweep *mptcpsim.Sweep
 	Grid  *mptcpsim.Grid
 	// Spool is the shared spool directory.
@@ -37,14 +37,13 @@ func (w *Worker) Run(ctx context.Context, lease Lease) error {
 		Worker: lease.Worker,
 		Lease:  lease.Epoch,
 	}
-	path := ShardLogPath(w.Spool, lease.K, lease.N)
-	f, skip, _, onDisk, err := OpenShardLog(path, header)
+	log, err := OpenShardLog(ShardLogPath(w.Spool, lease.K, lease.N), header, false)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	sink, err := mptcpsim.NewLogSink(f, header,
-		mptcpsim.LogOptions{Sync: f.Sync, Resume: onDisk, SyncEvery: w.SyncEvery})
+	defer log.File.Close()
+	sink, err := mptcpsim.NewLogSink(log.File, header,
+		mptcpsim.LogOptions{Sync: log.File.Sync, Resume: log.HeaderOnDisk, SyncEvery: w.SyncEvery})
 	if err != nil {
 		return err
 	}
@@ -56,18 +55,14 @@ func (w *Worker) Run(ctx context.Context, lease Lease) error {
 	// delivering (and flushing) immediately, before any injected fault.
 	chain = &deadlineSink{ctx: ctx, next: chain}
 
-	exec := &mptcpsim.Sweep{
-		Workers:            w.Sweep.Workers,
-		ValidateInvariants: w.Sweep.ValidateInvariants,
+	spec := mptcpsim.StreamSpec{
+		Shard: mptcpsim.Shard{K: lease.K, N: lease.N},
+		Skip:  func(index int) bool { return log.Skip[index] },
 	}
-	spec := mptcpsim.StreamSpec{Shard: mptcpsim.Shard{K: lease.K, N: lease.N}}
-	if len(skip) > 0 {
-		spec.Skip = func(index int) bool { return skip[index] }
-	}
-	if err := exec.Stream(w.Grid, spec, chain); err != nil {
+	if err := w.Sweep.Stream(w.Grid, spec, chain); err != nil {
 		return err
 	}
-	return f.Close()
+	return log.File.Close()
 }
 
 // deadlineSink poisons the stream once the lease context is done and —

@@ -17,8 +17,8 @@ type Heartbeat struct {
 	// precision); ElapsedS the seconds since the meter started.
 	T        string  `json:"t"`
 	ElapsedS float64 `json:"elapsed_s"`
-	// Done / Total / Failed count runs; Done is monotone because the
-	// OnResult hook feeding Record is serialised.
+	// Done / Total / Failed count runs; Done is monotone because Record
+	// and Advance update it under the meter's lock.
 	Done   int `json:"done"`
 	Total  int `json:"total"`
 	Failed int `json:"failed"`
@@ -39,10 +39,10 @@ type Heartbeat struct {
 }
 
 // Meter turns a stream of run completions into periodic NDJSON heartbeats.
-// Feed it from a serialised completion hook (Sweep.OnResult, or simcheck's
-// result loop); it rate-limits emission to the configured interval and
-// always emits the final heartbeat on Close. A Meter is also safe for
-// concurrent Record calls: it carries its own mutex.
+// Feed it from wherever completions surface (a sink in a sweep's chain,
+// simcheck's result loop); it rate-limits emission to the configured
+// interval and always emits the final heartbeat on Close. A Meter is safe
+// for concurrent Record calls: it carries its own mutex.
 type Meter struct {
 	mu       sync.Mutex
 	w        io.Writer

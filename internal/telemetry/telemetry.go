@@ -1,8 +1,8 @@
 // Package telemetry is the run-observability layer of the simulator:
 // engine counters snapshotted per run, a fixed-size flight recorder of the
 // last engine events (dumped as NDJSON when a run fails), and a progress
-// meter that streams NDJSON heartbeats from a sweep's serialised OnResult
-// hook, optionally exposed over expvar for a debug HTTP endpoint.
+// meter that streams NDJSON heartbeats as a sweep's sink chain reports
+// completions, optionally exposed over expvar for a debug HTTP endpoint.
 //
 // Everything here is observation-only by construction: nothing schedules
 // events, consumes randomness, or feeds back into the models, so a run

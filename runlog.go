@@ -19,18 +19,14 @@ const RunLogVersion = 1
 // which resume re-executes.
 const DefaultSyncBatch = 32
 
-// RunLogHeader is the first NDJSON line of a run-log: the shard-artifact
-// metadata (grid digest, shard coordinates, grid total) that makes the log
-// mergeable through the same validated path as ShardResult artifacts. The
-// run_log field doubles as the format sniffing key — shard JSON artifacts
-// have no such field, so a reader can tell the two apart from the first
-// line alone.
+// RunLogHeader is the first NDJSON line of a run-log: the shard metadata
+// (grid digest, shard coordinates, grid total) that MergeShards validates
+// before trusting the log's records.
 type RunLogHeader struct {
 	// Version is the run-log schema version (RunLogVersion).
 	Version int `json:"run_log"`
 	// GridDigest is the canonical digest of the expanded grid (see
-	// ShardResult.GridDigest); logs merge with other artifacts only when
-	// their digests agree.
+	// ShardResult.GridDigest); logs merge only when their digests agree.
 	GridDigest string `json:"grid_digest"`
 	// K and N are the shard coordinates (0/1 for a whole-grid sweep).
 	K int `json:"k"`
@@ -66,8 +62,8 @@ func (h RunLogHeader) Validate() error {
 type RunRecord struct {
 	Run RunSummary `json:"run"`
 	// Hash is the canonical Result hash (LogOptions.Hash; empty for failed
-	// runs) — the cross-machine replay check shard artifacts carry under
-	// Keep, without retaining any Result.
+	// runs) — a cross-machine replay check stronger than the summary
+	// alone, without retaining any Result.
 	Hash string `json:"hash,omitempty"`
 }
 
@@ -225,10 +221,9 @@ func (l *RunLog) Errs() int {
 	return n
 }
 
-// ShardResult converts the log into the mergeable artifact form, so
-// run-logs flow through the same validated merge path (digest agreement,
-// exactly-once index coverage) as shard JSON artifacts — including mixed
-// with them. Hashes are carried when the log recorded any.
+// ShardResult converts the log into MergeShards' input, the validated
+// merge path (digest agreement, exactly-once index coverage) every run-log
+// goes through. Hashes are carried when the log recorded any.
 func (l *RunLog) ShardResult() *ShardResult {
 	sr := &ShardResult{
 		GridDigest: l.Header.GridDigest,
@@ -319,9 +314,9 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 	}
 }
 
-// unmarshalStrict decodes one JSON value rejecting unknown fields — the
-// same schema discipline LoadShard applies, so a log from a newer schema
-// fails loudly instead of merging with fields silently dropped.
+// unmarshalStrict decodes one JSON value rejecting unknown fields, so a log
+// from a newer schema fails loudly instead of merging with fields silently
+// dropped.
 func unmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

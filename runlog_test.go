@@ -12,19 +12,36 @@ import (
 // and returns the raw log bytes.
 func streamToLog(t *testing.T, s *Sweep, g *Grid, opt LogOptions) []byte {
 	t.Helper()
+	return streamShardToLog(t, s, g, Shard{K: 0, N: 1}, opt)
+}
+
+// streamShardToLog is streamToLog for one shard of the grid.
+func streamShardToLog(t *testing.T, s *Sweep, g *Grid, shard Shard, opt LogOptions) []byte {
+	t.Helper()
 	digest, total, err := s.Describe(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, N: 1, Total: total}, opt)
+	sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, K: shard.K, N: shard.N, Total: total}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Stream(g, StreamSpec{}, sink); err != nil {
+	if err := s.Stream(g, StreamSpec{Shard: shard}, sink); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// streamShard executes one shard and returns it the way a merge sees it:
+// written as a run-log, read back, converted to the merge input.
+func streamShard(t *testing.T, s *Sweep, g *Grid, shard Shard) *ShardResult {
+	t.Helper()
+	log, err := ReadRunLog(bytes.NewReader(streamShardToLog(t, s, g, shard, LogOptions{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log.ShardResult()
 }
 
 // TestLogSinkRoundTrip streams a sweep into a run-log and reads it back:
@@ -55,6 +72,13 @@ func TestLogSinkRoundTrip(t *testing.T) {
 	if log.Errs() != 0 {
 		t.Fatalf("log counts %d errors for a passing grid", log.Errs())
 	}
+	// The hashes ride into the merge input only when the log recorded them.
+	if got := len(log.ShardResult().Hashes); got != 4 {
+		t.Fatalf("merge input carries %d hashes for 4 hashed records", got)
+	}
+	if lean := streamShard(t, s, sweepGrid(), Shard{K: 0, N: 1}); len(lean.Hashes) != 0 {
+		t.Fatalf("hashes populated without LogOptions.Hash: %v", lean.Hashes)
+	}
 }
 
 // TestLogSinkSyncBatching counts durability barriers: one for the header,
@@ -71,61 +95,6 @@ func TestLogSinkSyncBatching(t *testing.T) {
 	// partial batch have to reach the disk.)
 	if syncs != 4 {
 		t.Fatalf("4 runs with SyncEvery=2 hit %d sync barriers, want 4", syncs)
-	}
-}
-
-// TestRunLogMergesWithShardArtifacts is the mixed-format half of the merge
-// contract at the library level: one shard as a JSON-round-tripped
-// ShardResult, the other as a streamed run-log, merged together, must
-// reproduce the unsharded sweep byte-identically in all four formats.
-func TestRunLogMergesWithShardArtifacts(t *testing.T) {
-	grid := sweepGrid
-	s := &Sweep{Workers: 2}
-	full, err := s.Run(grid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := renderAll(t, full)
-
-	sr0, err := s.RunShard(grid(), Shard{K: 0, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var disk bytes.Buffer
-	if err := sr0.WriteJSON(&disk); err != nil {
-		t.Fatal(err)
-	}
-	sr0, err = LoadShard(&disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	digest, total, err := s.Describe(grid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, K: 1, N: 2, Total: total}, LogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Stream(grid(), StreamSpec{Shard: Shard{K: 1, N: 2}}, sink); err != nil {
-		t.Fatal(err)
-	}
-	log, err := ReadRunLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	merged, err := MergeShards(sr0, log.ShardResult())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := renderAll(t, merged)
-	for name, w := range want {
-		if !bytes.Equal(got[name], w) {
-			t.Errorf("mixed-format merge differs from unsharded sweep in %s", name)
-		}
 	}
 }
 
@@ -274,16 +243,6 @@ func TestReadRunLogRejectsCorruption(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
-	}
-}
-
-// TestStreamRejectsKeep pins the pointed diagnostic for the one sink
-// configuration streaming cannot honour.
-func TestStreamRejectsKeep(t *testing.T) {
-	s := &Sweep{Keep: true}
-	err := s.Stream(sweepGrid(), StreamSpec{}, &MemorySink{})
-	if err == nil || !strings.Contains(err.Error(), "Keep") {
-		t.Fatalf("Stream with Keep: err = %v, want a Keep diagnostic", err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,6 +33,14 @@ func (s Shard) Validate() error {
 	return nil
 }
 
+// Size is how many of a grid's total expansion indices fall in the shard.
+func (s Shard) Size(total int) int {
+	if s.N <= 0 || s.K >= total {
+		return 0
+	}
+	return (total + s.N - 1 - s.K) / s.N
+}
+
 // String renders the shard in the CLI's k/n form.
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.K, s.N) }
 
@@ -58,16 +65,18 @@ func ParseShard(spec string) (Shard, error) {
 	return s, nil
 }
 
-// ShardResult is the serialisable artifact of one shard of a sweep: the
+// ShardResult is the in-memory merge input for one shard of a sweep: the
 // grid's digest and total size, the shard coordinates, and the shard's run
-// summaries labelled with their global expansion indices. N such artifacts
-// (one per K) are reassembled by MergeShards into a SweepResult identical
-// to the unsharded Sweep.Run output.
+// summaries labelled with their global expansion indices. It has no disk
+// format of its own — the shard artifact is the run-log, and
+// RunLog.ShardResult produces this value from one. N of them (one per K)
+// are reassembled by MergeShards into a SweepResult identical to the
+// unsharded Sweep.Run output.
 type ShardResult struct {
 	// GridDigest is the canonical SHA-256 over the expanded grid (every
 	// run's index, labels, effective options — a sweep-level
 	// ValidateInvariants folds in here — and topology). Shards merge only
-	// when their digests agree: the guard against mixing artifacts from
+	// when their digests agree: the guard against mixing run-logs from
 	// different grid specs, different run settings, or library versions
 	// that expand differently.
 	GridDigest string `json:"grid_digest"`
@@ -80,9 +89,9 @@ type ShardResult struct {
 	// indices.
 	Runs []RunSummary `json:"runs"`
 	// Hashes are the canonical Result hashes of the shard's runs (indexed
-	// like Runs; empty string for a failed run). Populated only when the
-	// sweep ran with Keep — a cross-machine replay check that is stronger
-	// than the summaries alone.
+	// like Runs; empty string for a failed run). Populated only from a
+	// run-log written with LogOptions.Hash — a cross-machine replay check
+	// that is stronger than the summaries alone.
 	Hashes []string `json:"hashes,omitempty"`
 }
 
@@ -97,92 +106,27 @@ func (sr *ShardResult) Errs() int {
 	return n
 }
 
-// WriteJSON emits the shard artifact as indented JSON, the on-disk format
-// LoadShard reads back.
-func (sr *ShardResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(sr)
-}
-
-// LoadShard parses a shard artifact written by ShardResult.WriteJSON.
-// Unknown fields are rejected: an artifact from a newer schema must fail
-// loudly rather than merge with fields silently dropped.
-func LoadShard(r io.Reader) (*ShardResult, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var sr ShardResult
-	if err := dec.Decode(&sr); err != nil {
-		return nil, fmt.Errorf("mptcpsim: shard artifact: %w", err)
-	}
-	return &sr, nil
-}
-
-// RunShard expands the grid, keeps only the runs of the given shard, and
-// executes them — the distributed form of Run. Every process sharding the
-// same grid computes the same digest and disjoint index sets, so the N
-// artifacts always merge back into the unsharded result. Like Run,
-// per-run failures land in RunSummary.Err; only structural problems
-// return an error.
-func (s *Sweep) RunShard(g *Grid, shard Shard) (*ShardResult, error) {
-	if err := shard.Validate(); err != nil {
-		return nil, err
-	}
-	specs, digest, err := s.expandFolded(g)
-	if err != nil {
-		return nil, err
-	}
-	var mine []RunSpec
-	for _, sp := range specs {
-		if sp.Index%shard.N == shard.K {
-			mine = append(mine, sp)
-		}
-	}
-	// No telemetry rollup sink here: shard artifacts keep their
-	// pre-telemetry byte layout so mixed-version fleets still merge.
-	mem := &MemorySink{Keep: s.Keep}
-	if err := s.execute(mine, mem); err != nil {
-		return nil, err
-	}
-	mem.sort()
-	sr := &ShardResult{
-		GridDigest: digest,
-		K:          shard.K,
-		N:          shard.N,
-		Total:      len(specs),
-		Runs:       mem.runs,
-	}
-	if s.Keep {
-		sr.Hashes = make([]string, len(mem.results))
-		for i, r := range mem.results {
-			if r != nil {
-				sr.Hashes[i] = r.Hash()
-			}
-		}
-	}
-	return sr, nil
-}
-
 // expandFolded expands the grid with the sweep-level oracle flag folded
-// into every spec before digesting: a run whose invariant violation
-// becomes its Err is not the same run as an unvalidated one, so shards
-// swept with different ValidateInvariants settings must refuse to merge
-// rather than mix provenance under one digest.
-func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, string, error) {
+// into every spec — the specs Stream executes and Describe digests. A run
+// whose invariant violation becomes its Err is not the same run as an
+// unvalidated one, so shards swept with different ValidateInvariants
+// settings must refuse to merge rather than mix provenance under one
+// digest.
+func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, error) {
 	specs, err := g.Expand()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if s.ValidateInvariants {
 		for i := range specs {
 			specs[i].Options.ValidateInvariants = true
 		}
 	}
-	return specs, specsDigest(specs), nil
+	return specs, nil
 }
 
-// MergeShards reassembles shard artifacts into the SweepResult of the
-// unsharded sweep. It accepts the shards in any order but insists on a
+// MergeShards reassembles the shards of a sweep into the SweepResult of
+// the unsharded sweep. It accepts the shards in any order but insists on a
 // complete, consistent set: one grid digest, one (N, Total) shape, and
 // every run index 0..Total-1 present exactly once, each inside the shard
 // that owns it. Groups and the overall Gap are recomputed from the full
@@ -191,7 +135,7 @@ func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, string, error) {
 // byte-identical to Sweep.Run on the same grid.
 func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
 	if len(shards) == 0 {
-		return nil, fmt.Errorf("mptcpsim: merge: no shard artifacts")
+		return nil, fmt.Errorf("mptcpsim: merge: no shards")
 	}
 	ref := shards[0]
 	if ref.N < 1 {
@@ -271,7 +215,8 @@ func missingShards(missing []int, n int) string {
 }
 
 // Digest expands the grid and returns its canonical digest — the value
-// every shard artifact of this grid carries as GridDigest.
+// every run-log of this grid (swept without ValidateInvariants) carries as
+// GridDigest.
 func (g *Grid) Digest() (string, error) {
 	specs, err := g.Expand()
 	if err != nil {

@@ -67,8 +67,8 @@ func shardGrids(short bool) map[string]*Grid {
 
 // TestShardMergeByteIdentical is the distributed-determinism contract:
 // for every grid and every shard count, running the N shards
-// independently (artifacts round-tripped through their JSON disk format,
-// merged in arbitrary order) reproduces the unsharded SweepResult
+// independently (each round-tripped through its run-log, the disk format,
+// and merged in arbitrary order) reproduces the unsharded SweepResult
 // byte-identically in all four output formats.
 func TestShardMergeByteIdentical(t *testing.T) {
 	ns := []int{1, 2, 3, 5, 7}
@@ -86,22 +86,11 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				shards := make([]*ShardResult, 0, n)
 				total := 0
 				// Reverse K order: MergeShards must not care how the
-				// artifacts are listed.
+				// shards are listed.
 				for k := n - 1; k >= 0; k-- {
-					sr, err := (&Sweep{Workers: 2}).RunShard(grid, Shard{K: k, N: n})
-					if err != nil {
-						t.Fatal(err)
-					}
-					var buf bytes.Buffer
-					if err := sr.WriteJSON(&buf); err != nil {
-						t.Fatal(err)
-					}
-					loaded, err := LoadShard(&buf)
-					if err != nil {
-						t.Fatal(err)
-					}
-					shards = append(shards, loaded)
-					total += len(loaded.Runs)
+					sr := streamShard(t, &Sweep{Workers: 2}, grid, Shard{K: k, N: n})
+					shards = append(shards, sr)
+					total += len(sr.Runs)
 				}
 				if total != len(full.Runs) {
 					t.Fatalf("n=%d: shards hold %d runs, grid has %d", n, total, len(full.Runs))
@@ -122,7 +111,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunShardDeterminism: a shard's artifact is bit-identical across
+// TestRunShardDeterminism: a shard's result is bit-identical across
 // worker counts and repeated executions, like the unsharded sweep.
 func TestRunShardDeterminism(t *testing.T) {
 	grid := &Grid{
@@ -132,69 +121,29 @@ func TestRunShardDeterminism(t *testing.T) {
 	}
 	var outputs []string
 	for _, workers := range []int{1, 8, 8} {
-		sr, err := (&Sweep{Workers: workers}).RunShard(grid, Shard{K: 1, N: 2})
-		if err != nil {
+		mem := &MemorySink{}
+		if err := (&Sweep{Workers: workers}).Stream(grid, StreamSpec{Shard: Shard{K: 1, N: 2}}, mem); err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := sr.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, buf.String())
+		outputs = append(outputs, string(renderAll(t, mem.Result())["json"]))
 	}
 	if outputs[0] != outputs[1] {
-		t.Fatalf("shard artifact differs between 1 and 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s",
+		t.Fatalf("shard result differs between 1 and 8 workers:\n--- w1 ---\n%s\n--- w8 ---\n%s",
 			outputs[0], outputs[1])
 	}
 	if outputs[1] != outputs[2] {
-		t.Fatal("shard artifact differs between two identical executions")
+		t.Fatal("shard result differs between two identical executions")
 	}
 }
 
 func TestShardPreservesGlobalIndices(t *testing.T) {
 	grid := &Grid{CCs: []string{"cubic", "olia", "lia"}, DurationMs: 100}
-	sr, err := (&Sweep{Workers: 2}).RunShard(grid, Shard{K: 1, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sr := streamShard(t, &Sweep{Workers: 2}, grid, Shard{K: 1, N: 2})
 	if sr.Total != 3 || len(sr.Runs) != 1 {
 		t.Fatalf("shard 1/2 of 3 runs holds %d of %d", len(sr.Runs), sr.Total)
 	}
 	if sr.Runs[0].Index != 1 {
 		t.Fatalf("shard run carries index %d, want the global expansion index 1", sr.Runs[0].Index)
-	}
-}
-
-func TestRunShardKeepHashes(t *testing.T) {
-	grid := &Grid{CCs: []string{"cubic", "olia"}, DurationMs: 100}
-	a, err := (&Sweep{Workers: 2, Keep: true}).RunShard(grid, Shard{K: 0, N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Hashes) != len(a.Runs) {
-		t.Fatalf("%d hashes for %d runs", len(a.Hashes), len(a.Runs))
-	}
-	for i, h := range a.Hashes {
-		if h == "" {
-			t.Fatalf("run %d (no error) has empty hash", i)
-		}
-	}
-	b, err := (&Sweep{Workers: 1, Keep: true}).RunShard(grid, Shard{K: 0, N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Hashes {
-		if a.Hashes[i] != b.Hashes[i] {
-			t.Fatalf("run %d hash differs across executions: %s vs %s", i, a.Hashes[i], b.Hashes[i])
-		}
-	}
-	// Without Keep the artifact stays lean.
-	c, err := (&Sweep{Workers: 1}).RunShard(grid, Shard{K: 0, N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Hashes) != 0 {
-		t.Fatalf("hashes populated without Keep: %v", c.Hashes)
 	}
 }
 
@@ -220,9 +169,9 @@ func TestParseShard(t *testing.T) {
 
 func TestRunShardRejectsInvalidShard(t *testing.T) {
 	grid := &Grid{DurationMs: 100}
-	for _, shard := range []Shard{{K: 0, N: 0}, {K: 2, N: 2}, {K: -1, N: 2}} {
-		if _, err := (&Sweep{}).RunShard(grid, shard); err == nil {
-			t.Errorf("RunShard accepted shard %+v", shard)
+	for _, shard := range []Shard{{K: 0, N: -1}, {K: 2, N: 2}, {K: -1, N: 2}} {
+		if err := (&Sweep{}).Stream(grid, StreamSpec{Shard: shard}, &MemorySink{}); err == nil {
+			t.Errorf("Stream accepted shard %+v", shard)
 		}
 	}
 }
@@ -250,7 +199,7 @@ func TestGridDigestIdentifiesGrid(t *testing.T) {
 	}
 }
 
-// fabShard builds a hand-made artifact for the merge error-path tests —
+// fabShard builds a hand-made shard for the merge error-path tests —
 // MergeShards validates structure, so no runs need executing.
 func fabShard(digest string, k, n, total int, indices ...int) *ShardResult {
 	sr := &ShardResult{GridDigest: digest, K: k, N: n, Total: total}
@@ -265,7 +214,7 @@ func TestMergeShardsDiagnostics(t *testing.T) {
 		shards []*ShardResult
 		want   string
 	}{
-		"no shards": {nil, "no shard artifacts"},
+		"no shards": {nil, "no shards"},
 		"digest mismatch": {
 			[]*ShardResult{fabShard("aaa", 0, 2, 4, 0, 2), fabShard("bbb", 1, 2, 4, 1, 3)},
 			"grid digest mismatch",
@@ -321,25 +270,27 @@ func TestMergeShardsDiagnostics(t *testing.T) {
 // swept with and without it carry different digests and must not merge.
 func TestMergeRejectsMixedValidateInvariants(t *testing.T) {
 	grid := &Grid{CCs: []string{"cubic", "olia"}, DurationMs: 100}
-	plain, err := (&Sweep{Workers: 1}).RunShard(grid, Shard{K: 0, N: 2})
+	plainDigest, _, err := (&Sweep{}).Describe(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := (&Sweep{Workers: 1, ValidateInvariants: true}).RunShard(grid, Shard{K: 1, N: 2})
+	checkedDigest, _, err := (&Sweep{ValidateInvariants: true}).Describe(grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.GridDigest == checked.GridDigest {
-		t.Fatal("validated and unvalidated shards share a grid digest")
+	if plainDigest == checkedDigest {
+		t.Fatal("validated and unvalidated sweeps share a grid digest")
+	}
+	plain := streamShard(t, &Sweep{Workers: 1}, grid, Shard{K: 0, N: 2})
+	checked := streamShard(t, &Sweep{Workers: 1, ValidateInvariants: true}, grid, Shard{K: 1, N: 2})
+	if plain.GridDigest != plainDigest || checked.GridDigest != checkedDigest {
+		t.Fatal("shards do not carry their sweep's Describe digest")
 	}
 	if _, err := MergeShards(plain, checked); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
 		t.Fatalf("mixed-provenance merge not rejected: %v", err)
 	}
 	// Two validated shards still merge.
-	other, err := (&Sweep{Workers: 2, ValidateInvariants: true}).RunShard(grid, Shard{K: 0, N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	other := streamShard(t, &Sweep{Workers: 2, ValidateInvariants: true}, grid, Shard{K: 0, N: 2})
 	if _, err := MergeShards(checked, other); err != nil {
 		t.Fatal(err)
 	}
@@ -351,11 +302,5 @@ func TestMergeShardsRejectsShortHashes(t *testing.T) {
 	b := fabShard("aaa", 1, 2, 2, 1)
 	if _, err := MergeShards(a, b); err == nil || !strings.Contains(err.Error(), "hashes") {
 		t.Fatalf("hash/run length mismatch not diagnosed: %v", err)
-	}
-}
-
-func TestLoadShardRejectsUnknownFields(t *testing.T) {
-	if _, err := LoadShard(strings.NewReader(`{"grid_digest":"a","k":0,"n":1,"total":0,"runs":[],"surprise":1}`)); err == nil {
-		t.Fatal("unknown artifact field accepted")
 	}
 }

@@ -16,10 +16,10 @@ import (
 // enforce it rather than silently accepting records past the end.
 var ErrSinkClosed = errors.New("sink already closed")
 
-// RunSink is the single results surface of a sweep: every execution path
-// (Run, RunShard, Stream) feeds exactly one sink chain, and everything
-// else — the in-memory SweepResult, NDJSON run-logs, online aggregation,
-// the deprecated OnResult/OnFailure hooks — is a sink over that path.
+// RunSink is the single results surface of a sweep: Sweep.Stream feeds
+// exactly one sink chain, and everything else — the in-memory SweepResult,
+// NDJSON run-logs, online aggregation, progress lines, heartbeats and
+// flight dumps (internal/cli) — is a sink over that path.
 //
 // Accept is called exactly once per executed run, serialised under the
 // sweep's completion lock: implementations need no locking of their own,
@@ -94,66 +94,28 @@ func (m *multiSink) Close() error {
 	return first
 }
 
-// MemorySink accumulates every RunSummary (and, with Keep, every full
-// Result) and assembles them into the classic SweepResult — the sink
-// behind Sweep.Run, and the memory ceiling streaming sweeps exist to
-// avoid. Peak memory is linear in grid size.
+// MemorySink accumulates every RunSummary and assembles them into the
+// classic SweepResult — the sink behind Sweep.Run, and the memory ceiling
+// streaming sweeps exist to avoid. Peak memory is linear in grid size.
 type MemorySink struct {
-	// Keep retains each run's full Result (memory heavy).
-	Keep bool
-
-	runs    []RunSummary
-	results []*Result
-	sorted  bool
+	runs []RunSummary
 }
 
 func (m *MemorySink) Accept(done, total int, s RunSummary, full *Result) error {
 	m.runs = append(m.runs, s)
-	if m.Keep {
-		m.results = append(m.results, full)
-	}
-	m.sorted = false
 	return nil
 }
 
 func (m *MemorySink) Flush() error { return nil }
 func (m *MemorySink) Close() error { return nil }
 
-// sort reorders the accumulated runs (and retained results) from
-// completion order into expansion order. Indices are unique per sweep, so
-// the result is deterministic for any worker count.
-func (m *MemorySink) sort() {
-	if m.sorted {
-		return
-	}
-	perm := make([]int, len(m.runs))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		return m.runs[perm[a]].Index < m.runs[perm[b]].Index
-	})
-	runs := make([]RunSummary, len(m.runs))
-	for i, p := range perm {
-		runs[i] = m.runs[p]
-	}
-	m.runs = runs
-	if m.Keep {
-		results := make([]*Result, len(m.results))
-		for i, p := range perm {
-			results[i] = m.results[p]
-		}
-		m.results = results
-	}
-	m.sorted = true
-}
-
-// Result assembles the accumulated runs into a SweepResult, byte-for-byte
-// the value Sweep.Run has always produced: runs in expansion order, groups
-// and the overall gap recomputed from the full run list.
+// Result assembles the accumulated runs into a SweepResult: runs sorted
+// from completion order into expansion order (indices are unique per
+// sweep, so the result is deterministic for any worker count), groups and
+// the overall gap recomputed from the full run list.
 func (m *MemorySink) Result() *SweepResult {
-	m.sort()
-	res := &SweepResult{Runs: m.runs, Results: m.results}
+	sort.Slice(m.runs, func(a, b int) bool { return m.runs[a].Index < m.runs[b].Index })
+	res := &SweepResult{Runs: m.runs}
 	res.aggregate()
 	return res
 }
@@ -308,24 +270,3 @@ func (a *AggSink) Groups() []GroupAgg {
 	sort.Slice(out, func(i, j int) bool { return out[i].minIndex < out[j].minIndex })
 	return out
 }
-
-// hookSink adapts the deprecated Sweep.OnResult/OnFailure hooks onto the
-// sink path, preserving their documented contract: serialised, failure
-// callback before the result callback, monotone done counts.
-type hookSink struct {
-	onResult  func(done, total int, r RunSummary)
-	onFailure func(r RunSummary, res *Result)
-}
-
-func (h *hookSink) Accept(done, total int, s RunSummary, full *Result) error {
-	if h.onFailure != nil && s.Err != "" {
-		h.onFailure(s, full)
-	}
-	if h.onResult != nil {
-		h.onResult(done, total, s)
-	}
-	return nil
-}
-
-func (h *hookSink) Flush() error { return nil }
-func (h *hookSink) Close() error { return nil }

@@ -110,28 +110,27 @@ func (c *checkingSink) Accept(done, total int, s RunSummary, full *Result) error
 func (c *checkingSink) Flush() error { return nil }
 func (c *checkingSink) Close() error { c.closed++; return nil }
 
-// TestStreamSinkContract drives a caller sink through Stream next to the
-// deprecated hook adapters and checks both see the full serialised,
-// exactly-once, done-monotone delivery — the contract the adapters must
-// preserve now that they ride the sink path.
+// sinkFunc adapts a function to a RunSink, for tests that only watch
+// Accepts go by.
+type sinkFunc func(done, total int, s RunSummary, full *Result)
+
+func (f sinkFunc) Accept(done, total int, s RunSummary, full *Result) error {
+	f(done, total, s, full)
+	return nil
+}
+func (f sinkFunc) Flush() error { return nil }
+func (f sinkFunc) Close() error { return nil }
+
+// TestStreamSinkContract drives a caller sink through Stream and checks it
+// sees the full serialised, exactly-once, done-monotone delivery, then
+// exactly one Close.
 func TestStreamSinkContract(t *testing.T) {
 	check := &checkingSink{t: t}
-	hookDone := 0
-	s := &Sweep{
-		Workers: 8,
-		OnResult: func(done, total int, r RunSummary) {
-			if done != hookDone+1 {
-				t.Errorf("hook done jumped from %d to %d", hookDone, done)
-			}
-			hookDone = done
-		},
-	}
-	if err := s.Stream(sweepGrid(), StreamSpec{}, check); err != nil {
+	if err := (&Sweep{Workers: 8}).Stream(sweepGrid(), StreamSpec{}, check); err != nil {
 		t.Fatal(err)
 	}
-	if check.prevDone != 4 || len(check.seen) != 4 || hookDone != 4 {
-		t.Fatalf("sink saw %d/%d, hook saw %d, want 4 everywhere",
-			check.prevDone, len(check.seen), hookDone)
+	if check.prevDone != 4 || len(check.seen) != 4 {
+		t.Fatalf("sink saw %d completions over %d runs, want 4/4", check.prevDone, len(check.seen))
 	}
 	if check.closed != 1 {
 		t.Fatalf("Stream closed the sink %d times, want exactly once", check.closed)

@@ -671,12 +671,9 @@ type SweepResult struct {
 	Gap stats.Agg `json:"gap"`
 	// Telemetry is the engine-counter rollup across every run when
 	// Sweep.Telemetry is set (sums and maxima only, so it is identical
-	// for any worker count). Not carried through shard artifacts: shard
-	// output must stay byte-identical to its pre-telemetry contract.
+	// for any worker count). Not carried through run-logs: a log written
+	// with telemetry on must stay byte-identical to one written without.
 	Telemetry *telemetry.Rollup `json:"telemetry,omitempty"`
-	// Results holds the full per-run Result values when Sweep.Keep is set
-	// (indexed like Runs; memory heavy).
-	Results []*Result `json:"-"`
 }
 
 // Sweep executes an expanded grid across a pool of worker goroutines. Each
@@ -684,45 +681,20 @@ type SweepResult struct {
 // embarrassingly parallel; results land at their grid index, making the
 // output deterministic regardless of Workers.
 //
-// Every execution path feeds one RunSink chain (see RunSink): Run and
-// RunShard accumulate through a MemorySink, Stream feeds a caller-supplied
-// sink and retains nothing. The OnResult/OnFailure/Keep fields below are
-// thin adapter sinks over that same path, kept for compatibility.
+// Stream is the one execution path: it feeds every completed run to a
+// RunSink chain and retains nothing. Run is Stream into a MemorySink.
 type Sweep struct {
 	// Workers is the goroutine pool size; 0 means GOMAXPROCS.
 	Workers int
-	// OnResult, when set, is called after each run completes (serialised;
-	// done counts finished runs). Use it to stream progress.
-	//
-	// Deprecated: OnResult is an adapter over the RunSink path; new
-	// consumers should pass a sink to Stream (or wrap one with MultiSink).
-	// The field keeps working and keeps its serialised, exactly-once,
-	// done-monotone contract.
-	OnResult func(done, total int, r RunSummary)
-	// OnFailure, when set, is called for each failed run (serialised with
-	// OnResult, under the same lock). res is the run's partial Result
-	// when one exists — an invariant violation or a telemetry-enabled
-	// mid-run abort — and nil when the run failed before producing one.
-	// cmd/sweep uses it to dump flight-recorder tails; cmd/sweepd will
-	// use it to stream failures off workers.
-	//
-	// Deprecated: like OnResult, OnFailure is an adapter over the RunSink
-	// path; a sink's Accept sees the same summary and partial result.
-	OnFailure func(r RunSummary, res *Result)
-	// Keep retains the full Result of every run in SweepResult.Results.
-	//
-	// Deprecated: Keep is the memory ceiling streaming sweeps remove; it
-	// remains for Run/RunShard but is rejected by Stream — a sink that
-	// consumes each full Result as it lands replaces it.
-	Keep bool
 	// ValidateInvariants turns every run into a self-checking one: the
 	// correctness oracle (see Options.ValidateInvariants) audits each run
 	// and any violation is recorded as that run's Err, failing the cell
 	// without aborting the sweep.
 	ValidateInvariants bool
-	// Telemetry enables Options.Telemetry on every run and accumulates
-	// the per-run snapshots into SweepResult.Telemetry (online — it works
-	// without Keep). Observation-only: run hashes are unchanged.
+	// Telemetry enables Options.Telemetry on every run, so sinks see each
+	// run's counter snapshot (and a failed run's flight-recorder tail) in
+	// the full Result; Run folds the snapshots into SweepResult.Telemetry.
+	// Observation-only: run hashes are unchanged.
 	Telemetry bool
 }
 
@@ -732,22 +704,12 @@ type Sweep struct {
 // error. Memory is linear in grid size — for grids too large to hold,
 // use Stream.
 func (s *Sweep) Run(g *Grid) (*SweepResult, error) {
-	specs, err := g.Expand()
-	if err != nil {
-		return nil, err
-	}
-	mem := &MemorySink{Keep: s.Keep}
-	sink := RunSink(mem)
-	var roll *RollupSink
-	if s.Telemetry {
-		roll = &RollupSink{}
-		sink = MultiSink(mem, roll)
-	}
-	if err := s.execute(specs, sink); err != nil {
+	mem, roll := &MemorySink{}, &RollupSink{}
+	if err := s.Stream(g, StreamSpec{}, MultiSink(mem, roll)); err != nil {
 		return nil, err
 	}
 	res := mem.Result()
-	if roll != nil {
+	if s.Telemetry {
 		res.Telemetry = &roll.Rollup
 	}
 	return res, nil
@@ -768,16 +730,12 @@ type StreamSpec struct {
 // anything: every completed run is handed to the sink and released, so
 // peak memory is flat in grid size — the entry point for mega-sweeps
 // whose run-logs (LogSink) or online aggregates (AggSink) replace the
-// in-memory SweepResult. Like RunShard, the sweep-level
-// ValidateInvariants flag folds into the digest identity (see Describe),
-// so logs written here merge with shard artifacts of the same settings.
-// Stream closes the sink exactly once, after the last delivery; per-run
-// failures land in their RunSummary.Err as always, and the returned error
-// reports structural problems or the first sink failure.
+// in-memory SweepResult. The sweep-level ValidateInvariants flag folds into
+// the digest identity (see Describe), so logs only merge across matching
+// run settings. Stream closes the sink exactly once, after the last
+// delivery; per-run failures land in their RunSummary.Err as always, and
+// the returned error reports structural problems or the first sink failure.
 func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
-	if s.Keep {
-		return fmt.Errorf("mptcpsim: Stream with Keep would retain every Result and defeat flat-memory streaming; use a sink that consumes full results as they land instead")
-	}
 	shard := spec.Shard
 	if shard.N == 0 {
 		shard = Shard{K: 0, N: 1}
@@ -785,7 +743,7 @@ func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
 	if err := shard.Validate(); err != nil {
 		return err
 	}
-	specs, _, err := s.expandFolded(g)
+	specs, err := s.expandFolded(g)
 	if err != nil {
 		return err
 	}
@@ -809,27 +767,23 @@ func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
 // Describe expands the grid and returns its canonical digest and total
 // run count under this sweep's settings — the header values a run-log
 // needs before the first run completes. The digest folds the sweep-level
-// ValidateInvariants flag exactly like RunShard, so artifacts only merge
-// across matching run settings.
+// ValidateInvariants flag exactly as Stream executes it, so run-logs only
+// merge across matching run settings.
 func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
-	specs, digest, err := s.expandFolded(g)
+	specs, err := s.expandFolded(g)
 	if err != nil {
 		return "", 0, err
 	}
-	return digest, len(specs), nil
+	return specsDigest(specs), len(specs), nil
 }
 
 // execute runs the specs across the worker pool, feeding every completion
 // to the sink — the single dispatch point every results surface hangs off.
 // Completions are delivered under one lock: Accept calls never overlap,
-// done is monotone, and each run is delivered exactly once. The deprecated
-// OnResult/OnFailure hooks ride the same path as an adapter sink appended
-// to the chain. The first sink error stops further deliveries (remaining
-// runs still execute; their results are void) and is returned.
+// done is monotone, and each run is delivered exactly once. The first sink
+// error stops further deliveries (remaining runs still execute; their
+// results are void) and is returned.
 func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
-	if s.OnResult != nil || s.OnFailure != nil {
-		sink = MultiSink(sink, &hookSink{onResult: s.OnResult, onFailure: s.OnFailure})
-	}
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -851,9 +805,6 @@ func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 			defer wg.Done()
 			for i := range jobs {
 				spec := specs[i]
-				if s.ValidateInvariants {
-					spec.Options.ValidateInvariants = true
-				}
 				if s.Telemetry {
 					spec.Options.Telemetry = true
 				}

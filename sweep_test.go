@@ -295,10 +295,13 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		Orders:     [][]int{{2, 1, 3}, {1, 2, 3}},
 		DurationMs: 200,
 	}
-	res, err := (&Sweep{Workers: 4, Keep: true}).Run(grid)
-	if err != nil {
+	mem := &MemorySink{}
+	full := make(map[int]*Result)
+	keep := sinkFunc(func(_, _ int, s RunSummary, r *Result) { full[s.Index] = r })
+	if err := (&Sweep{Workers: 4}).Stream(grid, StreamSpec{}, MultiSink(mem, keep)); err != nil {
 		t.Fatal(err)
 	}
+	res := mem.Result()
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %d, want 2 (one per CC)", len(res.Groups))
 	}
@@ -320,14 +323,13 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		if run.Gap <= -0.5 || run.Gap >= 1 {
 			t.Fatalf("run %d gap out of range: %v", run.Index, run.Gap)
 		}
-		if res.Results[run.Index] == nil {
-			t.Fatalf("Keep did not retain result %d", run.Index)
+		// The per-run gap must be consistent with the full Result the
+		// sink chain was handed.
+		if full[run.Index] == nil {
+			t.Fatalf("no full result delivered for run %d", run.Index)
 		}
-	}
-	// The per-run gap must be consistent with the retained Result.
-	for i, run := range res.Runs {
-		if got := res.Results[i].Summary.Gap; got != run.Gap {
-			t.Fatalf("run %d summary gap %v != sweep gap %v", i, got, run.Gap)
+		if got := full[run.Index].Summary.Gap; got != run.Gap {
+			t.Fatalf("run %d summary gap %v != sweep gap %v", run.Index, got, run.Gap)
 		}
 	}
 }

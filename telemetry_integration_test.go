@@ -157,115 +157,111 @@ func TestSweepTelemetryRollup(t *testing.T) {
 	}
 }
 
-// TestSweepHooksSerialised locks the OnResult/OnFailure contract the
-// progress meter and flight dumps build on: callbacks never run
-// concurrently, done increments by exactly one per call, and every run is
-// reported. The hooks are now adapter sinks over the RunSink path, so
-// this test also pins that the adapters preserved the contract (the
-// sink-side half is TestStreamSinkContract in sink_test.go).
+// TestSweepHooksSerialised locks the contract the observer sinks of a
+// chain build on (progress lines, the heartbeat meter, flight dumps):
+// Accepts never overlap, done increments by exactly one per call, every run
+// is reported, and within one completion the sinks of a MultiSink run in
+// chain order before the next completion starts — which is what puts a
+// failed run's flight notice ahead of its progress line.
 func TestSweepHooksSerialised(t *testing.T) {
-	var inHook int32
-	prevDone := 0
+	var inAccept int32
+	prevDone, firstSaw := 0, -1
 	seen := make(map[int]bool)
-	s := &Sweep{
-		Workers:   8,
-		Telemetry: true,
-		OnResult: func(done, total int, r RunSummary) {
-			if !atomic.CompareAndSwapInt32(&inHook, 0, 1) {
-				t.Error("OnResult ran concurrently with another hook")
-			}
-			if done != prevDone+1 {
-				t.Errorf("done jumped from %d to %d", prevDone, done)
-			}
-			prevDone = done
-			if total != 4 {
-				t.Errorf("total = %d, want 4", total)
-			}
-			if seen[r.Index] {
-				t.Errorf("run %d reported twice", r.Index)
-			}
-			seen[r.Index] = true
-			time.Sleep(time.Millisecond) // widen any race window
-			atomic.StoreInt32(&inHook, 0)
-		},
-		OnFailure: func(r RunSummary, res *Result) {
-			t.Errorf("OnFailure for passing run %d: %s", r.Index, r.Err)
-		},
-	}
-	if _, err := s.Run(sweepGrid()); err != nil {
+	first := sinkFunc(func(done, total int, r RunSummary, _ *Result) {
+		if !atomic.CompareAndSwapInt32(&inAccept, 0, 1) {
+			t.Error("Accept ran concurrently with another Accept")
+		}
+		if done != prevDone+1 {
+			t.Errorf("done jumped from %d to %d", prevDone, done)
+		}
+		prevDone = done
+		if total != 4 {
+			t.Errorf("total = %d, want 4", total)
+		}
+		if seen[r.Index] {
+			t.Errorf("run %d reported twice", r.Index)
+		}
+		seen[r.Index] = true
+		firstSaw = r.Index
+		time.Sleep(time.Millisecond) // widen any race window
+	})
+	second := sinkFunc(func(done, _ int, r RunSummary, _ *Result) {
+		if firstSaw != r.Index || done != prevDone {
+			t.Errorf("second sink got run %d (done %d) while the first was at run %d (done %d)",
+				r.Index, done, firstSaw, prevDone)
+		}
+		atomic.StoreInt32(&inAccept, 0)
+	})
+	s := &Sweep{Workers: 8, Telemetry: true}
+	if err := s.Stream(sweepGrid(), StreamSpec{}, MultiSink(first, second)); err != nil {
 		t.Fatal(err)
 	}
 	if prevDone != 4 || len(seen) != 4 {
-		t.Fatalf("hooks saw %d completions over %d runs, want 4/4", prevDone, len(seen))
+		t.Fatalf("sinks saw %d completions over %d runs, want 4/4", prevDone, len(seen))
 	}
 }
 
 // TestSweepOnFailureFlightTail drives runs into a mid-run abort (tiny
-// event limit) and checks OnFailure hands over a partial result whose
-// flight-recorder tail is dumpable — and hands nil when telemetry is off.
+// event limit) and checks Accept is handed a partial result whose
+// flight-recorder tail is dumpable — and nil when telemetry is off.
 func TestSweepOnFailureFlightTail(t *testing.T) {
 	grid := sweepGrid()
 	grid.Base.EventLimit = 5000
 
 	failures := 0
-	s := &Sweep{
-		Workers:   4,
-		Telemetry: true,
-		OnFailure: func(r RunSummary, res *Result) {
-			failures++
-			if r.Err == "" {
-				t.Errorf("OnFailure for run %d without an error", r.Index)
-			}
-			if res == nil {
-				t.Fatalf("run %d failed with telemetry on but no partial result", r.Index)
-			}
-			if res.FlightEvents() == 0 {
-				t.Fatalf("run %d partial result has no flight tail", r.Index)
-			}
-			var buf bytes.Buffer
-			if err := res.WriteFlightRecorder(&buf); err != nil {
-				t.Fatal(err)
-			}
-			line := buf.String()[strings.LastIndex(strings.TrimRight(buf.String(), "\n"), "\n")+1:]
-			var tail struct {
-				Kind  string `json:"kind"`
-				Where string `json:"where"`
-			}
-			if err := json.Unmarshal([]byte(line), &tail); err != nil {
-				t.Fatalf("flight tail line: %v: %s", err, line)
-			}
-			if tail.Kind == "" || tail.Where == "" {
-				t.Fatalf("flight tail does not name the event/location: %s", line)
-			}
-		},
-	}
-	res, err := s.Run(grid)
-	if err != nil {
+	flight := sinkFunc(func(_, _ int, r RunSummary, res *Result) {
+		failures++
+		if r.Err == "" {
+			t.Errorf("run %d survived the event limit", r.Index)
+		}
+		if res == nil {
+			t.Fatalf("run %d failed with telemetry on but no partial result", r.Index)
+		}
+		if res.FlightEvents() == 0 {
+			t.Fatalf("run %d partial result has no flight tail", r.Index)
+		}
+		var buf bytes.Buffer
+		if err := res.WriteFlightRecorder(&buf); err != nil {
+			t.Fatal(err)
+		}
+		line := buf.String()[strings.LastIndex(strings.TrimRight(buf.String(), "\n"), "\n")+1:]
+		var tail struct {
+			Kind  string `json:"kind"`
+			Where string `json:"where"`
+		}
+		if err := json.Unmarshal([]byte(line), &tail); err != nil {
+			t.Fatalf("flight tail line: %v: %s", err, line)
+		}
+		if tail.Kind == "" || tail.Where == "" {
+			t.Fatalf("flight tail does not name the event/location: %s", line)
+		}
+	})
+	roll := &RollupSink{}
+	if err := (&Sweep{Workers: 4, Telemetry: true}).Stream(grid, StreamSpec{}, MultiSink(roll, flight)); err != nil {
 		t.Fatal(err)
 	}
-	if failures != len(res.Runs) || res.Errs() != len(res.Runs) {
-		t.Fatalf("%d failures over %d runs, want every run aborted by the event limit",
-			failures, len(res.Runs))
+	if failures != 4 {
+		t.Fatalf("%d failures over 4 runs, want every run aborted by the event limit", failures)
 	}
 	// Aborted runs produce no snapshot, so the rollup stays empty rather
 	// than mixing partial counts.
-	if res.Telemetry == nil || res.Telemetry.Runs != 0 {
-		t.Fatalf("rollup over aborted runs = %+v, want 0 runs", res.Telemetry)
+	if roll.Rollup.Runs != 0 {
+		t.Fatalf("rollup over aborted runs = %+v, want 0 runs", roll.Rollup)
 	}
 
-	// Without telemetry there is no recorder: OnFailure still fires, with a
-	// nil result.
+	// Without telemetry there is no recorder: the failure is still
+	// delivered, with a nil result.
 	gotNil := 0
-	s = &Sweep{Workers: 2, OnFailure: func(r RunSummary, res *Result) {
-		if res != nil {
-			t.Errorf("run %d: partial result without telemetry", r.Index)
+	plain := sinkFunc(func(_, _ int, r RunSummary, res *Result) {
+		if r.Err == "" || res != nil {
+			t.Errorf("run %d: err %q, partial result %v without telemetry", r.Index, r.Err, res != nil)
 		}
 		gotNil++
-	}}
-	if _, err := s.Run(grid); err != nil {
+	})
+	if err := (&Sweep{Workers: 2}).Stream(grid, StreamSpec{}, plain); err != nil {
 		t.Fatal(err)
 	}
-	if gotNil == 0 {
-		t.Fatal("OnFailure never fired without telemetry")
+	if gotNil != 4 {
+		t.Fatalf("%d of 4 failures delivered without telemetry", gotNil)
 	}
 }
