@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 )
 
 var (
@@ -248,16 +249,8 @@ func tableSACK(dur time.Duration) {
 
 func withFile(name string, fn func(w io.Writer) error) {
 	path := filepath.Join(*outDir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		fatal(err)
-	}
-	if err := fn(f); err != nil {
-		f.Close()
+	if err := cli.WriteFile(path, fn); err != nil {
 		fatal(fmt.Errorf("%s: %w", name, err))
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
 	}
 	fmt.Println("wrote", path)
 }

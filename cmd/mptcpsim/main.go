@@ -12,13 +12,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"mptcpsim"
+	"mptcpsim/internal/cli"
 )
 
 func main() {
@@ -94,13 +94,13 @@ func main() {
 		}
 	}
 	if *csvPath != "" {
-		if err := writeFile(*csvPath, res.WriteCSV); err != nil {
+		if err := cli.WriteFile(*csvPath, res.WriteCSV); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *csvPath)
 	}
 	if *pcapPath != "" {
-		if err := writeFile(*pcapPath, res.WritePCAP); err != nil {
+		if err := cli.WriteFile(*pcapPath, res.WritePCAP); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s (%d packets)\n", *pcapPath, res.Packets)
@@ -120,18 +120,6 @@ func parsePaths(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func writeFile(path string, fn func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fn(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func fatal(err error) {

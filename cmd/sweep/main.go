@@ -262,8 +262,7 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 			return err
 		}
 		defer log.File.Close()
-		sink, err := mptcpsim.NewLogSink(log.File, header,
-			mptcpsim.LogOptions{Sync: log.File.Sync, Resume: log.HeaderOnDisk})
+		sink, err := log.Sink(0)
 		if err != nil {
 			return err
 		}

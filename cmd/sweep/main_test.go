@@ -299,7 +299,6 @@ func TestRunFlightDumps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
-		Flags:      cli.Flags{Quiet: true},
 		gridPath:   gridPath,
 		workers:    2,
 		flightDir:  filepath.Join(dir, "flight"),
@@ -310,8 +309,14 @@ func TestRunFlightDumps(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "runs failed") {
 		t.Fatalf("event-limited sweep did not fail: %v", err)
 	}
-	if !strings.Contains(stderr.String(), "flight tail in") {
-		t.Fatalf("stderr never announced a flight dump:\n%s", stderr.String())
+	// Not quiet: every failed run's flight notice comes right before its
+	// progress line — the observer sinks' chain order.
+	lines := strings.Split(stderr.String(), "\n")
+	for i := 0; i < 8; i += 2 {
+		if !strings.Contains(lines[i], "flight tail in") || !strings.HasPrefix(lines[i+1], "[") ||
+			!strings.Contains(lines[i+1], "error: ") {
+			t.Fatalf("stderr lines %d-%d are not a flight notice then a progress line:\n%s", i, i+1, stderr.String())
+		}
 	}
 
 	dumps, err := filepath.Glob(filepath.Join(cfg.flightDir, "flight-*.ndjson"))

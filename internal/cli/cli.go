@@ -103,7 +103,7 @@ func (f *Flags) StartProfile() (stop func() error, err error) {
 // over total runs on a pool of workers (nil without -progress; published
 // under /debug/vars when there is a debug endpoint) and the debug server,
 // announced on stderr. stop emits the final heartbeat and closes both; it
-// is never nil when err is.
+// is non-nil whenever err is nil.
 func (f *Flags) StartObserve(total, workers int, stderr io.Writer) (meter *telemetry.Meter, stop func(), err error) {
 	var file *os.File
 	if f.Progress != "" {

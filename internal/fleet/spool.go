@@ -30,8 +30,8 @@ type ShardLog struct {
 	// and Errs counts the failed runs among them.
 	Skip map[int]bool
 	Errs int
-	// HeaderOnDisk reports a committed header is present, so the LogSink
-	// appending to File must open in Resume mode.
+	// HeaderOnDisk reports a committed header is already present; Sink
+	// then appends records only.
 	HeaderOnDisk bool
 	// TornTail is the offset at which a torn trailing record was cut off
 	// (its run will be re-executed), -1 when the log ended cleanly.
@@ -39,6 +39,16 @@ type ShardLog struct {
 	// recorded nothing and was emptied, so the whole shard re-executes.
 	TornTail   int64
 	HeaderTorn bool
+
+	header mptcpsim.RunLogHeader
+}
+
+// Sink returns the LogSink that appends to the log, fsyncing File every
+// syncEvery records (0 = the library default). It writes the header only
+// when the file does not hold one yet.
+func (l *ShardLog) Sink(syncEvery int) (*mptcpsim.LogSink, error) {
+	return mptcpsim.NewLogSink(l.File, l.header,
+		mptcpsim.LogOptions{Sync: l.File.Sync, Resume: l.HeaderOnDisk, SyncEvery: syncEvery})
 }
 
 // OpenShardLog opens the shard run-log at path for writing, resuming
@@ -57,7 +67,7 @@ func OpenShardLog(path string, header mptcpsim.RunLogHeader, truncate bool) (*Sh
 	if err != nil {
 		return nil, err
 	}
-	sl := &ShardLog{File: f, TornTail: -1}
+	sl := &ShardLog{File: f, TornTail: -1, header: header}
 	fail := func(e error) (*ShardLog, error) {
 		f.Close()
 		return nil, e

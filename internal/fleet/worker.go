@@ -42,8 +42,7 @@ func (w *Worker) Run(ctx context.Context, lease Lease) error {
 		return err
 	}
 	defer log.File.Close()
-	sink, err := mptcpsim.NewLogSink(log.File, header,
-		mptcpsim.LogOptions{Sync: log.File.Sync, Resume: log.HeaderOnDisk, SyncEvery: w.SyncEvery})
+	sink, err := log.Sink(w.SyncEvery)
 	if err != nil {
 		return err
 	}
