@@ -70,3 +70,72 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadRunLog asserts the run-log reader's contract on arbitrary input:
+// parsing never panics; a log it accepts converts to a ShardResult that
+// re-encodes through LogSink into a clean log reading back equal (hashes
+// aside — LogSink derives them from full Results, which a log does not
+// carry); and a reported torn tail starts on a record boundary, so resume's
+// truncation there leaves exactly the committed records.
+func FuzzReadRunLog(f *testing.F) {
+	twoRuns := &Grid{CCs: []string{"cubic"}, Orders: [][]int{{2, 1, 3}}, Seeds: []int64{1, 2}, DurationMs: 50}
+	raw := streamToLog(f, &Sweep{Workers: 1}, twoRuns, LogOptions{Hash: true})
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	if len(lines) != 4 { // header, two records, SplitAfter's empty tail
+		f.Fatalf("seed log has %d lines, want header + 2 records", len(lines)-1)
+	}
+	lastStart := len(raw) - len(lines[2])
+	f.Add(raw)
+	f.Add(raw[:lastStart+len(lines[2])/2]) // torn tail: cut inside the final record
+	f.Add(raw[:len(raw)-1])                // torn tail: final record complete but uncommitted
+	f.Add(raw[:len(lines[0])/2])           // torn header
+	f.Add(raw[:len(lines[0])])             // committed empty log
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		log, err := ReadRunLog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if log.Torn() {
+			cut := log.TornTail
+			if cut <= 0 || cut >= int64(len(data)) || data[cut-1] != '\n' {
+				t.Fatalf("torn tail at %d of %d bytes is not a record boundary", cut, len(data))
+			}
+			committed, err := ReadRunLog(bytes.NewReader(data[:cut]))
+			if err != nil || committed.Torn() || len(committed.Runs) != len(log.Runs) {
+				t.Fatalf("log truncated at its torn tail: err=%v, want a clean log of %d records", err, len(log.Runs))
+			}
+		}
+
+		sr := log.ShardResult()
+		var buf bytes.Buffer
+		sink, err := NewLogSink(&buf, RunLogHeader{GridDigest: sr.GridDigest, K: sr.K, N: sr.N, Total: sr.Total}, LogOptions{})
+		if err != nil {
+			t.Fatalf("writer refuses a header the reader accepted: %v", err)
+		}
+		for i, run := range sr.Runs {
+			if err := sink.Accept(i+1, len(sr.Runs), run, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadRunLog(bytes.NewReader(buf.Bytes()))
+		if err != nil || back.Torn() {
+			t.Fatalf("re-encoded log does not read back clean: err=%v\n%s", err, buf.Bytes())
+		}
+		sr.Hashes = nil
+		want, err := json.Marshal(sr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(back.ShardResult())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("re-encoded log reads back different:\nfirst:  %s\nsecond: %s", want, got)
+		}
+	})
+}

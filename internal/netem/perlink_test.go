@@ -114,8 +114,8 @@ func randomScript(rng *rand.Rand, links int) []action {
 }
 
 // runLoop runs l to completion across scripted Stop calls and, if limit is
-// set, across event-limit aborts every limit events — both can land in the
-// middle of a same-instant batch, whose tail must survive the requeue.
+// set, across event-limit aborts every limit events — both can land between
+// two events of one instant, and the rest must stay pending, in order.
 func runLoop(t *testing.T, l *sim.Loop, limit uint64) {
 	t.Helper()
 	for {
@@ -323,8 +323,8 @@ func TestPerLinkArrivalsMatchPerFrameReference(t *testing.T) {
 			t.Fatalf("%s: scheduled/fired %d/%d, per-frame reference %d/%d",
 				what, counters.Scheduled, counters.Fired, rc.Scheduled, rc.Fired)
 		}
-		// The same run chopped into 7-event slices by the event limit: every
-		// abort that lands inside a same-instant batch requeues its tail.
+		// The same run chopped into 7-event slices by the event limit: an
+		// abort between two events of one instant must resume in order.
 		sliced, _ := runRealNet(t, ot, script, 7)
 		compareTraces(t, what+" (event-limit slices)", sliced.arrivals, ref.arrivals)
 

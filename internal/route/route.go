@@ -43,38 +43,34 @@ type tagKey struct {
 	tag packet.Tag
 }
 
-// TagTable is a per-(destination, tag) forwarding table. The per-node
-// tables live in a dense slice indexed by node ID — forwarding does one
-// map probe per hop, not two.
-type TagTable struct {
-	g    *topo.Graph
-	next []map[tagKey]topo.LinkID
-	// cache holds the last hit per node: consecutive packets at a node
-	// overwhelmingly share (dst, tag), so most hops skip the map probe.
-	// Table mutations reset it wholesale (routes are installed at setup).
-	cache []tagCacheEntry
+// tagEntry is one forwarding entry of a node.
+type tagEntry struct {
+	key tagKey
+	lid topo.LinkID
 }
 
-type tagCacheEntry struct {
-	key   tagKey
-	lid   topo.LinkID
-	valid bool
+// TagTable is a per-(destination, tag) forwarding table. Each node's
+// entries live in a short slice scanned linearly: a node holds at most
+// destinations × tags entries (16 on the widest shipped scenario), which a
+// scan beats a map probe on, whether or not consecutive packets share a tag.
+type TagTable struct {
+	g    *topo.Graph
+	next [][]tagEntry
 }
 
 // NewTagTable returns an empty tag-routing table over graph g.
 func NewTagTable(g *topo.Graph) *TagTable {
-	return &TagTable{
-		g:     g,
-		next:  make([]map[tagKey]topo.LinkID, g.NumNodes()),
-		cache: make([]tagCacheEntry, g.NumNodes()),
-	}
+	return &TagTable{g: g, next: make([][]tagEntry, g.NumNodes())}
 }
 
-// invalidate clears the per-node lookup cache after a table mutation.
-func (t *TagTable) invalidate() {
-	for i := range t.cache {
-		t.cache[i] = tagCacheEntry{}
+// find returns node n's entry for key, or nil if it has none.
+func (t *TagTable) find(n topo.NodeID, key tagKey) *tagEntry {
+	for i := range t.next[n] {
+		if e := &t.next[n][i]; e.key == key {
+			return e
+		}
 	}
+	return nil
 }
 
 // AddPath installs forwarding entries so that packets for dst carrying tag
@@ -89,19 +85,19 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 	// Validate before mutating so a conflict leaves the table unchanged.
 	for i, lid := range p.Links {
 		n := p.Nodes[i]
-		if existing, ok := t.next[n][key]; ok && existing != lid {
+		if e := t.find(n, key); e != nil && e.lid != lid {
 			return fmt.Errorf("route: conflicting entry at node %s for dst %s %s: link %d vs %d",
-				t.g.Node(n).Name, dst, tag, existing, lid)
+				t.g.Node(n).Name, dst, tag, e.lid, lid)
 		}
 	}
 	for i, lid := range p.Links {
 		n := p.Nodes[i]
-		if t.next[n] == nil {
-			t.next[n] = make(map[tagKey]topo.LinkID)
+		if e := t.find(n, key); e != nil {
+			e.lid = lid
+		} else {
+			t.next[n] = append(t.next[n], tagEntry{key, lid})
 		}
-		t.next[n][key] = lid
 	}
-	t.invalidate()
 	return nil
 }
 
@@ -115,28 +111,18 @@ func (t *TagTable) AddDefaultRoutes(dst packet.Addr, dstNode topo.NodeID, w topo
 		if n.ID == dstNode || math.IsInf(dist[n.ID], 1) {
 			continue
 		}
-		if t.next[n.ID] == nil {
-			t.next[n.ID] = make(map[tagKey]topo.LinkID)
-		}
-		if _, ok := t.next[n.ID][key]; !ok {
-			t.next[n.ID][key] = prev[n.ID]
+		if t.find(n.ID, key) == nil {
+			t.next[n.ID] = append(t.next[n.ID], tagEntry{key, prev[n.ID]})
 		}
 	}
-	t.invalidate()
 }
 
 // NextLink implements Router. Lookup is exact on (dst, tag); packets with
 // an unknown tag are not silently rerouted.
 func (t *TagTable) NextLink(n topo.NodeID, pkt *packet.Packet) (topo.LinkID, error) {
 	key := tagKey{dst: pkt.IP.Dst, tag: pkt.IP.Tag}
-	if ce := &t.cache[n]; ce.valid && ce.key == key {
-		return ce.lid, nil
-	}
-	if m := t.next[n]; m != nil {
-		if lid, ok := m[key]; ok {
-			t.cache[n] = tagCacheEntry{key: key, lid: lid, valid: true}
-			return lid, nil
-		}
+	if e := t.find(n, key); e != nil {
+		return e.lid, nil
 	}
 	return -1, &NoRouteError{Node: n, Dst: key.dst, Tag: key.tag}
 }

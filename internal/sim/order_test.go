@@ -1,10 +1,9 @@
 package sim
 
-// Oracle tests for the same-instant batch drain: RunUntil pops an entire
-// equal-timestamp cohort before running it, so these tests check that the
-// observable execution order is exactly the unbatched kernel's — one pop,
-// one callback, repeat — across dense timestamp collisions, mid-batch
-// stops, and mid-batch aborts (Stop / event limit).
+// Ordering tests: the observable execution order must be exactly the
+// reference kernel's — strict (at, seq) order, one pop, one callback,
+// repeat — across dense timestamp collisions, stops of later same-instant
+// events, and runs interrupted within an instant (Stop / event limit).
 
 import (
 	"errors"
@@ -14,9 +13,9 @@ import (
 	"time"
 )
 
-// refKernel is the unbatched reference: a sorted list popped strictly one
-// event at a time, with (at, seq) total order and lazy stop — the
-// semantics the batching kernel must be indistinguishable from.
+// refKernel is the reference: a sorted list popped strictly one event at a
+// time, with (at, seq) total order and a stopped flag checked at pop — the
+// semantics the kernel must be indistinguishable from.
 type refKernel struct {
 	events []*refKernelEv
 	seq    uint64
@@ -65,7 +64,7 @@ type fired struct {
 // program derives each event's behaviour purely from (seed, label), so
 // the real loop and the reference interpreter take identical decisions:
 // spawn 0-2 children at delay 0-2 ns (delay 0 collides with the current
-// batch), and sometimes stop an earlier-created event.
+// instant), and sometimes stop an earlier-created event.
 type program struct {
 	seed   int64
 	budget int
@@ -88,12 +87,11 @@ func (p *program) actions(label int64) progActions {
 	return a
 }
 
-// TestBatchDrainMatchesUnbatchedReference runs the same randomized
-// program — roots piled onto a handful of timestamps, handlers spawning
-// same-instant children and stopping siblings — through the batching
-// kernel and the unbatched reference, and requires the full (label, time)
-// execution sequences to be identical.
-func TestBatchDrainMatchesUnbatchedReference(t *testing.T) {
+// TestOrderMatchesReferenceKernel runs the same randomized program — roots
+// piled onto a handful of timestamps, handlers spawning same-instant
+// children and stopping siblings — through the kernel and the reference,
+// and requires the full (label, time) execution sequences to be identical.
+func TestOrderMatchesReferenceKernel(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		prog := &program{seed: seed, budget: 3000}
 		var gotLog, wantLog []fired
@@ -135,7 +133,7 @@ func TestBatchDrainMatchesUnbatchedReference(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
-		// Unbatched reference, same program.
+		// Reference, same program.
 		prog.budget = 3000
 		ref := &refKernel{}
 		refEvents := make(map[int64]*refKernelEv)
@@ -167,12 +165,12 @@ func TestBatchDrainMatchesUnbatchedReference(t *testing.T) {
 		}
 
 		if len(gotLog) != len(wantLog) {
-			t.Fatalf("seed %d: batched kernel fired %d events, unbatched reference %d",
+			t.Fatalf("seed %d: kernel fired %d events, reference %d",
 				seed, len(gotLog), len(wantLog))
 		}
 		for i := range gotLog {
 			if gotLog[i] != wantLog[i] {
-				t.Fatalf("seed %d: execution diverged at step %d: batched (label=%d at=%v), unbatched (label=%d at=%v)",
+				t.Fatalf("seed %d: execution diverged at step %d: kernel (label=%d at=%v), reference (label=%d at=%v)",
 					seed, i, gotLog[i].label, gotLog[i].at, wantLog[i].label, wantLog[i].at)
 			}
 		}
@@ -183,7 +181,7 @@ func TestBatchDrainMatchesUnbatchedReference(t *testing.T) {
 }
 
 // TestEqualTimestampStress piles thousands of events onto a single
-// instant, each spawning a same-instant child up to a cap: every batch at
+// instant, each spawning a same-instant child up to a cap: everything at
 // t=1ms must run in scheduling order, and the whole cascade stays at one
 // timestamp.
 func TestEqualTimestampStress(t *testing.T) {
@@ -215,7 +213,7 @@ func TestEqualTimestampStress(t *testing.T) {
 	if len(order) != roots+spawnCap {
 		t.Fatalf("fired %d events, want %d", len(order), roots+spawnCap)
 	}
-	// Scheduling order == seq order == execution order, batched or not.
+	// Scheduling order == seq order == execution order.
 	for i, id := range order[:roots] {
 		if id != i {
 			t.Fatalf("root %d fired at position %d", id, i)
@@ -228,17 +226,16 @@ func TestEqualTimestampStress(t *testing.T) {
 	}
 }
 
-// TestBatchMemberStoppedMidBatch: an earlier member of the same-instant
-// batch stops a later member after the batch was already popped off the
-// heap — the seq staleness check must skip it, and a same-instant event
-// scheduled by the batch must still run (as the next batch).
-func TestBatchMemberStoppedMidBatch(t *testing.T) {
+// TestStopLaterSameInstantEvent: an event stops a later event due at the
+// same instant — it must not run or count, and a same-instant event
+// scheduled meanwhile must still run, after the survivors.
+func TestStopLaterSameInstantEvent(t *testing.T) {
 	l := NewLoop()
 	var order []string
 	var tmC Timer
 	l.Schedule(time.Millisecond, func() {
 		order = append(order, "a")
-		tmC.Stop() // c is already inside the popped batch
+		tmC.Stop() // c is due at this very instant
 		l.Schedule(0, func() { order = append(order, "d") })
 	})
 	l.Schedule(time.Millisecond, func() { order = append(order, "b") })
@@ -253,14 +250,14 @@ func TestBatchMemberStoppedMidBatch(t *testing.T) {
 		t.Fatalf("Len() = %d after drain, want 0", l.Len())
 	}
 	if l.Processed() != 3 {
-		t.Fatalf("Processed() = %d, want 3 (stopped member must not count)", l.Processed())
+		t.Fatalf("Processed() = %d, want 3 (the stopped event must not count)", l.Processed())
 	}
 }
 
-// TestBatchRequeuedOnStop: Stop() mid-batch must requeue the unexecuted
-// tail so a later RunUntil resumes exactly where the batch broke off, in
-// the original order.
-func TestBatchRequeuedOnStop(t *testing.T) {
+// TestStopWithinInstantResumesInOrder: Stop() between two events of one
+// instant leaves the rest pending, and a later run resumes exactly where
+// the first broke off, in the original order.
+func TestStopWithinInstantResumesInOrder(t *testing.T) {
 	l := NewLoop()
 	var order []string
 	at := Time(time.Millisecond)
@@ -274,7 +271,7 @@ func TestBatchRequeuedOnStop(t *testing.T) {
 		t.Fatalf("order after Stop = %v, want [a]", order)
 	}
 	if l.Len() != 2 {
-		t.Fatalf("Len() = %d after Stop mid-batch, want 2 requeued", l.Len())
+		t.Fatalf("Len() = %d after Stop within the instant, want 2 pending", l.Len())
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -284,9 +281,10 @@ func TestBatchRequeuedOnStop(t *testing.T) {
 	}
 }
 
-// TestBatchRequeuedOnEventLimit: the event limit can trip in the middle
-// of a batch; the rest of the batch must survive for a resumed run.
-func TestBatchRequeuedOnEventLimit(t *testing.T) {
+// TestEventLimitWithinInstantResumesInOrder: the event limit can trip
+// between two events of one instant; the rest must survive for a resumed
+// run.
+func TestEventLimitWithinInstantResumesInOrder(t *testing.T) {
 	l := NewLoop()
 	var order []int
 	at := Time(time.Millisecond)
@@ -303,7 +301,7 @@ func TestBatchRequeuedOnEventLimit(t *testing.T) {
 		t.Fatalf("order at limit = %v, want [0 1]", order)
 	}
 	if l.Len() != 3 {
-		t.Fatalf("Len() = %d after mid-batch abort, want 3", l.Len())
+		t.Fatalf("Len() = %d after the limit tripped within the instant, want 3", l.Len())
 	}
 	l.SetEventLimit(0)
 	if err := l.Run(); err != nil {

@@ -190,15 +190,16 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 		}
 		var live []pair
 
+		// popBoth pops the kernel heap's root directly, bypassing RunUntil.
 		popBoth := func() {
-			id := l.popMin()
-			got := l.nodes[id]
+			got := l.heap[0]
+			l.removeAt(0)
+			l.release(got.id())
 			want := heap.Pop(ref).(*refEvent)
-			if got.at != want.at || got.seq != want.seq {
+			if gotSeq := got.packed >> idBits; got.at != want.at || gotSeq != want.seq {
 				t.Fatalf("seed %d: pop (at=%d seq=%d), reference (at=%d seq=%d)",
-					seed, got.at, got.seq, want.at, want.seq)
+					seed, got.at, gotSeq, want.at, want.seq)
 			}
-			l.release(id)
 			for i := range live {
 				if live[i].re == want {
 					live[i] = live[len(live)-1]
@@ -212,9 +213,9 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5: // push
 				at := Time(rng.Intn(1000))
-				seq := l.seq // alloc consumes this seq
+				seq := l.seq // At consumes this seq
 				tm := l.At(at, nop)
-				re := &refEvent{at: l.nodes[tm.id].at, seq: seq}
+				re := &refEvent{at: tm.When(), seq: seq}
 				heap.Push(ref, re)
 				live = append(live, pair{tm, re})
 			case r < 7 && len(live) > 0: // remove a random live entry
@@ -232,6 +233,11 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			if l.Len() != ref.Len() {
 				t.Fatalf("seed %d: sizes diverged: %d vs %d", seed, l.Len(), ref.Len())
 			}
+			for i, e := range l.heap {
+				if pos := l.nodes[e.id()].pos; int(pos) != i {
+					t.Fatalf("seed %d: entry at heap index %d has recorded position %d", seed, i, pos)
+				}
+			}
 		}
 		// Drain: the full remaining pop order must match.
 		for ref.Len() > 0 {
@@ -240,6 +246,43 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 		if l.Len() != 0 {
 			t.Fatalf("seed %d: kernel heap has %d leftovers", seed, l.Len())
 		}
+	}
+}
+
+// TestStopRemovesEntryInPlace: Stop takes the timer's entry out of the
+// heap, so re-arming k live timers any number of times keeps the pending
+// queue at k (k+1 while the fresh timer is armed before the old one stops)
+// and the two Counters high-water marks equal.
+func TestStopRemovesEntryInPlace(t *testing.T) {
+	const k = 100
+	l := NewLoop()
+	cb := &countCall{}
+	timers := make([]Timer, k)
+	for i := range timers {
+		timers[i] = l.ScheduleCall(time.Duration(i+1)*time.Second, cb)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 10000; n++ {
+		i := rng.Intn(k)
+		fresh := l.ScheduleCall(time.Duration(1+rng.Intn(1000))*time.Second, cb)
+		if !timers[i].Stop() {
+			t.Fatalf("re-arm %d: Stop on a live timer reported false", n)
+		}
+		timers[i] = fresh
+		if l.Len() != k {
+			t.Fatalf("re-arm %d: Len() = %d, want %d", n, l.Len(), k)
+		}
+	}
+	c := l.Counters()
+	if c.HeapPeak != c.InUsePeak || c.HeapPeak > k+1 {
+		t.Fatalf("HeapPeak=%d InUsePeak=%d after 10000 re-arms of %d timers, want equal and <= %d",
+			c.HeapPeak, c.InUsePeak, k, k+1)
+	}
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cb.n != k {
+		t.Fatalf("%d timers fired, want the %d live ones", cb.n, k)
 	}
 }
 

@@ -3,7 +3,7 @@ package sim
 // Tests for reserved scheduling seqs: an event armed late through
 // ReserveSeq + AtCallReserved must run exactly where a Schedule call made
 // at reservation time would have put it — including at the current instant,
-// ahead of batch members that were already popped.
+// ahead of pending same-instant events with later seqs.
 
 import (
 	"errors"
@@ -59,7 +59,7 @@ func reservedScenario(l *Loop, log *[]int64, afterFirst func()) {
 	}
 }
 
-func TestReservedSeqArmedMidBatchRunsInSeqOrder(t *testing.T) {
+func TestReservedSeqArmedAtCurrentInstantRunsInSeqOrder(t *testing.T) {
 	l := NewLoop()
 	var log []int64
 	reservedScenario(l, &log, nil)
@@ -74,10 +74,10 @@ func TestReservedSeqArmedMidBatchRunsInSeqOrder(t *testing.T) {
 	}
 }
 
-// TestReservedSeqSurvivesMidBatchAbort: Stop or the event limit hitting
+// TestReservedSeqSurvivesInterruptedRun: Stop or the event limit hitting
 // right after the arming event must leave both the armed event and the
-// requeued batch tail pending, in order, for the resumed run.
-func TestReservedSeqSurvivesMidBatchAbort(t *testing.T) {
+// later same-instant event pending, in order, for the resumed run.
+func TestReservedSeqSurvivesInterruptedRun(t *testing.T) {
 	t.Run("stop", func(t *testing.T) {
 		l := NewLoop()
 		var log []int64

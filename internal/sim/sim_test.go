@@ -144,6 +144,59 @@ func TestRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestRunUntilPastDeadlineKeepsClock: a deadline before Now() runs nothing
+// and must not rewind the clock, with or without pending events.
+func TestRunUntilPastDeadlineKeepsClock(t *testing.T) {
+	l := NewLoop()
+	ran := false
+	l.Schedule(100*time.Millisecond, func() { ran = true })
+	if err := l.RunUntil(Time(20 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.RunUntil(Time(5 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Now() != Time(20*time.Millisecond) {
+		t.Fatalf("Now = %v after RunUntil(5ms), want 20ms (clock rewound)", l.Now())
+	}
+	if err := l.RunFor(-7 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if l.Now() != Time(20*time.Millisecond) {
+		t.Fatalf("Now = %v after RunFor(-7ms), want 20ms (clock rewound)", l.Now())
+	}
+	if ran || l.Len() != 1 {
+		t.Fatalf("ran=%v Len=%d, want the 100ms event still pending", ran, l.Len())
+	}
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran || l.Now() != Time(100*time.Millisecond) {
+		t.Fatalf("ran=%v Now=%v, want the event to run at 100ms", ran, l.Now())
+	}
+}
+
+// TestStopBeforeDeadlineKeepsClock: Stop() inside RunUntil(deadline) must
+// not advance the clock to the deadline past events that are still pending.
+func TestStopBeforeDeadlineKeepsClock(t *testing.T) {
+	l := NewLoop()
+	var fired []Time
+	l.Schedule(time.Millisecond, func() { fired = append(fired, l.Now()); l.Stop() })
+	l.Schedule(2*time.Millisecond, func() { fired = append(fired, l.Now()) })
+	if err := l.RunUntil(Time(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if l.Now() != Time(time.Millisecond) {
+		t.Fatalf("Now = %v after Stop, want 1ms (the 2ms event is still pending)", l.Now())
+	}
+	if err := l.RunUntil(Time(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 2 || fired[1] != Time(2*time.Millisecond) || l.Now() != Time(10*time.Millisecond) {
+		t.Fatalf("fired=%v Now=%v, want [1ms 2ms] and 10ms", fired, l.Now())
+	}
+}
+
 func TestRunForIsRelative(t *testing.T) {
 	l := NewLoop()
 	if err := l.RunFor(time.Second); err != nil {

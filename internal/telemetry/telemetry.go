@@ -24,8 +24,10 @@ type SimCounters struct {
 	// allocations served by the free list instead of arena growth.
 	ArenaNodes int    `json:"arena_nodes"`
 	Recycled   uint64 `json:"recycled"`
-	// InUsePeak is the peak number of concurrently pending events,
-	// HeapPeak the deepest pending queue.
+	// InUsePeak and HeapPeak are both the peak number of live pending
+	// events: the kernel's heap holds exactly the pending events, so the
+	// occupied arena and the queue depth are one high-water mark, kept
+	// under both names for the readers of either.
 	InUsePeak int `json:"in_use_peak"`
 	HeapPeak  int `json:"heap_peak"`
 }

@@ -10,13 +10,13 @@ import (
 
 // streamToLog runs the grid through Stream with a LogSink into a buffer
 // and returns the raw log bytes.
-func streamToLog(t *testing.T, s *Sweep, g *Grid, opt LogOptions) []byte {
+func streamToLog(t testing.TB, s *Sweep, g *Grid, opt LogOptions) []byte {
 	t.Helper()
 	return streamShardToLog(t, s, g, Shard{K: 0, N: 1}, opt)
 }
 
 // streamShardToLog is streamToLog for one shard of the grid.
-func streamShardToLog(t *testing.T, s *Sweep, g *Grid, shard Shard, opt LogOptions) []byte {
+func streamShardToLog(t testing.TB, s *Sweep, g *Grid, shard Shard, opt LogOptions) []byte {
 	t.Helper()
 	digest, total, err := s.Describe(g)
 	if err != nil {
