@@ -227,8 +227,7 @@ func BenchmarkFairnessSharedBottleneck(b *testing.B) {
 
 // BenchmarkSweep measures the batch engine end to end: a 12-run grid
 // (2 CCs x 2 orderings x 3 seeds) of 1 s experiments per iteration,
-// reporting aggregate sweep throughput. This is the go-test twin of
-// cmd/benchsweep, which CI runs to emit BENCH_sweep.json.
+// reporting aggregate sweep throughput.
 func BenchmarkSweep(b *testing.B) {
 	grid := &Grid{
 		CCs:        []string{"cubic", "olia"},

@@ -20,7 +20,6 @@ import (
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/trace"
 	"mptcpsim/internal/unit"
-	"mptcpsim/internal/workload"
 )
 
 // ResetBaselineCache drops the memoised LP/max-min/proportional-fair
@@ -49,6 +48,9 @@ func RunPaper(opts Options) (*Result, error) {
 // measured series, the analytic baselines and the run summary.
 func Run(nw *Network, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
+	if err := opts.checkBins(); err != nil {
+		return nil, err
+	}
 	if err := nw.validate(); err != nil {
 		return nil, err
 	}
@@ -310,9 +312,9 @@ func Run(nw *Network, opts Options) (*Result, error) {
 		}
 	}
 	var src mptcp.DataSource
-	var fixed *workload.Fixed
+	var fixed *mptcp.Fixed
 	if opts.TransferBytes > 0 {
-		fixed = &workload.Fixed{Total: opts.TransferBytes}
+		fixed = &mptcp.Fixed{Total: opts.TransferBytes}
 		src = fixed
 	}
 	conn, err := mptcp.Dial(sender, rng.Fork(), mptcp.Config{

@@ -3,6 +3,7 @@ package mptcpsim
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -136,6 +137,84 @@ func FuzzReadRunLog(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("re-encoded log reads back different:\nfirst:  %s\nsecond: %s", want, got)
+		}
+	})
+}
+
+// FuzzLoadGrid asserts the grid format's contract on arbitrary input:
+// parsing never panics; a spec it accepts either fails expansion with an
+// error or expands to at most the product of its axis lengths (scenario
+// filters only ever remove cells); and expansion is a pure function of the
+// spec — two expansions digest equally.
+func FuzzLoadGrid(f *testing.F) {
+	ci, err := os.ReadFile("cmd/sweep/testdata/ci-shard-grid.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ci)
+	// cmd/sweep's default grid.
+	f.Add([]byte(`{"ccs":["lia","olia","balia","cubic","reno","wvegas"],"orders":[[2,1,3],[1,2,3],[3,1,2],[1,3,2]]}`))
+	// A scoped perturbation and event set over two named scenarios.
+	f.Add([]byte(`{"scenarios":[{"name":"a","paper":true},{"name":"b","paper":true}],` +
+		`"perturbations":[{"name":"base"},{"name":"lossy","scenarios":["a"],"loss":0.01,` +
+		`"links":[{"a":"s","b":"v1","mbps":20}]}],` +
+		`"events":[{"name":"static"},{"scenarios":["b"],"events":[{"at_ms":100,"type":"set_rate","a":"v3","b":"v4","mbps":20}]}]}`))
+	// One spec per axis error.
+	for _, spec := range []string{
+		`{"ccs":["cubci"]}`,
+		`{"schedulers":["blast"]}`,
+		`{"schedulers":["rr","roundrobin"]}`,
+		`{"orders":[[2,2,1]]}`,
+		`{"orders":[[9,1,2]]}`,
+		`{"seeds":[0,1]}`,
+		`{"scenarios":[{"file":"net.json"}]}`,
+		`{"scenarios":[{}]}`,
+		`{"scenarios":[{"paper":true},{"name":"paper","paper":true}]}`,
+		`{"perturbations":[{"name":"p","scenarios":["nope"]}]}`,
+		`{"perturbations":[{"name":"p","loss":-1}]}`,
+		`{"perturbations":[{"name":"p","links":[{"a":"s","b":"zz","mbps":1}]}]}`,
+		`{"scenarios":[{"name":"a","paper":true},{"name":"b","paper":true}],"events":[{"name":"e","scenarios":["a"]}]}`,
+		`{"events":[{"name":"e","events":[{"at_ms":100,"type":"link_up","a":"s","b":"v1"}]}]}`,
+		`{"sample_ms":1e-6}`,
+		`{"duration_ms":1e300}`,
+		`{"cc":["cubic"]}`,
+	} {
+		f.Add([]byte(spec))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := LoadGrid(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		bound := 1
+		for _, n := range []int{len(g.Scenarios), len(g.Perturbations), len(g.Events),
+			len(g.CCs), len(g.Schedulers), len(g.Orders), len(g.Seeds)} {
+			if n > 1 {
+				bound *= n
+			}
+			// A few hundred input bytes can spell a million-run cross
+			// product; expanding it tests the allocator, not the parser.
+			if bound > 4096 {
+				t.Skip("cross product too large to expand per fuzz input")
+			}
+		}
+		specs, err := g.Expand()
+		if err != nil {
+			return
+		}
+		if len(specs) == 0 || len(specs) > bound {
+			t.Fatalf("expanded to %d runs, want 1..%d (the product of the axis lengths)", len(specs), bound)
+		}
+		for i, sp := range specs {
+			if sp.Index != i {
+				t.Fatalf("run %d carries index %d", i, sp.Index)
+			}
+		}
+		d1, err1 := g.Digest()
+		d2, err2 := g.Digest()
+		if err1 != nil || err2 != nil || d1 != d2 {
+			t.Fatalf("expansion is not stable: digests %q (%v) and %q (%v)", d1, err1, d2, err2)
 		}
 	})
 }

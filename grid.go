@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -30,7 +31,9 @@ type Grid struct {
 	// "olia", "balia", "wvegas"). Empty means {"cubic"}.
 	CCs []string `json:"ccs,omitempty"`
 	// Schedulers lists MPTCP schedulers ("minrtt", "roundrobin",
-	// "redundant"). Empty means {"minrtt"}.
+	// "redundant"). Empty means {"minrtt"}. "minrtt" and "roundrobin"
+	// produce identical results today (see Options.Scheduler), so listing
+	// both doubles the runs without adding a cell.
 	Schedulers []string `json:"schedulers,omitempty"`
 	// Orders lists subflow orderings (1-based path numbers, first =
 	// default path). Empty means one run in path-definition order.
@@ -119,19 +122,6 @@ type EventSet struct {
 	Events []ScenarioEvent `json:"events,omitempty"`
 }
 
-// appliesTo reports whether the event set covers the named scenario.
-func (es EventSet) appliesTo(scenario string) bool {
-	if len(es.Scenarios) == 0 {
-		return true
-	}
-	for _, s := range es.Scenarios {
-		if s == scenario {
-			return true
-		}
-	}
-	return false
-}
-
 // apply returns a deep copy of sf with the set's events appended.
 func (es EventSet) apply(sf *ScenarioFile) *ScenarioFile {
 	out := sf.clone()
@@ -182,13 +172,33 @@ func rejectDuplicateAxis(axis string, vals []string, norm func(string) string) e
 	return nil
 }
 
-// appliesTo reports whether the perturbation covers the named scenario.
-func (p Perturbation) appliesTo(scenario string) bool {
-	if len(p.Scenarios) == 0 {
-		return true
+// scenarioFilter is the Scenarios list of a perturbation or an event set:
+// the scenarios the axis value applies to, all of them when empty.
+type scenarioFilter []string
+
+// matches reports whether the filter covers the named scenario.
+func (f scenarioFilter) matches(scenario string) bool {
+	return len(f) == 0 || slices.Contains(f, scenario)
+}
+
+// checkKnown rejects a filter of the axis value `kind name` that lists a
+// scenario the grid does not have: a typo would otherwise silently drop
+// runs.
+func (f scenarioFilter) checkKnown(kind, name string, scenarios []string) error {
+	for _, want := range f {
+		if !slices.Contains(scenarios, want) {
+			return fmt.Errorf("mptcpsim: %s %q targets unknown scenario %q", kind, name, want)
+		}
 	}
-	for _, s := range p.Scenarios {
-		if s == scenario {
+	return nil
+}
+
+// coversAny reports whether at least one of an axis's filters covers the
+// named scenario. A scenario every value filters out would contribute zero
+// runs with no diagnostic.
+func coversAny(filters []scenarioFilter, scenario string) bool {
+	for _, f := range filters {
+		if f.matches(scenario) {
 			return true
 		}
 	}
@@ -347,28 +357,20 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	}
 	// Like scenarios, perturbation names key aggregation groups.
 	pnames := make([]string, len(perts))
+	pfilters := make([]scenarioFilter, len(perts))
 	for i, pert := range perts {
 		pnames[i] = pert.Name
 		if pnames[i] == "" {
 			pnames[i] = fmt.Sprintf("p%d", i+1)
 		}
+		pfilters[i] = pert.Scenarios
 	}
 	if err := rejectDuplicateAxis("perturbation name", pnames, nil); err != nil {
 		return nil, err
 	}
-	// A typo'd scenario filter would otherwise silently drop runs.
-	for _, pert := range perts {
-		for _, want := range pert.Scenarios {
-			known := false
-			for _, sc := range resolved {
-				if sc.name == want {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return nil, fmt.Errorf("mptcpsim: perturbation %q targets unknown scenario %q", pert.Name, want)
-			}
+	for i, f := range pfilters {
+		if err := f.checkKnown("perturbation", perts[i].Name, scNames); err != nil {
+			return nil, err
 		}
 	}
 
@@ -379,6 +381,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		events = []EventSet{{Name: "static"}}
 	}
 	enames := make([]string, len(events))
+	efilters := make([]scenarioFilter, len(events))
 	for i, es := range events {
 		enames[i] = es.Name
 		if enames[i] == "" {
@@ -388,22 +391,14 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 				enames[i] = fmt.Sprintf("e%d", i+1)
 			}
 		}
+		efilters[i] = es.Scenarios
 	}
 	if err := rejectDuplicateAxis("event set name", enames, nil); err != nil {
 		return nil, err
 	}
-	for _, es := range events {
-		for _, want := range es.Scenarios {
-			known := false
-			for _, sc := range resolved {
-				if sc.name == want {
-					known = true
-					break
-				}
-			}
-			if !known {
-				return nil, fmt.Errorf("mptcpsim: event set %q targets unknown scenario %q", es.Name, want)
-			}
+	for i, f := range efilters {
+		if err := f.checkKnown("event set", events[i].Name, scNames); err != nil {
+			return nil, err
 		}
 	}
 	// Axis values are validated up front, consistent with the topology
@@ -503,6 +498,11 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	if g.SampleMs > 0 {
 		base.SampleInterval = time.Duration(g.SampleMs * float64(time.Millisecond))
 	}
+	// Duration and bin width are the same for every run: one structural
+	// error here, not N per-run failures.
+	if err := base.withDefaults().checkBins(); err != nil {
+		return nil, err
+	}
 	baseQueueScale := base.QueueScale
 	if baseQueueScale <= 0 {
 		baseQueueScale = 1
@@ -510,30 +510,14 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 
 	var specs []RunSpec
 	for _, sc := range resolved {
-		covered := false
-		for _, pert := range perts {
-			if pert.appliesTo(sc.name) {
-				covered = true
-				break
-			}
-		}
-		// A scenario every perturbation filters out would contribute zero
-		// runs with no diagnostic — remove it from the grid instead.
-		if !covered {
+		if !coversAny(pfilters, sc.name) {
 			return nil, fmt.Errorf("mptcpsim: scenario %q is excluded by every perturbation's scenario filter", sc.name)
 		}
-		covered = false
-		for _, es := range events {
-			if es.appliesTo(sc.name) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		if !coversAny(efilters, sc.name) {
 			return nil, fmt.Errorf("mptcpsim: scenario %q is excluded by every event set's scenario filter", sc.name)
 		}
 		for pi, pert := range perts {
-			if !pert.appliesTo(sc.name) {
+			if !pfilters[pi].matches(sc.name) {
 				continue
 			}
 			pname := pnames[pi]
@@ -546,7 +530,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 				qs *= pert.QueueScale
 			}
 			for ei, es := range events {
-				if !es.appliesTo(sc.name) {
+				if !efilters[ei].matches(sc.name) {
 					continue
 				}
 				ename := enames[ei]

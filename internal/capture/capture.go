@@ -121,61 +121,3 @@ func (s *Sniffer) Series(tag packet.Tag, name string, until time.Duration) *trac
 	}
 	return out
 }
-
-// Tags returns the tags observed, in ascending order.
-func (s *Sniffer) Tags() []packet.Tag {
-	var tags []packet.Tag
-	for t := range s.bins {
-		if s.bins[t] != nil {
-			tags = append(tags, packet.Tag(t))
-		}
-	}
-	return tags
-}
-
-// LinkSniffer counts bytes crossing one directed link (wire utilisation
-// measurement), binned like the receiver sniffer.
-type LinkSniffer struct {
-	loop *sim.Loop
-	link topo.LinkID
-	step time.Duration
-	bins []float64
-}
-
-var _ netem.Tap = (*LinkSniffer)(nil)
-
-// NewLinkSniffer captures transmissions on the given link.
-func NewLinkSniffer(n *netem.Network, link topo.LinkID, step time.Duration) *LinkSniffer {
-	s := &LinkSniffer{loop: n.Loop, link: link, step: step}
-	n.AttachTap(s)
-	return s
-}
-
-// OnTransmit implements netem.Tap.
-func (s *LinkSniffer) OnTransmit(l *netem.Link, pkt *packet.Packet) {
-	if l.Spec.ID != s.link {
-		return
-	}
-	idx := int(s.loop.Now().Duration() / s.step)
-	for len(s.bins) <= idx {
-		s.bins = append(s.bins, 0)
-	}
-	s.bins[idx] += float64(pkt.Size())
-}
-
-// OnDeliver implements netem.Tap.
-func (s *LinkSniffer) OnDeliver(*netem.Node, *packet.Packet) {}
-
-// OnDrop implements netem.Tap.
-func (s *LinkSniffer) OnDrop(string, *packet.Packet, netem.DropReason) {}
-
-// Series returns the link's throughput in Mbps.
-func (s *LinkSniffer) Series(name string, until time.Duration) *trace.Series {
-	nBins := int(until / s.step)
-	out := &trace.Series{Name: name, Step: s.step, V: make([]float64, nBins)}
-	scale := 8 / s.step.Seconds() / 1e6
-	for i := 0; i < nBins && i < len(s.bins); i++ {
-		out.V[i] = s.bins[i] * scale
-	}
-	return out
-}

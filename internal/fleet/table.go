@@ -194,10 +194,3 @@ func (t *Table) Done() bool {
 	defer t.mu.Unlock()
 	return t.done == t.n
 }
-
-// Remaining counts shards not yet completed.
-func (t *Table) Remaining() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n - t.done
-}

@@ -294,12 +294,3 @@ func TotalMbit(x []float64) float64 {
 	}
 	return s
 }
-
-// Rates converts an allocation in Mbps to unit.Rate values.
-func Rates(x []float64) []unit.Rate {
-	out := make([]unit.Rate, len(x))
-	for i, v := range x {
-		out[i] = unit.Rate(v * float64(unit.Mbps))
-	}
-	return out
-}

@@ -12,7 +12,6 @@
 package lp
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -373,6 +372,3 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 	}
 	return true
 }
-
-// ErrNotOptimal is returned by helpers that require an optimal solution.
-var ErrNotOptimal = errors.New("lp: problem has no optimal solution")

@@ -5,16 +5,16 @@
 // subflows is given as an argument").
 //
 // The layer provides the 64-bit data sequence space and DSS mappings of
-// RFC 6824, connection-level reassembly at the receiver, pluggable segment
-// schedulers (min-RTT default, round-robin, redundant), and coupled
-// congestion control: all subflows of a connection share one cc.Algorithm
-// instance, so LIA/OLIA/BALIA observe and balance the whole window vector,
-// while CUBIC/Reno run independently per subflow ("uncoupled").
+// RFC 6824, connection-level reassembly at the receiver, the segment
+// schedulers (min-RTT default, redundant; round-robin is min-RTT under
+// another name), and coupled congestion control: all subflows of a
+// connection share one cc.Algorithm instance, so LIA/OLIA/BALIA observe and
+// balance the whole window vector, while CUBIC/Reno run independently per
+// subflow ("uncoupled").
 package mptcp
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"mptcpsim/internal/cc"
@@ -42,7 +42,7 @@ type Config struct {
 	// "reno", "lia", "olia", "balia".
 	Algorithm string
 	// Scheduler selects the segment scheduler: "minrtt" (default),
-	// "roundrobin", "redundant".
+	// "roundrobin" (grants as minrtt does), "redundant".
 	Scheduler string
 	// Subflows lists the paths; the first entry is the default subflow.
 	Subflows []SubflowSpec
@@ -57,7 +57,8 @@ type Config struct {
 // but at the data (DSN) level.
 type DataSource interface {
 	// NextData returns how many bytes are available to send now, up to
-	// max. Returning 0 idles the sender until Conn.Kick.
+	// max; 0 means nothing to send. The sender asks again only on its own
+	// ACKs and timers: a source cannot wake an idle connection.
 	NextData(max int) int
 }
 
@@ -66,14 +67,35 @@ type bulkData struct{}
 
 func (bulkData) NextData(max int) int { return max }
 
+// Fixed is a DataSource that transfers exactly Total bytes, then stops.
+type Fixed struct {
+	// Total is the transfer size in bytes.
+	Total int
+	sent  int
+}
+
+// NextData implements DataSource.
+func (f *Fixed) NextData(max int) int {
+	left := f.Total - f.sent
+	if left <= 0 {
+		return 0
+	}
+	if max > left {
+		max = left
+	}
+	f.sent += max
+	return max
+}
+
+// Done reports whether the whole transfer was handed to the connection.
+func (f *Fixed) Done() bool { return f.sent >= f.Total }
+
 // Subflow is one TCP subflow of a connection.
 type Subflow struct {
 	// Spec is the subflow's path specification.
 	Spec SubflowSpec
 	// TCP is the underlying TCP connection (nil until started).
 	TCP *tcp.Conn
-	// Index is the subflow's position in the configuration.
-	Index int
 
 	conn *Conn
 	// Picks counts scheduler grants that actually put data on this
@@ -92,25 +114,14 @@ type Subflow struct {
 	redundantCursor uint64
 }
 
-// SRTT returns the subflow's smoothed RTT (0 before establishment).
-func (sf *Subflow) SRTT() time.Duration {
-	if sf.TCP == nil {
-		return 0
-	}
-	return sf.TCP.SRTT()
-}
-
 // Conn is the sender side of an MPTCP connection.
 type Conn struct {
 	loop *sim.Loop
-	host *tcp.Host
-	cfg  Config
 
 	// Key is the MP_CAPABLE key; Token identifies the connection on joins.
 	Key   uint64
 	Token uint32
 
-	algo     cc.Algorithm
 	sched    Scheduler
 	source   DataSource
 	subflows []*Subflow
@@ -141,16 +152,13 @@ func Dial(h *tcp.Host, rng *sim.Rand, cfg Config, raddr packet.Addr, rport packe
 	key := rng.Uint64()
 	c := &Conn{
 		loop:   h.Loop(),
-		host:   h,
-		cfg:    cfg,
 		Key:    key,
 		Token:  TokenFromKey(key),
-		algo:   algo,
 		sched:  sched,
 		source: src,
 	}
 	for i, spec := range cfg.Subflows {
-		sf := &Subflow{Spec: spec, Index: i, conn: c}
+		sf := &Subflow{Spec: spec, conn: c}
 		c.subflows = append(c.subflows, sf)
 		start := func() {
 			tcfg := cfg.TCP
@@ -182,12 +190,6 @@ func Dial(h *tcp.Host, rng *sim.Rand, cfg Config, raddr packet.Addr, rport packe
 // Subflows returns the connection's subflows in configuration order.
 func (c *Conn) Subflows() []*Subflow { return c.subflows }
 
-// Scheduler returns the active scheduler.
-func (c *Conn) Scheduler() Scheduler { return c.sched }
-
-// Algorithm returns the shared congestion-control instance.
-func (c *Conn) Algorithm() cc.Algorithm { return c.algo }
-
 // AssignedBytes returns the total data bytes mapped to subflows so far.
 func (c *Conn) AssignedBytes() uint64 { return c.dsnNext }
 
@@ -203,17 +205,6 @@ func (c *Conn) SentPayloadBytes() uint64 {
 		}
 	}
 	return n
-}
-
-// Kick wakes all subflows after the DataSource gains data, in scheduler
-// preference order so limited data lands on preferred paths first.
-func (c *Conn) Kick() {
-	order := c.sched.PickOrder(c.subflows)
-	for _, sf := range order {
-		if sf.TCP != nil {
-			sf.TCP.Kick()
-		}
-	}
 }
 
 // Close closes every subflow.
@@ -270,22 +261,4 @@ func TokenFromKey(key uint64) uint32 {
 	key *= 0xff51afd7ed558ccd
 	key ^= key >> 33
 	return uint32(key)
-}
-
-// sortByRTT orders subflows by ascending smoothed RTT, established flows
-// first (the min-RTT scheduler's preference order).
-func sortByRTT(sfs []*Subflow) []*Subflow {
-	out := append([]*Subflow(nil), sfs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		ar, br := a.SRTT(), b.SRTT()
-		if ar == 0 {
-			return false
-		}
-		if br == 0 {
-			return true
-		}
-		return ar < br
-	})
-	return out
 }

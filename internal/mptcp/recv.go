@@ -24,11 +24,10 @@ type RecvConn struct {
 	// OnDeliver, when set, observes each in-order data-level delivery.
 	OnDeliver func(n int)
 
+	// subflows counts the subflows attached by token; the tests check the
+	// demultiplexing of joins with it.
 	subflows int
 }
-
-// SubflowCount returns how many subflows have attached.
-func (rc *RecvConn) SubflowCount() int { return rc.subflows }
 
 // OOOBytes returns the bytes currently parked in the out-of-order
 // reassembly buffer — received at the data level but not yet deliverable.

@@ -8,17 +8,14 @@ import (
 )
 
 // Scheduler decides how connection-level data is spread over subflows.
-// With an infinite backlog every subflow fills its own congestion window
-// and the scheduler is only a tie-breaker; with a limited source it
-// determines which paths carry the data.
+// Every subflow pulls data when its own congestion window opens, so with
+// an infinite backlog each fills its window and the scheduler only decides
+// whether the subflows share one data stream or each carry all of it.
 type Scheduler interface {
 	// Name returns the registry name.
 	Name() string
 	// Grant returns how many of max bytes the subflow may map right now.
 	Grant(sf *Subflow, max int) int
-	// PickOrder returns the subflows in preference order for waking after
-	// new data arrives.
-	PickOrder(sfs []*Subflow) []*Subflow
 }
 
 // NewScheduler instantiates a scheduler by name ("" selects min-RTT, the
@@ -37,9 +34,8 @@ func NewScheduler(name string) (Scheduler, error) {
 }
 
 // MinRTT is the default scheduler: every subflow with window space may
-// send, but when data is scarce the lowest-RTT subflow is offered it
-// first (wake order), matching the Linux default scheduler's preference
-// for fast paths.
+// send. The low-RTT subflow's ACK clock opens its window most often, which
+// is the only preference for fast paths it has.
 type MinRTT struct{}
 
 // Name implements Scheduler.
@@ -48,37 +44,16 @@ func (*MinRTT) Name() string { return "minrtt" }
 // Grant implements Scheduler.
 func (*MinRTT) Grant(_ *Subflow, max int) int { return max }
 
-// PickOrder implements Scheduler.
-func (*MinRTT) PickOrder(sfs []*Subflow) []*Subflow { return sortByRTT(sfs) }
-
-// RoundRobin rotates MSS-sized quanta across subflows regardless of RTT.
-type RoundRobin struct {
-	next int
-}
+// RoundRobin grants exactly as MinRTT does: a subflow out of turn still
+// gets data (its window is open; refusing would idle the path). The two
+// differ in name only, so runs under either are identical.
+type RoundRobin struct{}
 
 // Name implements Scheduler.
 func (*RoundRobin) Name() string { return "roundrobin" }
 
-// Grant implements Scheduler: a subflow out of turn still gets data (its
-// window is open; refusing would idle the path), but the turn pointer
-// advances so wake order rotates fairly.
-func (r *RoundRobin) Grant(sf *Subflow, max int) int {
-	r.next = (sf.Index + 1) % len(sf.conn.subflows)
-	return max
-}
-
-// PickOrder implements Scheduler.
-func (r *RoundRobin) PickOrder(sfs []*Subflow) []*Subflow {
-	if len(sfs) == 0 {
-		return nil
-	}
-	start := r.next % len(sfs)
-	out := make([]*Subflow, 0, len(sfs))
-	for i := 0; i < len(sfs); i++ {
-		out = append(out, sfs[(start+i)%len(sfs)])
-	}
-	return out
-}
+// Grant implements Scheduler.
+func (*RoundRobin) Grant(_ *Subflow, max int) int { return max }
 
 // Redundant maps every data byte onto every subflow (the latency-oriented
 // scheduler of "Low Latency via Redundancy"; cited as [5] in the paper's
@@ -90,9 +65,6 @@ func (*Redundant) Name() string { return "redundant" }
 
 // Grant implements Scheduler (unused: nextFor drives redundant mode).
 func (*Redundant) Grant(_ *Subflow, max int) int { return max }
-
-// PickOrder implements Scheduler.
-func (*Redundant) PickOrder(sfs []*Subflow) []*Subflow { return sortByRTT(sfs) }
 
 // nextFor assigns the subflow's private cursor range, duplicating data
 // already assigned to other subflows. The shared dsnNext high-water mark

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"mptcpsim/internal/fifo"
@@ -16,8 +15,6 @@ import (
 // packet and reports whether it must be dropped instead of queued; the hard
 // capacity check still applies afterwards.
 type AQM interface {
-	// Name identifies the policy in stats output.
-	Name() string
 	// OnEnqueue reports whether to drop the arriving packet.
 	OnEnqueue(l *Link, pkt *packet.Packet) bool
 }
@@ -25,9 +22,6 @@ type AQM interface {
 // DropTail is the default policy: drop only on overflow (the overflow check
 // itself lives in the link, so DropTail never drops here).
 type DropTail struct{}
-
-// Name implements AQM.
-func (DropTail) Name() string { return "droptail" }
 
 // OnEnqueue implements AQM.
 func (DropTail) OnEnqueue(*Link, *packet.Packet) bool { return false }
@@ -74,7 +68,6 @@ type Link struct {
 	q            fifo.Queue[*packet.Packet]
 	queuedBytes  unit.ByteSize
 	transmitting bool
-	lastIdleAt   sim.Time
 
 	// txPkt/txTime hold the frame currently serialising and its committed
 	// transmission time; infl is the FIFO of frames that left the
@@ -168,9 +161,6 @@ func (l *Link) Name() string { return l.name }
 // QueueCap returns the queue capacity in force (after defaulting).
 func (l *Link) QueueCap() unit.ByteSize { return l.capBytes }
 
-// QueuedBytes returns the instantaneous queue occupancy.
-func (l *Link) QueuedBytes() unit.ByteSize { return l.queuedBytes }
-
 // SetAQM replaces the admission policy (default DropTail).
 func (l *Link) SetAQM(a AQM) { l.aqm = a }
 
@@ -222,9 +212,6 @@ func (l *Link) SetDelay(d time.Duration) {
 	l.Spec.Delay = d
 }
 
-// Down reports whether the link is administratively down.
-func (l *Link) Down() bool { return l.down }
-
 // SetDown takes the link down: the transmit queue is drained (every queued
 // packet dropped with DropLinkDown), a frame mid-serialisation is cut (it
 // never reaches the far node), and packets arriving while down are dropped
@@ -249,7 +236,6 @@ func (l *Link) SetUp() {
 		return
 	}
 	l.down = false
-	l.lastIdleAt = l.net.Loop.Now()
 	l.startTx()
 }
 
@@ -364,9 +350,6 @@ func (l *Link) finishTx(now sim.Time) {
 		l.net.Loop.AtCallReserved(arriveAt, seq, &l.arrive)
 	}
 	l.infl.Push(inflight{pkt: pkt, at: arriveAt, seq: seq})
-	if l.queueLen() == 0 {
-		l.lastIdleAt = now
-	}
 	l.startTx()
 }
 
@@ -382,73 +365,4 @@ func (l *Link) arrival() {
 	l.net.propagating--
 	l.net.tapArrive(l, pkt)
 	l.net.nodes[l.Spec.To].receive(pkt)
-}
-
-// RED is the classic Random Early Detection manager (Floyd & Jacobson
-// 1993): it tracks an EWMA of the queue length and drops arriving packets
-// with rising probability between MinTh and MaxTh, desynchronising TCP
-// flows before the queue overflows.
-type RED struct {
-	// MinTh and MaxTh are the average-queue thresholds in bytes.
-	MinTh, MaxTh unit.ByteSize
-	// MaxP is the drop probability at MaxTh.
-	MaxP float64
-	// Wq is the EWMA weight for the average queue size.
-	Wq float64
-
-	rng   *sim.Rand
-	avg   float64
-	count int
-}
-
-// NewRED returns a RED policy with thresholds derived from the link's
-// queue capacity (min 25%, max 75%) and standard parameters.
-func NewRED(l *Link, rng *sim.Rand) *RED {
-	return &RED{
-		MinTh: l.QueueCap() / 4,
-		MaxTh: l.QueueCap() * 3 / 4,
-		MaxP:  0.1,
-		Wq:    0.002,
-		rng:   rng,
-		count: -1,
-	}
-}
-
-// Name implements AQM.
-func (r *RED) Name() string { return "red" }
-
-// AvgQueue exposes the smoothed queue estimate for tests and stats.
-func (r *RED) AvgQueue() float64 { return r.avg }
-
-// OnEnqueue implements AQM.
-func (r *RED) OnEnqueue(l *Link, pkt *packet.Packet) bool {
-	q := float64(l.QueuedBytes())
-	if l.queueLen() == 0 && !l.transmitting {
-		// Idle decay: pretend small packets drained at line rate while idle.
-		idle := l.net.Loop.Now().Sub(l.lastIdleAt)
-		if idle > 0 {
-			drained := float64(l.Spec.Rate.Bytes(idle))
-			m := drained / 500
-			r.avg *= math.Pow(1-r.Wq, m)
-		}
-	} else {
-		r.avg = (1-r.Wq)*r.avg + r.Wq*q
-	}
-	switch {
-	case r.avg < float64(r.MinTh):
-		r.count = -1
-		return false
-	case r.avg >= float64(r.MaxTh):
-		r.count = 0
-		return true
-	default:
-		r.count++
-		pb := r.MaxP * (r.avg - float64(r.MinTh)) / float64(r.MaxTh-r.MinTh)
-		pa := pb / math.Max(1-float64(r.count)*pb, 1e-9)
-		if r.rng.Bool(pa) {
-			r.count = 0
-			return true
-		}
-		return false
-	}
 }

@@ -8,8 +8,7 @@
 // a registered local handler (host) or forwarded; forwarding enqueues it at
 // the chosen link, which serialises packets at the link rate and delivers
 // them one propagation delay later. Queue overflow drops the arriving
-// packet (DropTail) or earlier ones (RED), which is where TCP's congestion
-// signal comes from.
+// packet (DropTail), which is where TCP's congestion signal comes from.
 //
 // Taps observe transmissions, deliveries and drops; the capture package
 // builds its tshark equivalent on top of them.
@@ -33,7 +32,7 @@ type DropReason int
 const (
 	// DropQueueFull: the link's transmit queue had no room (DropTail).
 	DropQueueFull DropReason = iota
-	// DropAQM: the active queue manager chose to drop (RED).
+	// DropAQM: the link's admission policy (SetAQM) chose to drop.
 	DropAQM
 	// DropNoRoute: the router had no entry for (dst, tag).
 	DropNoRoute

@@ -340,47 +340,6 @@ func TestPortCollisionRejected(t *testing.T) {
 	}
 }
 
-func TestREDDropsEarly(t *testing.T) {
-	loop, net, a, c, aAddr, cAddr := lineNet(t, unit.Mbps, time.Millisecond, 50*unit.KB)
-	red := NewRED(net.Link(0), sim.NewRand(7))
-	// The standard Wq=0.002 averages over ~500 packets; this test offers a
-	// few hundred, so use a faster EWMA to exercise the early-drop region.
-	red.Wq = 0.05
-	net.Link(0).SetAQM(red)
-	rec := &recorder{loop: loop}
-	net.AttachTap(rec)
-	s := &sink{loop: loop}
-	if err := c.Register(9001, s); err != nil {
-		t.Fatal(err)
-	}
-	payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-	// Offer 2x the link rate for 2 seconds: RED must drop before overflow.
-	var i int
-	var feed func()
-	feed = func() {
-		a.Send(dataPkt(aAddr, cAddr, 1, payload))
-		i++
-		if i < 400 {
-			loop.Schedule(5*time.Millisecond, feed)
-		}
-	}
-	loop.Schedule(0, feed)
-	if err := loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	aqmDrops := net.Link(0).Counters.Drops[DropAQM]
-	overflow := net.Link(0).Counters.Drops[DropQueueFull]
-	if aqmDrops == 0 {
-		t.Fatal("RED never dropped")
-	}
-	if overflow > aqmDrops {
-		t.Fatalf("overflow drops (%d) dominate AQM drops (%d): RED ineffective", overflow, aqmDrops)
-	}
-	if red.AvgQueue() <= 0 {
-		t.Fatal("RED average never moved")
-	}
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	run := func() []sim.Time {
 		loop, net, a, c, aAddr, cAddr := lineNet(t, 10*unit.Mbps, time.Millisecond, 20*unit.KB)
@@ -429,80 +388,6 @@ func TestAutoQueueSizing(t *testing.T) {
 	}
 }
 
-func TestCoDelControlsQueueDelay(t *testing.T) {
-	// Offer 1.25x the link rate for 3 s: the backlog stays within the
-	// 100KB buffer, so DropTail never drops and the standing queue keeps
-	// growing; CoDel must intervene and hold the queue shorter. (Against
-	// a heavily unresponsive flood CoDel degrades to tail-drop by design,
-	// so a moderate overload is the discriminating case.)
-	run := func(useCoDel bool) (drops uint64, maxQueue unit.ByteSize) {
-		loop, net, a, c, aAddr, cAddr := lineNet(t, unit.Mbps, time.Millisecond, 100*unit.KB)
-		if useCoDel {
-			net.Link(0).SetAQM(NewCoDel(loop))
-		}
-		s := &sink{loop: loop}
-		if err := c.Register(9001, s); err != nil {
-			t.Fatal(err)
-		}
-		payload := 1250 - packet.IPv4HeaderLen - packet.UDPHeaderLen
-		var i int
-		var feed func()
-		feed = func() {
-			a.Send(dataPkt(aAddr, cAddr, 1, payload))
-			i++
-			if i < 375 {
-				loop.Schedule(8*time.Millisecond, feed)
-			}
-		}
-		loop.Schedule(0, feed)
-		if err := loop.Run(); err != nil {
-			t.Fatal(err)
-		}
-		var d uint64
-		for _, v := range net.Link(0).Counters.Drops {
-			d += v
-		}
-		return d, net.Link(0).Counters.MaxQueue
-	}
-	tailDrops, tailMax := run(false)
-	codelDrops, codelMax := run(true)
-	if tailDrops != 0 {
-		t.Fatalf("DropTail dropped %d — overload exceeds the buffer, test miscalibrated", tailDrops)
-	}
-	if codelDrops == 0 {
-		t.Fatal("CoDel never dropped under persistent overload")
-	}
-	if codelMax >= tailMax {
-		t.Fatalf("CoDel queue high-water %v not below DropTail %v", codelMax, tailMax)
-	}
-}
-
-func TestCoDelIdleBelowTarget(t *testing.T) {
-	// At light load CoDel must never drop.
-	loop, net, a, c, aAddr, cAddr := lineNet(t, 10*unit.Mbps, time.Millisecond, 100*unit.KB)
-	net.Link(0).SetAQM(NewCoDel(loop))
-	s := &sink{loop: loop}
-	if err := c.Register(9001, s); err != nil {
-		t.Fatal(err)
-	}
-	var i int
-	var feed func()
-	feed = func() {
-		a.Send(dataPkt(aAddr, cAddr, 1, 1000))
-		i++
-		if i < 100 {
-			loop.Schedule(10*time.Millisecond, feed)
-		}
-	}
-	loop.Schedule(0, feed)
-	if err := loop.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.pkts) != 100 {
-		t.Fatalf("light load lost packets: %d/100", len(s.pkts))
-	}
-}
-
 func TestLinkDownDrainsQueueAndCutsFrame(t *testing.T) {
 	// 1 Mbps => 10 ms per 1250B frame. Burst of 5, link down at 15 ms:
 	// frame 1 left the transmitter (propagating: survives), frame 2 is
@@ -530,14 +415,14 @@ func TestLinkDownDrainsQueueAndCutsFrame(t *testing.T) {
 	if len(s.pkts) != 1 {
 		t.Fatalf("delivered %d, want 1 (only the frame already past the cut)", len(s.pkts))
 	}
-	if !ab.Down() {
+	if !ab.down {
 		t.Fatal("link not down")
 	}
 	if got := ab.Counters.Drops[DropLinkDown]; got != 5 {
 		t.Fatalf("link-down drops = %d, want 5 (3 queued + 1 cut + 1 late)", got)
 	}
-	if ab.QueuedBytes() != 0 {
-		t.Fatalf("queue not drained: %v", ab.QueuedBytes())
+	if ab.queuedBytes != 0 {
+		t.Fatalf("queue not drained: %v", ab.queuedBytes)
 	}
 }
 

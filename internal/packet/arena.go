@@ -22,8 +22,7 @@ package packet
 // An Arena is single-goroutine, like the sim.Loop that drives the run that
 // owns it. The zero value is ready for use.
 type Arena struct {
-	free  []*slot
-	stats ArenaStats
+	free []*slot
 }
 
 // slabSize is the number of slots added per arena growth, amortising the
@@ -39,27 +38,6 @@ type slot struct {
 	tcp   TCPBuf
 	udp   UDP
 }
-
-// ArenaStats counts the arena's traffic, for telemetry snapshots.
-type ArenaStats struct {
-	// Slots is the number of slots ever created (arena footprint).
-	Slots uint64
-	// Gets counts packets drawn; Reuses the subset served by the free
-	// list instead of arena growth.
-	Gets   uint64
-	Reuses uint64
-	// Recycles counts packets returned at their terminal event; Foreign
-	// counts recycle attempts on packets the arena does not own (ignored).
-	Recycles uint64
-	Foreign  uint64
-}
-
-// Live returns the number of arena packets currently drawn and not yet
-// recycled.
-func (s ArenaStats) Live() uint64 { return s.Gets - s.Recycles }
-
-// Stats returns a snapshot of the arena's accounting.
-func (a *Arena) Stats() ArenaStats { return a.stats }
 
 // TCPBuf is the per-packet TCP storage recycled with its packet: the
 // header plus inline values for the options hot senders attach per
@@ -104,15 +82,12 @@ func (b *TCPBuf) UseSACK(blocks [][2]uint32) {
 // get pops a slot from the free list, growing the arena by a slab when
 // it is empty.
 func (a *Arena) get() *slot {
-	a.stats.Gets++
 	if n := len(a.free); n > 0 {
 		s := a.free[n-1]
 		a.free = a.free[:n-1]
-		a.stats.Reuses++
 		return s
 	}
 	slab := make([]slot, slabSize)
-	a.stats.Slots += slabSize
 	for i := range slab {
 		slab[i].owner = a
 	}
@@ -143,7 +118,7 @@ func (a *Arena) GetUDP() (*Packet, *UDP) {
 
 // Recycle returns a packet to the arena at its terminal event. Packets
 // the arena does not own — foreign composite literals, packets of another
-// arena, or a packet already recycled — are counted and ignored, so the
+// arena, or a packet already recycled — are ignored, so the
 // call is safe at every terminal point. The idempotence window closes
 // when the slot is redrawn: after the next Get the old pointer IS the new
 // live packet, so callers must recycle exactly once, at the packet's
@@ -151,7 +126,6 @@ func (a *Arena) GetUDP() (*Packet, *UDP) {
 func (a *Arena) Recycle(p *Packet) {
 	s := p.slot
 	if s == nil || s.owner != a {
-		a.stats.Foreign++
 		return
 	}
 	// Disown before anything else: a second Recycle of the same pointer
@@ -165,5 +139,4 @@ func (a *Arena) Recycle(p *Packet) {
 	s.tcp.Options = nil
 	s.tcp.Sack.Blocks = nil
 	a.free = append(a.free, s)
-	a.stats.Recycles++
 }

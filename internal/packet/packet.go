@@ -8,9 +8,8 @@
 // TCP dynamics depend on byte counts, not byte values. Marshal fills
 // payload bytes with zeros so captures still produce valid pcap files.
 //
-// The Flow/Endpoint types follow the gopacket design: small hashable values
-// describing "from A to B" that can key maps, with a symmetric FastHash for
-// load-balancing-style demultiplexing.
+// The Flow/Endpoint types follow the gopacket design: small comparable
+// values describing "from A to B" that can key maps.
 package packet
 
 import (
@@ -63,7 +62,8 @@ func (p Protocol) String() string {
 // follow the same path.
 type Tag uint8
 
-// TagNone marks packets routed by the default (shortest-path) tables.
+// TagNone is the unset tag: an accepted connection configured with it
+// answers along the tag its SYN carried.
 const TagNone Tag = 0
 
 // String renders the tag.
@@ -91,36 +91,9 @@ type Flow struct {
 	Src, Dst Endpoint
 }
 
-// Reverse returns the flow in the opposite direction.
-func (f Flow) Reverse() Flow { return Flow{Proto: f.Proto, Src: f.Dst, Dst: f.Src} }
-
 // String renders "TCP 10.0.0.1:5001->10.0.0.2:80".
 func (f Flow) String() string {
 	return fmt.Sprintf("%s %s->%s", f.Proto, f.Src, f.Dst)
-}
-
-// FastHash returns a non-cryptographic hash of the flow that is symmetric:
-// a flow and its reverse hash identically, so both directions of a
-// connection land in the same bucket (the gopacket property used for
-// per-flow load balancing).
-func (f Flow) FastHash() uint64 {
-	a := endpointHash(f.Src)
-	b := endpointHash(f.Dst)
-	// Addition keeps the hash symmetric under src/dst exchange.
-	h := a + b
-	h ^= uint64(f.Proto) * 0x9e3779b97f4a7c15
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
-func endpointHash(e Endpoint) uint64 {
-	h := uint64(e.Addr)*0x9e3779b97f4a7c15 + uint64(e.Port)
-	h ^= h >> 29
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 32
-	return h
 }
 
 // Packet is one datagram in flight. Exactly one of TCP and UDP is non-nil
@@ -184,9 +157,6 @@ func (p *Packet) Flow() Flow {
 
 // Tag returns the forwarding tag carried in the IP header.
 func (p *Packet) Tag() Tag { return p.IP.Tag }
-
-// IsData reports whether the packet carries application payload.
-func (p *Packet) IsData() bool { return p.PayloadLen > 0 }
 
 // String renders a one-line summary for logs and test failures.
 func (p *Packet) String() string {

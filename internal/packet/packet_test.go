@@ -15,41 +15,6 @@ func TestAddrString(t *testing.T) {
 	}
 }
 
-func TestFlowReverseAndHash(t *testing.T) {
-	f := Flow{
-		Proto: ProtoTCP,
-		Src:   Endpoint{MakeAddr(10, 0, 0, 1), 5001},
-		Dst:   Endpoint{MakeAddr(10, 0, 0, 2), 80},
-	}
-	r := f.Reverse()
-	if r.Src != f.Dst || r.Dst != f.Src {
-		t.Fatal("Reverse did not swap endpoints")
-	}
-	if f.FastHash() != r.FastHash() {
-		t.Fatal("FastHash must be symmetric")
-	}
-	g := f
-	g.Dst.Port = 81
-	if f.FastHash() == g.FastHash() {
-		t.Fatal("different flows should hash differently (with high probability)")
-	}
-}
-
-// Property: FastHash symmetry holds for arbitrary flows.
-func TestQuickFastHashSymmetric(t *testing.T) {
-	f := func(sa, da uint32, sp, dp uint16, proto uint8) bool {
-		fl := Flow{
-			Proto: Protocol(proto),
-			Src:   Endpoint{Addr(sa), Port(sp)},
-			Dst:   Endpoint{Addr(da), Port(dp)},
-		}
-		return fl.FastHash() == fl.Reverse().FastHash()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example-style check: sum of buffer with embedded checksum is 0.
 	h := IPv4{Tag: 3, ID: 7, TTL: 64, Proto: ProtoTCP,

@@ -3,11 +3,9 @@ package route
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/topo"
-	"mptcpsim/internal/unit"
 )
 
 var (
@@ -110,34 +108,6 @@ func TestTagTableSameTagDifferentDst(t *testing.T) {
 	}
 }
 
-func TestDefaultRoutesShortestPath(t *testing.T) {
-	pn := topo.Paper()
-	tt := NewTagTable(pn.Graph)
-	tt.AddDefaultRoutes(dstAddr, pn.D, nil)
-	// From s, untagged packets should take Path 2's first link (the overall
-	// shortest path starts s->v1).
-	pkt := tcpPkt(dstAddr, packet.TagNone, 5001, 80)
-	lid, err := tt.NextLink(pn.S, pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lid != pn.Paths[1].Links[0] {
-		t.Fatalf("default route first hop = link %d, want %d", lid, pn.Paths[1].Links[0])
-	}
-	// Walking default routes must reach d.
-	at := pn.S
-	for hops := 0; at != pn.D; hops++ {
-		l, err := tt.NextLink(at, pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at = pn.Graph.Link(l).To
-		if hops > 10 {
-			t.Fatal("default routing loop")
-		}
-	}
-}
-
 func TestReversePathRouting(t *testing.T) {
 	pn := topo.Paper()
 	tt := NewTagTable(pn.Graph)
@@ -162,69 +132,8 @@ func TestReversePathRouting(t *testing.T) {
 		at = pn.Graph.Link(lid).To
 		hops++
 	}
-	if hops != pn.Paths[1].Hops() {
-		t.Fatalf("reverse hops = %d, want %d", hops, pn.Paths[1].Hops())
-	}
-}
-
-func ecmpDiamond() (*topo.Graph, topo.NodeID, topo.NodeID) {
-	g := topo.New()
-	a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
-	g.AddDuplex(a, b, unit.Gbps, time.Millisecond, 0)
-	g.AddDuplex(a, c, unit.Gbps, time.Millisecond, 0)
-	g.AddDuplex(b, d, unit.Gbps, time.Millisecond, 0)
-	g.AddDuplex(c, d, unit.Gbps, time.Millisecond, 0)
-	return g, a, d
-}
-
-func TestECMPSpreadsFlows(t *testing.T) {
-	g, a, d := ecmpDiamond()
-	e := NewECMP(g, map[packet.Addr]topo.NodeID{dstAddr: d}, nil)
-	used := map[topo.LinkID]int{}
-	for port := 1000; port < 1200; port++ {
-		lid, err := e.NextLink(a, tcpPkt(dstAddr, packet.TagNone, packet.Port(port), 80))
-		if err != nil {
-			t.Fatal(err)
-		}
-		used[lid]++
-	}
-	if len(used) != 2 {
-		t.Fatalf("ECMP used %d links, want 2 (%v)", len(used), used)
-	}
-	for lid, n := range used {
-		if n < 40 {
-			t.Fatalf("ECMP badly skewed: link %d got %d/200", lid, n)
-		}
-	}
-}
-
-func TestECMPFlowStability(t *testing.T) {
-	g, a, d := ecmpDiamond()
-	e := NewECMP(g, map[packet.Addr]topo.NodeID{dstAddr: d}, nil)
-	p := tcpPkt(dstAddr, packet.TagNone, 5001, 80)
-	first, err := e.NextLink(a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 50; i++ {
-		lid, _ := e.NextLink(a, p)
-		if lid != first {
-			t.Fatal("same flow took different links")
-		}
-	}
-	// The reverse direction must hash to the same path (symmetric hash), so
-	// data and ACKs share fate as on real ECMP fabrics with symmetric
-	// hashing.
-	rp := tcpPkt(srcAddr, packet.TagNone, 80, 5001)
-	rp.IP.Src, rp.IP.Dst = dstAddr, srcAddr
-	_ = rp // direction b->a uses dst srcAddr which ECMP has no entry for; skip walk
-}
-
-func TestECMPNoRoute(t *testing.T) {
-	g, a, d := ecmpDiamond()
-	e := NewECMP(g, map[packet.Addr]topo.NodeID{dstAddr: d}, nil)
-	if _, err := e.NextLink(a, tcpPkt(packet.MakeAddr(1, 2, 3, 4), packet.TagNone, 1, 2)); err == nil {
-		t.Fatal("unknown destination should fail")
+	if hops != len(pn.Paths[1].Links) {
+		t.Fatalf("reverse hops = %d, want %d", hops, len(pn.Paths[1].Links))
 	}
 }
 
@@ -236,17 +145,4 @@ func TestAddPathRejectsInvalid(t *testing.T) {
 	if err := tt.AddPath(dstAddr, 1, bad); err == nil {
 		t.Fatal("invalid path accepted")
 	}
-}
-
-func TestECMPUnreachableDestination(t *testing.T) {
-	// A destination with no incoming links yields no candidates anywhere.
-	g := topo.New()
-	a, b := g.AddNode("a"), g.AddNode("b")
-	island := g.AddNode("island")
-	g.AddDuplex(a, b, unit.Gbps, time.Millisecond, 0)
-	e := NewECMP(g, map[packet.Addr]topo.NodeID{dstAddr: island}, nil)
-	if _, err := e.NextLink(a, tcpPkt(dstAddr, packet.TagNone, 1, 2)); err == nil {
-		t.Fatal("route to island accepted")
-	}
-	_ = b
 }

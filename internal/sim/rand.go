@@ -1,56 +1,24 @@
 package sim
 
-import (
-	"math/rand"
-	"time"
-)
+import "math/rand"
 
 // Rand is a seeded pseudo-random source for model components. It wraps
 // math/rand.Rand with helpers used across the simulator and exists so that
 // every stochastic decision in a run flows from one recorded seed.
 type Rand struct {
 	*rand.Rand
-	seed int64
 }
 
 // NewRand returns a deterministic source for the given seed.
 func NewRand(seed int64) *Rand {
-	return &Rand{Rand: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Rand{Rand: rand.New(rand.NewSource(seed))}
 }
-
-// Seed returns the seed the source was created with.
-func (r *Rand) Seed() int64 { return r.seed }
 
 // Fork derives an independent stream for a named subcomponent. Components
 // forked in the same order from the same parent always observe the same
 // stream, keeping runs reproducible even when components are added.
 func (r *Rand) Fork() *Rand {
 	return NewRand(r.Int63())
-}
-
-// Jitter returns a duration uniformly distributed in [d-frac*d, d+frac*d].
-// It is used to desynchronise otherwise lock-stepped timers (for example
-// subflow start times), mirroring the scheduling noise of a real host.
-func (r *Rand) Jitter(d time.Duration, frac float64) time.Duration {
-	if frac <= 0 || d <= 0 {
-		return d
-	}
-	span := float64(d) * frac
-	off := (r.Float64()*2 - 1) * span
-	j := time.Duration(float64(d) + off)
-	if j < 0 {
-		return 0
-	}
-	return j
-}
-
-// Exp returns an exponentially distributed duration with the given mean,
-// used by On/Off traffic sources.
-func (r *Rand) Exp(mean time.Duration) time.Duration {
-	if mean <= 0 {
-		return 0
-	}
-	return time.Duration(r.ExpFloat64() * float64(mean))
 }
 
 // Bool returns true with probability p.

@@ -43,13 +43,8 @@ import (
 // at zero and have no wall-clock meaning.
 type Time int64
 
-// Common virtual-time constants.
-const (
-	// Start is the beginning of every simulation.
-	Start Time = 0
-	// End is the largest representable virtual time.
-	End Time = math.MaxInt64
-)
+// End is the largest representable virtual time.
+const End Time = math.MaxInt64
 
 // Add returns t shifted by d.
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
@@ -57,7 +52,7 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// Duration converts t to the duration elapsed since Start.
+// Duration converts t to the duration elapsed since time 0.
 func (t Time) Duration() time.Duration { return time.Duration(t) }
 
 // Seconds returns t expressed in seconds.
@@ -203,7 +198,7 @@ type Loop struct {
 	peak int
 }
 
-// NewLoop returns an empty event loop positioned at time Start.
+// NewLoop returns an empty event loop positioned at time 0.
 func NewLoop() *Loop {
 	return &Loop{}
 }
@@ -500,9 +495,4 @@ func (l *Loop) RunUntil(deadline Time) error {
 		l.now = deadline
 	}
 	return nil
-}
-
-// RunFor runs the loop for a span of virtual time from the current instant.
-func (l *Loop) RunFor(d time.Duration) error {
-	return l.RunUntil(l.now.Add(d))
 }

@@ -135,41 +135,6 @@ func CoV(s *trace.Series, from, to time.Duration) float64 {
 	return std / mean
 }
 
-// JainIndex computes Jain's fairness index of an allocation: 1 when all
-// values are equal, 1/n when one value dominates.
-func JainIndex(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	var sum, sq float64
-	for _, v := range vals {
-		sum += v
-		sq += v * v
-	}
-	if sq == 0 {
-		return 0
-	}
-	return sum * sum / (float64(len(vals)) * sq)
-}
-
-// AllocationError returns the mean absolute deviation between the achieved
-// per-path averages and a reference allocation (e.g. the LP optimum), in
-// the same unit as the series (Mbps).
-func AllocationError(achieved, reference []float64) float64 {
-	n := len(achieved)
-	if len(reference) < n {
-		n = len(reference)
-	}
-	if n == 0 {
-		return 0
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += math.Abs(achieved[i] - reference[i])
-	}
-	return sum / float64(n)
-}
-
 // Summary aggregates one run's metrics.
 type Summary struct {
 	// Algorithm names the congestion control.

@@ -69,28 +69,6 @@ func TestCoV(t *testing.T) {
 	}
 }
 
-func TestJainIndex(t *testing.T) {
-	if j := JainIndex([]float64{10, 10, 10}); math.Abs(j-1) > 1e-9 {
-		t.Fatalf("equal Jain = %v", j)
-	}
-	if j := JainIndex([]float64{30, 0, 0}); math.Abs(j-1.0/3) > 1e-9 {
-		t.Fatalf("dominated Jain = %v", j)
-	}
-	if JainIndex(nil) != 0 || JainIndex([]float64{0, 0}) != 0 {
-		t.Fatal("degenerate Jain")
-	}
-}
-
-func TestAllocationError(t *testing.T) {
-	got := AllocationError([]float64{28, 12, 48}, []float64{30, 10, 50})
-	if math.Abs(got-2) > 1e-9 {
-		t.Fatalf("alloc error = %v, want 2", got)
-	}
-	if AllocationError(nil, []float64{1}) != 0 {
-		t.Fatal("empty achieved")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	total := mk(100 * time.Millisecond)
 	for i := 0; i < 40; i++ {
@@ -132,25 +110,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.ParetoAt > s.ConvergedAt {
 		t.Fatalf("ParetoAt %v after ConvergedAt %v", s.ParetoAt, s.ConvergedAt)
-	}
-}
-
-// Property: Jain's index is always in [1/n, 1] for positive inputs.
-func TestQuickJainBounds(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vals := make([]float64, len(raw))
-		for i, r := range raw {
-			vals[i] = float64(r) + 1
-		}
-		j := JainIndex(vals)
-		n := float64(len(vals))
-		return j >= 1/n-1e-9 && j <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

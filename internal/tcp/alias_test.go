@@ -69,7 +69,7 @@ func TestRetransmitCarriesOriginalMapping(t *testing.T) {
 	tn.fwd.SetAQM(&dropNth{n: 5})
 	const total = 256 * 1024
 	conn, sink := tn.startBulk(t, &dssBulkSource{remaining: total}, nil)
-	if err := tn.loop.RunFor(5 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {

@@ -72,7 +72,6 @@ type modDrop struct {
 	count int
 }
 
-func (d *modDrop) Name() string { return "moddrop" }
 func (d *modDrop) OnEnqueue(_ *netem.Link, p *packet.Packet) bool {
 	if p.TCP == nil || p.PayloadLen == 0 {
 		return false

@@ -243,18 +243,8 @@ func (d *delAckCallback) Run(sim.Time) { d.c.onDelAck() }
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// Local and Remote return the endpoints.
-func (c *Conn) Local() packet.Endpoint  { return c.local }
-func (c *Conn) Remote() packet.Endpoint { return c.remote }
-
-// Tag returns the connection's forwarding tag.
-func (c *Conn) Tag() packet.Tag { return c.cfg.Tag }
-
 // SRTT returns the smoothed round-trip time estimate.
 func (c *Conn) SRTT() time.Duration { return c.rtt.SRTT() }
-
-// EffectiveMSS returns the negotiated maximum segment size.
-func (c *Conn) EffectiveMSS() int { return c.mss }
 
 // CwndBytes returns the current congestion window.
 func (c *Conn) CwndBytes() float64 { return c.Flow.Cwnd }
@@ -365,9 +355,6 @@ func (c *Conn) Close() {
 		c.host.lastConn = nil
 	}
 }
-
-// Kick wakes the sender after its Source gains data.
-func (c *Conn) Kick() { c.trySend() }
 
 // receive dispatches an arriving segment by state.
 func (c *Conn) receive(pkt *packet.Packet) {

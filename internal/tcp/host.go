@@ -54,9 +54,6 @@ func NewHost(n *netem.Network, node topo.NodeID, rng *sim.Rand) *Host {
 	return h
 }
 
-// Node returns the underlying network node.
-func (h *Host) Node() *netem.Node { return h.node }
-
 // Listener accepts incoming connections on a port.
 type Listener struct {
 	host *Host

@@ -184,7 +184,7 @@ func TestNoSACKTransferCompletes(t *testing.T) {
 			g.loop.Schedule(10*time.Millisecond, watch)
 		}
 		g.loop.Schedule(0, watch)
-		if err := g.loop.RunFor(120 * time.Second); err != nil {
+		if err := g.loop.RunUntil(g.loop.Now().Add(120 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
 		if sink.Bytes != totalBytes {
@@ -216,7 +216,7 @@ func TestSYNRetransmission(t *testing.T) {
 		return false
 	}))
 	conn, sink := tn.startBulk(t, &limitedSource{remaining: 10000}, nil)
-	if err := tn.loop.RunFor(5 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if conn.State() != StateEstablished {
@@ -232,7 +232,6 @@ func TestSYNRetransmission(t *testing.T) {
 
 type aqmFunc func(*netem.Link, *packet.Packet) bool
 
-func (aqmFunc) Name() string                                     { return "aqmfunc" }
 func (f aqmFunc) OnEnqueue(l *netem.Link, p *packet.Packet) bool { return f(l, p) }
 
 // RTO backoff: consecutive timeouts grow the timer exponentially.
@@ -276,7 +275,7 @@ func TestTimestampsNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tn.loop.RunFor(3 * time.Second); err != nil {
+		if err := tn.loop.RunUntil(tn.loop.Now().Add(3 * time.Second)); err != nil {
 			t.Fatal(err)
 		}
 		if sink.Bytes != 64*1024 {
@@ -314,7 +313,7 @@ func TestTimestampsRTTSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tn.loop.RunFor(30 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(30 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != 1<<20 {

@@ -41,8 +41,6 @@ type scriptPeer struct {
 	acks    []sentSeg
 }
 
-func (p *scriptPeer) Name() string { return "scriptpeer" }
-
 // OnEnqueue captures and swallows every packet the connection sends.
 func (p *scriptPeer) OnEnqueue(_ *netem.Link, pk *packet.Packet) bool {
 	t := pk.TCP
@@ -92,7 +90,7 @@ func newScriptPeer(t *testing.T, cfg Config, synOpts ...packet.Option) *scriptPe
 
 // inject delivers one segment from the scripted peer.
 func (p *scriptPeer) inject(t *packet.TCP, payload int) {
-	t.SrcPort, t.DstPort = 80, p.c.Local().Port
+	t.SrcPort, t.DstPort = 80, p.c.local.Port
 	t.Window = 1 << 20
 	p.c.receive(&packet.Packet{
 		IP:         packet.IPv4{Proto: packet.ProtoTCP, Src: p.tn.server.Addr, Dst: p.tn.client.Addr},
@@ -126,7 +124,7 @@ func (p *scriptPeer) push(seg int, opts ...packet.Option) {
 // advance lets virtual time pass (timers fire).
 func (p *scriptPeer) advance(d time.Duration) {
 	p.t.Helper()
-	if err := p.tn.loop.RunFor(d); err != nil {
+	if err := p.tn.loop.RunUntil(p.tn.loop.Now().Add(d)); err != nil {
 		p.t.Fatal(err)
 	}
 }

@@ -115,8 +115,8 @@ func (c Config) withDefaults() Config {
 
 // Source supplies payload for transmission, pull-model: the sender asks for
 // up to max bytes whenever window space opens. Implementations return the
-// number of bytes to send now (0 = nothing to send; call Conn.Kick when
-// data appears) and an optional MPTCP DSS mapping describing them.
+// number of bytes to send now (0 = nothing to send until the next ACK or
+// timer asks again) and an optional MPTCP DSS mapping describing them.
 type Source interface {
 	Next(max int) (n int, dss *packet.DSS)
 }

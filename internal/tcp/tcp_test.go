@@ -36,7 +36,6 @@ type dropSeq struct {
 	times int
 }
 
-func (d *dropSeq) Name() string { return "dropseq" }
 func (d *dropSeq) OnEnqueue(_ *netem.Link, p *packet.Packet) bool {
 	if d.times > 0 && p.TCP != nil && p.PayloadLen > 0 && p.TCP.Seq == d.seq {
 		d.times--
@@ -51,7 +50,6 @@ type dropNth struct {
 	count int
 }
 
-func (d *dropNth) Name() string { return "dropnth" }
 func (d *dropNth) OnEnqueue(_ *netem.Link, p *packet.Packet) bool {
 	if p.TCP == nil || p.PayloadLen == 0 {
 		return false
@@ -126,7 +124,7 @@ func TestHandshakeEstablishes(t *testing.T) {
 	if conn.State() != StateSynSent {
 		t.Fatalf("state = %v before running", conn.State())
 	}
-	if err := tn.loop.RunFor(100 * time.Millisecond); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if conn.State() != StateEstablished {
@@ -136,8 +134,8 @@ func TestHandshakeEstablishes(t *testing.T) {
 	if conn.SRTT() < 10*time.Millisecond || conn.SRTT() > 15*time.Millisecond {
 		t.Fatalf("SRTT = %v, want ~10ms", conn.SRTT())
 	}
-	if conn.EffectiveMSS() != DefaultMSS {
-		t.Fatalf("MSS = %d", conn.EffectiveMSS())
+	if conn.mss != DefaultMSS {
+		t.Fatalf("MSS = %d", conn.mss)
 	}
 }
 
@@ -147,7 +145,7 @@ func TestBulkTransferDeliversExactly(t *testing.T) {
 	tn := newTestNet(t, 10*unit.Mbps, 5*time.Millisecond, unit.MB)
 	const total = 200 * 1024
 	conn, sink := tn.startBulk(t, &limitedSource{remaining: total}, nil)
-	if err := tn.loop.RunFor(5 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {
@@ -168,11 +166,11 @@ func TestThroughputReachesLineRate(t *testing.T) {
 	// a warmup.
 	tn := newTestNet(t, 10*unit.Mbps, 5*time.Millisecond, 64*unit.KB)
 	_, sink := tn.startBulk(t, BulkSource{}, nil)
-	if err := tn.loop.RunFor(2 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	warm := sink.Bytes
-	if err := tn.loop.RunFor(5 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	// Payload goodput = rate * MSS/(MSS+headers). Headers: 40 bytes.
@@ -191,7 +189,7 @@ func TestSlowStartIsExponential(t *testing.T) {
 	const total = 100 * DefaultMSS
 	_, sink := tn.startBulk(t, &limitedSource{remaining: total}, nil)
 	deadline := 6 * 21 * time.Millisecond // 6 RTTs incl. handshake
-	if err := tn.loop.RunFor(deadline); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(deadline)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {
@@ -204,7 +202,7 @@ func TestFastRetransmitSingleLoss(t *testing.T) {
 	tn.fwd.SetAQM(&dropNth{n: 30})
 	const total = 300 * 1024
 	conn, sink := tn.startBulk(t, &limitedSource{remaining: total}, nil)
-	if err := tn.loop.RunFor(10 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {
@@ -231,7 +229,7 @@ func TestRecoveryWhenRetransmissionAlsoLost(t *testing.T) {
 	seen := 0
 	tapAQM := &seqSniffer{pick: 20, target: &target, seen: &seen}
 	tn.fwd.SetAQM(tapAQM)
-	if err := tn.loop.RunFor(20 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(20 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != 120*1024 {
@@ -251,7 +249,6 @@ type seqSniffer struct {
 	drops  int
 }
 
-func (s *seqSniffer) Name() string { return "seqsniffer" }
 func (s *seqSniffer) OnEnqueue(_ *netem.Link, p *packet.Packet) bool {
 	if p.TCP == nil || p.PayloadLen == 0 {
 		return false
@@ -273,7 +270,7 @@ func TestDelayedAcksRoughlyHalveAckCount(t *testing.T) {
 	tn := newTestNet(t, 10*unit.Mbps, 5*time.Millisecond, unit.MB)
 	const total = 500 * DefaultMSS
 	_, sink := tn.startBulk(t, &limitedSource{remaining: total}, nil)
-	if err := tn.loop.RunFor(10 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {
@@ -315,7 +312,7 @@ func TestReceiverWindowLimitsFlight(t *testing.T) {
 		tn.loop.Schedule(time.Millisecond, probe)
 	}
 	tn.loop.Schedule(0, probe)
-	if err := tn.loop.RunFor(2 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	// Wire window quantisation can exceed the buffer by <= WindowUnit.
@@ -367,7 +364,7 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := loop.RunFor(20 * time.Second); err != nil {
+	if err := loop.RunUntil(loop.Now().Add(20 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	b0, b1 := float64(sinks[0].Bytes), float64(sinks[1].Bytes)
@@ -387,7 +384,7 @@ func TestTransferSurvivesRandomLoss(t *testing.T) {
 	tn.fwd.SetLoss(0.02, sim.NewRand(42))
 	const total = 500 * 1024
 	conn, sink := tn.startBulk(t, &limitedSource{remaining: total}, nil)
-	if err := tn.loop.RunFor(60 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(60 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {
@@ -405,7 +402,7 @@ func TestCubicTransferCompletes(t *testing.T) {
 	tn.fwd.SetLoss(0.001, sim.NewRand(7))
 	const total = 2 * 1024 * 1024
 	_, sink := tn.startBulk(t, &limitedSource{remaining: total}, algo)
-	if err := tn.loop.RunFor(30 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(30 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if sink.Bytes != total {
@@ -467,7 +464,7 @@ func TestQuickExactDeliveryUnderLoss(t *testing.T) {
 		total := (int(sizeKB%64) + 1) * 1024
 		tn.fwd.SetAQM(&dropNth{n: int(dropAt%40) + 1})
 		_, sink := tn.startBulk(t, &limitedSource{remaining: total}, nil)
-		if err := tn.loop.RunFor(30 * time.Second); err != nil {
+		if err := tn.loop.RunUntil(tn.loop.Now().Add(30 * time.Second)); err != nil {
 			return false
 		}
 		return sink.Bytes == uint64(total)
@@ -481,14 +478,14 @@ func TestCloseStopsConnection(t *testing.T) {
 	tn := newTestNet(t, 10*unit.Mbps, 5*time.Millisecond, 0)
 	conn, _ := tn.startBulk(t, BulkSource{}, nil)
 	tn.loop.Schedule(time.Second, func() { conn.Close() })
-	if err := tn.loop.RunFor(1100 * time.Millisecond); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(1100 * time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	if conn.State() != StateClosed {
 		t.Fatalf("state = %v", conn.State())
 	}
 	sent := conn.Stats.SentSegments
-	if err := tn.loop.RunFor(2 * time.Second); err != nil {
+	if err := tn.loop.RunUntil(tn.loop.Now().Add(2 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
 	if conn.Stats.SentSegments != sent {

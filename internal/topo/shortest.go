@@ -16,9 +16,6 @@ func DelayWeight(l Link) float64 {
 	return l.Delay.Seconds() + 1e-9
 }
 
-// HopWeight costs every link 1, giving minimum-hop paths.
-func HopWeight(Link) float64 { return 1 }
-
 // pqItem is a Dijkstra frontier entry.
 type pqItem struct {
 	node NodeID
@@ -207,46 +204,4 @@ func equalPath(p, q Path) bool {
 		}
 	}
 	return p.Nodes[0] == q.Nodes[0]
-}
-
-// AllSimplePaths enumerates loop-free paths from src to dst by DFS, up to
-// the given limit (0 means no limit). Paths are returned in DFS order;
-// callers that care about cost should sort.
-func (g *Graph) AllSimplePaths(src, dst NodeID, limit int) []Path {
-	var out []Path
-	onPath := make([]bool, g.NumNodes())
-	var nodes []NodeID
-	var links []LinkID
-	var dfs func(u NodeID) bool
-	dfs = func(u NodeID) bool {
-		if limit > 0 && len(out) >= limit {
-			return false
-		}
-		if u == dst {
-			out = append(out, Path{
-				Nodes: append(append([]NodeID(nil), nodes...), dst),
-				Links: append([]LinkID(nil), links...),
-			})
-			return true
-		}
-		onPath[u] = true
-		nodes = append(nodes, u)
-		for _, lid := range g.OutLinks(u) {
-			to := g.Link(lid).To
-			if onPath[to] {
-				continue
-			}
-			links = append(links, lid)
-			dfs(to)
-			links = links[:len(links)-1]
-			if limit > 0 && len(out) >= limit {
-				break
-			}
-		}
-		nodes = nodes[:len(nodes)-1]
-		onPath[u] = false
-		return true
-	}
-	dfs(src)
-	return out
 }

@@ -157,9 +157,6 @@ type Path struct {
 	Links []LinkID
 }
 
-// Hops returns the number of links in the path.
-func (p Path) Hops() int { return len(p.Links) }
-
 // Valid reports whether the node and link sequences are consistent with
 // graph g.
 func (p Path) Valid(g *Graph) bool {
@@ -209,24 +206,6 @@ func (p Path) BottleneckRate(g *Graph) unit.Rate {
 	}
 	return min
 }
-
-// SharedLinks returns the link IDs used by both paths, in p's order.
-func SharedLinks(p, q Path) []LinkID {
-	in := make(map[LinkID]bool, len(q.Links))
-	for _, l := range q.Links {
-		in[l] = true
-	}
-	var shared []LinkID
-	for _, l := range p.Links {
-		if in[l] {
-			shared = append(shared, l)
-		}
-	}
-	return shared
-}
-
-// LinkDisjoint reports whether two paths share no links.
-func LinkDisjoint(p, q Path) bool { return len(SharedLinks(p, q)) == 0 }
 
 // PathsByLink inverts a path list: for every link used by at least one
 // path, it lists the indices of the paths crossing it. This is the raw

@@ -66,8 +66,8 @@ func TestShortestPathLine(t *testing.T) {
 	if !ok {
 		t.Fatal("no path found")
 	}
-	if p.Hops() != 4 {
-		t.Fatalf("hops = %d, want 4", p.Hops())
+	if len(p.Links) != 4 {
+		t.Fatalf("hops = %d, want 4", len(p.Links))
 	}
 	if !p.Valid(g) {
 		t.Fatal("path invalid")
@@ -148,34 +148,6 @@ func TestKShortestPathsPaperNet(t *testing.T) {
 	}
 }
 
-func TestAllSimplePathsMatchesYenSet(t *testing.T) {
-	pn := Paper()
-	all := pn.Graph.AllSimplePaths(pn.S, pn.D, 0)
-	// Yen with large k must find exactly the same path set.
-	ks := pn.Graph.KShortestPaths(pn.S, pn.D, len(all)+5, nil)
-	if len(ks) != len(all) {
-		t.Fatalf("Yen found %d paths, DFS found %d", len(ks), len(all))
-	}
-	key := func(p Path) string { return p.Format(pn.Graph) }
-	seen := map[string]bool{}
-	for _, p := range all {
-		seen[key(p)] = true
-	}
-	for _, p := range ks {
-		if !seen[key(p)] {
-			t.Fatalf("Yen produced path missing from DFS set: %s", key(p))
-		}
-	}
-}
-
-func TestAllSimplePathsLimit(t *testing.T) {
-	pn := Paper()
-	got := pn.Graph.AllSimplePaths(pn.S, pn.D, 2)
-	if len(got) != 2 {
-		t.Fatalf("limit ignored: %d paths", len(got))
-	}
-}
-
 func TestPaperNetInvariants(t *testing.T) {
 	pn := Paper()
 	if err := pn.Graph.Validate(); err != nil {
@@ -193,10 +165,12 @@ func TestPaperNetInvariants(t *testing.T) {
 	// Pairwise shared bottlenecks with the right capacities.
 	check := func(a, b Path, wantRate unit.Rate, wantBinding LinkID) {
 		t.Helper()
-		shared := SharedLinks(a, b)
 		var minRate unit.Rate = 1 << 60
 		var bindID LinkID = -1
-		for _, l := range shared {
+		for l, users := range PathsByLink([]Path{a, b}) {
+			if len(users) < 2 {
+				continue
+			}
 			if r := pn.Graph.Link(l).Rate; r < minRate {
 				minRate, bindID = r, l
 			}
@@ -330,20 +304,6 @@ func TestPathFormat(t *testing.T) {
 	}
 }
 
-func TestHopWeight(t *testing.T) {
-	// Under hop weight the 2-hop route wins even with high delay.
-	g := New()
-	a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
-	g.AddLink(a, b, unit.Gbps, 50*time.Millisecond, 0)
-	g.AddLink(b, d, unit.Gbps, 50*time.Millisecond, 0)
-	g.AddLink(a, c, unit.Gbps, time.Millisecond, 0)
-	g.AddLink(c, b, unit.Gbps, time.Millisecond, 0)
-	p, ok := g.ShortestPath(a, d, HopWeight, nil, nil)
-	if !ok || p.Hops() != 2 {
-		t.Fatalf("hop-weight path = %v", p)
-	}
-}
-
 func TestReversePathFailsOnOneWayLink(t *testing.T) {
 	g := New()
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -386,8 +346,8 @@ func TestParallelLinksSupported(t *testing.T) {
 	if !p1.Valid(g) || !p2.Valid(g) {
 		t.Fatal("parallel-link paths invalid")
 	}
-	if !LinkDisjoint(p1, p2) {
-		t.Fatal("distinct parallel links reported as shared")
+	if byLink := PathsByLink([]Path{p1, p2}); len(byLink[l1]) != 1 || len(byLink[l2]) != 1 {
+		t.Fatalf("distinct parallel links reported as shared: %v", byLink)
 	}
 	if p1.BottleneckRate(g) == p2.BottleneckRate(g) {
 		t.Fatal("parallel links confused")

@@ -1,13 +1,11 @@
 // Package unit defines the physical quantities used throughout the
 // simulator: link rates in bits per second and data sizes in bytes, with
-// parsing, formatting and the time arithmetic that links need (how long a
-// packet occupies a transmitter, how many bytes fit in an interval).
+// formatting and the time arithmetic that links need (how long a packet
+// occupies a transmitter, how many bytes fit in an interval).
 package unit
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -58,32 +56,6 @@ func (r Rate) String() string {
 	}
 }
 
-// ParseRate parses strings like "40Mbps", "1.5Gbps", "250Kbps" or "9600bps"
-// (unit suffix case-insensitive, "bit/s" also accepted).
-func ParseRate(s string) (Rate, error) {
-	orig := s
-	s = strings.TrimSpace(strings.ToLower(s))
-	s = strings.ReplaceAll(s, "bit/s", "bps")
-	mult := float64(1)
-	switch {
-	case strings.HasSuffix(s, "gbps"):
-		mult, s = float64(Gbps), strings.TrimSuffix(s, "gbps")
-	case strings.HasSuffix(s, "mbps"):
-		mult, s = float64(Mbps), strings.TrimSuffix(s, "mbps")
-	case strings.HasSuffix(s, "kbps"):
-		mult, s = float64(Kbps), strings.TrimSuffix(s, "kbps")
-	case strings.HasSuffix(s, "bps"):
-		s = strings.TrimSuffix(s, "bps")
-	default:
-		return 0, fmt.Errorf("unit: rate %q missing unit (bps/Kbps/Mbps/Gbps)", orig)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("unit: invalid rate %q", orig)
-	}
-	return Rate(v * mult), nil
-}
-
 // ByteSize is a size in bytes.
 type ByteSize int64
 
@@ -107,32 +79,4 @@ func (b ByteSize) String() string {
 	default:
 		return fmt.Sprintf("%dB", int64(b))
 	}
-}
-
-// ParseByteSize parses strings like "64KB", "1.5MB", "1500B" or "1500".
-func ParseByteSize(s string) (ByteSize, error) {
-	orig := s
-	s = strings.TrimSpace(strings.ToLower(s))
-	mult := float64(1)
-	switch {
-	case strings.HasSuffix(s, "gb"):
-		mult, s = float64(GB), strings.TrimSuffix(s, "gb")
-	case strings.HasSuffix(s, "mb"):
-		mult, s = float64(MB), strings.TrimSuffix(s, "mb")
-	case strings.HasSuffix(s, "kb"):
-		mult, s = float64(KB), strings.TrimSuffix(s, "kb")
-	case strings.HasSuffix(s, "b"):
-		s = strings.TrimSuffix(s, "b")
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("unit: invalid size %q", orig)
-	}
-	return ByteSize(v * mult), nil
-}
-
-// BDP returns the bandwidth-delay product for rate r and round-trip time
-// rtt, the canonical router buffer size.
-func BDP(r Rate, rtt time.Duration) ByteSize {
-	return r.Bytes(rtt)
 }

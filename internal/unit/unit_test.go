@@ -49,57 +49,6 @@ func TestRateString(t *testing.T) {
 	}
 }
 
-func TestParseRate(t *testing.T) {
-	good := map[string]Rate{
-		"40Mbps":   40 * Mbps,
-		"40 mbps":  40 * Mbps,
-		"1.5Gbps":  1500 * Mbps,
-		"250kbps":  250 * Kbps,
-		"9600bps":  9600,
-		"10Mbit/s": 10 * Mbps,
-	}
-	for s, want := range good {
-		got, err := ParseRate(s)
-		if err != nil {
-			t.Errorf("ParseRate(%q): %v", s, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("ParseRate(%q) = %v, want %v", s, got, want)
-		}
-	}
-	for _, bad := range []string{"", "40", "fast", "-1Mbps", "Mbps"} {
-		if _, err := ParseRate(bad); err == nil {
-			t.Errorf("ParseRate(%q) should fail", bad)
-		}
-	}
-}
-
-func TestParseByteSize(t *testing.T) {
-	good := map[string]ByteSize{
-		"64KB":  64 * KB,
-		"1MB":   MB,
-		"1500B": 1500,
-		"1500":  1500,
-		"1.5KB": 1536,
-	}
-	for s, want := range good {
-		got, err := ParseByteSize(s)
-		if err != nil {
-			t.Errorf("ParseByteSize(%q): %v", s, err)
-			continue
-		}
-		if got != want {
-			t.Errorf("ParseByteSize(%q) = %v, want %v", s, got, want)
-		}
-	}
-	for _, bad := range []string{"", "huge", "-5KB"} {
-		if _, err := ParseByteSize(bad); err == nil {
-			t.Errorf("ParseByteSize(%q) should fail", bad)
-		}
-	}
-}
-
 func TestByteSizeString(t *testing.T) {
 	tests := map[ByteSize]string{
 		64 * KB: "64KB",
@@ -112,25 +61,6 @@ func TestByteSizeString(t *testing.T) {
 		if got := b.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int64(b), got, want)
 		}
-	}
-}
-
-func TestBDP(t *testing.T) {
-	// 40 Mbps * 20 ms = 100 KB exactly (decimal): 5e6 B/s * 0.02 s = 1e5 B.
-	if got := BDP(40*Mbps, 20*time.Millisecond); got != 100000 {
-		t.Errorf("BDP = %d, want 100000", got)
-	}
-}
-
-// Property: String/Parse round-trips for exact multiples.
-func TestQuickRateRoundTrip(t *testing.T) {
-	f := func(n uint16) bool {
-		r := Rate(n) * Mbps
-		got, err := ParseRate(r.String())
-		return err == nil && got == r
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -45,6 +45,7 @@
 package mptcpsim
 
 import (
+	"fmt"
 	"time"
 )
 
@@ -67,11 +68,17 @@ type Options struct {
 	// control).
 	CC string
 	// Scheduler is the MPTCP segment scheduler: "minrtt" (default),
-	// "roundrobin", "redundant".
+	// "roundrobin", "redundant". "minrtt" and "roundrobin" grant
+	// identically, so the two produce identical results: "roundrobin" is
+	// an accepted name, not a second policy.
 	Scheduler string
 	// Duration is the traffic duration (default 4 s).
 	Duration time.Duration
-	// SampleInterval is the capture bin width (default 100 ms).
+	// SampleInterval is the capture bin width (default 100 ms). Every
+	// series holds Duration/SampleInterval bins; a run asking for more
+	// than 1<<20 of them is rejected. A bin wider than Duration is
+	// accepted, but such a run has no full bin to measure: it reports
+	// 0 Mbps and a 100 % gap.
 	SampleInterval time.Duration
 	// Seed drives all randomness; identical seeds reproduce identical
 	// runs bit-for-bit.
@@ -133,6 +140,21 @@ type Options struct {
 	// the shard grid digest: a telemetry-enabled shard executes exactly
 	// the runs of a plain one, so the two must keep merging.
 	Telemetry bool `json:"-"`
+}
+
+// maxSeriesBins bounds the bins of one throughput series. The series are
+// allocated up front, so an unchecked nanosecond bin width would ask for
+// gigabytes; the paper's finest plot (4 s at 10 ms) has 400 bins.
+const maxSeriesBins = 1 << 20
+
+// checkBins rejects an over-fine bin width before anything is allocated.
+// o must have its defaults filled.
+func (o Options) checkBins() error {
+	if bins := o.Duration / o.SampleInterval; bins > maxSeriesBins {
+		return fmt.Errorf("mptcpsim: %v of traffic in %v bins is %d bins per series, over the bound of %d",
+			o.Duration, o.SampleInterval, bins, maxSeriesBins)
+	}
+	return nil
 }
 
 // withDefaults fills unset fields.

@@ -443,6 +443,30 @@ func TestCrossTrafficValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTooManyBins: a nanosecond bin width must be refused before
+// the per-path series are allocated (4 s / 1 ns is 4e9 floats per path, an
+// out-of-memory death if attempted). A bin wider than the run stays legal:
+// it has no full bin and reports nothing measured.
+func TestRunRejectsTooManyBins(t *testing.T) {
+	_, err := RunPaper(Options{Duration: 4 * time.Second, SampleInterval: time.Nanosecond})
+	if err == nil {
+		t.Fatal("4e9 bins per series accepted")
+	}
+	for _, want := range []string{"4000000000 bins", "1048576"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	res, err := RunPaper(Options{Duration: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("50 ms run on the 100 ms default bin: %v", err)
+	}
+	if res.Summary.TotalMean != 0 || res.DeliveredBytes == 0 {
+		t.Fatalf("run without a full bin: measured %v Mbps, delivered %d bytes; want 0 Mbps of a run that did move data",
+			res.Summary.TotalMean, res.DeliveredBytes)
+	}
+}
+
 // TestWVegasRuns exercises the delay-based coupled algorithm end to end.
 func TestWVegasRuns(t *testing.T) {
 	res, err := RunPaper(Options{CC: "wvegas", Seed: 2, Duration: 3 * time.Second})

@@ -345,6 +345,18 @@ func TestGridExpandRejectsUnknownAxisValues(t *testing.T) {
 	}
 }
 
+// TestGridExpandRejectsTooManyBins: the bin bound is one structural error at
+// expansion, not one failure per run; a bin wider than the run still expands.
+func TestGridExpandRejectsTooManyBins(t *testing.T) {
+	_, err := (&Grid{SampleMs: 1e-6, Seeds: []int64{1, 2, 3}}).Expand()
+	if err == nil || !strings.Contains(err.Error(), "1048576") {
+		t.Fatalf("sample_ms 1e-6 (4e9 bins per series): err = %v, want the bin bound", err)
+	}
+	if _, err := (&Grid{DurationMs: 50}).Expand(); err != nil {
+		t.Fatalf("50 ms runs on the 100 ms default bin must expand: %v", err)
+	}
+}
+
 func TestGridExpandRejectsDuplicateAxisValues(t *testing.T) {
 	for name, g := range map[string]*Grid{
 		"cc":          {CCs: []string{"cubic", "CUBIC"}},
