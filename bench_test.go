@@ -10,7 +10,10 @@ package mptcpsim
 //	conv%     fraction of iterations that reached the optimum band
 //	conv_s    mean convergence time among converged iterations
 //
-// Absolute ns/op numbers measure simulator speed, not protocol quality.
+// These are the figure and ablation benchmarks only: each doubles as a
+// smoke test that the reproduction still produces its figure. Simulator and
+// sweep speed is measured by the repository benchmark in bench/ (see
+// BENCHMARK.json), not here, so ns/op of these says nothing a PR is held to.
 
 import (
 	"testing"
@@ -179,20 +182,6 @@ func BenchmarkAblationSharedLink(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorSpeed measures raw engine throughput: simulated
-// packet-events per wall second for the standard 4 s CUBIC run.
-func BenchmarkSimulatorSpeed(b *testing.B) {
-	var pkts uint64
-	for i := 0; i < b.N; i++ {
-		res, err := RunPaper(Options{CC: "cubic", Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pkts += res.Packets
-	}
-	b.ReportMetric(float64(pkts)/float64(b.N), "pkts/run")
-}
-
 // BenchmarkFairnessSharedBottleneck measures the RFC 6356 "do no harm"
 // property: MPTCP (Paths 2+1, both crossing the 40 Mbps s-v1 link)
 // competing with one plain CUBIC TCP on Path 2. Reported metric: the
@@ -223,61 +212,4 @@ func BenchmarkFairnessSharedBottleneck(b *testing.B) {
 			b.ReportMetric(ratio/float64(b.N), "mptcp/tcp")
 		})
 	}
-}
-
-// BenchmarkSweep measures the batch engine end to end: a 12-run grid
-// (2 CCs x 2 orderings x 3 seeds) of 1 s experiments per iteration,
-// reporting aggregate sweep throughput.
-func BenchmarkSweep(b *testing.B) {
-	grid := &Grid{
-		CCs:        []string{"cubic", "olia"},
-		Orders:     [][]int{{2, 1, 3}, {1, 2, 3}},
-		Seeds:      []int64{1, 2, 3},
-		DurationMs: 1000,
-	}
-	b.ReportAllocs()
-	var runs int
-	for i := 0; i < b.N; i++ {
-		res, err := (&Sweep{}).Run(grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errs() > 0 {
-			b.Fatalf("%d sweep runs failed", res.Errs())
-		}
-		runs += len(res.Runs)
-	}
-	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
-}
-
-// BenchmarkSweepDynamic is the same grid with a LinkDown/LinkUp event
-// timeline on every cell: the piecewise-LP machinery (per-epoch cached
-// solves, epoch summaries) rides on every run, so a regression in the
-// dynamics path shows up here first.
-func BenchmarkSweepDynamic(b *testing.B) {
-	grid := &Grid{
-		CCs:        []string{"cubic", "olia"},
-		Orders:     [][]int{{2, 1, 3}, {1, 2, 3}},
-		Seeds:      []int64{1, 2, 3},
-		DurationMs: 1000,
-		Events: []EventSet{
-			{Name: "outage", Events: []ScenarioEvent{
-				{AtMs: 400, Type: EventLinkDown, A: "s", B: "v1"},
-				{AtMs: 700, Type: EventLinkUp, A: "s", B: "v1"},
-			}},
-		},
-	}
-	b.ReportAllocs()
-	var runs int
-	for i := 0; i < b.N; i++ {
-		res, err := (&Sweep{}).Run(grid)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Errs() > 0 {
-			b.Fatalf("%d sweep runs failed", res.Errs())
-		}
-		runs += len(res.Runs)
-	}
-	b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
 }

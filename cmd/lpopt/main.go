@@ -67,7 +67,7 @@ func main() {
 	}
 	show("greedy (default 1st):", lp.GreedySequential(pn.Graph, paths, order))
 	show("max-min fair:", lp.MaxMin(pn.Graph, paths))
-	show("proportional fair:", lp.PropFair(pn.Graph, paths, 0))
+	show("proportional fair:", lp.PropFair(pn.Graph, paths))
 
 	binding := prob.BindingConstraints(sol.X, 1e-6)
 	fmt.Println()

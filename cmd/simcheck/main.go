@@ -132,25 +132,25 @@ var (
 )
 
 // runTwice executes one spec under the full contract — once with the
-// invariant oracle attached, once plain — and returns the validated
-// result and its canonical hash, or the failure class and its message.
-// On failure the returned result is the checked pass's (partial) result
-// when one exists, so callers can dump its flight-recorder tail.
+// invariant oracle attached, once plain, both on the one network the
+// scenario loads into, so hash equality also proves Run left it as it found
+// it — and returns the validated result and its canonical hash, or the
+// failure class and its message. On failure the returned result is the
+// checked pass's (partial) result when one exists, so callers can dump its
+// flight-recorder tail.
 func runTwice(sp check.Spec) (*mptcpsim.Result, string, failKind, string) {
-	opts := mptcpsim.Options{
-		CC: sp.CC, Scheduler: sp.Scheduler, SubflowPaths: sp.Order,
-		Seed: sp.RunSeed, Duration: sp.Duration, QueueScale: sp.QueueScale,
-		EventLimit: runEventLimit,
+	nw, err := mptcpsim.LoadNetwork(bytes.NewReader(sp.Scenario))
+	if err != nil {
+		return nil, "", kindRun, fmt.Sprintf("build: %v", err)
 	}
 	run := func(validate bool) (*mptcpsim.Result, error) {
-		nw, err := mptcpsim.LoadNetwork(bytes.NewReader(sp.Scenario))
-		if err != nil {
-			return nil, fmt.Errorf("build: %w", err)
-		}
-		o := opts
-		o.ValidateInvariants = validate
-		o.Telemetry = telemetryOn && validate
-		return mptcpsim.Run(nw, o)
+		return mptcpsim.Run(nw, mptcpsim.Options{
+			CC: sp.CC, Scheduler: sp.Scheduler, SubflowPaths: sp.Order,
+			Seed: sp.RunSeed, Duration: sp.Duration, QueueScale: sp.QueueScale,
+			EventLimit:         runEventLimit,
+			ValidateInvariants: validate,
+			Telemetry:          telemetryOn && validate,
+		})
 	}
 	checked, err := run(true)
 	if err != nil {

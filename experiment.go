@@ -2,12 +2,14 @@ package mptcpsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"mptcpsim/internal/capture"
 	"mptcpsim/internal/cc"
 	"mptcpsim/internal/check"
+	"mptcpsim/internal/dynamics"
 	"mptcpsim/internal/lp"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
@@ -24,16 +26,9 @@ import (
 
 // ResetBaselineCache drops the memoised LP/max-min/proportional-fair
 // baselines. The cache is keyed by topology (and, for dynamic runs, by
-// capacity epoch) and LRU-bounded at lp.DefaultBaselineCacheCap entries,
-// so resetting is rarely necessary; it exists for embedders that want a
-// cold start between batches.
+// capacity epoch) and LRU-bounded, so resetting is rarely necessary; it
+// exists for embedders that want a cold start between batches.
 func ResetBaselineCache() { lp.ResetBaselineCache() }
-
-// SetBaselineCacheCap changes the baseline cache bound (entries; n <= 0
-// restores the default). Dynamic-event sweeps create one cache entry per
-// distinct capacity epoch per topology — raise the cap if such a sweep
-// thrashes, lower it to shrink a memory-constrained embedder.
-func SetBaselineCacheCap(n int) { lp.SetBaselineCacheCap(n) }
 
 // RunPaper executes the paper's experiment on the Fig. 1a network with
 // Path 2 as the default subflow (unless opts.SubflowPaths overrides it).
@@ -45,71 +40,63 @@ func RunPaper(opts Options) (*Result, error) {
 }
 
 // Run executes one experiment on the given network and returns the
-// measured series, the analytic baselines and the run summary.
+// measured series, the analytic baselines and the run summary. Run never
+// modifies nw: one Network may serve any number of runs, concurrent ones
+// included, and every run finds it as the first one did.
 func Run(nw *Network, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := opts.checkBins(); err != nil {
 		return nil, err
 	}
+	pre, err := prepare(nw, opts.Duration, opts.SampleInterval)
+	if err != nil {
+		return nil, err
+	}
+	return pre.simulate(opts)
+}
+
+// prepared is the half of a run that depends only on the network and on
+// the run's duration and bin width: the validated network and timeline and
+// the optima its measurements are compared to. Nothing writes to it once
+// built, so a sweep prepares each grid cell once for all of the cell's runs.
+type prepared struct {
+	nw *Network
+	tl *dynamics.Timeline // nil for a static network
+	// The baselines of the topology as declared and of each capacity epoch
+	// that starts inside the run, and the optimum the gap is measured against.
+	base        *lp.Baselines
+	epochStarts []time.Duration
+	epochBase   []*lp.Baselines
+	target      float64
+}
+
+// prepare validates the network and its timeline — exhaustively, before
+// any simulation work — and fetches the analytic baselines, memoised
+// process-wide per capacity structure (the solves depend on nothing else).
+func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 	if err := nw.validate(); err != nil {
 		return nil, err
 	}
-	order := opts.SubflowPaths
-	if len(order) == 0 {
-		order = make([]int, nw.NumPaths())
-		for i := range order {
-			order[i] = i + 1
-		}
-	}
-	seen := make(map[int]bool, len(order))
-	for _, p := range order {
-		if p < 1 || p > nw.NumPaths() {
-			return nil, fmt.Errorf("mptcpsim: SubflowPaths references path %d of %d", p, nw.NumPaths())
-		}
-		// A repeated path would open two subflows with the same tag and
-		// corrupt the greedy baseline.
-		if seen[p] {
-			return nil, fmt.Errorf("mptcpsim: SubflowPaths lists path %d twice", p)
-		}
-		seen[p] = true
-	}
-
-	// The dynamic-event timeline (nil for static networks). Validation is
-	// exhaustive and happens before any simulation work.
 	tl, err := nw.timeline()
 	if err != nil {
 		return nil, err
 	}
-
-	// Analytic baselines, memoised per topology: a sweep re-runs the same
-	// network under many option combinations, and the LP / max-min /
-	// proportional-fair solves depend only on the capacity structure.
-	res := &Result{}
 	base, err := lp.CachedBaselines(nw.graph, nw.paths)
 	if err != nil {
 		return nil, fmt.Errorf("mptcpsim: LP: %w", err)
 	}
-	res.Optimum = Allocation{PerPath: base.Solution.X, Total: base.Solution.Objective}
-	res.Problem = base.ProblemString
-	res.MaxMin = base.MaxMin
-	res.PropFair = base.PropFair
-	zeroBased := make([]int, len(order))
-	for i, p := range order {
-		zeroBased[i] = p - 1
-	}
-	res.Greedy = lp.GreedySequential(nw.graph, nw.paths, zeroBased)
-
-	// Piecewise baselines: one LP per capacity epoch (each cached). For a
-	// static network this is exactly one epoch sharing the cache slot of
-	// the baseline solve above.
-	epochStarts := tl.EpochStarts(opts.Duration)
+	// Piecewise baselines: one LP per capacity epoch. An epoch no capacity
+	// event has touched yet (a static network's only one) is base itself.
+	epochStarts := tl.EpochStarts(duration)
 	epochBase := make([]*lp.Baselines, len(epochStarts))
 	for i, st := range epochStarts {
-		eb, err := lp.CachedBaselinesCaps(nw.graph, nw.paths, tl.CapsAt(st, nw.graph))
-		if err != nil {
-			return nil, fmt.Errorf("mptcpsim: epoch LP at %v: %w", st, err)
+		epochBase[i] = base
+		if caps := tl.CapsAt(st, nw.graph); caps != nil {
+			epochBase[i], err = lp.CachedBaselinesCaps(nw.graph, nw.paths, caps)
+			if err != nil {
+				return nil, fmt.Errorf("mptcpsim: epoch LP at %v: %w", st, err)
+			}
 		}
-		epochBase[i] = eb
 	}
 	// The optimality target: the epoch optimum, time-weighted over the
 	// measurement window (the run minus the slow-start transient). For a
@@ -120,7 +107,7 @@ func Run(nw *Network, opts Options) (*Result, error) {
 	// the gap invariant (measured ≤ target + drain) is meaningful.
 	target := epochBase[0].Solution.Objective
 	if len(epochStarts) > 1 {
-		measureFrom, horizon := stats.MeasureWindow(opts.Duration, opts.SampleInterval)
+		measureFrom, horizon := stats.MeasureWindow(duration, bin)
 		var acc float64
 		for i, st := range epochStarts {
 			en := horizon
@@ -138,34 +125,42 @@ func Run(nw *Network, opts Options) (*Result, error) {
 			target = acc / float64(horizon-measureFrom)
 		}
 	}
+	return &prepared{nw, tl, base, epochStarts, epochBase, target}, nil
+}
 
-	// Scale queues in place for this run, restoring the original values
-	// afterwards so a Network can be reused across runs with different
-	// options (including explicit SetQueue settings).
-	g := nw.graph
-	if opts.QueueScale != 1 {
-		orig := make([]unit.ByteSize, g.NumLinks())
-		for i, l := range g.Links() {
-			orig[i] = l.Queue
-			q := l.Queue
-			if q <= 0 {
-				q = l.Rate.Bytes(netem.DefaultQueueTime)
-				if q < netem.MinQueue {
-					q = netem.MinQueue
-				}
-			}
-			l.Queue = unit.ByteSize(float64(q) * opts.QueueScale)
-			if l.Queue < 2*1500 {
-				l.Queue = 2 * 1500
-			}
-			g.Links()[i] = l
+// simulate is the other half: the packet simulation of one option set
+// (defaults filled; the duration and bin width pre was prepared for). The
+// baselines in the Result are copies the caller owns.
+func (pre *prepared) simulate(opts Options) (*Result, error) {
+	nw, tl, g, base := pre.nw, pre.tl, pre.nw.graph, pre.base
+	epochStarts, epochBase, target := pre.epochStarts, pre.epochBase, pre.target
+	order := opts.SubflowPaths
+	if len(order) == 0 {
+		order = make([]int, nw.NumPaths())
+		for i := range order {
+			order[i] = i + 1
 		}
-		defer func() {
-			for i, l := range g.Links() {
-				l.Queue = orig[i]
-				g.Links()[i] = l
-			}
-		}()
+	}
+	zeroBased := make([]int, len(order))
+	seen := make(map[int]bool, len(order))
+	for i, p := range order {
+		if p < 1 || p > nw.NumPaths() {
+			return nil, fmt.Errorf("mptcpsim: SubflowPaths references path %d of %d", p, nw.NumPaths())
+		}
+		// A repeated path would open two subflows with the same tag and
+		// corrupt the greedy baseline.
+		if seen[p] {
+			return nil, fmt.Errorf("mptcpsim: SubflowPaths lists path %d twice", p)
+		}
+		seen[p] = true
+		zeroBased[i] = p - 1
+	}
+	res := &Result{
+		Optimum:  Allocation{PerPath: slices.Clone(base.Solution.X), Total: base.Solution.Objective},
+		Problem:  base.ProblemString,
+		MaxMin:   slices.Clone(base.MaxMin),
+		PropFair: slices.Clone(base.PropFair),
+		Greedy:   lp.GreedySequential(g, nw.paths, zeroBased),
 	}
 
 	// Engine.
@@ -178,6 +173,12 @@ func Run(nw *Network, opts Options) (*Result, error) {
 	net, err := netem.New(loop, g, table)
 	if err != nil {
 		return nil, err
+	}
+	// Queues scale on the run's own links, from the capacity netem gave each.
+	if opts.QueueScale != 1 {
+		for _, l := range net.Links() {
+			l.SetQueueCap(max(unit.ByteSize(float64(l.QueueCap())*opts.QueueScale), 2*1500))
+		}
 	}
 	// The invariant oracle attaches first so it observes every packet of
 	// the run. It only watches tap points — it schedules nothing and
@@ -220,17 +221,20 @@ func Run(nw *Network, opts Options) (*Result, error) {
 	sender := tcp.NewHost(net, nw.src, rng.Fork())
 	receiver := tcp.NewHost(net, nw.dst, rng.Fork())
 
-	// Install forward and reverse tag routes for every path.
-	for i, p := range nw.paths {
-		tag := packet.Tag(i + 1)
+	// install pins a tag to path p towards the receiver and to p's reverse
+	// towards the sender.
+	install := func(tag packet.Tag, p topo.Path) error {
 		if err := table.AddPath(receiver.Addr, tag, p); err != nil {
-			return nil, err
+			return err
 		}
 		rev, err := topo.ReversePath(g, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := table.AddPath(sender.Addr, tag, rev); err != nil {
+		return table.AddPath(sender.Addr, tag, rev)
+	}
+	for i, p := range nw.paths {
+		if err := install(packet.Tag(i+1), p); err != nil {
 			return nil, err
 		}
 	}
@@ -269,15 +273,7 @@ func Run(nw *Network, opts Options) (*Result, error) {
 				return nil, fmt.Errorf("mptcpsim: CrossTCP references path %d of %d", pnum, nw.NumPaths())
 			}
 			tag := packet.Tag(crossTagBase + i)
-			p := nw.paths[pnum-1]
-			if err := table.AddPath(receiver.Addr, tag, p); err != nil {
-				return nil, err
-			}
-			rev, err := topo.ReversePath(g, p)
-			if err != nil {
-				return nil, err
-			}
-			if err := table.AddPath(sender.Addr, tag, rev); err != nil {
+			if err := install(tag, nw.paths[pnum-1]); err != nil {
 				return nil, err
 			}
 			algo, err := cc.New(crossCC)
@@ -381,7 +377,7 @@ func Run(nw *Network, opts Options) (*Result, error) {
 			Start: st,
 			End:   en,
 			Optimum: Allocation{
-				PerPath: epochBase[i].Solution.X,
+				PerPath: slices.Clone(epochBase[i].Solution.X),
 				Total:   epochBase[i].Solution.Objective,
 			},
 			TotalMean:   es.TotalMean,
@@ -434,11 +430,7 @@ func Run(nw *Network, opts Options) (*Result, error) {
 	res.Drops = make(map[string]uint64)
 	res.Utilisation = make(map[string]float64)
 	for _, l := range net.Links() {
-		var d uint64
-		for _, v := range l.Counters.Drops {
-			d += v
-		}
-		if d > 0 {
+		if d := l.Counters.DropTotal(); d > 0 {
 			res.Drops[l.Name()] += d
 		}
 		if u := l.Utilisation(); u >= 0.05 {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"mptcpsim/internal/cc"
@@ -293,7 +294,16 @@ type RunSpec struct {
 	// seed and queue scale filled from the grid axes).
 	Options Options
 
+	cell *cell
+}
+
+// cell is what the runs of one (scenario, perturbation, event set) grid
+// cell share: the resolved scenario (what specsDigest digests) and the
+// preparation of the network Expand built to validate it, made by the first
+// run that asks: a cell none of whose runs execute here solves no LP.
+type cell struct {
 	scenario *ScenarioFile
+	prepared func() (*prepared, error)
 }
 
 // Expand resolves defaults and produces the deterministic run list: the
@@ -500,12 +510,9 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	}
 	// Duration and bin width are the same for every run: one structural
 	// error here, not N per-run failures.
-	if err := base.withDefaults().checkBins(); err != nil {
+	eff := base.withDefaults()
+	if err := eff.checkBins(); err != nil {
 		return nil, err
-	}
-	baseQueueScale := base.QueueScale
-	if baseQueueScale <= 0 {
-		baseQueueScale = 1
 	}
 
 	var specs []RunSpec
@@ -525,7 +532,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 			if err != nil {
 				return nil, err
 			}
-			qs := baseQueueScale
+			qs := eff.QueueScale
 			if pert.QueueScale > 0 {
 				qs *= pert.QueueScale
 			}
@@ -540,10 +547,14 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 				// time: Build validates every event (times, targets,
 				// parameters, down/up pairing) against the final perturbed
 				// links.
-				if _, err := withEvents.Build(); err != nil {
+				nw, err := withEvents.Build()
+				if err != nil {
 					return nil, fmt.Errorf("mptcpsim: scenario %q / perturbation %q / events %q: %w",
 						sc.name, pname, ename, err)
 				}
+				c := &cell{withEvents, sync.OnceValues(func() (*prepared, error) {
+					return prepare(nw, eff.Duration, eff.SampleInterval)
+				})}
 				for _, ccName := range ccs {
 					for _, sched := range scheds {
 						for _, order := range orders {
@@ -560,7 +571,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 									Perturbation: pname,
 									Events:       ename,
 									Options:      opts,
-									scenario:     withEvents,
+									cell:         c,
 								})
 							}
 						}

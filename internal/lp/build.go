@@ -187,18 +187,19 @@ func MaxMinCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 // sum of log rates) by dual gradient descent on the link prices. It is the
 // equilibrium an idealised fluid model of coupled AIMD flows with equal
 // RTTs approaches, a useful reference for where LIA-style coupling lands.
-func PropFair(g *topo.Graph, paths []topo.Path, iters int) []float64 {
-	return PropFairCaps(g, paths, nil, iters)
+func PropFair(g *topo.Graph, paths []topo.Path) []float64 {
+	return PropFairCaps(g, paths, nil)
 }
+
+// propFairSweeps bounds the descent of a problem whose prices end in a
+// cycle a few ulps wide; the others stop at their fixed point long before.
+const propFairSweeps = 200000
 
 // PropFairCaps is PropFair with capacity overrides (one epoch of a
 // dynamic run). Paths crossing a down link are pinned at zero and their
 // links excluded from the price dynamics — log(0) utility is outside the
 // model, so an outage simply removes the path from the market.
-func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps, iters int) []float64 {
-	if iters <= 0 {
-		iters = 200000
-	}
+func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 	n := len(paths)
 	x := make([]float64, n)
 	blocked := make([]bool, n)
@@ -222,7 +223,7 @@ func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps, iters int) []floa
 		return x
 	}
 	// Densify the link state into compact arrays before iterating: the
-	// descent runs hundreds of thousands of sweeps, and map access in the
+	// descent runs tens of thousands of sweeps, and map access in the
 	// inner loops dominates the solve. The numbers are bit-identical to
 	// the map-based version — per-path price sums keep the path's link
 	// order, per-link load sums keep PathsByLink's user order, and the
@@ -255,7 +256,11 @@ func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps, iters int) []floa
 		pathLinks[i] = pl
 	}
 	xl := make([]float64, len(live))
-	for it := 0; it < iters; it++ {
+	// A sweep is a function of the prices alone, so one that leaves every
+	// price bit for bit where it was is the fixed point: each further sweep
+	// would recompute the same xl and the same prices.
+	for it, moved := 0, true; moved && it < propFairSweeps; it++ {
+		moved = false
 		// Primal: x_i = 1 / (sum of prices along the path).
 		for i, pl := range pathLinks {
 			var sum float64
@@ -274,10 +279,13 @@ func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps, iters int) []floa
 			for _, pi := range us {
 				load += xl[pi]
 			}
+			was := price[li]
 			price[li] += step * (load - capv[li]) / capv[li]
 			if price[li] < 1e-9 {
 				price[li] = 1e-9
 			}
+			// Positive prices, and a NaN never equals itself: != compares bits.
+			moved = moved || price[li] != was
 		}
 	}
 	for i, v := range xl {

@@ -32,11 +32,11 @@ type baselineEntry struct {
 	elem *list.Element
 }
 
-// DefaultBaselineCacheCap bounds the baseline cache. Dynamic-event
-// timelines multiply distinct cache keys (one per capacity epoch per
-// topology), so the cache is LRU-bounded instead of growing without limit
-// for the lifetime of the process.
-const DefaultBaselineCacheCap = 512
+// baselineCacheCap bounds the baseline cache. Dynamic-event timelines
+// multiply distinct cache keys (one per capacity epoch per topology), so
+// the cache is LRU-bounded instead of growing without limit for the
+// lifetime of the process.
+const baselineCacheCap = 512
 
 // baselineCache memoises Baselines by the canonical problem rendering,
 // bounded by an LRU policy. A parameter sweep runs the same topology under
@@ -50,7 +50,7 @@ var baselineCache = struct {
 	// lru orders keys by recency, oldest at the front.
 	lru *list.List
 	cap int
-}{m: make(map[string]*baselineEntry), lru: list.New(), cap: DefaultBaselineCacheCap}
+}{m: make(map[string]*baselineEntry), lru: list.New(), cap: baselineCacheCap}
 
 // evictOldestLocked removes the least recently used entry. The caller
 // holds the cache lock. In-flight holders keep their entry pointer; only
@@ -122,7 +122,7 @@ func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baseline
 			ProblemString: key,
 			Solution:      sol,
 			MaxMin:        MaxMinCaps(g, paths, caps),
-			PropFair:      PropFairCaps(g, paths, caps, 0),
+			PropFair:      PropFairCaps(g, paths, caps),
 		}
 	})
 	if e.err != nil {
@@ -147,21 +147,6 @@ func BaselineCacheSize() int {
 	baselineCache.Lock()
 	defer baselineCache.Unlock()
 	return len(baselineCache.m)
-}
-
-// SetBaselineCacheCap changes the cache bound (n <= 0 restores the
-// default), evicting oldest entries immediately if the cache is over the
-// new bound. Exposed mainly for tests and embedders with unusual sweep
-// shapes.
-func SetBaselineCacheCap(n int) {
-	if n <= 0 {
-		n = DefaultBaselineCacheCap
-	}
-	baselineCache.Lock()
-	defer baselineCache.Unlock()
-	baselineCache.cap = n
-	for len(baselineCache.m) > baselineCache.cap && evictOldestLocked() {
-	}
 }
 
 // ResetBaselineCache drops every cached entry (exposed to embedders as

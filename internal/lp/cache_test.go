@@ -156,9 +156,11 @@ func TestCachedBaselinesCapsEpoch(t *testing.T) {
 
 func TestBaselineCacheBounded(t *testing.T) {
 	ResetBaselineCache()
-	SetBaselineCacheCap(4)
-	defer SetBaselineCacheCap(0)
-	defer ResetBaselineCache()
+	baselineCache.cap = 4
+	defer func() {
+		baselineCache.cap = baselineCacheCap
+		ResetBaselineCache()
+	}()
 
 	pn := topo.Paper()
 	lid := pn.Paths[0].Links[0]

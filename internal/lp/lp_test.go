@@ -214,7 +214,7 @@ func TestMaxMinPaperNet(t *testing.T) {
 
 func TestPropFairPaperNet(t *testing.T) {
 	pn := topo.Paper()
-	x := PropFair(pn.Graph, pn.Paths, 300000)
+	x := PropFair(pn.Graph, pn.Paths)
 	// Analytic proportional-fair point: x2 = (200-sqrt(11200))/6 ~ 15.695,
 	// x1 = 40-x2, x3 = 60-x2 (all three bottlenecks tight).
 	x2 := (200 - math.Sqrt(11200)) / 6

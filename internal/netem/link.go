@@ -161,6 +161,9 @@ func (l *Link) Name() string { return l.name }
 // QueueCap returns the queue capacity in force (after defaulting).
 func (l *Link) QueueCap() unit.ByteSize { return l.capBytes }
 
+// SetQueueCap replaces the queue capacity. Packets already queued stay.
+func (l *Link) SetQueueCap(c unit.ByteSize) { l.capBytes = c }
+
 // SetAQM replaces the admission policy (default DropTail).
 func (l *Link) SetAQM(a AQM) { l.aqm = a }
 

@@ -93,7 +93,8 @@ type Options struct {
 	TransferBytes int
 	// QueueScale multiplies every link's buffer (1.0 default) — the
 	// paper's shake-down depends on drop timing, so this is the main
-	// ablation knob.
+	// ablation knob. The scale is applied to the run's own emulated links
+	// (floor: two full-size packets), never to the Network.
 	QueueScale float64
 	// DisableSACK degrades loss recovery to classic NewReno.
 	DisableSACK bool

@@ -3,7 +3,9 @@ package mptcpsim
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -580,5 +582,75 @@ func TestQueueScaleRestoresLinkQueues(t *testing.T) {
 	}
 	if !autoSeen {
 		t.Fatal("test lost its auto-sized links")
+	}
+}
+
+// TestRunSharesNetwork: Run writes nothing reachable from its Network, so
+// one Network serves concurrent runs — across congestion controls, seeds
+// and queue scales, on a topology with an explicit queue, a lossy link and
+// a capacity/outage timeline — each hashing like the same run on a network
+// of its own, and the network exports the same scenario afterwards.
+func TestRunSharesNetwork(t *testing.T) {
+	build := func() *Network {
+		sf := PaperScenario()
+		sf.Links[0].QueueBytes = 48 * 1024
+		sf.Links[5].Loss = 0.002
+		sf.Events = []ScenarioEvent{
+			{AtMs: 80, Type: EventSetRate, A: "v2", B: "v3", Mbps: 40},
+			{AtMs: 120, Type: EventLinkDown, A: "s", B: "v1"},
+			{AtMs: 160, Type: EventLinkUp, A: "s", B: "v1"},
+			{AtMs: 200, Type: EventLossBurst, A: "v3", B: "v4", Loss: 0.1, DurationMs: 20},
+		}
+		nw, err := sf.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	var all []Options
+	for _, cc := range []string{"cubic", "olia", "wvegas"} {
+		for _, seed := range []int64{1, 2} {
+			for _, qs := range []float64{0.25, 1, 3} {
+				all = append(all, Options{CC: cc, Seed: seed, QueueScale: qs,
+					Duration: 300 * time.Millisecond, ValidateInvariants: seed == 2})
+			}
+		}
+	}
+	shared := build()
+	before, err := shared.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashes := make([]string, len(all))
+	var wg sync.WaitGroup
+	for i, opts := range all {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := Run(shared, opts)
+			if err != nil {
+				t.Errorf("shared run %d: %v", i, err)
+				return
+			}
+			hashes[i] = res.Hash()
+		}()
+	}
+	wg.Wait()
+	after, err := shared.Scenario()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("Run modified its network:\nbefore %+v\nafter  %+v", before, after)
+	}
+	for i, opts := range all {
+		res, err := Run(build(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := res.Hash(); h != hashes[i] {
+			t.Fatalf("run %d (%s seed %d queue x%v): shared network hashed %.12s, a fresh one %.12s",
+				i, opts.CC, opts.Seed, opts.QueueScale, hashes[i], h)
+		}
 	}
 }

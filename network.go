@@ -11,7 +11,8 @@ import (
 
 // Network is the public topology builder: named nodes, duplex links with
 // Mbps capacities, and numbered source→destination paths that MPTCP
-// subflows are pinned to by tag.
+// subflows are pinned to by tag. Only its builder methods modify it; Run
+// never does, so one built Network may serve concurrent runs.
 type Network struct {
 	graph *topo.Graph
 	paths []topo.Path

@@ -241,7 +241,7 @@ func specsDigest(specs []RunSpec) string {
 			Events       string        `json:"events"`
 			Options      Options       `json:"options"`
 			Topology     *ScenarioFile `json:"topology"`
-		}{sp.Index, sp.Scenario, sp.Perturbation, sp.Events, sp.Options, sp.scenario}
+		}{sp.Index, sp.Scenario, sp.Perturbation, sp.Events, sp.Options, sp.cell.scenario}
 		// Encoding plain option/topology data to a hash cannot fail.
 		if err := enc.Encode(rec); err != nil {
 			panic(fmt.Sprintf("mptcpsim: spec digest: %v", err))

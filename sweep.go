@@ -244,8 +244,8 @@ func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 	return sinkErr
 }
 
-// runSpec executes one grid point on a freshly built network (Run mutates
-// link state in place, so concurrent runs must not share a Network).
+// runSpec executes one grid point: the cell's one preparation, shared with
+// the cell's other runs wherever they execute, then this run's simulation.
 func runSpec(spec RunSpec) (RunSummary, *Result) {
 	// Label the summary with the effective options so defaults stay
 	// single-sourced in withDefaults, and with canonical spellings so two
@@ -261,12 +261,11 @@ func runSpec(spec RunSpec) (RunSummary, *Result) {
 		Order:        spec.Options.SubflowPaths,
 		Seed:         eff.Seed,
 	}
-	nw, err := spec.scenario.Build()
-	if err != nil {
-		summary.Err = err.Error()
-		return summary, nil
+	var r *Result
+	pre, err := spec.cell.prepared()
+	if err == nil {
+		r, err = pre.simulate(eff)
 	}
-	r, err := Run(nw, spec.Options)
 	if err != nil {
 		summary.Err = err.Error()
 		// With telemetry on, a mid-run abort still yields a partial

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"encoding/csv"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"mptcpsim/internal/lp"
 )
 
 func TestGridExpandOrder(t *testing.T) {
@@ -608,10 +612,10 @@ func TestGridEventTargetsValidatedAgainstPerturbedLinks(t *testing.T) {
 		t.Fatalf("expanded %d specs, want 2", len(specs))
 	}
 	// The perturbation's loss survives in the event-carrying scenario.
-	if specs[1].scenario.Links[0].Loss == 0 {
+	if specs[1].cell.scenario.Links[0].Loss == 0 {
 		t.Fatal("perturbation dropped by event-set application")
 	}
-	if len(specs[1].scenario.Events) != 2 {
+	if len(specs[1].cell.scenario.Events) != 2 {
 		t.Fatal("events dropped by perturbation application")
 	}
 }
@@ -675,5 +679,91 @@ func TestSweepDeterminismWithEvents(t *testing.T) {
 		if got := 1 - run.TotalMbps/run.TargetMbps; math.Abs(got-run.Gap) > 1e-9 {
 			t.Fatalf("gap %v does not reconcile with total/target (%v)", run.Gap, got)
 		}
+	}
+}
+
+// TestSweepPreparesEachCellOnce: the 24 runs of one grid cell share one
+// cell value, and sweeping them — from a cold cache, across 8 workers, in
+// shuffled order — fetches the cell's baselines once (the cache ends up
+// holding exactly the cell's distinct epoch problems) and produces a
+// SweepResult byte-identical to the in-order single-worker sweep.
+func TestSweepPreparesEachCellOnce(t *testing.T) {
+	grid := &Grid{
+		CCs:    []string{"cubic", "reno", "lia", "olia", "balia", "wvegas"},
+		Orders: [][]int{{2, 1, 3}, {1, 2, 3}},
+		Seeds:  []int64{1, 2},
+		Events: []EventSet{{Name: "renegotiate", Events: []ScenarioEvent{
+			{AtMs: 100, Type: EventSetRate, A: "v2", B: "v3", Mbps: 40},
+			// Past the run's end: opens no epoch, so it must solve nothing.
+			{AtMs: 900, Type: EventSetRate, A: "v2", B: "v3", Mbps: 20},
+		}}},
+		DurationMs: 200,
+	}
+	want, err := (&Sweep{Workers: 1}).Run(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := grid.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) != 24 {
+		t.Fatalf("expanded %d specs, want 24", len(specs))
+	}
+	for _, sp := range specs {
+		if sp.cell == nil || sp.cell != specs[0].cell {
+			t.Fatalf("run %d does not share the cell's value", sp.Index)
+		}
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
+	ResetBaselineCache()
+	mem := &MemorySink{}
+	if err := (&Sweep{Workers: 8}).execute(specs, mem); err != nil {
+		t.Fatal(err)
+	}
+	// The declared topology and the epoch after the renegotiation.
+	if n := lp.BaselineCacheSize(); n != 2 {
+		t.Fatalf("cache holds %d problems after one cell, want its 2 epochs", n)
+	}
+	var a, b bytes.Buffer
+	if err := want.WriteJSON(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.Result().WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("shuffled 8-worker sweep differs from the in-order 1-worker one:\n%s\n---\n%s", a.String(), b.String())
+	}
+	if want.Errs() != 0 {
+		t.Fatalf("%d runs failed", want.Errs())
+	}
+}
+
+// TestSweepRecordsPrepareErrors: a cell whose preparation fails fails each
+// of its runs the way a Run error does, and the sweep carries on.
+func TestSweepRecordsPrepareErrors(t *testing.T) {
+	specs, err := (&Grid{Seeds: []int64{1, 2, 3, 4}, DurationMs: 100}).Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Expand only hands out cells it has built, so break one by hand: a
+	// network that declares no endpoints.
+	bad := &cell{prepared: sync.OnceValues(func() (*prepared, error) {
+		return prepare(NewNetwork(), 100*time.Millisecond, DefaultSampleInterval)
+	})}
+	specs[1].cell, specs[2].cell = bad, bad
+	mem := &MemorySink{}
+	if err := (&Sweep{Workers: 4}).execute(specs, mem); err != nil {
+		t.Fatal(err)
+	}
+	res := mem.Result()
+	for i, run := range res.Runs {
+		if broken := i == 1 || i == 2; broken != (run.Err != "") {
+			t.Fatalf("run %d: err = %q", i, run.Err)
+		}
+	}
+	if res.Runs[1].Err != res.Runs[2].Err || !strings.Contains(res.Runs[1].Err, "Endpoints") {
+		t.Fatalf("prepare errors = %q, %q", res.Runs[1].Err, res.Runs[2].Err)
 	}
 }
