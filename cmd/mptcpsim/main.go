@@ -23,7 +23,7 @@ import (
 
 func main() {
 	var (
-		cc       = flag.String("cc", "cubic", "congestion control: cubic, reno, lia, olia, balia")
+		cc       = flag.String("cc", "cubic", "congestion control: cubic, reno, lia, olia, balia, wvegas")
 		sched    = flag.String("scheduler", "minrtt", "scheduler: minrtt, roundrobin, redundant")
 		duration = flag.Duration("duration", 4*time.Second, "traffic duration")
 		bin      = flag.Duration("bin", 100*time.Millisecond, "capture bin width (paper: 100ms or 10ms)")

@@ -2,8 +2,8 @@ package mptcpsim
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"time"
 
 	"mptcpsim/internal/capture"
@@ -199,12 +199,7 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	// Sorted iteration: ranging over the map directly would hand out
 	// rng.Fork() streams in random order, making runs with several lossy
 	// links irreproducible.
-	lossLinks := make([]topo.LinkID, 0, len(nw.loss))
-	for lid := range nw.loss {
-		lossLinks = append(lossLinks, lid)
-	}
-	sort.Slice(lossLinks, func(a, b int) bool { return lossLinks[a] < lossLinks[b] })
-	for _, lid := range lossLinks {
+	for _, lid := range slices.Sorted(maps.Keys(nw.loss)) {
 		net.Link(lid).SetLoss(nw.loss[lid], rng.Fork())
 	}
 
@@ -463,10 +458,12 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 				MaxQueueBytes: int(l.Counters.MaxQueue),
 				Utilisation:   l.Utilisation(),
 			}
-			if len(l.Counters.Drops) > 0 {
-				lc.Drops = make(map[string]uint64, len(l.Counters.Drops))
+			if l.Counters.DropTotal() > 0 {
+				lc.Drops = make(map[string]uint64)
 				for reason, n := range l.Counters.Drops {
-					lc.Drops[reason.String()] = n
+					if n > 0 {
+						lc.Drops[netem.DropReason(reason).String()] = n
+					}
 				}
 			}
 			snap.Links = append(snap.Links, lc)

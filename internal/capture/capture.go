@@ -44,9 +44,9 @@ type Sniffer struct {
 	// (goodput). The paper measures wire throughput at the receiver.
 	CountWire bool
 
-	// bins is indexed by tag (a byte), dense so the per-packet count is
-	// an array index, not a map probe.
-	bins    [256][]float64
+	// bins is indexed by tag and grown to the highest tag seen, so the
+	// per-packet count is a slice index.
+	bins    [][]float64
 	records []Record
 	total   uint64
 }
@@ -95,6 +95,9 @@ func (s *Sniffer) OnDrop(string, *packet.Packet, netem.DropReason) {}
 
 func (s *Sniffer) count(tag packet.Tag, size unit.ByteSize) {
 	idx := int(s.loop.Now().Duration() / s.step)
+	for len(s.bins) <= int(tag) {
+		s.bins = append(s.bins, nil)
+	}
 	b := s.bins[tag]
 	for len(b) <= idx {
 		b = append(b, 0)
@@ -114,7 +117,10 @@ func (s *Sniffer) Records() []Record { return s.records }
 func (s *Sniffer) Series(tag packet.Tag, name string, until time.Duration) *trace.Series {
 	nBins := int(until / s.step)
 	out := &trace.Series{Name: name, Step: s.step, V: make([]float64, nBins)}
-	b := s.bins[tag]
+	var b []float64
+	if int(tag) < len(s.bins) {
+		b = s.bins[tag]
+	}
 	scale := 8 / s.step.Seconds() / 1e6 // bytes/bin -> Mbps
 	for i := 0; i < nBins && i < len(b); i++ {
 		out.V[i] = b[i] * scale

@@ -64,8 +64,9 @@ func (w *Worker) Run(ctx context.Context, lease Lease) error {
 	return log.File.Close()
 }
 
-// deadlineSink poisons the stream once the lease context is done and —
-// crucially — suppresses the final Close flush in that case: a worker
+// deadlineSink fails the stream once the lease context is done — which
+// stops the shard's sweep at its next delivery, no further run starts —
+// and, crucially, suppresses the final Close flush in that case: a worker
 // whose lease expired must stop touching the log at once, because a
 // replacement may already be appending to it. Losing the buffered,
 // uncommitted records is exactly the crash semantics resume handles.

@@ -39,7 +39,7 @@ type SubflowSpec struct {
 // Config parameterises an MPTCP connection.
 type Config struct {
 	// Algorithm is the congestion-control name (cc registry): "cubic",
-	// "reno", "lia", "olia", "balia".
+	// "reno", "lia", "olia", "balia", "wvegas".
 	Algorithm string
 	// Scheduler selects the segment scheduler: "minrtt" (default),
 	// "roundrobin" (grants as minrtt does), "redundant".
@@ -109,8 +109,8 @@ type Subflow struct {
 	// retransmit queue within the same grant, before the next Next call
 	// overwrites it, so one buffer per subflow suffices.
 	dssBuf packet.DSS
-	// redundantCursor is this subflow's private DSN cursor under the
-	// redundant scheduler.
+	// redundantCursor is the end of this subflow's last mapping: its
+	// private DSN cursor under the redundant scheduler, not read otherwise.
 	redundantCursor uint64
 }
 
@@ -221,30 +221,31 @@ type sfSource struct {
 	sf *Subflow
 }
 
-// Next implements tcp.Source: it consults the scheduler for an allotment
-// and assigns the next DSN range to this subflow.
+// Next implements tcp.Source: it assigns the subflow its next DSN range.
+// Under the redundant scheduler a subflow behind the shared dsnNext
+// high-water mark duplicates bytes other subflows already carry; in every
+// other case (the leading redundant subflow included) it pulls fresh data
+// and advances the mark.
 func (s *sfSource) Next(max int) (int, *packet.DSS) {
-	c := s.sf.conn
-	if red, ok := c.sched.(*Redundant); ok {
-		n, dss := red.nextFor(s.sf, max)
-		if n > 0 {
-			s.sf.Picks++
+	sf, c := s.sf, s.sf.conn
+	dsn, n := c.dsnNext, max
+	if c.sched.redundant && sf.redundantCursor < c.dsnNext {
+		dsn = sf.redundantCursor
+		if behind := c.dsnNext - dsn; uint64(n) > behind {
+			n = int(behind)
 		}
-		return n, dss
+	} else {
+		n = c.source.NextData(n)
+		if n <= 0 {
+			return 0, nil
+		}
+		c.dsnNext += uint64(n)
 	}
-	n := c.sched.Grant(s.sf, max)
-	if n <= 0 {
-		return 0, nil
-	}
-	n = c.source.NextData(n)
-	if n <= 0 {
-		return 0, nil
-	}
-	s.sf.dssBuf = packet.DSS{HasMap: true, DSN: c.dsnNext, DataLen: uint16(n)}
-	c.dsnNext += uint64(n)
-	s.sf.assigned += uint64(n)
-	s.sf.Picks++
-	return n, &s.sf.dssBuf
+	sf.dssBuf = packet.DSS{HasMap: true, DSN: dsn, DataLen: uint16(n)}
+	sf.redundantCursor = dsn + uint64(n)
+	sf.assigned += uint64(n)
+	sf.Picks++
+	return n, &sf.dssBuf
 }
 
 // nopSink ignores reverse-direction data on sender-side subflows (the

@@ -80,11 +80,10 @@ func (r *paperRig) dial(t *testing.T, cfg Config) *Conn {
 
 func (r *paperRig) recvConn(t *testing.T) *RecvConn {
 	t.Helper()
-	for _, rc := range r.acc.Conns() {
-		return rc
+	if len(r.acc.Conns()) == 0 {
+		t.Fatal("no connection accepted")
 	}
-	t.Fatal("no connection accepted")
-	return nil
+	return r.acc.Conns()[0]
 }
 
 func TestTokenFromKeyDeterministic(t *testing.T) {
@@ -214,13 +213,24 @@ func TestRedundantSchedulerDuplicates(t *testing.T) {
 }
 
 func TestSchedulerRegistry(t *testing.T) {
-	for _, name := range []string{"", "minrtt", "roundrobin", "rr", "redundant"} {
-		if _, err := NewScheduler(name); err != nil {
+	for name, want := range map[string]string{
+		"": "minrtt", "minrtt": "minrtt", "default": "minrtt", "MinRTT": "minrtt",
+		"rr": "roundrobin", "roundrobin": "roundrobin", "RoundRobin": "roundrobin",
+		"redundant": "redundant", "REDUNDANT": "redundant",
+	} {
+		s, err := NewScheduler(name)
+		if err != nil {
 			t.Fatalf("NewScheduler(%q): %v", name, err)
 		}
+		if s.Name() != want {
+			t.Errorf("NewScheduler(%q).Name() = %q, want %q", name, s.Name(), want)
+		}
+		if s.redundant != (want == "redundant") {
+			t.Errorf("NewScheduler(%q) redundant = %v", name, s.redundant)
+		}
 	}
-	if _, err := NewScheduler("blast"); err == nil {
-		t.Fatal("unknown scheduler accepted")
+	if s, err := NewScheduler("blast"); err == nil {
+		t.Fatalf("unknown scheduler accepted as %q", s.Name())
 	}
 	if _, err := Dial(nil, nil, Config{}, 0, 0); err == nil {
 		t.Fatal("Dial with no subflows accepted")
@@ -328,12 +338,49 @@ func TestAcceptorSeparatesConnections(t *testing.T) {
 	if c1.Token == c2.Token {
 		t.Fatal("token collision between connections")
 	}
-	for tok, rc := range r.acc.Conns() {
+	// Connections are listed in arrival order under their senders' tokens.
+	for i, c := range []*Conn{c1, c2} {
+		rc := r.acc.Conns()[i]
+		if rc.Token != c.Token {
+			t.Fatalf("connection %d has token %#x, want %#x", i, rc.Token, c.Token)
+		}
 		if rc.subflows != 3 {
-			t.Fatalf("connection %d attached %d subflows, want 3", tok, rc.subflows)
+			t.Fatalf("connection %#x attached %d subflows, want 3", rc.Token, rc.subflows)
 		}
 		if rc.Delivered == 0 {
-			t.Fatalf("connection %d delivered nothing", tok)
+			t.Fatalf("connection %#x delivered nothing", rc.Token)
 		}
+	}
+}
+
+// The acceptor's table, driven directly with SYN options: MP_CAPABLE opens
+// a connection under its key's token, an MP_JOIN carrying that token
+// attaches to it, and a join with a token nobody opened gets its own.
+func TestAcceptorMatchByToken(t *testing.T) {
+	var opened []*RecvConn
+	a := &Acceptor{OnNewConn: func(rc *RecvConn) { opened = append(opened, rc) }}
+	const key = 0xfeedface
+	first := a.match([]packet.Option{&packet.MPCapable{Key: key}})
+	if first.Token != TokenFromKey(key) {
+		t.Fatalf("token %#x, want %#x", first.Token, TokenFromKey(key))
+	}
+	if got := a.match([]packet.Option{&packet.MPJoin{Token: first.Token, AddrID: 1}}); got != first {
+		t.Fatal("MP_JOIN with the first subflow's token opened another connection")
+	}
+	stray := a.match([]packet.Option{&packet.MPJoin{Token: first.Token + 1, AddrID: 1}})
+	if stray == first || stray.Token != first.Token+1 {
+		t.Fatalf("unknown token attached to %#x", stray.Token)
+	}
+	if got := a.match([]packet.Option{&packet.MPJoin{Token: first.Token, AddrID: 2}}); got != first {
+		t.Fatal("a later connection shadowed the first one's token")
+	}
+	if first.subflows != 3 || stray.subflows != 1 {
+		t.Fatalf("subflow counts %d and %d, want 3 and 1", first.subflows, stray.subflows)
+	}
+	if c := a.Conns(); len(c) != 2 || c[0] != first || c[1] != stray {
+		t.Fatalf("Conns() = %v, want the two connections in arrival order", c)
+	}
+	if len(opened) != 2 || opened[0] != first || opened[1] != stray {
+		t.Fatalf("OnNewConn fired for %v, want once per connection", opened)
 	}
 }

@@ -126,13 +126,14 @@ type Acceptor struct {
 	// OnNewConn is invoked when the first subflow of a connection arrives.
 	OnNewConn func(rc *RecvConn)
 
-	conns map[uint32]*RecvConn
+	// conns is scanned by token: a run opens one connection, a host a
+	// handful.
+	conns []*RecvConn
 }
 
 // Listen starts accepting MPTCP connections on h:port with the given
 // per-subflow TCP template (RcvBuf, delayed-ACK configuration).
 func Listen(h *tcp.Host, port packet.Port, tmpl tcp.Config, a *Acceptor) error {
-	a.conns = make(map[uint32]*RecvConn)
 	return h.Listen(port, &tcp.Listener{
 		ConfigFor: func(synOpts []packet.Option, from packet.Endpoint) tcp.Config {
 			rc := a.match(synOpts)
@@ -154,17 +155,19 @@ func (a *Acceptor) match(opts []packet.Option) *RecvConn {
 			token = v.Token
 		}
 	}
-	rc, ok := a.conns[token]
-	if !ok {
-		rc = &RecvConn{Token: token}
-		a.conns[token] = rc
-		if a.OnNewConn != nil {
-			a.OnNewConn(rc)
+	for _, rc := range a.conns {
+		if rc.Token == token {
+			rc.subflows++
+			return rc
 		}
 	}
-	rc.subflows++
+	rc := &RecvConn{Token: token, subflows: 1}
+	a.conns = append(a.conns, rc)
+	if a.OnNewConn != nil {
+		a.OnNewConn(rc)
+	}
 	return rc
 }
 
-// Conns returns the accepted connections keyed by token.
-func (a *Acceptor) Conns() map[uint32]*RecvConn { return a.conns }
+// Conns returns the accepted connections in arrival order.
+func (a *Acceptor) Conns() []*RecvConn { return a.conns }

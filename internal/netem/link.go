@@ -35,7 +35,8 @@ type LinkCounters struct {
 	// whatever its fate. Conservation holds at all times:
 	// Offered = TxPackets + dropped + queued + mid-serialisation.
 	Offered uint64
-	Drops   map[DropReason]uint64
+	// Drops is indexed by DropReason.
+	Drops [numDropReasons]uint64
 	// MaxQueue is the high-water mark of queued bytes.
 	MaxQueue unit.ByteSize
 	// Busy accumulates transmitter-active time, for utilisation.
@@ -121,7 +122,6 @@ func newLink(n *Network, spec topo.Link) *Link {
 		Spec:     spec,
 		capBytes: cap,
 		aqm:      DropTail{},
-		Counters: LinkCounters{Drops: make(map[DropReason]uint64)},
 	}
 	l.name = fmt.Sprintf("%s->%s", n.Graph.Node(spec.From).Name, n.Graph.Node(spec.To).Name)
 	l.txDone.l = l

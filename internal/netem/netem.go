@@ -16,6 +16,7 @@ package netem
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mptcpsim/internal/packet"
@@ -47,28 +48,25 @@ const (
 	// the queue was drained, a frame was cut mid-serialisation, or the
 	// packet arrived at a dead transmitter.
 	DropLinkDown
+	numDropReasons
 )
+
+var dropNames = [numDropReasons]string{
+	DropQueueFull: "queue-full",
+	DropAQM:       "aqm",
+	DropNoRoute:   "no-route",
+	DropTTL:       "ttl",
+	DropNoHandler: "no-handler",
+	DropRandom:    "random-loss",
+	DropLinkDown:  "link-down",
+}
 
 // String names the reason.
 func (r DropReason) String() string {
-	switch r {
-	case DropQueueFull:
-		return "queue-full"
-	case DropAQM:
-		return "aqm"
-	case DropNoRoute:
-		return "no-route"
-	case DropTTL:
-		return "ttl"
-	case DropNoHandler:
-		return "no-handler"
-	case DropRandom:
-		return "random-loss"
-	case DropLinkDown:
-		return "link-down"
-	default:
-		return fmt.Sprintf("drop(%d)", int(r))
+	if r >= 0 && r < numDropReasons {
+		return dropNames[r]
 	}
+	return fmt.Sprintf("drop(%d)", int(r))
 }
 
 // Tap observes packets at the engine's instrumentation points. Callbacks
@@ -127,13 +125,14 @@ type Network struct {
 	Graph  *topo.Graph
 	Router route.Router
 
-	nodes    []*Node
-	links    []*Link
-	addr2nod map[packet.Addr]topo.NodeID
-	nod2addr map[topo.NodeID]packet.Addr
-	// addrNodes mirrors addr2nod as a dense slice: addresses are handed
-	// out sequentially from the 10.0.0.0 base, so the per-hop owner
-	// lookup in receive is an index, not a map probe.
+	nodes []*Node
+	links []*Link
+	// nodeAddr[id] is node id's address (0: none assigned yet) and
+	// addrNodes[a-addrBase-1] the node owning address a. Addresses are
+	// handed out sequentially above addrBase and NodeIDs are dense, so
+	// both directions, the per-hop owner lookup in receive included, are
+	// an index.
+	nodeAddr  []packet.Addr
 	addrNodes []topo.NodeID
 	taps      []Tap
 	// sendTaps and arrivalTaps hold the subset of taps implementing the
@@ -144,7 +143,6 @@ type Network struct {
 	// reached the far node — the in-flight term of conservation audits.
 	propagating int
 	nextUID     uint64
-	nextIP      uint32
 
 	// arena recycles packets and their transport storage across the run.
 	// Packets drawn from it are returned at their terminal event: after
@@ -152,23 +150,19 @@ type Network struct {
 	arena packet.Arena
 }
 
+// addrBase (10.0.0.0) precedes the first address AssignAddr hands out.
+const addrBase packet.Addr = 10 << 24
+
 // New animates graph g with the given router on loop l.
 func New(l *sim.Loop, g *topo.Graph, r route.Router) (*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{
-		Loop:     l,
-		Graph:    g,
-		Router:   r,
-		addr2nod: make(map[packet.Addr]topo.NodeID),
-		nod2addr: make(map[topo.NodeID]packet.Addr),
-		nextIP:   uint32(packet.MakeAddr(10, 0, 0, 0)),
-	}
+	n := &Network{Loop: l, Graph: g, Router: r}
 	n.nodes = make([]*Node, g.NumNodes())
+	n.nodeAddr = make([]packet.Addr, g.NumNodes())
 	for _, nd := range g.Nodes() {
-		n.nodes[nd.ID] = &Node{net: n, ID: nd.ID, Name: nd.Name,
-			handlers: make(map[packet.Port]Handler)}
+		n.nodes[nd.ID] = &Node{net: n, ID: nd.ID, Name: nd.Name}
 	}
 	n.links = make([]*Link, g.NumLinks())
 	for _, spec := range g.Links() {
@@ -200,26 +194,23 @@ func (n *Network) Propagating() int { return n.propagating }
 // AssignAddr gives node an automatically allocated address (10.0.0.1, .2,
 // ...). Assigning twice returns the existing address.
 func (n *Network) AssignAddr(node topo.NodeID) packet.Addr {
-	if a, ok := n.nod2addr[node]; ok {
+	if a := n.nodeAddr[node]; a != 0 {
 		return a
 	}
-	n.nextIP++
-	a := packet.Addr(n.nextIP)
-	n.nod2addr[node] = a
-	n.addr2nod[a] = node
 	n.addrNodes = append(n.addrNodes, node)
-	return a
+	n.nodeAddr[node] = addrBase + packet.Addr(len(n.addrNodes))
+	return n.nodeAddr[node]
 }
 
 // AddrOf returns the address assigned to a node.
 func (n *Network) AddrOf(node topo.NodeID) (packet.Addr, bool) {
-	a, ok := n.nod2addr[node]
-	return a, ok
+	a := n.nodeAddr[node]
+	return a, a != 0
 }
 
 // NodeOf returns the node owning an address.
 func (n *Network) NodeOf(a packet.Addr) (topo.NodeID, bool) {
-	i := uint32(a) - uint32(packet.MakeAddr(10, 0, 0, 0)) - 1
+	i := uint32(a-addrBase) - 1
 	if i < uint32(len(n.addrNodes)) {
 		return n.addrNodes[i], true
 	}
@@ -282,7 +273,10 @@ type Node struct {
 	ID   topo.NodeID
 	Name string
 
-	handlers map[packet.Port]Handler
+	// ports[i] is bound to handlers[i]. A host binds a handful of ports,
+	// so demultiplexing scans ports linearly.
+	ports    []packet.Port
+	handlers []Handler
 
 	// Forwarded counts transit packets, Delivered local deliveries.
 	Forwarded, Delivered uint64
@@ -291,15 +285,21 @@ type Node struct {
 // Register binds a handler to a local destination port. It fails if the
 // port is taken.
 func (nd *Node) Register(port packet.Port, h Handler) error {
-	if _, dup := nd.handlers[port]; dup {
+	if slices.Contains(nd.ports, port) {
 		return fmt.Errorf("netem: node %s port %d already registered", nd.Name, port)
 	}
-	nd.handlers[port] = h
+	nd.ports = append(nd.ports, port)
+	nd.handlers = append(nd.handlers, h)
 	return nil
 }
 
 // Unregister releases a local port.
-func (nd *Node) Unregister(port packet.Port) { delete(nd.handlers, port) }
+func (nd *Node) Unregister(port packet.Port) {
+	if i := slices.Index(nd.ports, port); i >= 0 {
+		nd.ports = slices.Delete(nd.ports, i, i+1)
+		nd.handlers = slices.Delete(nd.handlers, i, i+1)
+	}
+}
 
 // Send originates pkt at this node: it stamps the packet's UID, timestamp
 // and TTL, then forwards it. Transport stacks call Send; forwarding between
@@ -344,14 +344,14 @@ func (nd *Node) deliver(pkt *packet.Packet) {
 	case pkt.UDP != nil:
 		port = pkt.UDP.DstPort
 	}
-	h, ok := nd.handlers[port]
-	if !ok {
+	i := slices.Index(nd.ports, port)
+	if i < 0 {
 		nd.net.tapDrop(nd.Name, pkt, DropNoHandler)
 		return
 	}
 	nd.Delivered++
 	nd.net.tapDeliver(nd, pkt)
-	h.Deliver(pkt)
+	nd.handlers[i].Deliver(pkt)
 	// The packet dies here: taps and the handler have run, and anything
 	// they keep is copied. Recycling after Deliver returns means packets
 	// the handler sends in response draw from other slots.

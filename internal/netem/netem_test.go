@@ -327,16 +327,77 @@ func TestTapOrderingAndTimestamps(t *testing.T) {
 }
 
 func TestPortCollisionRejected(t *testing.T) {
-	_, _, _, c, _, _ := lineNet(t, unit.Mbps, time.Millisecond, unit.MB)
-	if err := c.Register(9001, &sink{}); err != nil {
+	loop, net, a, c, aAddr, cAddr := lineNet(t, unit.Mbps, time.Millisecond, unit.MB)
+	rec := &recorder{loop: loop}
+	net.AttachTap(rec)
+	ports := []packet.Port{9001, 9002, 9003}
+	sinks := make([]*sink, len(ports))
+	for i, p := range ports {
+		sinks[i] = &sink{loop: loop}
+		if err := c.Register(p, sinks[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range ports {
+		if err := c.Register(p, &sink{}); err == nil {
+			t.Fatalf("duplicate Register of port %d accepted", p)
+		}
+	}
+	// Releasing the middle port leaves its neighbours bound to their own
+	// handlers.
+	c.Unregister(9002)
+	c.Unregister(9002)
+	loop.Schedule(0, func() {
+		for _, p := range ports {
+			pkt := dataPkt(aAddr, cAddr, 1, 100)
+			pkt.UDP.DstPort = p
+			a.Send(pkt)
+		}
+	})
+	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Register(9001, &sink{}); err == nil {
-		t.Fatal("duplicate Register accepted")
+	if len(sinks[0].pkts) != 1 || len(sinks[1].pkts) != 0 || len(sinks[2].pkts) != 1 {
+		t.Fatalf("deliveries per port = %d %d %d, want 1 0 1",
+			len(sinks[0].pkts), len(sinks[1].pkts), len(sinks[2].pkts))
 	}
-	c.Unregister(9001)
-	if err := c.Register(9001, &sink{}); err != nil {
+	if len(rec.drops) != 1 || rec.drops[0] != DropNoHandler {
+		t.Fatalf("drops = %v, want [no-handler] for the released port", rec.drops)
+	}
+	if err := c.Register(9002, &sink{}); err != nil {
 		t.Fatal("Register after Unregister failed")
+	}
+}
+
+func TestAddrNodeRoundTrip(t *testing.T) {
+	// lineNet assigned a then c, out of node order; b has no address yet.
+	_, net, a, c, aAddr, cAddr := lineNet(t, unit.Mbps, time.Millisecond, unit.MB)
+	const b = topo.NodeID(1)
+	if addr, ok := net.AddrOf(b); ok {
+		t.Fatalf("unassigned node has address %v", addr)
+	}
+	if aAddr != packet.MakeAddr(10, 0, 0, 1) || cAddr != packet.MakeAddr(10, 0, 0, 2) {
+		t.Fatalf("addresses %v, %v: want 10.0.0.1, 10.0.0.2 in assignment order", aAddr, cAddr)
+	}
+	if again := net.AssignAddr(a.ID); again != aAddr {
+		t.Fatalf("second AssignAddr gave %v, want %v", again, aAddr)
+	}
+	if bAddr := net.AssignAddr(b); bAddr != packet.MakeAddr(10, 0, 0, 3) {
+		t.Fatalf("third address %v, want 10.0.0.3", bAddr)
+	}
+	for _, id := range []topo.NodeID{a.ID, b, c.ID} {
+		addr, ok := net.AddrOf(id)
+		if !ok {
+			t.Fatalf("node %d has no address", id)
+		}
+		if owner, ok := net.NodeOf(addr); !ok || owner != id {
+			t.Fatalf("NodeOf(AddrOf(%d)) = %d, %v", id, owner, ok)
+		}
+	}
+	for _, stray := range []packet.Addr{0, packet.MakeAddr(10, 0, 0, 0), packet.MakeAddr(10, 0, 0, 4), packet.MakeAddr(9, 255, 255, 255)} {
+		if owner, ok := net.NodeOf(stray); ok {
+			t.Fatalf("NodeOf(%v) = %d, want no owner", stray, owner)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"mptcpsim/internal/cc"
@@ -349,10 +350,12 @@ func (c *Conn) Close() {
 	}
 	c.stopRTO()
 	c.delAckTimer.Stop()
-	key := connKey{c.local.Port, c.remote.Addr, c.remote.Port}
-	delete(c.host.conns, key)
-	if c.host.lastKey == key {
-		c.host.lastConn = nil
+	h := c.host
+	h.conns = slices.DeleteFunc(h.conns, func(e connEntry) bool { return e.c == c })
+	// A dialled connection owns its ephemeral port; an accepted one shares
+	// its listener's.
+	if h.listener(c.local.Port) == nil {
+		h.node.Unregister(c.local.Port)
 	}
 }
 

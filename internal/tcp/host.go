@@ -22,36 +22,33 @@ type Host struct {
 	// Addr is the host's network address.
 	Addr packet.Addr
 
-	conns     map[connKey]*Conn
-	listeners map[packet.Port]*Listener
+	// conns and listeners are scanned linearly: a host holds a handful
+	// of connections and a listener or two.
+	conns     []connEntry
+	listeners []*Listener
 	nextPort  packet.Port
-	// lastKey/lastConn cache the most recent demux hit: back-to-back
-	// packets overwhelmingly belong to the same connection, and the cache
-	// turns the per-packet map probe into two compares.
-	lastKey  connKey
-	lastConn *Conn
 }
 
-type connKey struct {
-	localPort  packet.Port
-	remoteAddr packet.Addr
-	remotePort packet.Port
+// connEntry keys a connection by its flow as seen from this host. The
+// key sits beside the pointer so the per-packet scan reads one short
+// array, not every Conn.
+type connEntry struct {
+	remote    packet.Endpoint
+	localPort packet.Port
+	c         *Conn
 }
 
 // NewHost attaches a TCP stack to the node, assigning it an address. The
 // rng seeds initial sequence numbers so runs stay reproducible.
 func NewHost(n *netem.Network, node topo.NodeID, rng *sim.Rand) *Host {
-	h := &Host{
-		net:       n,
-		node:      n.Node(node),
-		loop:      n.Loop,
-		rng:       rng,
-		Addr:      n.AssignAddr(node),
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[packet.Port]*Listener),
-		nextPort:  40000,
+	return &Host{
+		net:      n,
+		node:     n.Node(node),
+		loop:     n.Loop,
+		rng:      rng,
+		Addr:     n.AssignAddr(node),
+		nextPort: 40000,
 	}
-	return h
 }
 
 // Listener accepts incoming connections on a port.
@@ -68,9 +65,19 @@ type Listener struct {
 	OnEstablished func(c *Conn)
 }
 
+// listener returns the listener on port, or nil.
+func (h *Host) listener(port packet.Port) *Listener {
+	for _, l := range h.listeners {
+		if l.Port == port {
+			return l
+		}
+	}
+	return nil
+}
+
 // Listen opens a listening port.
 func (h *Host) Listen(port packet.Port, l *Listener) error {
-	if _, dup := h.listeners[port]; dup {
+	if h.listener(port) != nil {
 		return fmt.Errorf("tcp: port %d already listening on %s", port, h.node.Name)
 	}
 	l.host = h
@@ -78,7 +85,7 @@ func (h *Host) Listen(port packet.Port, l *Listener) error {
 	if err := h.node.Register(port, netem.HandlerFunc(h.deliver)); err != nil {
 		return err
 	}
-	h.listeners[port] = l
+	h.listeners = append(h.listeners, l)
 	return nil
 }
 
@@ -92,7 +99,7 @@ func (h *Host) Dial(cfg Config, raddr packet.Addr, rport packet.Port) (*Conn, er
 	}
 	c := newConn(h, cfg, packet.Endpoint{Addr: h.Addr, Port: lport},
 		packet.Endpoint{Addr: raddr, Port: rport})
-	h.conns[connKey{lport, raddr, rport}] = c
+	h.conns = append(h.conns, connEntry{c.remote, lport, c})
 	c.startClient()
 	return c, nil
 }
@@ -103,9 +110,6 @@ func (h *Host) allocPort() (packet.Port, error) {
 		h.nextPort++
 		if h.nextPort == 0 {
 			h.nextPort = 40000
-		}
-		if _, used := h.listeners[p]; used {
-			continue
 		}
 		if err := h.node.Register(p, netem.HandlerFunc(h.deliver)); err == nil {
 			return p, nil
@@ -120,25 +124,17 @@ func (h *Host) deliver(pkt *packet.Packet) {
 	if pkt.TCP == nil {
 		return
 	}
-	key := connKey{
-		localPort:  pkt.TCP.DstPort,
-		remoteAddr: pkt.IP.Src,
-		remotePort: pkt.TCP.SrcPort,
+	from := packet.Endpoint{Addr: pkt.IP.Src, Port: pkt.TCP.SrcPort}
+	for i := range h.conns {
+		if e := &h.conns[i]; e.remote == from && e.localPort == pkt.TCP.DstPort {
+			e.c.receive(pkt)
+			return
+		}
 	}
-	if h.lastConn != nil && key == h.lastKey {
-		h.lastConn.receive(pkt)
-		return
-	}
-	if c, ok := h.conns[key]; ok {
-		h.lastKey, h.lastConn = key, c
-		c.receive(pkt)
-		return
-	}
-	l, ok := h.listeners[pkt.TCP.DstPort]
-	if !ok || pkt.TCP.Flags&packet.FlagSYN == 0 || pkt.TCP.Flags&packet.FlagACK != 0 {
+	l := h.listener(pkt.TCP.DstPort)
+	if l == nil || pkt.TCP.Flags&packet.FlagSYN == 0 || pkt.TCP.Flags&packet.FlagACK != 0 {
 		return // no connection and not a fresh SYN: drop silently
 	}
-	from := packet.Endpoint{Addr: pkt.IP.Src, Port: pkt.TCP.SrcPort}
 	cfg := Config{}
 	if l.ConfigFor != nil {
 		cfg = l.ConfigFor(pkt.TCP.Options, from)
@@ -150,7 +146,7 @@ func (h *Host) deliver(pkt *packet.Packet) {
 	}
 	c := newConn(h, cfg, packet.Endpoint{Addr: h.Addr, Port: l.Port}, from)
 	c.onEstablished = l.OnEstablished
-	h.conns[connKey{l.Port, from.Addr, from.Port}] = c
+	h.conns = append(h.conns, connEntry{from, l.Port, c})
 	c.startServer(pkt)
 }
 

@@ -276,10 +276,10 @@ func TestDelayedAcksRoughlyHalveAckCount(t *testing.T) {
 	if sink.Bytes != total {
 		t.Fatal("transfer incomplete")
 	}
-	// Count server-side ACKs: reach into its conns map.
+	// Count server-side ACKs: reach into its connection table.
 	var acks uint64
-	for _, c := range tn.server.conns {
-		acks += c.Stats.AcksSent
+	for _, e := range tn.server.conns {
+		acks += e.c.Stats.AcksSent
 	}
 	// Roughly one ACK per two segments (plus delack-timeout stragglers).
 	if acks < 220 || acks > 330 {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"mptcpsim/internal/lp"
 )
 
 // streamToLog runs the grid through Stream with a LogSink into a buffer
@@ -247,7 +249,7 @@ func TestReadRunLogRejectsCorruption(t *testing.T) {
 }
 
 // TestStreamPoisonsOnSinkError checks the first sink error surfaces from
-// Stream while the remaining runs still drain.
+// Stream, ends the deliveries and still closes the sink.
 func TestStreamPoisonsOnSinkError(t *testing.T) {
 	s := &Sweep{Workers: 2}
 	fail := &failingSink{failAt: 2}
@@ -260,6 +262,32 @@ func TestStreamPoisonsOnSinkError(t *testing.T) {
 	}
 	if !fail.closed {
 		t.Fatal("Stream did not Close the sink after the error")
+	}
+}
+
+// TestStreamStopsDispatchingOnSinkError checks a sink error stops the
+// sweep rather than only muting it. Cells prepare lazily, so a cell whose
+// runs were never dispatched solves no LP: of sixteen cells with sixteen
+// distinct problems, one worker reaches only the one whose delivery failed.
+func TestStreamStopsDispatchingOnSinkError(t *testing.T) {
+	grid := &Grid{DurationMs: 50}
+	for i := 0; i < 16; i++ {
+		grid.Perturbations = append(grid.Perturbations, Perturbation{
+			Name:  fmt.Sprintf("v2v3-%d", i),
+			Links: []LinkPerturbation{{A: "v2", B: "v3", Mbps: float64(20 + i)}},
+		})
+	}
+	ResetBaselineCache()
+	fail := &failingSink{failAt: 1}
+	err := (&Sweep{Workers: 1}).Stream(grid, StreamSpec{}, fail)
+	if err == nil || !strings.Contains(err.Error(), "sink full") {
+		t.Fatalf("err = %v, want the sink's own error", err)
+	}
+	if fail.accepts != 1 || !fail.closed {
+		t.Fatalf("sink saw %d deliveries (closed: %v), want the failing one and a Close", fail.accepts, fail.closed)
+	}
+	if n := lp.BaselineCacheSize(); n > 2 {
+		t.Fatalf("%d of 16 cells solved their baselines after the first delivery failed, want at most 2", n)
 	}
 }
 

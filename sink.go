@@ -32,8 +32,8 @@ var ErrSinkClosed = errors.New("sink already closed")
 // must copy what it needs and must not retain full unless retention is
 // its purpose, or sweep memory stops being flat in grid size.
 //
-// The first Accept error poisons the sweep: remaining runs still execute
-// (the worker pool is not cancelled) but are no longer delivered, and the
+// The first Accept error ends the sweep: no further run is started, the
+// runs in flight at that moment finish but are not delivered, and the
 // error is returned from the sweep entry point.
 type RunSink interface {
 	Accept(done, total int, s RunSummary, full *Result) error

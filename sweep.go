@@ -150,7 +150,8 @@ type StreamSpec struct {
 // the digest identity (see Describe), so logs only merge across matching
 // run settings. Stream closes the sink exactly once, after the last
 // delivery; per-run failures land in their RunSummary.Err as always, and
-// the returned error reports structural problems or the first sink failure.
+// the returned error reports structural problems or the first sink failure,
+// which also stops the sweep: runs not yet started never execute.
 func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
 	shard := spec.Shard
 	if shard.N == 0 {
@@ -195,10 +196,11 @@ func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
 
 // execute runs the specs across the worker pool, feeding every completion
 // to the sink — the single dispatch point every results surface hangs off.
-// Completions are delivered under one lock: Accept calls never overlap,
-// done is monotone, and each run is delivered exactly once. The first sink
-// error stops further deliveries (remaining runs still execute; their
-// results are void) and is returned.
+// Workers take specs in order and deliver completions under one lock:
+// Accept calls never overlap, done is monotone, and each run is delivered
+// exactly once. The first sink error ends the sweep: no further spec is
+// dispatched, the runs already in flight finish undelivered, and that
+// error is returned.
 func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 	workers := s.Workers
 	if workers <= 0 {
@@ -209,18 +211,20 @@ func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 	}
 
 	var (
-		mu      sync.Mutex
-		done    int
-		sinkErr error
-		wg      sync.WaitGroup
+		mu         sync.Mutex
+		next, done int
+		sinkErr    error
+		wg         sync.WaitGroup
 	)
-	jobs := make(chan int)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range jobs {
-				spec := specs[i]
+			mu.Lock()
+			for sinkErr == nil && next < len(specs) {
+				spec := specs[next]
+				next++
+				mu.Unlock()
 				if s.Telemetry {
 					spec.Options.Telemetry = true
 				}
@@ -228,18 +232,12 @@ func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 				mu.Lock()
 				done++
 				if sinkErr == nil {
-					if err := sink.Accept(done, len(specs), summary, full); err != nil {
-						sinkErr = err
-					}
+					sinkErr = sink.Accept(done, len(specs), summary, full)
 				}
-				mu.Unlock()
 			}
+			mu.Unlock()
 		}()
 	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
 	wg.Wait()
 	return sinkErr
 }

@@ -59,9 +59,24 @@ func TestTelemetryHashNeutral(t *testing.T) {
 			t.Fatalf("unnamed link counter: %+v", l)
 		}
 		tx += l.TxPackets
+		// A link's drops object names only the reasons that occurred and
+		// sums to the run's own per-link total; a clean link has none.
+		var dropped uint64
+		for reason, n := range l.Drops {
+			if n == 0 {
+				t.Fatalf("link %s lists reason %q with no drops", l.Name, reason)
+			}
+			dropped += n
+		}
+		if dropped != tele.Drops[l.Name] || (l.Drops != nil) != (dropped > 0) {
+			t.Fatalf("link %s: telemetry drops %v, run counted %d", l.Name, l.Drops, tele.Drops[l.Name])
+		}
 	}
 	if tx == 0 {
 		t.Fatal("no transmissions counted across links")
+	}
+	if len(tele.Drops) == 0 {
+		t.Fatal("the run dropped nothing: the drops check above is vacuous")
 	}
 	if len(snap.Subflows) != 3 {
 		t.Fatalf("%d subflow counters, want 3 (paper network)", len(snap.Subflows))
