@@ -88,6 +88,9 @@ func TestResultHashReplayDeterminism(t *testing.T) {
 	if a.Hash() != b.Hash() {
 		t.Fatal("identical runs hash differently")
 	}
+	if a.LoopEvents != b.LoopEvents {
+		t.Fatalf("identical runs executed %d and %d events", a.LoopEvents, b.LoopEvents)
+	}
 	c, err := RunPaper(Options{CC: "cubic", Duration: time.Second, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -168,6 +168,10 @@ func runTwice(sp check.Spec) (*mptcpsim.Result, string, failKind, string) {
 		return checked, "", kindHash,
 			fmt.Sprintf("replay hash %.12s != %.12s (non-deterministic run)", rh, h)
 	}
+	if replay.LoopEvents != checked.LoopEvents {
+		return checked, "", kindHash, fmt.Sprintf("replay ran %d events, not %d (non-deterministic run)",
+			replay.LoopEvents, checked.LoopEvents)
+	}
 	return checked, h, kindOK, ""
 }
 

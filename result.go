@@ -129,10 +129,12 @@ type Result struct {
 	DeliveredBytes, DuplicateBytes uint64
 	// TransferComplete reports whether a fixed-size transfer finished.
 	TransferComplete bool
-	// LoopEvents is the number of simulation events the run executed — a
-	// cheap fingerprint of the whole execution that strengthens the
-	// replay-determinism check (two runs agreeing on every series but not
-	// on LoopEvents did not take the same path).
+	// LoopEvents is the number of simulation events the run executed. It
+	// counts engine work, not simulated behaviour, so Hash leaves it out (an
+	// engine that needs fewer events for the same run hashes the same); the
+	// replay-determinism checks compare it beside the hash, since two runs
+	// of one engine agreeing on every series but not on LoopEvents did not
+	// take the same path.
 	LoopEvents uint64
 	// Invariants lists the correctness invariants the run violated
 	// (Options.ValidateInvariants); empty means every audited property
@@ -149,12 +151,12 @@ type Result struct {
 
 // Hash returns a canonical SHA-256 fingerprint of everything the run
 // measured: every series value bit-for-bit, the analytic baselines, the
-// epoch reports, the summary, the per-subflow and per-link counters, and
-// the simulation event count. Two runs of the same scenario with the same
-// seed must produce identical hashes — the replay-determinism invariant
-// cmd/simcheck asserts. Observation-only knobs (RetainPackets,
-// ValidateInvariants and the Invariants list itself) are excluded, so a
-// validated run hashes identically to an unvalidated one.
+// epoch reports, the summary and the per-subflow and per-link counters.
+// Two runs of the same scenario with the same seed must produce identical
+// hashes — the replay-determinism invariant cmd/simcheck asserts.
+// Observation-only knobs (RetainPackets, ValidateInvariants and the
+// Invariants list itself) and LoopEvents, a count of engine work, are
+// excluded, so a validated run hashes identically to an unvalidated one.
 func (r *Result) Hash() string {
 	h := sha256.New()
 	var buf [8]byte
@@ -300,7 +302,6 @@ func (r *Result) Hash() string {
 	wU64(r.DeliveredBytes)
 	wU64(r.DuplicateBytes)
 	wBool(r.TransferComplete)
-	wU64(r.LoopEvents)
 
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
