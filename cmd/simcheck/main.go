@@ -168,9 +168,8 @@ func runTwice(sp check.Spec) (*mptcpsim.Result, string, failKind, string) {
 		return checked, "", kindHash,
 			fmt.Sprintf("replay hash %.12s != %.12s (non-deterministic run)", rh, h)
 	}
-	if replay.LoopEvents != checked.LoopEvents {
-		return checked, "", kindHash, fmt.Sprintf("replay ran %d events, not %d (non-deterministic run)",
-			replay.LoopEvents, checked.LoopEvents)
+	if r, c := replay.LoopEvents, checked.LoopEvents; r != c {
+		return checked, "", kindHash, fmt.Sprintf("replay ran %d events, not %d (non-deterministic run)", r, c)
 	}
 	return checked, h, kindOK, ""
 }

@@ -425,6 +425,7 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	res.Drops = make(map[string]uint64)
 	res.Utilisation = make(map[string]float64)
 	for _, l := range net.Links() {
+		l.Settle()
 		if d := l.Counters.DropTotal(); d > 0 {
 			res.Drops[l.Name()] += d
 		}

@@ -30,6 +30,7 @@ import (
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/unit"
 )
@@ -66,9 +67,8 @@ type Oracle struct {
 	fifo []string
 
 	// txBytes and txPkts count wire bytes/packets per [link][epoch].
-	txBytes  [][]float64
-	txPkts   [][]uint64
-	epochIdx int
+	txBytes [][]float64
+	txPkts  [][]uint64
 	// maxPkt is the largest wire size observed, for boundary slack.
 	maxPkt unit.ByteSize
 }
@@ -149,16 +149,18 @@ func (o *Oracle) OnDrop(_ string, pkt *packet.Packet, _ netem.DropReason) {
 }
 
 // OnTransmit implements netem.Tap: it buckets the wire bytes into the
-// epoch in force and appends the packet to the link's FIFO audit queue.
-func (o *Oracle) OnTransmit(l *netem.Link, pkt *packet.Packet) {
-	now := o.net.Loop.Now().Duration()
-	for o.epochIdx+1 < len(o.epochs) && now >= o.epochs[o.epochIdx+1].Start {
-		o.epochIdx++
+// epoch in force when the frame left — links report departures late and
+// interleaved, so the epoch is looked up per call — and appends the packet
+// to the link's FIFO audit queue.
+func (o *Oracle) OnTransmit(l *netem.Link, pkt *packet.Packet, at sim.Time) {
+	ei := len(o.epochs) - 1
+	for ei > 0 && at.Duration() < o.epochs[ei].Start {
+		ei--
 	}
 	id := l.Spec.ID
 	size := pkt.Size()
-	o.txBytes[id][o.epochIdx] += float64(size)
-	o.txPkts[id][o.epochIdx]++
+	o.txBytes[id][ei] += float64(size)
+	o.txPkts[id][ei]++
 	if size > o.maxPkt {
 		o.maxPkt = size
 	}
@@ -213,6 +215,7 @@ func (o *Oracle) Violations() []string {
 	// drops, so the identity holds across dynamic events too.
 	var residual uint64
 	for _, l := range o.net.Links() {
+		l.Settle()
 		c := &l.Counters
 		inFlight := uint64(l.QueueLen())
 		if l.Transmitting() {

@@ -39,6 +39,12 @@ func (q *Queue[T]) Insert(i int, v T) {
 	q.buf[at] = v
 }
 
+// Truncate keeps the n front elements and retires the rest, zeroed like Pop's.
+func (q *Queue[T]) Truncate(n int) {
+	clear(q.buf[q.head+n:])
+	q.buf = q.buf[:q.head+n]
+}
+
 // Pop retires the n front elements, zeroing their slots so the queue does
 // not pin what they referenced. The zeroing is a plain loop, not clear():
 // pops are overwhelmingly of one element, where the runtime call clear

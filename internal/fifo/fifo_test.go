@@ -24,6 +24,10 @@ func TestQueueMatchesSlice(t *testing.T) {
 			q.Insert(i, next)
 			ref = slices.Insert(ref, i, next)
 			next++
+		case op < 7 && rng.Intn(8) == 0:
+			n := rng.Intn(len(ref) + 1)
+			q.Truncate(n)
+			ref = ref[:n]
 		default:
 			n := rng.Intn(len(ref) + 1)
 			if rng.Intn(4) > 0 {

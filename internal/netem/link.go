@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"fmt"
 	"time"
 
 	"mptcpsim/internal/fifo"
@@ -13,27 +12,22 @@ import (
 
 // AQM is a queue-admission policy. OnEnqueue runs for every arriving
 // packet and reports whether it must be dropped instead of queued; the hard
-// capacity check still applies afterwards.
+// capacity check (drop-tail, the whole policy of a link without an AQM)
+// still applies afterwards.
 type AQM interface {
 	// OnEnqueue reports whether to drop the arriving packet.
 	OnEnqueue(l *Link, pkt *packet.Packet) bool
 }
 
-// DropTail is the default policy: drop only on overflow (the overflow check
-// itself lives in the link, so DropTail never drops here).
-type DropTail struct{}
-
-// OnEnqueue implements AQM.
-func (DropTail) OnEnqueue(*Link, *packet.Packet) bool { return false }
-
 // LinkCounters accumulates per-link statistics, in the spirit of the
-// per-interface counter maps of kernel dataplanes.
+// per-interface counter maps of kernel dataplanes. Offered, MaxQueue and
+// every drop but a cut frame's are counted as they happen; TxPackets, TxBytes,
+// Busy and a cut frame's DropLinkDown when the link settles (Link.Settle).
 type LinkCounters struct {
 	TxPackets uint64
 	TxBytes   uint64
-	// Offered counts every packet presented to the transmit queue,
-	// whatever its fate. Conservation holds at all times:
-	// Offered = TxPackets + dropped + queued + mid-serialisation.
+	// Offered counts every packet presented to the transmit queue. After a
+	// settle, Offered = TxPackets + dropped + queued + mid-serialisation.
 	Offered uint64
 	// Drops is indexed by DropReason.
 	Drops [numDropReasons]uint64
@@ -54,7 +48,8 @@ func (c *LinkCounters) DropTotal() uint64 {
 
 // Link is the runtime transmitter for one directed link: a FIFO queue in
 // front of a serialiser that moves Spec.Rate bits per second, followed by
-// Spec.Delay of propagation.
+// Spec.Delay of propagation. A frame's schedule is committed at admission
+// and its departure settled lazily; see the package documentation.
 type Link struct {
 	net  *Network
 	Spec topo.Link
@@ -66,41 +61,34 @@ type Link struct {
 	capBytes unit.ByteSize
 	aqm      AQM
 
-	q            fifo.Queue[*packet.Packet]
-	queuedBytes  unit.ByteSize
-	transmitting bool
+	// frames holds every admitted frame that has not arrived, oldest first.
+	// The first departed of them have left the transmitter and propagate;
+	// frames[departed] is the next to leave — on the transmitter since
+	// txStart if serving, else queued to start at txStart — and the rest
+	// are queued behind it; queuedBytes sums the queued ones. Only
+	// frames[0] has a pending event (armed), under its reserved seq.
+	frames      fifo.Queue[frame]
+	departed    int
+	serving     bool
+	txStart     sim.Time
+	queuedBytes unit.ByteSize
+	armed       sim.Timer
+	arrive      arriveCallback
 
-	// txPkt/txTime hold the frame currently serialising and its committed
-	// transmission time; infl is the FIFO of frames that left the
-	// transmitter and are still propagating. Arrivals on a link are FIFO by
-	// construction, so only infl's head has a pending arrive event: each
-	// frame's place in the event order is reserved when it leaves the
-	// transmitter and armed when it reaches the head. Together with the
-	// pre-bound txDone/arrive callbacks this makes a packet's whole transit
-	// schedule on pooled event nodes with zero heap allocations, and keeps
-	// the loop's pending set independent of the bandwidth-delay product.
-	txPkt  *packet.Packet
-	txTime time.Duration
-	infl   fifo.Queue[inflight]
-	txDone txDoneCallback
-	arrive arriveCallback
-
-	// memoSize/memoRate/memoTx memoise the last TxTime computation:
-	// traffic on a link is overwhelmingly one or two packet sizes, and the
-	// cached value is the exact duration the division produced, so reuse
-	// is bit-identical.
+	// memoSize/memoRate/memoTx memoise the last TxTime computation (a link
+	// carries one or two packet sizes); the reused duration is bit-identical.
 	memoSize unit.ByteSize
 	memoRate unit.Rate
 	memoTx   time.Duration
 
 	// down marks the link administratively dead (dynamic LinkDown event).
 	down bool
-	// cut latches, at SetDown time, that the frame currently serialising
-	// was severed — a link_up before its tx-completion must not resurrect
-	// it.
-	cut bool
-	// lastArrivalAt is the latest scheduled arrival at the far node, so a
-	// runtime delay cut cannot make a later frame overtake an in-flight one.
+	// cutPkt is the frame SetDown severed mid-serialisation: it holds the
+	// transmitter until cutEnd, its committed end, and never arrives.
+	cutPkt *packet.Packet
+	cutEnd sim.Time
+	// lastArrivalAt is the arrival of the latest frame to leave, so a
+	// runtime delay cut cannot make a later frame overtake it.
 	lastArrivalAt sim.Time
 
 	lossProb float64
@@ -112,48 +100,30 @@ type Link struct {
 func newLink(n *Network, spec topo.Link) *Link {
 	cap := spec.Queue
 	if cap <= 0 {
-		cap = spec.Rate.Bytes(DefaultQueueTime)
-		if cap < MinQueue {
-			cap = MinQueue
-		}
+		cap = max(spec.Rate.Bytes(DefaultQueueTime), MinQueue)
 	}
-	l := &Link{
-		net:      n,
-		Spec:     spec,
-		capBytes: cap,
-		aqm:      DropTail{},
-	}
-	l.name = fmt.Sprintf("%s->%s", n.Graph.Node(spec.From).Name, n.Graph.Node(spec.To).Name)
-	l.txDone.l = l
+	l := &Link{net: n, Spec: spec, capBytes: cap}
+	l.name = n.Graph.Node(spec.From).Name + "->" + n.Graph.Node(spec.To).Name
 	l.arrive.l = l
 	return l
 }
 
-// txDoneCallback adapts serialisation completion to sim.Callback: one
-// frame serialises at a time, so the link itself carries the in-flight
-// frame and no closure is needed.
-type txDoneCallback struct{ l *Link }
-
-// Run implements sim.Callback.
-func (c *txDoneCallback) Run(now sim.Time) { c.l.finishTx(now) }
-
-// inflight is one propagating frame: its committed arrival time and the
-// scheduling seq reserved for the arrival when the frame left the
-// transmitter.
-type inflight struct {
+// frame is one admitted frame: until it leaves the transmitter t is the
+// committed end of its serialisation, afterwards its committed arrival. seq
+// is the scheduling seq reserved for that arrival at admission.
+type frame struct {
 	pkt *packet.Packet
-	at  sim.Time
+	t   sim.Time
 	seq uint64
 }
 
 // arriveCallback adapts propagation arrival to sim.Callback. Arrivals on
-// one link fire in transmit order (times are clamped monotone and the
-// loop breaks ties by scheduling sequence), so the link's in-flight FIFO
-// identifies the arriving frame without a per-event closure.
+// one link fire in transmit order (times are clamped monotone, ties break
+// by seq), so frames[0] is the arriving frame and no closure is needed.
 type arriveCallback struct{ l *Link }
 
 // Run implements sim.Callback.
-func (c *arriveCallback) Run(sim.Time) { c.l.arrival() }
+func (c *arriveCallback) Run(now sim.Time) { c.l.arrival(now) }
 
 // Name renders "v1->v2" for stats and drop reporting.
 func (l *Link) Name() string { return l.name }
@@ -164,14 +134,13 @@ func (l *Link) QueueCap() unit.ByteSize { return l.capBytes }
 // SetQueueCap replaces the queue capacity. Packets already queued stay.
 func (l *Link) SetQueueCap(c unit.ByteSize) { l.capBytes = c }
 
-// SetAQM replaces the admission policy (default DropTail).
+// SetAQM installs an admission policy ahead of the drop-tail check.
 func (l *Link) SetAQM(a AQM) { l.aqm = a }
 
 // SetLoss configures an independent random loss probability per packet,
 // modelling a lossy (wireless) channel.
 func (l *Link) SetLoss(p float64, rng *sim.Rand) {
-	l.lossProb = p
-	l.lossRng = rng
+	l.lossProb, l.lossRng = p, rng
 }
 
 // SetLossProb changes the loss probability at run time, keeping the RNG
@@ -192,16 +161,28 @@ func (l *Link) LossProb() float64 { return l.lossProb }
 func (l *Link) HasLossRng() bool { return l.lossRng != nil }
 
 // SetRate changes the link capacity at run time (a capacity renegotiation
-// or a degraded radio). The frame being serialised completes at the old
-// rate — its transmission time was committed when it started — and every
-// later frame is paced at the new rate. The queue capacity is unchanged:
-// buffer memory does not come and go with the line rate. Rates must be
-// positive; use SetDown for an outage.
+// or a degraded radio). The frame being serialised keeps the end committed
+// when it started; every frame behind it is re-timed at the new rate. The
+// queue capacity is unchanged. Rates must be positive; SetDown is the outage.
 func (l *Link) SetRate(r unit.Rate) {
 	if r <= 0 {
 		panic("netem: SetRate needs a positive rate; use SetDown for outages")
 	}
+	l.settle(l.net.Loop.Now())
 	l.Spec.Rate = r
+	i, t := l.departed, l.txStart
+	if l.cutPkt != nil {
+		t = l.cutEnd
+	} else if l.serving {
+		t = l.frames.At(i).t
+		i++
+	}
+	for ; i < l.frames.Len(); i++ {
+		f := l.frames.At(i)
+		t = t.Add(l.txTime(f.pkt.Size()))
+		f.t = t
+	}
+	l.rearm()
 }
 
 // SetDelay changes the one-way propagation delay at run time. Frames
@@ -209,47 +190,48 @@ func (l *Link) SetRate(r unit.Rate) {
 // shrinks, the next arrivals are clamped to the latest in-flight arrival so
 // the link never reorders (FIFO is preserved by construction).
 func (l *Link) SetDelay(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	l.Spec.Delay = d
+	l.settle(l.net.Loop.Now())
+	l.Spec.Delay = max(d, 0)
+	l.rearm()
 }
 
-// SetDown takes the link down: the transmit queue is drained (every queued
-// packet dropped with DropLinkDown), a frame mid-serialisation is cut (it
-// never reaches the far node), and packets arriving while down are dropped
-// on admission. Frames that already left the transmitter are past the cut
-// and still propagate.
+// SetDown takes the link down: every queued packet is dropped with
+// DropLinkDown, a frame mid-serialisation is cut (it holds the transmitter
+// until its committed end and never arrives), and packets arriving while
+// down are dropped on admission. Frames already propagating still arrive.
 func (l *Link) SetDown() {
+	l.settle(l.net.Loop.Now())
 	l.down = true
-	if l.transmitting {
-		l.cut = true
+	if l.departed == 0 {
+		l.armed.Stop() // the oldest frame will not arrive
 	}
-	for l.queueLen() > 0 {
-		pkt := l.pop()
-		l.queuedBytes -= pkt.Size()
-		l.drop(pkt, DropLinkDown)
+	i := l.departed
+	if l.serving {
+		f := l.frames.At(i)
+		l.cutPkt, l.cutEnd, l.serving = f.pkt, f.t, false
+		i++
 	}
+	for ; i < l.frames.Len(); i++ {
+		l.drop(l.frames.At(i).pkt, DropLinkDown)
+	}
+	l.queuedBytes = 0
+	l.frames.Truncate(l.departed)
 }
 
-// SetUp restores a downed link. The queue starts empty; the transmitter
-// resumes as new packets arrive.
-func (l *Link) SetUp() {
-	if !l.down {
-		return
-	}
-	l.down = false
-	l.startTx()
-}
+// SetUp restores a downed link: new packets queue behind a cut frame's rest.
+func (l *Link) SetUp() { l.down = false }
+
+// Settle books every departure through the current instant inclusive, for
+// readers outside the event flow: end-of-run collection, audits.
+func (l *Link) Settle() { l.settle(l.net.Loop.Now() + 1) }
 
 // Utilisation returns the fraction of the elapsed simulation time the
-// transmitter was busy.
+// transmitter was busy, as of the last settle.
 func (l *Link) Utilisation() float64 {
-	now := l.net.Loop.Now()
-	if now == 0 {
-		return 0
+	if now := l.net.Loop.Now(); now > 0 {
+		return float64(l.Counters.Busy) / float64(now.Duration())
 	}
-	return float64(l.Counters.Busy) / float64(now.Duration())
+	return 0
 }
 
 func (l *Link) drop(pkt *packet.Packet, reason DropReason) {
@@ -258,14 +240,30 @@ func (l *Link) drop(pkt *packet.Packet, reason DropReason) {
 }
 
 // QueueLen returns the number of packets waiting in the transmit queue
-// (excluding a frame mid-serialisation).
-func (l *Link) QueueLen() int { return l.queueLen() }
+// (excluding a frame mid-serialisation), as of the last settle.
+func (l *Link) QueueLen() int {
+	if l.serving {
+		return l.frames.Len() - l.departed - 1
+	}
+	return l.frames.Len() - l.departed
+}
 
-// Transmitting reports whether a frame is being serialised right now.
-func (l *Link) Transmitting() bool { return l.transmitting }
+// Transmitting reports whether a frame, cut or not, holds the transmitter.
+func (l *Link) Transmitting() bool { return l.serving || l.cutPkt != nil }
 
-// enqueue admits a packet to the transmit queue.
+// txTime is Spec.Rate.TxTime through the one-entry memo.
+func (l *Link) txTime(sz unit.ByteSize) time.Duration {
+	if sz != l.memoSize || l.Spec.Rate != l.memoRate {
+		l.memoSize, l.memoRate = sz, l.Spec.Rate
+		l.memoTx = l.Spec.Rate.TxTime(sz)
+	}
+	return l.memoTx
+}
+
+// enqueue admits a packet to the transmit queue and commits its schedule.
 func (l *Link) enqueue(pkt *packet.Packet) {
+	now := l.net.Loop.Now()
+	l.settle(now)
 	l.Counters.Offered++
 	if l.down {
 		l.drop(pkt, DropLinkDown)
@@ -275,97 +273,105 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 		l.drop(pkt, DropRandom)
 		return
 	}
-	if l.aqm.OnEnqueue(l, pkt) {
+	if l.aqm != nil && l.aqm.OnEnqueue(l, pkt) {
 		l.drop(pkt, DropAQM)
 		return
 	}
-	if l.queuedBytes+pkt.Size() > l.capBytes {
+	sz := pkt.Size()
+	if l.queuedBytes+sz > l.capBytes {
 		l.drop(pkt, DropQueueFull)
 		return
 	}
-	l.q.Push(pkt)
-	l.queuedBytes += pkt.Size()
-	if l.queuedBytes > l.Counters.MaxQueue {
-		l.Counters.MaxQueue = l.queuedBytes
+	// A frame bound straight for the transmitter still counts as queued.
+	l.Counters.MaxQueue = max(l.Counters.MaxQueue, l.queuedBytes+sz)
+	n := l.frames.Len()
+	start := now
+	switch {
+	case n > l.departed:
+		start = l.frames.At(n - 1).t
+		l.queuedBytes += sz
+	case l.cutPkt != nil:
+		start = l.cutEnd
+		l.queuedBytes += sz
+	default:
+		l.serving, l.txStart = true, now
 	}
-	l.startTx()
+	l.frames.Push(frame{pkt: pkt, t: start.Add(l.txTime(sz)), seq: l.net.Loop.ReserveSeq()})
+	if n == 0 {
+		l.arm()
+	}
 }
 
-func (l *Link) pop() *packet.Packet {
-	pkt := *l.q.At(0)
-	l.q.Pop(1)
-	return pkt
+// settle books what the transmitter did strictly before the given time: a
+// frame that started leaves the queue, one that ended leaves the transmitter.
+func (l *Link) settle(before sim.Time) {
+	if l.cutPkt != nil {
+		if l.cutEnd >= before {
+			return
+		}
+		l.Counters.Busy += l.cutEnd.Sub(l.txStart)
+		l.txStart = l.cutEnd
+		l.drop(l.cutPkt, DropLinkDown)
+		l.cutPkt = nil
+	}
+	for l.departed < l.frames.Len() {
+		f := l.frames.At(l.departed)
+		if !l.serving {
+			if l.txStart >= before {
+				return
+			}
+			l.serving = true
+			l.queuedBytes -= f.pkt.Size()
+		}
+		if f.t >= before {
+			return
+		}
+		l.Counters.Busy += f.t.Sub(l.txStart)
+		l.txStart, l.serving = f.t, false
+		l.Counters.TxPackets++
+		l.Counters.TxBytes += uint64(f.pkt.Size())
+		l.net.tapTransmit(l, f.pkt, f.t)
+		// Propagate, never arriving before the frame ahead: a runtime delay
+		// cut cannot reorder (equal times keep FIFO by scheduling seq).
+		f.t = max(f.t.Add(l.Spec.Delay), l.lastArrivalAt)
+		l.lastArrivalAt = f.t
+		l.departed++
+	}
 }
 
-func (l *Link) queueLen() int { return l.q.Len() }
-
-func (l *Link) startTx() {
-	if l.down || l.transmitting || l.queueLen() == 0 {
-		return
+// arm schedules the arrival of the oldest frame under its reserved seq. With
+// everything ahead arrived, no clamp binds one still on this side of the wire.
+func (l *Link) arm() {
+	f := l.frames.At(0)
+	at := f.t
+	if l.departed == 0 {
+		at = at.Add(l.Spec.Delay)
 	}
-	l.transmitting = true
-	pkt := l.pop()
-	sz := pkt.Size()
-	l.queuedBytes -= sz
-	l.txPkt = pkt
-	if sz != l.memoSize || l.Spec.Rate != l.memoRate {
-		l.memoSize, l.memoRate = sz, l.Spec.Rate
-		l.memoTx = l.Spec.Rate.TxTime(sz)
-	}
-	l.txTime = l.memoTx
-	l.net.Loop.ScheduleCall(l.txTime, &l.txDone)
+	l.armed = l.net.Loop.AtCallReserved(at, f.seq, &l.arrive)
 }
 
-// finishTx runs when the last bit of the serialising frame leaves the
-// transmitter.
-func (l *Link) finishTx(now sim.Time) {
-	pkt := l.txPkt
-	l.txPkt = nil
-	l.Counters.Busy += l.txTime
-	l.transmitting = false
-	if l.down || l.cut {
-		// The wire was cut mid-frame: the bits never arrive, even if
-		// the link already came back up.
-		l.cut = false
-		l.drop(pkt, DropLinkDown)
-		// A no-op while down; resumes any queue built up after an
-		// early SetUp.
-		l.startTx()
-		return
+// rearm moves the pending arrival of an oldest frame a mutator re-timed.
+func (l *Link) rearm() {
+	if l.departed == 0 && l.frames.Len() > 0 {
+		l.armed.Stop()
+		l.arm()
 	}
-	l.Counters.TxPackets++
-	l.Counters.TxBytes += uint64(pkt.Size())
-	l.net.tapTransmit(l, pkt)
-	// Propagate towards the far node while the transmitter moves on.
-	// Arrival is clamped to the latest in-flight arrival so a runtime
-	// delay cut cannot reorder frames (equal times keep FIFO by
-	// scheduling sequence). The arrival's seq is reserved now, whether or
-	// not the frame is the head, so it runs where a per-frame event
-	// scheduled here would have.
-	arriveAt := now.Add(l.Spec.Delay)
-	if arriveAt < l.lastArrivalAt {
-		arriveAt = l.lastArrivalAt
-	}
-	l.lastArrivalAt = arriveAt
-	l.net.propagating++
-	seq := l.net.Loop.ReserveSeq()
-	if l.infl.Len() == 0 {
-		l.net.Loop.AtCallReserved(arriveAt, seq, &l.arrive)
-	}
-	l.infl.Push(inflight{pkt: pkt, at: arriveAt, seq: seq})
-	l.startTx()
 }
 
-// arrival runs when the in-flight FIFO's head frame reaches the far node,
-// and arms the arrival of the frame behind it.
-func (l *Link) arrival() {
-	pkt := l.infl.At(0).pkt
-	l.infl.Pop(1)
-	if l.infl.Len() > 0 {
-		next := l.infl.At(0)
-		l.net.Loop.AtCallReserved(next.at, next.seq, &l.arrive)
+// arrival runs when the oldest frame reaches the far node, and arms the
+// arrival of the frame behind it.
+func (l *Link) arrival(now sim.Time) {
+	l.settle(now)
+	if l.departed == 0 {
+		// No propagation delay: the frame ends and arrives in this instant.
+		l.settle(now + 1)
 	}
-	l.net.propagating--
+	pkt := l.frames.At(0).pkt
+	l.frames.Pop(1)
+	l.departed--
+	if l.frames.Len() > 0 {
+		l.arm()
+	}
 	l.net.tapArrive(l, pkt)
 	l.net.nodes[l.Spec.To].receive(pkt)
 }

@@ -10,6 +10,26 @@
 // them one propagation delay later. Queue overflow drops the arriving
 // packet (DropTail), which is where TCP's congestion signal comes from.
 //
+// One event per packet-hop. A drop-tail FIFO's departures are a closed
+// form, so a Link commits a frame's whole schedule at admission: it starts
+// when its predecessor ends (now, on an idle transmitter), ends one
+// transmission time later and arrives Spec.Delay after that, under a
+// scheduling seq reserved then. The link's only heap entry is the arrival of
+// its oldest frame; what a departure does — counters, transmit tap, freeing
+// queue space — is settled lazily, as of the frame's own end, the next time
+// the link is touched (admission, arrival, mutator, Link.Settle). SetRate
+// re-times every frame behind the one in service, SetDelay moves the arrivals
+// of frames that have not left, SetDown drops what has not started and cuts
+// the frame in service.
+//
+// Same-instant ties. The event that used to end a serialisation was scheduled
+// a transmission time ahead, so it was nearly always the youngest of its
+// instant: whatever else ran then saw the frame still serialising and its
+// successor still queued. So inside an event a link settles strictly before
+// now — but a frame admitted to an idle transmitter leaves the queue at once,
+// and an arrival whose own frame ends now (no propagation delay) settles
+// through now, as does Link.Settle (RunUntil's deadline is inclusive).
+//
 // Taps observe transmissions, deliveries and drops; the capture package
 // builds its tshark equivalent on top of them.
 package netem
@@ -72,8 +92,11 @@ func (r DropReason) String() string {
 // Tap observes packets at the engine's instrumentation points. Callbacks
 // run synchronously inside the event loop; implementations must not block.
 type Tap interface {
-	// OnTransmit fires when the last bit of pkt leaves link's transmitter.
-	OnTransmit(l *Link, pkt *packet.Packet)
+	// OnTransmit reports that the last bit of pkt left link's transmitter
+	// at time at. Links book departures lazily: the call comes up to a
+	// propagation delay after at, in time order per link but not across
+	// links, and always before the frame's OnArrive.
+	OnTransmit(l *Link, pkt *packet.Packet, at sim.Time)
 	// OnDeliver fires when pkt is handed to a local handler at its
 	// destination host.
 	OnDeliver(n *Node, pkt *packet.Packet)
@@ -139,9 +162,6 @@ type Network struct {
 	// optional extension interfaces, resolved once at AttachTap.
 	sendTaps    []SendTap
 	arrivalTaps []ArrivalTap
-	// propagating counts packets that left a transmitter and have not yet
-	// reached the far node — the in-flight term of conservation audits.
-	propagating int
 	nextUID     uint64
 
 	// arena recycles packets and their transport storage across the run.
@@ -187,9 +207,14 @@ func (n *Network) AttachTap(t Tap) {
 // Originated returns the number of packets hosts have sent so far.
 func (n *Network) Originated() uint64 { return n.nextUID }
 
-// Propagating returns the number of packets currently between a
-// transmitter and the far node (transmitted, arrival still pending).
-func (n *Network) Propagating() int { return n.propagating }
+// Propagating returns the number of packets between a transmitter and the
+// far node (transmitted, arrival still pending) as of the links' last settle.
+func (n *Network) Propagating() (total int) {
+	for _, l := range n.links {
+		total += l.departed
+	}
+	return total
+}
 
 // AssignAddr gives node an automatically allocated address (10.0.0.1, .2,
 // ...). Assigning twice returns the existing address.
@@ -232,9 +257,9 @@ func (n *Network) Link(id topo.LinkID) *Link { return n.links[id] }
 // Links returns all runtime links in ID order.
 func (n *Network) Links() []*Link { return n.links }
 
-func (n *Network) tapTransmit(l *Link, pkt *packet.Packet) {
+func (n *Network) tapTransmit(l *Link, pkt *packet.Packet, at sim.Time) {
 	for _, t := range n.taps {
-		t.OnTransmit(l, pkt)
+		t.OnTransmit(l, pkt, at)
 	}
 }
 
@@ -277,9 +302,6 @@ type Node struct {
 	// so demultiplexing scans ports linearly.
 	ports    []packet.Port
 	handlers []Handler
-
-	// Forwarded counts transit packets, Delivered local deliveries.
-	Forwarded, Delivered uint64
 }
 
 // Register binds a handler to a local destination port. It fails if the
@@ -332,7 +354,6 @@ func (nd *Node) receive(pkt *packet.Packet) {
 		nd.net.tapDrop(nd.Name, pkt, DropNoRoute)
 		return
 	}
-	nd.Forwarded++
 	nd.net.links[lid].enqueue(pkt)
 }
 
@@ -349,7 +370,6 @@ func (nd *Node) deliver(pkt *packet.Packet) {
 		nd.net.tapDrop(nd.Name, pkt, DropNoHandler)
 		return
 	}
-	nd.Delivered++
 	nd.net.tapDeliver(nd, pkt)
 	nd.handlers[i].Deliver(pkt)
 	// The packet dies here: taps and the handler have run, and anything

@@ -20,7 +20,7 @@ type recorder struct {
 	dropLocs []string
 }
 
-func (r *recorder) OnTransmit(l *Link, p *packet.Packet) { r.tx = append(r.tx, r.loop.Now()) }
+func (r *recorder) OnTransmit(_ *Link, _ *packet.Packet, at sim.Time) { r.tx = append(r.tx, at) }
 func (r *recorder) OnDeliver(n *Node, p *packet.Packet) {
 	r.delivers = append(r.delivers, r.loop.Now())
 }

@@ -240,3 +240,42 @@ func TestCountersWithReservedSeqs(t *testing.T) {
 		t.Fatalf("after the run: %+v, want 2 scheduled, 2 fired, recycled+arena = 2", c)
 	}
 }
+
+// TestCountersWhenReservedSeqsAreRearmedOrAbandoned: a link stops its
+// pending arrival and arms it again under the same seq when a mutator moves
+// the frame, and never arms the seq of a frame that was dropped in the
+// queue. Scheduled counts seqs, not armings; Recycled counts what the free
+// list served, so neither a second arming nor a missing one skews it.
+func TestCountersWhenReservedSeqsAreRearmedOrAbandoned(t *testing.T) {
+	l := NewLoop()
+	cb := &countCall{}
+	moved := l.ReserveSeq()
+	l.ReserveSeq() // abandoned: never armed
+	plain := l.ReserveSeq()
+	tm := l.AtCallReserved(Time(10), moved, cb)
+	l.AtCallReserved(Time(20), plain, cb)
+	var order []Time
+	l.At(Time(5), func() { order = append(order, l.Now()) })
+	if !tm.Stop() {
+		t.Fatal("armed reserved event not pending")
+	}
+	// Re-armed at the instant of an event scheduled later: the reserved seq
+	// is older, so it still runs first.
+	tm = l.AtCallReserved(Time(5), moved, cb)
+	if c := l.Counters(); c.Scheduled != 4 || c.ArenaNodes != 3 || c.Recycled != 1 {
+		t.Fatalf("after the re-arm: %+v, want 4 scheduled, 3 arena nodes, 1 recycled", c)
+	}
+	if err := l.RunUntil(Time(5)); err != nil {
+		t.Fatal(err)
+	}
+	if cb.n != 1 || len(order) != 1 || tm.Pending() {
+		t.Fatalf("at t=5: reserved event ran %d times, the later-scheduled event %d; want 1 and 1", cb.n, len(order))
+	}
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c := l.Counters()
+	if c.Scheduled != 4 || c.Fired != 3 || c.ArenaNodes != 3 || c.Recycled != 1 || l.Len() != 0 {
+		t.Fatalf("after the run: %+v, want 4 scheduled, 3 fired (one seq abandoned), 3 arena nodes, 1 recycled", c)
+	}
+}

@@ -27,8 +27,12 @@
 // a schedule call made at reservation time would have put it: armed at the
 // current instant with a seq older than other events pending for that
 // instant, it is simply the heap minimum. This is what lets a producer of
-// FIFO-ordered events (a link's propagating frames) keep one heap entry
-// instead of one per event without moving any event in the order.
+// FIFO-ordered events keep one heap entry instead of one per event: a link
+// reserves a frame's arrival seq when it admits the frame — among
+// same-instant events an arrival sorts by when its frame entered the link —
+// and keeps only its oldest frame's arrival in the heap. It stops that
+// arrival and arms it again under the same seq when a rate or delay change
+// moves it, and never arms the seq of a frame that dies in the queue.
 package sim
 
 import (
@@ -175,9 +179,8 @@ func (t Timer) When() Time {
 type Loop struct {
 	now Time
 	seq uint64
-	// unarmed counts seqs ReserveSeq issued that AtCallReserved has not
-	// scheduled yet.
-	unarmed uint64
+	// recycled counts node allocations the free list served.
+	recycled uint64
 	// nodes is the pooled event arena; free lists the recycled indices.
 	nodes []node
 	free  []int32
@@ -221,8 +224,8 @@ func (l *Loop) SetEventLimit(n uint64) { l.limit = n }
 type Counters struct {
 	// Scheduled counts scheduling seqs ever issued: events scheduled
 	// (including later-stopped timers) plus seqs reserved by ReserveSeq,
-	// whether or not AtCallReserved has armed them yet. Fired counts events
-	// that executed.
+	// however often AtCallReserved armed them — not yet, once, or again
+	// after a Stop. Fired counts events that executed.
 	Scheduled uint64
 	Fired     uint64
 	// ArenaNodes is the pooled arena size (nodes ever created); Recycled
@@ -242,7 +245,7 @@ func (l *Loop) Counters() Counters {
 		Scheduled:  l.seq,
 		Fired:      l.processed,
 		ArenaNodes: len(l.nodes),
-		Recycled:   l.seq - l.unarmed - uint64(len(l.nodes)),
+		Recycled:   l.recycled,
 		InUsePeak:  l.peak,
 		HeapPeak:   l.peak,
 	}
@@ -260,6 +263,7 @@ func (l *Loop) alloc(cb Callback) int32 {
 	if n := len(l.free); n > 0 {
 		id = l.free[n-1]
 		l.free = l.free[:n-1]
+		l.recycled++
 	} else {
 		if len(l.nodes) >= 1<<idBits {
 			panic("sim: event arena overflow (16M concurrently pending events)")
@@ -404,25 +408,22 @@ func (l *Loop) AtCall(t Time, cb Callback) Timer {
 
 // ReserveSeq issues the next scheduling seq without scheduling anything.
 // A caller that knows an event's place in the (at, seq) order before it
-// wants a heap entry for it — a link holds a FIFO of propagating frames and
-// keeps only the head's arrival pending — reserves the seq at the moment it
-// would have scheduled, and arms it later with AtCallReserved; the event
-// then runs exactly where a Schedule call at reservation time would have
-// put it.
-func (l *Loop) ReserveSeq() uint64 {
-	l.unarmed++
-	return l.nextSeq()
-}
+// wants a heap entry for it — a link holds a FIFO of admitted frames and
+// keeps only the oldest one's arrival pending — reserves the seq at the
+// moment it would have scheduled, and arms it later with AtCallReserved, or
+// never; the event then runs exactly where a Schedule call at reservation
+// time would have put it.
+func (l *Loop) ReserveSeq() uint64 { return l.nextSeq() }
 
 // AtCallReserved runs cb.Run at time t under seq, which ReserveSeq issued
-// and no earlier call has used. (t, seq) must sort after the event that is
-// executing; t may equal the current instant, in which case the event runs
-// before every pending same-instant event with a later seq.
+// and no pending event holds: a seq is armed again only after its event was
+// stopped. t may equal the current instant, in which case the event runs
+// before every pending same-instant event with a later seq — next, if seq
+// is older than the executing event's.
 func (l *Loop) AtCallReserved(t Time, seq uint64, cb Callback) Timer {
 	if cb == nil {
 		panic("sim: AtCallReserved called with nil callback")
 	}
-	l.unarmed--
 	return l.schedule(t, seq, cb)
 }
 

@@ -12,14 +12,15 @@ import (
 	"mptcpsim/internal/cc"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/unit"
 )
 
 // dropLog records the reason of every drop in the network.
 type dropLog struct{ reasons []netem.DropReason }
 
-func (*dropLog) OnTransmit(*netem.Link, *packet.Packet) {}
-func (*dropLog) OnDeliver(*netem.Node, *packet.Packet)  {}
+func (*dropLog) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
+func (*dropLog) OnDeliver(*netem.Node, *packet.Packet)            {}
 func (d *dropLog) OnDrop(_ string, _ *packet.Packet, r netem.DropReason) {
 	d.reasons = append(d.reasons, r)
 }

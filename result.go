@@ -131,10 +131,9 @@ type Result struct {
 	TransferComplete bool
 	// LoopEvents is the number of simulation events the run executed. It
 	// counts engine work, not simulated behaviour, so Hash leaves it out (an
-	// engine that needs fewer events for the same run hashes the same); the
-	// replay-determinism checks compare it beside the hash, since two runs
-	// of one engine agreeing on every series but not on LoopEvents did not
-	// take the same path.
+	// engine needing fewer events for the same run hashes the same); replay
+	// checks compare it beside the hash: two runs of one engine agreeing on
+	// every series but not on LoopEvents did not take the same path.
 	LoopEvents uint64
 	// Invariants lists the correctness invariants the run violated
 	// (Options.ValidateInvariants); empty means every audited property
