@@ -14,6 +14,13 @@ import (
 // budget by an order of magnitude, not by percent.
 const runAllocBudget = 2000
 
+// runBytesBudget bounds the bytes of the same run (~605 KiB). The object
+// count does not see the two queues slow-start overshoot fills: the TCP
+// scoreboard and out-of-order queue are most of a run's bytes in a few
+// dozen allocations, so a record that doubles (40 and 32 bytes today) adds
+// some 400 KiB here and nothing there.
+const runBytesBudget = 800 << 10
+
 // TestRunSteadyStateAllocs gates the end-to-end allocation bill: packets
 // and segments come from the per-run arena, events from the loop's node
 // pool, so a full reference run allocates a fixed small amount regardless
@@ -25,7 +32,7 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	if _, err := RunPaper(opts); err != nil {
 		t.Fatal(err)
 	}
-	var worst uint64
+	var worst, worstBytes uint64
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -33,11 +40,13 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		if d := after.Mallocs - before.Mallocs; d > worst {
-			worst = d
-		}
+		worst = max(worst, after.Mallocs-before.Mallocs)
+		worstBytes = max(worstBytes, after.TotalAlloc-before.TotalAlloc)
 	}
 	if worst > runAllocBudget {
 		t.Fatalf("reference run allocates %d objects, budget %d", worst, runAllocBudget)
+	}
+	if worstBytes > runBytesBudget {
+		t.Fatalf("reference run allocates %d KiB, budget %d KiB", worstBytes>>10, runBytesBudget>>10)
 	}
 }

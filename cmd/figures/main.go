@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,16 +28,33 @@ import (
 	"mptcpsim/internal/cli"
 )
 
-var (
-	outDir = flag.String("out", "out", "output directory")
-	seeds  = flag.Int("seeds", 5, "seeds per table cell")
-	quick  = flag.Bool("quick", false, "short horizons for a smoke run")
-)
+// gen is one invocation: where the artefacts go, how many seeds a table
+// cell averages, and the first failure, after which every step is skipped.
+type gen struct {
+	outDir string
+	seeds  int
+	stdout io.Writer
+	err    error
+}
 
 func main() {
-	flag.Parse()
-	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		fatal(err)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole CLI behind a testable seam: parse args, write every
+// artefact, return the exit code (0 ok, 1 failure, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	g := &gen{stdout: stdout}
+	fs.StringVar(&g.outDir, "out", "out", "output directory")
+	fs.IntVar(&g.seeds, "seeds", 5, "seeds per table cell")
+	quick := fs.Bool("quick", false, "short horizons for a smoke run")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	figDuration := 4 * time.Second
 	longDuration := 25 * time.Second
@@ -45,34 +63,38 @@ func main() {
 		figDuration = 2 * time.Second
 		longDuration = 6 * time.Second
 		cubicHorizon = 4 * time.Second
-		if *seeds > 2 {
-			*seeds = 2
-		}
+		g.seeds = min(g.seeds, 2)
 	}
+	g.err = os.MkdirAll(g.outDir, 0o755)
 
-	fig1c()
-	figure("fig2a_cubic", mptcpsim.Options{CC: "cubic", Duration: figDuration},
+	g.fig1c()
+	g.figure("fig2a_cubic", mptcpsim.Options{CC: "cubic", Duration: figDuration},
 		"Fig 2a: MPTCP-CUBIC, 100 ms bins")
-	figure("fig2b_olia", mptcpsim.Options{CC: "olia", Duration: figDuration},
+	g.figure("fig2b_olia", mptcpsim.Options{CC: "olia", Duration: figDuration},
 		"Fig 2b: MPTCP-OLIA, 100 ms bins")
-	figure("fig2c_fine", mptcpsim.Options{CC: "cubic", Duration: 500 * time.Millisecond,
+	g.figure("fig2c_fine", mptcpsim.Options{CC: "cubic", Duration: 500 * time.Millisecond,
 		SampleInterval: 10 * time.Millisecond},
 		"Fig 2c: early phase, 10 ms bins")
 
-	tableSummary(figDuration, cubicHorizon, longDuration)
-	tableOliaDefault(longDuration)
-	tableBuffers(figDuration)
-	tableScheduler(figDuration)
-	tableSACK(figDuration)
-	fmt.Println("done:", *outDir)
+	g.tableSummary(figDuration, cubicHorizon, longDuration)
+	g.tableOliaDefault(longDuration)
+	g.tableBuffers(figDuration)
+	g.tableScheduler(figDuration)
+	g.tableSACK(figDuration)
+	if g.err != nil {
+		fmt.Fprintln(stderr, "figures:", g.err)
+		return 1
+	}
+	fmt.Fprintln(stdout, "done:", g.outDir)
+	return 0
 }
 
-func fig1c() {
-	res, err := mptcpsim.RunPaper(mptcpsim.Options{Duration: 100 * time.Millisecond})
-	if err != nil {
-		fatal(err)
-	}
-	withFile("fig1c_lp.txt", func(w io.Writer) error {
+func (g *gen) fig1c() {
+	g.withFile("fig1c_lp.txt", func(w io.Writer) error {
+		res, err := mptcpsim.RunPaper(mptcpsim.Options{Duration: 100 * time.Millisecond})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintln(w, "The throughput constraints of Fig. 1c and their solutions")
 		fmt.Fprintln(w)
 		fmt.Fprint(w, res.Problem)
@@ -85,14 +107,18 @@ func fig1c() {
 	})
 }
 
-func figure(name string, opts mptcpsim.Options, title string) {
+func (g *gen) figure(name string, opts mptcpsim.Options, title string) {
+	if g.err != nil {
+		return
+	}
 	opts.Seed = 1
 	res, err := mptcpsim.RunPaper(opts)
 	if err != nil {
-		fatal(err)
+		g.err = err
+		return
 	}
-	withFile(name+".csv", res.WriteCSV)
-	withFile(name+".txt", func(w io.Writer) error {
+	g.withFile(name+".csv", res.WriteCSV)
+	g.withFile(name+".txt", func(w io.Writer) error {
 		if err := res.Chart(w, title); err != nil {
 			return err
 		}
@@ -103,8 +129,8 @@ func figure(name string, opts mptcpsim.Options, title string) {
 
 // tableSummary reproduces the §3 findings: per algorithm, whether/when the
 // optimum band is reached and how stable the rate is afterwards.
-func tableSummary(figDur, cubicDur, longDur time.Duration) {
-	withFile("table_summary.csv", func(w io.Writer) error {
+func (g *gen) tableSummary(figDur, cubicDur, longDur time.Duration) {
+	g.withFile("table_summary.csv", func(w io.Writer) error {
 		fmt.Fprintln(w, "cc,horizon_s,seeds,converged,conv_frac,mean_conv_time_s,mean_total_mbps,mean_gap_pct,mean_post_cov")
 		for _, row := range []struct {
 			cc  string
@@ -118,7 +144,7 @@ func tableSummary(figDur, cubicDur, longDur time.Duration) {
 			{"wvegas", figDur},
 		} {
 			conv, convTime, total, gap, cov := 0, 0.0, 0.0, 0.0, 0.0
-			for s := 1; s <= *seeds; s++ {
+			for s := 1; s <= g.seeds; s++ {
 				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: row.cc, Seed: int64(s), Duration: row.dur})
 				if err != nil {
 					return err
@@ -131,25 +157,25 @@ func tableSummary(figDur, cubicDur, longDur time.Duration) {
 				gap += res.Summary.Gap * 100
 				cov += res.Summary.PostCoV
 			}
-			n := float64(*seeds)
+			n := float64(g.seeds)
 			mct := 0.0
 			if conv > 0 {
 				mct = convTime / float64(conv)
 			}
 			fmt.Fprintf(w, "%s,%.0f,%d,%d,%.2f,%.2f,%.1f,%.1f,%.3f\n",
-				row.cc, row.dur.Seconds(), *seeds, conv, float64(conv)/n, mct, total/n, gap/n, cov/n)
+				row.cc, row.dur.Seconds(), g.seeds, conv, float64(conv)/n, mct, total/n, gap/n, cov/n)
 		}
 		return nil
 	})
 }
 
 // tableOliaDefault reproduces the "only if Path 2 was the default" probe.
-func tableOliaDefault(dur time.Duration) {
-	withFile("table_olia_default.csv", func(w io.Writer) error {
+func (g *gen) tableOliaDefault(dur time.Duration) {
+	g.withFile("table_olia_default.csv", func(w io.Writer) error {
 		fmt.Fprintln(w, "default_path,seeds,converged,mean_conv_time_s,mean_gap_pct")
 		for _, order := range [][]int{{2, 1, 3}, {1, 2, 3}, {3, 1, 2}} {
 			conv, convTime, gap := 0, 0.0, 0.0
-			for s := 1; s <= *seeds; s++ {
+			for s := 1; s <= g.seeds; s++ {
 				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Seed: int64(s),
 					Duration: dur, SubflowPaths: order})
 				if err != nil {
@@ -165,7 +191,7 @@ func tableOliaDefault(dur time.Duration) {
 			if conv > 0 {
 				mct = convTime / float64(conv)
 			}
-			fmt.Fprintf(w, "%d,%d,%d,%.2f,%.1f\n", order[0], *seeds, conv, mct, gap/float64(*seeds))
+			fmt.Fprintf(w, "%d,%d,%d,%.2f,%.1f\n", order[0], g.seeds, conv, mct, gap/float64(g.seeds))
 		}
 		return nil
 	})
@@ -173,12 +199,12 @@ func tableOliaDefault(dur time.Duration) {
 
 // tableBuffers is ablation A1: queue capacity scales the drop (gradient
 // step) frequency and with it the shake-down.
-func tableBuffers(dur time.Duration) {
-	withFile("table_buffers.csv", func(w io.Writer) error {
+func (g *gen) tableBuffers(dur time.Duration) {
+	g.withFile("table_buffers.csv", func(w io.Writer) error {
 		fmt.Fprintln(w, "queue_scale,seeds,converged,mean_total_mbps,mean_gap_pct")
 		for _, qs := range []float64{0.25, 0.5, 1, 2, 4} {
 			conv, total, gap := 0, 0.0, 0.0
-			for s := 1; s <= *seeds; s++ {
+			for s := 1; s <= g.seeds; s++ {
 				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "cubic", Seed: int64(s),
 					Duration: dur, QueueScale: qs})
 				if err != nil {
@@ -190,20 +216,20 @@ func tableBuffers(dur time.Duration) {
 				total += res.Summary.TotalMean
 				gap += res.Summary.Gap * 100
 			}
-			n := float64(*seeds)
-			fmt.Fprintf(w, "%.2f,%d,%d,%.1f,%.1f\n", qs, *seeds, conv, total/n, gap/n)
+			n := float64(g.seeds)
+			fmt.Fprintf(w, "%.2f,%d,%d,%.1f,%.1f\n", qs, g.seeds, conv, total/n, gap/n)
 		}
 		return nil
 	})
 }
 
 // tableScheduler is ablation A3.
-func tableScheduler(dur time.Duration) {
-	withFile("table_scheduler.csv", func(w io.Writer) error {
+func (g *gen) tableScheduler(dur time.Duration) {
+	g.withFile("table_scheduler.csv", func(w io.Writer) error {
 		fmt.Fprintln(w, "scheduler,seeds,mean_total_mbps,mean_goodput_mbps,dup_bytes_frac")
 		for _, sched := range []string{"minrtt", "roundrobin", "redundant"} {
 			total, good, dup := 0.0, 0.0, 0.0
-			for s := 1; s <= *seeds; s++ {
+			for s := 1; s <= g.seeds; s++ {
 				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "cubic", Seed: int64(s),
 					Duration: dur, Scheduler: sched})
 				if err != nil {
@@ -215,20 +241,20 @@ func tableScheduler(dur time.Duration) {
 					dup += float64(res.DuplicateBytes) / float64(res.DeliveredBytes+res.DuplicateBytes)
 				}
 			}
-			n := float64(*seeds)
-			fmt.Fprintf(w, "%s,%d,%.1f,%.1f,%.3f\n", sched, *seeds, total/n, good/n, dup/n)
+			n := float64(g.seeds)
+			fmt.Fprintf(w, "%s,%d,%.1f,%.1f,%.3f\n", sched, g.seeds, total/n, good/n, dup/n)
 		}
 		return nil
 	})
 }
 
 // tableSACK contrasts SACK scoreboard recovery with NewReno-only.
-func tableSACK(dur time.Duration) {
-	withFile("table_sack.csv", func(w io.Writer) error {
+func (g *gen) tableSACK(dur time.Duration) {
+	g.withFile("table_sack.csv", func(w io.Writer) error {
 		fmt.Fprintln(w, "sack,seeds,mean_total_mbps,mean_gap_pct,mean_rtos")
 		for _, disable := range []bool{false, true} {
 			total, gap, rtos := 0.0, 0.0, 0.0
-			for s := 1; s <= *seeds; s++ {
+			for s := 1; s <= g.seeds; s++ {
 				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "cubic", Seed: int64(s),
 					Duration: dur, DisableSACK: disable})
 				if err != nil {
@@ -240,19 +266,23 @@ func tableSACK(dur time.Duration) {
 					rtos += float64(sf.RTOs)
 				}
 			}
-			n := float64(*seeds)
-			fmt.Fprintf(w, "%v,%d,%.1f,%.1f,%.1f\n", !disable, *seeds, total/n, gap/n, rtos/n)
+			n := float64(g.seeds)
+			fmt.Fprintf(w, "%v,%d,%.1f,%.1f,%.1f\n", !disable, g.seeds, total/n, gap/n, rtos/n)
 		}
 		return nil
 	})
 }
 
-func withFile(name string, fn func(w io.Writer) error) {
-	path := filepath.Join(*outDir, name)
-	if err := cli.WriteFile(path, fn); err != nil {
-		fatal(fmt.Errorf("%s: %w", name, err))
+func (g *gen) withFile(name string, fn func(w io.Writer) error) {
+	if g.err != nil {
+		return
 	}
-	fmt.Println("wrote", path)
+	path := filepath.Join(g.outDir, name)
+	if err := cli.WriteFile(path, fn); err != nil {
+		g.err = fmt.Errorf("%s: %w", name, err)
+		return
+	}
+	fmt.Fprintln(g.stdout, "wrote", path)
 }
 
 func sum(x []float64) float64 {
@@ -261,9 +291,4 @@ func sum(x []float64) float64 {
 		s += v
 	}
 	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
 }

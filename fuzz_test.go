@@ -218,3 +218,72 @@ func FuzzLoadGrid(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMergeInputs asserts the merge's contract on arbitrary mixes of
+// valid, truncated and corrupted run-logs: whatever three files are handed
+// to ReadRunLog → ShardResult → MergeShards, a merge that succeeds holds
+// every index of the grid exactly once, each run supplied by the shard
+// that owns it. A file the reader refuses is left out; a torn one
+// contributes its committed records.
+func FuzzMergeInputs(f *testing.F) {
+	fourRuns := &Grid{CCs: []string{"cubic"}, Orders: [][]int{{2, 1, 3}}, Seeds: []int64{1, 2, 3, 4}, DurationMs: 50}
+	sw := &Sweep{Workers: 1}
+	whole := streamToLog(f, sw, fourRuns, LogOptions{Hash: true})
+	s0 := streamShardToLog(f, sw, fourRuns, Shard{K: 0, N: 2}, LogOptions{})
+	s1 := streamShardToLog(f, sw, fourRuns, Shard{K: 1, N: 2}, LogOptions{})
+	header := bytes.IndexByte(s1, '\n') + 1
+	f.Add(s0, s1, []byte(nil))
+	f.Add(s1, []byte(nil), s0)
+	f.Add(whole, []byte(nil), []byte(nil))
+	f.Add(s0, s0, s1)                             // a shard supplied twice
+	f.Add(s0, []byte(nil), []byte(nil))           // a shard absent
+	f.Add(whole, s0, s1)                          // shape mismatch
+	f.Add(s0, s1[:header+(len(s1)-header)/4], s1) // torn inside a record, then the clean copy
+	f.Add(s0, s1[:len(s1)-1], []byte(nil))        // final record uncommitted
+	f.Add(s0, s1[:header/2], []byte(nil))         // torn header
+	f.Add(s0, s1[:header], []byte(nil))           // committed empty shard
+	// Corrupted: a run in the wrong shard, a header claiming another total.
+	f.Add(s0, bytes.Replace(s1, []byte(`"index":1,`), []byte(`"index":2,`), 1), []byte(nil))
+	f.Add(s0, bytes.Replace(s1, []byte(`"total":4`), []byte(`"total":5`), 1), []byte(nil))
+
+	f.Fuzz(func(t *testing.T, a, b, c []byte) {
+		var shards []*ShardResult
+		for _, data := range [][]byte{a, b, c} {
+			log, err := ReadRunLog(bytes.NewReader(data))
+			if err != nil {
+				continue
+			}
+			// MergeShards sizes its tables by the header's total: a dozen
+			// bytes can claim 1e18 runs, and merging that tests the
+			// allocator, not the merge.
+			if log.Header.Total > 4096 {
+				t.Skip("claimed grid too large to merge per fuzz input")
+			}
+			shards = append(shards, log.ShardResult())
+		}
+		if len(shards) == 0 {
+			return
+		}
+		res, err := MergeShards(shards...)
+		if err != nil {
+			return
+		}
+		if len(res.Runs) != shards[0].Total {
+			t.Fatalf("merged %d runs of a %d-run grid", len(res.Runs), shards[0].Total)
+		}
+		for i, run := range res.Runs {
+			if run.Index != i {
+				t.Fatalf("merged run %d carries index %d", i, run.Index)
+			}
+			owned := false
+			for _, sr := range shards {
+				for _, r := range sr.Runs {
+					owned = owned || (r.Index == i && sr.K == i%sr.N)
+				}
+			}
+			if !owned {
+				t.Fatalf("merged run %d was supplied by no shard that owns it", i)
+			}
+		}
+	})
+}

@@ -105,7 +105,7 @@ func (r *crashyRunner) Run(ctx context.Context, lease Lease) error {
 	after := r.plan(lease.K, r.attempts[lease.K])
 	r.mu.Unlock()
 
-	w := *r.worker
+	w := Worker{Sweep: r.worker.Sweep, Grid: r.worker.Grid, Spool: r.worker.Spool, SyncEvery: r.worker.SyncEvery}
 	var sink *crashSink
 	if after >= 0 {
 		w.WrapSink = func(_ Lease, next mptcpsim.RunSink) mptcpsim.RunSink {

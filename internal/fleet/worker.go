@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"sync"
 
 	"mptcpsim"
 )
@@ -12,7 +13,10 @@ import (
 // the library sweep, honouring the lease deadline via ctx.
 type Worker struct {
 	// Sweep executes the shard; its settings must match the coordinator's,
-	// or the grid digests disagree. Grid is the fleet's grid.
+	// or the grid digests disagree. Grid is the fleet's grid. The first Run
+	// describes the grid (expansion and digest, tens of milliseconds on a
+	// screening grid) and every later lease reuses that answer, so neither
+	// may change after the first Run.
 	Sweep *mptcpsim.Sweep
 	Grid  *mptcpsim.Grid
 	// Spool is the shared spool directory.
@@ -23,17 +27,23 @@ type Worker struct {
 	// seam for tests. The wrapper's error poisons the stream exactly like
 	// a sink write failure.
 	WrapSink func(lease Lease, sink mptcpsim.RunSink) mptcpsim.RunSink
+
+	// describe guards digest, total and describeErr: leases run concurrently.
+	describe    sync.Once
+	digest      string
+	total       int
+	describeErr error
 }
 
 func (w *Worker) Run(ctx context.Context, lease Lease) error {
-	digest, total, err := w.Sweep.Describe(w.Grid)
-	if err != nil {
-		return err
+	w.describe.Do(func() { w.digest, w.total, w.describeErr = w.Sweep.Describe(w.Grid) })
+	if w.describeErr != nil {
+		return w.describeErr
 	}
 	header := mptcpsim.RunLogHeader{
-		GridDigest: digest,
+		GridDigest: w.digest,
 		K:          lease.K, N: lease.N,
-		Total:  total,
+		Total:  w.total,
 		Worker: lease.Worker,
 		Lease:  lease.Epoch,
 	}

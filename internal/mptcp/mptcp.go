@@ -104,11 +104,6 @@ type Subflow struct {
 	Picks uint64
 	// assigned counts DSN bytes mapped onto this subflow (sender side).
 	assigned uint64
-	// dssBuf is the scratch mapping handed to the TCP sender on each
-	// grant. The sender copies it into the outgoing packet and its
-	// retransmit queue within the same grant, before the next Next call
-	// overwrites it, so one buffer per subflow suffices.
-	dssBuf packet.DSS
 	// redundantCursor is the end of this subflow's last mapping: its
 	// private DSN cursor under the redundant scheduler, not read otherwise.
 	redundantCursor uint64
@@ -165,7 +160,9 @@ func Dial(h *tcp.Host, rng *sim.Rand, cfg Config, raddr packet.Addr, rport packe
 			tcfg.Tag = spec.Tag
 			tcfg.CC = algo
 			tcfg.Source = &sfSource{sf: sf}
-			tcfg.Sink = nopSink{}
+			// No Sink: the experiments are one-way, so reverse-direction data
+			// is discarded and the subflow advertises no data-level ACK.
+			tcfg.Sink = nil
 			tcfg.FlowID = spec.Label
 			if i == 0 {
 				tcfg.SynOptions = []packet.Option{&packet.MPCapable{Key: key}}
@@ -226,7 +223,7 @@ type sfSource struct {
 // high-water mark duplicates bytes other subflows already carry; in every
 // other case (the leading redundant subflow included) it pulls fresh data
 // and advances the mark.
-func (s *sfSource) Next(max int) (int, *packet.DSS) {
+func (s *sfSource) Next(max int) (int, uint64, bool) {
 	sf, c := s.sf, s.sf.conn
 	dsn, n := c.dsnNext, max
 	if c.sched.redundant && sf.redundantCursor < c.dsnNext {
@@ -237,23 +234,15 @@ func (s *sfSource) Next(max int) (int, *packet.DSS) {
 	} else {
 		n = c.source.NextData(n)
 		if n <= 0 {
-			return 0, nil
+			return 0, 0, false
 		}
 		c.dsnNext += uint64(n)
 	}
-	sf.dssBuf = packet.DSS{HasMap: true, DSN: dsn, DataLen: uint16(n)}
 	sf.redundantCursor = dsn + uint64(n)
 	sf.assigned += uint64(n)
 	sf.Picks++
-	return n, &sf.dssBuf
+	return n, dsn, true
 }
-
-// nopSink ignores reverse-direction data on sender-side subflows (the
-// experiments are one-way) and advertises no data-level ACK.
-type nopSink struct{}
-
-func (nopSink) OnData(int, *packet.DSS) {}
-func (nopSink) DataAck() (uint64, bool) { return 0, false }
 
 // TokenFromKey derives the connection token advertised in MP_JOIN from the
 // MP_CAPABLE key (RFC 6824 uses a SHA-1 truncation; a mix suffices here).

@@ -263,7 +263,7 @@ func TestQuickReassemblyExactlyOnce(t *testing.T) {
 		}
 		rng.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 		for _, c := range seq {
-			rc.push(c.n, &packet.DSS{HasMap: true, DSN: c.dsn, DataLen: uint16(c.n)})
+			rc.push(c.n, c.dsn, true)
 		}
 		return rc.Delivered == dsn && rc.DataAck() == dsn && rc.ooo.len() == 0
 	}

@@ -42,9 +42,10 @@ func (rc *RecvConn) OOOBytes() uint64 {
 // DataAck returns the connection-level cumulative acknowledgement.
 func (rc *RecvConn) DataAck() uint64 { return rc.dsnExpected }
 
-// push consumes one in-order subflow segment carrying a DSS mapping.
-func (rc *RecvConn) push(n int, dss *packet.DSS) {
-	if dss == nil || !dss.HasMap {
+// push consumes one in-order subflow segment: n bytes at data sequence
+// number dsn when mapped.
+func (rc *RecvConn) push(n int, dsn uint64, mapped bool) {
+	if !mapped {
 		// Plain segment without a mapping (should not happen from our
 		// sender); count it as delivered payload.
 		rc.Delivered += uint64(n)
@@ -53,7 +54,7 @@ func (rc *RecvConn) push(n int, dss *packet.DSS) {
 		}
 		return
 	}
-	rc.insert(dss.DSN, n)
+	rc.insert(dsn, n)
 	rc.drain()
 }
 
@@ -114,7 +115,7 @@ type sfSink struct {
 }
 
 // OnData implements tcp.Sink.
-func (s *sfSink) OnData(n int, dss *packet.DSS) { s.rc.push(n, dss) }
+func (s *sfSink) OnData(n int, dsn uint64, mapped bool) { s.rc.push(n, dsn, mapped) }
 
 // DataAck implements tcp.Sink.
 func (s *sfSink) DataAck() (uint64, bool) { return s.rc.DataAck(), true }

@@ -13,8 +13,7 @@ package packet
 //     window and must copy anything they keep — the slot is reused for an
 //     unrelated packet on the next Get.
 //   - The per-packet option values (Timestamps, DSS, SACK blocks) live in
-//     the slot's TCPBuf and are recycled with it. Receivers that park a
-//     mapping past the delivery callback copy the DSS by value.
+//     the slot's TCPBuf and are recycled with it.
 //   - Recycle is idempotent and ignores foreign packets (constructed with
 //     new/composite literals), so tests and external senders need no
 //     arena awareness.

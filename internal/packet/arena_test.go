@@ -171,9 +171,9 @@ func TestQuickArenaMatchesReference(t *testing.T) {
 
 // TestSlotReuseOverwritesHeldOptionPointers pins down the aliasing rule
 // the arena documents: option values live in the slot and are overwritten
-// on reuse, so holders must copy by value before the terminal event (the
-// sender's seg does exactly this for its DSS). The test asserts both
-// halves — the value copy survives, the retained pointer does not.
+// on reuse, so holders must copy by value before the terminal event (a tap
+// recording mappings does exactly this). The test asserts both halves —
+// the value copy survives, the retained pointer does not.
 func TestSlotReuseOverwritesHeldOptionPointers(t *testing.T) {
 	var a Arena
 	p1, t1 := a.GetTCP()

@@ -1,9 +1,9 @@
 package tcp
 
-// Aliasing regression tests for the arena discipline: a retransmission
-// fires long after the packet that first carried the segment was
-// recycled and its slot redrawn, so the sender's scoreboard must hold its
-// DSS mapping by value, never through the recycled option storage.
+// A retransmission fires long after the packet that first carried the
+// segment was recycled and its slot redrawn. The scoreboard keeps only the
+// segment's data sequence number and sendData rebuilds the option from it,
+// so the retransmitted mapping must equal the original.
 
 import (
 	"testing"
@@ -15,27 +15,25 @@ import (
 	"mptcpsim/internal/unit"
 )
 
-// dssBulkSource grants MSS-sized chunks and stamps each with a mapping in
-// connection-owned scratch, exactly like the MPTCP scheduler: the scratch
-// is overwritten on the very next grant, so only a value copy survives.
+// dssBulkSource grants MSS-sized chunks and maps each to the next data
+// sequence numbers, like the MPTCP scheduler.
 type dssBulkSource struct {
 	remaining int
 	next      uint64
-	scratch   packet.DSS
 }
 
-func (s *dssBulkSource) Next(max int) (int, *packet.DSS) {
+func (s *dssBulkSource) Next(max int) (int, uint64, bool) {
 	if s.remaining <= 0 || max <= 0 {
-		return 0, nil
+		return 0, 0, false
 	}
 	n := max
 	if s.remaining < n {
 		n = s.remaining
 	}
 	s.remaining -= n
-	s.scratch = packet.DSS{HasMap: true, DSN: s.next}
+	dsn := s.next
 	s.next += uint64(n)
-	return n, &s.scratch
+	return n, dsn, true
 }
 
 // dssTap records the mapping each delivered data packet carries.
@@ -60,9 +58,7 @@ func (d *dssTap) OnDrop(string, *packet.Packet, netem.DropReason)  {}
 // TestRetransmitCarriesOriginalMapping drops an early data packet, lets
 // dozens of later segments reuse its arena slot (overwriting the slot's
 // DSS storage with later mappings), then checks the retransmission still
-// carries the dropped segment's own mapping. If the sender aliased the
-// recycled option storage instead of copying the DSS by value, the
-// retransmitted mapping would be a later grant's.
+// carries the dropped segment's own mapping.
 func TestRetransmitCarriesOriginalMapping(t *testing.T) {
 	tn := newTestNet(t, 10*unit.Mbps, 5*time.Millisecond, unit.MB)
 	tap := &dssTap{got: make(map[uint32]packet.DSS)}
@@ -87,10 +83,13 @@ func TestRetransmitCarriesOriginalMapping(t *testing.T) {
 	for seq, dss := range tap.got {
 		offset := seq - conn.iss - 1
 		if dss.DSN != uint64(offset) {
-			t.Fatalf("seq %d (offset %d) delivered with DSN %d — a recycled slot's mapping leaked into a retransmission", seq, offset, dss.DSN)
+			t.Fatalf("seq %d (offset %d) delivered with DSN %d", seq, offset, dss.DSN)
 		}
 		if dss.SubflowSeq != offset {
 			t.Fatalf("seq %d: subflow seq %d, want %d", seq, dss.SubflowSeq, offset)
+		}
+		if want := min(conn.mss, total-int(offset)); int(dss.DataLen) != want {
+			t.Fatalf("seq %d: data length %d, want %d", seq, dss.DataLen, want)
 		}
 	}
 }

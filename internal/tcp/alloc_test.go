@@ -7,6 +7,7 @@ package tcp
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
@@ -92,5 +93,17 @@ func TestRetransmitSteadyStateZeroAlloc(t *testing.T) {
 	}
 	if conn.Stats.Retransmits == 0 {
 		t.Fatal("gate measured nothing: no segments were retransmitted")
+	}
+}
+
+// TestQueueRecordSizes pins the two records a run allocates most of its
+// bytes in: the scoreboard and the out-of-order queue hold thousands of
+// them through slow-start overshoot.
+func TestQueueRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(seg{}); n > 40 {
+		t.Errorf("seg is %d bytes, want <= 40", n)
+	}
+	if n := unsafe.Sizeof(rseg{}); n > 32 {
+		t.Errorf("rseg is %d bytes, want <= 32", n)
 	}
 }

@@ -55,10 +55,9 @@ type Stats struct {
 
 // seg is a sender-side tracked segment awaiting acknowledgement. The
 // sacked/lost flags form the SACK scoreboard (RFC 6675); rtx records that
-// a retransmission of the segment is in flight. The DSS mapping is held
-// by value: the packet that carried the original transmission is recycled
-// by the arena at delivery or drop, so a retransmission must never reach
-// back into its option storage.
+// a retransmission of the segment is in flight. dsn is the data sequence
+// number the Source mapped the segment to, meaningful when mapped: all a
+// retransmission needs to rebuild the DSS option.
 type seg struct {
 	seq    uint32
 	length int
@@ -66,34 +65,17 @@ type seg struct {
 	rtx    bool
 	sacked bool
 	lost   bool
-	dss    packet.DSS
-	hasDSS bool
+	mapped bool
+	dsn    uint64
 }
 
-// dssPtr returns the segment's mapping for retransmission, nil if the
-// segment carried none.
-func (s *seg) dssPtr() *packet.DSS {
-	if !s.hasDSS {
-		return nil
-	}
-	return &s.dss
-}
-
-// rseg is a receiver-side out-of-order segment. Like seg, it copies the
-// DSS out of the arriving packet: the packet's storage is recycled when
-// the delivery callback returns, long before the gap fills.
+// rseg is a receiver-side out-of-order segment, with the data sequence
+// number its DSS mapping carried (meaningful when mapped).
 type rseg struct {
 	seq    uint32
 	length int
-	dss    packet.DSS
-	hasDSS bool
-}
-
-func (s *rseg) dssPtr() *packet.DSS {
-	if !s.hasDSS {
-		return nil
-	}
-	return &s.dss
+	dsn    uint64
+	mapped bool
 }
 
 // Conn is one TCP connection endpoint.

@@ -19,12 +19,14 @@ func (c *Conn) advertisedWindow() uint32 {
 
 // processData handles the payload of an arriving segment.
 func (c *Conn) processData(pkt *packet.Packet) {
-	t := pkt.TCP
 	n := pkt.PayloadLen
-	seq := t.Seq
-	var dss *packet.DSS
-	if t != nil {
-		dss = t.DSS()
+	seq := pkt.TCP.Seq
+	// The one place a mapping is read. Only its data sequence number goes
+	// further: the option's storage is recycled when this delivery returns.
+	var dsn uint64
+	mapped := false
+	if d := pkt.TCP.DSS(); d != nil && d.HasMap {
+		dsn, mapped = d.DSN, true
 	}
 
 	switch {
@@ -34,13 +36,13 @@ func (c *Conn) processData(pkt *packet.Packet) {
 	case seqGT(seq, c.rcvNxt):
 		// Out of order: park it and send an immediate duplicate ACK
 		// (RFC 5681 §4.2) so the sender's dupACK counter advances.
-		c.storeOOO(seq, n, dss)
+		c.storeOOO(seq, n, dsn, mapped)
 		c.sendPureAck()
 	default:
 		// In-order (seq == rcvNxt for our aligned senders).
 		hadGap := c.ooo.Len() > 0
 		c.rcvNxt = seq + uint32(n)
-		c.deliverData(n, dss)
+		c.deliverData(n, dsn, mapped)
 		c.drainOOO()
 		c.ackPending++
 		if hadGap {
@@ -62,17 +64,15 @@ func (c *Conn) onDelAck() {
 	}
 }
 
-func (c *Conn) deliverData(n int, dss *packet.DSS) {
+func (c *Conn) deliverData(n int, dsn uint64, mapped bool) {
 	c.Stats.DeliveredData += uint64(n)
 	if c.cfg.Sink != nil {
-		c.cfg.Sink.OnData(n, dss)
+		c.cfg.Sink.OnData(n, dsn, mapped)
 	}
 }
 
-// storeOOO parks an out-of-order segment, ignoring exact duplicates. The
-// DSS is copied by value: dss points into the arriving packet, whose
-// storage is recycled when this delivery returns.
-func (c *Conn) storeOOO(seq uint32, n int, dss *packet.DSS) {
+// storeOOO parks an out-of-order segment, ignoring exact duplicates.
+func (c *Conn) storeOOO(seq uint32, n int, dsn uint64, mapped bool) {
 	c.lastOOOSeq = seq
 	ooo := c.ooo.Live()
 	i := sort.Search(len(ooo), func(i int) bool { return seqGEQ(ooo[i].seq, seq) })
@@ -82,16 +82,12 @@ func (c *Conn) storeOOO(seq uint32, n int, dss *packet.DSS) {
 	if unit.ByteSize(c.oooBytes+n) > c.cfg.RcvBuf {
 		return // buffer full: arriving OOO data is dropped silently
 	}
-	s := rseg{seq: seq, length: n}
-	if dss != nil {
-		s.dss, s.hasDSS = *dss, true
-	}
 	end := seq + uint32(n)
 	if (i > 0 && seqGT(ooo[i-1].seq+uint32(ooo[i-1].length), seq)) ||
 		(i < len(ooo) && seqGT(end, ooo[i].seq)) {
 		c.sackRebuild = true
 	}
-	c.ooo.Insert(i, s)
+	c.ooo.Insert(i, rseg{seq: seq, length: n, dsn: dsn, mapped: mapped})
 	c.oooBytes += n
 	if c.sackRebuild {
 		c.rebuildSackRanges()
@@ -138,10 +134,9 @@ func (c *Conn) rebuildSackRanges() {
 }
 
 // drainOOO delivers any parked segments made contiguous by rcvNxt. The
-// queue is walked in place (no per-segment copy — the copy would escape
-// through dssPtr and heap-allocate on every drained segment) and the
-// drained prefix retired afterwards; nothing mutates c.ooo during the walk
-// because delivery only schedules future events.
+// queue is walked in place and the drained prefix retired afterwards;
+// nothing mutates c.ooo during the walk because delivery only schedules
+// future events.
 func (c *Conn) drainOOO() {
 	ooo := c.ooo.Live()
 	n := 0
@@ -156,7 +151,7 @@ func (c *Conn) drainOOO() {
 			continue // stale overlap
 		}
 		c.rcvNxt = s.seq + uint32(s.length)
-		c.deliverData(s.length, s.dssPtr())
+		c.deliverData(s.length, s.dsn, s.mapped)
 	}
 	if n == 0 {
 		return

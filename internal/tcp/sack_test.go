@@ -118,8 +118,8 @@ func TestSACKBlocksFromOOOQueue(t *testing.T) {
 	c := scoreboardConn()
 	c.rcvNxt = 1
 	// Two gaps: [2001,3001) and [5001,6001), arriving newest first.
-	c.storeOOO(5001, 1000, nil)
-	c.storeOOO(2001, 1000, nil)
+	c.storeOOO(5001, 1000, 0, false)
+	c.storeOOO(2001, 1000, 0, false)
 	blocks := c.sackBlocks()
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %v", blocks)
@@ -129,7 +129,7 @@ func TestSACKBlocksFromOOOQueue(t *testing.T) {
 		t.Fatalf("first block = %v, want the newest arrival", blocks[0])
 	}
 	// Adjacent OOO segments coalesce.
-	c.storeOOO(3001, 1000, nil)
+	c.storeOOO(3001, 1000, 0, false)
 	blocks = c.sackBlocks()
 	for _, b := range blocks {
 		if b == [2]uint32{2001, 4001} {
@@ -143,7 +143,7 @@ func TestSACKBlockLimit(t *testing.T) {
 	c := scoreboardConn()
 	c.rcvNxt = 1
 	for i := 0; i < 6; i++ {
-		c.storeOOO(uint32(2001+i*2000), 1000, nil) // non-adjacent gaps
+		c.storeOOO(uint32(2001+i*2000), 1000, 0, false) // non-adjacent gaps
 	}
 	if got := len(c.sackBlocks()); got > packet.MaxSACKBlocks {
 		t.Fatalf("emitted %d blocks, cap is %d", got, packet.MaxSACKBlocks)
@@ -332,7 +332,7 @@ func TestOptionSpaceBudget(t *testing.T) {
 	c.cfg.Sink = &fakeDataAckSink{}
 	c.rcvNxt = 1
 	for i := 0; i < 5; i++ {
-		c.storeOOO(uint32(2001+i*2000), 1000, nil)
+		c.storeOOO(uint32(2001+i*2000), 1000, 0, false)
 	}
 	tt := &packet.TCP{
 		Flags:  packet.FlagACK,
@@ -356,5 +356,5 @@ func TestOptionSpaceBudget(t *testing.T) {
 
 type fakeDataAckSink struct{}
 
-func (fakeDataAckSink) OnData(int, *packet.DSS) {}
-func (fakeDataAckSink) DataAck() (uint64, bool) { return 12345, true }
+func (fakeDataAckSink) OnData(int, uint64, bool) {}
+func (fakeDataAckSink) DataAck() (uint64, bool)  { return 12345, true }

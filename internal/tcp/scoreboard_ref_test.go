@@ -80,7 +80,7 @@ func refSendScoreboard(c *Conn) {
 		}
 		hole.rtx = true
 		hole.sentAt = now
-		c.sendData(hole.seq, hole.length, hole.dssPtr(), true)
+		c.sendData(hole, true)
 	}
 }
 

@@ -86,29 +86,17 @@ func (c *Conn) trySend() {
 			}
 			chunk = avail
 		}
-		n, dss := c.cfg.Source.Next(chunk)
+		n, dsn, mapped := c.cfg.Source.Next(chunk)
 		if n <= 0 {
 			return
 		}
 		if n > chunk {
 			n = chunk
 		}
-		if dss != nil && dss.HasMap {
-			// The mapping's subflow-relative sequence is the stream offset
-			// of this segment; the Source cannot know it, the sender does.
-			dss.SubflowSeq = c.sndNxt - (c.iss + 1)
-			dss.DataLen = uint16(n)
-		}
-		c.sendData(c.sndNxt, n, dss, false)
+		sg := seg{seq: c.sndNxt, length: n, sentAt: c.loop.Now(), dsn: dsn, mapped: mapped}
+		c.sendData(&sg, false)
 		c.sndNxt += uint32(n)
 		out += n
-		// The tracked segment copies the mapping by value: dss points at
-		// Source-owned scratch that the next grant overwrites, and the
-		// packet that carried it is recycled at delivery.
-		sg := seg{seq: c.sndNxt - uint32(n), length: n, sentAt: c.loop.Now()}
-		if dss != nil {
-			sg.dss, sg.hasDSS = *dss, true
-		}
 		c.rtx.Push(sg)
 		c.pipe += n
 		if !c.timing {
@@ -125,21 +113,23 @@ func (c *Conn) trySend() {
 
 // sendData transmits one data segment (fresh or retransmission). The
 // segment is built into arena storage: header and option values live in
-// the packet's own slot, so nothing here allocates.
-func (c *Conn) sendData(seq uint32, n int, dss *packet.DSS, isRtx bool) {
+// the packet's own slot, so nothing here allocates. A mapped segment's DSS
+// option is built here and nowhere else: the data sequence number the
+// Source gave, the subflow-relative sequence (the segment's offset in the
+// stream) and its length.
+func (c *Conn) sendData(s *seg, isRtx bool) {
 	p, t := c.arena.GetTCP()
 	t.SrcPort = c.local.Port
 	t.DstPort = c.remote.Port
-	t.Seq = seq
+	t.Seq = s.seq
 	t.Ack = c.rcvNxt
 	t.Flags = packet.FlagACK | packet.FlagPSH
 	t.Window = c.advertisedWindow()
 	if c.tsOK {
 		t.UseTimestamps(c.tsNow(), c.peerTSval)
 	}
-	if dss != nil {
-		// Copy: the option is serialised per packet.
-		d := t.UseDSS(*dss)
+	if s.mapped {
+		d := t.UseDSS(packet.DSS{HasMap: true, DSN: s.dsn, SubflowSeq: s.seq - (c.iss + 1), DataLen: uint16(s.length)})
 		if ack, ok := c.dataAck(); ok {
 			d.HasAck = true
 			d.DataAck = ack
@@ -150,7 +140,7 @@ func (c *Conn) sendData(seq uint32, n int, dss *packet.DSS, isRtx bool) {
 		// Karn's rule: a retransmission invalidates the running RTT timing.
 		c.timing = false
 	}
-	c.transmit(p, n)
+	c.transmit(p, s.length)
 }
 
 func (c *Conn) dataAck() (uint64, bool) {
@@ -431,7 +421,7 @@ func (c *Conn) sendScoreboard() {
 		hole.sentAt = now
 		oldest = min(oldest, now)
 		c.oldestRtx = min(c.oldestRtx, now)
-		c.sendData(hole.seq, hole.length, hole.dssPtr(), true)
+		c.sendData(hole, true)
 	}
 }
 
@@ -498,7 +488,7 @@ func (c *Conn) retransmitFront() {
 	s.rtx = true
 	s.sentAt = c.loop.Now()
 	c.pipe += segPipe(s)
-	c.sendData(s.seq, s.length, s.dssPtr(), true)
+	c.sendData(s, true)
 }
 
 // armRTO (re)starts the retransmission timer. The reset is allocation-free:

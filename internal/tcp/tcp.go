@@ -8,9 +8,11 @@
 // Congestion control is pluggable through the cc package; MPTCP couples
 // subflows by handing every subflow Conn the same cc.Algorithm instance.
 // The MPTCP data layer attaches through two small interfaces: Source
-// (pull-model supplier of payload plus DSS mappings on the send side) and
-// Sink (consumer of in-order subflow data plus provider of connection-level
-// data ACKs on the receive side).
+// (pull-model supplier of payload and the data sequence number it maps to)
+// and Sink (consumer of in-order subflow data with that number, plus
+// provider of connection-level data ACKs). Only a data sequence number
+// crosses the seam: sendData builds the DSS option from it and processData
+// reads it back out.
 package tcp
 
 import (
@@ -116,17 +118,18 @@ func (c Config) withDefaults() Config {
 // Source supplies payload for transmission, pull-model: the sender asks for
 // up to max bytes whenever window space opens. Implementations return the
 // number of bytes to send now (0 = nothing to send until the next ACK or
-// timer asks again) and an optional MPTCP DSS mapping describing them.
+// timer asks again) and, when mapped, the MPTCP data sequence number of the
+// first of them; mapped=false sends plain TCP.
 type Source interface {
-	Next(max int) (n int, dss *packet.DSS)
+	Next(max int) (n int, dsn uint64, mapped bool)
 }
 
 // Sink consumes in-order subflow data on the receive side and provides the
 // connection-level cumulative data ACK to advertise.
 type Sink interface {
-	// OnData receives n in-order payload bytes and the segment's DSS
-	// mapping (nil for plain TCP).
-	OnData(n int, dss *packet.DSS)
+	// OnData receives n in-order payload bytes and, when the segment
+	// carried a DSS mapping, the data sequence number of the first.
+	OnData(n int, dsn uint64, mapped bool)
 	// DataAck returns the connection-level ACK to embed in outgoing ACKs;
 	// ok=false omits it (plain TCP).
 	DataAck() (ack uint64, ok bool)
@@ -136,7 +139,7 @@ type Sink interface {
 type BulkSource struct{}
 
 // Next implements Source.
-func (BulkSource) Next(max int) (int, *packet.DSS) { return max, nil }
+func (BulkSource) Next(max int) (int, uint64, bool) { return max, 0, false }
 
 // CountSink counts delivered bytes and provides no data-level ACK.
 type CountSink struct {
@@ -144,7 +147,7 @@ type CountSink struct {
 }
 
 // OnData implements Sink.
-func (s *CountSink) OnData(n int, _ *packet.DSS) { s.Bytes += uint64(n) }
+func (s *CountSink) OnData(n int, _ uint64, _ bool) { s.Bytes += uint64(n) }
 
 // DataAck implements Sink.
 func (s *CountSink) DataAck() (uint64, bool) { return 0, false }

@@ -17,16 +17,16 @@ import (
 // limitedSource sends a fixed number of bytes then stops.
 type limitedSource struct{ remaining int }
 
-func (s *limitedSource) Next(max int) (int, *packet.DSS) {
+func (s *limitedSource) Next(max int) (int, uint64, bool) {
 	if s.remaining <= 0 {
-		return 0, nil
+		return 0, 0, false
 	}
 	n := max
 	if s.remaining < n {
 		n = s.remaining
 	}
 	s.remaining -= n
-	return n, nil
+	return n, 0, false
 }
 
 // dropSeq is an AQM that deterministically drops data packets whose TCP
