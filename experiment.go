@@ -24,6 +24,15 @@ import (
 	"mptcpsim/internal/unit"
 )
 
+// What a run holds fixed: it counts as converged once its total has stayed
+// within convergenceTol of the optimum for convergenceHold, and cross flows
+// run crossCC.
+const (
+	convergenceTol  = 0.08
+	convergenceHold = 500 * time.Millisecond
+	crossCC         = "cubic"
+)
+
 // ResetBaselineCache drops the memoised LP/max-min/proportional-fair
 // baselines. The cache is keyed by topology (and, for dynamic runs, by
 // capacity epoch) and LRU-bounded, so resetting is rarely necessary; it
@@ -237,7 +246,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	// Receiver side: MPTCP acceptor plus the tshark-style capture.
 	acc := &mptcp.Acceptor{}
 	if err := mptcp.Listen(receiver, ServerPort, tcp.Config{
-		DelAckCount: opts.DelAckCount,
 		DisableSACK: opts.DisableSACK,
 		Timestamps:  opts.Timestamps,
 	}, acc); err != nil {
@@ -252,10 +260,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	// the MPTCP subflows.
 	const crossTagBase = 100
 	if len(opts.CrossTCP) > 0 {
-		crossCC := opts.CrossCC
-		if crossCC == "" {
-			crossCC = "cubic"
-		}
 		if err := receiver.Listen(ServerPort+1, &tcp.Listener{
 			ConfigFor: func([]packet.Option, packet.Endpoint) tcp.Config {
 				return tcp.Config{Sink: &tcp.CountSink{}, DisableSACK: opts.DisableSACK}
@@ -314,7 +318,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		Subflows:  specs,
 		Source:    src,
 		TCP: tcp.Config{
-			DelAckCount: opts.DelAckCount,
 			DisableSACK: opts.DisableSACK,
 			Timestamps:  opts.Timestamps,
 		},
@@ -356,7 +359,7 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		greedyTotal += v
 	}
 	res.Summary = stats.Summarize(opts.CC, total, pathSeries,
-		target, greedyTotal, opts.ConvergenceTol, opts.ConvergenceHold)
+		target, greedyTotal, convergenceTol, convergenceHold)
 
 	// Per-epoch reports: the measured performance of each capacity epoch
 	// against the optimum that was actually in force.
@@ -367,7 +370,7 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 			en = epochStarts[i+1]
 		}
 		es := stats.SummarizeEpoch(total, pathSeries, st, en,
-			epochBase[i].Solution.Objective, opts.ConvergenceTol, opts.ConvergenceHold)
+			epochBase[i].Solution.Objective, convergenceTol, convergenceHold)
 		res.Epochs[i] = EpochReport{
 			Start: st,
 			End:   en,

@@ -1,0 +1,348 @@
+package mptcpsim
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// fieldAllow is every struct field of production code that TestEveryFieldIsSetAndRead
+// lets stand although no production code sets it, or none reads it. Each
+// entry says which of four classes it is in: a feature only tests switch on
+// but whose tests pin a standard, a seam tests inject faults through, a point
+// tests observe the engine at, or a name bench/ pins (only a benchmark PR may
+// touch bench/).
+var fieldAllow = map[string]string{
+	"mptcpsim.Options.Timestamps": "tested feature: no command sets it, the RFC 7323 tests and the corpus generator do",
+	"tcp.Config.MSS":              "tested feature: only the MSS-negotiation tests set it; withDefaults fills DefaultMSS",
+	"tcp.Config.RcvBuf":           "tested feature: only the flow-control tests set it; withDefaults fills DefaultRcvBuf",
+
+	"fleet.Worker.SyncEvery": "test seam: crash-injection tests shorten the fsync batch",
+	"fleet.Worker.WrapSink":  "test seam: crash-injection tests (and bench/) wrap the shard's sink",
+
+	"tcp.Stats.AcksSent":        "test observation point: delayed-ACK tests count the ACKs",
+	"tcp.Stats.DeliveredData":   "test observation point: receiver tests read the in-order byte count",
+	"tcp.Conn.peerTSseen":       "test observation point: the timestamp tests check an echo was seen",
+	"mptcp.Subflow.assigned":    "test observation point: per-subflow share of the scheduler's grants",
+	"mptcp.RecvConn.subflows":   "test observation point: join-demultiplexing tests count the joined subflows",
+	"topo.PaperNet.Bottlenecks": "test observation point: the Fig. 1a tests name the three shared links",
+
+	"tcp.CountSink.Bytes":   "test observation point: the tcp tests read what a plain-TCP receiver was handed",
+	"check.Ladder.Stripped": "test observation point: the ladder-coverage test wants some ladder to have stripped events",
+
+	"cc.Flow.ID": "pinned by bench/: its only source is tcp.Config.FlowID, which bench/layers.go sets; no algorithm reads it",
+}
+
+// TestEveryFieldIsSetAndRead is the field-level reachability pass as a
+// guard. It type-checks every non-test file of the module outside bench/ and
+// fails naming any struct field — embedded and JSON-tagged ones set aside,
+// encoders read and write those — that no production code sets or none
+// reads, unless fieldAllow gives the reason it stays. A field nobody sets is
+// a constant; a field nobody reads is not state.
+//
+// A write is a composite-literal element, an assignment (x.f += 1 included:
+// a counter nobody looks at is not read by being bumped), ++/--, &x.f,
+// slicing an array x.f[:], or a pointer-receiver method call on x.f (the
+// last three hand out the field's memory and count as reads too); writing
+// x.f.g also writes f when f holds its struct or array by value. Writes
+// inside a method named withDefaults are the default, not a caller's choice,
+// and do not count. Every other mention of a field is a read, and comparing
+// struct values or keying a map by them reads every field of the struct.
+func TestEveryFieldIsSetAndRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	uses, fset := fieldUses(t)
+	var bad []string
+	seen := map[string]bool{}
+	for v, u := range uses {
+		seen[u.name] = true
+		_, allowed := fieldAllow[u.name]
+		switch {
+		case u.writes > 0 && u.reads > 0:
+			if allowed {
+				bad = append(bad, fmt.Sprintf("%s is set and read: drop it from fieldAllow", u.name))
+			}
+		case allowed:
+		default:
+			what := "set"
+			if u.writes > 0 {
+				what = "read"
+			}
+			bad = append(bad, fmt.Sprintf("%s: %s is never %s by production code (%d writes, %d reads)",
+				fset.Position(v.Pos()), u.name, what, u.writes, u.reads))
+		}
+	}
+	classes := []string{"tested feature", "test seam", "test observation point", "pinned by bench/"}
+	for name, why := range fieldAllow {
+		if !seen[name] {
+			bad = append(bad, fmt.Sprintf("fieldAllow names %s, which is not declared", name))
+		}
+		if class, _, ok := strings.Cut(why, ":"); !ok || !slices.Contains(classes, class) {
+			bad = append(bad, fmt.Sprintf("fieldAllow[%s] gives no class and reason", name))
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// fieldUse counts one declared field's mentions; name is pkg.Type.field.
+type fieldUse struct {
+	name          string
+	writes, reads int
+}
+
+// fieldUses type-checks the module's production packages, in the dependency
+// order `go list -deps` prints them in, and counts each declared field's
+// writes and reads. Packages outside the module come from the export data
+// the same `go list -export` call built.
+func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
+	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Export,Standard", "-export", "-deps", "./...")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v\n%s", err, stderr.Bytes())
+	}
+	fset := token.NewFileSet()
+	exports := map[string]string{}
+	checked := map[string]*types.Package{}
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return gc.Import(path)
+	})
+	byVar := map[*types.Var]*fieldUse{}
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var p struct {
+			ImportPath, Dir, Export string
+			GoFiles                 []string
+			Standard                bool
+		}
+		if err := dec.Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		if p.Standard {
+			exports[p.ImportPath] = p.Export
+			continue
+		}
+		if p.ImportPath == "mptcpsim/bench" {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(p.ImportPath, fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = pkg
+		declareFields(pkg.Name(), files, info, byVar)
+		countFieldUses(files, info, byVar)
+	}
+	return byVar, fset
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// declareFields enters every named field of every struct type written in
+// files, embedded and JSON-tagged ones excepted.
+func declareFields(pkg string, files []*ast.File, info *types.Info, byVar map[*types.Var]*fieldUse) {
+	enter := func(typ string, st *ast.StructType) {
+		for _, fl := range st.Fields.List {
+			if fl.Tag != nil {
+				tag := reflect.StructTag(strings.Trim(fl.Tag.Value, "`"))
+				if _, ok := tag.Lookup("json"); ok {
+					continue
+				}
+			}
+			for _, id := range fl.Names {
+				if v, ok := info.Defs[id].(*types.Var); ok && id.Name != "_" {
+					byVar[v] = &fieldUse{name: pkg + "." + typ + "." + id.Name}
+				}
+			}
+		}
+	}
+	for _, f := range files {
+		// Structs are named by the nearest enclosing type declaration, or by
+		// the function they are local to.
+		var walk func(n ast.Node, typ string)
+		walk = func(n ast.Node, typ string) {
+			ast.Inspect(n, func(m ast.Node) bool {
+				switch m := m.(type) {
+				case *ast.TypeSpec:
+					if m != n {
+						walk(m, m.Name.Name)
+						return false
+					}
+				case *ast.FuncDecl:
+					if m != n {
+						walk(m, m.Name.Name+"()")
+						return false
+					}
+				case *ast.StructType:
+					enter(typ, m)
+				}
+				return true
+			})
+		}
+		walk(f, "")
+	}
+}
+
+// countFieldUses classifies every mention of a declared field in files.
+func countFieldUses(files []*ast.File, info *types.Info, byVar map[*types.Var]*fieldUse) {
+	fieldOf := func(e ast.Expr) *types.Var {
+		var obj types.Object
+		switch e := e.(type) {
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				obj = sel.Obj()
+			}
+		case *ast.Ident: // a composite-literal key
+			obj = info.Uses[e]
+		}
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			return v.Origin()
+		}
+		return nil
+	}
+	// readAll counts a read of every field of t, a struct compared or hashed
+	// as a whole.
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		if st, ok := t.Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if u := byVar[st.Field(i).Origin()]; u != nil {
+					u.reads++
+				}
+				readAll(st.Field(i).Type())
+			}
+		}
+	}
+	for _, tv := range info.Types {
+		if m, ok := tv.Type.(*types.Map); ok && tv.IsType() {
+			readAll(m.Key())
+		}
+	}
+	written := map[ast.Expr]bool{} // selectors in write position
+	// write marks e, an lvalue, and every field on the way to it that holds
+	// the written memory by value.
+	var write func(e ast.Expr, alsoRead bool)
+	write = func(e ast.Expr, alsoRead bool) {
+		switch e := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			if v := fieldOf(e); v != nil {
+				if u := byVar[v]; u != nil {
+					u.writes++
+				}
+				written[e] = !alsoRead
+				if _, ptr := info.TypeOf(e.X).Underlying().(*types.Pointer); !ptr {
+					write(e.X, true)
+				}
+			}
+		case *ast.IndexExpr:
+			if _, arr := info.TypeOf(e.X).Underlying().(*types.Array); arr {
+				write(e.X, true)
+			}
+		}
+	}
+	for _, f := range files {
+		inDefaults := false
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				inDefaults = n.Name.Name == "withDefaults"
+			case *ast.AssignStmt:
+				if n.Tok != token.DEFINE && !inDefaults {
+					for _, l := range n.Lhs {
+						write(l, false)
+					}
+				}
+			case *ast.IncDecStmt:
+				write(n.X, false)
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					write(n.X, true)
+				}
+			case *ast.SliceExpr:
+				if _, arr := info.TypeOf(n.X).Underlying().(*types.Array); arr {
+					write(n.X, true)
+				}
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					readAll(info.TypeOf(n.X))
+				}
+			case *ast.CallExpr:
+				// x.f.M() with M on a pointer receiver takes &x.f.
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					if s := info.Selections[sel]; s != nil && s.Kind() == types.MethodVal {
+						if _, ptr := s.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+							if _, isPtr := info.TypeOf(sel.X).Underlying().(*types.Pointer); !isPtr {
+								write(sel.X, true)
+							}
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				st, ok := types.Unalias(info.TypeOf(n)).Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range n.Elts {
+					var v *types.Var
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						v = fieldOf(kv.Key)
+					} else {
+						v = st.Field(i).Origin()
+					}
+					if u := byVar[v]; u != nil {
+						u.writes++
+					}
+				}
+			}
+			return true
+		})
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && !written[sel] {
+				if u := byVar[fieldOf(sel)]; u != nil {
+					u.reads++
+				}
+			}
+			return true
+		})
+	}
+}

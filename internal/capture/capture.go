@@ -16,14 +16,10 @@ import (
 	"mptcpsim/internal/unit"
 )
 
-// Record is one captured packet.
+// Record is one frame: when it was delivered and its marshalled bytes. The
+// sniffer retains them for WritePCAP and ReadPCAP reads them back.
 type Record struct {
 	At   sim.Time
-	Size unit.ByteSize
-	Tag  packet.Tag
-	UID  uint64
-	// Data holds the marshalled packet when the sniffer retains frames
-	// for pcap export.
 	Data []byte
 }
 
@@ -40,9 +36,6 @@ type Sniffer struct {
 	DataOnly bool
 	// Retain keeps marshalled frames for pcap export.
 	Retain bool
-	// CountWire counts full wire size; when false, only payload bytes
-	// (goodput). The paper measures wire throughput at the receiver.
-	CountWire bool
 
 	// bins is indexed by tag and grown to the highest tag seen, so the
 	// per-packet count is a slice index.
@@ -55,12 +48,7 @@ var _ netem.Tap = (*Sniffer)(nil)
 
 // NewSniffer captures packets delivered at node, binned at step.
 func NewSniffer(n *netem.Network, node topo.NodeID, step time.Duration) *Sniffer {
-	s := &Sniffer{
-		loop:      n.Loop,
-		node:      node,
-		step:      step,
-		CountWire: true,
-	}
+	s := &Sniffer{loop: n.Loop, node: node, step: step}
 	n.AttachTap(s)
 	return s
 }
@@ -73,17 +61,11 @@ func (s *Sniffer) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 	if s.DataOnly && pkt.PayloadLen == 0 {
 		return
 	}
-	size := pkt.Size()
-	if !s.CountWire {
-		size = unit.ByteSize(pkt.PayloadLen)
-	}
-	s.count(pkt.Tag(), size)
+	// Full wire size: the paper measures wire throughput at the receiver.
+	s.count(pkt.Tag(), pkt.Size())
 	s.total++
 	if s.Retain {
-		s.records = append(s.records, Record{
-			At: s.loop.Now(), Size: size, Tag: pkt.Tag(), UID: pkt.UID,
-			Data: pkt.Marshal(),
-		})
+		s.records = append(s.records, Record{At: s.loop.Now(), Data: pkt.Marshal()})
 	}
 }
 

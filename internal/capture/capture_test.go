@@ -2,7 +2,6 @@ package capture
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -110,30 +109,6 @@ func TestSnifferSeriesLengthPadded(t *testing.T) {
 	}
 }
 
-func TestSnifferGoodputVsWire(t *testing.T) {
-	r := newRig(t)
-	if err := r.net.Node(r.b).Register(2, devnull{}); err != nil {
-		t.Fatal(err)
-	}
-	wire := NewSniffer(r.net, r.b, 100*time.Millisecond)
-	good := NewSniffer(r.net, r.b, 100*time.Millisecond)
-	good.CountWire = false
-	r.loop.Schedule(0, func() { r.send(1, 972) })
-	if err := r.loop.RunUntil(sim.Time(100 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	w := wire.Series(1, "w", 100*time.Millisecond).V[0]
-	g := good.Series(1, "g", 100*time.Millisecond).V[0]
-	if !(g < w) {
-		t.Fatalf("goodput %v should be below wire %v", g, w)
-	}
-	wantW := 1000 * 8.0 / 0.1 / 1e6
-	wantG := 972 * 8.0 / 0.1 / 1e6
-	if math.Abs(w-wantW) > 1e-9 || math.Abs(g-wantG) > 1e-9 {
-		t.Fatalf("wire=%v want %v; good=%v want %v", w, wantW, g, wantG)
-	}
-}
-
 func TestPCAPRoundTrip(t *testing.T) {
 	r := newRig(t)
 	if err := r.net.Node(r.b).Register(2, devnull{}); err != nil {
@@ -215,7 +190,7 @@ func TestFormatFrame(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("retained %d frames", len(recs))
 	}
-	line, err := FormatFrame(PCAPRecord{At: recs[0].At, Data: recs[0].Data})
+	line, err := FormatFrame(recs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +199,14 @@ func TestFormatFrame(t *testing.T) {
 			t.Fatalf("line missing %q: %s", frag, line)
 		}
 	}
-	line, err = FormatFrame(PCAPRecord{At: recs[1].At, Data: recs[1].Data})
+	line, err = FormatFrame(recs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(line, "UDP len 64") || !strings.Contains(line, "tag:1") {
 		t.Fatalf("UDP line wrong: %s", line)
 	}
-	if _, err := FormatFrame(PCAPRecord{Data: []byte{1, 2, 3}}); err == nil {
+	if _, err := FormatFrame(Record{Data: []byte{1, 2, 3}}); err == nil {
 		t.Fatal("garbage frame formatted")
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 // It parses the wire bytes, so it works on any pcap produced by this
 // package (and fails loudly on anything else).
-func FormatFrame(r PCAPRecord) (string, error) {
+func FormatFrame(r Record) (string, error) {
 	p, err := packet.Unmarshal(r.Data)
 	if err != nil {
 		return "", err

@@ -53,14 +53,8 @@ func WritePCAP(w io.Writer, records []Record) error {
 	return nil
 }
 
-// PCAPRecord is one frame read back from a pcap file.
-type PCAPRecord struct {
-	At   sim.Time
-	Data []byte
-}
-
 // ReadPCAP parses a pcap file written by WritePCAP.
-func ReadPCAP(r io.Reader) ([]PCAPRecord, error) {
+func ReadPCAP(r io.Reader) ([]Record, error) {
 	var hdr [24]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("capture: short pcap header: %w", err)
@@ -71,7 +65,7 @@ func ReadPCAP(r io.Reader) ([]PCAPRecord, error) {
 	if lt := binary.LittleEndian.Uint32(hdr[20:]); lt != linkTypeRaw {
 		return nil, fmt.Errorf("capture: unsupported link type %d", lt)
 	}
-	var out []PCAPRecord
+	var out []Record
 	for {
 		var rh [16]byte
 		if _, err := io.ReadFull(r, rh[:]); err != nil {
@@ -91,6 +85,6 @@ func ReadPCAP(r io.Reader) ([]PCAPRecord, error) {
 			return nil, fmt.Errorf("capture: truncated record: %w", err)
 		}
 		at := sim.Time(sec)*sim.Time(time.Second) + sim.Time(usec)*sim.Time(time.Microsecond)
-		out = append(out, PCAPRecord{At: at, Data: data})
+		out = append(out, Record{At: at, Data: data})
 	}
 }

@@ -37,7 +37,8 @@ type Flow struct {
 	MinRTT time.Duration
 	// InFlight is the sender's current outstanding byte count.
 	InFlight int
-	// ID labels the flow in stats output (e.g. the subflow tag).
+	// ID labels the flow (tcp.Config.FlowID: a subflow's path label). No
+	// algorithm reads it; it names the flow in a debugger or a test failure.
 	ID string
 
 	ctx any

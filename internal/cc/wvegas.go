@@ -40,9 +40,6 @@ type wvegasState struct {
 	baseRTT time.Duration
 	// lastAdj paces window adjustments to once per RTT.
 	lastAdj sim.Time
-	// ackedSinceAdj accumulates bytes between adjustments to estimate the
-	// actual rate.
-	ackedSinceAdj float64
 }
 
 // Name implements Algorithm.
@@ -101,7 +98,6 @@ func (v *WVegas) OnAck(f *Flow, acked int, now sim.Time) {
 	if s.baseRTT == 0 || (f.MinRTT > 0 && f.MinRTT < s.baseRTT) {
 		s.baseRTT = f.MinRTT
 	}
-	s.ackedSinceAdj += float64(acked)
 	if f.InSlowStart() {
 		// Vegas-style slow start: gentler doubling, and leave slow start
 		// as soon as a backlog builds.
@@ -117,7 +113,6 @@ func (v *WVegas) OnAck(f *Flow, acked int, now sim.Time) {
 		return
 	}
 	s.lastAdj = now
-	s.ackedSinceAdj = 0
 	diff := v.diffPkts(f)
 	target := v.alphaFor(f)
 	switch {

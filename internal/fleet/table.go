@@ -57,7 +57,6 @@ type shardState struct {
 	attempts int       // grants so far
 	eligible time.Time // earliest next grant (failure backoff)
 	deadline time.Time
-	worker   string
 }
 
 // Table is the coordinator's lease ledger over the n shards of one grid.
@@ -116,7 +115,6 @@ func (t *Table) Acquire(worker string) (lease Lease, ok bool) {
 		s.state = stateLeased
 		s.epoch++
 		s.attempts++
-		s.worker = worker
 		s.deadline = now.Add(t.ttl)
 		return Lease{K: k, N: t.n, Epoch: s.epoch, Worker: worker, Deadline: s.deadline}, true
 	}

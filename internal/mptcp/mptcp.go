@@ -46,8 +46,9 @@ type Config struct {
 	Scheduler string
 	// Subflows lists the paths; the first entry is the default subflow.
 	Subflows []SubflowSpec
-	// TCP carries per-subflow TCP overrides (MSS, buffers, delayed-ACK).
-	// CC/Tag/Source/Sink fields are managed by this package.
+	// TCP is the per-subflow TCP template: DisableSACK, Timestamps, MSS,
+	// RcvBuf. Tag, CC, Source, Sink, FlowID and SynOptions are set by this
+	// package.
 	TCP tcp.Config
 	// Source supplies application data; nil means infinite bulk (iperf).
 	Source DataSource
@@ -113,8 +114,8 @@ type Subflow struct {
 type Conn struct {
 	loop *sim.Loop
 
-	// Key is the MP_CAPABLE key; Token identifies the connection on joins.
-	Key   uint64
+	// Token identifies the connection on joins: TokenFromKey of the key its
+	// first subflow's MP_CAPABLE carries.
 	Token uint32
 
 	sched    Scheduler
@@ -147,7 +148,6 @@ func Dial(h *tcp.Host, rng *sim.Rand, cfg Config, raddr packet.Addr, rport packe
 	key := rng.Uint64()
 	c := &Conn{
 		loop:   h.Loop(),
-		Key:    key,
 		Token:  TokenFromKey(key),
 		sched:  sched,
 		source: src,
@@ -202,15 +202,6 @@ func (c *Conn) SentPayloadBytes() uint64 {
 		}
 	}
 	return n
-}
-
-// Close closes every subflow.
-func (c *Conn) Close() {
-	for _, sf := range c.subflows {
-		if sf.TCP != nil {
-			sf.TCP.Close()
-		}
-	}
 }
 
 // sfSource adapts the connection's data stream to one subflow's tcp.Source.

@@ -21,8 +21,6 @@ type RecvConn struct {
 	// DupBytes counts bytes discarded as data-level duplicates (redundant
 	// scheduler overlap).
 	DupBytes uint64
-	// OnDeliver, when set, observes each in-order data-level delivery.
-	OnDeliver func(n int)
 
 	// subflows counts the subflows attached by token; the tests check the
 	// demultiplexing of joins with it.
@@ -49,9 +47,6 @@ func (rc *RecvConn) push(n int, dsn uint64, mapped bool) {
 		// Plain segment without a mapping (should not happen from our
 		// sender); count it as delivered payload.
 		rc.Delivered += uint64(n)
-		if rc.OnDeliver != nil {
-			rc.OnDeliver(n)
-		}
 		return
 	}
 	rc.insert(dsn, n)
@@ -103,9 +98,6 @@ func (rc *RecvConn) drain() {
 		fresh := int(end - rc.dsnExpected)
 		rc.dsnExpected = end
 		rc.Delivered += uint64(fresh)
-		if rc.OnDeliver != nil {
-			rc.OnDeliver(fresh)
-		}
 	}
 }
 
@@ -124,16 +116,13 @@ func (s *sfSink) DataAck() (uint64, bool) { return s.rc.DataAck(), true }
 // MP_CAPABLE open a new connection; MP_JOIN subflows attach to the
 // connection their token names.
 type Acceptor struct {
-	// OnNewConn is invoked when the first subflow of a connection arrives.
-	OnNewConn func(rc *RecvConn)
-
 	// conns is scanned by token: a run opens one connection, a host a
 	// handful.
 	conns []*RecvConn
 }
 
 // Listen starts accepting MPTCP connections on h:port with the given
-// per-subflow TCP template (RcvBuf, delayed-ACK configuration).
+// per-subflow TCP template (SACK, timestamps, RcvBuf).
 func Listen(h *tcp.Host, port packet.Port, tmpl tcp.Config, a *Acceptor) error {
 	return h.Listen(port, &tcp.Listener{
 		ConfigFor: func(synOpts []packet.Option, from packet.Endpoint) tcp.Config {
@@ -164,9 +153,6 @@ func (a *Acceptor) match(opts []packet.Option) *RecvConn {
 	}
 	rc := &RecvConn{Token: token, subflows: 1}
 	a.conns = append(a.conns, rc)
-	if a.OnNewConn != nil {
-		a.OnNewConn(rc)
-	}
 	return rc
 }
 

@@ -117,3 +117,83 @@ func TestScriptRTOKeepsMapping(t *testing.T) {
 		})
 	}
 }
+
+// recvLog is a tap at the receiving host: the connection-level state as each
+// data segment reaches it, before the host has processed the segment — so
+// entry i+1 shows what arrival i did.
+type recvLog struct {
+	loop *sim.Loop
+	node *netem.Node
+	acc  *Acceptor
+	seen []recvState
+}
+
+type recvState struct {
+	at                      sim.Time
+	tag                     packet.Tag
+	dsn                     uint64
+	delivered, ooo, dataAck uint64
+}
+
+func (l *recvLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
+	if nd != l.node || p.PayloadLen == 0 {
+		return
+	}
+	rc := l.acc.Conns()[0] // opened by the first SYN, long before any data
+	l.seen = append(l.seen, recvState{l.loop.Now(), p.IP.Tag, p.TCP.DSS().DSN,
+		rc.Delivered, rc.OOOBytes(), rc.DataAck()})
+}
+func (*recvLog) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
+func (*recvLog) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+
+// TestScriptHeadOfLineBlocking is the receiver's side of the minrtt case
+// above: reassembly behind a real hole. The first subflow's nine delivered
+// segments take the connection to DSN 12600, the dropped tenth is the hole,
+// and the second subflow's ten segments (DSN 14000–28000, arriving 22.6 to
+// 24.4 ms) can only be parked: Delivered and the data ACK stand still while
+// the out-of-order queue grows by one segment per arrival. The RTO
+// retransmission reaches the receiver at 263.9 ms and that one arrival
+// drains the whole queue.
+func TestScriptHeadOfLineBlocking(t *testing.T) {
+	const mss, total, hole = 1400, 20 * 1400, 9 * 1400
+	r := newPaperRig(t, 23)
+	r.net.Link(r.pn.Paths[1].Links[1]).SetAQM(&dropScript{loop: r.loop, tag: 2, dropAt: 11_900_000})
+	log := &recvLog{loop: r.loop, node: r.net.Node(r.pn.D), acc: r.acc}
+	r.net.AttachTap(log)
+	c := r.dial(t, Config{Algorithm: "reno", Scheduler: "minrtt", Source: &Fixed{Total: total},
+		Subflows: []SubflowSpec{{Tag: 2, Label: "Path 2"}, {Tag: 3, Label: "Path 3", StartDelay: time.Millisecond}}})
+	if err := r.loop.RunUntil(sim.Time(0).Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if len(log.seen) != 20 {
+		t.Fatalf("%d data segments reached the receiver, want 20", len(log.seen))
+	}
+	for i, s := range log.seen {
+		want := recvState{at: s.at, tag: 2, dsn: uint64(i * mss), delivered: uint64(i * mss), dataAck: uint64(i * mss)}
+		switch {
+		case i >= 9 && i < 19: // blocked: the other subflow's arrivals pile up behind the hole
+			want.tag, want.dsn = 3, uint64((i+1)*mss)
+			want.delivered, want.ooo, want.dataAck = hole, uint64((i-9)*mss), hole
+		case i == 19: // the retransmission finds all ten of them parked
+			want.dsn, want.delivered, want.ooo, want.dataAck = hole, hole, 10*mss, hole
+		}
+		if s != want {
+			t.Fatalf("arrival %d: %+v, want %+v", i, s, want)
+		}
+	}
+	for i, at := range map[int]sim.Time{9: 22_618_370, 18: 24_370_364, 19: 263_863_463} {
+		if log.seen[i].at != at {
+			t.Fatalf("arrival %d at %d, want %d", i, log.seen[i].at, at)
+		}
+	}
+	if st := c.Subflows()[0].TCP.Stats; st.RTOs != 1 || st.FastRecovery != 0 {
+		t.Fatalf("first subflow: %d RTOs, %d fast recoveries, want the RTO alone", st.RTOs, st.FastRecovery)
+	}
+	// What the twentieth arrival did: one step from the hole to the end.
+	rc := r.recvConn(t)
+	if rc.Delivered != c.AssignedBytes() || rc.Delivered != total || rc.OOOBytes() != 0 ||
+		rc.DataAck() != total || rc.DupBytes != 0 {
+		t.Fatalf("after the retransmission: delivered %d of %d assigned, %d parked, data ACK %d, %d duplicate bytes",
+			rc.Delivered, c.AssignedBytes(), rc.OOOBytes(), rc.DataAck(), rc.DupBytes)
+	}
+}

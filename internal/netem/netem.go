@@ -323,13 +323,12 @@ func (nd *Node) Unregister(port packet.Port) {
 	}
 }
 
-// Send originates pkt at this node: it stamps the packet's UID, timestamp
-// and TTL, then forwards it. Transport stacks call Send; forwarding between
+// Send originates pkt at this node: it stamps the packet's UID and TTL,
+// then forwards it. Transport stacks call Send; forwarding between
 // routers uses receive internally.
 func (nd *Node) Send(pkt *packet.Packet) {
 	nd.net.nextUID++
 	pkt.UID = nd.net.nextUID
-	pkt.SentAt = nd.net.Loop.Now()
 	if pkt.IP.TTL == 0 {
 		pkt.IP.TTL = packet.DefaultTTL
 	}

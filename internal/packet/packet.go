@@ -15,7 +15,6 @@ package packet
 import (
 	"fmt"
 
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/unit"
 )
 
@@ -112,8 +111,6 @@ type Packet struct {
 	UDP *UDP
 	// PayloadLen is the synthetic application payload size in bytes.
 	PayloadLen int
-	// SentAt is the virtual time the packet left its source host.
-	SentAt sim.Time
 
 	// slot is the arena slot backing this packet, nil for packets built
 	// with composite literals. Arena.Recycle uses it to return the packet

@@ -75,14 +75,9 @@ func (t *TCP) Option(kind uint8) Option {
 	return nil
 }
 
-// DSS returns the DSS option if present.
+// DSS returns the first DSS option, nil if there is none: one walk over the
+// options, past any other MPTCP option that comes before it.
 func (t *TCP) DSS() *DSS {
-	if o := t.Option(KindMPTCP); o != nil {
-		if d, ok := o.(*DSS); ok {
-			return d
-		}
-	}
-	// Multiple MPTCP options may coexist; scan them all.
 	for _, o := range t.Options {
 		if d, ok := o.(*DSS); ok {
 			return d

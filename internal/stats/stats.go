@@ -167,13 +167,9 @@ type Summary struct {
 // EpochStats summarises one capacity epoch of a dynamic run against the
 // epoch's own LP optimum — the piecewise view of a time-varying network.
 type EpochStats struct {
-	// Start and End bound the epoch.
-	Start, End time.Duration
-	// Target is the epoch's LP optimum (Mbps).
-	Target float64
 	// TotalMean is the mean total throughput inside the epoch.
 	TotalMean float64
-	// Gap is the optimality gap versus Target over the epoch.
+	// Gap is the optimality gap versus the epoch's target over the epoch.
 	Gap float64
 	// PathMeans are the per-path means inside the epoch.
 	PathMeans []float64
@@ -191,7 +187,7 @@ type EpochStats struct {
 // as zero throughput with a 100% gap.
 func SummarizeEpoch(total *trace.Series, paths []*trace.Series,
 	from, to time.Duration, target, tol float64, hold time.Duration) EpochStats {
-	e := EpochStats{Start: from, End: to, Target: target}
+	var e EpochStats
 	// Measure over whole bins strictly inside the epoch: a bin straddling
 	// a boundary mixes in the neighbouring epoch's traffic (a capacity cut
 	// mid-bin would otherwise credit the slow epoch with pre-cut bytes and

@@ -100,10 +100,10 @@ func TestRetransmitSteadyStateZeroAlloc(t *testing.T) {
 // bytes in: the scoreboard and the out-of-order queue hold thousands of
 // them through slow-start overshoot.
 func TestQueueRecordSizes(t *testing.T) {
-	if n := unsafe.Sizeof(seg{}); n > 40 {
-		t.Errorf("seg is %d bytes, want <= 40", n)
+	if n := unsafe.Sizeof(seg{}); n > 32 {
+		t.Errorf("seg is %d bytes, want <= 32", n)
 	}
-	if n := unsafe.Sizeof(rseg{}); n > 32 {
-		t.Errorf("rseg is %d bytes, want <= 32", n)
+	if n := unsafe.Sizeof(rseg{}); n > 24 {
+		t.Errorf("rseg is %d bytes, want <= 24", n)
 	}
 }

@@ -47,9 +47,7 @@ type Stats struct {
 	Retransmits   uint64
 	RTOs          uint64
 	FastRecovery  uint64
-	AckedBytes    uint64
 	DeliveredData uint64
-	DupAcksSeen   uint64
 	AcksSent      uint64
 }
 
@@ -57,24 +55,25 @@ type Stats struct {
 // sacked/lost flags form the SACK scoreboard (RFC 6675); rtx records that
 // a retransmission of the segment is in flight. dsn is the data sequence
 // number the Source mapped the segment to, meaningful when mapped: all a
-// retransmission needs to rebuild the DSS option.
+// retransmission needs to rebuild the DSS option. Widest fields first: the
+// record packs into 32 bytes (TestQueueRecordSizes).
 type seg struct {
-	seq    uint32
-	length int
+	dsn    uint64
 	sentAt sim.Time
+	length int
+	seq    uint32
 	rtx    bool
 	sacked bool
 	lost   bool
 	mapped bool
-	dsn    uint64
 }
 
 // rseg is a receiver-side out-of-order segment, with the data sequence
-// number its DSS mapping carried (meaningful when mapped).
+// number its DSS mapping carried (meaningful when mapped); 24 bytes.
 type rseg struct {
-	seq    uint32
-	length int
 	dsn    uint64
+	length int
+	seq    uint32
 	mapped bool
 }
 
@@ -183,8 +182,6 @@ type Conn struct {
 	// sampled at each transmission — a telemetry gauge, never fed back
 	// into the window computation and excluded from result hashes.
 	CwndPeak float64
-
-	onEstablished func(c *Conn)
 }
 
 func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
@@ -198,7 +195,6 @@ func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
 		remote:  remote,
 		peerMSS: cfg.MSS,
 		mss:     cfg.MSS,
-		rtt:     newRTTEstimator(cfg.MinRTO, cfg.MaxRTO),
 		// Until the peer advertises, assume a modest window.
 		peerRwnd:  65535,
 		oldestRtx: sim.End,
@@ -309,13 +305,10 @@ func (c *Conn) establish() {
 	c.state = StateEstablished
 	c.backoff = 0
 	// Initial congestion state.
-	c.Flow.Cwnd = float64(c.cfg.InitialCwnd * c.mss)
+	c.Flow.Cwnd = float64(DefaultInitialCwnd * c.mss)
 	c.Flow.Ssthresh = 1 << 30
 	if c.cfg.CC != nil {
 		c.cfg.CC.Register(&c.Flow, c.loop.Now())
-	}
-	if c.onEstablished != nil {
-		c.onEstablished(c)
 	}
 	c.trySend()
 }

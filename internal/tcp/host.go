@@ -53,16 +53,12 @@ func NewHost(n *netem.Network, node topo.NodeID, rng *sim.Rand) *Host {
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
-	host *Host
 	// Port is the listening port.
 	Port packet.Port
 	// ConfigFor returns the Config for an incoming connection; it runs
 	// before the SYN is answered, so it can install Sink/CC per subflow.
 	// The SYN's options are provided for MPTCP join matching.
 	ConfigFor func(synOpts []packet.Option, from packet.Endpoint) Config
-	// OnEstablished is invoked when an accepted connection completes its
-	// handshake.
-	OnEstablished func(c *Conn)
 }
 
 // listener returns the listener on port, or nil.
@@ -80,7 +76,6 @@ func (h *Host) Listen(port packet.Port, l *Listener) error {
 	if h.listener(port) != nil {
 		return fmt.Errorf("tcp: port %d already listening on %s", port, h.node.Name)
 	}
-	l.host = h
 	l.Port = port
 	if err := h.node.Register(port, netem.HandlerFunc(h.deliver)); err != nil {
 		return err
@@ -145,7 +140,6 @@ func (h *Host) deliver(pkt *packet.Packet) {
 		cfg.Tag = pkt.IP.Tag
 	}
 	c := newConn(h, cfg, packet.Endpoint{Addr: h.Addr, Port: l.Port}, from)
-	c.onEstablished = l.OnEstablished
 	h.conns = append(h.conns, connEntry{from, l.Port, c})
 	c.startServer(pkt)
 }

@@ -49,10 +49,10 @@ func (c *Conn) processData(pkt *packet.Packet) {
 			// RFC 5681 §4.2: ACK immediately when a segment fills a gap,
 			// so the sender learns of the repair without delack latency.
 			c.sendPureAck()
-		} else if c.ackPending >= c.cfg.DelAckCount {
+		} else if c.ackPending >= DefaultDelAckCount {
 			c.sendPureAck()
 		} else if !c.delAckTimer.Pending() {
-			c.delAckTimer = c.loop.ScheduleCall(c.cfg.DelAckTimeout, &c.delAckCall)
+			c.delAckTimer = c.loop.ScheduleCall(DefaultDelAckTimeout, &c.delAckCall)
 		}
 	}
 }

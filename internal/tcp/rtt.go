@@ -5,14 +5,9 @@ import "time"
 // rttEstimator implements the RFC 6298 smoothed RTT and retransmission
 // timeout computation, with Linux-style clamping.
 type rttEstimator struct {
-	srtt, rttvar   time.Duration
-	minRTO, maxRTO time.Duration
-	hasSample      bool
-	minRTT         time.Duration
-}
-
-func newRTTEstimator(minRTO, maxRTO time.Duration) rttEstimator {
-	return rttEstimator{minRTO: minRTO, maxRTO: maxRTO}
+	srtt, rttvar time.Duration
+	hasSample    bool
+	minRTT       time.Duration
 }
 
 // Sample folds a new RTT measurement in (Karn's rule: callers must not
@@ -51,11 +46,5 @@ func (e *rttEstimator) RTO() time.Duration {
 		return initialRTO
 	}
 	rto := e.srtt + 4*e.rttvar
-	if rto < e.minRTO {
-		rto = e.minRTO
-	}
-	if rto > e.maxRTO {
-		rto = e.maxRTO
-	}
-	return rto
+	return min(max(rto, DefaultMinRTO), DefaultMaxRTO)
 }

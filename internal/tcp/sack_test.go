@@ -236,7 +236,7 @@ func (f aqmFunc) OnEnqueue(l *netem.Link, p *packet.Packet) bool { return f(l, p
 
 // RTO backoff: consecutive timeouts grow the timer exponentially.
 func TestRTOBackoffGrows(t *testing.T) {
-	e := newRTTEstimator(DefaultMinRTO, DefaultMaxRTO)
+	e := rttEstimator{}
 	e.Sample(50 * time.Millisecond)
 	base := e.RTO()
 	if base != DefaultMinRTO {

@@ -173,7 +173,6 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 	if cumAdvanced {
 		acked := seqDiff(ack, c.sndUna)
 		c.sndUna = ack
-		c.Stats.AckedBytes += uint64(acked)
 		c.backoff = 0
 		c.popAcked(ack, now)
 		c.dupAcks = 0
@@ -230,7 +229,6 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 		t.Flags&packet.FlagSYN == 0 && (prevRwnd == t.Window || c.sackOK) {
 		// Duplicate ACK.
 		c.dupAcks++
-		c.Stats.DupAcksSeen++
 		if !c.sackOK {
 			if c.inRec {
 				// NewReno window inflation: each dup ACK signals a departure.
@@ -558,9 +556,5 @@ func (c *Conn) onRTO() {
 	if c.backoff > 16 {
 		c.backoff = 16
 	}
-	rto := c.rtt.RTO() << c.backoff
-	if rto > c.cfg.MaxRTO {
-		rto = c.cfg.MaxRTO
-	}
-	c.armRTO(rto)
+	c.armRTO(min(c.rtt.RTO()<<c.backoff, DefaultMaxRTO))
 }

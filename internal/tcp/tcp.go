@@ -23,8 +23,10 @@ import (
 	"mptcpsim/internal/unit"
 )
 
-// Default protocol parameters. They follow Linux defaults of the paper's
-// era (MPTCP v0.94 on ~4.x kernels) where that matters to the dynamics.
+// Protocol parameters. They follow Linux defaults of the paper's era
+// (MPTCP v0.94 on ~4.x kernels) where that matters to the dynamics. Only
+// DefaultMSS and DefaultRcvBuf can be overridden (Config); the rest are what
+// every connection runs with.
 const (
 	// DefaultMSS is the default maximum segment size (payload bytes). It
 	// leaves room for the 28-byte DSS option within a 1500-byte MTU:
@@ -50,21 +52,16 @@ const (
 )
 
 // Config parameterises one connection (or a listener's accepted
-// connections). The zero value of each field selects the default.
+// connections). MSS and RcvBuf take their default when zero; the initial
+// window, the delayed-ACK policy and the RTO bounds are not fields but the
+// Default* constants above, since no run varies them.
 type Config struct {
-	// MSS is the sender maximum segment size in payload bytes.
+	// MSS is the sender maximum segment size in payload bytes (0 selects
+	// DefaultMSS).
 	MSS int
-	// RcvBuf is the receive buffer / advertised window.
+	// RcvBuf is the receive buffer / advertised window (0 selects
+	// DefaultRcvBuf).
 	RcvBuf unit.ByteSize
-	// InitialCwnd is the initial congestion window in segments.
-	InitialCwnd int
-	// DelAckCount is the number of full segments per ACK (1 disables
-	// delayed ACKs).
-	DelAckCount int
-	// DelAckTimeout bounds ACK delay.
-	DelAckTimeout time.Duration
-	// MinRTO and MaxRTO bound the retransmission timer.
-	MinRTO, MaxRTO time.Duration
 	// CC is the congestion-control instance; nil is valid for receive-only
 	// connections (pure ACKers never consult it).
 	CC cc.Algorithm
@@ -85,32 +82,17 @@ type Config struct {
 	Source Source
 	// Sink consumes received in-order data; nil discards it.
 	Sink Sink
-	// FlowID labels the connection in stats and captures.
+	// FlowID labels the connection's congestion-control view (cc.Flow.ID).
 	FlowID string
 }
 
-// withDefaults fills unset fields.
+// withDefaults fills an unset MSS and RcvBuf.
 func (c Config) withDefaults() Config {
 	if c.MSS <= 0 {
 		c.MSS = DefaultMSS
 	}
 	if c.RcvBuf <= 0 {
 		c.RcvBuf = DefaultRcvBuf
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = DefaultInitialCwnd
-	}
-	if c.DelAckCount <= 0 {
-		c.DelAckCount = DefaultDelAckCount
-	}
-	if c.DelAckTimeout <= 0 {
-		c.DelAckTimeout = DefaultDelAckTimeout
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = DefaultMinRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = DefaultMaxRTO
 	}
 	return c
 }

@@ -411,7 +411,7 @@ func TestCubicTransferCompletes(t *testing.T) {
 }
 
 func TestRTTEstimatorRFC6298(t *testing.T) {
-	e := newRTTEstimator(DefaultMinRTO, DefaultMaxRTO)
+	e := rttEstimator{}
 	if e.RTO() != initialRTO {
 		t.Fatalf("pre-sample RTO = %v, want 1s", e.RTO())
 	}

@@ -20,15 +20,14 @@ func DelayWeight(l Link) float64 {
 type pqItem struct {
 	node NodeID
 	dist float64
-	idx  int
 }
 
 type pq []*pqItem
 
 func (q pq) Len() int           { return len(q) }
 func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].idx = i; q[j].idx = j }
-func (q *pq) Push(x any)        { it := x.(*pqItem); it.idx = len(*q); *q = append(*q, it) }
+func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *pq) Push(x any)        { *q = append(*q, x.(*pqItem)) }
 func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
 
 // ShortestPath runs Dijkstra from src to dst under the given weight,

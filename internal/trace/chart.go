@@ -12,8 +12,6 @@ type ChartOptions struct {
 	// Width and Height are the plot area size in characters (defaults
 	// 72x18).
 	Width, Height int
-	// YMax fixes the y-axis maximum; 0 auto-scales.
-	YMax float64
 	// YLabel and Title annotate the chart.
 	YLabel, Title string
 	// HLines draws horizontal reference lines at the given values (e.g.
@@ -36,11 +34,11 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 	if opts.Height <= 0 {
 		opts.Height = 18
 	}
-	ymax := opts.YMax
-	var tmaxSec float64
+	// The y axis scales to the largest sample.
+	var ymax, tmaxSec float64
 	for _, s := range series {
 		for i, v := range s.V {
-			if opts.YMax == 0 && v > ymax {
+			if v > ymax {
 				ymax = v
 			}
 			if t := s.TimeAt(i); t > tmaxSec {

@@ -211,14 +211,17 @@ func (r *Result) Hash() string {
 	wF64(o.QueueScale)
 	wBool(o.DisableSACK)
 	wBool(o.Timestamps)
-	wU64(uint64(o.DelAckCount))
-	wF64(o.ConvergenceTol)
-	wU64(uint64(o.ConvergenceHold))
+	// Four options no caller ever set are constants now; the stream keeps
+	// their places and the values they always held (delayed-ACK count 0,
+	// the band, the hold, cross CC ""), so recorded hashes still compare.
+	wU64(0)
+	wF64(convergenceTol)
+	wU64(uint64(convergenceHold))
 	wU64(uint64(len(o.CrossTCP)))
 	for _, p := range o.CrossTCP {
 		wU64(uint64(p))
 	}
-	wStr(o.CrossCC)
+	wStr("")
 
 	wU64(uint64(len(r.Paths)))
 	for _, s := range r.Paths {

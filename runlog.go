@@ -57,21 +57,14 @@ func (h RunLogHeader) Validate() error {
 }
 
 // RunRecord is one NDJSON body line of a run-log: the canonical record of
-// one completed run — the summary (which carries the global index and all
-// cell labels) plus, optionally, the run's canonical Result hash.
+// one completed run — the summary, which carries the global index and all
+// cell labels.
 type RunRecord struct {
 	Run RunSummary `json:"run"`
-	// Hash is the canonical Result hash (LogOptions.Hash; empty for failed
-	// runs) — a cross-machine replay check stronger than the summary
-	// alone, without retaining any Result.
-	Hash string `json:"hash,omitempty"`
 }
 
 // LogOptions configures a LogSink.
 type LogOptions struct {
-	// Hash records each successful run's canonical Result hash in its
-	// record, computed as the run completes and retained nowhere else.
-	Hash bool
 	// Sync, when set, is invoked at every durability barrier — after each
 	// SyncEvery records, on Flush and on Close. Pass (*os.File).Sync for a
 	// crash-durable log; leave nil for buffers and pipes.
@@ -130,11 +123,7 @@ func (s *LogSink) Accept(done, total int, sum RunSummary, full *Result) error {
 		// mark and silently survive into merges; refuse instead.
 		return fmt.Errorf("run-log sink: %w", ErrSinkClosed)
 	}
-	rec := RunRecord{Run: sum}
-	if s.opt.Hash && full != nil && sum.Err == "" {
-		rec.Hash = full.Hash()
-	}
-	if err := s.enc.Encode(rec); err != nil {
+	if err := s.enc.Encode(RunRecord{Run: sum}); err != nil {
 		return err
 	}
 	s.since++
@@ -223,7 +212,7 @@ func (l *RunLog) Errs() int {
 
 // ShardResult converts the log into MergeShards' input, the validated
 // merge path (digest agreement, exactly-once index coverage) every run-log
-// goes through. Hashes are carried when the log recorded any.
+// goes through.
 func (l *RunLog) ShardResult() *ShardResult {
 	sr := &ShardResult{
 		GridDigest: l.Header.GridDigest,
@@ -232,18 +221,8 @@ func (l *RunLog) ShardResult() *ShardResult {
 		Total:      l.Header.Total,
 		Runs:       make([]RunSummary, len(l.Runs)),
 	}
-	hashed := false
 	for i, rec := range l.Runs {
 		sr.Runs[i] = rec.Run
-		if rec.Hash != "" {
-			hashed = true
-		}
-	}
-	if hashed {
-		sr.Hashes = make([]string, len(l.Runs))
-		for i, rec := range l.Runs {
-			sr.Hashes[i] = rec.Hash
-		}
 	}
 	return sr
 }

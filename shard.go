@@ -88,22 +88,6 @@ type ShardResult struct {
 	// Runs are the shard's summaries, in expansion order, with global
 	// indices.
 	Runs []RunSummary `json:"runs"`
-	// Hashes are the canonical Result hashes of the shard's runs (indexed
-	// like Runs; empty string for a failed run). Populated only from a
-	// run-log written with LogOptions.Hash — a cross-machine replay check
-	// that is stronger than the summaries alone.
-	Hashes []string `json:"hashes,omitempty"`
-}
-
-// Errs counts failed runs in the shard.
-func (sr *ShardResult) Errs() int {
-	n := 0
-	for _, run := range sr.Runs {
-		if run.Err != "" {
-			n++
-		}
-	}
-	return n
 }
 
 // expandFolded expands the grid with the sweep-level oracle flag folded
@@ -133,6 +117,10 @@ func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, error) {
 // run list (medians and standard deviations do not compose from per-shard
 // aggregates), so the merged value — and every serialisation of it — is
 // byte-identical to Sweep.Run on the same grid.
+//
+// N and Total are a header's word, and headers are untrusted bytes: every
+// table here is sized by the records actually supplied, so a small file
+// claiming 1e15 runs is diagnosed as incomplete, not allocated for.
 func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("mptcpsim: merge: no shards")
@@ -144,8 +132,8 @@ func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
 	if ref.Total < 0 {
 		return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d reports negative total %d", ref.K, ref.N, ref.Total)
 	}
-	runs := make([]RunSummary, ref.Total)
-	seen := make([]bool, ref.Total)
+	var indices []int     // every supplied index, each inside 0..Total-1 and its own shard
+	have := map[int]int{} // shard coordinate → records supplied
 	for i, sr := range shards {
 		if sr.GridDigest != ref.GridDigest {
 			return nil, fmt.Errorf("mptcpsim: merge: grid digest mismatch: shard %d/%d has %s, shard %d/%d has %s (artifacts from different grids?)",
@@ -158,10 +146,6 @@ func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
 		if err := (Shard{K: sr.K, N: sr.N}).Validate(); err != nil {
 			return nil, fmt.Errorf("mptcpsim: merge: %w", err)
 		}
-		if len(sr.Hashes) > 0 && len(sr.Hashes) != len(sr.Runs) {
-			return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d has %d hashes for %d runs",
-				sr.K, sr.N, len(sr.Hashes), len(sr.Runs))
-		}
 		for _, run := range sr.Runs {
 			if run.Index < 0 || run.Index >= ref.Total {
 				return nil, fmt.Errorf("mptcpsim: merge: shard %d/%d contains run index %d outside 0..%d",
@@ -171,45 +155,53 @@ func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
 				return nil, fmt.Errorf("mptcpsim: merge: run index %d does not belong to shard %d/%d (index %% %d = %d)",
 					run.Index, sr.K, sr.N, sr.N, run.Index%sr.N)
 			}
-			if seen[run.Index] {
-				return nil, fmt.Errorf("mptcpsim: merge: duplicate run index %d (shard %d/%d supplied twice?)",
-					run.Index, sr.K, sr.N)
-			}
-			seen[run.Index] = true
+			indices = append(indices, run.Index)
+		}
+		have[sr.K] += len(sr.Runs)
+	}
+	// Sorted and free of repeats, the supplied indices are 0..Total-1 exactly
+	// when there are Total of them; otherwise the first one out of place
+	// sits just past the first missing index.
+	sort.Ints(indices)
+	for i := 1; i < len(indices); i++ {
+		if idx := indices[i]; idx == indices[i-1] {
+			return nil, fmt.Errorf("mptcpsim: merge: duplicate run index %d (shard %d/%d supplied twice?)",
+				idx, idx%ref.N, ref.N)
+		}
+	}
+	if len(indices) < ref.Total {
+		first := sort.Search(len(indices), func(i int) bool { return indices[i] != i })
+		return nil, fmt.Errorf("mptcpsim: merge: %d of %d run indices missing (first: %d); incomplete or absent shard(s) %s of %d",
+			ref.Total-len(indices), ref.Total, first, shortShards(have, ref.N, ref.Total), ref.N)
+	}
+	runs := make([]RunSummary, len(indices))
+	for _, sr := range shards {
+		for _, run := range sr.Runs {
 			runs[run.Index] = run
 		}
-	}
-	var missing []int
-	for i, ok := range seen {
-		if !ok {
-			missing = append(missing, i)
-		}
-	}
-	if len(missing) > 0 {
-		ks := missingShards(missing, ref.N)
-		return nil, fmt.Errorf("mptcpsim: merge: %d of %d run indices missing (first: %d); incomplete or absent shard(s) %s of %d",
-			len(missing), ref.Total, missing[0], ks, ref.N)
 	}
 	res := &SweepResult{Runs: runs}
 	res.aggregate()
 	return res, nil
 }
 
-// missingShards names the shard coordinates that own the missing indices,
-// e.g. "1,3" — the actionable half of an incomplete-merge diagnostic.
-func missingShards(missing []int, n int) string {
-	ks := make(map[int]bool)
-	for _, i := range missing {
-		ks[i%n] = true
-	}
-	order := make([]int, 0, len(ks))
-	for k := range ks {
-		order = append(order, k)
-	}
-	sort.Ints(order)
-	parts := make([]string, len(order))
-	for i, k := range order {
-		parts[i] = strconv.Itoa(k)
+// maxNamedShards caps the list in an incomplete-merge diagnostic: a header
+// may claim any shard count.
+const maxNamedShards = 32
+
+// shortShards names the shard coordinates that were supplied fewer records
+// than they own, e.g. "1,3" — the actionable half of an incomplete-merge
+// diagnostic. The walk ends after maxNamedShards names; before that, every
+// coordinate it passes without naming is a shard with records in have.
+func shortShards(have map[int]int, n, total int) string {
+	var parts []string
+	for k := 0; k < n && k < total; k++ {
+		if have[k] < (Shard{K: k, N: n}).Size(total) {
+			if len(parts) == maxNamedShards {
+				return strings.Join(parts, ",") + ",…"
+			}
+			parts = append(parts, strconv.Itoa(k))
+		}
 	}
 	return strings.Join(parts, ",")
 }

@@ -296,11 +296,49 @@ func TestMergeRejectsMixedValidateInvariants(t *testing.T) {
 	}
 }
 
-func TestMergeShardsRejectsShortHashes(t *testing.T) {
-	a := fabShard("aaa", 0, 2, 2, 0)
-	a.Hashes = []string{"h0", "h1"}
-	b := fabShard("aaa", 1, 2, 2, 1)
-	if _, err := MergeShards(a, b); err == nil || !strings.Contains(err.Error(), "hashes") {
-		t.Fatalf("hash/run length mismatch not diagnosed: %v", err)
+// TestMergeShardsHugeClaimedTotal: N and Total arrive in a file's header,
+// and a hundred bytes can claim anything. The merge sizes its tables by the
+// records it was handed, so an absurd claim is an incomplete merge — first
+// missing index and short shards named, the list capped — not a makeslice
+// panic or an out-of-memory kill.
+func TestMergeShardsHugeClaimedTotal(t *testing.T) {
+	const huge = 1_000_000_000_000_000
+	cases := map[string]struct {
+		shards []*ShardResult
+		want   []string
+	}{
+		"two shards, four records": {
+			[]*ShardResult{fabShard("aaa", 0, 2, huge, 0, 2), fabShard("aaa", 1, 2, huge, 1, 3)},
+			[]string{"999999999999996 of 1000000000000000 run indices missing (first: 4)", "shard(s) 0,1 of 2"},
+		},
+		"a gap before the end": {
+			[]*ShardResult{fabShard("aaa", 0, 2, huge, 0, 4), fabShard("aaa", 1, 2, huge, 1, 3)},
+			[]string{"(first: 2)", "shard(s) 0,1 of 2"},
+		},
+		"no records at all": {
+			[]*ShardResult{fabShard("aaa", 0, 1, huge)},
+			[]string{"(first: 0)", "shard(s) 0 of 1"},
+		},
+		"as many shards as runs": {
+			[]*ShardResult{fabShard("aaa", 1, huge, huge, 1)},
+			[]string{"(first: 0)", "shard(s) 0,2,3,", ",32,… of 1000000000000000"},
+		},
+		"a complete shard is not named": {
+			[]*ShardResult{fabShard("aaa", 1, 3, 5, 1, 4)},
+			[]string{"3 of 5 run indices missing (first: 0)", "shard(s) 0,2 of 3"},
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := MergeShards(tc.shards...)
+			if err == nil {
+				t.Fatal("merge accepted an incomplete shard set")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("error %q does not mention %q", err, want)
+				}
+			}
+		})
 	}
 }
