@@ -359,7 +359,10 @@ func (l *Link) rearm() {
 }
 
 // arrival runs when the oldest frame reaches the far node, and arms the
-// arrival of the frame behind it.
+// arrival of the frame behind it. Arming comes before forwarding, and must
+// stay there: the kernel hands an event's first schedule the fired entry's
+// heap slot (one sift, no pop and push), so on a busy link the next arrival
+// has to be that first schedule, not whatever the far node schedules.
 func (l *Link) arrival(now sim.Time) {
 	l.settle(now)
 	if l.departed == 0 {

@@ -3,11 +3,14 @@ package sim
 // Ordering tests: the observable execution order must be exactly the
 // reference kernel's — strict (at, seq) order, one pop, one callback,
 // repeat — across dense timestamp collisions, stops of later same-instant
-// events, and runs interrupted within an instant (Stop / event limit).
+// events, reserved seqs armed ahead of the running event, and runs
+// interrupted within an instant (Stop / event limit). The kernel runs an
+// event with its entry still at the heap's root; the reference pops first.
 
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -29,9 +32,17 @@ type refKernelEv struct {
 	stopped bool
 }
 
-func (k *refKernel) schedule(d time.Duration, label int64) *refKernelEv {
-	e := &refKernelEv{at: k.now.Add(d), seq: k.seq, label: label}
+func (k *refKernel) reserve() uint64 {
 	k.seq++
+	return k.seq - 1
+}
+
+func (k *refKernel) schedule(d time.Duration, label int64) *refKernelEv {
+	return k.scheduleSeq(d, k.reserve(), label)
+}
+
+func (k *refKernel) scheduleSeq(d time.Duration, seq uint64, label int64) *refKernelEv {
+	e := &refKernelEv{at: k.now.Add(d), seq: seq, label: label}
 	i := sort.Search(len(k.events), func(i int) bool {
 		a := k.events[i]
 		return a.at > e.at || (a.at == e.at && a.seq > e.seq)
@@ -55,24 +66,59 @@ func (k *refKernel) pop() *refKernelEv {
 	return nil
 }
 
+// pending counts the events still due to run.
+func (k *refKernel) pending() int {
+	n := 0
+	for _, e := range k.events {
+		if !e.stopped {
+			n++
+		}
+	}
+	return n
+}
+
+// checkHeap walks the whole heap, a held root included: every node records
+// its entry's index, and no entry sorts before its parent.
+func checkHeap(t *testing.T, l *Loop) {
+	t.Helper()
+	for i := range l.heap {
+		if pos := l.nodes[l.heap[i].id()].pos; int(pos) != i {
+			t.Fatalf("entry at heap index %d has recorded position %d", i, pos)
+		}
+		if i > 0 && less(&l.heap[i], &l.heap[(i-1)/4]) {
+			t.Fatalf("entry at heap index %d sorts before its parent", i)
+		}
+	}
+}
+
 // fired is one observed execution, comparable across kernels.
 type fired struct {
 	label int64
 	at    Time
 }
 
+// step is one execution of the program: what ran and when, and how many
+// events were pending as its handler began and ended.
+type step struct {
+	fired
+	lenBegin, lenEnd int
+}
+
 // program derives each event's behaviour purely from (seed, label), so
 // the real loop and the reference interpreter take identical decisions:
 // spawn 0-2 children at delay 0-2 ns (delay 0 collides with the current
-// instant), and sometimes stop an earlier-created event.
-type program struct {
-	seed   int64
-	budget int
-}
+// instant), sometimes stop an earlier-created event — before the first
+// schedule, tcp.armRTO's order, or after the last — sometimes reserve a seq,
+// and sometimes arm the oldest reserved seq at the current instant before
+// scheduling anything else.
+type program struct{ seed int64 }
 
 type progActions struct {
 	childDelays []time.Duration
 	stopLabel   int64 // -1: none
+	stopFirst   bool
+	reserve     bool
+	armReserved bool
 }
 
 func (p *program) actions(label int64) progActions {
@@ -84,99 +130,196 @@ func (p *program) actions(label int64) progActions {
 	if rng.Intn(3) == 0 && label > 0 {
 		a.stopLabel = rng.Int63n(label)
 	}
+	a.stopFirst = rng.Intn(2) == 0
+	a.reserve = rng.Intn(4) == 0
+	a.armReserved = rng.Intn(3) == 0
 	return a
 }
 
+// progKernel is what the program needs of a kernel; events are named by
+// label. arm schedules a reserved seq at the current instant.
+type progKernel interface {
+	spawn(d time.Duration, label int64)
+	arm(seq uint64, label int64)
+	reserveSeq() uint64
+	stop(label int64)
+	pending() int
+}
+
+// progRun is the state of one interpretation of the program.
+type progRun struct {
+	prog      *program
+	k         progKernel
+	budget    int
+	nextLabel int64
+	reserved  []uint64 // reserved seqs not yet armed, oldest first
+	log       []step
+}
+
+func (r *progRun) newLabel() int64 {
+	r.nextLabel++
+	return r.nextLabel - 1
+}
+
+// handle runs the program's handler for the event label, which fired at at.
+func (r *progRun) handle(label int64, at Time) {
+	rec := step{fired: fired{label, at}, lenBegin: r.k.pending()}
+	a := r.prog.actions(label)
+	if a.stopFirst && a.stopLabel >= 0 {
+		r.k.stop(a.stopLabel)
+	}
+	if a.armReserved && len(r.reserved) > 0 && r.budget > 0 {
+		r.budget--
+		r.k.arm(r.reserved[0], r.newLabel())
+		r.reserved = r.reserved[1:]
+	}
+	for _, d := range a.childDelays {
+		if r.budget <= 0 {
+			break
+		}
+		r.budget--
+		r.k.spawn(d, r.newLabel())
+	}
+	if !a.stopFirst && a.stopLabel >= 0 {
+		r.k.stop(a.stopLabel)
+	}
+	if a.reserve {
+		r.reserved = append(r.reserved, r.k.reserveSeq())
+	}
+	rec.lenEnd = r.k.pending()
+	r.log = append(r.log, rec)
+}
+
+// heldCases counts how often the program reached the held root's cases:
+// a Stop with the fired root held, a first schedule that sorts before the
+// running event, and an event that scheduled nothing.
+type heldCases struct{ stops, olderFirst, idle int }
+
+// loopKernel drives the real Loop, checking the heap around every handler.
+type loopKernel struct {
+	t      *testing.T
+	l      *Loop
+	run    *progRun
+	timers map[int64]Timer
+	curSeq uint64 // seq of the running event
+	cases  *heldCases
+}
+
+func (k *loopKernel) callback(label int64, seq uint64) funcCallback {
+	return func() {
+		checkHeap(k.t, k.l)
+		k.curSeq = seq
+		k.run.handle(label, k.l.Now())
+		if k.l.held >= 0 {
+			k.cases.idle++
+		}
+		checkHeap(k.t, k.l)
+	}
+}
+
+func (k *loopKernel) spawn(d time.Duration, label int64) {
+	k.timers[label] = k.l.ScheduleCall(d, k.callback(label, k.l.seq))
+}
+
+func (k *loopKernel) arm(seq uint64, label int64) {
+	if k.l.held >= 0 && seq < k.curSeq {
+		k.cases.olderFirst++
+	}
+	k.timers[label] = k.l.AtCallReserved(k.l.Now(), seq, k.callback(label, seq))
+}
+
+func (k *loopKernel) reserveSeq() uint64 { return k.l.ReserveSeq() }
+
+func (k *loopKernel) stop(label int64) {
+	if k.timers[label].Stop() && k.l.held >= 0 {
+		k.cases.stops++
+	}
+}
+
+func (k *loopKernel) pending() int { return k.l.Len() }
+
+// refProgKernel drives the reference.
+type refProgKernel struct {
+	ref    *refKernel
+	events map[int64]*refKernelEv
+}
+
+func (k *refProgKernel) spawn(d time.Duration, label int64) {
+	k.events[label] = k.ref.schedule(d, label)
+}
+
+func (k *refProgKernel) arm(seq uint64, label int64) {
+	k.events[label] = k.ref.scheduleSeq(0, seq, label)
+}
+
+func (k *refProgKernel) reserveSeq() uint64 { return k.ref.reserve() }
+
+func (k *refProgKernel) stop(label int64) {
+	if e, ok := k.events[label]; ok {
+		e.stopped = true
+	}
+}
+
+func (k *refProgKernel) pending() int { return k.ref.pending() }
+
 // TestOrderMatchesReferenceKernel runs the same randomized program — roots
 // piled onto a handful of timestamps, handlers spawning same-instant
-// children and stopping siblings — through the kernel and the reference,
-// and requires the full (label, time) execution sequences to be identical.
+// children, stopping siblings and arming reserved seqs — through the kernel
+// and the reference, and requires the full (label, time, pending count)
+// execution sequences to be identical.
 func TestOrderMatchesReferenceKernel(t *testing.T) {
+	var cases heldCases
 	for seed := int64(0); seed < 15; seed++ {
-		prog := &program{seed: seed, budget: 3000}
-		var gotLog, wantLog []fired
+		prog := &program{seed: seed}
+		rootRng := rand.New(rand.NewSource(seed))
+		rootTimes := make([]time.Duration, 40)
+		for i := range rootTimes {
+			rootTimes[i] = time.Duration(rootRng.Intn(4)) // heavy same-instant collisions
+		}
 
 		// Real kernel.
 		l := NewLoop()
-		timers := make(map[int64]Timer)
-		var nextLabel int64
-		var handler func(label int64) func()
-		handler = func(label int64) func() {
-			return func() {
-				gotLog = append(gotLog, fired{label, l.Now()})
-				a := prog.actions(label)
-				for _, d := range a.childDelays {
-					if prog.budget <= 0 {
-						break
-					}
-					prog.budget--
-					lb := nextLabel
-					nextLabel++
-					timers[lb] = l.Schedule(d, handler(lb))
-				}
-				if a.stopLabel >= 0 {
-					if tm, ok := timers[a.stopLabel]; ok {
-						tm.Stop()
-					}
-				}
-			}
-		}
-		rootRng := rand.New(rand.NewSource(seed))
-		rootTimes := make([]Time, 40)
-		for i := range rootTimes {
-			rootTimes[i] = Time(rootRng.Intn(4)) // heavy same-instant collisions
-			lb := nextLabel
-			nextLabel++
-			timers[lb] = l.At(rootTimes[i], handler(lb))
+		lk := &loopKernel{t: t, l: l, timers: make(map[int64]Timer), cases: &cases}
+		got := &progRun{prog: prog, k: lk, budget: 3000}
+		lk.run = got
+		for _, d := range rootTimes {
+			lk.spawn(d, got.newLabel())
 		}
 		if err := l.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		checkHeap(t, l)
 
 		// Reference, same program.
-		prog.budget = 3000
 		ref := &refKernel{}
-		refEvents := make(map[int64]*refKernelEv)
-		var refNext int64
-		for i := range rootTimes {
-			ref.now = 0
-			lb := refNext
-			refNext++
-			refEvents[lb] = ref.schedule(time.Duration(rootTimes[i]), lb)
+		rk := &refProgKernel{ref: ref, events: make(map[int64]*refKernelEv)}
+		want := &progRun{prog: prog, k: rk, budget: 3000}
+		for _, d := range rootTimes {
+			rk.spawn(d, want.newLabel())
 		}
-		ref.now = 0
 		for e := ref.pop(); e != nil; e = ref.pop() {
-			wantLog = append(wantLog, fired{e.label, e.at})
-			a := prog.actions(e.label)
-			for _, d := range a.childDelays {
-				if prog.budget <= 0 {
-					break
-				}
-				prog.budget--
-				lb := refNext
-				refNext++
-				refEvents[lb] = ref.schedule(d, lb)
-			}
-			if a.stopLabel >= 0 {
-				if re, ok := refEvents[a.stopLabel]; ok {
-					re.stopped = true
-				}
-			}
+			want.handle(e.label, e.at)
 		}
 
-		if len(gotLog) != len(wantLog) {
+		if len(got.log) != len(want.log) {
 			t.Fatalf("seed %d: kernel fired %d events, reference %d",
-				seed, len(gotLog), len(wantLog))
+				seed, len(got.log), len(want.log))
 		}
-		for i := range gotLog {
-			if gotLog[i] != wantLog[i] {
-				t.Fatalf("seed %d: execution diverged at step %d: kernel (label=%d at=%v), reference (label=%d at=%v)",
-					seed, i, gotLog[i].label, gotLog[i].at, wantLog[i].label, wantLog[i].at)
+		for i := range got.log {
+			if got.log[i] != want.log[i] {
+				t.Fatalf("seed %d: execution diverged at step %d: kernel %+v, reference %+v",
+					seed, i, got.log[i], want.log[i])
 			}
 		}
-		if got, want := l.Processed(), uint64(len(wantLog)); got != want {
+		if got, want := l.Processed(), uint64(len(want.log)); got != want {
 			t.Fatalf("seed %d: Processed()=%d, want %d (hashes fold the event count)", seed, got, want)
 		}
+		if l.Len() != 0 || l.held >= 0 {
+			t.Fatalf("seed %d: drained loop has Len()=%d held=%d", seed, l.Len(), l.held)
+		}
+	}
+	if cases.stops == 0 || cases.olderFirst == 0 || cases.idle == 0 {
+		t.Fatalf("program never reached a held-root case: %+v", cases)
 	}
 }
 
@@ -256,60 +399,91 @@ func TestStopLaterSameInstantEvent(t *testing.T) {
 
 // TestStopWithinInstantResumesInOrder: Stop() between two events of one
 // instant leaves the rest pending, and a later run resumes exactly where
-// the first broke off, in the original order.
+// the first broke off, in the original order — whether the stopping event
+// scheduled nothing (its root is still held when it returns) or something.
 func TestStopWithinInstantResumesInOrder(t *testing.T) {
-	l := NewLoop()
-	var order []string
-	at := Time(time.Millisecond)
-	l.At(at, func() { order = append(order, "a"); l.Stop() })
-	l.At(at, func() { order = append(order, "b") })
-	l.At(at, func() { order = append(order, "c") })
-	if err := l.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 1 || order[0] != "a" {
-		t.Fatalf("order after Stop = %v, want [a]", order)
-	}
-	if l.Len() != 2 {
-		t.Fatalf("Len() = %d after Stop within the instant, want 2 pending", l.Len())
-	}
-	if err := l.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[1] != "b" || order[2] != "c" {
-		t.Fatalf("resumed order = %v, want [a b c]", order)
+	for _, schedules := range []bool{false, true} {
+		l := NewLoop()
+		var order []string
+		want := []string{"a", "b", "c"}
+		at := Time(time.Millisecond)
+		l.At(at, func() {
+			order = append(order, "a")
+			if schedules {
+				l.Schedule(0, func() { order = append(order, "d") })
+			}
+			l.Stop()
+		})
+		l.At(at, func() { order = append(order, "b") })
+		l.At(at, func() { order = append(order, "c") })
+		if schedules {
+			want = append(want, "d")
+		}
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != 1 || order[0] != "a" {
+			t.Fatalf("schedules=%v: order after Stop = %v, want [a]", schedules, order)
+		}
+		if l.Len() != len(want)-1 || l.held >= 0 {
+			t.Fatalf("schedules=%v: Len() = %d, held = %d after Stop within the instant, want %d pending and no held root",
+				schedules, l.Len(), l.held, len(want)-1)
+		}
+		checkHeap(t, l)
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(order, want) {
+			t.Fatalf("schedules=%v: resumed order = %v, want %v", schedules, order, want)
+		}
 	}
 }
 
 // TestEventLimitWithinInstantResumesInOrder: the event limit can trip
 // between two events of one instant; the rest must survive for a resumed
-// run.
+// run, whether the event that hit the limit scheduled nothing or something.
 func TestEventLimitWithinInstantResumesInOrder(t *testing.T) {
-	l := NewLoop()
-	var order []int
-	at := Time(time.Millisecond)
-	for i := 0; i < 5; i++ {
-		id := i
-		l.At(at, func() { order = append(order, id) })
-	}
-	l.SetEventLimit(2)
-	err := l.Run()
-	if !errors.Is(err, ErrEventLimit) {
-		t.Fatalf("Run returned %v, want ErrEventLimit", err)
-	}
-	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
-		t.Fatalf("order at limit = %v, want [0 1]", order)
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len() = %d after the limit tripped within the instant, want 3", l.Len())
-	}
-	l.SetEventLimit(0)
-	if err := l.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range order {
-		if id != i {
-			t.Fatalf("order = %v, want sequential 0..4", order)
+	for _, schedules := range []bool{false, true} {
+		l := NewLoop()
+		var order []int
+		at := Time(time.Millisecond)
+		total := 5
+		for i := 0; i < 5; i++ {
+			id := i
+			l.At(at, func() {
+				order = append(order, id)
+				if schedules && id == 1 {
+					l.Schedule(0, func() { order = append(order, 5) })
+				}
+			})
+		}
+		if schedules {
+			total++
+		}
+		l.SetEventLimit(2)
+		err := l.Run()
+		if !errors.Is(err, ErrEventLimit) {
+			t.Fatalf("Run returned %v, want ErrEventLimit", err)
+		}
+		if len(order) != 2 || order[0] != 0 || order[1] != 1 {
+			t.Fatalf("schedules=%v: order at limit = %v, want [0 1]", schedules, order)
+		}
+		if l.Len() != total-2 || l.held >= 0 {
+			t.Fatalf("schedules=%v: Len() = %d, held = %d after the limit tripped within the instant, want %d pending and no held root",
+				schedules, l.Len(), l.held, total-2)
+		}
+		checkHeap(t, l)
+		l.SetEventLimit(0)
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != total {
+			t.Fatalf("schedules=%v: %d events ran, want %d", schedules, len(order), total)
+		}
+		for i, id := range order {
+			if id != i {
+				t.Fatalf("schedules=%v: order = %v, want sequential", schedules, order)
+			}
 		}
 	}
 }

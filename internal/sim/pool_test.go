@@ -233,11 +233,7 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			if l.Len() != ref.Len() {
 				t.Fatalf("seed %d: sizes diverged: %d vs %d", seed, l.Len(), ref.Len())
 			}
-			for i, e := range l.heap {
-				if pos := l.nodes[e.id()].pos; int(pos) != i {
-					t.Fatalf("seed %d: entry at heap index %d has recorded position %d", seed, i, pos)
-				}
-			}
+			checkHeap(t, l)
 		}
 		// Drain: the full remaining pop order must match.
 		for ref.Len() > 0 {
@@ -283,6 +279,44 @@ func TestStopRemovesEntryInPlace(t *testing.T) {
 	}
 	if cb.n != k {
 		t.Fatalf("%d timers fired, want the %d live ones", cb.n, k)
+	}
+}
+
+// TestFirstScheduleInsideCallbackTakesTheRoot: an event that re-arms itself
+// over other pending timers never pops: its first schedule overwrites the
+// fired root, on the same node, without a free-list round trip.
+func TestFirstScheduleInsideCallbackTakesTheRoot(t *testing.T) {
+	const others, events = 16, 10000
+	l := NewLoop()
+	idle := &countCall{}
+	for i := 0; i < others; i++ {
+		l.ScheduleCall(time.Hour+time.Duration(i), idle)
+	}
+	var chain Timer
+	var step func()
+	step = func() {
+		if len(l.free) != 0 {
+			t.Fatalf("event %d: free list holds %d nodes, want it untouched", l.Processed(), len(l.free))
+		}
+		next := l.Schedule(time.Microsecond, step)
+		if next.id != chain.id {
+			t.Fatalf("event %d: chain moved from node %d to node %d", l.Processed(), chain.id, next.id)
+		}
+		chain = next
+	}
+	chain = l.Schedule(time.Microsecond, step)
+	if err := l.RunUntil(Time(events * time.Microsecond)); err != nil {
+		t.Fatal(err)
+	}
+	c := l.Counters()
+	if c.Fired != events || c.Recycled != events {
+		t.Fatalf("fired %d, recycled %d nodes, want %d and one per event", c.Fired, c.Recycled, events)
+	}
+	if c.ArenaNodes != others+1 || len(l.free) != 0 || l.Len() != others+1 {
+		t.Fatalf("arena %d, free %d, pending %d; want %d, 0, %d", c.ArenaNodes, len(l.free), l.Len(), others+1, others+1)
+	}
+	if idle.n != 0 {
+		t.Fatalf("%d far timers fired", idle.n)
 	}
 }
 

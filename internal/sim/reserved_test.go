@@ -220,6 +220,18 @@ func TestReservedChainsMatchPerEventScheduling(t *testing.T) {
 	}
 }
 
+// TestAtCallReservedPanicsOnUnissuedSeq: a seq ReserveSeq never issued
+// would collide with a later event's key.
+func TestAtCallReservedPanicsOnUnissuedSeq(t *testing.T) {
+	l := NewLoop()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtCallReserved armed a seq that was never issued")
+		}
+	}()
+	l.AtCallReserved(0, l.ReserveSeq()+1, &countCall{})
+}
+
 // TestCountersWithReservedSeqs: Scheduled counts seqs issued, and every
 // armed seq is served either by the free list or by arena growth.
 func TestCountersWithReservedSeqs(t *testing.T) {

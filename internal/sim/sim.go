@@ -15,10 +15,13 @@
 // instead of capturing closures. Timer handles are values carrying a
 // generation counter, so a stale handle to a recycled node is a safe no-op.
 //
-// The pending queue holds exactly the pending events. Every node records
-// where its entry sits in the heap, so Timer.Stop removes that entry in
-// place, and RunUntil pops and runs one event at a time: there are no dead
-// entries to skip or sweep, and nothing is ever popped ahead of its turn.
+// The pending queue holds exactly the pending events, plus the entry of the
+// running event until its callback schedules something or returns: RunUntil
+// leaves the fired root at heap[0], and the first event scheduled inside the
+// callback takes that slot and node with one sift down — one sift per event,
+// not a pop and a push. Every node records where its entry sits in the heap,
+// so Timer.Stop removes that entry in place: there are no dead entries to
+// skip or sweep, and nothing runs ahead of its turn.
 //
 // Ordering contract: events run in strictly increasing (at, seq) order,
 // where seq is the scheduling sequence number the kernel issued — at
@@ -80,9 +83,9 @@ type Callback interface {
 
 // node is one pooled event: its callback, and pos, the index of its entry
 // in the heap, kept current by every heap move so Timer.Stop can remove the
-// entry in place. A node is recycled through the free list the moment it
-// fires or is stopped; gen increments on every recycle so stale Timer
-// handles cannot touch the next occupant (the classic ABA guard).
+// entry in place. A node is recycled the moment it fires or is stopped; gen
+// increments on every recycle so stale Timer handles cannot touch the next
+// occupant (the classic ABA guard).
 type node struct {
 	cb  Callback
 	gen uint32
@@ -150,7 +153,8 @@ func (t Timer) live() bool {
 // entry in place. The timers that get stopped (TCP's retransmission and
 // delayed-ACK timers, re-armed on every ACK) are due far later than the
 // packet events around them, so their entries sit near the bottom of the
-// heap and the removal is a couple of moves.
+// heap and the removal is a couple of moves. A fired root still held at
+// heap[0] has a key below every pending key, so no sift moves it.
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
@@ -186,7 +190,10 @@ type Loop struct {
 	free  []int32
 	// heap is a 4-ary min-heap of the pending events' entries, ordered by
 	// (at, seq); nodes[e.id()].pos == i for every heap[i] == e.
-	heap    []entry
+	heap []entry
+	// held is the node of the running event while its entry is still at
+	// heap[0] — until the callback schedules something or returns — else -1.
+	held    int32
 	running bool
 	stopped bool
 
@@ -203,7 +210,7 @@ type Loop struct {
 
 // NewLoop returns an empty event loop positioned at time 0.
 func NewLoop() *Loop {
-	return &Loop{}
+	return &Loop{held: -1}
 }
 
 // Now returns the current virtual time.
@@ -229,7 +236,7 @@ type Counters struct {
 	Scheduled uint64
 	Fired     uint64
 	// ArenaNodes is the pooled arena size (nodes ever created); Recycled
-	// counts allocations served by the free list instead of arena growth.
+	// counts allocations served by a recycled node instead of arena growth.
 	ArenaNodes int
 	Recycled   uint64
 	// InUsePeak and HeapPeak are both the peak number of live pending
@@ -275,9 +282,9 @@ func (l *Loop) alloc(cb Callback) int32 {
 	return id
 }
 
-// release recycles a node whose entry has left the heap: the generation
-// bump invalidates every handle to the old occupant, and clearing the
-// callback drops its reference.
+// release recycles a stopped node whose entry has left the heap: the
+// generation bump invalidates every handle to the old occupant, and clearing
+// the callback drops its reference. RunUntil does both to a fired node itself.
 func (l *Loop) release(id int32) {
 	nd := &l.nodes[id]
 	nd.gen++
@@ -342,29 +349,23 @@ func (l *Loop) up(pos int) {
 	l.place(pos, e)
 }
 
-// down restores the heap property from pos towards the leaves.
+// down restores the heap property from pos towards the leaves. It runs once
+// per event, so the moving entry and the best child stay in locals.
 func (l *Loop) down(pos int) {
-	e := l.heap[pos]
-	n := len(l.heap)
-	for {
-		first := 4*pos + 1
-		if first >= n {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
-		for c := first + 1; c < end; c++ {
-			if less(&l.heap[c], &l.heap[best]) {
-				best = c
+	h := l.heap
+	e := h[pos]
+	for first := 4*pos + 1; first < len(h); first = 4*pos + 1 {
+		best, b := first, h[first]
+		for c := first + 1; c < min(first+4, len(h)); c++ {
+			if x := h[c]; x.at < b.at || x.at == b.at && x.packed < b.packed {
+				best, b = c, x
 			}
 		}
-		if !less(&l.heap[best], &e) {
+		if b.at > e.at || b.at == e.at && b.packed > e.packed {
 			break
 		}
-		l.place(pos, l.heap[best])
+		h[pos] = b
+		l.nodes[b.id()].pos = int32(pos)
 		pos = best
 	}
 	l.place(pos, e)
@@ -424,6 +425,9 @@ func (l *Loop) AtCallReserved(t Time, seq uint64, cb Callback) Timer {
 	if cb == nil {
 		panic("sim: AtCallReserved called with nil callback")
 	}
+	if seq >= l.seq {
+		panic("sim: AtCallReserved called with a seq ReserveSeq never issued")
+	}
 	return l.schedule(t, seq, cb)
 }
 
@@ -440,22 +444,39 @@ func (l *Loop) schedule(t Time, seq uint64, cb Callback) Timer {
 	if t < l.now {
 		t = l.now
 	}
-	id := l.alloc(cb)
-	l.push(mkEntry(t, seq, id))
+	id := l.held
+	if id >= 0 {
+		// First schedule of the running event: it takes the fired root's
+		// node and slot, and one sift down replaces the pop and the push.
+		l.held = -1
+		l.recycled++
+		l.nodes[id].cb = cb
+		l.heap[0] = mkEntry(t, seq, id)
+		l.down(0)
+	} else {
+		id = l.alloc(cb)
+		l.push(mkEntry(t, seq, id))
+	}
 	return Timer{loop: l, id: id, gen: l.nodes[id].gen}
 }
 
 // Stop makes Run return after the currently executing event completes.
 func (l *Loop) Stop() { l.stopped = true }
 
-// Len returns the number of pending events.
-func (l *Loop) Len() int { return len(l.heap) }
+// Len returns the number of pending events; inside a callback the running
+// event is not one of them, whether or not its entry is still held.
+func (l *Loop) Len() int {
+	if l.held >= 0 {
+		return len(l.heap) - 1
+	}
+	return len(l.heap)
+}
 
 // Run executes events in order until the queue drains, Stop is called, or
 // the event limit is exceeded.
 func (l *Loop) Run() error { return l.RunUntil(End) }
 
-// RunUntil executes events with timestamps <= deadline, one heap pop per
+// RunUntil executes events with timestamps <= deadline, one heap sift per
 // event, and then advances the clock to the deadline. It returns nil when
 // the deadline is reached, the queue drains or Stop is called. The clock
 // never moves backwards (a deadline in the past runs nothing and leaves the
@@ -480,13 +501,22 @@ func (l *Loop) RunUntil(deadline Time) error {
 			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", l.now, e.at))
 		}
 		l.now = e.at
-		l.removeAt(0)
-		cb := l.nodes[e.id()].cb
-		// Recycle before running: a Stop on this event's own handle from
-		// inside the callback (or any later turn) sees a stale generation
-		// and no-ops, even if the node is immediately reused.
-		l.release(e.id())
+		// Retire the node before running: a Stop on this event's own handle
+		// from inside the callback (or any later turn) sees a stale generation
+		// and no-ops, even if the node is immediately reused. The entry stays
+		// at heap[0], held for the callback's first schedule to overwrite.
+		nd := &l.nodes[e.id()]
+		cb := nd.cb
+		nd.gen++
+		nd.cb = nil
+		l.held = e.id()
 		cb.Run(l.now)
+		if l.held >= 0 {
+			// The callback scheduled nothing: pop the root after all.
+			l.held = -1
+			l.removeAt(0)
+			l.free = append(l.free, e.id())
+		}
 		l.processed++
 		if l.limit > 0 && l.processed >= l.limit {
 			return fmt.Errorf("%w (%d events)", ErrEventLimit, l.processed)
