@@ -499,7 +499,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stopObserve()
 	if meter != nil {
-		onScenario = func(failed bool) { meter.Record(failed) }
+		onScenario = func(failed bool) {
+			n := 0
+			if failed {
+				n = 1
+			}
+			meter.Advance(1, n)
+		}
 	}
 	stopProf, err := shared.StartProfile()
 	if err != nil {

@@ -37,10 +37,7 @@ func TestOneEventPerPacketHop(t *testing.T) {
 			if len(res.Invariants) != 0 {
 				t.Fatalf("invariants: %v", res.Invariants)
 			}
-			var tx uint64
-			for _, l := range res.Telemetry.Links {
-				tx += l.TxPackets
-			}
+			tx := res.Telemetry.TxPackets
 			if tx < 10000 {
 				t.Fatalf("only %d link transmissions in a 1 s run", tx)
 			}

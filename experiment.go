@@ -448,45 +448,24 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		res.records = sniff.Records()
 	}
 	if opts.Telemetry {
-		snap := &telemetry.Snapshot{
-			Sim:          telemetry.FromSim(loop.Counters()),
-			FlightEvents: res.flight.Len(),
-			FlightTotal:  res.flight.Total(),
-		}
+		c := loop.Counters()
+		roll := &telemetry.Rollup{Runs: 1, EventsScheduled: c.Scheduled, EventsFired: c.Fired,
+			Recycled: c.Recycled, HeapPeak: c.HeapPeak}
 		for _, l := range net.Links() {
-			lc := telemetry.LinkCounters{
-				Name:          l.Name(),
-				Offered:       l.Counters.Offered,
-				TxPackets:     l.Counters.TxPackets,
-				TxBytes:       l.Counters.TxBytes,
-				MaxQueueBytes: int(l.Counters.MaxQueue),
-				Utilisation:   l.Utilisation(),
-			}
-			if l.Counters.DropTotal() > 0 {
-				lc.Drops = make(map[string]uint64)
-				for reason, n := range l.Counters.Drops {
-					if n > 0 {
-						lc.Drops[netem.DropReason(reason).String()] = n
-					}
-				}
-			}
-			snap.Links = append(snap.Links, lc)
+			roll.TxPackets += l.Counters.TxPackets
+			roll.TxBytes += l.Counters.TxBytes
+			roll.Offered += l.Counters.Offered
+			roll.Drops += l.Counters.DropTotal()
 		}
 		for _, sf := range conn.Subflows() {
-			sc := telemetry.SubflowCounters{
-				Path:       int(sf.Spec.Tag),
-				Label:      sf.Spec.Label,
-				SchedPicks: sf.Picks,
-			}
+			roll.SchedPicks += sf.Picks
 			if sf.TCP != nil {
-				sc.RTOs = sf.TCP.Stats.RTOs
-				sc.FastRecoveries = sf.TCP.Stats.FastRecovery
-				sc.Retransmits = sf.TCP.Stats.Retransmits
-				sc.CwndPeakBytes = int(sf.TCP.CwndPeak)
+				roll.RTOs += sf.TCP.Stats.RTOs
+				roll.FastRecoveries += sf.TCP.Stats.FastRecovery
+				roll.Retransmits += sf.TCP.Stats.Retransmits
 			}
-			snap.Subflows = append(snap.Subflows, sc)
 		}
-		res.Telemetry = snap
+		res.Telemetry = roll
 	}
 	if oracle != nil {
 		v := oracle.Violations()

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -49,10 +50,12 @@ var fieldAllow = map[string]string{
 
 // TestEveryFieldIsSetAndRead is the field-level reachability pass as a
 // guard. It type-checks every non-test file of the module outside bench/ and
-// fails naming any struct field — embedded and JSON-tagged ones set aside,
-// encoders read and write those — that no production code sets or none
-// reads, unless fieldAllow gives the reason it stays. A field nobody sets is
-// a constant; a field nobody reads is not state.
+// fails naming any struct field — embedded ones set aside, and JSON-tagged
+// ones encoding/json really reads or writes (see jsonFields) — that no
+// production code sets or none reads, unless fieldAllow gives the reason it
+// stays. A field nobody sets is a constant; a field nobody reads is not
+// state. A json tag alone earns nothing: a tagged type nothing encodes is
+// checked like any other.
 //
 // A write is a composite-literal element, an assignment (x.f += 1 included:
 // a counter nobody looks at is not read by being bumped), ++/--, &x.f,
@@ -103,15 +106,24 @@ func TestEveryFieldIsSetAndRead(t *testing.T) {
 }
 
 // fieldUse counts one declared field's mentions; name is pkg.Type.field.
+// json reports a json tag other than "-".
 type fieldUse struct {
 	name          string
 	writes, reads int
+	json          bool
+}
+
+// checkedPkg is one type-checked production package.
+type checkedPkg struct {
+	files []*ast.File
+	info  *types.Info
 }
 
 // fieldUses type-checks the module's production packages, in the dependency
 // order `go list -deps` prints them in, and counts each declared field's
-// writes and reads. Packages outside the module come from the export data
-// the same `go list -export` call built.
+// writes and reads; JSON-tagged fields encoding/json reads or writes are
+// dropped. Packages outside the module come from the export data the same
+// `go list -export` call built.
 func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
 	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Export,Standard", "-export", "-deps", "./...")
 	var stderr bytes.Buffer
@@ -133,6 +145,7 @@ func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
 		return gc.Import(path)
 	})
 	byVar := map[*types.Var]*fieldUse{}
+	var pkgs []checkedPkg
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p struct {
 			ImportPath, Dir, Export string
@@ -170,8 +183,147 @@ func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
 		checked[p.ImportPath] = pkg
 		declareFields(pkg.Name(), files, info, byVar)
 		countFieldUses(files, info, byVar)
+		pkgs = append(pkgs, checkedPkg{files, info})
+	}
+	encoded := jsonFields(pkgs)
+	for v, u := range byVar {
+		if u.json && encoded[v] {
+			delete(byVar, v)
+		}
 	}
 	return byVar, fset
+}
+
+// jsonSinks maps each encoding/json entry point to the argument it encodes
+// or decodes into.
+var jsonSinks = map[string]int{
+	"encoding/json.Marshal":           0,
+	"encoding/json.MarshalIndent":     0,
+	"encoding/json.Unmarshal":         1,
+	"(*encoding/json.Encoder).Encode": 0,
+	"(*encoding/json.Decoder).Decode": 0,
+}
+
+// jsonFields returns the struct fields encoding/json reads or writes: the
+// exported fields, json:"-" ones excepted, of every struct type reachable
+// from a value handed to a jsonSinks entry point or returned by an
+// expvar.Func. A function that hands one of its own interface-typed
+// parameters to a sink is a sink for that parameter, so a wrapper such as
+// unmarshalStrict(data []byte, v any) passes its callers' types through.
+func jsonFields(pkgs []checkedPkg) map[*types.Var]bool {
+	sinks := maps.Clone(jsonSinks)
+	var roots []types.Type
+	for grew := true; grew; {
+		grew, roots = false, roots[:0]
+		for _, p := range pkgs {
+			for _, f := range p.files {
+				for _, d := range f.Decls {
+					fd, ok := d.(*ast.FuncDecl)
+					if !ok || fd.Body == nil {
+						continue
+					}
+					fn := p.info.Defs[fd.Name].(*types.Func)
+					params := fn.Type().(*types.Signature).Params()
+					ast.Inspect(fd.Body, func(n ast.Node) bool {
+						call, ok := n.(*ast.CallExpr)
+						if !ok {
+							return true
+						}
+						if tv := p.info.Types[call.Fun]; tv.IsType() && tv.Type.String() == "expvar.Func" {
+							roots = append(roots, returnedTypes(p.info, call.Args[0])...)
+							return true
+						}
+						i, ok := sinks[calleeName(p.info, call)]
+						if !ok || i >= len(call.Args) {
+							return true
+						}
+						arg := ast.Unparen(call.Args[i])
+						if t := p.info.TypeOf(arg); !types.IsInterface(t) {
+							roots = append(roots, t)
+							return true
+						}
+						id, _ := arg.(*ast.Ident)
+						for j := range params.Len() {
+							if _, known := sinks[fn.FullName()]; !known && id != nil && p.info.Uses[id] == params.At(j) {
+								sinks[fn.FullName()], grew = j, true
+							}
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+	encoded := map[*types.Var]bool{}
+	seen := map[types.Type]bool{}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch u := t.Underlying().(type) {
+		case *types.Pointer:
+			walk(u.Elem())
+		case *types.Slice:
+			walk(u.Elem())
+		case *types.Array:
+			walk(u.Elem())
+		case *types.Map:
+			walk(u.Key())
+			walk(u.Elem())
+		case *types.Struct:
+			for i := range u.NumFields() {
+				f := u.Field(i)
+				if (f.Exported() || f.Embedded()) && reflect.StructTag(u.Tag(i)).Get("json") != "-" {
+					encoded[f.Origin()] = true
+					walk(f.Type())
+				}
+			}
+		}
+	}
+	for _, t := range roots {
+		walk(t)
+	}
+	return encoded
+}
+
+// calleeName is the full name of the function or method call invokes, ""
+// for anything else.
+func calleeName(info *types.Info, call *ast.CallExpr) string {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	}
+	if fn, ok := info.Uses[id].(*types.Func); ok {
+		return fn.FullName()
+	}
+	return ""
+}
+
+// returnedTypes lists the types of the values the function literal e
+// returns, nested literals' returns excepted.
+func returnedTypes(info *types.Info, e ast.Expr) []types.Type {
+	lit, ok := e.(*ast.FuncLit)
+	if !ok {
+		return nil
+	}
+	var out []types.Type
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				out = append(out, info.TypeOf(r))
+			}
+		}
+		return true
+	})
+	return out
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -179,19 +331,18 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // declareFields enters every named field of every struct type written in
-// files, embedded and JSON-tagged ones excepted.
+// files, embedded ones excepted.
 func declareFields(pkg string, files []*ast.File, info *types.Info, byVar map[*types.Var]*fieldUse) {
 	enter := func(typ string, st *ast.StructType) {
 		for _, fl := range st.Fields.List {
+			tagged := false
 			if fl.Tag != nil {
-				tag := reflect.StructTag(strings.Trim(fl.Tag.Value, "`"))
-				if _, ok := tag.Lookup("json"); ok {
-					continue
-				}
+				name, ok := reflect.StructTag(strings.Trim(fl.Tag.Value, "`")).Lookup("json")
+				tagged = ok && name != "-"
 			}
 			for _, id := range fl.Names {
 				if v, ok := info.Defs[id].(*types.Var); ok && id.Name != "_" {
-					byVar[v] = &fieldUse{name: pkg + "." + typ + "." + id.Name}
+					byVar[v] = &fieldUse{name: pkg + "." + typ + "." + id.Name, json: tagged}
 				}
 			}
 		}

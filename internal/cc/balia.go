@@ -6,10 +6,6 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-func init() {
-	RegisterAlgorithm("balia", func() Algorithm { return &BALIA{} })
-}
-
 // BALIA is the Balanced Linked Adaptation algorithm (Peng, Walid, Hwang,
 // Low: "Multipath TCP: Analysis, Design, and Implementation", ToN 2014),
 // included as an extension beyond the paper's three algorithms: it was

@@ -14,7 +14,6 @@ package cc
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -68,7 +67,7 @@ func (f *Flow) wPkts() float64 {
 // Algorithm is a congestion-control module. Hooks run inside the event
 // loop; implementations must be deterministic.
 type Algorithm interface {
-	// Name returns the algorithm's registry name.
+	// Name returns the name New knows the algorithm by.
 	Name() string
 	// Register attaches a flow (called when its connection establishes).
 	// Coupled algorithms add it to their window-coupling group.
@@ -129,36 +128,23 @@ func slowStart(f *Flow, acked int) int {
 	return left
 }
 
-// Factory builds a fresh algorithm instance. Coupled algorithms need one
-// instance per MPTCP connection, so the registry stores factories.
-type Factory func() Algorithm
-
-var registry = map[string]Factory{}
-
-// RegisterAlgorithm adds a factory under a unique name; it is called from
-// init functions of the implementations.
-func RegisterAlgorithm(name string, f Factory) {
-	if _, dup := registry[name]; dup {
-		panic("cc: duplicate algorithm " + name)
-	}
-	registry[name] = f
-}
-
-// New instantiates an algorithm by name.
+// New returns a fresh instance of the named algorithm (case-insensitive).
+// Coupled algorithms need one instance per MPTCP connection, so every call
+// builds a new one.
 func New(name string) (Algorithm, error) {
-	f, ok := registry[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("cc: unknown algorithm %q (have %s)", name, strings.Join(Names(), ", "))
+	switch strings.ToLower(name) {
+	case "balia":
+		return &BALIA{}, nil
+	case "cubic":
+		return &Cubic{}, nil
+	case "lia":
+		return &LIA{}, nil
+	case "olia":
+		return &OLIA{}, nil
+	case "reno":
+		return &Reno{}, nil
+	case "wvegas":
+		return NewWVegas(), nil
 	}
-	return f(), nil
-}
-
-// Names lists registered algorithms, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return nil, fmt.Errorf("cc: unknown algorithm %q (have balia, cubic, lia, olia, reno, wvegas)", name)
 }

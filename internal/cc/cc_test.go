@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -23,21 +24,22 @@ func newFlow(id string, cwndPkts float64, rtt time.Duration) *Flow {
 }
 
 func TestRegistry(t *testing.T) {
-	for _, name := range []string{"reno", "cubic", "lia", "olia", "balia"} {
-		a, err := New(name)
+	names := []string{"balia", "cubic", "lia", "olia", "reno", "wvegas"}
+	for _, name := range names {
+		a, err := New(strings.ToUpper(name))
 		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
+			t.Fatalf("New(%q): %v", strings.ToUpper(name), err)
 		}
 		if a.Name() != name {
 			t.Fatalf("Name() = %q, want %q", a.Name(), name)
 		}
 	}
-	if _, err := New("bbr9000"); err == nil {
+	_, err := New("bbr9000")
+	if err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	names := Names()
-	if len(names) < 5 {
-		t.Fatalf("Names() = %v", names)
+	if !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Fatalf("unknown-algorithm error %q does not list the six", err)
 	}
 	// Instances must be independent (coupled state is per connection).
 	a1, _ := New("lia")
@@ -245,6 +247,62 @@ func TestLIALessAggressiveThanUncoupled(t *testing.T) {
 	}
 }
 
+// alphas is the reference for alphaFor: the per-flow alphas of the OLIA
+// increase, with the sets M (largest window) and B (largest l_r^2 / w_r)
+// collected. Flows with alpha 0 are absent.
+func (o *OLIA) alphas() map[*Flow]float64 {
+	n := len(o.flows)
+	out := make(map[*Flow]float64, n)
+	if n == 0 {
+		return out
+	}
+	const tol = 1.0001
+	var maxW, maxQ float64
+	for _, f := range o.flows {
+		if f.Cwnd > maxW {
+			maxW = f.Cwnd
+		}
+		l := interLoss(f)
+		if q := l * l / math.Max(f.Cwnd, 1); q > maxQ {
+			maxQ = q
+		}
+	}
+	var m, collected []*Flow
+	for _, f := range o.flows {
+		inM := f.Cwnd*tol >= maxW
+		l := interLoss(f)
+		inB := (l*l/math.Max(f.Cwnd, 1))*tol >= maxQ
+		if inB && !inM {
+			collected = append(collected, f)
+		}
+		if inM {
+			m = append(m, f)
+		}
+	}
+	if len(collected) > 0 {
+		for _, f := range collected {
+			out[f] = 1 / (float64(n) * float64(len(collected)))
+		}
+		for _, f := range m {
+			if _, dup := out[f]; !dup {
+				out[f] = -1 / (float64(n) * float64(len(m)))
+			}
+		}
+	}
+	return out
+}
+
+// checkAlphaFor fails unless alphaFor agrees with the reference bit for bit.
+func checkAlphaFor(t *testing.T, o *OLIA) {
+	t.Helper()
+	al := o.alphas()
+	for _, f := range o.flows {
+		if got := o.alphaFor(f); got != al[f] {
+			t.Fatalf("alphaFor(%s) = %v, reference %v", f.ID, got, al[f])
+		}
+	}
+}
+
 func TestOLIAAlphaSets(t *testing.T) {
 	o := &OLIA{}
 	rtt := 50 * time.Millisecond
@@ -274,6 +332,7 @@ func TestOLIAAlphaSets(t *testing.T) {
 	if math.Abs(sum) > 1e-9 {
 		t.Fatalf("alpha sum = %v, want 0", sum)
 	}
+	checkAlphaFor(t, o)
 }
 
 func TestOLIAAlphaEmptyWhenBestIsBiggest(t *testing.T) {
@@ -289,6 +348,7 @@ func TestOLIAAlphaEmptyWhenBestIsBiggest(t *testing.T) {
 	if len(al) != 0 {
 		t.Fatalf("alphas = %v, want empty (B subset of M)", al)
 	}
+	checkAlphaFor(t, o)
 }
 
 func TestOLIAWindowFloor(t *testing.T) {

@@ -6,10 +6,6 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-func init() {
-	RegisterAlgorithm("cubic", func() Algorithm { return &Cubic{} })
-}
-
 // CUBIC constants per RFC 8312: C is the cubic scaling factor in
 // MSS/second^3 and beta the multiplicative decrease factor.
 const (

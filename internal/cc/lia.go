@@ -2,10 +2,6 @@ package cc
 
 import "mptcpsim/internal/sim"
 
-func init() {
-	RegisterAlgorithm("lia", func() Algorithm { return &LIA{} })
-}
-
 // LIA is the coupled Linked Increases Algorithm of RFC 6356, the original
 // MPTCP congestion control (Wischik et al., NSDI'11). All subflows of a
 // connection share one LIA instance. The congestion-avoidance increase on

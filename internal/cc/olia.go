@@ -6,10 +6,6 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-func init() {
-	RegisterAlgorithm("olia", func() Algorithm { return &OLIA{} })
-}
-
 // OLIA is the Opportunistic Linked Increases Algorithm (Khalili, Gast,
 // Popovic, Le Boudec: "MPTCP Is Not Pareto-Optimal", ToN 2013), designed to
 // fix LIA's suboptimality. All subflows of a connection share one
@@ -76,55 +72,11 @@ func interLoss(f *Flow) float64 {
 	return l
 }
 
-// alphas computes the per-flow alpha values of the OLIA increase.
-func (o *OLIA) alphas() map[*Flow]float64 {
-	n := len(o.flows)
-	out := make(map[*Flow]float64, n)
-	if n == 0 {
-		return out
-	}
-	// M: paths with the largest window.
-	// B: paths maximising l_r^2 / w_r (best transmission potential).
-	const tol = 1.0001
-	var maxW, maxQ float64
-	for _, f := range o.flows {
-		if f.Cwnd > maxW {
-			maxW = f.Cwnd
-		}
-		l := interLoss(f)
-		if q := l * l / math.Max(f.Cwnd, 1); q > maxQ {
-			maxQ = q
-		}
-	}
-	var m, collected []*Flow
-	for _, f := range o.flows {
-		inM := f.Cwnd*tol >= maxW
-		l := interLoss(f)
-		inB := (l*l/math.Max(f.Cwnd, 1))*tol >= maxQ
-		if inB && !inM {
-			collected = append(collected, f)
-		}
-		if inM {
-			m = append(m, f)
-		}
-	}
-	if len(collected) > 0 {
-		for _, f := range collected {
-			out[f] = 1 / (float64(n) * float64(len(collected)))
-		}
-		for _, f := range m {
-			if _, dup := out[f]; !dup {
-				out[f] = -1 / (float64(n) * float64(len(m)))
-			}
-		}
-	}
-	return out
-}
-
-// alphaFor returns alphas()[f] without materialising the map: OnAck runs
-// on every ACK and needs only the caller's own alpha, so the membership
-// sets are counted instead of collected. The arithmetic is exactly the
-// map version's — same expressions, same operand order.
+// alphaFor returns f's alpha in the OLIA increase. M is the paths with the
+// largest window, B the paths maximising l_r^2 / w_r (best transmission
+// potential); OnAck runs on every ACK and needs only the caller's own
+// alpha, so the membership sets are counted instead of collected. The
+// tests keep the collecting form, alphas, as its reference.
 func (o *OLIA) alphaFor(f *Flow) float64 {
 	n := len(o.flows)
 	if n == 0 {

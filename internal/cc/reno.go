@@ -2,10 +2,6 @@ package cc
 
 import "mptcpsim/internal/sim"
 
-func init() {
-	RegisterAlgorithm("reno", func() Algorithm { return &Reno{} })
-}
-
 // Reno is standard NewReno congestion control (RFC 5681/6582 window
 // dynamics; the NewReno recovery state machine itself lives in the TCP
 // layer). Applied independently per subflow it is the "uncoupled"

@@ -6,10 +6,6 @@ import (
 	"mptcpsim/internal/sim"
 )
 
-func init() {
-	RegisterAlgorithm("wvegas", func() Algorithm { return NewWVegas() })
-}
-
 // WVegas is weighted Vegas (Cao, Xu, Fu: "Delay-based congestion control
 // for multipath TCP", ICNP 2012), the delay-based coupled algorithm that
 // shipped with the paper's MPTCP v0.94 kernel. Each subflow r estimates

@@ -44,8 +44,12 @@ type MeterSink struct {
 }
 
 func (m *MeterSink) Accept(_, _ int, r mptcpsim.RunSummary, _ *mptcpsim.Result) error {
+	failed := 0
+	if r.Err != "" {
+		failed = 1
+	}
 	// A heartbeat that cannot be written must not void the sweep's results.
-	_ = m.Meter.Record(r.Err != "")
+	_ = m.Meter.Advance(1, failed)
 	return nil
 }
 

@@ -260,31 +260,31 @@ func (c *Coordinator) merge(digest string, total int) (*mptcpsim.SweepResult, er
 }
 
 // scanProgress folds every tail once and returns the totals without
-// advancing the meter — the startup baseline.
+// advancing the meter — the startup baseline — and the first tail error.
+// A tail that meets a bad record still returns the runs it folded before
+// it, and never returns them again, so they are counted here; the other
+// tails are polled all the same.
 func (c *Coordinator) scanProgress() (done, failed int, err error) {
 	for _, t := range c.tails {
 		d, f, perr := t.poll()
-		if perr != nil {
-			return done, failed, perr
-		}
 		done += d
 		failed += f
+		if err == nil {
+			err = perr
+		}
 	}
-	return done, failed, nil
+	return done, failed, err
 }
 
 // advanceProgress folds every tail and advances the meter by what is new.
 func (c *Coordinator) advanceProgress() (done, failed int, err error) {
 	done, failed, err = c.scanProgress()
-	if err != nil {
-		return done, failed, err
-	}
 	if c.Meter != nil && done > 0 {
-		if err := c.Meter.Advance(done, failed); err != nil {
-			return done, failed, err
+		if merr := c.Meter.Advance(done, failed); err == nil {
+			err = merr
 		}
 	}
-	return done, failed, nil
+	return done, failed, err
 }
 
 // Progress snapshots the live fleet-wide aggregate: every shard tail's

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -202,17 +201,19 @@ func (t *shardTail) poll() (newDone, newFailed int, err error) {
 		}
 		line := raw[:nl+1]
 		raw = raw[nl+1:]
-		t.offset += int64(len(line))
 		if !t.headerDone {
 			t.headerDone = true
+			t.offset += int64(len(line))
 			continue
 		}
-		var rec mptcpsim.RunRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A committed but unparseable line means the file is not the
-			// single-writer log we think it is; surface it.
+		rec, err := mptcpsim.DecodeRunRecord(line)
+		if err != nil {
+			// A committed line ReadRunLog would refuse means the file is not
+			// the single-writer log we think it is; surface it, on every poll,
+			// without counting it.
 			return newDone, newFailed, fmt.Errorf("%s: tail record: %w", t.path, err)
 		}
+		t.offset += int64(len(line))
 		if t.seen[rec.Run.Index] {
 			continue
 		}

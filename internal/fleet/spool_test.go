@@ -118,3 +118,45 @@ func TestOpenShardLog(t *testing.T) {
 		})
 	}
 }
+
+// TestUnknownFieldRecordIsNotProgress: the coordinator's live tail reads a
+// shard log under ReadRunLog's record grammar, so a committed record with a
+// field no schema has is an error to both readers, and the tail never
+// counts it — not on the poll that meets it, nor on any later one.
+func TestUnknownFieldRecordIsNotProgress(t *testing.T) {
+	var log bytes.Buffer
+	sink, err := mptcpsim.NewLogSink(&log, mptcpsim.RunLogHeader{GridDigest: "aaaaaaaaaaaaaaaa", K: 0, N: 1, Total: 2}, mptcpsim.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Accept(1, 2, mptcpsim.RunSummary{Index: 0}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log.WriteString(`{"run":{"index":1,"err":"boom"},"extra":1}` + "\n")
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	if err := os.WriteFile(path, log.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := ReadShardLog(path); err == nil || !strings.Contains(err.Error(), `unknown field "extra"`) {
+		t.Fatalf("ReadShardLog: err = %v, want the unknown field refused", err)
+	}
+	tail := newShardTail(path)
+	for poll, wantDone := range []int{1, 0} {
+		done, failed, err := tail.poll()
+		if err == nil || !strings.Contains(err.Error(), `unknown field "extra"`) {
+			t.Fatalf("poll %d: err = %v, want the unknown field refused", poll, err)
+		}
+		if done != wantDone || failed != 0 {
+			t.Fatalf("poll %d counted %d runs (%d failed), want %d (0 failed)", poll, done, failed, wantDone)
+		}
+	}
+	agg := &mptcpsim.AggSink{}
+	tail.snapshot(agg)
+	if agg.Runs != 1 || agg.Errors != 0 {
+		t.Fatalf("tail aggregate holds %d runs and %d errors, want only the good record", agg.Runs, agg.Errors)
+	}
+}

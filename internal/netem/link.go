@@ -20,9 +20,9 @@ type AQM interface {
 }
 
 // LinkCounters accumulates per-link statistics, in the spirit of the
-// per-interface counter maps of kernel dataplanes. Offered, MaxQueue and
-// every drop but a cut frame's are counted as they happen; TxPackets, TxBytes,
-// Busy and a cut frame's DropLinkDown when the link settles (Link.Settle).
+// per-interface counter maps of kernel dataplanes. Offered and every drop
+// but a cut frame's are counted as they happen; TxPackets, TxBytes, Busy and
+// a cut frame's DropLinkDown when the link settles (Link.Settle).
 type LinkCounters struct {
 	TxPackets uint64
 	TxBytes   uint64
@@ -31,8 +31,6 @@ type LinkCounters struct {
 	Offered uint64
 	// Drops is indexed by DropReason.
 	Drops [numDropReasons]uint64
-	// MaxQueue is the high-water mark of queued bytes.
-	MaxQueue unit.ByteSize
 	// Busy accumulates transmitter-active time, for utilisation.
 	Busy time.Duration
 }
@@ -282,8 +280,6 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 		l.drop(pkt, DropQueueFull)
 		return
 	}
-	// A frame bound straight for the transmitter still counts as queued.
-	l.Counters.MaxQueue = max(l.Counters.MaxQueue, l.queuedBytes+sz)
 	n := l.frames.Len()
 	start := now
 	switch {

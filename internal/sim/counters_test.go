@@ -8,7 +8,7 @@ import (
 // TestCountersAccounting pins the Counters snapshot against a scripted
 // workload: sequential events recycle one arena node, a stopped timer
 // counts as scheduled but not fired, and a burst of concurrently pending
-// events sets the high-water marks.
+// events sets the high-water mark.
 func TestCountersAccounting(t *testing.T) {
 	l := NewLoop()
 
@@ -30,14 +30,14 @@ func TestCountersAccounting(t *testing.T) {
 	if c.Scheduled != 10 || c.Fired != 10 {
 		t.Fatalf("sequential phase: scheduled=%d fired=%d, want 10/10", c.Scheduled, c.Fired)
 	}
-	if c.ArenaNodes != 1 || c.Recycled != 9 {
-		t.Fatalf("sequential phase: arena=%d recycled=%d, want 1/9 (one node reused)", c.ArenaNodes, c.Recycled)
+	if len(l.nodes) != 1 || c.Recycled != 9 {
+		t.Fatalf("sequential phase: arena=%d recycled=%d, want 1/9 (one node reused)", len(l.nodes), c.Recycled)
 	}
-	if c.InUsePeak != 1 || c.HeapPeak != 1 {
-		t.Fatalf("sequential phase: inUsePeak=%d heapPeak=%d, want 1/1", c.InUsePeak, c.HeapPeak)
+	if c.HeapPeak != 1 {
+		t.Fatalf("sequential phase: heapPeak=%d, want 1", c.HeapPeak)
 	}
 
-	// Phase 2: 8 concurrently pending events push both high-water marks;
+	// Phase 2: 8 concurrently pending events push the high-water mark;
 	// one stopped timer stays counted in Scheduled but never fires.
 	for i := 0; i < 8; i++ {
 		l.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
@@ -53,15 +53,15 @@ func TestCountersAccounting(t *testing.T) {
 	if c.Scheduled != 19 || c.Fired != 18 {
 		t.Fatalf("burst phase: scheduled=%d fired=%d, want 19/18", c.Scheduled, c.Fired)
 	}
-	if c.InUsePeak != 9 || c.HeapPeak != 9 {
-		t.Fatalf("burst phase: inUsePeak=%d heapPeak=%d, want 9/9", c.InUsePeak, c.HeapPeak)
+	if c.HeapPeak != 9 {
+		t.Fatalf("burst phase: heapPeak=%d, want 9", c.HeapPeak)
 	}
-	if c.ArenaNodes != 9 || c.Recycled != 10 {
-		t.Fatalf("burst phase: arena=%d recycled=%d, want 9/10", c.ArenaNodes, c.Recycled)
+	if len(l.nodes) != 9 || c.Recycled != 10 {
+		t.Fatalf("burst phase: arena=%d recycled=%d, want 9/10", len(l.nodes), c.Recycled)
 	}
-	if got := c.Recycled + uint64(c.ArenaNodes); got != c.Scheduled {
+	if got := c.Recycled + uint64(len(l.nodes)); got != c.Scheduled {
 		t.Fatalf("recycled(%d) + arena(%d) = %d, want scheduled %d",
-			c.Recycled, c.ArenaNodes, got, c.Scheduled)
+			c.Recycled, len(l.nodes), got, c.Scheduled)
 	}
 }
 

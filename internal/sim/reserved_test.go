@@ -239,7 +239,7 @@ func TestCountersWithReservedSeqs(t *testing.T) {
 	cb := &countCall{}
 	a := l.ReserveSeq()
 	b := l.ReserveSeq()
-	if c := l.Counters(); c.Scheduled != 2 || c.ArenaNodes != 0 || c.Recycled != 0 {
+	if c := l.Counters(); c.Scheduled != 2 || len(l.nodes) != 0 || c.Recycled != 0 {
 		t.Fatalf("after two reservations: %+v, want 2 scheduled and an untouched arena", c)
 	}
 	l.AtCallReserved(Time(2), b, cb)
@@ -248,7 +248,7 @@ func TestCountersWithReservedSeqs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := l.Counters()
-	if c.Scheduled != 2 || c.Fired != 2 || c.Recycled+uint64(c.ArenaNodes) != 2 {
+	if c.Scheduled != 2 || c.Fired != 2 || c.Recycled+uint64(len(l.nodes)) != 2 {
 		t.Fatalf("after the run: %+v, want 2 scheduled, 2 fired, recycled+arena = 2", c)
 	}
 }
@@ -274,7 +274,7 @@ func TestCountersWhenReservedSeqsAreRearmedOrAbandoned(t *testing.T) {
 	// Re-armed at the instant of an event scheduled later: the reserved seq
 	// is older, so it still runs first.
 	tm = l.AtCallReserved(Time(5), moved, cb)
-	if c := l.Counters(); c.Scheduled != 4 || c.ArenaNodes != 3 || c.Recycled != 1 {
+	if c := l.Counters(); c.Scheduled != 4 || len(l.nodes) != 3 || c.Recycled != 1 {
 		t.Fatalf("after the re-arm: %+v, want 4 scheduled, 3 arena nodes, 1 recycled", c)
 	}
 	if err := l.RunUntil(Time(5)); err != nil {
@@ -287,7 +287,7 @@ func TestCountersWhenReservedSeqsAreRearmedOrAbandoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := l.Counters()
-	if c.Scheduled != 4 || c.Fired != 3 || c.ArenaNodes != 3 || c.Recycled != 1 || l.Len() != 0 {
+	if c.Scheduled != 4 || c.Fired != 3 || len(l.nodes) != 3 || c.Recycled != 1 || l.Len() != 0 {
 		t.Fatalf("after the run: %+v, want 4 scheduled, 3 fired (one seq abandoned), 3 arena nodes, 1 recycled", c)
 	}
 }

@@ -224,7 +224,7 @@ func (l *Loop) Processed() uint64 { return l.processed }
 func (l *Loop) SetEventLimit(n uint64) { l.limit = n }
 
 // Counters is a read-only snapshot of the loop's internal accounting:
-// event volume, arena footprint and the high-water mark of the pending
+// event volume, node recycling and the high-water mark of the pending
 // queue. Maintaining it costs one integer compare per scheduled event —
 // there is no telemetry mode to switch on — and snapshotting allocates
 // nothing.
@@ -235,26 +235,21 @@ type Counters struct {
 	// after a Stop. Fired counts events that executed.
 	Scheduled uint64
 	Fired     uint64
-	// ArenaNodes is the pooled arena size (nodes ever created); Recycled
-	// counts allocations served by a recycled node instead of arena growth.
-	ArenaNodes int
-	Recycled   uint64
-	// InUsePeak and HeapPeak are both the peak number of live pending
-	// events: the queue holds exactly the pending events, so the occupied
-	// arena and the queue depth are one high-water mark.
-	InUsePeak int
-	HeapPeak  int
+	// Recycled counts allocations served by a recycled node instead of
+	// arena growth.
+	Recycled uint64
+	// HeapPeak is the peak number of live pending events: the queue holds
+	// exactly the pending events, so it is also the occupied arena's peak.
+	HeapPeak int
 }
 
 // Counters returns the loop's accounting snapshot.
 func (l *Loop) Counters() Counters {
 	return Counters{
-		Scheduled:  l.seq,
-		Fired:      l.processed,
-		ArenaNodes: len(l.nodes),
-		Recycled:   l.recycled,
-		InUsePeak:  l.peak,
-		HeapPeak:   l.peak,
+		Scheduled: l.seq,
+		Fired:     l.processed,
+		Recycled:  l.recycled,
+		HeapPeak:  l.peak,
 	}
 }
 

@@ -178,10 +178,6 @@ type Conn struct {
 
 	// Stats accumulates counters.
 	Stats Stats
-	// CwndPeak is the congestion window's high-water mark in bytes,
-	// sampled at each transmission — a telemetry gauge, never fed back
-	// into the window computation and excluded from result hashes.
-	CwndPeak float64
 }
 
 func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
@@ -422,8 +418,5 @@ func (c *Conn) transmit(p *packet.Packet, n int) {
 	p.PayloadLen = n
 	c.Stats.SentSegments++
 	c.Stats.SentBytes += uint64(n)
-	if c.Flow.Cwnd > c.CwndPeak {
-		c.CwndPeak = c.Flow.Cwnd
-	}
 	c.host.node.Send(p)
 }

@@ -17,8 +17,8 @@ type Heartbeat struct {
 	// precision); ElapsedS the seconds since the meter started.
 	T        string  `json:"t"`
 	ElapsedS float64 `json:"elapsed_s"`
-	// Done / Total / Failed count runs; Done is monotone because Record
-	// and Advance update it under the meter's lock.
+	// Done / Total / Failed count runs; Done is monotone because Advance
+	// updates it under the meter's lock.
 	Done   int `json:"done"`
 	Total  int `json:"total"`
 	Failed int `json:"failed"`
@@ -42,7 +42,7 @@ type Heartbeat struct {
 // Feed it from wherever completions surface (a sink in a sweep's chain,
 // simcheck's result loop); it rate-limits emission to the configured
 // interval and always emits the final heartbeat on Close. A Meter is safe
-// for concurrent Record calls: it carries its own mutex.
+// for concurrent Advance calls: it carries its own mutex.
 type Meter struct {
 	mu       sync.Mutex
 	w        io.Writer
@@ -55,7 +55,7 @@ type Meter struct {
 	lastEmit time.Time
 	done     int
 	failed   int
-	// records counts Record calls this execution — done minus any Resume
+	// records counts completions this execution — done minus any Resume
 	// baseline — so the EWMA seeds from the first run actually measured.
 	records int
 	// ewmaDt is the smoothed seconds-per-completion (aggregate over the
@@ -85,7 +85,7 @@ func NewMeter(w io.Writer, total, workers int, interval time.Duration) *Meter {
 // this baseline against the full total, so progress stays correct across
 // resume, while the completion-rate EWMA — and therefore the ETA — is
 // built only from runs this execution actually performs. Call it before
-// the first Record.
+// the first Advance.
 func (m *Meter) Resume(done, failed int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -93,36 +93,13 @@ func (m *Meter) Resume(done, failed int) {
 	m.failed += failed
 }
 
-// Record notes one completed run and emits a heartbeat if the interval has
-// elapsed since the last one.
-func (m *Meter) Record(failed bool) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.now()
-	m.done++
-	m.records++
-	if failed {
-		m.failed++
-	}
-	dt := now.Sub(m.last).Seconds()
-	if m.records == 1 {
-		m.ewmaDt = dt
-	} else {
-		m.ewmaDt = (1-ewmaAlpha)*m.ewmaDt + ewmaAlpha*dt
-	}
-	m.last = now
-	if m.lastEmit.IsZero() || now.Sub(m.lastEmit) >= m.interval || m.done == m.total {
-		return m.emit(now)
-	}
-	return nil
-}
-
-// Advance folds a batch of n completions (failed of them failed) observed
-// at once — the fleet-coordinator form of Record, for consumers that learn
-// about completions by scanning worker run-logs rather than executing runs
-// themselves. The wall time since the previous observation is spread evenly
-// across the batch, so the EWMA (and therefore the ETA) converges to the
-// fleet-wide aggregate completion rate. Advance with n <= 0 is a no-op.
+// Advance notes n completions (failed of them failed) observed at once —
+// one for a sweep sink's run, a batch for a fleet coordinator scanning
+// worker run-logs — and emits a heartbeat if the interval has elapsed since
+// the last one or the sweep is complete. The wall time since the previous
+// observation is spread evenly across the batch, so the EWMA (and therefore
+// the ETA) converges to the aggregate completion rate. Advance with n <= 0
+// is a no-op.
 func (m *Meter) Advance(n, failed int) error {
 	if n <= 0 {
 		return nil

@@ -234,13 +234,13 @@ func TestMeterHeartbeats(t *testing.T) {
 	m, clock := newTestMeter(&buf, 4, 2, time.Second)
 
 	clock.advance(100 * time.Millisecond)
-	m.Record(false) // first completion always emits
+	m.Advance(1, 0) // first completion always emits
 	clock.advance(100 * time.Millisecond)
-	m.Record(true) // rate-limited: no emission
+	m.Advance(1, 1) // rate-limited: no emission
 	clock.advance(1200 * time.Millisecond)
-	m.Record(false) // interval elapsed: emits
+	m.Advance(1, 0) // interval elapsed: emits
 	clock.advance(100 * time.Millisecond)
-	m.Record(false) // done == total: emits
+	m.Advance(1, 0) // done == total: emits
 	m.Close()       // final heartbeat
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
@@ -292,35 +292,25 @@ func TestMeterZeroIntervalEmitsEveryCompletion(t *testing.T) {
 	m, clock := newTestMeter(&buf, 3, 1, 0)
 	for i := 0; i < 3; i++ {
 		clock.advance(time.Millisecond)
-		m.Record(false)
+		m.Advance(1, 0)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
 		t.Fatalf("zero-interval meter emitted %d heartbeats, want 3", lines)
 	}
 }
 
-// TestRollupAdd checks sums sum, maxima max, and nil snapshots (failed
-// runs) are ignored.
-func TestRollupAdd(t *testing.T) {
+// TestRollupMerge checks sums sum, maxima max, and nil rollups (failed
+// runs) are skipped.
+func TestRollupMerge(t *testing.T) {
 	var r Rollup
-	r.Add(nil)
-	r.Add(&Snapshot{
-		Sim: SimCounters{EventsScheduled: 10, EventsFired: 9, Recycled: 3,
-			HeapPeak: 5, InUsePeak: 4},
-		Links: []LinkCounters{
-			{Name: "a->b", Offered: 7, TxPackets: 6, TxBytes: 9000,
-				Drops: map[string]uint64{"queue_full": 1, "link_down": 2}},
-		},
-		Subflows: []SubflowCounters{{RTOs: 1, FastRecoveries: 2, Retransmits: 3, SchedPicks: 4}},
-	})
-	r.Add(&Snapshot{
-		Sim: SimCounters{EventsScheduled: 20, EventsFired: 20, Recycled: 5,
-			HeapPeak: 2, InUsePeak: 9},
-		Links:    []LinkCounters{{Name: "a->b", Offered: 3, TxPackets: 3, TxBytes: 4500}},
-		Subflows: []SubflowCounters{{SchedPicks: 6}},
-	})
+	r.Merge(nil)
+	r.Merge(&Rollup{Runs: 1, EventsScheduled: 10, EventsFired: 9, Recycled: 3, HeapPeak: 5,
+		TxPackets: 6, TxBytes: 9000, Offered: 7, Drops: 3,
+		RTOs: 1, FastRecoveries: 2, Retransmits: 3, SchedPicks: 4})
+	r.Merge(&Rollup{Runs: 1, EventsScheduled: 20, EventsFired: 20, Recycled: 5, HeapPeak: 2,
+		TxPackets: 3, TxBytes: 4500, Offered: 3, SchedPicks: 6})
 	want := Rollup{Runs: 2,
-		EventsScheduled: 30, EventsFired: 29, Recycled: 8, HeapPeak: 5, InUsePeak: 9,
+		EventsScheduled: 30, EventsFired: 29, Recycled: 8, HeapPeak: 5,
 		TxPackets: 9, TxBytes: 13500, Offered: 10, Drops: 3,
 		RTOs: 1, FastRecoveries: 2, Retransmits: 3, SchedPicks: 10}
 	if r != want {
@@ -333,7 +323,7 @@ func TestRollupAdd(t *testing.T) {
 // /debug/pprof/ answers.
 func TestDebugServer(t *testing.T) {
 	m, _ := newTestMeter(io.Discard, 3, 1, 0)
-	m.Record(false)
+	m.Advance(1, 0)
 	m.Activate()
 	addr, closeSrv, err := DebugServer("127.0.0.1:0")
 	if err != nil {
@@ -368,8 +358,8 @@ func TestDebugServer(t *testing.T) {
 	// Re-activation swaps the served meter without a duplicate-publish
 	// panic.
 	m2, _ := newTestMeter(io.Discard, 5, 1, 0)
-	m2.Record(false)
-	m2.Record(false)
+	m2.Advance(1, 0)
+	m2.Advance(1, 0)
 	m2.Activate()
 	if vars := get("/debug/vars"); !strings.Contains(vars, `"done":2`) {
 		t.Fatalf("/debug/vars not reading the re-activated meter:\n%s", vars)
@@ -386,7 +376,7 @@ func TestMeterResume(t *testing.T) {
 	m.Resume(6, 2) // 6 of 10 already on disk, 2 of them failed
 
 	clock.advance(2 * time.Second)
-	m.Record(false)
+	m.Advance(1, 0)
 	var first Heartbeat
 	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &first); err != nil {
 		t.Fatal(err)
@@ -404,11 +394,11 @@ func TestMeterResume(t *testing.T) {
 	}
 
 	clock.advance(2 * time.Second)
-	m.Record(true)
+	m.Advance(1, 1)
 	clock.advance(2 * time.Second)
-	m.Record(false)
+	m.Advance(1, 0)
 	clock.advance(2 * time.Second)
-	m.Record(false)
+	m.Advance(1, 0)
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	var final Heartbeat
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
@@ -433,8 +423,8 @@ func TestMeterHeartbeatsValidUnderCoarseClock(t *testing.T) {
 	m, clock := newTestMeter(&buf, 10000, 2, 0)
 
 	// First completion with zero elapsed time: the rate is unknown.
-	if err := m.Record(false); err != nil {
-		t.Fatalf("zero-elapsed Record: %v", err)
+	if err := m.Advance(1, 0); err != nil {
+		t.Fatalf("zero-elapsed Advance: %v", err)
 	}
 	var hb Heartbeat
 	first := strings.TrimSpace(buf.String())
@@ -454,8 +444,12 @@ func TestMeterHeartbeatsValidUnderCoarseClock(t *testing.T) {
 	// the unclamped 1/ewmaDt is +Inf.
 	clock.advance(time.Second)
 	for i := 0; i < 5000; i++ {
-		if err := m.Record(i%7 == 0); err != nil {
-			t.Fatalf("Record %d under a stuck clock: %v", i, err)
+		failed := 0
+		if i%7 == 0 {
+			failed = 1
+		}
+		if err := m.Advance(1, failed); err != nil {
+			t.Fatalf("Advance %d under a stuck clock: %v", i, err)
 		}
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")

@@ -124,9 +124,9 @@ type Options struct {
 	// events (0 = no limit). Randomized harnesses set it as a runaway
 	// guard: a pathological scenario fails fast instead of spinning.
 	EventLimit uint64
-	// Telemetry collects engine counters (event-loop volume and peaks,
-	// per-link dataplane counters, per-subflow transport/scheduler
-	// activity) into Result.Telemetry and attaches a flight recorder
+	// Telemetry rolls the run's engine counters (event-loop volume and
+	// peak, link transmissions and drops, subflow recovery and scheduler
+	// grants) up into Result.Telemetry and attaches a flight recorder
 	// retaining the last engine events for Result.WriteFlightRecorder.
 	// Like ValidateInvariants it is observation-only: a run with
 	// telemetry hashes bit-identically to one without, and the telemetry

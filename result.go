@@ -139,10 +139,10 @@ type Result struct {
 	// (Options.ValidateInvariants); empty means every audited property
 	// held. See Options.ValidateInvariants for the list.
 	Invariants []string
-	// Telemetry holds the run's engine counters (Options.Telemetry).
-	// Observation-only and excluded from Hash: a run with telemetry
-	// enabled hashes identically to one without.
-	Telemetry *telemetry.Snapshot
+	// Telemetry is the run's engine counters as a one-run rollup
+	// (Options.Telemetry). Observation-only and excluded from Hash: a run
+	// with telemetry enabled hashes identically to one without.
+	Telemetry *telemetry.Rollup
 
 	records []capture.Record
 	flight  *telemetry.Recorder

@@ -271,8 +271,8 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 		if len(line) == 0 && err == io.EOF {
 			return log, nil
 		}
-		var rec RunRecord
-		if uerr := unmarshalStrict(line, &rec); uerr != nil || err == io.EOF {
+		rec, uerr := DecodeRunRecord(line)
+		if uerr != nil || err == io.EOF {
 			// Unparseable or unterminated final line: the torn tail. An
 			// unterminated line that still parses is treated as torn too —
 			// the trailing newline is the record's commit mark, and
@@ -291,6 +291,16 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 		log.Runs = append(log.Runs, rec)
 		offset += int64(len(line))
 	}
+}
+
+// DecodeRunRecord parses one committed run-log body line under the same
+// strict grammar ReadRunLog applies: an unknown field or trailing data is an
+// error. A reader tailing a live log uses it so that it counts exactly the
+// records ReadRunLog would accept.
+func DecodeRunRecord(line []byte) (RunRecord, error) {
+	var rec RunRecord
+	err := unmarshalStrict(line, &rec)
+	return rec, err
 }
 
 // unmarshalStrict decodes one JSON value rejecting unknown fields, so a log

@@ -17,9 +17,9 @@ import (
 // MergeShards can reassemble them into the exact unsharded SweepResult.
 type Shard struct {
 	// K is the shard coordinate, 0 <= K < N.
-	K int `json:"k"`
+	K int
 	// N is the shard count; 1 means the whole grid.
-	N int `json:"n"`
+	N int
 }
 
 // Validate reports whether the shard coordinates are usable.
@@ -79,15 +79,14 @@ type ShardResult struct {
 	// when their digests agree: the guard against mixing run-logs from
 	// different grid specs, different run settings, or library versions
 	// that expand differently.
-	GridDigest string `json:"grid_digest"`
+	GridDigest string
 	// K and N are the shard coordinates (runs with Index % N == K).
-	K int `json:"k"`
-	N int `json:"n"`
+	K, N int
 	// Total is the run count of the whole grid, not just this shard.
-	Total int `json:"total"`
+	Total int
 	// Runs are the shard's summaries, in expansion order, with global
 	// indices.
-	Runs []RunSummary `json:"runs"`
+	Runs []RunSummary
 }
 
 // expandFolded expands the grid with the sweep-level oracle flag folded

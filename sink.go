@@ -120,17 +120,17 @@ func (m *MemorySink) Result() *SweepResult {
 	return res
 }
 
-// RollupSink folds each telemetry-enabled run's snapshot into a
-// sweep-wide telemetry rollup. Sums and maxima commute, so the rollup is
-// identical for any worker count; runs without a snapshot (telemetry off,
-// or aborted before producing one) are skipped.
+// RollupSink merges each telemetry-enabled run's rollup into a sweep-wide
+// one. Sums and maxima commute, so the result is identical for any worker
+// count; runs without telemetry (off, or aborted before collecting it) are
+// skipped.
 type RollupSink struct {
 	Rollup telemetry.Rollup
 }
 
 func (r *RollupSink) Accept(done, total int, s RunSummary, full *Result) error {
 	if full != nil {
-		r.Rollup.Add(full.Telemetry)
+		r.Rollup.Merge(full.Telemetry)
 	}
 	return nil
 }

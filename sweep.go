@@ -108,8 +108,8 @@ type Sweep struct {
 	// without aborting the sweep.
 	ValidateInvariants bool
 	// Telemetry enables Options.Telemetry on every run, so sinks see each
-	// run's counter snapshot (and a failed run's flight-recorder tail) in
-	// the full Result; Run folds the snapshots into SweepResult.Telemetry.
+	// run's counter rollup (and a failed run's flight-recorder tail) in the
+	// full Result; Run merges the rollups into SweepResult.Telemetry.
 	// Observation-only: run hashes are unchanged.
 	Telemetry bool
 }

@@ -13,8 +13,8 @@ import (
 
 // TestTelemetryHashNeutral is the library half of the issue's headline
 // property: a run with telemetry enabled is bit-identical to one without
-// (canonical hash and all), while producing a populated snapshot and a
-// dumpable flight-recorder tail.
+// (canonical hash and all), while producing a populated one-run rollup and
+// a dumpable flight-recorder tail.
 func TestTelemetryHashNeutral(t *testing.T) {
 	opts := Options{Duration: 200 * time.Millisecond, Seed: 7}
 	plain, err := RunPaper(opts)
@@ -30,69 +30,46 @@ func TestTelemetryHashNeutral(t *testing.T) {
 		t.Fatalf("telemetry changed the run: hash %.12s != %.12s", th, ph)
 	}
 	if plain.Telemetry != nil || plain.FlightEvents() != 0 {
-		t.Fatal("telemetry-off run carries a snapshot or flight events")
+		t.Fatal("telemetry-off run carries a rollup or flight events")
 	}
 	if err := plain.WriteFlightRecorder(io.Discard); err == nil {
 		t.Fatal("telemetry-off run dumped a flight recorder")
 	}
 
-	snap := tele.Telemetry
-	if snap == nil {
-		t.Fatal("telemetry-on run has no snapshot")
+	roll := tele.Telemetry
+	if roll == nil {
+		t.Fatal("telemetry-on run has no rollup")
 	}
-	if snap.Sim.EventsFired == 0 || snap.Sim.EventsFired != tele.LoopEvents {
+	if roll.Runs != 1 {
+		t.Fatalf("one run's rollup counts %d runs", roll.Runs)
+	}
+	if roll.EventsFired == 0 || roll.EventsFired != tele.LoopEvents {
 		t.Fatalf("sim counters: fired=%d, want the run's LoopEvents %d",
-			snap.Sim.EventsFired, tele.LoopEvents)
+			roll.EventsFired, tele.LoopEvents)
 	}
-	if snap.Sim.EventsScheduled < snap.Sim.EventsFired {
-		t.Fatalf("scheduled %d < fired %d", snap.Sim.EventsScheduled, snap.Sim.EventsFired)
+	if roll.EventsScheduled < roll.EventsFired {
+		t.Fatalf("scheduled %d < fired %d", roll.EventsScheduled, roll.EventsFired)
 	}
-	if snap.Sim.HeapPeak == 0 || snap.Sim.InUsePeak == 0 {
-		t.Fatalf("high-water marks empty: %+v", snap.Sim)
+	if roll.HeapPeak == 0 || roll.TxPackets == 0 || roll.SchedPicks == 0 {
+		t.Fatalf("rollup has empty counters: %+v", roll)
 	}
-	if len(snap.Links) == 0 {
-		t.Fatal("no link counters")
+	// The rollup's drops are the run's own per-link drops, summed.
+	var dropped uint64
+	for _, n := range tele.Drops {
+		dropped += n
 	}
-	var tx uint64
-	for _, l := range snap.Links {
-		if l.Name == "" {
-			t.Fatalf("unnamed link counter: %+v", l)
-		}
-		tx += l.TxPackets
-		// A link's drops object names only the reasons that occurred and
-		// sums to the run's own per-link total; a clean link has none.
-		var dropped uint64
-		for reason, n := range l.Drops {
-			if n == 0 {
-				t.Fatalf("link %s lists reason %q with no drops", l.Name, reason)
-			}
-			dropped += n
-		}
-		if dropped != tele.Drops[l.Name] || (l.Drops != nil) != (dropped > 0) {
-			t.Fatalf("link %s: telemetry drops %v, run counted %d", l.Name, l.Drops, tele.Drops[l.Name])
-		}
+	if dropped == 0 {
+		t.Fatal("the run dropped nothing: the drops check is vacuous")
 	}
-	if tx == 0 {
-		t.Fatal("no transmissions counted across links")
+	if roll.Drops != dropped {
+		t.Fatalf("rollup counts %d drops, the run's links %d", roll.Drops, dropped)
 	}
-	if len(tele.Drops) == 0 {
-		t.Fatal("the run dropped nothing: the drops check above is vacuous")
+	var retx uint64
+	for _, sf := range tele.Subflows {
+		retx += sf.Retransmits
 	}
-	if len(snap.Subflows) != 3 {
-		t.Fatalf("%d subflow counters, want 3 (paper network)", len(snap.Subflows))
-	}
-	var picks uint64
-	for _, sf := range snap.Subflows {
-		picks += sf.SchedPicks
-		if sf.CwndPeakBytes <= 0 {
-			t.Fatalf("subflow %d has no cwnd peak: %+v", sf.Path, sf)
-		}
-	}
-	if picks == 0 {
-		t.Fatal("no scheduler picks counted")
-	}
-	if snap.FlightEvents <= 0 || uint64(snap.FlightEvents) > snap.FlightTotal {
-		t.Fatalf("flight accounting: retained %d of %d", snap.FlightEvents, snap.FlightTotal)
+	if roll.Retransmits != retx {
+		t.Fatalf("rollup counts %d retransmits, the run's subflows %d", roll.Retransmits, retx)
 	}
 
 	var buf bytes.Buffer
@@ -100,8 +77,8 @@ func TestTelemetryHashNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != snap.FlightEvents {
-		t.Fatalf("dump has %d lines, snapshot says %d retained", len(lines), snap.FlightEvents)
+	if len(lines) != tele.FlightEvents() {
+		t.Fatalf("dump has %d lines, the recorder says %d retained", len(lines), tele.FlightEvents())
 	}
 	var first struct {
 		Seq  uint64 `json:"seq"`
@@ -110,7 +87,7 @@ func TestTelemetryHashNeutral(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
 		t.Fatalf("dump line 0: %v", err)
 	}
-	if want := snap.FlightTotal - uint64(snap.FlightEvents); first.Seq != want {
+	if want := tele.flight.Total() - uint64(tele.FlightEvents()); first.Seq != want {
 		t.Fatalf("dump starts at seq %d, want %d", first.Seq, want)
 	}
 }
@@ -258,7 +235,7 @@ func TestSweepOnFailureFlightTail(t *testing.T) {
 	if failures != 4 {
 		t.Fatalf("%d failures over 4 runs, want every run aborted by the event limit", failures)
 	}
-	// Aborted runs produce no snapshot, so the rollup stays empty rather
+	// Aborted runs produce no rollup, so the sweep's stays empty rather
 	// than mixing partial counts.
 	if roll.Rollup.Runs != 0 {
 		t.Fatalf("rollup over aborted runs = %+v, want 0 runs", roll.Rollup)
