@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,39 +23,45 @@ import (
 	"mptcpsim/internal/cli"
 )
 
-func main() {
+// run is the whole CLI behind a testable seam: parse args, run the
+// experiment, print it, return the exit code (0 ok, 1 run or write failure,
+// 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("mptcpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		cc       = flag.String("cc", "cubic", "congestion control: cubic, reno, lia, olia, balia, wvegas")
-		sched    = flag.String("scheduler", "minrtt", "scheduler: minrtt, roundrobin, redundant")
-		duration = flag.Duration("duration", 4*time.Second, "traffic duration")
-		bin      = flag.Duration("bin", 100*time.Millisecond, "capture bin width (paper: 100ms or 10ms)")
-		seed     = flag.Int64("seed", 1, "random seed (runs are deterministic per seed)")
-		paths    = flag.String("paths", "2,1,3", "subflow paths in priority order (first = default)")
-		qscale   = flag.Float64("queue-scale", 1, "multiply all queue capacities")
-		nosack   = flag.Bool("nosack", false, "disable SACK (NewReno-only recovery)")
-		transfer = flag.Int("transfer", 0, "fixed transfer size in bytes (0 = stream for -duration)")
-		csvPath  = flag.String("csv", "", "write per-path series CSV to file")
-		pcapPath = flag.String("pcap", "", "write receiver capture to pcap file")
-		chart    = flag.Bool("chart", false, "render an ASCII chart of the run")
-		topoPath = flag.String("topo", "paper", `topology: "paper" or a scenario JSON file (see mptcpsim.ScenarioFile)`)
+		cc       = fs.String("cc", "cubic", "congestion control: cubic, reno, lia, olia, balia, wvegas")
+		sched    = fs.String("scheduler", "minrtt", "scheduler: minrtt, roundrobin, redundant")
+		duration = fs.Duration("duration", 4*time.Second, "traffic duration")
+		seed     = fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
+		paths    = fs.String("paths", "2,1,3", "subflow paths in priority order (first = default)")
+		csvPath  = fs.String("csv", "", "write per-path series CSV to file")
+		pcapPath = fs.String("pcap", "", "write receiver capture to pcap file")
+		chart    = fs.Bool("chart", false, "render an ASCII chart of the run")
+		topoPath = fs.String("topo", "paper", `topology: "paper" or a scenario JSON file (see mptcpsim.ScenarioFile)`)
 	)
-	flag.Parse()
-
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "mptcpsim:", err)
+		return 1
+	}
 	order, err := parsePaths(*paths)
 	if err != nil {
-		fatal(err)
+		fmt.Fprintln(stderr, "mptcpsim:", err)
+		return 2
 	}
 	opts := mptcpsim.Options{
-		CC:             *cc,
-		Scheduler:      *sched,
-		Duration:       *duration,
-		SampleInterval: *bin,
-		Seed:           *seed,
-		SubflowPaths:   order,
-		QueueScale:     *qscale,
-		DisableSACK:    *nosack,
-		TransferBytes:  *transfer,
-		RetainPackets:  *pcapPath != "",
+		CC:            *cc,
+		Scheduler:     *sched,
+		Duration:      *duration,
+		Seed:          *seed,
+		SubflowPaths:  order,
+		RetainPackets: *pcapPath != "",
 	}
 	var nw *mptcpsim.Network
 	if *topoPath == "paper" {
@@ -61,12 +69,12 @@ func main() {
 	} else {
 		f, err := os.Open(*topoPath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		nw, err = mptcpsim.LoadNetwork(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		if len(order) == 0 || *paths == "2,1,3" && nw.NumPaths() != 3 {
 			opts.SubflowPaths = nil // default order for custom topologies
@@ -74,37 +82,39 @@ func main() {
 	}
 	res, err := mptcpsim.Run(nw, opts)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	fmt.Println("Network paths:")
+	fmt.Fprintln(stdout, "Network paths:")
 	for i := 1; i <= nw.NumPaths(); i++ {
-		fmt.Printf("  Path %d: %s\n", i, nw.PathDescription(i))
+		fmt.Fprintf(stdout, "  Path %d: %s\n", i, nw.PathDescription(i))
 	}
-	fmt.Println()
-	fmt.Println(res.Problem)
-	if err := res.Report(os.Stdout); err != nil {
-		fatal(err)
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, res.Problem)
+	if err := res.Report(stdout); err != nil {
+		return fail(err)
 	}
 	if *chart {
-		fmt.Println()
-		title := fmt.Sprintf("MPTCP-%s on overlapping paths (%v, %v bins)", strings.ToUpper(*cc), *duration, *bin)
-		if err := res.Chart(os.Stdout, title); err != nil {
-			fatal(err)
+		fmt.Fprintln(stdout)
+		title := fmt.Sprintf("MPTCP-%s on overlapping paths (%v, %v bins)",
+			strings.ToUpper(*cc), *duration, res.Options.SampleInterval)
+		if err := res.Chart(stdout, title); err != nil {
+			return fail(err)
 		}
 	}
 	if *csvPath != "" {
 		if err := cli.WriteFile(*csvPath, res.WriteCSV); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s\n", *csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *csvPath)
 	}
 	if *pcapPath != "" {
 		if err := cli.WriteFile(*pcapPath, res.WritePCAP); err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s (%d packets)\n", *pcapPath, res.Packets)
+		fmt.Fprintf(stdout, "wrote %s (%d packets)\n", *pcapPath, res.Packets)
 	}
+	return 0
 }
 
 func parsePaths(s string) ([]int, error) {
@@ -122,7 +132,6 @@ func parsePaths(s string) ([]int, error) {
 	return out, nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "mptcpsim:", err)
-	os.Exit(1)
+func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }

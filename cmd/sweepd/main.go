@@ -48,7 +48,6 @@ type config struct {
 	shards    int
 	fleetSize int
 	workers   int
-	check     bool
 	spool     string
 	workerBin string
 	ttl       time.Duration
@@ -63,7 +62,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 4, "number of grid slices to lease out")
 	flag.IntVar(&cfg.fleetSize, "fleet", 2, "concurrent leases (worker slots)")
 	flag.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel runs inside each worker")
-	flag.BoolVar(&cfg.check, "check", false, "validate correctness invariants on every run")
 	flag.StringVar(&cfg.spool, "spool", "spool", "shared spool directory for shard run-logs")
 	flag.StringVar(&cfg.workerBin, "worker", "", "sweep binary to exec per lease (default: run shards in-process)")
 	flag.DurationVar(&cfg.ttl, "ttl", 10*time.Minute, "lease deadline; an expired lease is re-granted")
@@ -98,7 +96,7 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sweep := &mptcpsim.Sweep{Workers: cfg.workers, ValidateInvariants: cfg.check}
+	sweep := &mptcpsim.Sweep{Workers: cfg.workers}
 	_, total, err := sweep.Describe(grid)
 	if err != nil {
 		return err
@@ -116,7 +114,6 @@ func run(cfg config, stdout, stderr io.Writer) error {
 			Bin:      cfg.workerBin,
 			GridPath: cfg.gridPath,
 			Workers:  cfg.workers,
-			Check:    cfg.check,
 			Spool:    cfg.spool,
 			Stderr:   stderr,
 		}

@@ -117,12 +117,6 @@ func (n *Network) AddEvent(e Event) error {
 	return nil
 }
 
-// Events returns the scheduled dynamic events in the order they were
-// added.
-func (n *Network) Events() []Event {
-	return append([]Event(nil), n.events...)
-}
-
 // timeline builds and validates the internal event timeline (nil when the
 // network is static).
 func (n *Network) timeline() (*dynamics.Timeline, error) {

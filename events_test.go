@@ -242,8 +242,8 @@ func TestEventValidation(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	if len(nw.Events()) != 0 {
-		t.Fatalf("rejected events were stored: %v", nw.Events())
+	if len(nw.events) != 0 {
+		t.Fatalf("rejected events were stored: %v", nw.events)
 	}
 	// Cross-event rule: up without down is caught at Run.
 	if err := nw.AddEvent(Event{At: time.Second, Type: EventLinkUp, A: "s", B: "v1"}); err != nil {

@@ -28,9 +28,11 @@ import (
 // tests observe the engine at, or a name bench/ pins (only a benchmark PR may
 // touch bench/).
 var fieldAllow = map[string]string{
-	"mptcpsim.Options.Timestamps": "tested feature: no command sets it, the RFC 7323 tests and the corpus generator do",
-	"tcp.Config.MSS":              "tested feature: only the MSS-negotiation tests set it; withDefaults fills DefaultMSS",
-	"tcp.Config.RcvBuf":           "tested feature: only the flow-control tests set it; withDefaults fills DefaultRcvBuf",
+	"mptcpsim.Options.Timestamps":    "tested feature: no command sets it, the RFC 7323 tests and the corpus generator do",
+	"mptcpsim.Options.CrossTCP":      "tested feature: no command sets it, TestCrossTrafficFairness pins RFC 6356's do-no-harm goal against a competing TCP flow",
+	"mptcpsim.Options.TransferBytes": "tested feature: no command sets it, TestFixedTransferCompletes pins that a sized transfer delivers exactly its bytes",
+	"tcp.Config.MSS":                 "tested feature: only the MSS-negotiation tests set it; withDefaults fills DefaultMSS",
+	"tcp.Config.RcvBuf":              "tested feature: only the flow-control tests set it; withDefaults fills DefaultRcvBuf",
 
 	"fleet.Worker.SyncEvery": "test seam: crash-injection tests shorten the fsync batch",
 	"fleet.Worker.WrapSink":  "test seam: crash-injection tests (and bench/) wrap the shard's sink",
@@ -105,6 +107,138 @@ func TestEveryFieldIsSetAndRead(t *testing.T) {
 	}
 }
 
+// funcAllow is every package-level function and method of production code
+// that TestEveryFuncIsReached lets stand although no production code refers
+// to it. Each entry says which of four classes it is in: a seam tests inject
+// through, a reference implementation tests compare against, a point tests
+// observe the engine at, or a name bench/ pins (only a benchmark PR may
+// touch bench/).
+var funcAllow = map[string]string{
+	"netem.Link.SetAQM": "test seam: the tcp and mptcp tests drop chosen segments through an admission policy",
+
+	"lp.Problem.Feasible":       "test reference: the solver tests check optima and fair points against the constraints",
+	"tcp.Conn.scanOutstanding":  "test reference: the scoreboard tests hold the incremental pipe to this scan",
+	"mptcpsim.Network.Scenario": "test reference: the round-trip tests and FuzzScenarioRoundTrip hold LoadNetwork to its inverse",
+
+	"tcp.Conn.State":           "test observation point: the handshake and close tests read the connection state",
+	"telemetry.Recorder.Total": "test observation point: the recorder tests count the events it saw, retained or not",
+	"mptcpsim.Series.Mean":     "test observation point: the fairness and event tests read a path's mean over a window",
+
+	"mptcpsim.ResetBaselineCache": "pinned by bench/: bench/main.go empties the LP cache between passes",
+	"lp.BaselineCacheSize":        "pinned by bench/: bench/ counts the LP problems a workload solved",
+	"sim.Loop.Stop":               "pinned by bench/: bench/layers.go ends its kernel loops from inside an event",
+	"packet.MakeAddr":             "pinned by bench/: bench/layers.go addresses its synthetic frames",
+	"netem.Network.AddrOf":        "pinned by bench/: bench/layers.go addresses a path's end hosts",
+	"packet.Arena.GetUDP":         "pinned by bench/: bench/layers.go's transit and queueFull frames are UDP datagrams",
+}
+
+// reflectedMethods are the method names the standard library finds by
+// reflection or through an interface no production code needs to name.
+var reflectedMethods = []string{"String", "Error", "MarshalJSON", "UnmarshalJSON"}
+
+// TestEveryFuncIsReached is the function-level reachability pass as a guard.
+// It fails naming any package-level function or method declared in the
+// module's non-test files outside bench/ that no production code refers to,
+// unless funcAllow gives the reason it stays. A function's references from
+// inside its own body do not count. A method also counts as reached when its
+// name is a method of an interface type production code declares, imports or
+// writes, or one of reflectedMethods: it may be called through that
+// interface. main and init are entry points.
+func TestEveryFuncIsReached(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	pkgs, fset := productionPkgs(t)
+	viaIface := map[string]bool{}
+	for _, name := range reflectedMethods {
+		viaIface[name] = true
+	}
+	addIface := func(typ types.Type) {
+		if it, ok := typ.Underlying().(*types.Interface); ok {
+			for i := range it.NumMethods() {
+				viaIface[it.Method(i).Name()] = true
+			}
+		}
+	}
+	declared := map[*types.Func]token.Pos{}
+	reached := map[*types.Func]bool{}
+	for _, p := range pkgs {
+		for _, imp := range p.pkg.Imports() {
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
+					addIface(tn.Type())
+				}
+			}
+		}
+		for _, tv := range p.info.Types {
+			addIface(tv.Type)
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				var self *types.Func
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					self = p.info.Defs[fd.Name].(*types.Func)
+					if fd.Recv != nil || fd.Name.Name != "main" && fd.Name.Name != "init" {
+						declared[self] = fd.Pos()
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := p.info.Uses[id].(*types.Func); ok && fn.Origin() != self {
+							reached[fn.Origin()] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	var bad []string
+	seen := map[string]bool{}
+	for fn, pos := range declared {
+		name := funcName(fn)
+		seen[name] = true
+		_, allowed := funcAllow[name]
+		switch {
+		case reached[fn] || fn.Signature().Recv() != nil && viaIface[fn.Name()]:
+			if allowed {
+				bad = append(bad, fmt.Sprintf("%s is reached: drop it from funcAllow", name))
+			}
+		case !allowed:
+			bad = append(bad, fmt.Sprintf("%s: %s is never referred to by production code", fset.Position(pos), name))
+		}
+	}
+	classes := []string{"test seam", "test reference", "test observation point", "pinned by bench/"}
+	for name, why := range funcAllow {
+		if !seen[name] {
+			bad = append(bad, fmt.Sprintf("funcAllow names %s, which is not declared", name))
+		}
+		if class, _, ok := strings.Cut(why, ":"); !ok || !slices.Contains(classes, class) {
+			bad = append(bad, fmt.Sprintf("funcAllow[%s] gives no class and reason", name))
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// funcName names a function pkg.F and a method pkg.Type.M, pkg being the
+// import path inside the module ("mptcpsim" for the root, "cmd/sweep",
+// "lp" for internal/lp).
+func funcName(fn *types.Func) string {
+	pkg := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), "mptcpsim/"), "internal/")
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return pkg + "." + fn.Name()
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	return pkg + "." + typ.(*types.Named).Obj().Name() + "." + fn.Name()
+}
+
 // fieldUse counts one declared field's mentions; name is pkg.Type.field.
 // json reports a json tag other than "-".
 type fieldUse struct {
@@ -115,16 +249,16 @@ type fieldUse struct {
 
 // checkedPkg is one type-checked production package.
 type checkedPkg struct {
+	pkg   *types.Package
 	files []*ast.File
 	info  *types.Info
 }
 
-// fieldUses type-checks the module's production packages, in the dependency
-// order `go list -deps` prints them in, and counts each declared field's
-// writes and reads; JSON-tagged fields encoding/json reads or writes are
-// dropped. Packages outside the module come from the export data the same
-// `go list -export` call built.
-func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
+// productionPkgs type-checks the module's production packages — every
+// non-test file outside bench/ — in the dependency order `go list -deps`
+// prints them in. Packages outside the module come from the export data the
+// same `go list -export` call built.
+func productionPkgs(t *testing.T) ([]checkedPkg, *token.FileSet) {
 	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Export,Standard", "-export", "-deps", "./...")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -144,7 +278,6 @@ func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
 		}
 		return gc.Import(path)
 	})
-	byVar := map[*types.Var]*fieldUse{}
 	var pkgs []checkedPkg
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var p struct {
@@ -181,9 +314,19 @@ func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
 			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = pkg
-		declareFields(pkg.Name(), files, info, byVar)
-		countFieldUses(files, info, byVar)
-		pkgs = append(pkgs, checkedPkg{files, info})
+		pkgs = append(pkgs, checkedPkg{pkg, files, info})
+	}
+	return pkgs, fset
+}
+
+// fieldUses counts each declared field of the production packages' writes
+// and reads; JSON-tagged fields encoding/json reads or writes are dropped.
+func fieldUses(t *testing.T) (map[*types.Var]*fieldUse, *token.FileSet) {
+	pkgs, fset := productionPkgs(t)
+	byVar := map[*types.Var]*fieldUse{}
+	for _, p := range pkgs {
+		declareFields(p.pkg.Name(), p.files, p.info, byVar)
+		countFieldUses(p.files, p.info, byVar)
 	}
 	encoded := jsonFields(pkgs)
 	for v, u := range byVar {

@@ -34,10 +34,8 @@ type ExecRunner struct {
 	// built-in paper grid).
 	Bin      string
 	GridPath string
-	// Workers is each worker process's -workers; Check adds -check (it
-	// must match the coordinator's sweep, or the grid digests disagree).
+	// Workers is each worker process's -workers.
 	Workers int
-	Check   bool
 	// Spool is the shared spool directory.
 	Spool string
 	// Stderr, when set, receives every worker's stderr (progress lines are
@@ -58,9 +56,6 @@ func (r *ExecRunner) Run(ctx context.Context, lease Lease) error {
 	}
 	if r.Workers > 0 {
 		args = append(args, "-workers", strconv.Itoa(r.Workers))
-	}
-	if r.Check {
-		args = append(args, "-check")
 	}
 	cmd := exec.CommandContext(ctx, r.Bin, args...)
 	cmd.Stderr = r.Stderr

@@ -24,19 +24,14 @@ func (c Caps) of(g *topo.Graph, lid topo.LinkID) float64 {
 	return g.Link(lid).Rate.Mbit()
 }
 
-// MaxThroughput builds the paper's optimisation problem for a set of paths:
-// maximise the sum of per-path rates subject to, for every link crossed by
-// at least one path, the sum of rates over the paths using it not exceeding
-// the link capacity. Rates are expressed in Mbps so the numbers match the
-// paper's figures.
-func MaxThroughput(g *topo.Graph, paths []topo.Path) *Problem {
-	return MaxThroughputCaps(g, paths, nil)
-}
-
-// MaxThroughputCaps is MaxThroughput with capacity overrides — the LP of
-// one epoch of a dynamic run. A down link (cap 0) keeps its constraint
-// row: every path crossing it is forced to zero, exactly what an outage
-// does.
+// MaxThroughputCaps builds the paper's optimisation problem for a set of
+// paths: maximise the sum of per-path rates subject to, for every link
+// crossed by at least one path, the sum of rates over the paths using it not
+// exceeding the link capacity. Rates are expressed in Mbps so the numbers
+// match the paper's figures. Capacity overrides give the LP of one epoch of
+// a dynamic run (nil caps: the static topology); a down link (cap 0) keeps
+// its constraint row, so every path crossing it is forced to zero, exactly
+// what an outage does.
 func MaxThroughputCaps(g *topo.Graph, paths []topo.Path, caps Caps) *Problem {
 	n := len(paths)
 	p := &Problem{C: make([]float64, n)}
@@ -64,22 +59,6 @@ func MaxThroughputCaps(g *topo.Graph, paths []topo.Path, caps Caps) *Problem {
 			g.Node(l.From).Name, g.Node(l.To).Name, unit.Rate(mbps*float64(unit.Mbps))))
 	}
 	return p
-}
-
-// BindingConstraints returns the indices of constraints tight at x (within
-// tol), i.e. the links that are actual bottlenecks at that operating point.
-func (p *Problem) BindingConstraints(x []float64, tol float64) []int {
-	var out []int
-	for i, row := range p.A {
-		var lhs float64
-		for j, a := range row {
-			lhs += a * x[j]
-		}
-		if lhs >= p.B[i]-tol {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // GreedySequential computes the allocation the paper describes as the
@@ -110,15 +89,11 @@ func GreedySequential(g *topo.Graph, paths []topo.Path, order []int) []float64 {
 	return x
 }
 
-// MaxMin computes the max-min fair allocation over the paths by
-// progressive filling: all unfrozen path rates rise together until some
-// link saturates; paths crossing saturated links freeze; repeat.
-func MaxMin(g *topo.Graph, paths []topo.Path) []float64 {
-	return MaxMinCaps(g, paths, nil)
-}
-
-// MaxMinCaps is MaxMin with capacity overrides (one epoch of a dynamic
-// run). Paths crossing a down link freeze at zero in the first round.
+// MaxMinCaps computes the max-min fair allocation over the paths under
+// capacity overrides (nil: the static topology) by progressive filling: all
+// unfrozen path rates rise together until some link saturates; paths
+// crossing saturated links freeze; repeat. Paths crossing a down link freeze
+// at zero in the first round.
 func MaxMinCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 	n := len(paths)
 	x := make([]float64, n)
@@ -183,22 +158,18 @@ func MaxMinCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 	}
 }
 
-// PropFair computes the proportionally fair allocation (maximiser of the
-// sum of log rates) by dual gradient descent on the link prices. It is the
-// equilibrium an idealised fluid model of coupled AIMD flows with equal
-// RTTs approaches, a useful reference for where LIA-style coupling lands.
-func PropFair(g *topo.Graph, paths []topo.Path) []float64 {
-	return PropFairCaps(g, paths, nil)
-}
-
 // propFairSweeps bounds the descent of a problem whose prices end in a
 // cycle a few ulps wide; the others stop at their fixed point long before.
 const propFairSweeps = 200000
 
-// PropFairCaps is PropFair with capacity overrides (one epoch of a
-// dynamic run). Paths crossing a down link are pinned at zero and their
-// links excluded from the price dynamics — log(0) utility is outside the
-// model, so an outage simply removes the path from the market.
+// PropFairCaps computes the proportionally fair allocation (maximiser of
+// the sum of log rates) under capacity overrides (nil: the static topology)
+// by dual gradient descent on the link prices. It is the equilibrium an
+// idealised fluid model of coupled AIMD flows with equal RTTs approaches, a
+// useful reference for where LIA-style coupling lands. Paths crossing a down
+// link are pinned at zero and their links excluded from the price dynamics —
+// log(0) utility is outside the model, so an outage simply removes the path
+// from the market.
 func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 	n := len(paths)
 	x := make([]float64, n)
@@ -292,13 +263,4 @@ func PropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 		x[liveIdx[i]] = v
 	}
 	return x
-}
-
-// TotalMbit sums an allocation.
-func TotalMbit(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
 }

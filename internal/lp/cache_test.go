@@ -50,7 +50,7 @@ func TestCachedBaselines(t *testing.T) {
 	}
 
 	// Direct recomputation matches the cached values.
-	mm := MaxMin(pn.Graph, pn.Paths)
+	mm := MaxMinCaps(pn.Graph, pn.Paths, nil)
 	for i := range mm {
 		if math.Abs(mm[i]-b3.MaxMin[i]) > 1e-9 {
 			t.Fatalf("cached max-min %v != fresh %v", b3.MaxMin, mm)

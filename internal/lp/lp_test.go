@@ -12,6 +12,15 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// total sums an allocation.
+func total(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v
+	}
+	return s
+}
+
 func TestPaperLP(t *testing.T) {
 	// The paper's Fig. 1c problem, stated directly.
 	p := &Problem{
@@ -45,7 +54,7 @@ func TestPaperLP(t *testing.T) {
 
 func TestPaperLPFromTopology(t *testing.T) {
 	pn := topo.Paper()
-	p := MaxThroughput(pn.Graph, pn.Paths)
+	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
 	s, err := p.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -60,15 +69,21 @@ func TestPaperLPFromTopology(t *testing.T) {
 		}
 	}
 	// All three paper bottlenecks must be binding at the optimum.
-	binding := p.BindingConstraints(s.X, 1e-6)
-	caps := map[float64]bool{}
-	for _, bi := range binding {
-		caps[p.B[bi]] = true
-	}
-	for _, c := range []float64{40, 60, 80} {
-		if !caps[c] {
-			t.Fatalf("capacity-%v constraint not binding; binding=%v", c, binding)
+	binding := 0
+	for i, row := range p.A {
+		var lhs float64
+		for j, a := range row {
+			lhs += a * s.X[j]
 		}
+		if b := p.B[i]; b == 40 || b == 60 || b == 80 {
+			if !approx(lhs, b, 1e-6) {
+				t.Fatalf("%s not binding: %v", p.RowNames[i], lhs)
+			}
+			binding++
+		}
+	}
+	if binding != 3 {
+		t.Fatalf("%d rows with a paper bottleneck's capacity, want 3", binding)
 	}
 	if !p.Feasible(s.X, 1e-9) {
 		t.Fatal("optimal point reported infeasible")
@@ -155,7 +170,7 @@ func TestValidate(t *testing.T) {
 
 func TestProblemString(t *testing.T) {
 	pn := topo.Paper()
-	p := MaxThroughput(pn.Graph, pn.Paths)
+	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
 	s := p.String()
 	if s == "" || !contains(s, "max x1 + x2 + x3") || !contains(s, "<= 40") {
 		t.Fatalf("String output unexpected:\n%s", s)
@@ -186,14 +201,14 @@ func TestGreedySequentialPaperTrap(t *testing.T) {
 			t.Fatalf("greedy = %v, want %v", x, want)
 		}
 	}
-	if !approx(TotalMbit(x), 60, 1e-9) {
-		t.Fatalf("greedy total = %v, want 60", TotalMbit(x))
+	if !approx(total(x), 60, 1e-9) {
+		t.Fatalf("greedy total = %v, want 60", total(x))
 	}
 }
 
 func TestMaxMinPaperNet(t *testing.T) {
 	pn := topo.Paper()
-	x := MaxMin(pn.Graph, pn.Paths)
+	x := MaxMinCaps(pn.Graph, pn.Paths, nil)
 	// Progressive filling: all rise to 20 (s-v1 saturates, freezing x1,x2);
 	// x3 continues to 40 (v3-v4 saturates at x2+x3=60).
 	want := []float64{20, 20, 40}
@@ -203,18 +218,18 @@ func TestMaxMinPaperNet(t *testing.T) {
 		}
 	}
 	// Max-min must be feasible and below the LP optimum.
-	p := MaxThroughput(pn.Graph, pn.Paths)
+	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
 	if !p.Feasible(x, 1e-6) {
 		t.Fatal("maxmin infeasible")
 	}
-	if TotalMbit(x) > 90+1e-6 {
+	if total(x) > 90+1e-6 {
 		t.Fatal("maxmin exceeds LP optimum")
 	}
 }
 
 func TestPropFairPaperNet(t *testing.T) {
 	pn := topo.Paper()
-	x := PropFair(pn.Graph, pn.Paths)
+	x := PropFairCaps(pn.Graph, pn.Paths, nil)
 	// Analytic proportional-fair point: x2 = (200-sqrt(11200))/6 ~ 15.695,
 	// x1 = 40-x2, x3 = 60-x2 (all three bottlenecks tight).
 	x2 := (200 - math.Sqrt(11200)) / 6
@@ -224,12 +239,12 @@ func TestPropFairPaperNet(t *testing.T) {
 			t.Fatalf("propfair = %v, want ~%v", x, want)
 		}
 	}
-	p := MaxThroughput(pn.Graph, pn.Paths)
+	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
 	if !p.Feasible(x, 0.1) {
 		t.Fatal("propfair infeasible beyond tolerance")
 	}
 	// Sits strictly between max-min total (80) and LP optimum (90).
-	tot := TotalMbit(x)
+	tot := total(x)
 	if tot < 80 || tot > 90 {
 		t.Fatalf("propfair total = %v, want in (80, 90)", tot)
 	}
@@ -354,7 +369,7 @@ func TestDisjointPathsLP(t *testing.T) {
 		{Nodes: []topo.NodeID{a, w, b}, Links: []topo.LinkID{aw, wb}},
 		{Nodes: []topo.NodeID{a, l, b}, Links: []topo.LinkID{al, lb}},
 	}
-	s, err := MaxThroughput(g, paths).Solve()
+	s, err := MaxThroughputCaps(g, paths, nil).Solve()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,10 @@
 // network: an IPv4-like network header (carrying the per-path tag in the
 // DSCP byte, as the paper's tagging scheme "overloads specific bits in the
 // IP header"), a TCP header with MPTCP options (RFC 6824 style), and a UDP
-// header for cross-traffic.
+// header. Every flow a run starts is TCP, competing cross flows included;
+// UDP is the neutral frame the netem, check, capture and telemetry tests and
+// the layer benchmarks send when they exercise the network without a
+// transport.
 //
 // Payloads are synthetic: a Packet records only its payload length, because
 // TCP dynamics depend on byte counts, not byte values. Marshal fills

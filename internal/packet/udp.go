@@ -8,7 +8,9 @@ import (
 // UDPHeaderLen is the UDP header length in bytes.
 const UDPHeaderLen = 8
 
-// UDP is the transport header used by constant-bit-rate cross-traffic.
+// UDP is a UDP header. No run sends one: it is the neutral frame the netem,
+// check, capture and telemetry tests and the layer benchmarks push through
+// the network.
 type UDP struct {
 	SrcPort, DstPort Port
 	// Length is the UDP length field (header plus payload); computed on

@@ -169,15 +169,6 @@ func (t Timer) Stop() bool {
 // stopped.
 func (t Timer) Pending() bool { return t.live() }
 
-// When returns the virtual time the timer is scheduled to fire at, or 0
-// if the handle is stale.
-func (t Timer) When() Time {
-	if !t.live() {
-		return 0
-	}
-	return t.loop.heap[t.loop.nodes[t.id].pos].at
-}
-
 // Loop is a discrete-event loop. The zero value is not ready for use; call
 // NewLoop.
 type Loop struct {

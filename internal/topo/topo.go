@@ -1,9 +1,9 @@
 // Package topo models the network topology: nodes, directed capacitated
-// links, and paths between endpoints. It provides the path-computation
-// machinery the paper's setting needs — shortest paths by delay, Yen's
-// k-shortest paths for offering alternative routes, and overlap analysis
-// identifying which links are shared between paths (the source of the
-// paper's coupled throughput constraints).
+// links, and the explicit paths an experiment pins between its endpoints.
+// Paths are given, never computed: the paper tags each subflow onto a fixed
+// path. Overlap analysis (PathsByLink) identifies which links paths share —
+// the source of the paper's coupled throughput constraints — and Paper
+// builds the Fig. 1a network with its three overlapping paths.
 package topo
 
 import (
@@ -109,10 +109,6 @@ func (g *Graph) Links() []Link { return g.links }
 // modified.
 func (g *Graph) Nodes() []Node { return g.nodes }
 
-// OutLinks returns the IDs of links leaving node n. The returned slice must
-// not be modified.
-func (g *Graph) OutLinks(n NodeID) []LinkID { return g.out[n] }
-
 // FindLink returns the first link from one node to another.
 func (g *Graph) FindLink(from, to NodeID) (LinkID, bool) {
 	for _, id := range g.out[from] {
@@ -182,29 +178,6 @@ func (p Path) Format(g *Graph) string {
 		parts[i] = g.name(n)
 	}
 	return strings.Join(parts, " -> ")
-}
-
-// Delay returns the total one-way propagation delay of the path.
-func (p Path) Delay(g *Graph) time.Duration {
-	var d time.Duration
-	for _, lid := range p.Links {
-		d += g.Link(lid).Delay
-	}
-	return d
-}
-
-// BottleneckRate returns the smallest link capacity along the path.
-func (p Path) BottleneckRate(g *Graph) unit.Rate {
-	if len(p.Links) == 0 {
-		return 0
-	}
-	min := g.Link(p.Links[0]).Rate
-	for _, lid := range p.Links[1:] {
-		if r := g.Link(lid).Rate; r < min {
-			min = r
-		}
-	}
-	return min
 }
 
 // PathsByLink inverts a path list: for every link used by at least one

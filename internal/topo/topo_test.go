@@ -1,9 +1,8 @@
 package topo
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"mptcpsim/internal/unit"
@@ -60,94 +59,6 @@ func TestValidate(t *testing.T) {
 	_ = ids
 }
 
-func TestShortestPathLine(t *testing.T) {
-	g, ids := line(t, 5)
-	p, ok := g.ShortestPath(ids[0], ids[4], nil, nil, nil)
-	if !ok {
-		t.Fatal("no path found")
-	}
-	if len(p.Links) != 4 {
-		t.Fatalf("hops = %d, want 4", len(p.Links))
-	}
-	if !p.Valid(g) {
-		t.Fatal("path invalid")
-	}
-	if p.Delay(g) != 4*time.Millisecond {
-		t.Fatalf("delay = %v", p.Delay(g))
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	if _, ok := g.ShortestPath(a, b, nil, nil, nil); ok {
-		t.Fatal("found path in disconnected graph")
-	}
-}
-
-func TestShortestPathPrefersLowDelay(t *testing.T) {
-	// a -> b -> d (2ms) vs a -> c -> d (10ms): must take the b route.
-	g := New()
-	a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
-	g.AddLink(a, b, 10*unit.Mbps, time.Millisecond, 0)
-	g.AddLink(b, d, 10*unit.Mbps, time.Millisecond, 0)
-	g.AddLink(a, c, unit.Gbps, 5*time.Millisecond, 0)
-	g.AddLink(c, d, unit.Gbps, 5*time.Millisecond, 0)
-	p, ok := g.ShortestPath(a, d, nil, nil, nil)
-	if !ok || p.Nodes[1] != b {
-		t.Fatalf("took wrong route: %s", p.Format(g))
-	}
-}
-
-func TestBannedLinksAndNodes(t *testing.T) {
-	g := New()
-	a, b, c, d := g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")
-	ab := g.AddLink(a, b, unit.Gbps, time.Millisecond, 0)
-	g.AddLink(b, d, unit.Gbps, time.Millisecond, 0)
-	g.AddLink(a, c, unit.Gbps, 2*time.Millisecond, 0)
-	g.AddLink(c, d, unit.Gbps, 2*time.Millisecond, 0)
-	p, ok := g.ShortestPath(a, d, nil, map[LinkID]bool{ab: true}, nil)
-	if !ok || p.Nodes[1] != c {
-		t.Fatal("banned link not avoided")
-	}
-	p, ok = g.ShortestPath(a, d, nil, nil, map[NodeID]bool{b: true})
-	if !ok || p.Nodes[1] != c {
-		t.Fatal("banned node not avoided")
-	}
-}
-
-func TestKShortestPathsPaperNet(t *testing.T) {
-	pn := Paper()
-	ks := pn.Graph.KShortestPaths(pn.S, pn.D, 3, nil)
-	if len(ks) != 3 {
-		t.Fatalf("got %d paths, want 3", len(ks))
-	}
-	// First must be Path 2 (the lowest-delay path).
-	if !equalPath(ks[0], pn.Paths[1]) {
-		t.Fatalf("shortest = %s, want Path 2 (%s)", ks[0].Format(pn.Graph), pn.Paths[1].Format(pn.Graph))
-	}
-	// Costs must be nondecreasing.
-	for i := 1; i < len(ks); i++ {
-		if ks[i].Delay(pn.Graph) < ks[i-1].Delay(pn.Graph) {
-			t.Fatal("paths not sorted by cost")
-		}
-	}
-	// All loop-free and valid.
-	for _, p := range ks {
-		if !p.Valid(pn.Graph) {
-			t.Fatalf("invalid path %v", p)
-		}
-		seen := map[NodeID]bool{}
-		for _, n := range p.Nodes {
-			if seen[n] {
-				t.Fatalf("loop in path %s", p.Format(pn.Graph))
-			}
-			seen[n] = true
-		}
-	}
-}
-
 func TestPaperNetInvariants(t *testing.T) {
 	pn := Paper()
 	if err := pn.Graph.Validate(); err != nil {
@@ -186,19 +97,14 @@ func TestPaperNetInvariants(t *testing.T) {
 	check(p2, p3, PaperCapV3V4, pn.Bottlenecks[1])
 	check(p1, p3, PaperCapV2V3, pn.Bottlenecks[2])
 	// Path 2 strictly shortest by delay.
-	if !(p2.Delay(pn.Graph) < p1.Delay(pn.Graph) && p2.Delay(pn.Graph) < p3.Delay(pn.Graph)) {
-		t.Fatalf("Path 2 is not the shortest: %v %v %v",
-			p1.Delay(pn.Graph), p2.Delay(pn.Graph), p3.Delay(pn.Graph))
+	var delay [3]time.Duration
+	for i, p := range pn.Paths {
+		for _, l := range p.Links {
+			delay[i] += pn.Graph.Link(l).Delay
+		}
 	}
-	// Bottleneck rates per path.
-	if p1.BottleneckRate(pn.Graph) != PaperCapSV1 {
-		t.Fatal("Path 1 bottleneck wrong")
-	}
-	if p2.BottleneckRate(pn.Graph) != PaperCapSV1 {
-		t.Fatal("Path 2 bottleneck wrong")
-	}
-	if p3.BottleneckRate(pn.Graph) != PaperCapV3V4 {
-		t.Fatal("Path 3 bottleneck wrong")
+	if !(delay[1] < delay[0] && delay[1] < delay[2]) {
+		t.Fatalf("Path 2 is not the shortest: %v", delay)
 	}
 }
 
@@ -225,74 +131,6 @@ func TestFindLink(t *testing.T) {
 	lid, ok := pn.Graph.FindLink(pn.S, v1)
 	if !ok || pn.Graph.Link(lid).Rate != PaperCapSV1 {
 		t.Fatal("FindLink s->v1 broken")
-	}
-}
-
-// randomGraph builds a connected random DAG-ish graph for property tests.
-func randomGraph(rng *rand.Rand, n int) *Graph {
-	g := New()
-	ids := make([]NodeID, n)
-	for i := range ids {
-		ids[i] = g.AddNode(string(rune('A' + i)))
-	}
-	// Spanning chain guarantees connectivity.
-	for i := 0; i+1 < n; i++ {
-		g.AddDuplex(ids[i], ids[i+1], unit.Rate(1+rng.Intn(100))*unit.Mbps,
-			time.Duration(1+rng.Intn(5))*time.Millisecond, 0)
-	}
-	extra := rng.Intn(2 * n)
-	for e := 0; e < extra; e++ {
-		i, j := rng.Intn(n), rng.Intn(n)
-		if i == j {
-			continue
-		}
-		g.AddDuplex(ids[i], ids[j], unit.Rate(1+rng.Intn(100))*unit.Mbps,
-			time.Duration(1+rng.Intn(5))*time.Millisecond, 0)
-	}
-	return g
-}
-
-// Property: Yen's first path equals Dijkstra's, costs are sorted, and every
-// returned path is simple and valid.
-func TestQuickYenProperties(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + int(nRaw%5)
-		g := randomGraph(rng, n)
-		src, dst := NodeID(0), NodeID(n-1)
-		sp, ok := g.ShortestPath(src, dst, nil, nil, nil)
-		if !ok {
-			return false // spanning chain guarantees a path
-		}
-		ks := g.KShortestPaths(src, dst, 4, nil)
-		if len(ks) == 0 || !equalPath(ks[0], sp) {
-			return false
-		}
-		costs := make([]float64, len(ks))
-		for i, p := range ks {
-			if !p.Valid(g) {
-				return false
-			}
-			seen := map[NodeID]bool{}
-			for _, nd := range p.Nodes {
-				if seen[nd] {
-					return false
-				}
-				seen[nd] = true
-			}
-			costs[i] = g.pathCost(p, DelayWeight)
-		}
-		// Nondecreasing up to float summation noise: equal-cost paths can
-		// differ in the last ulp depending on the order links were added.
-		for i := 1; i < len(costs); i++ {
-			if costs[i] < costs[i-1]-1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -328,7 +166,7 @@ func TestReversePathRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalPath(back, p) {
+		if !slices.Equal(back.Nodes, p.Nodes) || !slices.Equal(back.Links, p.Links) {
 			t.Fatalf("double reverse differs: %s vs %s", back.Format(pn.Graph), p.Format(pn.Graph))
 		}
 	}
@@ -348,8 +186,5 @@ func TestParallelLinksSupported(t *testing.T) {
 	}
 	if byLink := PathsByLink([]Path{p1, p2}); len(byLink[l1]) != 1 || len(byLink[l2]) != 1 {
 		t.Fatalf("distinct parallel links reported as shared: %v", byLink)
-	}
-	if p1.BottleneckRate(g) == p2.BottleneckRate(g) {
-		t.Fatal("parallel links confused")
 	}
 }

@@ -285,8 +285,8 @@ func TestScenarioEventsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.Events()) != 6 {
-		t.Fatalf("events = %d, want 6", len(nw.Events()))
+	if len(nw.events) != 6 {
+		t.Fatalf("events = %d, want 6", len(nw.events))
 	}
 	// Re-emit and compare: parse -> build -> re-emit is a fixpoint.
 	out, err := nw.Scenario()

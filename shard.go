@@ -205,17 +205,6 @@ func shortShards(have map[int]int, n, total int) string {
 	return strings.Join(parts, ",")
 }
 
-// Digest expands the grid and returns its canonical digest — the value
-// every run-log of this grid (swept without ValidateInvariants) carries as
-// GridDigest.
-func (g *Grid) Digest() (string, error) {
-	specs, err := g.Expand()
-	if err != nil {
-		return "", err
-	}
-	return specsDigest(specs), nil
-}
-
 // specsDigest computes a canonical SHA-256 over an expanded run list:
 // every run's index, cell labels, complete options and resolved topology
 // (events included). Two grid specs digest equally exactly when they

@@ -178,11 +178,11 @@ func TestRunShardRejectsInvalidShard(t *testing.T) {
 
 func TestGridDigestIdentifiesGrid(t *testing.T) {
 	a := &Grid{CCs: []string{"cubic"}, Seeds: []int64{1, 2}, DurationMs: 100}
-	d1, err := a.Digest()
+	d1, _, err := (&Sweep{}).Describe(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := a.Digest()
+	d2, _, err := (&Sweep{}).Describe(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestGridDigestIdentifiesGrid(t *testing.T) {
 		t.Fatalf("digest not stable: %s vs %s", d1, d2)
 	}
 	b := &Grid{CCs: []string{"cubic"}, Seeds: []int64{1, 3}, DurationMs: 100}
-	d3, err := b.Digest()
+	d3, _, err := (&Sweep{}).Describe(b)
 	if err != nil {
 		t.Fatal(err)
 	}
