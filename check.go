@@ -1,15 +1,23 @@
 package mptcpsim
 
-// Run-level invariant checks that need the analytic baselines and the
-// MPTCP endpoints — the engine-level audits (conservation, capacity,
-// FIFO) live in internal/check and attach through the netem tap points.
+// The invariants Options.ValidateInvariants audits, in one place: the engine
+// oracle (packet conservation, per-epoch capacity, FIFO), which attaches to
+// the netem tap points, and the run-level checks that need the analytic
+// baselines and the MPTCP endpoints (the optimality-gap sign, data-level
+// conservation).
 
 import (
 	"fmt"
+	"sort"
+	"time"
 
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
+	"mptcpsim/internal/packet"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
+	"mptcpsim/internal/topo"
+	"mptcpsim/internal/unit"
 )
 
 const (
@@ -25,6 +33,303 @@ const (
 	// a data-derived drain allowance on top of this floor.
 	epochGapTolFloor = 0.05
 )
+
+// epochCaps describes one capacity epoch of a run: its time window and
+// the effective rate of every directed link inside it (0 = down). A
+// static run has exactly one epoch spanning the whole run.
+type epochCaps struct {
+	Start, End time.Duration
+	// Mbps is indexed by directed topo.LinkID.
+	Mbps []float64
+}
+
+// oracle observes one simulation run through the engine's tap points and
+// checks conservation, capacity and ordering invariants at the end:
+//
+//   - packet conservation, per link: every packet offered to a transmit
+//     queue is eventually transmitted or dropped, or still sits in the
+//     queue / mid-serialisation when the run ends — including link_down
+//     drains and frames cut mid-serialisation;
+//   - packet conservation, per flow and network-wide: every originated
+//     packet is delivered or dropped exactly once, or still in flight;
+//   - capacity, per epoch: the wire bytes crossing each directed link
+//     inside one capacity epoch never exceed the epoch's rate × time
+//     budget (plus a small boundary/rounding slack);
+//   - FIFO: packets arrive at a link's far node in transmit order, even
+//     across runtime delay changes (SetDelay must never reorder).
+//
+// Attach it with newOracle before traffic starts; it only observes and
+// never schedules events, so an instrumented run is bit-identical to an
+// uninstrumented one.
+type oracle struct {
+	net    *netem.Network
+	epochs []epochCaps
+
+	// Per-flow accounting, keyed by packet tag.
+	sent      map[packet.Tag]uint64
+	delivered map[packet.Tag]uint64
+	dropped   map[packet.Tag]uint64
+	// Network-wide totals of the same three events.
+	sentTotal, deliveredTotal, droppedTotal uint64
+
+	// pending holds, per directed link, the UIDs transmitted but not yet
+	// arrived, in transmit order — the FIFO audit queue.
+	pending [][]uint64
+	// fifo records ordering violations as they happen.
+	fifo []string
+
+	// txBytes and txPkts count wire bytes/packets per [link][epoch].
+	txBytes [][]float64
+	txPkts  [][]uint64
+	// maxPkt is the largest wire size observed, for boundary slack.
+	maxPkt unit.ByteSize
+}
+
+var (
+	_ netem.Tap        = (*oracle)(nil)
+	_ netem.SendTap    = (*oracle)(nil)
+	_ netem.ArrivalTap = (*oracle)(nil)
+)
+
+// newOracle attaches a fresh oracle to net. The epochs must cover
+// [0, duration) in ascending order and carry one rate per directed link;
+// buildEpochs assembles them from a graph and a capacity override series.
+func newOracle(net *netem.Network, epochs []epochCaps) *oracle {
+	o := &oracle{
+		net:       net,
+		epochs:    epochs,
+		sent:      make(map[packet.Tag]uint64),
+		delivered: make(map[packet.Tag]uint64),
+		dropped:   make(map[packet.Tag]uint64),
+		pending:   make([][]uint64, net.Graph.NumLinks()),
+		txBytes:   make([][]float64, net.Graph.NumLinks()),
+		txPkts:    make([][]uint64, net.Graph.NumLinks()),
+	}
+	for i := range o.txBytes {
+		o.txBytes[i] = make([]float64, len(epochs))
+		o.txPkts[i] = make([]uint64, len(epochs))
+	}
+	net.AttachTap(o)
+	return o
+}
+
+// buildEpochs assembles the epochCaps table for a run: the graph's rates,
+// overridden per epoch by caps (directed link → Mbps, 0 = down; nil for
+// "no overrides"). starts must begin at 0 and ascend; duration closes the
+// final epoch.
+func buildEpochs(g *topo.Graph, starts []time.Duration, duration time.Duration,
+	caps func(start time.Duration) map[topo.LinkID]float64) []epochCaps {
+	if len(starts) == 0 {
+		starts = []time.Duration{0}
+	}
+	epochs := make([]epochCaps, len(starts))
+	for i, st := range starts {
+		en := duration
+		if i+1 < len(starts) {
+			en = starts[i+1]
+		}
+		mbps := make([]float64, g.NumLinks())
+		for _, l := range g.Links() {
+			mbps[l.ID] = l.Rate.Mbit()
+		}
+		if caps != nil {
+			for id, m := range caps(st) {
+				mbps[id] = m
+			}
+		}
+		epochs[i] = epochCaps{Start: st, End: en, Mbps: mbps}
+	}
+	return epochs
+}
+
+// OnSend implements netem.SendTap.
+func (o *oracle) OnSend(_ *netem.Node, pkt *packet.Packet) {
+	o.sent[pkt.Tag()]++
+	o.sentTotal++
+}
+
+// OnDeliver implements netem.Tap.
+func (o *oracle) OnDeliver(_ *netem.Node, pkt *packet.Packet) {
+	o.delivered[pkt.Tag()]++
+	o.deliveredTotal++
+}
+
+// OnDrop implements netem.Tap.
+func (o *oracle) OnDrop(_ string, pkt *packet.Packet, _ netem.DropReason) {
+	o.dropped[pkt.Tag()]++
+	o.droppedTotal++
+}
+
+// OnTransmit implements netem.Tap: it buckets the wire bytes into the
+// epoch in force when the frame left — links report departures late and
+// interleaved, so the epoch is looked up per call — and appends the packet
+// to the link's FIFO audit queue.
+func (o *oracle) OnTransmit(l *netem.Link, pkt *packet.Packet, at sim.Time) {
+	ei := len(o.epochs) - 1
+	for ei > 0 && at.Duration() < o.epochs[ei].Start {
+		ei--
+	}
+	id := l.Spec.ID
+	size := pkt.Size()
+	o.txBytes[id][ei] += float64(size)
+	o.txPkts[id][ei]++
+	if size > o.maxPkt {
+		o.maxPkt = size
+	}
+	o.pending[id] = append(o.pending[id], pkt.UID)
+}
+
+// OnArrive implements netem.ArrivalTap: every arrival must match the
+// oldest outstanding transmission on its link (FIFO).
+func (o *oracle) OnArrive(l *netem.Link, pkt *packet.Packet) {
+	id := l.Spec.ID
+	q := o.pending[id]
+	if len(q) == 0 {
+		o.fifo = append(o.fifo, fmt.Sprintf(
+			"fifo: link %s: arrival of uid %d with no outstanding transmission", l.Name(), pkt.UID))
+		return
+	}
+	if q[0] != pkt.UID {
+		o.fifo = append(o.fifo, fmt.Sprintf(
+			"fifo: link %s: uid %d arrived before uid %d (reordered)", l.Name(), pkt.UID, q[0]))
+		// Resynchronise so one reorder reports once, not for every
+		// subsequent arrival: drop the arrived UID wherever it is.
+		for i, u := range q {
+			if u == pkt.UID {
+				o.pending[id] = append(q[:i], q[i+1:]...)
+				return
+			}
+		}
+		return
+	}
+	o.pending[id] = q[1:]
+}
+
+// capacitySlack bounds the bytes a link may legitimately carry beyond
+// rate × time inside one epoch: up to two maximum-size frames straddling
+// the epoch boundaries (a frame committed at the old rate completes after
+// a boundary; its bytes land in the new epoch) plus the serialisation-time
+// truncation error (TxTime rounds down to 1 ns, letting each packet finish
+// marginally early).
+func (o *oracle) capacitySlack(mbps float64, pkts uint64) float64 {
+	slack := 2 * float64(o.maxPkt)
+	slack += float64(mbps * 1e6 / 8 * float64(pkts) * 2e-9)
+	return slack
+}
+
+// violations audits the run after the loop has finished and returns every
+// violated invariant as a human-readable string (empty = all hold).
+func (o *oracle) violations() []string {
+	var v []string
+
+	// Per-link packet conservation: offered = transmitted + dropped +
+	// queued + mid-serialisation. Drains (SetDown) and cut frames are
+	// drops, so the identity holds across dynamic events too.
+	var residual uint64
+	for _, l := range o.net.Links() {
+		l.Settle()
+		c := &l.Counters
+		inFlight := uint64(l.QueueLen())
+		if l.Transmitting() {
+			inFlight++
+		}
+		residual += inFlight
+		if got := c.TxPackets + c.DropTotal() + inFlight; c.Offered != got {
+			v = append(v, fmt.Sprintf(
+				"conservation: link %s: offered %d != transmitted %d + dropped %d + in-link %d",
+				l.Name(), c.Offered, c.TxPackets, c.DropTotal(), inFlight))
+		}
+	}
+
+	// The engine's propagation counter must agree with the FIFO audit's
+	// outstanding-arrival queues.
+	var outstanding int
+	for _, q := range o.pending {
+		outstanding += len(q)
+	}
+	if outstanding != o.net.Propagating() {
+		v = append(v, fmt.Sprintf(
+			"conservation: %d outstanding arrivals in the audit vs %d propagating in the engine",
+			outstanding, o.net.Propagating()))
+	}
+	residual += uint64(outstanding)
+
+	// Network-wide conservation: every originated packet was delivered or
+	// dropped exactly once, or is still queued / serialising / propagating.
+	if o.net.Originated() != o.deliveredTotal+o.droppedTotal+residual {
+		v = append(v, fmt.Sprintf(
+			"conservation: originated %d != delivered %d + dropped %d + residual %d",
+			o.net.Originated(), o.deliveredTotal, o.droppedTotal, residual))
+	}
+	if o.sentTotal != o.net.Originated() {
+		v = append(v, fmt.Sprintf(
+			"conservation: send tap saw %d packets, engine originated %d",
+			o.sentTotal, o.net.Originated()))
+	}
+
+	// Per-flow conservation: no tag may account for more deliveries and
+	// drops than sends, and the per-tag residuals must sum to the global
+	// one (packets do not change tags in flight). Tags are visited in
+	// sorted order so a multi-tag failure reports deterministically — the
+	// report's bytes must stay identical across reruns especially when
+	// something is wrong.
+	var tagResidual uint64
+	for _, tag := range sortedTags(o.sent) {
+		n := o.sent[tag]
+		acc := o.delivered[tag] + o.dropped[tag]
+		if acc > n {
+			v = append(v, fmt.Sprintf(
+				"conservation: tag %v: delivered %d + dropped %d exceeds sent %d",
+				tag, o.delivered[tag], o.dropped[tag], n))
+			continue
+		}
+		tagResidual += n - acc
+	}
+	for _, tag := range sortedTags(o.delivered) {
+		if _, ok := o.sent[tag]; !ok {
+			v = append(v, fmt.Sprintf("conservation: tag %v delivered but never sent", tag))
+		}
+	}
+	for _, tag := range sortedTags(o.dropped) {
+		if _, ok := o.sent[tag]; !ok {
+			v = append(v, fmt.Sprintf("conservation: tag %v dropped but never sent", tag))
+		}
+	}
+	if tagResidual != residual {
+		v = append(v, fmt.Sprintf(
+			"conservation: per-tag residual %d != network residual %d", tagResidual, residual))
+	}
+
+	// Per-epoch capacity: wire bytes on each directed link inside one
+	// epoch never exceed the epoch's rate × time budget.
+	for _, l := range o.net.Links() {
+		id := l.Spec.ID
+		for ei, ep := range o.epochs {
+			bytes := o.txBytes[id][ei]
+			if bytes == 0 {
+				continue
+			}
+			budget := float64(ep.Mbps[id] * 1e6 / 8 * (ep.End - ep.Start).Seconds())
+			if bytes > budget+o.capacitySlack(ep.Mbps[id], o.txPkts[id][ei]) {
+				v = append(v, fmt.Sprintf(
+					"capacity: link %s epoch [%v,%v): %.0f bytes exceed budget %.0f at %g Mbps",
+					l.Name(), ep.Start, ep.End, bytes, budget, ep.Mbps[id]))
+			}
+		}
+	}
+
+	return append(v, o.fifo...)
+}
+
+// sortedTags returns a map's tags in ascending order.
+func sortedTags(m map[packet.Tag]uint64) []packet.Tag {
+	tags := make([]packet.Tag, 0, len(m))
+	for t := range m {
+		tags = append(tags, t)
+	}
+	sort.Slice(tags, func(a, b int) bool { return tags[a] < tags[b] })
+	return tags
+}
 
 // drainSlackBytes bounds the bytes that can reach the receiver in one
 // epoch beyond the epoch's own optimum: everything parked in queues plus

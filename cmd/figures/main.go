@@ -154,7 +154,7 @@ func (g *gen) tableSummary(figDur, cubicDur, longDur time.Duration) {
 					convTime += res.Summary.ConvergedAt.Seconds()
 				}
 				total += res.Summary.TotalMean
-				gap += res.Summary.Gap * 100
+				gap += float64(res.Summary.Gap * 100)
 				cov += res.Summary.PostCoV
 			}
 			n := float64(g.seeds)
@@ -185,7 +185,7 @@ func (g *gen) tableOliaDefault(dur time.Duration) {
 					conv++
 					convTime += res.Summary.ConvergedAt.Seconds()
 				}
-				gap += res.Summary.Gap * 100
+				gap += float64(res.Summary.Gap * 100)
 			}
 			mct := 0.0
 			if conv > 0 {
@@ -214,7 +214,7 @@ func (g *gen) tableBuffers(dur time.Duration) {
 					conv++
 				}
 				total += res.Summary.TotalMean
-				gap += res.Summary.Gap * 100
+				gap += float64(res.Summary.Gap * 100)
 			}
 			n := float64(g.seeds)
 			fmt.Fprintf(w, "%.2f,%d,%d,%.1f,%.1f\n", qs, g.seeds, conv, total/n, gap/n)
@@ -261,7 +261,7 @@ func (g *gen) tableSACK(dur time.Duration) {
 					return err
 				}
 				total += res.Summary.TotalMean
-				gap += res.Summary.Gap * 100
+				gap += float64(res.Summary.Gap * 100)
 				for _, sf := range res.Subflows {
 					rtos += float64(sf.RTOs)
 				}

@@ -50,7 +50,6 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -87,11 +86,6 @@ Exit codes:
   4  metamorphic trend violation (-trend)
 When failures of several classes occur, the lowest code wins.
 `
-
-// runEventLimit aborts any single run after this many simulation events —
-// a runaway guard so one pathological draw fails fast instead of wedging
-// the harness.
-const runEventLimit = 100_000_000
 
 // failKind classifies a scenario or rung failure into its exit class.
 type failKind int
@@ -133,24 +127,21 @@ var (
 
 // runTwice executes one spec under the full contract — once with the
 // invariant oracle attached, once plain, both on the one network the
-// scenario loads into, so hash equality also proves Run left it as it found
+// scenario builds, so hash equality also proves Run left it as it found
 // it — and returns the validated result and its canonical hash, or the
 // failure class and its message. On failure the returned result is the
 // checked pass's (partial) result when one exists, so callers can dump its
 // flight-recorder tail.
 func runTwice(sp check.Spec) (*mptcpsim.Result, string, failKind, string) {
-	nw, err := mptcpsim.LoadNetwork(bytes.NewReader(sp.Scenario))
+	nw, err := sp.Scenario.Build()
 	if err != nil {
 		return nil, "", kindRun, fmt.Sprintf("build: %v", err)
 	}
 	run := func(validate bool) (*mptcpsim.Result, error) {
-		return mptcpsim.Run(nw, mptcpsim.Options{
-			CC: sp.CC, Scheduler: sp.Scheduler, SubflowPaths: sp.Order,
-			Seed: sp.RunSeed, Duration: sp.Duration, QueueScale: sp.QueueScale,
-			EventLimit:         runEventLimit,
-			ValidateInvariants: validate,
-			Telemetry:          telemetryOn && validate,
-		})
+		opts := sp.Options
+		opts.ValidateInvariants = validate
+		opts.Telemetry = telemetryOn && validate
+		return mptcpsim.Run(nw, opts)
 	}
 	checked, err := run(true)
 	if err != nil {

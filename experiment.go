@@ -8,7 +8,6 @@ import (
 
 	"mptcpsim/internal/capture"
 	"mptcpsim/internal/cc"
-	"mptcpsim/internal/check"
 	"mptcpsim/internal/dynamics"
 	"mptcpsim/internal/lp"
 	"mptcpsim/internal/mptcp"
@@ -127,7 +126,7 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 				st = measureFrom
 			}
 			if st < en {
-				acc += epochBase[i].Solution.Objective * float64(en-st)
+				acc += float64(epochBase[i].Solution.Objective * float64(en-st))
 			}
 		}
 		if horizon > measureFrom {
@@ -193,9 +192,9 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	// the run. It only watches tap points — it schedules nothing and
 	// consumes no randomness — so a validated run stays bit-identical to
 	// an unvalidated one.
-	var oracle *check.Oracle
+	var orc *oracle
 	if opts.ValidateInvariants {
-		oracle = check.NewOracle(net, check.BuildEpochs(g, epochStarts, opts.Duration,
+		orc = newOracle(net, buildEpochs(g, epochStarts, opts.Duration,
 			func(st time.Duration) map[topo.LinkID]float64 { return tl.CapsAt(st, g) }))
 	}
 	// The flight recorder is another pure observer: a preallocated ring of
@@ -467,8 +466,8 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		}
 		res.Telemetry = roll
 	}
-	if oracle != nil {
-		v := oracle.Violations()
+	if orc != nil {
+		v := orc.violations()
 		v = append(v, gapInvariants(res, drainSlackBytes(net))...)
 		v = append(v, dataInvariants(conn, acc)...)
 		res.Invariants = v

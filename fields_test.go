@@ -15,6 +15,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -28,7 +29,7 @@ import (
 // tests observe the engine at, or a name bench/ pins (only a benchmark PR may
 // touch bench/).
 var fieldAllow = map[string]string{
-	"mptcpsim.Options.Timestamps":    "tested feature: no command sets it, the RFC 7323 tests and the corpus generator do",
+	"mptcpsim.Options.Timestamps":    "tested feature: no command sets it, the RFC 7323 tests of internal/tcp and TestTimestampsOptionRuns do",
 	"mptcpsim.Options.CrossTCP":      "tested feature: no command sets it, TestCrossTrafficFairness pins RFC 6356's do-no-harm goal against a competing TCP flow",
 	"mptcpsim.Options.TransferBytes": "tested feature: no command sets it, TestFixedTransferCompletes pins that a sized transfer delivers exactly its bytes",
 	"tcp.Config.MSS":                 "tested feature: only the MSS-negotiation tests set it; withDefaults fills DefaultMSS",
@@ -216,6 +217,47 @@ func TestEveryFuncIsReached(t *testing.T) {
 		if class, _, ok := strings.Cut(why, ":"); !ok || !slices.Contains(classes, class) {
 			bad = append(bad, fmt.Sprintf("funcAllow[%s] gives no class and reason", name))
 		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+}
+
+// fusedOp matches one fused multiply-add in the compiler's -S listing:
+// the source position and the arm64 instruction.
+var fusedOp = regexp.MustCompile(`\(([^()]+\.go:\d+)\)\t(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\t`)
+
+// TestNoFusedMultiplyAdd keeps floating-point results the same on every
+// architecture. Go lets a compiler fuse x*y+z into one instruction that
+// rounds once, and arm64 does (FMADDD and its kin) where amd64 rounds twice,
+// so a fused expression can make a run measure or a generator draw
+// differently there. An explicit float64(x*y) rounds the product and forbids
+// the fusion. The test cross-compiles the module for arm64 with -S and fails
+// naming every fused instruction outside bench/.
+func TestNoFusedMultiplyAdd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cross-compiles the module for arm64")
+	}
+	cmd := exec.Command("go", "build", "-gcflags=-S", "./...")
+	cmd.Env = append(os.Environ(), "GOARCH=arm64")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build for arm64: %v\n%s", err, out)
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bad []string
+	seen := map[string]bool{}
+	for _, m := range fusedOp.FindAllStringSubmatch(string(out), -1) {
+		site := strings.TrimPrefix(m[1], root+string(filepath.Separator))
+		if strings.HasPrefix(site, "bench"+string(filepath.Separator)) || seen[site+m[2]] {
+			continue
+		}
+		seen[site+m[2]] = true
+		bad = append(bad, fmt.Sprintf("%s: %s fuses a multiply-add on arm64: round the product with float64(x*y)", site, m[2]))
 	}
 	sort.Strings(bad)
 	for _, b := range bad {

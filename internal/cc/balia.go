@@ -68,7 +68,7 @@ func (b *BALIA) OnAck(f *Flow, acked int, _ sim.Time) {
 	}
 	alpha := max / xr
 	incPkts := (xr / f.rtt()) / (sum * sum) * (1 + alpha) / 2 * (4 + alpha) / 5
-	f.Cwnd += incPkts * float64(acked)
+	f.Cwnd += float64(incPkts * float64(acked))
 }
 
 // OnLoss implements Algorithm.
@@ -78,7 +78,7 @@ func (b *BALIA) OnLoss(f *Flow, _ sim.Time) {
 	if xr > 0 {
 		alpha = max / xr
 	}
-	dec := f.Cwnd / 2 * math.Min(alpha, 1.5)
+	dec := float64(f.Cwnd / 2 * math.Min(alpha, 1.5))
 	th := f.Cwnd - dec
 	if th < minSsthresh(f) {
 		th = minSsthresh(f)

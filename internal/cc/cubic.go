@@ -82,7 +82,7 @@ func (c *Cubic) OnAck(f *Flow, acked int, now sim.Time) {
 		}
 	}
 	t := now.Sub(s.epochStart).Seconds() + f.rtt()
-	target := s.origin + cubicC*math.Pow(t-s.k, 3)
+	target := s.origin + float64(cubicC*math.Pow(t-s.k, 3))
 
 	// cnt is "ACKed segments per +1 segment of growth".
 	var cnt float64

@@ -144,7 +144,7 @@ func (o *OLIA) OnAck(f *Flow, acked int, _ sim.Time) {
 	term1 := (wr / (rtt * rtt)) / (denom * denom)
 	alpha := o.alphaFor(f)
 	incPkts := term1 + alpha/wr
-	delta := incPkts * float64(acked)
+	delta := float64(incPkts * float64(acked))
 	f.Cwnd += delta
 	// The negative alpha term may not shrink the window below one segment
 	// per RTT-ish floor; OLIA never closes a path entirely.

@@ -1,34 +1,44 @@
+// Package check is the simulator's correctness harness over the public
+// mptcpsim API: the randomized scenario generator (NewSpec), the
+// perturbation ladders and the trend policy of the metamorphic oracle
+// (NewLadder, TrendPolicy, TrendReport), and the golden hash corpus format
+// (Golden). The invariants every generated run is held to live with the
+// engine, in the mptcpsim package (Options.ValidateInvariants); this
+// package decides what to run and what its results must show.
+//
+// A generated spec is a *mptcpsim.ScenarioFile plus the mptcpsim.Options
+// it runs with: a harness builds it with ScenarioFile.Build and runs it
+// with mptcpsim.Run.
 package check
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"time"
 
+	"mptcpsim"
 	"mptcpsim/internal/sim"
 )
 
+// eventLimit aborts any single generated run after this many simulation
+// events — a runaway guard so one pathological draw fails fast instead of
+// wedging the harness.
+const eventLimit = 100_000_000
+
 // Spec is one randomly generated but fully valid experiment: a scenario
-// file (the public JSON format) plus the run options that go with it.
-// Specs are a pure function of their seed, so a failing one is replayed
-// from two numbers.
+// file plus the run options that go with it. Specs are a pure function of
+// their seed, so a failing one is replayed from two numbers.
 type Spec struct {
 	// Seed is the generator seed the spec was derived from.
 	Seed int64
 	// Name is a short label summarising the draw.
 	Name string
-	// Scenario is the topology + event timeline in mptcpsim's scenario
-	// JSON format.
-	Scenario []byte
-	// CC, Scheduler, Order, RunSeed, Duration and QueueScale are the run
-	// options.
-	CC         string
-	Scheduler  string
-	Order      []int
-	RunSeed    int64
-	Duration   time.Duration
-	QueueScale float64
+	// Scenario is the topology + event timeline.
+	Scenario *mptcpsim.ScenarioFile
+	// Options are the run options: CC, Scheduler, SubflowPaths, Seed,
+	// Duration, QueueScale and the runaway EventLimit. Observation-only
+	// switches (ValidateInvariants, Telemetry) are the harness's to add.
+	Options mptcpsim.Options
 }
 
 // SpecSeed derives the i-th spec seed from a base seed (splitmix64), so a
@@ -54,44 +64,6 @@ var (
 	genCCs    = []string{"cubic", "reno", "lia", "olia", "balia", "wvegas"}
 	genScheds = []string{"minrtt", "roundrobin", "redundant"}
 )
-
-// scenario JSON mirror structs. internal/check cannot import the root
-// package (the root imports check), so it emits the documented on-disk
-// format directly; the driver parses it back through the public loader,
-// which doubles as a continuous test of the parse→build path.
-type genFile struct {
-	Links     []genLink `json:"links"`
-	Endpoints struct {
-		Src string `json:"src"`
-		Dst string `json:"dst"`
-	} `json:"endpoints"`
-	Paths  []genPath  `json:"paths"`
-	Events []genEvent `json:"events,omitempty"`
-}
-
-type genLink struct {
-	A          string  `json:"a"`
-	B          string  `json:"b"`
-	Mbps       float64 `json:"mbps"`
-	DelayMs    float64 `json:"delay_ms"`
-	QueueBytes int     `json:"queue_bytes,omitempty"`
-	Loss       float64 `json:"loss,omitempty"`
-}
-
-type genPath struct {
-	Nodes []string `json:"nodes"`
-}
-
-type genEvent struct {
-	AtMs       float64 `json:"at_ms"`
-	Type       string  `json:"type"`
-	A          string  `json:"a"`
-	B          string  `json:"b"`
-	Mbps       float64 `json:"mbps,omitempty"`
-	DelayMs    float64 `json:"delay_ms,omitempty"`
-	Loss       float64 `json:"loss,omitempty"`
-	DurationMs float64 `json:"duration_ms,omitempty"`
-}
 
 // NewSpec generates the spec for a seed: a layered random topology whose
 // paths share columns of intermediate nodes (the paper's overlapping-path
@@ -126,7 +98,7 @@ func NewSpec(seed int64) Spec {
 
 	// Links: every hop used by a path, in first-use order so the file is
 	// deterministic.
-	var sf genFile
+	sf := &mptcpsim.ScenarioFile{}
 	type pair struct{ a, b string }
 	linkAt := make(map[pair]int)
 	addLink := func(a, b string) {
@@ -137,9 +109,9 @@ func NewSpec(seed int64) Spec {
 		if _, ok := linkAt[key]; ok {
 			return
 		}
-		delay := math.Round((0.5+rng.Float64()*4)*1000) / 1000
+		delay := math.Round((0.5+float64(rng.Float64()*4))*1000) / 1000
 		linkAt[key] = len(sf.Links)
-		sf.Links = append(sf.Links, genLink{
+		sf.Links = append(sf.Links, mptcpsim.ScenarioLink{
 			A: a, B: b,
 			Mbps:    genRates[rng.Intn(len(genRates))],
 			DelayMs: delay,
@@ -165,7 +137,7 @@ func NewSpec(seed int64) Spec {
 
 	sf.Endpoints.Src, sf.Endpoints.Dst = "s", "d"
 	for _, nodes := range paths {
-		sf.Paths = append(sf.Paths, genPath{Nodes: nodes})
+		sf.Paths = append(sf.Paths, mptcpsim.ScenarioPath{Nodes: nodes})
 	}
 
 	duration := time.Duration(800+rng.Intn(800)) * time.Millisecond
@@ -187,66 +159,45 @@ func NewSpec(seed int64) Spec {
 		qs = 2
 	}
 	sp := Spec{
-		Seed:       seed,
-		CC:         genCCs[rng.Intn(len(genCCs))],
-		Scheduler:  genScheds[rng.Intn(len(genScheds))],
-		Order:      order,
-		RunSeed:    rng.Int63(),
-		Duration:   duration,
-		QueueScale: qs,
+		Seed:     seed,
+		Scenario: sf,
+		Options: mptcpsim.Options{
+			CC:           genCCs[rng.Intn(len(genCCs))],
+			Scheduler:    genScheds[rng.Intn(len(genScheds))],
+			SubflowPaths: order,
+			Seed:         rng.Int63(),
+			Duration:     duration,
+			QueueScale:   qs,
+			EventLimit:   eventLimit,
+		},
 	}
-	sp.Scenario = emitGenFile(&sf)
 	sp.Name = fmt.Sprintf("cc=%s sched=%s paths=%d links=%d events=%d dur=%v",
-		sp.CC, sp.Scheduler, nPaths, len(sf.Links), len(sf.Events), duration)
+		sp.Options.CC, sp.Options.Scheduler, nPaths, len(sf.Links), len(sf.Events), duration)
 	return sp
-}
-
-// emitGenFile marshals a scenario mirror into the public on-disk JSON —
-// the single emission path NewSpec and ladder rungs (NewLadder) share,
-// so every perturbation rung is a scenario the public loader accepts for
-// exactly the reasons the base spec is.
-func emitGenFile(sf *genFile) []byte {
-	js, err := json.Marshal(sf)
-	if err != nil {
-		// Marshalling plain structs of strings and floats cannot fail.
-		panic(fmt.Sprintf("check: marshal generated scenario: %v", err))
-	}
-	return js
-}
-
-// parseGenFile round-trips a generated scenario back into the mirror
-// structs — the seam trend ladders use to mutate one knob and re-emit.
-// It only accepts this package's own emissions, so failure is a bug.
-func parseGenFile(scenario []byte) genFile {
-	var f genFile
-	if err := json.Unmarshal(scenario, &f); err != nil {
-		panic(fmt.Sprintf("check: re-parse generated scenario: %v", err))
-	}
-	return f
 }
 
 // genTimeline draws a valid event sequence: strictly increasing times, a
 // per-link state machine keeping the dynamics validation rules (no double
 // link_down, link_up only on a downed link, no loss event inside an
 // active burst window), and parameters inside their documented ranges.
-func genTimeline(rng *sim.Rand, links []genLink, duration time.Duration) []genEvent {
+func genTimeline(rng *sim.Rand, links []mptcpsim.ScenarioLink, duration time.Duration) []mptcpsim.ScenarioEvent {
 	count := rng.Intn(4)
 	if count == 0 {
 		return nil
 	}
 	durMs := float64(duration) / float64(time.Millisecond)
-	var events []genEvent
+	var events []mptcpsim.ScenarioEvent
 	down := make(map[int]bool)
 	burstEndMs := make(map[int]float64)
 	tMs := 0.1 * durMs
 	for len(events) < count {
-		tMs += (0.08 + rng.Float64()*0.25) * durMs
+		tMs += float64((0.08 + float64(rng.Float64()*0.25)) * durMs)
 		if tMs >= 0.9*durMs {
 			break
 		}
 		li := rng.Intn(len(links))
 		l := links[li]
-		ev := genEvent{AtMs: math.Round(tMs*1000) / 1000, A: l.A, B: l.B}
+		ev := mptcpsim.ScenarioEvent{AtMs: math.Round(tMs*1000) / 1000, A: l.A, B: l.B}
 		switch {
 		case down[li]:
 			ev.Type = "link_up"
@@ -271,8 +222,8 @@ func genTimeline(rng *sim.Rand, links []genLink, duration time.Duration) []genEv
 			case "set_loss":
 				ev.Loss = rng.Float64() * 0.05
 			case "loss_burst":
-				ev.Loss = 0.05 + rng.Float64()*0.25
-				ev.DurationMs = math.Round((0.02+rng.Float64()*0.08)*durMs*1000) / 1000
+				ev.Loss = 0.05 + float64(rng.Float64()*0.25)
+				ev.DurationMs = math.Round((0.02+float64(rng.Float64()*0.08))*durMs*1000) / 1000
 				burstEndMs[li] = ev.AtMs + ev.DurationMs
 			}
 		}

@@ -3,16 +3,23 @@ package check
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"testing"
 )
 
 // specFingerprint collapses everything a Spec feeds into a simulation run
-// — scenario JSON and every run option — into one hex digest.
+// — the scenario in its JSON form and every drawn run option — into one hex
+// digest.
 func specFingerprint(sp Spec) string {
+	js, err := json.Marshal(sp.Scenario)
+	if err != nil {
+		panic(err)
+	}
+	o := sp.Options
 	h := sha256.New()
-	fmt.Fprintf(h, "%s|%s|%s|%v|%d|%v|%v\n", sp.Scenario, sp.CC, sp.Scheduler,
-		sp.Order, sp.RunSeed, sp.Duration, sp.QueueScale)
+	fmt.Fprintf(h, "%s|%s|%s|%v|%d|%v|%v\n", js, o.CC, o.Scheduler,
+		o.SubflowPaths, o.Seed, o.Duration, o.QueueScale)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 

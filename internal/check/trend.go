@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 
+	"mptcpsim"
 	"mptcpsim/internal/sim"
 )
 
@@ -63,15 +64,16 @@ type Ladder struct {
 	Knob string
 	// Base is the unperturbed generator spec the ladder grew from.
 	Base Spec
-	// Path is the 1-based perturbed path; always one of Base.Order, so
-	// the perturbation lands on a path that actually carries a subflow.
+	// Path is the 1-based perturbed path; always one of
+	// Base.Options.SubflowPaths, so the perturbation lands on a path that
+	// actually carries a subflow.
 	Path int
 	// LinkA, LinkB name the perturbed link (a hop of Path).
 	LinkA, LinkB string
 	// Exclusive reports that no other active path crosses the perturbed
 	// link — the precondition for the load-shift assertion.
 	Exclusive bool
-	// Coupled reports that Base.CC couples its subflow windows.
+	// Coupled reports that Base.Options.CC couples its subflow windows.
 	Coupled bool
 	// Dynamic reports that the rung scenarios carry dynamic events.
 	Dynamic bool
@@ -104,11 +106,12 @@ func NewLadder(base int64, index, steps int) Ladder {
 	}
 	sp := NewSpec(SpecSeed(base, index))
 	knob := Knobs[index%len(Knobs)]
-	file := parseGenFile(sp.Scenario)
+	// Rungs share the base's paths and edit copies of its links and events.
+	file := *sp.Scenario
 	// "ladd": fork the perturbation choices off the spec seed without
 	// touching the generator's own stream.
 	rng := sim.NewRand(sp.Seed ^ 0x6c616464)
-	path := sp.Order[rng.Intn(len(sp.Order))]
+	path := sp.Options.SubflowPaths[rng.Intn(len(sp.Options.SubflowPaths))]
 
 	hop := func(a, b string) [2]string {
 		if a > b {
@@ -122,7 +125,7 @@ func NewLadder(base int64, index, steps int) Ladder {
 	}
 	// used[li] is the set of active paths crossing link li.
 	used := make(map[int]map[int]bool)
-	for _, p := range sp.Order {
+	for _, p := range sp.Options.SubflowPaths {
 		nodes := file.Paths[p-1].Nodes
 		for i := 1; i < len(nodes); i++ {
 			li := linkIdx[hop(nodes[i-1], nodes[i])]
@@ -195,11 +198,11 @@ func NewLadder(base int64, index, steps int) Ladder {
 		LinkA:     file.Links[li].A,
 		LinkB:     file.Links[li].B,
 		Exclusive: len(used[li]) == 1,
-		Coupled:   coupledCC(sp.CC),
+		Coupled:   coupledCC(sp.Options.CC),
 	}
 	if eventful[li] {
 		key := hop(file.Links[li].A, file.Links[li].B)
-		var kept []genEvent
+		var kept []mptcpsim.ScenarioEvent
 		for _, ev := range file.Events {
 			if hop(ev.A, ev.B) != key {
 				kept = append(kept, ev)
@@ -214,7 +217,7 @@ func NewLadder(base int64, index, steps int) Ladder {
 	for k := 0; k <= steps; k++ {
 		v := rungValue(knob, baseLink, k)
 		rung := file
-		rung.Links = append([]genLink(nil), file.Links...)
+		rung.Links = append([]mptcpsim.ScenarioLink(nil), file.Links...)
 		switch knob {
 		case KnobLossUp:
 			rung.Links[li].Loss = v
@@ -224,7 +227,7 @@ func NewLadder(base int64, index, steps int) Ladder {
 			rung.Links[li].Mbps = v
 		}
 		rsp := sp
-		rsp.Scenario = emitGenFile(&rung)
+		rsp.Scenario = &rung
 		ld.Rungs = append(ld.Rungs, rsp)
 		ld.Values = append(ld.Values, v)
 	}
@@ -238,10 +241,10 @@ func NewLadder(base int64, index, steps int) Ladder {
 // delay doubled per rung, capacity ×0.6 per rung (floored at 1 Mbps so a
 // rung never degenerates below the format's useful range), capacity ×1.6
 // per rung.
-func rungValue(knob string, l genLink, k int) float64 {
+func rungValue(knob string, l mptcpsim.ScenarioLink, k int) float64 {
 	switch knob {
 	case KnobLossUp:
-		return round3(l.Loss + 0.03*float64(k))
+		return round3(l.Loss + float64(0.03*float64(k)))
 	case KnobDelayUp:
 		return round3(l.DelayMs * math.Pow(2, float64(k)))
 	case KnobRateDown:
@@ -422,16 +425,16 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 	// propagation delay ⇒ less goodput, less share" is not a sound
 	// relation for it. Its delay ladders keep rung measurement and
 	// reporting but get no direction verdicts.
-	vegasDelay := r.Ladder.Knob == KnobDelayUp && r.Ladder.Base.CC == "wvegas"
+	vegasDelay := r.Ladder.Knob == KnobDelayUp && r.Ladder.Base.Options.CC == "wvegas"
 
 	// Goodput direction: count tolerance-window inversions step by step.
 	if !vegasDelay {
 		var inv []string
 		for k := 1; k < len(r.Obs); k++ {
 			prev, cur := g(k-1), g(k)
-			bad := cur > prev*(1+p.RelTol)+p.AbsTol
+			bad := cur > float64(prev*(1+p.RelTol))+p.AbsTol
 			if !degrade {
-				bad = cur < prev*(1-p.RelTol)-p.AbsTol
+				bad = cur < float64(prev*(1-p.RelTol))-p.AbsTol
 			}
 			if bad {
 				inv = append(inv, fmt.Sprintf("rung %d->%d: %.0f -> %.0f bytes", k-1, k, prev, cur))
@@ -449,11 +452,11 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 		// Net drift: a slow creep in the wrong direction can stay inside
 		// the per-step window on every rung; the end-to-end bound catches
 		// it.
-		if degrade && g(0) >= p.MinBaseGoodput && g(last) > g(0)*(1+p.EndRelTol)+p.EndAbsTol {
+		if degrade && g(0) >= p.MinBaseGoodput && g(last) > float64(g(0)*(1+p.EndRelTol))+p.EndAbsTol {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"goodput rose end-to-end on a degrading ladder: %.0f -> %.0f bytes", g(0), g(last)))
 		}
-		if !degrade && g(last) < g(0)*(1-p.EndRelTol)-p.EndAbsTol {
+		if !degrade && g(last) < float64(g(0)*(1-p.EndRelTol))-p.EndAbsTol {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"goodput fell end-to-end on an improving ladder: %.0f -> %.0f bytes", g(0), g(last)))
 		}
@@ -467,7 +470,7 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 	// load over alternatives to the perturbed path (GapShareCeil).
 	// Rate-down values descend, so the qualifying rungs are a prefix of
 	// the ladder.
-	if r.Ladder.Knob == KnobRateDown && r.Ladder.Base.CC != "wvegas" &&
+	if r.Ladder.Knob == KnobRateDown && r.Ladder.Base.Options.CC != "wvegas" &&
 		!math.IsNaN(r.Obs[0].Share) && r.Obs[0].Share < p.GapShareCeil &&
 		r.Obs[0].Gap <= p.GapBaseMax {
 		glast := 0
@@ -504,7 +507,7 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 	// share reflects scheduler mechanics rather than congestion
 	// avoidance.
 	if degrade && !vegasDelay && r.Ladder.Coupled && r.Ladder.Exclusive &&
-		r.Ladder.Base.Scheduler == "minrtt" {
+		r.Ladder.Base.Options.Scheduler == "minrtt" {
 		ok := true
 		for _, o := range r.Obs {
 			if math.IsNaN(o.Share) {
@@ -559,7 +562,7 @@ func (r *TrendReport) Write(w io.Writer) {
 	}
 	fmt.Fprintf(w, "ladder %3d %s seed=%-19d knob=%-9s path=%d link=%s-%s excl=%t coupled=%t dynamic=%t cc=%s sched=%s\n",
 		l.Index, verdict, l.Base.Seed, l.Knob, l.Path, l.LinkA, l.LinkB,
-		l.Exclusive, l.Coupled, l.Dynamic, l.Base.CC, l.Base.Scheduler)
+		l.Exclusive, l.Coupled, l.Dynamic, l.Base.Options.CC, l.Base.Options.Scheduler)
 	field := knobField(l.Knob)
 	for k, o := range r.Obs {
 		val := strconv.FormatFloat(l.Values[k], 'g', -1, 64)

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mptcpsim"
 )
 
 // TestNewLadderDeterministic: ladders are a pure function of
@@ -52,11 +54,11 @@ func TestLadderShapes(t *testing.T) {
 				t.Fatalf("(%d,%d): %d rungs / %d values, want %d", base, idx, len(ld.Rungs), len(ld.Values), steps+1)
 			}
 			onOrder := false
-			for _, p := range ld.Base.Order {
+			for _, p := range ld.Base.Options.SubflowPaths {
 				onOrder = onOrder || p == ld.Path
 			}
 			if !onOrder {
-				t.Fatalf("(%d,%d): perturbed path %d not in active order %v", base, idx, ld.Path, ld.Base.Order)
+				t.Fatalf("(%d,%d): perturbed path %d not in active order %v", base, idx, ld.Path, ld.Base.Options.SubflowPaths)
 			}
 			up := ld.Knob != KnobRateDown
 			for k := 1; k <= steps; k++ {
@@ -69,9 +71,9 @@ func TestLadderShapes(t *testing.T) {
 			}
 
 			key := hop(ld.LinkA, ld.LinkB)
-			base0 := parseGenFile(ld.Rungs[0].Scenario)
+			base0 := ld.Rungs[0].Scenario
 			for k, rsp := range ld.Rungs {
-				f := parseGenFile(rsp.Scenario)
+				f := rsp.Scenario
 				if ld.Dynamic != (len(f.Events) > 0) {
 					t.Fatalf("(%d,%d) rung %d: Dynamic=%t but %d events", base, idx, k, ld.Dynamic, len(f.Events))
 				}
@@ -106,7 +108,7 @@ func TestLadderShapes(t *testing.T) {
 			// Recompute exclusivity from the rung topology and the active
 			// order; the metadata must agree.
 			crossing := 0
-			for _, p := range ld.Base.Order {
+			for _, p := range ld.Base.Options.SubflowPaths {
 				nodes := base0.Paths[p-1].Nodes
 				for i := 1; i < len(nodes); i++ {
 					if hop(nodes[i-1], nodes[i]) == key {
@@ -118,8 +120,8 @@ func TestLadderShapes(t *testing.T) {
 			if ld.Exclusive != (crossing == 1) {
 				t.Fatalf("(%d,%d): Exclusive=%t but %d active paths cross %s-%s", base, idx, ld.Exclusive, crossing, ld.LinkA, ld.LinkB)
 			}
-			if ld.Coupled != coupledCC(ld.Base.CC) {
-				t.Fatalf("(%d,%d): Coupled=%t for cc=%s", base, idx, ld.Coupled, ld.Base.CC)
+			if ld.Coupled != coupledCC(ld.Base.Options.CC) {
+				t.Fatalf("(%d,%d): Coupled=%t for cc=%s", base, idx, ld.Coupled, ld.Base.Options.CC)
 			}
 
 			if ld.Exclusive {
@@ -144,13 +146,13 @@ func TestLadderShapes(t *testing.T) {
 }
 
 func TestRungValueFloorsCapacity(t *testing.T) {
-	l := genLink{Mbps: 5}
+	l := mptcpsim.ScenarioLink{Mbps: 5}
 	for k := 0; k < 12; k++ {
 		if v := rungValue(KnobRateDown, l, k); v < 1 {
 			t.Fatalf("rate_down rung %d = %v, want >= 1 Mbps", k, v)
 		}
 	}
-	if v := rungValue(KnobLossUp, genLink{Loss: 0.004}, 2); v != 0.064 {
+	if v := rungValue(KnobLossUp, mptcpsim.ScenarioLink{Loss: 0.004}, 2); v != 0.064 {
 		t.Fatalf("loss rung 2 = %v, want 0.064", v)
 	}
 }
@@ -160,7 +162,7 @@ func TestRungValueFloorsCapacity(t *testing.T) {
 func trendObs(knob, cc string, exclusive bool, goodputs []uint64) *TrendReport {
 	r := &TrendReport{Ladder: Ladder{
 		Knob: knob, Exclusive: exclusive, Coupled: coupledCC(cc),
-		Base:  Spec{CC: cc, Scheduler: "minrtt"},
+		Base:  Spec{Options: mptcpsim.Options{CC: cc, Scheduler: "minrtt"}},
 		Rungs: make([]Spec, len(goodputs)),
 	}}
 	for _, g := range goodputs {
@@ -309,7 +311,7 @@ func TestEvaluateLoadShift(t *testing.T) {
 	// subflow, so their sent-byte shares track scheduler mechanics.
 	for _, sched := range []string{"roundrobin", "redundant"} {
 		r = mk("lia", true, rising)
-		r.Ladder.Base.Scheduler = sched
+		r.Ladder.Base.Options.Scheduler = sched
 		r.Evaluate(pol)
 		if len(r.Violations) != 0 {
 			t.Fatalf("%s share flagged: %v", sched, r.Violations)
@@ -346,7 +348,7 @@ func TestTrendReportWriteCanonical(t *testing.T) {
 		Ladder: Ladder{
 			Index: 3, Knob: KnobRateDown, Path: 2,
 			LinkA: "s", LinkB: "m11", Exclusive: true, Coupled: true, Dynamic: false,
-			Base:   Spec{Seed: 42, CC: "lia", Scheduler: "minrtt"},
+			Base:   Spec{Seed: 42, Options: mptcpsim.Options{CC: "lia", Scheduler: "minrtt"}},
 			Rungs:  make([]Spec, 2),
 			Values: []float64{40, 24},
 		},

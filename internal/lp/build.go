@@ -141,7 +141,7 @@ func MaxMinCaps(g *topo.Graph, paths []topo.Path, caps Caps) []float64 {
 					k++
 				}
 			}
-			resid[lid] -= inc * float64(k)
+			resid[lid] -= float64(inc * float64(k))
 		}
 		for i := 0; i < n; i++ {
 			if !frozen[i] {

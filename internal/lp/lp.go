@@ -159,7 +159,7 @@ func (p *Problem) Solve() (Solution, error) {
 		if x[j] < 0 && x[j] > -eps {
 			x[j] = 0
 		}
-		obj += p.C[j] * x[j]
+		obj += float64(p.C[j] * x[j])
 	}
 	return Solution{Status: Optimal, X: x, Objective: obj}, nil
 }
@@ -239,7 +239,7 @@ func (t *tableau) reducedCosts(c []float64) []float64 {
 		for i := 0; i < t.m; i++ {
 			cb := c[t.basis[i]]
 			if cb != 0 {
-				v -= cb * t.a[i][j]
+				v -= float64(cb * t.a[i][j])
 			}
 		}
 		rc[j] = v
@@ -266,9 +266,9 @@ func (t *tableau) pivot(row, col int) {
 		}
 		ri := t.a[i]
 		for j := range ri {
-			ri[j] -= f * pr[j]
+			ri[j] -= float64(f * pr[j])
 		}
-		t.rhs[i] -= f * t.rhs[row]
+		t.rhs[i] -= float64(f * t.rhs[row])
 	}
 	t.basis[row] = col
 }
@@ -364,7 +364,7 @@ func (p *Problem) Feasible(x []float64, tol float64) bool {
 	for i, row := range p.A {
 		var lhs float64
 		for j, a := range row {
-			lhs += a * x[j]
+			lhs += float64(a * x[j])
 		}
 		if lhs > p.B[i]+tol {
 			return false

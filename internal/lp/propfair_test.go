@@ -1,7 +1,9 @@
-package lp
+package lp_test
+
+// An external test package: the corpus problems come from internal/check,
+// which builds on the root package, which imports lp.
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 	"testing"
@@ -9,6 +11,7 @@ import (
 
 	"mptcpsim/internal/check"
 	"mptcpsim/internal/dynamics"
+	"mptcpsim/internal/lp"
 	"mptcpsim/internal/topo"
 	"mptcpsim/internal/unit"
 )
@@ -22,14 +25,20 @@ const refSweeps = 200000
 // with no stopping rule. fixedAt counts the sweeps up to and including the
 // first that left every price where it was (what PropFairCaps runs), -1
 // when none did, 0 when every path is cut and nothing descends.
-func refPropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps) (x []float64, fixedAt int) {
+func refPropFairCaps(g *topo.Graph, paths []topo.Path, caps lp.Caps) (x []float64, fixedAt int) {
+	capOf := func(lid topo.LinkID) float64 {
+		if v, ok := caps[lid]; ok {
+			return v
+		}
+		return g.Link(lid).Rate.Mbit()
+	}
 	x = make([]float64, len(paths))
 	var live []topo.Path
 	var liveIdx []int
 	for i, p := range paths {
 		up := true
 		for _, lid := range p.Links {
-			up = up && caps.of(g, lid) > 0
+			up = up && capOf(lid) > 0
 		}
 		if up {
 			live = append(live, p)
@@ -51,7 +60,7 @@ func refPropFairCaps(g *topo.Graph, paths []topo.Path, caps Caps) (x []float64, 
 	usersv := make([][]int, len(lids))
 	for i, lid := range lids {
 		idx[lid] = i
-		capv[i] = caps.of(g, lid)
+		capv[i] = capOf(lid)
 		price[i] = 1 / capv[i]
 		usersv[i] = users[lid]
 	}
@@ -104,7 +113,7 @@ type problem struct {
 	name  string
 	g     *topo.Graph
 	paths []topo.Path
-	caps  Caps
+	caps  lp.Caps
 }
 
 // corpusProblems rebuilds the LP inputs of generated corpus scenarios
@@ -116,22 +125,7 @@ func corpusProblems(t *testing.T, specs []int) []problem {
 	var out []problem
 	for _, i := range specs {
 		sp := check.NewSpec(check.SpecSeed(1, i))
-		var sf struct {
-			Links []struct {
-				A, B string
-				Mbps float64
-			}
-			Paths  []struct{ Nodes []string }
-			Events []struct {
-				AtMs float64 `json:"at_ms"`
-				Type string
-				A, B string
-				Mbps float64
-			}
-		}
-		if err := json.Unmarshal(sp.Scenario, &sf); err != nil {
-			t.Fatal(err)
-		}
+		sf := sp.Scenario
 		g := topo.New()
 		for _, l := range sf.Links {
 			g.AddDuplex(g.AddNode(l.A), g.AddNode(l.B),
@@ -172,7 +166,7 @@ func corpusProblems(t *testing.T, specs []int) []problem {
 		if err != nil {
 			t.Fatalf("spec %d: %v", i, err)
 		}
-		for _, st := range tl.EpochStarts(sp.Duration) {
+		for _, st := range tl.EpochStarts(sp.Options.Duration) {
 			out = append(out, problem{"corpus", sp.Name, g, paths, tl.CapsAt(st, g)})
 		}
 	}
@@ -189,7 +183,7 @@ func TestPropFairMatchesFixedSweepReference(t *testing.T) {
 	probs := []problem{
 		{"paper", "static", pn.Graph, pn.Paths, nil},
 		// A down-link epoch: s-v1 out cuts paths 1 and 2.
-		{"paper", "s-v1 down", pn.Graph, pn.Paths, Caps{pn.Bottlenecks[0]: 0}},
+		{"paper", "s-v1 down", pn.Graph, pn.Paths, lp.Caps{pn.Bottlenecks[0]: 0}},
 	}
 	// The benchmark's screen_stream problems: v3-v4 retuned to 20…67.5 Mbps,
 	// each before and after v2-v3 renegotiates from 80 to 40.
@@ -200,7 +194,7 @@ func TestPropFairMatchesFixedSweepReference(t *testing.T) {
 	for i := 0; i < screen; i++ {
 		for _, r := range []float64{80, 40} {
 			probs = append(probs, problem{"screen", "retuned", pn.Graph, pn.Paths,
-				Caps{v3v4: 20 + float64(i*96/screen)/2, v2v3: r}})
+				lp.Caps{v3v4: 20 + float64(i*96/screen)/2, v2v3: r}})
 		}
 	}
 	specs := make([]int, corpus)
@@ -214,7 +208,7 @@ func TestPropFairMatchesFixedSweepReference(t *testing.T) {
 	settledAt, full := map[string][]int{}, map[string]int{}
 	for _, p := range probs {
 		want, fixedAt := refPropFairCaps(p.g, p.paths, p.caps)
-		got := PropFairCaps(p.g, p.paths, p.caps)
+		got := lp.PropFairCaps(p.g, p.paths, p.caps)
 		for i := range want {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("%s %s caps %v: PropFairCaps = %v, fixed-sweep reference = %v (fixed at sweep %d)",

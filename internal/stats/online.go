@@ -46,7 +46,7 @@ func (o *Online) Add(v float64) {
 	}
 	d := v - o.Mean
 	o.Mean += d / float64(o.N)
-	o.M2 += d * (v - o.Mean)
+	o.M2 += float64(d * (v - o.Mean))
 }
 
 // Merge folds another accumulator into this one, as if every value it saw

@@ -50,7 +50,7 @@ func Aggregate(vals []float64) Agg {
 	var sq float64
 	for _, v := range clean {
 		d := v - a.Mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	a.Std = math.Sqrt(sq / float64(a.N))
 	if a.N%2 == 1 {

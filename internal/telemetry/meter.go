@@ -115,7 +115,7 @@ func (m *Meter) Advance(n, failed int) error {
 		if m.records == 1 {
 			m.ewmaDt = dt
 		} else {
-			m.ewmaDt = (1-ewmaAlpha)*m.ewmaDt + ewmaAlpha*dt
+			m.ewmaDt = float64((1-ewmaAlpha)*m.ewmaDt) + float64(ewmaAlpha*dt)
 		}
 	}
 	m.last = now

@@ -97,7 +97,7 @@ func (s *Series) Stats(from, to time.Duration) (mean, min, max, std float64) {
 	n := float64(hi - lo)
 	mean /= n
 	for _, v := range s.V[lo:hi] {
-		std += (v - mean) * (v - mean)
+		std += float64((v - mean) * (v - mean))
 	}
 	std = math.Sqrt(std / n)
 	return mean, min, max, std

@@ -115,10 +115,11 @@ type Options struct {
 	CrossTCP []int
 	// ValidateInvariants attaches the correctness oracle to the run:
 	// packet conservation (per link, per flow, network-wide), per-epoch
-	// link-capacity budgets, FIFO arrival order, and the optimality-gap
-	// sign are audited and reported in Result.Invariants. The oracle only
-	// observes — a validated run is bit-identical to an unvalidated one —
-	// at a few percent of CPU overhead.
+	// link-capacity budgets, FIFO arrival order, MPTCP data conservation
+	// and the optimality-gap sign are audited (check.go) and reported in
+	// Result.Invariants. The oracle only observes — a validated run is
+	// bit-identical to an unvalidated one — at a few percent of CPU
+	// overhead.
 	ValidateInvariants bool
 	// EventLimit aborts the run with an error after this many simulation
 	// events (0 = no limit). Randomized harnesses set it as a runaway

@@ -123,17 +123,34 @@ func (f sinkFunc) Close() error { return nil }
 
 // TestStreamSinkContract drives a caller sink through Stream and checks it
 // sees the full serialised, exactly-once, done-monotone delivery, then
-// exactly one Close.
+// exactly one Close — also when Stream refuses before the first run.
 func TestStreamSinkContract(t *testing.T) {
-	check := &checkingSink{t: t}
-	if err := (&Sweep{Workers: 8}).Stream(sweepGrid(), StreamSpec{}, check); err != nil {
-		t.Fatal(err)
-	}
-	if check.prevDone != 4 || len(check.seen) != 4 {
-		t.Fatalf("sink saw %d completions over %d runs, want 4/4", check.prevDone, len(check.seen))
-	}
-	if check.closed != 1 {
-		t.Fatalf("Stream closed the sink %d times, want exactly once", check.closed)
+	unknownCC := sweepGrid()
+	unknownCC.CCs = []string{"nope"}
+	for _, tc := range []struct {
+		name    string
+		grid    *Grid
+		spec    StreamSpec
+		runs    int
+		wantErr bool
+	}{
+		{"whole grid", sweepGrid(), StreamSpec{}, 4, false},
+		{"invalid shard", sweepGrid(), StreamSpec{Shard: Shard{K: 2, N: 2}}, 0, true},
+		{"unknown cc", unknownCC, StreamSpec{}, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			check := &checkingSink{t: t}
+			if err := (&Sweep{Workers: 8}).Stream(tc.grid, tc.spec, check); (err != nil) != tc.wantErr {
+				t.Fatalf("Stream returned %v, want an error: %t", err, tc.wantErr)
+			}
+			if check.prevDone != tc.runs || len(check.seen) != tc.runs {
+				t.Fatalf("sink saw %d completions over %d runs, want %d/%d",
+					check.prevDone, len(check.seen), tc.runs, tc.runs)
+			}
+			if check.closed != 1 {
+				t.Fatalf("Stream closed the sink %d times, want exactly once", check.closed)
+			}
+		})
 	}
 }
 

@@ -149,15 +149,22 @@ type StreamSpec struct {
 // in-memory SweepResult. The sweep-level ValidateInvariants flag folds into
 // the digest identity (see Describe), so logs only merge across matching
 // run settings. Stream closes the sink exactly once, after the last
-// delivery; per-run failures land in their RunSummary.Err as always, and
-// the returned error reports structural problems or the first sink failure,
-// which also stops the sweep: runs not yet started never execute.
-func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
+// delivery or on a structural error before the first; per-run failures land
+// in their RunSummary.Err as always, and the returned error reports
+// structural problems or the first sink failure, which also stops the
+// sweep: runs not yet started never execute. A Close error is returned
+// only when nothing failed before it.
+func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) (err error) {
+	defer func() {
+		if cerr := sink.Close(); err == nil {
+			err = cerr
+		}
+	}()
 	shard := spec.Shard
 	if shard.N == 0 {
 		shard = Shard{K: 0, N: 1}
 	}
-	if err := shard.Validate(); err != nil {
+	if err = shard.Validate(); err != nil {
 		return err
 	}
 	specs, err := s.expandFolded(g)
@@ -174,11 +181,7 @@ func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
 		}
 		mine = append(mine, sp)
 	}
-	execErr := s.execute(mine, sink)
-	if cerr := sink.Close(); execErr == nil {
-		execErr = cerr
-	}
-	return execErr
+	return s.execute(mine, sink)
 }
 
 // Describe expands the grid and returns its canonical digest and total
