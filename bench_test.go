@@ -1,9 +1,9 @@
 package mptcpsim
 
-// One benchmark per table/figure of the paper, plus the ablations from
-// DESIGN.md. Experiment benchmarks run the full packet-level simulation
-// per iteration (seed = iteration index) and report the reproduction's
-// headline numbers as custom metrics:
+// One benchmark per table/figure of the paper, plus the ablations
+// cmd/figures writes. Experiment benchmarks run the full packet-level
+// simulation per iteration (seed = iteration index) and report the
+// reproduction's headline numbers as custom metrics:
 //
 //	mbps      mean total throughput over the run
 //	gap%      optimality gap versus the LP total (90 Mbps)
@@ -153,25 +153,23 @@ func BenchmarkAblationSACK(b *testing.B) {
 // bottleneck. Coupled LIA should take about one TCP's share (RFC 6356
 // design goal); uncoupled CUBIC takes nearly all of it.
 func BenchmarkAblationSharedLink(b *testing.B) {
-	build := func() *Network {
-		nw := NewNetwork()
-		nw.AddLink("a", "m", 40, 5*time.Millisecond)
-		nw.AddLink("m", "b", 40, 5*time.Millisecond)
-		if err := nw.Endpoints("a", "b"); err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < 2; i++ {
-			if _, err := nw.AddPath("a", "m", "b"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return nw
+	sf := &ScenarioFile{
+		Links: []ScenarioLink{
+			{A: "a", B: "m", Mbps: 40, DelayMs: 5},
+			{A: "m", B: "b", Mbps: 40, DelayMs: 5},
+		},
+		Paths: []ScenarioPath{{Nodes: []string{"a", "m", "b"}}, {Nodes: []string{"a", "m", "b"}}},
+	}
+	sf.Endpoints.Src, sf.Endpoints.Dst = "a", "b"
+	nw, err := sf.Build()
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, cc := range []string{"lia", "olia", "cubic"} {
 		b.Run(cc, func(b *testing.B) {
 			var tot float64
 			for i := 0; i < b.N; i++ {
-				res, err := Run(build(), Options{CC: cc, Seed: int64(i + 1), Duration: 5 * time.Second})
+				res, err := Run(nw, Options{CC: cc, Seed: int64(i + 1), Duration: 5 * time.Second})
 				if err != nil {
 					b.Fatal(err)
 				}

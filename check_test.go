@@ -27,16 +27,10 @@ func TestPaperRunSatisfiesInvariants(t *testing.T) {
 		t.Fatalf("paper run violates invariants: %v", r.Invariants)
 	}
 
-	nw := PaperNetwork()
-	for _, e := range []Event{
-		{At: 600 * time.Millisecond, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20},
-		{At: 800 * time.Millisecond, Type: EventLinkDown, A: "s", B: "v1"},
-		{At: 1400 * time.Millisecond, Type: EventLinkUp, A: "s", B: "v1"},
-	} {
-		if err := nw.AddEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nw := paperWith(t,
+		ScenarioEvent{AtMs: 600, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20},
+		ScenarioEvent{AtMs: 800, Type: EventLinkDown, A: "s", B: "v1"},
+		ScenarioEvent{AtMs: 1400, Type: EventLinkUp, A: "s", B: "v1"})
 	r, err = Run(nw, Options{CC: "olia", ValidateInvariants: true, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -12,24 +12,18 @@ import (
 // (a scheduled end of serialisation, a per-segment timer that fires) shows
 // up here as a ratio near 2, long before a benchmark run.
 func TestOneEventPerPacketHop(t *testing.T) {
-	flap := []Event{
-		{At: 200 * time.Millisecond, Type: EventLinkDown, A: "s", B: "v1"},
-		{At: 350 * time.Millisecond, Type: EventLinkUp, A: "s", B: "v1"},
-		{At: 500 * time.Millisecond, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20},
-		{At: 700 * time.Millisecond, Type: EventLossBurst, A: "s", B: "v2", Loss: 0.3, Burst: 20 * time.Millisecond},
+	flap := []ScenarioEvent{
+		{AtMs: 200, Type: EventLinkDown, A: "s", B: "v1"},
+		{AtMs: 350, Type: EventLinkUp, A: "s", B: "v1"},
+		{AtMs: 500, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20},
+		{AtMs: 700, Type: EventLossBurst, A: "s", B: "v2", Loss: 0.3, DurationMs: 20},
 	}
 	for _, tc := range []struct {
 		name   string
-		events []Event
+		events []ScenarioEvent
 	}{{"static", nil}, {"flap", flap}} {
 		t.Run(tc.name, func(t *testing.T) {
-			nw := PaperNetwork()
-			for _, e := range tc.events {
-				if err := nw.AddEvent(e); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err := Run(nw, Options{CC: "cubic", Duration: time.Second, Seed: 1,
+			res, err := Run(paperWith(t, tc.events...), Options{CC: "cubic", Duration: time.Second, Seed: 1,
 				SubflowPaths: []int{2, 1, 3}, Telemetry: true, ValidateInvariants: true})
 			if err != nil {
 				t.Fatal(err)

@@ -8,16 +8,25 @@ import (
 	"time"
 )
 
+// paperWith builds the paper network with the given event timeline.
+func paperWith(t testing.TB, events ...ScenarioEvent) *Network {
+	t.Helper()
+	sf := PaperScenario()
+	sf.Events = events
+	nw, err := sf.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
 // TestDynamicLinkDownEpochs is the acceptance scenario: a LinkDown at
 // t=2s on the paper network cuts paths 1 and 2 (both cross s-v1), the LP
 // baseline becomes piecewise (90 Mbps, then 60 on path 3 alone), and the
 // measured traffic re-converges to the post-failure optimum.
 func TestDynamicLinkDownEpochs(t *testing.T) {
 	run := func() *Result {
-		nw := PaperNetwork()
-		if err := nw.AddEvent(Event{At: 2 * time.Second, Type: EventLinkDown, A: "s", B: "v1"}); err != nil {
-			t.Fatal(err)
-		}
+		nw := paperWith(t, ScenarioEvent{AtMs: 2000, Type: EventLinkDown, A: "s", B: "v1"})
 		res, err := Run(nw, Options{CC: "cubic", Seed: 1, SubflowPaths: []int{2, 1, 3}})
 		if err != nil {
 			t.Fatal(err)
@@ -118,15 +127,9 @@ func TestStaticRunHasSingleEpoch(t *testing.T) {
 // TestLinkUpRestoresCapacityEpoch: down at 1s, up at 2.5s -> three epochs
 // with the middle one degraded, and traffic recovering in the last.
 func TestLinkUpRestoresCapacityEpoch(t *testing.T) {
-	nw := PaperNetwork()
-	for _, e := range []Event{
-		{At: time.Second, Type: EventLinkDown, A: "s", B: "v1"},
-		{At: 2500 * time.Millisecond, Type: EventLinkUp, A: "s", B: "v1"},
-	} {
-		if err := nw.AddEvent(e); err != nil {
-			t.Fatal(err)
-		}
-	}
+	nw := paperWith(t,
+		ScenarioEvent{AtMs: 1000, Type: EventLinkDown, A: "s", B: "v1"},
+		ScenarioEvent{AtMs: 2500, Type: EventLinkUp, A: "s", B: "v1"})
 	res, err := Run(nw, Options{CC: "cubic", Seed: 1, Duration: 6 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -154,10 +157,7 @@ func TestLinkUpRestoresCapacityEpoch(t *testing.T) {
 // TestSetRateEventChangesEpochOptimum: renegotiating v3-v4 down to 20
 // Mbps moves the LP optimum to 70 (x2+x3 <= 20 binds).
 func TestSetRateEventChangesEpochOptimum(t *testing.T) {
-	nw := PaperNetwork()
-	if err := nw.AddEvent(Event{At: time.Second, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20}); err != nil {
-		t.Fatal(err)
-	}
+	nw := paperWith(t, ScenarioEvent{AtMs: 1000, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20})
 	res, err := Run(nw, Options{CC: "cubic", Seed: 1, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -179,13 +179,7 @@ func TestSetRateEventChangesEpochOptimum(t *testing.T) {
 // TestLossBurstDegradesWindow: a heavy loss burst mid-run dents throughput
 // during the burst window and restores the pre-burst probability after.
 func TestLossBurstDegradesWindow(t *testing.T) {
-	nw := PaperNetwork()
-	if err := nw.AddEvent(Event{
-		At: time.Second, Type: EventLossBurst, A: "s", B: "v2",
-		Loss: 0.3, Burst: 500 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	nw := paperWith(t, ScenarioEvent{AtMs: 1000, Type: EventLossBurst, A: "s", B: "v2", Loss: 0.3, DurationMs: 500})
 	res, err := Run(nw, Options{CC: "cubic", Seed: 1, Duration: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -210,10 +204,7 @@ func TestLossBurstDegradesWindow(t *testing.T) {
 // TestSetDelayEventRuns: a delay change mid-run keeps the connection alive
 // and does not open an epoch.
 func TestSetDelayEventRuns(t *testing.T) {
-	nw := PaperNetwork()
-	if err := nw.AddEvent(Event{At: time.Second, Type: EventSetDelay, A: "s", B: "v1", Delay: 20 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
+	nw := paperWith(t, ScenarioEvent{AtMs: 1000, Type: EventSetDelay, A: "s", B: "v1", DelayMs: 20})
 	res, err := Run(nw, Options{CC: "cubic", Seed: 1, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -226,41 +217,10 @@ func TestSetDelayEventRuns(t *testing.T) {
 	}
 }
 
-// TestEventValidation: broken events are rejected at AddEvent or at
-// timeline build, never mid-simulation.
-func TestEventValidation(t *testing.T) {
-	nw := PaperNetwork()
-	for name, e := range map[string]Event{
-		"unknown type":  {At: time.Second, Type: "explode", A: "s", B: "v1"},
-		"unknown link":  {At: time.Second, Type: EventLinkDown, A: "s", B: "d"},
-		"negative time": {At: -time.Second, Type: EventLinkDown, A: "s", B: "v1"},
-		"zero rate":     {At: time.Second, Type: EventSetRate, A: "s", B: "v1"},
-		"loss > 1":      {At: time.Second, Type: EventSetLoss, A: "s", B: "v1", Loss: 2},
-		"burst no len":  {At: time.Second, Type: EventLossBurst, A: "s", B: "v1", Loss: 0.5},
-	} {
-		if err := nw.AddEvent(e); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if len(nw.events) != 0 {
-		t.Fatalf("rejected events were stored: %v", nw.events)
-	}
-	// Cross-event rule: up without down is caught at Run.
-	if err := nw.AddEvent(Event{At: time.Second, Type: EventLinkUp, A: "s", B: "v1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(nw, Options{Duration: 100 * time.Millisecond}); err == nil {
-		t.Fatal("link_up without a preceding link_down ran")
-	}
-}
-
 // TestChartMarksEvents: the ASCII chart draws a vertical marker at each
 // event time.
 func TestChartMarksEvents(t *testing.T) {
-	nw := PaperNetwork()
-	if err := nw.AddEvent(Event{At: time.Second, Type: EventLinkDown, A: "s", B: "v1"}); err != nil {
-		t.Fatal(err)
-	}
+	nw := paperWith(t, ScenarioEvent{AtMs: 1000, Type: EventLinkDown, A: "s", B: "v1"})
 	res, err := Run(nw, Options{CC: "cubic", Seed: 1, Duration: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)

@@ -28,21 +28,24 @@ func ExampleRunPaper() {
 	// max-min fair: 80 Mbps
 }
 
-// ExampleNewNetwork assembles a custom two-path topology and reports its
-// optimum.
-func ExampleNewNetwork() {
-	nw := mptcpsim.NewNetwork()
-	nw.AddLink("phone", "wifi", 30, 3*time.Millisecond)
-	nw.AddLink("wifi", "server", 100, 5*time.Millisecond)
-	nw.AddLink("phone", "lte", 20, 15*time.Millisecond)
-	nw.AddLink("lte", "server", 100, 10*time.Millisecond)
-	if err := nw.Endpoints("phone", "server"); err != nil {
-		log.Fatal(err)
+// ExampleScenarioFile_Build describes a custom two-path topology, builds
+// it and reports its optimum.
+func ExampleScenarioFile_Build() {
+	sf := &mptcpsim.ScenarioFile{
+		Links: []mptcpsim.ScenarioLink{
+			{A: "phone", B: "wifi", Mbps: 30, DelayMs: 3},
+			{A: "wifi", B: "server", Mbps: 100, DelayMs: 5},
+			{A: "phone", B: "lte", Mbps: 20, DelayMs: 15},
+			{A: "lte", B: "server", Mbps: 100, DelayMs: 10},
+		},
+		Paths: []mptcpsim.ScenarioPath{
+			{Nodes: []string{"phone", "wifi", "server"}},
+			{Nodes: []string{"phone", "lte", "server"}},
+		},
 	}
-	if _, err := nw.AddPath("phone", "wifi", "server"); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := nw.AddPath("phone", "lte", "server"); err != nil {
+	sf.Endpoints.Src, sf.Endpoints.Dst = "phone", "server"
+	nw, err := sf.Build()
+	if err != nil {
 		log.Fatal(err)
 	}
 	res, err := mptcpsim.Run(nw, mptcpsim.Options{CC: "lia", Duration: 200 * time.Millisecond})
@@ -54,31 +57,31 @@ func ExampleNewNetwork() {
 	// disjoint paths aggregate to 50 Mbps
 }
 
-// ExampleNetwork_AddEvent scripts a Wi-Fi outage on a phone with Wi-Fi
+// ExampleScenarioFile_events scripts a Wi-Fi outage on a phone with Wi-Fi
 // (40 Mbps) and LTE (25 Mbps): the radio dies at 2 s and returns at 3 s.
 // The LP baseline is re-solved per capacity epoch, so the outage is scored
 // against the 25 Mbps the surviving path allows, not the static 65.
-func ExampleNetwork_AddEvent() {
-	nw := mptcpsim.NewNetwork()
-	nw.AddLink("phone", "wifi-ap", 40, 3*time.Millisecond)
-	nw.AddLink("phone", "lte-enb", 25, 15*time.Millisecond)
-	nw.AddLink("wifi-ap", "server", 1000, 7*time.Millisecond)
-	nw.AddLink("lte-enb", "server", 1000, 15*time.Millisecond)
-	if err := nw.Endpoints("phone", "server"); err != nil {
+func ExampleScenarioFile_events() {
+	sf := &mptcpsim.ScenarioFile{
+		Links: []mptcpsim.ScenarioLink{
+			{A: "phone", B: "wifi-ap", Mbps: 40, DelayMs: 3},
+			{A: "phone", B: "lte-enb", Mbps: 25, DelayMs: 15},
+			{A: "wifi-ap", B: "server", Mbps: 1000, DelayMs: 7},
+			{A: "lte-enb", B: "server", Mbps: 1000, DelayMs: 15},
+		},
+		Paths: []mptcpsim.ScenarioPath{
+			{Nodes: []string{"phone", "wifi-ap", "server"}},
+			{Nodes: []string{"phone", "lte-enb", "server"}},
+		},
+		Events: []mptcpsim.ScenarioEvent{
+			{AtMs: 2000, Type: mptcpsim.EventLinkDown, A: "phone", B: "wifi-ap"},
+			{AtMs: 3000, Type: mptcpsim.EventLinkUp, A: "phone", B: "wifi-ap"},
+		},
+	}
+	sf.Endpoints.Src, sf.Endpoints.Dst = "phone", "server"
+	nw, err := sf.Build()
+	if err != nil {
 		log.Fatal(err)
-	}
-	for _, path := range [][]string{{"phone", "wifi-ap", "server"}, {"phone", "lte-enb", "server"}} {
-		if _, err := nw.AddPath(path...); err != nil {
-			log.Fatal(err)
-		}
-	}
-	for _, e := range []mptcpsim.Event{
-		{At: 2 * time.Second, Type: mptcpsim.EventLinkDown, A: "phone", B: "wifi-ap"},
-		{At: 3 * time.Second, Type: mptcpsim.EventLinkUp, A: "phone", B: "wifi-ap"},
-	} {
-		if err := nw.AddEvent(e); err != nil {
-			log.Fatal(err)
-		}
 	}
 	res, err := mptcpsim.Run(nw, mptcpsim.Options{CC: "cubic", Duration: 8 * time.Second})
 	if err != nil {
@@ -106,30 +109,28 @@ func ExampleNetwork_AddEvent() {
 // all.
 func ExampleRun_fabric() {
 	const spines = 4
-	fabric := func() *mptcpsim.Network {
-		nw := mptcpsim.NewNetwork()
-		nw.AddLink("hostA", "tor1", 40, 100*time.Microsecond)
-		nw.AddLink("hostB", "tor2", 40, 100*time.Microsecond)
-		for s := 1; s <= spines; s++ {
-			spine := fmt.Sprintf("spine%d", s)
-			nw.AddLink("tor1", spine, 10, 500*time.Microsecond)
-			nw.AddLink(spine, "tor2", 10, 500*time.Microsecond)
-		}
-		if err := nw.Endpoints("hostA", "hostB"); err != nil {
-			log.Fatal(err)
-		}
-		for s := 1; s <= spines; s++ {
-			if _, err := nw.AddPath("hostA", "tor1", fmt.Sprintf("spine%d", s), "tor2", "hostB"); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return nw
+	fabric := &mptcpsim.ScenarioFile{Links: []mptcpsim.ScenarioLink{
+		{A: "hostA", B: "tor1", Mbps: 40, DelayMs: 0.1},
+		{A: "hostB", B: "tor2", Mbps: 40, DelayMs: 0.1},
+	}}
+	for s := 1; s <= spines; s++ {
+		spine := fmt.Sprintf("spine%d", s)
+		fabric.Links = append(fabric.Links,
+			mptcpsim.ScenarioLink{A: "tor1", B: spine, Mbps: 10, DelayMs: 0.5},
+			mptcpsim.ScenarioLink{A: spine, B: "tor2", Mbps: 10, DelayMs: 0.5})
+		fabric.Paths = append(fabric.Paths,
+			mptcpsim.ScenarioPath{Nodes: []string{"hostA", "tor1", spine, "tor2", "hostB"}})
 	}
-	single, err := mptcpsim.Run(fabric(), mptcpsim.Options{CC: "cubic", Duration: 3 * time.Second, SubflowPaths: []int{1}})
+	fabric.Endpoints.Src, fabric.Endpoints.Dst = "hostA", "hostB"
+	nw, err := fabric.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	multi, err := mptcpsim.Run(fabric(), mptcpsim.Options{CC: "olia", Duration: 3 * time.Second})
+	single, err := mptcpsim.Run(nw, mptcpsim.Options{CC: "cubic", Duration: 3 * time.Second, SubflowPaths: []int{1}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	multi, err := mptcpsim.Run(nw, mptcpsim.Options{CC: "olia", Duration: 3 * time.Second})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"mptcpsim/internal/capture"
 	"mptcpsim/internal/cc"
-	"mptcpsim/internal/dynamics"
 	"mptcpsim/internal/lp"
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
@@ -64,12 +63,11 @@ func Run(nw *Network, opts Options) (*Result, error) {
 }
 
 // prepared is the half of a run that depends only on the network and on
-// the run's duration and bin width: the validated network and timeline and
-// the optima its measurements are compared to. Nothing writes to it once
-// built, so a sweep prepares each grid cell once for all of the cell's runs.
+// the run's duration and bin width: the optima its measurements are
+// compared to. Nothing writes to it once built, so a sweep prepares each
+// grid cell once for all of the cell's runs.
 type prepared struct {
 	nw *Network
-	tl *dynamics.Timeline // nil for a static network
 	// The baselines of the topology as declared and of each capacity epoch
 	// that starts inside the run, and the optimum the gap is measured against.
 	base        *lp.Baselines
@@ -78,28 +76,20 @@ type prepared struct {
 	target      float64
 }
 
-// prepare validates the network and its timeline — exhaustively, before
-// any simulation work — and fetches the analytic baselines, memoised
+// prepare fetches the analytic baselines of a run of nw, memoised
 // process-wide per capacity structure (the solves depend on nothing else).
 func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
-	if err := nw.validate(); err != nil {
-		return nil, err
-	}
-	tl, err := nw.timeline()
-	if err != nil {
-		return nil, err
-	}
 	base, err := lp.CachedBaselines(nw.graph, nw.paths)
 	if err != nil {
 		return nil, fmt.Errorf("mptcpsim: LP: %w", err)
 	}
 	// Piecewise baselines: one LP per capacity epoch. An epoch no capacity
 	// event has touched yet (a static network's only one) is base itself.
-	epochStarts := tl.EpochStarts(duration)
+	epochStarts := nw.tl.EpochStarts(duration)
 	epochBase := make([]*lp.Baselines, len(epochStarts))
 	for i, st := range epochStarts {
 		epochBase[i] = base
-		if caps := tl.CapsAt(st, nw.graph); caps != nil {
+		if caps := nw.tl.CapsAt(st, nw.graph); caps != nil {
 			epochBase[i], err = lp.CachedBaselinesCaps(nw.graph, nw.paths, caps)
 			if err != nil {
 				return nil, fmt.Errorf("mptcpsim: epoch LP at %v: %w", st, err)
@@ -133,14 +123,14 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 			target = acc / float64(horizon-measureFrom)
 		}
 	}
-	return &prepared{nw, tl, base, epochStarts, epochBase, target}, nil
+	return &prepared{nw, base, epochStarts, epochBase, target}, nil
 }
 
 // simulate is the other half: the packet simulation of one option set
 // (defaults filled; the duration and bin width pre was prepared for). The
 // baselines in the Result are copies the caller owns.
 func (pre *prepared) simulate(opts Options) (*Result, error) {
-	nw, tl, g, base := pre.nw, pre.tl, pre.nw.graph, pre.base
+	nw, tl, g, base := pre.nw, pre.nw.tl, pre.nw.graph, pre.base
 	epochStarts, epochBase, target := pre.epochStarts, pre.epochBase, pre.target
 	order := opts.SubflowPaths
 	if len(order) == 0 {
@@ -394,9 +384,7 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		res.Summary.Converged = last.Converged
 		res.Summary.ConvergedAt = last.ConvergedAt
 	}
-	for _, d := range tl.Events() {
-		res.Events = append(res.Events, fromInternal(d))
-	}
+	res.Events = slices.Clone(nw.events)
 	for i, pnum := range opts.CrossTCP {
 		s := sniff.Series(packet.Tag(crossTagBase+i),
 			fmt.Sprintf("TCP on %s", nw.pathNames[pnum-1]), opts.Duration)

@@ -48,7 +48,11 @@ var fieldAllow = map[string]string{
 	"tcp.CountSink.Bytes":   "test observation point: the tcp tests read what a plain-TCP receiver was handed",
 	"check.Ladder.Stripped": "test observation point: the ladder-coverage test wants some ladder to have stripped events",
 
-	"cc.Flow.ID": "pinned by bench/: its only source is tcp.Config.FlowID, which bench/layers.go sets; no algorithm reads it",
+	"cc.Flow.ID":          "pinned by bench/: its only source is tcp.Config.FlowID, which bench/layers.go sets; no algorithm reads it",
+	"topo.PaperNet.Graph": "pinned by bench/: bench/layers.go runs its mptcp and lp benchmarks on topo.Paper's graph",
+	"topo.PaperNet.S":     "pinned by bench/: bench/layers.go puts its sender on topo.Paper's source",
+	"topo.PaperNet.D":     "pinned by bench/: bench/layers.go puts its receiver on topo.Paper's destination",
+	"topo.PaperNet.Paths": "pinned by bench/: bench/layers.go routes its subflows and solves its LPs over topo.Paper's paths",
 }
 
 // TestEveryFieldIsSetAndRead is the field-level reachability pass as a
@@ -117,9 +121,8 @@ func TestEveryFieldIsSetAndRead(t *testing.T) {
 var funcAllow = map[string]string{
 	"netem.Link.SetAQM": "test seam: the tcp and mptcp tests drop chosen segments through an admission policy",
 
-	"lp.Problem.Feasible":       "test reference: the solver tests check optima and fair points against the constraints",
-	"tcp.Conn.scanOutstanding":  "test reference: the scoreboard tests hold the incremental pipe to this scan",
-	"mptcpsim.Network.Scenario": "test reference: the round-trip tests and FuzzScenarioRoundTrip hold LoadNetwork to its inverse",
+	"lp.Problem.Feasible":      "test reference: the solver tests check optima and fair points against the constraints",
+	"tcp.Conn.scanOutstanding": "test reference: the scoreboard tests hold the incremental pipe to this scan",
 
 	"tcp.Conn.State":           "test observation point: the handshake and close tests read the connection state",
 	"telemetry.Recorder.Total": "test observation point: the recorder tests count the events it saw, retained or not",
@@ -131,6 +134,7 @@ var funcAllow = map[string]string{
 	"packet.MakeAddr":             "pinned by bench/: bench/layers.go addresses its synthetic frames",
 	"netem.Network.AddrOf":        "pinned by bench/: bench/layers.go addresses a path's end hosts",
 	"packet.Arena.GetUDP":         "pinned by bench/: bench/layers.go's transit and queueFull frames are UDP datagrams",
+	"topo.Paper":                  "pinned by bench/: bench/layers.go builds its mptcp and lp benchmarks on it; every run builds PaperScenario",
 }
 
 // reflectedMethods are the method names the standard library finds by
@@ -394,7 +398,7 @@ var jsonSinks = map[string]int{
 // from a value handed to a jsonSinks entry point or returned by an
 // expvar.Func. A function that hands one of its own interface-typed
 // parameters to a sink is a sink for that parameter, so a wrapper such as
-// unmarshalStrict(data []byte, v any) passes its callers' types through.
+// decodeStrict(r io.Reader, v any) passes its callers' types through.
 func jsonFields(pkgs []checkedPkg) map[*types.Var]bool {
 	sinks := maps.Clone(jsonSinks)
 	var roots []types.Type

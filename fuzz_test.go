@@ -7,19 +7,20 @@ import (
 	"testing"
 )
 
-// FuzzScenarioRoundTrip asserts the scenario format's contract on
-// arbitrary input: parsing never panics, and any input that builds
-// re-emits to a scenario that builds to the same export — parse → build →
-// re-emit is a fixpoint.
-func FuzzScenarioRoundTrip(f *testing.F) {
-	seed := func(sf *ScenarioFile) {
+// FuzzLoadNetwork asserts the scenario format's contract on arbitrary
+// input: neither the parse nor the build ever panics, and a network that
+// builds is whole — every declared path runs from the source to the
+// destination, and the events it echoes are the file's, in firing order.
+func FuzzLoadNetwork(f *testing.F) {
+	seed := func(sf *ScenarioFile) []byte {
 		js, err := json.Marshal(sf)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(js)
+		return js
 	}
-	seed(PaperScenario())
+	paper := seed(PaperScenario())
 	dynamic := PaperScenario()
 	dynamic.Events = []ScenarioEvent{
 		{AtMs: 500, Type: EventLossBurst, A: "s", B: "v1", Loss: 0.3, DurationMs: 100},
@@ -36,6 +37,9 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"links":[{"a":"s","b":"d","mbps":10,"delay_ms":1}],` +
 		`"endpoints":{"src":"s","dst":"d"},"paths":[{"nodes":["s","d"]}],` +
 		`"events":[{"at_ms":1e300,"type":"link_down","a":"s","b":"d"}]}`))
+	// Trailing data: two scenarios concatenated, a scenario and garbage.
+	f.Add(append(append([]byte{}, paper...), paper...))
+	f.Add(append(append([]byte{}, paper...), " garbage"...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := LoadScenario(bytes.NewReader(data))
@@ -46,28 +50,21 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out1, err := nw.Scenario()
-		if err != nil {
-			t.Fatalf("built network failed to export: %v", err)
+		if nw.NumPaths() != len(sf.Paths) {
+			t.Fatalf("built %d paths of %d", nw.NumPaths(), len(sf.Paths))
 		}
-		js1, err := json.Marshal(out1)
-		if err != nil {
-			t.Fatalf("marshal export: %v", err)
+		for i, p := range nw.paths {
+			if !p.Valid(nw.graph) || p.Nodes[0] != nw.src || p.Nodes[len(p.Nodes)-1] != nw.dst {
+				t.Fatalf("path %d (%s) does not run from the source to the destination", i+1, nw.PathDescription(i+1))
+			}
 		}
-		nw2, err := out1.Build()
-		if err != nil {
-			t.Fatalf("re-emitted scenario failed to build: %v\nexport: %s", err, js1)
+		if len(nw.events) != len(sf.Events) || nw.tl.Len() != len(sf.Events) {
+			t.Fatalf("built %d events (%d on the timeline) of %d", len(nw.events), nw.tl.Len(), len(sf.Events))
 		}
-		out2, err := nw2.Scenario()
-		if err != nil {
-			t.Fatalf("second export failed: %v", err)
-		}
-		js2, err := json.Marshal(out2)
-		if err != nil {
-			t.Fatalf("marshal second export: %v", err)
-		}
-		if !bytes.Equal(js1, js2) {
-			t.Fatalf("parse→build→re-emit is not a fixpoint:\nfirst:  %s\nsecond: %s", js1, js2)
+		for i := 1; i < len(nw.events); i++ {
+			if millis(nw.events[i].AtMs) < millis(nw.events[i-1].AtMs) {
+				t.Fatalf("events out of firing order: %v before %v", nw.events[i-1], nw.events[i])
+			}
 		}
 	})
 }
@@ -157,7 +154,7 @@ func FuzzLoadGrid(f *testing.F) {
 		`"perturbations":[{"name":"base"},{"name":"lossy","scenarios":["a"],"loss":0.01,` +
 		`"links":[{"a":"s","b":"v1","mbps":20}]}],` +
 		`"events":[{"name":"static"},{"scenarios":["b"],"events":[{"at_ms":100,"type":"set_rate","a":"v3","b":"v4","mbps":20}]}]}`))
-	// One spec per axis error.
+	// One spec per axis error, then trailing data after a valid spec.
 	for _, spec := range []string{
 		`{"ccs":["cubci"]}`,
 		`{"schedulers":["blast"]}`,
@@ -176,6 +173,8 @@ func FuzzLoadGrid(f *testing.F) {
 		`{"sample_ms":1e-6}`,
 		`{"duration_ms":1e300}`,
 		`{"cc":["cubic"]}`,
+		`{"ccs":["olia"]} {"ccs":["cubic"]}`,
+		`{"ccs":["olia"]} garbage`,
 	} {
 		f.Add([]byte(spec))
 	}

@@ -1,7 +1,6 @@
 package mptcpsim
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -272,12 +271,11 @@ func (p Perturbation) apply(sf *ScenarioFile) (*ScenarioFile, error) {
 	return out, nil
 }
 
-// LoadGrid parses a JSON grid spec (see Grid for the schema).
+// LoadGrid parses a JSON grid spec (see Grid for the schema). Unknown
+// fields and trailing data are rejected.
 func LoadGrid(r io.Reader) (*Grid, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var g Grid
-	if err := dec.Decode(&g); err != nil {
+	if err := decodeStrict(r, &g); err != nil {
 		return nil, fmt.Errorf("mptcpsim: grid: %w", err)
 	}
 	return &g, nil

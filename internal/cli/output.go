@@ -11,7 +11,8 @@ import (
 
 // LoadGrid reads the grid spec and resolves scenario file references
 // relative to the spec's directory. An empty path yields the default
-// paper grid: every registered CC crossed with four subflow orderings.
+// paper grid: the six congestion controls crossed with four subflow
+// orderings.
 func LoadGrid(path string) (*mptcpsim.Grid, error) {
 	if path == "" {
 		return &mptcpsim.Grid{

@@ -177,10 +177,9 @@ func New(g *topo.Graph, events []Event) (*Timeline, error) {
 
 // Magnitude bounds on event parameters. Values anywhere near these are
 // certainly typos in millisecond-scale configurations — and bounding them
-// keeps every duration and rate below 2^51, where the scenario format's
-// float64 millisecond fields round-trip through nanoseconds (and Mbps
-// through bits per second) exactly, so parse → build → re-emit stays a
-// fixpoint for every accepted input.
+// keeps every duration and rate below 2^51, where a float64 still resolves
+// the scenario format's milliseconds to the nanosecond (and its Mbps to the
+// bit per second).
 const (
 	// MaxEventTime bounds firing times and burst windows.
 	MaxEventTime = 100 * time.Hour
@@ -265,15 +264,6 @@ func duplexIDs(g *topo.Graph, a, b string) ([2]topo.LinkID, error) {
 		ab, ba = ba, ab
 	}
 	return [2]topo.LinkID{ab, ba}, nil
-}
-
-// Events returns the timeline in firing order. The slice is shared; do not
-// modify it.
-func (tl *Timeline) Events() []Event {
-	if tl == nil {
-		return nil
-	}
-	return tl.events
 }
 
 // Len returns the number of events.

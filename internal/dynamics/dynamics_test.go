@@ -30,7 +30,7 @@ func TestTimelineSortsAndValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := tl.Events()
+	evs := tl.events
 	if len(evs) != 3 {
 		t.Fatalf("len = %d", len(evs))
 	}

@@ -67,6 +67,7 @@ func TestOpenShardLog(t *testing.T) {
 		{name: "fresh over an old log", content: raw, open: other, truncate: true, want: ShardLog{TornTail: -1}},
 		{name: "mid-file corruption", content: append(append([]byte{}, raw[:headerLen]...), "{broken\n{}\n"...),
 			open: header, wantErr: "run-log record"},
+		{name: "not a run-log", content: []byte("\nimportant notes\nmore\n"), open: header, wantErr: "run-log header"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -15,8 +15,9 @@ import (
 //	Path 1 and Path 3 share v2-v3  (80 Mbps)  =>  x1+x3 <= 80
 //
 // All other links have the default capacity of 100 Mbps and never bind.
-// The LP optimum is x1=30, x2=10, x3=50 (total 90); see DESIGN.md for the
-// index-labelling typo in the paper text.
+// The LP optimum is x1=30, x2=10, x3=50 (total 90), the unique optimum of
+// these constraints; the paper text lists the same values with the indices
+// of x1 and x2 swapped, a labelling typo.
 //
 // Link delays are chosen so that Path 2 is the shortest path by round-trip
 // time (one-way 4 ms vs 7 ms), matching the paper's measurement setup where

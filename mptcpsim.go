@@ -22,10 +22,10 @@
 //		res.Summary.TotalMean, res.Optimum.Total)
 //	res.Chart(os.Stdout, "Fig 2a")
 //
-// Custom topologies are assembled with NewNetwork / AddLink / AddPath and
-// executed with Run, or described as JSON scenario files (ScenarioFile).
-// Everything is stdlib-only and runs in virtual time: a 4-second
-// experiment takes milliseconds of wall clock.
+// Custom topologies are described as a ScenarioFile — a Go literal or JSON
+// on disk — built into a Network with ScenarioFile.Build (or LoadNetwork)
+// and executed with Run. Everything is stdlib-only and runs in virtual
+// time: a 4-second experiment takes milliseconds of wall clock.
 //
 // Batch experimentation is built in: a Grid declares the cross product of
 // scenarios, link perturbations, congestion-control algorithms,
@@ -87,10 +87,10 @@ type Options struct {
 	// Seed drives all randomness; identical seeds reproduce identical
 	// runs bit-for-bit.
 	Seed int64
-	// SubflowPaths lists path numbers (1-based, in AddPath order) in
-	// subflow order; the first is the default path. Empty means all paths
-	// in definition order. RunPaper defaults to [2, 1, 3] — Path 2 is the
-	// paper's default shortest path.
+	// SubflowPaths lists path numbers (1-based, in the scenario's path
+	// order) in subflow order; the first is the default path. Empty means
+	// all paths in that order. RunPaper defaults to [2, 1, 3] — Path 2 is
+	// the paper's default shortest path.
 	SubflowPaths []int
 	// TransferBytes limits the transfer size; 0 streams for the whole
 	// duration (iperf bulk).
@@ -109,9 +109,10 @@ type Options struct {
 	// heavy on long runs).
 	RetainPackets bool
 	// CrossTCP starts one competing single-path TCP bulk flow per listed
-	// path number, alongside the MPTCP connection. Cross flows run CUBIC
-	// and report their rates in Result.Cross — the setup of the RFC 6356
-	// fairness question ("do no harm to regular TCP on a shared link").
+	// path number (1-based, in the scenario's path order), alongside the
+	// MPTCP connection. Cross flows run CUBIC and report their rates in
+	// Result.Cross — the setup of the RFC 6356 fairness question ("do no
+	// harm to regular TCP on a shared link").
 	CrossTCP []int
 	// ValidateInvariants attaches the correctness oracle to the run:
 	// packet conservation (per link, per flow, network-wide), per-epoch

@@ -228,55 +228,61 @@ func TestFixedTransferCompletes(t *testing.T) {
 	}
 }
 
+// chain is the scenario a - m - b: two 20 Mbps, 5 ms links and one path.
+func chain() *ScenarioFile {
+	sf := &ScenarioFile{
+		Links: []ScenarioLink{
+			{A: "a", B: "m", Mbps: 20, DelayMs: 5},
+			{A: "m", B: "b", Mbps: 20, DelayMs: 5},
+		},
+		Paths: []ScenarioPath{{Nodes: []string{"a", "m", "b"}}},
+	}
+	sf.Endpoints.Src, sf.Endpoints.Dst = "a", "b"
+	return sf
+}
+
+// mustBuild builds sf or fails the test.
+func mustBuild(t testing.TB, sf *ScenarioFile) *Network {
+	t.Helper()
+	nw, err := sf.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
+
+// TestCustomNetworkValidation: what Build cannot see — the run's own path
+// selections — is refused by Run before any simulation. Build's checks are
+// TestLoadNetworkRejectsBadInput's.
 func TestCustomNetworkValidation(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddLink("a", "b", 10, time.Millisecond)
-	if _, err := nw.AddPath("a", "zzz"); err == nil {
-		t.Fatal("unknown node accepted")
-	}
-	if _, err := nw.AddPath("a"); err == nil {
-		t.Fatal("one-node path accepted")
-	}
-	if _, err := Run(nw, Options{}); err == nil {
-		t.Fatal("network without endpoints/paths ran")
-	}
-	if err := nw.Endpoints("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.AddPath("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(nw, Options{SubflowPaths: []int{7}}); err == nil {
-		t.Fatal("bad SubflowPaths accepted")
-	}
-	if err := nw.SetLoss("a", "b", 1.5); err == nil {
-		t.Fatal("loss > 1 accepted")
-	}
-	if err := nw.SetQueue("a", "zzz", 1000); err == nil {
-		t.Fatal("SetQueue on unknown node accepted")
-	}
-	if err := nw.NamePath(9, "x"); err == nil {
-		t.Fatal("NamePath out of range accepted")
+	nw := mustBuild(t, chain())
+	for name, opts := range map[string]Options{
+		"unknown subflow path":  {SubflowPaths: []int{7}},
+		"repeated subflow path": {SubflowPaths: []int{1, 1}},
+		"unknown cross path":    {CrossTCP: []int{2}},
+	} {
+		if _, err := Run(nw, opts); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
 func TestCustomTwoPathNetwork(t *testing.T) {
 	// A classic wifi/cellular disjoint-path setup: MPTCP should aggregate.
-	nw := NewNetwork()
-	nw.AddLink("phone", "wifi", 30, 5*time.Millisecond)
-	nw.AddLink("wifi", "server", 100, 10*time.Millisecond)
-	nw.AddLink("phone", "lte", 20, 15*time.Millisecond)
-	nw.AddLink("lte", "server", 100, 20*time.Millisecond)
-	if err := nw.Endpoints("phone", "server"); err != nil {
-		t.Fatal(err)
+	sf := &ScenarioFile{
+		Links: []ScenarioLink{
+			{A: "phone", B: "wifi", Mbps: 30, DelayMs: 5},
+			{A: "wifi", B: "server", Mbps: 100, DelayMs: 10},
+			{A: "phone", B: "lte", Mbps: 20, DelayMs: 15},
+			{A: "lte", B: "server", Mbps: 100, DelayMs: 20},
+		},
+		Paths: []ScenarioPath{
+			{Nodes: []string{"phone", "wifi", "server"}},
+			{Nodes: []string{"phone", "lte", "server"}},
+		},
 	}
-	if _, err := nw.AddPath("phone", "wifi", "server"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.AddPath("phone", "lte", "server"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(nw, Options{CC: "lia", Duration: 5 * time.Second, Seed: 3})
+	sf.Endpoints.Src, sf.Endpoints.Dst = "phone", "server"
+	res, err := Run(mustBuild(t, sf), Options{CC: "lia", Duration: 5 * time.Second, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,23 +296,13 @@ func TestCustomTwoPathNetwork(t *testing.T) {
 }
 
 func TestLossyPathDegrades(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddLink("a", "m", 20, 5*time.Millisecond)
-	nw.AddLink("m", "b", 20, 5*time.Millisecond)
-	if err := nw.Endpoints("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.AddPath("a", "m", "b"); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := Run(nw, Options{CC: "reno", Duration: 3 * time.Second, Seed: 1})
+	lossyFile := chain()
+	lossyFile.Links[0].Loss = 0.02
+	clean, err := Run(mustBuild(t, chain()), Options{CC: "reno", Duration: 3 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.SetLoss("a", "m", 0.02); err != nil {
-		t.Fatal(err)
-	}
-	lossy, err := Run(nw, Options{CC: "reno", Duration: 3 * time.Second, Seed: 1})
+	lossy, err := Run(mustBuild(t, lossyFile), Options{CC: "reno", Duration: 3 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,20 +493,11 @@ func TestWVegasRuns(t *testing.T) {
 }
 
 // TestQueueScaleRestoresNetwork: a Network is reusable across runs; a
-// QueueScale run must not clobber explicit SetQueue values.
+// QueueScale run must not clobber explicit queue sizes.
 func TestQueueScaleRestoresNetwork(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddLink("a", "m", 20, 5*time.Millisecond)
-	nw.AddLink("m", "b", 20, 5*time.Millisecond)
-	if err := nw.Endpoints("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.AddPath("a", "m", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetQueue("a", "m", 64*1024); err != nil {
-		t.Fatal(err)
-	}
+	sf := chain()
+	sf.Links[0].QueueBytes = 64 * 1024
+	nw := mustBuild(t, sf)
 	base, err := Run(nw, Options{CC: "reno", Duration: time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -543,19 +530,10 @@ func TestTimestampsOptionRuns(t *testing.T) {
 // auto-sized (zero) — is back to what it was, so a reused Network sees no
 // leftover scaling.
 func TestQueueScaleRestoresLinkQueues(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddLink("a", "m", 20, 5*time.Millisecond)
-	nw.AddLink("m", "b", 20, 5*time.Millisecond)
-	if err := nw.Endpoints("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.AddPath("a", "m", "b"); err != nil {
-		t.Fatal(err)
-	}
 	// One explicit queue, the rest auto-sized (Queue == 0).
-	if err := nw.SetQueue("a", "m", 64*1024); err != nil {
-		t.Fatal(err)
-	}
+	sf := chain()
+	sf.Links[0].QueueBytes = 64 * 1024
+	nw := mustBuild(t, sf)
 	before := make([]int64, nw.graph.NumLinks())
 	for i, l := range nw.graph.Links() {
 		before[i] = int64(l.Queue)
@@ -589,7 +567,7 @@ func TestQueueScaleRestoresLinkQueues(t *testing.T) {
 // one Network serves concurrent runs — across congestion controls, seeds
 // and queue scales, on a topology with an explicit queue, a lossy link and
 // a capacity/outage timeline — each hashing like the same run on a network
-// of its own, and the network exports the same scenario afterwards.
+// of its own, and the network equal to a freshly built one afterwards.
 func TestRunSharesNetwork(t *testing.T) {
 	build := func() *Network {
 		sf := PaperScenario()
@@ -601,11 +579,7 @@ func TestRunSharesNetwork(t *testing.T) {
 			{AtMs: 160, Type: EventLinkUp, A: "s", B: "v1"},
 			{AtMs: 200, Type: EventLossBurst, A: "v3", B: "v4", Loss: 0.1, DurationMs: 20},
 		}
-		nw, err := sf.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
+		return mustBuild(t, sf)
 	}
 	var all []Options
 	for _, cc := range []string{"cubic", "olia", "wvegas"} {
@@ -617,9 +591,8 @@ func TestRunSharesNetwork(t *testing.T) {
 		}
 	}
 	shared := build()
-	before, err := shared.Scenario()
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(shared, build()) {
+		t.Fatal("two builds of one scenario differ")
 	}
 	hashes := make([]string, len(all))
 	var wg sync.WaitGroup
@@ -636,12 +609,8 @@ func TestRunSharesNetwork(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	after, err := shared.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("Run modified its network:\nbefore %+v\nafter  %+v", before, after)
+	if !reflect.DeepEqual(shared, build()) {
+		t.Fatal("Run modified its network")
 	}
 	for i, opts := range all {
 		res, err := Run(build(), opts)

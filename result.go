@@ -104,15 +104,15 @@ type Result struct {
 	MaxMin, PropFair, Greedy []float64
 	// Epochs is the piecewise LP view: one entry per capacity epoch, each
 	// measured against the optimum of the topology in force during it.
-	// Static runs have a single epoch; dynamic runs (Network events) get
+	// Static runs have a single epoch; dynamic runs (scenario events) get
 	// one per LinkDown/LinkUp/SetRate boundary. Summary.Gap is computed
 	// against the time-weighted optimum across these epochs, and
 	// Summary.Converged/ConvergedAt against the final epoch's band (the
 	// topology actually in force at the end of the run).
 	Epochs []EpochReport
-	// Events echoes the network's dynamic events in firing order (empty
+	// Events echoes the scenario's dynamic events in firing order (empty
 	// for static runs).
-	Events []Event
+	Events []ScenarioEvent
 	// Summary holds convergence/stability metrics.
 	Summary stats.Summary
 	// Subflows reports per-subflow transport counters, in subflow order.
@@ -334,7 +334,7 @@ func (r *Result) Chart(w io.Writer, title string) error {
 	// Dynamic runs: mark every event and reference each distinct epoch
 	// optimum (the static optimum is already drawn above).
 	for _, e := range r.Events {
-		opts.VLines = append(opts.VLines, e.At.Seconds())
+		opts.VLines = append(opts.VLines, millis(e.AtMs).Seconds())
 	}
 	seen := map[float64]bool{r.Optimum.Total: true}
 	for _, ep := range r.Epochs {

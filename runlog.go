@@ -244,7 +244,7 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 	if err != nil && err != io.EOF {
 		return nil, fmt.Errorf("mptcpsim: run-log: %w", err)
 	}
-	if len(bytes.TrimSpace(line)) == 0 {
+	if len(line) == 0 {
 		return nil, fmt.Errorf("mptcpsim: run-log: empty file: %w", ErrHeaderTorn)
 	}
 	if err == io.EOF {
@@ -254,7 +254,10 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 		// committed at all.
 		return nil, fmt.Errorf("mptcpsim: run-log: header cut after %d bytes: %w", len(line), ErrHeaderTorn)
 	}
-	if uerr := unmarshalStrict(line, &log.Header); uerr != nil {
+	// A committed first line, blank ones included, is a header or an error:
+	// a file that is not a run-log must never pass for a torn one, which
+	// resume would truncate.
+	if uerr := decodeStrict(bytes.NewReader(line), &log.Header); uerr != nil {
 		return nil, fmt.Errorf("mptcpsim: run-log header: %w", uerr)
 	}
 	if verr := log.Header.Validate(); verr != nil {
@@ -299,22 +302,23 @@ func ReadRunLog(r io.Reader) (*RunLog, error) {
 // records ReadRunLog would accept.
 func DecodeRunRecord(line []byte) (RunRecord, error) {
 	var rec RunRecord
-	err := unmarshalStrict(line, &rec)
+	err := decodeStrict(bytes.NewReader(line), &rec)
 	return rec, err
 }
 
-// unmarshalStrict decodes one JSON value rejecting unknown fields, so a log
-// from a newer schema fails loudly instead of merging with fields silently
-// dropped.
-func unmarshalStrict(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+// decodeStrict decodes the one JSON value r holds into v — the grammar of
+// every file the library reads (run-log lines, grids, scenarios): an unknown
+// field or anything but whitespace after the value is an error, so a file
+// from a newer schema, or two files concatenated, fails loudly instead of
+// loading with part of it silently dropped.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	// Trailing garbage after the value means the line is not one record.
 	if _, err := dec.Token(); err != io.EOF {
-		return fmt.Errorf("trailing data after record")
+		return fmt.Errorf("trailing data after the JSON value")
 	}
 	return nil
 }

@@ -180,6 +180,16 @@ func TestReadRunLogTornTail(t *testing.T) {
 		}
 	}
 
+	// A committed first line that is no header — blank ones included — is
+	// a file that is not a run-log, never a torn one that resume would
+	// truncate.
+	for _, notLog := range []string{"\nimportant notes\nmore\n", " \n", "\n"} {
+		_, err := ReadRunLog(strings.NewReader(notLog))
+		if err == nil || errors.Is(err, ErrHeaderTorn) || !strings.Contains(err.Error(), "run-log header") {
+			t.Fatalf("%q: err = %v, want a header error that is not ErrHeaderTorn", notLog, err)
+		}
+	}
+
 	// The cut right after the header's newline is a committed empty log:
 	// clean, zero records, everything still to run.
 	log, err := ReadRunLog(bytes.NewReader(raw[:len(lines[0])]))

@@ -1,17 +1,20 @@
 package mptcpsim
 
 import (
-	"encoding/json"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
+	"mptcpsim/internal/dynamics"
 	"mptcpsim/internal/topo"
+	"mptcpsim/internal/unit"
 )
 
-// ScenarioFile is the on-disk JSON description of a topology, so the CLI
-// can run arbitrary networks without recompiling:
+// ScenarioFile is the one description of a topology — the on-disk JSON form
+// and the only way to build a Network:
 //
 //	{
 //	  "links": [
@@ -36,7 +39,7 @@ type ScenarioFile struct {
 	} `json:"endpoints"`
 	Paths []ScenarioPath `json:"paths"`
 	// Events optionally make the scenario dynamic: scheduled link changes
-	// applied at virtual times during the run (see Event):
+	// applied at virtual times during the run (see ScenarioEvent):
 	//
 	//	"events": [
 	//	  {"at_ms": 2000, "type": "link_down", "a": "s", "b": "v1"},
@@ -70,8 +73,37 @@ type ScenarioPath struct {
 	Name  string   `json:"name,omitempty"`
 }
 
-// ScenarioEvent is one dynamic event of a scenario file. Type takes the
-// Event* spellings; only the parameter matching the type is read.
+// Event types, the spellings ScenarioEvent.Type takes. LinkDown/LinkUp/
+// SetRate change the capacity structure and start a new LP epoch (the
+// optimality gap is measured against the epoch in force); SetDelay/SetLoss/
+// LossBurst change packet dynamics only.
+const (
+	// EventLinkDown takes both directions of a link out of service at a
+	// scheduled time: the transmit queues are drained, frames
+	// mid-serialisation are cut, and arriving packets are dropped.
+	EventLinkDown = "link_down"
+	// EventLinkUp restores a previously downed link.
+	EventLinkUp = "link_up"
+	// EventSetRate renegotiates the link capacity; the frame being
+	// serialised completes at the old rate, later frames pace at the new
+	// one.
+	EventSetRate = "set_rate"
+	// EventSetDelay changes the one-way propagation delay; in-flight
+	// packets keep their committed arrival times and are never reordered.
+	EventSetDelay = "set_delay"
+	// EventSetLoss changes the random-loss probability.
+	EventSetLoss = "set_loss"
+	// EventLossBurst raises the loss probability for a bounded window and
+	// then restores the pre-burst probability.
+	EventLossBurst = "loss_burst"
+)
+
+// ScenarioEvent is one scheduled change to a link of a scenario — the
+// building block of dynamic scenarios (path failure, WiFi→cellular
+// handover, capacity renegotiation). Events address duplex links by
+// node-name pair like every other link override and apply to both
+// directions. Type takes the Event* spellings; only the parameter matching
+// the type is read.
 type ScenarioEvent struct {
 	AtMs float64 `json:"at_ms"`
 	Type string  `json:"type"`
@@ -87,42 +119,51 @@ type ScenarioEvent struct {
 	DurationMs float64 `json:"duration_ms,omitempty"`
 }
 
-// event converts the JSON form to the API form, rounding times like the
-// link fields so emit -> build cycles are fixpoints.
-func (se ScenarioEvent) event() Event {
-	return Event{
-		At:    time.Duration(math.Round(se.AtMs * float64(time.Millisecond))),
-		Type:  se.Type,
-		A:     se.A,
-		B:     se.B,
-		Mbps:  se.Mbps,
-		Delay: time.Duration(math.Round(se.DelayMs * float64(time.Millisecond))),
-		Loss:  se.Loss,
-		Burst: time.Duration(math.Round(se.DurationMs * float64(time.Millisecond))),
+// String renders the event for reports ("2s link_down s-v1").
+func (se ScenarioEvent) String() string {
+	d, err := se.internal()
+	if err != nil {
+		return fmt.Sprintf("%v %s %s-%s (invalid)", millis(se.AtMs), se.Type, se.A, se.B)
 	}
+	return d.String()
 }
 
-// scenarioEvent is the inverse of ScenarioEvent.event.
-func scenarioEvent(e Event) ScenarioEvent {
-	return ScenarioEvent{
-		AtMs:       float64(e.At) / float64(time.Millisecond),
-		Type:       e.Type,
-		A:          e.A,
-		B:          e.B,
-		Mbps:       e.Mbps,
-		DelayMs:    float64(e.Delay) / float64(time.Millisecond),
-		Loss:       e.Loss,
-		DurationMs: float64(e.Burst) / float64(time.Millisecond),
+// internal converts to the dynamics representation, rounding times to the
+// nanosecond and rates to the bit per second like the link fields.
+func (se ScenarioEvent) internal() (dynamics.Event, error) {
+	kind, err := dynamics.ParseKind(se.Type)
+	if err != nil {
+		return dynamics.Event{}, fmt.Errorf("mptcpsim: event at %v: %w", millis(se.AtMs), err)
 	}
+	return dynamics.Event{
+		At:    millis(se.AtMs),
+		Kind:  kind,
+		A:     se.A,
+		B:     se.B,
+		Rate:  mbpsRate(se.Mbps),
+		Delay: millis(se.DelayMs),
+		Loss:  se.Loss,
+		Burst: millis(se.DurationMs),
+	}, nil
+}
+
+// millis converts a scenario's float milliseconds to the nearest
+// nanosecond: truncating would lose one whenever the float product lands a
+// hair below a whole count.
+func millis(ms float64) time.Duration {
+	return time.Duration(math.Round(ms * float64(time.Millisecond)))
+}
+
+// mbpsRate converts a scenario's float Mbps to a rate, rounding like millis.
+func mbpsRate(mbps float64) unit.Rate {
+	return unit.Rate(math.Round(mbps * float64(unit.Mbps)))
 }
 
 // LoadScenario parses a scenario file without building it, e.g. to embed
-// it in a Grid. Unknown fields are rejected.
+// it in a Grid. Unknown fields and trailing data are rejected.
 func LoadScenario(r io.Reader) (*ScenarioFile, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var sf ScenarioFile
-	if err := dec.Decode(&sf); err != nil {
+	if err := decodeStrict(r, &sf); err != nil {
 		return nil, fmt.Errorf("mptcpsim: scenario: %w", err)
 	}
 	return &sf, nil
@@ -137,16 +178,25 @@ func LoadNetwork(r io.Reader) (*Network, error) {
 	return sf.Build()
 }
 
-// Build assembles the Network described by the file.
+// Build validates the file and assembles the Network it describes — the
+// only way to make one. Every check runs here, once, so a broken scenario
+// fails at parse time and not at the first Run of a sweep: link names and
+// magnitudes, endpoints, paths that join the endpoints over existing links
+// and can carry ACKs back, and the event timeline (times, targets,
+// parameters, down/up pairing, loss events inside burst windows).
 func (sf *ScenarioFile) Build() (*Network, error) {
 	if len(sf.Links) == 0 {
 		return nil, fmt.Errorf("mptcpsim: scenario has no links")
 	}
-	nw := NewNetwork()
+	nw := &Network{graph: topo.New(), loss: make(map[topo.LinkID]float64)}
+	g := nw.graph
 	pairs := make(map[[2]string]bool, len(sf.Links))
 	for i, l := range sf.Links {
 		if l.A == "" || l.B == "" {
 			return nil, fmt.Errorf("mptcpsim: link %d missing endpoint names", i)
+		}
+		if l.A == l.B {
+			return nil, fmt.Errorf("mptcpsim: link %d (%s-%s) is a self-loop", i, l.A, l.B)
 		}
 		// Links are addressed by node-name pair (paths, loss/queue
 		// overrides, perturbations), so parallel links would be
@@ -160,11 +210,8 @@ func (sf *ScenarioFile) Build() (*Network, error) {
 			return nil, fmt.Errorf("mptcpsim: link %d (%s-%s) needs mbps > 0", i, l.A, l.B)
 		}
 		// Magnitude bounds, mirroring the event-parameter bounds: anything
-		// near them is a typo, and inside them every float64 field
-		// round-trips exactly through the integer bit/nanosecond units, so
-		// parse → build → re-emit stays a fixpoint (fuzz-verified). The
-		// lower rate bound rejects capacities that round to 0 bit/s and
-		// could not be re-built from their own export.
+		// near them is a typo. The lower rate bound rejects capacities that
+		// round to 0 bit/s.
 		if l.Mbps < 1e-6 || l.Mbps > maxLinkMbps {
 			return nil, fmt.Errorf("mptcpsim: link %d (%s-%s): mbps %g outside [1e-6, %g]", i, l.A, l.B, l.Mbps, float64(maxLinkMbps))
 		}
@@ -174,130 +221,94 @@ func (sf *ScenarioFile) Build() (*Network, error) {
 		if l.DelayMs > maxLinkDelayMs {
 			return nil, fmt.Errorf("mptcpsim: link %d (%s-%s): delay %g ms above %g ms", i, l.A, l.B, l.DelayMs, float64(maxLinkDelayMs))
 		}
-		if l.Loss < 0 {
-			return nil, fmt.Errorf("mptcpsim: link %d (%s-%s) has negative loss", i, l.A, l.B)
+		if l.Loss < 0 || l.Loss > 1 {
+			return nil, fmt.Errorf("mptcpsim: link %d (%s-%s): loss %g outside [0, 1]", i, l.A, l.B, l.Loss)
 		}
-		// Round like AddLink rounds capacities: truncation would drift
-		// non-representable delays by 1 ns per emit -> build cycle.
-		delay := time.Duration(math.Round(l.DelayMs * float64(time.Millisecond)))
-		nw.AddLink(l.A, l.B, l.Mbps, delay)
-		if l.QueueBytes > 0 {
-			if err := nw.SetQueue(l.A, l.B, l.QueueBytes); err != nil {
-				return nil, err
-			}
-		}
+		// A queue of 0 (or less) keeps the automatic sizing.
+		ab, ba := g.AddDuplex(g.AddNode(l.A), g.AddNode(l.B), mbpsRate(l.Mbps), millis(l.DelayMs),
+			unit.ByteSize(max(l.QueueBytes, 0)))
 		if l.Loss > 0 {
-			if err := nw.SetLoss(l.A, l.B, l.Loss); err != nil {
-				return nil, err
-			}
+			nw.loss[ab], nw.loss[ba] = l.Loss, l.Loss
 		}
 	}
 	if sf.Endpoints.Src == "" || sf.Endpoints.Dst == "" {
 		return nil, fmt.Errorf("mptcpsim: scenario missing endpoints")
 	}
-	if err := nw.Endpoints(sf.Endpoints.Src, sf.Endpoints.Dst); err != nil {
-		return nil, err
+	var ok bool
+	if nw.src, ok = g.NodeByName(sf.Endpoints.Src); !ok {
+		return nil, fmt.Errorf("mptcpsim: unknown endpoint %q", sf.Endpoints.Src)
+	}
+	if nw.dst, ok = g.NodeByName(sf.Endpoints.Dst); !ok {
+		return nil, fmt.Errorf("mptcpsim: unknown endpoint %q", sf.Endpoints.Dst)
 	}
 	if len(sf.Paths) == 0 {
 		return nil, fmt.Errorf("mptcpsim: scenario declares no paths")
 	}
-	for i, p := range sf.Paths {
-		num, err := nw.AddPath(p.Nodes...)
+	for i, sp := range sf.Paths {
+		p, err := nw.path(sp.Nodes)
 		if err != nil {
 			return nil, fmt.Errorf("mptcpsim: path %d: %w", i+1, err)
 		}
-		if p.Name != "" {
-			if err := nw.NamePath(num, p.Name); err != nil {
+		name := sp.Name
+		if name == "" {
+			name = fmt.Sprintf("Path %d", i+1)
+		}
+		nw.paths = append(nw.paths, p)
+		nw.pathNames = append(nw.pathNames, name)
+	}
+	if len(sf.Events) > 0 {
+		// Firing order is the timeline's own (a stable sort by time), so
+		// the events Result echoes line up with the ones that fired.
+		nw.events = slices.Clone(sf.Events)
+		slices.SortStableFunc(nw.events, func(a, b ScenarioEvent) int {
+			return cmp.Compare(millis(a.AtMs), millis(b.AtMs))
+		})
+		evs := make([]dynamics.Event, len(nw.events))
+		for i, se := range nw.events {
+			d, err := se.internal()
+			if err != nil {
 				return nil, err
 			}
+			evs[i] = d
 		}
-	}
-	for _, se := range sf.Events {
-		// AddEvent errors name the event (time, type, link) themselves.
-		if err := nw.AddEvent(se.event()); err != nil {
-			return nil, err
+		tl, err := dynamics.New(g, evs)
+		if err != nil {
+			return nil, fmt.Errorf("mptcpsim: %w", err)
 		}
-	}
-	// Cross-event rules (down/up pairing, burst overlaps) need the whole
-	// timeline; check them here so broken scenarios fail at parse/build
-	// time, not at the first Run of a sweep.
-	if _, err := nw.timeline(); err != nil {
-		return nil, err
+		nw.tl = tl
 	}
 	return nw, nil
 }
 
-// Scenario exports the network back into its on-disk description, the
-// inverse of ScenarioFile.Build: duplex links in first-definition order
-// with any queue/loss overrides, the endpoints, and the named paths.
-// Building the returned file reproduces an equivalent network, so
-// parse -> build -> re-emit is a fixpoint.
-func (n *Network) Scenario() (*ScenarioFile, error) {
-	if !n.ends {
-		return nil, fmt.Errorf("mptcpsim: call Endpoints before exporting a scenario")
+// path resolves a scenario path's node names: it must run from the source
+// to the destination over existing links, each with a reverse direction for
+// the ACKs.
+func (n *Network) path(nodes []string) (topo.Path, error) {
+	if len(nodes) < 2 {
+		return topo.Path{}, fmt.Errorf("needs at least two nodes")
 	}
-	if len(n.paths) == 0 {
-		return nil, fmt.Errorf("mptcpsim: declare paths before exporting a scenario")
-	}
-	// The format's magnitude bounds apply to API-built networks too: an
-	// export the loader would reject must fail here, with the reason.
-	if err := n.validateMagnitudes(); err != nil {
-		return nil, err
-	}
-	g := n.graph
-	sf := &ScenarioFile{}
-	seen := make(map[topo.LinkID]bool)
-	pairs := make(map[[2]string]bool)
-	for _, l := range g.Links() {
-		if seen[l.ID] {
-			continue
-		}
-		a, b := g.Node(l.From).Name, g.Node(l.To).Name
-		// The format addresses links by node-name pair, so a multigraph
-		// built programmatically (repeated AddLink) cannot be described.
-		pair := linkPair(a, b)
-		if pairs[pair] {
-			return nil, fmt.Errorf("mptcpsim: parallel links %s-%s are not expressible in scenario files", a, b)
-		}
-		pairs[pair] = true
-		rev, ok := g.FindLink(l.To, l.From)
+	var p topo.Path
+	for i, name := range nodes {
+		id, ok := n.graph.NodeByName(name)
 		if !ok {
-			return nil, fmt.Errorf("mptcpsim: link %s-%s has no reverse direction", a, b)
+			return topo.Path{}, fmt.Errorf("unknown node %q", name)
 		}
-		seen[l.ID], seen[rev] = true, true
-		sl := ScenarioLink{
-			A:       a,
-			B:       b,
-			Mbps:    l.Rate.Mbit(),
-			DelayMs: float64(l.Delay) / float64(time.Millisecond),
+		p.Nodes = append(p.Nodes, id)
+		if i > 0 {
+			lid, ok := n.graph.FindLink(p.Nodes[i-1], id)
+			if !ok {
+				return topo.Path{}, fmt.Errorf("no link %s-%s", nodes[i-1], name)
+			}
+			p.Links = append(p.Links, lid)
 		}
-		if l.Queue > 0 {
-			sl.QueueBytes = int(l.Queue)
-		}
-		if p, ok := n.loss[l.ID]; ok {
-			sl.Loss = p
-		}
-		sf.Links = append(sf.Links, sl)
 	}
-	sf.Endpoints.Src = g.Node(n.src).Name
-	sf.Endpoints.Dst = g.Node(n.dst).Name
-	for i, p := range n.paths {
-		sp := ScenarioPath{Name: n.pathNames[i]}
-		// Default display names are synthesized by Build; emitting them
-		// would make re-emitted files differ from inputs with unnamed
-		// paths, breaking the fixpoint property.
-		if sp.Name == fmt.Sprintf("Path %d", i+1) {
-			sp.Name = ""
-		}
-		for _, node := range p.Nodes {
-			sp.Nodes = append(sp.Nodes, g.Node(node).Name)
-		}
-		sf.Paths = append(sf.Paths, sp)
+	if p.Nodes[0] != n.src || p.Nodes[len(p.Nodes)-1] != n.dst {
+		return topo.Path{}, fmt.Errorf("does not connect the endpoints")
 	}
-	for _, e := range n.events {
-		sf.Events = append(sf.Events, scenarioEvent(e))
+	if _, err := topo.ReversePath(n.graph, p); err != nil {
+		return topo.Path{}, fmt.Errorf("not reversible (ACKs need return links): %w", err)
 	}
-	return sf, nil
+	return p, nil
 }
 
 // clone returns a deep copy of the scenario, so perturbations and event
@@ -326,8 +337,12 @@ func linkPair(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// PaperScenario returns the paper network as a scenario file, both as
-// documentation of the format and for -topo round-trips.
+// PaperScenario returns the network of the paper's Fig. 1a with its three
+// overlapping paths (Path 2 is the shortest-RTT default):
+//
+//	x1+x2 <= 40 (s-v1),  x2+x3 <= 60 (v3-v4),  x1+x3 <= 80 (v2-v3)
+//
+// LP optimum: 90 Mbps at {x1=30, x2=10, x3=50}.
 func PaperScenario() *ScenarioFile {
 	sf := &ScenarioFile{
 		Links: []ScenarioLink{

@@ -60,6 +60,20 @@ func TestLoadNetworkFromJSON(t *testing.T) {
 	if nw.NumPaths() != 2 {
 		t.Fatalf("paths = %d", nw.NumPaths())
 	}
+	// The per-link overrides land on both directions of their link only.
+	for _, l := range nw.graph.Links() {
+		a, b := nw.graph.Node(l.From).Name, nw.graph.Node(l.To).Name
+		wantLoss, wantQueue := 0.0, 0
+		switch linkPair(a, b) {
+		case linkPair("p", "w"):
+			wantLoss = 0.01
+		case linkPair("p", "l"):
+			wantQueue = 32768
+		}
+		if nw.loss[l.ID] != wantLoss || int(l.Queue) != wantQueue {
+			t.Fatalf("link %s->%s: loss %v queue %d, want %v and %d", a, b, nw.loss[l.ID], l.Queue, wantLoss, wantQueue)
+		}
+	}
 	res, err := Run(nw, Options{CC: "lia", Duration: 2 * time.Second, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -72,126 +86,6 @@ func TestLoadNetworkFromJSON(t *testing.T) {
 	}
 	if res.Summary.TotalMean <= 0 {
 		t.Fatal("no throughput from scenario network")
-	}
-}
-
-func TestScenarioReEmitFixpoint(t *testing.T) {
-	// parse -> build -> re-emit must reproduce the paper scenario exactly:
-	// same links in definition order, same endpoints, same named paths.
-	orig := PaperScenario()
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw, err := LoadNetwork(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	emitted, err := nw.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := json.Marshal(emitted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data2) {
-		t.Fatalf("re-emitted scenario differs:\n in: %s\nout: %s", data, data2)
-	}
-
-	// The built-in PaperNetwork exports to the same description.
-	fromBuiltin, err := PaperNetwork().Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data3, err := json.Marshal(fromBuiltin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != string(data3) {
-		t.Fatalf("PaperNetwork export differs from PaperScenario:\n in: %s\nout: %s", data, data3)
-	}
-}
-
-func TestScenarioReEmitPreservesOverrides(t *testing.T) {
-	src := `{
-		"links": [
-			{"a": "p", "b": "w", "mbps": 30, "delay_ms": 3, "loss": 0.01},
-			{"a": "w", "b": "srv", "mbps": 100, "delay_ms": 5},
-			{"a": "p", "b": "l", "mbps": 20, "delay_ms": 15, "queue_bytes": 32768},
-			{"a": "l", "b": "srv", "mbps": 100, "delay_ms": 10}
-		],
-		"endpoints": {"src": "p", "dst": "srv"},
-		"paths": [
-			{"nodes": ["p", "w", "srv"], "name": "wifi"},
-			{"nodes": ["p", "l", "srv"]}
-		]
-	}`
-	nw, err := LoadNetwork(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := nw.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf.Links[0].Loss != 0.01 {
-		t.Fatalf("loss override lost: %+v", sf.Links[0])
-	}
-	if sf.Links[2].QueueBytes != 32768 {
-		t.Fatalf("queue override lost: %+v", sf.Links[2])
-	}
-	// The explicit name survives; the synthesized default does not get
-	// written back (keeping re-emit a fixpoint for unnamed paths).
-	if sf.Paths[0].Name != "wifi" || sf.Paths[1].Name != "" {
-		t.Fatalf("path names wrong: %+v", sf.Paths)
-	}
-	// Emit -> build -> re-emit is a fixpoint from here on.
-	nw2, err := sf.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf2, err := nw2.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := json.Marshal(sf)
-	b, _ := json.Marshal(sf2)
-	if string(a) != string(b) {
-		t.Fatalf("not a fixpoint:\n in: %s\nout: %s", a, b)
-	}
-}
-
-func TestScenarioFixpointNonRepresentableMbps(t *testing.T) {
-	// Capacities and delays that are not exactly representable in bit/s
-	// and ns must not drift across emit -> build cycles (the conversions
-	// round, not truncate).
-	src := `{
-		"links": [{"a": "a", "b": "b", "mbps": 130.14285714285714, "delay_ms": 130.14285714285714}],
-		"endpoints": {"src": "a", "dst": "b"},
-		"paths": [{"nodes": ["a", "b"]}]
-	}`
-	nw, err := LoadNetwork(strings.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := nw.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw2, err := sf.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf2, err := nw2.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sf.Links[0].Mbps != sf2.Links[0].Mbps {
-		t.Fatalf("capacity drifts across round trips: %v -> %v", sf.Links[0].Mbps, sf2.Links[0].Mbps)
-	}
-	if sf.Links[0].DelayMs != sf2.Links[0].DelayMs {
-		t.Fatalf("delay drifts across round trips: %v -> %v", sf.Links[0].DelayMs, sf2.Links[0].DelayMs)
 	}
 }
 
@@ -209,44 +103,32 @@ func TestScenarioRejectsParallelLinks(t *testing.T) {
 	if _, err := LoadNetwork(strings.NewReader(src)); err == nil {
 		t.Fatal("accepted parallel links (reversed spelling included)")
 	}
-
-	// The exporter refuses them too: a programmatic multigraph cannot be
-	// described by the format.
-	nw := NewNetwork()
-	nw.AddLink("a", "b", 10, time.Millisecond)
-	nw.AddLink("a", "b", 20, time.Millisecond)
-	if err := nw.Endpoints("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.AddPath("a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Scenario(); err == nil {
-		t.Fatal("exported a parallel-link network")
-	}
-}
-
-func TestScenarioExportRequiresEndpoints(t *testing.T) {
-	nw := NewNetwork()
-	nw.AddLink("a", "b", 10, time.Millisecond)
-	if _, err := nw.Scenario(); err == nil {
-		t.Fatal("exported a network without endpoints")
-	}
 }
 
 func TestLoadNetworkRejectsBadInput(t *testing.T) {
+	const ok = `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`
+	if _, err := LoadNetwork(strings.NewReader(ok + "\n")); err != nil {
+		t.Fatalf("the valid base case: %v", err)
+	}
 	cases := map[string]string{
-		"garbage":       `{]`,
-		"unknown field": `{"links": [], "zzz": 1}`,
-		"no links":      `{"links": [], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
-		"zero rate":     `{"links": [{"a":"a","b":"b","mbps":0,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
-		"neg delay":     `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":-1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
-		"no endpoints":  `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "paths":[{"nodes":["a","b"]}]}`,
-		"no paths":      `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}}`,
-		"bad path":      `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","zzz"]}]}`,
-		"bad loss":      `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1,"loss":2}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
-		"neg loss":      `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1,"loss":-0.1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
-		"missing names": `{"links": [{"mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"garbage":           `{]`,
+		"unknown field":     `{"links": [], "zzz": 1}`,
+		"trailing garbage":  ok + ` garbage`,
+		"two scenarios":     ok + ok,
+		"no links":          `{"links": [], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"zero rate":         `{"links": [{"a":"a","b":"b","mbps":0,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"neg delay":         `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":-1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"self-loop":         `{"links": [{"a":"a","b":"a","mbps":1,"delay_ms":1}, {"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"no endpoints":      `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "paths":[{"nodes":["a","b"]}]}`,
+		"unknown endpoint":  `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"zzz"}, "paths":[{"nodes":["a","b"]}]}`,
+		"no paths":          `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}}`,
+		"bad path":          `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","zzz"]}]}`,
+		"one-node path":     `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a"]}]}`,
+		"unlinked hop":      `{"links": [{"a":"a","b":"m","mbps":1,"delay_ms":1}, {"a":"m","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"path off the ends": `{"links": [{"a":"a","b":"m","mbps":1,"delay_ms":1}, {"a":"m","b":"b","mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","m"]}]}`,
+		"bad loss":          `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1,"loss":2}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"neg loss":          `{"links": [{"a":"a","b":"b","mbps":1,"delay_ms":1,"loss":-0.1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
+		"missing names":     `{"links": [{"mbps":1,"delay_ms":1}], "endpoints": {"src":"a","dst":"b"}, "paths":[{"nodes":["a","b"]}]}`,
 	}
 	for name, src := range cases {
 		if _, err := LoadNetwork(strings.NewReader(src)); err == nil {
@@ -285,36 +167,6 @@ func TestScenarioEventsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.events) != 6 {
-		t.Fatalf("events = %d, want 6", len(nw.events))
-	}
-	// Re-emit and compare: parse -> build -> re-emit is a fixpoint.
-	out, err := nw.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Events) != len(sf.Events) {
-		t.Fatalf("re-emitted %d events, want %d", len(out.Events), len(sf.Events))
-	}
-	for i := range sf.Events {
-		if out.Events[i] != sf.Events[i] {
-			t.Fatalf("event %d drifted: %+v -> %+v", i, sf.Events[i], out.Events[i])
-		}
-	}
-	// Second cycle is bit-stable.
-	nw2, err := out.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2, err := nw2.Scenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _ := json.Marshal(out)
-	j2, _ := json.Marshal(out2)
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("re-emit not a fixpoint:\n%s\n%s", j1, j2)
-	}
 	// The built network runs and produces the expected epochs (set_rate at
 	// 1s, down at 2s, up at 3s).
 	res, err := Run(nw, Options{Duration: 4 * time.Second, Seed: 1})
@@ -323,6 +175,19 @@ func TestScenarioEventsRoundTrip(t *testing.T) {
 	}
 	if len(res.Epochs) != 4 {
 		t.Fatalf("epochs = %d, want 4", len(res.Epochs))
+	}
+	// The run echoes the file's events unchanged, in firing order.
+	want := []int{3, 4, 2, 5, 0, 1}
+	if len(res.Events) != len(want) {
+		t.Fatalf("echoed %d events, want %d", len(res.Events), len(want))
+	}
+	for i, j := range want {
+		if res.Events[i] != sf.Events[j] {
+			t.Fatalf("echoed event %d = %+v, want file event %d %+v", i, res.Events[i], j, sf.Events[j])
+		}
+	}
+	if got := res.Events[5].String(); got != "3s link_up s-v1" {
+		t.Fatalf("event renders as %q", got)
 	}
 }
 
@@ -342,6 +207,8 @@ func TestScenarioRejectsBrokenEvents(t *testing.T) {
 		"up while up":   `{"at_ms": 100, "type": "link_up", "a": "a", "b": "m"}`,
 		"negative time": `{"at_ms": -5, "type": "link_down", "a": "a", "b": "m"}`,
 		"zero rate":     `{"at_ms": 100, "type": "set_rate", "a": "a", "b": "m"}`,
+		"loss > 1":      `{"at_ms": 100, "type": "set_loss", "a": "a", "b": "m", "loss": 2}`,
+		"burst no len":  `{"at_ms": 100, "type": "loss_burst", "a": "a", "b": "m", "loss": 0.5}`,
 		"unknown field": `{"at_ms": 100, "type": "link_down", "a": "a", "b": "m", "mpbs": 3}`,
 	} {
 		_, err := LoadNetwork(strings.NewReader(fmt.Sprintf(base, ev)))

@@ -3,6 +3,7 @@ package mptcpsim
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -193,8 +194,18 @@ func TestLoadGrid(t *testing.T) {
 		t.Fatalf("spec = %+v", specs[0])
 	}
 
-	if _, err := LoadGrid(strings.NewReader(`{"zzz": 1}`)); err == nil {
-		t.Fatal("accepted unknown grid field")
+	if _, err := LoadGrid(strings.NewReader(src + "\n\t \n")); err != nil {
+		t.Fatalf("trailing whitespace refused: %v", err)
+	}
+	for name, bad := range map[string]string{
+		"unknown field":      `{"zzz": 1}`,
+		"two grids":          `{"ccs":["olia"]} {"ccs":["cubic"]}`,
+		"trailing garbage":   `{"ccs":["olia"]} garbage`,
+		"trailing delimiter": `{"ccs":["olia"]}]`,
+	} {
+		if _, err := LoadGrid(strings.NewReader(bad)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
@@ -747,10 +758,10 @@ func TestSweepRecordsPrepareErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Expand only hands out cells it has built, so break one by hand: a
-	// network that declares no endpoints.
+	// Expand only hands out cells of networks Build validated, so break one
+	// by hand: a preparation whose LP fails.
 	bad := &cell{prepared: sync.OnceValues(func() (*prepared, error) {
-		return prepare(NewNetwork(), 100*time.Millisecond, DefaultSampleInterval)
+		return nil, errors.New("mptcpsim: LP: broken cell")
 	})}
 	specs[1].cell, specs[2].cell = bad, bad
 	mem := &MemorySink{}
@@ -763,7 +774,7 @@ func TestSweepRecordsPrepareErrors(t *testing.T) {
 			t.Fatalf("run %d: err = %q", i, run.Err)
 		}
 	}
-	if res.Runs[1].Err != res.Runs[2].Err || !strings.Contains(res.Runs[1].Err, "Endpoints") {
+	if res.Runs[1].Err != res.Runs[2].Err || !strings.Contains(res.Runs[1].Err, "broken cell") {
 		t.Fatalf("prepare errors = %q, %q", res.Runs[1].Err, res.Runs[2].Err)
 	}
 }
