@@ -217,6 +217,35 @@ func TestSetDelayEventRuns(t *testing.T) {
 	}
 }
 
+// TestEventValidation: broken events are rejected when the scenario is
+// built, never mid-simulation, and a rejected build leaves the file as it
+// was.
+func TestEventValidation(t *testing.T) {
+	for name, e := range map[string]ScenarioEvent{
+		"unknown type":  {AtMs: 1000, Type: "explode", A: "s", B: "v1"},
+		"unknown link":  {AtMs: 1000, Type: EventLinkDown, A: "s", B: "d"},
+		"negative time": {AtMs: -1000, Type: EventLinkDown, A: "s", B: "v1"},
+		"zero rate":     {AtMs: 1000, Type: EventSetRate, A: "s", B: "v1"},
+		"loss > 1":      {AtMs: 1000, Type: EventSetLoss, A: "s", B: "v1", Loss: 2},
+		"burst no len":  {AtMs: 1000, Type: EventLossBurst, A: "s", B: "v1", Loss: 0.5},
+		// Cross-event rule: up without a preceding down.
+		"up without down": {AtMs: 1000, Type: EventLinkUp, A: "s", B: "v1"},
+	} {
+		sf := PaperScenario()
+		sf.Events = []ScenarioEvent{e}
+		nw, err := sf.Build()
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if nw != nil {
+			t.Errorf("%s: rejected build returned a network", name)
+		}
+		if len(sf.Events) != 1 || sf.Events[0] != e {
+			t.Errorf("%s: build changed the file's events: %v", name, sf.Events)
+		}
+	}
+}
+
 // TestChartMarksEvents: the ASCII chart draws a vertical marker at each
 // event time.
 func TestChartMarksEvents(t *testing.T) {

@@ -89,6 +89,65 @@ func TestLoadNetworkFromJSON(t *testing.T) {
 	}
 }
 
+// TestScenarioReEmitPreservesOverrides: a parsed scenario written back out
+// keeps its loss and queue overrides and its explicit path names, Build
+// writes nothing into the file, and parse -> emit is a fixpoint.
+func TestScenarioReEmitPreservesOverrides(t *testing.T) {
+	src := `{
+		"links": [
+			{"a": "p", "b": "w", "mbps": 30, "delay_ms": 3, "loss": 0.01},
+			{"a": "w", "b": "srv", "mbps": 100, "delay_ms": 5},
+			{"a": "p", "b": "l", "mbps": 20, "delay_ms": 15, "queue_bytes": 32768},
+			{"a": "l", "b": "srv", "mbps": 100, "delay_ms": 10}
+		],
+		"endpoints": {"src": "p", "dst": "srv"},
+		"paths": [
+			{"nodes": ["p", "w", "srv"], "name": "wifi"},
+			{"nodes": ["p", "l", "srv"]}
+		]
+	}`
+	sf, err := LoadScenario(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sf.Build(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf2, err := LoadScenario(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sf2.Links[0].Loss != 0.01 {
+		t.Fatalf("loss override lost: %+v", sf2.Links[0])
+	}
+	if sf2.Links[2].QueueBytes != 32768 {
+		t.Fatalf("queue override lost: %+v", sf2.Links[2])
+	}
+	// The explicit name survives; the synthesized default is not written
+	// back into the file.
+	if sf2.Paths[0].Name != "wifi" || sf2.Paths[1].Name != "" {
+		t.Fatalf("path names wrong: %+v", sf2.Paths)
+	}
+	nw2, err := sf2.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nw2.pathNames[0] != "wifi" || nw2.pathNames[1] != "Path 2" {
+		t.Fatalf("built path names = %q", nw2.pathNames)
+	}
+	data2, err := json.Marshal(sf2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != string(data2) {
+		t.Fatalf("not a fixpoint:\n in: %s\nout: %s", data, data2)
+	}
+}
+
 func TestScenarioRejectsParallelLinks(t *testing.T) {
 	// Links are addressed by node-name pair, so parallel links would make
 	// loss/queue overrides and perturbations land on the wrong link.
