@@ -33,12 +33,12 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/cli"
 	"mptcpsim/internal/fleet"
+	"mptcpsim/internal/telemetry"
 )
 
 // config carries the resolved command line.
@@ -136,7 +136,17 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if !cfg.Quiet {
 		coord.Log = stderr
 	}
-	activateFleetVar(coord)
+	// The live view is the report's own result: once the fleet finishes,
+	// its groups are the groups of -json's sweep.json.
+	telemetry.Publish("fleet_progress", expvar.Func(func() any {
+		res := coord.Progress()
+		errs := res.Errs()
+		return struct {
+			Runs   int                   `json:"runs"`
+			Errors int                   `json:"errors"`
+			Groups []mptcpsim.GroupStats `json:"groups"`
+		}{len(res.Runs) - errs, errs, res.Groups}
+	}))
 
 	start := time.Now()
 	res, err := coord.Run(context.Background())
@@ -146,37 +156,4 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stderr, "fleet: merged %d runs from %d shards in %v\n",
 		len(res.Runs), cfg.shards, time.Since(start).Round(time.Millisecond))
 	return cfg.Report(res, stdout)
-}
-
-// expvar integration mirrors telemetry.Meter.Activate: tests create many
-// coordinators but expvar.Publish panics on duplicates, so one Func reads
-// whichever coordinator is currently active.
-var (
-	fleetVarOnce sync.Once
-	activeMu     sync.Mutex
-	activeCoord  *fleet.Coordinator
-)
-
-// activateFleetVar publishes the coordinator's live merged aggregate
-// (runs, errors, per-cell online stats) as the "fleet_progress" expvar.
-func activateFleetVar(c *fleet.Coordinator) {
-	fleetVarOnce.Do(func() {
-		expvar.Publish("fleet_progress", expvar.Func(func() any {
-			activeMu.Lock()
-			cur := activeCoord
-			activeMu.Unlock()
-			if cur == nil {
-				return nil
-			}
-			agg := cur.Progress()
-			return struct {
-				Runs   int                 `json:"runs"`
-				Errors int                 `json:"errors"`
-				Groups []mptcpsim.GroupAgg `json:"groups"`
-			}{agg.Runs, agg.Errors, agg.Groups()}
-		}))
-	})
-	activeMu.Lock()
-	activeCoord = c
-	activeMu.Unlock()
 }

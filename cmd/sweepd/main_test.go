@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"expvar"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -138,6 +140,69 @@ func TestRunMatchesUnshardedSweep(t *testing.T) {
 	}
 	if last.Done != 12 || last.Total != 12 {
 		t.Errorf("final heartbeat done/total = %d/%d, want 12/12", last.Done, last.Total)
+	}
+}
+
+// TestFleetProgressIsTheReport: after run, the fleet_progress expvar serves
+// the groups of -json's sweep.json, byte for byte once compacted — the live
+// view and the final report are one aggregation, medians included.
+func TestFleetProgressIsTheReport(t *testing.T) {
+	dir := t.TempDir()
+	gridPath := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(gridPath, []byte(testGrid), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	cfg := config{
+		Flags:     cli.Flags{JSON: filepath.Join(dir, "sweep.json"), Quiet: true},
+		gridPath:  gridPath,
+		shards:    3,
+		fleetSize: 2,
+		workers:   2,
+		spool:     filepath.Join(dir, "spool"),
+		ttl:       time.Minute,
+		attempts:  3,
+		backoff:   10 * time.Millisecond,
+		poll:      5 * time.Millisecond,
+	}
+	if err := run(cfg, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+
+	compactGroups := func(raw []byte) []byte {
+		t.Helper()
+		var doc struct {
+			Groups json.RawMessage `json:"groups"`
+		}
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := json.Compact(&buf, doc.Groups); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	v := expvar.Get("fleet_progress")
+	if v == nil {
+		t.Fatal("fleet_progress is not published")
+	}
+	var counts struct {
+		Runs   int `json:"runs"`
+		Errors int `json:"errors"`
+	}
+	if err := json.Unmarshal([]byte(v.String()), &counts); err != nil {
+		t.Fatal(err)
+	}
+	if counts.Runs != 12 || counts.Errors != 0 {
+		t.Errorf("fleet_progress counts %d runs and %d errors, want 12 and 0", counts.Runs, counts.Errors)
+	}
+	file, err := os.ReadFile(cfg.JSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveGroups, wantGroups := compactGroups([]byte(v.String())), compactGroups(file)
+	if !bytes.Equal(liveGroups, wantGroups) {
+		t.Errorf("fleet_progress groups differ from sweep.json's:\n--- fleet_progress ---\n%s\n--- sweep.json ---\n%s", liveGroups, wantGroups)
 	}
 }
 

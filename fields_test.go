@@ -135,6 +135,7 @@ var funcAllow = map[string]string{
 	"netem.Network.AddrOf":        "pinned by bench/: bench/layers.go addresses a path's end hosts",
 	"packet.Arena.GetUDP":         "pinned by bench/: bench/layers.go's transit and queueFull frames are UDP datagrams",
 	"topo.Paper":                  "pinned by bench/: bench/layers.go builds its mptcp and lp benchmarks on it; every run builds PaperScenario",
+	"stats.Online.Add":            "pinned by bench/: bench/layers.go times it as stats.ns_per_online_add; no production code aggregates online",
 }
 
 // reflectedMethods are the method names the standard library finds by

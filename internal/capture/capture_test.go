@@ -22,7 +22,7 @@ type rig struct {
 	dst  packet.Addr
 }
 
-func newRig(t *testing.T) *rig {
+func newRig(t testing.TB) *rig {
 	t.Helper()
 	g := topo.New()
 	a, b := g.AddNode("a"), g.AddNode("b")
@@ -164,14 +164,15 @@ func TestPCAPRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestFormatFrame(t *testing.T) {
+// mixedCapture retains two frames at the receiver: a TCP data segment
+// carrying an MPTCP DSS option, then a UDP datagram.
+func mixedCapture(t testing.TB) []Record {
 	r := newRig(t)
 	if err := r.net.Node(r.b).Register(2, devnull{}); err != nil {
 		t.Fatal(err)
 	}
 	sn := NewSniffer(r.net, r.b, 100*time.Millisecond)
 	sn.Retain = true
-	// A TCP data packet with MPTCP DSS and a UDP packet.
 	src, _ := r.net.AddrOf(r.a)
 	r.loop.Schedule(0, func() {
 		r.net.Node(r.a).Send(&packet.Packet{
@@ -190,6 +191,11 @@ func TestFormatFrame(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("retained %d frames", len(recs))
 	}
+	return recs
+}
+
+func TestFormatFrame(t *testing.T) {
+	recs := mixedCapture(t)
 	line, err := FormatFrame(recs[0])
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"mptcpsim"
@@ -49,6 +50,9 @@ type Coordinator struct {
 	// retries) — never sweep output.
 	Log io.Writer
 
+	// tails are the shard logs' live readers, published under mu so that
+	// Progress may run concurrently with Run.
+	mu    sync.Mutex
 	tails []*shardTail
 }
 
@@ -84,10 +88,14 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 		poll = 200 * time.Millisecond
 	}
 	table := NewTable(c.Shards, c.TTL, maxAttempts, c.Backoff)
-	c.tails = make([]*shardTail, c.Shards)
-	for k := range c.tails {
-		c.tails[k] = newShardTail(ShardLogPath(c.Spool, k, c.Shards))
+	tails := make([]*shardTail, c.Shards)
+	for k := range tails {
+		tails[k] = newShardTail(ShardLogPath(c.Spool, k, c.Shards),
+			mptcpsim.RunLogHeader{GridDigest: digest, K: k, N: c.Shards, Total: total})
 	}
+	c.mu.Lock()
+	c.tails = tails
+	c.mu.Unlock()
 
 	// Prime the meter with whatever a previous coordinator left in the
 	// spool: those runs are a resume baseline, not progress this execution
@@ -259,11 +267,11 @@ func (c *Coordinator) merge(digest string, total int) (*mptcpsim.SweepResult, er
 	return res, nil
 }
 
-// scanProgress folds every tail once and returns the totals without
+// scanProgress polls every tail once and returns the totals without
 // advancing the meter — the startup baseline — and the first tail error.
-// A tail that meets a bad record still returns the runs it folded before
-// it, and never returns them again, so they are counted here; the other
-// tails are polled all the same.
+// A tail that meets a bad record still returns the runs it kept before it,
+// and never returns them again, so they are counted here; the other tails
+// are polled all the same.
 func (c *Coordinator) scanProgress() (done, failed int, err error) {
 	for _, t := range c.tails {
 		d, f, perr := t.poll()
@@ -276,7 +284,7 @@ func (c *Coordinator) scanProgress() (done, failed int, err error) {
 	return done, failed, err
 }
 
-// advanceProgress folds every tail and advances the meter by what is new.
+// advanceProgress polls every tail and advances the meter by what is new.
 func (c *Coordinator) advanceProgress() (done, failed int, err error) {
 	done, failed, err = c.scanProgress()
 	if c.Meter != nil && done > 0 {
@@ -287,17 +295,19 @@ func (c *Coordinator) advanceProgress() (done, failed int, err error) {
 	return done, failed, err
 }
 
-// Progress snapshots the live fleet-wide aggregate: every shard tail's
-// online accumulators merged into one AggSink. Safe to call concurrently
-// with Run (the expvar/debug surface does).
-func (c *Coordinator) Progress() *mptcpsim.AggSink {
-	agg := &mptcpsim.AggSink{}
-	for _, t := range c.tails {
-		if t != nil {
-			t.snapshot(agg)
-		}
+// Progress is the live fleet-wide result: every run the shard tails have
+// read so far, sorted and aggregated by the same code as the merge, so once
+// the fleet finishes it equals Run's result. Safe to call concurrently with
+// Run (the expvar/debug surface does).
+func (c *Coordinator) Progress() *mptcpsim.SweepResult {
+	c.mu.Lock()
+	tails := c.tails
+	c.mu.Unlock()
+	mem := &mptcpsim.MemorySink{}
+	for _, t := range tails {
+		t.feed(mem)
 	}
-	return agg
+	return mem.Result()
 }
 
 // leaseAttempt reads the attempt count behind a lease (for notices only).

@@ -214,11 +214,13 @@ func TestFleetKillWorkersByteIdentity(t *testing.T) {
 		}
 	}
 
-	// Live progress: the folded aggregate covers every run exactly once,
-	// despite re-deliveries across resumes.
-	agg := coord.Progress()
-	if agg.Runs+agg.Errors != 12 {
-		t.Fatalf("fleet aggregate folded %d runs + %d errors, want 12 exactly-once", agg.Runs, agg.Errors)
+	// Live progress: the records the shard tails kept, despite
+	// re-deliveries across resumes, aggregate into the merged result itself.
+	live := renderAll(t, coord.Progress())
+	for name, w := range got {
+		if !bytes.Equal(live[name], w) {
+			t.Errorf("live progress %s differs from the merged result", name)
+		}
 	}
 
 	// Heartbeats: every line independently valid JSON, final line accounts
@@ -373,5 +375,123 @@ func TestFleetLeaseExpiryRevivesShard(t *testing.T) {
 	}
 	if !strings.Contains(notices.String(), "incomplete") {
 		t.Fatalf("coordinator never logged the failed lease:\n%s", notices.String())
+	}
+}
+
+// refusingRunner counts the leases it is handed and fails every one.
+type refusingRunner struct {
+	mu    sync.Mutex
+	calls int
+}
+
+func (r *refusingRunner) Run(ctx context.Context, lease Lease) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.calls++
+	return errors.New("no lease should have been granted")
+}
+
+// TestFleetRefusesStaleSpoolLog: a shard log another grid, or another cut
+// of this grid, left in the spool is neither progress nor a resume
+// baseline. Run fails at its startup scan, naming the file, before it
+// grants a single lease.
+func TestFleetRefusesStaleSpoolLog(t *testing.T) {
+	sweep := &mptcpsim.Sweep{Workers: 2}
+	digest, total, err := sweep.Describe(fleetGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		header mptcpsim.RunLogHeader
+	}{
+		{"other grid", mptcpsim.RunLogHeader{GridDigest: "0123456789abcdef", K: 0, N: 2, Total: total}},
+		{"other shard count", mptcpsim.RunLogHeader{GridDigest: digest, K: 0, N: 3, Total: total}},
+		{"other total", mptcpsim.RunLogHeader{GridDigest: digest, K: 0, N: 2, Total: total + 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spool := t.TempDir()
+			path := ShardLogPath(spool, 0, 2)
+			var log bytes.Buffer
+			sink, err := mptcpsim.NewLogSink(&log, tc.header, mptcpsim.LogOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, index := range []int{0, tc.header.N} {
+				if err := sink.Accept(i+1, 2, mptcpsim.RunSummary{Index: index, Scenario: "elsewhere", CC: "reno"}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, log.Bytes(), 0o666); err != nil {
+				t.Fatal(err)
+			}
+
+			runner := &refusingRunner{}
+			var notices bytes.Buffer
+			coord := &Coordinator{
+				Sweep:   sweep,
+				Grid:    fleetGrid(),
+				Shards:  2,
+				Workers: 2,
+				Spool:   spool,
+				Runner:  runner,
+				TTL:     time.Minute,
+				Poll:    5 * time.Millisecond,
+				Log:     &notices,
+			}
+			_, err = coord.Run(context.Background())
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("Run: err = %v, want the stale log %s named", err, path)
+			}
+			if runner.calls != 0 || notices.Len() != 0 {
+				t.Fatalf("the fleet acted on a stale log: %d leases run, notices:\n%s", runner.calls, notices.String())
+			}
+		})
+	}
+}
+
+// TestProgressDuringRun: Progress is safe to call throughout Run, as sweepd
+// does from its expvar before Run starts. Under -race this fails if Run
+// publishes its shard tails without synchronisation. Once Run returns,
+// Progress is the merged result.
+func TestProgressDuringRun(t *testing.T) {
+	grid := &mptcpsim.Grid{CCs: []string{"cubic"}, Orders: [][]int{{2, 1, 3}}, Seeds: []int64{1, 2}, DurationMs: 50}
+	spool := t.TempDir()
+	coord := &Coordinator{
+		Sweep:   &mptcpsim.Sweep{Workers: 1},
+		Grid:    grid,
+		Shards:  2,
+		Workers: 2,
+		Spool:   spool,
+		Runner:  &Worker{Sweep: &mptcpsim.Sweep{Workers: 1}, Grid: grid, Spool: spool},
+		TTL:     time.Minute,
+		Poll:    time.Millisecond,
+	}
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				coord.Progress()
+			}
+		}
+	}()
+	res, err := coord.Run(context.Background())
+	close(stop)
+	<-stopped
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, live := renderAll(t, res), renderAll(t, coord.Progress())
+	for name, w := range want {
+		if !bytes.Equal(live[name], w) {
+			t.Errorf("progress %s after Run differs from the merged result", name)
+		}
 	}
 }

@@ -140,28 +140,28 @@ func ReadShardLog(path string) (*mptcpsim.RunLog, error) {
 // shardTail incrementally reads committed records out of one shard's
 // run-log while a worker appends to it — the coordinator's live-progress
 // feed. Only complete lines (the trailing newline is the commit mark) are
-// consumed; a torn tail is simply not yet visible. If the file shrinks —
-// a resumed worker truncating a torn record, or a header-torn restart —
-// the tail re-reads from the start and the seen set keeps delivery
-// exactly-once.
+// consumed; a torn tail is simply not yet visible. The header must be the
+// fleet's: a log from another grid or shard shape is an error, never
+// progress. If the file shrinks — a resumed worker truncating a torn
+// record, or a header-torn restart — the tail re-reads from the start and
+// the seen set keeps delivery exactly-once.
 type shardTail struct {
 	mu         sync.Mutex
 	path       string
+	want       mptcpsim.RunLogHeader
 	offset     int64
 	headerDone bool
 	seen       map[int]bool
-
-	agg *mptcpsim.AggSink
+	runs       []mptcpsim.RunSummary
 }
 
-func newShardTail(path string) *shardTail {
-	return &shardTail{path: path, seen: make(map[int]bool), agg: &mptcpsim.AggSink{}}
+func newShardTail(path string, want mptcpsim.RunLogHeader) *shardTail {
+	return &shardTail{path: path, want: want, seen: make(map[int]bool)}
 }
 
-// poll folds newly committed records into the tail's aggregate and returns
-// how many new runs (and how many of them failed) it saw. A missing file
-// is zero progress, not an error: the shard's first lease has not started
-// writing yet.
+// poll keeps the newly committed records and returns how many new runs
+// (and how many of them failed) it saw. A missing file is zero progress,
+// not an error: the shard's first lease has not started writing yet.
 func (t *shardTail) poll() (newDone, newFailed int, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -202,6 +202,9 @@ func (t *shardTail) poll() (newDone, newFailed int, err error) {
 		line := raw[:nl+1]
 		raw = raw[nl+1:]
 		if !t.headerDone {
+			if err := t.checkHeader(line); err != nil {
+				return 0, 0, err
+			}
 			t.headerDone = true
 			t.offset += int64(len(line))
 			continue
@@ -222,14 +225,31 @@ func (t *shardTail) poll() (newDone, newFailed int, err error) {
 		if rec.Run.Err != "" {
 			newFailed++
 		}
-		t.agg.Accept(0, 0, rec.Run, nil)
+		t.runs = append(t.runs, rec.Run)
 	}
 	return newDone, newFailed, nil
 }
 
-// snapshot merges the tail's aggregate into dst under the tail's lock.
-func (t *shardTail) snapshot(dst *mptcpsim.AggSink) {
+// checkHeader parses a committed header line under ReadRunLog's grammar and
+// refuses one that is not this shard of the fleet's grid.
+func (t *shardTail) checkHeader(line []byte) error {
+	log, err := mptcpsim.ReadRunLog(bytes.NewReader(line))
+	if err != nil {
+		return fmt.Errorf("%s: %w", t.path, err)
+	}
+	h := log.Header
+	if h.GridDigest != t.want.GridDigest || h.K != t.want.K || h.N != t.want.N || h.Total != t.want.Total {
+		return fmt.Errorf("%s: run-log is shard %d/%d of %d runs under grid digest %.12s, the fleet wants shard %d/%d of %d under %.12s (stale spool?)",
+			t.path, h.K, h.N, h.Total, h.GridDigest, t.want.K, t.want.N, t.want.Total, t.want.GridDigest)
+	}
+	return nil
+}
+
+// feed hands every run the tail has kept to sink, under the tail's lock.
+func (t *shardTail) feed(sink *mptcpsim.MemorySink) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	dst.Merge(t.agg)
+	for _, run := range t.runs {
+		sink.Accept(0, 0, run, nil)
+	}
 }

@@ -126,7 +126,8 @@ func TestOpenShardLog(t *testing.T) {
 // counts it — not on the poll that meets it, nor on any later one.
 func TestUnknownFieldRecordIsNotProgress(t *testing.T) {
 	var log bytes.Buffer
-	sink, err := mptcpsim.NewLogSink(&log, mptcpsim.RunLogHeader{GridDigest: "aaaaaaaaaaaaaaaa", K: 0, N: 1, Total: 2}, mptcpsim.LogOptions{})
+	header := mptcpsim.RunLogHeader{GridDigest: "aaaaaaaaaaaaaaaa", K: 0, N: 1, Total: 2}
+	sink, err := mptcpsim.NewLogSink(&log, header, mptcpsim.LogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestUnknownFieldRecordIsNotProgress(t *testing.T) {
 	if _, err := ReadShardLog(path); err == nil || !strings.Contains(err.Error(), `unknown field "extra"`) {
 		t.Fatalf("ReadShardLog: err = %v, want the unknown field refused", err)
 	}
-	tail := newShardTail(path)
+	tail := newShardTail(path, header)
 	for poll, wantDone := range []int{1, 0} {
 		done, failed, err := tail.poll()
 		if err == nil || !strings.Contains(err.Error(), `unknown field "extra"`) {
@@ -155,9 +156,7 @@ func TestUnknownFieldRecordIsNotProgress(t *testing.T) {
 			t.Fatalf("poll %d counted %d runs (%d failed), want %d (0 failed)", poll, done, failed, wantDone)
 		}
 	}
-	agg := &mptcpsim.AggSink{}
-	tail.snapshot(agg)
-	if agg.Runs != 1 || agg.Errors != 0 {
-		t.Fatalf("tail aggregate holds %d runs and %d errors, want only the good record", agg.Runs, agg.Errors)
+	if len(tail.runs) != 1 || tail.runs[0].Index != 0 || tail.runs[0].Err != "" {
+		t.Fatalf("tail kept %+v, want only the good record", tail.runs)
 	}
 }

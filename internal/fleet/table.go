@@ -2,7 +2,7 @@
 // grid: the grid is expanded once into n shards, each shard is leased to a
 // worker with a deadline, expired or failed leases are retried with
 // backoff, and the shard run-logs accumulating in a shared spool directory
-// are folded into live fleet-wide progress and, at the end, merged through
+// are read into a live fleet-wide result and, at the end, merged through
 // the same validated path as any other run-logs — so the fleet result is
 // byte-identical to an unsharded sweep.
 //

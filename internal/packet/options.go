@@ -269,7 +269,12 @@ func parseOptions(b []byte) ([]Option, error) {
 	return opts, nil
 }
 
+// parseMPTCP decodes one MPTCP option, b holding its kind and length bytes.
+// Every subtype carries a subtype byte and a flags (or address-id) byte.
 func parseMPTCP(b []byte) (Option, error) {
+	if len(b) < 4 {
+		return nil, fmt.Errorf("packet: MPTCP option length %d", len(b))
+	}
 	sub := b[2] >> 4
 	switch sub {
 	case subMPCapable:

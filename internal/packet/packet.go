@@ -197,6 +197,9 @@ func Unmarshal(data []byte) (*Packet, error) {
 	if int(p.IP.TotalLen) > len(data) {
 		return nil, fmt.Errorf("packet: truncated: total len %d > %d bytes", p.IP.TotalLen, len(data))
 	}
+	if p.IP.TotalLen < IPv4HeaderLen {
+		return nil, fmt.Errorf("packet: total len %d is shorter than the IPv4 header", p.IP.TotalLen)
+	}
 	rest := data[IPv4HeaderLen:p.IP.TotalLen]
 	switch p.IP.Proto {
 	case ProtoTCP:

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -173,6 +174,40 @@ func TestCorruptedPacketRejected(t *testing.T) {
 	wire[12] ^= 0x01 // flip a source-address bit
 	if _, err := Unmarshal(wire); err == nil {
 		t.Fatal("corrupted header accepted")
+	}
+}
+
+// TestMalformedFramesRejected: frames whose IPv4 checksum holds but whose
+// lengths do not are errors, never panics — pcapdump hands Unmarshal
+// whatever a capture file holds.
+func TestMalformedFramesRejected(t *testing.T) {
+	// A total length shorter than the IPv4 header itself.
+	short := mkDataPacket(1, 42, 100).Marshal()
+	binary.BigEndian.PutUint16(short[2:], 10)
+	binary.BigEndian.PutUint16(short[10:], 0)
+	binary.BigEndian.PutUint16(short[10:], Checksum(short[:IPv4HeaderLen]))
+	// A SYN whose 4-byte MSS option is overwritten with opt.
+	withOption := func(opt ...byte) []byte {
+		syn := &Packet{
+			IP: IPv4{TTL: DefaultTTL, Proto: ProtoTCP, Src: MakeAddr(10, 0, 0, 1), Dst: MakeAddr(10, 0, 0, 2)},
+			TCP: &TCP{SrcPort: 5001, DstPort: 80, Flags: FlagSYN, Window: 65536,
+				Options: []Option{&MSSOption{MSS: 1460}}},
+		}
+		wire := syn.Marshal()
+		copy(wire[IPv4HeaderLen+TCPHeaderLen:], opt)
+		return wire
+	}
+	for name, frame := range map[string][]byte{
+		"total length 10":          short,
+		"MPTCP option of length 2": withOption(KindMPTCP, 2, optNOP, optNOP),
+		"DSS option of length 3":   withOption(KindMPTCP, 3, subDSS<<4, optNOP),
+	} {
+		if Checksum(frame[:IPv4HeaderLen]) != 0 {
+			t.Fatalf("%s: the IPv4 checksum does not hold", name)
+		}
+		if p, err := Unmarshal(frame); err == nil {
+			t.Errorf("%s: accepted as %s", name, p)
+		}
 	}
 }
 

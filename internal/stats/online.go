@@ -5,21 +5,18 @@ import (
 	"math"
 )
 
-// Online is a streaming aggregate over a sample of scalar values — the
-// flat-memory counterpart of Aggregate for consumers that cannot hold the
-// sample (mega-sweep streaming sinks, shard leases folding progress).
-// Mean and variance use Welford's recurrence; Merge composes two
-// accumulators (Chan et al.'s parallel form), so partial aggregates from
-// shards combine into exactly the accumulator one pass would have built.
-// Medians need the full sample and are deliberately absent: report them
-// from a run-log second pass (Aggregate), never from Online. Like
+// Online is a streaming aggregate over a sample of scalar values: Welford's
+// recurrence for mean and variance, plus the extrema, without retaining the
+// sample. No production code uses it — every cell statistic comes from
+// Aggregate over the retained sample — and it stays only because the
+// benchmark's stats.ns_per_online_add layer metric times Add. Like
 // Aggregate, non-finite values are excluded; the zero value describes an
 // empty sample.
 type Online struct {
 	// N is the sample size.
 	N int
 	// Mean is the running sample mean; M2 the sum of squared deviations
-	// from it (Std derives from M2, which is what Merge needs).
+	// from it, from which Std derives.
 	Mean float64
 	M2   float64
 	// Min and Max bound the sample (0 when empty).
@@ -49,29 +46,6 @@ func (o *Online) Add(v float64) {
 	o.M2 += float64(d * (v - o.Mean))
 }
 
-// Merge folds another accumulator into this one, as if every value it saw
-// had been Added here.
-func (o *Online) Merge(p Online) {
-	if p.N == 0 {
-		return
-	}
-	if o.N == 0 {
-		*o = p
-		return
-	}
-	if p.Min < o.Min {
-		o.Min = p.Min
-	}
-	if p.Max > o.Max {
-		o.Max = p.Max
-	}
-	n := float64(o.N + p.N)
-	d := p.Mean - o.Mean
-	o.Mean += d * float64(p.N) / n
-	o.M2 += p.M2 + d*d*float64(o.N)*float64(p.N)/n
-	o.N += p.N
-}
-
 // Std is the population standard deviation, matching Aggregate's Std.
 func (o Online) Std() float64 {
 	if o.N == 0 {
@@ -81,8 +55,7 @@ func (o Online) Std() float64 {
 }
 
 // MarshalJSON emits the Agg-style summary shape (n/mean/std/min/max, no
-// median) so progress streams stay readable; M2 is an implementation
-// detail and is not serialised.
+// median); M2 is an implementation detail and is not serialised.
 func (o Online) MarshalJSON() ([]byte, error) {
 	return json.Marshal(struct {
 		N    int     `json:"n"`

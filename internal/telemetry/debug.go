@@ -5,10 +5,38 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sync"
 )
 
+// published holds the Func each Publish name currently serves.
+var (
+	publishedMu sync.Mutex
+	published   = map[string]expvar.Func{}
+)
+
+// Publish serves f as the process's expvar name, replacing whatever an
+// earlier Publish of the same name served. Tests and embedders create many
+// meters and coordinators, but expvar.Publish panics on a duplicate name, so
+// each name is registered once, with a Func that calls the latest f. The
+// registration happens outside publishedMu: /debug/vars calls that Func
+// while holding expvar's own lock.
+func Publish(name string, f expvar.Func) {
+	publishedMu.Lock()
+	_, registered := published[name]
+	published[name] = f
+	publishedMu.Unlock()
+	if !registered {
+		expvar.Publish(name, expvar.Func(func() any {
+			publishedMu.Lock()
+			cur := published[name]
+			publishedMu.Unlock()
+			return cur()
+		}))
+	}
+}
+
 // DebugServer starts an HTTP debug endpoint on addr serving expvar
-// metrics (/debug/vars, including any Activated Meter) and the standard
+// metrics (/debug/vars, including everything Publish serves) and the standard
 // pprof handlers (/debug/pprof/...). It returns the bound address (useful
 // with ":0") and a shutdown function. The server runs on its own
 // goroutine and never touches simulation state, so it cannot perturb

@@ -173,33 +173,13 @@ func (m *Meter) emit(now time.Time) error {
 	return enc.Encode(m.snapshot(now))
 }
 
-// expvar integration: tests (and embedders) may create many meters, but
-// expvar.Publish panics on duplicate names, so the package registers one
-// Func that reads whichever meter is currently activated.
-var (
-	expvarOnce sync.Once
-	activeMu   sync.Mutex
-	activeM    *Meter
-)
-
 // Activate publishes the meter as the process's "sweep_progress" expvar,
 // replacing any previously activated meter. The debug HTTP endpoint
 // (DebugServer) serves it under /debug/vars.
 func (m *Meter) Activate() {
-	expvarOnce.Do(func() {
-		expvar.Publish("sweep_progress", expvar.Func(func() any {
-			activeMu.Lock()
-			cur := activeM
-			activeMu.Unlock()
-			if cur == nil {
-				return nil
-			}
-			cur.mu.Lock()
-			defer cur.mu.Unlock()
-			return cur.snapshot(cur.now())
-		}))
-	})
-	activeMu.Lock()
-	activeM = m
-	activeMu.Unlock()
+	Publish("sweep_progress", expvar.Func(func() any {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.snapshot(m.now())
+	}))
 }

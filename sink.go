@@ -5,21 +5,20 @@ import (
 	"fmt"
 	"sort"
 
-	"mptcpsim/internal/stats"
 	"mptcpsim/internal/telemetry"
 )
 
 // ErrSinkClosed is returned (wrapped) by sinks whose Accept — or a second
 // Close — arrives after Close. The sink contract promises exactly one
 // Close after the last Accept; sinks with externally visible finalisation
-// (a run-log's commit mark, an aggregate snapshot handed to a merge)
-// enforce it rather than silently accepting records past the end.
+// (a run-log's commit mark, a fan-out's children) enforce it rather than
+// silently accepting records past the end.
 var ErrSinkClosed = errors.New("sink already closed")
 
 // RunSink is the single results surface of a sweep: Sweep.Stream feeds
 // exactly one sink chain, and everything else — the in-memory SweepResult,
-// NDJSON run-logs, online aggregation, progress lines, heartbeats and
-// flight dumps (internal/cli) — is a sink over that path.
+// NDJSON run-logs, progress lines, heartbeats and flight dumps
+// (internal/cli) — is a sink over that path.
 //
 // Accept is called exactly once per executed run, serialised under the
 // sweep's completion lock: implementations need no locking of their own,
@@ -137,136 +136,3 @@ func (r *RollupSink) Accept(done, total int, s RunSummary, full *Result) error {
 
 func (r *RollupSink) Flush() error { return nil }
 func (r *RollupSink) Close() error { return nil }
-
-// GroupAgg is one (scenario, perturbation, events, cc, scheduler) cell of
-// an AggSink: the online counterpart of GroupStats, summarising the cell
-// with streaming accumulators instead of retained samples.
-type GroupAgg struct {
-	Scenario     string `json:"scenario"`
-	Perturbation string `json:"perturbation"`
-	Events       string `json:"events,omitempty"`
-	CC           string `json:"cc"`
-	Scheduler    string `json:"scheduler"`
-	// Runs counts completed runs in the cell, Errors failed ones,
-	// Converged the runs that reached the optimum band.
-	Runs      int `json:"runs"`
-	Errors    int `json:"errors,omitempty"`
-	Converged int `json:"converged"`
-	// Gap, TotalMbps and ConvergedAtS summarise the per-run metrics
-	// (ConvergedAtS over converged runs only).
-	Gap          stats.Online `json:"gap"`
-	TotalMbps    stats.Online `json:"total_mbps"`
-	ConvergedAtS stats.Online `json:"converged_at_s"`
-
-	// minIndex is the cell's smallest run index — the deterministic sort
-	// key that reproduces first-appearance-in-expansion-order grouping no
-	// matter the completion order.
-	minIndex int
-}
-
-// AggSink folds runs into per-group online aggregates as they complete —
-// the flat-memory counterpart of SweepResult.Groups for live monitoring
-// of sweeps too large to hold. Means, deviations and extrema match the
-// end-of-sweep aggregation numerically (not bit-for-bit: Welford sums in
-// completion order); medians need the full sample and come from the
-// run-log second pass instead.
-type AggSink struct {
-	// Runs and Errors count completed and failed runs across the sweep.
-	Runs, Errors int
-	// Gap aggregates the optimality gap over every completed run.
-	Gap stats.Online
-
-	groups map[groupKey]*GroupAgg
-	closed bool
-}
-
-type groupKey struct{ scenario, pert, events, cc, sched string }
-
-func (a *AggSink) Accept(done, total int, s RunSummary, full *Result) error {
-	if a.closed {
-		return fmt.Errorf("aggregation sink: %w", ErrSinkClosed)
-	}
-	if a.groups == nil {
-		a.groups = make(map[groupKey]*GroupAgg)
-	}
-	k := groupKey{s.Scenario, s.Perturbation, s.Events, s.CC, s.Scheduler}
-	g, ok := a.groups[k]
-	if !ok {
-		g = &GroupAgg{Scenario: s.Scenario, Perturbation: s.Perturbation,
-			Events: s.Events, CC: s.CC, Scheduler: s.Scheduler, minIndex: s.Index}
-		a.groups[k] = g
-	}
-	if s.Index < g.minIndex {
-		g.minIndex = s.Index
-	}
-	if s.Err != "" {
-		a.Errors++
-		g.Errors++
-		return nil
-	}
-	a.Runs++
-	g.Runs++
-	if s.Converged {
-		g.Converged++
-		g.ConvergedAtS.Add(s.ConvergedAtS)
-	}
-	g.Gap.Add(s.Gap)
-	g.TotalMbps.Add(s.TotalMbps)
-	a.Gap.Add(s.Gap)
-	return nil
-}
-
-func (a *AggSink) Flush() error { return nil }
-
-// Close freezes the aggregate: once closed, further Accepts (and a second
-// Close) return ErrSinkClosed, so a snapshot taken after Close — e.g. one
-// handed to a fleet-level Merge — cannot drift.
-func (a *AggSink) Close() error {
-	if a.closed {
-		return fmt.Errorf("aggregation sink: %w", ErrSinkClosed)
-	}
-	a.closed = true
-	return nil
-}
-
-// Merge folds another sink's aggregate state into a — the fleet
-// coordinator's fold across per-shard aggregates. Cells merge by group key
-// with online accumulator merging (stats.Online.Merge), so the fold equals
-// a single sink having seen every run, up to floating-point association.
-// The closed states are independent: merging does not reopen a.
-func (a *AggSink) Merge(b *AggSink) {
-	a.Runs += b.Runs
-	a.Errors += b.Errors
-	a.Gap.Merge(b.Gap)
-	for k, g := range b.groups {
-		if a.groups == nil {
-			a.groups = make(map[groupKey]*GroupAgg)
-		}
-		dst, ok := a.groups[k]
-		if !ok {
-			cp := *g
-			a.groups[k] = &cp
-			continue
-		}
-		if g.minIndex < dst.minIndex {
-			dst.minIndex = g.minIndex
-		}
-		dst.Runs += g.Runs
-		dst.Errors += g.Errors
-		dst.Converged += g.Converged
-		dst.Gap.Merge(g.Gap)
-		dst.TotalMbps.Merge(g.TotalMbps)
-		dst.ConvergedAtS.Merge(g.ConvergedAtS)
-	}
-}
-
-// Groups snapshots the cells in first-appearance-in-expansion order (the
-// order SweepResult.Groups uses), deterministic for any worker count.
-func (a *AggSink) Groups() []GroupAgg {
-	out := make([]GroupAgg, 0, len(a.groups))
-	for _, g := range a.groups {
-		out = append(out, *g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].minIndex < out[j].minIndex })
-	return out
-}

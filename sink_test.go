@@ -4,79 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
-
-	"mptcpsim/internal/stats"
 )
-
-// TestAggSinkMatchesSweepGroups checks the online aggregation sink against
-// the retained-sample aggregation: same cells in the same order, equal
-// counts, and means/deviations/extrema matching to floating-point noise
-// (Welford sums in completion order, so bit-identity is not promised —
-// nor are medians, which need the full sample).
-func TestAggSinkMatchesSweepGroups(t *testing.T) {
-	grid := func() *Grid {
-		g := sweepGrid()
-		g.Perturbations = []Perturbation{{Name: "base"}, {Name: "lossy", Loss: 0.005}}
-		return g
-	}
-	res, err := (&Sweep{Workers: 4}).Run(grid())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	agg := &AggSink{}
-	if err := (&Sweep{Workers: 4}).Stream(grid(), StreamSpec{}, agg); err != nil {
-		t.Fatal(err)
-	}
-
-	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
-	if agg.Runs+agg.Errors != len(res.Runs) || agg.Errors != res.Errs() {
-		t.Fatalf("agg counted %d runs / %d errors, sweep has %d / %d",
-			agg.Runs, agg.Errors, len(res.Runs), res.Errs())
-	}
-	if !close(agg.Gap.Mean, res.Gap.Mean) || !close(agg.Gap.Std(), res.Gap.Std) {
-		t.Fatalf("overall gap: online mean/std %v/%v vs aggregate %v/%v",
-			agg.Gap.Mean, agg.Gap.Std(), res.Gap.Mean, res.Gap.Std)
-	}
-
-	groups := agg.Groups()
-	if len(groups) != len(res.Groups) {
-		t.Fatalf("agg has %d groups, sweep has %d", len(groups), len(res.Groups))
-	}
-	for i, g := range groups {
-		w := res.Groups[i]
-		if g.Scenario != w.Scenario || g.Perturbation != w.Perturbation ||
-			g.Events != w.Events || g.CC != w.CC || g.Scheduler != w.Scheduler {
-			t.Fatalf("group %d is cell %s/%s/%s/%s, sweep ordered %s/%s/%s/%s here",
-				i, g.Perturbation, g.Events, g.CC, g.Scheduler,
-				w.Perturbation, w.Events, w.CC, w.Scheduler)
-		}
-		if g.Runs != w.Runs || g.Errors != w.Errors || g.Converged != w.Converged {
-			t.Fatalf("group %d counts %d/%d/%d, want %d/%d/%d",
-				i, g.Runs, g.Errors, g.Converged, w.Runs, w.Errors, w.Converged)
-		}
-		for _, m := range []struct {
-			name string
-			on   stats.Online
-			agg  stats.Agg
-		}{
-			{"gap", g.Gap, w.Gap},
-			{"total_mbps", g.TotalMbps, w.TotalMbps},
-			{"converged_at_s", g.ConvergedAtS, w.ConvergedAtS},
-		} {
-			if !close(m.on.Mean, m.agg.Mean) || !close(m.on.Std(), m.agg.Std) ||
-				m.on.Min != m.agg.Min || m.on.Max != m.agg.Max {
-				t.Fatalf("group %d %s: online {mean %v std %v min %v max %v} vs aggregate {%v %v %v %v}",
-					i, m.name, m.on.Mean, m.on.Std(), m.on.Min, m.on.Max,
-					m.agg.Mean, m.agg.Std, m.agg.Min, m.agg.Max)
-			}
-		}
-	}
-}
 
 // checkingSink asserts the RunSink contract from inside: serialised
 // Accepts, done increasing by exactly one, exactly-once index coverage.
@@ -154,80 +85,21 @@ func TestStreamSinkContract(t *testing.T) {
 	}
 }
 
-// TestAggSinkMerge folds two per-shard aggregates into one and checks the
-// fold equals a single sink that saw every run — counts and group order
-// exactly, moments to floating-point noise — which is what lets the fleet
-// coordinator serve live fleet-wide aggregates from per-shard sinks.
-func TestAggSinkMerge(t *testing.T) {
-	grid := func() *Grid {
-		g := sweepGrid()
-		g.Perturbations = []Perturbation{{Name: "base"}, {Name: "lossy", Loss: 0.005}}
-		return g
-	}
-	whole := &AggSink{}
-	if err := (&Sweep{Workers: 2}).Stream(grid(), StreamSpec{}, whole); err != nil {
-		t.Fatal(err)
-	}
-
-	folded := &AggSink{}
-	for k := 0; k < 2; k++ {
-		part := &AggSink{}
-		spec := StreamSpec{Shard: Shard{K: k, N: 2}}
-		if err := (&Sweep{Workers: 2}).Stream(grid(), spec, part); err != nil {
-			t.Fatal(err)
-		}
-		folded.Merge(part)
-	}
-
-	close := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*(1+math.Abs(b)) }
-	if folded.Runs != whole.Runs || folded.Errors != whole.Errors {
-		t.Fatalf("folded %d runs / %d errors, whole sink saw %d / %d",
-			folded.Runs, folded.Errors, whole.Runs, whole.Errors)
-	}
-	if !close(folded.Gap.Mean, whole.Gap.Mean) || !close(folded.Gap.Std(), whole.Gap.Std()) {
-		t.Fatalf("folded gap mean/std %v/%v vs whole %v/%v",
-			folded.Gap.Mean, folded.Gap.Std(), whole.Gap.Mean, whole.Gap.Std())
-	}
-	fg, wg := folded.Groups(), whole.Groups()
-	if len(fg) != len(wg) {
-		t.Fatalf("folded %d groups, whole sink has %d", len(fg), len(wg))
-	}
-	for i := range fg {
-		f, w := fg[i], wg[i]
-		if f.Scenario != w.Scenario || f.Perturbation != w.Perturbation ||
-			f.Events != w.Events || f.CC != w.CC || f.Scheduler != w.Scheduler {
-			t.Fatalf("group %d: folded cell %s/%s/%s/%s out of order vs whole %s/%s/%s/%s",
-				i, f.Perturbation, f.Events, f.CC, f.Scheduler,
-				w.Perturbation, w.Events, w.CC, w.Scheduler)
-		}
-		if f.Runs != w.Runs || f.Errors != w.Errors || f.Converged != w.Converged {
-			t.Fatalf("group %d counts %d/%d/%d, want %d/%d/%d",
-				i, f.Runs, f.Errors, f.Converged, w.Runs, w.Errors, w.Converged)
-		}
-		if !close(f.Gap.Mean, w.Gap.Mean) || !close(f.Gap.Std(), w.Gap.Std()) ||
-			f.Gap.Min != w.Gap.Min || f.Gap.Max != w.Gap.Max {
-			t.Fatalf("group %d gap: folded {%v %v %v %v} vs whole {%v %v %v %v}",
-				i, f.Gap.Mean, f.Gap.Std(), f.Gap.Min, f.Gap.Max,
-				w.Gap.Mean, w.Gap.Std(), w.Gap.Min, w.Gap.Max)
-		}
-	}
-}
-
 // TestSinkCloseContract pins the closed-state edge of the sink contract
 // for every sink with externally visible finalisation: after Close,
 // Accept refuses with ErrSinkClosed instead of silently mutating state
 // past the end, and a second Close is detected rather than repeated.
 func TestSinkCloseContract(t *testing.T) {
+	logSink := func(t *testing.T) RunSink {
+		s, err := NewLogSink(io.Discard, RunLogHeader{N: 1, Total: 4}, LogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
 	sinks := map[string]func(t *testing.T) RunSink{
-		"LogSink": func(t *testing.T) RunSink {
-			s, err := NewLogSink(io.Discard, RunLogHeader{N: 1, Total: 4}, LogOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"AggSink":   func(t *testing.T) RunSink { return &AggSink{} },
-		"MultiSink": func(t *testing.T) RunSink { return MultiSink(&AggSink{}) },
+		"LogSink":   logSink,
+		"MultiSink": func(t *testing.T) RunSink { return MultiSink(logSink(t)) },
 	}
 	for name, mk := range sinks {
 		t.Run(name, func(t *testing.T) {

@@ -145,10 +145,10 @@ type StreamSpec struct {
 // Stream executes the grid (or one shard of it) without accumulating
 // anything: every completed run is handed to the sink and released, so
 // peak memory is flat in grid size — the entry point for mega-sweeps
-// whose run-logs (LogSink) or online aggregates (AggSink) replace the
-// in-memory SweepResult. The sweep-level ValidateInvariants flag folds into
-// the digest identity (see Describe), so logs only merge across matching
-// run settings. Stream closes the sink exactly once, after the last
+// whose run-logs (LogSink) replace the in-memory SweepResult; the cell
+// statistics come from merging those logs (MergeShards) afterwards. The
+// sweep-level ValidateInvariants flag folds into the digest identity (see
+// Describe), so logs only merge across matching run settings. Stream closes the sink exactly once, after the last
 // delivery or on a structural error before the first; per-run failures land
 // in their RunSummary.Err as always, and the returned error reports
 // structural problems or the first sink failure, which also stops the
