@@ -150,14 +150,10 @@ type Network struct {
 
 	nodes []*Node
 	links []*Link
-	// nodeAddr[id] is node id's address (0: none assigned yet) and
-	// addrNodes[a-addrBase-1] the node owning address a. Addresses are
-	// handed out sequentially above addrBase and NodeIDs are dense, so
-	// both directions, the per-hop owner lookup in receive included, are
-	// an index.
-	nodeAddr  []packet.Addr
-	addrNodes []topo.NodeID
-	taps      []Tap
+	// lastAddr is the address AssignAddr handed out last (addrBase before
+	// the first); each node keeps its own.
+	lastAddr packet.Addr
+	taps     []Tap
 	// sendTaps and arrivalTaps hold the subset of taps implementing the
 	// optional extension interfaces, resolved once at AttachTap.
 	sendTaps    []SendTap
@@ -178,9 +174,8 @@ func New(l *sim.Loop, g *topo.Graph, r route.Router) (*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Loop: l, Graph: g, Router: r}
+	n := &Network{Loop: l, Graph: g, Router: r, lastAddr: addrBase}
 	n.nodes = make([]*Node, g.NumNodes())
-	n.nodeAddr = make([]packet.Addr, g.NumNodes())
 	for _, nd := range g.Nodes() {
 		n.nodes[nd.ID] = &Node{net: n, ID: nd.ID, Name: nd.Name}
 	}
@@ -219,27 +214,18 @@ func (n *Network) Propagating() (total int) {
 // AssignAddr gives node an automatically allocated address (10.0.0.1, .2,
 // ...). Assigning twice returns the existing address.
 func (n *Network) AssignAddr(node topo.NodeID) packet.Addr {
-	if a := n.nodeAddr[node]; a != 0 {
-		return a
+	nd := n.nodes[node]
+	if nd.addr == 0 {
+		n.lastAddr++
+		nd.addr = n.lastAddr
 	}
-	n.addrNodes = append(n.addrNodes, node)
-	n.nodeAddr[node] = addrBase + packet.Addr(len(n.addrNodes))
-	return n.nodeAddr[node]
+	return nd.addr
 }
 
 // AddrOf returns the address assigned to a node.
 func (n *Network) AddrOf(node topo.NodeID) (packet.Addr, bool) {
-	a := n.nodeAddr[node]
+	a := n.nodes[node].addr
 	return a, a != 0
-}
-
-// NodeOf returns the node owning an address.
-func (n *Network) NodeOf(a packet.Addr) (topo.NodeID, bool) {
-	i := uint32(a-addrBase) - 1
-	if i < uint32(len(n.addrNodes)) {
-		return n.addrNodes[i], true
-	}
-	return 0, false
 }
 
 // Arena returns the network's packet arena. Transport stacks and traffic
@@ -297,6 +283,10 @@ type Node struct {
 	net  *Network
 	ID   topo.NodeID
 	Name string
+	// addr is the node's address, 0 until AssignAddr gives it one. A node
+	// owns at most one, so a packet is local exactly when its destination
+	// equals addr.
+	addr packet.Addr
 
 	// ports[i] is bound to handlers[i]. A host binds a handful of ports,
 	// so demultiplexing scans ports linearly.
@@ -338,7 +328,7 @@ func (nd *Node) Send(pkt *packet.Packet) {
 
 // receive handles a packet arriving at (or originating from) this node.
 func (nd *Node) receive(pkt *packet.Packet) {
-	if dstNode, ok := nd.net.NodeOf(pkt.IP.Dst); ok && dstNode == nd.ID {
+	if pkt.IP.Dst == nd.addr && nd.addr != 0 {
 		nd.deliver(pkt)
 		return
 	}

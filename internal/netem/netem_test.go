@@ -385,19 +385,33 @@ func TestAddrNodeRoundTrip(t *testing.T) {
 	if bAddr := net.AssignAddr(b); bAddr != packet.MakeAddr(10, 0, 0, 3) {
 		t.Fatalf("third address %v, want 10.0.0.3", bAddr)
 	}
+	owners := map[packet.Addr]topo.NodeID{}
 	for _, id := range []topo.NodeID{a.ID, b, c.ID} {
 		addr, ok := net.AddrOf(id)
 		if !ok {
 			t.Fatalf("node %d has no address", id)
 		}
-		if owner, ok := net.NodeOf(addr); !ok || owner != id {
-			t.Fatalf("NodeOf(AddrOf(%d)) = %d, %v", id, owner, ok)
+		if owner, dup := owners[addr]; dup {
+			t.Fatalf("nodes %d and %d share address %v", owner, id, addr)
 		}
+		owners[addr] = id
 	}
-	for _, stray := range []packet.Addr{0, packet.MakeAddr(10, 0, 0, 0), packet.MakeAddr(10, 0, 0, 4), packet.MakeAddr(9, 255, 255, 255)} {
-		if owner, ok := net.NodeOf(stray); ok {
-			t.Fatalf("NodeOf(%v) = %d, want no owner", stray, owner)
-		}
+}
+
+// TestUnaddressedNodeForwardsZeroDst: a node without an address owns no
+// destination, the zero address included, so a packet for 0.0.0.0 is routed
+// (and, with no entry for it, dropped as no-route) rather than delivered.
+func TestUnaddressedNodeForwardsZeroDst(t *testing.T) {
+	loop, net, _, _, _, _ := lineNet(t, unit.Mbps, time.Millisecond, unit.MB)
+	b := net.Node(1)
+	if err := b.Register(9001, &sink{loop: loop}); err != nil {
+		t.Fatal(err)
+	}
+	rec := &recorder{loop: loop}
+	net.AttachTap(rec)
+	b.Send(dataPkt(0, 0, 1, 100))
+	if len(rec.drops) != 1 || rec.drops[0] != DropNoRoute {
+		t.Fatalf("drops = %v, want [no-route]", rec.drops)
 	}
 }
 

@@ -2,11 +2,12 @@
 // the TagTable, deterministic per-(destination, tag) next hops, the
 // mechanism the paper uses to pin each MPTCP subflow to a preselected path
 // ("packets with the same tag are always routed along the same path towards
-// the destination"). Unknown tags fail closed.
+// the destination"). A lookup indexes; unknown tags fail closed.
 package route
 
 import (
 	"fmt"
+	"slices"
 
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/topo"
@@ -32,39 +33,40 @@ func (e *NoRouteError) Error() string {
 	return fmt.Sprintf("route: no route at node %d for dst %s %s", e.Node, e.Dst, e.Tag)
 }
 
-type tagKey struct {
-	dst packet.Addr
-	tag packet.Tag
+// dstRoutes is a node's next hops towards dst, indexed by tag: noLink
+// where a tag has none.
+type dstRoutes struct {
+	dst  packet.Addr
+	link []topo.LinkID
 }
 
-// tagEntry is one forwarding entry of a node.
-type tagEntry struct {
-	key tagKey
-	lid topo.LinkID
-}
+const noLink topo.LinkID = -1
 
-// TagTable is a per-(destination, tag) forwarding table. Each node's
-// entries live in a short slice scanned linearly: a node holds at most
-// destinations × tags entries (16 on the widest shipped scenario), which a
-// scan beats a map probe on, whether or not consecutive packets share a tag.
+// TagTable is a per-(destination, tag) forwarding table. A node's entries
+// are found by destination (two on every shipped network, one per host),
+// then by tag, which indexes a slice: tags are small path numbers, with
+// CrossTCP's from 100, so there is nothing to scan or hash.
 type TagTable struct {
 	g    *topo.Graph
-	next [][]tagEntry
+	next [][]dstRoutes
 }
 
 // NewTagTable returns an empty tag-routing table over graph g.
 func NewTagTable(g *topo.Graph) *TagTable {
-	return &TagTable{g: g, next: make([][]tagEntry, g.NumNodes())}
+	return &TagTable{g: g, next: make([][]dstRoutes, g.NumNodes())}
 }
 
-// find returns node n's entry for key, or nil if it has none.
-func (t *TagTable) find(n topo.NodeID, key tagKey) *tagEntry {
-	for i := range t.next[n] {
-		if e := &t.next[n][i]; e.key == key {
-			return e
+// lookup returns node n's next hop for (dst, tag), or noLink.
+func (t *TagTable) lookup(n topo.NodeID, dst packet.Addr, tag packet.Tag) topo.LinkID {
+	for _, r := range t.next[n] {
+		if r.dst == dst {
+			if int(tag) < len(r.link) {
+				return r.link[tag]
+			}
+			break
 		}
 	}
-	return nil
+	return noLink
 }
 
 // AddPath installs forwarding entries so that packets for dst carrying tag
@@ -75,32 +77,39 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 	if !p.Valid(t.g) {
 		return fmt.Errorf("route: AddPath: invalid path")
 	}
-	key := tagKey{dst: dst, tag: tag}
 	// Validate before mutating so a conflict leaves the table unchanged.
 	for i, lid := range p.Links {
-		n := p.Nodes[i]
-		if e := t.find(n, key); e != nil && e.lid != lid {
+		if e := t.lookup(p.Nodes[i], dst, tag); e != noLink && e != lid {
 			return fmt.Errorf("route: conflicting entry at node %s for dst %s %s: link %d vs %d",
-				t.g.Node(n).Name, dst, tag, e.lid, lid)
+				t.g.Node(p.Nodes[i]).Name, dst, tag, e, lid)
 		}
 	}
 	for i, lid := range p.Links {
-		n := p.Nodes[i]
-		if e := t.find(n, key); e != nil {
-			e.lid = lid
-		} else {
-			t.next[n] = append(t.next[n], tagEntry{key, lid})
-		}
+		t.index(p.Nodes[i], dst, tag)[tag] = lid
 	}
 	return nil
+}
+
+// index returns node n's next hops towards dst, added if need be and grown
+// to hold tag.
+func (t *TagTable) index(n topo.NodeID, dst packet.Addr, tag packet.Tag) []topo.LinkID {
+	i := slices.IndexFunc(t.next[n], func(r dstRoutes) bool { return r.dst == dst })
+	if i < 0 {
+		i = len(t.next[n])
+		t.next[n] = append(t.next[n], dstRoutes{dst: dst})
+	}
+	r := &t.next[n][i]
+	for len(r.link) <= int(tag) {
+		r.link = append(r.link, noLink)
+	}
+	return r.link
 }
 
 // NextLink implements Router. Lookup is exact on (dst, tag); packets with
 // an unknown tag are not silently rerouted.
 func (t *TagTable) NextLink(n topo.NodeID, pkt *packet.Packet) (topo.LinkID, error) {
-	key := tagKey{dst: pkt.IP.Dst, tag: pkt.IP.Tag}
-	if e := t.find(n, key); e != nil {
-		return e.lid, nil
+	if lid := t.lookup(n, pkt.IP.Dst, pkt.IP.Tag); lid != noLink {
+		return lid, nil
 	}
-	return -1, &NoRouteError{Node: n, Dst: key.dst, Tag: key.tag}
+	return -1, &NoRouteError{Node: n, Dst: pkt.IP.Dst, Tag: pkt.IP.Tag}
 }

@@ -20,17 +20,21 @@ func tcpPkt(dst packet.Addr, tag packet.Tag, sp, dp packet.Port) *packet.Packet 
 	}
 }
 
+// pathTags are the tags the tests pin the paper network's three paths to:
+// two subflow-style tags and a CrossTCP-style one far above them.
+var pathTags = []packet.Tag{1, 2, 100}
+
 func TestTagTableFollowsPaths(t *testing.T) {
 	pn := topo.Paper()
 	tt := NewTagTable(pn.Graph)
 	for i, p := range pn.Paths {
-		if err := tt.AddPath(dstAddr, packet.Tag(i+1), p); err != nil {
+		if err := tt.AddPath(dstAddr, pathTags[i], p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Walk each tag from s and confirm the traversed links equal the path.
 	for i, p := range pn.Paths {
-		tag := packet.Tag(i + 1)
+		tag := pathTags[i]
 		pkt := tcpPkt(dstAddr, tag, 5001, 80)
 		at := pn.S
 		var walked []topo.LinkID
@@ -56,19 +60,39 @@ func TestTagTableFollowsPaths(t *testing.T) {
 	}
 }
 
+// TestTagTableUnknownTagFailsClosed: every lookup the table cannot answer
+// is a NoRouteError naming the node, destination and tag, never a link.
 func TestTagTableUnknownTagFailsClosed(t *testing.T) {
 	pn := topo.Paper()
 	tt := NewTagTable(pn.Graph)
-	if err := tt.AddPath(dstAddr, 1, pn.Paths[0]); err != nil {
-		t.Fatal(err)
+	for i, p := range pn.Paths {
+		if err := tt.AddPath(dstAddr, pathTags[i], p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	_, err := tt.NextLink(pn.S, tcpPkt(dstAddr, 9, 5001, 80))
-	var nr *NoRouteError
-	if !errors.As(err, &nr) {
-		t.Fatalf("want NoRouteError, got %v", err)
+	cases := []struct {
+		name string
+		at   topo.NodeID
+		dst  packet.Addr
+		tag  packet.Tag
+	}{
+		{"unknown tag", pn.S, dstAddr, 9},
+		{"TagNone", pn.S, dstAddr, packet.TagNone},
+		{"tag 255", pn.S, dstAddr, 255},
+		{"one above the largest tag", pn.S, dstAddr, 101},
+		{"between two installed tags", pn.S, dstAddr, 99},
+		{"known tag, unknown destination", pn.S, srcAddr, 1},
+		{"node with no entries", pn.D, dstAddr, 1},
 	}
-	if nr.Tag != 9 || nr.Dst != dstAddr {
-		t.Fatalf("error fields wrong: %v", nr)
+	for _, c := range cases {
+		lid, err := tt.NextLink(c.at, tcpPkt(c.dst, c.tag, 5001, 80))
+		var nr *NoRouteError
+		if !errors.As(err, &nr) || lid != -1 {
+			t.Fatalf("%s: got link %d, error %v; want -1 and a NoRouteError", c.name, lid, err)
+		}
+		if nr.Node != c.at || nr.Dst != c.dst || nr.Tag != c.tag {
+			t.Fatalf("%s: error fields wrong: %v", c.name, nr)
+		}
 	}
 }
 
@@ -88,6 +112,21 @@ func TestTagTableConflictRejected(t *testing.T) {
 	lid, err := tt.NextLink(v1, pkt)
 	if err != nil || lid != pn.Paths[0].Links[1] {
 		t.Fatalf("table mutated by failed AddPath: %v %v", lid, err)
+	}
+
+	// A conflict at the last hop but one leaves the earlier hops, which
+	// had no entry, without one.
+	tail := topo.Path{Nodes: pn.Paths[0].Nodes[3:], Links: pn.Paths[0].Links[3:]} // v3 -> d
+	if err := tt.AddPath(dstAddr, 2, tail); err != nil {
+		t.Fatal(err)
+	}
+	if err := tt.AddPath(dstAddr, 2, pn.Paths[1]); err == nil { // s v1 v3 v4 d
+		t.Fatal("conflicting AddPath accepted")
+	}
+	for _, n := range pn.Paths[1].Nodes[:2] {
+		if lid, err := tt.NextLink(n, tcpPkt(dstAddr, 2, 5001, 80)); err == nil {
+			t.Fatalf("failed AddPath installed link %d at node %d", lid, n)
+		}
 	}
 }
 

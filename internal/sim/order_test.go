@@ -53,13 +53,18 @@ func (k *refKernel) scheduleSeq(d time.Duration, seq uint64, label int64) *refKe
 	return e
 }
 
-func (k *refKernel) pop() *refKernelEv {
+// pop returns the next live event due by deadline, or nil.
+func (k *refKernel) pop(deadline Time) *refKernelEv {
 	for len(k.events) > 0 {
 		e := k.events[0]
-		k.events = k.events[1:]
 		if e.stopped {
+			k.events = k.events[1:]
 			continue
 		}
+		if e.at > deadline {
+			return nil
+		}
+		k.events = k.events[1:]
 		k.now = e.at
 		return e
 	}
@@ -85,7 +90,7 @@ func checkHeap(t *testing.T, l *Loop) {
 		if pos := l.nodes[l.heap[i].id()].pos; int(pos) != i {
 			t.Fatalf("entry at heap index %d has recorded position %d", i, pos)
 		}
-		if i > 0 && less(&l.heap[i], &l.heap[(i-1)/4]) {
+		if i > 0 && before(l.heap[i], l.heap[(i-1)/4]) != 0 {
 			t.Fatalf("entry at heap index %d sorts before its parent", i)
 		}
 	}
@@ -137,18 +142,23 @@ func (p *program) actions(label int64) progActions {
 }
 
 // progKernel is what the program needs of a kernel; events are named by
-// label. arm schedules a reserved seq at the current instant.
+// label. arm schedules a reserved seq at the current instant; runUntil runs
+// every event due by deadline through the program's handler, then moves the
+// clock as RunUntil does.
 type progKernel interface {
 	spawn(d time.Duration, label int64)
 	arm(seq uint64, label int64)
 	reserveSeq() uint64
 	stop(label int64)
 	pending() int
+	now() Time
+	runUntil(deadline Time)
 }
 
-// progRun is the state of one interpretation of the program.
+// progRun is the state of one interpretation of a program: actions gives
+// the behaviour of the handler of each event.
 type progRun struct {
-	prog      *program
+	actions   func(label int64) progActions
 	k         progKernel
 	budget    int
 	nextLabel int64
@@ -164,7 +174,7 @@ func (r *progRun) newLabel() int64 {
 // handle runs the program's handler for the event label, which fired at at.
 func (r *progRun) handle(label int64, at Time) {
 	rec := step{fired: fired{label, at}, lenBegin: r.k.pending()}
-	a := r.prog.actions(label)
+	a := r.actions(label)
 	if a.stopFirst && a.stopLabel >= 0 {
 		r.k.stop(a.stopLabel)
 	}
@@ -238,9 +248,18 @@ func (k *loopKernel) stop(label int64) {
 
 func (k *loopKernel) pending() int { return k.l.Len() }
 
+func (k *loopKernel) now() Time { return k.l.Now() }
+
+func (k *loopKernel) runUntil(deadline Time) {
+	if err := k.l.RunUntil(deadline); err != nil {
+		k.t.Fatal(err)
+	}
+}
+
 // refProgKernel drives the reference.
 type refProgKernel struct {
 	ref    *refKernel
+	run    *progRun
 	events map[int64]*refKernelEv
 }
 
@@ -262,6 +281,17 @@ func (k *refProgKernel) stop(label int64) {
 
 func (k *refProgKernel) pending() int { return k.ref.pending() }
 
+func (k *refProgKernel) now() Time { return k.ref.now }
+
+func (k *refProgKernel) runUntil(deadline Time) {
+	for e := k.ref.pop(deadline); e != nil; e = k.ref.pop(deadline) {
+		k.run.handle(e.label, e.at)
+	}
+	if deadline != End && deadline > k.ref.now {
+		k.ref.now = deadline
+	}
+}
+
 // TestOrderMatchesReferenceKernel runs the same randomized program — roots
 // piled onto a handful of timestamps, handlers spawning same-instant
 // children, stopping siblings and arming reserved seqs — through the kernel
@@ -280,26 +310,22 @@ func TestOrderMatchesReferenceKernel(t *testing.T) {
 		// Real kernel.
 		l := NewLoop()
 		lk := &loopKernel{t: t, l: l, timers: make(map[int64]Timer), cases: &cases}
-		got := &progRun{prog: prog, k: lk, budget: 3000}
+		got := &progRun{actions: prog.actions, k: lk, budget: 3000}
 		lk.run = got
 		for _, d := range rootTimes {
 			lk.spawn(d, got.newLabel())
 		}
-		if err := l.Run(); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		lk.runUntil(End)
 		checkHeap(t, l)
 
 		// Reference, same program.
-		ref := &refKernel{}
-		rk := &refProgKernel{ref: ref, events: make(map[int64]*refKernelEv)}
-		want := &progRun{prog: prog, k: rk, budget: 3000}
+		rk := &refProgKernel{ref: &refKernel{}, events: make(map[int64]*refKernelEv)}
+		want := &progRun{actions: prog.actions, k: rk, budget: 3000}
+		rk.run = want
 		for _, d := range rootTimes {
 			rk.spawn(d, want.newLabel())
 		}
-		for e := ref.pop(); e != nil; e = ref.pop() {
-			want.handle(e.label, e.at)
-		}
+		rk.runUntil(End)
 
 		if len(got.log) != len(want.log) {
 			t.Fatalf("seed %d: kernel fired %d events, reference %d",

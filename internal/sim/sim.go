@@ -10,7 +10,8 @@
 //
 // The scheduling path is allocation-free in steady state: event nodes live
 // in a pooled arena recycled through a free list, the pending queue is a
-// concrete 4-ary indexed heap (no container/heap interface boxing), and the
+// concrete 4-ary indexed heap (no container/heap interface boxing) whose
+// sift down picks the least child by mask rather than by branch, and the
 // Callback interface lets hot callers schedule pre-bound callback structs
 // instead of capturing closures. Timer handles are values carrying a
 // generation counter, so a stale handle to a recycled node is a safe no-op.
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -278,14 +280,6 @@ func (l *Loop) release(id int32) {
 	l.free = append(l.free, id)
 }
 
-// less orders entries by (at, seq).
-func less(a, b *entry) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.packed < b.packed
-}
-
 // place stores e at heap index pos and records the position in e's node.
 func (l *Loop) place(pos int, e entry) {
 	l.heap[pos] = e
@@ -311,7 +305,7 @@ func (l *Loop) removeAt(pos int) {
 		return
 	}
 	l.heap[pos] = e
-	if pos > 0 && less(&e, &l.heap[(pos-1)/4]) {
+	if pos > 0 && before(e, l.heap[(pos-1)/4]) != 0 {
 		l.up(pos)
 	} else {
 		l.down(pos)
@@ -326,7 +320,7 @@ func (l *Loop) up(pos int) {
 	e := l.heap[pos]
 	for pos > 0 {
 		parent := (pos - 1) / 4
-		if !less(&e, &l.heap[parent]) {
+		if before(e, l.heap[parent]) == 0 {
 			break
 		}
 		l.place(pos, l.heap[parent])
@@ -336,18 +330,22 @@ func (l *Loop) up(pos int) {
 }
 
 // down restores the heap property from pos towards the leaves. It runs once
-// per event, so the moving entry and the best child stay in locals.
+// per event, so it picks the least of the up to four children without a
+// data-dependent branch: which child wins is as good as random, and a
+// mispredicted compare cost more than the loads. A node with fewer than four
+// children reads its last child again in the missing places; an entry never
+// beats itself, so the duplicates change nothing. The one branch left is the
+// loop's exit.
 func (l *Loop) down(pos int) {
 	h := l.heap
+	last := len(h) - 1
 	e := h[pos]
-	for first := 4*pos + 1; first < len(h); first = 4*pos + 1 {
-		best, b := first, h[first]
-		for c := first + 1; c < min(first+4, len(h)); c++ {
-			if x := h[c]; x.at < b.at || x.at == b.at && x.packed < b.packed {
-				best, b = c, x
-			}
-		}
-		if b.at > e.at || b.at == e.at && b.packed > e.packed {
+	for first := 4*pos + 1; first <= last; first = 4*pos + 1 {
+		c1, c2, c3 := min(first+1, last), min(first+2, last), min(first+3, last)
+		b01, i01 := lesser(h[first], first, h[c1], c1)
+		b23, i23 := lesser(h[c2], c2, h[c3], c3)
+		b, best := lesser(b01, i01, b23, i23)
+		if before(e, b) != 0 {
 			break
 		}
 		h[pos] = b
@@ -355,6 +353,24 @@ func (l *Loop) down(pos int) {
 		pos = best
 	}
 	l.place(pos, e)
+}
+
+// before orders entries by (at, seq): it returns all ones if x sorts before
+// y and zero otherwise, the borrow out of the 128-bit subtraction x - y of
+// the keys (at, packed). at is never negative (schedule clamps to now), so
+// it compares as unsigned.
+func before(x, y entry) uint64 {
+	_, borrow := bits.Sub64(x.packed, y.packed, 0)
+	_, borrow = bits.Sub64(uint64(x.at), uint64(y.at), borrow)
+	return -borrow
+}
+
+// lesser returns the lesser of entry x at heap index i and entry y at j, by
+// mask rather than by branch.
+func lesser(x entry, i int, y entry, j int) (entry, int) {
+	m := before(y, x)
+	return entry{at: x.at ^ (x.at^y.at)&Time(m), packed: x.packed ^ (x.packed^y.packed)&m},
+		i ^ (i^j)&int(m)
 }
 
 // Schedule runs fn after delay d of virtual time. A non-positive delay runs
