@@ -77,7 +77,10 @@ type rseg struct {
 	mapped bool
 }
 
-// Conn is one TCP connection endpoint.
+// Conn is one TCP connection endpoint. Small fields share words (bools
+// beside a uint32) so the record stays within 696 bytes: with the 8-byte
+// header the allocator puts in front of a pointerful object this large, that
+// fills the 704-byte size class exactly (TestConnSize).
 type Conn struct {
 	host *Host
 	loop *sim.Loop
@@ -116,16 +119,20 @@ type Conn struct {
 	//
 	// sackedSegs and lostHoles count the live segments that are sacked, and
 	// lost but not sacked (the holes sendScoreboard repairs). sackTop is the
-	// ordinal above every sacked segment. Below lostFloor every segment is
-	// sacked or lost already — a set that only grows — so markLost has
-	// nothing left to decide there. Below holeCursor no hole still awaits
-	// its first retransmission. oldestRtx is a lower bound on sentAt over
-	// the retransmitted holes (sim.End when there is none): until it is an
-	// RTO old, no retransmission can be due for a soft-timeout re-send.
+	// ordinal above every sacked segment, and every segment from sackLow (or
+	// the front, if that is higher) up to sackTop is sacked: the run a
+	// growing top SACK block extends, which applySACK steps over instead of
+	// re-walking. Below lostFloor every segment is sacked or lost already —
+	// a set that only grows — so markLost has nothing left to decide there.
+	// Below holeCursor no hole still awaits its first retransmission.
+	// oldestRtx is a lower bound on sentAt over the retransmitted holes
+	// (sim.End when there is none): until it is an RTO old, no
+	// retransmission can be due for a soft-timeout re-send.
 	rtxPopped  int
 	sackedSegs int
 	lostHoles  int
 	sackTop    int
+	sackLow    int
 	lostFloor  int
 	holeCursor int
 	oldestRtx  sim.Time
@@ -152,10 +159,9 @@ type Conn struct {
 	mssOpt packet.MSSOption
 
 	// Receiver state.
-	rcvNxt     uint32
-	ooo        fifo.Queue[rseg]
-	oooBytes   int
-	lastOOOSeq uint32
+	rcvNxt   uint32
+	ooo      fifo.Queue[rseg]
+	oooBytes int
 	// sackRanges is the out-of-order queue coalesced into contiguous
 	// ranges, in sequence order: what rebuildSackRanges computes from ooo,
 	// kept current as segments are parked and drained. sackRebuild latches
@@ -164,6 +170,7 @@ type Conn struct {
 	// change recomputes the ranges instead of updating them.
 	sackRanges  [][2]uint32
 	sackRebuild bool
+	lastOOOSeq  uint32
 	ackPending  int
 	delAckTimer sim.Timer
 	// sackScratch holds the blocks of the outgoing ACK, which are copied

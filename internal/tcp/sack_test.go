@@ -58,6 +58,13 @@ func TestApplySACKMarksExactRanges(t *testing.T) {
 	if c.sackTop != 4 {
 		t.Fatalf("sackTop = %d, want 4 (one above the highest sacked segment)", c.sackTop)
 	}
+	// A block starting one byte past the sacked run covers the segment
+	// after it only in part, so marks just the one above.
+	c.applySACK([][2]uint32{{4002, 6001}})
+	if c.rtx.At(4).sacked || !c.rtx.At(5).sacked || c.sackTop != 6 {
+		t.Fatalf("block past the run: segment 4 sacked=%v, 5 sacked=%v, sackTop %d; want false, true, 6",
+			c.rtx.At(4).sacked, c.rtx.At(5).sacked, c.sackTop)
+	}
 }
 
 func TestApplySACKIgnoresInvalidBlocks(t *testing.T) {

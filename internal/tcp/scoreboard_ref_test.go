@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -38,6 +39,43 @@ func refMarkLost(c *Conn) bool {
 			s.lost = true
 			s.rtx = false
 			changed = true
+		}
+	}
+	return changed
+}
+
+// refApplySACK is the per-block SACK walk: a binary search to the block's
+// start, then every segment the block covers, sacked already or not.
+func refApplySACK(c *Conn, blocks [][2]uint32) bool {
+	changed := false
+	segs := c.rtx.Live()
+	for _, b := range blocks {
+		start, end := b[0], b[1]
+		if !seqLT(start, end) {
+			continue
+		}
+		lo := sort.Search(len(segs), func(i int) bool {
+			return seqGEQ(segs[i].seq, start)
+		})
+		for i := lo; i < len(segs); i++ {
+			s := &segs[i]
+			if !seqLEQ(s.seq+uint32(s.length), end) {
+				break
+			}
+			if s.sacked {
+				continue
+			}
+			c.pipe -= segPipe(s)
+			if s.lost {
+				c.lostHoles--
+			}
+			s.sacked = true
+			s.lost = false
+			c.sackedSegs++
+			changed = true
+			if top := c.rtxPopped + i + 1; top > c.sackTop {
+				c.sackTop = top
+			}
 		}
 	}
 	return changed
@@ -171,6 +209,12 @@ func checkAccelerators(c *Conn) error {
 		if hole && s.rtx && s.sentAt < oldest {
 			oldest = s.sentAt
 		}
+		if ord >= c.sackLow && ord < c.sackTop && !s.sacked {
+			return fmt.Errorf("segment %d in the sacked run [%d, %d) is not sacked", ord, c.sackLow, c.sackTop)
+		}
+	}
+	if c.sackLow > c.sackTop {
+		return fmt.Errorf("sackLow %d is above sackTop %d", c.sackLow, c.sackTop)
 	}
 	if sacked != c.sackedSegs || holes != c.lostHoles {
 		return fmt.Errorf("sackedSegs %d lostHoles %d, recount %d %d", c.sackedSegs, c.lostHoles, sacked, holes)
@@ -200,9 +244,9 @@ func (m *peerModel) receive(seg int) {
 	}
 }
 
-// blocks renders the out-of-order segments as up to three SACK blocks, the
+// blocks renders the out-of-order segments as up to limit SACK blocks, the
 // one with the latest arrival first.
-func (m *peerModel) blocks(top int) [][2]int {
+func (m *peerModel) blocks(top, limit int) [][2]int {
 	var all [][2]int
 	for s := m.cum; s < top; s++ {
 		if !m.got[s] {
@@ -220,106 +264,126 @@ func (m *peerModel) blocks(top int) [][2]int {
 			break
 		}
 	}
-	if len(all) > 3 {
-		all = all[:3]
+	if len(all) > limit {
+		all = all[:limit]
 	}
 	return all
 }
 
 // TestScoreboardMatchesReferenceWalks: random loss, reordering of ACKs and
-// idle gaps (RTOs, soft timeouts) against a bulk sender. Before every ACK is
-// delivered, the state the ACK path is about to hand to markLost and
-// sendScoreboard is built on two copies — applySACK and popAcked applied —
-// and the production functions on one copy must leave exactly the
-// scoreboard, and send exactly the retransmissions, that the full walks
-// leave and send on the other. After every step the counters and watermarks
-// are recounted.
+// idle gaps (RTOs, soft timeouts) against a bulk sender, with one SACK
+// block per ACK (what fits beside timestamps and a data ACK) and with
+// MaxSACKBlocks. Before every ACK is delivered, it is applied to two copies —
+// applySACK on one, refApplySACK on the other, then popAcked on both — and
+// the copies must report the same change and hold the same scoreboard and
+// counters. Then the production markLost and sendScoreboard on one copy must
+// leave exactly the scoreboard, and send exactly the retransmissions, that
+// the full walks leave and send on the other. After every step the counters
+// and watermarks are recounted.
 func TestScoreboardMatchesReferenceWalks(t *testing.T) {
-	for seed := int64(1); seed <= 30; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := newScriptPeer(t, Config{Source: BulkSource{}})
-		c := p.c
-		m := &peerModel{got: map[int]bool{}}
-		lossProb := []float64{0.02, 0.1, 0.3}[seed%3]
-		var ackQ []func()
-		what := func(step int) string { return fmt.Sprintf("seed %d step %d", seed, step) }
+	for _, perAck := range []int{1, packet.MaxSACKBlocks} {
+		for seed := int64(1); seed <= 30; seed++ {
+			scoreboardScript(t, seed, perAck)
+		}
+	}
+}
 
-		compareWalks := func(step int, cum int, blocks [][2]int) {
-			var wire [][2]uint32
-			for _, b := range blocks {
-				wire = append(wire, [2]uint32{p.sndSeq(b[0]), p.sndSeq(b[1])})
-			}
-			prod, ref := cloneScoreboard(c), cloneScoreboard(c)
-			for _, cp := range []*Conn{prod, ref} {
-				cp.applySACK(wire)
-				if ack := p.sndSeq(cum); seqGT(ack, cp.sndUna) {
-					cp.sndUna = ack
-					cp.popAcked(ack, cp.loop.Now())
-				}
-			}
-			// The copies transmit into the same capture as the connection.
-			inFlight := p.data
-			p.data = nil
-			defer func() { p.data = inFlight }()
-			gotChanged := prod.markLost()
-			if wantChanged := refMarkLost(ref); gotChanged != wantChanged {
-				t.Fatalf("%s: markLost reported %v, full walk %v", what(step), gotChanged, wantChanged)
-			}
-			if err := sameScoreboard(prod, ref); err != nil {
-				t.Fatalf("%s: after markLost: %v", what(step), err)
-			}
-			prod.sendScoreboard()
-			gotSent := append([]sentSeg(nil), p.data...)
-			p.data = p.data[:0]
-			refSendScoreboard(ref)
-			if !reflect.DeepEqual(gotSent, p.data) {
-				t.Fatalf("%s: sendScoreboard retransmitted %v, full walk %v", what(step), gotSent, p.data)
-			}
-			if err := sameScoreboard(prod, ref); err != nil {
-				t.Fatalf("%s: after sendScoreboard: %v", what(step), err)
-			}
-			if err := checkAccelerators(prod); err != nil {
-				t.Fatalf("%s: copy after the production walks: %v", what(step), err)
-			}
-		}
+// scoreboardScript runs one seed of TestScoreboardMatchesReferenceWalks with
+// at most perAck SACK blocks on every ACK.
+func scoreboardScript(t *testing.T, seed int64, perAck int) {
+	rng := rand.New(rand.NewSource(seed))
+	p := newScriptPeer(t, Config{Source: BulkSource{}})
+	c := p.c
+	m := &peerModel{got: map[int]bool{}}
+	lossProb := []float64{0.02, 0.1, 0.3}[seed%3]
+	var ackQ []func()
+	what := func(step int) string { return fmt.Sprintf("%d blocks seed %d step %d", perAck, seed, step) }
 
-		for step := 0; step < 600; step++ {
-			// Whatever the sender transmitted reaches the peer or is lost;
-			// each arrival queues an ACK.
-			for _, d := range p.data {
-				if rng.Float64() < lossProb {
-					continue
-				}
-				m.receive(d.seg)
-				cum, blocks := m.cum, m.blocks(int(c.sndNxt-(c.iss+1))/scriptMSS)
-				ackQ = append(ackQ, func() {
-					compareWalks(step, cum, blocks)
-					p.ack(cum, blocks...)
-				})
-			}
-			p.data = p.data[:0]
-			switch {
-			case len(ackQ) == 0 || rng.Intn(12) == 0:
-				// Idle: up to one and a half RTOs.
-				p.advance(time.Duration(rng.Int63n(int64(c.rtt.RTO()) * 3 / 2)))
-			default:
-				// Deliver the next ACK, now and then a later one first.
-				i := 0
-				if rng.Intn(8) == 0 {
-					i = rng.Intn(len(ackQ))
-				}
-				deliver := ackQ[i]
-				ackQ = append(ackQ[:i], ackQ[i+1:]...)
-				p.advance(time.Duration(rng.Intn(3)) * time.Millisecond)
-				deliver()
-			}
-			if err := checkAccelerators(c); err != nil {
-				t.Fatalf("%s: %v", what(step), err)
+	compareWalks := func(step int, cum int, blocks [][2]int) {
+		var wire [][2]uint32
+		for _, b := range blocks {
+			wire = append(wire, [2]uint32{p.sndSeq(b[0]), p.sndSeq(b[1])})
+		}
+		prod, ref := cloneScoreboard(c), cloneScoreboard(c)
+		gotChanged, wantChanged := prod.applySACK(wire), refApplySACK(ref, wire)
+		if gotChanged != wantChanged {
+			t.Fatalf("%s: applySACK(%v) reported %v, full walk %v", what(step), blocks, gotChanged, wantChanged)
+		}
+		if err := sameScoreboard(prod, ref); err != nil {
+			t.Fatalf("%s: after applySACK(%v): %v", what(step), blocks, err)
+		}
+		if prod.sackedSegs != ref.sackedSegs || prod.lostHoles != ref.lostHoles || prod.sackTop != ref.sackTop {
+			t.Fatalf("%s: after applySACK(%v): sackedSegs, lostHoles, sackTop %d %d %d, full walk %d %d %d", what(step), blocks,
+				prod.sackedSegs, prod.lostHoles, prod.sackTop, ref.sackedSegs, ref.lostHoles, ref.sackTop)
+		}
+		for _, cp := range []*Conn{prod, ref} {
+			if ack := p.sndSeq(cum); seqGT(ack, cp.sndUna) {
+				cp.sndUna = ack
+				cp.popAcked(ack, cp.loop.Now())
 			}
 		}
-		if c.Stats.FastRecovery == 0 || c.Stats.Retransmits == 0 {
-			t.Fatalf("seed %d: no recovery episode (%+v); the script exercises nothing", seed, c.Stats)
+		// The copies transmit into the same capture as the connection.
+		inFlight := p.data
+		p.data = nil
+		defer func() { p.data = inFlight }()
+		gotChanged = prod.markLost()
+		if wantChanged := refMarkLost(ref); gotChanged != wantChanged {
+			t.Fatalf("%s: markLost reported %v, full walk %v", what(step), gotChanged, wantChanged)
 		}
+		if err := sameScoreboard(prod, ref); err != nil {
+			t.Fatalf("%s: after markLost: %v", what(step), err)
+		}
+		prod.sendScoreboard()
+		gotSent := append([]sentSeg(nil), p.data...)
+		p.data = p.data[:0]
+		refSendScoreboard(ref)
+		if !reflect.DeepEqual(gotSent, p.data) {
+			t.Fatalf("%s: sendScoreboard retransmitted %v, full walk %v", what(step), gotSent, p.data)
+		}
+		if err := sameScoreboard(prod, ref); err != nil {
+			t.Fatalf("%s: after sendScoreboard: %v", what(step), err)
+		}
+		if err := checkAccelerators(prod); err != nil {
+			t.Fatalf("%s: copy after the production walks: %v", what(step), err)
+		}
+	}
+
+	for step := 0; step < 600; step++ {
+		// Whatever the sender transmitted reaches the peer or is lost;
+		// each arrival queues an ACK.
+		for _, d := range p.data {
+			if rng.Float64() < lossProb {
+				continue
+			}
+			m.receive(d.seg)
+			cum, blocks := m.cum, m.blocks(int(c.sndNxt-(c.iss+1))/scriptMSS, perAck)
+			ackQ = append(ackQ, func() {
+				compareWalks(step, cum, blocks)
+				p.ack(cum, blocks...)
+			})
+		}
+		p.data = p.data[:0]
+		switch {
+		case len(ackQ) == 0 || rng.Intn(12) == 0:
+			// Idle: up to one and a half RTOs.
+			p.advance(time.Duration(rng.Int63n(int64(c.rtt.RTO()) * 3 / 2)))
+		default:
+			// Deliver the next ACK, now and then a later one first.
+			i := 0
+			if rng.Intn(8) == 0 {
+				i = rng.Intn(len(ackQ))
+			}
+			deliver := ackQ[i]
+			ackQ = append(ackQ[:i], ackQ[i+1:]...)
+			p.advance(time.Duration(rng.Intn(3)) * time.Millisecond)
+			deliver()
+		}
+		if err := checkAccelerators(c); err != nil {
+			t.Fatalf("%s: %v", what(step), err)
+		}
+	}
+	if c.Stats.FastRecovery == 0 || c.Stats.Retransmits == 0 {
+		t.Fatalf("seed %d: no recovery episode (%+v); the script exercises nothing", seed, c.Stats)
 	}
 }
 

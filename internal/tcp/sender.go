@@ -268,38 +268,60 @@ func (c *Conn) processAck(pkt *packet.Packet) {
 // applySACK marks segments covered by the peer's SACK blocks; it reports
 // whether any new byte was sacked. The scoreboard is contiguous and
 // sorted by sequence (segments are appended in send order and popped
-// from the front), so each block marks one run found by binary search
-// instead of a full scan.
+// from the front), so each block marks one run of segments. The run
+// [sackLow, sackTop) is sacked already and is never walked again: a block
+// starting inside it resumes at sackTop, a walk from below jumps over it,
+// and only a block starting elsewhere pays a binary search.
 func (c *Conn) applySACK(blocks [][2]uint32) bool {
 	changed := false
 	segs := c.rtx.Live()
+	base := c.rtxPopped
 	for _, b := range blocks {
 		start, end := b[0], b[1]
 		if !seqLT(start, end) {
 			continue
 		}
-		lo := sort.Search(len(segs), func(i int) bool {
-			return seqGEQ(segs[i].seq, start)
-		})
-		for i := lo; i < len(segs); i++ {
+		low, top := max(c.sackLow-base, 0), c.sackTop-base
+		var lo int
+		if low < top && seqGEQ(start, segs[low].seq) && seqLEQ(start, segs[top-1].seq+uint32(segs[top-1].length)) {
+			lo = top
+		} else {
+			lo = sort.Search(len(segs), func(i int) bool {
+				return seqGEQ(segs[i].seq, start)
+			})
+		}
+		i := lo
+		for i < len(segs) {
+			if i == low && low < top {
+				i = top
+				continue
+			}
 			s := &segs[i]
 			if !seqLEQ(s.seq+uint32(s.length), end) {
 				break
 			}
-			if s.sacked {
-				continue
+			if !s.sacked {
+				c.pipe -= segPipe(s)
+				if s.lost {
+					c.lostHoles--
+				}
+				s.sacked = true
+				s.lost = false
+				c.sackedSegs++
+				changed = true
 			}
-			c.pipe -= segPipe(s)
-			if s.lost {
-				c.lostHoles--
-			}
-			s.sacked = true
-			s.lost = false
-			c.sackedSegs++
-			changed = true
-			if top := c.rtxPopped + i + 1; top > c.sackTop {
-				c.sackTop = top
-			}
+			i++
+		}
+		// [lo, i) is sacked now: it joins the run if the two touch, and
+		// replaces it if it lies above.
+		switch {
+		case lo <= top && i >= low:
+			c.sackLow = base + min(lo, low)
+		case i > lo && lo > top:
+			c.sackLow = base + lo
+		}
+		if i > max(lo, top) {
+			c.sackTop = base + i
 		}
 	}
 	return changed
