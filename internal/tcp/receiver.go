@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"slices"
 	"sort"
 
 	"mptcpsim/internal/packet"
@@ -225,25 +224,16 @@ func (c *Conn) sackBlocks() [][2]uint32 {
 	if !c.sackOK || c.ooo.Len() == 0 {
 		return nil
 	}
-	r, last := c.sackRanges, c.lastOOOSeq
-	blocks := c.sackScratch[:copy(c.sackScratch[:], r)]
-	holds := func(b [2]uint32) bool { return seqGEQ(last, b[0]) && seqLT(last, b[1]) }
-	i := -1
-	if c.sackRebuild {
-		// Ranges may overlap: the first that holds the arrival.
-		i = slices.IndexFunc(r, holds)
-	} else if j := sort.Search(len(r), func(j int) bool { return seqGT(r[j][0], last) }) - 1; j >= 0 && holds(r[j]) {
-		// Disjoint ranges: only the last one starting at or below the
-		// arrival can hold it.
-		i = j
-	}
-	switch {
-	case i <= 0:
-		// No range holds the arrival, or it leads already.
-	case i < len(blocks):
-		blocks[0], blocks[i] = blocks[i], blocks[0]
-	default:
-		blocks[0] = r[i]
+	blocks := c.sackScratch[:copy(c.sackScratch[:], c.sackRanges)]
+	for i, r := range c.sackRanges {
+		if seqGEQ(c.lastOOOSeq, r[0]) && seqLT(c.lastOOOSeq, r[1]) {
+			if i < len(blocks) {
+				blocks[0], blocks[i] = blocks[i], blocks[0]
+			} else {
+				blocks[0] = r
+			}
+			break
+		}
 	}
 	return blocks
 }
