@@ -11,30 +11,52 @@
 //	table_scheduler.csv scheduler ablation (A3)
 //	table_sack.csv      SACK vs NewReno-only ablation
 //
-// Use -seeds to average the tables over more runs and -quick for a fast
-// smoke pass.
+// A table is the sweep of grid files in grids/, built into the command,
+// with one row per group of the sweep's result; the groups keep subflow
+// orderings apart. The files hold the full horizons and no seeds, so
+// cmd/sweep reruns a table's cells from them as they stand:
+//
+//	sweep -grid cmd/figures/grids/table_buffers.json -seeds 20 -groups buffers.csv
+//
+// Use -seeds to average the tables over more runs, -workers to run a
+// table's runs in parallel (the artefacts do not depend on it) and -quick
+// for a fast smoke pass.
 package main
 
 import (
+	"embed"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/cli"
 )
 
+// grids holds the tables' grid files.
+//
+//go:embed grids/*.json
+var grids embed.FS
+
+// quickMs is the -quick stand-in for each horizon of the grid files, in
+// milliseconds.
+var quickMs = map[float64]float64{4000: 2000, 12000: 4000, 25000: 6000}
+
 // gen is one invocation: where the artefacts go, how many seeds a table
-// cell averages, and the first failure, after which every step is skipped.
+// cell averages over, how many runs execute at once, whether horizons are
+// cut short, and the first failure, after which every step is skipped.
 type gen struct {
-	outDir string
-	seeds  int
-	stdout io.Writer
-	err    error
+	outDir  string
+	seeds   int
+	workers int
+	quick   bool
+	stdout  io.Writer
+	err     error
 }
 
 func main() {
@@ -49,7 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	g := &gen{stdout: stdout}
 	fs.StringVar(&g.outDir, "out", "out", "output directory")
 	fs.IntVar(&g.seeds, "seeds", 5, "seeds per table cell")
-	quick := fs.Bool("quick", false, "short horizons for a smoke run")
+	fs.IntVar(&g.workers, "workers", runtime.GOMAXPROCS(0), "runs executed in parallel")
+	fs.BoolVar(&g.quick, "quick", false, "short horizons for a smoke run")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -57,12 +80,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	figDuration := 4 * time.Second
-	longDuration := 25 * time.Second
-	cubicHorizon := 12 * time.Second
-	if *quick {
+	if g.quick {
 		figDuration = 2 * time.Second
-		longDuration = 6 * time.Second
-		cubicHorizon = 4 * time.Second
 		g.seeds = min(g.seeds, 2)
 	}
 	g.err = os.MkdirAll(g.outDir, 0o755)
@@ -76,11 +95,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SampleInterval: 10 * time.Millisecond},
 		"Fig 2c: early phase, 10 ms bins")
 
-	g.tableSummary(figDuration, cubicHorizon, longDuration)
-	g.tableOliaDefault(longDuration)
-	g.tableBuffers(figDuration)
-	g.tableScheduler(figDuration)
-	g.tableSACK(figDuration)
+	g.tableSummary()
+	// The "only if Path 2 was the default" probe: a row per ordering.
+	g.table("table_olia_default", "default_path,seeds,converged,mean_conv_time_s,mean_gap_pct",
+		func(_ *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
+			return fmt.Sprintf("%d,%d,%d,%.2f,%.1f", grp.Order[0], grp.Runs, grp.Converged,
+				grp.ConvergedAtS.Mean, grp.Gap.Mean*100)
+		})
+	// Ablation A1: queue capacity scales the drop (gradient step) frequency
+	// and with it the shake-down.
+	g.table("table_buffers", "queue_scale,seeds,converged,mean_total_mbps,mean_gap_pct",
+		func(grid *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
+			return fmt.Sprintf("%.2f,%d,%d,%.1f,%.1f", perturbation(grid, grp.Perturbation).QueueScale,
+				grp.Runs, grp.Converged, grp.TotalMbps.Mean, grp.Gap.Mean*100)
+		})
+	// Ablation A3: the segment scheduler.
+	g.table("table_scheduler", "scheduler,seeds,mean_total_mbps,mean_goodput_mbps,dup_bytes_frac",
+		func(_ *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
+			return fmt.Sprintf("%s,%d,%.1f,%.1f,%.3f", grp.Scheduler, grp.Runs, grp.TotalMbps.Mean,
+				grp.GoodputMbps.Mean, grp.DupFrac.Mean)
+		})
+	// SACK scoreboard recovery against NewReno-only.
+	g.table("table_sack", "sack,seeds,mean_total_mbps,mean_gap_pct,mean_rtos",
+		func(grid *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
+			return fmt.Sprintf("%v,%d,%.1f,%.1f,%.1f", !perturbation(grid, grp.Perturbation).DisableSACK,
+				grp.Runs, grp.TotalMbps.Mean, grp.Gap.Mean*100, grp.RTOs.Mean)
+		})
 	if g.err != nil {
 		fmt.Fprintln(stderr, "figures:", g.err)
 		return 1
@@ -128,149 +168,96 @@ func (g *gen) figure(name string, opts mptcpsim.Options, title string) {
 }
 
 // tableSummary reproduces the §3 findings: per algorithm, whether/when the
-// optimum band is reached and how stable the rate is afterwards.
-func (g *gen) tableSummary(figDur, cubicDur, longDur time.Duration) {
+// optimum band is reached and how stable the rate is afterwards, at the
+// figures' horizon and then at the algorithm's long horizon if it has one.
+func (g *gen) tableSummary() {
 	g.withFile("table_summary.csv", func(w io.Writer) error {
+		type horizon struct {
+			grid *mptcpsim.Grid
+			res  *mptcpsim.SweepResult
+		}
+		var hs []horizon
+		for _, name := range []string{"table_summary", "table_summary_12s", "table_summary_25s"} {
+			grid, res, err := g.sweep(name)
+			if err != nil {
+				return err
+			}
+			hs = append(hs, horizon{grid, res})
+		}
 		fmt.Fprintln(w, "cc,horizon_s,seeds,converged,conv_frac,mean_conv_time_s,mean_total_mbps,mean_gap_pct,mean_post_cov")
-		for _, row := range []struct {
-			cc  string
-			dur time.Duration
-		}{
-			{"cubic", figDur}, {"cubic", cubicDur},
-			{"lia", figDur}, {"lia", longDur},
-			{"olia", figDur}, {"olia", longDur},
-			{"reno", figDur},
-			{"balia", figDur}, {"balia", longDur},
-			{"wvegas", figDur},
-		} {
-			conv, convTime, total, gap, cov := 0, 0.0, 0.0, 0.0, 0.0
-			for s := 1; s <= g.seeds; s++ {
-				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: row.cc, Seed: int64(s), Duration: row.dur})
-				if err != nil {
-					return err
+		for _, first := range hs[0].res.Groups {
+			for _, h := range hs {
+				for _, grp := range h.res.Groups {
+					if grp.CC == first.CC {
+						fmt.Fprintf(w, "%s,%.0f,%d,%d,%.2f,%.2f,%.1f,%.1f,%.3f\n", grp.CC, h.grid.DurationMs/1000,
+							grp.Runs, grp.Converged, float64(grp.Converged)/float64(grp.Runs),
+							grp.ConvergedAtS.Mean, grp.TotalMbps.Mean, grp.Gap.Mean*100, grp.PostCoV.Mean)
+					}
 				}
-				if res.Summary.Converged {
-					conv++
-					convTime += res.Summary.ConvergedAt.Seconds()
-				}
-				total += res.Summary.TotalMean
-				gap += float64(res.Summary.Gap * 100)
-				cov += res.Summary.PostCoV
 			}
-			n := float64(g.seeds)
-			mct := 0.0
-			if conv > 0 {
-				mct = convTime / float64(conv)
-			}
-			fmt.Fprintf(w, "%s,%.0f,%d,%d,%.2f,%.2f,%.1f,%.1f,%.3f\n",
-				row.cc, row.dur.Seconds(), g.seeds, conv, float64(conv)/n, mct, total/n, gap/n, cov/n)
 		}
 		return nil
 	})
 }
 
-// tableOliaDefault reproduces the "only if Path 2 was the default" probe.
-func (g *gen) tableOliaDefault(dur time.Duration) {
-	g.withFile("table_olia_default.csv", func(w io.Writer) error {
-		fmt.Fprintln(w, "default_path,seeds,converged,mean_conv_time_s,mean_gap_pct")
-		for _, order := range [][]int{{2, 1, 3}, {1, 2, 3}, {3, 1, 2}} {
-			conv, convTime, gap := 0, 0.0, 0.0
-			for s := 1; s <= g.seeds; s++ {
-				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Seed: int64(s),
-					Duration: dur, SubflowPaths: order})
-				if err != nil {
-					return err
-				}
-				if res.Summary.Converged {
-					conv++
-					convTime += res.Summary.ConvergedAt.Seconds()
-				}
-				gap += float64(res.Summary.Gap * 100)
-			}
-			mct := 0.0
-			if conv > 0 {
-				mct = convTime / float64(conv)
-			}
-			fmt.Fprintf(w, "%d,%d,%d,%.2f,%.1f\n", order[0], g.seeds, conv, mct, gap/float64(g.seeds))
+// table writes <name>.csv from the sweep of grids/<name>.json: the header,
+// then one row per group.
+func (g *gen) table(name, header string, row func(*mptcpsim.Grid, mptcpsim.GroupStats) string) {
+	g.withFile(name+".csv", func(w io.Writer) error {
+		grid, res, err := g.sweep(name)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w, header)
+		for _, grp := range res.Groups {
+			fmt.Fprintln(w, row(grid, grp))
 		}
 		return nil
 	})
 }
 
-// tableBuffers is ablation A1: queue capacity scales the drop (gradient
-// step) frequency and with it the shake-down.
-func (g *gen) tableBuffers(dur time.Duration) {
-	g.withFile("table_buffers.csv", func(w io.Writer) error {
-		fmt.Fprintln(w, "queue_scale,seeds,converged,mean_total_mbps,mean_gap_pct")
-		for _, qs := range []float64{0.25, 0.5, 1, 2, 4} {
-			conv, total, gap := 0, 0.0, 0.0
-			for s := 1; s <= g.seeds; s++ {
-				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "cubic", Seed: int64(s),
-					Duration: dur, QueueScale: qs})
-				if err != nil {
-					return err
-				}
-				if res.Summary.Converged {
-					conv++
-				}
-				total += res.Summary.TotalMean
-				gap += float64(res.Summary.Gap * 100)
-			}
-			n := float64(g.seeds)
-			fmt.Fprintf(w, "%.2f,%d,%d,%.1f,%.1f\n", qs, g.seeds, conv, total/n, gap/n)
+// sweep runs grids/<name>.json over seeds 1..g.seeds, each horizon cut to
+// its -quick stand-in under -quick, and groups the runs with orderings kept
+// apart. A failed run fails the sweep.
+func (g *gen) sweep(name string) (*mptcpsim.Grid, *mptcpsim.SweepResult, error) {
+	f, err := grids.Open("grids/" + name + ".json")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer f.Close()
+	grid, err := mptcpsim.LoadGrid(f)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", name, err)
+	}
+	for s := 1; s <= g.seeds; s++ {
+		grid.Seeds = append(grid.Seeds, int64(s))
+	}
+	if g.quick {
+		ms, ok := quickMs[grid.DurationMs]
+		if !ok {
+			return nil, nil, fmt.Errorf("%s: no -quick horizon for %v ms", name, grid.DurationMs)
 		}
-		return nil
-	})
+		grid.DurationMs = ms
+	}
+	res, err := (&mptcpsim.Sweep{Workers: g.workers}).Run(grid)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", name, err)
+	}
+	if n := res.Errs(); n > 0 {
+		return nil, nil, fmt.Errorf("%s: %d of %d runs failed", name, n, len(res.Runs))
+	}
+	res.SplitOrders()
+	return grid, res, nil
 }
 
-// tableScheduler is ablation A3.
-func (g *gen) tableScheduler(dur time.Duration) {
-	g.withFile("table_scheduler.csv", func(w io.Writer) error {
-		fmt.Fprintln(w, "scheduler,seeds,mean_total_mbps,mean_goodput_mbps,dup_bytes_frac")
-		for _, sched := range []string{"minrtt", "roundrobin", "redundant"} {
-			total, good, dup := 0.0, 0.0, 0.0
-			for s := 1; s <= g.seeds; s++ {
-				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "cubic", Seed: int64(s),
-					Duration: dur, Scheduler: sched})
-				if err != nil {
-					return err
-				}
-				total += res.Summary.TotalMean
-				good += float64(res.DeliveredBytes) * 8 / dur.Seconds() / 1e6
-				if res.DeliveredBytes+res.DuplicateBytes > 0 {
-					dup += float64(res.DuplicateBytes) / float64(res.DeliveredBytes+res.DuplicateBytes)
-				}
-			}
-			n := float64(g.seeds)
-			fmt.Fprintf(w, "%s,%d,%.1f,%.1f,%.3f\n", sched, g.seeds, total/n, good/n, dup/n)
+// perturbation is the grid's perturbation of that name.
+func perturbation(grid *mptcpsim.Grid, name string) mptcpsim.Perturbation {
+	for _, p := range grid.Perturbations {
+		if p.Name == name {
+			return p
 		}
-		return nil
-	})
-}
-
-// tableSACK contrasts SACK scoreboard recovery with NewReno-only.
-func (g *gen) tableSACK(dur time.Duration) {
-	g.withFile("table_sack.csv", func(w io.Writer) error {
-		fmt.Fprintln(w, "sack,seeds,mean_total_mbps,mean_gap_pct,mean_rtos")
-		for _, disable := range []bool{false, true} {
-			total, gap, rtos := 0.0, 0.0, 0.0
-			for s := 1; s <= g.seeds; s++ {
-				res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "cubic", Seed: int64(s),
-					Duration: dur, DisableSACK: disable})
-				if err != nil {
-					return err
-				}
-				total += res.Summary.TotalMean
-				gap += float64(res.Summary.Gap * 100)
-				for _, sf := range res.Subflows {
-					rtos += float64(sf.RTOs)
-				}
-			}
-			n := float64(g.seeds)
-			fmt.Fprintf(w, "%v,%d,%.1f,%.1f,%.1f\n", !disable, g.seeds, total/n, gap/n, rtos/n)
-		}
-		return nil
-	})
+	}
+	return mptcpsim.Perturbation{}
 }
 
 func (g *gen) withFile(name string, fn func(w io.Writer) error) {

@@ -59,7 +59,8 @@ type Grid struct {
 	// Base supplies any further per-run options programmatically (SACK,
 	// timestamps, transfer size, convergence band...). CC, Scheduler,
 	// SubflowPaths and Seed are overwritten by the grid axes;
-	// Base.QueueScale multiplies with each perturbation's QueueScale.
+	// Base.QueueScale multiplies with each perturbation's QueueScale, and a
+	// perturbation's DisableSACK adds to Base.DisableSACK.
 	Base Options `json:"-"`
 }
 
@@ -100,6 +101,9 @@ type Perturbation struct {
 	// QueueScale multiplies every link's buffer for the run (forwarded to
 	// Options.QueueScale; 0 = keep).
 	QueueScale float64 `json:"queue_scale,omitempty"`
+	// DisableSACK runs the cell with NewReno-only loss recovery (forwarded
+	// to Options.DisableSACK).
+	DisableSACK bool `json:"disable_sack,omitempty"`
 	// Links lists targeted single-link overrides applied after the global
 	// fields.
 	Links []LinkPerturbation `json:"links,omitempty"`
@@ -563,6 +567,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 								opts.SubflowPaths = order
 								opts.Seed = seed
 								opts.QueueScale = qs
+								opts.DisableSACK = base.DisableSACK || pert.DisableSACK
 								specs = append(specs, RunSpec{
 									Index:        len(specs),
 									Scenario:     sc.name,

@@ -180,7 +180,7 @@ func MergeShards(shards ...*ShardResult) (*SweepResult, error) {
 		}
 	}
 	res := &SweepResult{Runs: runs}
-	res.aggregate()
+	res.aggregate(false)
 	return res, nil
 }
 

@@ -115,7 +115,7 @@ func (m *MemorySink) Close() error { return nil }
 func (m *MemorySink) Result() *SweepResult {
 	sort.Slice(m.runs, func(a, b int) bool { return m.runs[a].Index < m.runs[b].Index })
 	res := &SweepResult{Runs: m.runs}
-	res.aggregate()
+	res.aggregate(false)
 	return res
 }
 

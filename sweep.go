@@ -37,6 +37,15 @@ type RunSummary struct {
 	ConvergedAtS float64   `json:"converged_at_s,omitempty"`
 	PostCoV      float64   `json:"post_cov"`
 	PathMbps     []float64 `json:"path_mbps,omitempty"`
+	// GoodputMbps is the data delivered in order to the application, as a
+	// rate over the whole run; DupFrac is the share of the data reaching
+	// the receiver that was a duplicate; RTOs counts the retransmission
+	// timeouts of every subflow. They serve in-memory readers (the
+	// ablations of cmd/figures) and are in no sweep format, run-logs
+	// included: a result merged from run-logs has them zero.
+	GoodputMbps float64 `json:"-"`
+	DupFrac     float64 `json:"-"`
+	RTOs        uint64  `json:"-"`
 	// Err records a per-run failure; the rest of the sweep continues.
 	Err string `json:"err,omitempty"`
 }
@@ -57,13 +66,17 @@ func orderString(order []int) string {
 }
 
 // GroupStats aggregates the runs sharing one (scenario, perturbation,
-// events, CC, scheduler) cell over orderings and seeds.
+// events, CC, scheduler) cell over orderings and seeds, or, after
+// SweepResult.SplitOrders, one ordering of the cell over seeds.
 type GroupStats struct {
 	Scenario     string `json:"scenario"`
 	Perturbation string `json:"perturbation"`
 	Events       string `json:"events,omitempty"`
 	CC           string `json:"cc"`
 	Scheduler    string `json:"scheduler"`
+	// Order is the ordering of a group SplitOrders made; empty otherwise
+	// and for runs in path-definition order.
+	Order []int `json:"order,omitempty"`
 	// Runs counts completed runs in the cell, Errors failed ones.
 	Runs   int `json:"runs"`
 	Errors int `json:"errors,omitempty"`
@@ -74,6 +87,10 @@ type GroupStats struct {
 	Gap          stats.Agg `json:"gap"`
 	TotalMbps    stats.Agg `json:"total_mbps"`
 	ConvergedAtS stats.Agg `json:"converged_at_s"`
+	// PostCoV, GoodputMbps, DupFrac and RTOs summarise the runs' fields of
+	// those names. No sweep format prints them, so the formats read as
+	// before; a result merged from run-logs fills only PostCoV.
+	PostCoV, GoodputMbps, DupFrac, RTOs stats.Agg `json:"-"`
 }
 
 // SweepResult is the aggregate outcome of a sweep. Runs are in grid
@@ -288,37 +305,49 @@ func runSpec(spec RunSpec) (RunSummary, *Result) {
 	}
 	summary.PostCoV = r.Summary.PostCoV
 	summary.PathMbps = r.Summary.PathMeans
+	summary.GoodputMbps = float64(r.DeliveredBytes) * 8 / eff.Duration.Seconds() / 1e6
+	if data := r.DeliveredBytes + r.DuplicateBytes; data > 0 {
+		summary.DupFrac = float64(r.DuplicateBytes) / float64(data)
+	}
+	for _, sf := range r.Subflows {
+		summary.RTOs += sf.RTOs
+	}
 	return summary, r
 }
 
-// aggregate fills Groups and the overall Gap from Runs.
-func (r *SweepResult) aggregate() {
-	type key struct{ scenario, pert, events, cc, sched string }
-	groups := make(map[key]int)
+// aggregate fills Groups and the overall Gap from Runs: a group per
+// (scenario, perturbation, events, CC, scheduler) cell and, with byOrder,
+// per ordering of it.
+func (r *SweepResult) aggregate(byOrder bool) {
+	type key struct{ scenario, pert, events, cc, sched, order string }
+	type sample struct{ gap, total, convAt, postCoV, goodput, dupFrac, rtos []float64 }
+	index := make(map[key]int)
 	var (
-		orderKeys []key
-		gaps      = make(map[key][]float64)
-		totals    = make(map[key][]float64)
-		convAts   = make(map[key][]float64)
-		allGaps   []float64
+		samples []sample
+		allGaps []float64
 	)
 	r.Groups = nil
 	for _, run := range r.Runs {
-		k := key{run.Scenario, run.Perturbation, run.Events, run.CC, run.Scheduler}
-		gi, ok := groups[k]
+		k := key{run.Scenario, run.Perturbation, run.Events, run.CC, run.Scheduler, ""}
+		var order []int
+		if byOrder {
+			k.order, order = run.OrderString(), run.Order
+		}
+		gi, ok := index[k]
 		if !ok {
 			gi = len(r.Groups)
-			groups[k] = gi
-			orderKeys = append(orderKeys, k)
+			index[k] = gi
 			r.Groups = append(r.Groups, GroupStats{
 				Scenario:     run.Scenario,
 				Perturbation: run.Perturbation,
 				Events:       run.Events,
 				CC:           run.CC,
 				Scheduler:    run.Scheduler,
+				Order:        order,
 			})
+			samples = append(samples, sample{})
 		}
-		g := &r.Groups[gi]
+		g, s := &r.Groups[gi], &samples[gi]
 		if run.Err != "" {
 			g.Errors++
 			continue
@@ -326,20 +355,34 @@ func (r *SweepResult) aggregate() {
 		g.Runs++
 		if run.Converged {
 			g.Converged++
-			convAts[k] = append(convAts[k], run.ConvergedAtS)
+			s.convAt = append(s.convAt, run.ConvergedAtS)
 		}
-		gaps[k] = append(gaps[k], run.Gap)
-		totals[k] = append(totals[k], run.TotalMbps)
+		s.gap = append(s.gap, run.Gap)
+		s.total = append(s.total, run.TotalMbps)
+		s.postCoV = append(s.postCoV, run.PostCoV)
+		s.goodput = append(s.goodput, run.GoodputMbps)
+		s.dupFrac = append(s.dupFrac, run.DupFrac)
+		s.rtos = append(s.rtos, float64(run.RTOs))
 		allGaps = append(allGaps, run.Gap)
 	}
-	for _, k := range orderKeys {
-		g := &r.Groups[groups[k]]
-		g.Gap = stats.Aggregate(gaps[k])
-		g.TotalMbps = stats.Aggregate(totals[k])
-		g.ConvergedAtS = stats.Aggregate(convAts[k])
+	for i, s := range samples {
+		g := &r.Groups[i]
+		g.Gap = stats.Aggregate(s.gap)
+		g.TotalMbps = stats.Aggregate(s.total)
+		g.ConvergedAtS = stats.Aggregate(s.convAt)
+		g.PostCoV = stats.Aggregate(s.postCoV)
+		g.GoodputMbps = stats.Aggregate(s.goodput)
+		g.DupFrac = stats.Aggregate(s.dupFrac)
+		g.RTOs = stats.Aggregate(s.rtos)
 	}
 	r.Gap = stats.Aggregate(allGaps)
 }
+
+// SplitOrders regroups the runs with subflow orderings kept apart: a group
+// is then one ordering of a cell, over seeds, named in GroupStats.Order.
+// The groups of a sweep and of a merge fold over orderings, and neither the
+// report nor the groups CSV prints an ordering.
+func (r *SweepResult) SplitOrders() { r.aggregate(true) }
 
 // Errs counts failed runs.
 func (r *SweepResult) Errs() int {

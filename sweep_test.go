@@ -174,7 +174,7 @@ func TestLoadGrid(t *testing.T) {
 		"orders": [[2,1,3]],
 		"seeds": [7],
 		"duration_ms": 250,
-		"perturbations": [{"name": "lossy", "loss": 0.01}]
+		"perturbations": [{"name": "lossy", "loss": 0.01, "disable_sack": true}]
 	}`
 	g, err := LoadGrid(strings.NewReader(src))
 	if err != nil {
@@ -190,7 +190,7 @@ func TestLoadGrid(t *testing.T) {
 	if specs[0].Options.Duration != 250*time.Millisecond {
 		t.Fatalf("duration = %v", specs[0].Options.Duration)
 	}
-	if specs[0].Options.Seed != 7 || specs[0].Perturbation != "lossy" {
+	if specs[0].Options.Seed != 7 || specs[0].Perturbation != "lossy" || !specs[0].Options.DisableSACK {
 		t.Fatalf("spec = %+v", specs[0])
 	}
 
@@ -345,6 +345,16 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		}
 		if got := full[run.Index].Summary.Gap; got != run.Gap {
 			t.Fatalf("run %d summary gap %v != sweep gap %v", run.Index, got, run.Gap)
+		}
+	}
+	// Split, a group is one CC under one ordering, in expansion order.
+	res.SplitOrders()
+	if len(res.Groups) != 4 {
+		t.Fatalf("split groups = %d, want 4 (2 CCs x 2 orders)", len(res.Groups))
+	}
+	for i, g := range res.Groups {
+		if want := grid.Orders[i%2]; g.Runs != 1 || !reflect.DeepEqual(g.Order, want) || g.PostCoV.N != 1 {
+			t.Fatalf("split group %d = %+v, want one run of order %v", i, g, want)
 		}
 	}
 }
