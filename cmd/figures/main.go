@@ -18,9 +18,9 @@
 //
 //	sweep -grid cmd/figures/grids/table_buffers.json -seeds 20 -groups buffers.csv
 //
-// Use -seeds to average the tables over more runs, -workers to run a
-// table's runs in parallel (the artefacts do not depend on it) and -quick
-// for a fast smoke pass.
+// A table's runs execute in parallel, GOMAXPROCS at a time; the artefacts do
+// not depend on it. Use -seeds to average the tables over more runs and
+// -quick for a fast smoke pass.
 package main
 
 import (
@@ -31,7 +31,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"mptcpsim"
@@ -48,15 +47,14 @@ var grids embed.FS
 var quickMs = map[float64]float64{4000: 2000, 12000: 4000, 25000: 6000}
 
 // gen is one invocation: where the artefacts go, how many seeds a table
-// cell averages over, how many runs execute at once, whether horizons are
-// cut short, and the first failure, after which every step is skipped.
+// cell averages over, whether horizons are cut short, and the first
+// failure, after which every step is skipped.
 type gen struct {
-	outDir  string
-	seeds   int
-	workers int
-	quick   bool
-	stdout  io.Writer
-	err     error
+	outDir string
+	seeds  int
+	quick  bool
+	stdout io.Writer
+	err    error
 }
 
 func main() {
@@ -71,7 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	g := &gen{stdout: stdout}
 	fs.StringVar(&g.outDir, "out", "out", "output directory")
 	fs.IntVar(&g.seeds, "seeds", 5, "seeds per table cell")
-	fs.IntVar(&g.workers, "workers", runtime.GOMAXPROCS(0), "runs executed in parallel")
 	fs.BoolVar(&g.quick, "quick", false, "short horizons for a smoke run")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -98,28 +95,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	g.tableSummary()
 	// The "only if Path 2 was the default" probe: a row per ordering.
 	g.table("table_olia_default", "default_path,seeds,converged,mean_conv_time_s,mean_gap_pct",
-		func(_ *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
+		func(grp mptcpsim.GroupStats) string {
 			return fmt.Sprintf("%d,%d,%d,%.2f,%.1f", grp.Order[0], grp.Runs, grp.Converged,
 				grp.ConvergedAtS.Mean, grp.Gap.Mean*100)
 		})
 	// Ablation A1: queue capacity scales the drop (gradient step) frequency
-	// and with it the shake-down.
+	// and with it the shake-down. A perturbation is named after its scale.
 	g.table("table_buffers", "queue_scale,seeds,converged,mean_total_mbps,mean_gap_pct",
-		func(grid *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
-			return fmt.Sprintf("%.2f,%d,%d,%.1f,%.1f", perturbation(grid, grp.Perturbation).QueueScale,
-				grp.Runs, grp.Converged, grp.TotalMbps.Mean, grp.Gap.Mean*100)
+		func(grp mptcpsim.GroupStats) string {
+			return fmt.Sprintf("%s,%d,%d,%.1f,%.1f", grp.Perturbation, grp.Runs, grp.Converged,
+				grp.TotalMbps.Mean, grp.Gap.Mean*100)
 		})
 	// Ablation A3: the segment scheduler.
 	g.table("table_scheduler", "scheduler,seeds,mean_total_mbps,mean_goodput_mbps,dup_bytes_frac",
-		func(_ *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
+		func(grp mptcpsim.GroupStats) string {
 			return fmt.Sprintf("%s,%d,%.1f,%.1f,%.3f", grp.Scheduler, grp.Runs, grp.TotalMbps.Mean,
 				grp.GoodputMbps.Mean, grp.DupFrac.Mean)
 		})
-	// SACK scoreboard recovery against NewReno-only.
+	// SACK scoreboard recovery against NewReno-only; a perturbation is named
+	// after whether SACK is on.
 	g.table("table_sack", "sack,seeds,mean_total_mbps,mean_gap_pct,mean_rtos",
-		func(grid *mptcpsim.Grid, grp mptcpsim.GroupStats) string {
-			return fmt.Sprintf("%v,%d,%.1f,%.1f,%.1f", !perturbation(grid, grp.Perturbation).DisableSACK,
-				grp.Runs, grp.TotalMbps.Mean, grp.Gap.Mean*100, grp.RTOs.Mean)
+		func(grp mptcpsim.GroupStats) string {
+			return fmt.Sprintf("%s,%d,%.1f,%.1f,%.1f", grp.Perturbation, grp.Runs, grp.TotalMbps.Mean,
+				grp.Gap.Mean*100, grp.RTOs.Mean)
 		})
 	if g.err != nil {
 		fmt.Fprintln(stderr, "figures:", g.err)
@@ -202,15 +200,15 @@ func (g *gen) tableSummary() {
 
 // table writes <name>.csv from the sweep of grids/<name>.json: the header,
 // then one row per group.
-func (g *gen) table(name, header string, row func(*mptcpsim.Grid, mptcpsim.GroupStats) string) {
+func (g *gen) table(name, header string, row func(mptcpsim.GroupStats) string) {
 	g.withFile(name+".csv", func(w io.Writer) error {
-		grid, res, err := g.sweep(name)
+		_, res, err := g.sweep(name)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintln(w, header)
 		for _, grp := range res.Groups {
-			fmt.Fprintln(w, row(grid, grp))
+			fmt.Fprintln(w, row(grp))
 		}
 		return nil
 	})
@@ -239,7 +237,7 @@ func (g *gen) sweep(name string) (*mptcpsim.Grid, *mptcpsim.SweepResult, error) 
 		}
 		grid.DurationMs = ms
 	}
-	res, err := (&mptcpsim.Sweep{Workers: g.workers}).Run(grid)
+	res, err := (&mptcpsim.Sweep{}).Run(grid)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", name, err)
 	}
@@ -248,16 +246,6 @@ func (g *gen) sweep(name string) (*mptcpsim.Grid, *mptcpsim.SweepResult, error) 
 	}
 	res.SplitOrders()
 	return grid, res, nil
-}
-
-// perturbation is the grid's perturbation of that name.
-func perturbation(grid *mptcpsim.Grid, name string) mptcpsim.Perturbation {
-	for _, p := range grid.Perturbations {
-		if p.Name == name {
-			return p
-		}
-	}
-	return mptcpsim.Perturbation{}
 }
 
 func (g *gen) withFile(name string, fn func(w io.Writer) error) {

@@ -41,8 +41,9 @@ type RunSummary struct {
 	// rate over the whole run; DupFrac is the share of the data reaching
 	// the receiver that was a duplicate; RTOs counts the retransmission
 	// timeouts of every subflow. They serve in-memory readers (the
-	// ablations of cmd/figures) and are in no sweep format, run-logs
-	// included: a result merged from run-logs has them zero.
+	// ablations of cmd/figures, through SweepResult.SplitOrders) and are in
+	// no sweep format, run-logs included: a result merged from run-logs has
+	// them zero.
 	GoodputMbps float64 `json:"-"`
 	DupFrac     float64 `json:"-"`
 	RTOs        uint64  `json:"-"`
@@ -88,8 +89,8 @@ type GroupStats struct {
 	TotalMbps    stats.Agg `json:"total_mbps"`
 	ConvergedAtS stats.Agg `json:"converged_at_s"`
 	// PostCoV, GoodputMbps, DupFrac and RTOs summarise the runs' fields of
-	// those names. No sweep format prints them, so the formats read as
-	// before; a result merged from run-logs fills only PostCoV.
+	// those names. Only SplitOrders fills them, and no sweep format prints
+	// them.
 	PostCoV, GoodputMbps, DupFrac, RTOs stats.Agg `json:"-"`
 }
 
@@ -316,9 +317,9 @@ func runSpec(spec RunSpec) (RunSummary, *Result) {
 }
 
 // aggregate fills Groups and the overall Gap from Runs: a group per
-// (scenario, perturbation, events, CC, scheduler) cell and, with byOrder,
-// per ordering of it.
-func (r *SweepResult) aggregate(byOrder bool) {
+// (scenario, perturbation, events, CC, scheduler) cell and, with split, per
+// ordering of it, with PostCoV, GoodputMbps, DupFrac and RTOs summarised too.
+func (r *SweepResult) aggregate(split bool) {
 	type key struct{ scenario, pert, events, cc, sched, order string }
 	type sample struct{ gap, total, convAt, postCoV, goodput, dupFrac, rtos []float64 }
 	index := make(map[key]int)
@@ -330,7 +331,7 @@ func (r *SweepResult) aggregate(byOrder bool) {
 	for _, run := range r.Runs {
 		k := key{run.Scenario, run.Perturbation, run.Events, run.CC, run.Scheduler, ""}
 		var order []int
-		if byOrder {
+		if split {
 			k.order, order = run.OrderString(), run.Order
 		}
 		gi, ok := index[k]
@@ -359,29 +360,36 @@ func (r *SweepResult) aggregate(byOrder bool) {
 		}
 		s.gap = append(s.gap, run.Gap)
 		s.total = append(s.total, run.TotalMbps)
-		s.postCoV = append(s.postCoV, run.PostCoV)
-		s.goodput = append(s.goodput, run.GoodputMbps)
-		s.dupFrac = append(s.dupFrac, run.DupFrac)
-		s.rtos = append(s.rtos, float64(run.RTOs))
 		allGaps = append(allGaps, run.Gap)
+		if split {
+			s.postCoV = append(s.postCoV, run.PostCoV)
+			s.goodput = append(s.goodput, run.GoodputMbps)
+			s.dupFrac = append(s.dupFrac, run.DupFrac)
+			s.rtos = append(s.rtos, float64(run.RTOs))
+		}
 	}
 	for i, s := range samples {
 		g := &r.Groups[i]
 		g.Gap = stats.Aggregate(s.gap)
 		g.TotalMbps = stats.Aggregate(s.total)
 		g.ConvergedAtS = stats.Aggregate(s.convAt)
-		g.PostCoV = stats.Aggregate(s.postCoV)
-		g.GoodputMbps = stats.Aggregate(s.goodput)
-		g.DupFrac = stats.Aggregate(s.dupFrac)
-		g.RTOs = stats.Aggregate(s.rtos)
+		if split {
+			g.PostCoV = stats.Aggregate(s.postCoV)
+			g.GoodputMbps = stats.Aggregate(s.goodput)
+			g.DupFrac = stats.Aggregate(s.dupFrac)
+			g.RTOs = stats.Aggregate(s.rtos)
+		}
 	}
 	r.Gap = stats.Aggregate(allGaps)
 }
 
-// SplitOrders regroups the runs with subflow orderings kept apart: a group
-// is then one ordering of a cell, over seeds, named in GroupStats.Order.
-// The groups of a sweep and of a merge fold over orderings, and neither the
-// report nor the groups CSV prints an ordering.
+// SplitOrders regroups the runs with subflow orderings kept apart, a group
+// then being one ordering of a cell over seeds (GroupStats.Order), and
+// summarises the measures no sweep format prints: PostCoV, GoodputMbps,
+// DupFrac and RTOs. It is for in-memory results, where every run carries
+// those measures. The groups of a sweep and of a merge fold over orderings
+// and leave the four zero, and neither the report nor the groups CSV prints
+// an ordering.
 func (r *SweepResult) SplitOrders() { r.aggregate(true) }
 
 // Errs counts failed runs.

@@ -327,6 +327,10 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		if g.Gap.N != 2 {
 			t.Fatalf("group %s gap sample = %d", g.CC, g.Gap.N)
 		}
+		// The measures no format prints are SplitOrders' alone.
+		if g.PostCoV.N != 0 || g.RTOs.N != 0 {
+			t.Fatalf("group %s summarises PostCoV/RTOs before SplitOrders", g.CC)
+		}
 	}
 	if res.Gap.N != 4 {
 		t.Fatalf("overall gap sample = %d, want 4", res.Gap.N)
