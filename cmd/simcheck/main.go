@@ -1,11 +1,11 @@
 // Command simcheck is the randomized correctness harness. It has two
-// modes sharing one generator, one worker pool and one determinism
-// contract (reports are byte-identical across reruns and -workers).
+// modes sharing one generator, one executor and one determinism contract
+// (reports are byte-identical across reruns and -workers).
 //
 // The plain mode generates N pseudo-random scenarios (seeded topologies
 // with overlapping paths, congestion-control/scheduler/ordering draws,
-// and valid dynamic-event timelines), runs each one twice with the
-// invariant oracle attached, and asserts on every run:
+// and valid dynamic-event timelines), runs each one twice, once with the
+// invariant oracle attached and once plain, and asserts:
 //
 //   - packet conservation per link, per flow and network-wide (including
 //     link_down queue drains and frames cut mid-serialisation);
@@ -14,6 +14,11 @@
 //   - a non-negative optimality gap against the (piecewise) LP optimum;
 //   - replay determinism: both runs must produce an identical canonical
 //     Result hash.
+//
+// Both modes make one mptcpsim.Sweep.Execute call: every scenario or rung
+// expands once as a one-run grid (check.Spec.Grid), and its checked run
+// (index i) and plain replay (index n+i) share that grid cell. Verdicts
+// come from the recorded pairs after the sweep.
 //
 // A golden hash corpus locks the whole pipeline across performance work:
 // -write-golden records every scenario's full canonical hash, -golden
@@ -36,13 +41,14 @@
 //	simcheck -trend -ladders 24 -steps 4 -seed 1
 //
 // Observability: -progress streams NDJSON heartbeats (done/total/failed,
-// EWMA runs/s, ETA) to a file or stderr; -telemetry collects engine
-// counters on the checked pass of every scenario — the replay pass stays
-// plain, so the existing replay-hash equality doubles as a per-scenario
-// proof that telemetry is observation-only; -flightdir dumps the
-// flight-recorder tail (the last engine events) of every failing plain-
-// mode scenario; -http serves expvar and pprof debug endpoints while the
-// check runs.
+// EWMA runs/s, ETA) to a file or stderr, counting runs, two per scenario
+// or rung; -telemetry collects engine counters on the checked pass of
+// every scenario — the replay pass stays plain, so the existing
+// replay-hash equality doubles as a per-scenario proof that telemetry is
+// observation-only; -flightdir dumps the flight-recorder tail (the last
+// engine events) of every failed checked run to flight-<index>.ndjson and
+// names the file on stderr; -http serves expvar and pprof debug endpoints
+// while the check runs.
 //
 // Exit codes are distinct per failure class (see -h): 1 scenario/run or
 // invariant failure, 2 usage or file I/O error, 3 determinism failure
@@ -57,8 +63,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"strings"
-	"sync"
 
 	"mptcpsim"
 	"mptcpsim/internal/check"
@@ -101,164 +105,154 @@ type tally struct{ run, hash int }
 
 func (t tally) failed() int { return t.run + t.hash }
 
-// outcome is one plain-mode scenario's verdict.
-type outcome struct {
-	kind failKind
-	line string
-	// hash is the full canonical Result hash of a passing scenario (the
-	// report line truncates it for readability; golden corpora need every
-	// byte).
-	hash string
+func (t *tally) add(k failKind) {
+	switch k {
+	case kindRun:
+		t.run++
+	case kindHash:
+		t.hash++
+	}
 }
 
-// telemetryOn, when set, enables Options.Telemetry on the checked pass
-// of every runTwice. The replay pass stays plain, so the existing
-// replay-hash equality doubles as a per-scenario proof that telemetry is
-// observation-only. flightDir, when non-empty, is where dumpFlight writes
-// failing scenarios' flight-recorder tails. onScenario, when non-nil,
-// observes every completed scenario or rung (true = failed) from worker
-// goroutines — the seam the -progress meter hangs off (the meter carries
-// its own mutex). All three are reassigned on every run() call.
-var (
-	telemetryOn bool
-	flightDir   string
-	onScenario  func(failed bool)
-)
-
-// runTwice executes one spec under the full contract — once with the
-// invariant oracle attached, once plain, both on the one network the
-// scenario builds, so hash equality also proves Run left it as it found
-// it — and returns the validated result and its canonical hash, or the
-// failure class and its message. On failure the returned result is the
-// checked pass's (partial) result when one exists, so callers can dump its
-// flight-recorder tail.
-func runTwice(sp check.Spec) (*mptcpsim.Result, string, failKind, string) {
-	nw, err := sp.Scenario.Build()
-	if err != nil {
-		return nil, "", kindRun, fmt.Sprintf("build: %v", err)
-	}
-	run := func(validate bool) (*mptcpsim.Result, error) {
-		opts := sp.Options
-		opts.ValidateInvariants = validate
-		opts.Telemetry = telemetryOn && validate
-		return mptcpsim.Run(nw, opts)
-	}
-	checked, err := run(true)
-	if err != nil {
-		return checked, "", kindRun, err.Error()
-	}
-	if len(checked.Invariants) > 0 {
-		return checked, "", kindRun, "invariants: " + strings.Join(checked.Invariants, "; ")
-	}
-	replay, err := run(false)
-	if err != nil {
-		return checked, "", kindRun, fmt.Sprintf("replay: %v", err)
-	}
-	h := checked.Hash()
-	if rh := replay.Hash(); rh != h {
-		return checked, "", kindHash,
-			fmt.Sprintf("replay hash %.12s != %.12s (non-deterministic run)", rh, h)
-	}
-	if r, c := replay.LoopEvents, checked.LoopEvents; r != c {
-		return checked, "", kindHash, fmt.Sprintf("replay ran %d events, not %d (non-deterministic run)", r, c)
-	}
-	return checked, h, kindOK, ""
+// record is what the recorder keeps of one run: its error, canonical
+// hash and trend observables, and the number of events it executed.
+type record struct {
+	check.RungObs
+	events uint64
 }
 
-// dumpFlight writes a failing scenario's flight-recorder tail — the last
-// engine events before the failure — to <flightDir>/flight-<i>.ndjson
-// and returns a report-line note naming the file. Scenarios write
-// distinct files, so concurrent workers never collide.
-func dumpFlight(i int, res *mptcpsim.Result) string {
-	if flightDir == "" {
-		return ""
-	}
-	path, err := cli.DumpFlight(flightDir, i, res)
-	if err != nil {
-		return fmt.Sprintf(" (flight dump failed: %v)", err)
-	}
-	if path == "" {
-		return ""
-	}
-	return " (flight tail: " + path + ")"
+// recorder is the sink that keeps the record of every run at its index.
+// path[i], when set, is the path whose share of sent bytes checked run i
+// records (trend mode).
+type recorder struct {
+	runs []record
+	path []int
 }
 
-// checkSpec runs one generated spec under the full contract and verdicts
-// it as a plain-mode report line.
-func checkSpec(i int, base int64) outcome {
-	sp := check.NewSpec(check.SpecSeed(base, i))
-	res, h, kind, msg := runTwice(sp)
-	if kind != kindOK {
-		msg += dumpFlight(i, res)
-		return outcome{kind: kind, line: fmt.Sprintf("%4d FAIL seed=%-19d %s: %s",
-			i, sp.Seed, sp.Name, msg)}
-	}
-	return outcome{hash: h, line: fmt.Sprintf("%4d ok   seed=%-19d hash=%.12s %s",
-		i, sp.Seed, h, sp.Name)}
-}
-
-// checkSpecFn is the plain-mode scenario runner; a test seam so failure
-// paths (refused golden recording, per-class exit codes) can be driven
-// without a genuinely broken simulator.
-var checkSpecFn = checkSpec
-
-// forEach fans fn(i) for i in [0,n) across a worker pool. Callers write
-// results into index-addressed slots, so their output stays
-// deterministic whatever the pool size — the seam the plain and trend
-// modes share.
-func forEach(n, workers int, fn func(int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for k := 0; k < workers; k++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
+func (r *recorder) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result) error {
+	rec := record{RungObs: check.RungObs{Err: s.Err}}
+	if s.Err == "" {
+		rec.Hash, rec.events = res.Hash(), res.LoopEvents
+		rec.GoodputBytes, rec.Gap = res.DeliveredBytes, res.Summary.Gap
+		if s.Index < len(r.path) {
+			var total, onPath uint64
+			for _, sf := range res.Subflows {
+				total += sf.SentBytes
+				if sf.Path == r.path[s.Index] {
+					onPath += sf.SentBytes
+				}
 			}
-		}()
+			rec.Share = math.NaN()
+			if total > 0 {
+				rec.Share = float64(onPath) / float64(total)
+			}
+		}
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	r.runs[s.Index] = rec
+	return nil
 }
 
-// runCheck executes n scenarios across the worker pool and writes the
-// deterministic report to w. It returns the per-class failure tally and
-// every scenario's full hash ("" where the scenario failed). The report
-// contains no wall-clock or worker-count data, so its bytes are
-// identical for a given (n, seed) whatever the pool size.
-func runCheck(n int, seed int64, workers int, quiet bool, w io.Writer) (tally, []string) {
-	results := make([]outcome, n)
-	forEach(n, workers, func(i int) {
-		r := checkSpecFn(i, seed)
-		results[i] = r
-		if onScenario != nil {
-			onScenario(r.kind != kindOK)
+func (r *recorder) Flush() error { return nil }
+func (r *recorder) Close() error { return nil }
+
+// harness is what both modes hand the sweep: its pool size, whether the
+// checked runs collect telemetry, and the observer sinks (flight dumps,
+// heartbeats) that follow the recorder in its chain.
+type harness struct {
+	workers   int
+	telemetry bool
+	observers []mptcpsim.RunSink
+}
+
+// mutateRuns, when non-nil, rewrites the run list before it executes: a
+// test seam that breaks chosen runs (a checked run that cannot finish, a
+// replay that does not replay) without a broken simulator.
+var mutateRuns func([]mptcpsim.RunSpec)
+
+// check runs every spec under the full contract in one Sweep.Execute:
+// spec i as a checked run at index i (the invariant oracle on, telemetry
+// too when asked) and as a plain replay at index n+i on the same cell, so
+// hash equality also proves a run leaves its network as it found it. It
+// returns each spec's checked observables, Err holding why it failed, and
+// its failure class. path is the recorder's (nil in plain mode).
+func (h *harness) check(specs []check.Spec, path []int) ([]check.RungObs, []failKind) {
+	n := len(specs)
+	obs := make([]check.RungObs, n)
+	kinds := make([]failKind, n)
+	var runs, replays []mptcpsim.RunSpec
+	for i, sp := range specs {
+		rs, err := sp.Grid().Expand()
+		if err != nil {
+			obs[i].Err, kinds[i] = fmt.Sprintf("build: %v", err), kindRun
+			continue
 		}
-	})
+		run := rs[0]
+		run.Index = n + i
+		replays = append(replays, run)
+		run.Index = i
+		run.Options.ValidateInvariants = true
+		run.Options.Telemetry = h.telemetry
+		runs = append(runs, run)
+	}
+	runs = append(runs, replays...)
+	if mutateRuns != nil {
+		mutateRuns(runs)
+	}
+
+	rec := &recorder{runs: make([]record, 2*n), path: path}
+	chain := append([]mptcpsim.RunSink{rec}, h.observers...)
+	// No sink in the chain can fail.
+	_ = (&mptcpsim.Sweep{Workers: h.workers}).Execute(runs, mptcpsim.MultiSink(chain...))
+
+	for i := range specs {
+		if kinds[i] != kindOK {
+			continue // never expanded
+		}
+		c, r := rec.runs[i], rec.runs[n+i]
+		obs[i] = c.RungObs
+		fail := func(k failKind, format string, a ...any) {
+			obs[i], kinds[i] = check.RungObs{Err: fmt.Sprintf(format, a...)}, k
+		}
+		switch {
+		case c.Err != "":
+			kinds[i] = kindRun
+		case r.Err != "":
+			fail(kindRun, "replay: %s", r.Err)
+		case r.Hash != c.Hash:
+			fail(kindHash, "replay hash %.12s != %.12s (non-deterministic run)", r.Hash, c.Hash)
+		case r.events != c.events:
+			fail(kindHash, "replay ran %d events, not %d (non-deterministic run)", r.events, c.events)
+		}
+	}
+	return obs, kinds
+}
+
+// runCheck executes n scenarios and writes the deterministic report to w.
+// It returns the per-class failure tally and every scenario's full hash
+// ("" where the scenario failed). The report contains no wall-clock or
+// worker-count data, so its bytes are identical for a given (n, seed)
+// whatever the pool size.
+func runCheck(n int, seed int64, h harness, quiet bool, w io.Writer) (tally, []string) {
+	specs := make([]check.Spec, n)
+	for i := range specs {
+		specs[i] = check.NewSpec(check.SpecSeed(seed, i))
+	}
+	obs, kinds := h.check(specs, nil)
 
 	fmt.Fprintf(w, "simcheck: %d scenarios, base seed %d\n", n, seed)
 	var t tally
 	hashes := make([]string, n)
-	for i, r := range results {
-		switch r.kind {
-		case kindRun:
-			t.run++
-		case kindHash:
-			t.hash++
+	for i, sp := range specs {
+		t.add(kinds[i])
+		if kinds[i] != kindOK {
+			fmt.Fprintf(w, "%4d FAIL seed=%-19d %s: %s\n", i, sp.Seed, sp.Name, obs[i].Err)
+			continue
 		}
-		hashes[i] = r.hash
-		if !quiet || r.kind != kindOK {
-			fmt.Fprintln(w, r.line)
+		// The report line truncates the hash for readability; golden
+		// corpora need every byte.
+		hashes[i] = obs[i].Hash
+		if !quiet {
+			fmt.Fprintf(w, "%4d ok   seed=%-19d hash=%.12s %s\n", i, sp.Seed, obs[i].Hash, sp.Name)
 		}
 	}
 	fmt.Fprintf(w, "simcheck: %d/%d scenarios passed", n-t.failed(), n)
@@ -269,32 +263,6 @@ func runCheck(n int, seed int64, workers int, quiet bool, w io.Writer) (tally, [
 	return t, hashes
 }
 
-// runRung executes one ladder rung under the full plain-mode contract
-// and extracts the trend observables.
-func runRung(sp check.Spec, path int) (check.RungObs, failKind) {
-	res, h, kind, msg := runTwice(sp)
-	if kind != kindOK {
-		return check.RungObs{Err: msg}, kind
-	}
-	var total, onPath uint64
-	for _, sf := range res.Subflows {
-		total += sf.SentBytes
-		if sf.Path == path {
-			onPath += sf.SentBytes
-		}
-	}
-	share := math.NaN()
-	if total > 0 {
-		share = float64(onPath) / float64(total)
-	}
-	return check.RungObs{
-		GoodputBytes: res.DeliveredBytes,
-		Gap:          res.Summary.Gap,
-		Share:        share,
-		Hash:         h,
-	}, kindOK
-}
-
 // trendMutate, when non-nil, rewrites every derived ladder before its
 // rungs run. It is a test-only seam: the broken-build test injects a
 // model-level mutation (the loss ladder applied in inverted order —
@@ -303,49 +271,37 @@ func runRung(sp check.Spec, path int) (check.RungObs, failKind) {
 // equality.
 var trendMutate func(check.Ladder) check.Ladder
 
-// runTrend derives nLadders perturbation ladders, runs every rung across
-// the worker pool, evaluates the trend policy and writes the
+// runTrend derives nLadders perturbation ladders, runs every rung under
+// the full plain-mode contract, evaluates the trend policy and writes the
 // deterministic report. It returns the rung failure tally and the number
 // of ladders with trend violations.
-func runTrend(nLadders, steps int, seed int64, workers int, quiet bool, w io.Writer) (tally, int) {
+func runTrend(nLadders, steps int, seed int64, h harness, quiet bool, w io.Writer) (tally, int) {
+	rungs := steps + 1
 	lads := make([]check.Ladder, nLadders)
+	specs := make([]check.Spec, 0, nLadders*rungs)
+	var path []int
 	for i := range lads {
 		l := check.NewLadder(seed, i, steps)
 		if trendMutate != nil {
 			l = trendMutate(l)
 		}
 		lads[i] = l
-	}
-	rungs := steps + 1
-	obs := make([][]check.RungObs, nLadders)
-	kinds := make([][]failKind, nLadders)
-	for i := range obs {
-		obs[i] = make([]check.RungObs, rungs)
-		kinds[i] = make([]failKind, rungs)
-	}
-	forEach(nLadders*rungs, workers, func(j int) {
-		li, k := j/rungs, j%rungs
-		o, kd := runRung(lads[li].Rungs[k], lads[li].Path)
-		obs[li][k], kinds[li][k] = o, kd
-		if onScenario != nil {
-			onScenario(kd != kindOK)
+		specs = append(specs, l.Rungs...)
+		for range l.Rungs {
+			path = append(path, l.Path)
 		}
-	})
+	}
+	obs, kinds := h.check(specs, path)
 
 	pol := check.DefaultTrendPolicy(steps)
 	fmt.Fprintf(w, "simcheck trend: %d ladders x %d steps, base seed %d\n", nLadders, steps, seed)
 	var t tally
 	trendFailed, ok := 0, 0
 	for i := range lads {
-		rep := check.TrendReport{Ladder: lads[i], Obs: obs[i]}
+		rep := check.TrendReport{Ladder: lads[i], Obs: obs[i*rungs : (i+1)*rungs]}
 		rep.Evaluate(pol)
-		for _, k := range kinds[i] {
-			switch k {
-			case kindRun:
-				t.run++
-			case kindHash:
-				t.hash++
-			}
+		for _, k := range kinds[i*rungs : (i+1)*rungs] {
+			t.add(k)
 		}
 		if len(rep.Violations) > 0 {
 			trendFailed++
@@ -420,7 +376,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ladders = fs.Int("ladders", 24, "trend mode: number of perturbation ladders")
 		steps   = fs.Int("steps", 4, "trend mode: perturbation steps per ladder (each ladder runs steps+1 rungs)")
 		telem   = fs.Bool("telemetry", false, "collect engine telemetry on every checked pass (replays stay plain, so hash equality also proves telemetry is observation-only)")
-		flight  = fs.String("flightdir", "", "dump failing scenarios' flight-recorder tails into this directory (plain mode; implies -telemetry)")
+		flight  = fs.String("flightdir", "", "dump failed runs' flight-recorder tails into this directory (implies -telemetry)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: simcheck [flags]")
@@ -442,8 +398,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch {
 	case *trend && (set["golden"] || set["write-golden"]):
 		return usage("-trend is incompatible with -golden/-write-golden (hash corpora belong to the plain mode)")
-	case *trend && set["flightdir"]:
-		return usage("-flightdir applies to the plain mode (trend rungs reuse plain-mode scenarios)")
 	case *trend && set["n"]:
 		return usage("-n applies to the plain mode; size trend runs with -ladders and -steps")
 	case !*trend && (set["ladders"] || set["steps"]):
@@ -470,33 +424,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Observability wiring. The package seams are reassigned on every
-	// invocation so repeated run() calls (tests) start clean.
-	telemetryOn = *telem || *flight != ""
-	flightDir = *flight
-	onScenario = nil
-	if flightDir != "" {
-		if err := cli.MakeFlightDir(flightDir); err != nil {
+	h := harness{workers: *workers, telemetry: *telem || *flight != ""}
+	if h.workers <= 0 {
+		// The pool the sweep really runs, for the heartbeats.
+		h.workers = runtime.GOMAXPROCS(0)
+	}
+	if *flight != "" {
+		if err := cli.MakeFlightDir(*flight); err != nil {
 			return usage("%v", err)
 		}
+		h.observers = append(h.observers, &cli.FlightSink{Dir: *flight, Stderr: stderr})
 	}
-	total := *n
+	// A run is a checked pass or its replay: two per scenario or rung.
+	total := 2 * *n
 	if *trend {
-		total = *ladders * (*steps + 1)
+		total = 2 * *ladders * (*steps + 1)
 	}
-	meter, stopObserve, err := shared.StartObserve(total, *workers, stderr)
+	meter, stopObserve, err := shared.StartObserve(total, h.workers, stderr)
 	if err != nil {
 		return usage("%v", err)
 	}
 	defer stopObserve()
 	if meter != nil {
-		onScenario = func(failed bool) {
-			n := 0
-			if failed {
-				n = 1
-			}
-			meter.Advance(1, n)
-		}
+		h.observers = append(h.observers, &cli.MeterSink{Meter: meter})
 	}
 	stopProf, err := shared.StartProfile()
 	if err != nil {
@@ -507,9 +457,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	trendFailed := 0
 	var hashes []string
 	if *trend {
-		t, trendFailed = runTrend(*ladders, *steps, *seed, *workers, shared.Quiet, stdout)
+		t, trendFailed = runTrend(*ladders, *steps, *seed, h, shared.Quiet, stdout)
 	} else {
-		t, hashes = runCheck(*n, *seed, *workers, shared.Quiet, stdout)
+		t, hashes = runCheck(*n, *seed, h, shared.Quiet, stdout)
 	}
 
 	if err := stopProf(); err != nil {

@@ -19,13 +19,13 @@ import (
 func TestReportDeterministicAcrossWorkers(t *testing.T) {
 	const n, seed = 12, 1
 	var a, b, c bytes.Buffer
-	if tl, _ := runCheck(n, seed, 1, false, &a); tl.failed() != 0 {
+	if tl, _ := runCheck(n, seed, harness{workers: 1}, false, &a); tl.failed() != 0 {
 		t.Fatalf("%d scenarios failed:\n%s", tl.failed(), a.String())
 	}
-	if tl, _ := runCheck(n, seed, 4, false, &b); tl.failed() != 0 {
+	if tl, _ := runCheck(n, seed, harness{workers: 4}, false, &b); tl.failed() != 0 {
 		t.Fatalf("%d scenarios failed with 4 workers:\n%s", tl.failed(), b.String())
 	}
-	if tl, _ := runCheck(n, seed, 4, false, &c); tl.failed() != 0 {
+	if tl, _ := runCheck(n, seed, harness{workers: 4}, false, &c); tl.failed() != 0 {
 		t.Fatalf("%d scenarios failed on rerun:\n%s", tl.failed(), c.String())
 	}
 	if a.String() != b.String() {
@@ -41,7 +41,7 @@ func TestReportDeterministicAcrossWorkers(t *testing.T) {
 
 func TestQuietReportsOnlySummary(t *testing.T) {
 	var buf bytes.Buffer
-	if tl, _ := runCheck(3, 2, 2, true, &buf); tl.failed() != 0 {
+	if tl, _ := runCheck(3, 2, harness{workers: 2}, true, &buf); tl.failed() != 0 {
 		t.Fatalf("%d scenarios failed:\n%s", tl.failed(), buf.String())
 	}
 	out := buf.String()
@@ -58,14 +58,14 @@ func TestQuietReportsOnlySummary(t *testing.T) {
 func TestTrendReportDeterministicAcrossWorkers(t *testing.T) {
 	const ladders, steps, seed = 4, 2, 1
 	var a, b, c bytes.Buffer
-	if tl, failed := runTrend(ladders, steps, seed, 1, false, &a); tl.failed() != 0 || failed != 0 {
+	if tl, failed := runTrend(ladders, steps, seed, harness{workers: 1}, false, &a); tl.failed() != 0 || failed != 0 {
 		t.Fatalf("trend run failed (%d rung failures, %d ladder violations):\n%s",
 			tl.failed(), failed, a.String())
 	}
-	if tl, failed := runTrend(ladders, steps, seed, 4, false, &b); tl.failed() != 0 || failed != 0 {
+	if tl, failed := runTrend(ladders, steps, seed, harness{workers: 4}, false, &b); tl.failed() != 0 || failed != 0 {
 		t.Fatalf("trend run failed with 4 workers:\n%s", b.String())
 	}
-	if tl, failed := runTrend(ladders, steps, seed, 4, false, &c); tl.failed() != 0 || failed != 0 {
+	if tl, failed := runTrend(ladders, steps, seed, harness{workers: 4}, false, &c); tl.failed() != 0 || failed != 0 {
 		t.Fatalf("trend rerun failed:\n%s", c.String())
 	}
 	if a.String() != b.String() {
@@ -100,7 +100,7 @@ func TestTrendCatchesInvertedLossBuild(t *testing.T) {
 	defer func() { trendMutate = nil }()
 
 	var buf bytes.Buffer
-	tl, failed := runTrend(1, 4, 1, 4, false, &buf)
+	tl, failed := runTrend(1, 4, 1, harness{workers: 4}, false, &buf)
 	out := buf.String()
 	if tl.run != 0 || tl.hash != 0 {
 		t.Fatalf("inverted build must pass invariants and replay hashes, got tally %+v:\n%s", tl, out)
@@ -122,7 +122,7 @@ func TestTrendCatchesInvertedLossBuild(t *testing.T) {
 	// the inversion, not from loose rungs.
 	trendMutate = func(check.Ladder) check.Ladder { return check.NewLadder(1, 16, 4) }
 	buf.Reset()
-	if tl, failed := runTrend(1, 4, 1, 4, false, &buf); tl.failed() != 0 || failed != 0 {
+	if tl, failed := runTrend(1, 4, 1, harness{workers: 4}, false, &buf); tl.failed() != 0 || failed != 0 {
 		t.Fatalf("uninverted ladder 16 should pass:\n%s", buf.String())
 	}
 }
@@ -145,20 +145,23 @@ func TestRunExitCodeTrendViolation(t *testing.T) {
 	}
 }
 
-// fakeOutcomes installs a checkSpecFn that fabricates verdicts without
-// running simulations, and returns a restore func.
-func fakeOutcomes(t *testing.T, kinds []failKind) {
+// breakRuns installs a mutateRuns that fails scenario i in the class
+// kinds[i] names: a kindRun scenario's checked run aborts on a one-event
+// limit, a kindHash scenario's replay runs another seed, so it diverges.
+func breakRuns(t *testing.T, kinds []failKind) {
 	t.Helper()
-	orig := checkSpecFn
-	checkSpecFn = func(i int, base int64) outcome {
-		kind := kinds[i]
-		if kind == kindOK {
-			h := fmt.Sprintf("%064d", i)
-			return outcome{hash: h, line: fmt.Sprintf("%4d ok   seed=%d hash=%.12s fake", i, base, h)}
+	mutateRuns = func(runs []mptcpsim.RunSpec) {
+		n := len(runs) / 2
+		for j := range runs {
+			switch i := runs[j].Index % n; {
+			case kinds[i] == kindRun && runs[j].Index < n:
+				runs[j].Options.EventLimit = 1
+			case kinds[i] == kindHash && runs[j].Index >= n:
+				runs[j].Options.Seed++
+			}
 		}
-		return outcome{kind: kind, line: fmt.Sprintf("%4d FAIL seed=%d fake", i, base)}
 	}
-	t.Cleanup(func() { checkSpecFn = orig })
+	t.Cleanup(func() { mutateRuns = nil })
 }
 
 func TestRunExitCodeClasses(t *testing.T) {
@@ -173,7 +176,7 @@ func TestRunExitCodeClasses(t *testing.T) {
 		{"run failure outranks hash", []failKind{kindHash, kindRun}, exitFail},
 	}
 	for _, tc := range cases {
-		fakeOutcomes(t, tc.kinds)
+		breakRuns(t, tc.kinds)
 		var stdout, stderr bytes.Buffer
 		args := []string{"-n", fmt.Sprint(len(tc.kinds)), "-q"}
 		if code := run(args, &stdout, &stderr); code != tc.want {
@@ -183,7 +186,7 @@ func TestRunExitCodeClasses(t *testing.T) {
 }
 
 func TestWriteGoldenRefusedOnFailingRun(t *testing.T) {
-	fakeOutcomes(t, []failKind{kindOK, kindRun})
+	breakRuns(t, []failKind{kindOK, kindRun})
 	path := filepath.Join(t.TempDir(), "corpus.golden")
 	var stdout, stderr bytes.Buffer
 	code := run([]string{"-n", "2", "-q", "-write-golden", path}, &stdout, &stderr)
@@ -199,14 +202,13 @@ func TestWriteGoldenRefusedOnFailingRun(t *testing.T) {
 }
 
 func TestGoldenRoundTripAndDivergence(t *testing.T) {
-	fakeOutcomes(t, []failKind{kindOK, kindOK, kindOK})
 	path := filepath.Join(t.TempDir(), "corpus.golden")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-n", "3", "-q", "-write-golden", path}, &stdout, &stderr); code != exitOK {
 		t.Fatalf("recording failed with code %d:\n%s", code, stderr.String())
 	}
 
-	// Replaying the identical fabricated run against its own corpus passes.
+	// Replaying the identical run against its own corpus passes.
 	stdout.Reset()
 	if code := run([]string{"-n", "3", "-q", "-golden", path}, &stdout, &stderr); code != exitOK {
 		t.Fatalf("replay diverged, code %d:\n%s", code, stdout.String())
@@ -217,15 +219,21 @@ func TestGoldenRoundTripAndDivergence(t *testing.T) {
 
 	// Tamper with one recorded hash: the divergence must map to the
 	// determinism exit code and name the scenario.
-	corpus, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := bytes.Replace(corpus, []byte("1 0000"), []byte("1 1111"), 1)
-	if bytes.Equal(corpus, tampered) {
-		t.Fatal("tamper target not found in corpus")
+	g, err := check.LoadGolden(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, tampered, 0o644); err != nil {
+	g.Hashes[1] = strings.Repeat("1", len(g.Hashes[1]))
+	var tampered bytes.Buffer
+	if err := check.WriteGolden(&tampered, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, tampered.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	stdout.Reset()
@@ -239,9 +247,10 @@ func TestGoldenRoundTripAndDivergence(t *testing.T) {
 
 // TestRunProgressHeartbeats drives -progress through the CLI seam: the
 // stream is NDJSON, done never regresses, and the final frame accounts
-// for every scenario including the failed one.
+// for every run, a checked pass and a replay per scenario, including the
+// failed one.
 func TestRunProgressHeartbeats(t *testing.T) {
-	fakeOutcomes(t, []failKind{kindOK, kindRun, kindOK, kindOK})
+	breakRuns(t, []failKind{kindOK, kindRun, kindOK, kindOK})
 	path := filepath.Join(t.TempDir(), "progress.ndjson")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-n", "4", "-q", "-progress", path}, &stdout, &stderr); code != exitFail {
@@ -275,12 +284,13 @@ func TestRunProgressHeartbeats(t *testing.T) {
 		}
 		prevDone = hb.Done
 	}
-	if hb.Done != 4 || hb.Total != 4 || hb.Failed != 1 || hb.ETA != 0 {
-		t.Fatalf("final heartbeat = %+v, want done=4 total=4 failed=1 eta_s=0", hb)
+	if hb.Done != 8 || hb.Total != 8 || hb.Failed != 1 || hb.ETA != 0 {
+		t.Fatalf("final heartbeat = %+v, want done=8 total=8 failed=1 eta_s=0", hb)
 	}
 }
 
-// The trend mode sizes its progress total as ladders x rungs, not -n.
+// The trend mode sizes its progress total as ladders x rungs x 2 passes,
+// not from -n.
 func TestRunTrendProgressTotal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "progress.ndjson")
 	var stdout, stderr bytes.Buffer
@@ -300,66 +310,8 @@ func TestRunTrendProgressTotal(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &hb); err != nil {
 		t.Fatal(err)
 	}
-	if hb.Done != 3 || hb.Total != 3 || hb.Failed != 0 {
-		t.Fatalf("final heartbeat = %+v, want done=3 total=3 failed=0 (1 ladder x 3 rungs)", hb)
-	}
-}
-
-// TestDumpFlight pins the flight-dump helper checkSpec calls on every
-// failing scenario: the note names the written NDJSON file, its lines
-// parse, and the guards (no dir, no result, no recorder) return nothing.
-func TestDumpFlight(t *testing.T) {
-	res, err := mptcpsim.RunPaper(mptcpsim.Options{Duration: 100 * time.Millisecond, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FlightEvents() == 0 {
-		t.Fatal("telemetry run retained no flight events")
-	}
-	plain, err := mptcpsim.RunPaper(mptcpsim.Options{Duration: 100 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	dir := t.TempDir()
-	flightDir = dir
-	t.Cleanup(func() { flightDir = "" })
-	for name, note := range map[string]string{
-		"nil result":  dumpFlight(1, nil),
-		"no recorder": dumpFlight(2, plain),
-	} {
-		if note != "" {
-			t.Errorf("%s: dumpFlight returned %q, want nothing", name, note)
-		}
-	}
-	flightDir = ""
-	if note := dumpFlight(3, res); note != "" {
-		t.Errorf("no flightdir: dumpFlight returned %q, want nothing", note)
-	}
-
-	flightDir = dir
-	note := dumpFlight(7, res)
-	path := filepath.Join(dir, "flight-7.ndjson")
-	if want := " (flight tail: " + path + ")"; note != want {
-		t.Fatalf("note = %q, want %q", note, want)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
-	if len(lines) != res.FlightEvents() {
-		t.Fatalf("dump has %d lines, result retained %d events", len(lines), res.FlightEvents())
-	}
-	var ev struct {
-		Kind  string `json:"kind"`
-		Where string `json:"where"`
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Kind == "" || ev.Where == "" {
-		t.Fatalf("tail line does not name the event/location: %s", lines[len(lines)-1])
+	if hb.Done != 6 || hb.Total != 6 || hb.Failed != 0 {
+		t.Fatalf("final heartbeat = %+v, want done=6 total=6 failed=0 (1 ladder x 3 rungs x 2 passes)", hb)
 	}
 }
 
@@ -395,6 +347,34 @@ func TestRunTelemetryObservationOnly(t *testing.T) {
 	}
 }
 
+// -flightdir serves the trend mode too: a rung whose checked run aborts
+// leaves its flight-recorder tail under its run index, a notice on stderr
+// and an ERROR rung in the report.
+func TestRunTrendFlightDumps(t *testing.T) {
+	breakRuns(t, []failKind{kindOK, kindRun, kindOK})
+	dir := filepath.Join(t.TempDir(), "flight")
+	var stdout, stderr bytes.Buffer
+	args := []string{"-trend", "-ladders", "1", "-steps", "2", "-q", "-flightdir", dir}
+	if code := run(args, &stdout, &stderr); code != exitFail {
+		t.Fatalf("exit code %d, want %d\nstdout:\n%s\nstderr:\n%s",
+			code, exitFail, stdout.String(), stderr.String())
+	}
+	path := filepath.Join(dir, "flight-1.ndjson")
+	if !strings.Contains(stderr.String(), "run 1 failed; flight tail in "+path) {
+		t.Fatalf("stderr lacks the flight notice for run 1:\n%s", stderr.String())
+	}
+	dumps, err := filepath.Glob(filepath.Join(dir, "flight-*.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dumps) != 1 || dumps[0] != path {
+		t.Fatalf("flight dumps = %v, want only %s", dumps, path)
+	}
+	if !strings.Contains(stdout.String(), "  rung 1 ") || !strings.Contains(stdout.String(), "ERROR") {
+		t.Fatalf("report does not show rung 1 failing:\n%s", stdout.String())
+	}
+}
+
 // Every flag-error path exits with the usage code and a pointed
 // diagnostic, before any simulation work starts.
 func TestRunFlagErrors(t *testing.T) {
@@ -413,7 +393,6 @@ func TestRunFlagErrors(t *testing.T) {
 		{"zero ladders", []string{"-trend", "-ladders", "0"}, "-ladders must be positive"},
 		{"zero steps", []string{"-trend", "-steps", "0"}, "-steps must be positive"},
 		{"zero scenarios", []string{"-n", "0"}, "-n must be positive"},
-		{"flightdir with trend", []string{"-trend", "-flightdir", "d"}, "-flightdir applies to the plain mode"},
 		{"bad progress path", []string{"-progress", "/nonexistent/dir/progress.ndjson"}, "no such file"},
 		{"unknown flag", []string{"-bogus"}, "flag provided but not defined"},
 	}

@@ -199,6 +199,10 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
+	if cfg.workers <= 0 {
+		// The pool the sweep really runs, for heartbeats and the timing line.
+		cfg.workers = runtime.GOMAXPROCS(0)
+	}
 	stopProf, err := cfg.StartProfile()
 	if err != nil {
 		return err

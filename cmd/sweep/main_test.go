@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -286,6 +287,44 @@ func TestRunTelemetryAndProgress(t *testing.T) {
 	}
 	if hb.Workers != 4 || hb.ETA != 0 {
 		t.Fatalf("final heartbeat = %+v, want workers=4 eta_s=0", hb)
+	}
+}
+
+// TestRunReportsPoolSize: -workers 0 or below runs GOMAXPROCS workers, and
+// the timing line and every heartbeat say so rather than echo the flag.
+func TestRunReportsPoolSize(t *testing.T) {
+	dir := t.TempDir()
+	gridPath := filepath.Join(dir, "grid.json")
+	if err := os.WriteFile(gridPath, []byte(goldenGrid), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	pool := runtime.GOMAXPROCS(0)
+	for _, workers := range []int{0, -2} {
+		cfg := config{
+			Flags:    cli.Flags{Quiet: true, Progress: filepath.Join(dir, "progress.ndjson")},
+			gridPath: gridPath,
+			workers:  workers,
+		}
+		var stdout, stderr bytes.Buffer
+		if err := run(cfg, &stdout, &stderr); err != nil {
+			t.Fatalf("-workers %d: %v\nstderr: %s", workers, err, stderr.String())
+		}
+		if want := fmt.Sprintf(" with %d workers\n", pool); !strings.Contains(stderr.String(), want) {
+			t.Errorf("-workers %d: stderr does not say %q:\n%s", workers, want, stderr.String())
+		}
+		raw, err := os.ReadFile(cfg.Progress)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(strings.TrimRight(string(raw), "\n"), "\n") {
+			var hb struct{ Workers int }
+			if err := json.Unmarshal([]byte(line), &hb); err != nil {
+				t.Fatalf("heartbeat %d: %v: %s", i, err, line)
+			}
+			if hb.Workers != pool {
+				t.Errorf("-workers %d: heartbeat %d reports %d workers, want %d", workers, i, hb.Workers, pool)
+			}
+		}
 	}
 }
 

@@ -7,8 +7,8 @@
 // package decides what to run and what its results must show.
 //
 // A generated spec is a *mptcpsim.ScenarioFile plus the mptcpsim.Options
-// it runs with: a harness builds it with ScenarioFile.Build and runs it
-// with mptcpsim.Run.
+// it runs with: a harness expands it as a one-run grid (Spec.Grid) and
+// runs it through mptcpsim.Sweep.Execute.
 package check
 
 import (
@@ -39,6 +39,23 @@ type Spec struct {
 	// Duration, QueueScale and the runaway EventLimit. Observation-only
 	// switches (ValidateInvariants, Telemetry) are the harness's to add.
 	Options mptcpsim.Options
+}
+
+// Grid returns the spec as a one-run grid: its scenario inline, one-value
+// CC, scheduler, order and seed axes, and Base carrying the rest of its
+// options (duration, queue scale, event limit). Expanding it builds and
+// validates the scenario, so a harness runs generated specs through the
+// same Sweep.Execute that sweeps use.
+func (s Spec) Grid() *mptcpsim.Grid {
+	o := s.Options
+	return &mptcpsim.Grid{
+		Scenarios:  []mptcpsim.GridScenario{{Name: s.Name, Scenario: s.Scenario}},
+		CCs:        []string{o.CC},
+		Schedulers: []string{o.Scheduler},
+		Orders:     [][]int{o.SubflowPaths},
+		Seeds:      []int64{o.Seed},
+		Base:       o,
+	}
 }
 
 // SpecSeed derives the i-th spec seed from a base seed (splitmix64), so a

@@ -13,30 +13,27 @@ package check
 
 import (
 	"bytes"
-	"fmt"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 
 	"mptcpsim"
 )
 
-// goldenHash runs scenario i of the corpus base seed once and returns its
-// canonical hash.
-func goldenHash(base int64, i int) (string, error) {
-	sp := NewSpec(SpecSeed(base, i))
-	nw, err := sp.Scenario.Build()
-	if err != nil {
-		return "", fmt.Errorf("scenario %d (seed %d): build: %w", i, sp.Seed, err)
+// hashSink keeps each run's canonical hash, or its error, at its index.
+type hashSink struct{ hashes, errs []string }
+
+func (h *hashSink) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result) error {
+	h.errs[s.Index] = s.Err
+	if s.Err == "" {
+		h.hashes[s.Index] = res.Hash()
 	}
-	res, err := mptcpsim.Run(nw, sp.Options)
-	if err != nil {
-		return "", fmt.Errorf("scenario %d (seed %d): run: %w", i, sp.Seed, err)
-	}
-	return res.Hash(), nil
+	return nil
 }
+
+func (h *hashSink) Flush() error { return nil }
+func (h *hashSink) Close() error { return nil }
 
 func TestGoldenCorpusHashesIdentical(t *testing.T) {
 	f, err := os.Open("testdata/hashes-seed1.golden")
@@ -55,39 +52,33 @@ func TestGoldenCorpusHashesIdentical(t *testing.T) {
 		n = 16
 	}
 
-	hashes := make([]string, n)
-	errs := make([]error, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	// Each scenario once, plain, as a one-run grid through the executor
+	// simcheck and every sweep use.
+	runs := make([]mptcpsim.RunSpec, n)
+	for i := range runs {
+		sp := NewSpec(SpecSeed(g.Seed, i))
+		rs, err := sp.Grid().Expand()
+		if err != nil {
+			t.Fatalf("scenario %d (seed %d): %v", i, sp.Seed, err)
+		}
+		runs[i] = rs[0]
+		runs[i].Index = i
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				hashes[i], errs[i] = goldenHash(g.Seed, i)
-			}
-		}()
+	got := &hashSink{hashes: make([]string, n), errs: make([]string, n)}
+	if err := (&mptcpsim.Sweep{}).Execute(runs, got); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
 
 	diverged := 0
 	for i := 0; i < n; i++ {
-		if errs[i] != nil {
+		if got.errs[i] != "" {
 			diverged++
-			t.Errorf("%v", errs[i])
+			t.Errorf("scenario %d: %s", i, got.errs[i])
 			continue
 		}
-		if hashes[i] != g.Hashes[i] {
+		if got.hashes[i] != g.Hashes[i] {
 			diverged++
-			t.Errorf("scenario %d: hash %.12s diverged from golden %.12s", i, hashes[i], g.Hashes[i])
+			t.Errorf("scenario %d: hash %.12s diverged from golden %.12s", i, got.hashes[i], g.Hashes[i])
 		}
 	}
 	if diverged > 0 {
@@ -118,20 +109,52 @@ func TestLoadGoldenRoundTrip(t *testing.T) {
 	}
 }
 
+// malformedGolden are corpora LoadGolden must refuse.
+var malformedGolden = map[string]string{
+	"no seed line":       "0 abc\n",
+	"empty":              "",
+	"comments only":      "# nothing here\n",
+	"bad seed":           "seed banana\n0 abc\n",
+	"index gap":          "seed 1\n0 abc\n2 def\n",
+	"index out of order": "seed 1\n1 abc\n",
+	"missing hash":       "seed 1\n0\n",
+	"no hashes":          "seed 1\n",
+}
+
 func TestLoadGoldenRejectsMalformed(t *testing.T) {
-	cases := map[string]string{
-		"no seed line":       "0 abc\n",
-		"empty":              "",
-		"comments only":      "# nothing here\n",
-		"bad seed":           "seed banana\n0 abc\n",
-		"index gap":          "seed 1\n0 abc\n2 def\n",
-		"index out of order": "seed 1\n1 abc\n",
-		"missing hash":       "seed 1\n0\n",
-		"no hashes":          "seed 1\n",
-	}
-	for name, input := range cases {
+	for name, input := range malformedGolden {
 		if _, err := LoadGolden(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: LoadGolden accepted %q", name, input)
 		}
 	}
+}
+
+// FuzzLoadGolden: whatever LoadGolden accepts, WriteGolden renders into a
+// corpus that loads back unchanged.
+func FuzzLoadGolden(f *testing.F) {
+	var header bytes.Buffer
+	if err := WriteGolden(&header, Golden{Seed: 1, Hashes: []string{"dbc05ffcdf88", "769a394fbdf6"}}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(header.String())
+	for _, input := range malformedGolden {
+		f.Add(input)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		g, err := LoadGolden(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteGolden(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadGolden(&buf)
+		if err != nil {
+			t.Fatalf("written corpus does not load: %v\n%s", err, buf.String())
+		}
+		if back.Seed != g.Seed || !slices.Equal(back.Hashes, g.Hashes) {
+			t.Fatalf("round trip changed the corpus: %+v -> %+v", g, back)
+		}
+	})
 }

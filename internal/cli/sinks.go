@@ -56,12 +56,12 @@ func (m *MeterSink) Accept(_, _ int, r mptcpsim.RunSummary, _ *mptcpsim.Result) 
 // MakeFlightDir creates the -flightdir directory flight dumps land in.
 func MakeFlightDir(dir string) error { return os.MkdirAll(dir, 0o777) }
 
-// DumpFlight writes a failed run's flight-recorder tail — the last engine
+// dumpFlight writes a failed run's flight-recorder tail — the last engine
 // events before the failure — to <dir>/flight-<index>.ndjson and returns
 // the path, or "" when the run left no tail (no partial result, or
 // telemetry was off). Indices are unique, so concurrent dumps never
 // collide.
-func DumpFlight(dir string, index int, res *mptcpsim.Result) (string, error) {
+func dumpFlight(dir string, index int, res *mptcpsim.Result) (string, error) {
 	if res == nil || res.FlightEvents() == 0 {
 		return "", nil
 	}
@@ -70,8 +70,8 @@ func DumpFlight(dir string, index int, res *mptcpsim.Result) (string, error) {
 }
 
 // FlightSink dumps the flight-recorder tail of every failed run into Dir
-// and says so on Stderr. The sweep needs Telemetry on for failed runs to
-// carry a tail.
+// and says so on Stderr. A failed run carries a tail only when it ran
+// with telemetry (Sweep.Telemetry, or Options.Telemetry in its own spec).
 type FlightSink struct {
 	observer
 	Dir    string
@@ -82,7 +82,7 @@ func (s *FlightSink) Accept(_, _ int, r mptcpsim.RunSummary, res *mptcpsim.Resul
 	if r.Err == "" {
 		return nil
 	}
-	switch path, err := DumpFlight(s.Dir, r.Index, res); {
+	switch path, err := dumpFlight(s.Dir, r.Index, res); {
 	case err != nil:
 		fmt.Fprintf(s.Stderr, "flight dump %s: %v\n", path, err)
 	case path != "":

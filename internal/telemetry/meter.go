@@ -31,7 +31,8 @@ type Heartbeat struct {
 	// a rate of 0 runs/s is a meaningful (stuck) value, absence is not.
 	RunsPerS *float64 `json:"runs_per_s,omitempty"`
 	EtaS     *float64 `json:"eta_s,omitempty"`
-	// Workers is the configured pool size; IdleMs the wall milliseconds
+	// Workers is the pool size the sweep runs (a command resolves
+	// -workers 0 or below to GOMAXPROCS before it gets here); IdleMs the wall milliseconds
 	// since the previous completion — a liveness signal (a large value
 	// with Done < Total means the pool is stuck or on a long run).
 	Workers int   `json:"workers"`
@@ -39,8 +40,9 @@ type Heartbeat struct {
 }
 
 // Meter turns a stream of run completions into periodic NDJSON heartbeats.
-// Feed it from wherever completions surface (a sink in a sweep's chain,
-// simcheck's result loop); it rate-limits emission to the configured
+// Feed it from wherever completions surface (cli.MeterSink in the chain
+// of a sweep's or simcheck's Sweep.Execute, a fleet coordinator scanning
+// run-logs); it rate-limits emission to the configured
 // interval and always emits the final heartbeat on Close. A Meter is safe
 // for concurrent Advance calls: it carries its own mutex.
 type Meter struct {

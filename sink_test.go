@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -82,6 +83,70 @@ func TestStreamSinkContract(t *testing.T) {
 				t.Fatalf("Stream closed the sink %d times, want exactly once", check.closed)
 			}
 		})
+	}
+}
+
+// TestExecuteSpecsOfTwoExpansions feeds Execute the runs of two separate
+// Expand calls, the second renumbered after the first, each spec carrying
+// its own observation switch while the sweep's are unset: every run is
+// delivered exactly once with done going 1..N, each switch reaches exactly
+// its own runs, and each grid's summaries equal its own Stream's.
+func TestExecuteSpecsOfTwoExpansions(t *testing.T) {
+	ga := sweepGrid()
+	gb := &Grid{Scenarios: []GridScenario{{Name: "other", Paper: true}},
+		CCs: []string{"lia"}, Seeds: []int64{3, 4, 5}, DurationMs: 150}
+	a, err := ga.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gb.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range a {
+		a[i].Options.Telemetry = true
+	}
+	for i := range b {
+		b[i].Index += len(a)
+		b[i].Options.ValidateInvariants = true
+	}
+	specs := append(a, b...)
+
+	got := make([]RunSummary, len(specs))
+	check := &checkingSink{t: t}
+	watch := sinkFunc(func(_, total int, s RunSummary, full *Result) {
+		if total != len(specs) {
+			t.Errorf("run %d: total = %d, want %d", s.Index, total, len(specs))
+		}
+		first := s.Index < len(a)
+		if telem := full.Telemetry != nil; telem != first {
+			t.Errorf("run %d: telemetry collected = %t, want %t", s.Index, telem, first)
+		}
+		if checked := full.Options.ValidateInvariants; checked == first {
+			t.Errorf("run %d: validated = %t, want %t", s.Index, checked, !first)
+		}
+		got[s.Index] = s
+	})
+	if err := (&Sweep{Workers: 3}).Execute(specs, MultiSink(check, watch)); err != nil {
+		t.Fatal(err)
+	}
+	if check.prevDone != len(specs) || len(check.seen) != len(specs) || check.closed != 1 {
+		t.Fatalf("sink saw done=%d over %d runs and %d closes, want %d/%d/1",
+			check.prevDone, len(check.seen), check.closed, len(specs), len(specs))
+	}
+
+	for off, g := range map[int]*Grid{0: ga, len(a): gb} {
+		mem := &MemorySink{}
+		if err := (&Sweep{Workers: 2}).Stream(g, StreamSpec{}, mem); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range mem.Result().Runs {
+			s := got[off+i]
+			s.Index -= off
+			if !reflect.DeepEqual(s, want) {
+				t.Errorf("run %d: Execute summary %+v, Stream's %+v", off+i, s, want)
+			}
+		}
 	}
 }
 

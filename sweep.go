@@ -115,8 +115,9 @@ type SweepResult struct {
 // embarrassingly parallel; results land at their grid index, making the
 // output deterministic regardless of Workers.
 //
-// Stream is the one execution path: it feeds every completed run to a
-// RunSink chain and retains nothing. Run is Stream into a MemorySink.
+// Execute is the one execution path: it feeds every completed run to a
+// RunSink chain and retains nothing. Stream is Execute over an expanded
+// grid, Run is Stream into a MemorySink.
 type Sweep struct {
 	// Workers is the goroutine pool size; 0 means GOMAXPROCS.
 	Workers int
@@ -166,40 +167,31 @@ type StreamSpec struct {
 // whose run-logs (LogSink) replace the in-memory SweepResult; the cell
 // statistics come from merging those logs (MergeShards) afterwards. The
 // sweep-level ValidateInvariants flag folds into the digest identity (see
-// Describe), so logs only merge across matching run settings. Stream closes the sink exactly once, after the last
-// delivery or on a structural error before the first; per-run failures land
-// in their RunSummary.Err as always, and the returned error reports
-// structural problems or the first sink failure, which also stops the
-// sweep: runs not yet started never execute. A Close error is returned
-// only when nothing failed before it.
-func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) (err error) {
-	defer func() {
-		if cerr := sink.Close(); err == nil {
-			err = cerr
-		}
-	}()
+// Describe), so logs only merge across matching run settings. Stream is
+// expansion, the shard and skip filter, then Execute; it closes the sink
+// exactly once, also on a structural error before the first run, which it
+// returns. Per-run failures land in their RunSummary.Err as always.
+func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
 	shard := spec.Shard
 	if shard.N == 0 {
 		shard = Shard{K: 0, N: 1}
 	}
-	if err = shard.Validate(); err != nil {
-		return err
+	err := shard.Validate()
+	var specs []RunSpec
+	if err == nil {
+		specs, err = s.expandFolded(g)
 	}
-	specs, err := s.expandFolded(g)
 	if err != nil {
+		sink.Close()
 		return err
 	}
-	var mine []RunSpec
+	mine := specs[:0]
 	for _, sp := range specs {
-		if sp.Index%shard.N != shard.K {
-			continue
+		if sp.Index%shard.N == shard.K && (spec.Skip == nil || !spec.Skip(sp.Index)) {
+			mine = append(mine, sp)
 		}
-		if spec.Skip != nil && spec.Skip(sp.Index) {
-			continue
-		}
-		mine = append(mine, sp)
 	}
-	return s.execute(mine, sink)
+	return s.Execute(mine, sink)
 }
 
 // Describe expands the grid and returns its canonical digest and total
@@ -215,14 +207,18 @@ func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
 	return specsDigest(specs), len(specs), nil
 }
 
-// execute runs the specs across the worker pool, feeding every completion
-// to the sink — the single dispatch point every results surface hangs off.
-// Workers take specs in order and deliver completions under one lock:
+// Execute runs the specs across the worker pool, feeding every completion
+// to the sink — the single dispatch point every results surface hangs off —
+// and then closes the sink. Each spec runs with its own Options (with
+// Telemetry forced on when the sweep's Telemetry is set), so specs from
+// several expansions, renumbered to distinct indices, can share one pool;
+// the sweep's ValidateInvariants applies through expansion (Stream), not
+// here. Workers take specs in order and deliver completions under one lock:
 // Accept calls never overlap, done is monotone, and each run is delivered
 // exactly once. The first sink error ends the sweep: no further spec is
-// dispatched, the runs already in flight finish undelivered, and that
-// error is returned.
-func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
+// dispatched, the runs already in flight finish undelivered, and that error
+// is returned. A Close error is returned only when nothing failed before it.
+func (s *Sweep) Execute(specs []RunSpec, sink RunSink) error {
 	workers := s.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -260,6 +256,9 @@ func (s *Sweep) execute(specs []RunSpec, sink RunSink) error {
 		}()
 	}
 	wg.Wait()
+	if cerr := sink.Close(); sinkErr == nil {
+		sinkErr = cerr
+	}
 	return sinkErr
 }
 

@@ -743,7 +743,7 @@ func TestSweepPreparesEachCellOnce(t *testing.T) {
 	rand.New(rand.NewSource(1)).Shuffle(len(specs), func(i, j int) { specs[i], specs[j] = specs[j], specs[i] })
 	ResetBaselineCache()
 	mem := &MemorySink{}
-	if err := (&Sweep{Workers: 8}).execute(specs, mem); err != nil {
+	if err := (&Sweep{Workers: 8}).Execute(specs, mem); err != nil {
 		t.Fatal(err)
 	}
 	// The declared topology and the epoch after the renegotiation.
@@ -779,7 +779,7 @@ func TestSweepRecordsPrepareErrors(t *testing.T) {
 	})}
 	specs[1].cell, specs[2].cell = bad, bad
 	mem := &MemorySink{}
-	if err := (&Sweep{Workers: 4}).execute(specs, mem); err != nil {
+	if err := (&Sweep{Workers: 4}).Execute(specs, mem); err != nil {
 		t.Fatal(err)
 	}
 	res := mem.Result()
