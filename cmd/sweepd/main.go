@@ -92,6 +92,12 @@ func run(cfg config, stdout, stderr io.Writer) error {
 	if cfg.fleetSize <= 0 {
 		return fmt.Errorf("-fleet must be positive, have %d", cfg.fleetSize)
 	}
+	if cfg.ttl <= 0 {
+		return fmt.Errorf("-ttl must be positive, have %v", cfg.ttl)
+	}
+	if cfg.attempts < 1 {
+		return fmt.Errorf("-attempts must be at least 1, have %d", cfg.attempts)
+	}
 	grid, err := cli.LoadGrid(cfg.gridPath)
 	if err != nil {
 		return err

@@ -208,10 +208,23 @@ func TestFleetProgressIsTheReport(t *testing.T) {
 
 // TestRunRejectsBadFlags pins the precondition errors.
 func TestRunRejectsBadFlags(t *testing.T) {
-	if err := run(config{shards: 0}, nil, nil); err == nil || !strings.Contains(err.Error(), "-shards") {
-		t.Errorf("shards=0: err = %v, want -shards complaint", err)
-	}
-	if err := run(config{shards: 1, fleetSize: 0}, nil, nil); err == nil || !strings.Contains(err.Error(), "-fleet") {
-		t.Errorf("fleet=0: err = %v, want -fleet complaint", err)
+	good := config{shards: 1, fleetSize: 1, ttl: time.Minute, attempts: 1}
+	for _, tc := range []struct {
+		name string
+		edit func(*config)
+		want string
+	}{
+		{"shards=0", func(c *config) { c.shards = 0 }, "-shards"},
+		{"fleet=0", func(c *config) { c.fleetSize = 0 }, "-fleet"},
+		{"ttl=0", func(c *config) { c.ttl = 0 }, "-ttl"},
+		{"ttl<0", func(c *config) { c.ttl = -time.Second }, "-ttl"},
+		{"attempts=0", func(c *config) { c.attempts = 0 }, "-attempts"},
+		{"attempts<0", func(c *config) { c.attempts = -1 }, "-attempts"},
+	} {
+		cfg := good
+		tc.edit(&cfg)
+		if err := run(cfg, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %s complaint", tc.name, err, tc.want)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package mptcpsim
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -70,10 +72,12 @@ func FuzzLoadNetwork(f *testing.F) {
 }
 
 // FuzzReadRunLog asserts the run-log reader's contract on arbitrary input:
-// parsing never panics; a log it accepts converts to a ShardResult that
-// re-encodes through LogSink into a clean log reading back equal; and a
-// reported torn tail starts on a record boundary, so resume's
-// truncation there leaves exactly the committed records.
+// parsing never panics; following the input in two steps (a prefix, then
+// the whole) reads exactly what one ReadRunLog pass does; a log it accepts
+// converts to a ShardResult that re-encodes through LogSink into a clean
+// log reading back equal; and a reported torn tail starts on a record
+// boundary, so resume's truncation there leaves exactly the committed
+// records.
 func FuzzReadRunLog(f *testing.F) {
 	twoRuns := &Grid{CCs: []string{"cubic"}, Orders: [][]int{{2, 1, 3}}, Seeds: []int64{1, 2}, DurationMs: 50}
 	raw := streamToLog(f, &Sweep{Workers: 1}, twoRuns, LogOptions{})
@@ -90,8 +94,24 @@ func FuzzReadRunLog(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		log, err := ReadRunLog(bytes.NewReader(data))
+
+		// Incremental equals whole, at a split point the input chooses.
+		split := 0
+		if n := len(data); n > 0 {
+			split = (int(data[0])<<8 | int(data[n-1])) % (n + 1)
+		}
+		var inc RunLog
+		inc.Follow(bytes.NewReader(data[:split])) // only the state it leaves matters
+		_, ierr := inc.Follow(bytes.NewReader(data))
+		if (ierr != nil) != (err != nil) || errors.Is(ierr, ErrHeaderTorn) != errors.Is(err, ErrHeaderTorn) {
+			t.Fatalf("following %d then %d bytes: err = %v, ReadRunLog err = %v", split, len(data), ierr, err)
+		}
 		if err != nil {
 			return
+		}
+		if inc.Header != log.Header || inc.TornTail != log.TornTail || !reflect.DeepEqual(inc.Runs, log.Runs) {
+			t.Fatalf("following %d then %d bytes read header %+v, %d runs, torn tail %d; ReadRunLog read %+v, %d runs, torn tail %d",
+				split, len(data), inc.Header, len(inc.Runs), inc.TornTail, log.Header, len(log.Runs), log.TornTail)
 		}
 		if log.Torn() {
 			cut := log.TornTail

@@ -34,8 +34,8 @@ type Coordinator struct {
 	Spool string
 	// Runner executes one lease; see Worker (in-process) and ExecRunner.
 	Runner Runner
-	// TTL is the lease deadline; an expired lease is re-granted and its
-	// late completion rejected. MaxAttempts bounds grants per shard
+	// TTL is the lease deadline (positive); an expired lease is re-granted
+	// and its late completion rejected. MaxAttempts bounds grants per shard
 	// (0 = fleetDefaultAttempts); Backoff delays re-granting a failed
 	// shard. Poll is the progress-scan interval (0 = 200ms).
 	TTL         time.Duration
@@ -71,6 +71,11 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 	}
 	if c.Workers <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one worker, have %d", c.Workers)
+	}
+	if c.TTL <= 0 {
+		// A lease that expires as it is granted would hand the shard to a
+		// second writer while the first is still appending to its log.
+		return nil, fmt.Errorf("fleet: need a positive lease TTL, have %v", c.TTL)
 	}
 	if err := os.MkdirAll(c.Spool, 0o777); err != nil {
 		return nil, err
@@ -130,11 +135,7 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 				lease, leaseAttempt(table, lease), lease.Deadline.Format(time.RFC3339))
 			active++
 			go func(lease Lease) {
-				runCtx := ctx
-				cancel := context.CancelFunc(func() {})
-				if c.TTL > 0 {
-					runCtx, cancel = context.WithDeadline(ctx, lease.Deadline)
-				}
+				runCtx, cancel := context.WithDeadline(ctx, lease.Deadline)
 				err := c.Runner.Run(runCtx, lease)
 				cancel()
 				results <- doneMsg{lease, err}
@@ -151,7 +152,7 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 		select {
 		case msg := <-results:
 			active--
-			if err := c.settle(table, msg.lease, msg.err, digest); err != nil {
+			if err := c.settle(table, msg.lease, msg.err); err != nil {
 				// Drain outstanding runners before aborting so none of them
 				// keeps writing to a spool we just declared broken.
 				for active > 0 {
@@ -176,19 +177,21 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 	if _, _, err := c.advanceProgress(); err != nil {
 		return nil, err
 	}
-	return c.merge(digest, total)
+	return c.merge()
 }
 
 // settle classifies one runner return: the shard log decides, not the
 // runner's error — a SIGKILLed process and a clean exit both count as
 // complete if (and only if) every index of the shard is committed.
-func (c *Coordinator) settle(table *Table, lease Lease, runErr error, digest string) error {
+func (c *Coordinator) settle(table *Table, lease Lease, runErr error) error {
 	if _, _, err := c.advanceProgress(); err != nil {
 		c.logf("fleet: progress scan: %v", err)
 	}
-	complete, verr := c.shardComplete(lease, digest)
-	if verr != nil {
-		return verr
+	complete, err := c.tails[lease.K].complete()
+	if err != nil {
+		// A committed line the reader refuses: resume cannot fix this, so
+		// retrying the lease would loop. Abort loudly.
+		return fmt.Errorf("fleet: shard %d/%d log unusable: %w", lease.K, lease.N, err)
 	}
 	if complete {
 		if err := table.Complete(lease.K, lease.Epoch); err != nil {
@@ -210,59 +213,18 @@ func (c *Coordinator) settle(table *Table, lease Lease, runErr error, digest str
 	return nil
 }
 
-// shardComplete reports whether the shard's spool log is a complete,
-// clean record of the whole shard under the fleet's digest.
-func (c *Coordinator) shardComplete(lease Lease, digest string) (bool, error) {
-	f, err := os.Open(ShardLogPath(c.Spool, lease.K, lease.N))
-	if os.IsNotExist(err) {
-		return false, nil
+// merge reassembles the unsharded result from the logs the tails have
+// read. MergeShards revalidates digest agreement and exactly-once coverage
+// of every index, so a passing merge is the byte-identity guarantee, not
+// just a concatenation.
+func (c *Coordinator) merge() (*mptcpsim.SweepResult, error) {
+	shards := make([]*mptcpsim.ShardResult, len(c.tails))
+	for k, t := range c.tails {
+		shards[k] = t.shardResult()
 	}
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	log, err := mptcpsim.ReadRunLog(f)
-	if errors.Is(err, mptcpsim.ErrHeaderTorn) {
-		return false, nil
-	}
-	if err != nil {
-		// Mid-file corruption: resume cannot fix this, so retrying the
-		// lease would loop. Abort loudly.
-		return false, fmt.Errorf("fleet: shard %d/%d log unusable: %w", lease.K, lease.N, err)
-	}
-	if log.Header.GridDigest != digest {
-		return false, fmt.Errorf("fleet: shard %d/%d log carries grid digest %.12s, fleet is %.12s (stale spool?)",
-			lease.K, lease.N, log.Header.GridDigest, digest)
-	}
-	want := mptcpsim.Shard{K: lease.K, N: lease.N}.Size(log.Header.Total)
-	return !log.Torn() && len(log.Runs) == want, nil
-}
-
-// merge loads every shard log and reassembles the unsharded result.
-func (c *Coordinator) merge(digest string, total int) (*mptcpsim.SweepResult, error) {
-	shards := make([]*mptcpsim.ShardResult, c.Shards)
-	for k := 0; k < c.Shards; k++ {
-		log, err := ReadShardLog(ShardLogPath(c.Spool, k, c.Shards))
-		if err != nil {
-			return nil, fmt.Errorf("fleet: %w", err)
-		}
-		shards[k] = log.ShardResult()
-	}
-	for k, sr := range shards {
-		if sr.GridDigest != digest {
-			return nil, fmt.Errorf("fleet: shard %d/%d log carries grid digest %.12s, fleet is %.12s",
-				k, c.Shards, sr.GridDigest, digest)
-		}
-	}
-	// MergeShards revalidates digest agreement and exactly-once coverage
-	// of all total indices, so a passing merge is the byte-identity
-	// guarantee, not just a concatenation.
 	res, err := mptcpsim.MergeShards(shards...)
 	if err != nil {
-		return nil, err
-	}
-	if len(res.Runs) != total {
-		return nil, fmt.Errorf("fleet: merged %d runs, grid has %d", len(res.Runs), total)
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return res, nil
 }

@@ -495,3 +495,27 @@ func TestProgressDuringRun(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRefusesZeroTTL: a lease with no lifetime expires as it is
+// granted, so the table would hand a running shard to a second writer of
+// the same log. Run refuses it before it grants a single lease.
+func TestRunRefusesZeroTTL(t *testing.T) {
+	for _, ttl := range []time.Duration{0, -time.Second} {
+		runner := &refusingRunner{}
+		coord := &Coordinator{
+			Sweep:   &mptcpsim.Sweep{Workers: 1},
+			Grid:    fleetGrid(),
+			Shards:  1,
+			Workers: 2,
+			Spool:   t.TempDir(),
+			Runner:  runner,
+			TTL:     ttl,
+		}
+		if _, err := coord.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "TTL") {
+			t.Errorf("TTL %v: err = %v, want the TTL refused", ttl, err)
+		}
+		if runner.calls != 0 {
+			t.Errorf("TTL %v: %d leases run, want none", ttl, runner.calls)
+		}
+	}
+}

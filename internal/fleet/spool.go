@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -94,13 +93,8 @@ func OpenShardLog(path string, header mptcpsim.RunLogHeader, truncate bool) (*Sh
 	if err != nil {
 		return fail(fmt.Errorf("%s: %w", path, err))
 	}
-	if log.Header.GridDigest != header.GridDigest {
-		return fail(fmt.Errorf("%s: run-log grid digest %.12s does not match this sweep's %.12s (different grid, -check setting or library version, or a stale spool?); resume with the original settings or start a fresh log",
-			path, log.Header.GridDigest, header.GridDigest))
-	}
-	if log.Header.K != header.K || log.Header.N != header.N || log.Header.Total != header.Total {
-		return fail(fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this sweep is shard %d/%d of %d; resume with the original shard",
-			path, log.Header.K, log.Header.N, log.Header.Total, header.K, header.N, header.Total))
+	if err := sameShard(path, log.Header, header); err != nil {
+		return fail(err)
 	}
 	if log.Torn() {
 		if err := f.Truncate(log.TornTail); err != nil {
@@ -137,119 +131,118 @@ func ReadShardLog(path string) (*mptcpsim.RunLog, error) {
 	return log, nil
 }
 
-// shardTail incrementally reads committed records out of one shard's
-// run-log while a worker appends to it — the coordinator's live-progress
-// feed. Only complete lines (the trailing newline is the commit mark) are
-// consumed; a torn tail is simply not yet visible. The header must be the
-// fleet's: a log from another grid or shard shape is an error, never
-// progress. If the file shrinks — a resumed worker truncating a torn
-// record, or a header-torn restart — the tail re-reads from the start and
-// the seen set keeps delivery exactly-once.
-type shardTail struct {
-	mu         sync.Mutex
-	path       string
-	want       mptcpsim.RunLogHeader
-	offset     int64
-	headerDone bool
-	seen       map[int]bool
-	runs       []mptcpsim.RunSummary
-}
-
-func newShardTail(path string, want mptcpsim.RunLogHeader) *shardTail {
-	return &shardTail{path: path, want: want, seen: make(map[int]bool)}
-}
-
-// poll keeps the newly committed records and returns how many new runs
-// (and how many of them failed) it saw. A missing file is zero progress,
-// not an error: the shard's first lease has not started writing yet.
-func (t *shardTail) poll() (newDone, newFailed int, err error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	f, err := os.Open(t.path)
-	if os.IsNotExist(err) {
-		return 0, 0, nil
+// sameShard refuses a run-log header, read from path, that is not want's
+// shard of want's grid: the one rule resume and the fleet's tails apply
+// before trusting a log's records. Worker and Lease are provenance and are
+// not compared.
+func sameShard(path string, got, want mptcpsim.RunLogHeader) error {
+	if got.GridDigest != want.GridDigest {
+		return fmt.Errorf("%s: run-log grid digest %.12s does not match this sweep's %.12s (different grid, -check setting or library version, or a stale spool?); resume with the original settings or start a fresh log",
+			path, got.GridDigest, want.GridDigest)
 	}
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, 0, err
-	}
-	if st.Size() < t.offset {
-		// The log was cut back (torn-record or torn-header truncation by a
-		// resuming worker). Committed records are never removed, so re-read
-		// from the start and let the seen set drop duplicates.
-		t.offset = 0
-		t.headerDone = false
-	}
-	if st.Size() == t.offset {
-		return 0, 0, nil
-	}
-	if _, err := f.Seek(t.offset, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
-	raw, err := io.ReadAll(f)
-	if err != nil {
-		return 0, 0, err
-	}
-	for {
-		nl := bytes.IndexByte(raw, '\n')
-		if nl < 0 {
-			break // uncommitted tail: wait for the newline
-		}
-		line := raw[:nl+1]
-		raw = raw[nl+1:]
-		if !t.headerDone {
-			if err := t.checkHeader(line); err != nil {
-				return 0, 0, err
-			}
-			t.headerDone = true
-			t.offset += int64(len(line))
-			continue
-		}
-		rec, err := mptcpsim.DecodeRunRecord(line)
-		if err != nil {
-			// A committed line ReadRunLog would refuse means the file is not
-			// the single-writer log we think it is; surface it, on every poll,
-			// without counting it.
-			return newDone, newFailed, fmt.Errorf("%s: tail record: %w", t.path, err)
-		}
-		t.offset += int64(len(line))
-		if t.seen[rec.Run.Index] {
-			continue
-		}
-		t.seen[rec.Run.Index] = true
-		newDone++
-		if rec.Run.Err != "" {
-			newFailed++
-		}
-		t.runs = append(t.runs, rec.Run)
-	}
-	return newDone, newFailed, nil
-}
-
-// checkHeader parses a committed header line under ReadRunLog's grammar and
-// refuses one that is not this shard of the fleet's grid.
-func (t *shardTail) checkHeader(line []byte) error {
-	log, err := mptcpsim.ReadRunLog(bytes.NewReader(line))
-	if err != nil {
-		return fmt.Errorf("%s: %w", t.path, err)
-	}
-	h := log.Header
-	if h.GridDigest != t.want.GridDigest || h.K != t.want.K || h.N != t.want.N || h.Total != t.want.Total {
-		return fmt.Errorf("%s: run-log is shard %d/%d of %d runs under grid digest %.12s, the fleet wants shard %d/%d of %d under %.12s (stale spool?)",
-			t.path, h.K, h.N, h.Total, h.GridDigest, t.want.K, t.want.N, t.want.Total, t.want.GridDigest)
+	if got.K != want.K || got.N != want.N || got.Total != want.Total {
+		return fmt.Errorf("%s: run-log is shard %d/%d of %d runs, this sweep is shard %d/%d of %d; resume with the original shard",
+			path, got.K, got.N, got.Total, want.K, want.N, want.Total)
 	}
 	return nil
 }
 
-// feed hands every run the tail has kept to sink, under the tail's lock.
+// shardTail follows one shard's run-log while workers append to it — the
+// coordinator's live progress feed and its completion and merge source.
+// The log is read by RunLog.Follow under ReadRunLog's rules, so only
+// committed records count, a torn tail is simply not yet visible, and a
+// log cut back below what was read is read again from the start. A header
+// that is not the fleet's (another grid or shard shape) is an error, never
+// progress. counted holds every index ever reported as progress, so a
+// record read again after a shrink is never counted twice.
+type shardTail struct {
+	mu      sync.Mutex
+	path    string
+	want    mptcpsim.RunLogHeader
+	log     mptcpsim.RunLog
+	err     error
+	counted map[int]bool
+}
+
+func newShardTail(path string, want mptcpsim.RunLogHeader) *shardTail {
+	return &shardTail{path: path, want: want, counted: make(map[int]bool)}
+}
+
+// poll follows the log and returns how many runs it found that were never
+// counted before (and how many of them failed). A missing file or a torn
+// header is zero progress, not an error: the shard's writer has not
+// committed anything yet. A committed line ReadRunLog would refuse is an
+// error on every poll, returned after the runs before it are counted.
+func (t *shardTail) poll() (newDone, newFailed int, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var recs []mptcpsim.RunRecord
+	recs, t.err = t.follow()
+	for _, rec := range recs {
+		if !t.counted[rec.Run.Index] {
+			t.counted[rec.Run.Index] = true
+			newDone++
+			if rec.Run.Err != "" {
+				newFailed++
+			}
+		}
+	}
+	return newDone, newFailed, t.err
+}
+
+// follow reads the records committed since the last poll into the log.
+func (t *shardTail) follow() ([]mptcpsim.RunRecord, error) {
+	f, err := os.Open(t.path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := t.log.Follow(f)
+	switch {
+	case errors.Is(err, mptcpsim.ErrHeaderTorn):
+		return nil, nil
+	case t.log.Header == (mptcpsim.RunLogHeader{}):
+		return nil, fmt.Errorf("%s: %w", t.path, err) // no header committed, an error met
+	}
+	if herr := sameShard(t.path, t.log.Header, t.want); herr != nil {
+		t.log = mptcpsim.RunLog{} // another grid's records are never progress
+		return nil, herr
+	}
+	if err != nil {
+		err = fmt.Errorf("%s: %w", t.path, err)
+	}
+	return recs, err
+}
+
+// complete reports whether the last poll found the whole shard committed:
+// the fleet's header, no torn tail, and a record for every index of the
+// shard. An error of that poll is returned instead: resume cannot repair
+// the log, so the lease must not be retried.
+func (t *shardTail) complete() (bool, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.err != nil {
+		return false, t.err
+	}
+	size := mptcpsim.Shard{K: t.want.K, N: t.want.N}.Size(t.want.Total)
+	return sameShard(t.path, t.log.Header, t.want) == nil && !t.log.Torn() && len(t.log.Runs) == size, nil
+}
+
+// shardResult is the log read so far as MergeShards' input.
+func (t *shardTail) shardResult() *mptcpsim.ShardResult {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.log.ShardResult()
+}
+
+// feed hands every run the tail has read to sink, under the tail's lock.
 func (t *shardTail) feed(sink *mptcpsim.MemorySink) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, run := range t.runs {
-		sink.Accept(0, 0, run, nil)
+	for _, rec := range t.log.Runs {
+		sink.Accept(0, 0, rec.Run, nil)
 	}
 }

@@ -156,7 +156,49 @@ func TestUnknownFieldRecordIsNotProgress(t *testing.T) {
 			t.Fatalf("poll %d counted %d runs (%d failed), want %d (0 failed)", poll, done, failed, wantDone)
 		}
 	}
-	if len(tail.runs) != 1 || tail.runs[0].Index != 0 || tail.runs[0].Err != "" {
-		t.Fatalf("tail kept %+v, want only the good record", tail.runs)
+	if runs := tail.log.Runs; len(runs) != 1 || runs[0].Run.Index != 0 || runs[0].Run.Err != "" {
+		t.Fatalf("tail kept %+v, want only the good record", runs)
+	}
+}
+
+// TestRepeatedIndexIsRefusedLive: a shard log that commits an index twice
+// is not a single-writer log. The coordinator's live tail refuses it with
+// ReadRunLog's own error, on every poll, and counts the index once.
+func TestRepeatedIndexIsRefusedLive(t *testing.T) {
+	var log bytes.Buffer
+	header := mptcpsim.RunLogHeader{GridDigest: "aaaaaaaaaaaaaaaa", K: 0, N: 1, Total: 3}
+	sink, err := mptcpsim.NewLogSink(&log, header, mptcpsim.LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, index := range []int{0, 1, 0} {
+		if err := sink.Accept(i+1, 3, mptcpsim.RunSummary{Index: index}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "shard.ndjson")
+	if err := os.WriteFile(path, log.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+
+	const twice = "records index 0 twice"
+	if _, err := ReadShardLog(path); err == nil || !strings.Contains(err.Error(), twice) {
+		t.Fatalf("ReadShardLog: err = %v, want %q", err, twice)
+	}
+	tail := newShardTail(path, header)
+	for poll, wantDone := range []int{2, 0} {
+		done, _, err := tail.poll()
+		if err == nil || !strings.Contains(err.Error(), twice) {
+			t.Fatalf("poll %d: err = %v, want %q", poll, err, twice)
+		}
+		if done != wantDone {
+			t.Fatalf("poll %d counted %d runs, want %d", poll, done, wantDone)
+		}
+	}
+	if complete, err := tail.complete(); complete || err == nil {
+		t.Fatalf("complete() = %v, %v; want the repeated index refused", complete, err)
 	}
 }

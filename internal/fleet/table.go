@@ -2,9 +2,11 @@
 // grid: the grid is expanded once into n shards, each shard is leased to a
 // worker with a deadline, expired or failed leases are retried with
 // backoff, and the shard run-logs accumulating in a shared spool directory
-// are read into a live fleet-wide result and, at the end, merged through
-// the same validated path as any other run-logs — so the fleet result is
-// byte-identical to an unsharded sweep.
+// are each followed by one incremental reader (mptcpsim.RunLog.Follow,
+// ReadRunLog's own parser). What it has read is the live fleet-wide
+// result, the test of whether a returned lease finished its shard, and, at
+// the end, the input of the same validated merge as any other run-logs —
+// so the fleet result is byte-identical to an unsharded sweep.
 //
 // The lease protocol is deliberately thin: a lease is a promise from the
 // coordinator not to hand the same shard to anyone else before the

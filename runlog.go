@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 )
 
 // RunLogVersion is the current run-log schema version, carried in every
@@ -184,6 +185,11 @@ type RunLog struct {
 	// Resume truncates the file here and re-executes the torn run; a merge
 	// must refuse the log until then.
 	TornTail int64
+
+	// committed is the length of the header and records read so far, where
+	// the next Follow resumes; seen holds the records' indices.
+	committed int64
+	seen      map[int]bool
 }
 
 // Torn reports whether the log ends in a torn record.
@@ -191,13 +197,7 @@ func (l *RunLog) Torn() bool { return l.TornTail >= 0 }
 
 // Indices returns the set of run indices the log records — the resume
 // skip set.
-func (l *RunLog) Indices() map[int]bool {
-	done := make(map[int]bool, len(l.Runs))
-	for _, rec := range l.Runs {
-		done[rec.Run.Index] = true
-	}
-	return done
-}
+func (l *RunLog) Indices() map[int]bool { return maps.Clone(l.seen) }
 
 // Errs counts failed runs in the log.
 func (l *RunLog) Errs() int {
@@ -237,73 +237,98 @@ func (l *RunLog) ShardResult() *ShardResult {
 // single-writer log never produces it, so it means the file is not what
 // the caller thinks it is.
 func ReadRunLog(r io.Reader) (*RunLog, error) {
-	br := bufio.NewReader(r)
-	log := &RunLog{TornTail: -1}
-	var offset int64
-	line, err := br.ReadBytes('\n')
-	if err != nil && err != io.EOF {
+	log := &RunLog{}
+	if err := log.extend(r); err != nil {
+		return nil, err
+	}
+	return log, nil
+}
+
+// Follow extends the log with the records committed to r since the last
+// call and returns them (the new tail of Runs), so a reader can tail a log
+// its writer is still appending to. A zero RunLog starts at byte 0, header
+// included. If r has shrunk below what was already read — the file was cut
+// back inside its committed records, which a crash of the machine or an
+// outside hand can do — the log is read again from the start and every
+// record is returned again. Each call applies ReadRunLog's rules: bytes
+// after the last newline are a torn tail that the next call reads again,
+// and a committed line ReadRunLog would refuse is an error, returned with
+// the records before it and met again by every later call.
+func (l *RunLog) Follow(r io.ReadSeeker) ([]RunRecord, error) {
+	size, err := r.Seek(0, io.SeekEnd)
+	if err != nil {
 		return nil, fmt.Errorf("mptcpsim: run-log: %w", err)
 	}
-	if len(line) == 0 {
-		return nil, fmt.Errorf("mptcpsim: run-log: empty file: %w", ErrHeaderTorn)
+	if size < l.committed {
+		*l = RunLog{}
 	}
-	if err == io.EOF {
-		// Header bytes without the newline commit mark: a writer killed
-		// mid-header. Not a TornTail — that offset points at a torn
-		// *record* after a committed header, and here no header was
-		// committed at all.
-		return nil, fmt.Errorf("mptcpsim: run-log: header cut after %d bytes: %w", len(line), ErrHeaderTorn)
+	if _, err := r.Seek(l.committed, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("mptcpsim: run-log: %w", err)
 	}
-	// A committed first line, blank ones included, is a header or an error:
-	// a file that is not a run-log must never pass for a torn one, which
-	// resume would truncate.
-	if uerr := decodeStrict(bytes.NewReader(line), &log.Header); uerr != nil {
-		return nil, fmt.Errorf("mptcpsim: run-log header: %w", uerr)
-	}
-	if verr := log.Header.Validate(); verr != nil {
-		return nil, verr
-	}
-	offset += int64(len(line))
+	from := len(l.Runs)
+	err = l.extend(r)
+	return l.Runs[from:], err
+}
 
-	seen := make(map[int]bool)
+// extend reads r, positioned at byte l.committed of the log, to its end:
+// the header if none is committed yet, then every committed record.
+func (l *RunLog) extend(r io.Reader) error {
+	br := bufio.NewReader(r)
+	l.TornTail = -1
 	for {
 		line, err := br.ReadBytes('\n')
 		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("mptcpsim: run-log: %w", err)
+			return fmt.Errorf("mptcpsim: run-log: %w", err)
 		}
-		if len(line) == 0 && err == io.EOF {
-			return log, nil
-		}
-		rec, uerr := DecodeRunRecord(line)
-		if uerr != nil || err == io.EOF {
-			// Unparseable or unterminated final line: the torn tail. An
-			// unterminated line that still parses is treated as torn too —
-			// the trailing newline is the record's commit mark, and
-			// re-running one run is cheaper than trusting an uncommitted
-			// record.
-			if err == io.EOF {
-				log.TornTail = offset
-				return log, nil
+		if err == io.EOF {
+			switch {
+			case l.committed > 0:
+				// An unterminated final line is the torn tail, even one that
+				// parses: the trailing newline is the record's commit mark,
+				// and re-running one run is cheaper than trusting an
+				// uncommitted record.
+				if len(line) > 0 {
+					l.TornTail = l.committed
+				}
+				return nil
+			case len(line) == 0:
+				return fmt.Errorf("mptcpsim: run-log: empty file: %w", ErrHeaderTorn)
+			default:
+				// Header bytes without the newline commit mark: a writer
+				// killed mid-header. Not a TornTail — that offset points at
+				// a torn *record* after a committed header, and here no
+				// header was committed at all.
+				return fmt.Errorf("mptcpsim: run-log: header cut after %d bytes: %w", len(line), ErrHeaderTorn)
 			}
-			return nil, fmt.Errorf("mptcpsim: run-log record %d: %w", len(log.Runs), uerr)
 		}
-		if seen[rec.Run.Index] {
-			return nil, fmt.Errorf("mptcpsim: run-log records index %d twice", rec.Run.Index)
+		if l.committed == 0 {
+			// A committed first line, blank ones included, is a header or an
+			// error: a file that is not a run-log must never pass for a torn
+			// one, which resume would truncate.
+			var h RunLogHeader
+			if uerr := decodeStrict(bytes.NewReader(line), &h); uerr != nil {
+				return fmt.Errorf("mptcpsim: run-log header: %w", uerr)
+			}
+			if verr := h.Validate(); verr != nil {
+				return verr
+			}
+			l.Header = h
+		} else {
+			var rec RunRecord
+			if uerr := decodeStrict(bytes.NewReader(line), &rec); uerr != nil {
+				return fmt.Errorf("mptcpsim: run-log record %d: %w", len(l.Runs), uerr)
+			}
+			if l.seen[rec.Run.Index] {
+				return fmt.Errorf("mptcpsim: run-log records index %d twice", rec.Run.Index)
+			}
+			if l.seen == nil {
+				l.seen = make(map[int]bool)
+			}
+			l.seen[rec.Run.Index] = true
+			l.Runs = append(l.Runs, rec)
 		}
-		seen[rec.Run.Index] = true
-		log.Runs = append(log.Runs, rec)
-		offset += int64(len(line))
+		l.committed += int64(len(line))
 	}
-}
-
-// DecodeRunRecord parses one committed run-log body line under the same
-// strict grammar ReadRunLog applies: an unknown field or trailing data is an
-// error. A reader tailing a live log uses it so that it counts exactly the
-// records ReadRunLog would accept.
-func DecodeRunRecord(line []byte) (RunRecord, error) {
-	var rec RunRecord
-	err := decodeStrict(bytes.NewReader(line), &rec)
-	return rec, err
 }
 
 // decodeStrict decodes the one JSON value r holds into v — the grammar of

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -201,6 +202,43 @@ func TestReadRunLogTornTail(t *testing.T) {
 	// A clean log read normally.
 	if log, err := ReadRunLog(bytes.NewReader(raw)); err != nil || log.Torn() {
 		t.Fatalf("clean log: err=%v torn=%v", err, log.Torn())
+	}
+}
+
+// TestFollowTailsAGrowingLog follows a log its writer appends to and then
+// cuts back below what was read, as the fleet's test crashes do: each call
+// returns only the records committed since the last one, a torn tail waits
+// for its newline, and a shrunk log is read again from its header.
+func TestFollowTailsAGrowingLog(t *testing.T) {
+	raw := streamToLog(t, &Sweep{Workers: 1}, sweepGrid(), LogOptions{})
+	lines := bytes.SplitAfter(raw, []byte("\n"))
+	whole, err := ReadRunLog(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneAndABit := len(lines[0]) + len(lines[1]) + 2
+	var log RunLog
+	for i, step := range []struct {
+		size, wantNew int
+		wantTorn      int64
+	}{
+		{len(lines[0]) / 2, 0, -1},             // torn header: an error, nothing read
+		{oneAndABit, 1, int64(oneAndABit - 2)}, // the header, one record, a torn one
+		{len(raw), 3, -1},                      // the rest
+		{len(raw), 0, -1},                      // nothing new
+		{oneAndABit, 1, int64(oneAndABit - 2)}, // cut back: read again from byte 0
+		{len(raw), 3, -1},                      // and grown again
+	} {
+		recs, err := log.Follow(bytes.NewReader(raw[:step.size]))
+		if (i == 0) != errors.Is(err, ErrHeaderTorn) || (i > 0 && err != nil) {
+			t.Fatalf("step %d: err = %v", i, err)
+		}
+		if len(recs) != step.wantNew || (i > 0 && log.TornTail != step.wantTorn) {
+			t.Fatalf("step %d: %d new records, torn tail %d; want %d, %d", i, len(recs), log.TornTail, step.wantNew, step.wantTorn)
+		}
+	}
+	if !reflect.DeepEqual(log.Runs, whole.Runs) || log.Header != whole.Header {
+		t.Fatalf("followed log differs from ReadRunLog's")
 	}
 }
 
