@@ -2,8 +2,9 @@ package mptcp
 
 // Scripted conformance, one level above internal/tcp's: the script owns one
 // link of the first subflow's path, drops the first of that subflow's data
-// segments to reach it at or after a fixed virtual time, and records every
-// mapping that passes, so the recovery can be asserted at exact times.
+// segments to reach it at or after a fixed virtual time (or every new one
+// until the RTO), and records every mapping that passes, so the recovery can
+// be asserted at exact times.
 
 import (
 	"testing"
@@ -22,13 +23,17 @@ type mappedSeg struct {
 	dropped bool
 }
 
-// dropScript is the link's admission policy.
+// dropScript is the link's admission policy. It drops the first segment at
+// or after dropAt; with blackout set it drops every new segment from then
+// on, until the first retransmission (the RTO's) passes.
 type dropScript struct {
-	loop   *sim.Loop
-	tag    packet.Tag
-	dropAt sim.Time
-	done   bool
-	seen   []mappedSeg
+	loop     *sim.Loop
+	tag      packet.Tag
+	dropAt   sim.Time
+	blackout bool
+	done     bool
+	next     uint32 // the subflow sequence number past every segment seen
+	seen     []mappedSeg
 }
 
 func (d *dropScript) OnEnqueue(_ *netem.Link, p *packet.Packet) bool {
@@ -39,9 +44,14 @@ func (d *dropScript) OnEnqueue(_ *netem.Link, p *packet.Packet) bool {
 	if dss := p.TCP.DSS(); dss != nil {
 		s.dss = *dss // the packet's storage is recycled after delivery
 	}
-	if !d.done && s.at >= d.dropAt {
-		d.done, s.dropped = true, true
+	switch {
+	case d.done || s.at < d.dropAt:
+	case d.blackout && s.dss.SubflowSeq < d.next:
+		d.done = true
+	default:
+		d.done, s.dropped = !d.blackout, true
 	}
+	d.next = max(d.next, s.dss.SubflowSeq+uint32(p.PayloadLen))
 	d.seen = append(d.seen, s)
 	return s.dropped
 }
@@ -195,5 +205,76 @@ func TestScriptHeadOfLineBlocking(t *testing.T) {
 		rc.DataAck() != total || rc.DupBytes != 0 {
 		t.Fatalf("after the retransmission: delivered %d of %d assigned, %d parked, data ACK %d, %d duplicate bytes",
 			rc.Delivered, c.AssignedBytes(), rc.OOOBytes(), rc.DataAck(), rc.DupBytes)
+	}
+}
+
+// TestScriptRTODoesNotReinject pins that the engine does not reinject: data
+// a subflow lost stays on that subflow until its own RTO repairs it, even
+// while another subflow sits idle. 60 segments over Path 2 (the script's)
+// and Path 3 a millisecond later, minrtt. From 20 ms every new segment on
+// Path 2 is dropped: the last six of its second flight and the whole third,
+// 26 segments, DSN 36400–72800, with no ACK to clock a fast retransmit. Path
+// 3 takes its initial window (DSN 14000–28000) and the last eight segments
+// of the transfer, and has nothing to send after 30.6 ms. The RTO fires at
+// 229.3 ms; Path 2 then resends all 26 segments itself, in order and under
+// their own mappings, until 308.1 ms, and Path 3 carries none of them.
+func TestScriptRTODoesNotReinject(t *testing.T) {
+	const mss, total = 1400, 60 * 1400
+	const lostFrom, lostTo = 36400, 72800 // the DSNs Path 2 lost
+	r := newPaperRig(t, 23)
+	lost := &dropScript{loop: r.loop, tag: 2, dropAt: 20_000_000, blackout: true}
+	r.net.Link(r.pn.Paths[1].Links[1]).SetAQM(lost)
+	other := &dropScript{loop: r.loop, tag: 3, dropAt: sim.End} // records, never drops
+	r.net.Link(r.pn.Paths[2].Links[0]).SetAQM(other)
+	c := r.dial(t, Config{Algorithm: "reno", Scheduler: "minrtt", Source: &Fixed{Total: total},
+		Subflows: []SubflowSpec{{Tag: 2, Label: "Path 2"}, {Tag: 3, Label: "Path 3", StartDelay: time.Millisecond}}})
+	if err := r.loop.RunUntil(sim.Time(0).Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	// Path 2: 16 segments through, 26 dropped, then the same 26 again.
+	const through, dropped = 16, (lostTo - lostFrom) / mss
+	if len(lost.seen) != through+2*dropped {
+		t.Fatalf("%d data segments crossed Path 2, want %d", len(lost.seen), through+2*dropped)
+	}
+	for i, s := range lost.seen[through:] {
+		k := i % dropped
+		want := packet.DSS{HasMap: true, DSN: uint64(lostFrom + k*mss), SubflowSeq: uint32((through + k) * mss), DataLen: mss}
+		if s.dss != want || s.dropped != (i < dropped) {
+			t.Fatalf("Path 2 segment %d at %d: %+v dropped %v, want %+v dropped %v", through+i, s.at, s.dss, s.dropped, want, i < dropped)
+		}
+	}
+	for i, at := range map[int]sim.Time{through: 20_143_197, through + dropped: 229_298_685, len(lost.seen) - 1: 308_078_361} {
+		if lost.seen[i].at != at {
+			t.Fatalf("Path 2 segment %d at %d, want %d", i, lost.seen[i].at, at)
+		}
+	}
+
+	// Path 3: only new data, all of it sent long before the RTO.
+	if len(other.seen) != 18 {
+		t.Fatalf("%d data segments crossed Path 3, want 18", len(other.seen))
+	}
+	for i, s := range other.seen {
+		dsn := uint64(14000 + i*mss)
+		if i >= 10 {
+			dsn = uint64(lostTo + (i-10)*mss)
+		}
+		if s.dss.DSN != dsn || s.dss.SubflowSeq != uint32(i*mss) {
+			t.Fatalf("Path 3 segment %d at %d: %+v, want DSN %d", i, s.at, s.dss, dsn)
+		}
+	}
+	if at := other.seen[17].at; at != 30_612_153 {
+		t.Fatalf("Path 3's last segment at %d, want 30612153", at)
+	}
+
+	if st := c.Subflows()[0].TCP.Stats; st.RTOs != 1 || st.Retransmits != dropped || st.FastRecovery != 0 {
+		t.Fatalf("Path 2: %d RTOs, %d retransmits, %d fast recoveries, want 1, %d, 0", st.RTOs, st.Retransmits, st.FastRecovery, dropped)
+	}
+	if n := c.Subflows()[1].TCP.Stats.Retransmits; n != 0 {
+		t.Fatalf("Path 3 retransmitted %d segments", n)
+	}
+	rc := r.recvConn(t)
+	if rc.Delivered != total || rc.DupBytes != 0 {
+		t.Fatalf("delivered %d, %d duplicate bytes, want %d, 0", rc.Delivered, rc.DupBytes, total)
 	}
 }

@@ -1,7 +1,8 @@
 package sim
 
 // Benchmarks for the kernel's dev loop: the two per-event shapes the
-// simulator's hot path is made of. Run them with
+// simulator's hot path is made of, and the set-up of a random stream that
+// every run pays several times. Run them with
 //
 //	go test -run '^$' -bench . ./internal/sim
 
@@ -80,5 +81,22 @@ func BenchmarkAckClock(b *testing.B) {
 	b.ResetTimer()
 	if err := l.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// randSink keeps BenchmarkRandFork's draws live.
+var randSink int64
+
+// BenchmarkRandFork times a component's stream as a run sets one up: Fork it
+// from the run's stream, then take its first 8 draws.
+func BenchmarkRandFork(b *testing.B) {
+	r := NewRand(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := r.Fork()
+		for range 8 {
+			randSink += c.Int63()
+		}
 	}
 }
