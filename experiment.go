@@ -68,11 +68,12 @@ func Run(nw *Network, opts Options) (*Result, error) {
 // grid cell once for all of the cell's runs.
 type prepared struct {
 	nw *Network
-	// The baselines of the topology as declared and of each capacity epoch
-	// that starts inside the run, and the optimum the gap is measured against.
+	// The baselines of the topology as declared, the LP optimum of each
+	// capacity epoch that starts inside the run, and the optimum the gap is
+	// measured against.
 	base        *lp.Baselines
 	epochStarts []time.Duration
-	epochBase   []*lp.Baselines
+	epochBase   []lp.Solution
 	target      float64
 }
 
@@ -83,14 +84,15 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mptcpsim: LP: %w", err)
 	}
-	// Piecewise baselines: one LP per capacity epoch. An epoch no capacity
-	// event has touched yet (a static network's only one) is base itself.
+	// Piecewise optima: one LP per capacity epoch, and no fairness
+	// references, which nothing reads for an epoch. An epoch no capacity
+	// event has touched yet (a static network's only one) has base's optimum.
 	epochStarts := nw.tl.EpochStarts(duration)
-	epochBase := make([]*lp.Baselines, len(epochStarts))
+	epochBase := make([]lp.Solution, len(epochStarts))
 	for i, st := range epochStarts {
-		epochBase[i] = base
+		epochBase[i] = base.Solution
 		if caps := nw.tl.CapsAt(st, nw.graph); caps != nil {
-			epochBase[i], err = lp.CachedBaselinesCaps(nw.graph, nw.paths, caps)
+			epochBase[i], err = lp.CachedOptimumCaps(nw.graph, nw.paths, caps)
 			if err != nil {
 				return nil, fmt.Errorf("mptcpsim: epoch LP at %v: %w", st, err)
 			}
@@ -103,7 +105,7 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 	// bins from the (bin-aligned) end of the transient to the last full
 	// bin — so measured and target integrate over the same interval and
 	// the gap invariant (measured ≤ target + drain) is meaningful.
-	target := epochBase[0].Solution.Objective
+	target := epochBase[0].Objective
 	if len(epochStarts) > 1 {
 		measureFrom, horizon := stats.MeasureWindow(duration, bin)
 		var acc float64
@@ -116,7 +118,7 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 				st = measureFrom
 			}
 			if st < en {
-				acc += float64(epochBase[i].Solution.Objective * float64(en-st))
+				acc += float64(epochBase[i].Objective * float64(en-st))
 			}
 		}
 		if horizon > measureFrom {
@@ -359,13 +361,13 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 			en = epochStarts[i+1]
 		}
 		es := stats.SummarizeEpoch(total, pathSeries, st, en,
-			epochBase[i].Solution.Objective, convergenceTol, convergenceHold)
+			epochBase[i].Objective, convergenceTol, convergenceHold)
 		res.Epochs[i] = EpochReport{
 			Start: st,
 			End:   en,
 			Optimum: Allocation{
-				PerPath: slices.Clone(epochBase[i].Solution.X),
-				Total:   epochBase[i].Solution.Objective,
+				PerPath: slices.Clone(epochBase[i].X),
+				Total:   epochBase[i].Objective,
 			},
 			TotalMean:   es.TotalMean,
 			Gap:         es.Gap,

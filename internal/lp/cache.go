@@ -22,12 +22,13 @@ type Baselines struct {
 }
 
 // baselineEntry is one memoised computation; once guarantees each distinct
-// topology is solved exactly once even when many sweep workers miss the
-// cache simultaneously.
+// topology's LP is solved exactly once even when many sweep workers miss the
+// cache simultaneously, and fair does the same for MaxMin and PropFair, which
+// are computed only when a caller first asks for them.
 type baselineEntry struct {
-	once sync.Once
-	b    *Baselines
-	err  error
+	once, fair sync.Once
+	b          *Baselines
+	err        error
 	// elem is the entry's position in the LRU list; nil once evicted.
 	elem *list.Element
 }
@@ -42,8 +43,8 @@ const baselineCacheCap = 512
 // bounded by an LRU policy. A parameter sweep runs the same topology under
 // many (CC, scheduler, ordering, seed) combinations; the LP and especially
 // the iterative proportional-fair solve only depend on the
-// capacity/incidence structure, so they are computed once per distinct
-// topology (and, for dynamic runs, per capacity epoch) and shared.
+// capacity/incidence structure, so each is computed at most once per
+// distinct topology (and, for dynamic runs, per capacity epoch) and shared.
 var baselineCache = struct {
 	sync.Mutex
 	m map[string]*baselineEntry
@@ -104,10 +105,39 @@ func CachedBaselines(g *topo.Graph, paths []topo.Path) (*Baselines, error) {
 // overridden capacities flow into the canonical problem rendering, so
 // every distinct epoch gets its own cache slot.
 func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baselines, error) {
+	e, err := cachedEntry(g, paths, caps)
+	if err != nil {
+		return nil, err
+	}
+	e.fair.Do(func() {
+		e.b.MaxMin = MaxMinCaps(g, paths, caps)
+		e.b.PropFair = PropFairCaps(g, paths, caps)
+	})
+	return &Baselines{
+		ProblemString: e.b.ProblemString,
+		Solution:      e.b.Solution.clone(),
+		MaxMin:        append([]float64(nil), e.b.MaxMin...),
+		PropFair:      append([]float64(nil), e.b.PropFair...),
+	}, nil
+}
+
+// CachedOptimumCaps is the LP optimum of CachedBaselinesCaps alone, from the
+// same cache entry, in a private copy. It never computes the fairness
+// references, so a caller that reads only the optimum (a capacity epoch's
+// gap) does not pay for the proportional-fair descent.
+func CachedOptimumCaps(g *topo.Graph, paths []topo.Path, caps Caps) (Solution, error) {
+	e, err := cachedEntry(g, paths, caps)
+	if err != nil {
+		return Solution{}, err
+	}
+	return e.b.Solution.clone(), nil
+}
+
+// cachedEntry returns the cache entry of the problem, its LP solved.
+func cachedEntry(g *topo.Graph, paths []topo.Path, caps Caps) (*baselineEntry, error) {
 	prob := MaxThroughputCaps(g, paths, caps)
 	key := prob.String()
 	e := lookupEntry(key)
-
 	e.once.Do(func() {
 		sol, err := prob.Solve()
 		if err != nil {
@@ -118,31 +148,20 @@ func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baseline
 			e.err = fmt.Errorf("lp: baseline LP not optimal: %v", sol.Status)
 			return
 		}
-		e.b = &Baselines{
-			ProblemString: key,
-			Solution:      sol,
-			MaxMin:        MaxMinCaps(g, paths, caps),
-			PropFair:      PropFairCaps(g, paths, caps),
-		}
+		e.b = &Baselines{ProblemString: key, Solution: sol}
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-
-	return &Baselines{
-		ProblemString: e.b.ProblemString,
-		Solution: Solution{
-			Status:    e.b.Solution.Status,
-			X:         append([]float64(nil), e.b.Solution.X...),
-			Objective: e.b.Solution.Objective,
-		},
-		MaxMin:   append([]float64(nil), e.b.MaxMin...),
-		PropFair: append([]float64(nil), e.b.PropFair...),
-	}, nil
+	return e, e.err
 }
 
-// BaselineCacheSize reports how many distinct topologies are cached
-// (test hook).
+// clone is s with its own copy of X.
+func (s Solution) clone() Solution {
+	s.X = append([]float64(nil), s.X...)
+	return s
+}
+
+// BaselineCacheSize reports how many distinct problems are cached: the
+// tests check the cache's bound with it, and bench/ reports it as
+// lp.cache_misses, the LP problems a workload solved.
 func BaselineCacheSize() int {
 	baselineCache.Lock()
 	defer baselineCache.Unlock()

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -58,27 +59,93 @@ func TestCachedBaselines(t *testing.T) {
 	}
 }
 
+// TestCachedBaselinesConcurrent races goroutines on one cold key through
+// both entry points: half ask for the optimum alone, half for every
+// baseline. Each gets the one LP solution, and every fairness reference
+// handed out is the one computation's.
 func TestCachedBaselinesConcurrent(t *testing.T) {
 	pn := topo.Paper()
+	ResetBaselineCache()
 	var wg sync.WaitGroup
-	out := make([]*Baselines, 16)
+	sols := make([]Solution, 16)
+	full := make([]*Baselines, 16)
 	errs := make([]error, 16)
-	for i := range out {
+	for i := range sols {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			out[i], errs[i] = CachedBaselines(pn.Graph, pn.Paths)
+			if i%2 == 1 {
+				sols[i], errs[i] = CachedOptimumCaps(pn.Graph, pn.Paths, nil)
+				return
+			}
+			if full[i], errs[i] = CachedBaselines(pn.Graph, pn.Paths); errs[i] == nil {
+				sols[i] = full[i].Solution
+			}
 		}(i)
 	}
 	wg.Wait()
-	for i := range out {
+	for i := range sols {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if math.Abs(out[i].Solution.Objective-90) > 1e-6 {
-			t.Fatalf("goroutine %d objective = %v", i, out[i].Solution.Objective)
+		if math.Abs(sols[i].Objective-90) > 1e-6 {
+			t.Fatalf("goroutine %d objective = %v", i, sols[i].Objective)
+		}
+		if !sameBits(sols[i].X, sols[0].X) {
+			t.Fatalf("goroutine %d optimum %v, goroutine 0 %v", i, sols[i].X, sols[0].X)
+		}
+		if b := full[i]; b != nil && (!sameBits(b.MaxMin, full[0].MaxMin) || !sameBits(b.PropFair, full[0].PropFair)) {
+			t.Fatalf("goroutine %d fairness %v %v, goroutine 0 %v %v", i, b.MaxMin, b.PropFair, full[0].MaxMin, full[0].PropFair)
 		}
 	}
+}
+
+// TestCachedOptimumSkipsFairness: the optimum alone leaves the entry's
+// fairness references uncomputed; a later call for every baseline fills
+// them in, with the same bits as the direct solves, and both calls hand out
+// the same solution.
+func TestCachedOptimumSkipsFairness(t *testing.T) {
+	pn := topo.Paper()
+	ResetBaselineCache()
+	caps := Caps{pn.Bottlenecks[1]: 33.5, pn.Bottlenecks[2]: 40}
+	sol, err := CachedOptimumCaps(pn.Graph, pn.Paths, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	baselineCache.Lock()
+	e := baselineCache.m[MaxThroughputCaps(pn.Graph, pn.Paths, caps).String()]
+	baselineCache.Unlock()
+	if e == nil || e.b == nil {
+		t.Fatal("the optimum was not cached")
+	}
+	if e.b.MaxMin != nil || e.b.PropFair != nil {
+		t.Fatalf("the optimum alone computed max-min %v and prop-fair %v", e.b.MaxMin, e.b.PropFair)
+	}
+
+	sol.X[0] = -1 // the caller's copy
+	b, err := CachedBaselinesCaps(pn.Graph, pn.Paths, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := CachedOptimumCaps(pn.Graph, pn.Paths, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Status != b.Solution.Status || math.Float64bits(again.Objective) != math.Float64bits(b.Solution.Objective) ||
+		!sameBits(again.X, b.Solution.X) || again.X[0] == -1 {
+		t.Fatalf("optimum alone %+v, with the baselines %+v", again, b.Solution)
+	}
+	if mm := MaxMinCaps(pn.Graph, pn.Paths, caps); !sameBits(b.MaxMin, mm) {
+		t.Fatalf("cached max-min %v, direct %v", b.MaxMin, mm)
+	}
+	if pf := PropFairCaps(pn.Graph, pn.Paths, caps); !sameBits(b.PropFair, pf) {
+		t.Fatalf("cached prop-fair %v, direct %v", b.PropFair, pf)
+	}
+}
+
+// sameBits reports whether a and b hold the same float64s, bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
 
 func TestResetBaselineCache(t *testing.T) {

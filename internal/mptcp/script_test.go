@@ -4,7 +4,8 @@ package mptcp
 // link of the first subflow's path, drops the first of that subflow's data
 // segments to reach it at or after a fixed virtual time (or every new one
 // until the RTO), and records every mapping that passes, so the recovery can
-// be asserted at exact times.
+// be asserted at exact times. The receive-window script watches the sending
+// host instead: every segment it sends and every ACK it receives.
 
 import (
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/sim"
+	"mptcpsim/internal/tcp"
 )
 
 // mappedSeg is one data segment of the scripted subflow seen on the
@@ -276,5 +278,154 @@ func TestScriptRTODoesNotReinject(t *testing.T) {
 	rc := r.recvConn(t)
 	if rc.Delivered != total || rc.DupBytes != 0 {
 		t.Fatalf("delivered %d, %d duplicate bytes, want %d, 0", rc.Delivered, rc.DupBytes, total)
+	}
+}
+
+// windowLog is a tap at the sending host: every data segment it sends and
+// every ACK it receives, per subflow, with subflow sequence numbers made
+// relative to the subflow's initial sequence number.
+type windowLog struct {
+	loop *sim.Loop
+	node *netem.Node
+	iss  map[packet.Tag]uint32
+	seen []windowEvent
+}
+
+// windowEvent is one data segment sent (end is one past its last byte) or
+// one ACK received (end is the cumulative ACK, window the advertised
+// window).
+type windowEvent struct {
+	at              sim.Time
+	tag             packet.Tag
+	ack             bool
+	end             uint32
+	window          uint32
+	dsnEnd, dataAck uint64
+}
+
+func (l *windowLog) OnSend(nd *netem.Node, p *packet.Packet) {
+	if nd != l.node || p.TCP == nil {
+		return
+	}
+	if p.TCP.Flags&packet.FlagSYN != 0 {
+		l.iss[p.IP.Tag] = p.TCP.Seq
+	}
+	if p.PayloadLen == 0 {
+		return
+	}
+	e := windowEvent{at: l.loop.Now(), tag: p.IP.Tag, end: p.TCP.Seq + uint32(p.PayloadLen) - l.iss[p.IP.Tag] - 1}
+	if dss := p.TCP.DSS(); dss != nil {
+		e.dsnEnd = dss.DSN + uint64(dss.DataLen)
+	}
+	l.seen = append(l.seen, e)
+}
+
+func (l *windowLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
+	if nd != l.node || p.TCP == nil || p.TCP.Flags&packet.FlagACK == 0 {
+		return
+	}
+	e := windowEvent{at: l.loop.Now(), tag: p.IP.Tag, ack: true, end: p.TCP.Ack - l.iss[p.IP.Tag] - 1, window: p.TCP.Window}
+	if dss := p.TCP.DSS(); dss != nil && dss.HasAck {
+		e.dataAck = dss.DataAck
+	}
+	l.seen = append(l.seen, e)
+}
+func (*windowLog) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
+func (*windowLog) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+
+// TestScriptReceiveWindow pins how the engine enforces a receiver's window:
+// per subflow, and only per subflow. The receiver advertises an 8-segment
+// RcvBuf on each of two subflows, Path 2 and Path 3 a
+// millisecond later; 60 segments, minrtt, under Reno's 10-segment initial
+// window. Each subflow's unacknowledged data never exceeds the window its
+// own ACKs advertise: the first flights are 8 segments, not 10, and a
+// subflow whose window is full is granted nothing until its next ACK
+// (which carries the next data ACK) arrives, and then exactly the bytes
+// that ACK freed, at the ACK's own virtual time. There is no
+// connection-level receive window: with both first flights out at 15.04 ms
+// the connection has twice the advertised window unacknowledged, and at
+// 26.84 ms 19 segments, while Path 2's later segments, acknowledged on
+// their subflow, wait at the receiver behind Path 3's slower first flight.
+func TestScriptReceiveWindow(t *testing.T) {
+	const mss, total, rcvBuf = 1400, 60 * 1400, 8 * 1400
+	r := newPaperRig(t, 23)
+	acc := &Acceptor{}
+	if err := Listen(r.recvr, 5002, tcp.Config{RcvBuf: rcvBuf}, acc); err != nil {
+		t.Fatal(err)
+	}
+	log := &windowLog{loop: r.loop, node: r.net.Node(r.pn.S), iss: map[packet.Tag]uint32{}}
+	r.net.AttachTap(log)
+	c, err := Dial(r.sender, sim.NewRand(100), Config{Algorithm: "reno", Scheduler: "minrtt", Source: &Fixed{Total: total},
+		Subflows: []SubflowSpec{{Tag: 2, Label: "Path 2"}, {Tag: 3, Label: "Path 3", StartDelay: time.Millisecond}}},
+		r.recvr.Addr, 5002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.loop.RunUntil(sim.Time(0).Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+
+	acked := map[packet.Tag]windowEvent{} // each subflow's latest ACK
+	var assigned, peak uint64             // DSN end granted so far; most ever unacknowledged
+	var peakAt sim.Time
+	sent, fills := map[packet.Tag]int{}, 0
+	for i, e := range log.seen {
+		last, ok := acked[e.tag]
+		if e.ack {
+			if e.window != rcvBuf {
+				t.Fatalf("event %d: %+v advertises %d, want %d", i, e, e.window, rcvBuf)
+			}
+			acked[e.tag] = e
+			continue
+		}
+		// Data: granted in DSN order, one new segment each (nothing is lost),
+		// within the window of the subflow's latest ACK.
+		if !ok || e.dsnEnd != assigned+mss || e.end-last.end > last.window {
+			t.Fatalf("event %d: %+v sent over %+v after DSN %d", i, e, last, assigned)
+		}
+		assigned = e.dsnEnd
+		if sent[e.tag]++; e.end-last.end == last.window {
+			fills++
+		}
+		// A grant only ever comes from the ACK just received: a subflow
+		// never sends later than the ACK that opened its window.
+		if e.at != last.at {
+			t.Fatalf("event %d: %+v sent at %d, its subflow's last ACK came at %d", i, e, e.at, last.at)
+		}
+		var dataAck uint64
+		for _, a := range acked {
+			dataAck = max(dataAck, a.dataAck)
+		}
+		if assigned-dataAck > peak {
+			peak, peakAt = assigned-dataAck, e.at
+		}
+	}
+	// Every burst fills its subflow's window: the two first flights and
+	// each of the 15 + 7 two-segment grants that followed.
+	if assigned != total || sent[2] != 38 || sent[3] != 22 || fills != 24 {
+		t.Fatalf("granted %d bytes, %d segments on Path 2 and %d on Path 3, %d window fills; want %d, 38, 22, 24",
+			assigned, sent[2], sent[3], fills, total)
+	}
+	if peak != 19*mss || peakAt != 26_838_689 {
+		t.Fatalf("connection peak unacknowledged %d at %d, want %d at 26838689", peak, peakAt, 19*mss)
+	}
+	// Exact times: Path 2's 8-segment first flight at 8.05 ms, Path 3's at
+	// 15.04 ms with no data ACK yet, and Path 2's first ACKs at 17.10 and
+	// 17.68 ms, each freeing two segments.
+	for i, want := range map[int]windowEvent{
+		0:  {at: 8_053_278, tag: 2, ack: true, window: rcvBuf},
+		8:  {at: 8_053_278, tag: 2, end: rcvBuf, dsnEnd: rcvBuf},
+		9:  {at: 15_040_904, tag: 3, ack: true, window: rcvBuf},
+		17: {at: 15_040_904, tag: 3, end: rcvBuf, dsnEnd: 2 * rcvBuf},
+		18: {at: 17_099_197, tag: 2, ack: true, end: 2 * mss, window: rcvBuf, dataAck: 2 * mss},
+		20: {at: 17_099_197, tag: 2, end: rcvBuf + 2*mss, dsnEnd: 2*rcvBuf + 2*mss},
+		21: {at: 17_683_197, tag: 2, ack: true, end: 4 * mss, window: rcvBuf, dataAck: 4 * mss},
+	} {
+		if log.seen[i] != want {
+			t.Fatalf("event %d: %+v, want %+v", i, log.seen[i], want)
+		}
+	}
+	if rc := acc.Conns()[0]; rc.Delivered != total || c.AssignedBytes() != total {
+		t.Fatalf("delivered %d of %d assigned, want %d", rc.Delivered, c.AssignedBytes(), total)
 	}
 }
