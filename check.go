@@ -9,14 +9,12 @@ package mptcpsim
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/sim"
 	"mptcpsim/internal/stats"
-	"mptcpsim/internal/topo"
 	"mptcpsim/internal/unit"
 )
 
@@ -33,15 +31,6 @@ const (
 	// a data-derived drain allowance on top of this floor.
 	epochGapTolFloor = 0.05
 )
-
-// epochCaps describes one capacity epoch of a run: its time window and
-// the effective rate of every directed link inside it (0 = down). A
-// static run has exactly one epoch spanning the whole run.
-type epochCaps struct {
-	Start, End time.Duration
-	// Mbps is indexed by directed topo.LinkID.
-	Mbps []float64
-}
 
 // oracle observes one simulation run through the engine's tap points and
 // checks conservation, capacity and ordering invariants at the end:
@@ -63,7 +52,7 @@ type epochCaps struct {
 // uninstrumented one.
 type oracle struct {
 	net    *netem.Network
-	epochs []epochCaps
+	epochs []epoch
 
 	// Per-flow accounting, keyed by packet tag.
 	sent      map[packet.Tag]uint64
@@ -91,10 +80,10 @@ var (
 	_ netem.ArrivalTap = (*oracle)(nil)
 )
 
-// newOracle attaches a fresh oracle to net. The epochs must cover
-// [0, duration) in ascending order and carry one rate per directed link;
-// buildEpochs assembles them from a graph and a capacity override series.
-func newOracle(net *netem.Network, epochs []epochCaps) *oracle {
+// newOracle attaches a fresh oracle to net. The epochs must tile the run in
+// ascending order and carry one rate per directed link, as prepare's table
+// does; the oracle only reads them.
+func newOracle(net *netem.Network, epochs []epoch) *oracle {
 	o := &oracle{
 		net:       net,
 		epochs:    epochs,
@@ -111,35 +100,6 @@ func newOracle(net *netem.Network, epochs []epochCaps) *oracle {
 	}
 	net.AttachTap(o)
 	return o
-}
-
-// buildEpochs assembles the epochCaps table for a run: the graph's rates,
-// overridden per epoch by caps (directed link → Mbps, 0 = down; nil for
-// "no overrides"). starts must begin at 0 and ascend; duration closes the
-// final epoch.
-func buildEpochs(g *topo.Graph, starts []time.Duration, duration time.Duration,
-	caps func(start time.Duration) map[topo.LinkID]float64) []epochCaps {
-	if len(starts) == 0 {
-		starts = []time.Duration{0}
-	}
-	epochs := make([]epochCaps, len(starts))
-	for i, st := range starts {
-		en := duration
-		if i+1 < len(starts) {
-			en = starts[i+1]
-		}
-		mbps := make([]float64, g.NumLinks())
-		for _, l := range g.Links() {
-			mbps[l.ID] = l.Rate.Mbit()
-		}
-		if caps != nil {
-			for id, m := range caps(st) {
-				mbps[id] = m
-			}
-		}
-		epochs[i] = epochCaps{Start: st, End: en, Mbps: mbps}
-	}
-	return epochs
 }
 
 // OnSend implements netem.SendTap.

@@ -3,10 +3,13 @@ package mptcpsim
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"mptcpsim/internal/lp"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/route"
@@ -158,8 +161,13 @@ func dataPkt(src, dst packet.Addr, payload int) *packet.Packet {
 	}
 }
 
-func staticEpochs(g *topo.Graph, dur time.Duration) []epochCaps {
-	return buildEpochs(g, nil, dur, nil)
+// staticEpochs is the one-epoch table of a static run of g lasting dur.
+func staticEpochs(g *topo.Graph, dur time.Duration) []epoch {
+	mbps := make([]float64, g.NumLinks())
+	for _, l := range g.Links() {
+		mbps[l.ID] = l.Rate.Mbit()
+	}
+	return []epoch{{Start: 0, End: dur, Mbps: mbps}}
 }
 
 func TestOracleCleanRun(t *testing.T) {
@@ -348,79 +356,113 @@ func TestFlightRecorderNamesOffendingLink(t *testing.T) {
 	}
 }
 
-// epochGraph is a two-link line for buildEpochs boundary cases.
-func epochGraph() *topo.Graph {
-	g := topo.New()
-	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
-	g.AddLink(a, b, 10*unit.Mbps, time.Millisecond, 0)
-	g.AddLink(b, c, 20*unit.Mbps, time.Millisecond, 0)
-	return g
-}
-
+// prepare builds the epoch table from real timelines: the epochs tile
+// [0, duration), each carries the graph rates overridden by the timeline's
+// capacities at its start, and its optimum is the cached LP of those
+// capacities, or the static base where none is overridden.
 func TestBuildEpochsBoundaries(t *testing.T) {
-	g := epochGraph()
-	const dur = 100 * time.Millisecond
+	const dur = 2 * time.Second
 	ms := func(v int) time.Duration { return time.Duration(v) * time.Millisecond }
 	cases := []struct {
 		name   string
+		events []ScenarioEvent
 		starts []time.Duration
-		caps   func(time.Duration) map[topo.LinkID]float64
-		want   [][2]time.Duration // expected (Start, End) per epoch
 	}{
-		{"no starts means one whole-run epoch", nil, nil,
-			[][2]time.Duration{{0, dur}}},
-		{"event at t=0 does not split the first epoch",
-			[]time.Duration{0}, nil,
-			[][2]time.Duration{{0, dur}}},
-		{"event exactly at duration closes a zero-width epoch",
-			[]time.Duration{0, dur}, nil,
-			[][2]time.Duration{{0, dur}, {dur, dur}}},
-		{"adjacent equal timestamps yield a zero-width middle epoch",
-			[]time.Duration{0, ms(50), ms(50)}, nil,
-			[][2]time.Duration{{0, ms(50)}, {ms(50), ms(50)}, {ms(50), dur}}},
+		{"static", nil, []time.Duration{0}},
+		{"an event at t=0 does not split the first epoch",
+			[]ScenarioEvent{{AtMs: 0, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20}},
+			[]time.Duration{0}},
+		{"two capacity events at one instant open one epoch",
+			[]ScenarioEvent{
+				{AtMs: 500, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20},
+				{AtMs: 500, Type: EventSetRate, A: "v2", B: "v3", Mbps: 5}},
+			[]time.Duration{0, ms(500)}},
+		{"an event at the duration opens no epoch",
+			[]ScenarioEvent{{AtMs: 2000, Type: EventLinkDown, A: "s", B: "v1"}},
+			[]time.Duration{0}},
+		{"link_down then link_up, around a delay change that opens no epoch",
+			[]ScenarioEvent{
+				{AtMs: 800, Type: EventLinkDown, A: "s", B: "v1"},
+				{AtMs: 1000, Type: EventSetDelay, A: "v3", B: "v4", DelayMs: 5},
+				{AtMs: 1400, Type: EventLinkUp, A: "s", B: "v1"}},
+			[]time.Duration{0, ms(800), ms(1400)}},
 	}
 	for _, tc := range cases {
-		epochs := buildEpochs(g, tc.starts, dur, tc.caps)
-		if len(epochs) != len(tc.want) {
-			t.Fatalf("%s: %d epochs, want %d", tc.name, len(epochs), len(tc.want))
+		nw := paperWith(t, tc.events...)
+		g := nw.graph
+		pre, err := prepare(nw, dur, 100*time.Millisecond)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for i, ep := range epochs {
-			if ep.Start != tc.want[i][0] || ep.End != tc.want[i][1] {
-				t.Fatalf("%s: epoch %d = [%v,%v), want [%v,%v)",
-					tc.name, i, ep.Start, ep.End, tc.want[i][0], tc.want[i][1])
-			}
-			if len(ep.Mbps) != g.NumLinks() {
-				t.Fatalf("%s: epoch %d carries %d rates, want one per directed link (%d)",
-					tc.name, i, len(ep.Mbps), g.NumLinks())
-			}
+		if len(pre.epochs) != len(tc.starts) {
+			t.Fatalf("%s: %d epochs, want %d", tc.name, len(pre.epochs), len(tc.starts))
 		}
-		// Epochs must tile [0, duration) without gaps: each epoch's end is
-		// the next one's start.
-		for i := 1; i < len(epochs); i++ {
-			if epochs[i].Start != epochs[i-1].End {
-				t.Fatalf("%s: gap between epoch %d and %d", tc.name, i-1, i)
+		for i, ep := range pre.epochs {
+			end := dur
+			if i+1 < len(tc.starts) {
+				end = tc.starts[i+1]
+			}
+			if ep.Start != tc.starts[i] || ep.End != end {
+				t.Fatalf("%s: epoch %d = [%v,%v), want [%v,%v)", tc.name, i, ep.Start, ep.End, tc.starts[i], end)
+			}
+			caps := nw.tl.CapsAt(ep.Start, g)
+			want := make([]float64, g.NumLinks())
+			for _, l := range g.Links() {
+				want[l.ID] = l.Rate.Mbit()
+			}
+			for id, m := range caps {
+				want[id] = m
+			}
+			if !slices.Equal(ep.Mbps, want) {
+				t.Fatalf("%s: epoch %d rates %v, want %v", tc.name, i, ep.Mbps, want)
+			}
+			opt := pre.base.Solution
+			if caps != nil {
+				if opt, err = lp.CachedOptimumCaps(g, nw.paths, caps); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if math.Float64bits(ep.Optimum.Objective) != math.Float64bits(opt.Objective) ||
+				!slices.EqualFunc(ep.Optimum.X, opt.X, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("%s: epoch %d optimum %v (%v), want %v (%v)",
+					tc.name, i, ep.Optimum.X, ep.Optimum.Objective, opt.X, opt.Objective)
 			}
 		}
 	}
 }
 
+// The timeline's capacities override the graph rates epoch by epoch.
 func TestBuildEpochsCapsOverride(t *testing.T) {
-	g := epochGraph()
-	const dur = 100 * time.Millisecond
-	starts := []time.Duration{0, 50 * time.Millisecond}
-	caps := func(start time.Duration) map[topo.LinkID]float64 {
-		if start == 0 {
-			return map[topo.LinkID]float64{0: 2.5} // override from t=0
+	const dur = 2 * time.Second
+	// The override at t=0 is in force from the start: v3-v4 at 20 Mbps caps
+	// the optimum below the static 90, and a single epoch's optimum is the
+	// target.
+	pre, err := prepare(paperWith(t,
+		ScenarioEvent{AtMs: 0, Type: EventSetRate, A: "v3", B: "v4", Mbps: 20}),
+		dur, 100*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pre.epochs[0].Optimum.Objective; got >= 90 || got != pre.target {
+		t.Fatalf("t=0 override: optimum %v, target %v; want one value below 90", got, pre.target)
+	}
+	// link_down zeroes both directions of s-v1 and link_up restores them.
+	nw := paperWith(t,
+		ScenarioEvent{AtMs: 800, Type: EventLinkDown, A: "s", B: "v1"},
+		ScenarioEvent{AtMs: 1400, Type: EventLinkUp, A: "s", B: "v1"})
+	if pre, err = prepare(nw, dur, 100*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(pre.epochs) != 3 {
+		t.Fatalf("link flap: %d epochs, want 3", len(pre.epochs))
+	}
+	s, _ := nw.graph.NodeByName("s")
+	v1, _ := nw.graph.NodeByName("v1")
+	for _, pair := range [][2]topo.NodeID{{s, v1}, {v1, s}} {
+		id, _ := nw.graph.FindLink(pair[0], pair[1])
+		if r := [3]float64{pre.epochs[0].Mbps[id], pre.epochs[1].Mbps[id], pre.epochs[2].Mbps[id]}; r != [3]float64{40, 0, 40} {
+			t.Fatalf("link %d rates across the flap = %v, want [40 0 40]", id, r)
 		}
-		return map[topo.LinkID]float64{0: 0} // link down in the second epoch
-	}
-	epochs := buildEpochs(g, starts, dur, caps)
-	if epochs[0].Mbps[0] != 2.5 || epochs[1].Mbps[0] != 0 {
-		t.Fatalf("link 0 rates = %v / %v, want 2.5 then 0", epochs[0].Mbps[0], epochs[1].Mbps[0])
-	}
-	// The unoverridden link keeps its graph rate in both epochs.
-	if epochs[0].Mbps[1] != 20 || epochs[1].Mbps[1] != 20 {
-		t.Fatalf("link 1 rates = %v / %v, want 20 in both epochs", epochs[0].Mbps[1], epochs[1].Mbps[1])
 	}
 }
 
@@ -442,13 +484,10 @@ func TestOracleBucketsLateSettledDeparturesByDepartureTime(t *testing.T) {
 	ab, cb := net.Link(0), net.Link(2)
 	ab.SetQueueCap(unit.MB)
 	const boundary, end = 10 * time.Millisecond, 30 * time.Millisecond
-	o := newOracle(net, buildEpochs(net.Graph, []time.Duration{0, boundary}, end,
-		func(st time.Duration) map[topo.LinkID]float64 {
-			if st == boundary {
-				return map[topo.LinkID]float64{cb.Spec.ID: 5}
-			}
-			return nil
-		}))
+	epochs := append(staticEpochs(net.Graph, boundary), staticEpochs(net.Graph, end)...)
+	epochs[1].Start = boundary
+	epochs[1].Mbps[cb.Spec.ID] = 5
+	o := newOracle(net, epochs)
 	rec := telemetry.NewRecorder(256)
 	rec.Attach(net)
 

@@ -293,13 +293,12 @@ func runTrend(nLadders, steps int, seed int64, h harness, quiet bool, w io.Write
 	}
 	obs, kinds := h.check(specs, path)
 
-	pol := check.DefaultTrendPolicy(steps)
 	fmt.Fprintf(w, "simcheck trend: %d ladders x %d steps, base seed %d\n", nLadders, steps, seed)
 	var t tally
 	trendFailed, ok := 0, 0
 	for i := range lads {
 		rep := check.TrendReport{Ladder: lads[i], Obs: obs[i*rungs : (i+1)*rungs]}
-		rep.Evaluate(pol)
+		rep.Evaluate()
 		for _, k := range kinds[i*rungs : (i+1)*rungs] {
 			t.add(k)
 		}

@@ -88,7 +88,8 @@ const usageMatrix = `Modes and supported flag combinations:
   sweep -merge a.ndjson b.ndjson merge run-logs with matching grid digests
                                  into the full output
 
--stream and -resume are mutually exclusive; -shard needs one of them.
+-stream and -resume are mutually exclusive; -shard, -worker-id and -lease
+need one of them.
 
 Flags:
 `
@@ -128,8 +129,8 @@ func main() {
 	fs.Uint64Var(&cfg.eventLimit, "eventlimit", 0, "abort any run after this many simulation events (0 = no limit)")
 	fs.StringVar(&cfg.streamPath, "stream", "", "stream the sweep to this NDJSON run-log and render outputs from it (flat memory)")
 	fs.StringVar(&cfg.resumePath, "resume", "", "resume an interrupted -stream sweep from this run-log, skipping logged runs")
-	fs.StringVar(&cfg.workerID, "worker-id", "", "stamp this fleet worker id into the run-log header (provenance only)")
-	fs.IntVar(&cfg.lease, "lease", 0, "stamp this fleet lease epoch into the run-log header (provenance only)")
+	fs.StringVar(&cfg.workerID, "worker-id", "", "stamp this fleet worker id into the run-log header (provenance only; needs -stream or -resume)")
+	fs.IntVar(&cfg.lease, "lease", 0, "stamp this fleet lease epoch into the run-log header (provenance only; needs -stream or -resume)")
 	cfg.RegisterQuiet(fs, "suppress per-run progress lines")
 	cfg.RegisterOutputs(fs)
 	cfg.RegisterObserve(fs, "stream NDJSON progress heartbeats to this file (- = stderr)",
@@ -156,8 +157,9 @@ func main() {
 func (cfg *config) validate() (mptcpsim.Shard, error) {
 	whole := mptcpsim.Shard{K: 0, N: 1}
 	if cfg.merge {
-		if cfg.gridPath != "" || cfg.shard != "" || cfg.streamPath != "" || cfg.resumePath != "" {
-			return whole, fmt.Errorf("-merge reads run-logs; it takes none of -grid/-shard/-stream/-resume")
+		if cfg.gridPath != "" || cfg.shard != "" || cfg.streamPath != "" || cfg.resumePath != "" ||
+			cfg.workerID != "" || cfg.lease != 0 {
+			return whole, fmt.Errorf("-merge reads run-logs; it takes none of -grid/-shard/-stream/-resume/-worker-id/-lease")
 		}
 		if len(cfg.logPaths) == 0 {
 			return whole, fmt.Errorf("-merge needs at least one run-log argument")
@@ -169,6 +171,9 @@ func (cfg *config) validate() (mptcpsim.Shard, error) {
 	}
 	if cfg.streamPath != "" && cfg.resumePath != "" {
 		return whole, fmt.Errorf("-stream starts a fresh run-log and -resume continues one; pass exactly one")
+	}
+	if (cfg.workerID != "" || cfg.lease != 0) && cfg.streamPath == "" && cfg.resumePath == "" {
+		return whole, fmt.Errorf("-worker-id and -lease stamp the run-log header; name the log with -stream or -resume")
 	}
 	if cfg.shard == "" {
 		return whole, nil

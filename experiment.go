@@ -68,35 +68,55 @@ func Run(nw *Network, opts Options) (*Result, error) {
 // grid cell once for all of the cell's runs.
 type prepared struct {
 	nw *Network
-	// The baselines of the topology as declared, the LP optimum of each
-	// capacity epoch that starts inside the run, and the optimum the gap is
-	// measured against.
-	base        *lp.Baselines
-	epochStarts []time.Duration
-	epochBase   []lp.Solution
-	target      float64
+	// The baselines of the topology as declared, the run's capacity epochs,
+	// and the optimum the gap is measured against.
+	base   *lp.Baselines
+	epochs []epoch
+	target float64
+}
+
+// epoch is one capacity epoch of a run: its window [Start, End), the rate
+// in Mbps of every directed link inside it (indexed by topo.LinkID; 0 =
+// down) and the LP optimum of those rates. The epochs tile [0, duration);
+// a static run has exactly one.
+type epoch struct {
+	Start, End time.Duration
+	Mbps       []float64
+	Optimum    lp.Solution
 }
 
 // prepare fetches the analytic baselines of a run of nw, memoised
-// process-wide per capacity structure (the solves depend on nothing else).
+// process-wide per capacity structure (the solves depend on nothing else),
+// and builds the run's epoch table.
 func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
-	base, err := lp.CachedBaselines(nw.graph, nw.paths)
+	g := nw.graph
+	base, err := lp.CachedBaselines(g, nw.paths)
 	if err != nil {
 		return nil, fmt.Errorf("mptcpsim: LP: %w", err)
 	}
 	// Piecewise optima: one LP per capacity epoch, and no fairness
 	// references, which nothing reads for an epoch. An epoch no capacity
 	// event has touched yet (a static network's only one) has base's optimum.
-	epochStarts := nw.tl.EpochStarts(duration)
-	epochBase := make([]lp.Solution, len(epochStarts))
-	for i, st := range epochStarts {
-		epochBase[i] = base.Solution
-		if caps := nw.tl.CapsAt(st, nw.graph); caps != nil {
-			epochBase[i], err = lp.CachedOptimumCaps(nw.graph, nw.paths, caps)
+	starts := nw.tl.EpochStarts(duration)
+	epochs := make([]epoch, len(starts))
+	for i, st := range starts {
+		ep := epoch{Start: st, End: duration, Mbps: make([]float64, g.NumLinks()), Optimum: base.Solution}
+		if i+1 < len(starts) {
+			ep.End = starts[i+1]
+		}
+		for _, l := range g.Links() {
+			ep.Mbps[l.ID] = l.Rate.Mbit()
+		}
+		if caps := nw.tl.CapsAt(st, g); caps != nil {
+			for id, m := range caps {
+				ep.Mbps[id] = m
+			}
+			ep.Optimum, err = lp.CachedOptimumCaps(g, nw.paths, caps)
 			if err != nil {
 				return nil, fmt.Errorf("mptcpsim: epoch LP at %v: %w", st, err)
 			}
 		}
+		epochs[i] = ep
 	}
 	// The optimality target: the epoch optimum, time-weighted over the
 	// measurement window (the run minus the slow-start transient). For a
@@ -105,27 +125,21 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 	// bins from the (bin-aligned) end of the transient to the last full
 	// bin — so measured and target integrate over the same interval and
 	// the gap invariant (measured ≤ target + drain) is meaningful.
-	target := epochBase[0].Objective
-	if len(epochStarts) > 1 {
+	target := epochs[0].Optimum.Objective
+	if len(epochs) > 1 {
 		measureFrom, horizon := stats.MeasureWindow(duration, bin)
 		var acc float64
-		for i, st := range epochStarts {
-			en := horizon
-			if i+1 < len(epochStarts) && epochStarts[i+1] < en {
-				en = epochStarts[i+1]
-			}
-			if st < measureFrom {
-				st = measureFrom
-			}
+		for _, ep := range epochs {
+			st, en := max(ep.Start, measureFrom), min(ep.End, horizon)
 			if st < en {
-				acc += float64(epochBase[i].Objective * float64(en-st))
+				acc += float64(ep.Optimum.Objective * float64(en-st))
 			}
 		}
 		if horizon > measureFrom {
 			target = acc / float64(horizon-measureFrom)
 		}
 	}
-	return &prepared{nw, base, epochStarts, epochBase, target}, nil
+	return &prepared{nw, base, epochs, target}, nil
 }
 
 // simulate is the other half: the packet simulation of one option set
@@ -133,7 +147,6 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 // baselines in the Result are copies the caller owns.
 func (pre *prepared) simulate(opts Options) (*Result, error) {
 	nw, tl, g, base := pre.nw, pre.nw.tl, pre.nw.graph, pre.base
-	epochStarts, epochBase, target := pre.epochStarts, pre.epochBase, pre.target
 	order := opts.SubflowPaths
 	if len(order) == 0 {
 		order = make([]int, nw.NumPaths())
@@ -186,8 +199,7 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	// an unvalidated one.
 	var orc *oracle
 	if opts.ValidateInvariants {
-		orc = newOracle(net, buildEpochs(g, epochStarts, opts.Duration,
-			func(st time.Duration) map[topo.LinkID]float64 { return tl.CapsAt(st, g) }))
+		orc = newOracle(net, pre.epochs)
 	}
 	// The flight recorder is another pure observer: a preallocated ring of
 	// the last engine events, dumped when the run fails. Attaching it
@@ -243,7 +255,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		return nil, err
 	}
 	sniff := capture.NewSniffer(net, nw.dst, opts.SampleInterval)
-	sniff.DataOnly = true
 	sniff.Retain = opts.RetainPackets
 
 	// Competing single-path TCP flows (fairness experiments). Each gets a
@@ -350,24 +361,20 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		greedyTotal += v
 	}
 	res.Summary = stats.Summarize(opts.CC, total, pathSeries,
-		target, greedyTotal, convergenceTol, convergenceHold)
+		pre.target, greedyTotal, convergenceTol, convergenceHold)
 
 	// Per-epoch reports: the measured performance of each capacity epoch
 	// against the optimum that was actually in force.
-	res.Epochs = make([]EpochReport, len(epochStarts))
-	for i, st := range epochStarts {
-		en := opts.Duration
-		if i+1 < len(epochStarts) {
-			en = epochStarts[i+1]
-		}
-		es := stats.SummarizeEpoch(total, pathSeries, st, en,
-			epochBase[i].Objective, convergenceTol, convergenceHold)
+	res.Epochs = make([]EpochReport, len(pre.epochs))
+	for i, ep := range pre.epochs {
+		es := stats.SummarizeEpoch(total, pathSeries, ep.Start, ep.End,
+			ep.Optimum.Objective, convergenceTol, convergenceHold)
 		res.Epochs[i] = EpochReport{
-			Start: st,
-			End:   en,
+			Start: ep.Start,
+			End:   ep.End,
 			Optimum: Allocation{
-				PerPath: slices.Clone(epochBase[i].X),
-				Total:   epochBase[i].Objective,
+				PerPath: slices.Clone(ep.Optimum.X),
+				Total:   ep.Optimum.Objective,
 			},
 			TotalMean:   es.TotalMean,
 			Gap:         es.Gap,

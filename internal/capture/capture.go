@@ -24,16 +24,13 @@ type Record struct {
 }
 
 // Sniffer observes packets delivered to one node (receiver-side capture,
-// like running tshark on the destination host) and accumulates per-tag
-// byte counts in fixed bins.
+// like running tshark on the destination host) and accumulates the per-tag
+// byte counts of payload-carrying packets in fixed bins.
 type Sniffer struct {
 	loop *sim.Loop
 	node topo.NodeID
 	step time.Duration
 
-	// DataOnly restricts counting to payload-carrying packets (the
-	// paper's rate plots track the data stream, not ACKs).
-	DataOnly bool
 	// Retain keeps marshalled frames for pcap export.
 	Retain bool
 
@@ -58,7 +55,9 @@ func (s *Sniffer) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 	if nd.ID != s.node {
 		return
 	}
-	if s.DataOnly && pkt.PayloadLen == 0 {
+	// Only payload-carrying packets count: the paper's rate plots track
+	// the data stream, not ACKs.
+	if pkt.PayloadLen == 0 {
 		return
 	}
 	// Full wire size: the paper measures wire throughput at the receiver.

@@ -63,11 +63,13 @@ func TestSnifferBinsByTag(t *testing.T) {
 		t.Fatal(err)
 	}
 	sn := NewSniffer(r.net, r.b, 100*time.Millisecond)
-	// 10 packets of tag 1 in bin 0; 5 of tag 2 in bin 1.
+	// 10 packets of tag 1 in bin 0; 5 of tag 2 in bin 1. A packet without
+	// payload is not counted.
 	r.loop.Schedule(10*time.Millisecond, func() {
 		for i := 0; i < 10; i++ {
 			r.send(1, 972) // 1000B wire
 		}
+		r.send(1, 0)
 	})
 	r.loop.Schedule(110*time.Millisecond, func() {
 		for i := 0; i < 5; i++ {

@@ -1,7 +1,7 @@
 // Package check is the simulator's correctness harness over the public
 // mptcpsim API: the randomized scenario generator (NewSpec), the
 // perturbation ladders and the trend policy of the metamorphic oracle
-// (NewLadder, TrendPolicy, TrendReport), and the golden hash corpus format
+// (NewLadder, TrendReport), and the golden hash corpus format
 // (Golden). The invariants every generated run is held to live with the
 // engine, in the mptcpsim package (Options.ValidateInvariants); this
 // package decides what to run and what its results must show.

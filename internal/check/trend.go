@@ -294,103 +294,8 @@ type RungObs struct {
 	Err string
 }
 
-// TrendPolicy is the noise-tolerance policy trend assertions hold
-// within. Two distinct effects need room. Short generated horizons make
-// goodput noisy (binning, slow-start phase, scheduler jitter move it a
-// few percent between rungs), which the per-step window absorbs. And
-// multipath in-order goodput is genuinely non-monotone in a single
-// path's quality: head-of-line blocking means degrading one path can
-// *improve* the union by tens of percent (a lossy subflow stops
-// stalling in-order delivery — observed up to ~+38% with the redundant
-// scheduler under coupled CCs), which the generous end-to-end bound
-// absorbs. What no tolerance absorbs is a wrong-direction drift at
-// sign-flip scale — loss applied inverted multiplies goodput across a
-// ladder — which is the whole-model wrongness this oracle exists to
-// catch.
-type TrendPolicy struct {
-	// RelTol and AbsTol bound the per-step goodput wobble: rung k
-	// inverts only when it beats rung k-1's value by more than RelTol
-	// relative plus AbsTol bytes of absolute slack.
-	RelTol float64
-	AbsTol float64
-	// MaxInversions is how many tolerance-window inversions (per
-	// observable) a ladder may show before the trend is a violation.
-	// Head-of-line effects make single steps noisy in both directions,
-	// so the default sets this to steps-1: the pairwise check flags only
-	// a fully inverted ladder, and the end-to-end drift bounds below are
-	// the primary tooth.
-	MaxInversions int
-	// EndRelTol and EndAbsTol bound the whole-ladder net drift in the
-	// wrong direction (last rung vs first): the backstop for a
-	// consistent creep that stays inside the per-step window.
-	EndRelTol float64
-	EndAbsTol float64
-	// MinBaseGoodput (bytes) gates the degrading end-to-end rise check:
-	// a base rung whose in-order goodput is collapsed to a sliver of
-	// what the wire moved (head-of-line stall — observed with the
-	// roundrobin scheduler at particular delay ratios) has no trend to
-	// preserve, and any perturbation that breaks the stall "improves"
-	// it by an unbounded factor. Below this floor the rise check is
-	// vacuous and skipped.
-	MinBaseGoodput float64
-	// GapStepTol and GapEndTol bound gap widening (absolute, in gap
-	// fraction) per step / end-to-end for the capacity-down ladder,
-	// where each rung's own LP baseline tracks the perturbation. The
-	// assertion only applies to loss-based CCs — wvegas deliberately
-	// trades throughput for low queueing delay and does not chase the
-	// LP optimum — and only to rungs at or above GapCapFloorMbps: the
-	// generator keeps its capacity palette >= 5 Mbps because smaller
-	// links are degenerate over its short horizons (RTO-dominated, a
-	// handful of packets in flight), and the same argument voids
-	// LP-tracking expectations for rungs cut below that floor.
-	// GapShareCeil additionally voids the gap assertion when the base
-	// rung already carries (almost) every sent byte on the perturbed
-	// path: the LP baseline routes over every scenario path, but such a
-	// run has no alternative route in actual use, so its gap against
-	// the all-paths optimum must widen structurally as its only link
-	// shrinks — that is the comparison's geometry, not a model defect.
-	// GapBaseMax gates the whole gap assertion on the base rung actually
-	// tracking its baseline: a run that sits far off its own LP optimum
-	// before any perturbation (deep head-of-line regimes do) has no
-	// tracking relationship for the ladder to preserve.
-	GapStepTol      float64
-	GapEndTol       float64
-	GapCapFloorMbps float64
-	GapShareCeil    float64
-	GapBaseMax      float64
-	// ShareStepTol and ShareEndTol bound the perturbed path's sent-byte
-	// share growth per step / end-to-end on degrading ladders of
-	// coupled CCs over an exclusive link.
-	ShareStepTol float64
-	ShareEndTol  float64
-}
-
-// DefaultTrendPolicy is the tolerance policy the simcheck trend mode
-// runs with, scaled to the ladder's step count. The constants are
-// calibrated against the seed-1 reference smoke: every legitimate
-// head-of-line rise observed there clears the bounds with margin, and a
-// loss-sign-flip mutation (rungs applied in inverted order) exceeds
-// both the inversion budget and the end-to-end bound severalfold.
-func DefaultTrendPolicy(steps int) TrendPolicy {
-	return TrendPolicy{
-		RelTol:          0.05,
-		AbsTol:          24 << 10,
-		MaxInversions:   steps - 1,
-		EndRelTol:       0.50,
-		EndAbsTol:       384 << 10,
-		MinBaseGoodput:  128 << 10,
-		GapStepTol:      0.10,
-		GapEndTol:       0.30,
-		GapCapFloorMbps: 5,
-		GapShareCeil:    0.95,
-		GapBaseMax:      0.25,
-		ShareStepTol:    0.08,
-		ShareEndTol:     0.10,
-	}
-}
-
 // TrendReport is one ladder's verdict: the observations of every rung
-// and the trend violations the policy found. Its rendering is canonical
+// and the trend violations Evaluate found. Its rendering is canonical
 // — identical bytes for identical inputs — so a batch report can be
 // byte-compared across worker counts.
 type TrendReport struct {
@@ -399,11 +304,84 @@ type TrendReport struct {
 	Violations []string
 }
 
-// Evaluate fills Violations from the observations under the policy. A
-// ladder with any failed rung gets no trend verdict — the rung failure
-// is the finding, and a half-measured ladder must not masquerade as a
-// trend result.
-func (r *TrendReport) Evaluate(p TrendPolicy) {
+// The noise-tolerance policy trend assertions hold within. Two distinct
+// effects need room. Short generated horizons make goodput noisy
+// (binning, slow-start phase, scheduler jitter move it a few percent
+// between rungs), which the per-step window absorbs. And multipath
+// in-order goodput is genuinely non-monotone in a single path's quality:
+// head-of-line blocking means degrading one path can *improve* the union
+// by tens of percent (a lossy subflow stops stalling in-order delivery —
+// observed up to ~+38% with the redundant scheduler under coupled CCs),
+// which the generous end-to-end bound absorbs. What no tolerance absorbs
+// is a wrong-direction drift at sign-flip scale — loss applied inverted
+// multiplies goodput across a ladder — which is the whole-model
+// wrongness this oracle exists to catch.
+//
+// The values are calibrated against the seed-1 reference smoke: every
+// legitimate head-of-line rise observed there clears the bounds with
+// margin, and a loss-sign-flip mutation (rungs applied in inverted order)
+// exceeds both the inversion budget and the end-to-end bound severalfold.
+// The inversion budget itself is not a constant: a ladder of n rungs may
+// show n-2 inversions per observable. Head-of-line effects make single
+// steps noisy in both directions, so the pairwise check flags only a
+// fully inverted ladder, and the end-to-end drift bounds are the primary
+// tooth.
+const (
+	// relTol and absTol bound the per-step goodput wobble: rung k
+	// inverts only when it beats rung k-1's value by more than relTol
+	// relative plus absTol bytes of absolute slack.
+	relTol = 0.05
+	absTol = 24 << 10
+	// endRelTol and endAbsTol bound the whole-ladder net drift in the
+	// wrong direction (last rung vs first): the backstop for a
+	// consistent creep that stays inside the per-step window.
+	endRelTol = 0.50
+	endAbsTol = 384 << 10
+	// minBaseGoodput (bytes) gates the degrading end-to-end rise check:
+	// a base rung whose in-order goodput is collapsed to a sliver of
+	// what the wire moved (head-of-line stall — observed with the
+	// roundrobin scheduler at particular delay ratios) has no trend to
+	// preserve, and any perturbation that breaks the stall "improves"
+	// it by an unbounded factor. Below this floor the rise check is
+	// vacuous and skipped.
+	minBaseGoodput = 128 << 10
+	// gapStepTol and gapEndTol bound gap widening (absolute, in gap
+	// fraction) per step / end-to-end for the capacity-down ladder,
+	// where each rung's own LP baseline tracks the perturbation. The
+	// assertion only applies to loss-based CCs — wvegas deliberately
+	// trades throughput for low queueing delay and does not chase the
+	// LP optimum — and only to rungs at or above gapCapFloorMbps: the
+	// generator keeps its capacity palette >= 5 Mbps because smaller
+	// links are degenerate over its short horizons (RTO-dominated, a
+	// handful of packets in flight), and the same argument voids
+	// LP-tracking expectations for rungs cut below that floor.
+	// gapShareCeil additionally voids the gap assertion when the base
+	// rung already carries (almost) every sent byte on the perturbed
+	// path: the LP baseline routes over every scenario path, but such a
+	// run has no alternative route in actual use, so its gap against
+	// the all-paths optimum must widen structurally as its only link
+	// shrinks — that is the comparison's geometry, not a model defect.
+	// gapBaseMax gates the whole gap assertion on the base rung actually
+	// tracking its baseline: a run that sits far off its own LP optimum
+	// before any perturbation (deep head-of-line regimes do) has no
+	// tracking relationship for the ladder to preserve.
+	gapStepTol      = 0.10
+	gapEndTol       = 0.30
+	gapCapFloorMbps = 5
+	gapShareCeil    = 0.95
+	gapBaseMax      = 0.25
+	// shareStepTol and shareEndTol bound the perturbed path's sent-byte
+	// share growth per step / end-to-end on degrading ladders of
+	// coupled CCs over an exclusive link.
+	shareStepTol = 0.08
+	shareEndTol  = 0.10
+)
+
+// Evaluate fills Violations from the observations under the tolerance
+// policy above. A ladder with any failed rung gets no trend verdict — the
+// rung failure is the finding, and a half-measured ladder must not
+// masquerade as a trend result.
+func (r *TrendReport) Evaluate() {
 	r.Violations = nil
 	if len(r.Obs) != len(r.Ladder.Rungs) {
 		r.Violations = append(r.Violations, fmt.Sprintf(
@@ -418,6 +396,7 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 	degrade := r.Ladder.Knob != KnobRateUp
 	g := func(k int) float64 { return float64(r.Obs[k].GoodputBytes) }
 	last := len(r.Obs) - 1
+	maxInversions := last - 1
 
 	// wvegas allocates rate as a function of the base RTT by design — a
 	// queueing-delay controller pushes *more* onto a path whose
@@ -432,9 +411,9 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 		var inv []string
 		for k := 1; k < len(r.Obs); k++ {
 			prev, cur := g(k-1), g(k)
-			bad := cur > float64(prev*(1+p.RelTol))+p.AbsTol
+			bad := cur > float64(prev*(1+relTol))+absTol
 			if !degrade {
-				bad = cur < float64(prev*(1-p.RelTol))-p.AbsTol
+				bad = cur < float64(prev*(1-relTol))-absTol
 			}
 			if bad {
 				inv = append(inv, fmt.Sprintf("rung %d->%d: %.0f -> %.0f bytes", k-1, k, prev, cur))
@@ -444,19 +423,19 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 		if !degrade {
 			dir = "non-decreasing"
 		}
-		if len(inv) > p.MaxInversions {
+		if len(inv) > maxInversions {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"goodput not %s: %d inversions beyond tolerance (allowed %d): %s",
-				dir, len(inv), p.MaxInversions, strings.Join(inv, "; ")))
+				dir, len(inv), maxInversions, strings.Join(inv, "; ")))
 		}
 		// Net drift: a slow creep in the wrong direction can stay inside
 		// the per-step window on every rung; the end-to-end bound catches
 		// it.
-		if degrade && g(0) >= p.MinBaseGoodput && g(last) > float64(g(0)*(1+p.EndRelTol))+p.EndAbsTol {
+		if degrade && g(0) >= minBaseGoodput && g(last) > float64(g(0)*(1+endRelTol))+endAbsTol {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"goodput rose end-to-end on a degrading ladder: %.0f -> %.0f bytes", g(0), g(last)))
 		}
-		if !degrade && g(last) < float64(g(0)*(1-p.EndRelTol))-p.EndAbsTol {
+		if !degrade && g(last) < float64(g(0)*(1-endRelTol))-endAbsTol {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"goodput fell end-to-end on an improving ladder: %.0f -> %.0f bytes", g(0), g(last)))
 		}
@@ -466,30 +445,30 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 	// that tracks the perturbation (the LP does not model loss or
 	// delay), so only there is "gap must not widen" a sound assertion —
 	// and only for loss-based CCs on rungs above the degeneracy floor
-	// (see TrendPolicy.GapCapFloorMbps), when the run actually spreads
-	// load over alternatives to the perturbed path (GapShareCeil).
+	// (gapCapFloorMbps), when the run actually spreads load over
+	// alternatives to the perturbed path (gapShareCeil).
 	// Rate-down values descend, so the qualifying rungs are a prefix of
 	// the ladder.
 	if r.Ladder.Knob == KnobRateDown && r.Ladder.Base.Options.CC != "wvegas" &&
-		!math.IsNaN(r.Obs[0].Share) && r.Obs[0].Share < p.GapShareCeil &&
-		r.Obs[0].Gap <= p.GapBaseMax {
+		!math.IsNaN(r.Obs[0].Share) && r.Obs[0].Share < gapShareCeil &&
+		r.Obs[0].Gap <= gapBaseMax {
 		glast := 0
-		for glast+1 < len(r.Obs) && r.Ladder.Values[glast+1] >= p.GapCapFloorMbps {
+		for glast+1 < len(r.Obs) && r.Ladder.Values[glast+1] >= gapCapFloorMbps {
 			glast++
 		}
 		var winv []string
 		for k := 1; k <= glast; k++ {
-			if r.Obs[k].Gap > r.Obs[k-1].Gap+p.GapStepTol {
+			if r.Obs[k].Gap > r.Obs[k-1].Gap+gapStepTol {
 				winv = append(winv, fmt.Sprintf("rung %d->%d: %.4f -> %.4f",
 					k-1, k, r.Obs[k-1].Gap, r.Obs[k].Gap))
 			}
 		}
-		if len(winv) > p.MaxInversions {
+		if len(winv) > maxInversions {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"optimality gap widened against per-rung LP baselines: %d widenings beyond tolerance (allowed %d): %s",
-				len(winv), p.MaxInversions, strings.Join(winv, "; ")))
+				len(winv), maxInversions, strings.Join(winv, "; ")))
 		}
-		if r.Obs[glast].Gap > r.Obs[0].Gap+p.GapEndTol {
+		if r.Obs[glast].Gap > r.Obs[0].Gap+gapEndTol {
 			r.Violations = append(r.Violations, fmt.Sprintf(
 				"optimality gap widened end-to-end: %.4f -> %.4f (through rung %d)",
 				r.Obs[0].Gap, r.Obs[glast].Gap, glast))
@@ -500,12 +479,14 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 	// on a path as it degrades. Only meaningful when the perturbed link
 	// is exclusive to the path (degrading a shared link degrades every
 	// path crossing it), every rung actually sent bytes, and the
-	// scheduler selects paths by quality: minrtt lets the CC's windows
-	// steer bytes, while roundrobin rotates blindly (a slow path can
-	// hold a growing share of the send window) and redundant clones
-	// every packet onto every subflow, so under those two the sent-byte
+	// scheduler lets the CC's windows steer bytes. minrtt does;
+	// redundant clones every packet onto every subflow, so its sent-byte
 	// share reflects scheduler mechanics rather than congestion
-	// avoidance.
+	// avoidance. roundrobin grants exactly as minrtt does
+	// (mptcp.NewScheduler), so its ladders run identically, but the
+	// guard matches the literal name "minrtt": they get no load-shift
+	// verdict until the scheduler axis is settled, because changing the
+	// guard would change verdicts.
 	if degrade && !vegasDelay && r.Ladder.Coupled && r.Ladder.Exclusive &&
 		r.Ladder.Base.Options.Scheduler == "minrtt" {
 		ok := true
@@ -518,17 +499,17 @@ func (r *TrendReport) Evaluate(p TrendPolicy) {
 		if ok {
 			var sinv []string
 			for k := 1; k < len(r.Obs); k++ {
-				if r.Obs[k].Share > r.Obs[k-1].Share+p.ShareStepTol {
+				if r.Obs[k].Share > r.Obs[k-1].Share+shareStepTol {
 					sinv = append(sinv, fmt.Sprintf("rung %d->%d: %.4f -> %.4f",
 						k-1, k, r.Obs[k-1].Share, r.Obs[k].Share))
 				}
 			}
-			if len(sinv) > p.MaxInversions {
+			if len(sinv) > maxInversions {
 				r.Violations = append(r.Violations, fmt.Sprintf(
 					"load shifted onto the degrading path: %d share increases beyond tolerance (allowed %d): %s",
-					len(sinv), p.MaxInversions, strings.Join(sinv, "; ")))
+					len(sinv), maxInversions, strings.Join(sinv, "; ")))
 			}
-			if r.Obs[last].Share > r.Obs[0].Share+p.ShareEndTol {
+			if r.Obs[last].Share > r.Obs[0].Share+shareEndTol {
 				r.Violations = append(r.Violations, fmt.Sprintf(
 					"load share on the degrading path rose end-to-end: %.4f -> %.4f",
 					r.Obs[0].Share, r.Obs[last].Share))

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -175,7 +176,6 @@ func trendObs(knob, cc string, exclusive bool, goodputs []uint64) *TrendReport {
 }
 
 func TestEvaluateGoodputDirections(t *testing.T) {
-	pol := DefaultTrendPolicy(3)
 	cases := []struct {
 		name     string
 		rep      *TrendReport
@@ -201,7 +201,7 @@ func TestEvaluateGoodputDirections(t *testing.T) {
 			trendObs(KnobLossUp, "wvegas", true, []uint64{500e3, 800e3, 1200e3, 2000e3}), "goodput not non-increasing"},
 	}
 	for _, tc := range cases {
-		tc.rep.Evaluate(pol)
+		tc.rep.Evaluate()
 		if tc.wantFail == "" {
 			if len(tc.rep.Violations) != 0 {
 				t.Errorf("%s: unexpected violations %v", tc.name, tc.rep.Violations)
@@ -215,7 +215,6 @@ func TestEvaluateGoodputDirections(t *testing.T) {
 }
 
 func TestEvaluateGapAssertions(t *testing.T) {
-	pol := DefaultTrendPolicy(3)
 	mk := func(cc string, share0 float64, values []float64, gaps []float64) *TrendReport {
 		r := trendObs(KnobRateDown, cc, true, []uint64{900e3, 800e3, 700e3, 600e3})
 		r.Ladder.Values = values
@@ -229,14 +228,14 @@ func TestEvaluateGapAssertions(t *testing.T) {
 	widening := []float64{0.0, 0.05, 0.2, 0.5}
 
 	r := mk("cubic", 0.5, vals, widening)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if !strings.Contains(strings.Join(r.Violations, "\n"), "gap widened end-to-end") {
 		t.Fatalf("loss-based widening not flagged: %v", r.Violations)
 	}
 
 	// wvegas never chases the LP optimum; its gap is exempt.
 	r = mk("wvegas", 0.5, vals, widening)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("wvegas gap flagged: %v", r.Violations)
 	}
@@ -244,7 +243,7 @@ func TestEvaluateGapAssertions(t *testing.T) {
 	// A run carrying ~all bytes on the perturbed path has no alternative
 	// route; its gap against the all-paths LP widens structurally.
 	r = mk("cubic", 0.97, vals, widening)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("single-route gap flagged: %v", r.Violations)
 	}
@@ -252,7 +251,7 @@ func TestEvaluateGapAssertions(t *testing.T) {
 	// Rungs cut below the degeneracy floor are outside the assertion; with
 	// only rung 0 at or above 5 Mbps nothing is compared.
 	r = mk("cubic", 0.5, []float64{40, 4, 2.4, 1.44}, widening)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("sub-floor rungs flagged: %v", r.Violations)
 	}
@@ -261,14 +260,13 @@ func TestEvaluateGapAssertions(t *testing.T) {
 	// relationship to preserve; the assertion requires gap[0] small.
 	offBase := []float64{0.40, 0.45, 0.60, 0.90}
 	r = mk("cubic", 0.5, vals, offBase)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("off-baseline base flagged: %v", r.Violations)
 	}
 }
 
 func TestEvaluateLoadShift(t *testing.T) {
-	pol := DefaultTrendPolicy(3)
 	mk := func(cc string, exclusive bool, shares []float64) *TrendReport {
 		r := trendObs(KnobLossUp, cc, exclusive, []uint64{900e3, 800e3, 700e3, 600e3})
 		for i := range r.Obs {
@@ -279,21 +277,21 @@ func TestEvaluateLoadShift(t *testing.T) {
 	rising := []float64{0.10, 0.15, 0.25, 0.40}
 
 	r := mk("lia", true, rising)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if !strings.Contains(strings.Join(r.Violations, "\n"), "load share") {
 		t.Fatalf("coupled share rise not flagged: %v", r.Violations)
 	}
 
 	// Uncoupled CCs make no load-shift promise.
 	r = mk("cubic", true, rising)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("uncoupled share flagged: %v", r.Violations)
 	}
 
 	// A shared link degrades every path crossing it; no shift expected.
 	r = mk("lia", false, rising)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("shared-link share flagged: %v", r.Violations)
 	}
@@ -301,18 +299,19 @@ func TestEvaluateLoadShift(t *testing.T) {
 	// A rung that sent nothing has no share; the check skips.
 	nan := []float64{0.10, math.NaN(), 0.25, 0.40}
 	r = mk("lia", true, nan)
-	r.Evaluate(pol)
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("NaN-share ladder flagged: %v", r.Violations)
 	}
 
-	// Non-selective schedulers make no load-shift promise: roundrobin
-	// rotates blindly and redundant clones every packet onto every
-	// subflow, so their sent-byte shares track scheduler mechanics.
+	// Only minrtt gets a load-shift verdict: redundant clones every packet
+	// onto every subflow, so its sent-byte shares track scheduler
+	// mechanics, and roundrobin, which grants as minrtt does, is left out
+	// by name.
 	for _, sched := range []string{"roundrobin", "redundant"} {
 		r = mk("lia", true, rising)
 		r.Ladder.Base.Options.Scheduler = sched
-		r.Evaluate(pol)
+		r.Evaluate()
 		if len(r.Violations) != 0 {
 			t.Fatalf("%s share flagged: %v", sched, r.Violations)
 		}
@@ -322,7 +321,7 @@ func TestEvaluateLoadShift(t *testing.T) {
 func TestEvaluateSkipsFailedRungs(t *testing.T) {
 	r := trendObs(KnobLossUp, "cubic", true, []uint64{100e3, 900e3, 1800e3, 3600e3})
 	r.Obs[2] = RungObs{Err: "build: boom"}
-	r.Evaluate(DefaultTrendPolicy(3))
+	r.Evaluate()
 	if len(r.Violations) != 0 {
 		t.Fatalf("half-measured ladder got a trend verdict: %v", r.Violations)
 	}
@@ -334,7 +333,7 @@ func TestEvaluateSkipsFailedRungs(t *testing.T) {
 func TestEvaluateShapeMismatch(t *testing.T) {
 	r := trendObs(KnobLossUp, "cubic", true, []uint64{100e3, 90e3})
 	r.Obs = r.Obs[:1]
-	r.Evaluate(DefaultTrendPolicy(1))
+	r.Evaluate()
 	if len(r.Violations) != 1 || !strings.Contains(r.Violations[0], "internal") {
 		t.Fatalf("shape mismatch not flagged: %v", r.Violations)
 	}
@@ -369,11 +368,19 @@ func TestTrendReportWriteCanonical(t *testing.T) {
 	}
 }
 
-func TestDefaultTrendPolicyScales(t *testing.T) {
-	if got := DefaultTrendPolicy(4).MaxInversions; got != 3 {
-		t.Fatalf("MaxInversions(4 steps) = %d, want 3", got)
-	}
-	if got := DefaultTrendPolicy(1).MaxInversions; got != 0 {
-		t.Fatalf("MaxInversions(1 step) = %d, want 0", got)
+// A ladder of n rungs may show n-2 inversions: only a fully inverted one
+// fails the pairwise check, whatever its length.
+func TestInversionBudgetFollowsRungCount(t *testing.T) {
+	for rungs := 2; rungs <= 6; rungs++ {
+		goodputs := make([]uint64, rungs)
+		for k := range goodputs {
+			goodputs[k] = uint64(500e3 * (k + 1))
+		}
+		r := trendObs(KnobLossUp, "cubic", true, goodputs)
+		r.Evaluate()
+		want := fmt.Sprintf("%d inversions beyond tolerance (allowed %d)", rungs-1, rungs-2)
+		if !strings.Contains(strings.Join(r.Violations, "\n"), want) {
+			t.Fatalf("%d rungs: violations %v, want one containing %q", rungs, r.Violations, want)
+		}
 	}
 }

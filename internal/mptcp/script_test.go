@@ -5,12 +5,15 @@ package mptcp
 // segments to reach it at or after a fixed virtual time (or every new one
 // until the RTO), and records every mapping that passes, so the recovery can
 // be asserted at exact times. The receive-window script watches the sending
-// host instead: every segment it sends and every ACK it receives.
+// host instead: every segment it sends and every ACK it receives. The LIA
+// script watches it too, and reads both subflows' congestion windows around
+// one ACK.
 
 import (
 	"testing"
 	"time"
 
+	"mptcpsim/internal/cc"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/sim"
@@ -427,5 +430,91 @@ func TestScriptReceiveWindow(t *testing.T) {
 	}
 	if rc := acc.Conns()[0]; rc.Delivered != total || c.AssignedBytes() != total {
 		t.Fatalf("delivered %d of %d assigned, want %d", rc.Delivered, c.AssignedBytes(), total)
+	}
+}
+
+// liaProbe is a tap at the sending host. At the first ACK on tag at or
+// after from that acknowledges new data, it records how many bytes the ACK
+// newly acknowledges and snapshots both subflows' congestion state: before
+// the host processes the ACK, and again once the ACK's own event has
+// finished.
+type liaProbe struct {
+	loop          *sim.Loop
+	node          *netem.Node
+	conn          *Conn
+	tag           packet.Tag
+	from          sim.Time
+	lastAck       uint32 // the latest cumulative ACK on tag; 0 before the first
+	at            sim.Time
+	acked         uint32
+	before, after [2]cc.Flow
+}
+
+func (p *liaProbe) flows() [2]cc.Flow {
+	sfs := p.conn.Subflows()
+	return [2]cc.Flow{sfs[0].TCP.Flow, sfs[1].TCP.Flow}
+}
+
+func (p *liaProbe) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
+	if nd != p.node || pkt.IP.Tag != p.tag || pkt.TCP == nil || pkt.TCP.Flags&packet.FlagACK == 0 {
+		return
+	}
+	prev := p.lastAck
+	p.lastAck = pkt.TCP.Ack
+	if p.at != 0 || prev == 0 || p.loop.Now() < p.from || pkt.TCP.Ack == prev {
+		return
+	}
+	p.at, p.acked, p.before = p.loop.Now(), pkt.TCP.Ack-prev, p.flows()
+	p.loop.Schedule(0, func() { p.after = p.flows() })
+}
+func (*liaProbe) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
+func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+
+// TestScriptLIAIncrease: a bulk LIA connection over Path 2 and Path 3, a
+// millisecond apart. By 3 s each subflow has been through fast recovery and
+// sits in congestion avoidance. The first ACK Path 2 receives from 3 s on
+// arrives at 3.000429283 s and newly acknowledges two segments. Its cwnd
+// must grow by exactly the RFC 6356 §3 increase
+//
+//	min(alpha * acked * MSS / (w_1 + w_2), acked * MSS / w_i)
+//	alpha = (w_1 + w_2) * max_k(w_k / rtt_k^2) / (sum_k w_k / rtt_k)^2
+//
+// computed here by hand from both subflows' windows at that instant and the
+// smoothed RTTs the ACK left them with. The coupled term binds. Path 3's
+// window does not move.
+func TestScriptLIAIncrease(t *testing.T) {
+	const mss = 1400
+	r := newPaperRig(t, 23)
+	probe := &liaProbe{loop: r.loop, node: r.net.Node(r.pn.S), tag: 2, from: sim.Time(0).Add(3 * time.Second)}
+	r.net.AttachTap(probe)
+	probe.conn = r.dial(t, Config{Algorithm: "lia", Scheduler: "minrtt",
+		Subflows: []SubflowSpec{{Tag: 2, Label: "Path 2"}, {Tag: 3, Label: "Path 3", StartDelay: time.Millisecond}}})
+	if err := r.loop.RunUntil(probe.from.Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if probe.at != 3_000_429_283 || probe.acked != 2*mss {
+		t.Fatalf("probed ACK at %d acknowledges %d bytes, want 3000429283 and %d", probe.at, probe.acked, 2*mss)
+	}
+	b, a := probe.before, probe.after
+	for k, f := range b {
+		if f.MSS != mss || f.InSlowStart() || f.SRTT <= 0 {
+			t.Fatalf("subflow %d before the ACK: %+v, want congestion avoidance with an RTT sample", k, f)
+		}
+	}
+
+	w1, w2 := b[0].Cwnd, b[1].Cwnd
+	rtt1, rtt2 := a[0].SRTT.Seconds(), a[1].SRTT.Seconds()
+	total := w1 + w2
+	alpha := total * max(w1/(rtt1*rtt1), w2/(rtt2*rtt2)) / ((w1/rtt1 + w2/rtt2) * (w1/rtt1 + w2/rtt2))
+	coupled := alpha * float64(probe.acked) * mss / total
+	single := float64(probe.acked) * mss / w1
+	if coupled >= single {
+		t.Fatalf("coupled increase %v does not bind against %v", coupled, single)
+	}
+	if want := w1 + coupled; a[0].Cwnd != want {
+		t.Fatalf("Path 2 cwnd %v -> %v (+%v), want +%v (alpha %v)", w1, a[0].Cwnd, a[0].Cwnd-w1, coupled, alpha)
+	}
+	if a[1].Cwnd != w2 {
+		t.Fatalf("Path 3 cwnd moved %v -> %v on Path 2's ACK", w2, a[1].Cwnd)
 	}
 }

@@ -7,13 +7,16 @@ import (
 	"strings"
 )
 
+// The plot area of a chart, in characters.
+const (
+	chartWidth  = 72
+	chartHeight = 18
+)
+
 // ChartOptions controls the ASCII renderer.
 type ChartOptions struct {
-	// Width and Height are the plot area size in characters (defaults
-	// 72x18).
-	Width, Height int
-	// YLabel and Title annotate the chart.
-	YLabel, Title string
+	// Title heads the chart.
+	Title string
 	// HLines draws horizontal reference lines at the given values (e.g.
 	// the LP optimum).
 	HLines []float64
@@ -25,15 +28,9 @@ type ChartOptions struct {
 // seriesMarks are the glyphs used per series, in order.
 var seriesMarks = []byte{'1', '2', '3', 'T', '4', '5', '6', '7'}
 
-// Chart renders the series as an ASCII line chart — the terminal stand-in
-// for the paper's throughput figures.
+// Chart renders the series, rates in Mbps, as an ASCII line chart — the
+// terminal stand-in for the paper's throughput figures.
 func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
-	if opts.Width <= 0 {
-		opts.Width = 72
-	}
-	if opts.Height <= 0 {
-		opts.Height = 18
-	}
 	// The y axis scales to the largest sample.
 	var ymax, tmaxSec float64
 	for _, s := range series {
@@ -50,14 +47,14 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 		ymax = 1
 	}
 	ymax *= 1.05
-	grid := make([][]byte, opts.Height)
+	grid := make([][]byte, chartHeight)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", opts.Width))
+		grid[r] = []byte(strings.Repeat(" ", chartWidth))
 	}
 	// Reference lines first so data overwrites them.
 	for _, h := range opts.HLines {
-		if r, ok := rowOf(h, ymax, opts.Height); ok {
-			for x := 0; x < opts.Width; x++ {
+		if r, ok := rowOf(h, ymax); ok {
+			for x := 0; x < chartWidth; x++ {
 				grid[r][x] = '-'
 			}
 		}
@@ -66,8 +63,8 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 		if tmaxSec <= 0 || t < 0 || t > tmaxSec {
 			continue
 		}
-		x := int(t / tmaxSec * float64(opts.Width-1))
-		for r := 0; r < opts.Height; r++ {
+		x := int(t / tmaxSec * float64(chartWidth-1))
+		for r := 0; r < chartHeight; r++ {
 			grid[r][x] = '|'
 		}
 	}
@@ -76,12 +73,12 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 		for i, v := range s.V {
 			x := 0
 			if tmaxSec > 0 {
-				x = int(s.TimeAt(i) / tmaxSec * float64(opts.Width-1))
+				x = int(s.TimeAt(i) / tmaxSec * float64(chartWidth-1))
 			}
-			if x < 0 || x >= opts.Width {
+			if x < 0 || x >= chartWidth {
 				continue
 			}
-			if r, ok := rowOf(v, ymax, opts.Height); ok {
+			if r, ok := rowOf(v, ymax); ok {
 				grid[r][x] = mark
 			}
 		}
@@ -92,8 +89,8 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 		}
 	}
 	axisW := 8
-	for r := 0; r < opts.Height; r++ {
-		yTop := ymax * float64(opts.Height-r) / float64(opts.Height)
+	for r := 0; r < chartHeight; r++ {
+		yTop := ymax * float64(chartHeight-r) / float64(chartHeight)
 		label := ""
 		if r%4 == 0 {
 			label = fmt.Sprintf("%7.1f", yTop)
@@ -102,34 +99,32 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%*s +%s\n", axisW-1, "", strings.Repeat("-", opts.Width)); err != nil {
+	if _, err := fmt.Fprintf(w, "%*s +%s\n", axisW-1, "", strings.Repeat("-", chartWidth)); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%*s 0%*s%.2fs\n", axisW-1, "", opts.Width-6, "", tmaxSec); err != nil {
+	if _, err := fmt.Fprintf(w, "%*s 0%*s%.2fs\n", axisW-1, "", chartWidth-6, "", tmaxSec); err != nil {
 		return err
 	}
 	var legend []string
 	for si, s := range series {
 		legend = append(legend, fmt.Sprintf("%c=%s", seriesMarks[si%len(seriesMarks)], s.Name))
 	}
-	if opts.YLabel != "" {
-		legend = append(legend, "y: "+opts.YLabel)
-	}
+	legend = append(legend, "y: Mbps")
 	_, err := fmt.Fprintf(w, "%*s %s\n", axisW-1, "", strings.Join(legend, "  "))
 	return err
 }
 
 // rowOf maps a value to a grid row (0 = top).
-func rowOf(v, ymax float64, height int) (int, bool) {
+func rowOf(v, ymax float64) (int, bool) {
 	if math.IsNaN(v) || v < 0 || v > ymax {
 		return 0, false
 	}
-	r := height - 1 - int(v/ymax*float64(height))
+	r := chartHeight - 1 - int(v/ymax*chartHeight)
 	if r < 0 {
 		r = 0
 	}
-	if r >= height {
-		r = height - 1
+	if r >= chartHeight {
+		r = chartHeight - 1
 	}
 	return r, true
 }

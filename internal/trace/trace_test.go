@@ -91,7 +91,7 @@ func TestChartRendersSeries(t *testing.T) {
 	a := mk("Path 1", 100*time.Millisecond, 10, 20, 30, 40, 50)
 	b := mk("Total", 100*time.Millisecond, 50, 60, 70, 80, 90)
 	var sb strings.Builder
-	err := Chart(&sb, ChartOptions{Width: 40, Height: 10, Title: "fig", HLines: []float64{90}, YLabel: "Mbps"}, a, b)
+	err := Chart(&sb, ChartOptions{Title: "fig", HLines: []float64{90}}, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestChartVLines(t *testing.T) {
 		s.V[i] = 5
 	}
 	var buf bytes.Buffer
-	if err := Chart(&buf, ChartOptions{VLines: []float64{2.0}, Width: 40, Height: 8}, s); err != nil {
+	if err := Chart(&buf, ChartOptions{VLines: []float64{2.0}}, s); err != nil {
 		t.Fatal(err)
 	}
 	marked := 0
@@ -154,12 +154,12 @@ func TestChartVLines(t *testing.T) {
 	}
 	// Every plot row except the one the flat series overwrites carries the
 	// marker.
-	if marked < 6 {
+	if marked < chartHeight-1 {
 		t.Fatalf("vertical marker missing (marked rows = %d):\n%s", marked, buf.String())
 	}
 	// Out-of-range markers are ignored, not drawn at the edge.
 	var buf2 bytes.Buffer
-	if err := Chart(&buf2, ChartOptions{VLines: []float64{99}, Width: 40, Height: 8}, s); err != nil {
+	if err := Chart(&buf2, ChartOptions{VLines: []float64{99}}, s); err != nil {
 		t.Fatal(err)
 	}
 	for _, line := range strings.Split(buf2.String(), "\n") {

@@ -328,7 +328,6 @@ func (r *Result) Chart(w io.Writer, title string) error {
 	series = append(series, r.Total.trace())
 	opts := trace.ChartOptions{
 		Title:  title,
-		YLabel: "Mbps",
 		HLines: []float64{r.Optimum.Total},
 	}
 	// Dynamic runs: mark every event and reference each distinct epoch
