@@ -14,17 +14,21 @@ import (
 // budget by an order of magnitude, not by percent.
 const runAllocBudget = 2000
 
-// runBytesBudget bounds the bytes of the same run (~605 KiB). The object
-// count does not see the two queues slow-start overshoot fills: the TCP
-// scoreboard and out-of-order queue are most of a run's bytes in a few
-// dozen allocations, so a record that doubles (40 and 32 bytes today) adds
-// some 400 KiB here and nothing there.
-const runBytesBudget = 800 << 10
+// runBytesBudget bounds the bytes of the same run at about twice the worst
+// of the three measured runs (~280 KiB on amd64; 546 KiB before a run took
+// its packet slabs, link queues, scoreboards and random streams from the
+// runs before it). What is left is set-up, the result, and the queues still
+// growing while the pools fill after one warm-up run: three senders draw
+// scoreboards in whatever order the pool holds them. The object count does
+// not see a queue record that doubles in size; the bytes do. Under the race
+// detector sync.Pool drops some of what it is handed, and the bound holds
+// even with no reuse at all.
+const runBytesBudget = 560 << 10
 
 // TestRunSteadyStateAllocs gates the end-to-end allocation bill: packets
-// and segments come from the per-run arena, events from the loop's node
-// pool, so a full reference run allocates a fixed small amount regardless
-// of how much traffic it moves.
+// and segments come from the arena, events from the loop's node pool, so a
+// full reference run allocates a fixed small amount regardless of how much
+// traffic it moves.
 func TestRunSteadyStateAllocs(t *testing.T) {
 	opts := Options{CC: "cubic", Duration: time.Second, Seed: 1}
 	// Warm-up: populate the process-wide baseline cache and libc/runtime

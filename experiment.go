@@ -469,5 +469,11 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		v = append(v, dataInvariants(conn, acc)...)
 		res.Invariants = v
 	}
+	// res holds copies only: hand the storage the traffic grew to the next run.
+	net.Release()
+	sender.Release()
+	receiver.Release()
+	acc.Release()
+	rng.Release()
 	return res, nil
 }

@@ -3,6 +3,8 @@
 // TCP out-of-order queue all append at the back and retire from the front.
 package fifo
 
+import "sync"
+
 // minDead is the dead-prefix length below which Pop never compacts: tiny
 // queues empty out (and reset for free) before moving them would pay.
 const minDead = 16
@@ -59,5 +61,37 @@ func (q *Queue[T]) Pop(n int) {
 		q.buf, q.head = q.buf[:0], 0
 	case q.head >= minDead && q.head*2 >= len(q.buf):
 		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+}
+
+// Detach returns the backing array, live elements included, and empties q.
+func (q *Queue[T]) Detach() []T {
+	buf := q.buf
+	*q = Queue[T]{}
+	return buf
+}
+
+// Adopt makes the empty slice buf the backing array of the empty queue q.
+func (q *Queue[T]) Adopt(buf []T) { q.buf = buf }
+
+// Pool keeps backing arrays between owners, so a run's queues start from
+// what the last run's grew. It is safe for concurrent use.
+type Pool[T any] struct{ p sync.Pool }
+
+// Get returns an empty slice over an array Put kept, or of capacity n.
+func (p *Pool[T]) Get(n int) []T {
+	if b, ok := p.p.Get().(*[]T); ok {
+		return *b
+	}
+	return make([]T, 0, n)
+}
+
+// Put zeroes all of s's array, so that the pool pins nothing, and keeps it
+// for Get. The caller must not touch s again.
+func (p *Pool[T]) Put(s []T) {
+	if s = s[:cap(s)]; len(s) > 0 {
+		clear(s)
+		s = s[:0]
+		p.p.Put(&s)
 	}
 }

@@ -107,3 +107,53 @@ func BenchmarkPushPop(b *testing.B) {
 		q.Pop(1)
 	}
 }
+
+// TestDetachAdopt: Detach hands over the whole backing array and leaves an
+// empty queue; a queue that adopts an array pushes into it.
+func TestDetachAdopt(t *testing.T) {
+	var q Queue[int]
+	q.Adopt(make([]int, 0, 8))
+	for i := range 5 {
+		q.Push(i)
+	}
+	q.Pop(2)
+	buf := q.Detach()
+	if q.Len() != 0 || q.buf != nil || q.head != 0 {
+		t.Fatalf("after Detach the queue holds %v from %d", q.buf, q.head)
+	}
+	if cap(buf) != 8 || !slices.Equal(buf, []int{0, 0, 2, 3, 4}) {
+		t.Fatalf("Detach returned %v (cap %d), want the 8-slot array with the popped slots zeroed", buf, cap(buf))
+	}
+}
+
+// TestPoolPutClears: whatever array Get hands back is empty and holds no
+// pointer of its last owner, in any slot. sync.Pool may drop what it is
+// handed (the race detector drops a quarter on purpose), so the test offers
+// arrays until one comes back.
+func TestPoolPutClears(t *testing.T) {
+	var p Pool[*int]
+	if s := p.Get(4); len(s) != 0 || cap(s) != 4 {
+		t.Fatalf("an empty pool's Get(4) = len %d cap %d, want a new empty slice of capacity 4", len(s), cap(s))
+	}
+	for range 100 {
+		s := make([]*int, 3, 6)
+		for i := range s[:cap(s)] {
+			s[:cap(s)][i] = new(int)
+		}
+		p.Put(s)
+		got := p.Get(0)
+		if cap(got) == 0 {
+			continue
+		}
+		if len(got) != 0 || cap(got) != 6 {
+			t.Fatalf("Get returned len %d cap %d, want the 6-slot array emptied", len(got), cap(got))
+		}
+		for i, v := range got[:cap(got)] {
+			if v != nil {
+				t.Fatalf("slot %d of a pooled array still points at its last owner's data", i)
+			}
+		}
+		return
+	}
+	t.Fatal("the pool never handed an array back")
+}

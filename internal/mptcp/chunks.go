@@ -1,6 +1,10 @@
 package mptcp
 
-import "sort"
+import (
+	"sort"
+
+	"mptcpsim/internal/fifo"
+)
 
 // dchunk is one data-level chunk parked out of order: n bytes at dsn.
 type dchunk struct {
@@ -19,10 +23,15 @@ const blockCap = 256
 // The blocks concatenated are exactly the sorted slice this replaces.
 type chunkList struct {
 	blocks []block
-	// pool keeps the backing arrays of emptied blocks for reuse.
+	// pool keeps the backing arrays of emptied blocks for reuse. It is the
+	// list's own: a queue that drains and refills all run long would
+	// otherwise go through chunkBufs, which keeps released lists' arrays,
+	// at every drain.
 	pool [][]dchunk
 	n    int
 }
+
+var chunkBufs fifo.Pool[dchunk]
 
 // block is one run of the sequence: buf[head:] is live and never empty.
 type block struct {
@@ -119,9 +128,20 @@ func (l *chunkList) newBuf() []dchunk {
 	if len(l.blocks) == 0 {
 		// A first block grows on demand: most connections never park
 		// more than a handful of chunks.
-		return nil
+		return chunkBufs.Get(0)
 	}
-	return make([]dchunk, 0, blockCap)
+	return chunkBufs.Get(blockCap)
+}
+
+// release hands every array l holds to chunkBufs and empties l.
+func (l *chunkList) release() {
+	for _, blk := range l.blocks {
+		l.pool = append(l.pool, blk.buf)
+	}
+	for _, buf := range l.pool {
+		chunkBufs.Put(buf)
+	}
+	*l = chunkList{}
 }
 
 // each calls f on every chunk in DSN order.

@@ -158,3 +158,11 @@ func (a *Acceptor) match(opts []packet.Option) *RecvConn {
 
 // Conns returns the accepted connections in arrival order.
 func (a *Acceptor) Conns() []*RecvConn { return a.conns }
+
+// Release hands the reassembly blocks on to later connections; a's may not
+// be used again.
+func (a *Acceptor) Release() {
+	for _, rc := range a.conns {
+		rc.ooo.release()
+	}
+}

@@ -5,11 +5,12 @@ package mptcp
 // segments to reach it at or after a fixed virtual time (or every new one
 // until the RTO), and records every mapping that passes, so the recovery can
 // be asserted at exact times. The receive-window script watches the sending
-// host instead: every segment it sends and every ACK it receives. The LIA
-// script watches it too, and reads both subflows' congestion windows around
-// one ACK.
+// host instead: every segment it sends and every ACK it receives. The
+// coupled-increase scripts (LIA, OLIA, BALIA) watch it too, and read both
+// subflows' congestion windows around one ACK.
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -448,6 +449,9 @@ type liaProbe struct {
 	at            sim.Time
 	acked         uint32
 	before, after [2]cc.Flow
+	// onBefore, if set, runs beside the before snapshot, for the state an
+	// algorithm keeps behind a flow's context pointer, which both share.
+	onBefore func(*liaProbe)
 }
 
 func (p *liaProbe) flows() [2]cc.Flow {
@@ -465,15 +469,42 @@ func (p *liaProbe) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 		return
 	}
 	p.at, p.acked, p.before = p.loop.Now(), pkt.TCP.Ack-prev, p.flows()
+	if p.onBefore != nil {
+		p.onBefore(p)
+	}
 	p.loop.Schedule(0, func() { p.after = p.flows() })
 }
 func (*liaProbe) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
 func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason)  {}
 
-// TestScriptLIAIncrease: a bulk LIA connection over Path 2 and Path 3, a
-// millisecond apart. By 3 s each subflow has been through fast recovery and
-// sits in congestion avoidance. The first ACK Path 2 receives from 3 s on
-// arrives at 3.000429283 s and newly acknowledges two segments. Its cwnd
+// probeIncrease runs a bulk connection under algo over Path 2 and Path 3
+// (subflows 0 and 1), a millisecond apart, and probes the first ACK the
+// path tag receives from 3 s on. By then each subflow has been through fast
+// recovery and sits in congestion avoidance, and the other subflow's window
+// must not move on the ACK: both are checked.
+func probeIncrease(t *testing.T, algo string, tag packet.Tag, onBefore func(*liaProbe)) *liaProbe {
+	t.Helper()
+	r := newPaperRig(t, 23)
+	p := &liaProbe{loop: r.loop, node: r.net.Node(r.pn.S), tag: tag, from: sim.Time(0).Add(3 * time.Second), onBefore: onBefore}
+	r.net.AttachTap(p)
+	p.conn = r.dial(t, Config{Algorithm: algo, Scheduler: "minrtt",
+		Subflows: []SubflowSpec{{Tag: 2, Label: "Path 2"}, {Tag: 3, Label: "Path 3", StartDelay: time.Millisecond}}})
+	if err := r.loop.RunUntil(p.from.Add(10 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range p.before {
+		if f.MSS != 1400 || f.InSlowStart() || f.SRTT <= 0 {
+			t.Fatalf("subflow %d before the ACK: %+v, want congestion avoidance with an RTT sample", k, f)
+		}
+	}
+	if o := 5 - tag; p.after[o-2].Cwnd != p.before[o-2].Cwnd {
+		t.Fatalf("Path %d cwnd moved %v -> %v on Path %d's ACK", o, p.before[o-2].Cwnd, p.after[o-2].Cwnd, tag)
+	}
+	return p
+}
+
+// TestScriptLIAIncrease: under LIA, the first ACK Path 2 receives from 3 s
+// on arrives at 3.000429283 s and newly acknowledges two segments. Its cwnd
 // must grow by exactly the RFC 6356 §3 increase
 //
 //	min(alpha * acked * MSS / (w_1 + w_2), acked * MSS / w_i)
@@ -484,24 +515,11 @@ func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason)  {}
 // window does not move.
 func TestScriptLIAIncrease(t *testing.T) {
 	const mss = 1400
-	r := newPaperRig(t, 23)
-	probe := &liaProbe{loop: r.loop, node: r.net.Node(r.pn.S), tag: 2, from: sim.Time(0).Add(3 * time.Second)}
-	r.net.AttachTap(probe)
-	probe.conn = r.dial(t, Config{Algorithm: "lia", Scheduler: "minrtt",
-		Subflows: []SubflowSpec{{Tag: 2, Label: "Path 2"}, {Tag: 3, Label: "Path 3", StartDelay: time.Millisecond}}})
-	if err := r.loop.RunUntil(probe.from.Add(10 * time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
+	probe := probeIncrease(t, "lia", 2, nil)
 	if probe.at != 3_000_429_283 || probe.acked != 2*mss {
 		t.Fatalf("probed ACK at %d acknowledges %d bytes, want 3000429283 and %d", probe.at, probe.acked, 2*mss)
 	}
 	b, a := probe.before, probe.after
-	for k, f := range b {
-		if f.MSS != mss || f.InSlowStart() || f.SRTT <= 0 {
-			t.Fatalf("subflow %d before the ACK: %+v, want congestion avoidance with an RTT sample", k, f)
-		}
-	}
-
 	w1, w2 := b[0].Cwnd, b[1].Cwnd
 	rtt1, rtt2 := a[0].SRTT.Seconds(), a[1].SRTT.Seconds()
 	total := w1 + w2
@@ -514,7 +532,87 @@ func TestScriptLIAIncrease(t *testing.T) {
 	if want := w1 + coupled; a[0].Cwnd != want {
 		t.Fatalf("Path 2 cwnd %v -> %v (+%v), want +%v (alpha %v)", w1, a[0].Cwnd, a[0].Cwnd-w1, coupled, alpha)
 	}
-	if a[1].Cwnd != w2 {
-		t.Fatalf("Path 3 cwnd moved %v -> %v on Path 2's ACK", w2, a[1].Cwnd)
+}
+
+// oliaLoss reads OLIA's inter-loss byte counts off a flow: l1 since its
+// last loss, l2 between the two before. cc keeps them behind the flow's
+// private context.
+func oliaLoss(f *cc.Flow) (l1, l2 float64) {
+	st := reflect.ValueOf(f).Elem().FieldByName("ctx").Elem().Elem()
+	return st.FieldByName("l1").Float(), st.FieldByName("l2").Float()
+}
+
+// TestScriptOLIAIncrease: the same ACK under OLIA (Khalili et al., "MPTCP
+// Is Not Pareto-Optimal") arrives at 3.000134639 s and newly acknowledges
+// two segments. With windows w in segments, l_k the larger of path k's two
+// inter-loss byte counts (the ACK's own bytes counted in), M the paths of
+// largest window and B those of largest l_k^2 / w_k, Path 2's cwnd must
+// grow by exactly
+//
+//	( (w_2 / rtt_2^2) / (sum_k w_k / rtt_k)^2 + alpha_2 / w_2 ) * acked
+//	alpha_r = 1 / (n * |B \ M|) for r in B \ M, -1 / (n * |M|) for r in M
+//	          when B \ M is not empty, 0 otherwise.
+//
+// Path 2 holds the largest window and Path 3 the best inter-loss record, so
+// Path 2 gives up window: alpha_2 = -1/2. Path 3's window does not move.
+func TestScriptOLIAIncrease(t *testing.T) {
+	const mss, n = 1400, 2
+	var l [2]float64
+	probe := probeIncrease(t, "olia", 2, func(p *liaProbe) {
+		for k, sf := range p.conn.Subflows()[:2] {
+			l1, l2 := oliaLoss(&sf.TCP.Flow)
+			if k == 0 {
+				l1 += float64(p.acked)
+			}
+			l[k] = max(l1, l2)
+		}
+	})
+	if probe.at != 3_000_134_639 || probe.acked != 2*mss {
+		t.Fatalf("probed ACK at %d acknowledges %d bytes, want 3000134639 and %d", probe.at, probe.acked, 2*mss)
+	}
+	b, a := probe.before, probe.after
+	w := [2]float64{b[0].Cwnd / mss, b[1].Cwnd / mss}
+	rtt := [2]float64{a[0].SRTT.Seconds(), a[1].SRTT.Seconds()}
+	// The sets, strictly: no tie within the 1e-4 OLIA's implementation
+	// allows for.
+	if q0, q1 := l[0]*l[0]/w[0], l[1]*l[1]/w[1]; !(w[0] > 1.0001*w[1] && q1 > 1.0001*q0) {
+		t.Fatalf("windows %v and l^2/w %v, %v: want Path 2 alone in M and Path 3 alone in B", w, q0, q1)
+	}
+	alpha := -1.0 / (n * 1)
+	denom := w[0]/rtt[0] + w[1]/rtt[1]
+	// float64() rounds the product before the sum, as OLIA does: no fused
+	// multiply-add on any architecture.
+	inc := float64(((w[0]/(rtt[0]*rtt[0]))/(denom*denom) + alpha/w[0]) * float64(probe.acked))
+	if want := b[0].Cwnd + inc; a[0].Cwnd != want {
+		t.Fatalf("Path 2 cwnd %v -> %v (%+v), want %+v", b[0].Cwnd, a[0].Cwnd, a[0].Cwnd-b[0].Cwnd, inc)
+	}
+}
+
+// TestScriptBALIAIncrease: under BALIA (Peng et al., "Multipath TCP:
+// Analysis, Design, and Implementation") the first ACK Path 3 receives from
+// 3 s on arrives at 3.000995783 s and newly acknowledges two segments. With
+// x_k = w_k / rtt_k (w in segments) and alpha = max_k x_k / x_3, Path 3's
+// cwnd must grow by exactly
+//
+//	(x_3 / rtt_3) / (sum_k x_k)^2 * (1 + alpha)/2 * (4 + alpha)/5 * acked
+//
+// Path 2 carries about four times Path 3's rate, so alpha is near 4. Path
+// 2's window does not move.
+func TestScriptBALIAIncrease(t *testing.T) {
+	const mss = 1400
+	probe := probeIncrease(t, "balia", 3, nil)
+	if probe.at != 3_000_995_783 || probe.acked != 2*mss {
+		t.Fatalf("probed ACK at %d acknowledges %d bytes, want 3000995783 and %d", probe.at, probe.acked, 2*mss)
+	}
+	b, a := probe.before, probe.after
+	rtt := [2]float64{a[0].SRTT.Seconds(), a[1].SRTT.Seconds()}
+	x := [2]float64{b[0].Cwnd / mss / rtt[0], b[1].Cwnd / mss / rtt[1]}
+	alpha := max(x[0], x[1]) / x[1]
+	if alpha < 3 {
+		t.Fatalf("rates %v give alpha %v, want Path 2's rate well above Path 3's", x, alpha)
+	}
+	inc := float64((x[1] / rtt[1]) / ((x[0] + x[1]) * (x[0] + x[1])) * (1 + alpha) / 2 * (4 + alpha) / 5 * float64(probe.acked))
+	if want := b[1].Cwnd + inc; a[1].Cwnd != want {
+		t.Fatalf("Path 3 cwnd %v -> %v (%+v), want %+v (alpha %v)", b[1].Cwnd, a[1].Cwnd, a[1].Cwnd-b[1].Cwnd, inc, alpha)
 	}
 }

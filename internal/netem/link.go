@@ -101,10 +101,14 @@ func newLink(n *Network, spec topo.Link) *Link {
 		cap = max(spec.Rate.Bytes(DefaultQueueTime), MinQueue)
 	}
 	l := &Link{net: n, Spec: spec, capBytes: cap}
+	l.frames.Adopt(frameBufs.Get(0))
 	l.name = n.Graph.Node(spec.From).Name + "->" + n.Graph.Node(spec.To).Name
 	l.arrive.l = l
 	return l
 }
+
+// frameBufs keeps the frame queues of released networks for new links.
+var frameBufs fifo.Pool[frame]
 
 // frame is one admitted frame: until it leaves the transmitter t is the
 // committed end of its serialisation, afterwards its committed arrival. seq

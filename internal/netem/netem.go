@@ -234,6 +234,15 @@ func (n *Network) AddrOf(node topo.NodeID) (packet.Addr, bool) {
 // after Send returns.
 func (n *Network) Arena() *packet.Arena { return &n.arena }
 
+// Release hands the packet slabs and the links' frame queues on to later
+// networks; n may not be used again.
+func (n *Network) Release() {
+	for _, l := range n.links {
+		frameBufs.Put(l.frames.Detach())
+	}
+	n.arena.Release()
+}
+
 // Node returns the runtime node for an ID.
 func (n *Network) Node(id topo.NodeID) *Node { return n.nodes[id] }
 

@@ -1,10 +1,12 @@
 package packet
 
-// Arena is a per-run free list of packets and their transport storage.
-// Senders draw fully reset packets with GetTCP/GetUDP; the network engine
-// recycles every arena packet at its terminal event — delivery to a local
-// handler, or a drop anywhere — so steady-state packet transit allocates
-// nothing: construction reuses the slot of an earlier packet.
+import "mptcpsim/internal/fifo"
+
+// Arena is a free list of packets and their transport storage, in slabs
+// Release hands on. Senders draw fully reset packets with GetTCP/GetUDP; the
+// network engine recycles every arena packet at its terminal event —
+// delivery to a local handler, or a drop anywhere — so steady-state packet
+// transit allocates nothing: construction reuses the slot of an earlier packet.
 //
 // Ownership and aliasing rules (the ABA discipline):
 //
@@ -21,8 +23,12 @@ package packet
 // An Arena is single-goroutine, like the sim.Loop that drives the run that
 // owns it. The zero value is ready for use.
 type Arena struct {
-	free []*slot
+	free  []*slot
+	slabs [][]slot // every slab get grew, for Release
 }
+
+// slabBufs keeps released slabs for the next arena's growth.
+var slabBufs fifo.Pool[slot]
 
 // slabSize is the number of slots added per arena growth, amortising the
 // warm-up allocations the same way the event-node arena grows.
@@ -86,7 +92,8 @@ func (a *Arena) get() *slot {
 		a.free = a.free[:n-1]
 		return s
 	}
-	slab := make([]slot, slabSize)
+	slab := slabBufs.Get(slabSize)[:slabSize]
+	a.slabs = append(a.slabs, slab)
 	for i := range slab {
 		slab[i].owner = a
 	}
@@ -138,4 +145,12 @@ func (a *Arena) Recycle(p *Packet) {
 	s.tcp.Options = nil
 	s.tcp.Sack.Blocks = nil
 	a.free = append(a.free, s)
+}
+
+// Release hands a's slabs on to later arenas; its packets may not be used again.
+func (a *Arena) Release() {
+	for _, slab := range a.slabs {
+		slabBufs.Put(slab)
+	}
+	a.free, a.slabs = nil, nil
 }

@@ -87,16 +87,18 @@ func BenchmarkAckClock(b *testing.B) {
 // randSink keeps BenchmarkRandFork's draws live.
 var randSink int64
 
-// BenchmarkRandFork times a component's stream as a run sets one up: Fork it
-// from the run's stream, then take its first 8 draws.
+// BenchmarkRandFork times a component's stream as a run sets one up and
+// hands it back: Fork it from the run's stream, take its first 8 draws, and
+// release both streams as the run's end does, so each iteration reuses the
+// registers the last one released.
 func BenchmarkRandFork(b *testing.B) {
-	r := NewRand(1)
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		r := NewRand(int64(i))
 		c := r.Fork()
 		for range 8 {
 			randSink += c.Int63()
 		}
+		r.Release()
 	}
 }

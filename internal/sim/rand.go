@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 )
 
 // Rand is a seeded pseudo-random source for model components. It wraps
@@ -11,21 +12,39 @@ import (
 // every stochastic decision in a run flows from one recorded seed.
 type Rand struct {
 	*rand.Rand
+	kids []*Rand // the streams forked from this one, for Release
 }
 
+// rands keeps released streams, registers included, for NewRand.
+var rands = sync.Pool{New: func() any { return &Rand{Rand: rand.New(new(source))} }}
+
 // NewRand returns a deterministic source for the given seed. It draws
-// exactly what rand.New(rand.NewSource(seed)) draws.
+// exactly what rand.New(rand.NewSource(seed)) draws, on a new register or a
+// released stream's alike: Seed resets every word before a draw reads it.
 func NewRand(seed int64) *Rand {
-	s := new(source)
-	s.Seed(seed)
-	return &Rand{Rand: rand.New(s)}
+	r := rands.Get().(*Rand)
+	r.Seed(seed)
+	return r
 }
 
 // Fork derives an independent stream for a named subcomponent. Components
 // forked in the same order from the same parent always observe the same
 // stream, keeping runs reproducible even when components are added.
 func (r *Rand) Fork() *Rand {
-	return NewRand(r.Int63())
+	k := NewRand(r.Int63())
+	r.kids = append(r.kids, k)
+	return k
+}
+
+// Release hands r and every stream forked from it on to NewRand; none of
+// them may be drawn from again.
+func (r *Rand) Release() {
+	for _, k := range r.kids {
+		k.Release()
+	}
+	clear(r.kids)
+	r.kids = r.kids[:0]
+	rands.Put(r)
 }
 
 // Bool returns true with probability p.

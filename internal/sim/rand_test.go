@@ -103,3 +103,32 @@ func FuzzRandStream(f *testing.F) {
 		}
 	})
 }
+
+// TestReleasedRandsDrawAsNew: streams handed back with Release, forks and
+// forks of forks included, draw exactly what math/rand's draw for their new
+// seeds, although their registers hold the released streams' words. Each
+// stream draws past the whole register, so no stale word goes unread.
+func TestReleasedRandsDrawAsNew(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		root := NewRand(seed)
+		kid := root.Fork()
+		grandkid := kid.Fork()
+		want := rand.New(rand.NewSource(seed))
+		wantKid := rand.New(rand.NewSource(want.Int63()))
+		wantGrandkid := rand.New(rand.NewSource(wantKid.Int63()))
+		for i := range 2 * regLen {
+			for _, p := range []struct {
+				got  *Rand
+				want *rand.Rand
+			}{{root, want}, {kid, wantKid}, {grandkid, wantGrandkid}} {
+				if got, want := p.got.Int63(), p.want.Int63(); got != want {
+					t.Fatalf("seed %d, draw %d: %d, math/rand draws %d", seed, i, got, want)
+				}
+			}
+		}
+		root.Release()
+		if len(root.kids) != 0 || len(kid.kids) != 0 {
+			t.Fatalf("seed %d: released streams still list %d and %d forks", seed, len(root.kids), len(kid.kids))
+		}
+	}
+}

@@ -77,6 +77,12 @@ type rseg struct {
 	mapped bool
 }
 
+// segBufs and rsegBufs keep released scoreboards and out-of-order queues.
+var (
+	segBufs  fifo.Pool[seg]
+	rsegBufs fifo.Pool[rseg]
+)
+
 // Conn is one TCP connection endpoint. Small fields share words (bools
 // beside a uint32) so the record stays within 696 bytes: with the 8-byte
 // header the allocator puts in front of a pointerful object this large, that
@@ -201,6 +207,12 @@ func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
 		// Until the peer advertises, assume a modest window.
 		peerRwnd:  65535,
 		oldestRtx: sim.End,
+	}
+	if cfg.Source != nil { // only a sender's scoreboard fills
+		c.rtx.Adopt(segBufs.Get(0))
+	}
+	if cfg.Sink != nil { // and only a receiver's out-of-order queue
+		c.ooo.Adopt(rsegBufs.Get(0))
 	}
 	c.Flow.MSS = cfg.MSS
 	c.Flow.ID = cfg.FlowID

@@ -51,6 +51,15 @@ func NewHost(n *netem.Network, node topo.NodeID, rng *sim.Rand) *Host {
 	}
 }
 
+// Release hands every connection's scoreboard and out-of-order queue on to
+// later connections; h's may not be used again.
+func (h *Host) Release() {
+	for _, e := range h.conns {
+		segBufs.Put(e.c.rtx.Detach())
+		rsegBufs.Put(e.c.ooo.Detach())
+	}
+}
+
 // Listener accepts incoming connections on a port.
 type Listener struct {
 	// Port is the listening port.
