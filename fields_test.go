@@ -121,7 +121,6 @@ func TestEveryFieldIsSetAndRead(t *testing.T) {
 var funcAllow = map[string]string{
 	"netem.Link.SetAQM": "test seam: the tcp and mptcp tests drop chosen segments through an admission policy",
 
-	"lp.Problem.Feasible":      "test reference: the solver tests check optima and fair points against the constraints",
 	"tcp.Conn.scanOutstanding": "test reference: the scoreboard tests hold the incremental pipe to this scan",
 
 	"tcp.Conn.State":           "test observation point: the handshake and close tests read the connection state",

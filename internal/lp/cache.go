@@ -40,11 +40,10 @@ type baselineEntry struct {
 const baselineCacheCap = 512
 
 // baselineCache memoises Baselines by the canonical problem rendering,
-// bounded by an LRU policy. A parameter sweep runs the same topology under
-// many (CC, scheduler, ordering, seed) combinations; the LP and especially
-// the iterative proportional-fair solve only depend on the
-// capacity/incidence structure, so each is computed at most once per
-// distinct topology (and, for dynamic runs, per capacity epoch) and shared.
+// bounded by an LRU policy. A sweep runs one topology under many (CC,
+// scheduler, ordering, seed) combinations, and the baselines depend only on
+// capacities and incidence: each is computed once per distinct topology
+// (and, for dynamic runs, capacity epoch) and shared.
 var baselineCache = struct {
 	sync.Mutex
 	m map[string]*baselineEntry
@@ -123,8 +122,8 @@ func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baseline
 
 // CachedOptimumCaps is the LP optimum of CachedBaselinesCaps alone, from the
 // same cache entry, in a private copy. It never computes the fairness
-// references, so a caller that reads only the optimum (a capacity epoch's
-// gap) does not pay for the proportional-fair descent.
+// references, which a caller reading only the optimum (a capacity epoch's
+// gap) does not need.
 func CachedOptimumCaps(g *topo.Graph, paths []topo.Path, caps Caps) (Solution, error) {
 	e, err := cachedEntry(g, paths, caps)
 	if err != nil {

@@ -6,14 +6,16 @@
 // is exact (up to floating point) and immune to cycling — appropriate for
 // problems with a handful of paths and links. The package also provides
 // the max-min fair allocation (progressive water-filling) and the
-// proportionally fair allocation (dual gradient method), the two classic
-// notions of what "TCP-like" fairness achieves, used to interpret where
-// the congestion-control algorithms land relative to the LP optimum.
+// proportionally fair allocation (Newton's method on the link prices), the
+// two classic notions of what "TCP-like" fairness achieves, used to
+// interpret where the congestion-control algorithms land relative to the
+// LP optimum.
 package lp
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -134,18 +136,13 @@ func (p *Problem) Solve() (Solution, error) {
 	if n == 0 {
 		return Solution{Status: Optimal, X: nil, Objective: 0}, nil
 	}
-
 	// Tableau columns: n structural + m slack (+ m artificial in phase 1).
 	// Rows: m constraints + 1 objective row (stored separately).
 	t := newTableau(p)
-
-	if t.needsPhase1 {
-		if !t.phase1() {
-			return Solution{Status: Infeasible}, nil
-		}
+	if t.needsPhase1 && !t.phase1() {
+		return Solution{Status: Infeasible}, nil
 	}
-	switch t.phase2() {
-	case Unbounded:
+	if t.phase2() == Unbounded {
 		return Solution{Status: Unbounded}, nil
 	}
 	x := make([]float64, n)
@@ -171,20 +168,15 @@ type tableau struct {
 	a           [][]float64
 	rhs         []float64
 	basis       []int
-	obj         []float64 // current objective row (reduced costs source)
+	obj         []float64 // the objective C, maximised in phase 2
 	needsPhase1 bool
 	nArt        int
 }
 
 func newTableau(p *Problem) *tableau {
 	n, m := len(p.C), len(p.B)
-	t := &tableau{n: n, m: m}
-	for _, b := range p.B {
-		if b < -eps {
-			t.needsPhase1 = true
-		}
-	}
-	t.nArt = 0
+	t := &tableau{n: n, m: m, obj: p.C}
+	t.needsPhase1 = slices.ContainsFunc(p.B, func(b float64) bool { return b < -eps })
 	if t.needsPhase1 {
 		t.nArt = m
 	}
@@ -212,17 +204,11 @@ func newTableau(p *Problem) *tableau {
 		}
 		t.a[i] = row
 		t.rhs[i] = rhs
-		if sign > 0 && !t.needsPhase1 {
-			t.basis[i] = n + i
-		} else if sign > 0 {
-			t.basis[i] = n + i
-		} else {
+		t.basis[i] = n + i
+		if sign < 0 {
 			t.basis[i] = n + m + i
 		}
 	}
-	// Objective: maximize C (phase 2 uses this).
-	t.obj = make([]float64, t.cols)
-	copy(t.obj, p.C)
 	return t
 }
 
@@ -346,29 +332,6 @@ func (t *tableau) phase1() bool {
 // phase2 maximises the real objective over structural and slack columns.
 func (t *tableau) phase2() Status {
 	c := make([]float64, t.cols)
-	copy(c, t.obj[:t.n])
+	copy(c, t.obj)
 	return t.iterate(c, t.n+t.m)
-}
-
-// Feasible reports whether x satisfies the problem's constraints within
-// tolerance tol.
-func (p *Problem) Feasible(x []float64, tol float64) bool {
-	if len(x) != len(p.C) {
-		return false
-	}
-	for _, v := range x {
-		if v < -tol {
-			return false
-		}
-	}
-	for i, row := range p.A {
-		var lhs float64
-		for j, a := range row {
-			lhs += float64(a * x[j])
-		}
-		if lhs > p.B[i]+tol {
-			return false
-		}
-	}
-	return true
 }

@@ -12,6 +12,29 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// feasible reports whether x satisfies the problem's constraints within
+// tolerance tol.
+func feasible(p *Problem, x []float64, tol float64) bool {
+	if len(x) != len(p.C) {
+		return false
+	}
+	for _, v := range x {
+		if v < -tol {
+			return false
+		}
+	}
+	for i, row := range p.A {
+		var lhs float64
+		for j, a := range row {
+			lhs += a * x[j]
+		}
+		if lhs > p.B[i]+tol {
+			return false
+		}
+	}
+	return true
+}
+
 // total sums an allocation.
 func total(x []float64) float64 {
 	var s float64
@@ -85,7 +108,7 @@ func TestPaperLPFromTopology(t *testing.T) {
 	if binding != 3 {
 		t.Fatalf("%d rows with a paper bottleneck's capacity, want 3", binding)
 	}
-	if !p.Feasible(s.X, 1e-9) {
+	if !feasible(p, s.X, 1e-9) {
 		t.Fatal("optimal point reported infeasible")
 	}
 }
@@ -219,7 +242,7 @@ func TestMaxMinPaperNet(t *testing.T) {
 	}
 	// Max-min must be feasible and below the LP optimum.
 	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
-	if !p.Feasible(x, 1e-6) {
+	if !feasible(p, x, 1e-6) {
 		t.Fatal("maxmin infeasible")
 	}
 	if total(x) > 90+1e-6 {
@@ -240,7 +263,7 @@ func TestPropFairPaperNet(t *testing.T) {
 		}
 	}
 	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
-	if !p.Feasible(x, 0.1) {
+	if !feasible(p, x, 0.1) {
 		t.Fatal("propfair infeasible beyond tolerance")
 	}
 	// Sits strictly between max-min total (80) and LP optimum (90).
@@ -280,7 +303,7 @@ func TestQuickSimplexOptimality(t *testing.T) {
 		if err != nil || s.Status != Optimal {
 			return false
 		}
-		if !p.Feasible(s.X, 1e-6) {
+		if !feasible(p, s.X, 1e-6) {
 			return false
 		}
 		// Sample random feasible points; none may beat the optimum.
@@ -289,7 +312,7 @@ func TestQuickSimplexOptimality(t *testing.T) {
 			for j := range x {
 				x[j] = rng.Float64() * 20
 			}
-			if p.Feasible(x, 0) {
+			if feasible(p, x, 0) {
 				var obj float64
 				for j := range x {
 					obj += p.C[j] * x[j]
