@@ -213,15 +213,27 @@ func shortShards(have map[int]int, n, total int) string {
 func specsDigest(specs []RunSpec) string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
+	// A cell's runs share its topology, so it is encoded once per cell. The
+	// encoder compacts a RawMessage with the HTML escaping it gives a
+	// struct, so the bytes are those of encoding it in every record.
+	topos := make(map[*cell]json.RawMessage)
 	for _, sp := range specs {
+		topo, ok := topos[sp.cell]
+		if !ok {
+			var err error
+			if topo, err = json.Marshal(sp.cell.scenario); err != nil {
+				panic(fmt.Sprintf("mptcpsim: spec digest: %v", err))
+			}
+			topos[sp.cell] = topo
+		}
 		rec := struct {
-			Index        int           `json:"index"`
-			Scenario     string        `json:"scenario"`
-			Perturbation string        `json:"perturbation"`
-			Events       string        `json:"events"`
-			Options      Options       `json:"options"`
-			Topology     *ScenarioFile `json:"topology"`
-		}{sp.Index, sp.Scenario, sp.Perturbation, sp.Events, sp.Options, sp.cell.scenario}
+			Index        int             `json:"index"`
+			Scenario     string          `json:"scenario"`
+			Perturbation string          `json:"perturbation"`
+			Events       string          `json:"events"`
+			Options      Options         `json:"options"`
+			Topology     json.RawMessage `json:"topology"`
+		}{sp.Index, sp.Scenario, sp.Perturbation, sp.Events, sp.Options, topo}
 		// Encoding plain option/topology data to a hash cannot fail.
 		if err := enc.Encode(rec); err != nil {
 			panic(fmt.Sprintf("mptcpsim: spec digest: %v", err))

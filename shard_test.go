@@ -2,6 +2,9 @@ package mptcpsim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -172,6 +175,73 @@ func TestRunShardRejectsInvalidShard(t *testing.T) {
 	for _, shard := range []Shard{{K: 0, N: -1}, {K: 2, N: 2}, {K: -1, N: 2}} {
 		if err := (&Sweep{}).Stream(grid, StreamSpec{Shard: shard}, &MemorySink{}); err == nil {
 			t.Errorf("Stream accepted shard %+v", shard)
+		}
+	}
+}
+
+// perSpecDigest is specsDigest as it was before it encoded each cell's
+// topology once: the resolved scenario encoded in every record.
+func perSpecDigest(specs []RunSpec) string {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for _, sp := range specs {
+		rec := struct {
+			Index        int           `json:"index"`
+			Scenario     string        `json:"scenario"`
+			Perturbation string        `json:"perturbation"`
+			Events       string        `json:"events"`
+			Options      Options       `json:"options"`
+			Topology     *ScenarioFile `json:"topology"`
+		}{sp.Index, sp.Scenario, sp.Perturbation, sp.Events, sp.Options, sp.cell.scenario}
+		if err := enc.Encode(rec); err != nil {
+			panic(err)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSpecsDigestEncodesTopologyOnce holds the digest to the per-spec
+// encoding it replaced, byte for byte, so run-logs written before still
+// resume: on the default grid, and on one with two scenarios (one of them
+// dynamic, its node names in need of HTML escaping), perturbations and an
+// event axis.
+func TestSpecsDigestEncodesTopologyOnce(t *testing.T) {
+	odd := PaperScenario()
+	for i := range odd.Links {
+		odd.Links[i].A = strings.ReplaceAll(odd.Links[i].A, "v", "<v&>")
+		odd.Links[i].B = strings.ReplaceAll(odd.Links[i].B, "v", "<v&>")
+	}
+	for i := range odd.Paths {
+		for j, n := range odd.Paths[i].Nodes {
+			odd.Paths[i].Nodes[j] = strings.ReplaceAll(n, "v", "<v&>")
+		}
+	}
+	odd.Events = []ScenarioEvent{{AtMs: 50, Type: EventSetRate, A: "<v&>3", B: "<v&>4", Mbps: 20}}
+	for name, g := range map[string]*Grid{
+		"default": {},
+		"cells": {
+			Scenarios: []GridScenario{{Name: "paper", Paper: true}, {Name: "odd", Scenario: odd}},
+			CCs:       []string{"cubic", "olia"},
+			Seeds:     []int64{1, 2},
+			Perturbations: []Perturbation{
+				{Name: "base"},
+				{Name: "lossy", Loss: 0.005},
+			},
+			Events: []EventSet{
+				{Name: "static"},
+				{Name: "outage", Scenarios: []string{"paper"}, Events: []ScenarioEvent{
+					{AtMs: 100, Type: EventLinkDown, A: "s", B: "v1"},
+					{AtMs: 200, Type: EventLinkUp, A: "s", B: "v1"},
+				}},
+			},
+		},
+	} {
+		specs, err := (&Sweep{}).expandFolded(g)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := specsDigest(specs), perSpecDigest(specs); got != want {
+			t.Errorf("%s: digest %s, per-spec encoding %s", name, got, want)
 		}
 	}
 }
