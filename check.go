@@ -120,7 +120,7 @@ func (o *oracle) OnDrop(_ string, pkt *packet.Packet, _ netem.DropReason) {
 	o.droppedTotal++
 }
 
-// OnTransmit implements netem.Tap: it buckets the wire bytes into the
+// OnTransmit implements netem.TransmitTap: it buckets the wire bytes into the
 // epoch in force when the frame left — links report departures late and
 // interleaved, so the epoch is looked up per call — and appends the packet
 // to the link's FIFO audit queue.

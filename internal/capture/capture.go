@@ -68,9 +68,6 @@ func (s *Sniffer) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 	}
 }
 
-// OnTransmit implements netem.Tap (receiver capture ignores it).
-func (s *Sniffer) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
-
 // OnDrop implements netem.Tap (receiver capture ignores it).
 func (s *Sniffer) OnDrop(string, *packet.Packet, netem.DropReason) {}
 

@@ -159,8 +159,7 @@ func (l *recvLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
 	l.seen = append(l.seen, recvState{l.loop.Now(), p.IP.Tag, p.TCP.DSS().DSN,
 		rc.Delivered, rc.OOOBytes(), rc.DataAck()})
 }
-func (*recvLog) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
-func (*recvLog) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+func (*recvLog) OnDrop(string, *packet.Packet, netem.DropReason) {}
 
 // TestScriptHeadOfLineBlocking is the receiver's side of the minrtt case
 // above: reassembly behind a real hole. The first subflow's nine delivered
@@ -334,8 +333,7 @@ func (l *windowLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
 	}
 	l.seen = append(l.seen, e)
 }
-func (*windowLog) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
-func (*windowLog) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+func (*windowLog) OnDrop(string, *packet.Packet, netem.DropReason) {}
 
 // TestScriptReceiveWindow pins how the engine enforces a receiver's window:
 // per subflow, and only per subflow. The receiver advertises an 8-segment
@@ -474,8 +472,7 @@ func (p *liaProbe) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 	}
 	p.loop.Schedule(0, func() { p.after = p.flows() })
 }
-func (*liaProbe) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
-func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason) {}
 
 // probeIncrease runs a bulk connection under algo over Path 2 and Path 3
 // (subflows 0 and 1), a millisecond apart, and probes the first ACK the

@@ -92,16 +92,22 @@ func (r DropReason) String() string {
 // Tap observes packets at the engine's instrumentation points. Callbacks
 // run synchronously inside the event loop; implementations must not block.
 type Tap interface {
-	// OnTransmit reports that the last bit of pkt left link's transmitter
-	// at time at. Links book departures lazily: the call comes up to a
-	// propagation delay after at, in time order per link but not across
-	// links, and always before the frame's OnArrive.
-	OnTransmit(l *Link, pkt *packet.Packet, at sim.Time)
 	// OnDeliver fires when pkt is handed to a local handler at its
 	// destination host.
 	OnDeliver(n *Node, pkt *packet.Packet)
 	// OnDrop fires when pkt is lost anywhere in the network.
 	OnDrop(where string, pkt *packet.Packet, reason DropReason)
+}
+
+// TransmitTap is an optional extension of Tap: taps that also implement it
+// observe every frame departure, the point per-link byte accounting and
+// FIFO audits need. A tap without it costs a frame nothing.
+type TransmitTap interface {
+	// OnTransmit reports that the last bit of pkt left link's transmitter
+	// at time at. Links book departures lazily: the call comes up to a
+	// propagation delay after at, in time order per link but not across
+	// links, and always before the frame's OnArrive.
+	OnTransmit(l *Link, pkt *packet.Packet, at sim.Time)
 }
 
 // SendTap is an optional extension of Tap: taps that also implement it
@@ -154,11 +160,13 @@ type Network struct {
 	// the first); each node keeps its own.
 	lastAddr packet.Addr
 	taps     []Tap
-	// sendTaps and arrivalTaps hold the subset of taps implementing the
-	// optional extension interfaces, resolved once at AttachTap.
-	sendTaps    []SendTap
-	arrivalTaps []ArrivalTap
-	nextUID     uint64
+	// transmitTaps, sendTaps and arrivalTaps hold the subset of taps
+	// implementing the optional extension interfaces, resolved once at
+	// AttachTap.
+	transmitTaps []TransmitTap
+	sendTaps     []SendTap
+	arrivalTaps  []ArrivalTap
+	nextUID      uint64
 
 	// arena recycles packets and their transport storage across the run.
 	// Packets drawn from it are returned at their terminal event: after
@@ -187,10 +195,14 @@ func New(l *sim.Loop, g *topo.Graph, r route.Router) (*Network, error) {
 }
 
 // AttachTap registers a tap on every instrumentation point. Taps that
-// also implement SendTap or ArrivalTap are additionally notified of
-// packet originations and propagation arrivals.
+// also implement TransmitTap, SendTap or ArrivalTap are additionally
+// notified of frame departures, packet originations and propagation
+// arrivals.
 func (n *Network) AttachTap(t Tap) {
 	n.taps = append(n.taps, t)
+	if tt, ok := t.(TransmitTap); ok {
+		n.transmitTaps = append(n.transmitTaps, tt)
+	}
 	if st, ok := t.(SendTap); ok {
 		n.sendTaps = append(n.sendTaps, st)
 	}
@@ -253,7 +265,7 @@ func (n *Network) Link(id topo.LinkID) *Link { return n.links[id] }
 func (n *Network) Links() []*Link { return n.links }
 
 func (n *Network) tapTransmit(l *Link, pkt *packet.Packet, at sim.Time) {
-	for _, t := range n.taps {
+	for _, t := range n.transmitTaps {
 		t.OnTransmit(l, pkt, at)
 	}
 }

@@ -46,9 +46,8 @@ type arrivalTrace struct {
 	drops    int
 }
 
-func (a *arrivalTrace) OnTransmit(*Link, *packet.Packet, sim.Time) {}
-func (a *arrivalTrace) OnDeliver(*Node, *packet.Packet)            {}
-func (a *arrivalTrace) OnDrop(string, *packet.Packet, DropReason)  { a.drops++ }
+func (a *arrivalTrace) OnDeliver(*Node, *packet.Packet)           {}
+func (a *arrivalTrace) OnDrop(string, *packet.Packet, DropReason) { a.drops++ }
 func (a *arrivalTrace) OnArrive(l *Link, p *packet.Packet) {
 	a.arrivals = append(a.arrivals, arrivalRec{a.loop.Now(), l.Spec.ID, p.UID})
 }

@@ -11,7 +11,6 @@ import (
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
-	"mptcpsim/internal/sim"
 	"mptcpsim/internal/unit"
 )
 
@@ -52,8 +51,7 @@ func (d *dssTap) OnDeliver(_ *netem.Node, p *packet.Packet) {
 	}
 }
 
-func (d *dssTap) OnTransmit(*netem.Link, *packet.Packet, sim.Time) {}
-func (d *dssTap) OnDrop(string, *packet.Packet, netem.DropReason)  {}
+func (d *dssTap) OnDrop(string, *packet.Packet, netem.DropReason) {}
 
 // TestRetransmitCarriesOriginalMapping drops an early data packet, lets
 // dozens of later segments reuse its arena slot (overwriting the slot's

@@ -118,7 +118,8 @@ func (r *Recorder) OnSend(n *netem.Node, pkt *packet.Packet) {
 		UID: pkt.UID, Tag: pkt.IP.Tag, Size: int(pkt.Size())})
 }
 
-// OnTransmit implements netem.Tap; at is when the frame left, not "now".
+// OnTransmit implements netem.TransmitTap; at is when the frame left, not
+// "now".
 func (r *Recorder) OnTransmit(l *netem.Link, pkt *packet.Packet, at sim.Time) {
 	r.record(Event{At: at, Kind: KindTransmit, link: l,
 		UID: pkt.UID, Tag: pkt.IP.Tag, Size: int(pkt.Size())})
