@@ -7,7 +7,9 @@ package mptcp
 // be asserted at exact times. The receive-window script watches the sending
 // host instead: every segment it sends and every ACK it receives. The
 // coupled-increase scripts (LIA, OLIA, BALIA) watch it too, and read both
-// subflows' congestion windows around one ACK.
+// subflows' congestion windows around one ACK. The join-demultiplexing
+// script watches the receiving host: every SYN, and which connection each
+// data segment is accounted to.
 
 import (
 	"reflect"
@@ -611,5 +613,175 @@ func TestScriptBALIAIncrease(t *testing.T) {
 	inc := float64((x[1] / rtt[1]) / ((x[0] + x[1]) * (x[0] + x[1])) * (1 + alpha) / 2 * (4 + alpha) / 5 * float64(probe.acked))
 	if want := b[1].Cwnd + inc; a[1].Cwnd != want {
 		t.Fatalf("Path 3 cwnd %v -> %v (%+v), want %+v (alpha %v)", b[1].Cwnd, a[1].Cwnd, a[1].Cwnd-b[1].Cwnd, inc, alpha)
+	}
+}
+
+// joinLog is a tap at the receiving host. It records every SYN as it
+// arrives, before the acceptor matches it, and every data segment with the
+// bytes each accepted connection had accounted for (delivered, parked or
+// duplicate) at that moment, so entry i+1 shows what arrival i did.
+type joinLog struct {
+	loop  *sim.Loop
+	node  *netem.Node
+	acc   *Acceptor
+	owner map[packet.Port]uint32 // each subflow's token, by sender port
+	syns  []joinSyn
+	data  []joinData
+}
+
+type joinSyn struct {
+	at    sim.Time
+	tag   packet.Tag
+	token uint32
+	join  bool
+	conns int // connections accepted before this SYN
+}
+
+type joinData struct {
+	at      sim.Time
+	token   uint32
+	n       int
+	counted map[uint32]uint64
+}
+
+func (l *joinLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
+	if nd != l.node || p.TCP == nil {
+		return
+	}
+	if p.TCP.Flags&packet.FlagSYN != 0 {
+		s := joinSyn{at: l.loop.Now(), tag: p.IP.Tag, conns: len(l.acc.Conns())}
+		switch o := p.TCP.Option(packet.KindMPTCP).(type) {
+		case *packet.MPCapable:
+			s.token = TokenFromKey(o.Key)
+		case *packet.MPJoin:
+			s.token, s.join = o.Token, true
+		}
+		l.owner[p.TCP.SrcPort] = s.token
+		l.syns = append(l.syns, s)
+	}
+	if p.PayloadLen == 0 {
+		return
+	}
+	d := joinData{at: l.loop.Now(), token: l.owner[p.TCP.SrcPort], n: p.PayloadLen, counted: l.counted()}
+	l.data = append(l.data, d)
+}
+func (*joinLog) OnDrop(string, *packet.Packet, netem.DropReason) {}
+
+// counted is what each accepted connection has accounted for, by token.
+func (l *joinLog) counted() map[uint32]uint64 {
+	m := map[uint32]uint64{}
+	for _, rc := range l.acc.Conns() {
+		m[rc.Token] = rc.Delivered + rc.OOOBytes() + rc.DupBytes
+	}
+	return m
+}
+
+// mappedData is a bare subflow's source: total bytes, each mapped at its
+// own data sequence number from 0.
+type mappedData struct{ sent, total int }
+
+func (m *mappedData) Next(max int) (int, uint64, bool) {
+	n := min(max, m.total-m.sent)
+	m.sent += n
+	return n, uint64(m.sent - n), n > 0
+}
+
+// TestScriptJoinDemultiplexing: two connections from one host dial one
+// Acceptor, and their joins interleave. A opens on Path 2 at 0 and joins
+// Path 1 at 1 ms and Path 3 at 2 ms (10 segments). B's MP_CAPABLE leaves on
+// Path 1 only at 3 ms, but it joins Path 2 at 0 and Path 3 at 1.5 ms (7
+// segments), so both of B's joins reach the receiver before its
+// MP_CAPABLE. At 5 ms a bare subflow joins Path 3 with a token no
+// connection has (3 segments).
+//
+// What the acceptor does with a token it does not know, pinned here and
+// not endorsed: it opens a connection for it. B's first join opens B's
+// connection at 4.04 ms, second in arrival order; B's later subflows,
+// MP_CAPABLE included, attach to it by token. The bare subflow opens a
+// stray third connection and its data is delivered there. Every data
+// segment is accounted to the connection of the subflow that carried it,
+// and to no other.
+func TestScriptJoinDemultiplexing(t *testing.T) {
+	const mss = 1400
+	r := newPaperRig(t, 23)
+	log := &joinLog{loop: r.loop, node: r.net.Node(r.pn.D), acc: r.acc, owner: map[packet.Port]uint32{}}
+	r.net.AttachTap(log)
+	a := r.dial(t, Config{Algorithm: "reno", Source: &Fixed{Total: 10 * mss}, Subflows: paperSubflows()})
+	b := r.dial(t, Config{Algorithm: "reno", Source: &Fixed{Total: 7 * mss}, Subflows: []SubflowSpec{
+		{Tag: 1, Label: "Path 1", StartDelay: 3 * time.Millisecond},
+		{Tag: 2, Label: "Path 2"},
+		{Tag: 3, Label: "Path 3", StartDelay: 1500 * time.Microsecond},
+	}})
+	const stray = 0x5eed
+	r.loop.Schedule(5*time.Millisecond, func() {
+		algo, err := cc.New("reno")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.sender.Dial(tcp.Config{Tag: 3, CC: algo, Source: &mappedData{total: 3 * mss},
+			SynOptions: []packet.Option{&packet.MPJoin{Token: stray, AddrID: 1}}}, r.recvr.Addr, 5001); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if err := r.loop.RunUntil(sim.Time(0).Add(time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if a.Token == b.Token || a.Token == stray || b.Token == stray {
+		t.Fatalf("tokens %x, %x and %x are not distinct", a.Token, b.Token, stray)
+	}
+
+	// In arrival order: A, then B's first join, which opens B; B's second
+	// join, A's two, the bare subflow's, which opens the stray; B's
+	// MP_CAPABLE last, 8 ms after B's connection opened.
+	wantSyns := []joinSyn{
+		{at: 4_029_600, tag: 2, token: a.Token, conns: 0},
+		{at: 4_039_626, tag: 2, token: b.Token, join: true, conns: 1},
+		{at: 8_522_026, tag: 3, token: b.Token, join: true, conns: 2},
+		{at: 9_022_026, tag: 3, token: a.Token, join: true, conns: 2},
+		{at: 10_025_760, tag: 1, token: a.Token, join: true, conns: 2},
+		{at: 12_022_026, tag: 3, token: stray, join: true, conns: 2},
+		{at: 12_027_600, tag: 1, token: b.Token, conns: 3},
+	}
+	if !reflect.DeepEqual(log.syns, wantSyns) {
+		t.Fatalf("SYN arrivals:\n%+v\nwant\n%+v", log.syns, wantSyns)
+	}
+
+	conns := r.acc.Conns()
+	if len(conns) != 3 {
+		t.Fatalf("%d connections accepted, want 3", len(conns))
+	}
+	for i, want := range []struct {
+		token     uint32
+		subflows  int
+		delivered uint64
+	}{{a.Token, 3, 10 * mss}, {b.Token, 3, 7 * mss}, {stray, 1, 3 * mss}} {
+		rc := conns[i]
+		if rc.Token != want.token || rc.subflows != want.subflows || rc.Delivered != want.delivered || rc.DupBytes != 0 || rc.OOOBytes() != 0 {
+			t.Fatalf("connection %d: token %x, %d subflows, %d delivered, %d duplicate, %d parked; want %x, %d, %d, 0, 0",
+				i, rc.Token, rc.subflows, rc.Delivered, rc.DupBytes, rc.OOOBytes(), want.token, want.subflows, want.delivered)
+		}
+	}
+
+	// Only the carrying subflow's connection moves between two arrivals.
+	segs := map[uint32]int{}
+	for i, d := range log.data {
+		segs[d.token]++
+		next := log.counted()
+		if i+1 < len(log.data) {
+			next = log.data[i+1].counted
+		}
+		for token, n := range next {
+			want := d.counted[token]
+			if token == d.token {
+				want += uint64(d.n)
+			}
+			if n != want {
+				t.Fatalf("data arrival %d (%d bytes of %x at %d): connection %x went from %d to %d bytes, want %d",
+					i, d.n, d.token, d.at, token, d.counted[token], n, want)
+			}
+		}
+	}
+	if want := map[uint32]int{a.Token: 10, b.Token: 7, stray: 3}; !reflect.DeepEqual(segs, want) {
+		t.Fatalf("data segments by connection %v, want %v", segs, want)
 	}
 }
