@@ -42,7 +42,7 @@ func benchCold(b *testing.B, solve func(*topo.Graph, []topo.Path, Caps) error) {
 }
 
 // BenchmarkBaselinesCold is a cold CachedBaselinesCaps: the LP, max-min and
-// the proportional-fair descent.
+// the exact proportional-fair solve.
 func BenchmarkBaselinesCold(b *testing.B) {
 	benchCold(b, func(g *topo.Graph, paths []topo.Path, caps Caps) error {
 		_, err := CachedBaselinesCaps(g, paths, caps)
