@@ -1,6 +1,7 @@
 package mptcpsim
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -212,32 +213,41 @@ func shortShards(have map[int]int, n, total int) string {
 // checks before trusting that shard index sets partition one grid.
 func specsDigest(specs []RunSpec) string {
 	h := sha256.New()
-	enc := json.NewEncoder(h)
-	// A cell's runs share its topology, so it is encoded once per cell. The
-	// encoder compacts a RawMessage with the HTML escaping it gives a
-	// struct, so the bytes are those of encoding it in every record.
-	topos := make(map[*cell]json.RawMessage)
+	// A record is the JSON object {"index",…,"options","topology"} and a
+	// newline. A cell's runs share its topology and are consecutive in the
+	// list, so its `,"topology":…}` tail is encoded once per cell and each
+	// record encodes only its head: the hashed bytes are those of encoding
+	// the whole record every time, at a third of the cost.
+	var head, tail bytes.Buffer
+	headEnc, tailEnc := json.NewEncoder(&head), json.NewEncoder(&tail)
+	var last *cell
+	var rec struct {
+		Index        int     `json:"index"`
+		Scenario     string  `json:"scenario"`
+		Perturbation string  `json:"perturbation"`
+		Events       string  `json:"events"`
+		Options      Options `json:"options"`
+	}
 	for _, sp := range specs {
-		topo, ok := topos[sp.cell]
-		if !ok {
-			var err error
-			if topo, err = json.Marshal(sp.cell.scenario); err != nil {
+		// Encoding plain option/topology data cannot fail.
+		if sp.cell != last {
+			last = sp.cell
+			tail.Reset()
+			tail.WriteString(`,"topology":`)
+			if err := tailEnc.Encode(sp.cell.scenario); err != nil {
 				panic(fmt.Sprintf("mptcpsim: spec digest: %v", err))
 			}
-			topos[sp.cell] = topo
+			tail.Truncate(tail.Len() - 1) // the encoder's newline
+			tail.WriteString("}\n")
 		}
-		rec := struct {
-			Index        int             `json:"index"`
-			Scenario     string          `json:"scenario"`
-			Perturbation string          `json:"perturbation"`
-			Events       string          `json:"events"`
-			Options      Options         `json:"options"`
-			Topology     json.RawMessage `json:"topology"`
-		}{sp.Index, sp.Scenario, sp.Perturbation, sp.Events, sp.Options, topo}
-		// Encoding plain option/topology data to a hash cannot fail.
-		if err := enc.Encode(rec); err != nil {
+		rec.Index, rec.Scenario, rec.Perturbation, rec.Events = sp.Index, sp.Scenario, sp.Perturbation, sp.Events
+		rec.Options = sp.Options
+		head.Reset()
+		if err := headEnc.Encode(&rec); err != nil {
 			panic(fmt.Sprintf("mptcpsim: spec digest: %v", err))
 		}
+		h.Write(head.Bytes()[:head.Len()-2]) // all but the closing "}\n"
+		h.Write(tail.Bytes())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
