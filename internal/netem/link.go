@@ -50,6 +50,8 @@ func (c *LinkCounters) DropTotal() uint64 {
 // and its departure settled lazily; see the package documentation.
 type Link struct {
 	net  *Network
+	loop *sim.Loop
+	to   *Node // the far node, which arrivals are handed to
 	Spec topo.Link
 	// name is the "v1->v2" label, rendered once at construction so the
 	// drop path (which reports it per packet) stays allocation-free.
@@ -65,9 +67,12 @@ type Link struct {
 	// txStart if serving, else queued to start at txStart — and the rest
 	// are queued behind it; queuedBytes sums the queued ones. Only
 	// frames[0] has a pending event (armed), under its reserved seq.
-	frames      fifo.Queue[frame]
-	departed    int
-	serving     bool
+	frames   fifo.Queue[frame]
+	departed int
+	serving  bool
+	// down marks the link administratively dead (dynamic LinkDown event).
+	// It sits beside serving so the two flags share a word.
+	down        bool
 	txStart     sim.Time
 	queuedBytes unit.ByteSize
 	armed       sim.Timer
@@ -79,8 +84,6 @@ type Link struct {
 	memoRate unit.Rate
 	memoTx   time.Duration
 
-	// down marks the link administratively dead (dynamic LinkDown event).
-	down bool
 	// cutPkt is the frame SetDown severed mid-serialisation: it holds the
 	// transmitter until cutEnd, its committed end, and never arrives.
 	cutPkt *packet.Packet
@@ -100,7 +103,7 @@ func newLink(n *Network, spec topo.Link) *Link {
 	if cap <= 0 {
 		cap = max(spec.Rate.Bytes(DefaultQueueTime), MinQueue)
 	}
-	l := &Link{net: n, Spec: spec, capBytes: cap}
+	l := &Link{net: n, loop: n.Loop, to: n.nodes[spec.To], Spec: spec, capBytes: cap}
 	l.frames.Adopt(frameBufs.Get(0))
 	l.name = n.Graph.Node(spec.From).Name + "->" + n.Graph.Node(spec.To).Name
 	l.arrive.l = l
@@ -111,13 +114,20 @@ func newLink(n *Network, spec topo.Link) *Link {
 var frameBufs fifo.Pool[frame]
 
 // frame is one admitted frame: until it leaves the transmitter t is the
-// committed end of its serialisation, afterwards its committed arrival. seq
-// is the scheduling seq reserved for that arrival at admission.
+// committed end of its serialisation, afterwards its committed arrival. key
+// packs the seq reserved for that arrival at admission above the wire size.
 type frame struct {
 	pkt *packet.Packet
 	t   sim.Time
-	seq uint64
+	key uint64 // seq<<sizeBits | size
 }
+
+// sizeBits is the wire-size width inside frame.key: an IP packet is at most
+// 65 535 bytes, and the kernel issues fewer than 2^40 seqs, so both fit.
+const sizeBits = 24
+
+func (f *frame) seq() uint64         { return f.key >> sizeBits }
+func (f *frame) size() unit.ByteSize { return unit.ByteSize(f.key & (1<<sizeBits - 1)) }
 
 // arriveCallback adapts propagation arrival to sim.Callback. Arrivals on
 // one link fire in transmit order (times are clamped monotone, ties break
@@ -170,7 +180,7 @@ func (l *Link) SetRate(r unit.Rate) {
 	if r <= 0 {
 		panic("netem: SetRate needs a positive rate; use SetDown for outages")
 	}
-	l.settle(l.net.Loop.Now())
+	l.settle(l.loop.Now())
 	l.Spec.Rate = r
 	i, t := l.departed, l.txStart
 	if l.cutPkt != nil {
@@ -181,7 +191,7 @@ func (l *Link) SetRate(r unit.Rate) {
 	}
 	for ; i < l.frames.Len(); i++ {
 		f := l.frames.At(i)
-		t = t.Add(l.txTime(f.pkt.Size()))
+		t = t.Add(l.txTime(f.size()))
 		f.t = t
 	}
 	l.rearm()
@@ -192,7 +202,7 @@ func (l *Link) SetRate(r unit.Rate) {
 // shrinks, the next arrivals are clamped to the latest in-flight arrival so
 // the link never reorders (FIFO is preserved by construction).
 func (l *Link) SetDelay(d time.Duration) {
-	l.settle(l.net.Loop.Now())
+	l.settle(l.loop.Now())
 	l.Spec.Delay = max(d, 0)
 	l.rearm()
 }
@@ -202,7 +212,7 @@ func (l *Link) SetDelay(d time.Duration) {
 // until its committed end and never arrives), and packets arriving while
 // down are dropped on admission. Frames already propagating still arrive.
 func (l *Link) SetDown() {
-	l.settle(l.net.Loop.Now())
+	l.settle(l.loop.Now())
 	l.down = true
 	if l.departed == 0 {
 		l.armed.Stop() // the oldest frame will not arrive
@@ -225,12 +235,12 @@ func (l *Link) SetUp() { l.down = false }
 
 // Settle books every departure through the current instant inclusive, for
 // readers outside the event flow: end-of-run collection, audits.
-func (l *Link) Settle() { l.settle(l.net.Loop.Now() + 1) }
+func (l *Link) Settle() { l.settle(l.loop.Now() + 1) }
 
 // Utilisation returns the fraction of the elapsed simulation time the
 // transmitter was busy, as of the last settle.
 func (l *Link) Utilisation() float64 {
-	if now := l.net.Loop.Now(); now > 0 {
+	if now := l.loop.Now(); now > 0 {
 		return float64(l.Counters.Busy) / float64(now.Duration())
 	}
 	return 0
@@ -264,7 +274,7 @@ func (l *Link) txTime(sz unit.ByteSize) time.Duration {
 
 // enqueue admits a packet to the transmit queue and commits its schedule.
 func (l *Link) enqueue(pkt *packet.Packet) {
-	now := l.net.Loop.Now()
+	now := l.loop.Now()
 	l.settle(now)
 	l.Counters.Offered++
 	if l.down {
@@ -280,6 +290,9 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 		return
 	}
 	sz := pkt.Size()
+	if sz >= 1<<sizeBits {
+		panic("netem: packet larger than a frame can record")
+	}
 	if l.queuedBytes+sz > l.capBytes {
 		l.drop(pkt, DropQueueFull)
 		return
@@ -296,7 +309,7 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 	default:
 		l.serving, l.txStart = true, now
 	}
-	l.frames.Push(frame{pkt: pkt, t: start.Add(l.txTime(sz)), seq: l.net.Loop.ReserveSeq()})
+	l.frames.Push(frame{pkt: pkt, t: start.Add(l.txTime(sz)), key: l.loop.ReserveSeq()<<sizeBits | uint64(sz)})
 	if n == 0 {
 		l.arm()
 	}
@@ -321,7 +334,7 @@ func (l *Link) settle(before sim.Time) {
 				return
 			}
 			l.serving = true
-			l.queuedBytes -= f.pkt.Size()
+			l.queuedBytes -= f.size()
 		}
 		if f.t >= before {
 			return
@@ -329,7 +342,7 @@ func (l *Link) settle(before sim.Time) {
 		l.Counters.Busy += f.t.Sub(l.txStart)
 		l.txStart, l.serving = f.t, false
 		l.Counters.TxPackets++
-		l.Counters.TxBytes += uint64(f.pkt.Size())
+		l.Counters.TxBytes += uint64(f.size())
 		l.net.tapTransmit(l, f.pkt, f.t)
 		// Propagate, never arriving before the frame ahead: a runtime delay
 		// cut cannot reorder (equal times keep FIFO by scheduling seq).
@@ -347,7 +360,7 @@ func (l *Link) arm() {
 	if l.departed == 0 {
 		at = at.Add(l.Spec.Delay)
 	}
-	l.armed = l.net.Loop.AtCallReserved(at, f.seq, &l.arrive)
+	l.armed = l.loop.AtCallReserved(at, f.seq(), &l.arrive)
 }
 
 // rearm moves the pending arrival of an oldest frame a mutator re-timed.
@@ -376,5 +389,5 @@ func (l *Link) arrival(now sim.Time) {
 		l.arm()
 	}
 	l.net.tapArrive(l, pkt)
-	l.net.nodes[l.Spec.To].receive(pkt)
+	l.to.receive(pkt)
 }

@@ -286,3 +286,59 @@ func TestZeroDelayLinkIsFIFO(t *testing.T) {
 		checkConserved(t, l, l.Name())
 	}
 }
+
+// TestFrameKeyPacksSeqAndSize: a frame's key holds its reserved seq and its
+// wire size without loss at both extremes, and on a link each frame's key
+// carries its packet's size, so SetRate re-times the queue exactly as from
+// pkt.Size().
+func TestFrameKeyPacksSeqAndSize(t *testing.T) {
+	for _, c := range []struct {
+		seq  uint64
+		size unit.ByteSize
+	}{{0, 0}, {0, 65535}, {1<<40 - 1, 0}, {1<<40 - 1, 65535}, {12345, 1500}} {
+		f := frame{key: c.seq<<sizeBits | uint64(c.size)}
+		if f.seq() != c.seq || f.size() != c.size {
+			t.Errorf("key of (seq %d, size %d) reads back (%d, %d)", c.seq, c.size, f.seq(), f.size())
+		}
+	}
+
+	loop, net, a, _, aAddr, cAddr := lineNet(t, unit.Mbps, time.Millisecond, 200*unit.KB)
+	hdr := packet.IPv4HeaderLen + packet.UDPHeaderLen
+	payloads := []int{frame1250, 0, 9000 - hdr, 65535 - hdr, frame1250}
+	loop.Schedule(0, func() {
+		for _, n := range payloads {
+			a.Send(dataPkt(aAddr, cAddr, 1, n))
+		}
+	})
+	checked := false
+	loop.Schedule(5*time.Millisecond, func() {
+		l := net.Link(0)
+		l.SetRate(3 * unit.Mbps)
+		if !l.serving || l.departed != 0 || l.frames.Len() != len(payloads) {
+			t.Fatalf("test setup: serving=%v departed=%d frames=%d, want the first of %d in service",
+				l.serving, l.departed, l.frames.Len(), len(payloads))
+		}
+		for i := 0; i < l.frames.Len(); i++ {
+			f := l.frames.At(i)
+			if f.size() != f.pkt.Size() {
+				t.Errorf("frame %d: key size %d, packet size %d", i, f.size(), f.pkt.Size())
+			}
+			if i > 0 && f.seq() <= l.frames.At(i-1).seq() {
+				t.Errorf("frame %d: seq %d not after the previous frame's %d", i, f.seq(), l.frames.At(i-1).seq())
+			}
+			if i == 0 {
+				continue
+			}
+			if want := l.frames.At(i - 1).t.Add(l.Spec.Rate.TxTime(f.pkt.Size())); f.t != want {
+				t.Errorf("frame %d re-timed to end at %v, want %v from pkt.Size()", i, f.t, want)
+			}
+		}
+		checked = true
+	})
+	if err := loop.RunUntil(6 * ms); err != nil {
+		t.Fatal(err)
+	}
+	if !checked {
+		t.Fatal("the re-timing check never ran")
+	}
+}

@@ -14,13 +14,14 @@
 // form, so a Link commits a frame's whole schedule at admission: it starts
 // when its predecessor ends (now, on an idle transmitter), ends one
 // transmission time later and arrives Spec.Delay after that, under a
-// scheduling seq reserved then. The link's only heap entry is the arrival of
-// its oldest frame; what a departure does — counters, transmit tap, freeing
-// queue space — is settled lazily, as of the frame's own end, the next time
-// the link is touched (admission, arrival, mutator, Link.Settle). SetRate
-// re-times every frame behind the one in service, SetDelay moves the arrivals
-// of frames that have not left, SetDown drops what has not started and cuts
-// the frame in service.
+// scheduling seq reserved then. Its 24-byte record holds the packet, that
+// time and the seq packed above the wire size, so settling reads no packet.
+// The link's only heap entry is the arrival of its oldest frame; what a
+// departure does — counters, transmit tap, freeing queue space — is settled
+// lazily, as of the frame's own end, the next time the link is touched
+// (admission, arrival, mutator, Link.Settle). SetRate re-times every frame
+// behind the one in service, SetDelay moves the arrivals of frames that have
+// not left, SetDown drops what has not started and cuts the frame in service.
 //
 // Same-instant ties. The event that used to end a serialisation was scheduled
 // a transmission time ahead, so it was nearly always the youngest of its

@@ -53,13 +53,15 @@ func BenchmarkSelfReschedule(b *testing.B) {
 	}
 }
 
-// ackClocker is TCP's per-ACK timer work: stop the retransmission timer,
-// re-arm it far out (it never fires), then schedule the next ACK close by.
+// ackClocker is TCP's per-ACK timer work: re-arm the retransmission timer
+// far out (it never fires), then schedule the next ACK close by. The re-arm
+// is a Rearm, or a Stop and a fresh schedule.
 type ackClocker struct {
-	l    *Loop
-	rto  Timer
-	idle countCall
-	left int
+	l     *Loop
+	rto   Timer
+	idle  countCall
+	left  int
+	rearm bool
 }
 
 func (a *ackClocker) Run(Time) {
@@ -67,20 +69,33 @@ func (a *ackClocker) Run(Time) {
 		a.l.Stop()
 		return
 	}
-	a.rto.Stop()
-	a.rto = a.l.ScheduleCall(200*time.Millisecond, &a.idle)
+	if a.rearm {
+		a.rto = a.l.Rearm(a.rto, 200*time.Millisecond, &a.idle)
+	} else {
+		a.rto.Stop()
+		a.rto = a.l.ScheduleCall(200*time.Millisecond, &a.idle)
+	}
 	a.l.ScheduleCall(100*time.Microsecond, a)
 }
 
-// BenchmarkAckClock times Stop + far re-arm + near re-arm per event.
+// BenchmarkAckClock times a far re-arm plus a near re-arm per event, the far
+// one by Stop and ScheduleCall and by Rearm.
 func BenchmarkAckClock(b *testing.B) {
-	l := NewLoop()
-	a := &ackClocker{l: l, left: b.N}
-	l.ScheduleCall(0, a)
-	b.ReportAllocs()
-	b.ResetTimer()
-	if err := l.Run(); err != nil {
-		b.Fatal(err)
+	for _, rearm := range []bool{false, true} {
+		name := "stop+schedule"
+		if rearm {
+			name = "rearm"
+		}
+		b.Run(name, func(b *testing.B) {
+			l := NewLoop()
+			a := &ackClocker{l: l, left: b.N, rearm: rearm}
+			l.ScheduleCall(0, a)
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := l.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -3,8 +3,9 @@ package sim
 // Ordering tests: the observable execution order must be exactly the
 // reference kernel's — strict (at, seq) order, one pop, one callback,
 // repeat — across dense timestamp collisions, stops of later same-instant
-// events, reserved seqs armed ahead of the running event, and runs
-// interrupted within an instant (Stop / event limit). The kernel runs an
+// events, re-arms of pending, fired and stopped timers, reserved seqs armed
+// ahead of the running event, and runs interrupted within an instant (Stop /
+// event limit). The kernel runs an
 // event with its entry still at the heap's root; the reference pops first.
 
 import (
@@ -113,9 +114,11 @@ type step struct {
 // the real loop and the reference interpreter take identical decisions:
 // spawn 0-2 children at delay 0-2 ns (delay 0 collides with the current
 // instant), sometimes stop an earlier-created event — before the first
-// schedule, tcp.armRTO's order, or after the last — sometimes reserve a seq,
-// and sometimes arm the oldest reserved seq at the current instant before
-// scheduling anything else.
+// schedule or after the last — sometimes re-arm one, or the running event's
+// own handle, at delay 0-2 ns, before the first schedule (while the fired
+// root is held) or after the last, sometimes reserve a seq, and sometimes
+// arm the oldest reserved seq at the current instant before scheduling
+// anything else.
 type program struct{ seed int64 }
 
 type progActions struct {
@@ -124,6 +127,9 @@ type progActions struct {
 	stopFirst   bool
 	reserve     bool
 	armReserved bool
+	rearmLabel  int64 // -1: none
+	rearmDelay  time.Duration
+	rearmFirst  bool
 }
 
 func (p *program) actions(label int64) progActions {
@@ -138,16 +144,27 @@ func (p *program) actions(label int64) progActions {
 	a.stopFirst = rng.Intn(2) == 0
 	a.reserve = rng.Intn(4) == 0
 	a.armReserved = rng.Intn(3) == 0
+	a.rearmLabel = -1
+	switch r := rng.Intn(6); {
+	case r == 0:
+		a.rearmLabel = label
+	case r < 3 && label > 0:
+		a.rearmLabel = rng.Int63n(label)
+	}
+	a.rearmDelay = time.Duration(rng.Intn(3))
+	a.rearmFirst = rng.Intn(2) == 0
 	return a
 }
 
 // progKernel is what the program needs of a kernel; events are named by
-// label. arm schedules a reserved seq at the current instant; runUntil runs
+// label. arm schedules a reserved seq at the current instant; rearm is a
+// Stop of one label and a schedule of another, in one call; runUntil runs
 // every event due by deadline through the program's handler, then moves the
 // clock as RunUntil does.
 type progKernel interface {
 	spawn(d time.Duration, label int64)
 	arm(seq uint64, label int64)
+	rearm(old int64, d time.Duration, label int64)
 	reserveSeq() uint64
 	stop(label int64)
 	pending() int
@@ -175,6 +192,15 @@ func (r *progRun) newLabel() int64 {
 func (r *progRun) handle(label int64, at Time) {
 	rec := step{fired: fired{label, at}, lenBegin: r.k.pending()}
 	a := r.actions(label)
+	rearm := func() {
+		if a.rearmLabel >= 0 && r.budget > 0 {
+			r.budget--
+			r.k.rearm(a.rearmLabel, a.rearmDelay, r.newLabel())
+		}
+	}
+	if a.rearmFirst {
+		rearm()
+	}
 	if a.stopFirst && a.stopLabel >= 0 {
 		r.k.stop(a.stopLabel)
 	}
@@ -193,6 +219,9 @@ func (r *progRun) handle(label int64, at Time) {
 	if !a.stopFirst && a.stopLabel >= 0 {
 		r.k.stop(a.stopLabel)
 	}
+	if !a.rearmFirst {
+		rearm()
+	}
 	if a.reserve {
 		r.reserved = append(r.reserved, r.k.reserveSeq())
 	}
@@ -202,8 +231,10 @@ func (r *progRun) handle(label int64, at Time) {
 
 // heldCases counts how often the program reached the held root's cases:
 // a Stop with the fired root held, a first schedule that sorts before the
-// running event, and an event that scheduled nothing.
-type heldCases struct{ stops, olderFirst, idle int }
+// running event, an event that scheduled nothing, a Rearm of a pending
+// timer with the fired root held, and a Rearm of the running event's own
+// handle that took the root.
+type heldCases struct{ stops, olderFirst, idle, rearms, selfRearms int }
 
 // loopKernel drives the real Loop, checking the heap around every handler.
 type loopKernel struct {
@@ -212,13 +243,14 @@ type loopKernel struct {
 	run    *progRun
 	timers map[int64]Timer
 	curSeq uint64 // seq of the running event
+	curLbl int64  // label of the running event
 	cases  *heldCases
 }
 
 func (k *loopKernel) callback(label int64, seq uint64) funcCallback {
 	return func() {
 		checkHeap(k.t, k.l)
-		k.curSeq = seq
+		k.curSeq, k.curLbl = seq, label
 		k.run.handle(label, k.l.Now())
 		if k.l.held >= 0 {
 			k.cases.idle++
@@ -236,6 +268,19 @@ func (k *loopKernel) arm(seq uint64, label int64) {
 		k.cases.olderFirst++
 	}
 	k.timers[label] = k.l.AtCallReserved(k.l.Now(), seq, k.callback(label, seq))
+}
+
+func (k *loopKernel) rearm(old int64, d time.Duration, label int64) {
+	tm := k.timers[old]
+	switch {
+	case k.l.held < 0:
+	case tm.Pending():
+		k.cases.rearms++
+	case old == k.curLbl:
+		k.cases.selfRearms++
+	}
+	k.timers[label] = k.l.Rearm(tm, d, k.callback(label, k.l.seq))
+	checkHeap(k.t, k.l)
 }
 
 func (k *loopKernel) reserveSeq() uint64 { return k.l.ReserveSeq() }
@@ -269,6 +314,11 @@ func (k *refProgKernel) spawn(d time.Duration, label int64) {
 
 func (k *refProgKernel) arm(seq uint64, label int64) {
 	k.events[label] = k.ref.scheduleSeq(0, seq, label)
+}
+
+func (k *refProgKernel) rearm(old int64, d time.Duration, label int64) {
+	k.stop(old)
+	k.spawn(d, label)
 }
 
 func (k *refProgKernel) reserveSeq() uint64 { return k.ref.reserve() }
@@ -344,7 +394,7 @@ func TestOrderMatchesReferenceKernel(t *testing.T) {
 			t.Fatalf("seed %d: drained loop has Len()=%d held=%d", seed, l.Len(), l.held)
 		}
 	}
-	if cases.stops == 0 || cases.olderFirst == 0 || cases.idle == 0 {
+	if cases.stops == 0 || cases.olderFirst == 0 || cases.idle == 0 || cases.rearms == 0 || cases.selfRearms == 0 {
 		t.Fatalf("program never reached a held-root case: %+v", cases)
 	}
 }

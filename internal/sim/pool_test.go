@@ -1,8 +1,9 @@
 package sim
 
 // Tests for the pooled event arena: generation-counter (ABA) safety of
-// recycled Timer handles, the 4-ary index heap against a container/heap
-// reference, and the zero-allocation guarantees of the fast path.
+// recycled Timer handles, the 4-ary index heap (removals and in-place
+// re-arms included) against a container/heap reference, and the
+// zero-allocation guarantees of the fast path.
 
 import (
 	"container/heap"
@@ -171,21 +172,31 @@ func (q *refQueue) Pop() any {
 
 // TestQuickHeapMatchesReference drives the pooled 4-ary heap and a
 // container/heap reference with the same random (at, seq) stream,
-// interleaving pushes, removals of random live entries and pops. The pop
-// order must match the reference exactly at every step.
+// interleaving pushes, removals of random live entries, re-arms and pops. A
+// re-arm moves a live entry earlier, later or to the same instant under a
+// fresh seq, or re-arms a fired or stopped handle; the reference does a
+// literal removal and push. The pop order must match the reference exactly
+// at every step.
 func TestQuickHeapMatchesReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		l := NewLoop()
 		ref := &refQueue{}
-		nop := func() {}
+		cb := &countCall{}
 
-		// live maps a kernel Timer to its reference twin.
+		// live maps a kernel Timer to its reference twin; dead holds the
+		// handles of fired and stopped events.
 		type pair struct {
 			tm Timer
 			re *refEvent
 		}
 		var live []pair
+		var dead []Timer
+		kill := func(i int) {
+			dead = append(dead, live[i].tm)
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
 
 		// popBoth pops the kernel heap's root directly, bypassing RunUntil.
 		popBoth := func() {
@@ -199,19 +210,27 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			}
 			for i := range live {
 				if live[i].re == want {
-					live[i] = live[len(live)-1]
-					live = live[:len(live)-1]
+					kill(i)
 					break
 				}
 			}
 		}
 
+		// rearm re-arms tm to at on the kernel (the clock stays at 0, so the
+		// delay is the instant) and pushes its twin on the reference.
+		rearm := func(tm Timer, at Time) pair {
+			seq := l.seq // Rearm consumes this seq
+			re := &refEvent{at: at, seq: seq}
+			heap.Push(ref, re)
+			return pair{l.Rearm(tm, time.Duration(at), cb), re}
+		}
+
 		for op := 0; op < 4000; op++ {
-			switch r := rng.Intn(10); {
+			switch r := rng.Intn(14); {
 			case r < 5: // push
 				at := Time(rng.Intn(1000))
-				seq := l.seq // At consumes this seq
-				tm := l.At(at, nop)
+				seq := l.seq // AtCall consumes this seq
+				tm := l.AtCall(at, cb)
 				re := &refEvent{at: at, seq: seq}
 				heap.Push(ref, re)
 				live = append(live, pair{tm, re})
@@ -222,8 +241,29 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 					t.Fatalf("seed %d: Stop on a live entry reported false", seed)
 				}
 				heap.Remove(ref, p.re.pos)
-				live[i] = live[len(live)-1]
-				live = live[:len(live)-1]
+				kill(i)
+			case r < 10 && len(live) > 0: // re-arm a live entry
+				i := rng.Intn(len(live))
+				p := live[i]
+				at := p.re.at // the same instant
+				switch r {
+				case 7: // earlier
+					at = max(at-Time(rng.Intn(100)), 0)
+				case 8: // later
+					at += Time(rng.Intn(100))
+				}
+				heap.Remove(ref, p.re.pos)
+				kill(i)
+				live = append(live, rearm(p.tm, at))
+				if p.tm.Pending() {
+					t.Fatalf("seed %d: re-armed handle still pending", seed)
+				}
+			case r < 11 && len(dead) > 0: // re-arm a fired or stopped handle
+				tm := dead[rng.Intn(len(dead))]
+				if tm.Pending() {
+					t.Fatalf("seed %d: fired or stopped handle pending", seed)
+				}
+				live = append(live, rearm(tm, Time(rng.Intn(1000))))
 			case len(live) > 0: // pop the minimum from both
 				popBoth()
 			}
@@ -270,6 +310,45 @@ func TestStopRemovesEntryInPlace(t *testing.T) {
 	if c.HeapPeak > k+1 || len(l.nodes) > k+1 {
 		t.Fatalf("HeapPeak=%d, arena %d after 10000 re-arms of %d timers, want both <= %d",
 			c.HeapPeak, len(l.nodes), k, k+1)
+	}
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cb.n != k {
+		t.Fatalf("%d timers fired, want the %d live ones", cb.n, k)
+	}
+}
+
+// TestRearmKeysEntryInPlace: Rearm re-keys a pending timer's own entry, so
+// re-arming k live timers any number of times keeps the pending queue, its
+// high-water mark and the arena at exactly k, and never touches the free
+// list.
+func TestRearmKeysEntryInPlace(t *testing.T) {
+	const k = 100
+	l := NewLoop()
+	cb := &countCall{}
+	timers := make([]Timer, k)
+	for i := range timers {
+		timers[i] = l.ScheduleCall(time.Duration(i+1)*time.Second, cb)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 10000; n++ {
+		i := rng.Intn(k)
+		old := timers[i]
+		timers[i] = l.Rearm(old, time.Duration(1+rng.Intn(1000))*time.Second, cb)
+		if old.Pending() || !timers[i].Pending() || timers[i].id != old.id {
+			t.Fatalf("re-arm %d: old handle pending=%v, new pending=%v, node %d -> %d; want a fresh handle to the same node",
+				n, old.Pending(), timers[i].Pending(), old.id, timers[i].id)
+		}
+		if l.Len() != k {
+			t.Fatalf("re-arm %d: Len() = %d, want %d", n, l.Len(), k)
+		}
+	}
+	checkHeap(t, l)
+	c := l.Counters()
+	if c.HeapPeak != k || len(l.nodes) != k || c.Recycled != 0 || c.Scheduled != k+10000 {
+		t.Fatalf("HeapPeak=%d, arena %d, recycled %d, scheduled %d after 10000 re-arms of %d timers; want %d, %d, 0, %d",
+			c.HeapPeak, len(l.nodes), c.Recycled, c.Scheduled, k, k, k, k+10000)
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -373,8 +452,8 @@ func TestScheduleCallZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestTimerResetZeroAlloc is the timer-reset gate: the arm/stop/re-arm
-// cycle every TCP ACK performs must not allocate.
+// TestTimerResetZeroAlloc is the timer-reset gate: neither the stop and
+// re-arm cycle nor the Rearm every TCP ACK performs may allocate.
 func TestTimerResetZeroAlloc(t *testing.T) {
 	l := NewLoop()
 	cb := &countCall{}
@@ -385,6 +464,12 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("timer reset allocates %.1f objects, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		tm = l.Rearm(tm, time.Second, cb)
+	})
+	if allocs != 0 {
+		t.Fatalf("Rearm allocates %.1f objects, want 0", allocs)
 	}
 }
 

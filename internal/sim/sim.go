@@ -21,8 +21,8 @@
 // leaves the fired root at heap[0], and the first event scheduled inside the
 // callback takes that slot and node with one sift down — one sift per event,
 // not a pop and a push. Every node records where its entry sits in the heap,
-// so Timer.Stop removes that entry in place: there are no dead entries to
-// skip or sweep, and nothing runs ahead of its turn.
+// so Timer.Stop removes and Loop.Rearm re-keys that entry in place: there
+// are no dead entries to skip or sweep, and nothing runs ahead of its turn.
 //
 // Ordering contract: events run in strictly increasing (at, seq) order,
 // where seq is the scheduling sequence number the kernel issued — at
@@ -152,11 +152,9 @@ func (t Timer) live() bool {
 // Stop cancels the timer. It reports whether the callback was still
 // pending; it returns false if the callback already ran, the timer was
 // stopped, or the handle is the zero value. Stop removes the event's heap
-// entry in place. The timers that get stopped (TCP's retransmission and
-// delayed-ACK timers, re-armed on every ACK) are due far later than the
-// packet events around them, so their entries sit near the bottom of the
-// heap and the removal is a couple of moves. A fired root still held at
-// heap[0] has a key below every pending key, so no sift moves it.
+// entry in place: the last entry takes its slot and sifts from there. A
+// fired root still held at heap[0] has a key below every pending key, so no
+// sift moves it.
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
@@ -201,9 +199,10 @@ type Loop struct {
 	peak int
 }
 
-// NewLoop returns an empty event loop positioned at time 0.
+// NewLoop returns an empty event loop positioned at time 0, with room for
+// 32 pending events: the pending sets of the paper-scale runs peak below it.
 func NewLoop() *Loop {
-	return &Loop{held: -1}
+	return &Loop{held: -1, nodes: make([]node, 0, 32), heap: make([]entry, 0, 32)}
 }
 
 // Now returns the current virtual time.
@@ -305,7 +304,12 @@ func (l *Loop) removeAt(pos int) {
 		return
 	}
 	l.heap[pos] = e
-	if pos > 0 && before(e, l.heap[(pos-1)/4]) != 0 {
+	l.fix(pos)
+}
+
+// fix sifts the entry at heap index pos up or down to where it belongs.
+func (l *Loop) fix(pos int) {
+	if pos > 0 && before(l.heap[pos], l.heap[(pos-1)/4]) != 0 {
 		l.up(pos)
 	} else {
 		l.down(pos)
@@ -407,6 +411,25 @@ func (l *Loop) AtCall(t Time, cb Callback) Timer {
 		panic("sim: AtCall called with nil callback")
 	}
 	return l.schedule(t, l.nextSeq(), cb)
+}
+
+// Rearm is t.Stop() followed by ScheduleCall(d, cb), for t a timer of l or
+// the zero Timer. A pending t's own node and heap entry take cb and the new
+// key, fresh seq included, and one sift moves the entry: a timer re-armed on
+// every ACK costs no removal, node recycle or push.
+func (l *Loop) Rearm(t Timer, d time.Duration, cb Callback) Timer {
+	if !t.live() {
+		return l.ScheduleCall(d, cb)
+	}
+	if cb == nil {
+		panic("sim: Rearm called with nil callback")
+	}
+	nd := &l.nodes[t.id]
+	nd.gen++
+	nd.cb = cb
+	l.heap[nd.pos] = mkEntry(l.now.Add(max(d, 0)), l.nextSeq(), t.id)
+	l.fix(int(nd.pos))
+	return Timer{loop: l, id: t.id, gen: nd.gen}
 }
 
 // ReserveSeq issues the next scheduling seq without scheduling anything.

@@ -1,8 +1,9 @@
 package tcp
 
 // Allocation gate for the TCP timer path: the RTO re-arm every ACK
-// performs (stop + schedule of the pre-bound callback) must not allocate
-// once the loop arena is warm.
+// performs and the delayed-ACK re-arm must not allocate once the loop arena
+// is warm, and a pending timer is re-keyed in place (sim.Loop.Rearm), never
+// stopped and scheduled on a fresh node.
 
 import (
 	"testing"
@@ -26,16 +27,24 @@ func TestArmRTOZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("RTO re-arm allocates %.1f objects, want 0", allocs)
 	}
+	if n := c.loop.Counters().Recycled; n != 0 {
+		t.Fatalf("RTO re-arms recycled %d nodes, want 0 (re-keyed in place)", n)
+	}
 	c.stopRTO()
 
-	// The delayed-ACK arm is the same pattern on the receive side.
-	c.delAckTimer = c.loop.ScheduleCall(time.Second, &c.delAckCall)
+	// The delayed-ACK arm is the same pattern on the receive side: the
+	// first segment to wait for an ACK re-arms a timer an immediate ACK
+	// left pending.
+	c.delAckTimer = c.loop.Rearm(c.delAckTimer, DefaultDelAckTimeout, &c.delAckCall)
+	recycled := c.loop.Counters().Recycled
 	allocs = testing.AllocsPerRun(1000, func() {
-		c.delAckTimer.Stop()
-		c.delAckTimer = c.loop.ScheduleCall(time.Second, &c.delAckCall)
+		c.delAckTimer = c.loop.Rearm(c.delAckTimer, DefaultDelAckTimeout, &c.delAckCall)
 	})
 	if allocs != 0 {
 		t.Fatalf("delayed-ACK re-arm allocates %.1f objects, want 0", allocs)
+	}
+	if n := c.loop.Counters().Recycled - recycled; n != 0 || c.loop.Len() != 1 {
+		t.Fatalf("delayed-ACK re-arms recycled %d nodes and left %d events pending, want 0 and 1", n, c.loop.Len())
 	}
 }
 

@@ -51,13 +51,16 @@ func (c *Conn) processData(pkt *packet.Packet) {
 			c.sendPureAck()
 		} else if c.ackPending >= DefaultDelAckCount {
 			c.sendPureAck()
-		} else if !c.delAckTimer.Pending() {
-			c.delAckTimer = c.loop.ScheduleCall(DefaultDelAckTimeout, &c.delAckCall)
+		} else if c.ackPending == 1 {
+			// The first segment to wait for an ACK arms the timer, which
+			// an immediate ACK may have left pending: re-key it in place.
+			c.delAckTimer = c.loop.Rearm(c.delAckTimer, DefaultDelAckTimeout, &c.delAckCall)
 		}
 	}
 }
 
-// onDelAck fires when the delayed-ACK timer expires.
+// onDelAck fires when the delayed-ACK timer expires; after an immediate ACK
+// it has nothing to acknowledge.
 func (c *Conn) onDelAck() {
 	if c.ackPending > 0 {
 		c.sendPureAck()
@@ -174,11 +177,11 @@ func (c *Conn) drainOOO() {
 	}
 }
 
-// sendPureAck emits an immediate acknowledgement (cancelling any delayed
-// ACK) carrying the connection-level data ACK when a Sink provides one.
+// sendPureAck emits an immediate acknowledgement carrying the
+// connection-level data ACK when a Sink provides one. A pending delayed-ACK
+// timer stays: onDelAck finds nothing to acknowledge, or a re-arm moves it.
 func (c *Conn) sendPureAck() {
 	c.ackPending = 0
-	c.delAckTimer.Stop()
 	p, t := c.arena.GetTCP()
 	t.SrcPort = c.local.Port
 	t.DstPort = c.remote.Port

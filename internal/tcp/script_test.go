@@ -319,3 +319,34 @@ func TestScriptSackOptionSpaceTruncation(t *testing.T) {
 		t.Fatalf("SACK blocks %v, want %v", a.sack, want)
 	}
 }
+
+// An immediate ACK leaves the delayed-ACK timer pending, to fire as a no-op.
+// The next segment to wait for an ACK re-arms it, so that ACK goes out one
+// DefaultDelAckTimeout after the segment, not when the first deadline falls.
+func TestScriptDelayedAckRearm(t *testing.T) {
+	p := newScriptPeer(t, Config{})
+	p.acks = p.acks[:0]
+	noAck := func(step string) {
+		t.Helper()
+		if len(p.acks) != 0 {
+			t.Fatalf("%s: %d ACKs sent, want none", step, len(p.acks))
+		}
+	}
+	p.push(0) // waits; the timer is due 40 ms on
+	noAck("after segment 0")
+	p.advance(10 * time.Millisecond)
+	p.push(1) // the second segment is acknowledged at once
+	p.lastAck("after segment 1")
+	p.advance(20 * time.Millisecond)
+	p.push(2) // waits; the timer moves to 40 ms from now
+	p.advance(DefaultDelAckTimeout - time.Nanosecond)
+	noAck("just before segment 2's deadline")
+	p.advance(time.Nanosecond)
+	p.lastAck("at segment 2's deadline")
+
+	p.push(3)
+	p.push(4)
+	p.lastAck("after segment 4")
+	p.advance(2 * DefaultDelAckTimeout)
+	noAck("after the timer left by segment 4's ACK fired")
+}

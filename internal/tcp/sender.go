@@ -512,10 +512,10 @@ func (c *Conn) retransmitFront() {
 }
 
 // armRTO (re)starts the retransmission timer. The reset is allocation-free:
-// the pre-bound callback struct is scheduled on a pooled event node.
+// a pending timer's own heap entry takes the new deadline (sim.Loop.Rearm),
+// and the pre-bound callback struct needs no closure.
 func (c *Conn) armRTO(d time.Duration) {
-	c.rtoTimer.Stop()
-	c.rtoTimer = c.loop.ScheduleCall(d, &c.rtoCall)
+	c.rtoTimer = c.loop.Rearm(c.rtoTimer, d, &c.rtoCall)
 }
 
 func (c *Conn) stopRTO() {
