@@ -475,5 +475,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	receiver.Release()
 	acc.Release()
 	rng.Release()
+	loop.Release()
 	return res, nil
 }

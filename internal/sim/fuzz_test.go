@@ -67,10 +67,10 @@ func fuzzDrive(data []byte, k progKernel, run *progRun) {
 // and through the reference kernel: schedules, reserved seqs armed at the
 // current instant (older than the running event's when reserved before it
 // was scheduled), stops before and after a handler's first schedule (the
-// former with the fired root held), handlers that schedule nothing, and
+// former with the fired key held), handlers that schedule nothing, and
 // RunUntil to deadlines. The firing order, every Len() a handler and a round
 // end see, and the clock at each round's end must be the reference's, and
-// the heap invariant must hold around every handler.
+// the tree invariant must hold around every handler.
 func FuzzEventOrder(f *testing.F) {
 	// Equal-timestamp ties: every root and child at the current instant,
 	// handlers that spawn, stop, reserve and arm.
@@ -89,7 +89,7 @@ func FuzzEventOrder(f *testing.F) {
 		got := &progRun{k: lk, budget: 2000}
 		lk.run = got
 		fuzzDrive(data, lk, got)
-		checkHeap(t, l)
+		checkTree(t, l)
 
 		rk := &refProgKernel{ref: &refKernel{}, events: make(map[int64]*refKernelEv)}
 		want := &progRun{k: rk, budget: 2000}

@@ -6,7 +6,7 @@ package sim
 // events, re-arms of pending, fired and stopped timers, reserved seqs armed
 // ahead of the running event, and runs interrupted within an instant (Stop /
 // event limit). The kernel runs an
-// event with its entry still at the heap's root; the reference pops first.
+// event with its key still held in its leaf; the reference pops first.
 
 import (
 	"errors"
@@ -83,17 +83,45 @@ func (k *refKernel) pending() int {
 	return n
 }
 
-// checkHeap walks the whole heap, a held root included: every node records
-// its entry's index, and no entry sorts before its parent.
-func checkHeap(t *testing.T, l *Loop) {
+// checkTree walks the whole tree, a held leaf included: every inner node is
+// the lesser of its children; a pending or held node's leaf holds its key, a
+// free node's leaf (or a leaf past the arena) is idle; and pending counts the
+// leaves that are not idle.
+func checkTree(t *testing.T, l *Loop) {
 	t.Helper()
-	for i := range l.heap {
-		if pos := l.nodes[l.heap[i].id()].pos; int(pos) != i {
-			t.Fatalf("entry at heap index %d has recorded position %d", i, pos)
+	k := len(l.tree) / 2
+	if k&(k-1) != 0 || k < len(l.nodes) {
+		t.Fatalf("tree has %d leaves for an arena of %d nodes, want a power of two covering it", k, len(l.nodes))
+	}
+	for i := 1; i < k; i++ {
+		if l.tree[i] != lesser(l.tree[2*i], l.tree[2*i+1]) {
+			t.Fatalf("tree node %d is not the lesser of its children", i)
 		}
-		if i > 0 && before(l.heap[i], l.heap[(i-1)/4]) != 0 {
-			t.Fatalf("entry at heap index %d sorts before its parent", i)
+	}
+	free := make(map[int32]bool, len(l.free))
+	for _, id := range l.free {
+		free[id] = true
+	}
+	n := 0
+	for id := range int32(k) {
+		switch leaf := l.tree[k+int(id)]; {
+		case int(id) >= len(l.nodes) || free[id]:
+			if leaf != idle {
+				t.Fatalf("free node %d's leaf holds a key", id)
+			}
+			if int(id) < len(l.nodes) && l.nodes[id].cb != nil {
+				t.Fatalf("free node %d holds a callback", id)
+			}
+		case leaf == idle || leaf.id() != id:
+			t.Fatalf("pending node %d's leaf holds %+v, not its key", id, leaf)
+		case (id == l.held) != (l.nodes[id].cb == nil):
+			t.Fatalf("node %d: held=%v but callback nil=%v", id, id == l.held, l.nodes[id].cb == nil)
+		default:
+			n++
 		}
+	}
+	if n != l.pending {
+		t.Fatalf("pending = %d, but %d leaves hold a key", l.pending, n)
 	}
 }
 
@@ -116,9 +144,9 @@ type step struct {
 // instant), sometimes stop an earlier-created event — before the first
 // schedule or after the last — sometimes re-arm one, or the running event's
 // own handle, at delay 0-2 ns, before the first schedule (while the fired
-// root is held) or after the last, sometimes reserve a seq, and sometimes
-// arm the oldest reserved seq at the current instant before scheduling
-// anything else.
+// event's key is held) or after the last, sometimes reserve a seq, and
+// sometimes arm the oldest reserved seq at the current instant before
+// scheduling anything else.
 type program struct{ seed int64 }
 
 type progActions struct {
@@ -229,14 +257,14 @@ func (r *progRun) handle(label int64, at Time) {
 	r.log = append(r.log, rec)
 }
 
-// heldCases counts how often the program reached the held root's cases:
-// a Stop with the fired root held, a first schedule that sorts before the
+// heldCases counts how often the program reached the held leaf's cases:
+// a Stop with the fired key held, a first schedule that sorts before the
 // running event, an event that scheduled nothing, a Rearm of a pending
-// timer with the fired root held, and a Rearm of the running event's own
-// handle that took the root.
+// timer with the fired key held, and a Rearm of the running event's own
+// handle that took the held leaf.
 type heldCases struct{ stops, olderFirst, idle, rearms, selfRearms int }
 
-// loopKernel drives the real Loop, checking the heap around every handler.
+// loopKernel drives the real Loop, checking the tree around every handler.
 type loopKernel struct {
 	t      *testing.T
 	l      *Loop
@@ -249,13 +277,13 @@ type loopKernel struct {
 
 func (k *loopKernel) callback(label int64, seq uint64) funcCallback {
 	return func() {
-		checkHeap(k.t, k.l)
+		checkTree(k.t, k.l)
 		k.curSeq, k.curLbl = seq, label
 		k.run.handle(label, k.l.Now())
 		if k.l.held >= 0 {
 			k.cases.idle++
 		}
-		checkHeap(k.t, k.l)
+		checkTree(k.t, k.l)
 	}
 }
 
@@ -280,7 +308,7 @@ func (k *loopKernel) rearm(old int64, d time.Duration, label int64) {
 		k.cases.selfRearms++
 	}
 	k.timers[label] = k.l.Rearm(tm, d, k.callback(label, k.l.seq))
-	checkHeap(k.t, k.l)
+	checkTree(k.t, k.l)
 }
 
 func (k *loopKernel) reserveSeq() uint64 { return k.l.ReserveSeq() }
@@ -350,52 +378,59 @@ func (k *refProgKernel) runUntil(deadline Time) {
 func TestOrderMatchesReferenceKernel(t *testing.T) {
 	var cases heldCases
 	for seed := int64(0); seed < 15; seed++ {
-		prog := &program{seed: seed}
-		rootRng := rand.New(rand.NewSource(seed))
-		rootTimes := make([]time.Duration, 40)
-		for i := range rootTimes {
-			rootTimes[i] = time.Duration(rootRng.Intn(4)) // heavy same-instant collisions
-		}
-
-		// Real kernel.
-		l := NewLoop()
-		lk := &loopKernel{t: t, l: l, timers: make(map[int64]Timer), cases: &cases}
-		got := &progRun{actions: prog.actions, k: lk, budget: 3000}
-		lk.run = got
-		for _, d := range rootTimes {
-			lk.spawn(d, got.newLabel())
-		}
-		lk.runUntil(End)
-		checkHeap(t, l)
-
-		// Reference, same program.
-		rk := &refProgKernel{ref: &refKernel{}, events: make(map[int64]*refKernelEv)}
-		want := &progRun{actions: prog.actions, k: rk, budget: 3000}
-		rk.run = want
-		for _, d := range rootTimes {
-			rk.spawn(d, want.newLabel())
-		}
-		rk.runUntil(End)
-
-		if len(got.log) != len(want.log) {
-			t.Fatalf("seed %d: kernel fired %d events, reference %d",
-				seed, len(got.log), len(want.log))
-		}
-		for i := range got.log {
-			if got.log[i] != want.log[i] {
-				t.Fatalf("seed %d: execution diverged at step %d: kernel %+v, reference %+v",
-					seed, i, got.log[i], want.log[i])
-			}
-		}
-		if got, want := l.Processed(), uint64(len(want.log)); got != want {
-			t.Fatalf("seed %d: Processed()=%d, want %d (hashes fold the event count)", seed, got, want)
-		}
-		if l.Len() != 0 || l.held >= 0 {
-			t.Fatalf("seed %d: drained loop has Len()=%d held=%d", seed, l.Len(), l.held)
-		}
+		matchReference(t, NewLoop(), seed, &cases)
 	}
 	if cases.stops == 0 || cases.olderFirst == 0 || cases.idle == 0 || cases.rearms == 0 || cases.selfRearms == 0 {
-		t.Fatalf("program never reached a held-root case: %+v", cases)
+		t.Fatalf("program never reached a held-leaf case: %+v", cases)
+	}
+}
+
+// matchReference runs seed's program on l, an empty loop at time 0, and on
+// the reference, and fails unless the two execution sequences are
+// identical.
+func matchReference(t *testing.T, l *Loop, seed int64, cases *heldCases) {
+	t.Helper()
+	prog := &program{seed: seed}
+	rootRng := rand.New(rand.NewSource(seed))
+	rootTimes := make([]time.Duration, 40)
+	for i := range rootTimes {
+		rootTimes[i] = time.Duration(rootRng.Intn(4)) // heavy same-instant collisions
+	}
+
+	// Real kernel.
+	lk := &loopKernel{t: t, l: l, timers: make(map[int64]Timer), cases: cases}
+	got := &progRun{actions: prog.actions, k: lk, budget: 3000}
+	lk.run = got
+	for _, d := range rootTimes {
+		lk.spawn(d, got.newLabel())
+	}
+	lk.runUntil(End)
+	checkTree(t, l)
+
+	// Reference, same program.
+	rk := &refProgKernel{ref: &refKernel{}, events: make(map[int64]*refKernelEv)}
+	want := &progRun{actions: prog.actions, k: rk, budget: 3000}
+	rk.run = want
+	for _, d := range rootTimes {
+		rk.spawn(d, want.newLabel())
+	}
+	rk.runUntil(End)
+
+	if len(got.log) != len(want.log) {
+		t.Fatalf("seed %d: kernel fired %d events, reference %d",
+			seed, len(got.log), len(want.log))
+	}
+	for i := range got.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("seed %d: execution diverged at step %d: kernel %+v, reference %+v",
+				seed, i, got.log[i], want.log[i])
+		}
+	}
+	if got, want := l.Processed(), uint64(len(want.log)); got != want {
+		t.Fatalf("seed %d: Processed()=%d, want %d (hashes fold the event count)", seed, got, want)
+	}
+	if l.Len() != 0 || l.held >= 0 {
+		t.Fatalf("seed %d: drained loop has Len()=%d held=%d", seed, l.Len(), l.held)
 	}
 }
 
@@ -476,7 +511,7 @@ func TestStopLaterSameInstantEvent(t *testing.T) {
 // TestStopWithinInstantResumesInOrder: Stop() between two events of one
 // instant leaves the rest pending, and a later run resumes exactly where
 // the first broke off, in the original order — whether the stopping event
-// scheduled nothing (its root is still held when it returns) or something.
+// scheduled nothing (its key is still held when it returns) or something.
 func TestStopWithinInstantResumesInOrder(t *testing.T) {
 	for _, schedules := range []bool{false, true} {
 		l := NewLoop()
@@ -502,10 +537,10 @@ func TestStopWithinInstantResumesInOrder(t *testing.T) {
 			t.Fatalf("schedules=%v: order after Stop = %v, want [a]", schedules, order)
 		}
 		if l.Len() != len(want)-1 || l.held >= 0 {
-			t.Fatalf("schedules=%v: Len() = %d, held = %d after Stop within the instant, want %d pending and no held root",
+			t.Fatalf("schedules=%v: Len() = %d, held = %d after Stop within the instant, want %d pending and no held leaf",
 				schedules, l.Len(), l.held, len(want)-1)
 		}
-		checkHeap(t, l)
+		checkTree(t, l)
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -545,10 +580,10 @@ func TestEventLimitWithinInstantResumesInOrder(t *testing.T) {
 			t.Fatalf("schedules=%v: order at limit = %v, want [0 1]", schedules, order)
 		}
 		if l.Len() != total-2 || l.held >= 0 {
-			t.Fatalf("schedules=%v: Len() = %d, held = %d after the limit tripped within the instant, want %d pending and no held root",
+			t.Fatalf("schedules=%v: Len() = %d, held = %d after the limit tripped within the instant, want %d pending and no held leaf",
 				schedules, l.Len(), l.held, total-2)
 		}
-		checkHeap(t, l)
+		checkTree(t, l)
 		l.SetEventLimit(0)
 		if err := l.Run(); err != nil {
 			t.Fatal(err)

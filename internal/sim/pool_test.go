@@ -1,13 +1,15 @@
 package sim
 
 // Tests for the pooled event arena: generation-counter (ABA) safety of
-// recycled Timer handles, the 4-ary index heap (removals and in-place
-// re-arms included) against a container/heap reference, and the
-// zero-allocation guarantees of the fast path.
+// recycled Timer handles, the winner tree (stops and in-place re-arms
+// included) against a container/heap reference, the hand-over of a loop's
+// storage to the next loop, and the zero-allocation guarantees of the fast
+// path.
 
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -170,7 +172,7 @@ func (q *refQueue) Pop() any {
 	return e
 }
 
-// TestQuickHeapMatchesReference drives the pooled 4-ary heap and a
+// TestQuickHeapMatchesReference drives the winner tree and a
 // container/heap reference with the same random (at, seq) stream,
 // interleaving pushes, removals of random live entries, re-arms and pops. A
 // re-arm moves a live entry earlier, later or to the same instant under a
@@ -198,10 +200,11 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			live = live[:len(live)-1]
 		}
 
-		// popBoth pops the kernel heap's root directly, bypassing RunUntil.
+		// popBoth takes the tree's winner directly, bypassing RunUntil.
 		popBoth := func() {
-			got := l.heap[0]
-			l.removeAt(0)
+			got := l.tree[1]
+			l.pending--
+			l.key(got.id(), idle)
 			l.release(got.id())
 			want := heap.Pop(ref).(*refEvent)
 			if gotSeq := got.packed >> idBits; got.at != want.at || gotSeq != want.seq {
@@ -270,22 +273,23 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			if l.Len() != ref.Len() {
 				t.Fatalf("seed %d: sizes diverged: %d vs %d", seed, l.Len(), ref.Len())
 			}
-			checkHeap(t, l)
+			checkTree(t, l)
 		}
 		// Drain: the full remaining pop order must match.
 		for ref.Len() > 0 {
 			popBoth()
 		}
 		if l.Len() != 0 {
-			t.Fatalf("seed %d: kernel heap has %d leftovers", seed, l.Len())
+			t.Fatalf("seed %d: kernel tree has %d leftovers", seed, l.Len())
 		}
 	}
 }
 
-// TestStopRemovesEntryInPlace: Stop takes the timer's entry out of the
-// heap, so re-arming k live timers any number of times keeps the pending
-// queue at k (k+1 while the fresh timer is armed before the old one stops)
-// and the two Counters high-water marks equal.
+// TestStopRemovesEntryInPlace: Stop idles the timer's leaf, and a fresh
+// schedule keys the leaf of the node Stop freed, so re-arming k live timers
+// any number of times keeps the pending set at k (k+1 while the fresh timer
+// is armed before the old one stops), the arena and the high-water mark at
+// k+1, and the tree at the 128 leaves that cover them.
 func TestStopRemovesEntryInPlace(t *testing.T) {
 	const k = 100
 	l := NewLoop()
@@ -306,10 +310,11 @@ func TestStopRemovesEntryInPlace(t *testing.T) {
 			t.Fatalf("re-arm %d: Len() = %d, want %d", n, l.Len(), k)
 		}
 	}
+	checkTree(t, l)
 	c := l.Counters()
-	if c.HeapPeak > k+1 || len(l.nodes) > k+1 {
-		t.Fatalf("HeapPeak=%d, arena %d after 10000 re-arms of %d timers, want both <= %d",
-			c.HeapPeak, len(l.nodes), k, k+1)
+	if c.HeapPeak > k+1 || len(l.nodes) > k+1 || len(l.tree) != 2*128 {
+		t.Fatalf("HeapPeak=%d, arena %d, %d tree leaves after 10000 re-arms of %d timers, want <= %d, <= %d, 128",
+			c.HeapPeak, len(l.nodes), len(l.tree)/2, k, k+1, k+1)
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
@@ -319,10 +324,10 @@ func TestStopRemovesEntryInPlace(t *testing.T) {
 	}
 }
 
-// TestRearmKeysEntryInPlace: Rearm re-keys a pending timer's own entry, so
-// re-arming k live timers any number of times keeps the pending queue, its
-// high-water mark and the arena at exactly k, and never touches the free
-// list.
+// TestRearmKeysEntryInPlace: Rearm re-keys a pending timer's own leaf, so
+// re-arming k live timers any number of times keeps the pending set, its
+// high-water mark and the arena at exactly k, never touches the free list,
+// and leaves each timer's key in its node's leaf.
 func TestRearmKeysEntryInPlace(t *testing.T) {
 	const k = 100
 	l := NewLoop()
@@ -343,8 +348,11 @@ func TestRearmKeysEntryInPlace(t *testing.T) {
 		if l.Len() != k {
 			t.Fatalf("re-arm %d: Len() = %d, want %d", n, l.Len(), k)
 		}
+		if leaf := l.tree[len(l.tree)/2+int(old.id)]; leaf.packed>>idBits != l.seq-1 {
+			t.Fatalf("re-arm %d: node %d's leaf holds seq %d, want the re-arm's %d", n, old.id, leaf.packed>>idBits, l.seq-1)
+		}
 	}
-	checkHeap(t, l)
+	checkTree(t, l)
 	c := l.Counters()
 	if c.HeapPeak != k || len(l.nodes) != k || c.Recycled != 0 || c.Scheduled != k+10000 {
 		t.Fatalf("HeapPeak=%d, arena %d, recycled %d, scheduled %d after 10000 re-arms of %d timers; want %d, %d, 0, %d",
@@ -359,8 +367,9 @@ func TestRearmKeysEntryInPlace(t *testing.T) {
 }
 
 // TestFirstScheduleInsideCallbackTakesTheRoot: an event that re-arms itself
-// over other pending timers never pops: its first schedule overwrites the
-// fired root, on the same node, without a free-list round trip.
+// over other pending timers never pops: its first schedule re-keys the
+// fired event's held leaf, on the same node, without a free-list round trip,
+// and its key is the tree's winner again.
 func TestFirstScheduleInsideCallbackTakesTheRoot(t *testing.T) {
 	const others, events = 16, 10000
 	l := NewLoop()
@@ -377,6 +386,10 @@ func TestFirstScheduleInsideCallbackTakesTheRoot(t *testing.T) {
 		next := l.Schedule(time.Microsecond, step)
 		if next.id != chain.id {
 			t.Fatalf("event %d: chain moved from node %d to node %d", l.Processed(), chain.id, next.id)
+		}
+		if l.held >= 0 || l.tree[1].id() != next.id {
+			t.Fatalf("event %d: held = %d, winner node %d after the chain's schedule; want none held and node %d",
+				l.Processed(), l.held, l.tree[1].id(), next.id)
 		}
 		chain = next
 	}
@@ -428,7 +441,7 @@ func TestPoolRecyclesNodes(t *testing.T) {
 func TestScheduleCallZeroAllocSteadyState(t *testing.T) {
 	l := NewLoop()
 	cb := &countCall{}
-	// Warm the arena and the heap/free slices well past the test's
+	// Warm the arena, the tree and the free list well past the test's
 	// working set.
 	var warm []Timer
 	for i := 0; i < 64; i++ {
@@ -493,4 +506,49 @@ func TestScheduleFuncZeroAllocNonCapturing(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("static func() schedule allocates %.1f objects, want 0", allocs)
 	}
+}
+
+// TestLoopReleaseReusesStorage: Release hands a loop's arena and tree to the
+// next NewLoop, which runs the reference program as a fresh loop does,
+// allocates nothing but the Loop itself, and starts its tree with one leaf
+// however far the arrays' last owner grew. sync.Pool may drop what it is
+// handed (the race detector drops a quarter on purpose), so the test
+// releases grown loops until a NewLoop draws one's arrays.
+func TestLoopReleaseReusesStorage(t *testing.T) {
+	const pending = 4096
+	cb := &countCall{}
+	for range 100 {
+		big := NewLoop()
+		for i := range pending {
+			big.ScheduleCall(time.Duration(i), cb)
+		}
+		if err := big.Run(); err != nil {
+			t.Fatal(err)
+		}
+		nodes, tree := cap(big.nodes), cap(big.tree)
+		big.Release()
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l := NewLoop()
+		runtime.ReadMemStats(&after)
+		if cap(l.nodes) < nodes || cap(l.tree) < tree {
+			l.Release()
+			continue
+		}
+		if n := after.Mallocs - before.Mallocs; n != 1 {
+			t.Fatalf("NewLoop on released storage made %d allocations, want 1 (the Loop)", n)
+		}
+		if len(l.nodes) != 0 || len(l.free) != 0 || len(l.tree) != 2 || l.tree[1] != idle {
+			t.Fatalf("NewLoop on released storage starts with %d nodes, %d free, %d tree slots; want 0, 0 and one idle leaf",
+				len(l.nodes), len(l.free), len(l.tree))
+		}
+		var cases heldCases
+		matchReference(t, l, 1, &cases)
+		if k := len(l.tree) / 2; k < len(l.nodes) || 2*len(l.nodes) <= k {
+			t.Fatalf("tree has %d leaves for an arena of %d nodes, want the least power of two covering it", k, len(l.nodes))
+		}
+		return
+	}
+	t.Fatal("NewLoop never drew a released loop's arrays")
 }

@@ -9,20 +9,20 @@
 // scenario in separate goroutines.
 //
 // The scheduling path is allocation-free in steady state: event nodes live
-// in a pooled arena recycled through a free list, the pending queue is a
-// concrete 4-ary indexed heap (no container/heap interface boxing) whose
-// sift down picks the least child by mask rather than by branch, and the
-// Callback interface lets hot callers schedule pre-bound callback structs
-// instead of capturing closures. Timer handles are values carrying a
-// generation counter, so a stale handle to a recycled node is a safe no-op.
+// in a pooled arena recycled through a free list, and the Callback interface
+// lets hot callers schedule pre-bound callback structs instead of capturing
+// closures. Timer handles are values carrying a generation counter, so a
+// stale handle to a recycled node is a safe no-op.
 //
-// The pending queue holds exactly the pending events, plus the entry of the
-// running event until its callback schedules something or returns: RunUntil
-// leaves the fired root at heap[0], and the first event scheduled inside the
-// callback takes that slot and node with one sift down — one sift per event,
-// not a pop and a push. Every node records where its entry sits in the heap,
-// so Timer.Stop removes and Loop.Rearm re-keys that entry in place: there
-// are no dead entries to skip or sweep, and nothing runs ahead of its turn.
+// The pending queue is a winner tree keyed by node id: a node's leaf holds
+// its event's (at, seq) key while it is pending and an idle key otherwise,
+// and each inner node holds the lesser of its children, so the root is the
+// next event. Every operation writes one leaf and replays its path to the
+// root, up to the first level whose winner does not change: a schedule
+// keys a free leaf, Timer.Stop idles one, Loop.Rearm re-keys one in place.
+// A fired event's key stays in its leaf, held, until its callback's first
+// schedule re-keys that leaf or the callback returns and idles it: one
+// replay per event, not a pop and a push. Nothing runs ahead of its turn.
 //
 // Ordering contract: events run in strictly increasing (at, seq) order,
 // where seq is the scheduling sequence number the kernel issued — at
@@ -30,13 +30,13 @@
 // event armed later with AtCallReserved. A reserved event runs exactly where
 // a schedule call made at reservation time would have put it: armed at the
 // current instant with a seq older than other events pending for that
-// instant, it is simply the heap minimum. This is what lets a producer of
-// FIFO-ordered events keep one heap entry instead of one per event: a link
-// reserves a frame's arrival seq when it admits the frame — among
+// instant, it is simply the tree's winner. This is what lets a producer of
+// FIFO-ordered events keep one pending event instead of one per event: a
+// link reserves a frame's arrival seq when it admits the frame — among
 // same-instant events an arrival sorts by when its frame entered the link —
-// and keeps only its oldest frame's arrival in the heap. It stops that
-// arrival and arms it again under the same seq when a rate or delay change
-// moves it, and never arms the seq of a frame that dies in the queue.
+// and keeps only its oldest frame's arrival pending. It stops that arrival
+// and arms it again under the same seq when a rate or delay change moves
+// it, and never arms the seq of a frame that dies in the queue.
 package sim
 
 import (
@@ -45,6 +45,8 @@ import (
 	"math"
 	"math/bits"
 	"time"
+
+	"mptcpsim/internal/fifo"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -83,15 +85,13 @@ type Callback interface {
 	Run(now Time)
 }
 
-// node is one pooled event: its callback, and pos, the index of its entry
-// in the heap, kept current by every heap move so Timer.Stop can remove the
-// entry in place. A node is recycled the moment it fires or is stopped; gen
-// increments on every recycle so stale Timer handles cannot touch the next
-// occupant (the classic ABA guard).
+// node is one pooled event's callback; its key is in its leaf of the tree.
+// A node is recycled the moment it fires or is stopped; gen increments on
+// every recycle so stale Timer handles cannot touch the next occupant (the
+// classic ABA guard).
 type node struct {
 	cb  Callback
 	gen uint32
-	pos int32
 }
 
 // funcCallback boxes a plain func for Schedule and At. A func value is
@@ -101,18 +101,20 @@ type funcCallback func()
 // Run implements Callback.
 func (f funcCallback) Run(Time) { f() }
 
-// entry is one pending-queue element, 16 bytes so four children of a
-// 4-ary heap node share one cache line. It carries the full sort key
-// inline — at, plus the scheduling seq packed above the node id — so heap
-// sifts compare within the (pointer-free) heap array instead of chasing
-// node indices into the arena; the comparison cache misses were the
-// kernel's dominant cost. Entries compare by (at, seq) so that events
-// scheduled earlier at the same instant run first, which makes runs
-// deterministic regardless of heap internals.
+// entry is one slot of the tree, 16 bytes: the full sort key — at, plus
+// the scheduling seq packed above the node id — so a replay compares within
+// the (pointer-free) tree instead of chasing node indices into the arena.
+// Entries compare by (at, seq) so that events scheduled earlier at the same
+// instant run first, which makes runs deterministic regardless of the
+// tree's shape.
 type entry struct {
 	at     Time
 	packed uint64 // seq<<idBits | id
 }
+
+// idle fills the leaves of nodes with no pending event. Keys compare at as
+// unsigned, and no event's at is negative, so idle sorts after every key.
+var idle = entry{at: -1, packed: math.MaxUint64}
 
 // idBits is the node-id width inside entry.packed: 16M pooled nodes and
 // 2^40 scheduled events per loop, both far beyond any simulation (alloc
@@ -151,16 +153,14 @@ func (t Timer) live() bool {
 
 // Stop cancels the timer. It reports whether the callback was still
 // pending; it returns false if the callback already ran, the timer was
-// stopped, or the handle is the zero value. Stop removes the event's heap
-// entry in place: the last entry takes its slot and sifts from there. A
-// fired root still held at heap[0] has a key below every pending key, so no
-// sift moves it.
+// stopped, or the handle is the zero value. Stop idles the event's leaf.
 func (t Timer) Stop() bool {
 	if !t.live() {
 		return false
 	}
 	l := t.loop
-	l.removeAt(int(l.nodes[t.id].pos))
+	l.pending--
+	l.key(t.id, idle)
 	l.release(t.id)
 	return true
 }
@@ -179,11 +179,15 @@ type Loop struct {
 	// nodes is the pooled event arena; free lists the recycled indices.
 	nodes []node
 	free  []int32
-	// heap is a 4-ary min-heap of the pending events' entries, ordered by
-	// (at, seq); nodes[e.id()].pos == i for every heap[i] == e.
-	heap []entry
-	// held is the node of the running event while its entry is still at
-	// heap[0] — until the callback schedules something or returns — else -1.
+	// tree is the winner tree over the arena: tree[len(tree)/2+id] is node
+	// id's leaf, tree[i] is the lesser of tree[2i] and tree[2i+1], and
+	// tree[1] is the next event. It has a leaf for every node of the arena
+	// and doubles with it. tree[0] is unused.
+	tree []entry
+	// pending counts the leaves that are not idle, the held one included.
+	pending int
+	// held is the node of the running event while its key is still in its
+	// leaf — until the callback schedules something or returns — else -1.
 	held    int32
 	running bool
 	stopped bool
@@ -199,10 +203,31 @@ type Loop struct {
 	peak int
 }
 
-// NewLoop returns an empty event loop positioned at time 0, with room for
-// 32 pending events: the pending sets of the paper-scale runs peak below it.
+// room is the number of pending events a new loop's arrays hold before
+// they grow: the pending sets of the paper-scale runs peak below it.
+const room = 32
+
+// nodeBufs and treeBufs keep released loops' arenas and trees for NewLoop.
+var (
+	nodeBufs fifo.Pool[node]
+	treeBufs fifo.Pool[entry]
+)
+
+// NewLoop returns an empty event loop positioned at time 0. Its arena and
+// tree start on the arrays a released loop left, or on fresh ones with room
+// for 32 pending events. Either way the tree starts with one leaf and
+// doubles with the arena, so its depth is log2 of this loop's peak arena,
+// whatever the arrays' last owner grew to.
 func NewLoop() *Loop {
-	return &Loop{held: -1, nodes: make([]node, 0, 32), heap: make([]entry, 0, 32)}
+	return &Loop{held: -1, nodes: nodeBufs.Get(room), tree: append(treeBufs.Get(2*room), idle, idle)}
+}
+
+// Release hands l's arena and tree to the next NewLoop. Neither l nor any
+// Timer of it may be used again.
+func (l *Loop) Release() {
+	nodeBufs.Put(l.nodes)
+	treeBufs.Put(l.tree)
+	l.nodes, l.tree = nil, nil
 }
 
 // Now returns the current virtual time.
@@ -262,6 +287,9 @@ func (l *Loop) alloc(cb Callback) int32 {
 		if len(l.nodes) >= 1<<idBits {
 			panic("sim: event arena overflow (16M concurrently pending events)")
 		}
+		if len(l.nodes) == len(l.tree)/2 {
+			l.grow()
+		}
 		l.nodes = append(l.nodes, node{})
 		id = int32(len(l.nodes) - 1)
 	}
@@ -269,9 +297,9 @@ func (l *Loop) alloc(cb Callback) int32 {
 	return id
 }
 
-// release recycles a stopped node whose entry has left the heap: the
-// generation bump invalidates every handle to the old occupant, and clearing
-// the callback drops its reference. RunUntil does both to a fired node itself.
+// release recycles a stopped node whose leaf is idle: the generation bump
+// invalidates every handle to the old occupant, and clearing the callback
+// drops its reference. RunUntil does both to a fired node itself.
 func (l *Loop) release(id int32) {
 	nd := &l.nodes[id]
 	nd.gen++
@@ -279,102 +307,67 @@ func (l *Loop) release(id int32) {
 	l.free = append(l.free, id)
 }
 
-// place stores e at heap index pos and records the position in e's node.
-func (l *Loop) place(pos int, e entry) {
-	l.heap[pos] = e
-	l.nodes[e.id()].pos = int32(pos)
-}
-
-// push inserts an entry into the heap.
-func (l *Loop) push(e entry) {
-	l.heap = append(l.heap, e)
-	if len(l.heap) > l.peak {
-		l.peak = len(l.heap)
-	}
-	l.up(len(l.heap) - 1)
-}
-
-// removeAt deletes the entry at heap index pos: the last entry takes its
-// slot and sifts to where it belongs.
-func (l *Loop) removeAt(pos int) {
-	last := len(l.heap) - 1
-	e := l.heap[last]
-	l.heap = l.heap[:last]
-	if pos == last {
-		return
-	}
-	l.heap[pos] = e
-	l.fix(pos)
-}
-
-// fix sifts the entry at heap index pos up or down to where it belongs.
-func (l *Loop) fix(pos int) {
-	if pos > 0 && before(l.heap[pos], l.heap[(pos-1)/4]) != 0 {
-		l.up(pos)
-	} else {
-		l.down(pos)
-	}
-}
-
-// up restores the heap property from pos towards the root. The heap is
-// 4-ary: shallower than a binary heap (fewer levels per operation), and the
-// entries carry their sort keys inline, so a sift compares within the heap
-// array and touches the arena only to record the positions it changes.
-func (l *Loop) up(pos int) {
-	e := l.heap[pos]
-	for pos > 0 {
-		parent := (pos - 1) / 4
-		if before(e, l.heap[parent]) == 0 {
-			break
+// grow doubles the tree's leaves. The old tree becomes the new one's left
+// subtree, level by level from the leaves up so the copies do not overlap
+// what they have yet to read, and the new right subtree is idle; the root
+// keeps its winner.
+func (l *Loop) grow() {
+	k := len(l.tree) / 2
+	l.tree = append(l.tree, make([]entry, 2*k)...)
+	for w := k; w >= 1; w /= 2 {
+		copy(l.tree[2*w:3*w], l.tree[w:2*w])
+		for i := 3 * w; i < 4*w; i++ {
+			l.tree[i] = idle
 		}
-		l.place(pos, l.heap[parent])
-		pos = parent
 	}
-	l.place(pos, e)
 }
 
-// down restores the heap property from pos towards the leaves. It runs once
-// per event, so it picks the least of the up to four children without a
-// data-dependent branch: which child wins is as good as random, and a
-// mispredicted compare cost more than the loads. A node with fewer than four
-// children reads its last child again in the missing places; an entry never
-// beats itself, so the duplicates change nothing. The one branch left is the
-// loop's exit.
-func (l *Loop) down(pos int) {
-	h := l.heap
-	last := len(h) - 1
-	e := h[pos]
-	for first := 4*pos + 1; first <= last; first = 4*pos + 1 {
-		c1, c2, c3 := min(first+1, last), min(first+2, last), min(first+3, last)
-		b01, i01 := lesser(h[first], first, h[c1], c1)
-		b23, i23 := lesser(h[c2], c2, h[c3], c3)
-		b, best := lesser(b01, i01, b23, i23)
-		if before(e, b) != 0 {
-			break
+// key writes e into node id's leaf and replays the leaf's path towards the
+// root, up to the first level whose winner does not change: every level
+// above it has the same children as before.
+func (l *Loop) key(id int32, e entry) {
+	t := l.tree
+	i := len(t)/2 + int(id)
+	t[i] = e
+	for i > 1 {
+		e = lesser(e, t[i^1])
+		i >>= 1
+		if t[i] == e {
+			return
 		}
-		h[pos] = b
-		l.nodes[b.id()].pos = int32(pos)
-		pos = best
+		t[i] = e
 	}
-	l.place(pos, e)
+}
+
+// keyHeld writes e into the held node's leaf and replays its whole path.
+// The held key is the winner of every level on that path, so every level
+// changes, and the replay runs to the root without a data-dependent branch.
+func (l *Loop) keyHeld(e entry) {
+	t := l.tree
+	i := len(t)/2 + int(l.held)
+	t[i] = e
+	for i > 1 {
+		e = lesser(e, t[i^1])
+		i >>= 1
+		t[i] = e
+	}
 }
 
 // before orders entries by (at, seq): it returns all ones if x sorts before
 // y and zero otherwise, the borrow out of the 128-bit subtraction x - y of
-// the keys (at, packed). at is never negative (schedule clamps to now), so
-// it compares as unsigned.
+// the keys (at, packed). at is compared as unsigned, which puts idle last.
 func before(x, y entry) uint64 {
 	_, borrow := bits.Sub64(x.packed, y.packed, 0)
 	_, borrow = bits.Sub64(uint64(x.at), uint64(y.at), borrow)
 	return -borrow
 }
 
-// lesser returns the lesser of entry x at heap index i and entry y at j, by
-// mask rather than by branch.
-func lesser(x entry, i int, y entry, j int) (entry, int) {
+// lesser returns the lesser of x and y, by mask rather than by branch: which
+// one wins is as good as random, and a mispredicted compare costs more than
+// the selection.
+func lesser(x, y entry) entry {
 	m := before(y, x)
-	return entry{at: x.at ^ (x.at^y.at)&Time(m), packed: x.packed ^ (x.packed^y.packed)&m},
-		i ^ (i^j)&int(m)
+	return entry{at: x.at ^ (x.at^y.at)&Time(m), packed: x.packed ^ (x.packed^y.packed)&m}
 }
 
 // Schedule runs fn after delay d of virtual time. A non-positive delay runs
@@ -414,9 +407,9 @@ func (l *Loop) AtCall(t Time, cb Callback) Timer {
 }
 
 // Rearm is t.Stop() followed by ScheduleCall(d, cb), for t a timer of l or
-// the zero Timer. A pending t's own node and heap entry take cb and the new
-// key, fresh seq included, and one sift moves the entry: a timer re-armed on
-// every ACK costs no removal, node recycle or push.
+// the zero Timer. A pending t's own node and leaf take cb and the new key,
+// fresh seq included, in one replay: a timer re-armed on every ACK costs no
+// node recycle, and a far re-arm stops a level or two above its leaf.
 func (l *Loop) Rearm(t Timer, d time.Duration, cb Callback) Timer {
 	if !t.live() {
 		return l.ScheduleCall(d, cb)
@@ -427,14 +420,13 @@ func (l *Loop) Rearm(t Timer, d time.Duration, cb Callback) Timer {
 	nd := &l.nodes[t.id]
 	nd.gen++
 	nd.cb = cb
-	l.heap[nd.pos] = mkEntry(l.now.Add(max(d, 0)), l.nextSeq(), t.id)
-	l.fix(int(nd.pos))
+	l.key(t.id, mkEntry(l.now.Add(max(d, 0)), l.nextSeq(), t.id))
 	return Timer{loop: l, id: t.id, gen: nd.gen}
 }
 
 // ReserveSeq issues the next scheduling seq without scheduling anything.
 // A caller that knows an event's place in the (at, seq) order before it
-// wants a heap entry for it — a link holds a FIFO of admitted frames and
+// wants it pending — a link holds a FIFO of admitted frames and
 // keeps only the oldest one's arrival pending — reserves the seq at the
 // moment it would have scheduled, and arms it later with AtCallReserved, or
 // never; the event then runs exactly where a Schedule call at reservation
@@ -471,16 +463,18 @@ func (l *Loop) schedule(t Time, seq uint64, cb Callback) Timer {
 	}
 	id := l.held
 	if id >= 0 {
-		// First schedule of the running event: it takes the fired root's
-		// node and slot, and one sift down replaces the pop and the push.
-		l.held = -1
+		// First schedule of the running event: it takes the fired event's
+		// node and leaf, and one replay replaces the pop and the push.
 		l.recycled++
 		l.nodes[id].cb = cb
-		l.heap[0] = mkEntry(t, seq, id)
-		l.down(0)
+		l.keyHeld(mkEntry(t, seq, id))
+		l.held = -1
 	} else {
 		id = l.alloc(cb)
-		l.push(mkEntry(t, seq, id))
+		if l.pending++; l.pending > l.peak {
+			l.peak = l.pending
+		}
+		l.key(id, mkEntry(t, seq, id))
 	}
 	return Timer{loop: l, id: id, gen: l.nodes[id].gen}
 }
@@ -489,19 +483,19 @@ func (l *Loop) schedule(t Time, seq uint64, cb Callback) Timer {
 func (l *Loop) Stop() { l.stopped = true }
 
 // Len returns the number of pending events; inside a callback the running
-// event is not one of them, whether or not its entry is still held.
+// event is not one of them, whether or not its key is still held.
 func (l *Loop) Len() int {
 	if l.held >= 0 {
-		return len(l.heap) - 1
+		return l.pending - 1
 	}
-	return len(l.heap)
+	return l.pending
 }
 
 // Run executes events in order until the queue drains, Stop is called, or
 // the event limit is exceeded.
 func (l *Loop) Run() error { return l.RunUntil(End) }
 
-// RunUntil executes events with timestamps <= deadline, one heap sift per
+// RunUntil executes events with timestamps <= deadline, one replay per
 // event, and then advances the clock to the deadline. It returns nil when
 // the deadline is reached, the queue drains or Stop is called. The clock
 // never moves backwards (a deadline in the past runs nothing and leaves the
@@ -516,20 +510,20 @@ func (l *Loop) RunUntil(deadline Time) error {
 	l.stopped = false
 	defer func() { l.running = false }()
 
-	for !l.stopped && len(l.heap) > 0 {
-		e := l.heap[0]
+	for !l.stopped && l.pending > 0 {
+		e := l.tree[1]
 		if e.at > deadline {
 			break
 		}
 		if e.at < l.now {
-			// Heap invariant violated; this is a kernel bug, not a model bug.
+			// Tree invariant violated; this is a kernel bug, not a model bug.
 			panic(fmt.Sprintf("sim: time went backwards: %v -> %v", l.now, e.at))
 		}
 		l.now = e.at
 		// Retire the node before running: a Stop on this event's own handle
 		// from inside the callback (or any later turn) sees a stale generation
-		// and no-ops, even if the node is immediately reused. The entry stays
-		// at heap[0], held for the callback's first schedule to overwrite.
+		// and no-ops, even if the node is immediately reused. The key stays
+		// in its leaf, held for the callback's first schedule to overwrite.
 		nd := &l.nodes[e.id()]
 		cb := nd.cb
 		nd.gen++
@@ -537,9 +531,10 @@ func (l *Loop) RunUntil(deadline Time) error {
 		l.held = e.id()
 		cb.Run(l.now)
 		if l.held >= 0 {
-			// The callback scheduled nothing: pop the root after all.
+			// The callback scheduled nothing: idle its leaf after all.
+			l.keyHeld(idle)
 			l.held = -1
-			l.removeAt(0)
+			l.pending--
 			l.free = append(l.free, e.id())
 		}
 		l.processed++

@@ -97,7 +97,7 @@ func TestTimerStopAfterFire(t *testing.T) {
 }
 
 func TestStopInterleavedWithHeap(t *testing.T) {
-	// Cancel a timer in the middle of the heap and check the rest still run.
+	// Cancel a timer in the middle of the pending set and check the rest still run.
 	l := NewLoop()
 	var got []int
 	var timers []Timer

@@ -112,8 +112,8 @@ func TestQueueRecordSizes(t *testing.T) {
 	if n := unsafe.Sizeof(seg{}); n > 32 {
 		t.Errorf("seg is %d bytes, want <= 32", n)
 	}
-	if n := unsafe.Sizeof(rseg{}); n > 24 {
-		t.Errorf("rseg is %d bytes, want <= 24", n)
+	if n := unsafe.Sizeof(rseg{}); n > 16 {
+		t.Errorf("rseg is %d bytes, want <= 16", n)
 	}
 }
 

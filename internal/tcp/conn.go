@@ -69,11 +69,13 @@ type seg struct {
 }
 
 // rseg is a receiver-side out-of-order segment, with the data sequence
-// number its DSS mapping carried (meaningful when mapped); 24 bytes.
+// number its DSS mapping carried (meaningful when mapped); 16 bytes. A
+// segment's length fits 16 bits: no sender's effective MSS exceeds the 16-bit
+// MSS option its peer advertised.
 type rseg struct {
 	dsn    uint64
-	length int
 	seq    uint32
+	length uint16
 	mapped bool
 }
 

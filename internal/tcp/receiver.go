@@ -90,7 +90,7 @@ func (c *Conn) storeOOO(seq uint32, n int, dsn uint64, mapped bool) {
 		(i < len(ooo) && seqGT(end, ooo[i].seq)) {
 		c.sackRebuild = true
 	}
-	c.ooo.Insert(i, rseg{seq: seq, length: n, dsn: dsn, mapped: mapped})
+	c.ooo.Insert(i, rseg{seq: seq, length: uint16(n), dsn: dsn, mapped: mapped})
 	c.oooBytes += n
 	if c.sackRebuild {
 		c.rebuildSackRanges()
@@ -149,12 +149,12 @@ func (c *Conn) drainOOO() {
 			break
 		}
 		n++
-		c.oooBytes -= s.length
+		c.oooBytes -= int(s.length)
 		if seqLEQ(s.seq+uint32(s.length), c.rcvNxt) {
 			continue // stale overlap
 		}
 		c.rcvNxt = s.seq + uint32(s.length)
-		c.deliverData(s.length, s.dsn, s.mapped)
+		c.deliverData(int(s.length), s.dsn, s.mapped)
 	}
 	if n == 0 {
 		return

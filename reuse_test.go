@@ -24,8 +24,9 @@ const freshEnv = "MPTCPSIM_FRESH_SPEC"
 
 // reuseTail returns the runs TestRunStorageReuseIsInvisible ends on: 500 ms
 // of eight overlapping paths through one shared core link (the shape of
-// the benchmark's wide8 scenario), whose queues and slabs outgrow every
-// corpus scenario's, then a 50 ms run on the paper network.
+// the benchmark's wide8 scenario), whose queues, slabs and pending events
+// outgrow every corpus scenario's, then a 50 ms run on the paper network,
+// then 200 ms of the wide topology again under another algorithm.
 func reuseTail(t *testing.T) []mptcpsim.RunSpec {
 	sf := &mptcpsim.ScenarioFile{}
 	sf.Endpoints.Src, sf.Endpoints.Dst = "s", "d"
@@ -46,6 +47,7 @@ func reuseTail(t *testing.T) []mptcpsim.RunSpec {
 	for _, g := range []*mptcpsim.Grid{
 		{Scenarios: []mptcpsim.GridScenario{{Name: "wide8", Scenario: sf}}, CCs: []string{"olia"}, DurationMs: 500},
 		{CCs: []string{"lia"}, DurationMs: 50},
+		{Scenarios: []mptcpsim.GridScenario{{Name: "wide8", Scenario: sf}}, CCs: []string{"lia"}, DurationMs: 200},
 	} {
 		rs, err := g.Expand()
 		if err != nil {
@@ -78,11 +80,12 @@ func (*hashes) Flush() error { return nil }
 func (*hashes) Close() error { return nil }
 
 // TestRunStorageReuseIsInvisible: a run's packet slabs, link queues, TCP
-// scoreboards and out-of-order queues, reassembly blocks and random streams
-// go to the next run, and nothing of that may show. One goroutine runs the
-// first 16 golden-corpus scenarios forward, then in reverse, then
-// reuseTail's wide topology and paper run, so storage grown by small
-// topologies reaches large ones and back. Every hash must be its golden, or
+// scoreboards and out-of-order queues, reassembly blocks, random streams and
+// event loop arena and tree go to the next run, and nothing of that may
+// show. One goroutine runs the first 16 golden-corpus scenarios forward,
+// then in reverse, then reuseTail's wide, paper and wide runs, so storage
+// grown by small topologies reaches large ones and back, and the loop's
+// arena and tree go from a large pending set to a small one and back. Every hash must be its golden, or
 // what a fresh process computes; the first run's Result must not change
 // when the second reuses its storage; and the storage must not keep a
 // finished run's network alive.
