@@ -66,7 +66,6 @@ import (
 
 	"mptcpsim"
 	"mptcpsim/internal/cli"
-	"mptcpsim/internal/fleet"
 )
 
 // usageMatrix documents which flag combinations form a mode; flag.Usage
@@ -88,8 +87,7 @@ const usageMatrix = `Modes and supported flag combinations:
   sweep -merge a.ndjson b.ndjson merge run-logs with matching grid digests
                                  into the full output
 
--stream and -resume are mutually exclusive; -shard, -worker-id and -lease
-need one of them.
+-stream and -resume are mutually exclusive; -shard needs one of them.
 
 Flags:
 `
@@ -110,8 +108,6 @@ type config struct {
 	eventLimit uint64
 	streamPath string
 	resumePath string
-	workerID   string
-	lease      int
 }
 
 func main() {
@@ -129,8 +125,6 @@ func main() {
 	fs.Uint64Var(&cfg.eventLimit, "eventlimit", 0, "abort any run after this many simulation events (0 = no limit)")
 	fs.StringVar(&cfg.streamPath, "stream", "", "stream the sweep to this NDJSON run-log and render outputs from it (flat memory)")
 	fs.StringVar(&cfg.resumePath, "resume", "", "resume an interrupted -stream sweep from this run-log, skipping logged runs")
-	fs.StringVar(&cfg.workerID, "worker-id", "", "stamp this fleet worker id into the run-log header (provenance only; needs -stream or -resume)")
-	fs.IntVar(&cfg.lease, "lease", 0, "stamp this fleet lease epoch into the run-log header (provenance only; needs -stream or -resume)")
 	cfg.RegisterQuiet(fs, "suppress per-run progress lines")
 	cfg.RegisterOutputs(fs)
 	cfg.RegisterObserve(fs, "stream NDJSON progress heartbeats to this file (- = stderr)",
@@ -157,9 +151,8 @@ func main() {
 func (cfg *config) validate() (mptcpsim.Shard, error) {
 	whole := mptcpsim.Shard{K: 0, N: 1}
 	if cfg.merge {
-		if cfg.gridPath != "" || cfg.shard != "" || cfg.streamPath != "" || cfg.resumePath != "" ||
-			cfg.workerID != "" || cfg.lease != 0 {
-			return whole, fmt.Errorf("-merge reads run-logs; it takes none of -grid/-shard/-stream/-resume/-worker-id/-lease")
+		if cfg.gridPath != "" || cfg.shard != "" || cfg.streamPath != "" || cfg.resumePath != "" {
+			return whole, fmt.Errorf("-merge reads run-logs; it takes none of -grid/-shard/-stream/-resume")
 		}
 		if len(cfg.logPaths) == 0 {
 			return whole, fmt.Errorf("-merge needs at least one run-log argument")
@@ -171,9 +164,6 @@ func (cfg *config) validate() (mptcpsim.Shard, error) {
 	}
 	if cfg.streamPath != "" && cfg.resumePath != "" {
 		return whole, fmt.Errorf("-stream starts a fresh run-log and -resume continues one; pass exactly one")
-	}
-	if (cfg.workerID != "" || cfg.lease != 0) && cfg.streamPath == "" && cfg.resumePath == "" {
-		return whole, fmt.Errorf("-worker-id and -lease stamp the run-log header; name the log with -stream or -resume")
 	}
 	if cfg.shard == "" {
 		return whole, nil
@@ -254,8 +244,7 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 		if err != nil {
 			return err
 		}
-		header = mptcpsim.RunLogHeader{GridDigest: digest, K: shard.K, N: shard.N, Total: total,
-			Worker: cfg.workerID, Lease: cfg.lease}
+		header = mptcpsim.RunLogHeader{GridDigest: digest, K: shard.K, N: shard.N, Total: total}
 	}
 
 	// The chain: results..., flight, meter, progress — a failed run's
@@ -263,7 +252,7 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 	var (
 		mem   mptcpsim.MemorySink
 		roll  mptcpsim.RollupSink
-		log   *fleet.ShardLog // nil for an in-memory sweep
+		log   *mptcpsim.ShardLog // nil for an in-memory sweep
 		chain = []mptcpsim.RunSink{&mem, &roll}
 	)
 	if logPath != "" {
@@ -321,7 +310,7 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 		// Read the committed log back: the second pass trusts only what is
 		// on disk, so the rendered outputs are exactly what a later -merge
 		// of this log would produce.
-		committed, err := fleet.ReadShardLog(logPath)
+		committed, err := mptcpsim.ReadShardLog(logPath)
 		if err != nil {
 			return err
 		}
@@ -355,8 +344,8 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 // openLog opens the sweep's run-log — fresh for -stream, validated and
 // positioned past the committed records for -resume — and words what the
 // resume found.
-func openLog(path string, header mptcpsim.RunLogHeader, resume bool, stderr io.Writer) (*fleet.ShardLog, error) {
-	log, err := fleet.OpenShardLog(path, header, !resume)
+func openLog(path string, header mptcpsim.RunLogHeader, resume bool, stderr io.Writer) (*mptcpsim.ShardLog, error) {
+	log, err := mptcpsim.OpenShardLog(path, header, !resume)
 	if err != nil {
 		return nil, err
 	}
@@ -375,7 +364,7 @@ func openLog(path string, header mptcpsim.RunLogHeader, resume bool, stderr io.W
 func runMerge(cfg config, stdout io.Writer) error {
 	shards := make([]*mptcpsim.ShardResult, len(cfg.logPaths))
 	for i, path := range cfg.logPaths {
-		log, err := fleet.ReadShardLog(path)
+		log, err := mptcpsim.ReadShardLog(path)
 		if err != nil {
 			return err
 		}

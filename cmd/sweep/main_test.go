@@ -427,18 +427,6 @@ func TestRunFlagDiagnostics(t *testing.T) {
 			config{merge: true, logPaths: []string{filepath.Join(dir, "absent.ndjson")}},
 			"absent.ndjson",
 		},
-		"worker id without run-log": {
-			config{Flags: quiet, gridPath: gridPath, workerID: "w9"},
-			"-worker-id",
-		},
-		"lease without run-log": {
-			config{Flags: quiet, gridPath: gridPath, lease: 3},
-			"-lease",
-		},
-		"merge with worker id and lease": {
-			config{merge: true, workerID: "w9", lease: 3, logPaths: []string{"x.ndjson"}},
-			"-worker-id",
-		},
 		"stray arguments": {
 			config{Flags: quiet, gridPath: gridPath, logPaths: []string{"stray.ndjson"}},
 			"unexpected arguments",

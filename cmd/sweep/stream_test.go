@@ -9,8 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"mptcpsim"
 	"mptcpsim/internal/cli"
-	"mptcpsim/internal/fleet"
 )
 
 // writeGoldenGrid materialises the shared golden grid spec in a temp dir.
@@ -139,7 +139,7 @@ func TestRunResumeAfterTruncation(t *testing.T) {
 		t.Fatalf("resume did not credit the %d committed records:\n%s", committed, stderr.String())
 	}
 
-	log, err := fleet.ReadShardLog(logPath)
+	log, err := mptcpsim.ReadShardLog(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,4 +301,69 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRunShardCrashStatesResume is the crash property of the sharded route:
+// four shards of the golden grid are streamed, each log is left in a
+// different state a killed writer leaves behind — cut mid-record, torn
+// inside its header, empty, and clean — and `-shard k/4 -resume` on each
+// followed by `-merge` of all four must give the unsharded golden outputs,
+// with every resumed log byte-identical to the one an uninterrupted shard
+// wrote.
+func TestRunShardCrashStatesResume(t *testing.T) {
+	dir, gridPath := writeGoldenGrid(t)
+	const n = 4
+	shardCfg := func(k int) config {
+		return config{Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 1, check: true,
+			shard: fmt.Sprintf("%d/%d", k, n)}
+	}
+	logPaths := make([]string, n)
+	clean := make([][]byte, n)
+	for k := range n {
+		cfg := shardCfg(k)
+		cfg.streamPath = filepath.Join(dir, fmt.Sprintf("shard-%d.ndjson", k))
+		var stdout, stderr bytes.Buffer
+		if err := run(cfg, &stdout, &stderr); err != nil {
+			t.Fatalf("shard %d: %v\nstderr: %s", k, err, stderr.String())
+		}
+		raw, err := os.ReadFile(cfg.streamPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logPaths[k], clean[k] = cfg.streamPath, raw
+	}
+
+	headerLen := bytes.IndexByte(clean[1], '\n') + 1
+	crashes := []struct {
+		name   string
+		crash  func(path string)
+		notice string // what the resume must say on stderr
+	}{
+		{"cut mid-record", func(path string) { truncateMidRecord(t, path) }, "torn trailing record"},
+		{"torn header", func(path string) { os.WriteFile(path, clean[1][:headerLen/2], 0o644) }, "nothing to resume"},
+		{"empty file", func(path string) { os.WriteFile(path, nil, 0o644) }, "(0 resumed from log)"},
+		{"clean", func(string) {}, "(1 resumed from log)"},
+	}
+	for k, c := range crashes {
+		c.crash(logPaths[k])
+		cfg := shardCfg(k)
+		cfg.resumePath = logPaths[k]
+		var stdout, stderr bytes.Buffer
+		if err := run(cfg, &stdout, &stderr); err != nil {
+			t.Fatalf("resume of shard %d (%s): %v\nstderr: %s", k, c.name, err, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), c.notice) {
+			t.Errorf("resume of shard %d (%s) never said %q:\n%s", k, c.name, c.notice, stderr.String())
+		}
+		if got, _ := os.ReadFile(logPaths[k]); !bytes.Equal(got, clean[k]) {
+			t.Errorf("resumed log of shard %d (%s) differs from the uninterrupted one:\n%s\nwant:\n%s", k, c.name, got, clean[k])
+		}
+	}
+
+	cfg := config{Flags: outputsIn(dir), merge: true, logPaths: logPaths}
+	var stdout, stderr bytes.Buffer
+	if err := run(cfg, &stdout, &stderr); err != nil {
+		t.Fatalf("merge: %v\nstderr: %s", err, stderr.String())
+	}
+	compareOutputsGolden(t, dir, stdout.String())
 }

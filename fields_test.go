@@ -38,6 +38,17 @@ var fieldAllow = map[string]string{
 	"fleet.Worker.SyncEvery": "test seam: crash-injection tests shorten the fsync batch",
 	"fleet.Worker.WrapSink":  "test seam: crash-injection tests (and bench/) wrap the shard's sink",
 
+	"fleet.Coordinator.Sweep":   "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Coordinator.Grid":    "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Coordinator.Shards":  "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Coordinator.Workers": "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Coordinator.Spool":   "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Coordinator.Runner":  "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Coordinator.TTL":     "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
+	"fleet.Worker.Sweep":        "pinned by bench/: bench/workloads.go's fleet pass is the only user of the in-process worker",
+	"fleet.Worker.Grid":         "pinned by bench/: bench/workloads.go's fleet pass is the only user of the in-process worker",
+	"fleet.Worker.Spool":        "pinned by bench/: bench/workloads.go's fleet pass is the only user of the in-process worker",
+
 	"tcp.Stats.AcksSent":        "test observation point: delayed-ACK tests count the ACKs",
 	"tcp.Stats.DeliveredData":   "test observation point: receiver tests read the in-order byte count",
 	"tcp.Conn.peerTSseen":       "test observation point: the timestamp tests check an echo was seen",

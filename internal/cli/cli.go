@@ -1,11 +1,11 @@
-// Package cli is the chassis the repo's commands (sweep, sweepd, simcheck)
-// stand on: the flags they share with their start/stop wiring, grid-file
+// Package cli is the chassis the repo's commands (sweep, simcheck) stand
+// on: the flags they share with their start/stop wiring, grid-file
 // loading, result reporting, and the observer sinks that hang progress
 // lines, heartbeats and flight dumps off a sweep — sweep's Stream and
 // simcheck's Sweep.Execute alike, so neither keeps a copy of its own. A
-// command keeps only its own mode logic; both ends of an exec fleet
-// resolve a grid file and render a result through the same code, which is
-// what their byte-identity contract is measured against.
+// command keeps only its own mode logic; every sweep mode resolves a grid
+// file and renders a result through the same code, which is what their
+// byte-identity contract is measured against.
 package cli
 
 import (

@@ -4,22 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 	"time"
 
 	"mptcpsim"
-	"mptcpsim/internal/telemetry"
 )
 
 // Coordinator drives a fleet sweep: expand the grid once, lease its n
-// shards to up to Workers concurrent runners, watch the shard run-logs
-// grow in the spool, retry expired or failed leases (resuming the dead
-// worker's log), and finally merge the complete logs into the unsharded
-// sweep result. The merge goes through mptcpsim.MergeShards, so the
-// output is byte-identical to Sweep.Run on the same grid no matter how
-// many workers died along the way.
+// shards to up to Workers concurrent runners, read a shard's run-log in
+// the spool whenever its lease returns, retry expired or failed leases
+// (resuming the dead worker's log), and finally merge the complete logs
+// into the unsharded sweep result. The merge goes through
+// mptcpsim.MergeShards, so the output is byte-identical to Sweep.Run on
+// the same grid no matter how many workers died along the way.
 type Coordinator struct {
 	// Sweep is the template whose Describe pins the grid digest (Workers
 	// and ValidateInvariants must match what the runners execute). Grid is
@@ -32,37 +29,18 @@ type Coordinator struct {
 	Workers int
 	// Spool is the shared spool directory (created if missing).
 	Spool string
-	// Runner executes one lease; see Worker (in-process) and ExecRunner.
+	// Runner executes one lease; see Worker.
 	Runner Runner
 	// TTL is the lease deadline (positive); an expired lease is re-granted
-	// and its late completion rejected. MaxAttempts bounds grants per shard
-	// (0 = fleetDefaultAttempts); Backoff delays re-granting a failed
-	// shard. Poll is the progress-scan interval (0 = 200ms).
-	TTL         time.Duration
-	MaxAttempts int
-	Backoff     time.Duration
-	Poll        time.Duration
-	// Meter, when set, receives fleet-wide progress: committed records
-	// found in the spool at startup via Resume, everything after via
-	// Advance.
-	Meter *telemetry.Meter
-	// Log, when set, receives coordinator notices (grants, expiries,
-	// retries) — never sweep output.
-	Log io.Writer
+	// and its late completion rejected. A shard is granted at most
+	// fleetDefaultAttempts times.
+	TTL time.Duration
 
-	// tails are the shard logs' live readers, published under mu so that
-	// Progress may run concurrently with Run.
-	mu    sync.Mutex
+	// tails are the shard logs' readers.
 	tails []*shardTail
 }
 
 const fleetDefaultAttempts = 5
-
-func (c *Coordinator) logf(format string, args ...any) {
-	if c.Log != nil {
-		fmt.Fprintf(c.Log, format+"\n", args...)
-	}
-}
 
 // Run executes the fleet to completion and returns the merged result.
 func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
@@ -84,33 +62,15 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxAttempts := c.MaxAttempts
-	if maxAttempts == 0 {
-		maxAttempts = fleetDefaultAttempts
-	}
-	poll := c.Poll
-	if poll <= 0 {
-		poll = 200 * time.Millisecond
-	}
-	table := NewTable(c.Shards, c.TTL, maxAttempts, c.Backoff)
-	tails := make([]*shardTail, c.Shards)
-	for k := range tails {
-		tails[k] = newShardTail(ShardLogPath(c.Spool, k, c.Shards),
+	table := NewTable(c.Shards, c.TTL, fleetDefaultAttempts)
+	c.tails = make([]*shardTail, c.Shards)
+	for k := range c.tails {
+		c.tails[k] = newShardTail(ShardLogPath(c.Spool, k, c.Shards),
 			mptcpsim.RunLogHeader{GridDigest: digest, K: k, N: c.Shards, Total: total})
-	}
-	c.mu.Lock()
-	c.tails = tails
-	c.mu.Unlock()
-
-	// Prime the meter with whatever a previous coordinator left in the
-	// spool: those runs are a resume baseline, not progress this execution
-	// earned.
-	if done, failed, err := c.scanProgress(); err != nil {
-		return nil, err
-	} else if done > 0 {
-		c.logf("fleet: spool already holds %d committed runs; resuming", done)
-		if c.Meter != nil {
-			c.Meter.Resume(done, failed)
+		// A log another grid or shard shape left in the spool is refused
+		// before any lease is granted.
+		if err := c.tails[k].poll(); err != nil {
+			return nil, err
 		}
 	}
 
@@ -119,8 +79,6 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 		err   error
 	}
 	results := make(chan doneMsg)
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
 	active := 0
 	workerSeq := 0
 
@@ -131,8 +89,6 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 				break
 			}
 			workerSeq++
-			c.logf("fleet: lease %s (attempt %d, deadline %s)",
-				lease, leaseAttempt(table, lease), lease.Deadline.Format(time.RFC3339))
 			active++
 			go func(lease Lease) {
 				runCtx, cancel := context.WithDeadline(ctx, lease.Deadline)
@@ -142,12 +98,10 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 			}(lease)
 		}
 		if active == 0 {
-			// Nothing running and nothing grantable: either some shard is
-			// backing off (the ticker will retry the grant) or every
-			// remaining shard is out of attempts.
-			if k, stuck := table.Exhausted(); stuck {
-				return nil, fmt.Errorf("fleet: shard %d/%d: %w", k, c.Shards, ErrAttemptsExhausted)
-			}
+			// Nothing running and nothing grantable: a remaining shard is
+			// out of attempts.
+			k, _ := table.Exhausted()
+			return nil, fmt.Errorf("fleet: shard %d/%d: %w", k, c.Shards, ErrAttemptsExhausted)
 		}
 		select {
 		case msg := <-results:
@@ -161,10 +115,6 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 				}
 				return nil, err
 			}
-		case <-ticker.C:
-			if _, _, err := c.advanceProgress(); err != nil {
-				c.logf("fleet: progress scan: %v", err)
-			}
 		case <-ctx.Done():
 			for active > 0 {
 				<-results
@@ -173,10 +123,6 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 			return nil, ctx.Err()
 		}
 	}
-
-	if _, _, err := c.advanceProgress(); err != nil {
-		return nil, err
-	}
 	return c.merge()
 }
 
@@ -184,26 +130,20 @@ func (c *Coordinator) Run(ctx context.Context) (*mptcpsim.SweepResult, error) {
 // runner's error — a SIGKILLed process and a clean exit both count as
 // complete if (and only if) every index of the shard is committed.
 func (c *Coordinator) settle(table *Table, lease Lease, runErr error) error {
-	if _, _, err := c.advanceProgress(); err != nil {
-		c.logf("fleet: progress scan: %v", err)
-	}
-	complete, err := c.tails[lease.K].complete()
-	if err != nil {
+	tail := c.tails[lease.K]
+	if err := tail.poll(); err != nil {
 		// A committed line the reader refuses: resume cannot fix this, so
 		// retrying the lease would loop. Abort loudly.
 		return fmt.Errorf("fleet: shard %d/%d log unusable: %w", lease.K, lease.N, err)
 	}
-	if complete {
-		if err := table.Complete(lease.K, lease.Epoch); err != nil {
-			// The lease expired and the shard was re-granted; the late
-			// result is discarded (the log itself is still fine — the
-			// current leaseholder resumes it and will find nothing left
-			// to do).
-			c.logf("fleet: %s finished late: %v", lease, err)
-		}
+	if tail.complete() {
+		// Complete refuses only a stale epoch: the lease expired and the
+		// shard was re-granted, so the late result is discarded (the log
+		// itself is still fine — the current leaseholder resumes it and
+		// will find nothing left to do).
+		_ = table.Complete(lease.K, lease.Epoch)
 		return nil
 	}
-	c.logf("fleet: %s incomplete (runner: %v); releasing for retry", lease, runErr)
 	if err := table.Fail(lease.K, lease.Epoch); err != nil {
 		if errors.Is(err, ErrStaleLease) {
 			return nil // already re-granted after expiry
@@ -227,54 +167,4 @@ func (c *Coordinator) merge() (*mptcpsim.SweepResult, error) {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
 	return res, nil
-}
-
-// scanProgress polls every tail once and returns the totals without
-// advancing the meter — the startup baseline — and the first tail error.
-// A tail that meets a bad record still returns the runs it kept before it,
-// and never returns them again, so they are counted here; the other tails
-// are polled all the same.
-func (c *Coordinator) scanProgress() (done, failed int, err error) {
-	for _, t := range c.tails {
-		d, f, perr := t.poll()
-		done += d
-		failed += f
-		if err == nil {
-			err = perr
-		}
-	}
-	return done, failed, err
-}
-
-// advanceProgress polls every tail and advances the meter by what is new.
-func (c *Coordinator) advanceProgress() (done, failed int, err error) {
-	done, failed, err = c.scanProgress()
-	if c.Meter != nil && done > 0 {
-		if merr := c.Meter.Advance(done, failed); err == nil {
-			err = merr
-		}
-	}
-	return done, failed, err
-}
-
-// Progress is the live fleet-wide result: every run the shard tails have
-// read so far, sorted and aggregated by the same code as the merge, so once
-// the fleet finishes it equals Run's result. Safe to call concurrently with
-// Run (the expvar/debug surface does).
-func (c *Coordinator) Progress() *mptcpsim.SweepResult {
-	c.mu.Lock()
-	tails := c.tails
-	c.mu.Unlock()
-	mem := &mptcpsim.MemorySink{}
-	for _, t := range tails {
-		t.feed(mem)
-	}
-	return mem.Result()
-}
-
-// leaseAttempt reads the attempt count behind a lease (for notices only).
-func leaseAttempt(t *Table, l Lease) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.shards[l.K].attempts
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"io"
 	"math/rand"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"mptcpsim"
-	"mptcpsim/internal/telemetry"
 )
 
 // fleetGrid is the shared test grid: 12 runs over 4 shard-friendly axes,
@@ -146,7 +144,7 @@ func (r *crashyRunner) mangle(lease Lease) {
 // first attempt is killed mid-shard at a random point (plus one double
 // kill), the logs are mangled at random bytes, and the fleet's merged
 // result must still be byte-identical to the unsharded in-memory sweep in
-// all four output formats — with every heartbeat line valid JSON.
+// all four output formats.
 func TestFleetKillWorkersByteIdentity(t *testing.T) {
 	want := func() map[string][]byte {
 		res, err := (&mptcpsim.Sweep{Workers: 2}).Run(fleetGrid())
@@ -184,24 +182,18 @@ func TestFleetKillWorkersByteIdentity(t *testing.T) {
 		attempts: make(map[int]int),
 	}
 
-	var progress, notices bytes.Buffer
-	meter := telemetry.NewMeter(&progress, 12, shards, 0)
 	coord := &Coordinator{
-		Sweep:       &mptcpsim.Sweep{Workers: 2},
-		Grid:        fleetGrid(),
-		Shards:      shards,
-		Workers:     2,
-		Spool:       spool,
-		Runner:      runner,
-		TTL:         time.Minute,
-		MaxAttempts: 5,
-		Poll:        5 * time.Millisecond,
-		Meter:       meter,
-		Log:         &notices,
+		Sweep:   &mptcpsim.Sweep{Workers: 2},
+		Grid:    fleetGrid(),
+		Shards:  shards,
+		Workers: 2,
+		Spool:   spool,
+		Runner:  runner,
+		TTL:     time.Minute,
 	}
 	res, err := coord.Run(context.Background())
 	if err != nil {
-		t.Fatalf("fleet: %v\nnotices:\n%s", err, notices.String())
+		t.Fatalf("fleet: %v", err)
 	}
 	if runner.crashes != 5 {
 		t.Fatalf("crash plan executed %d kills, want 5", runner.crashes)
@@ -213,40 +205,12 @@ func TestFleetKillWorkersByteIdentity(t *testing.T) {
 			t.Errorf("fleet output %s differs from the unsharded sweep", name)
 		}
 	}
-
-	// Live progress: the records the shard tails kept, despite
-	// re-deliveries across resumes, aggregate into the merged result itself.
-	live := renderAll(t, coord.Progress())
-	for name, w := range got {
-		if !bytes.Equal(live[name], w) {
-			t.Errorf("live progress %s differs from the merged result", name)
-		}
-	}
-
-	// Heartbeats: every line independently valid JSON, final line accounts
-	// for the whole grid.
-	if err := meter.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(progress.String(), "\n"), "\n")
-	var hb telemetry.Heartbeat
-	for i, line := range lines {
-		if !json.Valid([]byte(line)) {
-			t.Fatalf("heartbeat %d is not valid JSON: %s", i, line)
-		}
-	}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &hb); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Done != 12 || hb.Total != 12 {
-		t.Fatalf("final heartbeat done/total = %d/%d, want 12/12", hb.Done, hb.Total)
-	}
 }
 
 // TestFleetCoordinatorRestart is crash-safety one level up: the
 // coordinator itself aborts (a shard out of attempts), a fresh coordinator
 // is pointed at the same spool, and the fleet finishes from the committed
-// prefix — byte-identical output, heartbeats crediting the resumed runs.
+// prefix with byte-identical output.
 func TestFleetCoordinatorRestart(t *testing.T) {
 	spool := t.TempDir()
 	worker := &Worker{
@@ -263,21 +227,24 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 		Workers: 2,
 		Spool:   spool,
 		Runner: &crashyRunner{
-			worker:   worker,
-			plan:     func(k, attempt int) int { return 1 + rng.Intn(2) }, // every attempt dies
+			worker: worker,
+			// Every attempt dies: the first after committing 1 or 2 of the
+			// shard's 4 records, every later one before its first.
+			plan: func(k, attempt int) int {
+				if attempt == 1 {
+					return 1 + rng.Intn(2)
+				}
+				return 0
+			},
 			rng:      rng,
 			attempts: make(map[int]int),
 		},
-		TTL:         time.Minute,
-		MaxAttempts: 2,
-		Poll:        5 * time.Millisecond,
+		TTL: time.Minute,
 	}
 	if _, err := first.Run(context.Background()); !errors.Is(err, ErrAttemptsExhausted) {
 		t.Fatalf("doomed fleet: err = %v, want ErrAttemptsExhausted", err)
 	}
 
-	var progress bytes.Buffer
-	meter := telemetry.NewMeter(&progress, 12, 3, 0)
 	second := &Coordinator{
 		Sweep:   &mptcpsim.Sweep{Workers: 2},
 		Grid:    fleetGrid(),
@@ -286,8 +253,6 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 		Spool:   spool,
 		Runner:  worker,
 		TTL:     time.Minute,
-		Poll:    5 * time.Millisecond,
-		Meter:   meter,
 	}
 	res, err := second.Run(context.Background())
 	if err != nil {
@@ -302,17 +267,6 @@ func TestFleetCoordinatorRestart(t *testing.T) {
 		if !bytes.Equal(gotAll[name], w) {
 			t.Errorf("restarted fleet output %s differs from the unsharded sweep", name)
 		}
-	}
-	if err := meter.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(progress.String(), "\n"), "\n")
-	var hb telemetry.Heartbeat
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &hb); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Done != 12 {
-		t.Fatalf("final heartbeat credits %d runs, want all 12 (resumed + executed)", hb.Done)
 	}
 }
 
@@ -348,7 +302,6 @@ func TestFleetLeaseExpiryRevivesShard(t *testing.T) {
 		Spool: spool,
 	}
 	runner := &hangRunner{worker: worker}
-	var notices bytes.Buffer
 	coord := &Coordinator{
 		Sweep:   &mptcpsim.Sweep{Workers: 2},
 		Grid:    fleetGrid(),
@@ -358,23 +311,17 @@ func TestFleetLeaseExpiryRevivesShard(t *testing.T) {
 		Runner:  runner,
 		// Long enough for the real second attempt to finish inside its
 		// lease even under -race; the hung first attempt pays it in full.
-		TTL:         2 * time.Second,
-		MaxAttempts: 3,
-		Poll:        10 * time.Millisecond,
-		Log:         &notices,
+		TTL: 2 * time.Second,
 	}
 	res, err := coord.Run(context.Background())
 	if err != nil {
-		t.Fatalf("fleet: %v\nnotices:\n%s", err, notices.String())
+		t.Fatalf("fleet: %v", err)
 	}
 	if len(res.Runs) != 12 {
 		t.Fatalf("merged %d runs, want 12", len(res.Runs))
 	}
 	if runner.calls < 2 {
 		t.Fatalf("shard completed in %d calls; the hung lease was never re-granted", runner.calls)
-	}
-	if !strings.Contains(notices.String(), "incomplete") {
-		t.Fatalf("coordinator never logged the failed lease:\n%s", notices.String())
 	}
 }
 
@@ -393,7 +340,7 @@ func (r *refusingRunner) Run(ctx context.Context, lease Lease) error {
 
 // TestFleetRefusesStaleSpoolLog: a shard log another grid, or another cut
 // of this grid, left in the spool is neither progress nor a resume
-// baseline. Run fails at its startup scan, naming the file, before it
+// baseline. Run fails at its startup poll, naming the file, before it
 // grants a single lease.
 func TestFleetRefusesStaleSpoolLog(t *testing.T) {
 	sweep := &mptcpsim.Sweep{Workers: 2}
@@ -430,7 +377,6 @@ func TestFleetRefusesStaleSpoolLog(t *testing.T) {
 			}
 
 			runner := &refusingRunner{}
-			var notices bytes.Buffer
 			coord := &Coordinator{
 				Sweep:   sweep,
 				Grid:    fleetGrid(),
@@ -439,60 +385,15 @@ func TestFleetRefusesStaleSpoolLog(t *testing.T) {
 				Spool:   spool,
 				Runner:  runner,
 				TTL:     time.Minute,
-				Poll:    5 * time.Millisecond,
-				Log:     &notices,
 			}
 			_, err = coord.Run(context.Background())
 			if err == nil || !strings.Contains(err.Error(), path) {
 				t.Fatalf("Run: err = %v, want the stale log %s named", err, path)
 			}
-			if runner.calls != 0 || notices.Len() != 0 {
-				t.Fatalf("the fleet acted on a stale log: %d leases run, notices:\n%s", runner.calls, notices.String())
+			if runner.calls != 0 {
+				t.Fatalf("the fleet acted on a stale log: %d leases run", runner.calls)
 			}
 		})
-	}
-}
-
-// TestProgressDuringRun: Progress is safe to call throughout Run, as sweepd
-// does from its expvar before Run starts. Under -race this fails if Run
-// publishes its shard tails without synchronisation. Once Run returns,
-// Progress is the merged result.
-func TestProgressDuringRun(t *testing.T) {
-	grid := &mptcpsim.Grid{CCs: []string{"cubic"}, Orders: [][]int{{2, 1, 3}}, Seeds: []int64{1, 2}, DurationMs: 50}
-	spool := t.TempDir()
-	coord := &Coordinator{
-		Sweep:   &mptcpsim.Sweep{Workers: 1},
-		Grid:    grid,
-		Shards:  2,
-		Workers: 2,
-		Spool:   spool,
-		Runner:  &Worker{Sweep: &mptcpsim.Sweep{Workers: 1}, Grid: grid, Spool: spool},
-		TTL:     time.Minute,
-		Poll:    time.Millisecond,
-	}
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				coord.Progress()
-			}
-		}
-	}()
-	res, err := coord.Run(context.Background())
-	close(stop)
-	<-stopped
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, live := renderAll(t, res), renderAll(t, coord.Progress())
-	for name, w := range want {
-		if !bytes.Equal(live[name], w) {
-			t.Errorf("progress %s after Run differs from the merged result", name)
-		}
 	}
 }
 

@@ -1,12 +1,15 @@
 // Package fleet coordinates a fleet of sweep workers over one parameter
 // grid: the grid is expanded once into n shards, each shard is leased to a
-// worker with a deadline, expired or failed leases are retried with
-// backoff, and the shard run-logs accumulating in a shared spool directory
-// are each followed by one incremental reader (mptcpsim.RunLog.Follow,
-// ReadRunLog's own parser). What it has read is the live fleet-wide
-// result, the test of whether a returned lease finished its shard, and, at
-// the end, the input of the same validated merge as any other run-logs —
-// so the fleet result is byte-identical to an unsharded sweep.
+// worker with a deadline, expired or failed leases are retried, and the
+// shard run-logs accumulating in a shared spool directory are each followed
+// by one incremental reader (mptcpsim.RunLog.Follow, ReadRunLog's own
+// parser). What it has read is the test of whether a returned lease
+// finished its shard and, at the end, the input of the same validated
+// merge as any other run-logs — so the fleet result is byte-identical to
+// an unsharded sweep.
+//
+// The package serves bench/'s fleet pass only. The distributed route for
+// users is `sweep -shard k/n -stream`, with -resume and -merge.
 //
 // The lease protocol is deliberately thin: a lease is a promise from the
 // coordinator not to hand the same shard to anyone else before the
@@ -55,9 +58,8 @@ const (
 
 type shardState struct {
 	state    int
-	epoch    int       // grant counter; 0 = never granted
-	attempts int       // grants so far
-	eligible time.Time // earliest next grant (failure backoff)
+	epoch    int // grant counter; 0 = never granted
+	attempts int // grants so far
 	deadline time.Time
 }
 
@@ -68,7 +70,6 @@ type Table struct {
 	n           int
 	ttl         time.Duration
 	maxAttempts int
-	backoff     time.Duration
 	now         func() time.Time
 
 	mu     sync.Mutex
@@ -77,21 +78,20 @@ type Table struct {
 }
 
 // NewTable returns a lease table for n shards. Each grant lasts ttl; a
-// shard may be granted at most maxAttempts times (0 means unlimited), and
-// after a failure the shard is withheld for backoff before the next grant.
-func NewTable(n int, ttl time.Duration, maxAttempts int, backoff time.Duration) *Table {
+// shard may be granted at most maxAttempts times (0 means unlimited).
+func NewTable(n int, ttl time.Duration, maxAttempts int) *Table {
 	return &Table{
-		n: n, ttl: ttl, maxAttempts: maxAttempts, backoff: backoff,
+		n: n, ttl: ttl, maxAttempts: maxAttempts,
 		now:    time.Now,
 		shards: make([]shardState, n),
 	}
 }
 
 // Acquire grants the lowest-numbered grantable shard to worker: a shard
-// never granted, one released by failure (past its backoff), or one whose
-// lease expired without word from its worker — that grant bumps the epoch,
-// so the silent worker's eventual completion will be stale. ok is false
-// when nothing is grantable right now (all running, backing off, or done).
+// never granted, one released by failure, or one whose lease expired
+// without word from its worker — that grant bumps the epoch, so the silent
+// worker's eventual completion will be stale. ok is false when nothing is
+// grantable right now (all running, done, or out of attempts).
 func (t *Table) Acquire(worker string) (lease Lease, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -101,10 +101,6 @@ func (t *Table) Acquire(worker string) (lease Lease, ok bool) {
 		switch s.state {
 		case stateDone:
 			continue
-		case statePending:
-			if now.Before(s.eligible) {
-				continue
-			}
 		case stateLeased:
 			if now.Before(s.deadline) {
 				continue
@@ -155,7 +151,6 @@ func (t *Table) Fail(k, epoch int) error {
 			k, t.n, epoch, s.epoch, ErrStaleLease)
 	}
 	s.state = statePending
-	s.eligible = t.now().Add(t.backoff)
 	if t.maxAttempts > 0 && s.attempts >= t.maxAttempts {
 		return fmt.Errorf("fleet: shard %d/%d failed %d times: %w", k, t.n, s.attempts, ErrAttemptsExhausted)
 	}

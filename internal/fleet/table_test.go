@@ -26,8 +26,8 @@ func (c *fakeNow) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTestTable(n int, ttl time.Duration, maxAttempts int, backoff time.Duration) (*Table, *fakeNow) {
-	table := NewTable(n, ttl, maxAttempts, backoff)
+func newTestTable(n int, ttl time.Duration, maxAttempts int) (*Table, *fakeNow) {
+	table := NewTable(n, ttl, maxAttempts)
 	clock := &fakeNow{now: time.Unix(1700000000, 0)}
 	table.now = clock.get
 	return table, clock
@@ -39,7 +39,7 @@ func newTestTable(n int, ttl time.Duration, maxAttempts int, backoff time.Durati
 // stale — the replacement's completion is the only one honoured, and a
 // duplicate of it is rejected too.
 func TestTableLateCompletionRejected(t *testing.T) {
-	table, clock := newTestTable(1, time.Minute, 0, 0)
+	table, clock := newTestTable(1, time.Minute, 0)
 
 	a, ok := table.Acquire("a")
 	if !ok || a.Epoch != 1 {
@@ -83,7 +83,7 @@ func TestTableLateCompletionRejected(t *testing.T) {
 // interleaving, exactly one completion per shard is honoured.
 func TestTableCompleteRace(t *testing.T) {
 	for round := 0; round < 200; round++ {
-		table := NewTable(1, 0, 0, 0) // ttl 0: every lease is expired at once
+		table := NewTable(1, 0, 0) // ttl 0: every lease is expired at once
 		a, ok := table.Acquire("a")
 		if !ok {
 			t.Fatal("first grant refused")
@@ -114,10 +114,10 @@ func TestTableCompleteRace(t *testing.T) {
 }
 
 // TestTableRetryBackoffAndExhaustion covers the failure path: a failed
-// shard is withheld for the backoff, retried under a fresh epoch, and
-// after MaxAttempts grants the table reports it exhausted.
+// shard is granted again at once under a fresh epoch, and after
+// maxAttempts grants the table reports it exhausted.
 func TestTableRetryBackoffAndExhaustion(t *testing.T) {
-	table, clock := newTestTable(2, time.Minute, 2, 10*time.Second)
+	table, _ := newTestTable(2, time.Minute, 2)
 
 	l0, _ := table.Acquire("w")
 	l1, _ := table.Acquire("w")
@@ -130,13 +130,9 @@ func TestTableRetryBackoffAndExhaustion(t *testing.T) {
 	if err := table.Fail(l0.K, l0.Epoch); err != nil {
 		t.Fatalf("first failure within attempts: %v", err)
 	}
-	if _, ok := table.Acquire("w"); ok {
-		t.Fatal("failed shard re-granted inside its backoff window")
-	}
-	clock.advance(11 * time.Second)
 	retry, ok := table.Acquire("w")
 	if !ok || retry.K != 0 || retry.Epoch != 2 {
-		t.Fatalf("backoff retry: ok=%v k=%d epoch=%d, want shard 0 at epoch 2", ok, retry.K, retry.Epoch)
+		t.Fatalf("retry: ok=%v k=%d epoch=%d, want shard 0 at epoch 2", ok, retry.K, retry.Epoch)
 	}
 
 	// Second (= last allowed) attempt fails: the table is exhausted.
@@ -144,7 +140,6 @@ func TestTableRetryBackoffAndExhaustion(t *testing.T) {
 	if !errors.Is(err, ErrAttemptsExhausted) {
 		t.Fatalf("final failure: err = %v, want ErrAttemptsExhausted", err)
 	}
-	clock.advance(11 * time.Second)
 	if _, ok := table.Acquire("w"); ok {
 		t.Fatal("exhausted shard granted again")
 	}

@@ -7,10 +7,11 @@ import (
 	"mptcpsim"
 )
 
-// Worker executes leased shards in-process — sweepd's default mode, no
-// separate sweep binary required. Each Run opens (or resumes) the shard's
-// spool run-log, skips committed indices, and streams the rest through
-// the library sweep, honouring the lease deadline via ctx.
+// Worker executes leased shards in-process; it is the runner behind
+// bench/'s fleet pass. Each Run opens (or resumes) the
+// shard's spool run-log with mptcpsim.OpenShardLog, skips committed
+// indices, and streams the rest through the library sweep, honouring the
+// lease deadline via ctx.
 type Worker struct {
 	// Sweep executes the shard; its settings must match the coordinator's,
 	// or the grid digests disagree. Grid is the fleet's grid. The first Run
@@ -47,7 +48,7 @@ func (w *Worker) Run(ctx context.Context, lease Lease) error {
 		Worker: lease.Worker,
 		Lease:  lease.Epoch,
 	}
-	log, err := OpenShardLog(ShardLogPath(w.Spool, lease.K, lease.N), header, false)
+	log, err := mptcpsim.OpenShardLog(ShardLogPath(w.Spool, lease.K, lease.N), header, false)
 	if err != nil {
 		return err
 	}

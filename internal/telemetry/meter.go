@@ -41,9 +41,8 @@ type Heartbeat struct {
 
 // Meter turns a stream of run completions into periodic NDJSON heartbeats.
 // Feed it from wherever completions surface (cli.MeterSink in the chain
-// of a sweep's or simcheck's Sweep.Execute, a fleet coordinator scanning
-// run-logs); it rate-limits emission to the configured
-// interval and always emits the final heartbeat on Close. A Meter is safe
+// of a sweep's or simcheck's Sweep.Execute); it rate-limits emission to the
+// configured interval and always emits the final heartbeat on Close. A Meter is safe
 // for concurrent Advance calls: it carries its own mutex.
 type Meter struct {
 	mu       sync.Mutex
@@ -95,9 +94,8 @@ func (m *Meter) Resume(done, failed int) {
 	m.failed += failed
 }
 
-// Advance notes n completions (failed of them failed) observed at once —
-// one for a sweep sink's run, a batch for a fleet coordinator scanning
-// worker run-logs — and emits a heartbeat if the interval has elapsed since
+// Advance notes n completions (failed of them failed) observed at once and
+// emits a heartbeat if the interval has elapsed since
 // the last one or the sweep is complete. The wall time since the previous
 // observation is spread evenly across the batch, so the EWMA (and therefore
 // the ETA) converges to the aggregate completion rate. Advance with n <= 0

@@ -34,11 +34,12 @@ type RunLogHeader struct {
 	N int `json:"n"`
 	// Total is the run count of the whole grid, not just this shard.
 	Total int `json:"total"`
-	// Worker and Lease are optional fleet provenance: the id of the worker
-	// process that wrote the log and the lease epoch it held the shard
-	// under (see internal/fleet). Purely diagnostic — resume and merge
-	// compare only the digest and shard shape, so a re-leased shard's log
-	// may carry a different worker/lease than the one that started it.
+	// Worker and Lease are optional provenance, stamped by fleet.Worker
+	// (which only bench/'s fleet pass runs): the id of the lease holder that
+	// wrote the log and the lease epoch it held the shard under. Purely
+	// diagnostic — resume and merge compare only the digest and shard
+	// shape, so a re-leased shard's log may carry a different worker/lease
+	// than the one that started it.
 	Worker string `json:"worker,omitempty"`
 	Lease  int    `json:"lease,omitempty"`
 }
