@@ -76,7 +76,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		if len(order) == 0 || *paths == "2,1,3" && nw.NumPaths() != 3 {
+		pathsSet := false
+		fs.Visit(func(f *flag.Flag) { pathsSet = pathsSet || f.Name == "paths" })
+		if !pathsSet && nw.NumPaths() != 3 {
 			opts.SubflowPaths = nil // default order for custom topologies
 		}
 	}

@@ -78,6 +78,38 @@ func TestRunCustomTopology(t *testing.T) {
 	}
 }
 
+// TestRunCustomTopologyExplicitPaths: an explicit -paths is honoured on a
+// custom topology even when it equals the flag's default, so a four-path
+// scenario asked for paths 2,1,3 runs three subflows, Path 2 first.
+func TestRunCustomTopologyExplicitPaths(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "four.json")
+	scenario := `{
+  "links": [
+    {"a": "s", "b": "m1", "mbps": 10, "delay_ms": 2},
+    {"a": "s", "b": "m2", "mbps": 10, "delay_ms": 3},
+    {"a": "s", "b": "m3", "mbps": 10, "delay_ms": 4},
+    {"a": "s", "b": "m4", "mbps": 10, "delay_ms": 5},
+    {"a": "m1", "b": "d", "mbps": 100, "delay_ms": 1},
+    {"a": "m2", "b": "d", "mbps": 100, "delay_ms": 1},
+    {"a": "m3", "b": "d", "mbps": 100, "delay_ms": 1},
+    {"a": "m4", "b": "d", "mbps": 100, "delay_ms": 1}
+  ],
+  "endpoints": {"src": "s", "dst": "d"},
+  "paths": [{"nodes": ["s", "m1", "d"]}, {"nodes": ["s", "m2", "d"]},
+            {"nodes": ["s", "m3", "d"]}, {"nodes": ["s", "m4", "d"]}]
+}`
+	if err := os.WriteFile(path, []byte(scenario), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	out := runOK(t, "-topo", path, "-paths", "2,1,3", "-duration", "200ms")
+	if n := strings.Count(out, "subflow Path "); n != 3 {
+		t.Errorf("%d subflows, want 3:\n%s", n, out)
+	}
+	if first := strings.Index(out, "subflow Path "); first < 0 || !strings.HasPrefix(out[first:], "subflow Path 2:") || strings.Contains(out, "subflow Path 4") {
+		t.Errorf("subflows are not Paths 2, 1, 3:\n%s", out)
+	}
+}
+
 // TestRunPCAPRoundTrip: -pcap writes a capture that reads back with exactly
 // the packet count the command reports.
 func TestRunPCAPRoundTrip(t *testing.T) {

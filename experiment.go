@@ -308,17 +308,10 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 			StartDelay: delay,
 		}
 	}
-	var src mptcp.DataSource
-	var fixed *mptcp.Fixed
-	if opts.TransferBytes > 0 {
-		fixed = &mptcp.Fixed{Total: opts.TransferBytes}
-		src = fixed
-	}
 	conn, err := mptcp.Dial(sender, rng.Fork(), mptcp.Config{
 		Algorithm: opts.CC,
 		Scheduler: opts.Scheduler,
 		Subflows:  specs,
-		Source:    src,
 		TCP: tcp.Config{
 			DisableSACK: opts.DisableSACK,
 			Timestamps:  opts.Timestamps,
@@ -436,9 +429,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	for _, rc := range acc.Conns() {
 		res.DeliveredBytes += rc.Delivered
 		res.DuplicateBytes += rc.DupBytes
-	}
-	if fixed != nil {
-		res.TransferComplete = fixed.Done() && res.DeliveredBytes >= uint64(opts.TransferBytes)
 	}
 	if opts.RetainPackets {
 		res.records = sniff.Records()

@@ -29,13 +29,12 @@ import (
 // tests observe the engine at, or a name bench/ pins (only a benchmark PR may
 // touch bench/).
 var fieldAllow = map[string]string{
-	"mptcpsim.Options.Timestamps":    "tested feature: no command sets it, the RFC 7323 tests of internal/tcp and TestTimestampsOptionRuns do",
-	"mptcpsim.Options.CrossTCP":      "tested feature: no command sets it, TestCrossTrafficFairness pins RFC 6356's do-no-harm goal against a competing TCP flow",
-	"mptcpsim.Options.TransferBytes": "tested feature: no command sets it, TestFixedTransferCompletes pins that a sized transfer delivers exactly its bytes",
-	"tcp.Config.MSS":                 "tested feature: only the MSS-negotiation tests set it; withDefaults fills DefaultMSS",
-	"tcp.Config.RcvBuf":              "tested feature: only the flow-control tests set it; withDefaults fills DefaultRcvBuf",
+	"mptcpsim.Options.Timestamps": "tested feature: no command sets it, the RFC 7323 tests of internal/tcp and TestTimestampsOptionRuns do",
+	"mptcpsim.Options.CrossTCP":   "tested feature: no command sets it, TestCrossTrafficFairness pins RFC 6356's do-no-harm goal against a competing TCP flow",
+	"tcp.Config.RcvBuf":           "tested feature: only the flow-control tests set it; withDefaults fills DefaultRcvBuf",
 
 	"fleet.Worker.SyncEvery": "test seam: crash-injection tests shorten the fsync batch",
+	"mptcp.Config.Source":    "test seam: the mptcp scripts send an exact byte count through it; runs stream (nil is infinite bulk)",
 	"fleet.Worker.WrapSink":  "test seam: crash-injection tests (and bench/) wrap the shard's sink",
 
 	"fleet.Coordinator.Sweep":   "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",

@@ -57,7 +57,7 @@ type Grid struct {
 	SampleMs float64 `json:"sample_ms,omitempty"`
 
 	// Base supplies any further per-run options programmatically (SACK,
-	// timestamps, transfer size, convergence band...). CC, Scheduler,
+	// timestamps, cross traffic, telemetry...). CC, Scheduler,
 	// SubflowPaths and Seed are overwritten by the grid axes;
 	// Base.QueueScale multiplies with each perturbation's QueueScale, and a
 	// perturbation's DisableSACK adds to Base.DisableSACK.

@@ -46,7 +46,7 @@ type Config struct {
 	Scheduler string
 	// Subflows lists the paths; the first entry is the default subflow.
 	Subflows []SubflowSpec
-	// TCP is the per-subflow TCP template: DisableSACK, Timestamps, MSS,
+	// TCP is the per-subflow TCP template: DisableSACK, Timestamps and
 	// RcvBuf. Tag, CC, Source, Sink, FlowID and SynOptions are set by this
 	// package.
 	TCP tcp.Config
@@ -67,29 +67,6 @@ type DataSource interface {
 type bulkData struct{}
 
 func (bulkData) NextData(max int) int { return max }
-
-// Fixed is a DataSource that transfers exactly Total bytes, then stops.
-type Fixed struct {
-	// Total is the transfer size in bytes.
-	Total int
-	sent  int
-}
-
-// NextData implements DataSource.
-func (f *Fixed) NextData(max int) int {
-	left := f.Total - f.sent
-	if left <= 0 {
-		return 0
-	}
-	if max > left {
-		max = left
-	}
-	f.sent += max
-	return max
-}
-
-// Done reports whether the whole transfer was handed to the connection.
-func (f *Fixed) Done() bool { return f.sent >= f.Total }
 
 // Subflow is one TCP subflow of a connection.
 type Subflow struct {

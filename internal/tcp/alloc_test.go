@@ -117,14 +117,14 @@ func TestQueueRecordSizes(t *testing.T) {
 	}
 }
 
-// TestConnSize pins the connection record inside the 704-byte malloc size
-// class. The allocator puts an 8-byte header in front of a pointerful
-// object this large, so the record itself may take 696 bytes. Every run
-// allocates one per subflow end and per cross-traffic flow: a field that
-// pushes it into the next class (768) raises every workload's allocation
-// bill by 64 bytes a connection.
+// TestConnSize pins the connection record at its measured 680 bytes, inside
+// the 704-byte malloc size class. The allocator puts an 8-byte header in
+// front of a pointerful object this large, so the class holds a record of
+// up to 696 bytes. Every run allocates one per subflow end and per
+// cross-traffic flow: a field that pushes it into the next class (768)
+// raises every workload's allocation bill by 64 bytes a connection.
 func TestConnSize(t *testing.T) {
-	if n := unsafe.Sizeof(Conn{}); n > 696 {
-		t.Errorf("Conn is %d bytes, want <= 696", n)
+	if n := unsafe.Sizeof(Conn{}); n > 680 {
+		t.Errorf("Conn is %d bytes, want <= 680", n)
 	}
 }

@@ -70,8 +70,8 @@ type seg struct {
 
 // rseg is a receiver-side out-of-order segment, with the data sequence
 // number its DSS mapping carried (meaningful when mapped); 16 bytes. A
-// segment's length fits 16 bits: no sender's effective MSS exceeds the 16-bit
-// MSS option its peer advertised.
+// segment's length fits 16 bits: no sender's effective MSS exceeds
+// DefaultMSS.
 type rseg struct {
 	dsn    uint64
 	seq    uint32
@@ -86,9 +86,9 @@ var (
 )
 
 // Conn is one TCP connection endpoint. Small fields share words (bools
-// beside a uint32) so the record stays within 696 bytes: with the 8-byte
+// beside a uint32) so the record stays within 680 bytes: with the 8-byte
 // header the allocator puts in front of a pointerful object this large, that
-// fills the 704-byte size class exactly (TestConnSize).
+// sits in the 704-byte size class (TestConnSize).
 type Conn struct {
 	host *Host
 	loop *sim.Loop
@@ -110,8 +110,7 @@ type Conn struct {
 	sndUna   uint32
 	sndNxt   uint32
 	peerRwnd uint32
-	peerMSS  int
-	mss      int // effective MSS = min(cfg.MSS, peerMSS)
+	mss      int // effective MSS: DefaultMSS, or the peer's if smaller
 	// rtx is the scoreboard: every unacknowledged segment in send order,
 	// contiguous in sequence space.
 	rtx fifo.Queue[seg]
@@ -162,9 +161,6 @@ type Conn struct {
 	backoff    uint
 	synSent    int
 	synTime    sim.Time
-	// mssOpt holds the SYN's MSS option value; SYN packets (including
-	// retransmissions) reference it in place.
-	mssOpt packet.MSSOption
 
 	// Receiver state.
 	rcvNxt   uint32
@@ -198,14 +194,13 @@ type Conn struct {
 func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
 	cfg = cfg.withDefaults()
 	c := &Conn{
-		host:    h,
-		loop:    h.loop,
-		cfg:     cfg,
-		arena:   h.net.Arena(),
-		local:   local,
-		remote:  remote,
-		peerMSS: cfg.MSS,
-		mss:     cfg.MSS,
+		host:   h,
+		loop:   h.loop,
+		cfg:    cfg,
+		arena:  h.net.Arena(),
+		local:  local,
+		remote: remote,
+		mss:    DefaultMSS,
 		// Until the peer advertises, assume a modest window.
 		peerRwnd:  65535,
 		oldestRtx: sim.End,
@@ -216,7 +211,7 @@ func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
 	if cfg.Sink != nil { // and only a receiver's out-of-order queue
 		c.ooo.Adopt(rsegBufs.Get(0))
 	}
-	c.Flow.MSS = cfg.MSS
+	c.Flow.MSS = DefaultMSS
 	c.Flow.ID = cfg.FlowID
 	c.rtoCall.c = c
 	c.delAckCall.c = c
@@ -269,8 +264,8 @@ func (c *Conn) startServer(syn *packet.Packet) {
 }
 
 func (c *Conn) notePeerOptions(t *packet.TCP) {
-	if o, ok := t.Option(packet.KindMSS).(*packet.MSSOption); ok {
-		c.peerMSS = int(o.MSS)
+	if o, ok := t.Option(packet.KindMSS).(*packet.MSSOption); ok && int(o.MSS) < c.mss {
+		c.mss = int(o.MSS)
 	}
 	if !c.cfg.DisableSACK && t.Option(packet.KindSACKPermitted) != nil {
 		c.sackOK = true
@@ -278,16 +273,16 @@ func (c *Conn) notePeerOptions(t *packet.TCP) {
 	if c.cfg.Timestamps && t.Option(packet.KindTimestamps) != nil {
 		c.tsOK = true
 	}
-	if c.peerMSS < c.mss {
-		c.mss = c.peerMSS
-	}
 	c.Flow.MSS = c.mss
 	c.peerRwnd = t.Window
 }
 
-// sackPermittedOpt is the shared stateless SACK-permitted option value
-// appended to every SYN; packets only read it.
-var sackPermittedOpt packet.SACKPermitted
+// synMSSOpt and sackPermittedOpt are the shared option values appended to
+// every SYN; packets only read them.
+var (
+	synMSSOpt        = packet.MSSOption{MSS: DefaultMSS}
+	sackPermittedOpt packet.SACKPermitted
+)
 
 func (c *Conn) sendSYN(withAck bool) {
 	p, t := c.arena.GetTCP()
@@ -296,8 +291,7 @@ func (c *Conn) sendSYN(withAck bool) {
 	t.Seq = c.iss
 	t.Flags = packet.FlagSYN
 	t.Window = uint32(c.cfg.RcvBuf)
-	c.mssOpt = packet.MSSOption{MSS: uint16(c.cfg.MSS)}
-	t.Options = append(t.Options, &c.mssOpt)
+	t.Options = append(t.Options, &synMSSOpt)
 	t.Options = append(t.Options, c.cfg.SynOptions...)
 	if !c.cfg.DisableSACK {
 		t.Options = append(t.Options, &sackPermittedOpt)

@@ -37,14 +37,22 @@ type scriptPeer struct {
 	c  *Conn
 	// peerISS is the scripted peer's initial sequence number.
 	peerISS uint32
-	data    []sentSeg
-	acks    []sentSeg
+	// synMSS is the MSS option of the connection's own SYN.
+	synMSS int
+	data   []sentSeg
+	acks   []sentSeg
 }
 
 // OnEnqueue captures and swallows every packet the connection sends.
 func (p *scriptPeer) OnEnqueue(_ *netem.Link, pk *packet.Packet) bool {
 	t := pk.TCP
-	if t == nil || t.Flags&packet.FlagSYN != 0 {
+	if t == nil {
+		return true
+	}
+	if t.Flags&packet.FlagSYN != 0 {
+		if o, ok := t.Option(packet.KindMSS).(*packet.MSSOption); ok {
+			p.synMSS = int(o.MSS)
+		}
 		return true
 	}
 	if pk.PayloadLen > 0 {
@@ -64,14 +72,16 @@ func (p *scriptPeer) OnEnqueue(_ *netem.Link, pk *packet.Packet) bool {
 func (p *scriptPeer) recvSeg(seq uint32) int { return int(seq-(p.peerISS+1)) / scriptMSS }
 
 // newScriptPeer dials a connection, answers its SYN by hand and returns
-// with the connection established and its initial window captured.
+// with the connection established and its initial window captured. The
+// SYN-ACK carries synOpts, then an MSS option of scriptMSS and
+// SACK-permitted; an MSS option among synOpts comes first, so it is the one
+// the connection reads.
 func newScriptPeer(t *testing.T, cfg Config, synOpts ...packet.Option) *scriptPeer {
 	t.Helper()
 	tn := newTestNet(t, 100*unit.Mbps, time.Millisecond, 0)
 	p := &scriptPeer{t: t, tn: tn, peerISS: 7000}
 	tn.fwd.SetAQM(p)
 	cfg.Tag = 1
-	cfg.MSS = scriptMSS
 	if cfg.CC == nil {
 		cfg.CC, _ = cc.New("reno")
 	}
@@ -80,7 +90,7 @@ func newScriptPeer(t *testing.T, cfg Config, synOpts ...packet.Option) *scriptPe
 		t.Fatal(err)
 	}
 	p.c = c
-	opts := append([]packet.Option{&packet.MSSOption{MSS: scriptMSS}, &packet.SACKPermitted{}}, synOpts...)
+	opts := append(synOpts, &packet.MSSOption{MSS: scriptMSS}, &packet.SACKPermitted{})
 	p.inject(&packet.TCP{Seq: p.peerISS, Ack: c.iss + 1, Flags: packet.FlagSYN | packet.FlagACK, Options: opts}, 0)
 	if c.State() != StateEstablished {
 		t.Fatalf("state %v after the scripted SYN-ACK", c.State())

@@ -25,11 +25,12 @@ import (
 
 // Protocol parameters. They follow Linux defaults of the paper's era
 // (MPTCP v0.94 on ~4.x kernels) where that matters to the dynamics. Only
-// DefaultMSS and DefaultRcvBuf can be overridden (Config); the rest are what
-// every connection runs with.
+// DefaultRcvBuf can be overridden (Config); the rest are what every
+// connection runs with.
 const (
-	// DefaultMSS is the default maximum segment size (payload bytes). It
-	// leaves room for the 28-byte DSS option within a 1500-byte MTU:
+	// DefaultMSS is the maximum segment size (payload bytes) every SYN
+	// advertises; a connection sends with the smaller of it and the peer's.
+	// It leaves room for the 28-byte DSS option within a 1500-byte MTU:
 	// 1500 - 20 (IP) - 20 (TCP) - 28 (DSS) = 1432; rounded down.
 	DefaultMSS = 1400
 	// DefaultInitialCwnd is the initial window in segments (RFC 6928).
@@ -52,13 +53,10 @@ const (
 )
 
 // Config parameterises one connection (or a listener's accepted
-// connections). MSS and RcvBuf take their default when zero; the initial
+// connections). RcvBuf takes its default when zero; the MSS, the initial
 // window, the delayed-ACK policy and the RTO bounds are not fields but the
 // Default* constants above, since no run varies them.
 type Config struct {
-	// MSS is the sender maximum segment size in payload bytes (0 selects
-	// DefaultMSS).
-	MSS int
 	// RcvBuf is the receive buffer / advertised window (0 selects
 	// DefaultRcvBuf).
 	RcvBuf unit.ByteSize
@@ -86,11 +84,8 @@ type Config struct {
 	FlowID string
 }
 
-// withDefaults fills an unset MSS and RcvBuf.
+// withDefaults fills an unset RcvBuf.
 func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = DefaultMSS
-	}
 	if c.RcvBuf <= 0 {
 		c.RcvBuf = DefaultRcvBuf
 	}

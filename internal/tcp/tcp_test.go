@@ -137,6 +137,28 @@ func TestHandshakeEstablishes(t *testing.T) {
 	if conn.mss != DefaultMSS {
 		t.Fatalf("MSS = %d", conn.mss)
 	}
+
+	// MSS negotiation against a scripted peer. The connection's own SYN
+	// advertises DefaultMSS; a smaller peer option lowers the MSS, the
+	// congestion-control view and the initial window, and a larger one
+	// leaves DefaultMSS.
+	for _, tc := range []struct {
+		name    string
+		synOpts []packet.Option
+		want    int
+	}{
+		{"peer advertises scriptMSS", nil, scriptMSS},
+		{"peer advertises more than DefaultMSS", []packet.Option{&packet.MSSOption{MSS: 2 * DefaultMSS}}, DefaultMSS},
+	} {
+		p := newScriptPeer(t, Config{}, tc.synOpts...)
+		if p.synMSS != DefaultMSS {
+			t.Errorf("%s: own SYN advertises MSS %d, want %d", tc.name, p.synMSS, DefaultMSS)
+		}
+		if c := p.c; c.mss != tc.want || c.Flow.MSS != tc.want || c.CwndBytes() != float64(DefaultInitialCwnd*tc.want) {
+			t.Errorf("%s: mss %d, Flow.MSS %d, initial window %v; want %d, %d, %d",
+				tc.name, c.mss, c.Flow.MSS, c.CwndBytes(), tc.want, tc.want, DefaultInitialCwnd*tc.want)
+		}
+	}
 }
 
 func TestBulkTransferDeliversExactly(t *testing.T) {

@@ -94,29 +94,22 @@ func (m *Meter) Resume(done, failed int) {
 	m.failed += failed
 }
 
-// Advance notes n completions (failed of them failed) observed at once and
-// emits a heartbeat if the interval has elapsed since
-// the last one or the sweep is complete. The wall time since the previous
-// observation is spread evenly across the batch, so the EWMA (and therefore
-// the ETA) converges to the aggregate completion rate. Advance with n <= 0
-// is a no-op.
-func (m *Meter) Advance(n, failed int) error {
-	if n <= 0 {
-		return nil
-	}
+// Advance notes one completion, failed or not, and emits a heartbeat if the
+// interval has elapsed since the last one or the sweep is complete.
+func (m *Meter) Advance(failed bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.now()
-	m.done += n
-	m.failed += failed
-	dt := now.Sub(m.last).Seconds() / float64(n)
-	for i := 0; i < n; i++ {
-		m.records++
-		if m.records == 1 {
-			m.ewmaDt = dt
-		} else {
-			m.ewmaDt = float64((1-ewmaAlpha)*m.ewmaDt) + float64(ewmaAlpha*dt)
-		}
+	m.done++
+	if failed {
+		m.failed++
+	}
+	dt := now.Sub(m.last).Seconds()
+	m.records++
+	if m.records == 1 {
+		m.ewmaDt = dt
+	} else {
+		m.ewmaDt = float64((1-ewmaAlpha)*m.ewmaDt) + float64(ewmaAlpha*dt)
 	}
 	m.last = now
 	if m.lastEmit.IsZero() || now.Sub(m.lastEmit) >= m.interval || m.done >= m.total {

@@ -234,14 +234,14 @@ func TestMeterHeartbeats(t *testing.T) {
 	m, clock := newTestMeter(&buf, 4, 2, time.Second)
 
 	clock.advance(100 * time.Millisecond)
-	m.Advance(1, 0) // first completion always emits
+	m.Advance(false) // first completion always emits
 	clock.advance(100 * time.Millisecond)
-	m.Advance(1, 1) // rate-limited: no emission
+	m.Advance(true) // rate-limited: no emission
 	clock.advance(1200 * time.Millisecond)
-	m.Advance(1, 0) // interval elapsed: emits
+	m.Advance(false) // interval elapsed: emits
 	clock.advance(100 * time.Millisecond)
-	m.Advance(1, 0) // done == total: emits
-	m.Close()       // final heartbeat
+	m.Advance(false) // done == total: emits
+	m.Close()        // final heartbeat
 
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	if len(lines) != 4 {
@@ -292,7 +292,7 @@ func TestMeterZeroIntervalEmitsEveryCompletion(t *testing.T) {
 	m, clock := newTestMeter(&buf, 3, 1, 0)
 	for i := 0; i < 3; i++ {
 		clock.advance(time.Millisecond)
-		m.Advance(1, 0)
+		m.Advance(false)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 3 {
 		t.Fatalf("zero-interval meter emitted %d heartbeats, want 3", lines)
@@ -323,7 +323,7 @@ func TestRollupMerge(t *testing.T) {
 // /debug/pprof/ answers.
 func TestDebugServer(t *testing.T) {
 	m, _ := newTestMeter(io.Discard, 3, 1, 0)
-	m.Advance(1, 0)
+	m.Advance(false)
 	m.Activate()
 	addr, closeSrv, err := DebugServer("127.0.0.1:0")
 	if err != nil {
@@ -358,8 +358,8 @@ func TestDebugServer(t *testing.T) {
 	// Re-activation swaps the served meter without a duplicate-publish
 	// panic.
 	m2, _ := newTestMeter(io.Discard, 5, 1, 0)
-	m2.Advance(1, 0)
-	m2.Advance(1, 0)
+	m2.Advance(false)
+	m2.Advance(false)
 	m2.Activate()
 	if vars := get("/debug/vars"); !strings.Contains(vars, `"done":2`) {
 		t.Fatalf("/debug/vars not reading the re-activated meter:\n%s", vars)
@@ -376,7 +376,7 @@ func TestMeterResume(t *testing.T) {
 	m.Resume(6, 2) // 6 of 10 already on disk, 2 of them failed
 
 	clock.advance(2 * time.Second)
-	m.Advance(1, 0)
+	m.Advance(false)
 	var first Heartbeat
 	if err := json.Unmarshal([]byte(strings.SplitN(buf.String(), "\n", 2)[0]), &first); err != nil {
 		t.Fatal(err)
@@ -394,11 +394,11 @@ func TestMeterResume(t *testing.T) {
 	}
 
 	clock.advance(2 * time.Second)
-	m.Advance(1, 1)
+	m.Advance(true)
 	clock.advance(2 * time.Second)
-	m.Advance(1, 0)
+	m.Advance(false)
 	clock.advance(2 * time.Second)
-	m.Advance(1, 0)
+	m.Advance(false)
 	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
 	var final Heartbeat
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &final); err != nil {
@@ -407,6 +407,10 @@ func TestMeterResume(t *testing.T) {
 	if final.Done != 10 || final.Failed != 3 || final.EtaS == nil || *final.EtaS != 0 {
 		t.Fatalf("final heartbeat done/failed/eta = %d/%d/%v, want 10/3/0",
 			final.Done, final.Failed, final.EtaS)
+	}
+	// Every gap was 2 s, so the EWMA seeded at 0.5 runs/s stays there.
+	if final.RunsPerS == nil || *final.RunsPerS != 0.5 {
+		t.Fatalf("final heartbeat runs/s = %v, want 0.5", final.RunsPerS)
 	}
 }
 
@@ -423,7 +427,7 @@ func TestMeterHeartbeatsValidUnderCoarseClock(t *testing.T) {
 	m, clock := newTestMeter(&buf, 10000, 2, 0)
 
 	// First completion with zero elapsed time: the rate is unknown.
-	if err := m.Advance(1, 0); err != nil {
+	if err := m.Advance(false); err != nil {
 		t.Fatalf("zero-elapsed Advance: %v", err)
 	}
 	var hb Heartbeat
@@ -444,11 +448,7 @@ func TestMeterHeartbeatsValidUnderCoarseClock(t *testing.T) {
 	// the unclamped 1/ewmaDt is +Inf.
 	clock.advance(time.Second)
 	for i := 0; i < 5000; i++ {
-		failed := 0
-		if i%7 == 0 {
-			failed = 1
-		}
-		if err := m.Advance(1, failed); err != nil {
+		if err := m.Advance(i%7 == 0); err != nil {
 			t.Fatalf("Advance %d under a stuck clock: %v", i, err)
 		}
 	}
@@ -463,54 +463,5 @@ func TestMeterHeartbeatsValidUnderCoarseClock(t *testing.T) {
 		if strings.Contains(line, "Inf") || strings.Contains(line, "NaN") {
 			t.Fatalf("heartbeat %d leaks a non-finite value: %s", i, line)
 		}
-	}
-}
-
-// TestMeterAdvance drives the fleet-coordinator batch path: completions
-// observed by scanning worker run-logs fold into done/failed as a batch,
-// and the scan gap spreads evenly across the batch so the EWMA converges
-// on the fleet-wide rate.
-func TestMeterAdvance(t *testing.T) {
-	var buf bytes.Buffer
-	m, clock := newTestMeter(&buf, 8, 3, 0)
-
-	clock.advance(4 * time.Second)
-	if err := m.Advance(4, 1); err != nil {
-		t.Fatal(err)
-	}
-	var hb Heartbeat
-	if err := json.Unmarshal([]byte(strings.TrimSpace(buf.String())), &hb); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Done != 4 || hb.Failed != 1 || hb.Total != 8 {
-		t.Fatalf("batched heartbeat done/failed/total = %d/%d/%d, want 4/1/8",
-			hb.Done, hb.Failed, hb.Total)
-	}
-	// 4 completions over 4s = 1 run/s each; the EWMA seeds at 1 and stays
-	// there, so 4 remaining runs project a 4 s ETA.
-	if hb.RunsPerS == nil || *hb.RunsPerS != 1 || hb.EtaS == nil || *hb.EtaS != 4 {
-		t.Fatalf("batched heartbeat runs/s=%v eta=%v, want 1/4", hb.RunsPerS, hb.EtaS)
-	}
-
-	// An empty scan is a no-op: nothing emitted, nothing advanced.
-	before := buf.Len()
-	if err := m.Advance(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != before {
-		t.Fatal("Advance(0, 0) emitted a heartbeat")
-	}
-
-	clock.advance(4 * time.Second)
-	if err := m.Advance(4, 0); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &hb); err != nil {
-		t.Fatal(err)
-	}
-	if hb.Done != 8 || hb.Failed != 1 || hb.EtaS == nil || *hb.EtaS != 0 {
-		t.Fatalf("final batched heartbeat done/failed/eta = %d/%d/%v, want 8/1/0",
-			hb.Done, hb.Failed, hb.EtaS)
 	}
 }

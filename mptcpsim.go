@@ -92,9 +92,6 @@ type Options struct {
 	// all paths in that order. RunPaper defaults to [2, 1, 3] — Path 2 is
 	// the paper's default shortest path.
 	SubflowPaths []int
-	// TransferBytes limits the transfer size; 0 streams for the whole
-	// duration (iperf bulk).
-	TransferBytes int
 	// QueueScale multiplies every link's buffer (1.0 default) — the
 	// paper's shake-down depends on drop timing, so this is the main
 	// ablation knob. The scale is applied to the run's own emulated links

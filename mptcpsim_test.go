@@ -215,19 +215,6 @@ func TestDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-func TestFixedTransferCompletes(t *testing.T) {
-	res, err := RunPaper(Options{CC: "lia", TransferBytes: 4 << 20, Duration: 6 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TransferComplete {
-		t.Fatalf("4 MB transfer incomplete: delivered %d", res.DeliveredBytes)
-	}
-	if res.DeliveredBytes != 4<<20 {
-		t.Fatalf("delivered %d, want %d", res.DeliveredBytes, 4<<20)
-	}
-}
-
 // chain is the scenario a - m - b: two 20 Mbps, 5 ms links and one path.
 func chain() *ScenarioFile {
 	sf := &ScenarioFile{

@@ -127,8 +127,6 @@ type Result struct {
 	// DeliveredBytes is connection-level in-order goodput;
 	// DuplicateBytes counts data-level duplicates (redundant scheduler).
 	DeliveredBytes, DuplicateBytes uint64
-	// TransferComplete reports whether a fixed-size transfer finished.
-	TransferComplete bool
 	// LoopEvents is the number of simulation events the run executed. It
 	// counts engine work, not simulated behaviour, so Hash leaves it out (an
 	// engine needing fewer events for the same run hashes the same); replay
@@ -207,7 +205,7 @@ func (r *Result) Hash() string {
 	for _, p := range o.SubflowPaths {
 		wU64(uint64(p))
 	}
-	wU64(uint64(o.TransferBytes))
+	wU64(0) // the retired transfer size: every recorded run streamed
 	wF64(o.QueueScale)
 	wBool(o.DisableSACK)
 	wBool(o.Timestamps)
@@ -303,7 +301,7 @@ func (r *Result) Hash() string {
 	wU64(r.Packets)
 	wU64(r.DeliveredBytes)
 	wU64(r.DuplicateBytes)
-	wBool(r.TransferComplete)
+	wU64(0) // and so never completed a sized transfer
 
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
