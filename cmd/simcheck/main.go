@@ -132,7 +132,7 @@ type recorder struct {
 func (r *recorder) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result) error {
 	rec := record{RungObs: check.RungObs{Err: s.Err}}
 	if s.Err == "" {
-		rec.Hash, rec.events = res.Hash(), res.LoopEvents
+		rec.Hash, rec.Engine, rec.events = res.Hash(), check.EngineDigest(res), res.LoopEvents
 		rec.GoodputBytes, rec.Gap = res.DeliveredBytes, res.Summary.Gap
 		if s.Index < len(r.path) {
 			var total, onPath uint64
@@ -228,11 +228,11 @@ func (h *harness) check(specs []check.Spec, path []int) ([]check.RungObs, []fail
 }
 
 // runCheck executes n scenarios and writes the deterministic report to w.
-// It returns the per-class failure tally and every scenario's full hash
-// ("" where the scenario failed). The report contains no wall-clock or
-// worker-count data, so its bytes are identical for a given (n, seed)
-// whatever the pool size.
-func runCheck(n int, seed int64, h harness, quiet bool, w io.Writer) (tally, []string) {
+// It returns the per-class failure tally and the corpus of every
+// scenario's full hash and engine digest ("" where the scenario failed).
+// The report contains no wall-clock or worker-count data, so its bytes are
+// identical for a given (n, seed) whatever the pool size.
+func runCheck(n int, seed int64, h harness, quiet bool, w io.Writer) (tally, check.Golden) {
 	specs := make([]check.Spec, n)
 	for i := range specs {
 		specs[i] = check.NewSpec(check.SpecSeed(seed, i))
@@ -241,7 +241,7 @@ func runCheck(n int, seed int64, h harness, quiet bool, w io.Writer) (tally, []s
 
 	fmt.Fprintf(w, "simcheck: %d scenarios, base seed %d\n", n, seed)
 	var t tally
-	hashes := make([]string, n)
+	got := check.Golden{Seed: seed, Hashes: make([]string, n), Engine: make([]string, n)}
 	for i, sp := range specs {
 		t.add(kinds[i])
 		if kinds[i] != kindOK {
@@ -250,7 +250,7 @@ func runCheck(n int, seed int64, h harness, quiet bool, w io.Writer) (tally, []s
 		}
 		// The report line truncates the hash for readability; golden
 		// corpora need every byte.
-		hashes[i] = obs[i].Hash
+		got.Hashes[i], got.Engine[i] = obs[i].Hash, obs[i].Engine
 		if !quiet {
 			fmt.Fprintf(w, "%4d ok   seed=%-19d hash=%.12s %s\n", i, sp.Seed, obs[i].Hash, sp.Name)
 		}
@@ -260,7 +260,7 @@ func runCheck(n int, seed int64, h harness, quiet bool, w io.Writer) (tally, []s
 		fmt.Fprintf(w, ", %d FAILED", t.failed())
 	}
 	fmt.Fprintln(w)
-	return t, hashes
+	return t, got
 }
 
 // trendMutate, when non-nil, rewrites every derived ladder before its
@@ -322,30 +322,35 @@ func runTrend(nLadders, steps int, seed int64, h harness, quiet bool, w io.Write
 	return t, trendFailed
 }
 
-// diffGolden compares the run's hashes against a recorded corpus and
-// writes a deterministic verdict. It returns the number of divergences
-// (mismatched hashes plus any shape mismatch).
-func diffGolden(g check.Golden, seed int64, hashes []string, w io.Writer) int {
-	if g.Seed != seed {
-		fmt.Fprintf(w, "golden: corpus was recorded with base seed %d, run used %d\n", g.Seed, seed)
+// diffGolden compares the run's corpus against a recorded one and writes a
+// deterministic verdict. Each divergence says whether the packets moved
+// (the engine digests differ) or only the references they are compared to.
+// It returns the number of divergences (mismatched scenarios plus any
+// shape mismatch).
+func diffGolden(g, got check.Golden, w io.Writer) int {
+	if g.Seed != got.Seed {
+		fmt.Fprintf(w, "golden: corpus was recorded with base seed %d, run used %d\n", g.Seed, got.Seed)
 		return 1
 	}
-	if len(g.Hashes) != len(hashes) {
+	if len(g.Hashes) != len(got.Hashes) {
 		fmt.Fprintf(w, "golden: corpus has %d hashes, run produced %d (use -n %d)\n",
-			len(g.Hashes), len(hashes), len(g.Hashes))
+			len(g.Hashes), len(got.Hashes), len(g.Hashes))
 		return 1
 	}
 	diverged := 0
 	for i, want := range g.Hashes {
-		if hashes[i] == want {
+		if got.Hashes[i] == want && got.Engine[i] == g.Engine[i] {
 			continue
 		}
 		diverged++
-		got := hashes[i]
-		if got == "" {
-			got = "(scenario failed)"
+		hash, what := got.Hashes[i], "references only"
+		switch {
+		case hash == "":
+			hash, what = "(scenario failed)", "engine moved"
+		case got.Engine[i] != g.Engine[i]:
+			what = "engine moved"
 		}
-		fmt.Fprintf(w, "golden: %4d DIVERGED want=%.12s got=%.12s\n", i, want, got)
+		fmt.Fprintf(w, "golden: %4d DIVERGED (%s) want=%.12s got=%.12s\n", i, what, want, hash)
 	}
 	if diverged == 0 {
 		fmt.Fprintf(w, "golden: %d/%d hashes identical to corpus\n", len(g.Hashes), len(g.Hashes))
@@ -454,11 +459,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var t tally
 	trendFailed := 0
-	var hashes []string
+	var got check.Golden
 	if *trend {
 		t, trendFailed = runTrend(*ladders, *steps, *seed, h, shared.Quiet, stdout)
 	} else {
-		t, hashes = runCheck(*n, *seed, h, shared.Quiet, stdout)
+		t, got = runCheck(*n, *seed, h, shared.Quiet, stdout)
 	}
 
 	if err := stopProf(); err != nil {
@@ -466,18 +471,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *golden != "" {
-		t.hash += diffGolden(corpus, *seed, hashes, stdout)
+		t.hash += diffGolden(corpus, got, stdout)
 	}
 	if *writeG != "" {
 		if t.failed() > 0 {
 			fmt.Fprintln(stderr, "simcheck: refusing to record a golden corpus from a failing run")
 		} else {
 			if err := cli.WriteFile(*writeG, func(w io.Writer) error {
-				return check.WriteGolden(w, check.Golden{Seed: *seed, Hashes: hashes})
+				return check.WriteGolden(w, got)
 			}); err != nil {
 				return usage("%v", err)
 			}
-			fmt.Fprintf(stderr, "simcheck: recorded %d hashes to %s\n", len(hashes), *writeG)
+			fmt.Fprintf(stderr, "simcheck: recorded %d hashes to %s\n", len(got.Hashes), *writeG)
 		}
 	}
 	switch {

@@ -217,8 +217,9 @@ func TestGoldenRoundTripAndDivergence(t *testing.T) {
 		t.Fatalf("missing golden verdict:\n%s", stdout.String())
 	}
 
-	// Tamper with one recorded hash: the divergence must map to the
-	// determinism exit code and name the scenario.
+	// Tamper with one recorded hash, and with another scenario's engine
+	// digest: each divergence must map to the determinism exit code, name
+	// its scenario and say which column moved.
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -229,6 +230,8 @@ func TestGoldenRoundTripAndDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Hashes[1] = strings.Repeat("1", len(g.Hashes[1]))
+	g.Hashes[2] = strings.Repeat("2", len(g.Hashes[2]))
+	g.Engine[2] = strings.Repeat("2", len(g.Engine[2]))
 	var tampered bytes.Buffer
 	if err := check.WriteGolden(&tampered, g); err != nil {
 		t.Fatal(err)
@@ -240,8 +243,10 @@ func TestGoldenRoundTripAndDivergence(t *testing.T) {
 	if code := run([]string{"-n", "3", "-q", "-golden", path}, &stdout, &stderr); code != exitHash {
 		t.Fatalf("tampered corpus gave code %d, want %d:\n%s", code, exitHash, stdout.String())
 	}
-	if !strings.Contains(stdout.String(), "   1 DIVERGED") {
-		t.Fatalf("divergence report missing scenario index:\n%s", stdout.String())
+	for _, want := range []string{"   1 DIVERGED (references only)", "   2 DIVERGED (engine moved)", "2/3 hashes DIVERGED"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("divergence report lacks %q:\n%s", want, stdout.String())
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package check
 
-// The golden-corpus differential test: the recorded canonical hashes of
-// the 200 simcheck seed-1 scenarios (testdata/hashes-seed1.golden) must be
-// byte-identical on every future commit. This is the safety net for any
+// The golden-corpus differential test: the recorded canonical hashes and
+// engine digests of the 200 simcheck seed-1 scenarios
+// (testdata/hashes-seed1.golden) must be byte-identical on every future
+// commit. This is the safety net for any
 // kernel or hot-path performance work — an optimisation that changes even
 // one measured value of one scenario fails here. The corpus was first
 // recorded with the zero-allocation event fast path, re-recorded when
@@ -17,17 +18,20 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mptcpsim"
 )
 
-// hashSink keeps each run's canonical hash, or its error, at its index.
-type hashSink struct{ hashes, errs []string }
+// hashSink keeps each run's canonical hash and engine digest, or its
+// error, at its index.
+type hashSink struct{ hashes, engine, errs []string }
 
 func (h *hashSink) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result) error {
 	h.errs[s.Index] = s.Err
 	if s.Err == "" {
 		h.hashes[s.Index] = res.Hash()
+		h.engine[s.Index] = EngineDigest(res)
 	}
 	return nil
 }
@@ -64,7 +68,7 @@ func TestGoldenCorpusHashesIdentical(t *testing.T) {
 		runs[i] = rs[0]
 		runs[i].Index = i
 	}
-	got := &hashSink{hashes: make([]string, n), errs: make([]string, n)}
+	got := &hashSink{hashes: make([]string, n), engine: make([]string, n), errs: make([]string, n)}
 	if err := (&mptcpsim.Sweep{}).Execute(runs, got); err != nil {
 		t.Fatal(err)
 	}
@@ -76,9 +80,10 @@ func TestGoldenCorpusHashesIdentical(t *testing.T) {
 			t.Errorf("scenario %d: %s", i, got.errs[i])
 			continue
 		}
-		if got.hashes[i] != g.Hashes[i] {
+		if got.hashes[i] != g.Hashes[i] || got.engine[i] != g.Engine[i] {
 			diverged++
-			t.Errorf("scenario %d: hash %.12s diverged from golden %.12s", i, got.hashes[i], g.Hashes[i])
+			t.Errorf("scenario %d: hash %.12s engine %.12s diverged from golden %.12s %.12s",
+				i, got.hashes[i], got.engine[i], g.Hashes[i], g.Engine[i])
 		}
 	}
 	if diverged > 0 {
@@ -90,7 +95,7 @@ func TestGoldenCorpusHashesIdentical(t *testing.T) {
 }
 
 func TestLoadGoldenRoundTrip(t *testing.T) {
-	g := Golden{Seed: 42, Hashes: []string{"aa", "bb", "cc"}}
+	g := Golden{Seed: 42, Hashes: []string{"aa", "bb", "cc"}, Engine: []string{"dd", "ee", "ff"}}
 	var buf bytes.Buffer
 	if err := WriteGolden(&buf, g); err != nil {
 		t.Fatal(err)
@@ -102,22 +107,22 @@ func TestLoadGoldenRoundTrip(t *testing.T) {
 	if got.Seed != g.Seed || len(got.Hashes) != len(g.Hashes) {
 		t.Fatalf("round trip mangled corpus: %+v", got)
 	}
-	for i := range g.Hashes {
-		if got.Hashes[i] != g.Hashes[i] {
-			t.Fatalf("hash %d = %q, want %q", i, got.Hashes[i], g.Hashes[i])
-		}
+	if !slices.Equal(got.Hashes, g.Hashes) || !slices.Equal(got.Engine, g.Engine) {
+		t.Fatalf("round trip mangled corpus: %+v, want %+v", got, g)
 	}
 }
 
 // malformedGolden are corpora LoadGolden must refuse.
 var malformedGolden = map[string]string{
-	"no seed line":       "0 abc\n",
+	"no seed line":       "0 abc 123\n",
 	"empty":              "",
 	"comments only":      "# nothing here\n",
-	"bad seed":           "seed banana\n0 abc\n",
-	"index gap":          "seed 1\n0 abc\n2 def\n",
-	"index out of order": "seed 1\n1 abc\n",
+	"bad seed":           "seed banana\n0 abc 123\n",
+	"index gap":          "seed 1\n0 abc 123\n2 def 456\n",
+	"index out of order": "seed 1\n1 abc 123\n",
 	"missing hash":       "seed 1\n0\n",
+	"one column":         "seed 1\n0 abc\n",
+	"extra column":       "seed 1\n0 abc 123 789\n",
 	"no hashes":          "seed 1\n",
 }
 
@@ -127,13 +132,44 @@ func TestLoadGoldenRejectsMalformed(t *testing.T) {
 			t.Errorf("%s: LoadGolden accepted %q", name, input)
 		}
 	}
+	// A corpus in the format before the engine column is told so.
+	_, err := LoadGolden(strings.NewReader(malformedGolden["one column"]))
+	if err == nil || !strings.Contains(err.Error(), "one digest column") || !strings.Contains(err.Error(), "-write-golden") {
+		t.Fatalf("one-column corpus: error %v does not say what is wrong and how to fix it", err)
+	}
+}
+
+// The engine digest reads what the packets did and nothing else: moving a
+// reference the run is compared to changes the full hash only, moving one
+// measured bin changes both.
+func TestEngineDigestSeparatesReferencesFromPackets(t *testing.T) {
+	res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Duration: 300 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash, engine := res.Hash(), EngineDigest(res)
+
+	res.Optimum.Total += 1
+	if res.Hash() == hash {
+		t.Fatal("moving the LP optimum left the full hash unchanged")
+	}
+	if EngineDigest(res) != engine {
+		t.Fatal("moving the LP optimum moved the engine digest")
+	}
+	res.Optimum.Total -= 1
+
+	res.Total.Mbps[len(res.Total.Mbps)/2] += 0.5
+	if res.Hash() == hash || EngineDigest(res) == engine {
+		t.Fatal("moving one series bin must move both columns")
+	}
 }
 
 // FuzzLoadGolden: whatever LoadGolden accepts, WriteGolden renders into a
 // corpus that loads back unchanged.
 func FuzzLoadGolden(f *testing.F) {
 	var header bytes.Buffer
-	if err := WriteGolden(&header, Golden{Seed: 1, Hashes: []string{"dbc05ffcdf88", "769a394fbdf6"}}); err != nil {
+	if err := WriteGolden(&header, Golden{Seed: 1, Hashes: []string{"dbc05ffcdf88", "769a394fbdf6"},
+		Engine: []string{"5f0e7c1a9b2d", "a4c3e1f07d6b"}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(header.String())
@@ -153,7 +189,7 @@ func FuzzLoadGolden(f *testing.F) {
 		if err != nil {
 			t.Fatalf("written corpus does not load: %v\n%s", err, buf.String())
 		}
-		if back.Seed != g.Seed || !slices.Equal(back.Hashes, g.Hashes) {
+		if back.Seed != g.Seed || !slices.Equal(back.Hashes, g.Hashes) || !slices.Equal(back.Engine, g.Engine) {
 			t.Fatalf("round trip changed the corpus: %+v -> %+v", g, back)
 		}
 	})

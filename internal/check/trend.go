@@ -286,8 +286,8 @@ type RungObs struct {
 	// Share is the perturbed path's share of sent payload bytes across
 	// all subflows; NaN when the run sent nothing.
 	Share float64
-	// Hash is the rung's canonical Result hash.
-	Hash string
+	// Hash is the rung's canonical Result hash, Engine its EngineDigest.
+	Hash, Engine string
 	// Err, when non-empty, is why the rung could not be measured
 	// (build/run error, invariant violation, replay divergence). A
 	// ladder with a failed rung gets no trend verdict.
