@@ -44,8 +44,10 @@ const (
 //   - capacity, per epoch: the wire bytes crossing each directed link
 //     inside one capacity epoch never exceed the epoch's rate × time
 //     budget (plus a small boundary/rounding slack);
-//   - FIFO: packets arrive at a link's far node in transmit order, even
-//     across runtime delay changes (SetDelay must never reorder).
+//   - FIFO: packets arrive at a link's far node in transmit order, by
+//     virtual time, even across runtime delay changes (SetDelay must never
+//     reorder); an arrival reported from its own event comes after every
+//     arrival of a packet transmitted ahead of it.
 //
 // Attach it with newOracle before traffic starts; it only observes and
 // never schedules events, so an instrumented run is bit-identical to an
@@ -61,9 +63,14 @@ type oracle struct {
 	// Network-wide totals of the same three events.
 	sentTotal, deliveredTotal, droppedTotal uint64
 
-	// pending holds, per directed link, the UIDs transmitted but not yet
-	// arrived, in transmit order — the FIFO audit queue.
-	pending [][]uint64
+	// pending holds, per directed link, the transmissions not yet retired,
+	// in transmit order — the FIFO audit queue. A fused hop reports its
+	// arrival when its feeder admits the packet, ahead of the arrivals of
+	// earlier frames that go elsewhere, so an arrival is marked where it
+	// stands and the queue retires from its head in order; last is the
+	// transit each link retired last.
+	pending [][]transit
+	last    []transit
 	// fifo records ordering violations as they happen.
 	fifo []string
 
@@ -72,6 +79,14 @@ type oracle struct {
 	txPkts  [][]uint64
 	// maxPkt is the largest wire size observed, for boundary slack.
 	maxPkt unit.ByteSize
+}
+
+// transit is one transmitted packet in the FIFO audit: its UID and, once
+// reported, its arrival time.
+type transit struct {
+	uid     uint64
+	at      sim.Time
+	arrived bool
 }
 
 var (
@@ -90,7 +105,8 @@ func newOracle(net *netem.Network, epochs []epoch) *oracle {
 		sent:      make(map[packet.Tag]uint64),
 		delivered: make(map[packet.Tag]uint64),
 		dropped:   make(map[packet.Tag]uint64),
-		pending:   make([][]uint64, net.Graph.NumLinks()),
+		pending:   make([][]transit, net.Graph.NumLinks()),
+		last:      make([]transit, net.Graph.NumLinks()),
 		txBytes:   make([][]float64, net.Graph.NumLinks()),
 		txPkts:    make([][]uint64, net.Graph.NumLinks()),
 	}
@@ -115,7 +131,7 @@ func (o *oracle) OnDeliver(_ *netem.Node, pkt *packet.Packet) {
 }
 
 // OnDrop implements netem.Tap.
-func (o *oracle) OnDrop(_ string, pkt *packet.Packet, _ netem.DropReason) {
+func (o *oracle) OnDrop(_ string, pkt *packet.Packet, _ netem.DropReason, _ sim.Time) {
 	o.dropped[pkt.Tag()]++
 	o.droppedTotal++
 }
@@ -136,33 +152,45 @@ func (o *oracle) OnTransmit(l *netem.Link, pkt *packet.Packet, at sim.Time) {
 	if size > o.maxPkt {
 		o.maxPkt = size
 	}
-	o.pending[id] = append(o.pending[id], pkt.UID)
+	o.pending[id] = append(o.pending[id], transit{uid: pkt.UID})
 }
 
-// OnArrive implements netem.ArrivalTap: every arrival must match the
-// oldest outstanding transmission on its link (FIFO).
-func (o *oracle) OnArrive(l *netem.Link, pkt *packet.Packet) {
+// OnArrive implements netem.ArrivalTap: arrivals on a link retire in
+// transmit order at non-decreasing times (FIFO), and one reported from its
+// own event (at the loop's clock) finds every packet transmitted ahead of
+// it arrived. A fused hop reports ahead of the clock, so only the times
+// order it against arrivals still to come.
+func (o *oracle) OnArrive(l *netem.Link, pkt *packet.Packet, at sim.Time) {
 	id := l.Spec.ID
 	q := o.pending[id]
-	if len(q) == 0 {
+	i := 0
+	for i < len(q) && (q[i].arrived || q[i].uid != pkt.UID) {
+		i++
+	}
+	if i == len(q) {
 		o.fifo = append(o.fifo, fmt.Sprintf(
 			"fifo: link %s: arrival of uid %d with no outstanding transmission", l.Name(), pkt.UID))
 		return
 	}
-	if q[0] != pkt.UID {
-		o.fifo = append(o.fifo, fmt.Sprintf(
-			"fifo: link %s: uid %d arrived before uid %d (reordered)", l.Name(), pkt.UID, q[0]))
-		// Resynchronise so one reorder reports once, not for every
-		// subsequent arrival: drop the arrived UID wherever it is.
-		for i, u := range q {
-			if u == pkt.UID {
-				o.pending[id] = append(q[:i], q[i+1:]...)
-				return
+	if at <= o.net.Loop.Now() {
+		for _, ahead := range q[:i] {
+			if !ahead.arrived {
+				o.fifo = append(o.fifo, fmt.Sprintf(
+					"fifo: link %s: uid %d arrived before uid %d (reordered)", l.Name(), pkt.UID, ahead.uid))
+				break
 			}
 		}
-		return
 	}
-	o.pending[id] = q[1:]
+	q[i].at, q[i].arrived = at, true
+	for len(q) > 0 && q[0].arrived {
+		if q[0].at < o.last[id].at {
+			o.fifo = append(o.fifo, fmt.Sprintf(
+				"fifo: link %s: uid %d arrived at %v, before uid %d transmitted ahead of it (at %v)",
+				l.Name(), q[0].uid, q[0].at, o.last[id].uid, o.last[id].at))
+		}
+		o.last[id], q = q[0], q[1:]
+	}
+	o.pending[id] = q
 }
 
 // capacitySlack bounds the bytes a link may legitimately carry beyond

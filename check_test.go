@@ -285,10 +285,28 @@ func TestOracleFlagsReordering(t *testing.T) {
 	}
 	// Replay an arrival out of order against the audit queue directly.
 	l := net.Link(0)
-	o.pending[0] = []uint64{7, 8}
-	o.OnArrive(l, &packet.Packet{UID: 8})
+	now := loop.Now()
+	o.pending[0] = []transit{{uid: 7}, {uid: 8}}
+	o.OnArrive(l, &packet.Packet{UID: 8}, now)
 	if len(o.fifo) == 0 {
 		t.Fatal("oracle missed a reordered arrival")
+	}
+
+	// A fused hop reports its arrival ahead of the clock, before the
+	// arrival of a frame transmitted ahead of it: in order by time, fine.
+	o.fifo = nil
+	o.pending[0] = []transit{{uid: 9}, {uid: 10}}
+	o.OnArrive(l, &packet.Packet{UID: 10}, now+5)
+	o.OnArrive(l, &packet.Packet{UID: 9}, now+1)
+	if len(o.fifo) != 0 || len(o.pending[0]) != 0 {
+		t.Fatalf("in-order arrivals reported out of call order: fifo %v, %d outstanding", o.fifo, len(o.pending[0]))
+	}
+	// The same with the times swapped is a reorder.
+	o.pending[0] = []transit{{uid: 11}, {uid: 12}}
+	o.OnArrive(l, &packet.Packet{UID: 12}, now+7)
+	o.OnArrive(l, &packet.Packet{UID: 11}, now+8)
+	if len(o.fifo) != 1 || !strings.Contains(o.fifo[0], "uid 12 arrived") {
+		t.Fatalf("oracle missed an arrival ahead of the clock that overtook an earlier frame: %v", o.fifo)
 	}
 }
 

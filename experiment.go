@@ -146,6 +146,17 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 // (defaults filled; the duration and bin width pre was prepared for). The
 // baselines in the Result are copies the caller owns.
 func (pre *prepared) simulate(opts Options) (*Result, error) {
+	return pre.simulateFused(opts, (*netem.Network).Fuse)
+}
+
+// fuseFunc is the signature of netem.Network.Fuse.
+type fuseFunc func(net *netem.Network, horizon sim.Time, mutated []topo.LinkID) int
+
+// simulateFused is simulate with the call that fuses the run's single-feeder
+// hops as a parameter. It is a test seam: a test runs the same options with
+// every hop an event (a fuse that does nothing), counts the links Fuse
+// chose, or attaches a tap once the routes are in and before any packet.
+func (pre *prepared) simulateFused(opts Options, fuse fuseFunc) (*Result, error) {
 	nw, tl, g, base := pre.nw, pre.nw.tl, pre.nw.graph, pre.base
 	order := opts.SubflowPaths
 	if len(order) == 0 {
@@ -245,6 +256,22 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
+	// Competing single-path TCP flows (fairness experiments). Each gets a
+	// private tag aliased to its path so the capture can separate it from
+	// the MPTCP subflows.
+	const crossTagBase = 100
+	for i, pnum := range opts.CrossTCP {
+		if pnum < 1 || pnum > nw.NumPaths() {
+			return nil, fmt.Errorf("mptcpsim: CrossTCP references path %d of %d", pnum, nw.NumPaths())
+		}
+		if err := install(packet.Tag(crossTagBase+i), nw.paths[pnum-1]); err != nil {
+			return nil, err
+		}
+	}
+	// Every route is in and nothing has been sent: single-feeder links are
+	// admitted by their feeders up to the run's last instant, except the
+	// links the timeline mutates.
+	fuse(net, sim.Time(opts.Duration), tl.Mutated())
 
 	// Receiver side: MPTCP acceptor plus the tshark-style capture.
 	acc := &mptcp.Acceptor{}
@@ -257,10 +284,6 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	sniff := capture.NewSniffer(net, nw.dst, opts.SampleInterval)
 	sniff.Retain = opts.RetainPackets
 
-	// Competing single-path TCP flows (fairness experiments). Each gets a
-	// private tag aliased to its path so the capture can separate it from
-	// the MPTCP subflows.
-	const crossTagBase = 100
 	if len(opts.CrossTCP) > 0 {
 		if err := receiver.Listen(ServerPort+1, &tcp.Listener{
 			ConfigFor: func([]packet.Option, packet.Endpoint) tcp.Config {
@@ -269,20 +292,13 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		for i, pnum := range opts.CrossTCP {
-			if pnum < 1 || pnum > nw.NumPaths() {
-				return nil, fmt.Errorf("mptcpsim: CrossTCP references path %d of %d", pnum, nw.NumPaths())
-			}
-			tag := packet.Tag(crossTagBase + i)
-			if err := install(tag, nw.paths[pnum-1]); err != nil {
-				return nil, err
-			}
+		for i := range opts.CrossTCP {
 			algo, err := cc.New(crossCC)
 			if err != nil {
 				return nil, err
 			}
 			if _, err := sender.Dial(tcp.Config{
-				Tag:         tag,
+				Tag:         packet.Tag(crossTagBase + i),
 				CC:          algo,
 				Source:      tcp.BulkSource{},
 				DisableSACK: opts.DisableSACK,

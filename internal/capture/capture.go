@@ -69,7 +69,7 @@ func (s *Sniffer) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 }
 
 // OnDrop implements netem.Tap (receiver capture ignores it).
-func (s *Sniffer) OnDrop(string, *packet.Packet, netem.DropReason) {}
+func (s *Sniffer) OnDrop(string, *packet.Packet, netem.DropReason, sim.Time) {}
 
 func (s *Sniffer) count(tag packet.Tag, size unit.ByteSize) {
 	idx := int(s.loop.Now().Duration() / s.step)

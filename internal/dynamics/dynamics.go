@@ -274,6 +274,16 @@ func (tl *Timeline) Len() int {
 	return len(tl.events)
 }
 
+// Mutated returns the directed links the timeline's events change, in
+// event order, with repeats; nil for an empty timeline.
+func (tl *Timeline) Mutated() []topo.LinkID {
+	var ids []topo.LinkID
+	for i := range tl.Len() {
+		ids = append(ids, tl.links[i][:]...)
+	}
+	return ids
+}
+
 // EpochStarts returns the start times of the capacity epochs inside
 // [0, horizon): 0 plus the distinct firing times of capacity-affecting
 // events. Events at or past the horizon never take effect and open no

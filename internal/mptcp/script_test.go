@@ -161,7 +161,7 @@ func (l *recvLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
 	l.seen = append(l.seen, recvState{l.loop.Now(), p.IP.Tag, p.TCP.DSS().DSN,
 		rc.Delivered, rc.OOOBytes(), rc.DataAck()})
 }
-func (*recvLog) OnDrop(string, *packet.Packet, netem.DropReason) {}
+func (*recvLog) OnDrop(string, *packet.Packet, netem.DropReason, sim.Time) {}
 
 // TestScriptHeadOfLineBlocking is the receiver's side of the minrtt case
 // above: reassembly behind a real hole. The first subflow's nine delivered
@@ -335,7 +335,7 @@ func (l *windowLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
 	}
 	l.seen = append(l.seen, e)
 }
-func (*windowLog) OnDrop(string, *packet.Packet, netem.DropReason) {}
+func (*windowLog) OnDrop(string, *packet.Packet, netem.DropReason, sim.Time) {}
 
 // TestScriptReceiveWindow pins how the engine enforces a receiver's window:
 // per subflow, and only per subflow. The receiver advertises an 8-segment
@@ -474,7 +474,7 @@ func (p *liaProbe) OnDeliver(nd *netem.Node, pkt *packet.Packet) {
 	}
 	p.loop.Schedule(0, func() { p.after = p.flows() })
 }
-func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason) {}
+func (*liaProbe) OnDrop(string, *packet.Packet, netem.DropReason, sim.Time) {}
 
 // probeIncrease runs a bulk connection under algo over Path 2 and Path 3
 // (subflows 0 and 1), a millisecond apart, and probes the first ACK the
@@ -665,7 +665,7 @@ func (l *joinLog) OnDeliver(nd *netem.Node, p *packet.Packet) {
 	d := joinData{at: l.loop.Now(), token: l.owner[p.TCP.SrcPort], n: p.PayloadLen, counted: l.counted()}
 	l.data = append(l.data, d)
 }
-func (*joinLog) OnDrop(string, *packet.Packet, netem.DropReason) {}
+func (*joinLog) OnDrop(string, *packet.Packet, netem.DropReason, sim.Time) {}
 
 // counted is what each accepted connection has accounted for, by token.
 func (l *joinLog) counted() map[uint32]uint64 {

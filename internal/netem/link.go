@@ -21,8 +21,10 @@ type AQM interface {
 
 // LinkCounters accumulates per-link statistics, in the spirit of the
 // per-interface counter maps of kernel dataplanes. Offered and every drop
-// but a cut frame's are counted as they happen; TxPackets, TxBytes, Busy and
-// a cut frame's DropLinkDown when the link settles (Link.Settle).
+// but a cut frame's are counted as they happen — on a link its feeder
+// admits (Network.Fuse), when the feeder admits the packet; TxPackets,
+// TxBytes, Busy and a cut frame's DropLinkDown when the link settles
+// (Link.Settle).
 type LinkCounters struct {
 	TxPackets uint64
 	TxBytes   uint64
@@ -71,8 +73,11 @@ type Link struct {
 	departed int
 	serving  bool
 	// down marks the link administratively dead (dynamic LinkDown event).
-	// It sits beside serving so the two flags share a word.
+	// fused marks a link its feeder admits (Network.Fuse), feeds one that
+	// feeds such a link. The four flags share a word.
 	down        bool
+	fused       bool
+	feeds       bool
 	txStart     sim.Time
 	queuedBytes unit.ByteSize
 	armed       sim.Timer
@@ -115,19 +120,29 @@ var frameBufs fifo.Pool[frame]
 
 // frame is one admitted frame: until it leaves the transmitter t is the
 // committed end of its serialisation, afterwards its committed arrival. key
-// packs the seq reserved for that arrival at admission above the wire size.
+// packs the seq reserved for that arrival at admission above two flags and
+// the wire size. A handed-on frame went on to the next link when it was
+// admitted here, so it has no seq and no arrival event; a told frame's
+// departure was reported to the transmit taps ahead of its settle.
 type frame struct {
 	pkt *packet.Packet
 	t   sim.Time
-	key uint64 // seq<<sizeBits | size
+	key uint64 // seq<<sizeBits | flags | size
 }
 
-// sizeBits is the wire-size width inside frame.key: an IP packet is at most
-// 65 535 bytes, and the kernel issues fewer than 2^40 seqs, so both fit.
-const sizeBits = 24
+// sizeBits is the width below the seq inside frame.key: an IP packet is at
+// most 65 535 bytes, so the size takes 16 bits and the flags two of the
+// other eight, and the kernel issues fewer than 2^40 seqs.
+const (
+	sizeBits        = 24
+	maxFrame        = 1<<16 - 1
+	handedOn uint64 = 1 << 16
+	told     uint64 = 1 << 17
+)
 
 func (f *frame) seq() uint64         { return f.key >> sizeBits }
-func (f *frame) size() unit.ByteSize { return unit.ByteSize(f.key & (1<<sizeBits - 1)) }
+func (f *frame) size() unit.ByteSize { return unit.ByteSize(f.key & maxFrame) }
+func (f *frame) handedOn() bool      { return f.key&handedOn != 0 }
 
 // arriveCallback adapts propagation arrival to sim.Callback. Arrivals on
 // one link fire in transmit order (times are clamped monotone, ties break
@@ -144,14 +159,31 @@ func (l *Link) Name() string { return l.name }
 func (l *Link) QueueCap() unit.ByteSize { return l.capBytes }
 
 // SetQueueCap replaces the queue capacity. Packets already queued stay.
-func (l *Link) SetQueueCap(c unit.ByteSize) { l.capBytes = c }
+func (l *Link) SetQueueCap(c unit.ByteSize) {
+	l.mutable()
+	l.capBytes = c
+}
 
 // SetAQM installs an admission policy ahead of the drop-tail check.
-func (l *Link) SetAQM(a AQM) { l.aqm = a }
+func (l *Link) SetAQM(a AQM) {
+	l.mutable()
+	l.aqm = a
+}
+
+// mutable panics on a link Network.Fuse joined to a feeder or a fed link:
+// such a link commits admissions ahead of the loop, which a change to its
+// rate, delay, state, loss or admission policy would invalidate. Links a
+// run mutates are named to Fuse, which leaves them per-hop.
+func (l *Link) mutable() {
+	if l.fused || l.feeds {
+		panic("netem: link " + l.name + " was fused by Network.Fuse; name the links a run mutates to Fuse")
+	}
+}
 
 // SetLoss configures an independent random loss probability per packet,
 // modelling a lossy (wireless) channel.
 func (l *Link) SetLoss(p float64, rng *sim.Rand) {
+	l.mutable()
 	l.lossProb, l.lossRng = p, rng
 }
 
@@ -160,6 +192,7 @@ func (l *Link) SetLoss(p float64, rng *sim.Rand) {
 // have an RNG before a positive probability is set (dynamics pre-installs
 // one for every loss-event target before the simulation starts).
 func (l *Link) SetLossProb(p float64) {
+	l.mutable()
 	if p > 0 && l.lossRng == nil {
 		panic("netem: SetLossProb without an RNG; call SetLoss first")
 	}
@@ -180,6 +213,7 @@ func (l *Link) SetRate(r unit.Rate) {
 	if r <= 0 {
 		panic("netem: SetRate needs a positive rate; use SetDown for outages")
 	}
+	l.mutable()
 	l.settle(l.loop.Now())
 	l.Spec.Rate = r
 	i, t := l.departed, l.txStart
@@ -202,6 +236,7 @@ func (l *Link) SetRate(r unit.Rate) {
 // shrinks, the next arrivals are clamped to the latest in-flight arrival so
 // the link never reorders (FIFO is preserved by construction).
 func (l *Link) SetDelay(d time.Duration) {
+	l.mutable()
 	l.settle(l.loop.Now())
 	l.Spec.Delay = max(d, 0)
 	l.rearm()
@@ -212,6 +247,7 @@ func (l *Link) SetDelay(d time.Duration) {
 // until its committed end and never arrives), and packets arriving while
 // down are dropped on admission. Frames already propagating still arrive.
 func (l *Link) SetDown() {
+	l.mutable()
 	l.settle(l.loop.Now())
 	l.down = true
 	if l.departed == 0 {
@@ -224,14 +260,17 @@ func (l *Link) SetDown() {
 		i++
 	}
 	for ; i < l.frames.Len(); i++ {
-		l.drop(l.frames.At(i).pkt, DropLinkDown)
+		l.drop(l.frames.At(i).pkt, DropLinkDown, l.loop.Now())
 	}
 	l.queuedBytes = 0
 	l.frames.Truncate(l.departed)
 }
 
 // SetUp restores a downed link: new packets queue behind a cut frame's rest.
-func (l *Link) SetUp() { l.down = false }
+func (l *Link) SetUp() {
+	l.mutable()
+	l.down = false
+}
 
 // Settle books every departure through the current instant inclusive, for
 // readers outside the event flow: end-of-run collection, audits.
@@ -246,9 +285,10 @@ func (l *Link) Utilisation() float64 {
 	return 0
 }
 
-func (l *Link) drop(pkt *packet.Packet, reason DropReason) {
+// drop loses pkt at time at: now, or a fused hop's arrival time.
+func (l *Link) drop(pkt *packet.Packet, reason DropReason, at sim.Time) {
 	l.Counters.Drops[reason]++
-	l.net.tapDrop(l.Name(), pkt, reason)
+	l.net.tapDrop(l.Name(), pkt, reason, at)
 }
 
 // QueueLen returns the number of packets waiting in the transmit queue
@@ -272,29 +312,40 @@ func (l *Link) txTime(sz unit.ByteSize) time.Duration {
 	return l.memoTx
 }
 
-// enqueue admits a packet to the transmit queue and commits its schedule.
+// enqueue admits a packet arriving now to the transmit queue.
 func (l *Link) enqueue(pkt *packet.Packet) {
 	now := l.loop.Now()
+	if l.fused && now <= l.net.horizon {
+		panic("netem: a packet reached fused link " + l.name + " other than over its feeder")
+	}
+	l.admit(pkt, now)
+}
+
+// admit admits pkt as of now — the loop's clock, or the arrival time a
+// feeder committed for a fused hop — and commits its schedule. A frame
+// that arrives by the horizon at a node forwarding it onto a fused link is
+// handed on at once (handOn) instead of waiting for an arrival event.
+func (l *Link) admit(pkt *packet.Packet, now sim.Time) {
 	l.settle(now)
 	l.Counters.Offered++
 	if l.down {
-		l.drop(pkt, DropLinkDown)
+		l.drop(pkt, DropLinkDown, now)
 		return
 	}
 	if l.lossProb > 0 && l.lossRng != nil && l.lossRng.Bool(l.lossProb) {
-		l.drop(pkt, DropRandom)
+		l.drop(pkt, DropRandom, now)
 		return
 	}
 	if l.aqm != nil && l.aqm.OnEnqueue(l, pkt) {
-		l.drop(pkt, DropAQM)
+		l.drop(pkt, DropAQM, now)
 		return
 	}
 	sz := pkt.Size()
-	if sz >= 1<<sizeBits {
+	if sz > maxFrame {
 		panic("netem: packet larger than a frame can record")
 	}
 	if l.queuedBytes+sz > l.capBytes {
-		l.drop(pkt, DropQueueFull)
+		l.drop(pkt, DropQueueFull, now)
 		return
 	}
 	n := l.frames.Len()
@@ -309,10 +360,44 @@ func (l *Link) enqueue(pkt *packet.Packet) {
 	default:
 		l.serving, l.txStart = true, now
 	}
-	l.frames.Push(frame{pkt: pkt, t: start.Add(l.txTime(sz)), key: l.loop.ReserveSeq()<<sizeBits | uint64(sz)})
-	if n == 0 {
-		l.arm()
+	end := start.Add(l.txTime(sz))
+	if l.feeds {
+		// A fusing link has no mutator, so nothing clamps the arrival.
+		if at := end.Add(l.Spec.Delay); at <= l.net.horizon {
+			if next := l.to.fusedNext(pkt); next != nil {
+				l.frames.Push(frame{pkt: pkt, t: end, key: handedOn | uint64(sz)})
+				l.handOn(pkt, at, next)
+				return
+			}
+		}
 	}
+	l.frames.Push(frame{pkt: pkt, t: end, key: l.loop.ReserveSeq()<<sizeBits | uint64(sz)})
+	if n == 0 || l.feeds && !l.armed.Pending() {
+		l.arm(n)
+	}
+}
+
+// handOn delivers the frame just queued to the far node as of its arrival
+// time at, which forwards it onto next: the taps see the departures up to
+// it and its arrival now, and next admits it as of at. After this the
+// packet may die anywhere downstream before the frame settles here, so
+// settle must not read it again: with transmit taps attached the frame's
+// departure is reported now, in FIFO order with the frames ahead of it.
+func (l *Link) handOn(pkt *packet.Packet, at sim.Time, next *Link) {
+	if len(l.net.transmitTaps) > 0 {
+		i := l.frames.Len() - 1
+		for i > l.departed && l.frames.At(i-1).key&told == 0 {
+			i--
+		}
+		for ; i < l.frames.Len(); i++ {
+			f := l.frames.At(i)
+			f.key |= told
+			l.net.tapTransmit(l, f.pkt, f.t)
+		}
+	}
+	l.net.tapArrive(l, pkt, at)
+	pkt.IP.TTL--
+	next.admit(pkt, at)
 }
 
 // settle books what the transmitter did strictly before the given time: a
@@ -324,7 +409,7 @@ func (l *Link) settle(before sim.Time) {
 		}
 		l.Counters.Busy += l.cutEnd.Sub(l.txStart)
 		l.txStart = l.cutEnd
-		l.drop(l.cutPkt, DropLinkDown)
+		l.drop(l.cutPkt, DropLinkDown, l.loop.Now())
 		l.cutPkt = nil
 	}
 	for l.departed < l.frames.Len() {
@@ -343,39 +428,49 @@ func (l *Link) settle(before sim.Time) {
 		l.txStart, l.serving = f.t, false
 		l.Counters.TxPackets++
 		l.Counters.TxBytes += uint64(f.size())
-		l.net.tapTransmit(l, f.pkt, f.t)
+		if f.key&told == 0 {
+			l.net.tapTransmit(l, f.pkt, f.t)
+		}
 		// Propagate, never arriving before the frame ahead: a runtime delay
 		// cut cannot reorder (equal times keep FIFO by scheduling seq).
 		f.t = max(f.t.Add(l.Spec.Delay), l.lastArrivalAt)
 		l.lastArrivalAt = f.t
+		if f.handedOn() && l.departed == 0 {
+			// Nothing waits for the arrival of a frame handed on at admission.
+			l.frames.Pop(1)
+			continue
+		}
 		l.departed++
 	}
 }
 
-// arm schedules the arrival of the oldest frame under its reserved seq. With
-// everything ahead arrived, no clamp binds one still on this side of the wire.
-func (l *Link) arm() {
-	f := l.frames.At(0)
+// arm schedules the arrival of frame i, the oldest not handed on, under its
+// reserved seq. With everything ahead arrived or handed on, no clamp binds
+// one still on this side of the wire.
+func (l *Link) arm(i int) {
+	f := l.frames.At(i)
 	at := f.t
-	if l.departed == 0 {
+	if i >= l.departed {
 		at = at.Add(l.Spec.Delay)
 	}
 	l.armed = l.loop.AtCallReserved(at, f.seq(), &l.arrive)
 }
 
-// rearm moves the pending arrival of an oldest frame a mutator re-timed.
+// rearm moves the pending arrival of an oldest frame a mutator re-timed. A
+// mutated link hands nothing on, so that frame is frames[0].
 func (l *Link) rearm() {
 	if l.departed == 0 && l.frames.Len() > 0 {
 		l.armed.Stop()
-		l.arm()
+		l.arm(0)
 	}
 }
 
-// arrival runs when the oldest frame reaches the far node, and arms the
-// arrival of the frame behind it. Arming comes before forwarding, and must
-// stay there: the kernel hands an event's first schedule the fired entry's
-// heap slot (one sift, no pop and push), so on a busy link the next arrival
-// has to be that first schedule, not whatever the far node schedules.
+// arrival runs when the oldest frame not handed on reaches the far node —
+// settling pops the handed-on frames ahead of it — and arms the arrival of
+// the next such frame. Arming comes before forwarding, and must stay there:
+// the kernel hands an event's first schedule the fired entry's tree slot,
+// so on a busy link the next arrival has to be that first schedule, not
+// whatever the far node schedules.
 func (l *Link) arrival(now sim.Time) {
 	l.settle(now)
 	if l.departed == 0 {
@@ -385,9 +480,16 @@ func (l *Link) arrival(now sim.Time) {
 	pkt := l.frames.At(0).pkt
 	l.frames.Pop(1)
 	l.departed--
-	if l.frames.Len() > 0 {
-		l.arm()
+	for l.departed > 0 && l.frames.At(0).handedOn() {
+		l.frames.Pop(1)
+		l.departed--
 	}
-	l.net.tapArrive(l, pkt)
+	for i := 0; i < l.frames.Len(); i++ {
+		if !l.frames.At(i).handedOn() {
+			l.arm(i)
+			break
+		}
+	}
+	l.net.tapArrive(l, pkt, now)
 	l.to.receive(pkt)
 }

@@ -10,7 +10,7 @@
 // them one propagation delay later. Queue overflow drops the arriving
 // packet (DropTail), which is where TCP's congestion signal comes from.
 //
-// One event per packet-hop. A drop-tail FIFO's departures are a closed
+// One event per contended hop. A drop-tail FIFO's departures are a closed
 // form, so a Link commits a frame's whole schedule at admission: it starts
 // when its predecessor ends (now, on an idle transmitter), ends one
 // transmission time later and arrives Spec.Delay after that, under a
@@ -30,6 +30,20 @@
 // now — but a frame admitted to an idle transmitter leaves the queue at once,
 // and an arrival whose own frame ends now (no propagation delay) settles
 // through now, as does Link.Settle (RunUntil's deadline is inclusive).
+//
+// Fused hops. When every packet a link L carries reaches L's near node over
+// one link U, the feeder, L's admissions happen in U's FIFO order at times
+// U committed. Network.Fuse finds such links, and from then on U hands a
+// frame on when it admits it: the far node's TTL check and route lookup
+// run then, and L admits the packet as of the frame's arrival time — its
+// loss draw, drop-tail check, committed schedule and reserved seq — with no
+// arrival event at the node between them. Chains compose, so a packet costs
+// one event per node where links meet (or where it is delivered), not one
+// per link. Every virtual time, queue state and drop is the per-hop
+// model's; only the order of events at one instant can differ, since L's
+// seq is reserved before events the per-hop model would have scheduled
+// ahead of it. Links a run mutates, links with an AQM, and hops arriving
+// after the run's horizon stay per-hop.
 //
 // Taps observe transmissions, deliveries and drops; the capture package
 // builds its tshark equivalent on top of them.
@@ -96,8 +110,11 @@ type Tap interface {
 	// OnDeliver fires when pkt is handed to a local handler at its
 	// destination host.
 	OnDeliver(n *Node, pkt *packet.Packet)
-	// OnDrop fires when pkt is lost anywhere in the network.
-	OnDrop(where string, pkt *packet.Packet, reason DropReason)
+	// OnDrop fires when pkt is lost anywhere in the network, at virtual
+	// time at: the loop's clock, except for a packet a fused hop's link
+	// refuses, which the feeder reports when it admits the packet, as of
+	// the hop's arrival time.
+	OnDrop(where string, pkt *packet.Packet, reason DropReason, at sim.Time)
 }
 
 // TransmitTap is an optional extension of Tap: taps that also implement it
@@ -106,8 +123,11 @@ type Tap interface {
 type TransmitTap interface {
 	// OnTransmit reports that the last bit of pkt left link's transmitter
 	// at time at. Links book departures lazily: the call comes up to a
-	// propagation delay after at, in time order per link but not across
-	// links, and always before the frame's OnArrive.
+	// propagation delay after at — or, when the link hands a frame on
+	// (Network.Fuse), before at, as the link admits it, for that frame and
+	// every frame ahead of it not yet reported. Calls come in FIFO order per
+	// link but not in time order across links, and always before the
+	// frame's OnArrive.
 	OnTransmit(l *Link, pkt *packet.Packet, at sim.Time)
 }
 
@@ -123,10 +143,15 @@ type SendTap interface {
 // ArrivalTap is an optional extension of Tap: taps that also implement it
 // observe every propagation arrival at a link's far node, before the node
 // forwards or delivers the packet. FIFO audits use it: arrivals on one
-// link must occur in transmit order even across runtime delay changes.
+// link must occur in transmit order, by virtual time, even across runtime
+// delay changes.
 type ArrivalTap interface {
-	// OnArrive fires when pkt reaches the far end of link l.
-	OnArrive(l *Link, pkt *packet.Packet)
+	// OnArrive reports that pkt reached the far end of link l at time at.
+	// The call comes at at, from the arrival event — except on a link that
+	// hands the frame on (Network.Fuse), which calls when it admits the
+	// frame, ahead of at and possibly ahead of arrivals of earlier frames
+	// on l that go elsewhere.
+	OnArrive(l *Link, pkt *packet.Packet, at sim.Time)
 }
 
 // Handler consumes packets delivered to a host's transport layer.
@@ -168,6 +193,9 @@ type Network struct {
 	sendTaps     []SendTap
 	arrivalTaps  []ArrivalTap
 	nextUID      uint64
+	// horizon bounds fused hops: a frame arriving after it waits for an
+	// arrival event, as in a run that ends there it never arrives.
+	horizon sim.Time
 
 	// arena recycles packets and their transport storage across the run.
 	// Packets drawn from it are returned at their terminal event: after
@@ -210,6 +238,33 @@ func (n *Network) AttachTap(t Tap) {
 	if at, ok := t.(ArrivalTap); ok {
 		n.arrivalTaps = append(n.arrivalTaps, at)
 	}
+}
+
+// Fuse lets each link whose every packet enters its near node over one
+// feeder link be admitted by that feeder, for frames arriving by horizon
+// (the run's last instant): see the package documentation. The relation
+// comes from the router, which must be a route.TagTable with every path
+// installed; with another router Fuse does nothing. Links in mutated, and
+// links with an AQM, stay per-hop, as do their feeders' hops onto them.
+// Call Fuse before the first packet is sent, and let hosts originate only
+// along installed paths that start at them. It returns the number of links
+// it fused.
+func (n *Network) Fuse(horizon sim.Time, mutated []topo.LinkID) int {
+	tt, ok := n.Router.(*route.TagTable)
+	if !ok {
+		return 0
+	}
+	n.horizon = horizon
+	fused := 0
+	for _, l := range n.links {
+		u, ok := tt.Feeder(l.Spec.ID)
+		if !ok || l.aqm != nil || slices.Contains(mutated, l.Spec.ID) || slices.Contains(mutated, u) {
+			continue
+		}
+		l.fused, n.links[u].feeds = true, true
+		fused++
+	}
+	return fused
 }
 
 // Originated returns the number of packets hosts have sent so far.
@@ -280,9 +335,9 @@ func (n *Network) tapDeliver(nd *Node, pkt *packet.Packet) {
 // tapDrop is the single choke point every lost packet passes through
 // (queue overflow, AQM, no route, TTL, no handler, random loss, link
 // down). After the taps have observed the packet it is dead: recycle it.
-func (n *Network) tapDrop(where string, pkt *packet.Packet, reason DropReason) {
+func (n *Network) tapDrop(where string, pkt *packet.Packet, reason DropReason, at sim.Time) {
 	for _, t := range n.taps {
-		t.OnDrop(where, pkt, reason)
+		t.OnDrop(where, pkt, reason, at)
 	}
 	n.arena.Recycle(pkt)
 }
@@ -293,9 +348,9 @@ func (n *Network) tapSend(nd *Node, pkt *packet.Packet) {
 	}
 }
 
-func (n *Network) tapArrive(l *Link, pkt *packet.Packet) {
+func (n *Network) tapArrive(l *Link, pkt *packet.Packet, at sim.Time) {
 	for _, t := range n.arrivalTaps {
-		t.OnArrive(l, pkt)
+		t.OnArrive(l, pkt, at)
 	}
 }
 
@@ -356,16 +411,33 @@ func (nd *Node) receive(pkt *packet.Packet) {
 	}
 	// Transit: decrement TTL, route, enqueue.
 	if pkt.IP.TTL == 0 {
-		nd.net.tapDrop(nd.Name, pkt, DropTTL)
+		nd.net.tapDrop(nd.Name, pkt, DropTTL, nd.net.Loop.Now())
 		return
 	}
 	pkt.IP.TTL--
 	lid, err := nd.net.Router.NextLink(nd.ID, pkt)
 	if err != nil {
-		nd.net.tapDrop(nd.Name, pkt, DropNoRoute)
+		nd.net.tapDrop(nd.Name, pkt, DropNoRoute, nd.net.Loop.Now())
 		return
 	}
 	nd.net.links[lid].enqueue(pkt)
+}
+
+// fusedNext returns the fused link a packet arriving at nd would be
+// forwarded onto, or nil: nd delivers it, drops it, or forwards it onto a
+// link with other feeders. receive's checks, without their effects.
+func (nd *Node) fusedNext(pkt *packet.Packet) *Link {
+	if pkt.IP.Dst == nd.addr && nd.addr != 0 || pkt.IP.TTL == 0 {
+		return nil
+	}
+	lid, err := nd.net.Router.NextLink(nd.ID, pkt)
+	if err != nil {
+		return nil
+	}
+	if l := nd.net.links[lid]; l.fused {
+		return l
+	}
+	return nil
 }
 
 func (nd *Node) deliver(pkt *packet.Packet) {
@@ -378,7 +450,7 @@ func (nd *Node) deliver(pkt *packet.Packet) {
 	}
 	i := slices.Index(nd.ports, port)
 	if i < 0 {
-		nd.net.tapDrop(nd.Name, pkt, DropNoHandler)
+		nd.net.tapDrop(nd.Name, pkt, DropNoHandler, nd.net.Loop.Now())
 		return
 	}
 	nd.net.tapDeliver(nd, pkt)

@@ -24,7 +24,7 @@ func (r *recorder) OnTransmit(_ *Link, _ *packet.Packet, at sim.Time) { r.tx = a
 func (r *recorder) OnDeliver(n *Node, p *packet.Packet) {
 	r.delivers = append(r.delivers, r.loop.Now())
 }
-func (r *recorder) OnDrop(where string, p *packet.Packet, reason DropReason) {
+func (r *recorder) OnDrop(where string, p *packet.Packet, reason DropReason, _ sim.Time) {
 	r.drops = append(r.drops, reason)
 	r.dropLocs = append(r.dropLocs, where)
 }

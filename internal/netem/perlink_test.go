@@ -46,10 +46,10 @@ type arrivalTrace struct {
 	drops    int
 }
 
-func (a *arrivalTrace) OnDeliver(*Node, *packet.Packet)           {}
-func (a *arrivalTrace) OnDrop(string, *packet.Packet, DropReason) { a.drops++ }
-func (a *arrivalTrace) OnArrive(l *Link, p *packet.Packet) {
-	a.arrivals = append(a.arrivals, arrivalRec{a.loop.Now(), l.Spec.ID, p.UID})
+func (a *arrivalTrace) OnDeliver(*Node, *packet.Packet)                     {}
+func (a *arrivalTrace) OnDrop(string, *packet.Packet, DropReason, sim.Time) { a.drops++ }
+func (a *arrivalTrace) OnArrive(l *Link, p *packet.Packet, at sim.Time) {
+	a.arrivals = append(a.arrivals, arrivalRec{at, l.Spec.ID, p.UID})
 }
 
 // oracleTopo is s0,s1 -> {m,n} -> d: tag 1 runs s0-m-d, tag 2 s0-n-d, tag 3

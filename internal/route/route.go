@@ -40,7 +40,14 @@ type dstRoutes struct {
 	link []topo.LinkID
 }
 
-const noLink topo.LinkID = -1
+// noLink marks a missing next hop; in TagTable.feeder, a link no path
+// takes. origin marks a link some path starts on, and manyFeeders one that
+// paths enter its near node over two different links to take.
+const (
+	noLink      topo.LinkID = -1
+	origin      topo.LinkID = -2
+	manyFeeders topo.LinkID = -3
+)
 
 // TagTable is a per-(destination, tag) forwarding table. A node's entries
 // are found by destination (two on every shipped network, one per host),
@@ -49,11 +56,28 @@ const noLink topo.LinkID = -1
 type TagTable struct {
 	g    *topo.Graph
 	next [][]dstRoutes
+	// feeder is indexed by link: the link every installed path taking it
+	// arrived over, or noLink, origin or manyFeeders.
+	feeder []topo.LinkID
 }
 
 // NewTagTable returns an empty tag-routing table over graph g.
 func NewTagTable(g *topo.Graph) *TagTable {
-	return &TagTable{g: g, next: make([][]dstRoutes, g.NumNodes())}
+	t := &TagTable{g: g, next: make([][]dstRoutes, g.NumNodes()), feeder: make([]topo.LinkID, g.NumLinks())}
+	for i := range t.feeder {
+		t.feeder[i] = noLink
+	}
+	return t
+}
+
+// Feeder returns the one link every installed path enters l's near node
+// over before taking l. It reports false when no path takes l, when a path
+// starts on l, or when paths arrive over two different links to take it.
+// Packets that follow installed paths from the node that sent them onto l
+// therefore all cross the feeder first, in the feeder's FIFO order.
+func (t *TagTable) Feeder(l topo.LinkID) (topo.LinkID, bool) {
+	f := t.feeder[l]
+	return f, f >= 0
 }
 
 // lookup returns node n's next hop for (dst, tag), or noLink.
@@ -86,6 +110,17 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 	}
 	for i, lid := range p.Links {
 		t.index(p.Nodes[i], dst, tag)[tag] = lid
+		in := origin
+		if i > 0 {
+			in = p.Links[i-1]
+		}
+		switch t.feeder[lid] {
+		case noLink:
+			t.feeder[lid] = in
+		case in:
+		default:
+			t.feeder[lid] = manyFeeders
+		}
 	}
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/unit"
 )
 
@@ -51,7 +52,7 @@ func (d *dssTap) OnDeliver(_ *netem.Node, p *packet.Packet) {
 	}
 }
 
-func (d *dssTap) OnDrop(string, *packet.Packet, netem.DropReason) {}
+func (d *dssTap) OnDrop(string, *packet.Packet, netem.DropReason, sim.Time) {}
 
 // TestRetransmitCarriesOriginalMapping drops an early data packet, lets
 // dozens of later segments reuse its arena slot (overwriting the slot's

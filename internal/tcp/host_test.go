@@ -12,6 +12,7 @@ import (
 	"mptcpsim/internal/cc"
 	"mptcpsim/internal/netem"
 	"mptcpsim/internal/packet"
+	"mptcpsim/internal/sim"
 	"mptcpsim/internal/unit"
 )
 
@@ -19,7 +20,7 @@ import (
 type dropLog struct{ reasons []netem.DropReason }
 
 func (*dropLog) OnDeliver(*netem.Node, *packet.Packet) {}
-func (d *dropLog) OnDrop(_ string, _ *packet.Packet, r netem.DropReason) {
+func (d *dropLog) OnDrop(_ string, _ *packet.Packet, r netem.DropReason, _ sim.Time) {
 	d.reasons = append(d.reasons, r)
 }
 

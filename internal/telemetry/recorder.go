@@ -125,9 +125,10 @@ func (r *Recorder) OnTransmit(l *netem.Link, pkt *packet.Packet, at sim.Time) {
 		UID: pkt.UID, Tag: pkt.IP.Tag, Size: int(pkt.Size())})
 }
 
-// OnArrive implements netem.ArrivalTap.
-func (r *Recorder) OnArrive(l *netem.Link, pkt *packet.Packet) {
-	r.record(Event{At: r.loop.Now(), Kind: KindArrive, link: l,
+// OnArrive implements netem.ArrivalTap; at is when the packet arrived,
+// which a fused hop reports ahead of the loop's clock.
+func (r *Recorder) OnArrive(l *netem.Link, pkt *packet.Packet, at sim.Time) {
+	r.record(Event{At: at, Kind: KindArrive, link: l,
 		UID: pkt.UID, Tag: pkt.IP.Tag, Size: int(pkt.Size())})
 }
 
@@ -137,9 +138,10 @@ func (r *Recorder) OnDeliver(n *netem.Node, pkt *packet.Packet) {
 		UID: pkt.UID, Tag: pkt.IP.Tag, Size: int(pkt.Size())})
 }
 
-// OnDrop implements netem.Tap.
-func (r *Recorder) OnDrop(where string, pkt *packet.Packet, reason netem.DropReason) {
-	r.record(Event{At: r.loop.Now(), Kind: KindDrop, where: where,
+// OnDrop implements netem.Tap; at is when the packet was lost, which a
+// fused hop reports ahead of the loop's clock.
+func (r *Recorder) OnDrop(where string, pkt *packet.Packet, reason netem.DropReason, at sim.Time) {
+	r.record(Event{At: at, Kind: KindDrop, where: where,
 		UID: pkt.UID, Tag: pkt.IP.Tag, Size: int(pkt.Size()), Reason: reason})
 }
 

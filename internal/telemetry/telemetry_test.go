@@ -465,3 +465,61 @@ func TestMeterHeartbeatsValidUnderCoarseClock(t *testing.T) {
 		}
 	}
 }
+
+// TestRecorderStoresFusedHopTimes: a fused hop reports its arrival, and a
+// drop at the link it feeds, when the feeder admits the packet, ahead of
+// the clock. The recorder must store the hop's own virtual time: an
+// arrival one propagation delay after the frame's departure, and a drop at
+// that arrival.
+func TestRecorderStoresFusedHopTimes(t *testing.T) {
+	g := topo.New()
+	a, b, c := g.AddNode("a"), g.AddNode("b"), g.AddNode("c")
+	ab := g.AddLink(a, b, 10*unit.Mbps, time.Millisecond, 100*1500)
+	bc := g.AddLink(b, c, unit.Mbps, time.Millisecond, 3*1500)
+	loop := sim.NewLoop()
+	tt := route.NewTagTable(g)
+	net, err := netem.New(loop, g, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aAddr, cAddr := net.AssignAddr(a), net.AssignAddr(c)
+	if err := tt.AddPath(cAddr, 1, topo.Path{Nodes: []topo.NodeID{a, b, c}, Links: []topo.LinkID{ab, bc}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Node(c).Register(9001, &countHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(0)
+	rec.Attach(net)
+	if n := net.Fuse(sim.End, nil); n != 1 {
+		t.Fatalf("Fuse joined %d links, want b->c", n)
+	}
+	for i := 0; i < 8; i++ {
+		net.Node(a).Send(dataPkt(aAddr, cAddr, 1, 1400))
+	}
+	if err := loop.Run(); err != nil {
+		t.Fatal(err)
+	}
+	left := map[uint64]sim.Time{} // departure from a->b, by UID
+	arrived := map[uint64]sim.Time{}
+	drops := 0
+	for _, e := range rec.Events() {
+		switch {
+		case e.Kind == KindTransmit && e.Where() == "a->b":
+			left[e.UID] = e.At
+		case e.Kind == KindArrive && e.Where() == "a->b":
+			if want := left[e.UID].Add(time.Millisecond); e.At != want {
+				t.Fatalf("uid %d arrival recorded at %v, want %v", e.UID, e.At, want)
+			}
+			arrived[e.UID] = e.At
+		case e.Kind == KindDrop:
+			drops++
+			if at, ok := arrived[e.UID]; !ok || e.At != at || e.At == 0 {
+				t.Fatalf("uid %d dropped at b->c recorded at %v, want its arrival at b (%v)", e.UID, e.At, at)
+			}
+		}
+	}
+	if drops == 0 || len(arrived) != 8 {
+		t.Fatalf("%d arrivals over a->b and %d drops at b->c, want 8 and some", len(arrived), drops)
+	}
+}

@@ -198,7 +198,7 @@ func TestSweepHooksSerialised(t *testing.T) {
 // flight-recorder tail is dumpable — and nil when telemetry is off.
 func TestSweepOnFailureFlightTail(t *testing.T) {
 	grid := sweepGrid()
-	grid.Base.EventLimit = 5000
+	grid.Base.EventLimit = 2000
 
 	failures := 0
 	flight := sinkFunc(func(_, _ int, r RunSummary, res *Result) {
