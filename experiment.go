@@ -149,14 +149,12 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 	return pre.simulateFused(opts, (*netem.Network).Fuse)
 }
 
-// fuseFunc is the signature of netem.Network.Fuse.
-type fuseFunc func(net *netem.Network, horizon sim.Time, mutated []topo.LinkID) int
-
 // simulateFused is simulate with the call that fuses the run's single-feeder
-// hops as a parameter. It is a test seam: a test runs the same options with
-// every hop an event (a fuse that does nothing), counts the links Fuse
-// chose, or attaches a tap once the routes are in and before any packet.
-func (pre *prepared) simulateFused(opts Options, fuse fuseFunc) (*Result, error) {
+// hops (netem.Network.Fuse) as a parameter. It is a test seam: a test runs
+// the same options with every hop an event (a fuse that does nothing),
+// counts the links Fuse chose, or attaches a tap once the routes are in and
+// before any packet.
+func (pre *prepared) simulateFused(opts Options, fuse func(*netem.Network, sim.Time, []topo.LinkID) int) (*Result, error) {
 	nw, tl, g, base := pre.nw, pre.nw.tl, pre.nw.graph, pre.base
 	order := opts.SubflowPaths
 	if len(order) == 0 {

@@ -32,18 +32,42 @@ func (r *resender) Deliver(p *packet.Packet) {
 	}
 }
 
-// BenchmarkLinkTransit times one packet-hop — admission (enqueue), the lazy
-// booking of its departure (settle) and its arrival event — on a chain
-// a -> b -> c -> d of three 100 Mbps, 1 ms links. A window of 64 packets
-// circulates, each re-sent at a as it is delivered at d, so the first link
-// holds a standing queue of about 36 frames. One op is one packet-hop.
+// BenchmarkLinkTransit times one packet-hop — admission, the lazy booking
+// of its departure (settle) and its arrival — on a chain a -> b -> c -> d of
+// three 100 Mbps, 1 ms links. A window of 64 packets circulates, each
+// re-sent at a as it is delivered at d, so the first link holds a standing
+// queue of about 36 frames. One op is one packet-hop.
+//
+// fused is the chain as it stands: every hop has a single feeder, so a->b
+// hands each frame on to b->c and b->c to c->d, and a packet costs one event
+// (its arrival at d). perhop also routes a tag onto b->c from x and one onto
+// c->d from y (neither carries traffic), so both links have a second feeder
+// and every hop is an arrival event, the cost of a hop onto a contended link.
 func BenchmarkLinkTransit(b *testing.B) {
+	for _, tc := range []struct {
+		name      string
+		contended bool
+	}{{"perhop", true}, {"fused", false}} {
+		b.Run(tc.name, func(b *testing.B) { benchmarkLinkTransit(b, tc.contended) })
+	}
+}
+
+func benchmarkLinkTransit(b *testing.B, contended bool) {
 	const window, hops = 64, 3
 	g := topo.New()
 	nodes := []topo.NodeID{g.AddNode("a"), g.AddNode("b"), g.AddNode("c"), g.AddNode("d")}
 	var links []topo.LinkID
 	for i := 0; i < hops; i++ {
 		links = append(links, g.AddLink(nodes[i], nodes[i+1], 100*unit.Mbps, time.Millisecond, 2*window*1500))
+	}
+	paths := []topo.Path{{Nodes: nodes, Links: links}}
+	if contended {
+		for i, name := range []string{"x", "y"} {
+			n := g.AddNode(name)
+			in := g.AddLink(n, nodes[i+1], 100*unit.Mbps, time.Millisecond, 2*window*1500)
+			paths = append(paths, topo.Path{Nodes: append([]topo.NodeID{n}, nodes[i+1:]...),
+				Links: append([]topo.LinkID{in}, links[i+1:]...)})
+		}
 	}
 	loop := sim.NewLoop()
 	tt := route.NewTagTable(g)
@@ -53,8 +77,17 @@ func BenchmarkLinkTransit(b *testing.B) {
 	}
 	src, dst := net.Node(nodes[0]), net.Node(nodes[hops])
 	srcAddr, dstAddr := net.AssignAddr(nodes[0]), net.AssignAddr(nodes[hops])
-	if err := tt.AddPath(dstAddr, 1, topo.Path{Nodes: nodes, Links: links}); err != nil {
-		b.Fatal(err)
+	for i, p := range paths {
+		if err := tt.AddPath(dstAddr, packet.Tag(1+i), p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	want := 2
+	if contended {
+		want = 0
+	}
+	if n := net.Fuse(sim.End, nil); n != want {
+		b.Fatalf("Fuse joined %d links of the chain, want %d", n, want)
 	}
 	r := &resender{loop: loop, src: src, left: 100 * window}
 	if err := dst.Register(9001, r); err != nil {

@@ -480,14 +480,20 @@ func (l *Link) arrival(now sim.Time) {
 	pkt := l.frames.At(0).pkt
 	l.frames.Pop(1)
 	l.departed--
-	for l.departed > 0 && l.frames.At(0).handedOn() {
-		l.frames.Pop(1)
-		l.departed--
-	}
-	for i := 0; i < l.frames.Len(); i++ {
-		if !l.frames.At(i).handedOn() {
-			l.arm(i)
-			break
+	if !l.feeds {
+		if l.frames.Len() > 0 {
+			l.arm(0)
+		}
+	} else {
+		for l.departed > 0 && l.frames.At(0).handedOn() {
+			l.frames.Pop(1)
+			l.departed--
+		}
+		for i := 0; i < l.frames.Len(); i++ {
+			if !l.frames.At(i).handedOn() {
+				l.arm(i)
+				break
+			}
 		}
 	}
 	l.net.tapArrive(l, pkt, now)

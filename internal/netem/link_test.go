@@ -287,8 +287,8 @@ func TestZeroDelayLinkIsFIFO(t *testing.T) {
 	}
 }
 
-// TestFrameKeyPacksSeqAndSize: a frame's key holds its reserved seq and its
-// wire size without loss at both extremes, and on a link each frame's key
+// TestFrameKeyPacksSeqAndSize: a frame's key holds its reserved seq, its two
+// flags and its wire size without loss at both extremes, and on a link each frame's key
 // carries its packet's size, so SetRate re-times the queue exactly as from
 // pkt.Size().
 func TestFrameKeyPacksSeqAndSize(t *testing.T) {
@@ -297,8 +297,13 @@ func TestFrameKeyPacksSeqAndSize(t *testing.T) {
 		size unit.ByteSize
 	}{{0, 0}, {0, 65535}, {1<<40 - 1, 0}, {1<<40 - 1, 65535}, {12345, 1500}} {
 		f := frame{key: c.seq<<sizeBits | uint64(c.size)}
-		if f.seq() != c.seq || f.size() != c.size {
+		if f.seq() != c.seq || f.size() != c.size || f.handedOn() {
 			t.Errorf("key of (seq %d, size %d) reads back (%d, %d)", c.seq, c.size, f.seq(), f.size())
+		}
+		// The two flags sit between them and disturb neither.
+		f.key |= handedOn | told
+		if f.seq() != c.seq || f.size() != c.size || !f.handedOn() {
+			t.Errorf("flagged key of (seq %d, size %d) reads back (%d, %d)", c.seq, c.size, f.seq(), f.size())
 		}
 	}
 

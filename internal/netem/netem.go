@@ -15,8 +15,9 @@
 // when its predecessor ends (now, on an idle transmitter), ends one
 // transmission time later and arrives Spec.Delay after that, under a
 // scheduling seq reserved then. Its 24-byte record holds the packet, that
-// time and the seq packed above the wire size, so settling reads no packet.
-// The link's only heap entry is the arrival of its oldest frame; what a
+// time and the seq packed above two flags and the wire size, so settling
+// reads no packet. The link's only pending event is the arrival of its
+// oldest frame that was not handed on (below); what a
 // departure does — counters, transmit tap, freeing queue space — is settled
 // lazily, as of the frame's own end, the next time the link is touched
 // (admission, arrival, mutator, Link.Settle). SetRate re-times every frame
@@ -43,7 +44,10 @@
 // model's; only the order of events at one instant can differ, since L's
 // seq is reserved before events the per-hop model would have scheduled
 // ahead of it. Links a run mutates, links with an AQM, and hops arriving
-// after the run's horizon stay per-hop.
+// after the run's horizon stay per-hop; the mutators panic on a fused link
+// or its feeder. A fused link is settled as of its last admission, which
+// can lie ahead of the clock: read mid-run, its counters and queue are
+// those of that instant.
 //
 // Taps observe transmissions, deliveries and drops; the capture package
 // builds its tshark equivalent on top of them.
@@ -194,8 +198,10 @@ type Network struct {
 	arrivalTaps  []ArrivalTap
 	nextUID      uint64
 	// horizon bounds fused hops: a frame arriving after it waits for an
-	// arrival event, as in a run that ends there it never arrives.
+	// arrival event, as in a run that ends there it never arrives. table is
+	// Router as Fuse found it, for the lookups of hops handed on.
 	horizon sim.Time
+	table   *route.TagTable
 
 	// arena recycles packets and their transport storage across the run.
 	// Packets drawn from it are returned at their terminal event: after
@@ -254,7 +260,7 @@ func (n *Network) Fuse(horizon sim.Time, mutated []topo.LinkID) int {
 	if !ok {
 		return 0
 	}
-	n.horizon = horizon
+	n.horizon, n.table = horizon, tt
 	fused := 0
 	for _, l := range n.links {
 		u, ok := tt.Feeder(l.Spec.ID)
@@ -272,6 +278,8 @@ func (n *Network) Originated() uint64 { return n.nextUID }
 
 // Propagating returns the number of packets between a transmitter and the
 // far node (transmitted, arrival still pending) as of the links' last settle.
+// A frame handed on at admission (Fuse) counts until the frames ahead of it
+// have arrived; at the horizon Fuse was given, none does.
 func (n *Network) Propagating() (total int) {
 	for _, l := range n.links {
 		total += l.departed
@@ -430,7 +438,7 @@ func (nd *Node) fusedNext(pkt *packet.Packet) *Link {
 	if pkt.IP.Dst == nd.addr && nd.addr != 0 || pkt.IP.TTL == 0 {
 		return nil
 	}
-	lid, err := nd.net.Router.NextLink(nd.ID, pkt)
+	lid, err := nd.net.table.NextLink(nd.ID, pkt)
 	if err != nil {
 		return nil
 	}
