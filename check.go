@@ -138,8 +138,8 @@ func (o *oracle) OnDrop(_ string, pkt *packet.Packet, _ netem.DropReason, _ sim.
 
 // OnTransmit implements netem.TransmitTap: it buckets the wire bytes into
 // the epoch in force when the frame left — links report departures late
-// and interleaved, so the epoch is looked up per call — and appends the
-// packet to the link's FIFO audit queue.
+// (or, around fused hops, early) and interleaved, so the epoch is looked up
+// per call — and appends the packet to the link's FIFO audit queue.
 func (o *oracle) OnTransmit(l *netem.Link, pkt *packet.Packet, at sim.Time) {
 	ei := len(o.epochs) - 1
 	for ei > 0 && at.Duration() < o.epochs[ei].Start {

@@ -127,11 +127,12 @@ type Tap interface {
 type TransmitTap interface {
 	// OnTransmit reports that the last bit of pkt left link's transmitter
 	// at time at. Links book departures lazily: the call comes up to a
-	// propagation delay after at — or, when the link hands a frame on
-	// (Network.Fuse), before at, as the link admits it, for that frame and
-	// every frame ahead of it not yet reported. Calls come in FIFO order per
-	// link but not in time order across links, and always before the
-	// frame's OnArrive.
+	// propagation delay after at. With Network.Fuse it can come before at:
+	// a link its feeder admits settles as of each admission's time, ahead of
+	// the clock, and a link that hands a frame on reports that frame and
+	// every frame ahead of it not yet reported as it admits it. Calls come
+	// in FIFO order per link but not in time order across links, and always
+	// before the frame's OnArrive.
 	OnTransmit(l *Link, pkt *packet.Packet, at sim.Time)
 }
 
