@@ -324,9 +324,9 @@ func runTrend(nLadders, steps int, seed int64, h harness, quiet bool, w io.Write
 
 // diffGolden compares the run's corpus against a recorded one and writes a
 // deterministic verdict. Each divergence says whether the packets moved
-// (the engine digests differ) or only the references they are compared to.
-// It returns the number of divergences (mismatched scenarios plus any
-// shape mismatch).
+// (the engine digests differ) or only the references they are compared to,
+// and the closing line counts the divergences of each kind. It returns the
+// number of divergences (mismatched scenarios plus any shape mismatch).
 func diffGolden(g, got check.Golden, w io.Writer) int {
 	if g.Seed != got.Seed {
 		fmt.Fprintf(w, "golden: corpus was recorded with base seed %d, run used %d\n", g.Seed, got.Seed)
@@ -337,25 +337,29 @@ func diffGolden(g, got check.Golden, w io.Writer) int {
 			len(g.Hashes), len(got.Hashes), len(g.Hashes))
 		return 1
 	}
-	diverged := 0
+	moved, refs := 0, 0
 	for i, want := range g.Hashes {
 		if got.Hashes[i] == want && got.Engine[i] == g.Engine[i] {
 			continue
 		}
-		diverged++
 		hash, what := got.Hashes[i], "references only"
-		switch {
-		case hash == "":
-			hash, what = "(scenario failed)", "engine moved"
-		case got.Engine[i] != g.Engine[i]:
+		if hash == "" || got.Engine[i] != g.Engine[i] {
 			what = "engine moved"
+			moved++
+		} else {
+			refs++
+		}
+		if hash == "" {
+			hash = "(scenario failed)"
 		}
 		fmt.Fprintf(w, "golden: %4d DIVERGED (%s) want=%.12s got=%.12s\n", i, what, want, hash)
 	}
+	diverged := moved + refs
 	if diverged == 0 {
 		fmt.Fprintf(w, "golden: %d/%d hashes identical to corpus\n", len(g.Hashes), len(g.Hashes))
 	} else {
-		fmt.Fprintf(w, "golden: %d/%d hashes DIVERGED from corpus\n", diverged, len(g.Hashes))
+		fmt.Fprintf(w, "golden: %d/%d hashes DIVERGED from corpus (%d engine moved, %d references only)\n",
+			diverged, len(g.Hashes), moved, refs)
 	}
 	return diverged
 }

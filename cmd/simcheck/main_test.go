@@ -243,7 +243,7 @@ func TestGoldenRoundTripAndDivergence(t *testing.T) {
 	if code := run([]string{"-n", "3", "-q", "-golden", path}, &stdout, &stderr); code != exitHash {
 		t.Fatalf("tampered corpus gave code %d, want %d:\n%s", code, exitHash, stdout.String())
 	}
-	for _, want := range []string{"   1 DIVERGED (references only)", "   2 DIVERGED (engine moved)", "2/3 hashes DIVERGED"} {
+	for _, want := range []string{"   1 DIVERGED (references only)", "   2 DIVERGED (engine moved)", "2/3 hashes DIVERGED from corpus (1 engine moved, 1 references only)"} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Fatalf("divergence report lacks %q:\n%s", want, stdout.String())
 		}

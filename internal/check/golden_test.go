@@ -139,27 +139,46 @@ func TestLoadGoldenRejectsMalformed(t *testing.T) {
 	}
 }
 
-// The engine digest reads what the packets did and nothing else: moving a
-// reference the run is compared to changes the full hash only, moving one
-// measured bin changes both.
+// The engine digest reads what the packets did and nothing else: moving
+// any reference the run is compared to, or anything derived from one,
+// changes the full hash only; moving one measured bin changes both.
 func TestEngineDigestSeparatesReferencesFromPackets(t *testing.T) {
-	res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Duration: 300 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	run := func() *mptcpsim.Result {
+		res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Duration: 300 * time.Millisecond, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	hash, engine := res.Hash(), EngineDigest(res)
+	base := run()
+	hash, engine := base.Hash(), EngineDigest(base)
+	for _, tc := range []struct {
+		what    string
+		perturb func(r *mptcpsim.Result)
+	}{
+		{"Optimum.Total", func(r *mptcpsim.Result) { r.Optimum.Total++ }},
+		{"Optimum.PerPath", func(r *mptcpsim.Result) { r.Optimum.PerPath[0]++ }},
+		{"MaxMin", func(r *mptcpsim.Result) { r.MaxMin[0]++ }},
+		{"Greedy", func(r *mptcpsim.Result) { r.Greedy[0]++ }},
+		{"Problem", func(r *mptcpsim.Result) { r.Problem += " " }},
+		{"Epochs[0].Optimum", func(r *mptcpsim.Result) { r.Epochs[0].Optimum.Total++ }},
+		{"Epochs[0].Gap", func(r *mptcpsim.Result) { r.Epochs[0].Gap++ }},
+		{"Epochs[0].Converged", func(r *mptcpsim.Result) { r.Epochs[0].Converged = !r.Epochs[0].Converged }},
+		{"Summary.Target", func(r *mptcpsim.Result) { r.Summary.Target++ }},
+		{"Summary.Gap", func(r *mptcpsim.Result) { r.Summary.Gap++ }},
+	} {
+		res := run()
+		tc.perturb(res)
+		if res.Hash() == hash {
+			t.Errorf("moving %s left the full hash unchanged", tc.what)
+		}
+		if EngineDigest(res) != engine {
+			t.Errorf("moving %s moved the engine digest", tc.what)
+		}
+	}
 
-	res.Optimum.Total += 1
-	if res.Hash() == hash {
-		t.Fatal("moving the LP optimum left the full hash unchanged")
-	}
-	if EngineDigest(res) != engine {
-		t.Fatal("moving the LP optimum moved the engine digest")
-	}
-	res.Optimum.Total -= 1
-
-	res.Total.Mbps[len(res.Total.Mbps)/2] += 0.5
-	if res.Hash() == hash || EngineDigest(res) == engine {
+	base.Total.Mbps[len(base.Total.Mbps)/2] += 0.5
+	if base.Hash() == hash || EngineDigest(base) == engine {
 		t.Fatal("moving one series bin must move both columns")
 	}
 }
