@@ -49,9 +49,9 @@ func benchRun(b *testing.B, opts Options) {
 }
 
 // BenchmarkFig1cLP regenerates the Fig. 1c optimisation: LP optimum,
-// greedy trap, max-min and proportional fairness (reported in Mbps).
+// greedy trap and max-min (reported in Mbps).
 func BenchmarkFig1cLP(b *testing.B) {
-	var lpTot, greedy, maxmin, propfair float64
+	var lpTot, greedy, maxmin float64
 	for i := 0; i < b.N; i++ {
 		res, err := RunPaper(Options{Duration: 10 * time.Millisecond, Seed: int64(i + 1)})
 		if err != nil {
@@ -60,12 +60,10 @@ func BenchmarkFig1cLP(b *testing.B) {
 		lpTot = res.Optimum.Total
 		greedy = total(res.Greedy)
 		maxmin = total(res.MaxMin)
-		propfair = total(res.PropFair)
 	}
 	b.ReportMetric(lpTot, "lp_mbps")
 	b.ReportMetric(greedy, "greedy_mbps")
 	b.ReportMetric(maxmin, "maxmin_mbps")
-	b.ReportMetric(propfair, "propfair_mbps")
 }
 
 // BenchmarkFig2aCubic regenerates Fig. 2a: MPTCP-CUBIC, 100 ms bins, 4 s.

@@ -140,7 +140,6 @@ func (g *gen) fig1c() {
 		fmt.Fprintf(w, "LP optimum:        total %.1f Mbps at %v\n", res.Optimum.Total, res.Optimum.PerPath)
 		fmt.Fprintf(w, "greedy trap:       total %.1f Mbps at %v\n", sum(res.Greedy), res.Greedy)
 		fmt.Fprintf(w, "max-min fair:      total %.1f Mbps at %v\n", sum(res.MaxMin), res.MaxMin)
-		fmt.Fprintf(w, "proportional fair: total %.1f Mbps at %v\n", sum(res.PropFair), res.PropFair)
 		return nil
 	})
 }

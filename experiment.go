@@ -31,10 +31,10 @@ const (
 	crossCC         = "cubic"
 )
 
-// ResetBaselineCache drops the memoised LP/max-min/proportional-fair
-// baselines. The cache is keyed by topology (and, for dynamic runs, by
-// capacity epoch) and LRU-bounded, so resetting is rarely necessary; it
-// exists for embedders that want a cold start between batches.
+// ResetBaselineCache drops the memoised LP and max-min baselines. The
+// cache is keyed by topology (and, for dynamic runs, by capacity epoch) and
+// LRU-bounded, so resetting is rarely necessary; it exists for embedders
+// that want a cold start between batches.
 func ResetBaselineCache() { lp.ResetBaselineCache() }
 
 // RunPaper executes the paper's experiment on the Fig. 1a network with
@@ -178,11 +178,10 @@ func (pre *prepared) simulateFused(opts Options, fuse func(*netem.Network, sim.T
 		zeroBased[i] = p - 1
 	}
 	res := &Result{
-		Optimum:  Allocation{PerPath: slices.Clone(base.Solution.X), Total: base.Solution.Objective},
-		Problem:  base.ProblemString,
-		MaxMin:   slices.Clone(base.MaxMin),
-		PropFair: slices.Clone(base.PropFair),
-		Greedy:   lp.GreedySequential(g, nw.paths, zeroBased),
+		Optimum: Allocation{PerPath: slices.Clone(base.Solution.X), Total: base.Solution.Objective},
+		Problem: base.ProblemString,
+		MaxMin:  slices.Clone(base.MaxMin),
+		Greedy:  lp.GreedySequential(g, nw.paths, zeroBased),
 	}
 
 	// Engine.

@@ -41,8 +41,8 @@ func benchCold(b *testing.B, solve func(*topo.Graph, []topo.Path, Caps) error) {
 	b.ReportMetric(float64(b.Elapsed())/1e3/float64(b.N*len(caps)), "us/solve")
 }
 
-// BenchmarkBaselinesCold is a cold CachedBaselinesCaps: the LP, max-min and
-// the exact proportional-fair solve.
+// BenchmarkBaselinesCold is a cold CachedBaselinesCaps: the LP and
+// max-min.
 func BenchmarkBaselinesCold(b *testing.B) {
 	benchCold(b, func(g *topo.Graph, paths []topo.Path, caps Caps) error {
 		_, err := CachedBaselinesCaps(g, paths, caps)

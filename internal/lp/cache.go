@@ -9,22 +9,22 @@ import (
 )
 
 // Baselines bundles the analytic reference allocations of one topology:
-// the LP optimum, the max-min fair point, and the proportionally fair
-// point. All rates are in Mbps, indexed by path.
+// the LP optimum and the max-min fair point. All rates are in Mbps,
+// indexed by path.
 type Baselines struct {
 	// ProblemString is the canonical rendering of the throughput LP (one
 	// constraint per shared link) — also the cache key.
 	ProblemString string
 	// Solution is the LP optimum; Status is always Optimal.
 	Solution Solution
-	// MaxMin and PropFair are the fairness reference allocations.
-	MaxMin, PropFair []float64
+	// MaxMin is the max-min fair allocation.
+	MaxMin []float64
 }
 
 // baselineEntry is one memoised computation; once guarantees each distinct
 // topology's LP is solved exactly once even when many sweep workers miss the
-// cache simultaneously, and fair does the same for MaxMin and PropFair, which
-// are computed only when a caller first asks for them.
+// cache simultaneously, and fair does the same for MaxMin, which is
+// computed only when a caller first asks for it.
 type baselineEntry struct {
 	once, fair sync.Once
 	b          *Baselines
@@ -92,7 +92,7 @@ func lookupEntry(key string) *baselineEntry {
 // CachedBaselines returns the Baselines for the given topology and paths,
 // computing them on first use and serving a cached copy afterwards. The
 // cache key is the canonical LP rendering, which captures exactly the
-// inputs all three baselines depend on: the per-link capacities and the
+// inputs both baselines depend on: the per-link capacities and the
 // path-link incidence. It is safe for concurrent use; callers receive
 // private slice copies and may modify them freely.
 func CachedBaselines(g *topo.Graph, paths []topo.Path) (*Baselines, error) {
@@ -110,19 +110,17 @@ func CachedBaselinesCaps(g *topo.Graph, paths []topo.Path, caps Caps) (*Baseline
 	}
 	e.fair.Do(func() {
 		e.b.MaxMin = MaxMinCaps(g, paths, caps)
-		e.b.PropFair = PropFairCaps(g, paths, caps)
 	})
 	return &Baselines{
 		ProblemString: e.b.ProblemString,
 		Solution:      e.b.Solution.clone(),
 		MaxMin:        append([]float64(nil), e.b.MaxMin...),
-		PropFair:      append([]float64(nil), e.b.PropFair...),
 	}, nil
 }
 
 // CachedOptimumCaps is the LP optimum of CachedBaselinesCaps alone, from the
-// same cache entry, in a private copy. It never computes the fairness
-// references, which a caller reading only the optimum (a capacity epoch's
+// same cache entry, in a private copy. It never computes the max-min
+// reference, which a caller reading only the optimum (a capacity epoch's
 // gap) does not need.
 func CachedOptimumCaps(g *topo.Graph, paths []topo.Path, caps Caps) (Solution, error) {
 	e, err := cachedEntry(g, paths, caps)

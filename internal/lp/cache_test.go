@@ -61,7 +61,7 @@ func TestCachedBaselines(t *testing.T) {
 
 // TestCachedBaselinesConcurrent races goroutines on one cold key through
 // both entry points: half ask for the optimum alone, half for every
-// baseline. Each gets the one LP solution, and every fairness reference
+// baseline. Each gets the one LP solution, and every max-min reference
 // handed out is the one computation's.
 func TestCachedBaselinesConcurrent(t *testing.T) {
 	pn := topo.Paper()
@@ -94,16 +94,16 @@ func TestCachedBaselinesConcurrent(t *testing.T) {
 		if !sameBits(sols[i].X, sols[0].X) {
 			t.Fatalf("goroutine %d optimum %v, goroutine 0 %v", i, sols[i].X, sols[0].X)
 		}
-		if b := full[i]; b != nil && (!sameBits(b.MaxMin, full[0].MaxMin) || !sameBits(b.PropFair, full[0].PropFair)) {
-			t.Fatalf("goroutine %d fairness %v %v, goroutine 0 %v %v", i, b.MaxMin, b.PropFair, full[0].MaxMin, full[0].PropFair)
+		if b := full[i]; b != nil && !sameBits(b.MaxMin, full[0].MaxMin) {
+			t.Fatalf("goroutine %d max-min %v, goroutine 0 %v", i, b.MaxMin, full[0].MaxMin)
 		}
 	}
 }
 
 // TestCachedOptimumSkipsFairness: the optimum alone leaves the entry's
-// fairness references uncomputed; a later call for every baseline fills
-// them in, with the same bits as the direct solves, and both calls hand out
-// the same solution.
+// max-min reference uncomputed; a later call for every baseline fills it
+// in, with the same bits as the direct solve, and both calls hand out the
+// same solution.
 func TestCachedOptimumSkipsFairness(t *testing.T) {
 	pn := topo.Paper()
 	ResetBaselineCache()
@@ -118,8 +118,8 @@ func TestCachedOptimumSkipsFairness(t *testing.T) {
 	if e == nil || e.b == nil {
 		t.Fatal("the optimum was not cached")
 	}
-	if e.b.MaxMin != nil || e.b.PropFair != nil {
-		t.Fatalf("the optimum alone computed max-min %v and prop-fair %v", e.b.MaxMin, e.b.PropFair)
+	if e.b.MaxMin != nil {
+		t.Fatalf("the optimum alone computed max-min %v", e.b.MaxMin)
 	}
 
 	sol.X[0] = -1 // the caller's copy
@@ -137,9 +137,6 @@ func TestCachedOptimumSkipsFairness(t *testing.T) {
 	}
 	if mm := MaxMinCaps(pn.Graph, pn.Paths, caps); !sameBits(b.MaxMin, mm) {
 		t.Fatalf("cached max-min %v, direct %v", b.MaxMin, mm)
-	}
-	if pf := PropFairCaps(pn.Graph, pn.Paths, caps); !sameBits(b.PropFair, pf) {
-		t.Fatalf("cached prop-fair %v, direct %v", b.PropFair, pf)
 	}
 }
 
@@ -204,12 +201,9 @@ func TestCachedBaselinesCapsEpoch(t *testing.T) {
 			t.Fatalf("outage solution = %v, want %v", down.Solution.X, want)
 		}
 	}
-	// The fairness baselines respect the outage too.
+	// The max-min baseline respects the outage too.
 	if down.MaxMin[0] != 0 || down.MaxMin[1] != 0 || math.Abs(down.MaxMin[2]-60) > 1e-6 {
 		t.Fatalf("outage max-min = %v", down.MaxMin)
-	}
-	if down.PropFair[0] != 0 || down.PropFair[1] != 0 || down.PropFair[2] < 55 {
-		t.Fatalf("outage prop-fair = %v", down.PropFair)
 	}
 	// The static entry is untouched.
 	again, err := CachedBaselines(pn.Graph, pn.Paths)

@@ -5,11 +5,11 @@
 // The solver is a dense two-phase primal simplex with Bland's rule, which
 // is exact (up to floating point) and immune to cycling — appropriate for
 // problems with a handful of paths and links. The package also provides
-// the max-min fair allocation (progressive water-filling) and the
-// proportionally fair allocation (Newton's method on the link prices), the
-// two classic notions of what "TCP-like" fairness achieves, used to
-// interpret where the congestion-control algorithms land relative to the
-// LP optimum.
+// the two other references a run is compared to: the max-min fair
+// allocation (progressive water-filling), the reference the
+// congestion-control algorithms land nearest, and the greedy trap (paths
+// filled one at a time). The LP optimum and max-min are memoised per
+// topology and capacity epoch in a bounded cache.
 package lp
 
 import (

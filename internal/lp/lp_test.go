@@ -250,29 +250,6 @@ func TestMaxMinPaperNet(t *testing.T) {
 	}
 }
 
-func TestPropFairPaperNet(t *testing.T) {
-	pn := topo.Paper()
-	x := PropFairCaps(pn.Graph, pn.Paths, nil)
-	// Analytic proportional-fair point: x2 = (200-sqrt(11200))/6 ~ 15.695,
-	// x1 = 40-x2, x3 = 60-x2 (all three bottlenecks tight).
-	x2 := (200 - math.Sqrt(11200)) / 6
-	want := []float64{40 - x2, x2, 60 - x2}
-	for i := range want {
-		if !approx(x[i], want[i], 0.5) {
-			t.Fatalf("propfair = %v, want ~%v", x, want)
-		}
-	}
-	p := MaxThroughputCaps(pn.Graph, pn.Paths, nil)
-	if !feasible(p, x, 0.1) {
-		t.Fatal("propfair infeasible beyond tolerance")
-	}
-	// Sits strictly between max-min total (80) and LP optimum (90).
-	tot := total(x)
-	if tot < 80 || tot > 90 {
-		t.Fatalf("propfair total = %v, want in (80, 90)", tot)
-	}
-}
-
 // Property: on random feasible problems the simplex solution is feasible
 // and no random feasible point beats it.
 func TestQuickSimplexOptimality(t *testing.T) {

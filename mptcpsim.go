@@ -12,7 +12,7 @@
 // discrete-event network, the tag-routed forwarding plane, a userspace TCP
 // with SACK, the MPTCP layer with coupled congestion control (LIA, OLIA,
 // BALIA) and uncoupled CUBIC/Reno, the tshark-style receiver capture at 10
-// and 100 ms bins, and the LP/max-min/proportional-fair baselines.
+// and 100 ms bins, and the LP, max-min and greedy-trap baselines.
 //
 // Quick start:
 //

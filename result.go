@@ -100,8 +100,8 @@ type Result struct {
 	Optimum Allocation
 	// Problem is the LP in human-readable form (Fig. 1c).
 	Problem string
-	// MaxMin, PropFair and Greedy are the analytic reference allocations.
-	MaxMin, PropFair, Greedy []float64
+	// MaxMin and Greedy are the analytic reference allocations.
+	MaxMin, Greedy []float64
 	// Epochs is the piecewise LP view: one entry per capacity epoch, each
 	// measured against the optimum of the topology in force during it.
 	// Static runs have a single epoch; dynamic runs (scenario events) get
@@ -233,7 +233,6 @@ func (r *Result) Hash() string {
 	wAlloc(r.Optimum)
 	wStr(r.Problem)
 	wVec(r.MaxMin)
-	wVec(r.PropFair)
 	wVec(r.Greedy)
 
 	wU64(uint64(len(r.Epochs)))
@@ -381,7 +380,6 @@ func (r *Result) Report(w io.Writer) error {
 	fmt.Fprintf(&sb, "optimum:    %.1f Mbps at %s\n", r.Optimum.Total, fmtAlloc(r.Optimum.PerPath))
 	fmt.Fprintf(&sb, "greedy:     %.1f Mbps at %s\n", total(r.Greedy), fmtAlloc(r.Greedy))
 	fmt.Fprintf(&sb, "max-min:    %.1f Mbps at %s\n", total(r.MaxMin), fmtAlloc(r.MaxMin))
-	fmt.Fprintf(&sb, "prop-fair:  %.1f Mbps at %s\n", total(r.PropFair), fmtAlloc(r.PropFair))
 	fmt.Fprintf(&sb, "measured:   %.1f Mbps at %s (gap %.1f%%)\n",
 		r.Summary.TotalMean, fmtAlloc(r.Summary.PathMeans), r.Summary.Gap*100)
 	if r.Summary.ReachedPareto {
