@@ -9,8 +9,9 @@ package check
 // recorded with the zero-allocation event fast path, re-recorded when
 // LoopEvents left the canonical hash, and ten of its hashes moved when
 // links folded the end of serialisation into their arrival chain (a
-// same-nanosecond drop-tail tie) — each time in a commit of its own that
-// says why.
+// same-nanosecond drop-tail tie); every full hash moved, and no engine
+// digest, when the proportional-fair reference left Result — each time in
+// a commit of its own that says why.
 
 import (
 	"bytes"
