@@ -21,7 +21,8 @@ import (
 const refsEnv = "MPTCPSIM_REFS"
 
 // nearRefs are the reference allocations a run's path means are measured
-// against, in the order a tie for the nearest is broken.
+// against, in the order a tie for the nearest is broken: the optimum
+// first and the greedy trap last.
 var nearRefs = []struct {
 	name string
 	of   func(*mptcpsim.Result) []float64
@@ -31,17 +32,11 @@ var nearRefs = []struct {
 	{"greedy", func(r *mptcpsim.Result) []float64 { return r.Greedy }},
 }
 
-// nearPairs are the head-to-head comparisons reported with a Wilson
-// interval: the share of runs nearer the first reference than the second
-// (indices into nearRefs).
-var nearPairs = [][2]int{{0, 2}}
-
 // nearTally counts, for one CC in one measurement, the runs nearest each
-// reference and the runs that win each pair.
+// reference and the runs nearer the optimum than the greedy trap.
 type nearTally struct {
-	runs    int
-	nearest []int
-	wins    []int
+	runs, escaped int
+	nearest       []int
 }
 
 // nearSink measures every run it is handed: means picks the path means and
@@ -59,7 +54,7 @@ func (s *nearSink) Accept(_, _ int, sum mptcpsim.RunSummary, res *mptcpsim.Resul
 	}
 	t := s.byCC[sum.CC]
 	if t == nil {
-		t = &nearTally{nearest: make([]int, len(nearRefs)), wins: make([]int, len(nearPairs))}
+		t = &nearTally{nearest: make([]int, len(nearRefs))}
 		s.byCC[sum.CC] = t
 	}
 	pm, opt := s.means(res)
@@ -69,10 +64,8 @@ func (s *nearSink) Accept(_, _ int, sum mptcpsim.RunSummary, res *mptcpsim.Resul
 	}
 	t.runs++
 	t.nearest[slices.Index(d, slices.Min(d))]++
-	for i, p := range nearPairs {
-		if d[p[0]] < d[p[1]] {
-			t.wins[i]++
-		}
+	if d[0] < d[len(d)-1] {
+		t.escaped++
 	}
 	return nil
 }
@@ -113,10 +106,7 @@ func nearTable(title string, ccs []string, byCC map[string]*nearTally) string {
 	for _, ref := range nearRefs {
 		fmt.Fprintf(&sb, " nearest %s |", ref.name)
 	}
-	for _, p := range nearPairs {
-		fmt.Fprintf(&sb, " d(%s) < d(%s) [95 %% CI] |", nearRefs[p[0]].name, nearRefs[p[1]].name)
-	}
-	sb.WriteString("\n|---|---|" + strings.Repeat("---|", len(nearRefs)+len(nearPairs)) + "\n")
+	sb.WriteString(" d(optimum) < d(greedy) [95 % CI] |\n|---|---|" + strings.Repeat("---|", len(nearRefs)+1) + "\n")
 	for _, cc := range ccs {
 		t := byCC[cc]
 		if t == nil {
@@ -126,11 +116,8 @@ func nearTable(title string, ccs []string, byCC map[string]*nearTally) string {
 		for _, k := range t.nearest {
 			fmt.Fprintf(&sb, " %d |", k)
 		}
-		for _, k := range t.wins {
-			lo, hi := wilson(k, t.runs)
-			fmt.Fprintf(&sb, " %d [%.2f, %.2f] |", k, lo, hi)
-		}
-		sb.WriteString("\n")
+		lo, hi := wilson(t.escaped, t.runs)
+		fmt.Fprintf(&sb, " %d [%.2f, %.2f] |\n", t.escaped, lo, hi)
 	}
 	return sb.String()
 }
