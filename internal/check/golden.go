@@ -2,17 +2,10 @@ package check
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"io"
-	"maps"
-	"math"
-	"slices"
 	"strconv"
 	"strings"
-
-	"mptcpsim"
 )
 
 // Golden is a recorded hash corpus: two digests of each of the first
@@ -24,118 +17,25 @@ import (
 type Golden struct {
 	// Seed is the base seed; scenario i uses SpecSeed(Seed, i).
 	Seed int64
-	// Hashes[i] is the full canonical Result hash of scenario i.
+	// Hashes[i] is scenario i's Result.Hash: what the packets did, then
+	// the references they are compared to.
 	Hashes []string
-	// Engine[i] is scenario i's EngineDigest.
+	// Engine[i] is scenario i's Result.EngineHash: what the packets did.
 	Engine []string
 }
 
-// EngineDigest hashes what the packets did in a run, and nothing computed
-// from the topology alone: the behaviour-defining options, every measured
-// series, the subflow counters, per-link drops and utilisation, the
-// receiver's packet and byte counts, the dynamic events, and each epoch's
-// window and measured means. The LP optimum, the fairness references and
-// everything derived from them (gaps, convergence verdicts, the summary)
-// stay out, so a change to a reference moves Result.Hash but not this.
-func EngineDigest(r *mptcpsim.Result) string {
-	h := sha256.New()
-	var buf [8]byte
-	wU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+// Divergence says how scenario i of a run's corpus got departs from the
+// recorded corpus g: "" when both digests match, "engine moved" when the
+// packets moved (or the scenario failed and has no digests), and
+// "references only" when only what the packets are compared to moved.
+func (g Golden) Divergence(got Golden, i int) string {
+	switch {
+	case got.Hashes[i] == g.Hashes[i] && got.Engine[i] == g.Engine[i]:
+		return ""
+	case got.Hashes[i] == "" || got.Engine[i] != g.Engine[i]:
+		return "engine moved"
 	}
-	wF64 := func(v float64) { wU64(math.Float64bits(v)) }
-	wStr := func(s string) {
-		wU64(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	wBool := func(b bool) {
-		if b {
-			wU64(1)
-		} else {
-			wU64(0)
-		}
-	}
-	wInts := func(x []int) {
-		wU64(uint64(len(x)))
-		for _, v := range x {
-			wU64(uint64(v))
-		}
-	}
-	wVec := func(x []float64) {
-		wU64(uint64(len(x)))
-		for _, v := range x {
-			wF64(v)
-		}
-	}
-	wSeries := func(s mptcpsim.Series) {
-		wStr(s.Name)
-		wU64(uint64(s.Step))
-		wVec(s.Mbps)
-	}
-
-	// The options a run's packets depend on; the observation-only ones
-	// (invariants, telemetry, packet retention, the event limit) stay out.
-	o := r.Options
-	wStr(o.CC)
-	wStr(o.Scheduler)
-	wU64(uint64(o.Duration))
-	wU64(uint64(o.SampleInterval))
-	wU64(uint64(o.Seed))
-	wInts(o.SubflowPaths)
-	wF64(o.QueueScale)
-	wBool(o.DisableSACK)
-	wBool(o.Timestamps)
-	wInts(o.CrossTCP)
-
-	wU64(uint64(len(r.Paths)))
-	for _, s := range r.Paths {
-		wSeries(s)
-	}
-	wU64(uint64(len(r.Cross)))
-	for _, s := range r.Cross {
-		wSeries(s)
-	}
-	wSeries(r.Total)
-
-	wU64(uint64(len(r.Subflows)))
-	for _, sf := range r.Subflows {
-		wU64(uint64(sf.Path))
-		wStr(sf.Label)
-		wU64(sf.SentSegments)
-		wU64(sf.SentBytes)
-		wU64(sf.Retransmits)
-		wU64(sf.RTOs)
-		wU64(sf.FastRecoveries)
-		wU64(uint64(sf.SRTT))
-		wU64(uint64(sf.FinalCwndBytes))
-	}
-	wU64(uint64(len(r.Drops)))
-	for _, name := range slices.Sorted(maps.Keys(r.Drops)) {
-		wStr(name)
-		wU64(r.Drops[name])
-	}
-	wU64(uint64(len(r.Utilisation)))
-	for _, name := range slices.Sorted(maps.Keys(r.Utilisation)) {
-		wStr(name)
-		wF64(r.Utilisation[name])
-	}
-	wU64(r.Packets)
-	wU64(r.DeliveredBytes)
-	wU64(r.DuplicateBytes)
-
-	wU64(uint64(len(r.Events)))
-	for _, e := range r.Events {
-		wStr(e.String())
-	}
-	wU64(uint64(len(r.Epochs)))
-	for _, ep := range r.Epochs {
-		wU64(uint64(ep.Start))
-		wU64(uint64(ep.End))
-		wF64(ep.TotalMean)
-		wVec(ep.PathMeans)
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return "references only"
 }
 
 // WriteGolden renders a corpus in the golden file format: comment header,

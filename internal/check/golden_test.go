@@ -15,6 +15,7 @@ package check
 
 import (
 	"bytes"
+	"maps"
 	"os"
 	"slices"
 	"strings"
@@ -24,15 +25,15 @@ import (
 	"mptcpsim"
 )
 
-// hashSink keeps each run's canonical hash and engine digest, or its
-// error, at its index.
+// hashSink keeps each run's Hash and EngineHash, or its error, at its
+// index.
 type hashSink struct{ hashes, engine, errs []string }
 
 func (h *hashSink) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result) error {
 	h.errs[s.Index] = s.Err
 	if s.Err == "" {
 		h.hashes[s.Index] = res.Hash()
-		h.engine[s.Index] = EngineDigest(res)
+		h.engine[s.Index] = res.EngineHash()
 	}
 	return nil
 }
@@ -69,29 +70,39 @@ func TestGoldenCorpusHashesIdentical(t *testing.T) {
 		runs[i] = rs[0]
 		runs[i].Index = i
 	}
-	got := &hashSink{hashes: make([]string, n), engine: make([]string, n), errs: make([]string, n)}
-	if err := (&mptcpsim.Sweep{}).Execute(runs, got); err != nil {
+	sink := &hashSink{hashes: make([]string, n), engine: make([]string, n), errs: make([]string, n)}
+	if err := (&mptcpsim.Sweep{}).Execute(runs, sink); err != nil {
 		t.Fatal(err)
 	}
 
-	diverged := 0
+	// A divergence is classified as simcheck -golden classifies it.
+	got := Golden{Seed: g.Seed, Hashes: sink.hashes, Engine: sink.engine}
+	moved, refs := 0, 0
 	for i := 0; i < n; i++ {
-		if got.errs[i] != "" {
-			diverged++
-			t.Errorf("scenario %d: %s", i, got.errs[i])
+		if sink.errs[i] != "" {
+			t.Errorf("scenario %d: %s", i, sink.errs[i])
+		}
+		what := g.Divergence(got, i)
+		switch what {
+		case "":
 			continue
+		case "engine moved":
+			moved++
+		default:
+			refs++
 		}
-		if got.hashes[i] != g.Hashes[i] || got.engine[i] != g.Engine[i] {
-			diverged++
-			t.Errorf("scenario %d: hash %.12s engine %.12s diverged from golden %.12s %.12s",
-				i, got.hashes[i], got.engine[i], g.Hashes[i], g.Engine[i])
-		}
+		t.Errorf("scenario %d (%s): hash %.12s engine %.12s diverged from golden %.12s %.12s",
+			i, what, got.Hashes[i], got.Engine[i], g.Hashes[i], g.Engine[i])
 	}
-	if diverged > 0 {
-		t.Fatalf("%d/%d golden hashes diverged: the simulation's behaviour changed; "+
+	if moved+refs > 0 {
+		why := "the simulation's behaviour changed"
+		if moved == 0 {
+			why = "only the references the packets are compared to changed, not the packets"
+		}
+		t.Fatalf("%d/%d golden hashes diverged (%d engine moved, %d references only): %s; "+
 			"if (and only if) the change is intended, re-record with "+
 			"go run ./cmd/simcheck -n %d -seed %d -write-golden internal/check/testdata/hashes-seed1.golden",
-			diverged, n, len(g.Hashes), g.Seed)
+			moved+refs, n, moved, refs, why, len(g.Hashes), g.Seed)
 	}
 }
 
@@ -140,47 +151,140 @@ func TestLoadGoldenRejectsMalformed(t *testing.T) {
 	}
 }
 
+// bumped returns a copy of x with element i moved, leaving x as it was.
+func bumped(x []float64, i int) []float64 {
+	x = slices.Clone(x)
+	x[i]++
+	return x
+}
+
 // The engine digest reads what the packets did and nothing else: moving
 // any reference the run is compared to, or anything derived from one,
-// changes the full hash only; moving one measured bin changes both.
+// changes the full hash only; moving any engine input changes both. Each
+// case perturbs a shallow copy of one run and replaces, never writes
+// through, what it shares with it.
 func TestEngineDigestSeparatesReferencesFromPackets(t *testing.T) {
-	run := func() *mptcpsim.Result {
-		res, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Duration: 300 * time.Millisecond, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	base, err := mptcpsim.RunPaper(mptcpsim.Options{CC: "olia", Duration: 300 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := run()
-	hash, engine := base.Hash(), EngineDigest(base)
-	for _, tc := range []struct {
+	if len(base.Drops) == 0 || len(base.Utilisation) == 0 || len(base.Subflows) == 0 {
+		t.Fatalf("the base run must drop, load links and open subflows: %v %v %d",
+			base.Drops, base.Utilisation, len(base.Subflows))
+	}
+	hash, engine := base.Hash(), base.EngineHash()
+	type perturbation struct {
 		what    string
 		perturb func(r *mptcpsim.Result)
-	}{
+	}
+	epoch0 := func(f func(ep *mptcpsim.EpochReport)) func(r *mptcpsim.Result) {
+		return func(r *mptcpsim.Result) {
+			r.Epochs = slices.Clone(r.Epochs)
+			f(&r.Epochs[0])
+		}
+	}
+	for _, tc := range []perturbation{
 		{"Optimum.Total", func(r *mptcpsim.Result) { r.Optimum.Total++ }},
-		{"Optimum.PerPath", func(r *mptcpsim.Result) { r.Optimum.PerPath[0]++ }},
-		{"MaxMin", func(r *mptcpsim.Result) { r.MaxMin[0]++ }},
-		{"Greedy", func(r *mptcpsim.Result) { r.Greedy[0]++ }},
+		{"Optimum.PerPath", func(r *mptcpsim.Result) { r.Optimum.PerPath = bumped(r.Optimum.PerPath, 0) }},
+		{"MaxMin", func(r *mptcpsim.Result) { r.MaxMin = bumped(r.MaxMin, 0) }},
+		{"Greedy", func(r *mptcpsim.Result) { r.Greedy = bumped(r.Greedy, 0) }},
 		{"Problem", func(r *mptcpsim.Result) { r.Problem += " " }},
-		{"Epochs[0].Optimum", func(r *mptcpsim.Result) { r.Epochs[0].Optimum.Total++ }},
-		{"Epochs[0].Gap", func(r *mptcpsim.Result) { r.Epochs[0].Gap++ }},
-		{"Epochs[0].Converged", func(r *mptcpsim.Result) { r.Epochs[0].Converged = !r.Epochs[0].Converged }},
+		{"Epochs[0].Optimum", epoch0(func(ep *mptcpsim.EpochReport) { ep.Optimum.Total++ })},
+		{"Epochs[0].Gap", epoch0(func(ep *mptcpsim.EpochReport) { ep.Gap++ })},
+		{"Epochs[0].Converged", epoch0(func(ep *mptcpsim.EpochReport) { ep.Converged = !ep.Converged })},
 		{"Summary.Target", func(r *mptcpsim.Result) { r.Summary.Target++ }},
 		{"Summary.Gap", func(r *mptcpsim.Result) { r.Summary.Gap++ }},
 	} {
-		res := run()
-		tc.perturb(res)
+		res := *base
+		tc.perturb(&res)
 		if res.Hash() == hash {
 			t.Errorf("moving %s left the full hash unchanged", tc.what)
 		}
-		if EngineDigest(res) != engine {
+		if res.EngineHash() != engine {
 			t.Errorf("moving %s moved the engine digest", tc.what)
 		}
 	}
 
-	base.Total.Mbps[len(base.Total.Mbps)/2] += 0.5
-	if base.Hash() == hash || EngineDigest(base) == engine {
-		t.Fatal("moving one series bin must move both columns")
+	subflow0 := func(f func(sf *mptcpsim.SubflowReport)) func(r *mptcpsim.Result) {
+		return func(r *mptcpsim.Result) {
+			r.Subflows = slices.Clone(r.Subflows)
+			f(&r.Subflows[0])
+		}
+	}
+	// Each map's first key in the encoding's (sorted) order.
+	drop, link := slices.Sorted(maps.Keys(base.Drops))[0], slices.Sorted(maps.Keys(base.Utilisation))[0]
+	for _, tc := range []perturbation{
+		{"Paths bin", func(r *mptcpsim.Result) {
+			r.Paths = slices.Clone(r.Paths)
+			r.Paths[0].Mbps = bumped(r.Paths[0].Mbps, len(r.Paths[0].Mbps)/2)
+		}},
+		{"Paths name", func(r *mptcpsim.Result) { r.Paths = slices.Clone(r.Paths); r.Paths[0].Name += " " }},
+		{"Paths step", func(r *mptcpsim.Result) { r.Paths = slices.Clone(r.Paths); r.Paths[0].Step++ }},
+		{"appended Cross series", func(r *mptcpsim.Result) {
+			r.Cross = append(slices.Clone(r.Cross), mptcpsim.Series{Name: "Cross 1", Step: r.Total.Step, Mbps: []float64{1}})
+		}},
+		{"Total bin", func(r *mptcpsim.Result) { r.Total.Mbps = bumped(r.Total.Mbps, len(r.Total.Mbps)/2) }},
+
+		{"Subflows.Path", subflow0(func(sf *mptcpsim.SubflowReport) { sf.Path++ })},
+		{"Subflows.Label", subflow0(func(sf *mptcpsim.SubflowReport) { sf.Label += " " })},
+		{"Subflows.SentSegments", subflow0(func(sf *mptcpsim.SubflowReport) { sf.SentSegments++ })},
+		{"Subflows.SentBytes", subflow0(func(sf *mptcpsim.SubflowReport) { sf.SentBytes++ })},
+		{"Subflows.Retransmits", subflow0(func(sf *mptcpsim.SubflowReport) { sf.Retransmits++ })},
+		{"Subflows.RTOs", subflow0(func(sf *mptcpsim.SubflowReport) { sf.RTOs++ })},
+		{"Subflows.FastRecoveries", subflow0(func(sf *mptcpsim.SubflowReport) { sf.FastRecoveries++ })},
+		{"Subflows.SRTT", subflow0(func(sf *mptcpsim.SubflowReport) { sf.SRTT++ })},
+		{"Subflows.FinalCwndBytes", subflow0(func(sf *mptcpsim.SubflowReport) { sf.FinalCwndBytes++ })},
+
+		{"Drops count", func(r *mptcpsim.Result) { r.Drops = maps.Clone(r.Drops); r.Drops[drop]++ }},
+		{"Drops link", func(r *mptcpsim.Result) {
+			r.Drops = maps.Clone(r.Drops)
+			r.Drops[drop+" "] = r.Drops[drop]
+			delete(r.Drops, drop)
+		}},
+		{"Utilisation share", func(r *mptcpsim.Result) {
+			r.Utilisation = maps.Clone(r.Utilisation)
+			r.Utilisation[link] /= 2
+		}},
+		{"Utilisation link", func(r *mptcpsim.Result) {
+			r.Utilisation = maps.Clone(r.Utilisation)
+			r.Utilisation[link+" "] = r.Utilisation[link]
+			delete(r.Utilisation, link)
+		}},
+		{"Packets", func(r *mptcpsim.Result) { r.Packets++ }},
+		{"DeliveredBytes", func(r *mptcpsim.Result) { r.DeliveredBytes++ }},
+		{"DuplicateBytes", func(r *mptcpsim.Result) { r.DuplicateBytes++ }},
+		{"appended Events entry", func(r *mptcpsim.Result) {
+			r.Events = append(slices.Clone(r.Events), mptcpsim.ScenarioEvent{AtMs: 100, Type: "link_down", A: "s", B: "v1"})
+		}},
+
+		{"Epochs[0].Start", epoch0(func(ep *mptcpsim.EpochReport) { ep.Start++ })},
+		{"Epochs[0].End", epoch0(func(ep *mptcpsim.EpochReport) { ep.End++ })},
+		{"Epochs[0].TotalMean", epoch0(func(ep *mptcpsim.EpochReport) { ep.TotalMean++ })},
+		{"Epochs[0].PathMeans", epoch0(func(ep *mptcpsim.EpochReport) { ep.PathMeans = bumped(ep.PathMeans, 0) })},
+
+		{"Options.CC", func(r *mptcpsim.Result) { r.Options.CC = "lia" }},
+		{"Options.Scheduler", func(r *mptcpsim.Result) { r.Options.Scheduler = "redundant" }},
+		{"Options.Duration", func(r *mptcpsim.Result) { r.Options.Duration++ }},
+		{"Options.SampleInterval", func(r *mptcpsim.Result) { r.Options.SampleInterval++ }},
+		{"Options.Seed", func(r *mptcpsim.Result) { r.Options.Seed++ }},
+		{"Options.SubflowPaths", func(r *mptcpsim.Result) {
+			r.Options.SubflowPaths = slices.Clone(r.Options.SubflowPaths)
+			slices.Reverse(r.Options.SubflowPaths)
+		}},
+		{"Options.QueueScale", func(r *mptcpsim.Result) { r.Options.QueueScale++ }},
+		{"Options.DisableSACK", func(r *mptcpsim.Result) { r.Options.DisableSACK = !r.Options.DisableSACK }},
+		{"Options.Timestamps", func(r *mptcpsim.Result) { r.Options.Timestamps = !r.Options.Timestamps }},
+		{"Options.CrossTCP", func(r *mptcpsim.Result) { r.Options.CrossTCP = append(slices.Clone(r.Options.CrossTCP), 1) }},
+	} {
+		res := *base
+		tc.perturb(&res)
+		if res.Hash() == hash || res.EngineHash() == engine {
+			t.Errorf("moving %s must move both digests", tc.what)
+		}
+	}
+
+	if base.Hash() != hash || base.EngineHash() != engine {
+		t.Fatal("a perturbation wrote through to the base run")
 	}
 }
 

@@ -286,7 +286,7 @@ type RungObs struct {
 	// Share is the perturbed path's share of sent payload bytes across
 	// all subflows; NaN when the run sent nothing.
 	Share float64
-	// Hash is the rung's canonical Result hash, Engine its EngineDigest.
+	// Hash is the rung's Result.Hash, Engine its Result.EngineHash.
 	Hash, Engine string
 	// Err, when non-empty, is why the rung could not be measured
 	// (build/run error, invariant violation, replay divergence). A

@@ -3,9 +3,13 @@ package mptcpsim
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
+	"hash"
 	"io"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -146,163 +150,184 @@ type Result struct {
 	flight  *telemetry.Recorder
 }
 
-// Hash returns a canonical SHA-256 fingerprint of everything the run
-// measured: every series value bit-for-bit, the analytic baselines, the
-// epoch reports, the summary and the per-subflow and per-link counters.
-// Two runs of the same scenario with the same seed must produce identical
+// Hash returns a canonical SHA-256 fingerprint of the run: the stream
+// EngineHash digests, then the references the packets are compared to —
+// the LP optimum and its problem text, the max-min and greedy allocations,
+// each epoch's optimum, gap and convergence verdict, and the summary. Two
+// runs of the same scenario with the same seed must produce identical
 // hashes — the replay-determinism invariant cmd/simcheck asserts.
-// Observation-only knobs (RetainPackets, ValidateInvariants and the
-// Invariants list itself) and LoopEvents, a count of engine work, are
-// excluded, so a validated run hashes identically to an unvalidated one.
+// Observation-only knobs (RetainPackets, ValidateInvariants, Telemetry and
+// EventLimit), what they produce (the Invariants list and the Telemetry
+// rollup) and LoopEvents, a count of engine work, are excluded, so a
+// validated or instrumented run hashes identically to a plain one.
 func (r *Result) Hash() string {
-	h := sha256.New()
-	var buf [8]byte
-	wU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wF64 := func(v float64) { wU64(math.Float64bits(v)) }
-	wStr := func(s string) {
-		wU64(uint64(len(s)))
-		io.WriteString(h, s)
-	}
-	wBool := func(b bool) {
-		if b {
-			wU64(1)
-		} else {
-			wU64(0)
-		}
-	}
-	wSeries := func(s Series) {
-		wStr(s.Name)
-		wU64(uint64(s.Step))
-		wU64(uint64(len(s.Mbps)))
-		for _, v := range s.Mbps {
-			wF64(v)
-		}
-	}
-	wAlloc := func(a Allocation) {
-		wF64(a.Total)
-		wU64(uint64(len(a.PerPath)))
-		for _, v := range a.PerPath {
-			wF64(v)
-		}
-	}
-	wVec := func(x []float64) {
-		wU64(uint64(len(x)))
-		for _, v := range x {
-			wF64(v)
-		}
-	}
+	e := newRunEncoder()
+	e.writeEngine(r)
+	e.writeReferences(r)
+	return e.sum()
+}
 
+// EngineHash returns the SHA-256 of what the packets did, and nothing
+// computed from the topology alone: the behaviour-defining options, every
+// measured series, the subflow counters, per-link drops and utilisation,
+// the receiver's packet and byte counts, the dynamic events, and each
+// epoch's window and measured means. It is Hash without the references, so
+// a change to a reference moves Hash but not EngineHash.
+func (r *Result) EngineHash() string {
+	e := newRunEncoder()
+	e.writeEngine(r)
+	return e.sum()
+}
+
+// runEncoder writes a Result into a SHA-256 stream in the one canonical
+// encoding Hash and EngineHash share: integers as 8 little-endian bytes,
+// floats by their bits, strings, slices and maps behind their length.
+type runEncoder struct {
+	h   hash.Hash
+	buf [8]byte
+}
+
+func newRunEncoder() *runEncoder { return &runEncoder{h: sha256.New()} }
+
+func (e *runEncoder) sum() string { return hex.EncodeToString(e.h.Sum(nil)) }
+
+func (e *runEncoder) u64(v uint64) {
+	binary.LittleEndian.PutUint64(e.buf[:], v)
+	e.h.Write(e.buf[:])
+}
+
+func (e *runEncoder) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+func (e *runEncoder) str(s string) {
+	e.u64(uint64(len(s)))
+	io.WriteString(e.h, s)
+}
+
+func (e *runEncoder) boolean(b bool) {
+	if b {
+		e.u64(1)
+	} else {
+		e.u64(0)
+	}
+}
+
+func (e *runEncoder) ints(x []int) {
+	e.u64(uint64(len(x)))
+	for _, v := range x {
+		e.u64(uint64(v))
+	}
+}
+
+func (e *runEncoder) floats(x []float64) {
+	e.u64(uint64(len(x)))
+	for _, v := range x {
+		e.f64(v)
+	}
+}
+
+func (e *runEncoder) series(s Series) {
+	e.str(s.Name)
+	e.u64(uint64(s.Step))
+	e.floats(s.Mbps)
+}
+
+func (e *runEncoder) alloc(a Allocation) {
+	e.f64(a.Total)
+	e.floats(a.PerPath)
+}
+
+// writeEngine writes what the packets did: the options they depend on,
+// the series, the subflow and link counters, the receiver's counts, the
+// dynamic events and each epoch's window and measured means.
+func (e *runEncoder) writeEngine(r *Result) {
 	o := r.Options
-	wStr(o.CC)
-	wStr(o.Scheduler)
-	wU64(uint64(o.Duration))
-	wU64(uint64(o.SampleInterval))
-	wU64(uint64(o.Seed))
-	wU64(uint64(len(o.SubflowPaths)))
-	for _, p := range o.SubflowPaths {
-		wU64(uint64(p))
-	}
-	wU64(0) // the retired transfer size: every recorded run streamed
-	wF64(o.QueueScale)
-	wBool(o.DisableSACK)
-	wBool(o.Timestamps)
-	// Four options no caller ever set are constants now; the stream keeps
-	// their places and the values they always held (delayed-ACK count 0,
-	// the band, the hold, cross CC ""), so recorded hashes still compare.
-	wU64(0)
-	wF64(convergenceTol)
-	wU64(uint64(convergenceHold))
-	wU64(uint64(len(o.CrossTCP)))
-	for _, p := range o.CrossTCP {
-		wU64(uint64(p))
-	}
-	wStr("")
+	e.str(o.CC)
+	e.str(o.Scheduler)
+	e.u64(uint64(o.Duration))
+	e.u64(uint64(o.SampleInterval))
+	e.u64(uint64(o.Seed))
+	e.ints(o.SubflowPaths)
+	e.f64(o.QueueScale)
+	e.boolean(o.DisableSACK)
+	e.boolean(o.Timestamps)
+	e.ints(o.CrossTCP)
 
-	wU64(uint64(len(r.Paths)))
+	e.u64(uint64(len(r.Paths)))
 	for _, s := range r.Paths {
-		wSeries(s)
+		e.series(s)
 	}
-	wU64(uint64(len(r.Cross)))
+	e.u64(uint64(len(r.Cross)))
 	for _, s := range r.Cross {
-		wSeries(s)
+		e.series(s)
 	}
-	wSeries(r.Total)
-	wAlloc(r.Optimum)
-	wStr(r.Problem)
-	wVec(r.MaxMin)
-	wVec(r.Greedy)
+	e.series(r.Total)
 
-	wU64(uint64(len(r.Epochs)))
-	for _, ep := range r.Epochs {
-		wU64(uint64(ep.Start))
-		wU64(uint64(ep.End))
-		wAlloc(ep.Optimum)
-		wF64(ep.TotalMean)
-		wF64(ep.Gap)
-		wVec(ep.PathMeans)
-		wBool(ep.Converged)
-		wU64(uint64(ep.ConvergedAt))
+	e.u64(uint64(len(r.Subflows)))
+	for _, sf := range r.Subflows {
+		e.u64(uint64(sf.Path))
+		e.str(sf.Label)
+		e.u64(sf.SentSegments)
+		e.u64(sf.SentBytes)
+		e.u64(sf.Retransmits)
+		e.u64(sf.RTOs)
+		e.u64(sf.FastRecoveries)
+		e.u64(uint64(sf.SRTT))
+		e.u64(uint64(sf.FinalCwndBytes))
 	}
-	wU64(uint64(len(r.Events)))
-	for _, e := range r.Events {
-		wStr(e.String())
+	e.u64(uint64(len(r.Drops)))
+	for _, name := range slices.Sorted(maps.Keys(r.Drops)) {
+		e.str(name)
+		e.u64(r.Drops[name])
+	}
+	e.u64(uint64(len(r.Utilisation)))
+	for _, name := range slices.Sorted(maps.Keys(r.Utilisation)) {
+		e.str(name)
+		e.f64(r.Utilisation[name])
+	}
+	e.u64(r.Packets)
+	e.u64(r.DeliveredBytes)
+	e.u64(r.DuplicateBytes)
+
+	e.u64(uint64(len(r.Events)))
+	for _, ev := range r.Events {
+		e.str(ev.String())
+	}
+	e.u64(uint64(len(r.Epochs)))
+	for _, ep := range r.Epochs {
+		e.u64(uint64(ep.Start))
+		e.u64(uint64(ep.End))
+		e.f64(ep.TotalMean)
+		e.floats(ep.PathMeans)
+	}
+}
+
+// writeReferences writes what the packets are compared to, and everything
+// derived from it: the optimum, the LP text, max-min and greedy, each
+// epoch's optimum, gap and convergence, and the summary. The epoch count
+// is the engine stream's.
+func (e *runEncoder) writeReferences(r *Result) {
+	e.alloc(r.Optimum)
+	e.str(r.Problem)
+	e.floats(r.MaxMin)
+	e.floats(r.Greedy)
+	for _, ep := range r.Epochs {
+		e.alloc(ep.Optimum)
+		e.f64(ep.Gap)
+		e.boolean(ep.Converged)
+		e.u64(uint64(ep.ConvergedAt))
 	}
 
 	s := r.Summary
-	wStr(s.Algorithm)
-	wF64(s.TotalMean)
-	wF64(s.Target)
-	wF64(s.Gap)
-	wBool(s.Converged)
-	wU64(uint64(s.ConvergedAt))
-	wF64(s.PostCoV)
-	wVec(s.PathMeans)
-	wBool(s.ReachedPareto)
-	wU64(uint64(s.ParetoAt))
-
-	wU64(uint64(len(r.Subflows)))
-	for _, sf := range r.Subflows {
-		wU64(uint64(sf.Path))
-		wStr(sf.Label)
-		wU64(sf.SentSegments)
-		wU64(sf.SentBytes)
-		wU64(sf.Retransmits)
-		wU64(sf.RTOs)
-		wU64(sf.FastRecoveries)
-		wU64(uint64(sf.SRTT))
-		wU64(uint64(sf.FinalCwndBytes))
-	}
-
-	keys := make([]string, 0, len(r.Drops))
-	for k := range r.Drops {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	wU64(uint64(len(keys)))
-	for _, k := range keys {
-		wStr(k)
-		wU64(r.Drops[k])
-	}
-	keys = keys[:0]
-	for k := range r.Utilisation {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	wU64(uint64(len(keys)))
-	for _, k := range keys {
-		wStr(k)
-		wF64(r.Utilisation[k])
-	}
-
-	wU64(r.Packets)
-	wU64(r.DeliveredBytes)
-	wU64(r.DuplicateBytes)
-	wU64(0) // and so never completed a sized transfer
-
-	return fmt.Sprintf("%x", h.Sum(nil))
+	e.str(s.Algorithm)
+	e.f64(s.TotalMean)
+	e.f64(s.Target)
+	e.f64(s.Gap)
+	e.boolean(s.Converged)
+	e.u64(uint64(s.ConvergedAt))
+	e.f64(s.PostCoV)
+	e.floats(s.PathMeans)
+	e.boolean(s.ReachedPareto)
+	e.u64(uint64(s.ParetoAt))
 }
 
 // WriteCSV emits the per-path and total series as CSV.
