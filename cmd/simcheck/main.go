@@ -56,6 +56,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -134,9 +135,7 @@ func (r *recorder) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result)
 	rec := record{RungObs: check.RungObs{Err: s.Err}}
 	if s.Err == "" {
 		rec.Hash, rec.events = res.Hash(), res.LoopEvents
-		if s.Index < len(r.runs)/2 {
-			// Only a checked run's engine digest is reported; its
-			// replay is compared by hash and event count alone.
+		if s.Index < len(r.runs)/2 { // a replay is compared by hash and events alone
 			rec.Engine = res.EngineHash()
 		}
 		rec.GoodputBytes, rec.Gap = res.DeliveredBytes, res.Summary.Gap
@@ -343,23 +342,15 @@ func diffGolden(g, got check.Golden, w io.Writer) int {
 			len(g.Hashes), len(got.Hashes), len(g.Hashes))
 		return 1
 	}
-	moved, refs := 0, 0
+	count := make(map[string]int) // divergences per kind
 	for i, want := range g.Hashes {
-		what := g.Divergence(got, i)
-		switch what {
-		case "":
-			continue
-		case "engine moved":
-			moved++
-		default:
-			refs++
+		if what := g.Divergence(got, i); what != "" {
+			count[what]++
+			fmt.Fprintf(w, "golden: %4d DIVERGED (%s) want=%.12s got=%.12s\n",
+				i, what, want, cmp.Or(got.Hashes[i], "(scenario failed)"))
 		}
-		hash := got.Hashes[i]
-		if hash == "" {
-			hash = "(scenario failed)"
-		}
-		fmt.Fprintf(w, "golden: %4d DIVERGED (%s) want=%.12s got=%.12s\n", i, what, want, hash)
 	}
+	moved, refs := count["engine moved"], count["references only"]
 	diverged := moved + refs
 	if diverged == 0 {
 		fmt.Fprintf(w, "golden: %d/%d hashes identical to corpus\n", len(g.Hashes), len(g.Hashes))

@@ -150,18 +150,16 @@ type Result struct {
 	flight  *telemetry.Recorder
 }
 
-// Hash returns a canonical SHA-256 fingerprint of the run: the stream
-// EngineHash digests, then the references the packets are compared to —
-// the LP optimum and its problem text, the max-min and greedy allocations,
-// each epoch's optimum, gap and convergence verdict, and the summary. Two
-// runs of the same scenario with the same seed must produce identical
-// hashes — the replay-determinism invariant cmd/simcheck asserts.
-// Observation-only knobs (RetainPackets, ValidateInvariants, Telemetry and
-// EventLimit), what they produce (the Invariants list and the Telemetry
-// rollup) and LoopEvents, a count of engine work, are excluded, so a
-// validated or instrumented run hashes identically to a plain one.
+// Hash returns a canonical SHA-256 fingerprint of the run: EngineHash's
+// stream, then the references the packets are compared to (the LP optimum
+// and its text, max-min, greedy, each epoch's optimum, gap and convergence
+// verdict, and the summary). The same scenario and seed must reproduce it:
+// the replay-determinism invariant cmd/simcheck asserts. Observation-only
+// knobs (RetainPackets, ValidateInvariants, Telemetry, EventLimit), what
+// they produce (Invariants, the Telemetry rollup) and LoopEvents, a count
+// of engine work, are left out, so an instrumented run hashes like a plain one.
 func (r *Result) Hash() string {
-	e := newRunEncoder()
+	e := &runEncoder{h: sha256.New()}
 	e.writeEngine(r)
 	e.writeReferences(r)
 	return e.sum()
@@ -174,7 +172,7 @@ func (r *Result) Hash() string {
 // epoch's window and measured means. It is Hash without the references, so
 // a change to a reference moves Hash but not EngineHash.
 func (r *Result) EngineHash() string {
-	e := newRunEncoder()
+	e := &runEncoder{h: sha256.New()}
 	e.writeEngine(r)
 	return e.sum()
 }
@@ -186,8 +184,6 @@ type runEncoder struct {
 	h   hash.Hash
 	buf [8]byte
 }
-
-func newRunEncoder() *runEncoder { return &runEncoder{h: sha256.New()} }
 
 func (e *runEncoder) sum() string { return hex.EncodeToString(e.h.Sum(nil)) }
 
