@@ -5,8 +5,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-
-	"mptcpsim/internal/route"
 )
 
 // A contended link transit costs one kernel event: the arrival at a node
@@ -71,11 +69,10 @@ func TestOneEventPerContendedHop(t *testing.T) {
 			}
 			// The fused links, from the feeder relation itself: every hop
 			// onto one is admitted by its feeder, the rest are contended.
-			tt := hr.net.Router.(*route.TagTable)
 			var contended, fusedHops uint64
 			fused := 0
 			for _, l := range hr.net.Links() {
-				u, ok := tt.Feeder(l.Spec.ID)
+				u, ok := hr.net.Router.Feeder(l.Spec.ID)
 				if ok && !slices.Contains(hr.mutated, l.Spec.ID) && !slices.Contains(hr.mutated, u) {
 					fused++
 					fusedHops += l.Counters.Offered

@@ -1,7 +1,7 @@
 // Package netem animates a topo.Graph on a sim.Loop: it instantiates every
 // directed link as a store-and-forward transmitter with a finite queue,
 // every node as a forwarding engine with a local transport demultiplexer,
-// and routes packets with a route.Router.
+// and routes packets with a route.TagTable.
 //
 // It replaces the paper's Mininet substrate. The model is the standard
 // output-queued router: a packet arriving at a node is either delivered to
@@ -183,7 +183,7 @@ const MinQueue = 10 * 1500 * unit.Byte
 type Network struct {
 	Loop   *sim.Loop
 	Graph  *topo.Graph
-	Router route.Router
+	Router *route.TagTable
 
 	nodes []*Node
 	links []*Link
@@ -199,10 +199,8 @@ type Network struct {
 	arrivalTaps  []ArrivalTap
 	nextUID      uint64
 	// horizon bounds fused hops: a frame arriving after it waits for an
-	// arrival event, as in a run that ends there it never arrives. table is
-	// Router as Fuse found it, for the lookups of hops handed on.
+	// arrival event, as in a run that ends there it never arrives.
 	horizon sim.Time
-	table   *route.TagTable
 
 	// arena recycles packets and their transport storage across the run.
 	// Packets drawn from it are returned at their terminal event: after
@@ -213,8 +211,8 @@ type Network struct {
 // addrBase (10.0.0.0) precedes the first address AssignAddr hands out.
 const addrBase packet.Addr = 10 << 24
 
-// New animates graph g with the given router on loop l.
-func New(l *sim.Loop, g *topo.Graph, r route.Router) (*Network, error) {
+// New animates graph g on loop l, routing with table r.
+func New(l *sim.Loop, g *topo.Graph, r *route.TagTable) (*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -250,21 +248,17 @@ func (n *Network) AttachTap(t Tap) {
 // Fuse lets each link whose every packet enters its near node over one
 // feeder link be admitted by that feeder, for frames arriving by horizon
 // (the run's last instant): see the package documentation. The relation
-// comes from the router, which must be a route.TagTable with every path
-// installed; with another router Fuse does nothing. Links in mutated, and
-// links with an AQM, stay per-hop, as do their feeders' hops onto them.
+// comes from the routing table, which must have every path installed.
+// Links in mutated, and links with an AQM, stay per-hop, as do their
+// feeders' hops onto them.
 // Call Fuse before the first packet is sent, and let hosts originate only
 // along installed paths that start at them. It returns the number of links
 // it fused.
 func (n *Network) Fuse(horizon sim.Time, mutated []topo.LinkID) int {
-	tt, ok := n.Router.(*route.TagTable)
-	if !ok {
-		return 0
-	}
-	n.horizon, n.table = horizon, tt
+	n.horizon = horizon
 	fused := 0
 	for _, l := range n.links {
-		u, ok := tt.Feeder(l.Spec.ID)
+		u, ok := n.Router.Feeder(l.Spec.ID)
 		if !ok || l.aqm != nil || slices.Contains(mutated, l.Spec.ID) || slices.Contains(mutated, u) {
 			continue
 		}
@@ -439,7 +433,7 @@ func (nd *Node) fusedNext(pkt *packet.Packet) *Link {
 	if pkt.IP.Dst == nd.addr && nd.addr != 0 || pkt.IP.TTL == 0 {
 		return nil
 	}
-	lid, err := nd.net.table.NextLink(nd.ID, pkt)
+	lid, err := nd.net.Router.NextLink(nd.ID, pkt)
 	if err != nil {
 		return nil
 	}

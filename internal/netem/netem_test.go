@@ -218,36 +218,20 @@ func TestNoHandlerDrop(t *testing.T) {
 	}
 }
 
-// loopingRouter bounces every packet back and forth between two nodes.
-type loopingRouter struct{ l0, l1 topo.LinkID }
-
-func (r *loopingRouter) NextLink(n topo.NodeID, pkt *packet.Packet) (topo.LinkID, error) {
-	if n == 0 {
-		return r.l0, nil
-	}
-	return r.l1, nil
-}
-
+// TestTTLExpiry sends a packet with one hop of TTL along a two-hop path: a
+// forwards it, and b, with nothing left to decrement, drops it.
 func TestTTLExpiry(t *testing.T) {
-	g := topo.New()
-	a := g.AddNode("a")
-	b := g.AddNode("b")
-	ab, ba := g.AddDuplex(a, b, unit.Gbps, time.Microsecond, unit.MB)
-	loop := sim.NewLoop()
-	net, err := New(loop, g, &loopingRouter{l0: ab, l1: ba})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := net.AssignAddr(a)
+	loop, net, a, _, aAddr, cAddr := lineNet(t, unit.Gbps, time.Microsecond, unit.MB)
 	rec := &recorder{loop: loop}
 	net.AttachTap(rec)
-	p := dataPkt(src, packet.MakeAddr(99, 9, 9, 9), 1, 10)
-	loop.Schedule(0, func() { net.Node(a).Send(p) })
+	p := dataPkt(aAddr, cAddr, 1, 10)
+	p.IP.TTL = 1
+	loop.Schedule(0, func() { a.Send(p) })
 	if err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.drops) != 1 || rec.drops[0] != DropTTL {
-		t.Fatalf("drops = %v, want [ttl]", rec.drops)
+	if len(rec.drops) != 1 || rec.drops[0] != DropTTL || rec.dropLocs[0] != "b" {
+		t.Fatalf("drops = %v at %v, want [ttl] at [b]", rec.drops, rec.dropLocs)
 	}
 	if p.IP.TTL != 0 {
 		t.Fatalf("TTL = %d after expiry", p.IP.TTL)

@@ -13,13 +13,6 @@ import (
 	"mptcpsim/internal/topo"
 )
 
-// Router chooses the outgoing link for a packet at a node. Implementations
-// must be deterministic: the same packet at the same node always takes the
-// same link.
-type Router interface {
-	NextLink(n topo.NodeID, pkt *packet.Packet) (topo.LinkID, error)
-}
-
 // NoRouteError reports a forwarding failure; the engine counts and drops
 // such packets (fail closed, like a router with no FIB entry).
 type NoRouteError struct {
@@ -140,8 +133,8 @@ func (t *TagTable) index(n topo.NodeID, dst packet.Addr, tag packet.Tag) []topo.
 	return r.link
 }
 
-// NextLink implements Router. Lookup is exact on (dst, tag); packets with
-// an unknown tag are not silently rerouted.
+// NextLink chooses the outgoing link for pkt at node n. Lookup is exact on
+// (dst, tag); packets with an unknown tag are not silently rerouted.
 func (t *TagTable) NextLink(n topo.NodeID, pkt *packet.Packet) (topo.LinkID, error) {
 	if lid := t.lookup(n, pkt.IP.Dst, pkt.IP.Tag); lid != noLink {
 		return lid, nil

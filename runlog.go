@@ -59,8 +59,8 @@ func (h RunLogHeader) Validate() error {
 }
 
 // RunRecord is one NDJSON body line of a run-log: the canonical record of
-// one completed run — the summary, which carries the global index and all
-// cell labels.
+// one completed run — the summary, which carries the global index, all
+// cell labels and the Derived record.
 type RunRecord struct {
 	Run RunSummary `json:"run"`
 }
@@ -125,7 +125,7 @@ func (s *LogSink) Accept(done, total int, sum RunSummary, full *Result) error {
 		// mark and silently survive into merges; refuse instead.
 		return fmt.Errorf("run-log sink: %w", ErrSinkClosed)
 	}
-	if err := s.enc.Encode(RunRecord{Run: sum}); err != nil {
+	if err := s.enc.Encode(RunRecord{Run: derive(sum, full)}); err != nil {
 		return err
 	}
 	s.since++

@@ -47,6 +47,66 @@ func streamShard(t *testing.T, s *Sweep, g *Grid, shard Shard) *ShardResult {
 	return log.ShardResult()
 }
 
+// parentGrid is the grid parentLog's record belongs to.
+func parentGrid() *Grid {
+	return &Grid{CCs: []string{"cubic"}, Orders: [][]int{{2, 1, 3}}, Seeds: []int64{1, 2}, DurationMs: 200}
+}
+
+// parentLog is parentGrid's run-log as a build from before the Derived
+// record left it after one run: the header, then run 0's record, which has
+// no "derived" key.
+func parentLog(t testing.TB) []byte {
+	t.Helper()
+	digest, total, err := (&Sweep{}).Describe(parentGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := NewLogSink(&buf, RunLogHeader{GridDigest: digest, N: 1, Total: total}, LogOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString(`{"run":{"index":0,"scenario":"paper","perturbation":"base","events":"static","cc":"cubic","scheduler":"minrtt",` +
+		`"order":[2,1,3],"seed":1,"optimum_mbps":90,"target_mbps":90,"greedy_mbps":60,"total_mbps":68.67840000000001,` +
+		`"gap":0.2369066666666666,"converged":false,"post_cov":0,"path_mbps":[8.760000000000002,27.097600000000003,32.820800000000006]}}` + "\n")
+	return buf.Bytes()
+}
+
+// TestLogSinkFillsTheRecord hands LogSink.Accept a summary without its
+// Derived record, beside the full Result, the way a caller that builds its
+// own summaries does (bench's traced pass). The sink fills the record, so
+// the log is byte for byte the one the sweep's own route writes.
+func TestLogSinkFillsTheRecord(t *testing.T) {
+	sw := &Sweep{Workers: 1}
+	want := streamToLog(t, sw, parentGrid(), LogOptions{})
+	if !bytes.Contains(want, []byte(`"derived":{"goodput_mbps":`)) {
+		t.Fatalf("the sweep's run-log carries no derived record:\n%s", want)
+	}
+	digest, total, err := sw.Describe(parentGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	ls, err := NewLogSink(&got, RunLogHeader{GridDigest: digest, N: 1, Total: total}, LogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := sinkFunc(func(done, total int, s RunSummary, full *Result) {
+		s.Derived = Derived{}
+		if err := ls.Accept(done, total, s, full); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := sw.Stream(parentGrid(), StreamSpec{}, bare); err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("run-log of bare summaries:\n%s\nthe sweep's:\n%s", got.Bytes(), want)
+	}
+}
+
 // TestLogSinkRoundTrip streams a sweep into a run-log and reads it back:
 // header intact, one record per run with exactly-once index coverage and no
 // torn tail.

@@ -102,6 +102,13 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d: %v", n, err)
 				}
+				// Byte identity alone would pass a record every route
+				// dropped: each completed run carries a goodput.
+				for _, run := range merged.Runs {
+					if run.Err == "" && run.Derived.GoodputMbps <= 0 {
+						t.Fatalf("n=%d: merged run %d has derived record %+v, want a goodput", n, run.Index, run.Derived)
+					}
+				}
 				got := renderAll(t, merged)
 				for format, wantBytes := range want {
 					if !bytes.Equal(got[format], wantBytes) {

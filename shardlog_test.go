@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -115,5 +116,61 @@ func TestOpenShardLog(t *testing.T) {
 				t.Fatalf("file is %d bytes with the write position at %d, want both at %d", st.Size(), pos, tc.wantSize)
 			}
 		})
+	}
+}
+
+// TestParentRunLogResumesAndMerges resumes and merges a run-log written by
+// a build from before the Derived record: its record reads as zero, the
+// runs it did not hold run now and carry theirs, and a key this build does
+// not know is still refused, inside the record too.
+func TestParentRunLogResumesAndMerges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-0-of-1.ndjson")
+	if err := os.WriteFile(path, parentLog(t), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	sw := &Sweep{Workers: 1}
+	digest, total, err := sw.Describe(parentGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sl, err := OpenShardLog(path, RunLogHeader{GridDigest: digest, N: 1, Total: total}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl.File.Close()
+	if !sl.HeaderOnDisk || len(sl.Skip) != 1 || !sl.Skip[0] {
+		t.Fatalf("resume found header %t and skip set %v, want the header and run 0", sl.HeaderOnDisk, sl.Skip)
+	}
+	sink, err := sl.Sink(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Stream(parentGrid(), StreamSpec{Skip: func(i int) bool { return sl.Skip[i] }}, sink); err != nil {
+		t.Fatal(err)
+	}
+	log, err := ReadShardLog(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := MergeShards(log.ShardResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := sw.Run(parentGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Runs
+	if want[0].Derived.GoodputMbps <= 0 || want[1].Derived.GoodputMbps <= 0 {
+		t.Fatalf("fresh runs carry records %+v and %+v, want a goodput in each", want[0].Derived, want[1].Derived)
+	}
+	want[0].Derived = Derived{}
+	if !reflect.DeepEqual(merged.Runs, want) {
+		t.Fatalf("merged runs\n%+v\nwant the fresh runs with run 0's record zero\n%+v", merged.Runs, want)
+	}
+
+	unknown := bytes.Replace(parentLog(t), []byte(`,"path_mbps"`), []byte(`,"derived":{"explain":1},"path_mbps"`), 1)
+	if _, err := ReadRunLog(bytes.NewReader(unknown)); err == nil || !strings.Contains(err.Error(), "explain") {
+		t.Fatalf("record with an unknown key in its derived record: err = %v, want it refused", err)
 	}
 }

@@ -29,7 +29,8 @@ var ErrSinkClosed = errors.New("sink already closed")
 // failed runs only when telemetry captured a partial result) and is
 // released to the garbage collector as soon as Accept returns — a sink
 // must copy what it needs and must not retain full unless retention is
-// its purpose, or sweep memory stops being flat in grid size.
+// its purpose, or sweep memory stops being flat in grid size. s arrives
+// without its Derived record, which MemorySink and LogSink fill from full.
 //
 // The first Accept error ends the sweep: no further run is started, the
 // runs in flight at that moment finish but are not delivered, and the
@@ -101,7 +102,7 @@ type MemorySink struct {
 }
 
 func (m *MemorySink) Accept(done, total int, s RunSummary, full *Result) error {
-	m.runs = append(m.runs, s)
+	m.runs = append(m.runs, derive(s, full))
 	return nil
 }
 

@@ -125,7 +125,7 @@ func TestExecuteSpecsOfTwoExpansions(t *testing.T) {
 		if checked := full.Options.ValidateInvariants; checked == first {
 			t.Errorf("run %d: validated = %t, want %t", s.Index, checked, !first)
 		}
-		got[s.Index] = s
+		got[s.Index] = derive(s, full) // as the sinks that keep summaries do
 	})
 	if err := (&Sweep{Workers: 3}).Execute(specs, MultiSink(check, watch)); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,9 @@ import (
 )
 
 // RunSummary records the outcome of one sweep run: the grid coordinates,
-// the LP baseline, and the convergence/optimality metrics. It contains no
-// wall-clock data, so serialised sweep output is bit-identical across
+// the LP baseline, the convergence/optimality metrics and the Derived
+// record, the same on every route (in memory, streamed, merged). It holds
+// no wall-clock data, so serialised sweep output is bit-identical across
 // worker counts.
 type RunSummary struct {
 	Index        int     `json:"index"`
@@ -37,18 +38,38 @@ type RunSummary struct {
 	ConvergedAtS float64   `json:"converged_at_s,omitempty"`
 	PostCoV      float64   `json:"post_cov"`
 	PathMbps     []float64 `json:"path_mbps,omitempty"`
-	// GoodputMbps is the data delivered in order to the application, as a
-	// rate over the whole run; DupFrac is the share of the data reaching
-	// the receiver that was a duplicate; RTOs counts the retransmission
-	// timeouts of every subflow. They serve in-memory readers (the
-	// ablations of cmd/figures, through SweepResult.SplitOrders) and are in
-	// no sweep format, run-logs included: a result merged from run-logs has
-	// them zero.
-	GoodputMbps float64 `json:"-"`
-	DupFrac     float64 `json:"-"`
-	RTOs        uint64  `json:"-"`
+	// Derived holds the measures that explain a gap. MemorySink and LogSink
+	// fill it from the full Result, so every route carries it.
+	Derived Derived `json:"derived"`
 	// Err records a per-run failure; the rest of the sweep continues.
 	Err string `json:"err,omitempty"`
+}
+
+// Derived is a run's record of the measures derive computes from its full
+// Result. A failed run's record is zero, as is one read from a run-log
+// older than the record. Result.Hash never reads it.
+type Derived struct {
+	GoodputMbps float64 `json:"goodput_mbps"` // in-order delivery to the application, over the run
+	DupFrac     float64 `json:"dup_frac"`     // duplicate share of the data reaching the receiver
+	RTOs        uint64  `json:"rtos"`         // retransmission timeouts, over every subflow
+}
+
+// derive returns s with its Derived record filled from full, the run's
+// complete Result. A failed run keeps a zero record, and without a full
+// Result s keeps the record it carries.
+func derive(s RunSummary, full *Result) RunSummary {
+	if full == nil || s.Err != "" {
+		return s
+	}
+	d := Derived{GoodputMbps: float64(full.DeliveredBytes) * 8 / full.Options.Duration.Seconds() / 1e6}
+	if data := full.DeliveredBytes + full.DuplicateBytes; data > 0 {
+		d.DupFrac = float64(full.DuplicateBytes) / float64(data)
+	}
+	for _, sf := range full.Subflows {
+		d.RTOs += sf.RTOs
+	}
+	s.Derived = d
+	return s
 }
 
 // OrderString renders the subflow ordering ("2-1-3"; "auto" when the run
@@ -83,15 +104,17 @@ type GroupStats struct {
 	Errors int `json:"errors,omitempty"`
 	// Converged counts runs that reached the optimum band.
 	Converged int `json:"converged"`
-	// Gap, TotalMbps and ConvergedAtS summarise the per-run metrics
-	// (ConvergedAtS over converged runs only).
+	// Gap, TotalMbps, ConvergedAtS and PostCoV summarise the per-run
+	// metrics (ConvergedAtS over converged runs only).
 	Gap          stats.Agg `json:"gap"`
 	TotalMbps    stats.Agg `json:"total_mbps"`
 	ConvergedAtS stats.Agg `json:"converged_at_s"`
-	// PostCoV, GoodputMbps, DupFrac and RTOs summarise the runs' fields of
-	// those names. Only SplitOrders fills them, and no sweep format prints
-	// them.
-	PostCoV, GoodputMbps, DupFrac, RTOs stats.Agg `json:"-"`
+	PostCoV      stats.Agg `json:"post_cov"`
+	// GoodputMbps, DupFrac and RTOs summarise the runs' Derived records.
+	// JSON carries them; the CSVs and the report do not.
+	GoodputMbps stats.Agg `json:"goodput_mbps"`
+	DupFrac     stats.Agg `json:"dup_frac"`
+	RTOs        stats.Agg `json:"rtos"`
 }
 
 // SweepResult is the aggregate outcome of a sweep. Runs are in grid
@@ -305,19 +328,12 @@ func runSpec(spec RunSpec) (RunSummary, *Result) {
 	}
 	summary.PostCoV = r.Summary.PostCoV
 	summary.PathMbps = r.Summary.PathMeans
-	summary.GoodputMbps = float64(r.DeliveredBytes) * 8 / eff.Duration.Seconds() / 1e6
-	if data := r.DeliveredBytes + r.DuplicateBytes; data > 0 {
-		summary.DupFrac = float64(r.DuplicateBytes) / float64(data)
-	}
-	for _, sf := range r.Subflows {
-		summary.RTOs += sf.RTOs
-	}
 	return summary, r
 }
 
 // aggregate fills Groups and the overall Gap from Runs: a group per
 // (scenario, perturbation, events, CC, scheduler) cell and, with split, per
-// ordering of it, with PostCoV, GoodputMbps, DupFrac and RTOs summarised too.
+// ordering of it.
 func (r *SweepResult) aggregate(split bool) {
 	type key struct{ scenario, pert, events, cc, sched, order string }
 	type sample struct{ gap, total, convAt, postCoV, goodput, dupFrac, rtos []float64 }
@@ -360,35 +376,28 @@ func (r *SweepResult) aggregate(split bool) {
 		s.gap = append(s.gap, run.Gap)
 		s.total = append(s.total, run.TotalMbps)
 		allGaps = append(allGaps, run.Gap)
-		if split {
-			s.postCoV = append(s.postCoV, run.PostCoV)
-			s.goodput = append(s.goodput, run.GoodputMbps)
-			s.dupFrac = append(s.dupFrac, run.DupFrac)
-			s.rtos = append(s.rtos, float64(run.RTOs))
-		}
+		s.postCoV = append(s.postCoV, run.PostCoV)
+		s.goodput = append(s.goodput, run.Derived.GoodputMbps)
+		s.dupFrac = append(s.dupFrac, run.Derived.DupFrac)
+		s.rtos = append(s.rtos, float64(run.Derived.RTOs))
 	}
 	for i, s := range samples {
 		g := &r.Groups[i]
 		g.Gap = stats.Aggregate(s.gap)
 		g.TotalMbps = stats.Aggregate(s.total)
 		g.ConvergedAtS = stats.Aggregate(s.convAt)
-		if split {
-			g.PostCoV = stats.Aggregate(s.postCoV)
-			g.GoodputMbps = stats.Aggregate(s.goodput)
-			g.DupFrac = stats.Aggregate(s.dupFrac)
-			g.RTOs = stats.Aggregate(s.rtos)
-		}
+		g.PostCoV = stats.Aggregate(s.postCoV)
+		g.GoodputMbps = stats.Aggregate(s.goodput)
+		g.DupFrac = stats.Aggregate(s.dupFrac)
+		g.RTOs = stats.Aggregate(s.rtos)
 	}
 	r.Gap = stats.Aggregate(allGaps)
 }
 
 // SplitOrders regroups the runs with subflow orderings kept apart, a group
-// then being one ordering of a cell over seeds (GroupStats.Order), and
-// summarises the measures no sweep format prints: PostCoV, GoodputMbps,
-// DupFrac and RTOs. It is for in-memory results, where every run carries
-// those measures. The groups of a sweep and of a merge fold over orderings
-// and leave the four zero, and neither the report nor the groups CSV prints
-// an ordering.
+// then being one ordering of a cell over seeds (GroupStats.Order). It
+// changes only the grouping: the groups of a sweep and of a merge fold over
+// orderings, and no sweep format prints an ordering.
 func (r *SweepResult) SplitOrders() { r.aggregate(true) }
 
 // Errs counts failed runs.

@@ -327,9 +327,10 @@ func TestSweepGapsAndGroups(t *testing.T) {
 		if g.Gap.N != 2 {
 			t.Fatalf("group %s gap sample = %d", g.CC, g.Gap.N)
 		}
-		// The measures no format prints are SplitOrders' alone.
-		if g.PostCoV.N != 0 || g.RTOs.N != 0 {
-			t.Fatalf("group %s summarises PostCoV/RTOs before SplitOrders", g.CC)
+		// Every grouping folds the derived measures, not only SplitOrders'.
+		if g.PostCoV.N != 2 || g.RTOs.N != 2 || g.GoodputMbps.N != 2 || g.GoodputMbps.Mean <= 0 {
+			t.Fatalf("group %s summarises PostCoV over %d runs, RTOs over %d, goodput %+v; want both runs and a goodput",
+				g.CC, g.PostCoV.N, g.RTOs.N, g.GoodputMbps)
 		}
 	}
 	if res.Gap.N != 4 {
