@@ -85,9 +85,7 @@ func FuzzReadRunLog(f *testing.F) {
 	if len(lines) != 4 { // header, two records, SplitAfter's empty tail
 		f.Fatalf("seed log has %d lines, want header + 2 records", len(lines)-1)
 	}
-	if !bytes.Contains(lines[1], []byte(`"derived":{"goodput_mbps":`)) {
-		f.Fatalf("seed record carries no derived record: %s", lines[1])
-	}
+	requireDerived(f, raw)
 	lastStart := len(raw) - len(lines[2])
 	f.Add(raw)
 	f.Add(parentLog(f))                    // a record from before the derived record
@@ -253,9 +251,7 @@ func FuzzMergeInputs(f *testing.F) {
 	s0 := streamShardToLog(f, sw, fourRuns, Shard{K: 0, N: 2}, LogOptions{})
 	s1 := streamShardToLog(f, sw, fourRuns, Shard{K: 1, N: 2}, LogOptions{})
 	header := bytes.IndexByte(s1, '\n') + 1
-	if !bytes.Contains(s1[header:], []byte(`"derived":{"goodput_mbps":`)) {
-		f.Fatalf("seed records carry no derived record: %s", s1[header:])
-	}
+	requireDerived(f, whole)
 	// A log from before the derived record, resumed by this build.
 	fresh := bytes.SplitAfter(streamToLog(f, sw, parentGrid(), LogOptions{}), []byte("\n"))
 	f.Add(append(parentLog(f), fresh[2]...), []byte(nil), []byte(nil))

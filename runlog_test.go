@@ -71,6 +71,21 @@ func parentLog(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// requireDerived fails t unless every record of the run-log raw carries a
+// derived record with a goodput, as every completed run's does.
+func requireDerived(t testing.TB, raw []byte) {
+	t.Helper()
+	log, err := ReadRunLog(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range log.Runs {
+		if rec.Run.Derived.GoodputMbps <= 0 {
+			t.Fatalf("run %d has derived record %+v, want a goodput", rec.Run.Index, rec.Run.Derived)
+		}
+	}
+}
+
 // TestLogSinkFillsTheRecord hands LogSink.Accept a summary without its
 // Derived record, beside the full Result, the way a caller that builds its
 // own summaries does (bench's traced pass). The sink fills the record, so
@@ -78,9 +93,7 @@ func parentLog(t testing.TB) []byte {
 func TestLogSinkFillsTheRecord(t *testing.T) {
 	sw := &Sweep{Workers: 1}
 	want := streamToLog(t, sw, parentGrid(), LogOptions{})
-	if !bytes.Contains(want, []byte(`"derived":{"goodput_mbps":`)) {
-		t.Fatalf("the sweep's run-log carries no derived record:\n%s", want)
-	}
+	requireDerived(t, want)
 	digest, total, err := sw.Describe(parentGrid())
 	if err != nil {
 		t.Fatal(err)
