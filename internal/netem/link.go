@@ -67,8 +67,8 @@ type Link struct {
 	// The first departed of them have left the transmitter and propagate;
 	// frames[departed] is the next to leave — on the transmitter since
 	// txStart if serving, else queued to start at txStart — and the rest
-	// are queued behind it; queuedBytes sums the queued ones. Only
-	// frames[0] has a pending event (armed), under its reserved seq.
+	// are queued behind it; queuedBytes sums the queued ones. Only the
+	// oldest frame not handed on has a pending event (armed).
 	frames   fifo.Queue[frame]
 	departed int
 	serving  bool
@@ -120,33 +120,29 @@ var frameBufs fifo.Pool[frame]
 
 // frame is one admitted frame: until it leaves the transmitter t is the
 // committed end of its serialisation, afterwards its committed arrival. key
-// packs the seq reserved for that arrival at admission above two flags and
-// the wire size. A handed-on frame went on to the next link when it was
-// admitted here, so it has no seq and no arrival event; a told frame's
-// departure was reported to the transmit taps ahead of its settle.
+// packs two flags above the wire size. A handed-on frame went on to the
+// next link when it was admitted here, so it has no arrival event; a told
+// frame's departure was reported to the transmit taps ahead of its settle.
 type frame struct {
 	pkt *packet.Packet
 	t   sim.Time
-	key uint64 // seq<<sizeBits | flags | size
+	key uint32 // flags | size
 }
 
-// sizeBits is the width below the seq inside frame.key: an IP packet is at
-// most 65 535 bytes, so the size takes 16 bits and the flags two of the
-// other eight, and the kernel issues fewer than 2^40 seqs.
+// An IP packet is at most 65 535 bytes, so the size takes the low 16 bits
+// of frame.key and the flags sit above it.
 const (
-	sizeBits        = 24
 	maxFrame        = 1<<16 - 1
-	handedOn uint64 = 1 << 16
-	told     uint64 = 1 << 17
+	handedOn uint32 = 1 << 16
+	told     uint32 = 1 << 17
 )
 
-func (f *frame) seq() uint64         { return f.key >> sizeBits }
 func (f *frame) size() unit.ByteSize { return unit.ByteSize(f.key & maxFrame) }
 func (f *frame) handedOn() bool      { return f.key&handedOn != 0 }
 
-// arriveCallback adapts propagation arrival to sim.Callback. Arrivals on
-// one link fire in transmit order (times are clamped monotone, ties break
-// by seq), so frames[0] is the arriving frame and no closure is needed.
+// arriveCallback adapts propagation arrival to sim.Callback. A link keeps
+// one arrival pending, its oldest frame's not handed on, so the arriving
+// frame is known without a closure.
 type arriveCallback struct{ l *Link }
 
 // Run implements sim.Callback.
@@ -365,13 +361,13 @@ func (l *Link) admit(pkt *packet.Packet, now sim.Time) {
 		// A fusing link has no mutator, so nothing clamps the arrival.
 		if at := end.Add(l.Spec.Delay); at <= l.net.horizon {
 			if next := l.to.fusedNext(pkt); next != nil {
-				l.frames.Push(frame{pkt: pkt, t: end, key: handedOn | uint64(sz)})
+				l.frames.Push(frame{pkt: pkt, t: end, key: handedOn | uint32(sz)})
 				l.handOn(pkt, at, next)
 				return
 			}
 		}
 	}
-	l.frames.Push(frame{pkt: pkt, t: end, key: l.loop.ReserveSeq()<<sizeBits | uint64(sz)})
+	l.frames.Push(frame{pkt: pkt, t: end, key: uint32(sz)})
 	if n == 0 || l.feeds && !l.armed.Pending() {
 		l.arm(n)
 	}
@@ -432,7 +428,7 @@ func (l *Link) settle(before sim.Time) {
 			l.net.tapTransmit(l, f.pkt, f.t)
 		}
 		// Propagate, never arriving before the frame ahead: a runtime delay
-		// cut cannot reorder (equal times keep FIFO by scheduling seq).
+		// cut cannot reorder (at equal times only the frame ahead is armed).
 		f.t = max(f.t.Add(l.Spec.Delay), l.lastArrivalAt)
 		l.lastArrivalAt = f.t
 		if f.handedOn() && l.departed == 0 {
@@ -444,16 +440,15 @@ func (l *Link) settle(before sim.Time) {
 	}
 }
 
-// arm schedules the arrival of frame i, the oldest not handed on, under its
-// reserved seq. With everything ahead arrived or handed on, no clamp binds
+// arm schedules the arrival of frame i, the oldest not handed on, ranked by
+// the link's ID. With everything ahead arrived or handed on, no clamp binds
 // one still on this side of the wire.
 func (l *Link) arm(i int) {
-	f := l.frames.At(i)
-	at := f.t
+	at := l.frames.At(i).t
 	if i >= l.departed {
 		at = at.Add(l.Spec.Delay)
 	}
-	l.armed = l.loop.AtCallReserved(at, f.seq(), &l.arrive)
+	l.armed = l.loop.AtRanked(at, uint32(l.Spec.ID), &l.arrive)
 }
 
 // rearm moves the pending arrival of an oldest frame a mutator re-timed. A
@@ -480,20 +475,14 @@ func (l *Link) arrival(now sim.Time) {
 	pkt := l.frames.At(0).pkt
 	l.frames.Pop(1)
 	l.departed--
-	if !l.feeds {
-		if l.frames.Len() > 0 {
-			l.arm(0)
-		}
-	} else {
-		for l.departed > 0 && l.frames.At(0).handedOn() {
-			l.frames.Pop(1)
-			l.departed--
-		}
-		for i := 0; i < l.frames.Len(); i++ {
-			if !l.frames.At(i).handedOn() {
-				l.arm(i)
-				break
-			}
+	for l.departed > 0 && l.frames.At(0).handedOn() {
+		l.frames.Pop(1)
+		l.departed--
+	}
+	for i := 0; i < l.frames.Len(); i++ {
+		if !l.frames.At(i).handedOn() {
+			l.arm(i)
+			break
 		}
 	}
 	l.net.tapArrive(l, pkt, now)

@@ -287,23 +287,20 @@ func TestZeroDelayLinkIsFIFO(t *testing.T) {
 	}
 }
 
-// TestFrameKeyPacksSeqAndSize: a frame's key holds its reserved seq, its two
-// flags and its wire size without loss at both extremes, and on a link each frame's key
-// carries its packet's size, so SetRate re-times the queue exactly as from
-// pkt.Size().
+// TestFrameKeyPacksSeqAndSize: a frame's key holds its two flags and its
+// wire size without loss at both extremes (it no longer holds a seq), and
+// on a link each frame's key carries its packet's size, so SetRate re-times
+// the queue exactly as from pkt.Size().
 func TestFrameKeyPacksSeqAndSize(t *testing.T) {
-	for _, c := range []struct {
-		seq  uint64
-		size unit.ByteSize
-	}{{0, 0}, {0, 65535}, {1<<40 - 1, 0}, {1<<40 - 1, 65535}, {12345, 1500}} {
-		f := frame{key: c.seq<<sizeBits | uint64(c.size)}
-		if f.seq() != c.seq || f.size() != c.size || f.handedOn() {
-			t.Errorf("key of (seq %d, size %d) reads back (%d, %d)", c.seq, c.size, f.seq(), f.size())
+	for _, size := range []unit.ByteSize{0, 1500, 65535} {
+		f := frame{key: uint32(size)}
+		if f.size() != size || f.handedOn() {
+			t.Errorf("key of size %d reads back size %d, handed on %v", size, f.size(), f.handedOn())
 		}
-		// The two flags sit between them and disturb neither.
+		// The flags sit above the size and do not disturb it.
 		f.key |= handedOn | told
-		if f.seq() != c.seq || f.size() != c.size || !f.handedOn() {
-			t.Errorf("flagged key of (seq %d, size %d) reads back (%d, %d)", c.seq, c.size, f.seq(), f.size())
+		if f.size() != size || !f.handedOn() {
+			t.Errorf("flagged key of size %d reads back size %d, handed on %v", size, f.size(), f.handedOn())
 		}
 	}
 
@@ -327,9 +324,6 @@ func TestFrameKeyPacksSeqAndSize(t *testing.T) {
 			f := l.frames.At(i)
 			if f.size() != f.pkt.Size() {
 				t.Errorf("frame %d: key size %d, packet size %d", i, f.size(), f.pkt.Size())
-			}
-			if i > 0 && f.seq() <= l.frames.At(i-1).seq() {
-				t.Errorf("frame %d: seq %d not after the previous frame's %d", i, f.seq(), l.frames.At(i-1).seq())
 			}
 			if i == 0 {
 				continue

@@ -13,41 +13,38 @@
 // One event per contended hop. A drop-tail FIFO's departures are a closed
 // form, so a Link commits a frame's whole schedule at admission: it starts
 // when its predecessor ends (now, on an idle transmitter), ends one
-// transmission time later and arrives Spec.Delay after that, under a
-// scheduling seq reserved then. Its 24-byte record holds the packet, that
-// time and the seq packed above two flags and the wire size, so settling
-// reads no packet. The link's only pending event is the arrival of its
-// oldest frame that was not handed on (below); what a
-// departure does — counters, transmit tap, freeing queue space — is settled
-// lazily, as of the frame's own end, the next time the link is touched
-// (admission, arrival, mutator, Link.Settle). SetRate re-times every frame
-// behind the one in service, SetDelay moves the arrivals of frames that have
-// not left, SetDown drops what has not started and cuts the frame in service.
+// transmission time later and arrives Spec.Delay after that. Its 24-byte
+// record holds the packet, that time, two flags and the wire size, so
+// settling reads no packet. The link's only pending event is the arrival of
+// its oldest frame that was not handed on (below); what a departure does —
+// counters, transmit tap, freeing queue space — is settled lazily, as of the
+// frame's own end, the next time the link is touched (admission, arrival,
+// mutator, Link.Settle). SetRate re-times every frame behind the one in
+// service, SetDelay moves the arrivals of frames that have not left,
+// SetDown drops what has not started and cuts the frame in service.
 //
-// Same-instant ties. The event that used to end a serialisation was scheduled
-// a transmission time ahead, so it was nearly always the youngest of its
-// instant: whatever else ran then saw the frame still serialising and its
-// successor still queued. So inside an event a link settles strictly before
-// now — but a frame admitted to an idle transmitter leaves the queue at once,
-// and an arrival whose own frame ends now (no propagation delay) settles
-// through now, as does Link.Settle (RunUntil's deadline is inclusive).
+// Same-instant ties. A link arms its one pending arrival ranked by its
+// topo.LinkID (sim.Loop.AtRanked), so arrivals at one instant run in link
+// order, before that instant's timers, whenever their frames were admitted.
+// Inside an event a link settles strictly before now: what runs at the
+// instant a frame ends sees it still serialising and its successor still
+// queued — but a frame admitted to an idle transmitter leaves the queue at
+// once, and an arrival whose own frame ends now (zero delay) settles through
+// now, as does Link.Settle (RunUntil's deadline is inclusive).
 //
 // Fused hops. When every packet a link L carries reaches L's near node over
-// one link U, the feeder, L's admissions happen in U's FIFO order at times
-// U committed. Network.Fuse finds such links, and from then on U hands a
-// frame on when it admits it: the far node's TTL check and route lookup
-// run then, and L admits the packet as of the frame's arrival time — its
-// loss draw, drop-tail check, committed schedule and reserved seq — with no
-// arrival event at the node between them. Chains compose, so a packet costs
-// one event per node where links meet (or where it is delivered), not one
-// per link. Every virtual time, queue state and drop is the per-hop
-// model's; only the order of events at one instant can differ, since L's
-// seq is reserved before events the per-hop model would have scheduled
-// ahead of it. Links a run mutates, links with an AQM, and hops arriving
-// after the run's horizon stay per-hop; the mutators panic on a fused link
-// or its feeder. A fused link is settled as of its last admission, which
-// can lie ahead of the clock: read mid-run, its counters and queue are
-// those of that instant.
+// one link U, the feeder, L's admissions happen in U's FIFO order at times U
+// committed. Network.Fuse finds such links, and from then on U hands a frame
+// on when it admits it: the far node's TTL check and route lookup run then,
+// and L admits the packet as of the frame's arrival time — its loss draw,
+// drop-tail check and committed schedule — with no arrival event at the node
+// between them. Chains compose, so a packet costs one event per node where
+// links meet (or where it is delivered), not one per link. Every virtual
+// time, queue state, drop and same-instant order is the per-hop model's.
+// Links a run mutates, links with an AQM, and hops arriving after the run's
+// horizon stay per-hop; the mutators panic on a fused link or its feeder. A
+// fused link is settled as of its last admission, which can lie ahead of the
+// clock: read mid-run, its counters and queue are those of that instant.
 //
 // Taps observe transmissions, deliveries and drops; the capture package
 // builds its tshark equivalent on top of them.

@@ -2,10 +2,11 @@ package netem
 
 // Differential oracle for the folded link: a link commits a frame's whole
 // schedule at admission, keeps one pending event (the arrival of its oldest
-// frame, under a seq reserved at admission) and settles departures lazily.
-// refNet below is the per-frame model — every frame gets its own txDone
-// event and its own arrival event, armed when txDone fires under the seq
-// reserved at admission — over the same topology, routes and script. Both
+// frame, ranked by the link's ID) and settles departures lazily. refNet
+// below is the per-frame model — every frame gets its own txDone event,
+// which queues the frame's arrival behind the link's frames in flight, and
+// the head of that queue is armed under the link's rank — over the same
+// topology, routes and script. Both
 // must produce the identical (time, link, packet UID) arrival trace, across
 // rate changes, delay cuts and flaps, including when a delay cut piles
 // several frames of one link onto an instant that other links' arrivals
@@ -207,21 +208,22 @@ type refNet struct {
 }
 
 type refLink struct {
-	n             *refNet
-	spec          topo.Link
-	q             []refFrame
-	tx            *refFrame
-	down, cut     bool
-	lastArrivalAt sim.Time
+	n         *refNet
+	spec      topo.Link
+	q         []*packet.Packet
+	tx        *packet.Packet
+	down, cut bool
+	// inflight holds the transmitted frames, oldest first, each with its
+	// arrival time; only the oldest one's arrival is armed.
+	inflight []refFlight
 }
 
-// refFrame is a frame and the seq reserved for its arrival at admission.
-type refFrame struct {
+type refFlight struct {
 	pkt *packet.Packet
-	seq uint64
+	at  sim.Time
 }
 
-// callFunc adapts a func to sim.Callback for AtCallReserved.
+// callFunc adapts a func to sim.Callback for AtRanked.
 type callFunc func()
 
 func (f callFunc) Run(sim.Time) { f() }
@@ -231,7 +233,7 @@ func (l *refLink) enqueue(p *packet.Packet) {
 		l.n.drops++
 		return
 	}
-	l.q = append(l.q, refFrame{p, l.n.loop.ReserveSeq()})
+	l.q = append(l.q, p)
 	l.startTx()
 }
 
@@ -239,12 +241,12 @@ func (l *refLink) startTx() {
 	if l.down || l.tx != nil || len(l.q) == 0 {
 		return
 	}
-	l.tx, l.q = &l.q[0], l.q[1:]
-	l.n.loop.Schedule(l.spec.Rate.TxTime(l.tx.pkt.Size()), l.finishTx)
+	l.tx, l.q = l.q[0], l.q[1:]
+	l.n.loop.Schedule(l.spec.Rate.TxTime(l.tx.Size()), l.finishTx)
 }
 
 func (l *refLink) finishTx() {
-	p, seq := l.tx.pkt, l.tx.seq
+	p := l.tx
 	l.tx = nil
 	if l.down || l.cut {
 		l.cut = false
@@ -253,15 +255,28 @@ func (l *refLink) finishTx() {
 		return
 	}
 	at := l.n.loop.Now().Add(l.spec.Delay)
-	if at < l.lastArrivalAt {
-		at = l.lastArrivalAt
+	if n := len(l.inflight); n > 0 && at < l.inflight[n-1].at {
+		at = l.inflight[n-1].at
 	}
-	l.lastArrivalAt = at
-	l.n.loop.AtCallReserved(at, seq, callFunc(func() {
+	l.inflight = append(l.inflight, refFlight{p, at})
+	if len(l.inflight) == 1 {
+		l.armHead()
+	}
+	l.startTx()
+}
+
+// armHead arms the arrival of the oldest frame in flight under the link's
+// rank.
+func (l *refLink) armHead() {
+	l.n.loop.AtRanked(l.inflight[0].at, uint32(l.spec.ID), callFunc(func() {
+		p := l.inflight[0].pkt
+		l.inflight = l.inflight[1:]
+		if len(l.inflight) > 0 {
+			l.armHead()
+		}
 		l.n.arrivals = append(l.n.arrivals, arrivalRec{l.n.loop.Now(), l.spec.ID, p.UID})
 		l.n.forward(l.spec.To, p)
 	}))
-	l.startTx()
 }
 
 func (l *refLink) setDown() {

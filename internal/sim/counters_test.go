@@ -7,8 +7,9 @@ import (
 
 // TestCountersAccounting pins the Counters snapshot against a scripted
 // workload: sequential events recycle one arena node, a stopped timer
-// counts as scheduled but not fired, and a burst of concurrently pending
-// events sets the high-water mark.
+// counts as scheduled but not fired, a burst of concurrently pending
+// events sets the high-water mark, and every ranked arm counts as
+// scheduled, a second arm under a rank after a Stop included.
 func TestCountersAccounting(t *testing.T) {
 	l := NewLoop()
 
@@ -61,6 +62,26 @@ func TestCountersAccounting(t *testing.T) {
 	}
 	if got := c.Recycled + uint64(len(l.nodes)); got != c.Scheduled {
 		t.Fatalf("recycled(%d) + arena(%d) = %d, want scheduled %d",
+			c.Recycled, len(l.nodes), got, c.Scheduled)
+	}
+
+	// Phase 3: a link-like producer arms three ranked events, stops one and
+	// arms its rank again: four arms, three fired, all on recycled nodes.
+	cb := &countCall{}
+	l.AtRanked(l.Now()+1, 0, cb)
+	moved := l.AtRanked(l.Now()+2, 1, cb)
+	l.AtRanked(l.Now()+3, 2, cb)
+	moved.Stop()
+	l.AtRanked(l.Now()+4, 1, cb)
+	if err := l.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c = l.Counters()
+	if c.Scheduled != 23 || c.Fired != 21 || cb.n != 3 {
+		t.Fatalf("ranked phase: scheduled=%d fired=%d ran=%d, want 23/21/3", c.Scheduled, c.Fired, cb.n)
+	}
+	if got := c.Recycled + uint64(len(l.nodes)); got != c.Scheduled {
+		t.Fatalf("ranked phase: recycled(%d) + arena(%d) = %d, want scheduled %d",
 			c.Recycled, len(l.nodes), got, c.Scheduled)
 	}
 }

@@ -21,16 +21,21 @@ func (p *fuzzProgram) next() byte {
 }
 
 // actions decodes one handler. A flags byte gives the number of children
-// (bits 0–1), whether a stop comes before the first schedule (bit 2), a seq
-// reservation (bit 3), arming the oldest reserved seq at the current
-// instant (bit 4) and a stop at all (bit 5); then one byte per child's delay
-// (0–3 ns, so instants collide) and one naming the stopped label among the
+// (bits 0–1), whether a stop comes before the first schedule (bit 2), a
+// ranked event armed before the first schedule (bit 4) and a stop at all
+// (bit 5); bit 3 is unused. Then come one byte per child's delay (0–3 ns,
+// so instants collide), one giving the ranked event's rank (bits 0–1) and
+// delay (bits 2–3, 0–3 ns), and one naming the stopped label among the
 // older ones.
 func (p *fuzzProgram) actions(label int64) progActions {
 	f := p.next()
-	a := progActions{stopLabel: -1, stopFirst: f&4 != 0, reserve: f&8 != 0, armReserved: f&16 != 0}
+	a := progActions{stopLabel: -1, stopFirst: f&4 != 0, rank: -1}
 	for range f & 3 {
 		a.childDelays = append(a.childDelays, time.Duration(p.next()&3))
+	}
+	if f&16 != 0 {
+		b := p.next()
+		a.rank, a.rankDelay = int(b&3), time.Duration(b>>2&3)
 	}
 	if f&32 != 0 && label > 0 {
 		a.stopLabel = int64(p.next()) % label
@@ -64,16 +69,16 @@ func fuzzDrive(data []byte, k progKernel, run *progRun) {
 }
 
 // FuzzEventOrder runs a program decoded from the input through the kernel
-// and through the reference kernel: schedules, reserved seqs armed at the
-// current instant (older than the running event's when reserved before it
-// was scheduled), stops before and after a handler's first schedule (the
-// former with the fired key held), handlers that schedule nothing, and
-// RunUntil to deadlines. The firing order, every Len() a handler and a round
+// and through the reference kernel: schedules, ranked events armed at and
+// after the current instant (some sorting before the running event) and
+// armed again under the same rank, stops before and after a handler's
+// first schedule (the former with the fired key held), handlers that
+// schedule nothing, and RunUntil to deadlines. The firing order, every Len() a handler and a round
 // end see, and the clock at each round's end must be the reference's, and
 // the tree invariant must hold around every handler.
 func FuzzEventOrder(f *testing.F) {
 	// Equal-timestamp ties: every root and child at the current instant,
-	// handlers that spawn, stop, reserve and arm.
+	// handlers that spawn, stop and arm ranked events.
 	f.Add([]byte{0, 7, 0, 0, 0, 0, 0, 0, 0, 0x3f, 0, 0, 0, 1, 0x3f, 0, 0, 0, 2, 0x1b, 0, 0, 0x2c, 3})
 	f.Add([]byte{3, 5, 1, 1, 1, 1, 1, 4, 0x3e, 1, 1, 0, 0x1d, 1, 0x2b, 0, 0, 0, 5, 0x3f, 1, 1, 1, 2, 2, 6, 0x18})
 	f.Add([]byte{1, 7, 0, 0, 0, 0, 0, 0, 0, 2, 0x27, 0, 0, 0, 6, 0x33, 0, 0, 4, 0x08, 0x10, 0x3f, 0, 0, 0, 1})

@@ -1,12 +1,12 @@
 package sim
 
 // Ordering tests: the observable execution order must be exactly the
-// reference kernel's — strict (at, seq) order, one pop, one callback,
+// reference kernel's — strict (at, order) order, one pop, one callback,
 // repeat — across dense timestamp collisions, stops of later same-instant
-// events, re-arms of pending, fired and stopped timers, reserved seqs armed
+// events, re-arms of pending, fired and stopped timers, ranked events armed
 // ahead of the running event, and runs interrupted within an instant (Stop /
-// event limit). The kernel runs an
-// event with its key still held in its leaf; the reference pops first.
+// event limit). The kernel runs an event with its key still held in its
+// leaf; the reference pops first.
 
 import (
 	"errors"
@@ -18,36 +18,47 @@ import (
 )
 
 // refKernel is the reference: a sorted list popped strictly one event at a
-// time, with (at, seq) total order and a stopped flag checked at pop — the
-// semantics the kernel must be indistinguishable from.
+// time, in (at, ranked events by rank, then timers by seq) order, with a
+// stopped flag checked at pop — the semantics the kernel must be
+// indistinguishable from.
 type refKernel struct {
 	events []*refKernelEv
 	seq    uint64
 	now    Time
 }
 
+// refKernelEv is a ranked event (ord is its rank) or a timer (ord is its
+// seq).
 type refKernelEv struct {
 	at      Time
-	seq     uint64
+	ranked  bool
+	ord     uint64
 	label   int64
 	stopped bool
 }
 
-func (k *refKernel) reserve() uint64 {
-	k.seq++
-	return k.seq - 1
+// after reports whether a sorts after e.
+func (a *refKernelEv) after(e *refKernelEv) bool {
+	switch {
+	case a.at != e.at:
+		return a.at > e.at
+	case a.ranked != e.ranked:
+		return e.ranked
+	}
+	return a.ord > e.ord
 }
 
 func (k *refKernel) schedule(d time.Duration, label int64) *refKernelEv {
-	return k.scheduleSeq(d, k.reserve(), label)
+	k.seq++
+	return k.insert(&refKernelEv{at: k.now.Add(d), ord: k.seq, label: label})
 }
 
-func (k *refKernel) scheduleSeq(d time.Duration, seq uint64, label int64) *refKernelEv {
-	e := &refKernelEv{at: k.now.Add(d), seq: seq, label: label}
-	i := sort.Search(len(k.events), func(i int) bool {
-		a := k.events[i]
-		return a.at > e.at || (a.at == e.at && a.seq > e.seq)
-	})
+func (k *refKernel) scheduleRanked(d time.Duration, rank uint32, label int64) *refKernelEv {
+	return k.insert(&refKernelEv{at: k.now.Add(d), ranked: true, ord: uint64(rank), label: label})
+}
+
+func (k *refKernel) insert(e *refKernelEv) *refKernelEv {
+	i := sort.Search(len(k.events), func(i int) bool { return k.events[i].after(e) })
 	k.events = append(k.events, nil)
 	copy(k.events[i+1:], k.events[i:])
 	k.events[i] = e
@@ -144,17 +155,16 @@ type step struct {
 // instant), sometimes stop an earlier-created event — before the first
 // schedule or after the last — sometimes re-arm one, or the running event's
 // own handle, at delay 0-2 ns, before the first schedule (while the fired
-// event's key is held) or after the last, sometimes reserve a seq, and
-// sometimes arm the oldest reserved seq at the current instant before
-// scheduling anything else.
+// event's key is held) or after the last, and sometimes arm a ranked event
+// under one of four ranks at delay 0-2 ns before scheduling anything else.
 type program struct{ seed int64 }
 
 type progActions struct {
 	childDelays []time.Duration
 	stopLabel   int64 // -1: none
 	stopFirst   bool
-	reserve     bool
-	armReserved bool
+	rank        int // -1: arm no ranked event
+	rankDelay   time.Duration
 	rearmLabel  int64 // -1: none
 	rearmDelay  time.Duration
 	rearmFirst  bool
@@ -170,8 +180,10 @@ func (p *program) actions(label int64) progActions {
 		a.stopLabel = rng.Int63n(label)
 	}
 	a.stopFirst = rng.Intn(2) == 0
-	a.reserve = rng.Intn(4) == 0
-	a.armReserved = rng.Intn(3) == 0
+	a.rank = -1
+	if rng.Intn(3) == 0 {
+		a.rank, a.rankDelay = rng.Intn(4), time.Duration(rng.Intn(3))
+	}
 	a.rearmLabel = -1
 	switch r := rng.Intn(6); {
 	case r == 0:
@@ -185,15 +197,14 @@ func (p *program) actions(label int64) progActions {
 }
 
 // progKernel is what the program needs of a kernel; events are named by
-// label. arm schedules a reserved seq at the current instant; rearm is a
-// Stop of one label and a schedule of another, in one call; runUntil runs
-// every event due by deadline through the program's handler, then moves the
+// label. spawn schedules a timer and arm a ranked event; rearm is a Stop of
+// one label and a schedule of another, in one call; runUntil runs every
+// event due by deadline through the program's handler, then moves the
 // clock as RunUntil does.
 type progKernel interface {
 	spawn(d time.Duration, label int64)
-	arm(seq uint64, label int64)
+	arm(rank uint32, d time.Duration, label int64)
 	rearm(old int64, d time.Duration, label int64)
-	reserveSeq() uint64
 	stop(label int64)
 	pending() int
 	now() Time
@@ -207,8 +218,11 @@ type progRun struct {
 	k         progKernel
 	budget    int
 	nextLabel int64
-	reserved  []uint64 // reserved seqs not yet armed, oldest first
-	log       []step
+	// ranked names the last event armed under each rank. Arming a rank
+	// stops it first, as a link stops its pending arrival before arming it
+	// again, so no rank has two events pending.
+	ranked map[int]int64
+	log    []step
 }
 
 func (r *progRun) newLabel() int64 {
@@ -232,10 +246,16 @@ func (r *progRun) handle(label int64, at Time) {
 	if a.stopFirst && a.stopLabel >= 0 {
 		r.k.stop(a.stopLabel)
 	}
-	if a.armReserved && len(r.reserved) > 0 && r.budget > 0 {
+	if a.rank >= 0 && r.budget > 0 {
 		r.budget--
-		r.k.arm(r.reserved[0], r.newLabel())
-		r.reserved = r.reserved[1:]
+		if old, ok := r.ranked[a.rank]; ok {
+			r.k.stop(old)
+		}
+		if r.ranked == nil {
+			r.ranked = make(map[int]int64)
+		}
+		r.ranked[a.rank] = r.newLabel()
+		r.k.arm(uint32(a.rank), a.rankDelay, r.ranked[a.rank])
 	}
 	for _, d := range a.childDelays {
 		if r.budget <= 0 {
@@ -249,9 +269,6 @@ func (r *progRun) handle(label int64, at Time) {
 	}
 	if !a.rearmFirst {
 		rearm()
-	}
-	if a.reserve {
-		r.reserved = append(r.reserved, r.k.reserveSeq())
 	}
 	rec.lenEnd = r.k.pending()
 	r.log = append(r.log, rec)
@@ -270,15 +287,15 @@ type loopKernel struct {
 	l      *Loop
 	run    *progRun
 	timers map[int64]Timer
-	curSeq uint64 // seq of the running event
-	curLbl int64  // label of the running event
+	cur    entry // key of the running event
+	curLbl int64 // label of the running event
 	cases  *heldCases
 }
 
-func (k *loopKernel) callback(label int64, seq uint64) funcCallback {
+func (k *loopKernel) callback(label int64) funcCallback {
 	return func() {
 		checkTree(k.t, k.l)
-		k.curSeq, k.curLbl = seq, label
+		k.cur, k.curLbl = k.l.tree[len(k.l.tree)/2+int(k.l.held)], label
 		k.run.handle(label, k.l.Now())
 		if k.l.held >= 0 {
 			k.cases.idle++
@@ -288,14 +305,15 @@ func (k *loopKernel) callback(label int64, seq uint64) funcCallback {
 }
 
 func (k *loopKernel) spawn(d time.Duration, label int64) {
-	k.timers[label] = k.l.ScheduleCall(d, k.callback(label, k.l.seq))
+	k.timers[label] = k.l.ScheduleCall(d, k.callback(label))
 }
 
-func (k *loopKernel) arm(seq uint64, label int64) {
-	if k.l.held >= 0 && seq < k.curSeq {
+func (k *loopKernel) arm(rank uint32, d time.Duration, label int64) {
+	at := k.l.Now().Add(d)
+	if k.l.held >= 0 && at == k.cur.at && uint64(rank) < k.cur.packed>>idBits {
 		k.cases.olderFirst++
 	}
-	k.timers[label] = k.l.AtCallReserved(k.l.Now(), seq, k.callback(label, seq))
+	k.timers[label] = k.l.AtRanked(at, rank, k.callback(label))
 }
 
 func (k *loopKernel) rearm(old int64, d time.Duration, label int64) {
@@ -307,11 +325,9 @@ func (k *loopKernel) rearm(old int64, d time.Duration, label int64) {
 	case old == k.curLbl:
 		k.cases.selfRearms++
 	}
-	k.timers[label] = k.l.Rearm(tm, d, k.callback(label, k.l.seq))
+	k.timers[label] = k.l.Rearm(tm, d, k.callback(label))
 	checkTree(k.t, k.l)
 }
-
-func (k *loopKernel) reserveSeq() uint64 { return k.l.ReserveSeq() }
 
 func (k *loopKernel) stop(label int64) {
 	if k.timers[label].Stop() && k.l.held >= 0 {
@@ -340,16 +356,14 @@ func (k *refProgKernel) spawn(d time.Duration, label int64) {
 	k.events[label] = k.ref.schedule(d, label)
 }
 
-func (k *refProgKernel) arm(seq uint64, label int64) {
-	k.events[label] = k.ref.scheduleSeq(0, seq, label)
+func (k *refProgKernel) arm(rank uint32, d time.Duration, label int64) {
+	k.events[label] = k.ref.scheduleRanked(d, rank, label)
 }
 
 func (k *refProgKernel) rearm(old int64, d time.Duration, label int64) {
 	k.stop(old)
 	k.spawn(d, label)
 }
-
-func (k *refProgKernel) reserveSeq() uint64 { return k.ref.reserve() }
 
 func (k *refProgKernel) stop(label int64) {
 	if e, ok := k.events[label]; ok {
@@ -372,7 +386,7 @@ func (k *refProgKernel) runUntil(deadline Time) {
 
 // TestOrderMatchesReferenceKernel runs the same randomized program — roots
 // piled onto a handful of timestamps, handlers spawning same-instant
-// children, stopping siblings and arming reserved seqs — through the kernel
+// children, stopping siblings and arming ranked events — through the kernel
 // and the reference, and requires the full (label, time, pending count)
 // execution sequences to be identical.
 func TestOrderMatchesReferenceKernel(t *testing.T) {
@@ -435,48 +449,85 @@ func matchReference(t *testing.T, l *Loop, seed int64, cases *heldCases) {
 }
 
 // TestEqualTimestampStress piles thousands of events onto a single
-// instant, each spawning a same-instant child up to a cap: everything at
-// t=1ms must run in scheduling order, and the whole cascade stays at one
+// instant: timers that each spawn a same-instant child up to a cap, ranked
+// chains armed in reverse rank order that each re-arm their rank at the
+// current instant, and every hundredth root timer arming a ranked event of
+// its own. Everything at t=1ms must run in the contract's order — the
+// chains first, rank by rank, then the timers in scheduling order, each
+// timer's ranked event right after it — and the whole cascade stays at one
 // timestamp.
 func TestEqualTimestampStress(t *testing.T) {
 	l := NewLoop()
-	const roots = 2000
-	const spawnCap = 5000
+	const (
+		roots    = 2000
+		spawnCap = 5000
+		chains   = 8
+		links    = 50 // events per ranked chain
+	)
+	at := Time(time.Millisecond)
 	var order []int
+	check := func(id int) {
+		order = append(order, id)
+		if l.Now() != at {
+			t.Fatalf("event %d ran at %v, want 1ms", id, l.Now())
+		}
+	}
 	n := 0
 	var spawn func(id int) func()
 	spawn = func(id int) func() {
 		return func() {
-			order = append(order, id)
+			check(id)
 			if n < spawnCap {
 				n++
-				kid := roots + n
-				l.Schedule(0, spawn(kid))
+				l.Schedule(0, spawn(roots+n))
 			}
-			if l.Now() != Time(time.Millisecond) {
-				t.Fatalf("event %d ran at %v, want 1ms", id, l.Now())
+			if id < roots && id%100 == 0 {
+				// Ranked ids are negative: -1 - rank*links - step.
+				rank := chains + id/100
+				l.AtRanked(at, uint32(rank), funcCallback(func() { check(-1 - rank*links) }))
+			}
+		}
+	}
+	var chain func(rank, step int) funcCallback
+	chain = func(rank, step int) funcCallback {
+		return func() {
+			check(-1 - rank*links - step)
+			if step+1 < links {
+				l.AtRanked(at, uint32(rank), chain(rank, step+1))
 			}
 		}
 	}
 	for i := 0; i < roots; i++ {
-		l.At(Time(time.Millisecond), spawn(i))
+		l.At(at, spawn(i))
+		if i < chains {
+			l.AtRanked(at, uint32(chains-1-i), chain(chains-1-i, 0))
+		}
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != roots+spawnCap {
-		t.Fatalf("fired %d events, want %d", len(order), roots+spawnCap)
-	}
-	// Scheduling order == seq order == execution order.
-	for i, id := range order[:roots] {
-		if id != i {
-			t.Fatalf("root %d fired at position %d", id, i)
+	var want []int
+	for rank := range chains {
+		for step := range links {
+			want = append(want, -1-rank*links-step)
 		}
 	}
-	for i, id := range order[roots:] {
-		if id != roots+i+1 {
-			t.Fatalf("child %d fired at position %d", id, roots+i)
+	for i := 0; i < roots; i++ {
+		want = append(want, i)
+		if i%100 == 0 {
+			want = append(want, -1-(chains+i/100)*links)
 		}
+	}
+	for kid := roots + 1; kid <= roots+spawnCap; kid++ {
+		want = append(want, kid)
+	}
+	if !slices.Equal(order, want) {
+		for i := range min(len(order), len(want)) {
+			if order[i] != want[i] {
+				t.Fatalf("position %d ran event %d, want %d (%d events ran, want %d)", i, order[i], want[i], len(order), len(want))
+			}
+		}
+		t.Fatalf("%d events ran, want %d", len(order), len(want))
 	}
 }
 

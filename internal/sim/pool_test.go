@@ -207,7 +207,7 @@ func TestQuickHeapMatchesReference(t *testing.T) {
 			l.key(got.id(), idle)
 			l.release(got.id())
 			want := heap.Pop(ref).(*refEvent)
-			if gotSeq := got.packed >> idBits; got.at != want.at || gotSeq != want.seq {
+			if gotSeq := got.packed >> idBits &^ timerClass; got.at != want.at || gotSeq != want.seq {
 				t.Fatalf("seed %d: pop (at=%d seq=%d), reference (at=%d seq=%d)",
 					seed, got.at, gotSeq, want.at, want.seq)
 			}
@@ -324,17 +324,23 @@ func TestStopRemovesEntryInPlace(t *testing.T) {
 	}
 }
 
-// TestRearmKeysEntryInPlace: Rearm re-keys a pending timer's own leaf, so
-// re-arming k live timers any number of times keeps the pending set, its
+// TestRearmKeysEntryInPlace: Rearm re-keys a pending event's own leaf, so
+// re-arming k live events any number of times keeps the pending set, its
 // high-water mark and the arena at exactly k, never touches the free list,
-// and leaves each timer's key in its node's leaf.
+// and leaves each re-arm's timer key in its node's leaf. Half the events
+// start ranked, and Scheduled counts their arms and every re-arm.
 func TestRearmKeysEntryInPlace(t *testing.T) {
 	const k = 100
 	l := NewLoop()
 	cb := &countCall{}
 	timers := make([]Timer, k)
 	for i := range timers {
-		timers[i] = l.ScheduleCall(time.Duration(i+1)*time.Second, cb)
+		at := Time(i+1) * Time(time.Second)
+		if i%2 == 0 {
+			timers[i] = l.AtCall(at, cb)
+		} else {
+			timers[i] = l.AtRanked(at, uint32(i), cb)
+		}
 	}
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 10000; n++ {
@@ -348,8 +354,8 @@ func TestRearmKeysEntryInPlace(t *testing.T) {
 		if l.Len() != k {
 			t.Fatalf("re-arm %d: Len() = %d, want %d", n, l.Len(), k)
 		}
-		if leaf := l.tree[len(l.tree)/2+int(old.id)]; leaf.packed>>idBits != l.seq-1 {
-			t.Fatalf("re-arm %d: node %d's leaf holds seq %d, want the re-arm's %d", n, old.id, leaf.packed>>idBits, l.seq-1)
+		if leaf := l.tree[len(l.tree)/2+int(old.id)]; leaf.packed>>idBits != timerClass|(l.seq-1) {
+			t.Fatalf("re-arm %d: node %d's leaf holds order %#x, want the re-arm's timer seq %d", n, old.id, leaf.packed>>idBits, l.seq-1)
 		}
 	}
 	checkTree(t, l)

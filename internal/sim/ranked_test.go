@@ -1,293 +1,159 @@
 package sim
 
-// Tests for reserved scheduling seqs: an event armed late through
-// ReserveSeq + AtCallReserved must run exactly where a Schedule call made
-// at reservation time would have put it — including at the current instant,
-// ahead of pending same-instant events with later seqs.
+// Tests for ranked events: at one instant they run before every timer, in
+// rank order, whatever order they were armed in — including when armed at
+// the current instant, after a Timer.Stop and an arm under the same rank,
+// and across runs interrupted within the instant.
 
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
 
-// labelCall records its label when it fires and then runs an optional
+// nameCall records its name when it fires and then runs an optional
 // continuation.
-type labelCall struct {
-	log   *[]int64
-	label int64
-	then  func()
+type nameCall struct {
+	log  *[]string
+	name string
+	then func()
 }
 
-func (c *labelCall) Run(Time) {
-	*c.log = append(*c.log, c.label)
+func (c *nameCall) Run(Time) {
+	*c.log = append(*c.log, c.name)
 	if c.then != nil {
 		c.then()
 	}
 }
 
-// burnSeqs issues n seqs on a throwaway time so a test can place events at
-// chosen seq numbers.
-func burnSeqs(l *Loop, n int) {
-	for i := 0; i < n; i++ {
-		l.At(End, func() {}).Stop()
+// TestRankedEventsRunInRankOrder arms eight ranked events and eight timers
+// at one instant, interleaved in a random order: the ranked events run
+// first, by rank, then the timers, in the order they were armed.
+func TestRankedEventsRunInRankOrder(t *testing.T) {
+	at := Time(time.Millisecond)
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := NewLoop()
+		var log, timers []string
+		for _, r := range rng.Perm(8) {
+			name := "t" + string(rune('a'+len(timers)))
+			timers = append(timers, name)
+			l.AtCall(at, &nameCall{log: &log, name: name})
+			l.AtRanked(at, uint32(r), &nameCall{log: &log, name: "r" + string(rune('0'+r))})
+		}
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]string{"r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7"}, timers...)
+		if !slices.Equal(log, want) {
+			t.Fatalf("seed %d: ran %v, want %v", seed, log, want)
+		}
 	}
 }
 
-// reservedScenario builds the issue's case on l: chain A has frames #10 and
-// #14 due at the same instant (only the head is armed), chain B has #16
-// there too. Per-event scheduling would run 10, 14, 16.
-func reservedScenario(l *Loop, log *[]int64, afterFirst func()) {
+// rankedScenario arms, for one instant, the timers t1 and t2 and the ranked
+// events r9 and r5, in the order t1, r9, t2, r5. r5 runs first; it arms r2
+// and the timer t3 at the current instant, stops r9 and arms rank 9 again
+// for the same instant, then calls afterFirst. t1 arms r7 at the current
+// instant. rankedOrder is the order the contract gives.
+func rankedScenario(l *Loop, log *[]string, afterFirst func()) {
 	at := Time(time.Millisecond)
-	burnSeqs(l, 10)
-	a10 := l.ReserveSeq()
-	burnSeqs(l, 3)
-	a14 := l.ReserveSeq()
-	burnSeqs(l, 1)
-	second := &labelCall{log: log, label: int64(a14)}
-	first := &labelCall{log: log, label: int64(a10), then: func() {
-		l.AtCallReserved(at, a14, second)
+	call := func(name string, then func()) *nameCall { return &nameCall{log: log, name: name, then: then} }
+	l.AtCall(at, call("t1", func() { l.AtRanked(l.Now(), 7, call("r7", nil)) }))
+	r9 := l.AtRanked(at, 9, call("r9", nil))
+	l.AtCall(at, call("t2", nil))
+	l.AtRanked(at, 5, call("r5", func() {
+		l.AtRanked(l.Now(), 2, call("r2", nil))
+		l.AtCall(l.Now(), call("t3", nil))
+		if !r9.Stop() {
+			panic("r9 not pending")
+		}
+		l.AtRanked(l.Now(), 9, call("r9 again", nil))
 		if afterFirst != nil {
 			afterFirst()
 		}
-	}}
-	l.AtCallReserved(at, a10, first)
-	l.AtCall(at, &labelCall{log: log, label: 16})
-	if a10 != 10 || a14 != 14 {
-		panic("scenario seqs drifted")
-	}
+	}))
 }
 
-func TestReservedSeqArmedAtCurrentInstantRunsInSeqOrder(t *testing.T) {
+var rankedOrder = []string{"r5", "r2", "r9 again", "t1", "r7", "t2", "t3"}
+
+func TestRankedArmedAtCurrentInstantRunsInClassOrder(t *testing.T) {
 	l := NewLoop()
-	var log []int64
-	reservedScenario(l, &log, nil)
+	var log []string
+	rankedScenario(l, &log, nil)
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(log) != 3 || log[0] != 10 || log[1] != 14 || log[2] != 16 {
-		t.Fatalf("execution order %v, want [10 14 16]", log)
+	if !slices.Equal(log, rankedOrder) {
+		t.Fatalf("execution order %v, want %v", log, rankedOrder)
 	}
-	if l.Now() != Time(time.Millisecond) || l.Processed() != 3 {
-		t.Fatalf("now=%v processed=%d, want 1ms/3", l.Now(), l.Processed())
+	if l.Now() != Time(time.Millisecond) || l.Processed() != uint64(len(rankedOrder)) {
+		t.Fatalf("now=%v processed=%d, want 1ms/%d", l.Now(), l.Processed(), len(rankedOrder))
 	}
 }
 
-// TestReservedSeqSurvivesInterruptedRun: Stop or the event limit hitting
-// right after the arming event must leave both the armed event and the
-// later same-instant event pending, in order, for the resumed run.
-func TestReservedSeqSurvivesInterruptedRun(t *testing.T) {
-	t.Run("stop", func(t *testing.T) {
-		l := NewLoop()
-		var log []int64
-		reservedScenario(l, &log, l.Stop)
-		if err := l.Run(); err != nil {
-			t.Fatal(err)
+// TestRankedEventsSurviveInterruptedRun: Stop or the event limit hitting
+// right after the first event must leave everything it armed and everything
+// still due at the instant pending, in order, for the resumed run.
+func TestRankedEventsSurviveInterruptedRun(t *testing.T) {
+	resume := func(t *testing.T, l *Loop, log *[]string) {
+		t.Helper()
+		if len(*log) != 1 || l.Len() != 5 {
+			t.Fatalf("interrupted: fired %v, %d pending; want [r5] and 5", *log, l.Len())
 		}
-		if len(log) != 1 || l.Len() != 2 {
-			t.Fatalf("after Stop: fired %v, %d pending; want [10] and 2", log, l.Len())
-		}
-		if err := l.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(log) != 3 || log[1] != 14 || log[2] != 16 {
-			t.Fatalf("resumed order %v, want [10 14 16]", log)
-		}
-	})
-	t.Run("event limit", func(t *testing.T) {
-		l := NewLoop()
-		var log []int64
-		reservedScenario(l, &log, nil)
-		l.SetEventLimit(1)
-		if err := l.Run(); !errors.Is(err, ErrEventLimit) {
-			t.Fatalf("Run returned %v, want ErrEventLimit", err)
-		}
-		if len(log) != 1 || l.Len() != 2 {
-			t.Fatalf("at the limit: fired %v, %d pending; want [10] and 2", log, l.Len())
-		}
+		checkTree(t, l)
 		l.SetEventLimit(0)
 		if err := l.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if len(log) != 3 || log[1] != 14 || log[2] != 16 {
-			t.Fatalf("resumed order %v, want [10 14 16]", log)
+		if !slices.Equal(*log, rankedOrder) {
+			t.Fatalf("resumed order %v, want %v", *log, rankedOrder)
 		}
+	}
+	t.Run("stop", func(t *testing.T) {
+		l := NewLoop()
+		var log []string
+		rankedScenario(l, &log, l.Stop)
+		if err := l.Run(); err != nil {
+			t.Fatal(err)
+		}
+		resume(t, l, &log)
+	})
+	t.Run("event limit", func(t *testing.T) {
+		l := NewLoop()
+		var log []string
+		rankedScenario(l, &log, nil)
+		l.SetEventLimit(1)
+		if err := l.Run(); !errors.Is(err, ErrEventLimit) {
+			t.Fatalf("Run returned %v, want ErrEventLimit", err)
+		}
+		resume(t, l, &log)
 	})
 }
 
-// TestReservedChainsMatchPerEventScheduling is the kernel half of the
-// per-packet vs per-link oracle: several FIFO chains whose members pile
-// onto a handful of instants, interleaved with plain events that stop
-// timers and spawn same-instant children. One loop schedules every chain
-// member as its own event at creation; the other reserves the seq and keeps
-// only each chain's head armed. The (label, time) execution sequences must
-// be identical.
-func TestReservedChainsMatchPerEventScheduling(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		run := func(perEvent bool) (log []fired, counters Counters) {
-			rng := rand.New(rand.NewSource(seed))
-			l := NewLoop()
-			type pending struct {
-				at    Time
-				label int64
-				seq   uint64 // reserved; unused when every member is its own event
-			}
-			chains := make([][]pending, 4)
-			lastAt := make([]Time, len(chains))
-			var label int64
-			var fire func(c int) Callback
-			record := func(lb int64) { log = append(log, fired{lb, l.Now()}) }
-			fire = func(c int) Callback {
-				return funcCallback(func() {
-					head := chains[c][0]
-					chains[c] = chains[c][1:]
-					record(head.label)
-					if !perEvent && len(chains[c]) > 0 {
-						next := chains[c][0]
-						l.AtCallReserved(next.at, next.seq, fire(c))
-					}
-				})
-			}
-			// add appends a member to chain c, due no earlier than the
-			// chain's previous member (FIFO, equal instants allowed).
-			add := func(c int) {
-				at := l.Now() + Time(rng.Intn(3))
-				if at < lastAt[c] {
-					at = lastAt[c]
-				}
-				lastAt[c] = at
-				label++
-				if perEvent {
-					chains[c] = append(chains[c], pending{at: at, label: label})
-					l.AtCall(at, fire(c))
-					return
-				}
-				seq := l.ReserveSeq()
-				if len(chains[c]) == 0 {
-					l.AtCallReserved(at, seq, fire(c))
-				}
-				chains[c] = append(chains[c], pending{at, label, seq})
-			}
-			budget := 2000
-			var timers []Timer
-			var plain func() func()
-			plain = func() func() {
-				label++
-				lb := -label
-				return func() {
-					record(lb)
-					for i, n := 0, rng.Intn(4); i < n && budget > 0; i++ {
-						budget--
-						switch rng.Intn(3) {
-						case 0:
-							timers = append(timers, l.Schedule(time.Duration(rng.Intn(3)), plain()))
-						default:
-							add(rng.Intn(len(chains)))
-						}
-					}
-					if len(timers) > 0 && rng.Intn(4) == 0 {
-						timers[rng.Intn(len(timers))].Stop()
-					}
-				}
-			}
-			for i := 0; i < 30; i++ {
-				l.At(Time(rng.Intn(4)), plain())
-			}
-			if err := l.Run(); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			return log, l.Counters()
-		}
-		want, wantC := run(true)
-		got, gotC := run(false)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: head-only arming fired %d events, per-event scheduling %d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: execution diverged at step %d: head-only (label=%d at=%v), per-event (label=%d at=%v)",
-					seed, i, got[i].label, got[i].at, want[i].label, want[i].at)
-			}
-		}
-		if gotC.Scheduled != wantC.Scheduled || gotC.Fired != wantC.Fired {
-			t.Fatalf("seed %d: scheduled/fired %d/%d, per-event %d/%d (Scheduled must count reserved seqs)",
-				seed, gotC.Scheduled, gotC.Fired, wantC.Scheduled, wantC.Fired)
-		}
-		if gotC.HeapPeak > wantC.HeapPeak {
-			t.Fatalf("seed %d: head-only heap peak %d above per-event %d", seed, gotC.HeapPeak, wantC.HeapPeak)
-		}
-	}
-}
-
-// TestAtCallReservedPanicsOnUnissuedSeq: a seq ReserveSeq never issued
-// would collide with a later event's key.
-func TestAtCallReservedPanicsOnUnissuedSeq(t *testing.T) {
+// TestRankedEventKeysItsClass: a ranked event stopped and armed again at a
+// later instant sorts there by rank ahead of that instant's timers, and a
+// ranked event re-armed through Rearm becomes a timer.
+func TestRankedEventKeysItsClass(t *testing.T) {
 	l := NewLoop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AtCallReserved armed a seq that was never issued")
-		}
-	}()
-	l.AtCallReserved(0, l.ReserveSeq()+1, &countCall{})
-}
-
-// TestCountersWithReservedSeqs: Scheduled counts seqs issued, and every
-// armed seq is served either by the free list or by arena growth.
-func TestCountersWithReservedSeqs(t *testing.T) {
-	l := NewLoop()
-	cb := &countCall{}
-	a := l.ReserveSeq()
-	b := l.ReserveSeq()
-	if c := l.Counters(); c.Scheduled != 2 || len(l.nodes) != 0 || c.Recycled != 0 {
-		t.Fatalf("after two reservations: %+v, want 2 scheduled and an untouched arena", c)
-	}
-	l.AtCallReserved(Time(2), b, cb)
-	l.AtCallReserved(Time(1), a, cb)
-	if err := l.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c := l.Counters()
-	if c.Scheduled != 2 || c.Fired != 2 || c.Recycled+uint64(len(l.nodes)) != 2 {
-		t.Fatalf("after the run: %+v, want 2 scheduled, 2 fired, recycled+arena = 2", c)
-	}
-}
-
-// TestCountersWhenReservedSeqsAreRearmedOrAbandoned: a link stops its
-// pending arrival and arms it again under the same seq when a mutator moves
-// the frame, and never arms the seq of a frame that was dropped in the
-// queue. Scheduled counts seqs, not armings; Recycled counts what the free
-// list served, so neither a second arming nor a missing one skews it.
-func TestCountersWhenReservedSeqsAreRearmedOrAbandoned(t *testing.T) {
-	l := NewLoop()
-	cb := &countCall{}
-	moved := l.ReserveSeq()
-	l.ReserveSeq() // abandoned: never armed
-	plain := l.ReserveSeq()
-	tm := l.AtCallReserved(Time(10), moved, cb)
-	l.AtCallReserved(Time(20), plain, cb)
-	var order []Time
-	l.At(Time(5), func() { order = append(order, l.Now()) })
-	if !tm.Stop() {
-		t.Fatal("armed reserved event not pending")
-	}
-	// Re-armed at the instant of an event scheduled later: the reserved seq
-	// is older, so it still runs first.
-	tm = l.AtCallReserved(Time(5), moved, cb)
-	if c := l.Counters(); c.Scheduled != 4 || len(l.nodes) != 3 || c.Recycled != 1 {
-		t.Fatalf("after the re-arm: %+v, want 4 scheduled, 3 arena nodes, 1 recycled", c)
-	}
-	if err := l.RunUntil(Time(5)); err != nil {
-		t.Fatal(err)
-	}
-	if cb.n != 1 || len(order) != 1 || tm.Pending() {
-		t.Fatalf("at t=5: reserved event ran %d times, the later-scheduled event %d; want 1 and 1", cb.n, len(order))
+	var log []string
+	call := func(name string) *nameCall { return &nameCall{log: &log, name: name} }
+	r3 := l.AtRanked(Time(1), 3, call("r3"))
+	l.AtCall(Time(2), call("t1"))
+	r4 := l.AtRanked(Time(1), 4, call("r4"))
+	r3.Stop()
+	l.AtRanked(Time(2), 3, call("r3 moved"))
+	l.Rearm(r4, 2, call("r4 as a timer"))
+	l.AtRanked(Time(2), 8, call("r8"))
+	if leaf := l.tree[len(l.tree)/2+int(r4.id)]; leaf.packed>>idBits != timerClass|(l.seq-2) {
+		t.Fatalf("re-armed ranked event's leaf holds order %#x, want the timer seq %d", leaf.packed>>idBits, l.seq-2)
 	}
 	if err := l.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c := l.Counters()
-	if c.Scheduled != 4 || c.Fired != 3 || len(l.nodes) != 3 || c.Recycled != 1 || l.Len() != 0 {
-		t.Fatalf("after the run: %+v, want 4 scheduled, 3 fired (one seq abandoned), 3 arena nodes, 1 recycled", c)
+	if want := []string{"r3 moved", "r8", "t1", "r4 as a timer"}; !slices.Equal(log, want) {
+		t.Fatalf("execution order %v, want %v", log, want)
 	}
 }

@@ -1,6 +1,6 @@
 // Package sim provides a deterministic discrete-event simulation kernel:
-// a virtual clock, an event loop ordered by (time, scheduling sequence),
-// cancellable timers and a seeded random source.
+// a virtual clock, an event loop ordered by time and, within an instant, by
+// rank or scheduling sequence, cancellable timers and a seeded random source.
 //
 // The kernel is single-threaded by design. All model code (links, TCP
 // stacks, applications) runs inside event callbacks on one goroutine, so no
@@ -15,7 +15,7 @@
 // stale handle to a recycled node is a safe no-op.
 //
 // The pending queue is a winner tree keyed by node id: a node's leaf holds
-// its event's (at, seq) key while it is pending and an idle key otherwise,
+// its event's (at, order) key while it is pending and an idle key otherwise,
 // and each inner node holds the lesser of its children, so the root is the
 // next event. Every operation writes one leaf and replays its path to the
 // root, up to the first level whose winner does not change: a schedule
@@ -24,19 +24,16 @@
 // schedule re-keys that leaf or the callback returns and idles it: one
 // replay per event, not a pop and a push. Nothing runs ahead of its turn.
 //
-// Ordering contract: events run in strictly increasing (at, seq) order,
-// where seq is the scheduling sequence number the kernel issued — at
-// Schedule/At/ScheduleCall/AtCall time, or earlier through ReserveSeq for an
-// event armed later with AtCallReserved. A reserved event runs exactly where
-// a schedule call made at reservation time would have put it: armed at the
-// current instant with a seq older than other events pending for that
-// instant, it is simply the tree's winner. This is what lets a producer of
-// FIFO-ordered events keep one pending event instead of one per event: a
-// link reserves a frame's arrival seq when it admits the frame — among
-// same-instant events an arrival sorts by when its frame entered the link —
-// and keeps only its oldest frame's arrival pending. It stops that arrival
-// and arms it again under the same seq when a rate or delay change moves
-// it, and never arms the seq of a frame that dies in the queue.
+// Ordering contract: events run in strictly increasing (at, order) order.
+// AtRanked arms a ranked event under a rank its caller gives, and every
+// other schedule arms a timer, ordered by the seq the kernel issues then.
+// At one instant the ranked events run first, by rank, then the timers, in
+// arm order. The caller keeps at most one event pending per rank. Ranked
+// events go first because they are the network's deliveries: a link arms
+// its oldest frame's arrival under its link ID, so the arrivals of an
+// instant run in link order, whenever the engine reached each link, and a
+// timer due then — a timeout, a delayed ACK, a scripted link change — sees
+// every packet delivered by its deadline.
 package sim
 
 import (
@@ -101,29 +98,29 @@ type funcCallback func()
 // Run implements Callback.
 func (f funcCallback) Run(Time) { f() }
 
-// entry is one slot of the tree, 16 bytes: the full sort key — at, plus
-// the scheduling seq packed above the node id — so a replay compares within
-// the (pointer-free) tree instead of chasing node indices into the arena.
-// Entries compare by (at, seq) so that events scheduled earlier at the same
-// instant run first, which makes runs deterministic regardless of the
-// tree's shape.
+// entry is one slot of the tree, 16 bytes: the full sort key — at, then the
+// event's order packed above the node id — so a replay compares within the
+// (pointer-free) tree instead of chasing node indices into the arena.
 type entry struct {
 	at     Time
-	packed uint64 // seq<<idBits | id
+	packed uint64 // order<<idBits | id
 }
 
 // idle fills the leaves of nodes with no pending event. Keys compare at as
 // unsigned, and no event's at is negative, so idle sorts after every key.
 var idle = entry{at: -1, packed: math.MaxUint64}
 
-// idBits is the node-id width inside entry.packed: 16M pooled nodes and
-// 2^40 scheduled events per loop, both far beyond any simulation (alloc
-// enforces the limits). seq occupies the high bits, so for equal times
-// comparing packed compares seq — ids only differ when seqs do.
+// idBits is the node-id width inside entry.packed: 16M pooled nodes (alloc
+// enforces it). The 40 bits above hold the order, a class bit and then a
+// rank or a seq, so for equal times comparing packed compares orders.
 const idBits = 24
 
-func mkEntry(at Time, seq uint64, id int32) entry {
-	return entry{at: at, packed: seq<<idBits | uint64(id)}
+// timerClass is a timer's class bit: it sorts after every rank, and seqs
+// stay below it (nextSeq enforces that), 2^39 arms per loop.
+const timerClass = 1 << (63 - idBits)
+
+func mkEntry(at Time, order uint64, id int32) entry {
+	return entry{at: at, packed: order<<idBits | uint64(id)}
 }
 
 func (e entry) id() int32 { return int32(e.packed & (1<<idBits - 1)) }
@@ -140,11 +137,10 @@ type Timer struct {
 	gen  uint32
 }
 
-// live reports whether the handle still names the scheduled event: the
-// generation must match, i.e. the node was not recycled. The node recycles
-// (and bumps gen) exactly when its event fires or is stopped, so a
-// matching generation means the event is still pending.
-func (t Timer) live() bool {
+// Pending reports whether the timer's callback has not yet fired or been
+// stopped: whether the handle's generation is still its node's. The node
+// recycles (and bumps gen) exactly when its event fires or is stopped.
+func (t Timer) Pending() bool {
 	if t.loop == nil {
 		return false
 	}
@@ -155,7 +151,7 @@ func (t Timer) live() bool {
 // pending; it returns false if the callback already ran, the timer was
 // stopped, or the handle is the zero value. Stop idles the event's leaf.
 func (t Timer) Stop() bool {
-	if !t.live() {
+	if !t.Pending() {
 		return false
 	}
 	l := t.loop
@@ -165,15 +161,11 @@ func (t Timer) Stop() bool {
 	return true
 }
 
-// Pending reports whether the timer's callback has not yet fired or been
-// stopped.
-func (t Timer) Pending() bool { return t.live() }
-
 // Loop is a discrete-event loop. The zero value is not ready for use; call
 // NewLoop.
 type Loop struct {
 	now Time
-	seq uint64
+	seq uint64 // events armed so far, the next timer's seq
 	// recycled counts node allocations the free list served.
 	recycled uint64
 	// nodes is the pooled event arena; free lists the recycled indices.
@@ -246,10 +238,8 @@ func (l *Loop) SetEventLimit(n uint64) { l.limit = n }
 // there is no telemetry mode to switch on — and snapshotting allocates
 // nothing.
 type Counters struct {
-	// Scheduled counts scheduling seqs ever issued: events scheduled
-	// (including later-stopped timers) plus seqs reserved by ReserveSeq,
-	// however often AtCallReserved armed them — not yet, once, or again
-	// after a Stop. Fired counts events that executed.
+	// Scheduled counts events armed, ranked or timers, stopped or not.
+	// Fired counts events that executed.
 	Scheduled uint64
 	Fired     uint64
 	// Recycled counts allocations served by a recycled node instead of
@@ -353,9 +343,9 @@ func (l *Loop) keyHeld(e entry) {
 	}
 }
 
-// before orders entries by (at, seq): it returns all ones if x sorts before
-// y and zero otherwise, the borrow out of the 128-bit subtraction x - y of
-// the keys (at, packed). at is compared as unsigned, which puts idle last.
+// before orders entries by (at, order): all ones if x sorts before y, else
+// zero, the borrow out of the 128-bit subtraction x - y of the keys
+// (at, packed). at is compared as unsigned, which puts idle last.
 func before(x, y entry) uint64 {
 	_, borrow := bits.Sub64(x.packed, y.packed, 0)
 	_, borrow = bits.Sub64(uint64(x.at), uint64(y.at), borrow)
@@ -373,9 +363,6 @@ func lesser(x, y entry) entry {
 // Schedule runs fn after delay d of virtual time. A non-positive delay runs
 // fn as soon as the loop regains control, still in deterministic order.
 func (l *Loop) Schedule(d time.Duration, fn func()) Timer {
-	if d < 0 {
-		d = 0
-	}
 	return l.At(l.now.Add(d), fn)
 }
 
@@ -385,16 +372,13 @@ func (l *Loop) At(t Time, fn func()) Timer {
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
-	return l.schedule(t, l.nextSeq(), funcCallback(fn))
+	return l.schedule(t, timerClass|l.nextSeq(), funcCallback(fn))
 }
 
 // ScheduleCall runs cb.Run after delay d of virtual time. Unlike Schedule
 // it takes a pre-bound Callback, so a caller that embeds its callback
 // struct allocates nothing per event.
 func (l *Loop) ScheduleCall(d time.Duration, cb Callback) Timer {
-	if d < 0 {
-		d = 0
-	}
 	return l.AtCall(l.now.Add(d), cb)
 }
 
@@ -403,15 +387,27 @@ func (l *Loop) AtCall(t Time, cb Callback) Timer {
 	if cb == nil {
 		panic("sim: AtCall called with nil callback")
 	}
-	return l.schedule(t, l.nextSeq(), cb)
+	return l.schedule(t, timerClass|l.nextSeq(), cb)
+}
+
+// AtRanked runs cb.Run at time t, clamped like At, as a ranked event: at
+// its instant, after the ranked events of lower ranks and before every
+// timer. At most one event may be pending under a rank.
+func (l *Loop) AtRanked(t Time, rank uint32, cb Callback) Timer {
+	if cb == nil {
+		panic("sim: AtRanked called with nil callback")
+	}
+	l.nextSeq() // counted as an arm; the rank, not the seq, orders it
+	return l.schedule(t, uint64(rank), cb)
 }
 
 // Rearm is t.Stop() followed by ScheduleCall(d, cb), for t a timer of l or
 // the zero Timer. A pending t's own node and leaf take cb and the new key,
 // fresh seq included, in one replay: a timer re-armed on every ACK costs no
-// node recycle, and a far re-arm stops a level or two above its leaf.
+// node recycle, and a far re-arm stops a level or two above its leaf. The
+// event is a timer afterwards, whatever t was armed as.
 func (l *Loop) Rearm(t Timer, d time.Duration, cb Callback) Timer {
-	if !t.live() {
+	if !t.Pending() {
 		return l.ScheduleCall(d, cb)
 	}
 	if cb == nil {
@@ -420,44 +416,20 @@ func (l *Loop) Rearm(t Timer, d time.Duration, cb Callback) Timer {
 	nd := &l.nodes[t.id]
 	nd.gen++
 	nd.cb = cb
-	l.key(t.id, mkEntry(l.now.Add(max(d, 0)), l.nextSeq(), t.id))
+	l.key(t.id, mkEntry(l.now.Add(max(d, 0)), timerClass|l.nextSeq(), t.id))
 	return Timer{loop: l, id: t.id, gen: nd.gen}
 }
 
-// ReserveSeq issues the next scheduling seq without scheduling anything.
-// A caller that knows an event's place in the (at, seq) order before it
-// wants it pending — a link holds a FIFO of admitted frames and
-// keeps only the oldest one's arrival pending — reserves the seq at the
-// moment it would have scheduled, and arms it later with AtCallReserved, or
-// never; the event then runs exactly where a Schedule call at reservation
-// time would have put it.
-func (l *Loop) ReserveSeq() uint64 { return l.nextSeq() }
-
-// AtCallReserved runs cb.Run at time t under seq, which ReserveSeq issued
-// and no pending event holds: a seq is armed again only after its event was
-// stopped. t may equal the current instant, in which case the event runs
-// before every pending same-instant event with a later seq — next, if seq
-// is older than the executing event's.
-func (l *Loop) AtCallReserved(t Time, seq uint64, cb Callback) Timer {
-	if cb == nil {
-		panic("sim: AtCallReserved called with nil callback")
-	}
-	if seq >= l.seq {
-		panic("sim: AtCallReserved called with a seq ReserveSeq never issued")
-	}
-	return l.schedule(t, seq, cb)
-}
-
-// nextSeq issues a scheduling seq.
+// nextSeq counts an arm and returns the count before it, a timer's seq.
 func (l *Loop) nextSeq() uint64 {
-	if l.seq >= 1<<(64-idBits) {
+	if l.seq >= timerClass {
 		panic("sim: scheduling sequence overflow")
 	}
 	l.seq++
 	return l.seq - 1
 }
 
-func (l *Loop) schedule(t Time, seq uint64, cb Callback) Timer {
+func (l *Loop) schedule(t Time, order uint64, cb Callback) Timer {
 	if t < l.now {
 		t = l.now
 	}
@@ -467,14 +439,14 @@ func (l *Loop) schedule(t Time, seq uint64, cb Callback) Timer {
 		// node and leaf, and one replay replaces the pop and the push.
 		l.recycled++
 		l.nodes[id].cb = cb
-		l.keyHeld(mkEntry(t, seq, id))
+		l.keyHeld(mkEntry(t, order, id))
 		l.held = -1
 	} else {
 		id = l.alloc(cb)
 		if l.pending++; l.pending > l.peak {
 			l.peak = l.pending
 		}
-		l.key(id, mkEntry(t, seq, id))
+		l.key(id, mkEntry(t, order, id))
 	}
 	return Timer{loop: l, id: id, gen: l.nodes[id].gen}
 }
