@@ -1,6 +1,9 @@
 package mptcpsim
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -85,11 +88,44 @@ func (r *SweepResult) WriteGroupsCSV(w io.Writer) error {
 }
 
 // WriteJSON emits the whole result (runs, groups, overall gap) as indented
-// JSON.
+// JSON, json.MarshalIndent's bytes, encoding one run, group or aggregate at
+// a time. An encoding error can leave the output cut short.
 func (r *SweepResult) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	bw := bufio.NewWriter(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var err error
+	// put writes text, then v with its inner lines indented by prefix.
+	put := func(text, prefix string, v any) {
+		buf.Reset()
+		enc.SetIndent(prefix, "  ")
+		err = cmp.Or(err, enc.Encode(v))
+		bw.WriteString(text)
+		bw.Write(bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+	}
+	// array writes text, then an array element by element, or an empty one
+	// as the encoder does, [] or null.
+	array := func(text string, n int, elem func(int) any, all any) {
+		if n == 0 {
+			put(text, "  ", all)
+			return
+		}
+		bw.WriteString(text)
+		sep := "["
+		for i := range n {
+			put(sep+"\n    ", "    ", elem(i))
+			sep = ","
+		}
+		bw.WriteString("\n  ]")
+	}
+	array("{\n  \"runs\": ", len(r.Runs), func(i int) any { return &r.Runs[i] }, r.Runs)
+	array(",\n  \"groups\": ", len(r.Groups), func(i int) any { return &r.Groups[i] }, r.Groups)
+	put(",\n  \"gap\": ", "  ", &r.Gap)
+	if r.Telemetry != nil {
+		put(",\n  \"telemetry\": ", "  ", r.Telemetry)
+	}
+	bw.WriteString("\n}\n")
+	return cmp.Or(err, bw.Flush())
 }
 
 // Report renders a human-readable aggregate table, groups sorted as

@@ -3,6 +3,7 @@ package mptcpsim
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"mptcpsim/internal/lp"
+	"mptcpsim/internal/telemetry"
 )
 
 func TestGridExpandOrder(t *testing.T) {
@@ -560,6 +562,35 @@ func handoverEvents() []ScenarioEvent {
 	return []ScenarioEvent{
 		{AtMs: 100, Type: EventLinkDown, A: "s", B: "v1"},
 		{AtMs: 150, Type: EventLinkUp, A: "s", B: "v1"},
+	}
+}
+
+// TestWriteJSONMatchesMarshalIndent: WriteJSON writes one element at a
+// time the bytes of json.MarshalIndent over the whole result — nil and
+// empty arrays, HTML-escaped strings and the optional telemetry included.
+func TestWriteJSONMatchesMarshalIndent(t *testing.T) {
+	res, err := (&Sweep{}).Run(&Grid{CCs: []string{"cubic", "olia"}, Seeds: []int64{1, 2}, DurationMs: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := *res
+	odd.Runs = append([]RunSummary{{Scenario: "<a&b>", Err: "x > y"}}, res.Runs...)
+	odd.Telemetry = &telemetry.Rollup{Runs: 4, EventsFired: 9}
+	for name, r := range map[string]*SweepResult{
+		"sweep": res, "odd": &odd, "zero": {},
+		"empty": {Runs: []RunSummary{}, Groups: []GroupStats{}},
+	} {
+		var got bytes.Buffer
+		if err := r.WriteJSON(&got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.MarshalIndent(r, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = append(want, '\n'); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: WriteJSON wrote\n%s\nwant\n%s", name, got.Bytes(), want)
+		}
 	}
 }
 
