@@ -164,7 +164,9 @@ type fuseState struct {
 	fired       uint64
 }
 
-func runFuseNet(t *testing.T, ft *fuseTopo, script []action, seed int64, horizon sim.Time, fuse bool) fuseState {
+// runFuseNet runs script on ft, fused or not; attach adds taps before the
+// first packet.
+func runFuseNet(t *testing.T, ft *fuseTopo, script []action, seed int64, horizon sim.Time, fuse bool, attach ...func(*Network)) fuseState {
 	t.Helper()
 	loop := sim.NewLoop()
 	tt := route.NewTagTable(ft.g)
@@ -188,6 +190,9 @@ func runFuseNet(t *testing.T, ft *fuseTopo, script []action, seed int64, horizon
 	net.Link(ft.lossy).SetLoss(0.1, sim.NewRand(seed))
 	tr := &hopTrace{loop: loop, tx: make([][]hopRec, ft.g.NumLinks()), arr: make([][]hopRec, ft.g.NumLinks()), dead: map[uint64]bool{}}
 	net.AttachTap(tr)
+	for _, f := range attach {
+		f(net)
+	}
 	st := fuseState{trace: tr}
 	if fuse {
 		st.fused = net.Fuse(horizon, ft.mutated)

@@ -375,7 +375,8 @@ func (l *Link) admit(pkt *packet.Packet, now sim.Time) {
 
 // handOn delivers the frame just queued to the far node as of its arrival
 // time at, which forwards it onto next: the taps see the departures up to
-// it and its arrival now, and next admits it as of at. After this the
+// it and its arrival now, the packet spends a TTL and takes its route's
+// next link, and next admits it as of at. After this the
 // packet may die anywhere downstream before the frame settles here, so
 // settle must not read it again: with transmit taps attached the frame's
 // departure is reported now, in FIFO order with the frames ahead of it.
@@ -393,6 +394,7 @@ func (l *Link) handOn(pkt *packet.Packet, at sim.Time, next *Link) {
 	}
 	l.net.tapArrive(l, pkt, at)
 	pkt.IP.TTL--
+	pkt.Hop++
 	next.admit(pkt, at)
 }
 

@@ -3,6 +3,10 @@
 // every node as a forwarding engine with a local transport demultiplexer,
 // and routes packets with a route.TagTable.
 //
+// Routes are static, so the first Send from a node for a destination and
+// tag resolves its route into links ended by nil; Packet.Hop indexes them,
+// no hop reads the table, and drops fall where they did hop by hop.
+//
 // It replaces the paper's Mininet substrate. The model is the standard
 // output-queued router: a packet arriving at a node is either delivered to
 // a registered local handler (host) or forwarded; forwarding enqueues it at
@@ -35,16 +39,17 @@
 // Fused hops. When every packet a link L carries reaches L's near node over
 // one link U, the feeder, L's admissions happen in U's FIFO order at times U
 // committed. Network.Fuse finds such links, and from then on U hands a frame
-// on when it admits it: the far node's TTL check and route lookup run then,
-// and L admits the packet as of the frame's arrival time — its loss draw,
-// drop-tail check and committed schedule — with no arrival event at the node
-// between them. Chains compose, so a packet costs one event per node where
-// links meet (or where it is delivered), not one per link. Every virtual
-// time, queue state, drop and same-instant order is the per-hop model's.
-// Links a run mutates, links with an AQM, and hops arriving after the run's
-// horizon stay per-hop; the mutators panic on a fused link or its feeder. A
-// fused link is settled as of its last admission, which can lie ahead of the
-// clock: read mid-run, its counters and queue are those of that instant.
+// on when it admits it: the far node's TTL check and the read of the
+// packet's next link run then, and L admits the packet as of the frame's
+// arrival time — its loss draw, drop-tail check and committed schedule —
+// with no arrival event at the node between them. Chains compose, so a
+// packet costs one event per node where links meet (or where it is
+// delivered), not one per link. Every virtual time, queue state, drop and
+// same-instant order is the per-hop model's. Links a run mutates, links with
+// an AQM, and hops arriving after the run's horizon stay per-hop; the
+// mutators panic on a fused link or its feeder. A fused link is settled as
+// of its last admission, which can lie ahead of the clock: read mid-run, its
+// counters and queue are those of that instant.
 //
 // Taps observe transmissions, deliveries and drops; the capture package
 // builds its tshark equivalent on top of them.
@@ -55,6 +60,7 @@ import (
 	"slices"
 	"time"
 
+	"mptcpsim/internal/fifo"
 	"mptcpsim/internal/packet"
 	"mptcpsim/internal/route"
 	"mptcpsim/internal/sim"
@@ -203,7 +209,19 @@ type Network struct {
 	// Packets drawn from it are returned at their terminal event: after
 	// the local handler consumed a delivery, or after the drop taps ran.
 	arena packet.Arena
+
+	// hops holds each resolved route as a run of links ended by nil (no
+	// next link); routes finds a run by its origin, dst and tag.
+	hops   []*Link
+	routes []resolved
 }
+
+// resolved is where the route of an (origin, dst, tag) key starts in hops.
+type resolved struct{ key, hop uint64 }
+
+// hopBufs and routeBufs keep released networks' routes for new ones.
+var hopBufs fifo.Pool[*Link]
+var routeBufs fifo.Pool[resolved]
 
 // addrBase (10.0.0.0) precedes the first address AssignAddr hands out.
 const addrBase packet.Addr = 10 << 24
@@ -213,7 +231,7 @@ func New(l *sim.Loop, g *topo.Graph, r *route.TagTable) (*Network, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	n := &Network{Loop: l, Graph: g, Router: r, lastAddr: addrBase}
+	n := &Network{Loop: l, Graph: g, Router: r, lastAddr: addrBase, hops: hopBufs.Get(0), routes: routeBufs.Get(0)}
 	n.nodes = make([]*Node, g.NumNodes())
 	for _, nd := range g.Nodes() {
 		n.nodes[nd.ID] = &Node{net: n, ID: nd.ID, Name: nd.Name}
@@ -302,13 +320,40 @@ func (n *Network) AddrOf(node topo.NodeID) (packet.Addr, bool) {
 // after Send returns.
 func (n *Network) Arena() *packet.Arena { return &n.arena }
 
-// Release hands the packet slabs and the links' frame queues on to later
-// networks; n may not be used again.
+// Release hands the packet slabs, the links' frame queues and the
+// resolved routes' storage on to later networks; n may not be used again.
 func (n *Network) Release() {
 	for _, l := range n.links {
 		frameBufs.Put(l.frames.Detach())
 	}
+	hopBufs.Put(n.hops)
+	routeBufs.Put(n.routes)
 	n.arena.Release()
+}
+
+// route returns where pkt's route from nd starts in hops, resolving it on
+// its first send by walking the table, which then refuses new paths.
+func (n *Network) route(nd *Node, pkt *packet.Packet) uint32 {
+	key := uint64(nd.ID)<<40 | uint64(pkt.IP.Dst)<<8 | uint64(pkt.IP.Tag)
+	for _, r := range n.routes {
+		if r.key == key {
+			return uint32(r.hop)
+		}
+	}
+	n.Router.Freeze()
+	start := uint32(len(n.hops))
+	// 256 links end a cyclic table's route; TTL, a byte, ends its packets.
+	for at, i := nd.ID, 0; i < 256; i++ {
+		lid, err := n.Router.NextLink(at, pkt)
+		if err != nil {
+			break
+		}
+		n.hops = append(n.hops, n.links[lid])
+		at = n.links[lid].Spec.To
+	}
+	n.hops = append(n.hops, nil)
+	n.routes = append(n.routes, resolved{key, uint64(start)})
+	return start
 }
 
 // Node returns the runtime node for an ID.
@@ -391,36 +436,39 @@ func (nd *Node) Unregister(port packet.Port) {
 }
 
 // Send originates pkt at this node: it stamps the packet's UID and TTL,
-// then forwards it. Transport stacks call Send; forwarding between
-// routers uses receive internally.
+// points its Hop at its route from here, and forwards it. Transport stacks
+// call Send, also to send a delivered packet again; routers use receive.
 func (nd *Node) Send(pkt *packet.Packet) {
 	nd.net.nextUID++
 	pkt.UID = nd.net.nextUID
 	if pkt.IP.TTL == 0 {
 		pkt.IP.TTL = packet.DefaultTTL
 	}
+	pkt.Hop = nd.net.route(nd, pkt)
 	nd.net.tapSend(nd, pkt)
 	nd.receive(pkt)
 }
 
 // receive handles a packet arriving at (or originating from) this node.
+// The next link is the one at the packet's Hop; the table is not read.
 func (nd *Node) receive(pkt *packet.Packet) {
 	if pkt.IP.Dst == nd.addr && nd.addr != 0 {
 		nd.deliver(pkt)
 		return
 	}
-	// Transit: decrement TTL, route, enqueue.
+	// Transit: decrement TTL, take the route's next link, enqueue.
 	if pkt.IP.TTL == 0 {
 		nd.net.tapDrop(nd.Name, pkt, DropTTL, nd.net.Loop.Now())
 		return
 	}
 	pkt.IP.TTL--
-	lid, err := nd.net.Router.NextLink(nd.ID, pkt)
-	if err != nil {
+	l := nd.net.hops[pkt.Hop]
+	if l == nil {
 		nd.net.tapDrop(nd.Name, pkt, DropNoRoute, nd.net.Loop.Now())
 		return
 	}
-	nd.net.links[lid].enqueue(pkt)
+	pkt.Hop++
+	l.enqueue(pkt)
 }
 
 // fusedNext returns the fused link a packet arriving at nd would be
@@ -430,11 +478,7 @@ func (nd *Node) fusedNext(pkt *packet.Packet) *Link {
 	if pkt.IP.Dst == nd.addr && nd.addr != 0 || pkt.IP.TTL == 0 {
 		return nil
 	}
-	lid, err := nd.net.Router.NextLink(nd.ID, pkt)
-	if err != nil {
-		return nil
-	}
-	if l := nd.net.links[lid]; l.fused {
+	if l := nd.net.hops[pkt.Hop]; l != nil && l.fused {
 		return l
 	}
 	return nil

@@ -122,6 +122,9 @@ type Packet struct {
 	// wire caches Size: packets are immutable once sent, and the engine
 	// asks for the size at every queue and serialisation step.
 	wire int32
+	// Hop indexes the next link of the packet's route among the links its
+	// network resolved; netem sets it at Send and advances it per link.
+	Hop uint32
 }
 
 // Size returns the on-wire size of the packet in bytes. The first call

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAddrString(t *testing.T) {
@@ -280,7 +281,13 @@ func TestQuickDSSRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPacketSize pins the wire size of a data segment and a bare ACK, and
+// the record at 72 bytes: Hop sits in what was tail padding after wire, and
+// packet slabs and every frame's packet load stay the size they were.
 func TestPacketSize(t *testing.T) {
+	if n := unsafe.Sizeof(Packet{}); n > 72 {
+		t.Errorf("Packet is %d bytes, want <= 72", n)
+	}
 	p := mkDataPacket(1, 0, 1460)
 	// IP 20 + TCP 20 + DSS(4+8+8+4+2=26 padded to 28) + payload.
 	want := 20 + 20 + 28 + 1460

@@ -3,6 +3,8 @@
 // mechanism the paper uses to pin each MPTCP subflow to a preselected path
 // ("packets with the same tag are always routed along the same path towards
 // the destination"). A lookup indexes; unknown tags fail closed.
+// NextLink resolves routes: a network walks it once per route, not per hop,
+// and freezes the table, which then refuses AddPath.
 package route
 
 import (
@@ -52,6 +54,7 @@ type TagTable struct {
 	// feeder is indexed by link: the link every installed path taking it
 	// arrived over, or noLink, origin or manyFeeders.
 	feeder []topo.LinkID
+	frozen bool // AddPath is refused (Freeze)
 }
 
 // NewTagTable returns an empty tag-routing table over graph g.
@@ -91,6 +94,9 @@ func (t *TagTable) lookup(n topo.NodeID, dst packet.Addr, tag packet.Tag) topo.L
 // installed (two different paths for the same (dst, tag) diverging at a
 // node), which is exactly the determinism the tagging scheme promises.
 func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
+	if t.frozen {
+		return fmt.Errorf("route: AddPath after a network resolved routes from the table")
+	}
 	if !p.Valid(t.g) {
 		return fmt.Errorf("route: AddPath: invalid path")
 	}
@@ -117,6 +123,10 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 	}
 	return nil
 }
+
+// Freeze makes every later AddPath fail, leaving the table unchanged: a
+// network resolving routes calls it, as its packets would miss a new path.
+func (t *TagTable) Freeze() { t.frozen = true }
 
 // index returns node n's next hops towards dst, added if need be and grown
 // to hold tag.

@@ -10,6 +10,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -97,43 +98,52 @@ func (k *refKernel) pending() int {
 // checkTree walks the whole tree, a held leaf included: every inner node is
 // the lesser of its children; a pending or held node's leaf holds its key, a
 // free node's leaf (or a leaf past the arena) is idle; and pending counts the
-// leaves that are not idle.
+// leaves that are not idle. The fuzz target runs it around every handler,
+// so it allocates only a bitset of the free ids and marks itself a helper
+// only when it fails.
 func checkTree(t *testing.T, l *Loop) {
-	t.Helper()
+	if err := treeErr(l); err != "" {
+		t.Helper()
+		t.Fatal(err)
+	}
+}
+
+func treeErr(l *Loop) string {
 	k := len(l.tree) / 2
 	if k&(k-1) != 0 || k < len(l.nodes) {
-		t.Fatalf("tree has %d leaves for an arena of %d nodes, want a power of two covering it", k, len(l.nodes))
+		return fmt.Sprintf("tree has %d leaves for an arena of %d nodes, want a power of two covering it", k, len(l.nodes))
 	}
 	for i := 1; i < k; i++ {
 		if l.tree[i] != lesser(l.tree[2*i], l.tree[2*i+1]) {
-			t.Fatalf("tree node %d is not the lesser of its children", i)
+			return fmt.Sprintf("tree node %d is not the lesser of its children", i)
 		}
 	}
-	free := make(map[int32]bool, len(l.free))
+	free := make([]uint64, (k+63)/64)
 	for _, id := range l.free {
-		free[id] = true
+		free[id/64] |= 1 << (id % 64)
 	}
 	n := 0
 	for id := range int32(k) {
 		switch leaf := l.tree[k+int(id)]; {
-		case int(id) >= len(l.nodes) || free[id]:
+		case int(id) >= len(l.nodes) || free[id/64]&(1<<(id%64)) != 0:
 			if leaf != idle {
-				t.Fatalf("free node %d's leaf holds a key", id)
+				return fmt.Sprintf("free node %d's leaf holds a key", id)
 			}
 			if int(id) < len(l.nodes) && l.nodes[id].cb != nil {
-				t.Fatalf("free node %d holds a callback", id)
+				return fmt.Sprintf("free node %d holds a callback", id)
 			}
 		case leaf == idle || leaf.id() != id:
-			t.Fatalf("pending node %d's leaf holds %+v, not its key", id, leaf)
+			return fmt.Sprintf("pending node %d's leaf holds %+v, not its key", id, leaf)
 		case (id == l.held) != (l.nodes[id].cb == nil):
-			t.Fatalf("node %d: held=%v but callback nil=%v", id, id == l.held, l.nodes[id].cb == nil)
+			return fmt.Sprintf("node %d: held=%v but callback nil=%v", id, id == l.held, l.nodes[id].cb == nil)
 		default:
 			n++
 		}
 	}
 	if n != l.pending {
-		t.Fatalf("pending = %d, but %d leaves hold a key", l.pending, n)
+		return fmt.Sprintf("pending = %d, but %d leaves hold a key", l.pending, n)
 	}
+	return ""
 }
 
 // fired is one observed execution, comparable across kernels.

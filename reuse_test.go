@@ -79,11 +79,12 @@ func (h *hashes) Accept(done, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result
 func (*hashes) Flush() error { return nil }
 func (*hashes) Close() error { return nil }
 
-// TestRunStorageReuseIsInvisible: a run's packet slabs, link queues, TCP
-// scoreboards and out-of-order queues, reassembly blocks, random streams and
-// event loop arena and tree go to the next run, and nothing of that may
-// show. One goroutine runs the first 16 golden-corpus scenarios forward,
-// then in reverse, then reuseTail's wide, paper and wide runs, so storage
+// TestRunStorageReuseIsInvisible: a run's packet slabs, link queues,
+// resolved routes (each packet's Hop indexes them), TCP scoreboards and
+// out-of-order queues, reassembly blocks, random streams and event loop
+// arena and tree go to the next run, and nothing of that may show. One
+// goroutine runs the first 16 golden-corpus scenarios forward, then in
+// reverse, then reuseTail's wide, paper and wide runs, so storage
 // grown by small topologies reaches large ones and back, and the loop's
 // arena and tree go from a large pending set to a small one and back. Every hash must be its golden, or
 // what a fresh process computes; the first run's Result must not change
