@@ -216,7 +216,8 @@ type Network struct {
 	routes []resolved
 }
 
-// resolved is where the route of an (origin, dst, tag) key starts in hops.
+// resolved is where the route of a key, origin ID (< 2^24) | dst | tag,
+// starts in hops.
 type resolved struct{ key, hop uint64 }
 
 // hopBufs and routeBufs keep released networks' routes for new ones.
