@@ -198,11 +198,11 @@ func BenchmarkFairnessSharedBottleneck(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				m := res.Paths[0].Mean(2*time.Second, 10*time.Second) +
-					res.Paths[1].Mean(2*time.Second, 10*time.Second)
-				c := res.Cross[0].Mean(2*time.Second, 10*time.Second)
+				m1, _, _, _ := res.Paths[0].Stats(2*time.Second, 10*time.Second)
+				m2, _, _, _ := res.Paths[1].Stats(2*time.Second, 10*time.Second)
+				c, _, _, _ := res.Cross[0].Stats(2*time.Second, 10*time.Second)
 				if c > 0 {
-					ratio += m / c
+					ratio += (m1 + m2) / c
 				}
 			}
 			b.ReportMetric(ratio/float64(b.N), "mptcp/tcp")

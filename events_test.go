@@ -191,8 +191,8 @@ func TestLossBurstDegradesWindow(t *testing.T) {
 	// Path 3 (the only user of s-v2) suffers during the burst window and
 	// recovers after.
 	p3 := res.Paths[2]
-	during := p3.Mean(time.Second, 1500*time.Millisecond)
-	after := p3.Mean(2*time.Second, 3*time.Second)
+	during, _, _, _ := p3.Stats(time.Second, 1500*time.Millisecond)
+	after, _, _, _ := p3.Stats(2*time.Second, 3*time.Second)
 	if during >= after {
 		t.Fatalf("burst did not dent path 3: during=%.1f after=%.1f", during, after)
 	}

@@ -403,13 +403,13 @@ func (pre *prepared) simulateFused(opts Options, fuse func(*netem.Network, sim.T
 	for i, pnum := range opts.CrossTCP {
 		s := sniff.Series(packet.Tag(crossTagBase+i),
 			fmt.Sprintf("TCP on %s", nw.pathNames[pnum-1]), opts.Duration)
-		res.Cross = append(res.Cross, fromTrace(s))
+		res.Cross = append(res.Cross, *s)
 	}
 	res.Paths = make([]Series, len(pathSeries))
 	for i, s := range pathSeries {
-		res.Paths[i] = fromTrace(s)
+		res.Paths[i] = *s
 	}
-	res.Total = fromTrace(total)
+	res.Total = *total
 	res.Options = opts
 
 	// Subflow and link accounting.

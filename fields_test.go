@@ -135,7 +135,6 @@ var funcAllow = map[string]string{
 
 	"tcp.Conn.State":           "test observation point: the handshake and close tests read the connection state",
 	"telemetry.Recorder.Total": "test observation point: the recorder tests count the events it saw, retained or not",
-	"mptcpsim.Series.Mean":     "test observation point: the fairness and event tests read a path's mean over a window",
 
 	"mptcpsim.ResetBaselineCache": "pinned by bench/: bench/main.go empties the LP cache between passes",
 	"lp.BaselineCacheSize":        "pinned by bench/: bench/ counts the LP problems a workload solved",

@@ -94,14 +94,14 @@ func (s *Sniffer) Records() []Record { return s.records }
 // Mbps, padded to the run length.
 func (s *Sniffer) Series(tag packet.Tag, name string, until time.Duration) *trace.Series {
 	nBins := int(until / s.step)
-	out := &trace.Series{Name: name, Step: s.step, V: make([]float64, nBins)}
+	out := &trace.Series{Name: name, Step: s.step, Mbps: make([]float64, nBins)}
 	var b []float64
 	if int(tag) < len(s.bins) {
 		b = s.bins[tag]
 	}
 	scale := 8 / s.step.Seconds() / 1e6 // bytes/bin -> Mbps
 	for i := 0; i < nBins && i < len(b); i++ {
-		out.V[i] = b[i] * scale
+		out.Mbps[i] = b[i] * scale
 	}
 	return out
 }

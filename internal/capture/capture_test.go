@@ -82,13 +82,13 @@ func TestSnifferBinsByTag(t *testing.T) {
 	s1 := sn.Series(1, "tag1", 300*time.Millisecond)
 	s2 := sn.Series(2, "tag2", 300*time.Millisecond)
 	// 10 * 1000B in a 100ms bin = 0.8 Mbps... wait: 10*1000*8 / 0.1s = 800 kbps.
-	if got := s1.V[0]; got < 0.79 || got > 0.81 {
+	if got := s1.Mbps[0]; got < 0.79 || got > 0.81 {
 		t.Fatalf("tag1 bin0 = %v Mbps, want 0.8", got)
 	}
-	if s1.V[1] != 0 || s1.V[2] != 0 {
-		t.Fatalf("tag1 spill: %v", s1.V)
+	if s1.Mbps[1] != 0 || s1.Mbps[2] != 0 {
+		t.Fatalf("tag1 spill: %v", s1.Mbps)
 	}
-	if got := s2.V[1]; got < 0.39 || got > 0.41 {
+	if got := s2.Mbps[1]; got < 0.39 || got > 0.41 {
 		t.Fatalf("tag2 bin1 = %v Mbps, want 0.4", got)
 	}
 	if sn.Packets() != 15 {

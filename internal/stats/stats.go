@@ -91,7 +91,7 @@ func EpochWindow(from, to, step time.Duration) (time.Duration, time.Duration) {
 // ConvergenceTime returns the first time at which the series enters the
 // band [target*(1-tol), inf) and stays there for the hold duration.
 func ConvergenceTime(s *trace.Series, target, tol float64, hold time.Duration) (time.Duration, bool) {
-	if s.Step <= 0 || len(s.V) == 0 {
+	if s.Step <= 0 || len(s.Mbps) == 0 {
 		return 0, false
 	}
 	need := int(hold / s.Step)
@@ -100,7 +100,7 @@ func ConvergenceTime(s *trace.Series, target, tol float64, hold time.Duration) (
 	}
 	floor := target * (1 - tol)
 	run := 0
-	for i, v := range s.V {
+	for i, v := range s.Mbps {
 		if v >= floor {
 			run++
 			if run >= need {

@@ -10,7 +10,7 @@ import (
 )
 
 func mk(step time.Duration, v ...float64) *trace.Series {
-	return &trace.Series{Name: "s", Step: step, V: v}
+	return &trace.Series{Name: "s", Step: step, Mbps: v}
 }
 
 func TestConvergenceTime(t *testing.T) {
@@ -76,13 +76,13 @@ func TestSummarize(t *testing.T) {
 		if i < 10 {
 			v = float64(i) * 9
 		}
-		total.V = append(total.V, v)
+		total.Mbps = append(total.Mbps, v)
 	}
 	p1 := mk(100 * time.Millisecond)
 	p2 := mk(100 * time.Millisecond)
 	for i := 0; i < 40; i++ {
-		p1.V = append(p1.V, 30)
-		p2.V = append(p2.V, 60)
+		p1.Mbps = append(p1.Mbps, 30)
+		p2.Mbps = append(p2.Mbps, 60)
 	}
 	s := Summarize("cubic", total, []*trace.Series{p1, p2}, 90, 60, 0.05, 500*time.Millisecond)
 	if s.Algorithm != "cubic" {
@@ -122,7 +122,7 @@ func TestQuickConvergenceMonotoneInTol(t *testing.T) {
 		}
 		s := mk(time.Second)
 		for _, r := range raw {
-			s.V = append(s.V, float64(r))
+			s.Mbps = append(s.Mbps, float64(r))
 		}
 		tight, okT := ConvergenceTime(s, 200, 0.1, 2*time.Second)
 		loose, okL := ConvergenceTime(s, 200, 0.5, 2*time.Second)
@@ -191,9 +191,9 @@ func TestSummarizeEpoch(t *testing.T) {
 	s := &trace.Series{Name: "Total", Step: 100 * time.Millisecond}
 	for i := 0; i < 20; i++ {
 		if i < 10 {
-			s.V = append(s.V, 50)
+			s.Mbps = append(s.Mbps, 50)
 		} else {
-			s.V = append(s.V, 10)
+			s.Mbps = append(s.Mbps, 10)
 		}
 	}
 	pre := SummarizeEpoch(s, nil, 0, time.Second, 60, 0.08, 300*time.Millisecond)
@@ -215,7 +215,7 @@ func TestSummarizeEpoch(t *testing.T) {
 	}
 	// Convergence is judged on the clipped window: the pre-epoch plateau
 	// cannot satisfy the post epoch, and per-path means are clipped too.
-	p := &trace.Series{Name: "p", Step: 100 * time.Millisecond, V: s.V}
+	p := &trace.Series{Name: "p", Step: 100 * time.Millisecond, Mbps: s.Mbps}
 	withPath := SummarizeEpoch(s, []*trace.Series{p}, time.Second, 2*time.Second, 10, 0.08, 300*time.Millisecond)
 	if len(withPath.PathMeans) != 1 || withPath.PathMeans[0] != 10 {
 		t.Fatalf("path means = %v", withPath.PathMeans)
@@ -233,9 +233,9 @@ func TestSummarizeEpochSubBinFallback(t *testing.T) {
 	// covering bin instead of reporting 0 Mbps / 100% gap.
 	s := &trace.Series{Name: "Total", Step: 100 * time.Millisecond}
 	for i := 0; i < 10; i++ {
-		s.V = append(s.V, 42)
+		s.Mbps = append(s.Mbps, 42)
 	}
-	p := &trace.Series{Name: "p", Step: 100 * time.Millisecond, V: s.V}
+	p := &trace.Series{Name: "p", Step: 100 * time.Millisecond, Mbps: s.Mbps}
 	e := SummarizeEpoch(s, []*trace.Series{p}, 200*time.Millisecond, 250*time.Millisecond, 60, 0.08, 300*time.Millisecond)
 	if e.TotalMean != 42 {
 		t.Fatalf("sub-bin epoch mean = %v, want 42 (covering bin)", e.TotalMean)

@@ -34,7 +34,7 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 	// The y axis scales to the largest sample.
 	var ymax, tmaxSec float64
 	for _, s := range series {
-		for i, v := range s.V {
+		for i, v := range s.Mbps {
 			if v > ymax {
 				ymax = v
 			}
@@ -70,7 +70,7 @@ func Chart(w io.Writer, opts ChartOptions, series ...*Series) error {
 	}
 	for si, s := range series {
 		mark := seriesMarks[si%len(seriesMarks)]
-		for i, v := range s.V {
+		for i, v := range s.Mbps {
 			x := 0
 			if tmaxSec > 0 {
 				x = int(s.TimeAt(i) / tmaxSec * float64(chartWidth-1))

@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// Series is a fixed-step time series: V[i] is the value of the bin
-// starting at Start + i*Step.
+// Series is a fixed-step throughput series: Mbps[i] is the rate in the
+// bin starting at Start + i*Step.
 type Series struct {
 	// Name labels the series ("Path 1", "Total").
 	Name string
@@ -21,8 +21,8 @@ type Series struct {
 	Start time.Duration
 	// Step is the bin width.
 	Step time.Duration
-	// V holds one value per bin.
-	V []float64
+	// Mbps holds one value per bin.
+	Mbps []float64
 }
 
 // TimeAt returns the start time of bin i in seconds.
@@ -31,7 +31,7 @@ func (s *Series) TimeAt(i int) float64 {
 }
 
 // Len returns the number of bins.
-func (s *Series) Len() int { return len(s.V) }
+func (s *Series) Len() int { return len(s.Mbps) }
 
 // At returns the value of the bin covering time t (0 outside the series).
 func (s *Series) At(t time.Duration) float64 {
@@ -39,10 +39,10 @@ func (s *Series) At(t time.Duration) float64 {
 		return 0
 	}
 	i := int((t - s.Start) / s.Step)
-	if i < 0 || i >= len(s.V) {
+	if i < 0 || i >= len(s.Mbps) {
 		return 0
 	}
-	return s.V[i]
+	return s.Mbps[i]
 }
 
 // Clip returns the sub-series covering [from, to).
@@ -56,36 +56,36 @@ func (s *Series) Clip(from, to time.Duration) Series {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > len(s.V) {
-		hi = len(s.V)
+	if hi > len(s.Mbps) {
+		hi = len(s.Mbps)
 	}
 	if lo >= hi {
 		return out
 	}
 	out.Start = s.Start + time.Duration(lo)*s.Step
-	out.V = append([]float64(nil), s.V[lo:hi]...)
+	out.Mbps = append([]float64(nil), s.Mbps[lo:hi]...)
 	return out
 }
 
 // Stats returns mean, min, max and standard deviation over the window
 // [from, to) (the whole series if to <= from).
 func (s *Series) Stats(from, to time.Duration) (mean, min, max, std float64) {
-	lo, hi := 0, len(s.V)
+	lo, hi := 0, len(s.Mbps)
 	if to > from && s.Step > 0 {
 		lo = int((from - s.Start) / s.Step)
 		hi = int((to - s.Start) / s.Step)
 		if lo < 0 {
 			lo = 0
 		}
-		if hi > len(s.V) {
-			hi = len(s.V)
+		if hi > len(s.Mbps) {
+			hi = len(s.Mbps)
 		}
 	}
 	if lo >= hi {
 		return 0, 0, 0, 0
 	}
 	min, max = math.Inf(1), math.Inf(-1)
-	for _, v := range s.V[lo:hi] {
+	for _, v := range s.Mbps[lo:hi] {
 		mean += v
 		if v < min {
 			min = v
@@ -96,7 +96,7 @@ func (s *Series) Stats(from, to time.Duration) (mean, min, max, std float64) {
 	}
 	n := float64(hi - lo)
 	mean /= n
-	for _, v := range s.V[lo:hi] {
+	for _, v := range s.Mbps[lo:hi] {
 		std += float64((v - mean) * (v - mean))
 	}
 	std = math.Sqrt(std / n)
@@ -115,11 +115,11 @@ func Sum(name string, in ...*Series) (*Series, error) {
 			return nil, fmt.Errorf("trace: Sum: mismatched series geometry (%v/%v vs %v/%v)",
 				s.Start, s.Step, out.Start, out.Step)
 		}
-		if len(s.V) > len(out.V) {
-			out.V = append(out.V, make([]float64, len(s.V)-len(out.V))...)
+		if len(s.Mbps) > len(out.Mbps) {
+			out.Mbps = append(out.Mbps, make([]float64, len(s.Mbps)-len(out.Mbps))...)
 		}
-		for i, v := range s.V {
-			out.V[i] += v
+		for i, v := range s.Mbps {
+			out.Mbps[i] += v
 		}
 	}
 	return out, nil
@@ -136,8 +136,8 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 	maxLen := 0
 	for _, s := range series {
 		head = append(head, s.Name)
-		if len(s.V) > maxLen {
-			maxLen = len(s.V)
+		if len(s.Mbps) > maxLen {
+			maxLen = len(s.Mbps)
 		}
 	}
 	if _, err := fmt.Fprintln(w, strings.Join(head, ",")); err != nil {
@@ -147,8 +147,8 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 		row := make([]string, 0, len(series)+1)
 		row = append(row, fmt.Sprintf("%.4f", series[0].TimeAt(i)))
 		for _, s := range series {
-			if i < len(s.V) {
-				row = append(row, fmt.Sprintf("%.4f", s.V[i]))
+			if i < len(s.Mbps) {
+				row = append(row, fmt.Sprintf("%.4f", s.Mbps[i]))
 			} else {
 				row = append(row, "")
 			}

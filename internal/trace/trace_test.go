@@ -10,7 +10,7 @@ import (
 )
 
 func mk(name string, step time.Duration, v ...float64) *Series {
-	return &Series{Name: name, Step: step, V: v}
+	return &Series{Name: name, Step: step, Mbps: v}
 }
 
 func TestAtAndTimeAt(t *testing.T) {
@@ -29,7 +29,7 @@ func TestAtAndTimeAt(t *testing.T) {
 func TestClip(t *testing.T) {
 	s := mk("x", 100*time.Millisecond, 0, 1, 2, 3, 4, 5)
 	c := s.Clip(200*time.Millisecond, 500*time.Millisecond)
-	if c.Len() != 3 || c.V[0] != 2 || c.V[2] != 4 {
+	if c.Len() != 3 || c.Mbps[0] != 2 || c.Mbps[2] != 4 {
 		t.Fatalf("Clip = %+v", c)
 	}
 	if c.Start != 200*time.Millisecond {
@@ -64,8 +64,8 @@ func TestSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tot.Len() != 3 || tot.V[0] != 11 || tot.V[1] != 22 || tot.V[2] != 3 {
-		t.Fatalf("sum = %v", tot.V)
+	if tot.Len() != 3 || tot.Mbps[0] != 11 || tot.Mbps[1] != 22 || tot.Mbps[2] != 3 {
+		t.Fatalf("sum = %v", tot.Mbps)
 	}
 	c := mk("c", 2*time.Second, 1)
 	if _, err := Sum("bad", a, c); err == nil {
@@ -124,8 +124,8 @@ func TestQuickSumClip(t *testing.T) {
 		b := mk("b", time.Second, v...)
 		s1, _ := Sum("s", a, b)
 		s2, _ := Sum("s", b, a)
-		for i := range s1.V {
-			if s1.V[i] != s2.V[i] {
+		for i := range s1.Mbps {
+			if s1.Mbps[i] != s2.Mbps[i] {
 				return false
 			}
 		}
@@ -138,9 +138,9 @@ func TestQuickSumClip(t *testing.T) {
 }
 
 func TestChartVLines(t *testing.T) {
-	s := &Series{Name: "x", Step: 100 * time.Millisecond, V: make([]float64, 40)}
-	for i := range s.V {
-		s.V[i] = 5
+	s := &Series{Name: "x", Step: 100 * time.Millisecond, Mbps: make([]float64, 40)}
+	for i := range s.Mbps {
+		s.Mbps[i] = 5
 	}
 	var buf bytes.Buffer
 	if err := Chart(&buf, ChartOptions{VLines: []float64{2.0}}, s); err != nil {

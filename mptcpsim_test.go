@@ -400,9 +400,10 @@ func TestCrossTrafficFairness(t *testing.T) {
 		if len(res.Cross) != 1 {
 			t.Fatalf("cross series = %d, want 1", len(res.Cross))
 		}
-		m := res.Paths[0].Mean(2*time.Second, 10*time.Second) +
-			res.Paths[1].Mean(2*time.Second, 10*time.Second)
-		return m, res.Cross[0].Mean(2*time.Second, 10*time.Second)
+		m1, _, _, _ := res.Paths[0].Stats(2*time.Second, 10*time.Second)
+		m2, _, _, _ := res.Paths[1].Stats(2*time.Second, 10*time.Second)
+		c, _, _, _ := res.Cross[0].Stats(2*time.Second, 10*time.Second)
+		return m1 + m2, c
 	}
 	liaM, liaT := run("lia")
 	cubM, cubT := run("cubic")

@@ -21,29 +21,7 @@ import (
 )
 
 // Series is a throughput time series in Mbps with fixed-width bins.
-type Series struct {
-	// Name labels the series ("Path 1", "Total").
-	Name string
-	// Step is the bin width.
-	Step time.Duration
-	// Mbps holds one value per bin.
-	Mbps []float64
-}
-
-// Mean returns the average over the bins in [from, to) (whole series when
-// to <= from).
-func (s Series) Mean(from, to time.Duration) float64 {
-	m, _, _, _ := s.trace().Stats(from, to)
-	return m
-}
-
-func (s Series) trace() *trace.Series {
-	return &trace.Series{Name: s.Name, Step: s.Step, V: s.Mbps}
-}
-
-func fromTrace(t *trace.Series) Series {
-	return Series{Name: t.Name, Step: t.Step, Mbps: t.V}
-}
+type Series = trace.Series
 
 // Allocation is a per-path rate vector in Mbps.
 type Allocation struct {
@@ -221,6 +199,7 @@ func (e *runEncoder) floats(x []float64) {
 	}
 }
 
+// series writes no Start: a run's series all start at the run's start.
 func (e *runEncoder) series(s Series) {
 	e.str(s.Name)
 	e.u64(uint64(s.Step))
@@ -329,10 +308,10 @@ func (e *runEncoder) writeReferences(r *Result) {
 // WriteCSV emits the per-path and total series as CSV.
 func (r *Result) WriteCSV(w io.Writer) error {
 	series := make([]*trace.Series, 0, len(r.Paths)+1)
-	for _, p := range r.Paths {
-		series = append(series, p.trace())
+	for i := range r.Paths {
+		series = append(series, &r.Paths[i])
 	}
-	series = append(series, r.Total.trace())
+	series = append(series, &r.Total)
 	return trace.WriteCSV(w, series...)
 }
 
@@ -340,10 +319,10 @@ func (r *Result) WriteCSV(w io.Writer) error {
 // reference line — the terminal version of Fig. 2.
 func (r *Result) Chart(w io.Writer, title string) error {
 	series := make([]*trace.Series, 0, len(r.Paths)+1)
-	for _, p := range r.Paths {
-		series = append(series, p.trace())
+	for i := range r.Paths {
+		series = append(series, &r.Paths[i])
 	}
-	series = append(series, r.Total.trace())
+	series = append(series, &r.Total)
 	opts := trace.ChartOptions{
 		Title:  title,
 		HLines: []float64{r.Optimum.Total},
