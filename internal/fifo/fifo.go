@@ -75,13 +75,19 @@ func (q *Queue[T]) Detach() []T {
 func (q *Queue[T]) Adopt(buf []T) { q.buf = buf }
 
 // Pool keeps backing arrays between owners, so a run's queues start from
-// what the last run's grew. It is safe for concurrent use.
-type Pool[T any] struct{ p sync.Pool }
+// what the last run's grew. It is safe for concurrent use. An array is kept
+// in a *[]T box (what sync.Pool holds without allocating); Get returns the
+// emptied box to boxes and Put takes one from there, so a Get/Put cycle
+// allocates nothing once both pools are warm.
+type Pool[T any] struct{ full, boxes sync.Pool }
 
 // Get returns an empty slice over an array Put kept, or of capacity n.
 func (p *Pool[T]) Get(n int) []T {
-	if b, ok := p.p.Get().(*[]T); ok {
-		return *b
+	if b, ok := p.full.Get().(*[]T); ok {
+		s := *b
+		*b = nil
+		p.boxes.Put(b)
+		return s
 	}
 	return make([]T, 0, n)
 }
@@ -91,7 +97,11 @@ func (p *Pool[T]) Get(n int) []T {
 func (p *Pool[T]) Put(s []T) {
 	if s = s[:cap(s)]; len(s) > 0 {
 		clear(s)
-		s = s[:0]
-		p.p.Put(&s)
+		b, ok := p.boxes.Get().(*[]T)
+		if !ok {
+			b = new([]T)
+		}
+		*b = s[:0]
+		p.full.Put(b)
 	}
 }

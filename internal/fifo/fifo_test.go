@@ -157,3 +157,20 @@ func TestPoolPutClears(t *testing.T) {
 	}
 	t.Fatal("the pool never handed an array back")
 }
+
+// TestPoolCycleZeroAlloc: once warm, a Get/Put cycle reuses both the array
+// and its box, so it allocates nothing; a Put that boxed its array afresh
+// would cost one allocation every cycle. Under the race detector sync.Pool
+// drops a quarter of what it is handed on purpose, and a dropped array or
+// box is made again, but AllocsPerRun truncates the mean to a whole count,
+// so those misses still read 0.
+func TestPoolCycleZeroAlloc(t *testing.T) {
+	var p Pool[int]
+	p.Put(make([]int, 0, 8))
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Put(p.Get(8))
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm Get/Put cycle allocates %.0f objects, want 0", allocs)
+	}
+}
