@@ -132,7 +132,7 @@ func BenchmarkAblationBuffers(b *testing.B) {
 // for bulk transfer (windows, not scheduling, bound each path), except
 // that redundant mode burns capacity on duplicates.
 func BenchmarkAblationScheduler(b *testing.B) {
-	for _, sched := range []string{"minrtt", "roundrobin", "redundant"} {
+	for _, sched := range []string{"minrtt", "redundant"} {
 		b.Run(sched, func(b *testing.B) {
 			benchRun(b, Options{CC: "cubic", Scheduler: sched})
 		})

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,9 +164,18 @@ func TestCIShardGridShape(t *testing.T) {
 	if len(specs) < 500 {
 		t.Fatalf("CI shard grid expands to %d runs, want >= 500", len(specs))
 	}
-	if len(grid.CCs) != 6 || len(grid.Schedulers) != 3 || len(grid.Events) != 2 || len(grid.Seeds) < 2 {
-		t.Fatalf("CI shard grid lost an axis: %d CCs, %d schedulers, %d event sets, %d seeds",
-			len(grid.CCs), len(grid.Schedulers), len(grid.Events), len(grid.Seeds))
+	if len(grid.CCs) != 6 || len(grid.Orders) != 3 || len(grid.Events) != 2 || len(grid.Seeds) < 2 {
+		t.Fatalf("CI shard grid lost an axis: %d CCs, %d orders, %d event sets, %d seeds",
+			len(grid.CCs), len(grid.Orders), len(grid.Events), len(grid.Seeds))
+	}
+	// Only minrtt and redundant do different work; roundrobin grants as
+	// minrtt does, so a grid that lists it buys no cell.
+	scheds := map[string]bool{}
+	for _, s := range specs {
+		scheds[s.Options.Scheduler] = true
+	}
+	if len(scheds) != 2 || !scheds["minrtt"] || !scheds["redundant"] {
+		t.Fatalf("CI shard grid runs schedulers %v, want minrtt and redundant", slices.Sorted(maps.Keys(scheds)))
 	}
 }
 

@@ -79,7 +79,7 @@ func SpecSeed(base int64, i int) int64 {
 var (
 	genRates  = []float64{5, 8, 10, 20, 40, 60, 80, 100}
 	genCCs    = []string{"cubic", "reno", "lia", "olia", "balia", "wvegas"}
-	genScheds = []string{"minrtt", "roundrobin", "redundant"}
+	genScheds = []string{"minrtt", "redundant"}
 )
 
 // NewSpec generates the spec for a seed: a layered random topology whose

@@ -339,11 +339,10 @@ const (
 	endAbsTol = 384 << 10
 	// minBaseGoodput (bytes) gates the degrading end-to-end rise check:
 	// a base rung whose in-order goodput is collapsed to a sliver of
-	// what the wire moved (head-of-line stall — observed with the
-	// roundrobin scheduler at particular delay ratios) has no trend to
-	// preserve, and any perturbation that breaks the stall "improves"
-	// it by an unbounded factor. Below this floor the rise check is
-	// vacuous and skipped.
+	// what the wire moved (head-of-line stall) has no trend to preserve,
+	// and any perturbation that breaks the stall "improves" it by an
+	// unbounded factor. Below this floor the rise check is vacuous and
+	// skipped.
 	minBaseGoodput = 128 << 10
 	// gapStepTol and gapEndTol bound gap widening (absolute, in gap
 	// fraction) per step / end-to-end for the capacity-down ladder,
@@ -482,11 +481,7 @@ func (r *TrendReport) Evaluate() {
 	// scheduler lets the CC's windows steer bytes. minrtt does;
 	// redundant clones every packet onto every subflow, so its sent-byte
 	// share reflects scheduler mechanics rather than congestion
-	// avoidance. roundrobin grants exactly as minrtt does
-	// (mptcp.NewScheduler), so its ladders run identically, but the
-	// guard matches the literal name "minrtt": they get no load-shift
-	// verdict until the scheduler axis is settled, because changing the
-	// guard would change verdicts.
+	// avoidance.
 	if degrade && !vegasDelay && r.Ladder.Coupled && r.Ladder.Exclusive &&
 		r.Ladder.Base.Options.Scheduler == "minrtt" {
 		ok := true

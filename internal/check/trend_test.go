@@ -306,8 +306,8 @@ func TestEvaluateLoadShift(t *testing.T) {
 
 	// Only minrtt gets a load-shift verdict: redundant clones every packet
 	// onto every subflow, so its sent-byte shares track scheduler
-	// mechanics, and roundrobin, which grants as minrtt does, is left out
-	// by name.
+	// mechanics. The guard matches the name "minrtt", so the roundrobin
+	// alias, which the generator no longer draws, gets none either.
 	for _, sched := range []string{"roundrobin", "redundant"} {
 		r = mk("lia", true, rising)
 		r.Ladder.Base.Options.Scheduler = sched
