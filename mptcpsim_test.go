@@ -341,6 +341,8 @@ func TestOutputsRender(t *testing.T) {
 	}
 }
 
+// TestSchedulerOptions runs each scheduler name once. What the roundrobin
+// alias does is pinned by TestRoundRobinGrantsAsMinRTT.
 func TestSchedulerOptions(t *testing.T) {
 	for _, sched := range []string{"minrtt", "roundrobin", "redundant"} {
 		res, err := RunPaper(Options{CC: "cubic", Scheduler: sched, Duration: time.Second})
