@@ -31,7 +31,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		cc       = fs.String("cc", "cubic", "congestion control: cubic, reno, lia, olia, balia, wvegas")
-		sched    = fs.String("scheduler", "minrtt", "scheduler: minrtt, roundrobin, redundant")
+		sched    = fs.String("scheduler", "minrtt", "scheduler: minrtt or redundant; roundrobin is an accepted alias of minrtt that nothing shipped draws")
 		duration = fs.Duration("duration", 4*time.Second, "traffic duration")
 		seed     = fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 		paths    = fs.String("paths", "2,1,3", "subflow paths in priority order (first = default)")

@@ -30,10 +30,10 @@ type Grid struct {
 	// CCs lists congestion-control algorithms ("cubic", "reno", "lia",
 	// "olia", "balia", "wvegas"). Empty means {"cubic"}.
 	CCs []string `json:"ccs,omitempty"`
-	// Schedulers lists MPTCP schedulers ("minrtt", "roundrobin",
-	// "redundant"). Empty means {"minrtt"}. "minrtt" and "roundrobin"
-	// produce identical results today (see Options.Scheduler), so listing
-	// both doubles the runs without adding a cell.
+	// Schedulers lists MPTCP schedulers ("minrtt", "redundant"). Empty
+	// means {"minrtt"}. "roundrobin" is an accepted alias of "minrtt" that
+	// nothing shipped draws (see Options.Scheduler): listing both doubles
+	// the runs without adding a cell.
 	Schedulers []string `json:"schedulers,omitempty"`
 	// Orders lists subflow orderings (1-based path numbers, first =
 	// default path). Empty means one run in path-definition order.

@@ -41,8 +41,9 @@ type Config struct {
 	// Algorithm is the congestion-control name (cc registry): "cubic",
 	// "reno", "lia", "olia", "balia", "wvegas".
 	Algorithm string
-	// Scheduler selects the segment scheduler: "minrtt" (default),
-	// "roundrobin" (grants as minrtt does), "redundant".
+	// Scheduler selects the segment scheduler: "minrtt" (default) or
+	// "redundant". "roundrobin" is an accepted alias of "minrtt" that
+	// nothing shipped draws; it grants as minrtt does.
 	Scheduler string
 	// Subflows lists the paths; the first entry is the default subflow.
 	Subflows []SubflowSpec

@@ -71,10 +71,10 @@ type Options struct {
 	// "reno", "lia", "olia", "balia", "wvegas" (delay-based coupled
 	// control).
 	CC string
-	// Scheduler is the MPTCP segment scheduler: "minrtt" (default),
-	// "roundrobin", "redundant". "minrtt" and "roundrobin" grant
-	// identically, so the two produce identical results: "roundrobin" is
-	// an accepted name, not a second policy.
+	// Scheduler is the MPTCP segment scheduler: "minrtt" (default) or
+	// "redundant". "roundrobin" is an accepted alias of "minrtt" that
+	// nothing shipped draws: it grants identically, so its results are
+	// minrtt's.
 	Scheduler string
 	// Duration is the traffic duration (default 4 s).
 	Duration time.Duration

@@ -33,10 +33,11 @@ var nearRefs = []struct {
 }
 
 // nearTally counts, for one CC in one measurement, the runs nearest each
-// reference and the runs nearer the optimum than the greedy trap.
+// reference, the runs nearer the optimum than the greedy trap, and the runs
+// nearer the trap than the optimum (where the two coincide, neither).
 type nearTally struct {
-	runs, escaped int
-	nearest       []int
+	runs, escaped, trapped int
+	nearest                []int
 }
 
 // nearSink measures every run it is handed: means picks the path means and
@@ -64,8 +65,11 @@ func (s *nearSink) Accept(_, _ int, sum mptcpsim.RunSummary, res *mptcpsim.Resul
 	}
 	t.runs++
 	t.nearest[slices.Index(d, slices.Min(d))]++
-	if d[0] < d[len(d)-1] {
+	switch last := d[len(d)-1]; {
+	case d[0] < last:
 		t.escaped++
+	case last < d[0]:
+		t.trapped++
 	}
 	return nil
 }
@@ -106,7 +110,8 @@ func nearTable(title string, ccs []string, byCC map[string]*nearTally) string {
 	for _, ref := range nearRefs {
 		fmt.Fprintf(&sb, " nearest %s |", ref.name)
 	}
-	sb.WriteString(" d(optimum) < d(greedy) [95 % CI] |\n|---|---|" + strings.Repeat("---|", len(nearRefs)+1) + "\n")
+	sb.WriteString(" d(optimum) < d(greedy) [95 % CI] | d(greedy) < d(optimum) [95 % CI] |\n|---|---|" +
+		strings.Repeat("---|", len(nearRefs)+2) + "\n")
 	for _, cc := range ccs {
 		t := byCC[cc]
 		if t == nil {
@@ -116,8 +121,11 @@ func nearTable(title string, ccs []string, byCC map[string]*nearTally) string {
 		for _, k := range t.nearest {
 			fmt.Fprintf(&sb, " %d |", k)
 		}
-		lo, hi := wilson(t.escaped, t.runs)
-		fmt.Fprintf(&sb, " %d [%.2f, %.2f] |\n", t.escaped, lo, hi)
+		for _, k := range []int{t.escaped, t.trapped} {
+			lo, hi := wilson(k, t.runs)
+			fmt.Fprintf(&sb, " %d [%.2f, %.2f] |", k, lo, hi)
+		}
+		sb.WriteString("\n")
 	}
 	return sb.String()
 }
@@ -127,10 +135,13 @@ func nearTable(title string, ccs []string, byCC map[string]*nearTally) string {
 // run's distance to a reference is the L1 distance of its path means from
 // it, normalised by the optimum's total. It runs the default sweep grid
 // (six CCs x four orders) at seeds 1-20 for 4 s and for 25 s, measured on
-// Summary.PathMeans, and the 200 seed-1 corpus scenarios, measured on
-// their first capacity epoch. Per CC it reports how many runs are nearest
-// each reference and, with its 95 % Wilson interval, the share nearer the
-// optimum than greedy.
+// Summary.PathMeans, the 200 seed-1 corpus scenarios, measured on their
+// first capacity epoch, and the 200 specs of the trap set with their events
+// stripped (the network the set was selected on), each with its own CC,
+// scheduler, order and seed, for 4 s and for 25 s on Summary.PathMeans.
+// Per CC it reports how many runs are nearest each reference and, with
+// their 95 % Wilson intervals, the shares nearer the optimum than greedy
+// and nearer greedy than the optimum.
 func TestReferenceNearness(t *testing.T) {
 	if os.Getenv(refsEnv) != "1" {
 		t.Skipf("set %s=1 to run the reference-nearness measurement", refsEnv)
@@ -176,5 +187,21 @@ func TestReferenceNearness(t *testing.T) {
 		corpus[i].Index = i
 	}
 	measure("Corpus (200 scenarios, seed 1), first epoch:", grid.CCs, corpus, firstEpoch)
+	set := trapSet(t)
+	for _, d := range []time.Duration{4 * time.Second, 25 * time.Second} {
+		trap := make([]mptcpsim.RunSpec, len(set))
+		for k, i := range set {
+			sp := check.NewSpec(check.SpecSeed(1, i))
+			sp.Scenario.Events = nil
+			sp.Options.Duration = d
+			rs, err := sp.Grid().Expand()
+			if err != nil {
+				t.Fatal(err)
+			}
+			trap[k] = rs[0]
+			trap[k].Index = k
+		}
+		measure(fmt.Sprintf("Trap set (%d scenarios, events stripped), %v:", len(set), d), grid.CCs, trap, whole)
+	}
 	t.Log("\n" + strings.Join(tables, "\n"))
 }
