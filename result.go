@@ -305,24 +305,23 @@ func (e *runEncoder) writeReferences(r *Result) {
 	e.u64(uint64(s.ParetoAt))
 }
 
-// WriteCSV emits the per-path and total series as CSV.
-func (r *Result) WriteCSV(w io.Writer) error {
+// series lists the per-path series, then the total.
+func (r *Result) series() []*trace.Series {
 	series := make([]*trace.Series, 0, len(r.Paths)+1)
 	for i := range r.Paths {
 		series = append(series, &r.Paths[i])
 	}
-	series = append(series, &r.Total)
-	return trace.WriteCSV(w, series...)
+	return append(series, &r.Total)
+}
+
+// WriteCSV emits the per-path and total series as CSV.
+func (r *Result) WriteCSV(w io.Writer) error {
+	return trace.WriteCSV(w, r.series()...)
 }
 
 // Chart renders the run as an ASCII plot with the LP optimum as a
 // reference line — the terminal version of Fig. 2.
 func (r *Result) Chart(w io.Writer, title string) error {
-	series := make([]*trace.Series, 0, len(r.Paths)+1)
-	for i := range r.Paths {
-		series = append(series, &r.Paths[i])
-	}
-	series = append(series, &r.Total)
 	opts := trace.ChartOptions{
 		Title:  title,
 		HLines: []float64{r.Optimum.Total},
@@ -339,7 +338,7 @@ func (r *Result) Chart(w io.Writer, title string) error {
 			opts.HLines = append(opts.HLines, ep.Optimum.Total)
 		}
 	}
-	return trace.Chart(w, opts, series...)
+	return trace.Chart(w, opts, r.series()...)
 }
 
 // WriteFlightRecorder dumps the flight recorder's retained event tail as
