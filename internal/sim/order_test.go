@@ -9,6 +9,7 @@ package sim
 // leaf; the reference pops first.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -164,10 +165,14 @@ type step struct {
 // spawn 0-2 children at delay 0-2 ns (delay 0 collides with the current
 // instant), sometimes stop an earlier-created event — before the first
 // schedule or after the last — sometimes re-arm one, or the running event's
-// own handle, at delay 0-2 ns, before the first schedule (while the fired
-// event's key is held) or after the last, and sometimes arm a ranked event
-// under one of four ranks at delay 0-2 ns before scheduling anything else.
-type program struct{ seed int64 }
+// own handle, at delay 0-2 ns (or, half the time under a reach, anywhere
+// below it), before the first schedule (while the fired event's key is
+// held) or after the last, and sometimes arm a ranked event under one of
+// four ranks at delay 0-2 ns before scheduling anything else.
+type program struct {
+	seed  int64
+	reach int
+}
 
 type progActions struct {
 	childDelays []time.Duration
@@ -203,6 +208,9 @@ func (p *program) actions(label int64) progActions {
 	}
 	a.rearmDelay = time.Duration(rng.Intn(3))
 	a.rearmFirst = rng.Intn(2) == 0
+	if p.reach > 0 && rng.Intn(2) == 0 {
+		a.rearmDelay = time.Duration(rng.Intn(p.reach))
+	}
 	return a
 }
 
@@ -288,8 +296,14 @@ func (r *progRun) handle(label int64, at Time) {
 // a Stop with the fired key held, a first schedule that sorts before the
 // running event, an event that scheduled nothing, a Rearm of a pending
 // timer with the fired key held, and a Rearm of the running event's own
-// handle that took the held leaf.
-type heldCases struct{ stops, olderFirst, idle, rearms, selfRearms int }
+// handle that took the held leaf. moves counts the Rearms of a pending
+// timer to an earlier instant, its own and a later one, and dead the
+// Rearms of a fired or stopped handle, held key or not.
+type heldCases struct {
+	stops, olderFirst, idle, rearms, selfRearms int
+	moves                                       [3]int
+	dead                                        int
+}
 
 // loopKernel drives the real Loop, checking the tree around every handler.
 type loopKernel struct {
@@ -334,6 +348,12 @@ func (k *loopKernel) rearm(old int64, d time.Duration, label int64) {
 		k.cases.rearms++
 	case old == k.curLbl:
 		k.cases.selfRearms++
+	}
+	if tm.Pending() {
+		at := k.l.tree[len(k.l.tree)/2+int(tm.id)].at
+		k.cases.moves[1+cmp.Compare(k.l.Now().Add(d), at)]++
+	} else {
+		k.cases.dead++
 	}
 	k.timers[label] = k.l.Rearm(tm, d, k.callback(label))
 	checkTree(k.t, k.l)
@@ -394,31 +414,51 @@ func (k *refProgKernel) runUntil(deadline Time) {
 	}
 }
 
+// spread is how the programs of a reference run lay out: seeds programs,
+// each with roots events at instants below at ns, re-armed up to reach ns
+// ahead (0: as far as children go).
+type spread struct{ seeds, roots, at, reach int }
+
+var (
+	// collisions piles the roots onto four instants: heavy same-instant ties.
+	collisions = spread{seeds: 15, roots: 40, at: 4}
+	// wide spreads the roots over 0-1000 ns and lets a re-arm reach as far,
+	// so hundreds of events are pending, in a tree of 512 leaves, and a
+	// re-arm moves a pending timer earlier, later or to its own instant.
+	wide = spread{seeds: 5, roots: 400, at: 1000, reach: 1000}
+)
+
 // TestOrderMatchesReferenceKernel runs the same randomized program — roots
-// piled onto a handful of timestamps, handlers spawning same-instant
-// children, stopping siblings and arming ranked events — through the kernel
-// and the reference, and requires the full (label, time, pending count)
-// execution sequences to be identical.
+// piled onto a handful of timestamps or spread wide, handlers spawning
+// same-instant children, stopping earlier events, re-arming pending, fired
+// and stopped timers and arming ranked events — through the kernel and the
+// reference, and requires the full (label, time, pending count) execution
+// sequences to be identical.
 func TestOrderMatchesReferenceKernel(t *testing.T) {
-	var cases heldCases
-	for seed := int64(0); seed < 15; seed++ {
-		matchReference(t, NewLoop(), seed, &cases)
-	}
-	if cases.stops == 0 || cases.olderFirst == 0 || cases.idle == 0 || cases.rearms == 0 || cases.selfRearms == 0 {
-		t.Fatalf("program never reached a held-leaf case: %+v", cases)
+	for _, sp := range []spread{collisions, wide} {
+		var cases heldCases
+		for seed := range int64(sp.seeds) {
+			matchReference(t, NewLoop(), seed, sp, &cases)
+		}
+		if cases.stops == 0 || cases.olderFirst == 0 || cases.idle == 0 || cases.rearms == 0 || cases.selfRearms == 0 {
+			t.Fatalf("%+v: program never reached a held-leaf case: %+v", sp, cases)
+		}
+		if sp.reach > 0 && (slices.Contains(cases.moves[:], 0) || cases.dead == 0) {
+			t.Fatalf("%+v: program never re-armed a timer earlier, to its own instant, later or dead: %+v", sp, cases)
+		}
 	}
 }
 
-// matchReference runs seed's program on l, an empty loop at time 0, and on
-// the reference, and fails unless the two execution sequences are
+// matchReference runs seed's program under sp on l, an empty loop at time
+// 0, and on the reference, and fails unless the two execution sequences are
 // identical.
-func matchReference(t *testing.T, l *Loop, seed int64, cases *heldCases) {
+func matchReference(t *testing.T, l *Loop, seed int64, sp spread, cases *heldCases) {
 	t.Helper()
-	prog := &program{seed: seed}
+	prog := &program{seed: seed, reach: sp.reach}
 	rootRng := rand.New(rand.NewSource(seed))
-	rootTimes := make([]time.Duration, 40)
+	rootTimes := make([]time.Duration, sp.roots)
 	for i := range rootTimes {
-		rootTimes[i] = time.Duration(rootRng.Intn(4)) // heavy same-instant collisions
+		rootTimes[i] = time.Duration(rootRng.Intn(sp.at))
 	}
 
 	// Real kernel.

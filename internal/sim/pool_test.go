@@ -1,13 +1,12 @@
 package sim
 
 // Tests for the pooled event arena: generation-counter (ABA) safety of
-// recycled Timer handles, the winner tree (stops and in-place re-arms
-// included) against a container/heap reference, the hand-over of a loop's
-// storage to the next loop, and the zero-allocation guarantees of the fast
-// path.
+// recycled Timer handles, the winner tree's stops and in-place re-arms (the
+// reference kernel of order_test.go checks their order), the hand-over of a
+// loop's storage to the next loop, and the zero-allocation guarantees of the
+// fast path.
 
 import (
-	"container/heap"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -132,156 +131,6 @@ func TestZeroTimerInert(t *testing.T) {
 	var tm Timer
 	if tm.Stop() || tm.Pending() {
 		t.Fatal("zero Timer is not inert")
-	}
-}
-
-// refEvent / refQueue are a container/heap reference implementation with
-// the kernel's exact ordering contract, for the differential heap test.
-type refEvent struct {
-	at  Time
-	seq uint64
-	pos int
-}
-
-type refQueue []*refEvent
-
-func (q refQueue) Len() int { return len(q) }
-func (q refQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-func (q refQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].pos = i
-	q[j].pos = j
-}
-func (q *refQueue) Push(x any) {
-	e := x.(*refEvent)
-	e.pos = len(*q)
-	*q = append(*q, e)
-}
-func (q *refQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.pos = -1
-	*q = old[:n-1]
-	return e
-}
-
-// TestQuickHeapMatchesReference drives the winner tree and a
-// container/heap reference with the same random (at, seq) stream,
-// interleaving pushes, removals of random live entries, re-arms and pops. A
-// re-arm moves a live entry earlier, later or to the same instant under a
-// fresh seq, or re-arms a fired or stopped handle; the reference does a
-// literal removal and push. The pop order must match the reference exactly
-// at every step.
-func TestQuickHeapMatchesReference(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		l := NewLoop()
-		ref := &refQueue{}
-		cb := &countCall{}
-
-		// live maps a kernel Timer to its reference twin; dead holds the
-		// handles of fired and stopped events.
-		type pair struct {
-			tm Timer
-			re *refEvent
-		}
-		var live []pair
-		var dead []Timer
-		kill := func(i int) {
-			dead = append(dead, live[i].tm)
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-
-		// popBoth takes the tree's winner directly, bypassing RunUntil.
-		popBoth := func() {
-			got := l.tree[1]
-			l.pending--
-			l.key(got.id(), idle)
-			l.release(got.id())
-			want := heap.Pop(ref).(*refEvent)
-			if gotSeq := got.packed >> idBits &^ timerClass; got.at != want.at || gotSeq != want.seq {
-				t.Fatalf("seed %d: pop (at=%d seq=%d), reference (at=%d seq=%d)",
-					seed, got.at, gotSeq, want.at, want.seq)
-			}
-			for i := range live {
-				if live[i].re == want {
-					kill(i)
-					break
-				}
-			}
-		}
-
-		// rearm re-arms tm to at on the kernel (the clock stays at 0, so the
-		// delay is the instant) and pushes its twin on the reference.
-		rearm := func(tm Timer, at Time) pair {
-			seq := l.seq // Rearm consumes this seq
-			re := &refEvent{at: at, seq: seq}
-			heap.Push(ref, re)
-			return pair{l.Rearm(tm, time.Duration(at), cb), re}
-		}
-
-		for op := 0; op < 4000; op++ {
-			switch r := rng.Intn(14); {
-			case r < 5: // push
-				at := Time(rng.Intn(1000))
-				seq := l.seq // AtCall consumes this seq
-				tm := l.AtCall(at, cb)
-				re := &refEvent{at: at, seq: seq}
-				heap.Push(ref, re)
-				live = append(live, pair{tm, re})
-			case r < 7 && len(live) > 0: // remove a random live entry
-				i := rng.Intn(len(live))
-				p := live[i]
-				if !p.tm.Stop() {
-					t.Fatalf("seed %d: Stop on a live entry reported false", seed)
-				}
-				heap.Remove(ref, p.re.pos)
-				kill(i)
-			case r < 10 && len(live) > 0: // re-arm a live entry
-				i := rng.Intn(len(live))
-				p := live[i]
-				at := p.re.at // the same instant
-				switch r {
-				case 7: // earlier
-					at = max(at-Time(rng.Intn(100)), 0)
-				case 8: // later
-					at += Time(rng.Intn(100))
-				}
-				heap.Remove(ref, p.re.pos)
-				kill(i)
-				live = append(live, rearm(p.tm, at))
-				if p.tm.Pending() {
-					t.Fatalf("seed %d: re-armed handle still pending", seed)
-				}
-			case r < 11 && len(dead) > 0: // re-arm a fired or stopped handle
-				tm := dead[rng.Intn(len(dead))]
-				if tm.Pending() {
-					t.Fatalf("seed %d: fired or stopped handle pending", seed)
-				}
-				live = append(live, rearm(tm, Time(rng.Intn(1000))))
-			case len(live) > 0: // pop the minimum from both
-				popBoth()
-			}
-			if l.Len() != ref.Len() {
-				t.Fatalf("seed %d: sizes diverged: %d vs %d", seed, l.Len(), ref.Len())
-			}
-			checkTree(t, l)
-		}
-		// Drain: the full remaining pop order must match.
-		for ref.Len() > 0 {
-			popBoth()
-		}
-		if l.Len() != 0 {
-			t.Fatalf("seed %d: kernel tree has %d leftovers", seed, l.Len())
-		}
 	}
 }
 
@@ -550,7 +399,7 @@ func TestLoopReleaseReusesStorage(t *testing.T) {
 				len(l.nodes), len(l.free), len(l.tree))
 		}
 		var cases heldCases
-		matchReference(t, l, 1, &cases)
+		matchReference(t, l, 1, collisions, &cases)
 		if k := len(l.tree) / 2; k < len(l.nodes) || 2*len(l.nodes) <= k {
 			t.Fatalf("tree has %d leaves for an arena of %d nodes, want the least power of two covering it", k, len(l.nodes))
 		}
