@@ -30,11 +30,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mptcpsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		cc       = fs.String("cc", "cubic", "congestion control: cubic, reno, lia, olia, balia, wvegas")
-		sched    = fs.String("scheduler", "minrtt", "scheduler: minrtt or redundant; roundrobin is an accepted alias of minrtt that nothing shipped draws")
+		cc       = fs.String("cc", "cubic", "congestion control, exact name: cubic, reno, lia, olia, balia, wvegas")
+		sched    = fs.String("scheduler", "minrtt", "scheduler, exact name: minrtt or redundant; roundrobin is an accepted alias of minrtt that nothing shipped draws")
 		duration = fs.Duration("duration", 4*time.Second, "traffic duration")
 		seed     = fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
-		paths    = fs.String("paths", "2,1,3", "subflow paths in priority order (first = default)")
+		paths    = fs.String("paths", "2,1,3", "subflow paths in priority order (first = default); without it a -topo file runs its paths in definition order")
 		csvPath  = fs.String("csv", "", "write per-path series CSV to file")
 		pcapPath = fs.String("pcap", "", "write receiver capture to pcap file")
 		chart    = fs.Bool("chart", false, "render an ASCII chart of the run")
@@ -78,8 +78,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		pathsSet := false
 		fs.Visit(func(f *flag.Flag) { pathsSet = pathsSet || f.Name == "paths" })
-		if !pathsSet && nw.NumPaths() != 3 {
-			opts.SubflowPaths = nil // default order for custom topologies
+		if !pathsSet {
+			opts.SubflowPaths = nil // definition order: 2,1,3 is the paper network's
 		}
 	}
 	res, err := mptcpsim.Run(nw, opts)

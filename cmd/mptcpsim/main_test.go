@@ -45,11 +45,17 @@ func TestRunPaperDefault(t *testing.T) {
 	}
 }
 
-// TestRunCustomTopology: with -topo, a two-path scenario runs in its own
-// default order (the paper's 2,1,3 does not apply to it).
+// TestRunCustomTopology: with -topo and no -paths, a scenario runs in its
+// own definition order, whatever its path count: the paper's 2,1,3 applies
+// to the paper network only, not to a custom topology that happens to have
+// three paths.
 func TestRunCustomTopology(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "two.json")
-	scenario := `{
+	for _, tc := range []struct {
+		name, scenario string
+		paths          int
+		want           []string
+	}{
+		{"two", `{
   "links": [
     {"a": "phone", "b": "wifi", "mbps": 30, "delay_ms": 3},
     {"a": "wifi", "b": "server", "mbps": 100, "delay_ms": 5},
@@ -58,23 +64,49 @@ func TestRunCustomTopology(t *testing.T) {
   ],
   "endpoints": {"src": "phone", "dst": "server"},
   "paths": [{"nodes": ["phone", "wifi", "server"]}, {"nodes": ["phone", "lte", "server"]}]
-}`
-	if err := os.WriteFile(path, []byte(scenario), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	out := runOK(t, "-topo", path, "-duration", "200ms")
-	for _, want := range []string{
-		"  Path 1: phone -> wifi -> server\n",
-		"  Path 2: phone -> lte -> server\n",
-		"optimum:    50.0 Mbps at {x1=30.0, x2=20.0}\n",
+}`, 2, []string{
+			"  Path 1: phone -> wifi -> server\n",
+			"  Path 2: phone -> lte -> server\n",
+			"optimum:    50.0 Mbps at {x1=30.0, x2=20.0}\n",
+		}},
+		{"three", `{
+  "links": [
+    {"a": "s", "b": "m1", "mbps": 10, "delay_ms": 2},
+    {"a": "s", "b": "m2", "mbps": 20, "delay_ms": 3},
+    {"a": "s", "b": "m3", "mbps": 30, "delay_ms": 4},
+    {"a": "m1", "b": "d", "mbps": 100, "delay_ms": 1},
+    {"a": "m2", "b": "d", "mbps": 100, "delay_ms": 1},
+    {"a": "m3", "b": "d", "mbps": 100, "delay_ms": 1}
+  ],
+  "endpoints": {"src": "s", "dst": "d"},
+  "paths": [{"nodes": ["s", "m1", "d"]}, {"nodes": ["s", "m2", "d"]}, {"nodes": ["s", "m3", "d"]}]
+}`, 3, []string{
+			"  Path 3: s -> m3 -> d\n",
+			"optimum:    60.0 Mbps at {x1=10.0, x2=20.0, x3=30.0}\n",
+		}},
 	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output lacks %q:\n%s", want, out)
+		path := filepath.Join(t.TempDir(), tc.name+".json")
+		if err := os.WriteFile(path, []byte(tc.scenario), 0o666); err != nil {
+			t.Fatal(err)
 		}
-	}
-	first, second := strings.Index(out, "subflow Path 1:"), strings.Index(out, "subflow Path 2:")
-	if first < 0 || second < first || strings.Contains(out, "Path 3") {
-		t.Errorf("subflows are not Path 1 then Path 2:\n%s", out)
+		out := runOK(t, "-topo", path, "-duration", "200ms")
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s paths: output lacks %q:\n%s", tc.name, want, out)
+			}
+		}
+		// Subflows print in subflow order: Path 1 first, then each next one.
+		last := -1
+		for i := 1; i <= tc.paths; i++ {
+			at := strings.Index(out, fmt.Sprintf("subflow Path %d:", i))
+			if at < 0 || at < last {
+				t.Errorf("%s paths: subflows are not Path 1 to Path %d in order:\n%s", tc.name, tc.paths, out)
+			}
+			last = at
+		}
+		if strings.Contains(out, fmt.Sprintf("Path %d", tc.paths+1)) {
+			t.Errorf("%s paths: output names a path the scenario lacks:\n%s", tc.name, out)
+		}
 	}
 }
 
