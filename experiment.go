@@ -142,6 +142,33 @@ func prepare(nw *Network, duration, bin time.Duration) (*prepared, error) {
 	return &prepared{nw, base, epochs, target}, nil
 }
 
+// subflowOrder resolves a run's subflow order over n paths: order itself,
+// or every path in definition order when it is empty. Run and Grid.Expand
+// both resolve orders here, so a grid rejects exactly the orders its runs
+// would fail on.
+func subflowOrder(order []int, n int) ([]int, error) {
+	if len(order) == 0 {
+		order = make([]int, n)
+		for i := range order {
+			order[i] = i + 1
+		}
+		return order, nil
+	}
+	seen := make([]bool, n+1)
+	for _, p := range order {
+		if p < 1 || p > n {
+			return nil, fmt.Errorf("mptcpsim: order %s references path %d of %d", orderString(order), p, n)
+		}
+		// A repeated path would open two subflows with the same tag and
+		// corrupt the greedy baseline.
+		if seen[p] {
+			return nil, fmt.Errorf("mptcpsim: order %s lists path %d twice", orderString(order), p)
+		}
+		seen[p] = true
+	}
+	return order, nil
+}
+
 // simulate is the other half: the packet simulation of one option set
 // (defaults filled; the duration and bin width pre was prepared for). The
 // baselines in the Result are copies the caller owns.
@@ -156,25 +183,12 @@ func (pre *prepared) simulate(opts Options) (*Result, error) {
 // before any packet.
 func (pre *prepared) simulateFused(opts Options, fuse func(*netem.Network, sim.Time, []topo.LinkID) int) (*Result, error) {
 	nw, tl, g, base := pre.nw, pre.nw.tl, pre.nw.graph, pre.base
-	order := opts.SubflowPaths
-	if len(order) == 0 {
-		order = make([]int, nw.NumPaths())
-		for i := range order {
-			order[i] = i + 1
-		}
+	order, err := subflowOrder(opts.SubflowPaths, nw.NumPaths())
+	if err != nil {
+		return nil, err
 	}
 	zeroBased := make([]int, len(order))
-	seen := make(map[int]bool, len(order))
 	for i, p := range order {
-		if p < 1 || p > nw.NumPaths() {
-			return nil, fmt.Errorf("mptcpsim: SubflowPaths references path %d of %d", p, nw.NumPaths())
-		}
-		// A repeated path would open two subflows with the same tag and
-		// corrupt the greedy baseline.
-		if seen[p] {
-			return nil, fmt.Errorf("mptcpsim: SubflowPaths lists path %d twice", p)
-		}
-		seen[p] = true
 		zeroBased[i] = p - 1
 	}
 	res := &Result{

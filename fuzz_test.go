@@ -180,7 +180,7 @@ func FuzzLoadGrid(f *testing.F) {
 	for _, spec := range []string{
 		`{"ccs":["cubci"]}`,
 		`{"schedulers":["blast"]}`,
-		`{"schedulers":["rr","roundrobin"]}`,
+		`{"schedulers":["","minrtt"]}`,
 		`{"orders":[[2,2,1]]}`,
 		`{"orders":[[9,1,2]]}`,
 		`{"seeds":[0,1]}`,
@@ -194,6 +194,7 @@ func FuzzLoadGrid(f *testing.F) {
 		`{"events":[{"name":"e","events":[{"at_ms":100,"type":"link_up","a":"s","b":"v1"}]}]}`,
 		`{"sample_ms":1e-6}`,
 		`{"duration_ms":1e300}`,
+		`{"duration_ms":-100}`,
 		`{"cc":["cubic"]}`,
 		`{"ccs":["olia"]} {"ccs":["cubic"]}`,
 		`{"ccs":["olia"]} garbage`,

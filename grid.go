@@ -3,9 +3,9 @@ package mptcpsim
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -27,13 +27,13 @@ type Grid struct {
 	// Scenarios lists the topologies to sweep over. Empty means the paper
 	// network (Fig. 1a).
 	Scenarios []GridScenario `json:"scenarios,omitempty"`
-	// CCs lists congestion-control algorithms ("cubic", "reno", "lia",
-	// "olia", "balia", "wvegas"). Empty means {"cubic"}.
+	// CCs lists congestion-control algorithms by exact name ("cubic",
+	// "reno", "lia", "olia", "balia", "wvegas"). Empty means {"cubic"}.
 	CCs []string `json:"ccs,omitempty"`
-	// Schedulers lists MPTCP schedulers ("minrtt", "redundant"). Empty
-	// means {"minrtt"}. "roundrobin" is an accepted alias of "minrtt" that
-	// nothing shipped draws (see Options.Scheduler): listing both doubles
-	// the runs without adding a cell.
+	// Schedulers lists MPTCP schedulers by exact name ("minrtt",
+	// "redundant"). Empty means {"minrtt"}. "roundrobin" is an accepted
+	// alias of "minrtt" that nothing shipped draws (see Options.Scheduler):
+	// listing both doubles the runs without adding a cell.
 	Schedulers []string `json:"schedulers,omitempty"`
 	// Orders lists subflow orderings (1-based path numbers, first =
 	// default path). Empty means one run in path-definition order.
@@ -148,26 +148,12 @@ type LinkPerturbation struct {
 	Loss float64 `json:"loss,omitempty"`
 }
 
-// canonicalSchedName maps a scheduler spelling (case variants, aliases
-// like "rr" or "default", the empty default) to the scheduler's own
-// canonical name, so axis dedup and result labels agree across spellings.
-func canonicalSchedName(name string) string {
-	s, err := mptcp.NewScheduler(name)
-	if err != nil {
-		return schedName(name)
-	}
-	return s.Name()
-}
-
-// rejectDuplicateAxis errors when an axis lists the same value twice
-// (after normalization): duplicates would execute identical runs and
-// double-count them in group statistics.
-func rejectDuplicateAxis(axis string, vals []string, norm func(string) string) error {
+// rejectDuplicateAxis errors when an axis lists the same value twice:
+// duplicates would execute identical runs and double-count them in group
+// statistics. Run options are compared as Run resolves them.
+func rejectDuplicateAxis(axis string, vals []string) error {
 	seen := make(map[string]bool, len(vals))
 	for _, v := range vals {
-		if norm != nil {
-			v = norm(v)
-		}
 		if seen[v] {
 			return fmt.Errorf("mptcpsim: duplicate %s %q in grid", axis, v)
 		}
@@ -285,6 +271,22 @@ func LoadGrid(r io.Reader) (*Grid, error) {
 	return &g, nil
 }
 
+// gridMillis converts a grid's millisecond field, keep when it is 0. A
+// negative, sub-nanosecond or overflowing value is an error: it would
+// otherwise run the default, or whatever the platform makes of an
+// out-of-range float conversion.
+func gridMillis(field string, ms float64, keep time.Duration) (time.Duration, error) {
+	if ms == 0 {
+		return keep, nil
+	}
+	ns := ms * float64(time.Millisecond)
+	if !(ns >= 1 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("mptcpsim: grid %s %v is out of range (want 0 for the default, or 1e-06 to %.4g)",
+			field, ms, math.MaxInt64/float64(time.Millisecond))
+	}
+	return time.Duration(ns), nil
+}
+
 // RunSpec is one fully resolved point of an expanded grid.
 type RunSpec struct {
 	// Index is the position in deterministic expansion order.
@@ -359,7 +361,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	for i, sc := range resolved {
 		scNames[i] = sc.name
 	}
-	if err := rejectDuplicateAxis("scenario name", scNames, nil); err != nil {
+	if err := rejectDuplicateAxis("scenario name", scNames); err != nil {
 		return nil, err
 	}
 
@@ -377,7 +379,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		}
 		pfilters[i] = pert.Scenarios
 	}
-	if err := rejectDuplicateAxis("perturbation name", pnames, nil); err != nil {
+	if err := rejectDuplicateAxis("perturbation name", pnames); err != nil {
 		return nil, err
 	}
 	for i, f := range pfilters {
@@ -405,7 +407,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		}
 		efilters[i] = es.Scenarios
 	}
-	if err := rejectDuplicateAxis("event set name", enames, nil); err != nil {
+	if err := rejectDuplicateAxis("event set name", enames); err != nil {
 		return nil, err
 	}
 	for i, f := range efilters {
@@ -414,101 +416,77 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		}
 	}
 	// Axis values are validated up front, consistent with the topology
-	// pre-build below: a typo'd name is a structural error, not N
-	// identical per-run failures.
+	// pre-build below: a typo'd name, a bad order or a value that runs as
+	// another does is a structural error, not N per-run failures. Each
+	// value is resolved as Run resolves it, so the empty default collides
+	// with its name and seed 0 with seed 1.
 	ccs := g.CCs
 	if len(ccs) == 0 {
 		ccs = []string{"cubic"}
-	}
-	for _, name := range ccs {
-		if _, err := cc.New(name); err != nil {
-			return nil, fmt.Errorf("mptcpsim: %w", err)
-		}
-	}
-	if err := rejectDuplicateAxis("cc", ccs, strings.ToLower); err != nil {
-		return nil, err
 	}
 	scheds := g.Schedulers
 	if len(scheds) == 0 {
 		scheds = []string{"minrtt"}
 	}
-	for _, name := range scheds {
-		if _, err := mptcp.NewScheduler(name); err != nil {
+	seeds := g.Seeds
+	if len(seeds) == 0 {
+		seeds = []int64{1}
+	}
+	ccNames := make([]string, len(ccs))
+	for i, name := range ccs {
+		ccNames[i] = Options{CC: name}.withDefaults().CC
+		if _, err := cc.New(ccNames[i]); err != nil {
 			return nil, fmt.Errorf("mptcpsim: %w", err)
 		}
 	}
-	if err := rejectDuplicateAxis("scheduler", scheds, canonicalSchedName); err != nil {
+	if err := rejectDuplicateAxis("cc", ccNames); err != nil {
+		return nil, err
+	}
+	schedNames := make([]string, len(scheds))
+	for i, name := range scheds {
+		schedNames[i] = Options{Scheduler: name}.withDefaults().Scheduler
+		if _, err := mptcp.NewScheduler(schedNames[i]); err != nil {
+			return nil, fmt.Errorf("mptcpsim: %w", err)
+		}
+	}
+	if err := rejectDuplicateAxis("scheduler", schedNames); err != nil {
+		return nil, err
+	}
+	seedNames := make([]string, len(seeds))
+	for i, seed := range seeds {
+		seedNames[i] = strconv.FormatInt(Options{Seed: seed}.withDefaults().Seed, 10)
+	}
+	if err := rejectDuplicateAxis("seed", seedNames); err != nil {
 		return nil, err
 	}
 	orders := g.Orders
 	if len(orders) == 0 {
 		orders = [][]int{nil}
 	}
-	// Duplicate orders are checked per scenario so that the empty order
-	// (path-definition order) collides with an explicitly spelled-out
-	// identity permutation instead of double-counting those runs.
+	// Orders apply to every scenario, so each must resolve on every
+	// scenario's paths; the empty order collides there with the identity
+	// order spelled out.
 	for _, sc := range resolved {
-		n := len(sc.file.Paths)
 		orderNames := make([]string, len(orders))
 		for i, o := range orders {
-			if len(o) == 0 {
-				ident := make([]int, n)
-				for j := range ident {
-					ident[j] = j + 1
-				}
-				o = ident
+			o, err := subflowOrder(o, len(sc.file.Paths))
+			if err != nil {
+				return nil, fmt.Errorf("%w in scenario %q", err, sc.name)
 			}
 			orderNames[i] = orderString(o)
 		}
-		if err := rejectDuplicateAxis("order", orderNames, nil); err != nil {
+		if err := rejectDuplicateAxis("order", orderNames); err != nil {
 			return nil, err
 		}
 	}
-	// A repeated path in one ordering would open two subflows with the
-	// same tag and corrupt the greedy baseline.
-	for _, o := range orders {
-		in := make(map[int]bool, len(o))
-		for _, p := range o {
-			if in[p] {
-				return nil, fmt.Errorf("mptcpsim: order %s lists path %d twice", orderString(o), p)
-			}
-			in[p] = true
-		}
-	}
-	// Orders apply to every scenario, so each must stay within every
-	// scenario's path count — caught here, not as N per-run failures.
-	for _, sc := range resolved {
-		n := len(sc.file.Paths)
-		for _, o := range orders {
-			for _, p := range o {
-				if p < 1 || p > n {
-					return nil, fmt.Errorf("mptcpsim: order %s references path %d of %d in scenario %q",
-						orderString(o), p, n, sc.name)
-				}
-			}
-		}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
-	seedNames := make([]string, len(seeds))
-	for i, s := range seeds {
-		if s == 0 {
-			s = 1 // withDefaults maps seed 0 to 1, so 0 and 1 collide
-		}
-		seedNames[i] = strconv.FormatInt(s, 10)
-	}
-	if err := rejectDuplicateAxis("seed", seedNames, nil); err != nil {
-		return nil, err
-	}
 
 	base := g.Base
-	if g.DurationMs > 0 {
-		base.Duration = time.Duration(g.DurationMs * float64(time.Millisecond))
+	var err error
+	if base.Duration, err = gridMillis("duration_ms", g.DurationMs, base.Duration); err != nil {
+		return nil, err
 	}
-	if g.SampleMs > 0 {
-		base.SampleInterval = time.Duration(g.SampleMs * float64(time.Millisecond))
+	if base.SampleInterval, err = gridMillis("sample_ms", g.SampleMs, base.SampleInterval); err != nil {
+		return nil, err
 	}
 	// Duration and bin width are the same for every run: one structural
 	// error here, not N per-run failures.

@@ -14,7 +14,6 @@ package cc
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"mptcpsim/internal/sim"
@@ -128,11 +127,11 @@ func slowStart(f *Flow, acked int) int {
 	return left
 }
 
-// New returns a fresh instance of the named algorithm (case-insensitive).
+// New returns a fresh instance of the algorithm of exactly this name.
 // Coupled algorithms need one instance per MPTCP connection, so every call
 // builds a new one.
 func New(name string) (Algorithm, error) {
-	switch strings.ToLower(name) {
+	switch name {
 	case "balia":
 		return &BALIA{}, nil
 	case "cubic":

@@ -26,20 +26,24 @@ func newFlow(id string, cwndPkts float64, rtt time.Duration) *Flow {
 func TestRegistry(t *testing.T) {
 	names := []string{"balia", "cubic", "lia", "olia", "reno", "wvegas"}
 	for _, name := range names {
-		a, err := New(strings.ToUpper(name))
+		a, err := New(name)
 		if err != nil {
-			t.Fatalf("New(%q): %v", strings.ToUpper(name), err)
+			t.Fatalf("New(%q): %v", name, err)
 		}
 		if a.Name() != name {
 			t.Fatalf("Name() = %q, want %q", a.Name(), name)
 		}
 	}
-	_, err := New("bbr9000")
-	if err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if !strings.Contains(err.Error(), strings.Join(names, ", ")) {
-		t.Fatalf("unknown-algorithm error %q does not list the six", err)
+	// Names are exact: another spelling of a known name is as unknown as a
+	// made-up one, and the error lists the names there are.
+	for _, name := range []string{"bbr9000", "CUBIC", "Olia", ""} {
+		_, err := New(name)
+		if err == nil {
+			t.Fatalf("New(%q) accepted", name)
+		}
+		if !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+			t.Fatalf("unknown-algorithm error %q does not list the six", err)
+		}
 	}
 	// Instances must be independent (coupled state is per connection).
 	a1, _ := New("lia")

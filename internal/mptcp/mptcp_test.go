@@ -2,6 +2,7 @@ package mptcp
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -234,9 +235,7 @@ func TestRedundantSchedulerDuplicates(t *testing.T) {
 
 func TestSchedulerRegistry(t *testing.T) {
 	for name, want := range map[string]string{
-		"": "minrtt", "minrtt": "minrtt", "default": "minrtt", "MinRTT": "minrtt",
-		"rr": "roundrobin", "roundrobin": "roundrobin", "RoundRobin": "roundrobin",
-		"redundant": "redundant", "REDUNDANT": "redundant",
+		"": "minrtt", "minrtt": "minrtt", "roundrobin": "roundrobin", "redundant": "redundant",
 	} {
 		s, err := NewScheduler(name)
 		if err != nil {
@@ -249,8 +248,16 @@ func TestSchedulerRegistry(t *testing.T) {
 			t.Errorf("NewScheduler(%q) redundant = %v", name, s.redundant)
 		}
 	}
-	if s, err := NewScheduler("blast"); err == nil {
-		t.Fatalf("unknown scheduler accepted as %q", s.Name())
+	// Names are exact: a case variant or a dropped alias is as unknown as a
+	// made-up name, and the error lists the names there are.
+	for _, name := range []string{"blast", "MinRTT", "REDUNDANT", "RoundRobin", "default", "rr"} {
+		s, err := NewScheduler(name)
+		if err == nil {
+			t.Fatalf("NewScheduler(%q) accepted as %q", name, s.Name())
+		}
+		if !strings.Contains(err.Error(), "minrtt, redundant, roundrobin") {
+			t.Errorf("NewScheduler(%q): error %q does not list the names", name, err)
+		}
 	}
 	if _, err := Dial(nil, nil, Config{}, 0, 0); err == nil {
 		t.Fatal("Dial with no subflows accepted")

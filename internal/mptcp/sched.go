@@ -1,9 +1,6 @@
 package mptcp
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Scheduler names how connection-level data is spread over subflows.
 // Every subflow pulls data when its own congestion window opens, so with
@@ -21,22 +18,22 @@ type Scheduler struct {
 // Name returns the canonical registry name.
 func (s Scheduler) Name() string { return s.name }
 
-// NewScheduler looks a scheduler up by name ("" selects min-RTT, the
-// Linux MPTCP default the paper's measurements use). Under min-RTT every
+// NewScheduler looks a scheduler up by its exact name ("" selects min-RTT,
+// the Linux MPTCP default the paper's measurements use). Under min-RTT every
 // subflow with window space may send; the low-RTT subflow's ACK clock
 // opens its window most often, which is the only preference for fast
 // paths it has. Round-robin grants exactly as min-RTT does (a subflow out
 // of turn has an open window; refusing it data would idle the path), so
 // runs under either are identical and the two differ in name only.
 func NewScheduler(name string) (Scheduler, error) {
-	switch strings.ToLower(name) {
-	case "", "minrtt", "default":
+	switch name {
+	case "", "minrtt":
 		return Scheduler{name: "minrtt"}, nil
-	case "roundrobin", "rr":
+	case "roundrobin":
 		return Scheduler{name: "roundrobin"}, nil
 	case "redundant":
 		return Scheduler{name: "redundant", redundant: true}, nil
 	default:
-		return Scheduler{}, fmt.Errorf("mptcp: unknown scheduler %q", name)
+		return Scheduler{}, fmt.Errorf("mptcp: unknown scheduler %q (have minrtt, redundant, roundrobin)", name)
 	}
 }

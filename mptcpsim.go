@@ -67,14 +67,14 @@ const (
 // (initial window 10, an ACK every second segment or after 40 ms, RTO
 // between 200 ms and 60 s).
 type Options struct {
-	// CC is the congestion-control algorithm: "cubic" (paper default),
-	// "reno", "lia", "olia", "balia", "wvegas" (delay-based coupled
-	// control).
+	// CC is the congestion-control algorithm, by its exact name: "cubic"
+	// (paper default), "reno", "lia", "olia", "balia", "wvegas"
+	// (delay-based coupled control).
 	CC string
-	// Scheduler is the MPTCP segment scheduler: "minrtt" (default) or
-	// "redundant". "roundrobin" is an accepted alias of "minrtt" that
-	// nothing shipped draws: it grants identically, so its results are
-	// minrtt's.
+	// Scheduler is the MPTCP segment scheduler, by its exact name: "minrtt"
+	// (default) or "redundant". "roundrobin" is an accepted alias of
+	// "minrtt" that nothing shipped draws: it grants identically, so its
+	// results are minrtt's.
 	Scheduler string
 	// Duration is the traffic duration (default 4 s).
 	Duration time.Duration
@@ -154,6 +154,9 @@ func (o Options) checkBins() error {
 func (o Options) withDefaults() Options {
 	if o.CC == "" {
 		o.CC = "cubic"
+	}
+	if o.Scheduler == "" {
+		o.Scheduler = "minrtt"
 	}
 	if o.Duration <= 0 {
 		o.Duration = DefaultDuration

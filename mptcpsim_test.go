@@ -364,6 +364,27 @@ func TestSchedulerOptions(t *testing.T) {
 	}
 }
 
+// TestDefaultsHashAsTheirNames: a run's hashes record what the packets did,
+// not how its options were written: the empty CC and scheduler resolve to
+// "cubic" and "minrtt" before anything reads them, the digests included.
+func TestDefaultsHashAsTheirNames(t *testing.T) {
+	implicit, err := RunPaper(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named, err := RunPaper(Options{CC: "cubic", Scheduler: "minrtt"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if implicit.Hash() != named.Hash() || implicit.EngineHash() != named.EngineHash() {
+		t.Fatalf("defaults hash apart from their names: Hash %.12s vs %.12s, EngineHash %.12s vs %.12s",
+			implicit.Hash(), named.Hash(), implicit.EngineHash(), named.EngineHash())
+	}
+	if o := implicit.Options; o.CC != "cubic" || o.Scheduler != "minrtt" {
+		t.Fatalf("Result.Options has cc=%q scheduler=%q, want the resolved names", o.CC, o.Scheduler)
+	}
+}
+
 func TestDisableSACKAblation(t *testing.T) {
 	// Without SACK, recovery degrades: more RTOs / lower throughput on the
 	// same seed and horizon.

@@ -211,8 +211,8 @@ func (e *runEncoder) alloc(a Allocation) {
 	e.floats(a.PerPath)
 }
 
-// writeEngine writes what the packets did: the options they depend on,
-// the series, the subflow and link counters, the receiver's counts, the
+// writeEngine writes what the packets did: the options they depend on, as
+// Run resolved them (so a default and its name encode alike), the series, the subflow and link counters, the receiver's counts, the
 // dynamic events and each epoch's window and measured means.
 func (e *runEncoder) writeEngine(r *Result) {
 	o := r.Options
@@ -375,7 +375,7 @@ func (r *Result) WritePCAP(w io.Writer) error {
 func (r *Result) Report(w io.Writer) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "algorithm:  %s (scheduler %s, seed %d)\n",
-		r.Options.CC, schedName(r.Options.Scheduler), r.Options.Seed)
+		r.Options.CC, r.Options.Scheduler, r.Options.Seed)
 	fmt.Fprintf(&sb, "optimum:    %.1f Mbps at %s\n", r.Optimum.Total, fmtAlloc(r.Optimum.PerPath))
 	fmt.Fprintf(&sb, "greedy:     %.1f Mbps at %s\n", total(r.Greedy), fmtAlloc(r.Greedy))
 	fmt.Fprintf(&sb, "max-min:    %.1f Mbps at %s\n", total(r.MaxMin), fmtAlloc(r.MaxMin))
@@ -424,13 +424,6 @@ func (r *Result) Report(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-func schedName(s string) string {
-	if s == "" {
-		return "minrtt"
-	}
-	return s
 }
 
 func fmtAlloc(x []float64) string {

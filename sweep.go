@@ -289,16 +289,15 @@ func (s *Sweep) Execute(specs []RunSpec, sink RunSink) error {
 // the cell's other runs wherever they execute, then this run's simulation.
 func runSpec(spec RunSpec) (RunSummary, *Result) {
 	// Label the summary with the effective options so defaults stay
-	// single-sourced in withDefaults, and with canonical spellings so two
-	// sweeps written with different aliases label cells identically.
+	// single-sourced in withDefaults.
 	eff := spec.Options.withDefaults()
 	summary := RunSummary{
 		Index:        spec.Index,
 		Scenario:     spec.Scenario,
 		Perturbation: spec.Perturbation,
 		Events:       spec.Events,
-		CC:           strings.ToLower(eff.CC),
-		Scheduler:    canonicalSchedName(eff.Scheduler),
+		CC:           eff.CC,
+		Scheduler:    eff.Scheduler,
 		Order:        spec.Options.SubflowPaths,
 		Seed:         eff.Seed,
 	}

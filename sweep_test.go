@@ -389,31 +389,80 @@ func TestGridExpandRejectsTooManyBins(t *testing.T) {
 	}
 }
 
+// TestGridExpandRejectsDuplicateAxisValues: two values of a run-option axis
+// that run alike are one structural error naming the axis, also when one of
+// them is the default Run fills in for an empty value.
 func TestGridExpandRejectsDuplicateAxisValues(t *testing.T) {
-	for name, g := range map[string]*Grid{
-		"cc":          {CCs: []string{"cubic", "CUBIC"}},
-		"scheduler":   {Schedulers: []string{"", "minrtt"}},
-		"sched alias": {Schedulers: []string{"rr", "roundrobin"}},
-		"order":       {Orders: [][]int{{1, 2}, {1, 2}}},
-		"seed":        {Seeds: []int64{3, 3}},
-		"seed 0 vs 1": {Seeds: []int64{0, 1}},
+	for name, tc := range map[string]struct {
+		g    *Grid
+		want string
+	}{
+		"cc":                {&Grid{CCs: []string{"olia", "lia", "olia"}}, `duplicate cc "olia"`},
+		"cc default":        {&Grid{CCs: []string{"", "cubic"}}, `duplicate cc "cubic"`},
+		"scheduler":         {&Grid{Schedulers: []string{"redundant", "redundant"}}, `duplicate scheduler "redundant"`},
+		"scheduler default": {&Grid{Schedulers: []string{"", "minrtt"}}, `duplicate scheduler "minrtt"`},
+		"order":             {&Grid{Orders: [][]int{{1, 2}, {1, 2}}}, `duplicate order "1-2"`},
+		"seed":              {&Grid{Seeds: []int64{3, 3}}, `duplicate seed "3"`},
+		"seed 0 vs 1":       {&Grid{Seeds: []int64{0, 1}}, `duplicate seed "1"`},
 	} {
-		if _, err := g.Expand(); err == nil {
-			t.Errorf("%s: duplicate axis value accepted (would double-count runs)", name)
+		_, err := tc.g.Expand()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %s (a duplicate would double-count runs)", name, err, tc.want)
 		}
 	}
 }
 
+// TestGridExpandRejectsBadOrder: an order is refused at expansion for the
+// reason Run would refuse it, or as a duplicate of the empty order.
 func TestGridExpandRejectsBadOrder(t *testing.T) {
-	for name, orders := range map[string][][]int{
-		"out of range":   {{1, 2, 3}, {9, 1, 2}},
-		"repeated":       {{2, 2, 1}},
-		"auto collision": {{}, {1, 2, 3}},
+	for name, tc := range map[string]struct {
+		orders [][]int
+		want   string
+	}{
+		"out of range":   {[][]int{{1, 2, 3}, {9, 1, 2}}, `order 9-1-2 references path 9 of 3 in scenario "paper"`},
+		"zero":           {[][]int{{0, 1}}, `order 0-1 references path 0 of 3`},
+		"repeated":       {[][]int{{2, 2, 1}}, "order 2-2-1 lists path 2 twice"},
+		"auto collision": {[][]int{{}, {1, 2, 3}}, `duplicate order "1-2-3"`},
 	} {
-		g := &Grid{Orders: orders}
-		if _, err := g.Expand(); err == nil {
-			t.Errorf("%s: bad order accepted at expansion time", name)
+		_, err := (&Grid{Orders: tc.orders}).Expand()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q at expansion time", name, err, tc.want)
 		}
+		// Run resolves orders as Expand does.
+		if len(tc.orders) == 1 {
+			_, err := Run(PaperNetwork(), Options{SubflowPaths: tc.orders[0], Duration: 100 * time.Millisecond})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: Run err = %v, want %q", name, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestGridExpandRejectsOutOfRangeDurations: a negative, sub-nanosecond or
+// overflowing duration_ms or sample_ms is an error naming the field, not a
+// run of the default.
+func TestGridExpandRejectsOutOfRangeDurations(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		g     *Grid
+	}{
+		{"duration_ms", &Grid{DurationMs: -100}},
+		{"duration_ms", &Grid{DurationMs: 1e13}},
+		{"duration_ms", &Grid{DurationMs: 1e300}},
+		{"duration_ms", &Grid{DurationMs: 1e-9}},
+		{"duration_ms", &Grid{DurationMs: math.NaN()}},
+		{"sample_ms", &Grid{SampleMs: -100}},
+		{"sample_ms", &Grid{SampleMs: 1e300}},
+	} {
+		_, err := tc.g.Expand()
+		if err == nil || !strings.Contains(err.Error(), "grid "+tc.field) {
+			t.Errorf("%s %v/%v: err = %v, want an error naming %s",
+				tc.field, tc.g.DurationMs, tc.g.SampleMs, err, tc.field)
+		}
+	}
+	specs, err := (&Grid{DurationMs: 1e-6, SampleMs: 1e-6}).Expand()
+	if err != nil || specs[0].Options.Duration != 1 || specs[0].Options.SampleInterval != 1 {
+		t.Fatalf("1 ns runs in 1 ns bins: err = %v, want them to expand", err)
 	}
 }
 
@@ -423,18 +472,33 @@ func TestRunRejectsRepeatedSubflowPath(t *testing.T) {
 	}
 }
 
-func TestSweepLabelsUseCanonicalSpellings(t *testing.T) {
-	grid := &Grid{
-		CCs:        []string{"CUBIC"},
-		Schedulers: []string{"rr"},
-		DurationMs: 100,
-	}
-	res, err := (&Sweep{Workers: 1}).Run(grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Runs[0].CC != "cubic" || res.Runs[0].Scheduler != "roundrobin" {
-		t.Fatalf("labels not canonical: cc=%q scheduler=%q", res.Runs[0].CC, res.Runs[0].Scheduler)
+// TestOtherSpellingsRefused: a name is accepted only as spelled in the
+// registry, so a run has one spelling and one label. Grid.Expand and Run
+// both refuse a case variant or a dropped alias, naming the accepted names.
+func TestOtherSpellingsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{CC: "CUBIC"}, "have balia, cubic, lia, olia, reno, wvegas"},
+		{Options{Scheduler: "MinRTT"}, "have minrtt, redundant, roundrobin"},
+		{Options{Scheduler: "default"}, "have minrtt, redundant, roundrobin"},
+		{Options{Scheduler: "rr"}, "have minrtt, redundant, roundrobin"},
+	} {
+		g := &Grid{DurationMs: 100}
+		if tc.opts.CC != "" {
+			g.CCs = []string{tc.opts.CC}
+		} else {
+			g.Schedulers = []string{tc.opts.Scheduler}
+		}
+		if _, err := g.Expand(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Expand %+v: err = %v, want the accepted names (%s)", g, err, tc.want)
+		}
+		tc.opts.Duration = 100 * time.Millisecond
+		if _, err := RunPaper(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Run cc=%q scheduler=%q: err = %v, want the accepted names (%s)",
+				tc.opts.CC, tc.opts.Scheduler, err, tc.want)
+		}
 	}
 }
 
