@@ -424,14 +424,6 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	if len(ccs) == 0 {
 		ccs = []string{"cubic"}
 	}
-	scheds := g.Schedulers
-	if len(scheds) == 0 {
-		scheds = []string{"minrtt"}
-	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
 	ccNames := make([]string, len(ccs))
 	for i, name := range ccs {
 		ccNames[i] = Options{CC: name}.withDefaults().CC
@@ -442,6 +434,10 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	if err := rejectDuplicateAxis("cc", ccNames); err != nil {
 		return nil, err
 	}
+	scheds := g.Schedulers
+	if len(scheds) == 0 {
+		scheds = []string{"minrtt"}
+	}
 	schedNames := make([]string, len(scheds))
 	for i, name := range scheds {
 		schedNames[i] = Options{Scheduler: name}.withDefaults().Scheduler
@@ -450,13 +446,6 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		}
 	}
 	if err := rejectDuplicateAxis("scheduler", schedNames); err != nil {
-		return nil, err
-	}
-	seedNames := make([]string, len(seeds))
-	for i, seed := range seeds {
-		seedNames[i] = strconv.FormatInt(Options{Seed: seed}.withDefaults().Seed, 10)
-	}
-	if err := rejectDuplicateAxis("seed", seedNames); err != nil {
 		return nil, err
 	}
 	orders := g.Orders
@@ -478,6 +467,17 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		if err := rejectDuplicateAxis("order", orderNames); err != nil {
 			return nil, err
 		}
+	}
+	seeds := g.Seeds
+	if len(seeds) == 0 {
+		seeds = []int64{1}
+	}
+	seedNames := make([]string, len(seeds))
+	for i, seed := range seeds {
+		seedNames[i] = strconv.FormatInt(Options{Seed: seed}.withDefaults().Seed, 10)
+	}
+	if err := rejectDuplicateAxis("seed", seedNames); err != nil {
+		return nil, err
 	}
 
 	base := g.Base

@@ -38,11 +38,11 @@ type SubflowSpec struct {
 
 // Config parameterises an MPTCP connection.
 type Config struct {
-	// Algorithm is the congestion-control name (cc registry): "cubic",
-	// "reno", "lia", "olia", "balia", "wvegas".
+	// Algorithm is the congestion-control name, exactly as the cc
+	// registry spells it: "cubic", "reno", "lia", "olia", "balia", "wvegas".
 	Algorithm string
-	// Scheduler selects the segment scheduler: "minrtt" (default) or
-	// "redundant". "roundrobin" is an accepted alias of "minrtt" that
+	// Scheduler selects the segment scheduler by exact name: "minrtt"
+	// (default) or "redundant". "roundrobin" is an accepted alias of "minrtt" that
 	// nothing shipped draws; it grants as minrtt does.
 	Scheduler string
 	// Subflows lists the paths; the first entry is the default subflow.
