@@ -32,7 +32,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		cc       = fs.String("cc", "cubic", "congestion control, exact name: cubic, reno, lia, olia, balia, wvegas")
 		sched    = fs.String("scheduler", "minrtt", "scheduler, exact name: minrtt or redundant; roundrobin is an accepted alias of minrtt that nothing shipped draws")
-		duration = fs.Duration("duration", 4*time.Second, "traffic duration")
+		duration = fs.Duration("duration", 4*time.Second, "traffic duration (> 0)")
 		seed     = fs.Int64("seed", 1, "random seed (runs are deterministic per seed)")
 		paths    = fs.String("paths", "2,1,3", "subflow paths in priority order (first = default); without it a -topo file runs its paths in definition order")
 		csvPath  = fs.String("csv", "", "write per-path series CSV to file")
@@ -51,6 +51,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	order, err := parsePaths(*paths)
+	if err == nil && *duration <= 0 {
+		// Options would run the 4 s default for it.
+		err = fmt.Errorf("-duration %v runs no traffic (want > 0)", *duration)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "mptcpsim:", err)
 		return 2

@@ -180,3 +180,17 @@ func TestRunBadPathsIsUsage(t *testing.T) {
 		t.Fatalf("stdout %q, stderr %q", stdout.String(), stderr.String())
 	}
 }
+
+// TestRunNonPositiveDurationIsUsage: a -duration of 0 or less is a usage
+// error naming the flag, not a silent run of the 4 s default.
+func TestRunNonPositiveDurationIsUsage(t *testing.T) {
+	for _, d := range []string{"0", "-100ms"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-duration", d}, &stdout, &stderr); code != 2 {
+			t.Fatalf("-duration %s: exit %d, want 2; stderr: %s", d, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "-duration") || stdout.Len() != 0 {
+			t.Fatalf("-duration %s: stdout %q, stderr %q", d, stdout.String(), stderr.String())
+		}
+	}
+}

@@ -176,10 +176,11 @@ var mutateRuns func([]mptcpsim.RunSpec)
 
 // check runs every spec under the full contract in one Sweep.Execute:
 // spec i as a checked run at index i (the invariant oracle on, telemetry
-// too when asked) and as a plain replay at index n+i on the same cell, so
-// hash equality also proves a run leaves its network as it found it. It
-// returns each spec's checked observables, Err holding why it failed, and
-// its failure class. path is the recorder's (nil in plain mode).
+// too when asked) and as a plain replay at index n+i on the same cell, both
+// under the spec's event limit, so hash equality also proves a run leaves
+// its network as it found it. It returns each spec's checked observables,
+// Err holding why it failed, and its failure class. path is the recorder's
+// (nil in plain mode).
 func (h *harness) check(specs []check.Spec, path []int) ([]check.RungObs, []failKind) {
 	n := len(specs)
 	obs := make([]check.RungObs, n)
@@ -192,6 +193,7 @@ func (h *harness) check(specs []check.Spec, path []int) ([]check.RungObs, []fail
 			continue
 		}
 		run := rs[0]
+		run.Options.EventLimit = sp.Options.EventLimit
 		run.Index = n + i
 		replays = append(replays, run)
 		run.Index = i

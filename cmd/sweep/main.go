@@ -115,14 +115,14 @@ func main() {
 	fs := flag.CommandLine
 	fs.StringVar(&cfg.gridPath, "grid", "", "JSON grid spec (default: built-in paper grid, all CCs x 4 orderings)")
 	fs.IntVar(&cfg.workers, "workers", runtime.GOMAXPROCS(0), "parallel worker goroutines")
-	fs.IntVar(&cfg.seeds, "seeds", 1, "seeds 1..n (ignored when the grid file lists seeds)")
-	fs.DurationVar(&cfg.duration, "duration", 0, "traffic duration override (0 = grid / 4s default)")
+	fs.IntVar(&cfg.seeds, "seeds", 1, "seeds 1..n, n >= 1 (ignored when the grid file lists seeds)")
+	fs.DurationVar(&cfg.duration, "duration", 0, "traffic duration override, >= 0 (0 = grid / 4s default)")
 	fs.BoolVar(&cfg.check, "check", false, "validate correctness invariants on every run")
 	fs.StringVar(&cfg.shard, "shard", "", "run only the k/n slice of the grid (e.g. 0/4); needs -stream or -resume")
 	fs.BoolVar(&cfg.merge, "merge", false, "merge the run-logs named as arguments instead of sweeping")
 	fs.BoolVar(&cfg.telemetry, "telemetry", false, "collect engine counters per run and report the sweep-wide rollup")
 	fs.StringVar(&cfg.flightDir, "flightdir", "", "dump failed runs' flight-recorder tails to this directory (implies -telemetry)")
-	fs.Uint64Var(&cfg.eventLimit, "eventlimit", 0, "abort any run after this many simulation events (0 = no limit)")
+	fs.Uint64Var(&cfg.eventLimit, "eventlimit", 0, "abort any run after this many simulation events (0 = no limit); like -check, run-logs merge only across equal values")
 	fs.StringVar(&cfg.streamPath, "stream", "", "stream the sweep to this NDJSON run-log and render outputs from it (flat memory)")
 	fs.StringVar(&cfg.resumePath, "resume", "", "resume an interrupted -stream sweep from this run-log, skipping logged runs")
 	cfg.RegisterQuiet(fs, "suppress per-run progress lines")
@@ -161,6 +161,12 @@ func (cfg *config) validate() (mptcpsim.Shard, error) {
 	}
 	if len(cfg.logPaths) > 0 {
 		return whole, fmt.Errorf("unexpected arguments %v (run-logs are only read with -merge)", cfg.logPaths)
+	}
+	if cfg.duration < 0 {
+		return whole, fmt.Errorf("-duration %v is negative (0 keeps the grid's duration)", cfg.duration)
+	}
+	if cfg.seeds < 1 {
+		return whole, fmt.Errorf("-seeds %d runs no seed (want >= 1)", cfg.seeds)
 	}
 	if cfg.streamPath != "" && cfg.resumePath != "" {
 		return whole, fmt.Errorf("-stream starts a fresh run-log and -resume continues one; pass exactly one")
@@ -224,10 +230,7 @@ func run(cfg config, stdout, stderr io.Writer) (err error) {
 	if cfg.duration > 0 {
 		grid.DurationMs = float64(cfg.duration) / float64(time.Millisecond)
 	}
-	if cfg.eventLimit > 0 {
-		grid.Base.EventLimit = cfg.eventLimit
-	}
-	sweep := &mptcpsim.Sweep{Workers: cfg.workers, ValidateInvariants: cfg.check,
+	sweep := &mptcpsim.Sweep{Workers: cfg.workers, ValidateInvariants: cfg.check, EventLimit: cfg.eventLimit,
 		// Flight dumps need the recorder attached to every run.
 		Telemetry: cfg.telemetry || cfg.flightDir != ""}
 

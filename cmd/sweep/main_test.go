@@ -13,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"mptcpsim"
 	"mptcpsim/internal/cli"
@@ -100,6 +101,7 @@ func TestRunGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
+		seeds:    1,
 		Flags:    outputsIn(dir),
 		gridPath: gridPath,
 		workers:  4,
@@ -179,6 +181,29 @@ func TestCIShardGridShape(t *testing.T) {
 	}
 }
 
+// TestCIRespelledGridDigest: CI merges a shard of
+// ci-shard-grid-respelled.json, which writes out defaults the CI grid leaves
+// implicit, with the CI grid's other shards. That holds only while the two
+// files differ in spelling and describe the same runs.
+func TestCIRespelledGridDigest(t *testing.T) {
+	var digests [2]string
+	for i, name := range []string{"ci-shard-grid.json", "ci-shard-grid-respelled.json"} {
+		grid, err := cli.LoadGrid(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && (grid.SampleMs == 0 || len(grid.Perturbations) == 0) {
+			t.Fatalf("%s spells out no default", name)
+		}
+		if digests[i], _, err = (&mptcpsim.Sweep{}).Describe(grid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("the re-spelled CI grid digests %.12s, the CI grid %.12s", digests[1], digests[0])
+	}
+}
+
 // TestRunShardMergeGolden drives the CLI seam through shard and merge
 // mode: two shard run-logs of the golden grid merged back must reproduce
 // the exact golden report, CSVs and JSON of the unsharded run — the CLI
@@ -190,6 +215,7 @@ func TestRunShardMergeGolden(t *testing.T) {
 	var logPaths []string
 	for k := 0; k < 2; k++ {
 		cfg := config{
+			seeds:      1,
 			Flags:      cli.Flags{Quiet: true},
 			gridPath:   gridPath,
 			workers:    k + 1, // run-logs must not depend on worker count
@@ -228,6 +254,7 @@ func TestRunTelemetryAndProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
+		seeds: 1,
 		Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "progress.ndjson"),
 			CSV: filepath.Join(dir, "runs.csv")},
 		gridPath:  gridPath,
@@ -312,6 +339,7 @@ func TestRunReportsPoolSize(t *testing.T) {
 	pool := runtime.GOMAXPROCS(0)
 	for _, workers := range []int{0, -2} {
 		cfg := config{
+			seeds:    1,
 			Flags:    cli.Flags{Quiet: true, Progress: filepath.Join(dir, "progress.ndjson")},
 			gridPath: gridPath,
 			workers:  workers,
@@ -349,6 +377,7 @@ func TestRunFlightDumps(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := config{
+		seeds:      1,
 		gridPath:   gridPath,
 		workers:    2,
 		flightDir:  filepath.Join(dir, "flight"),
@@ -412,18 +441,18 @@ func TestRunFlagDiagnostics(t *testing.T) {
 		want string
 	}{
 		"shard without stream": {
-			config{Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "early.ndjson"),
+			config{seeds: 1, Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "early.ndjson"),
 				CPUProfile: filepath.Join(dir, "early.pprof")},
 				gridPath: gridPath, shard: "0/2", flightDir: filepath.Join(dir, "early-flight")},
 			"-stream",
 		},
 		"shard with aggregate output": {
-			config{Flags: cli.Flags{Quiet: true, JSON: filepath.Join(dir, "x.json")}, gridPath: gridPath,
+			config{seeds: 1, Flags: cli.Flags{Quiet: true, JSON: filepath.Join(dir, "x.json")}, gridPath: gridPath,
 				shard: "0/2", streamPath: filepath.Join(dir, "s.ndjson")},
 			"-merge",
 		},
 		"bad shard spec": {
-			config{Flags: quiet, gridPath: gridPath, shard: "2/2", streamPath: filepath.Join(dir, "s.ndjson")},
+			config{seeds: 1, Flags: quiet, gridPath: gridPath, shard: "2/2", streamPath: filepath.Join(dir, "s.ndjson")},
 			"out of range",
 		},
 		"merge without artifacts": {
@@ -439,8 +468,22 @@ func TestRunFlagDiagnostics(t *testing.T) {
 			"absent.ndjson",
 		},
 		"stray arguments": {
-			config{Flags: quiet, gridPath: gridPath, logPaths: []string{"stray.ndjson"}},
+			config{seeds: 1, Flags: quiet, gridPath: gridPath, logPaths: []string{"stray.ndjson"}},
 			"unexpected arguments",
+		},
+		// Both used to run the grid's own duration or seed 1 silently.
+		"negative duration": {
+			config{seeds: 1, Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "early-duration.ndjson")},
+				gridPath: gridPath, duration: -100 * time.Millisecond},
+			"-duration -100ms is negative",
+		},
+		"zero seeds": {
+			config{Flags: cli.Flags{Quiet: true, Progress: filepath.Join(dir, "early-seeds.ndjson")}, gridPath: gridPath},
+			"-seeds 0 runs no seed",
+		},
+		"negative seeds": {
+			config{seeds: -3, Flags: quiet, gridPath: gridPath},
+			"-seeds -3 runs no seed",
 		},
 	}
 	for name, tc := range cases {

@@ -70,6 +70,7 @@ func TestRunStreamGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dir, gridPath := writeGoldenGrid(t)
 			cfg := config{
+				seeds:      1,
 				Flags:      outputsIn(dir),
 				gridPath:   gridPath,
 				workers:    workers,
@@ -110,7 +111,7 @@ func TestRunResumeAfterTruncation(t *testing.T) {
 	dir, gridPath := writeGoldenGrid(t)
 	logPath := filepath.Join(dir, "sweep.ndjson")
 
-	first := config{Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 2, check: true, streamPath: logPath}
+	first := config{seeds: 1, Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 2, check: true, streamPath: logPath}
 	var stdout, stderr bytes.Buffer
 	if err := run(first, &stdout, &stderr); err != nil {
 		t.Fatalf("stream: %v\nstderr: %s", err, stderr.String())
@@ -121,6 +122,7 @@ func TestRunResumeAfterTruncation(t *testing.T) {
 	}
 
 	second := config{
+		seeds:      1,
 		Flags:      outputsIn(dir),
 		gridPath:   gridPath,
 		workers:    2,
@@ -165,6 +167,7 @@ func TestRunResumeTornHeader(t *testing.T) {
 	}
 
 	cfg := config{
+		seeds:      1,
 		Flags:      outputsIn(dir),
 		gridPath:   gridPath,
 		workers:    2,
@@ -191,13 +194,14 @@ func TestRunResumeProgress(t *testing.T) {
 	dir, gridPath := writeGoldenGrid(t)
 	logPath := filepath.Join(dir, "sweep.ndjson")
 	var stdout, stderr bytes.Buffer
-	if err := run(config{Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 2, streamPath: logPath},
+	if err := run(config{seeds: 1, Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 2, streamPath: logPath},
 		&stdout, &stderr); err != nil {
 		t.Fatalf("stream: %v\nstderr: %s", err, stderr.String())
 	}
 	truncateMidRecord(t, logPath)
 
 	cfg := config{
+		seeds:      1,
 		Flags:      cli.Flags{Quiet: true, Progress: filepath.Join(dir, "progress.ndjson")},
 		gridPath:   gridPath,
 		workers:    2,
@@ -237,7 +241,7 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 	logPath := filepath.Join(dir, "other.ndjson")
 	var stdout, stderr bytes.Buffer
 	quiet := cli.Flags{Quiet: true}
-	if err := run(config{Flags: quiet, workers: 2, duration: 100 * 1e6, streamPath: logPath},
+	if err := run(config{seeds: 1, Flags: quiet, workers: 2, duration: 100 * 1e6, streamPath: logPath},
 		&stdout, &stderr); err != nil {
 		t.Fatalf("seed log: %v\nstderr: %s", err, stderr.String())
 	}
@@ -262,11 +266,11 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 		want []string
 	}{
 		"stream with resume": {
-			config{Flags: quiet, gridPath: gridPath, streamPath: "a.ndjson", resumePath: "b.ndjson"},
+			config{seeds: 1, Flags: quiet, gridPath: gridPath, streamPath: "a.ndjson", resumePath: "b.ndjson"},
 			[]string{"exactly one"},
 		},
 		"streamed shard with aggregate output": {
-			config{Flags: cli.Flags{Quiet: true, JSON: filepath.Join(dir, "x.json")}, gridPath: gridPath,
+			config{seeds: 1, Flags: cli.Flags{Quiet: true, JSON: filepath.Join(dir, "x.json")}, gridPath: gridPath,
 				shard: "0/2", streamPath: filepath.Join(dir, "s.ndjson")},
 			[]string{"-merge"},
 		},
@@ -275,7 +279,7 @@ func TestRunStreamFlagDiagnostics(t *testing.T) {
 			[]string{"-stream"},
 		},
 		"resume against different grid": {
-			config{Flags: quiet, gridPath: gridPath, resumePath: logPath},
+			config{seeds: 1, Flags: quiet, gridPath: gridPath, resumePath: logPath},
 			[]string{"digest"},
 		},
 		"merge of torn log": {
@@ -314,7 +318,7 @@ func TestRunShardCrashStatesResume(t *testing.T) {
 	dir, gridPath := writeGoldenGrid(t)
 	const n = 4
 	shardCfg := func(k int) config {
-		return config{Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 1, check: true,
+		return config{seeds: 1, Flags: cli.Flags{Quiet: true}, gridPath: gridPath, workers: 1, check: true,
 			shard: fmt.Sprintf("%d/%d", k, n)}
 	}
 	logPaths := make([]string, n)

@@ -48,21 +48,21 @@ var fieldAllow = map[string]string{
 	"fleet.Worker.Grid":         "pinned by bench/: bench/workloads.go's fleet pass is the only user of the in-process worker",
 	"fleet.Worker.Spool":        "pinned by bench/: bench/workloads.go's fleet pass is the only user of the in-process worker",
 
-	"tcp.Stats.AcksSent":        "test observation point: delayed-ACK tests count the ACKs",
-	"tcp.Stats.DeliveredData":   "test observation point: receiver tests read the in-order byte count",
-	"tcp.Conn.peerTSseen":       "test observation point: the timestamp tests check an echo was seen",
-	"mptcp.Subflow.assigned":    "test observation point: per-subflow share of the scheduler's grants",
-	"mptcp.RecvConn.subflows":   "test observation point: join-demultiplexing tests count the joined subflows",
-	"topo.PaperNet.Bottlenecks": "test observation point: the Fig. 1a tests name the three shared links",
+	"tcp.Stats.AcksSent":      "test observation point: delayed-ACK tests count the ACKs",
+	"tcp.Stats.DeliveredData": "test observation point: receiver tests read the in-order byte count",
+	"tcp.Conn.peerTSseen":     "test observation point: the timestamp tests check an echo was seen",
+	"mptcp.Subflow.assigned":  "test observation point: per-subflow share of the scheduler's grants",
+	"mptcp.RecvConn.subflows": "test observation point: join-demultiplexing tests count the joined subflows",
 
 	"tcp.CountSink.Bytes":   "test observation point: the tcp tests read what a plain-TCP receiver was handed",
 	"check.Ladder.Stripped": "test observation point: the ladder-coverage test wants some ladder to have stripped events",
 
-	"cc.Flow.ID":          "pinned by bench/: its only source is tcp.Config.FlowID, which bench/layers.go sets; no algorithm reads it",
-	"topo.PaperNet.Graph": "pinned by bench/: bench/layers.go runs its mptcp and lp benchmarks on topo.Paper's graph",
-	"topo.PaperNet.S":     "pinned by bench/: bench/layers.go puts its sender on topo.Paper's source",
-	"topo.PaperNet.D":     "pinned by bench/: bench/layers.go puts its receiver on topo.Paper's destination",
-	"topo.PaperNet.Paths": "pinned by bench/: bench/layers.go routes its subflows and solves its LPs over topo.Paper's paths",
+	"cc.Flow.ID":                "pinned by bench/: its only source is tcp.Config.FlowID, which bench/layers.go sets; no algorithm reads it",
+	"topo.PaperNet.Graph":       "pinned by bench/: bench/layers.go runs its mptcp and lp benchmarks on topo.Paper's graph",
+	"topo.PaperNet.S":           "pinned by bench/: bench/layers.go puts its sender on topo.Paper's source",
+	"topo.PaperNet.D":           "pinned by bench/: bench/layers.go puts its receiver on topo.Paper's destination",
+	"topo.PaperNet.Paths":       "pinned by bench/: bench/layers.go routes its subflows and solves its LPs over topo.Paper's paths",
+	"topo.PaperNet.Bottlenecks": "pinned by bench/: bench/layers.go builds its LP cold-solve variants from topo.Paper's shared links",
 }
 
 // TestEveryFieldIsSetAndRead is the field-level reachability pass as a

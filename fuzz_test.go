@@ -161,8 +161,9 @@ func FuzzReadRunLog(f *testing.F) {
 // FuzzLoadGrid asserts the grid format's contract on arbitrary input:
 // parsing never panics; a spec it accepts either fails expansion with an
 // error or expands to at most the product of its axis lengths (scenario
-// filters only ever remove cells); and expansion is a pure function of the
-// spec — two expansions digest equally.
+// filters only ever remove cells); expansion is a pure function of the
+// spec — two expansions digest equally; and a Grid is exactly its JSON —
+// re-encoded and loaded again, it describes the same runs.
 func FuzzLoadGrid(f *testing.F) {
 	ci, err := os.ReadFile("cmd/sweep/testdata/ci-shard-grid.json")
 	if err != nil {
@@ -198,6 +199,16 @@ func FuzzLoadGrid(f *testing.F) {
 		`{"cc":["cubic"]}`,
 		`{"ccs":["olia"]} {"ccs":["cubic"]}`,
 		`{"ccs":["olia"]} garbage`,
+		// Spellings of the default grid's one run that digest alike.
+		`{}`,
+		`{"ccs":[""]}`,
+		`{"ccs":["cubic"]}`,
+		`{"schedulers":[""]}`,
+		`{"schedulers":["minrtt"]}`,
+		`{"seeds":[0]}`,
+		`{"seeds":[1]}`,
+		`{"duration_ms":4000}`,
+		`{"sample_ms":100}`,
 	} {
 		f.Add([]byte(spec))
 	}
@@ -232,9 +243,21 @@ func FuzzLoadGrid(f *testing.F) {
 			}
 		}
 		d1, _, err1 := (&Sweep{}).Describe(g)
-		d2, _, err2 := (&Sweep{}).Describe(g)
+		d2, n2, err2 := (&Sweep{}).Describe(g)
 		if err1 != nil || err2 != nil || d1 != d2 {
 			t.Fatalf("expansion is not stable: digests %q (%v) and %q (%v)", d1, err1, d2, err2)
+		}
+		js, err := json.Marshal(g)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted grid: %v", err)
+		}
+		again, err := LoadGrid(bytes.NewReader(js))
+		if err != nil {
+			t.Fatalf("re-encoded grid %s refused: %v", js, err)
+		}
+		d3, n3, err := (&Sweep{}).Describe(again)
+		if err != nil || d3 != d2 || n3 != n2 {
+			t.Fatalf("re-encoded grid %s describes %d runs under %.12s (%v), the original %d under %.12s", js, n3, d3, err, n2, d2)
 		}
 	})
 }

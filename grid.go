@@ -1,6 +1,7 @@
 package mptcpsim
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
@@ -16,8 +17,9 @@ import (
 // Grid describes a parameter sweep: the cross product of scenarios,
 // perturbations, congestion-control algorithms, schedulers, subflow
 // orderings and seeds, each combination executed as one independent
-// experiment. A Grid is JSON-serialisable so cmd/sweep can read grid specs
-// from disk (see LoadGrid); empty axes default to a single sensible value.
+// experiment. A Grid is exactly its JSON (see LoadGrid); empty axes default
+// to a single sensible value, and what a sweep adds to every run is a
+// Sweep setting.
 //
 // Expansion order is deterministic and documented: scenarios vary slowest,
 // then perturbations, event sets, CC algorithms, schedulers, orderings,
@@ -55,13 +57,6 @@ type Grid struct {
 	// SampleMs overrides the capture bin width (milliseconds); 0 keeps the
 	// 100 ms default.
 	SampleMs float64 `json:"sample_ms,omitempty"`
-
-	// Base supplies any further per-run options programmatically (SACK,
-	// timestamps, cross traffic, telemetry...). CC, Scheduler,
-	// SubflowPaths and Seed are overwritten by the grid axes;
-	// Base.QueueScale multiplies with each perturbation's QueueScale, and a
-	// perturbation's DisableSACK adds to Base.DisableSACK.
-	Base Options `json:"-"`
 }
 
 // GridScenario selects one topology of a sweep, either the built-in paper
@@ -171,28 +166,63 @@ func (f scenarioFilter) matches(scenario string) bool {
 	return len(f) == 0 || slices.Contains(f, scenario)
 }
 
-// checkKnown rejects a filter of the axis value `kind name` that lists a
-// scenario the grid does not have: a typo would otherwise silently drop
-// runs.
-func (f scenarioFilter) checkKnown(kind, name string, scenarios []string) error {
-	for _, want := range f {
-		if !slices.Contains(scenarios, want) {
-			return fmt.Errorf("mptcpsim: %s %q targets unknown scenario %q", kind, name, want)
-		}
-	}
-	return nil
+// label is the perturbation's name in results, "p<i+1>" for the i-th when
+// unnamed, and its scenario filter.
+func (p Perturbation) label(i int) (string, scenarioFilter) {
+	return cmp.Or(p.Name, fmt.Sprintf("p%d", i+1)), p.Scenarios
 }
 
-// coversAny reports whether at least one of an axis's filters covers the
-// named scenario. A scenario every value filters out would contribute zero
-// runs with no diagnostic.
-func coversAny(filters []scenarioFilter, scenario string) bool {
-	for _, f := range filters {
-		if f.matches(scenario) {
-			return true
+// label is the event set's name in results, when unnamed "static" for an
+// empty timeline and "e<i+1>" for the i-th other one, and its scenario
+// filter.
+func (es EventSet) label(i int) (string, scenarioFilter) {
+	if len(es.Events) == 0 {
+		return cmp.Or(es.Name, "static"), es.Scenarios
+	}
+	return cmp.Or(es.Name, fmt.Sprintf("e%d", i+1)), es.Scenarios
+}
+
+// namedAxis is a perturbation or event-set axis as Expand resolves it: each
+// value's name in results and its scenario filter.
+type namedAxis struct {
+	kind    string
+	names   []string
+	filters []scenarioFilter
+}
+
+// resolveNamedAxis labels the values of the axis kind and checks what a
+// grid may get wrong about them. Names key aggregation groups, so two values
+// may not share one; a filter naming a scenario the grid does not have is a
+// typo that would silently drop runs.
+func resolveNamedAxis[T interface {
+	label(int) (string, scenarioFilter)
+}](kind string, vals []T, scenarios []string) (namedAxis, error) {
+	ax := namedAxis{kind, make([]string, len(vals)), make([]scenarioFilter, len(vals))}
+	for i, v := range vals {
+		ax.names[i], ax.filters[i] = v.label(i)
+	}
+	if err := rejectDuplicateAxis(kind+" name", ax.names); err != nil {
+		return ax, err
+	}
+	for i, f := range ax.filters {
+		for _, want := range f {
+			if !slices.Contains(scenarios, want) {
+				return ax, fmt.Errorf("mptcpsim: %s %q targets unknown scenario %q", kind, ax.names[i], want)
+			}
 		}
 	}
-	return false
+	return ax, nil
+}
+
+// covers errors when every value of the axis filters the scenario out: it
+// would contribute zero runs with no diagnostic.
+func (ax namedAxis) covers(scenario string) error {
+	for _, f := range ax.filters {
+		if f.matches(scenario) {
+			return nil
+		}
+	}
+	return fmt.Errorf("mptcpsim: scenario %q is excluded by every %s's scenario filter", scenario, ax.kind)
 }
 
 // apply returns a deep copy of sf with the perturbation applied.
@@ -271,13 +301,13 @@ func LoadGrid(r io.Reader) (*Grid, error) {
 	return &g, nil
 }
 
-// gridMillis converts a grid's millisecond field, keep when it is 0. A
-// negative, sub-nanosecond or overflowing value is an error: it would
+// gridMillis converts a grid's millisecond field; 0 stays 0, the default.
+// A negative, sub-nanosecond or overflowing value is an error: it would
 // otherwise run the default, or whatever the platform makes of an
 // out-of-range float conversion.
-func gridMillis(field string, ms float64, keep time.Duration) (time.Duration, error) {
+func gridMillis(field string, ms float64) (time.Duration, error) {
 	if ms == 0 {
-		return keep, nil
+		return 0, nil
 	}
 	ns := ms * float64(time.Millisecond)
 	if !(ns >= 1 && ns < math.MaxInt64) {
@@ -294,8 +324,8 @@ type RunSpec struct {
 	// Scenario and Perturbation name the topology variant; Events names
 	// the dynamic-event set in force ("static" when the axis is unused).
 	Scenario, Perturbation, Events string
-	// Options holds the complete per-run options (CC, scheduler, ordering,
-	// seed and queue scale filled from the grid axes).
+	// Options are what the run executes, defaults filled in as Run fills
+	// them (the order as spelled), plus the sweep's settings.
 	Options Options
 
 	cell *cell
@@ -312,7 +342,9 @@ type cell struct {
 
 // Expand resolves defaults and produces the deterministic run list: the
 // full cross product with scenarios varying slowest, then perturbations,
-// event sets, CC algorithms, schedulers, orderings, and seeds fastest.
+// event sets, CC algorithms, schedulers, orderings, and seeds fastest. Each
+// spec holds the options Run would execute for its point (orders as
+// spelled), so two spellings of one run expand to equal specs.
 func (g *Grid) Expand() ([]RunSpec, error) {
 	scenarios := g.Scenarios
 	if len(scenarios) == 0 {
@@ -323,6 +355,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		file *ScenarioFile
 	}
 	resolved := make([]namedScenario, len(scenarios))
+	scNames := make([]string, len(scenarios))
 	for i, s := range scenarios {
 		ns := namedScenario{name: s.Name}
 		// Exactly one selector: with several set, the library and the CLI
@@ -350,17 +383,11 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 		default:
 			return nil, fmt.Errorf("mptcpsim: scenario %d is empty (set paper, file or scenario)", i)
 		}
-		if ns.name == "" {
-			ns.name = fmt.Sprintf("s%d", i+1)
-		}
-		resolved[i] = ns
+		ns.name = cmp.Or(ns.name, fmt.Sprintf("s%d", i+1))
+		resolved[i], scNames[i] = ns, ns.name
 	}
 	// Group aggregation keys on the name; duplicates would silently pool
 	// unrelated topologies into one cell.
-	scNames := make([]string, len(resolved))
-	for i, sc := range resolved {
-		scNames[i] = sc.name
-	}
 	if err := rejectDuplicateAxis("scenario name", scNames); err != nil {
 		return nil, err
 	}
@@ -369,89 +396,50 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 	if len(perts) == 0 {
 		perts = []Perturbation{{Name: "base"}}
 	}
-	// Like scenarios, perturbation names key aggregation groups.
-	pnames := make([]string, len(perts))
-	pfilters := make([]scenarioFilter, len(perts))
-	for i, pert := range perts {
-		pnames[i] = pert.Name
-		if pnames[i] == "" {
-			pnames[i] = fmt.Sprintf("p%d", i+1)
-		}
-		pfilters[i] = pert.Scenarios
-	}
-	if err := rejectDuplicateAxis("perturbation name", pnames); err != nil {
+	pax, err := resolveNamedAxis("perturbation", perts, scNames)
+	if err != nil {
 		return nil, err
 	}
-	for i, f := range pfilters {
-		if err := f.checkKnown("perturbation", perts[i].Name, scNames); err != nil {
-			return nil, err
-		}
-	}
-
 	// The events axis: like perturbations, sets are named, deduplicated,
 	// and may be scoped to scenarios; an empty axis is one static pass.
 	events := g.Events
 	if len(events) == 0 {
 		events = []EventSet{{Name: "static"}}
 	}
-	enames := make([]string, len(events))
-	efilters := make([]scenarioFilter, len(events))
-	for i, es := range events {
-		enames[i] = es.Name
-		if enames[i] == "" {
-			if len(es.Events) == 0 {
-				enames[i] = "static"
-			} else {
-				enames[i] = fmt.Sprintf("e%d", i+1)
-			}
-		}
-		efilters[i] = es.Scenarios
-	}
-	if err := rejectDuplicateAxis("event set name", enames); err != nil {
+	eax, err := resolveNamedAxis("event set", events, scNames)
+	if err != nil {
 		return nil, err
-	}
-	for i, f := range efilters {
-		if err := f.checkKnown("event set", events[i].Name, scNames); err != nil {
-			return nil, err
-		}
 	}
 	// Axis values are validated up front, consistent with the topology
 	// pre-build below: a typo'd name, a bad order or a value that runs as
 	// another does is a structural error, not N per-run failures. Each
-	// value is resolved as Run resolves it, so the empty default collides
-	// with its name and seed 0 with seed 1.
-	ccs := g.CCs
-	if len(ccs) == 0 {
-		ccs = []string{"cubic"}
-	}
-	ccNames := make([]string, len(ccs))
+	// value is resolved as Run resolves it (an empty axis is one run of the
+	// default), so the empty default collides with its name and seed 0
+	// with seed 1.
+	ccs := make([]string, max(len(g.CCs), 1))
+	copy(ccs, g.CCs)
 	for i, name := range ccs {
-		ccNames[i] = Options{CC: name}.withDefaults().CC
-		if _, err := cc.New(ccNames[i]); err != nil {
+		ccs[i] = Options{CC: name}.withDefaults().CC
+		if _, err := cc.New(ccs[i]); err != nil {
 			return nil, fmt.Errorf("mptcpsim: %w", err)
 		}
 	}
-	if err := rejectDuplicateAxis("cc", ccNames); err != nil {
+	if err := rejectDuplicateAxis("cc", ccs); err != nil {
 		return nil, err
 	}
-	scheds := g.Schedulers
-	if len(scheds) == 0 {
-		scheds = []string{"minrtt"}
-	}
-	schedNames := make([]string, len(scheds))
+	scheds := make([]string, max(len(g.Schedulers), 1))
+	copy(scheds, g.Schedulers)
 	for i, name := range scheds {
-		schedNames[i] = Options{Scheduler: name}.withDefaults().Scheduler
-		if _, err := mptcp.NewScheduler(schedNames[i]); err != nil {
+		scheds[i] = Options{Scheduler: name}.withDefaults().Scheduler
+		if _, err := mptcp.NewScheduler(scheds[i]); err != nil {
 			return nil, fmt.Errorf("mptcpsim: %w", err)
 		}
 	}
-	if err := rejectDuplicateAxis("scheduler", schedNames); err != nil {
+	if err := rejectDuplicateAxis("scheduler", scheds); err != nil {
 		return nil, err
 	}
-	orders := g.Orders
-	if len(orders) == 0 {
-		orders = [][]int{nil}
-	}
+	orders := make([][]int, max(len(g.Orders), 1))
+	copy(orders, g.Orders)
 	// Orders apply to every scenario, so each must resolve on every
 	// scenario's paths; the empty order collides there with the identity
 	// order spelled out.
@@ -468,59 +456,58 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 			return nil, err
 		}
 	}
-	seeds := g.Seeds
-	if len(seeds) == 0 {
-		seeds = []int64{1}
-	}
+	seeds := make([]int64, max(len(g.Seeds), 1))
+	copy(seeds, g.Seeds)
 	seedNames := make([]string, len(seeds))
 	for i, seed := range seeds {
-		seedNames[i] = strconv.FormatInt(Options{Seed: seed}.withDefaults().Seed, 10)
+		seeds[i] = Options{Seed: seed}.withDefaults().Seed
+		seedNames[i] = strconv.FormatInt(seeds[i], 10)
 	}
 	if err := rejectDuplicateAxis("seed", seedNames); err != nil {
 		return nil, err
 	}
 
-	base := g.Base
-	var err error
-	if base.Duration, err = gridMillis("duration_ms", g.DurationMs, base.Duration); err != nil {
+	var eff Options
+	if eff.Duration, err = gridMillis("duration_ms", g.DurationMs); err != nil {
 		return nil, err
 	}
-	if base.SampleInterval, err = gridMillis("sample_ms", g.SampleMs, base.SampleInterval); err != nil {
+	if eff.SampleInterval, err = gridMillis("sample_ms", g.SampleMs); err != nil {
 		return nil, err
 	}
 	// Duration and bin width are the same for every run: one structural
 	// error here, not N per-run failures.
-	eff := base.withDefaults()
+	eff = eff.withDefaults()
 	if err := eff.checkBins(); err != nil {
 		return nil, err
 	}
 
 	var specs []RunSpec
 	for _, sc := range resolved {
-		if !coversAny(pfilters, sc.name) {
-			return nil, fmt.Errorf("mptcpsim: scenario %q is excluded by every perturbation's scenario filter", sc.name)
+		if err := pax.covers(sc.name); err != nil {
+			return nil, err
 		}
-		if !coversAny(efilters, sc.name) {
-			return nil, fmt.Errorf("mptcpsim: scenario %q is excluded by every event set's scenario filter", sc.name)
+		if err := eax.covers(sc.name); err != nil {
+			return nil, err
 		}
 		for pi, pert := range perts {
-			if !pfilters[pi].matches(sc.name) {
+			if !pax.filters[pi].matches(sc.name) {
 				continue
 			}
-			pname := pnames[pi]
+			pname := pax.names[pi]
 			perturbed, err := pert.apply(sc.file)
 			if err != nil {
 				return nil, err
 			}
-			qs := eff.QueueScale
-			if pert.QueueScale > 0 {
-				qs *= pert.QueueScale
-			}
+			// What this perturbation's runs share, resolved; the axes below
+			// set only values they resolved already.
+			base := eff
+			base.QueueScale, base.DisableSACK = pert.QueueScale, pert.DisableSACK
+			base = base.withDefaults()
 			for ei, es := range events {
-				if !efilters[ei].matches(sc.name) {
+				if !eax.filters[ei].matches(sc.name) {
 					continue
 				}
-				ename := enames[ei]
+				ename := eax.names[ei]
 				withEvents := es.apply(perturbed)
 				// Catch broken topologies and timelines now rather than
 				// burning the whole sweep on runs that all fail at build
@@ -540,12 +527,7 @@ func (g *Grid) Expand() ([]RunSpec, error) {
 						for _, order := range orders {
 							for _, seed := range seeds {
 								opts := base
-								opts.CC = ccName
-								opts.Scheduler = sched
-								opts.SubflowPaths = order
-								opts.Seed = seed
-								opts.QueueScale = qs
-								opts.DisableSACK = base.DisableSACK || pert.DisableSACK
+								opts.CC, opts.Scheduler, opts.SubflowPaths, opts.Seed = ccName, sched, order, seed
 								specs = append(specs, RunSpec{
 									Index:        len(specs),
 									Scenario:     sc.name,

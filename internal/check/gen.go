@@ -41,20 +41,22 @@ type Spec struct {
 	Options mptcpsim.Options
 }
 
-// Grid returns the spec as a one-run grid: its scenario inline, one-value
-// CC, scheduler, order and seed axes, and Base carrying the rest of its
-// options (duration, queue scale, event limit). Expanding it builds and
+// Grid returns the spec as a one-run JSON grid: its scenario inline,
+// one-value CC, scheduler, order and seed axes, its duration, and one
+// perturbation with its queue scale. The event limit, a sweep setting, is
+// the harness's to set on the expanded run. Expanding the grid builds and
 // validates the scenario, so a harness runs generated specs through the
 // same Sweep.Execute that sweeps use.
 func (s Spec) Grid() *mptcpsim.Grid {
 	o := s.Options
 	return &mptcpsim.Grid{
-		Scenarios:  []mptcpsim.GridScenario{{Name: s.Name, Scenario: s.Scenario}},
-		CCs:        []string{o.CC},
-		Schedulers: []string{o.Scheduler},
-		Orders:     [][]int{o.SubflowPaths},
-		Seeds:      []int64{o.Seed},
-		Base:       o,
+		Scenarios:     []mptcpsim.GridScenario{{Name: s.Name, Scenario: s.Scenario}},
+		CCs:           []string{o.CC},
+		Schedulers:    []string{o.Scheduler},
+		Orders:        [][]int{o.SubflowPaths},
+		Seeds:         []int64{o.Seed},
+		DurationMs:    float64(o.Duration) / float64(time.Millisecond),
+		Perturbations: []mptcpsim.Perturbation{{Name: "base", QueueScale: o.QueueScale}},
 	}
 }
 

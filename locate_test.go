@@ -155,7 +155,7 @@ func RunSpecHops(spec RunSpec, perHop bool, tap *HostTap) (*Result, int, error) 
 	if err != nil {
 		return nil, 0, err
 	}
-	res, hr, err := simulateHops(pre, spec.Options.withDefaults(), perHop, tap)
+	res, hr, err := simulateHops(pre, spec.Options, perHop, tap)
 	return res, hr.fused, err
 }
 

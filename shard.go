@@ -75,11 +75,11 @@ func ParseShard(spec string) (Shard, error) {
 // unsharded Sweep.Run output.
 type ShardResult struct {
 	// GridDigest is the canonical SHA-256 over the expanded grid (every
-	// run's index, labels, effective options — a sweep-level
-	// ValidateInvariants folds in here — and topology). Shards merge only
-	// when their digests agree: the guard against mixing run-logs from
-	// different grid specs, different run settings, or library versions
-	// that expand differently.
+	// run's index, labels, options as they run — a sweep's
+	// ValidateInvariants and EventLimit fold in here — and topology).
+	// Shards merge only when their digests agree: the guard against mixing
+	// run-logs from different grids, different run settings, or library
+	// versions that expand differently.
 	GridDigest string
 	// K and N are the shard coordinates (runs with Index % N == K).
 	K, N int
@@ -90,21 +90,20 @@ type ShardResult struct {
 	Runs []RunSummary
 }
 
-// expandFolded expands the grid with the sweep-level oracle flag folded
-// into every spec — the specs Stream executes and Describe digests. A run
-// whose invariant violation becomes its Err is not the same run as an
-// unvalidated one, so shards swept with different ValidateInvariants
-// settings must refuse to merge rather than mix provenance under one
-// digest.
+// expandFolded expands the grid with the sweep's settings folded into
+// every spec — the specs Stream executes and Describe digests. A run whose
+// invariant violation or event limit becomes its Err is not the same run
+// as one swept without it, so shards swept with different settings refuse
+// to merge rather than mix provenance under one digest (Telemetry, which
+// only observes, is not digested).
 func (s *Sweep) expandFolded(g *Grid) ([]RunSpec, error) {
 	specs, err := g.Expand()
 	if err != nil {
 		return nil, err
 	}
-	if s.ValidateInvariants {
-		for i := range specs {
-			specs[i].Options.ValidateInvariants = true
-		}
+	for i := range specs {
+		o := &specs[i].Options
+		o.ValidateInvariants, o.EventLimit, o.Telemetry = s.ValidateInvariants, s.EventLimit, s.Telemetry
 	}
 	return specs, nil
 }
@@ -207,10 +206,11 @@ func shortShards(have map[int]int, n, total int) string {
 }
 
 // specsDigest computes a canonical SHA-256 over an expanded run list:
-// every run's index, cell labels, complete options and resolved topology
-// (events included). Two grid specs digest equally exactly when they
-// expand to the same runs in the same order — the identity MergeShards
-// checks before trusting that shard index sets partition one grid.
+// every run's index, cell labels, options as they run and resolved
+// topology (events included). Two grid specs digest equally exactly when
+// they expand to the same runs in the same order — the identity
+// MergeShards checks before trusting that shard index sets partition one
+// grid.
 func specsDigest(specs []RunSpec) string {
 	h := sha256.New()
 	// A record is the JSON object {"index",…,"options","topology"} and a

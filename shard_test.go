@@ -30,25 +30,31 @@ func renderAll(t *testing.T, res *SweepResult) map[string][]byte {
 	return out
 }
 
+// shardCase is a property-test grid and the event limit it is swept under.
+type shardCase struct {
+	grid       *Grid
+	eventLimit uint64
+}
+
 // shardGrids are the property-test grids: a plain multi-seed grid, a grid
 // exercising every label axis (perturbations, events, schedulers), and a
-// grid whose runs all fail — failed cells must survive sharding too.
-func shardGrids(short bool) map[string]*Grid {
-	grids := map[string]*Grid{
-		"static": {
+// grid whose runs all fail (on the event limit) — failed cells must survive
+// sharding too.
+func shardGrids(short bool) map[string]shardCase {
+	grids := map[string]shardCase{
+		"static": {grid: &Grid{
 			CCs:        []string{"cubic", "olia"},
 			Orders:     [][]int{{2, 1, 3}},
 			Seeds:      []int64{1, 2, 3},
 			DurationMs: 200,
-		},
-		"errors": {
+		}},
+		"errors": {grid: &Grid{
 			CCs:        []string{"cubic", "olia"},
 			DurationMs: 100,
-			Base:       Options{CrossTCP: []int{9}},
-		},
+		}, eventLimit: 100},
 	}
 	if !short {
-		grids["axes"] = &Grid{
+		grids["axes"] = shardCase{grid: &Grid{
 			CCs:        []string{"cubic", "lia"},
 			Schedulers: []string{"minrtt", "roundrobin"},
 			DurationMs: 300,
@@ -63,7 +69,7 @@ func shardGrids(short bool) map[string]*Grid {
 					{AtMs: 200, Type: EventLinkUp, A: "s", B: "v1"},
 				}},
 			},
-		}
+		}}
 	}
 	return grids
 }
@@ -78,9 +84,10 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		ns = []int{3}
 	}
-	for name, grid := range shardGrids(testing.Short()) {
+	for name, tc := range shardGrids(testing.Short()) {
 		t.Run(name, func(t *testing.T) {
-			full, err := (&Sweep{Workers: 4}).Run(grid)
+			grid := tc.grid
+			full, err := (&Sweep{Workers: 4, EventLimit: tc.eventLimit}).Run(grid)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +98,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				// Reverse K order: MergeShards must not care how the
 				// shards are listed.
 				for k := n - 1; k >= 0; k-- {
-					sr := streamShard(t, &Sweep{Workers: 2}, grid, Shard{K: k, N: n})
+					sr := streamShard(t, &Sweep{Workers: 2, EventLimit: tc.eventLimit}, grid, Shard{K: k, N: n})
 					shards = append(shards, sr)
 					total += len(sr.Runs)
 				}
@@ -273,6 +280,51 @@ func TestGridDigestIdentifiesGrid(t *testing.T) {
 	}
 	if d3 == d1 {
 		t.Fatal("different grids share a digest")
+	}
+}
+
+// TestGridDigestIdentifiesRuns: the digest covers the runs as they
+// execute, so two spellings of one run share it, while the sweep settings
+// that change what a run can report (the event limit) move it and
+// observation-only telemetry does not.
+func TestGridDigestIdentifiesRuns(t *testing.T) {
+	describe := func(sw *Sweep, spec string) string {
+		t.Helper()
+		g, err := LoadGrid(strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _, err := sw.Describe(g)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		return d
+	}
+	for _, pair := range [][2]string{
+		{`{"ccs":[""]}`, `{"ccs":["cubic"]}`},
+		{`{"schedulers":[""]}`, `{"schedulers":["minrtt"]}`},
+		{`{"seeds":[0]}`, `{"seeds":[1]}`},
+		{`{}`, `{"duration_ms":4000}`},
+		{`{}`, `{"sample_ms":100}`},
+	} {
+		if a, b := describe(&Sweep{}, pair[0]), describe(&Sweep{}, pair[1]); a != b {
+			t.Errorf("%s and %s run the same runs under digests %.12s and %.12s", pair[0], pair[1], a, b)
+		}
+	}
+	// Orders stay as spelled: the empty order runs the paths in definition
+	// order, as [1,2,3] does, but a run's Options.SubflowPaths still tell
+	// the two apart. Resolving them would move the Result.Hash and the
+	// order column of every run of a grid without orders, bench's
+	// results_digest among them, so it waits for a change to the benchmark.
+	if describe(&Sweep{}, `{}`) == describe(&Sweep{}, `{"orders":[[1,2,3]]}`) {
+		t.Error(`{} and {"orders":[[1,2,3]]} share a digest, but their runs record different orders`)
+	}
+	plain := describe(&Sweep{}, `{}`)
+	if describe(&Sweep{EventLimit: 1000}, `{}`) == plain {
+		t.Error("a sweep with an event limit shares the digest of one without")
+	}
+	if describe(&Sweep{Telemetry: true}, `{}`) != plain {
+		t.Error("telemetry moved the grid digest")
 	}
 }
 

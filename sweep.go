@@ -144,16 +144,15 @@ type SweepResult struct {
 type Sweep struct {
 	// Workers is the goroutine pool size; 0 means GOMAXPROCS.
 	Workers int
-	// ValidateInvariants turns every run into a self-checking one: the
-	// correctness oracle (see Options.ValidateInvariants) audits each run
-	// and any violation is recorded as that run's Err, failing the cell
-	// without aborting the sweep.
+	// ValidateInvariants, EventLimit and Telemetry set the Options field of
+	// their name on every run Stream expands. An invariant violation or an
+	// event-limit abort (0 = no limit) becomes the run's Err, failing the
+	// cell without aborting the sweep. Telemetry gives the sinks each run's
+	// counter rollup (and a failed run's flight-recorder tail), which Run
+	// merges into SweepResult.Telemetry.
 	ValidateInvariants bool
-	// Telemetry enables Options.Telemetry on every run, so sinks see each
-	// run's counter rollup (and a failed run's flight-recorder tail) in the
-	// full Result; Run merges the rollups into SweepResult.Telemetry.
-	// Observation-only: run hashes are unchanged.
-	Telemetry bool
+	EventLimit         uint64
+	Telemetry          bool
 }
 
 // Run expands the grid and executes every point. Individual run failures
@@ -189,9 +188,9 @@ type StreamSpec struct {
 // peak memory is flat in grid size — the entry point for mega-sweeps
 // whose run-logs (LogSink) replace the in-memory SweepResult; the cell
 // statistics come from merging those logs (MergeShards) afterwards. The
-// sweep-level ValidateInvariants flag folds into the digest identity (see
-// Describe), so logs only merge across matching run settings. Stream is
-// expansion, the shard and skip filter, then Execute; it closes the sink
+// sweep's ValidateInvariants and EventLimit fold into the digest identity
+// (see Describe), so logs only merge across matching run settings. Stream
+// is expansion, the shard and skip filter, then Execute; it closes the sink
 // exactly once, also on a structural error before the first run, which it
 // returns. Per-run failures land in their RunSummary.Err as always.
 func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
@@ -219,9 +218,9 @@ func (s *Sweep) Stream(g *Grid, spec StreamSpec, sink RunSink) error {
 
 // Describe expands the grid and returns its canonical digest and total
 // run count under this sweep's settings — the header values a run-log
-// needs before the first run completes. The digest folds the sweep-level
-// ValidateInvariants flag exactly as Stream executes it, so run-logs only
-// merge across matching run settings.
+// needs before the first run completes. The digest covers the options
+// every run executes, so grids that spell the same runs alike share it,
+// and run-logs only merge across matching run settings.
 func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
 	specs, err := s.expandFolded(g)
 	if err != nil {
@@ -232,10 +231,9 @@ func (s *Sweep) Describe(g *Grid) (digest string, total int, err error) {
 
 // Execute runs the specs across the worker pool, feeding every completion
 // to the sink — the single dispatch point every results surface hangs off —
-// and then closes the sink. Each spec runs with its own Options (with
-// Telemetry forced on when the sweep's Telemetry is set), so specs from
-// several expansions, renumbered to distinct indices, can share one pool;
-// the sweep's ValidateInvariants applies through expansion (Stream), not
+// and then closes the sink. Each spec runs with its Options as given, so
+// specs from several expansions, renumbered to distinct indices, can share
+// one pool; the sweep's own settings apply through expansion (Stream), not
 // here. Workers take specs in order and deliver completions under one lock:
 // Accept calls never overlap, done is monotone, and each run is delivered
 // exactly once. The first sink error ends the sweep: no further spec is
@@ -265,9 +263,6 @@ func (s *Sweep) Execute(specs []RunSpec, sink RunSink) error {
 				spec := specs[next]
 				next++
 				mu.Unlock()
-				if s.Telemetry {
-					spec.Options.Telemetry = true
-				}
 				summary, full := runSpec(spec)
 				mu.Lock()
 				done++
@@ -288,23 +283,20 @@ func (s *Sweep) Execute(specs []RunSpec, sink RunSink) error {
 // runSpec executes one grid point: the cell's one preparation, shared with
 // the cell's other runs wherever they execute, then this run's simulation.
 func runSpec(spec RunSpec) (RunSummary, *Result) {
-	// Label the summary with the effective options so defaults stay
-	// single-sourced in withDefaults.
-	eff := spec.Options.withDefaults()
 	summary := RunSummary{
 		Index:        spec.Index,
 		Scenario:     spec.Scenario,
 		Perturbation: spec.Perturbation,
 		Events:       spec.Events,
-		CC:           eff.CC,
-		Scheduler:    eff.Scheduler,
+		CC:           spec.Options.CC,
+		Scheduler:    spec.Options.Scheduler,
 		Order:        spec.Options.SubflowPaths,
-		Seed:         eff.Seed,
+		Seed:         spec.Options.Seed,
 	}
 	var r *Result
 	pre, err := spec.cell.prepared()
 	if err == nil {
-		r, err = pre.simulate(eff)
+		r, err = pre.simulate(spec.Options)
 	}
 	if err != nil {
 		summary.Err = err.Error()

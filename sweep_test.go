@@ -503,15 +503,13 @@ func TestOtherSpellingsRefused(t *testing.T) {
 }
 
 func TestSweepRecordsRunErrors(t *testing.T) {
-	// Base options flow through Expand unvalidated (they are Run's
-	// domain); a failure there must be recorded per run, not abort the
-	// sweep.
+	// A run that fails mid-simulation (here on the sweep's event limit)
+	// must be recorded per run, not abort the sweep.
 	grid := &Grid{
 		CCs:        []string{"cubic", "olia"},
 		DurationMs: 100,
-		Base:       Options{CrossTCP: []int{9}},
 	}
-	res, err := (&Sweep{Workers: 2}).Run(grid)
+	res, err := (&Sweep{Workers: 2, EventLimit: 100}).Run(grid)
 	if err != nil {
 		t.Fatal(err)
 	}

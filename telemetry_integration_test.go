@@ -198,7 +198,7 @@ func TestSweepHooksSerialised(t *testing.T) {
 // flight-recorder tail is dumpable — and nil when telemetry is off.
 func TestSweepOnFailureFlightTail(t *testing.T) {
 	grid := sweepGrid()
-	grid.Base.EventLimit = 2000
+	const eventLimit = 2000
 
 	failures := 0
 	flight := sinkFunc(func(_, _ int, r RunSummary, res *Result) {
@@ -229,7 +229,7 @@ func TestSweepOnFailureFlightTail(t *testing.T) {
 		}
 	})
 	roll := &RollupSink{}
-	if err := (&Sweep{Workers: 4, Telemetry: true}).Stream(grid, StreamSpec{}, MultiSink(roll, flight)); err != nil {
+	if err := (&Sweep{Workers: 4, Telemetry: true, EventLimit: eventLimit}).Stream(grid, StreamSpec{}, MultiSink(roll, flight)); err != nil {
 		t.Fatal(err)
 	}
 	if failures != 4 {
@@ -250,7 +250,7 @@ func TestSweepOnFailureFlightTail(t *testing.T) {
 		}
 		gotNil++
 	})
-	if err := (&Sweep{Workers: 2}).Stream(grid, StreamSpec{}, plain); err != nil {
+	if err := (&Sweep{Workers: 2, EventLimit: eventLimit}).Stream(grid, StreamSpec{}, plain); err != nil {
 		t.Fatal(err)
 	}
 	if gotNil != 4 {
