@@ -6,13 +6,19 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
+
+	"mptcpsim/internal/packet"
+	"mptcpsim/internal/route"
+	"mptcpsim/internal/topo"
 )
 
 // FuzzLoadNetwork asserts the scenario format's contract on arbitrary
 // input: neither the parse nor the build ever panics, and a network that
 // builds is whole — every declared path runs from the source to the
-// destination, and the events it echoes are the file's, in firing order.
+// destination, installs with its reverse into a route table that routes
+// along both, and the events it echoes are the file's, in firing order.
 func FuzzLoadNetwork(f *testing.F) {
 	seed := func(sf *ScenarioFile) []byte {
 		js, err := json.Marshal(sf)
@@ -42,6 +48,7 @@ func FuzzLoadNetwork(f *testing.F) {
 	// Trailing data: two scenarios concatenated, a scenario and garbage.
 	f.Add(append(append([]byte{}, paper...), paper...))
 	f.Add(append(append([]byte{}, paper...), " garbage"...))
+	f.Add([]byte(repeatedNode))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sf, err := LoadScenario(bytes.NewReader(data))
@@ -55,9 +62,31 @@ func FuzzLoadNetwork(f *testing.F) {
 		if nw.NumPaths() != len(sf.Paths) {
 			t.Fatalf("built %d paths of %d", nw.NumPaths(), len(sf.Paths))
 		}
+		// Each path installs as Run installs it, and routes from its end
+		// host along itself in both directions.
+		src, dst := packet.Addr(1), packet.Addr(2)
+		table := route.NewTagTable(nw.graph)
+		revs := make([]topo.Path, len(nw.paths))
 		for i, p := range nw.paths {
 			if !p.Valid(nw.graph) || p.Nodes[0] != nw.src || p.Nodes[len(p.Nodes)-1] != nw.dst {
 				t.Fatalf("path %d (%s) does not run from the source to the destination", i+1, nw.PathDescription(i+1))
+			}
+			if revs[i], err = topo.ReversePath(nw.graph, p); err != nil {
+				t.Fatalf("path %d: %v", i+1, err)
+			}
+			if err := table.AddPath(dst, packet.Tag(i+1), p); err != nil {
+				t.Fatalf("path %d: %v", i+1, err)
+			}
+			if err := table.AddPath(src, packet.Tag(i+1), revs[i]); err != nil {
+				t.Fatalf("path %d reversed: %v", i+1, err)
+			}
+		}
+		for i, p := range nw.paths {
+			if got := table.Route(nw.src, dst, packet.Tag(i+1)); !slices.Equal(got, p.Links) {
+				t.Fatalf("path %d routes over %v, want %v", i+1, got, p.Links)
+			}
+			if got := table.Route(nw.dst, src, packet.Tag(i+1)); !slices.Equal(got, revs[i].Links) {
+				t.Fatalf("path %d reversed routes over %v, want %v", i+1, got, revs[i].Links)
 			}
 		}
 		if len(nw.events) != len(sf.Events) || nw.tl.Len() != len(sf.Events) {

@@ -301,20 +301,19 @@ func LoadGrid(r io.Reader) (*Grid, error) {
 	return &g, nil
 }
 
-// gridMillis converts a grid's millisecond field; 0 stays 0, the default.
-// A negative, sub-nanosecond or overflowing value is an error: it would
-// otherwise run the default, or whatever the platform makes of an
-// out-of-range float conversion.
+// gridMillis converts a grid's millisecond field to the nearest nanosecond,
+// as millis does; 0 stays 0, the default. A negative, sub-nanosecond or
+// overflowing value is an error: it would otherwise run the default, or
+// whatever the platform makes of an out-of-range float conversion.
 func gridMillis(field string, ms float64) (time.Duration, error) {
 	if ms == 0 {
 		return 0, nil
 	}
-	ns := ms * float64(time.Millisecond)
-	if !(ns >= 1 && ns < math.MaxInt64) {
+	if ns := ms * float64(time.Millisecond); !(ns >= 1 && ns < math.MaxInt64) {
 		return 0, fmt.Errorf("mptcpsim: grid %s %v is out of range (want 0 for the default, or 1e-06 to %.4g)",
 			field, ms, math.MaxInt64/float64(time.Millisecond))
 	}
-	return time.Duration(ns), nil
+	return millis(ms), nil
 }
 
 // RunSpec is one fully resolved point of an expanded grid.

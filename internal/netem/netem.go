@@ -4,8 +4,9 @@
 // and routes packets with a route.TagTable.
 //
 // Routes are static, so the first Send from a node for a destination and
-// tag resolves its route into links ended by nil; Packet.Hop indexes them,
-// no hop reads the table, and drops fall where they did hop by hop.
+// tag copies its route, the rest of the path installed for them, into links
+// ended by nil; Packet.Hop indexes them, no hop reads the table, and a
+// packet is dropped where its route ends short of its destination.
 //
 // It replaces the paper's Mininet substrate. The model is the standard
 // output-queued router: a packet arriving at a node is either delivered to
@@ -77,7 +78,8 @@ const (
 	DropQueueFull DropReason = iota
 	// DropAQM: the link's admission policy (SetAQM) chose to drop.
 	DropAQM
-	// DropNoRoute: the router had no entry for (dst, tag).
+	// DropNoRoute: the packet's route ended before its destination: no
+	// path installed for (dst, tag) left its origin, or the path ended short.
 	DropNoRoute
 	// DropTTL: the TTL reached zero.
 	DropTTL
@@ -332,8 +334,8 @@ func (n *Network) Release() {
 	n.arena.Release()
 }
 
-// route returns where pkt's route from nd starts in hops, resolving it on
-// its first send by walking the table, which then refuses new paths.
+// route returns where pkt's route from nd starts in hops, copying it from
+// the table on its first send; the table then refuses new paths.
 func (n *Network) route(nd *Node, pkt *packet.Packet) uint32 {
 	key := uint64(nd.ID)<<40 | uint64(pkt.IP.Dst)<<8 | uint64(pkt.IP.Tag)
 	for _, r := range n.routes {
@@ -343,14 +345,8 @@ func (n *Network) route(nd *Node, pkt *packet.Packet) uint32 {
 	}
 	n.Router.Freeze()
 	start := uint32(len(n.hops))
-	// 256 links end a cyclic table's route; TTL, a byte, ends its packets.
-	for at, i := nd.ID, 0; i < 256; i++ {
-		lid, err := n.Router.NextLink(at, pkt)
-		if err != nil {
-			break
-		}
+	for _, lid := range n.Router.Route(nd.ID, pkt.IP.Dst, pkt.IP.Tag) {
 		n.hops = append(n.hops, n.links[lid])
-		at = n.links[lid].Spec.To
 	}
 	n.hops = append(n.hops, nil)
 	n.routes = append(n.routes, resolved{key, uint64(start)})

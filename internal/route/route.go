@@ -1,10 +1,11 @@
 // Package route implements the forwarding plane of the simulated network:
-// the TagTable, deterministic per-(destination, tag) next hops, the
-// mechanism the paper uses to pin each MPTCP subflow to a preselected path
-// ("packets with the same tag are always routed along the same path towards
-// the destination"). A lookup indexes; unknown tags fail closed.
-// NextLink resolves routes: a network walks it once per route, not per hop,
-// and freezes the table, which then refuses AddPath.
+// the TagTable, which pins each (destination, tag) to the paths installed
+// for it, the mechanism the paper uses to pin each MPTCP subflow to a
+// preselected path ("packets with the same tag are always routed along the
+// same path towards the destination"). A route is the rest of an installed
+// path from the node that sends; unknown tags fail closed. A network looks
+// each route up once, at its first send, and freezes the table, which then
+// refuses AddPath.
 package route
 
 import (
@@ -28,29 +29,28 @@ func (e *NoRouteError) Error() string {
 	return fmt.Sprintf("route: no route at node %d for dst %s %s", e.Node, e.Dst, e.Tag)
 }
 
-// dstRoutes is a node's next hops towards dst, indexed by tag: noLink
-// where a tag has none.
-type dstRoutes struct {
+// installed is a path AddPath pinned packets for dst carrying tag to.
+type installed struct {
 	dst  packet.Addr
-	link []topo.LinkID
+	tag  packet.Tag
+	path topo.Path
 }
 
-// noLink marks a missing next hop; in TagTable.feeder, a link no path
-// takes. origin marks a link some path starts on, and manyFeeders one that
-// paths enter its near node over two different links to take.
+// In TagTable.feeder, noLink marks a link no path takes, origin a link
+// some path starts on, and manyFeeders one that paths enter its near node
+// over two different links to take.
 const (
 	noLink      topo.LinkID = -1
 	origin      topo.LinkID = -2
 	manyFeeders topo.LinkID = -3
 )
 
-// TagTable is a per-(destination, tag) forwarding table. A node's entries
-// are found by destination (two on every shipped network, one per host),
-// then by tag, which indexes a slice: tags are small path numbers, with
-// CrossTCP's from 100, so there is nothing to scan or hash.
+// TagTable is a per-(destination, tag) forwarding table: the installed
+// paths, in installation order. Every shipped network installs a handful
+// (two per subflow), so lookups scan them.
 type TagTable struct {
-	g    *topo.Graph
-	next [][]dstRoutes
+	g     *topo.Graph
+	paths []installed
 	// feeder is indexed by link: the link every installed path taking it
 	// arrived over, or noLink, origin or manyFeeders.
 	feeder []topo.LinkID
@@ -59,7 +59,7 @@ type TagTable struct {
 
 // NewTagTable returns an empty tag-routing table over graph g.
 func NewTagTable(g *topo.Graph) *TagTable {
-	t := &TagTable{g: g, next: make([][]dstRoutes, g.NumNodes()), feeder: make([]topo.LinkID, g.NumLinks())}
+	t := &TagTable{g: g, feeder: make([]topo.LinkID, g.NumLinks())}
 	for i := range t.feeder {
 		t.feeder[i] = noLink
 	}
@@ -76,23 +76,27 @@ func (t *TagTable) Feeder(l topo.LinkID) (topo.LinkID, bool) {
 	return f, f >= 0
 }
 
-// lookup returns node n's next hop for (dst, tag), or noLink.
-func (t *TagTable) lookup(n topo.NodeID, dst packet.Addr, tag packet.Tag) topo.LinkID {
-	for _, r := range t.next[n] {
-		if r.dst == dst {
-			if int(tag) < len(r.link) {
-				return r.link[tag]
-			}
-			break
+// Route returns the links packets for dst carrying tag take from node n:
+// the rest of the first installed path for (dst, tag) that leaves n, or nil
+// if none does. Routes never chain from one installed path into another.
+// The slice is the table's; callers must not modify it.
+func (t *TagTable) Route(n topo.NodeID, dst packet.Addr, tag packet.Tag) []topo.LinkID {
+	for _, r := range t.paths {
+		if r.dst != dst || r.tag != tag {
+			continue
+		}
+		if i := slices.Index(r.path.Nodes, n); i >= 0 && i < len(r.path.Links) {
+			return r.path.Links[i:]
 		}
 	}
-	return noLink
+	return nil
 }
 
-// AddPath installs forwarding entries so that packets for dst carrying tag
-// follow path p. It fails if an entry would conflict with one already
-// installed (two different paths for the same (dst, tag) diverging at a
-// node), which is exactly the determinism the tagging scheme promises.
+// AddPath pins packets for dst carrying tag to path p. It fails, leaving
+// the table unchanged, if p would leave a node by another link than a path
+// already installed for (dst, tag) does, which is exactly the determinism
+// the tagging scheme promises: paths for one (dst, tag) that share a node
+// agree from it on.
 func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 	if t.frozen {
 		return fmt.Errorf("route: AddPath after a network resolved routes from the table")
@@ -100,15 +104,13 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 	if !p.Valid(t.g) {
 		return fmt.Errorf("route: AddPath: invalid path")
 	}
-	// Validate before mutating so a conflict leaves the table unchanged.
 	for i, lid := range p.Links {
-		if e := t.lookup(p.Nodes[i], dst, tag); e != noLink && e != lid {
+		if r := t.Route(p.Nodes[i], dst, tag); r != nil && r[0] != lid {
 			return fmt.Errorf("route: conflicting entry at node %s for dst %s %s: link %d vs %d",
-				t.g.Node(p.Nodes[i]).Name, dst, tag, e, lid)
+				t.g.Node(p.Nodes[i]).Name, dst, tag, r[0], lid)
 		}
 	}
 	for i, lid := range p.Links {
-		t.index(p.Nodes[i], dst, tag)[tag] = lid
 		in := origin
 		if i > 0 {
 			in = p.Links[i-1]
@@ -121,6 +123,8 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 			t.feeder[lid] = manyFeeders
 		}
 	}
+	p = topo.Path{Nodes: slices.Clone(p.Nodes), Links: slices.Clone(p.Links)}
+	t.paths = append(t.paths, installed{dst, tag, p})
 	return nil
 }
 
@@ -128,26 +132,11 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 // network resolving routes calls it, as its packets would miss a new path.
 func (t *TagTable) Freeze() { t.frozen = true }
 
-// index returns node n's next hops towards dst, added if need be and grown
-// to hold tag.
-func (t *TagTable) index(n topo.NodeID, dst packet.Addr, tag packet.Tag) []topo.LinkID {
-	i := slices.IndexFunc(t.next[n], func(r dstRoutes) bool { return r.dst == dst })
-	if i < 0 {
-		i = len(t.next[n])
-		t.next[n] = append(t.next[n], dstRoutes{dst: dst})
-	}
-	r := &t.next[n][i]
-	for len(r.link) <= int(tag) {
-		r.link = append(r.link, noLink)
-	}
-	return r.link
-}
-
-// NextLink chooses the outgoing link for pkt at node n. Lookup is exact on
-// (dst, tag); packets with an unknown tag are not silently rerouted.
+// NextLink returns the first link of pkt's route from node n, or a
+// NoRouteError: packets with an unknown tag are not silently rerouted.
 func (t *TagTable) NextLink(n topo.NodeID, pkt *packet.Packet) (topo.LinkID, error) {
-	if lid := t.lookup(n, pkt.IP.Dst, pkt.IP.Tag); lid != noLink {
-		return lid, nil
+	if r := t.Route(n, pkt.IP.Dst, pkt.IP.Tag); r != nil {
+		return r[0], nil
 	}
 	return -1, &NoRouteError{Node: n, Dst: pkt.IP.Dst, Tag: pkt.IP.Tag}
 }

@@ -2,6 +2,7 @@ package route
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"mptcpsim/internal/packet"
@@ -24,37 +25,39 @@ func tcpPkt(dst packet.Addr, tag packet.Tag, sp, dp packet.Port) *packet.Packet 
 // two subflow-style tags and a CrossTCP-style one far above them.
 var pathTags = []packet.Tag{1, 2, 100}
 
+// TestTagTableFollowsPaths installs the paper's three paths towards dst
+// and their reverses towards src, each pair under one tag, in one table: a
+// route is the rest of its path from every node on it, and nil from its
+// last node, and NextLink is the route's first link.
 func TestTagTableFollowsPaths(t *testing.T) {
 	pn := topo.Paper()
 	tt := NewTagTable(pn.Graph)
+	type pinned struct {
+		dst packet.Addr
+		tag packet.Tag
+		p   topo.Path
+	}
+	var all []pinned
 	for i, p := range pn.Paths {
-		if err := tt.AddPath(dstAddr, pathTags[i], p); err != nil {
+		rev, err := topo.ReversePath(pn.Graph, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, pinned{dstAddr, pathTags[i], p}, pinned{srcAddr, pathTags[i], rev})
+	}
+	for _, r := range all {
+		if err := tt.AddPath(r.dst, r.tag, r.p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Walk each tag from s and confirm the traversed links equal the path.
-	for i, p := range pn.Paths {
-		tag := pathTags[i]
-		pkt := tcpPkt(dstAddr, tag, 5001, 80)
-		at := pn.S
-		var walked []topo.LinkID
-		for at != pn.D {
-			lid, err := tt.NextLink(at, pkt)
-			if err != nil {
-				t.Fatalf("tag %d: %v", tag, err)
+	for _, r := range all {
+		for j, n := range r.p.Nodes {
+			got := tt.Route(n, r.dst, r.tag)
+			if !slices.Equal(got, r.p.Links[j:]) || (got == nil) != (j == len(r.p.Links)) {
+				t.Errorf("dst %s %s from %s: route %v, want %v", r.dst, r.tag, pn.Graph.Node(n).Name, got, r.p.Links[j:])
 			}
-			walked = append(walked, lid)
-			at = pn.Graph.Link(lid).To
-			if len(walked) > 10 {
-				t.Fatalf("tag %d: routing loop", tag)
-			}
-		}
-		if len(walked) != len(p.Links) {
-			t.Fatalf("tag %d: walked %d links, want %d", tag, len(walked), len(p.Links))
-		}
-		for j := range walked {
-			if walked[j] != p.Links[j] {
-				t.Fatalf("tag %d hop %d: link %d, want %d", tag, j, walked[j], p.Links[j])
+			if lid, err := tt.NextLink(n, tcpPkt(r.dst, r.tag, 5001, 80)); j < len(r.p.Links) && (err != nil || lid != r.p.Links[j]) {
+				t.Errorf("dst %s %s from %s: next link %d (%v), want %d", r.dst, r.tag, pn.Graph.Node(n).Name, lid, err, r.p.Links[j])
 			}
 		}
 	}
@@ -144,35 +147,6 @@ func TestTagTableSameTagDifferentDst(t *testing.T) {
 	lid, err := tt.NextLink(pn.S, tcpPkt(other, 1, 5001, 80))
 	if err != nil || lid != pn.Paths[1].Links[0] {
 		t.Fatalf("wrong link for second dst: %v %v", lid, err)
-	}
-}
-
-func TestReversePathRouting(t *testing.T) {
-	pn := topo.Paper()
-	tt := NewTagTable(pn.Graph)
-	for i, p := range pn.Paths {
-		rev, err := topo.ReversePath(pn.Graph, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tt.AddPath(srcAddr, packet.Tag(i+1), rev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// ACKs (d -> s) with tag 2 must traverse Path 2 in reverse.
-	pkt := tcpPkt(srcAddr, 2, 80, 5001)
-	at := pn.D
-	var hops int
-	for at != pn.S {
-		lid, err := tt.NextLink(at, pkt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		at = pn.Graph.Link(lid).To
-		hops++
-	}
-	if hops != len(pn.Paths[1].Links) {
-		t.Fatalf("reverse hops = %d, want %d", hops, len(pn.Paths[1].Links))
 	}
 }
 

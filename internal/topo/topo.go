@@ -8,6 +8,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -147,19 +148,22 @@ func (g *Graph) name(n NodeID) string {
 	return fmt.Sprintf("node(%d)", n)
 }
 
-// Path is a loop-free walk through the graph: n nodes joined by n-1 links.
+// Path is a loop-free walk: n distinct nodes joined by n-1 links.
 type Path struct {
 	Nodes []NodeID
 	Links []LinkID
 }
 
 // Valid reports whether the node and link sequences are consistent with
-// graph g.
+// graph g and no node repeats.
 func (p Path) Valid(g *Graph) bool {
 	if len(p.Nodes) != len(p.Links)+1 || len(p.Nodes) == 0 {
 		return false
 	}
 	for i, lid := range p.Links {
+		if slices.Contains(p.Nodes[:i+1], p.Nodes[i+1]) {
+			return false
+		}
 		if int(lid) >= g.NumLinks() || lid < 0 {
 			return false
 		}

@@ -188,3 +188,27 @@ func TestParallelLinksSupported(t *testing.T) {
 		t.Fatalf("distinct parallel links reported as shared: %v", byLink)
 	}
 }
+
+// TestPathValid: a path's links join its nodes in order, and no node
+// repeats, the first as the last or one in the middle.
+func TestPathValid(t *testing.T) {
+	g, n := line(t, 3)
+	ab, _ := g.FindLink(n[0], n[1])
+	ba, _ := g.FindLink(n[1], n[0])
+	bc, _ := g.FindLink(n[1], n[2])
+	cb, _ := g.FindLink(n[2], n[1])
+	for _, c := range []struct {
+		name string
+		p    Path
+		want bool
+	}{
+		{"a b c", Path{[]NodeID{n[0], n[1], n[2]}, []LinkID{ab, bc}}, true},
+		{"link off its nodes", Path{[]NodeID{n[0], n[2]}, []LinkID{ab}}, false},
+		{"a b a", Path{[]NodeID{n[0], n[1], n[0]}, []LinkID{ab, ba}}, false},
+		{"a b c b", Path{[]NodeID{n[0], n[1], n[2], n[1]}, []LinkID{ab, bc, cb}}, false},
+	} {
+		if got := c.p.Valid(g); got != c.want {
+			t.Errorf("%s: Valid = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

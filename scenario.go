@@ -282,7 +282,7 @@ func (sf *ScenarioFile) Build() (*Network, error) {
 
 // path resolves a scenario path's node names: it must run from the source
 // to the destination over existing links, each with a reverse direction for
-// the ACKs.
+// the ACKs, and visit no node twice.
 func (n *Network) path(nodes []string) (topo.Path, error) {
 	if len(nodes) < 2 {
 		return topo.Path{}, fmt.Errorf("needs at least two nodes")
@@ -292,6 +292,9 @@ func (n *Network) path(nodes []string) (topo.Path, error) {
 		id, ok := n.graph.NodeByName(name)
 		if !ok {
 			return topo.Path{}, fmt.Errorf("unknown node %q", name)
+		}
+		if slices.Contains(p.Nodes, id) {
+			return topo.Path{}, fmt.Errorf("visits node %q twice", name)
 		}
 		p.Nodes = append(p.Nodes, id)
 		if i > 0 {

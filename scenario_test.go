@@ -194,7 +194,14 @@ func TestLoadNetworkRejectsBadInput(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	if _, err := LoadNetwork(strings.NewReader(repeatedNode)); err == nil || !strings.Contains(err.Error(), `path 1: visits node "a" twice`) {
+		t.Errorf("repeated node: err = %v, want it to name path 1 and node a", err)
+	}
 }
+
+// repeatedNode's path visits a twice: it would leave a by two links.
+const repeatedNode = `{"links": [{"a":"s","b":"a","mbps":1,"delay_ms":1}, {"a":"a","b":"b","mbps":1,"delay_ms":1}, {"a":"a","b":"d","mbps":1,"delay_ms":1}],` +
+	`"endpoints": {"src":"s","dst":"d"}, "paths":[{"nodes":["s","a","b","a","d"]}]}`
 
 func TestScenarioEventsRoundTrip(t *testing.T) {
 	src := `{

@@ -464,6 +464,15 @@ func TestGridExpandRejectsOutOfRangeDurations(t *testing.T) {
 	if err != nil || specs[0].Options.Duration != 1 || specs[0].Options.SampleInterval != 1 {
 		t.Fatalf("1 ns runs in 1 ns bins: err = %v, want them to expand", err)
 	}
+	// Durations written as cmd/sweep -duration writes them come back exact;
+	// truncating would lose a nanosecond on each of these.
+	for _, d := range []time.Duration{1995, 15953, 257227} {
+		ms := float64(d) / 1e6
+		specs, err := (&Grid{DurationMs: ms, SampleMs: ms}).Expand()
+		if err != nil || specs[0].Options.Duration != d || specs[0].Options.SampleInterval != d {
+			t.Errorf("%v ms: err = %v, want %v runs in %v bins", ms, err, d, d)
+		}
+	}
 }
 
 func TestRunRejectsRepeatedSubflowPath(t *testing.T) {
