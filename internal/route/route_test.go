@@ -150,6 +150,40 @@ func TestTagTableSameTagDifferentDst(t *testing.T) {
 	}
 }
 
+func TestReversePathRouting(t *testing.T) {
+	pn := topo.Paper()
+	tt := NewTagTable(pn.Graph)
+	var revs []topo.Path
+	for i, p := range pn.Paths {
+		rev, err := topo.ReversePath(pn.Graph, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tt.AddPath(srcAddr, packet.Tag(i+1), rev); err != nil {
+			t.Fatal(err)
+		}
+		revs = append(revs, rev)
+	}
+	// ACKs (d -> s) with tag 2 must traverse Path 2 in reverse.
+	pkt := tcpPkt(srcAddr, 2, 80, 5001)
+	at := pn.D
+	var walked []topo.LinkID
+	for at != pn.S {
+		lid, err := tt.NextLink(at, pkt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		walked = append(walked, lid)
+		at = pn.Graph.Link(lid).To
+		if len(walked) > len(pn.Paths[1].Links) {
+			t.Fatalf("reverse walk exceeds %d hops", len(pn.Paths[1].Links))
+		}
+	}
+	if !slices.Equal(walked, revs[1].Links) {
+		t.Fatalf("reverse walk = %v, want %v", walked, revs[1].Links)
+	}
+}
+
 func TestAddPathRejectsInvalid(t *testing.T) {
 	pn := topo.Paper()
 	tt := NewTagTable(pn.Graph)
