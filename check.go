@@ -8,7 +8,6 @@ package mptcpsim
 
 import (
 	"fmt"
-	"sort"
 
 	"mptcpsim/internal/mptcp"
 	"mptcpsim/internal/netem"
@@ -56,10 +55,8 @@ type oracle struct {
 	net    *netem.Network
 	epochs []epoch
 
-	// Per-flow accounting, keyed by packet tag.
-	sent      map[packet.Tag]uint64
-	delivered map[packet.Tag]uint64
-	dropped   map[packet.Tag]uint64
+	// Per-flow accounting, indexed by packet tag.
+	sent, delivered, dropped [256]uint64
 	// Network-wide totals of the same three events.
 	sentTotal, deliveredTotal, droppedTotal uint64
 
@@ -100,15 +97,12 @@ var (
 // does; the oracle only reads them.
 func newOracle(net *netem.Network, epochs []epoch) *oracle {
 	o := &oracle{
-		net:       net,
-		epochs:    epochs,
-		sent:      make(map[packet.Tag]uint64),
-		delivered: make(map[packet.Tag]uint64),
-		dropped:   make(map[packet.Tag]uint64),
-		pending:   make([][]transit, net.Graph.NumLinks()),
-		last:      make([]transit, net.Graph.NumLinks()),
-		txBytes:   make([][]float64, net.Graph.NumLinks()),
-		txPkts:    make([][]uint64, net.Graph.NumLinks()),
+		net:     net,
+		epochs:  epochs,
+		pending: make([][]transit, net.Graph.NumLinks()),
+		last:    make([]transit, net.Graph.NumLinks()),
+		txBytes: make([][]float64, net.Graph.NumLinks()),
+		txPkts:  make([][]uint64, net.Graph.NumLinks()),
 	}
 	for i := range o.txBytes {
 		o.txBytes[i] = make([]float64, len(epochs))
@@ -258,29 +252,31 @@ func (o *oracle) violations() []string {
 	// Per-flow conservation: no tag may account for more deliveries and
 	// drops than sends, and the per-tag residuals must sum to the global
 	// one (packets do not change tags in flight). Tags are visited in
-	// sorted order so a multi-tag failure reports deterministically — the
-	// report's bytes must stay identical across reruns especially when
+	// ascending order so a multi-tag failure reports deterministically —
+	// the report's bytes must stay identical across reruns especially when
 	// something is wrong.
 	var tagResidual uint64
-	for _, tag := range sortedTags(o.sent) {
-		n := o.sent[tag]
+	for tag, n := range o.sent {
+		if n == 0 {
+			continue
+		}
 		acc := o.delivered[tag] + o.dropped[tag]
 		if acc > n {
 			v = append(v, fmt.Sprintf(
 				"conservation: tag %v: delivered %d + dropped %d exceeds sent %d",
-				tag, o.delivered[tag], o.dropped[tag], n))
+				packet.Tag(tag), o.delivered[tag], o.dropped[tag], n))
 			continue
 		}
 		tagResidual += n - acc
 	}
-	for _, tag := range sortedTags(o.delivered) {
-		if _, ok := o.sent[tag]; !ok {
-			v = append(v, fmt.Sprintf("conservation: tag %v delivered but never sent", tag))
+	for tag, n := range o.delivered {
+		if n > 0 && o.sent[tag] == 0 {
+			v = append(v, fmt.Sprintf("conservation: tag %v delivered but never sent", packet.Tag(tag)))
 		}
 	}
-	for _, tag := range sortedTags(o.dropped) {
-		if _, ok := o.sent[tag]; !ok {
-			v = append(v, fmt.Sprintf("conservation: tag %v dropped but never sent", tag))
+	for tag, n := range o.dropped {
+		if n > 0 && o.sent[tag] == 0 {
+			v = append(v, fmt.Sprintf("conservation: tag %v dropped but never sent", packet.Tag(tag)))
 		}
 	}
 	if tagResidual != residual {
@@ -307,16 +303,6 @@ func (o *oracle) violations() []string {
 	}
 
 	return append(v, o.fifo...)
-}
-
-// sortedTags returns a map's tags in ascending order.
-func sortedTags(m map[packet.Tag]uint64) []packet.Tag {
-	tags := make([]packet.Tag, 0, len(m))
-	for t := range m {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(a, b int) bool { return tags[a] < tags[b] })
-	return tags
 }
 
 // drainSlackBytes bounds the bytes that can reach the receiver in one

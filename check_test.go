@@ -189,6 +189,31 @@ func TestOracleCleanRun(t *testing.T) {
 	}
 }
 
+// The per-tag conservation lines come in a fixed order: excesses, then
+// deliveries and drops of tags never sent, each by ascending tag.
+func TestOraclePerTagViolations(t *testing.T) {
+	_, net, _, _, _ := lineNet(t, 10*unit.Mbps, time.Millisecond)
+	o := newOracle(net, staticEpochs(net.Graph, time.Millisecond))
+	o.sent[3], o.delivered[3] = 1, 2
+	o.sent[9], o.delivered[9] = 2, 1
+	o.delivered[7], o.dropped[200], o.dropped[0] = 1, 1, 1
+	var got []string
+	for _, v := range o.violations() {
+		if strings.HasPrefix(v, "conservation: tag ") {
+			got = append(got, v)
+		}
+	}
+	want := []string{
+		"conservation: tag tag:3: delivered 2 + dropped 0 exceeds sent 1",
+		"conservation: tag tag:7 delivered but never sent",
+		"conservation: tag tag:- dropped but never sent",
+		"conservation: tag tag:200 dropped but never sent",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("per-tag violations\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // A run cut off mid-flight must still conserve: packets in queues, on the
 // wire, or mid-serialisation are the residual.
 func TestOracleConservesMidFlight(t *testing.T) {

@@ -138,7 +138,7 @@ func (r *recorder) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result)
 		if s.Index < len(r.runs)/2 { // a replay is compared by hash and events alone
 			rec.Engine = res.EngineHash()
 		}
-		rec.GoodputBytes, rec.Gap = res.DeliveredBytes, res.Summary.Gap
+		rec.GoodputBytes, rec.Gap, rec.Optimum = res.DeliveredBytes, res.Summary.Gap, res.Optimum.Total
 		if s.Index < len(r.path) {
 			var total, onPath uint64
 			for _, sf := range res.Subflows {
@@ -157,7 +157,6 @@ func (r *recorder) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result)
 	return nil
 }
 
-func (r *recorder) Flush() error { return nil }
 func (r *recorder) Close() error { return nil }
 
 // harness is what both modes hand the sweep: its pool size, whether the

@@ -135,10 +135,14 @@ var funcAllow = map[string]string{
 
 	"tcp.Conn.State":           "test observation point: the handshake and close tests read the connection state",
 	"telemetry.Recorder.Total": "test observation point: the recorder tests count the events it saw, retained or not",
+	"sim.Loop.Len":             "test observation point: the kernel tests count the pending events",
 
 	"mptcpsim.ResetBaselineCache": "pinned by bench/: bench/main.go empties the LP cache between passes",
 	"lp.BaselineCacheSize":        "pinned by bench/: bench/ counts the LP problems a workload solved",
 	"sim.Loop.Stop":               "pinned by bench/: bench/layers.go ends its kernel loops from inside an event",
+	"sim.Loop.Run":                "pinned by bench/: bench/layers.go drains its kernel and netem loops; runs stop at a horizon with RunUntil",
+	"mptcp.Scheduler.Name":        "pinned by bench/: bench/pipeline.go's summarise labels a run by it; the sweep labels by Options.Scheduler",
+	"fleet.Coordinator.Run":       "pinned by bench/: bench/workloads.go's fleet pass is the only caller of the coordinator",
 	"packet.MakeAddr":             "pinned by bench/: bench/layers.go addresses its synthetic frames",
 	"netem.Network.AddrOf":        "pinned by bench/: bench/layers.go addresses a path's end hosts",
 	"packet.Arena.GetUDP":         "pinned by bench/: bench/layers.go's transit and queueFull frames are UDP datagrams",
@@ -155,39 +159,24 @@ var reflectedMethods = []string{"String", "Error", "MarshalJSON", "UnmarshalJSON
 // It fails naming any package-level function or method declared in the
 // module's non-test files outside bench/ that no production code refers to,
 // unless funcAllow gives the reason it stays. A function's references from
-// inside its own body do not count. A method also counts as reached when its
-// name is a method of an interface type production code declares, imports or
-// writes, or one of reflectedMethods: it may be called through that
-// interface. main and init are entry points.
+// inside its own body do not count. main and init are entry points.
+//
+// A method is also reached through an interface its receiver type, T or *T,
+// implements and that has a method of its name, when the standard library
+// declares that interface (the library calls it) or production code refers
+// to that interface method, a call through a type parameter included. A
+// forwarder's call does not count: that is a method of the same name on a
+// type implementing the same interface, as a fan-out sink's Close calling
+// each sink's Close. The names in reflectedMethods are always reached.
 func TestEveryFuncIsReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
 	}
 	pkgs, fset := productionPkgs(t)
-	viaIface := map[string]bool{}
-	for _, name := range reflectedMethods {
-		viaIface[name] = true
-	}
-	addIface := func(typ types.Type) {
-		if it, ok := typ.Underlying().(*types.Interface); ok {
-			for i := range it.NumMethods() {
-				viaIface[it.Method(i).Name()] = true
-			}
-		}
-	}
 	declared := map[*types.Func]token.Pos{}
 	reached := map[*types.Func]bool{}
+	called := map[*types.Func]bool{} // interface methods production code refers to
 	for _, p := range pkgs {
-		for _, imp := range p.pkg.Imports() {
-			for _, name := range imp.Scope().Names() {
-				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
-					addIface(tn.Type())
-				}
-			}
-		}
-		for _, tv := range p.info.Types {
-			addIface(tv.Type)
-		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				var self *types.Func
@@ -198,15 +187,28 @@ func TestEveryFuncIsReached(t *testing.T) {
 					}
 				}
 				ast.Inspect(d, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if fn, ok := p.info.Uses[id].(*types.Func); ok && fn.Origin() != self {
-							reached[fn.Origin()] = true
-						}
+					id, ok := n.(*ast.Ident)
+					if !ok {
+						return true
+					}
+					fn, ok := p.info.Uses[id].(*types.Func)
+					switch {
+					case !ok || fn.Origin() == self:
+					case ifaceOf(fn) == nil:
+						reached[fn.Origin()] = true
+					case self == nil || self.Name() != fn.Name() || !implements(self, ifaceOf(fn)):
+						called[fn] = true
 					}
 					return true
 				})
 			}
 		}
+	}
+	via := append(stdMethods(pkgs), slices.Collect(maps.Keys(called))...)
+	viaIface := func(fn *types.Func) bool {
+		return slices.Contains(reflectedMethods, fn.Name()) || slices.ContainsFunc(via, func(m *types.Func) bool {
+			return m.Name() == fn.Name() && implements(fn, ifaceOf(m))
+		})
 	}
 	var bad []string
 	seen := map[string]bool{}
@@ -215,7 +217,7 @@ func TestEveryFuncIsReached(t *testing.T) {
 		seen[name] = true
 		_, allowed := funcAllow[name]
 		switch {
-		case reached[fn] || fn.Signature().Recv() != nil && viaIface[fn.Name()]:
+		case reached[fn] || fn.Signature().Recv() != nil && viaIface(fn):
 			if allowed {
 				bad = append(bad, fmt.Sprintf("%s is reached: drop it from funcAllow", name))
 			}
@@ -236,6 +238,73 @@ func TestEveryFuncIsReached(t *testing.T) {
 	for _, b := range bad {
 		t.Error(b)
 	}
+}
+
+// ifaceOf is the interface fn is a method of, or nil for a concrete method
+// or a function. A method called through a type parameter is a method of
+// the parameter's constraint.
+func ifaceOf(fn *types.Func) *types.Interface {
+	if recv := fn.Signature().Recv(); recv != nil {
+		it, _ := recv.Type().Underlying().(*types.Interface)
+		return it
+	}
+	return nil
+}
+
+// implements reports whether method fn's receiver type, T or *T,
+// implements it.
+func implements(fn *types.Func, it *types.Interface) bool {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return false
+	}
+	typ := recv.Type()
+	if ptr, ok := typ.(*types.Pointer); ok {
+		typ = ptr.Elem()
+	}
+	return types.Implements(typ, it) || types.Implements(types.NewPointer(typ), it)
+}
+
+// stdMethods is every method of the exported interfaces the standard
+// library packages the production code imports, directly or not, declare.
+func stdMethods(pkgs []checkedPkg) []*types.Func {
+	var out []*types.Func
+	seen := map[*types.Package]bool{}
+	var walk func(*types.Package)
+	walk = func(pkg *types.Package) {
+		if seen[pkg] {
+			return
+		}
+		seen[pkg] = true
+		for _, imp := range pkg.Imports() {
+			walk(imp)
+		}
+		if strings.HasPrefix(pkg.Path(), "mptcpsim") {
+			return
+		}
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || isGeneric(tn.Type()) {
+				continue
+			}
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				for i := range it.NumMethods() {
+					out = append(out, it.Method(i))
+				}
+			}
+		}
+	}
+	for _, p := range pkgs {
+		walk(p.pkg)
+	}
+	return out
+}
+
+// isGeneric reports a generic named type, which no receiver implements
+// uninstantiated.
+func isGeneric(typ types.Type) bool {
+	n, ok := typ.(*types.Named)
+	return ok && n.TypeParams().Len() > 0
 }
 
 // fusedOp matches one fused multiply-add in the compiler's -S listing:

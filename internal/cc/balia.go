@@ -22,9 +22,6 @@ type BALIA struct {
 	flows []*Flow
 }
 
-// Name implements Algorithm.
-func (*BALIA) Name() string { return "balia" }
-
 // Register implements Algorithm.
 func (b *BALIA) Register(f *Flow, _ sim.Time) { b.flows = append(b.flows, f) }
 

@@ -66,8 +66,6 @@ func (f *Flow) wPkts() float64 {
 // Algorithm is a congestion-control module. Hooks run inside the event
 // loop; implementations must be deterministic.
 type Algorithm interface {
-	// Name returns the name New knows the algorithm by.
-	Name() string
 	// Register attaches a flow (called when its connection establishes).
 	// Coupled algorithms add it to their window-coupling group.
 	Register(f *Flow, now sim.Time)

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -25,13 +26,14 @@ func newFlow(id string, cwndPkts float64, rtt time.Duration) *Flow {
 
 func TestRegistry(t *testing.T) {
 	names := []string{"balia", "cubic", "lia", "olia", "reno", "wvegas"}
-	for _, name := range names {
+	types := []string{"*cc.BALIA", "*cc.Cubic", "*cc.LIA", "*cc.OLIA", "*cc.Reno", "*cc.WVegas"}
+	for i, name := range names {
 		a, err := New(name)
 		if err != nil {
 			t.Fatalf("New(%q): %v", name, err)
 		}
-		if a.Name() != name {
-			t.Fatalf("Name() = %q, want %q", a.Name(), name)
+		if got := fmt.Sprintf("%T", a); got != types[i] {
+			t.Fatalf("New(%q) = %s, want %s", name, got, types[i])
 		}
 	}
 	// Names are exact: another spelling of a known name is as unknown as a

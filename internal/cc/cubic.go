@@ -39,9 +39,6 @@ type cubicState struct {
 	wTCP float64
 }
 
-// Name implements Algorithm.
-func (*Cubic) Name() string { return "cubic" }
-
 // Register implements Algorithm.
 func (*Cubic) Register(f *Flow, _ sim.Time) { f.ctx = &cubicState{} }
 

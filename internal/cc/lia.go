@@ -22,9 +22,6 @@ type LIA struct {
 	flows []*Flow
 }
 
-// Name implements Algorithm.
-func (*LIA) Name() string { return "lia" }
-
 // Register implements Algorithm.
 func (l *LIA) Register(f *Flow, _ sim.Time) { l.flows = append(l.flows, f) }
 

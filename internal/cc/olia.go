@@ -32,9 +32,6 @@ type oliaState struct {
 	l1, l2 float64
 }
 
-// Name implements Algorithm.
-func (*OLIA) Name() string { return "olia" }
-
 // Register implements Algorithm.
 func (o *OLIA) Register(f *Flow, _ sim.Time) {
 	f.ctx = &oliaState{}

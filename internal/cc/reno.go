@@ -8,9 +8,6 @@ import "mptcpsim/internal/sim"
 // multipath baseline: each path behaves like a separate TCP connection.
 type Reno struct{}
 
-// Name implements Algorithm.
-func (*Reno) Name() string { return "reno" }
-
 // Register implements Algorithm.
 func (*Reno) Register(*Flow, sim.Time) {}
 

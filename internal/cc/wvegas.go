@@ -38,9 +38,6 @@ type wvegasState struct {
 	lastAdj sim.Time
 }
 
-// Name implements Algorithm.
-func (*WVegas) Name() string { return "wvegas" }
-
 // Register implements Algorithm.
 func (v *WVegas) Register(f *Flow, now sim.Time) {
 	f.ctx = &wvegasState{lastAdj: now}

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -13,8 +14,8 @@ func TestWVegasRegistered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Name() != "wvegas" {
-		t.Fatalf("name = %q", a.Name())
+	if got := fmt.Sprintf("%T", a); got != "*cc.WVegas" {
+		t.Fatalf(`New("wvegas") = %s`, got)
 	}
 }
 

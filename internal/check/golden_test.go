@@ -39,7 +39,6 @@ func (h *hashSink) Accept(_, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result)
 	return nil
 }
 
-func (h *hashSink) Flush() error { return nil }
 func (h *hashSink) Close() error { return nil }
 
 func TestGoldenCorpusHashesIdentical(t *testing.T) {

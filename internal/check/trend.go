@@ -286,6 +286,8 @@ type RungObs struct {
 	// Share is the perturbed path's share of sent payload bytes across
 	// all subflows; NaN when the run sent nothing.
 	Share float64
+	// Optimum is the run's LP optimum total (Mbps); 0 means unknown.
+	Optimum float64
 	// Hash is the rung's Result.Hash, Engine its Result.EngineHash.
 	Hash, Engine string
 	// Err, when non-empty, is why the rung could not be measured
@@ -405,8 +407,17 @@ func (r *TrendReport) Evaluate() {
 	// reporting but get no direction verdicts.
 	vegasDelay := r.Ladder.Knob == KnobDelayUp && r.Ladder.Base.Options.CC == "wvegas"
 
+	// Throttling a link other active paths share can leave the system's
+	// achievable total where it was (the LP moves the lost rate onto
+	// another path) and move a coupled run off a poor allocation, raising
+	// its goodput. Where the LP predicts no loss end to end, the goodput
+	// direction is not asserted; the gap assertion still is.
+	o0, on := r.Obs[0].Optimum, r.Obs[last].Optimum
+	flatOptimum := r.Ladder.Knob == KnobRateDown && !r.Ladder.Exclusive &&
+		o0 > 0 && on > 0 && math.Abs(o0-on) <= 1e-9*math.Max(o0, on)
+
 	// Goodput direction: count tolerance-window inversions step by step.
-	if !vegasDelay {
+	if !vegasDelay && !flatOptimum {
 		var inv []string
 		for k := 1; k < len(r.Obs); k++ {
 			prev, cur := g(k-1), g(k)

@@ -214,6 +214,34 @@ func TestEvaluateGoodputDirections(t *testing.T) {
 	}
 }
 
+// Seed 29's ladder 6 (7 ladders, 4 steps): olia with the redundant
+// scheduler, throttling m22-m31, which other active paths share, from 40 to
+// 5.184 Mbps. The LP optimum stays 60 Mbps on every rung, and goodput
+// rises. Its goodput direction is exempt only while both hold.
+func TestEvaluateFlatOptimumScopesGoodput(t *testing.T) {
+	mk := func(exclusive bool, lastOptimum float64) *TrendReport {
+		r := trendObs(KnobRateDown, "olia", exclusive, []uint64{1432200, 2254000, 2686600, 4053000, 4370800})
+		r.Ladder.Base.Options.Scheduler = "redundant"
+		r.Ladder.Values = []float64{40, 24, 14.4, 8.64, 5.184}
+		for i, gap := range []float64{0.7078, 0.6440, 0.6165, 0.4264, 0.3890} {
+			r.Obs[i].Gap, r.Obs[i].Optimum = gap, 60
+		}
+		r.Obs[len(r.Obs)-1].Optimum = lastOptimum
+		r.Evaluate()
+		return r
+	}
+	if r := mk(false, 60); len(r.Violations) != 0 {
+		t.Fatalf("flat-optimum shared ladder flagged: %v", r.Violations)
+	}
+	for _, r := range []*TrendReport{mk(false, 55), mk(false, 0), mk(true, 60)} {
+		if v := strings.Join(r.Violations, "\n"); !strings.Contains(v, "goodput not non-increasing") ||
+			!strings.Contains(v, "goodput rose end-to-end") {
+			t.Fatalf("exclusive=%v last optimum %g: violations %v, want both goodput checks",
+				r.Ladder.Exclusive, r.Obs[len(r.Obs)-1].Optimum, r.Violations)
+		}
+	}
+}
+
 func TestEvaluateGapAssertions(t *testing.T) {
 	mk := func(cc string, share0 float64, values []float64, gaps []float64) *TrendReport {
 		r := trendObs(KnobRateDown, cc, true, []uint64{900e3, 800e3, 700e3, 600e3})

@@ -10,11 +10,10 @@ import (
 	"mptcpsim/internal/telemetry"
 )
 
-// observer supplies the no-op Flush and Close of sinks that only watch
-// completions go by and hold nothing to finalise.
+// observer supplies the no-op Close of sinks that only watch completions go
+// by and hold nothing to finalise.
 type observer struct{}
 
-func (observer) Flush() error { return nil }
 func (observer) Close() error { return nil }
 
 // ProgressSink prints one human-readable line per completed run.

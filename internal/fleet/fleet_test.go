@@ -67,13 +67,6 @@ func (s *crashSink) Accept(done, total int, r mptcpsim.RunSummary, full *mptcpsi
 	return s.next.Accept(done, total, r, full)
 }
 
-func (s *crashSink) Flush() error {
-	if s.crashed {
-		return errInjectedCrash
-	}
-	return s.next.Flush()
-}
-
 func (s *crashSink) Close() error {
 	if s.crashed {
 		return errInjectedCrash

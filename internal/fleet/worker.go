@@ -93,13 +93,6 @@ func (d *deadlineSink) Accept(done, total int, s mptcpsim.RunSummary, full *mptc
 	return d.next.Accept(done, total, s, full)
 }
 
-func (d *deadlineSink) Flush() error {
-	if err := d.ctx.Err(); err != nil {
-		return err
-	}
-	return d.next.Flush()
-}
-
 func (d *deadlineSink) Close() error {
 	if err := d.ctx.Err(); err != nil {
 		return err

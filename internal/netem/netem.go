@@ -266,14 +266,15 @@ func (n *Network) AttachTap(t Tap) {
 // Fuse lets each link whose every packet enters its near node over one
 // feeder link be admitted by that feeder, for frames arriving by horizon
 // (the run's last instant): see the package documentation. The relation
-// comes from the routing table, which must have every path installed.
-// Links in mutated, and links with an AQM, stay per-hop, as do their
-// feeders' hops onto them.
+// comes from the routing table, which must have every path installed: Fuse
+// freezes it, so a later AddPath fails. Links in mutated, and links with an
+// AQM, stay per-hop, as do their feeders' hops onto them.
 // Call Fuse before the first packet is sent, and let hosts originate only
 // along installed paths that start at them. It returns the number of links
 // it fused.
 func (n *Network) Fuse(horizon sim.Time, mutated []topo.LinkID) int {
 	n.horizon = horizon
+	n.Router.Freeze()
 	fused := 0
 	for _, l := range n.links {
 		u, ok := n.Router.Feeder(l.Spec.ID)

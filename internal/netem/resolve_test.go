@@ -219,6 +219,35 @@ func TestAddPathAfterSendRefused(t *testing.T) {
 	}
 }
 
+// Fuse reads the feeder relation from the table, so it freezes the table:
+// a path entering a fused link's near node over another link would break
+// the fused link's one-feeder premise at its first packet.
+func TestAddPathAfterFuseRefused(t *testing.T) {
+	g := topo.New()
+	s, x, a, d := g.AddNode("s"), g.AddNode("x"), g.AddNode("a"), g.AddNode("d")
+	sa, sx := g.AddLink(s, a, 10*unit.Mbps, time.Millisecond, unit.MB), g.AddLink(s, x, 10*unit.Mbps, time.Millisecond, unit.MB)
+	xa, ad := g.AddLink(x, a, 10*unit.Mbps, time.Millisecond, unit.MB), g.AddLink(a, d, 10*unit.Mbps, time.Millisecond, unit.MB)
+	tt := route.NewTagTable(g)
+	net, err := New(sim.NewLoop(), g, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := net.AssignAddr(d)
+	if err := tt.AddPath(dst, 1, topo.Path{Nodes: []topo.NodeID{s, a, d}, Links: []topo.LinkID{sa, ad}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := net.Fuse(sim.End, nil); n != 1 {
+		t.Fatalf("Fuse fused %d links, want a->d alone", n)
+	}
+	p := topo.Path{Nodes: []topo.NodeID{s, x, a, d}, Links: []topo.LinkID{sx, xa, ad}}
+	if err := tt.AddPath(dst, 2, p); err == nil {
+		t.Fatal("AddPath after Fuse was accepted")
+	}
+	if r := tt.Route(s, dst, 2); r != nil {
+		t.Fatalf("the refused AddPath installed %v", r)
+	}
+}
+
 // Send resets a packet's route: a delivered packet sent again, as
 // resender does, takes its route from the start once more.
 func TestSendResetsHop(t *testing.T) {

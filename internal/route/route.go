@@ -5,7 +5,8 @@
 // same path towards the destination"). A route is the rest of an installed
 // path from the node that sends; unknown tags fail closed. A network looks
 // each route up once, at its first send, and freezes the table, which then
-// refuses AddPath.
+// refuses AddPath; fusing hops on the table's feeder relation freezes it
+// too.
 package route
 
 import (
@@ -129,7 +130,9 @@ func (t *TagTable) AddPath(dst packet.Addr, tag packet.Tag, p topo.Path) error {
 }
 
 // Freeze makes every later AddPath fail, leaving the table unchanged: a
-// network resolving routes calls it, as its packets would miss a new path.
+// network resolving routes calls it, as its packets would miss a new path,
+// and so does one fusing hops, as a new path could give a fused link a
+// second feeder.
 func (t *TagTable) Freeze() { t.frozen = true }
 
 // NextLink returns the first link of pkt's route from node n, or a

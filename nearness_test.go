@@ -74,7 +74,6 @@ func (s *nearSink) Accept(_, _ int, sum mptcpsim.RunSummary, res *mptcpsim.Resul
 	return nil
 }
 
-func (s *nearSink) Flush() error { return nil }
 func (s *nearSink) Close() error { return nil }
 
 // l1 is the L1 distance between two allocations; a missing entry is 0.

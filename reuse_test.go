@@ -76,7 +76,6 @@ func (h *hashes) Accept(done, _ int, s mptcpsim.RunSummary, res *mptcpsim.Result
 	return nil
 }
 
-func (*hashes) Flush() error { return nil }
 func (*hashes) Close() error { return nil }
 
 // TestRunStorageReuseIsInvisible: a run's packet slabs, link queues,

@@ -68,8 +68,8 @@ type RunRecord struct {
 // LogOptions configures a LogSink.
 type LogOptions struct {
 	// Sync, when set, is invoked at every durability barrier — after each
-	// SyncEvery records, on Flush and on Close. Pass (*os.File).Sync for a
-	// crash-durable log; leave nil for buffers and pipes.
+	// SyncEvery records and on Close. Pass (*os.File).Sync for a crash-durable
+	// log; leave nil for buffers and pipes.
 	Sync func() error
 	// SyncEvery is the number of records between durability barriers;
 	// 0 means DefaultSyncBatch.
@@ -145,15 +145,6 @@ func (s *LogSink) barrier() error {
 		return s.opt.Sync()
 	}
 	return nil
-}
-
-// Flush forces every buffered record onto the destination, through the
-// fsync when one is configured.
-func (s *LogSink) Flush() error {
-	if s.closed {
-		return fmt.Errorf("run-log sink: %w", ErrSinkClosed)
-	}
-	return s.barrier()
 }
 
 // Close finalises the log: a last durability barrier, after which the sink

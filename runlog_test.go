@@ -414,5 +414,4 @@ func (f *failingSink) Accept(done, total int, s RunSummary, full *Result) error 
 	return nil
 }
 
-func (f *failingSink) Flush() error { return nil }
 func (f *failingSink) Close() error { f.closed = true; return nil }

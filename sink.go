@@ -37,16 +37,14 @@ var ErrSinkClosed = errors.New("sink already closed")
 // error is returned from the sweep entry point.
 type RunSink interface {
 	Accept(done, total int, s RunSummary, full *Result) error
-	// Flush forces any buffered state through to its destination (for
-	// durable sinks, onto the disk).
-	Flush() error
-	// Close finalises the sink after the last Accept; Close implies Flush.
+	// Close finalises the sink after the last Accept, forcing any buffered
+	// state through to its destination (for durable sinks, onto the disk).
 	// The sweep entry point that was handed the sink calls Close exactly
 	// once, even when a run or an Accept failed.
 	Close() error
 }
 
-// MultiSink fans every Accept, Flush and Close out to each sink in order.
+// MultiSink fans every Accept and Close out to each sink in order.
 // All sinks see every call even when an earlier one errors; the first
 // error is returned. Once closed, the fan-out refuses further Accepts
 // (and a second Close) with ErrSinkClosed instead of forwarding them.
@@ -64,16 +62,6 @@ func (m *multiSink) Accept(done, total int, s RunSummary, full *Result) error {
 	var first error
 	for _, sink := range m.sinks {
 		if err := sink.Accept(done, total, s, full); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-func (m *multiSink) Flush() error {
-	var first error
-	for _, sink := range m.sinks {
-		if err := sink.Flush(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -106,7 +94,6 @@ func (m *MemorySink) Accept(done, total int, s RunSummary, full *Result) error {
 	return nil
 }
 
-func (m *MemorySink) Flush() error { return nil }
 func (m *MemorySink) Close() error { return nil }
 
 // Result assembles the accumulated runs into a SweepResult: runs sorted
@@ -135,5 +122,4 @@ func (r *RollupSink) Accept(done, total int, s RunSummary, full *Result) error {
 	return nil
 }
 
-func (r *RollupSink) Flush() error { return nil }
 func (r *RollupSink) Close() error { return nil }

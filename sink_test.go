@@ -39,7 +39,6 @@ func (c *checkingSink) Accept(done, total int, s RunSummary, full *Result) error
 	return nil
 }
 
-func (c *checkingSink) Flush() error { return nil }
 func (c *checkingSink) Close() error { c.closed++; return nil }
 
 // sinkFunc adapts a function to a RunSink, for tests that only watch
@@ -50,7 +49,6 @@ func (f sinkFunc) Accept(done, total int, s RunSummary, full *Result) error {
 	f(done, total, s, full)
 	return nil
 }
-func (f sinkFunc) Flush() error { return nil }
 func (f sinkFunc) Close() error { return nil }
 
 // TestStreamSinkContract drives a caller sink through Stream and checks it
@@ -204,9 +202,6 @@ func TestSinkCloseContract(t *testing.T) {
 		if buf.Len() != committed {
 			t.Fatalf("post-Close Accept grew the log from %d to %d bytes", committed, buf.Len())
 		}
-		if err := s.Flush(); !errors.Is(err, ErrSinkClosed) {
-			t.Fatalf("Flush after Close: err = %v, want ErrSinkClosed", err)
-		}
 	})
 	t.Run("MultiSink stops forwarding", func(t *testing.T) {
 		inner := &failingSink{failAt: 100}
@@ -241,7 +236,6 @@ func (h *heapSampler) Accept(done, total int, s RunSummary, full *Result) error 
 	return nil
 }
 
-func (h *heapSampler) Flush() error { return nil }
 func (h *heapSampler) Close() error { return nil }
 
 // TestStreamFlatMemory is the flat-memory claim under measurement: a
