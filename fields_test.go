@@ -382,9 +382,12 @@ type checkedPkg struct {
 // productionPkgs type-checks the module's production packages — every
 // non-test file outside bench/ — in the dependency order `go list -deps`
 // prints them in. Packages outside the module come from the export data the
-// same `go list -export` call built.
+// same `go list -export` call built. The patterns name the module's package
+// trees rather than ./..., which would walk bench/out, where a running
+// benchmark creates and deletes directories under the walk.
 func productionPkgs(t *testing.T) ([]checkedPkg, *token.FileSet) {
-	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Export,Standard", "-export", "-deps", "./...")
+	cmd := exec.Command("go", "list", "-json=ImportPath,Dir,GoFiles,Export,Standard", "-export", "-deps",
+		".", "./bench", "./cmd/...", "./internal/...")
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()

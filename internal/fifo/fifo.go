@@ -1,6 +1,9 @@
 // Package fifo provides the head-indexed queue the packet path's FIFOs
 // share: link transmit queues, in-flight frames, the TCP scoreboard and the
 // TCP out-of-order queue all append at the back and retire from the front.
+// A queue reuses its array before it grows it, and Pool hands arrays from
+// one run's queues to the next run's, so a warm run's queues grow only
+// where their live length exceeds every earlier run's.
 package fifo
 
 import "sync"
@@ -13,7 +16,11 @@ const minDead = 16
 // instead of moving the tail; the dead prefix is reclaimed when the queue
 // empties or once it is at least as long as the live part, so each element
 // is moved at most once per pop (amortised O(1)) and the slice never holds
-// more than about twice the live length. The zero value is an empty queue.
+// more than about twice the live length. A Push or Insert into a full array
+// whose dead prefix is at least a quarter of it compacts instead of growing:
+// at least a quarter of the array's length in pushes comes between two such
+// moves, so they stay amortised O(1), and the array grows only once the live
+// part fills three quarters of it. The zero value is an empty queue.
 type Queue[T any] struct {
 	buf  []T
 	head int
@@ -30,10 +37,14 @@ func (q *Queue[T]) Live() []T { return q.buf[q.head:] }
 func (q *Queue[T]) At(i int) *T { return &q.buf[q.head+i] }
 
 // Push appends v at the back.
-func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
+func (q *Queue[T]) Push(v T) {
+	q.makeRoom()
+	q.buf = append(q.buf, v)
+}
 
 // Insert places v before the i-th live element (i == Len appends).
 func (q *Queue[T]) Insert(i int, v T) {
+	q.makeRoom()
 	var zero T
 	q.buf = append(q.buf, zero)
 	at := q.head + i
@@ -60,8 +71,24 @@ func (q *Queue[T]) Pop(n int) {
 	case q.head == len(q.buf):
 		q.buf, q.head = q.buf[:0], 0
 	case q.head >= minDead && q.head*2 >= len(q.buf):
-		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+		q.compact()
 	}
+}
+
+// makeRoom compacts a full array whose dead prefix is at least a quarter of
+// it, so that the append which follows reuses the array instead of doubling it.
+func (q *Queue[T]) makeRoom() {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head*4 >= len(q.buf) {
+		q.compact()
+	}
+}
+
+// compact moves the live elements to the front of the array and zeroes the
+// slots they leave, so the array pins nothing past its live part.
+func (q *Queue[T]) compact() {
+	n := copy(q.buf, q.buf[q.head:])
+	clear(q.buf[n:])
+	q.buf, q.head = q.buf[:n], 0
 }
 
 // Detach returns the backing array, live elements included, and empties q.

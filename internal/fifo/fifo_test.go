@@ -63,6 +63,52 @@ func TestQueueSlackBounded(t *testing.T) {
 	}
 }
 
+// TestQueueCompactsBeforeGrowing: a queue whose live part creeps up while
+// its front keeps retiring — a scoreboard, an out-of-order queue — must
+// reuse its dead prefix instead of doubling the array. The array grows only
+// when the live part fills more than three quarters of it, so its capacity
+// never passes the first capacity append's growth reaches at 4/3 of the peak
+// live count. Both patterns slide: push (or insert mid-queue) k, pop k-1.
+func TestQueueCompactsBeforeGrowing(t *testing.T) {
+	// bound returns the first capacity append reaches, one element at a
+	// time from nil, that holds 4/3 of peak elements.
+	bound := func(peak int) int {
+		var s []int
+		for 3*cap(s) < 4*peak {
+			s = append(s, 0)
+		}
+		return cap(s)
+	}
+	for _, mid := range []bool{false, true} {
+		for _, k := range []int{2, 3, 7, 40} {
+			var q Queue[int]
+			var ref []int
+			next, peak := 0, 0
+			for round := 0; round < 400; round++ {
+				for range k {
+					if i := len(ref) / 2; mid {
+						q.Insert(i, next)
+						ref = slices.Insert(ref, i, next)
+					} else {
+						q.Push(next)
+						ref = append(ref, next)
+					}
+					next++
+					peak = max(peak, len(ref))
+					if c := cap(q.buf); c > bound(peak) {
+						t.Fatalf("mid %v, k %d, round %d: capacity %d at peak %d live, want at most %d", mid, k, round, c, peak, bound(peak))
+					}
+				}
+				q.Pop(k - 1)
+				ref = ref[k-1:]
+				if !slices.Equal(q.Live(), ref) {
+					t.Fatalf("mid %v, k %d, round %d: queue %v, want %v", mid, k, round, q.Live(), ref)
+				}
+			}
+		}
+	}
+}
+
 // TestQueuePopReleasesReferences: retired slots must not pin what they
 // pointed at.
 func TestQueuePopReleasesReferences(t *testing.T) {

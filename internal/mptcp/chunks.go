@@ -31,7 +31,13 @@ type chunkList struct {
 	n    int
 }
 
-var chunkBufs fifo.Pool[dchunk]
+// chunkBufs keeps released lists' block arrays; blockLists and bufLists
+// keep their blocks and pool slices.
+var (
+	chunkBufs  fifo.Pool[dchunk]
+	blockLists fifo.Pool[block]
+	bufLists   fifo.Pool[[]dchunk]
+)
 
 // block is one run of the sequence: buf[head:] is live and never empty.
 type block struct {
@@ -69,6 +75,9 @@ func (l *chunkList) at(b, i int) *dchunk {
 
 // insert places c before position (b, i).
 func (l *chunkList) insert(b, i int, c dchunk) {
+	if l.blocks == nil {
+		l.blocks, l.pool = blockLists.Get(0), bufLists.Get(0)
+	}
 	l.n++
 	if b == len(l.blocks) {
 		// Past the end: extend the last block, or open one.
@@ -133,7 +142,8 @@ func (l *chunkList) newBuf() []dchunk {
 	return chunkBufs.Get(blockCap)
 }
 
-// release hands every array l holds to chunkBufs and empties l.
+// release hands every array l holds to chunkBufs, and its blocks and pool
+// slices to blockLists and bufLists, and empties l.
 func (l *chunkList) release() {
 	for _, blk := range l.blocks {
 		l.pool = append(l.pool, blk.buf)
@@ -141,6 +151,8 @@ func (l *chunkList) release() {
 	for _, buf := range l.pool {
 		chunkBufs.Put(buf)
 	}
+	blockLists.Put(l.blocks)
+	bufLists.Put(l.pool)
 	*l = chunkList{}
 }
 

@@ -3,7 +3,9 @@ package packet
 import "mptcpsim/internal/fifo"
 
 // Arena is a free list of packets and their transport storage, in slabs
-// Release hands on. Senders draw fully reset packets with GetTCP/GetUDP; the
+// Release hands on. The list is threaded through the slots themselves, so
+// taking and returning a packet grows no slice, however many are live at
+// once. Senders draw fully reset packets with GetTCP/GetUDP; the
 // network engine recycles every arena packet at its terminal event —
 // delivery to a local handler, or a drop anywhere — so steady-state packet
 // transit allocates nothing: construction reuses the slot of an earlier packet.
@@ -23,7 +25,7 @@ import "mptcpsim/internal/fifo"
 // An Arena is single-goroutine, like the sim.Loop that drives the run that
 // owns it. The zero value is ready for use.
 type Arena struct {
-	free  []*slot
+	free  *slot    // head of the free list, linked through slot.next
 	slabs [][]slot // every slab get grew, for Release
 }
 
@@ -39,6 +41,7 @@ const slabSize = 64
 // so the slot carries them all and Get wires up the variant requested.
 type slot struct {
 	owner *Arena
+	next  *slot // the next free slot, while this one is free
 	pkt   Packet
 	tcp   TCPBuf
 	udp   UDP
@@ -87,9 +90,8 @@ func (b *TCPBuf) UseSACK(blocks [][2]uint32) {
 // get pops a slot from the free list, growing the arena by a slab when
 // it is empty.
 func (a *Arena) get() *slot {
-	if n := len(a.free); n > 0 {
-		s := a.free[n-1]
-		a.free = a.free[:n-1]
+	if s := a.free; s != nil {
+		a.free = s.next
 		return s
 	}
 	slab := slabBufs.Get(slabSize)[:slabSize]
@@ -97,9 +99,10 @@ func (a *Arena) get() *slot {
 	for i := range slab {
 		slab[i].owner = a
 	}
-	for i := len(slab) - 1; i >= 1; i-- {
-		a.free = append(a.free, &slab[i])
+	for i := 1; i < len(slab)-1; i++ {
+		slab[i].next = &slab[i+1]
 	}
+	a.free = &slab[1]
 	return &slab[0]
 }
 
@@ -144,7 +147,7 @@ func (a *Arena) Recycle(p *Packet) {
 	}
 	s.tcp.Options = nil
 	s.tcp.Sack.Blocks = nil
-	a.free = append(a.free, s)
+	s.next, a.free = a.free, s
 }
 
 // Release hands a's slabs on to later arenas; its packets may not be used again.

@@ -155,16 +155,22 @@ func TestQuickArenaMatchesReference(t *testing.T) {
 		}
 		// Exactly-once accounting: every slot ever created is back on the
 		// free list once — a leak leaves it short of whole slabs, a stale
-		// or foreign recycle that was not ignored adds a duplicate.
-		if len(a.free) == 0 || len(a.free)%slabSize != 0 {
-			t.Fatalf("seed %d: %d free slots after the drain, want whole slabs of %d", seed, len(a.free), slabSize)
-		}
-		seen := make(map[*slot]bool, len(a.free))
-		for _, s := range a.free {
+		// or foreign recycle that was not ignored adds a duplicate. A slot
+		// pushed twice links the list into a cycle, so the walk is bounded
+		// by one step more than there are slots.
+		slots := len(a.slabs) * slabSize
+		seen := make(map[*slot]bool, slots)
+		for s := a.free; s != nil; s = s.next {
 			if seen[s] {
 				t.Fatalf("seed %d: a slot is on the free list twice", seed)
 			}
+			if len(seen) == slots {
+				t.Fatalf("seed %d: the free list runs past all %d slots", seed, slots)
+			}
 			seen[s] = true
+		}
+		if n := len(seen); n == 0 || n%slabSize != 0 || n != slots {
+			t.Fatalf("seed %d: %d free slots after the drain, want whole slabs of %d, all %d", seed, n, slabSize, slots)
 		}
 	}
 }

@@ -79,10 +79,12 @@ type rseg struct {
 	mapped bool
 }
 
-// segBufs and rsegBufs keep released scoreboards and out-of-order queues.
+// segBufs, rsegBufs and rangeBufs keep released scoreboards, out-of-order
+// queues and SACK ranges.
 var (
-	segBufs  fifo.Pool[seg]
-	rsegBufs fifo.Pool[rseg]
+	segBufs   fifo.Pool[seg]
+	rsegBufs  fifo.Pool[rseg]
+	rangeBufs fifo.Pool[[2]uint32]
 )
 
 // Conn is one TCP connection endpoint. Small fields share words (bools
@@ -210,6 +212,7 @@ func newConn(h *Host, cfg Config, local, remote packet.Endpoint) *Conn {
 	}
 	if cfg.Sink != nil { // and only a receiver's out-of-order queue
 		c.ooo.Adopt(rsegBufs.Get(0))
+		c.sackRanges = rangeBufs.Get(0)
 	}
 	c.Flow.MSS = DefaultMSS
 	c.Flow.ID = cfg.FlowID

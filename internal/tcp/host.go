@@ -51,12 +51,14 @@ func NewHost(n *netem.Network, node topo.NodeID, rng *sim.Rand) *Host {
 	}
 }
 
-// Release hands every connection's scoreboard and out-of-order queue on to
-// later connections; h's may not be used again.
+// Release hands every connection's scoreboard, out-of-order queue and SACK
+// ranges on to later connections; h's may not be used again.
 func (h *Host) Release() {
 	for _, e := range h.conns {
 		segBufs.Put(e.c.rtx.Detach())
 		rsegBufs.Put(e.c.ooo.Detach())
+		rangeBufs.Put(e.c.sackRanges)
+		e.c.sackRanges = nil
 	}
 }
 

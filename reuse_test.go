@@ -6,6 +6,7 @@ import (
 	"os/exec"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -173,6 +174,61 @@ func TestRunStorageReuseIsInvisible(t *testing.T) {
 		t.Error("a finished run's network outlived a collection: storage handed to the next run still points into it")
 	}
 }
+
+// warmWideBytesBudget bounds the median bytes a warm 500-ms run of
+// reuseTail's eight overlapping paths allocates. Measured on amd64 over five
+// runs of the test each: a median of 94–98 KiB (96 264–99 864 bytes) while
+// the packet arena's free list was a slice rebuilt every run, a full queue
+// doubled over its dead prefix, and the receivers' SACK ranges and the
+// reassembly index slices started empty; 47–54 KiB (48 616–55 640 bytes)
+// since the free list runs through the slots, a queue compacts before it
+// grows and those slices come from pools. The budget sits between the two.
+const warmWideBytesBudget = 72 << 10
+
+// TestWarmWideRunBytes: once the pools are warm, a run of the wide
+// overlapping shape allocates its set-up and its result, not buffer growth.
+// The median of seven runs after five warm-up runs stands against a run the
+// collector happens to empty the pools in. Under the race detector sync.Pool
+// drops some of what it is handed, so the gate runs without -short only.
+func TestWarmWideRunBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("byte gate: sync.Pool drops under -race, which CI runs with -short")
+	}
+	spec := reuseTail(t)[:1]
+	run := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := (&mptcpsim.Sweep{Workers: 1}).Execute(spec, discard{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for range 5 {
+		run()
+	}
+	var bytes []uint64
+	for range 7 {
+		bytes = append(bytes, run())
+	}
+	slices.Sort(bytes)
+	t.Logf("warm wide8 run bytes, sorted: %v", bytes)
+	if m := bytes[len(bytes)/2]; m > warmWideBytesBudget {
+		t.Fatalf("a warm wide8 run allocates a median %d KiB, budget %d KiB", m>>10, warmWideBytesBudget>>10)
+	}
+}
+
+// discard is a sink that keeps nothing and fails on a failed run.
+type discard struct{}
+
+func (discard) Accept(done, _ int, s mptcpsim.RunSummary, _ *mptcpsim.Result) error {
+	if s.Err != "" {
+		return fmt.Errorf("run %d: %s", done, s.Err)
+	}
+	return nil
+}
+
+func (discard) Close() error { return nil }
 
 // deepCopy returns a copy of v that shares no memory with it, unexported
 // fields included.
